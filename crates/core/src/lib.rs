@@ -173,7 +173,7 @@ impl Terra {
 
     /// The sampling profiler's current interval (0 = off).
     pub fn sample_interval(&self) -> u64 {
-        self.interp.ctx.exec.trace.sample_interval()
+        self.interp.ctx.exec.sample_interval()
     }
 
     /// Replaces the simulated cache geometry used while profiling (see

@@ -865,7 +865,11 @@ mod cli {
         for line in a.lines() {
             super::json::validate(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
         }
-        assert!(a.starts_with("{\"type\":\"meta\""), "got: {a}");
+        // The meta record versions the schema; consumers key off it.
+        assert!(
+            a.starts_with("{\"type\":\"meta\",\"version\":1"),
+            "got: {a}"
+        );
         assert!(a.contains("\"type\":\"leak\""), "got: {a}");
         assert!(a.contains("\"type\":\"sample\""), "got: {a}");
     }

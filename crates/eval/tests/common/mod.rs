@@ -1,4 +1,5 @@
-//! Shared flight-recorder glue for the differential proptest harnesses.
+//! Shared pieces of the differential proptest harnesses: the random
+//! program generators, and flight-recorder glue.
 //!
 //! When a differential test fails, "outputs differ" is a weak signal. The
 //! helper here records both sides of the differential with the execution
@@ -12,9 +13,152 @@
 // different subset of it.
 #![allow(dead_code)]
 
+use proptest::prelude::*;
 use terra_eval::Interp;
 use terra_ir::OptLevel;
 use terra_trace::{replay, RecMeta, Recording};
+
+// -- generators ---------------------------------------------------------------
+
+/// An operand in the generated program: a parameter, an earlier temporary,
+/// or a literal.
+#[derive(Debug, Clone)]
+pub enum Src {
+    Param(u8),
+    Var(u8),
+    Konst(i32),
+}
+
+/// One straight-line statement: `var xN = lhs op rhs`.
+#[derive(Debug, Clone)]
+pub enum OpStmt {
+    Add(Src, Src),
+    Sub(Src, Src),
+    Mul(Src, Src),
+    Div(Src, Src),
+    Rem(Src, Src),
+    /// Shift by a small constant — the form strength reduction produces.
+    Shl(Src, u8),
+}
+
+fn src_txt(s: &Src, defined: usize) -> String {
+    match s {
+        Src::Param(i) => ["a", "b", "c"][*i as usize % 3].to_string(),
+        Src::Var(i) if defined > 0 => format!("x{}", *i as usize % defined),
+        // No temporaries defined yet: fall back to a parameter.
+        Src::Var(i) => ["a", "b", "c"][*i as usize % 3].to_string(),
+        Src::Konst(v) => {
+            if *v < 0 {
+                format!("({v})")
+            } else {
+                format!("{v}")
+            }
+        }
+    }
+}
+
+fn stmt_txt(s: &OpStmt, n: usize) -> String {
+    let bin =
+        |op: &str, l: &Src, r: &Src| format!("var x{n} = {} {op} {}", src_txt(l, n), src_txt(r, n));
+    match s {
+        OpStmt::Add(l, r) => bin("+", l, r),
+        OpStmt::Sub(l, r) => bin("-", l, r),
+        OpStmt::Mul(l, r) => bin("*", l, r),
+        OpStmt::Div(l, r) => bin("/", l, r),
+        OpStmt::Rem(l, r) => bin("%", l, r),
+        OpStmt::Shl(l, k) => format!("var x{n} = {} << {}", src_txt(l, n), k % 8),
+    }
+}
+
+/// Renders the program: every temporary is also stored into a malloc'd
+/// buffer so the differential compares memory state, not just the return.
+pub fn program_txt(stmts: &[OpStmt]) -> String {
+    let n = stmts.len();
+    let mut body = String::new();
+    for (i, s) in stmts.iter().enumerate() {
+        body.push_str(&format!("    {}\n", stmt_txt(s, i)));
+        body.push_str(&format!("    buf[{i}] = [double](x{i})\n"));
+    }
+    format!(
+        "local std = terralib.includec(\"stdlib.h\")\n\
+         terra prog(a : int, b : int, c : int) : &double\n\
+         \u{20}   var buf = [&double](std.malloc({n} * 8))\n\
+         {body}\
+         \u{20}   return buf\n\
+         end\n\
+         return prog"
+    )
+}
+
+fn src_strategy() -> impl Strategy<Value = Src> {
+    prop_oneof![
+        any::<u8>().prop_map(Src::Param),
+        any::<u8>().prop_map(Src::Var),
+        // Small constants hit the identity/strength-reduction rewrites
+        // (0, 1, powers of two) much more often than uniform i32s would.
+        prop_oneof![(-4i32..=16).boxed(), any::<i32>().boxed()].prop_map(Src::Konst),
+    ]
+}
+
+pub fn stmt_strategy() -> impl Strategy<Value = OpStmt> {
+    let s = src_strategy;
+    prop_oneof![
+        (s(), s()).prop_map(|(l, r)| OpStmt::Add(l, r)),
+        (s(), s()).prop_map(|(l, r)| OpStmt::Sub(l, r)),
+        (s(), s()).prop_map(|(l, r)| OpStmt::Mul(l, r)),
+        (s(), s()).prop_map(|(l, r)| OpStmt::Div(l, r)),
+        (s(), s()).prop_map(|(l, r)| OpStmt::Rem(l, r)),
+        (s(), any::<u8>()).prop_map(|(l, k)| OpStmt::Shl(l, k)),
+    ]
+}
+
+/// A random integer expression over the loop index `i` and a captured
+/// scalar `k`. `Div` can trap (division by zero at specific indices), which
+/// exercises the first-trap-by-chunk-index reporting path.
+#[derive(Debug, Clone)]
+pub enum E {
+    I,
+    K,
+    C(i8),
+    Add(Box<E>, Box<E>),
+    Sub(Box<E>, Box<E>),
+    Mul(Box<E>, Box<E>),
+    Div(Box<E>, Box<E>),
+}
+
+impl E {
+    pub fn src(&self) -> String {
+        match self {
+            E::I => "i".to_string(),
+            E::K => "k".to_string(),
+            E::C(v) => {
+                if *v < 0 {
+                    format!("({})", v)
+                } else {
+                    v.to_string()
+                }
+            }
+            E::Add(l, r) => format!("({} + {})", l.src(), r.src()),
+            E::Sub(l, r) => format!("({} - {})", l.src(), r.src()),
+            E::Mul(l, r) => format!("({} * {})", l.src(), r.src()),
+            E::Div(l, r) => format!("({} / {})", l.src(), r.src()),
+        }
+    }
+}
+
+pub fn expr_strategy() -> impl Strategy<Value = E> {
+    let leaf = prop_oneof![Just(E::I), Just(E::K), (-9i8..10).prop_map(E::C),];
+    leaf.prop_recursive(3, 24, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Add(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Sub(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Mul(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Div(Box::new(l), Box::new(r))),
+        ]
+    })
+}
+
+// -- flight-recorder glue -----------------------------------------------------
 
 /// One side of a differential: the configuration a program runs under.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +189,7 @@ impl RecConfig {
         }
     }
 
-    fn meta(&self, window: Option<(u64, u64)>) -> RecMeta {
+    pub fn meta(&self, window: Option<(u64, u64)>) -> RecMeta {
         RecMeta {
             // These runs re-execute from in-memory source, not a file.
             script: "<generated>".to_string(),

@@ -9,99 +9,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::RecConfig;
-
-/// An operand in the generated program: a parameter, an earlier temporary,
-/// or a literal.
-#[derive(Debug, Clone)]
-enum Src {
-    Param(u8),
-    Var(u8),
-    Konst(i32),
-}
-
-/// One straight-line statement: `var xN = lhs op rhs`.
-#[derive(Debug, Clone)]
-enum OpStmt {
-    Add(Src, Src),
-    Sub(Src, Src),
-    Mul(Src, Src),
-    Div(Src, Src),
-    Rem(Src, Src),
-    /// Shift by a small constant — the form strength reduction produces.
-    Shl(Src, u8),
-}
-
-fn src_txt(s: &Src, defined: usize) -> String {
-    match s {
-        Src::Param(i) => ["a", "b", "c"][*i as usize % 3].to_string(),
-        Src::Var(i) if defined > 0 => format!("x{}", *i as usize % defined),
-        // No temporaries defined yet: fall back to a parameter.
-        Src::Var(i) => ["a", "b", "c"][*i as usize % 3].to_string(),
-        Src::Konst(v) => {
-            if *v < 0 {
-                format!("({v})")
-            } else {
-                format!("{v}")
-            }
-        }
-    }
-}
-
-fn stmt_txt(s: &OpStmt, n: usize) -> String {
-    let bin =
-        |op: &str, l: &Src, r: &Src| format!("var x{n} = {} {op} {}", src_txt(l, n), src_txt(r, n));
-    match s {
-        OpStmt::Add(l, r) => bin("+", l, r),
-        OpStmt::Sub(l, r) => bin("-", l, r),
-        OpStmt::Mul(l, r) => bin("*", l, r),
-        OpStmt::Div(l, r) => bin("/", l, r),
-        OpStmt::Rem(l, r) => bin("%", l, r),
-        OpStmt::Shl(l, k) => format!("var x{n} = {} << {}", src_txt(l, n), k % 8),
-    }
-}
-
-/// Renders the program: every temporary is also stored into a malloc'd
-/// buffer so the differential compares memory state, not just the return.
-fn program_txt(stmts: &[OpStmt]) -> String {
-    let n = stmts.len();
-    let mut body = String::new();
-    for (i, s) in stmts.iter().enumerate() {
-        body.push_str(&format!("    {}\n", stmt_txt(s, i)));
-        body.push_str(&format!("    buf[{i}] = [double](x{i})\n"));
-    }
-    format!(
-        "local std = terralib.includec(\"stdlib.h\")\n\
-         terra prog(a : int, b : int, c : int) : &double\n\
-         \u{20}   var buf = [&double](std.malloc({n} * 8))\n\
-         {body}\
-         \u{20}   return buf\n\
-         end\n\
-         return prog"
-    )
-}
-
-fn src_strategy() -> impl Strategy<Value = Src> {
-    prop_oneof![
-        any::<u8>().prop_map(Src::Param),
-        any::<u8>().prop_map(Src::Var),
-        // Small constants hit the identity/strength-reduction rewrites
-        // (0, 1, powers of two) much more often than uniform i32s would.
-        prop_oneof![(-4i32..=16).boxed(), any::<i32>().boxed()].prop_map(Src::Konst),
-    ]
-}
-
-fn stmt_strategy() -> impl Strategy<Value = OpStmt> {
-    let s = src_strategy;
-    prop_oneof![
-        (s(), s()).prop_map(|(l, r)| OpStmt::Add(l, r)),
-        (s(), s()).prop_map(|(l, r)| OpStmt::Sub(l, r)),
-        (s(), s()).prop_map(|(l, r)| OpStmt::Mul(l, r)),
-        (s(), s()).prop_map(|(l, r)| OpStmt::Div(l, r)),
-        (s(), s()).prop_map(|(l, r)| OpStmt::Rem(l, r)),
-        (s(), any::<u8>()).prop_map(|(l, k)| OpStmt::Shl(l, k)),
-    ]
-}
+use common::{program_txt, stmt_strategy, OpStmt, RecConfig, Src};
 
 /// Runs the program at the given level; returns the buffer contents on
 /// success or the trap message on failure.

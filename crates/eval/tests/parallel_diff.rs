@@ -10,53 +10,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::RecConfig;
-
-/// A random integer expression over the loop index `i` and a captured
-/// scalar `k`. `Div` can trap (division by zero at specific indices), which
-/// exercises the first-trap-by-chunk-index reporting path.
-#[derive(Debug, Clone)]
-enum E {
-    I,
-    K,
-    C(i8),
-    Add(Box<E>, Box<E>),
-    Sub(Box<E>, Box<E>),
-    Mul(Box<E>, Box<E>),
-    Div(Box<E>, Box<E>),
-}
-
-impl E {
-    fn src(&self) -> String {
-        match self {
-            E::I => "i".to_string(),
-            E::K => "k".to_string(),
-            E::C(v) => {
-                if *v < 0 {
-                    format!("({})", v)
-                } else {
-                    v.to_string()
-                }
-            }
-            E::Add(l, r) => format!("({} + {})", l.src(), r.src()),
-            E::Sub(l, r) => format!("({} - {})", l.src(), r.src()),
-            E::Mul(l, r) => format!("({} * {})", l.src(), r.src()),
-            E::Div(l, r) => format!("({} / {})", l.src(), r.src()),
-        }
-    }
-}
-
-fn expr_strategy() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![Just(E::I), Just(E::K), (-9i8..10).prop_map(E::C),];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Add(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Sub(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Mul(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Div(Box::new(l), Box::new(r))),
-        ]
-    })
-}
+use common::{expr_strategy, RecConfig};
 
 /// Runs the program at a given (threads, opt level); returns the result
 /// bits or the rendered trap.

@@ -3,8 +3,7 @@
 //! The observability layer of terra-rs: everything the staging pipeline and
 //! the VM need to answer "where did the time and the instructions go?".
 //!
-//! Three kinds of signal are collected, all behind one `enabled` gate so a
-//! non-profiled run pays (at most) a predictable branch:
+//! Three kinds of signal are collected, all off until profiling is enabled:
 //!
 //! - **Staging timeline** — [`SpanEvent`]s for parse, specialization,
 //!   typecheck/lowering, analysis/verify, bytecode compilation, and FFI
@@ -12,13 +11,13 @@
 //!   the paper's lazy-compilation behaviour (§4: eager specialization, lazy
 //!   typechecking) directly visible: a function's typecheck span appears at
 //!   its *first call*, not at its definition.
-//! - **VM telemetry** — per-opcode execution counts, per-function call
-//!   counts with inclusive/exclusive instruction counts ([`Tracer`]), and
-//!   memory-system counters ([`MemCounters`]: allocation traffic, loads and
-//!   stores by access width, vector transfers, prefetch hints). Counters
-//!   are **deterministic**: two runs of the same program produce identical
-//!   snapshots, so they double as a reproducible cost model next to
-//!   wall-clock timing (the autotuner ranks kernels with them).
+//! - **VM telemetry** — per-opcode execution counts and per-function call
+//!   counts with inclusive/exclusive instruction counts (collected by the
+//!   VM's telemetry observer, frozen into [`Profile::ops`] and
+//!   [`Profile::funcs`]), and memory-system counters ([`MemStats`]).
+//!   Counters are **deterministic**: two runs of the same program produce
+//!   identical snapshots, so they double as a reproducible cost model next
+//!   to wall-clock timing (the autotuner ranks kernels with them).
 //! - **Exports** — a human-readable report and Chrome `traceEvents` JSON
 //!   ([`Profile::to_chrome_json`]) loadable in `chrome://tracing` / Perfetto.
 //!
@@ -47,9 +46,6 @@ pub use record::{
 pub use replay::{DiffReport, DivergentSide, ReplaySummary};
 pub use sample::{SampleFuncRank, SampleStats, Sampler};
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which pipeline stage a timeline span belongs to.
@@ -146,29 +142,17 @@ pub struct FuncProfile {
     pub counters: FuncCounters,
 }
 
-/// An in-flight function activation on the profile stack.
-#[derive(Debug)]
-struct ActiveFunc {
-    name: Arc<str>,
-    exclusive: u64,
-    child_inclusive: u64,
-}
-
-/// The collector threaded through the staging pipeline and the VM.
-///
-/// Lives on the VM `Program` so both the meta-language (staging spans) and
-/// executing Terra code (opcode/function counters) reach the same sink.
-/// Everything is a no-op until [`Tracer::set_enabled`] turns it on.
+/// The collector threaded through the staging pipeline: spans (a no-op
+/// until [`Tracer::set_enabled`]), optimization remarks, and per-region
+/// `parallelfor` telemetry. The VM's per-instruction counters are *not*
+/// here: its telemetry observer keeps them, indexed by opcode, and merges
+/// them into the [`Profile`] when one is frozen.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
     epoch: Instant,
     events: Vec<SpanEvent>,
-    ops: BTreeMap<&'static str, u64>,
-    funcs: BTreeMap<Arc<str>, FuncCounters>,
-    stack: Vec<ActiveFunc>,
     remarks: Vec<Remark>,
-    sampler: Sampler,
     par: ParallelStats,
 }
 
@@ -185,11 +169,7 @@ impl Tracer {
             enabled: false,
             epoch: Instant::now(),
             events: Vec::new(),
-            ops: BTreeMap::new(),
-            funcs: BTreeMap::new(),
-            stack: Vec::new(),
             remarks: Vec::new(),
-            sampler: Sampler::default(),
             par: ParallelStats::default(),
         }
     }
@@ -205,62 +185,12 @@ impl Tracer {
         self.enabled
     }
 
-    /// Discards all collected events and counters (the gate stays as-is,
-    /// and so does the sampling interval).
+    /// Discards all collected events, remarks and parallel telemetry (the
+    /// gate stays as-is).
     pub fn reset(&mut self) {
         self.events.clear();
-        self.ops.clear();
-        self.funcs.clear();
-        self.stack.clear();
         self.remarks.clear();
-        self.sampler.reset();
         self.par.clear();
-    }
-
-    // -- sampling ------------------------------------------------------------
-
-    /// Sets the sampling interval in retired instructions (0 = off).
-    pub fn set_sample_interval(&mut self, interval: u64) {
-        self.sampler.set_interval(interval);
-    }
-
-    /// The configured sampling interval (0 = sampling off).
-    pub fn sample_interval(&self) -> u64 {
-        self.sampler.interval()
-    }
-
-    /// Whether the sampling profiler is active.
-    #[inline]
-    pub fn sampling(&self) -> bool {
-        self.sampler.active()
-    }
-
-    /// Counts one retired instruction toward the next sample; when the
-    /// interval elapses, captures the current activation stack. The VM
-    /// calls this once per instruction while [`Tracer::sampling`] is on —
-    /// retired instructions only, so the sample points are independent of
-    /// whether the exact profiler (and its `chk` pseudo-ops) is also on.
-    #[inline]
-    pub fn sample_tick(&mut self) {
-        if !self.sampler.active() {
-            return;
-        }
-        if self.sampler.tick() {
-            let mut key = String::new();
-            for (i, f) in self.stack.iter().enumerate() {
-                if i > 0 {
-                    key.push(';');
-                }
-                // Frame separator is reserved; sanitize like folded output.
-                for ch in f.name.chars() {
-                    key.push(if ch == ';' { ',' } else { ch });
-                }
-            }
-            if key.is_empty() {
-                key.push_str("(host)");
-            }
-            self.sampler.record(key);
-        }
     }
 
     // -- remarks -------------------------------------------------------------
@@ -289,16 +219,8 @@ impl Tracer {
     /// Records a completed span that began at `start_us` (from
     /// [`Tracer::now_us`]). No-op while disabled.
     pub fn record(&mut self, stage: Stage, name: &str, start_us: u64) {
-        if !self.enabled {
-            return;
-        }
-        let end = self.now_us();
-        self.events.push(SpanEvent {
-            stage,
-            name: name.to_string(),
-            start_us,
-            dur_us: end.saturating_sub(start_us),
-        });
+        let dur_us = self.now_us().saturating_sub(start_us);
+        self.record_span(stage, name, start_us, dur_us);
     }
 
     /// Records a completed span with an explicit duration — for callers
@@ -316,74 +238,12 @@ impl Tracer {
         });
     }
 
-    // -- VM counters ---------------------------------------------------------
-
-    /// Counts one executed instruction: bumps the opcode's counter and the
-    /// current function activation's exclusive count. Call only while
-    /// profiling (the VM gates this behind [`Tracer::enabled`]).
-    #[inline]
-    pub fn tick(&mut self, mnemonic: &'static str) {
-        *self.ops.entry(mnemonic).or_insert(0) += 1;
-        if let Some(top) = self.stack.last_mut() {
-            top.exclusive += 1;
-        }
-    }
-
-    /// Pushes a function activation (VM frame push).
-    pub fn func_enter(&mut self, name: Arc<str>) {
-        self.stack.push(ActiveFunc {
-            name,
-            exclusive: 0,
-            child_inclusive: 0,
-        });
-    }
-
-    /// Pops the current activation (VM frame pop), folding its counts into
-    /// the per-function table and its parent's inclusive count.
-    pub fn func_exit(&mut self) {
-        let Some(top) = self.stack.pop() else { return };
-        let inclusive = top.exclusive + top.child_inclusive;
-        let entry = self.funcs.entry(top.name).or_default();
-        entry.calls += 1;
-        entry.exclusive += top.exclusive;
-        entry.inclusive += inclusive;
-        if let Some(parent) = self.stack.last_mut() {
-            parent.child_inclusive += inclusive;
-        }
-    }
-
-    /// Total instructions ticked so far (sum over the opcode map). Worker
-    /// shards use this as "instructions retired by this chunk".
-    pub fn total_ops(&self) -> u64 {
-        self.ops.values().sum()
-    }
-
-    /// Activation-stack depth (for unwinding on traps).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     // -- parallel telemetry --------------------------------------------------
 
-    /// Records one executed `parallelfor` region: per-chunk shard counters
-    /// captured *before* the shards are merged away. `provenance` is the
-    /// rendered staging chain ("via quote at line 9"), empty for in-place
-    /// code. Call only while profiling (the VM gates this behind
-    /// [`Tracer::enabled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_parallel(
-        &mut self,
-        function: &str,
-        line: u32,
-        provenance: &str,
-        kernel: &str,
-        threads: u64,
-        iterations: u64,
-        chunks: Vec<ParChunkStats>,
-    ) {
-        self.par.record(
-            function, line, provenance, kernel, threads, iterations, chunks,
-        );
+    /// The parallel-execution telemetry, for the VM's telemetry observer
+    /// to record executed `parallelfor` regions into.
+    pub fn parallel_mut(&mut self) -> &mut ParallelStats {
+        &mut self.par
     }
 
     /// The parallel-execution telemetry collected so far.
@@ -391,229 +251,24 @@ impl Tracer {
         &self.par
     }
 
-    /// Pops activations down to `depth`, still attributing the partial
-    /// counts each trapped frame accumulated.
-    pub fn unwind_to(&mut self, depth: usize) {
-        while self.stack.len() > depth {
-            self.func_exit();
-        }
-    }
-
-    // -- shard merging -------------------------------------------------------
-
-    /// Folds another tracer's counters into this one. Used by the parallel
-    /// harness: each worker context collects into its own tracer shard, and
-    /// the shards are merged back in chunk order after the join. Every merge
-    /// is a commutative sum over keyed counters (opcode map, per-function
-    /// counters, sampler stacks), so the merged totals are independent of
-    /// worker interleaving *and* of the order shards are absorbed in; span
-    /// events and remarks are appended in absorb order.
-    ///
-    /// The shard's in-flight activation stack is ignored — callers must
-    /// absorb only quiesced tracers (depth 0), which the harness guarantees
-    /// by unwinding each worker before the join.
-    pub fn absorb(&mut self, other: &Tracer) {
-        for (k, v) in &other.ops {
-            *self.ops.entry(k).or_insert(0) += v;
-        }
-        for (name, c) in &other.funcs {
-            let e = self.funcs.entry(Arc::clone(name)).or_default();
-            e.calls += c.calls;
-            e.inclusive += c.inclusive;
-            e.exclusive += c.exclusive;
-        }
-        self.events.extend(other.events.iter().cloned());
-        self.remarks.extend(other.remarks.iter().cloned());
-        self.sampler.absorb(&other.sampler);
-        self.par.absorb(&other.par);
-    }
-
-    /// Creates a fresh shard for a worker execution context: same gates
-    /// (enabled flag, sampling interval), empty counters. The shard starts
-    /// with an empty activation stack, so kernel calls inside a worker do
-    /// not roll up into any host-side caller's inclusive counts — the same
-    /// accounting at every thread count.
-    pub fn worker_shard(&self) -> Tracer {
-        let mut t = Tracer::new();
-        t.set_enabled(self.enabled);
-        t.set_sample_interval(self.sampler.interval());
-        t
-    }
-
     // -- snapshots -----------------------------------------------------------
 
     /// Freezes the collected data into a [`Profile`], combining it with the
-    /// memory counters (which live on the VM's `Memory`).
+    /// memory counters (which live on the VM's `Memory`). The VM fills in
+    /// its opcode, per-function, cache, heap and sample sections.
     pub fn snapshot(&self, mem: MemStats) -> Profile {
-        let mut funcs: Vec<FuncProfile> = self
-            .funcs
-            .iter()
-            .map(|(name, c)| FuncProfile {
-                name: name.to_string(),
-                counters: *c,
-            })
-            .collect();
-        // Most expensive first; ties broken by name for determinism.
-        funcs.sort_by(|a, b| {
-            b.counters
-                .inclusive
-                .cmp(&a.counters.inclusive)
-                .then_with(|| a.name.cmp(&b.name))
-        });
         Profile {
             events: self.events.clone(),
-            ops: self.ops.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            funcs,
             mem,
-            cache: CacheStats::default(),
-            cache_lines: Vec::new(),
             remarks: self.remarks.clone(),
-            heap: HeapStats::default(),
-            samples: self.sampler.snapshot(),
             parallel: self.par.clone(),
+            ..Profile::default()
         }
     }
 }
 
-/// Live memory-system counters, embedded in the VM's `Memory`.
-///
-/// Fields are [`Cell`]s because loads go through `&Memory`; the VM gates
-/// every `note_*` call behind its own profile flag, so a disabled run never
-/// touches these.
-#[derive(Debug, Default)]
-pub struct MemCounters {
-    mallocs: Cell<u64>,
-    frees: Cell<u64>,
-    peak_live_bytes: Cell<u64>,
-    loads: [Cell<u64>; 4],
-    stores: [Cell<u64>; 4],
-    vec_loads: Cell<u64>,
-    vec_stores: Cell<u64>,
-    prefetches: Cell<u64>,
-}
-
-#[inline]
-fn width_bucket(bytes: u64) -> usize {
-    match bytes {
-        1 => 0,
-        2 => 1,
-        4 => 2,
-        _ => 3,
-    }
-}
-
-impl MemCounters {
-    /// Records a `malloc`, with the resulting live-byte figure for peak
-    /// tracking.
-    #[inline]
-    pub fn note_malloc(&self, live_bytes: u64) {
-        self.mallocs.set(self.mallocs.get() + 1);
-        if live_bytes > self.peak_live_bytes.get() {
-            self.peak_live_bytes.set(live_bytes);
-        }
-    }
-
-    /// Records a successful `free`.
-    #[inline]
-    pub fn note_free(&self) {
-        self.frees.set(self.frees.get() + 1);
-    }
-
-    /// Records a scalar load of `bytes` (1/2/4/8).
-    #[inline]
-    pub fn note_load(&self, bytes: u64) {
-        let c = &self.loads[width_bucket(bytes)];
-        c.set(c.get() + 1);
-    }
-
-    /// Records a scalar store of `bytes` (1/2/4/8).
-    #[inline]
-    pub fn note_store(&self, bytes: u64) {
-        let c = &self.stores[width_bucket(bytes)];
-        c.set(c.get() + 1);
-    }
-
-    /// Records a vector-register load.
-    #[inline]
-    pub fn note_vec_load(&self) {
-        self.vec_loads.set(self.vec_loads.get() + 1);
-    }
-
-    /// Records a vector-register store.
-    #[inline]
-    pub fn note_vec_store(&self) {
-        self.vec_stores.set(self.vec_stores.get() + 1);
-    }
-
-    /// Records a prefetch hint.
-    #[inline]
-    pub fn note_prefetch(&self) {
-        self.prefetches.set(self.prefetches.get() + 1);
-    }
-
-    /// Clears every counter.
-    pub fn reset(&self) {
-        self.mallocs.set(0);
-        self.frees.set(0);
-        self.peak_live_bytes.set(0);
-        for c in &self.loads {
-            c.set(0);
-        }
-        for c in &self.stores {
-            c.set(0);
-        }
-        self.vec_loads.set(0);
-        self.vec_stores.set(0);
-        self.prefetches.set(0);
-    }
-
-    /// Folds a frozen worker-shard snapshot into these counters: traffic
-    /// counts add, the peak takes the max (each worker's peak is measured
-    /// against the same shared heap's live-byte figure, so the max over
-    /// shards equals the sequential peak).
-    pub fn absorb(&self, s: &MemStats) {
-        self.mallocs.set(self.mallocs.get() + s.mallocs);
-        self.frees.set(self.frees.get() + s.frees);
-        if s.peak_live_bytes > self.peak_live_bytes.get() {
-            self.peak_live_bytes.set(s.peak_live_bytes);
-        }
-        for (c, v) in self.loads.iter().zip(s.loads) {
-            c.set(c.get() + v);
-        }
-        for (c, v) in self.stores.iter().zip(s.stores) {
-            c.set(c.get() + v);
-        }
-        self.vec_loads.set(self.vec_loads.get() + s.vec_loads);
-        self.vec_stores.set(self.vec_stores.get() + s.vec_stores);
-        self.prefetches.set(self.prefetches.get() + s.prefetches);
-    }
-
-    /// A plain-value copy of the current counts.
-    pub fn snapshot(&self) -> MemStats {
-        MemStats {
-            mallocs: self.mallocs.get(),
-            frees: self.frees.get(),
-            peak_live_bytes: self.peak_live_bytes.get(),
-            loads: [
-                self.loads[0].get(),
-                self.loads[1].get(),
-                self.loads[2].get(),
-                self.loads[3].get(),
-            ],
-            stores: [
-                self.stores[0].get(),
-                self.stores[1].get(),
-                self.stores[2].get(),
-                self.stores[3].get(),
-            ],
-            vec_loads: self.vec_loads.get(),
-            vec_stores: self.vec_stores.get(),
-            prefetches: self.prefetches.get(),
-        }
-    }
-}
-
-/// A frozen copy of [`MemCounters`].
+/// Memory-system counters: live in the VM's `Memory` (which bumps them only
+/// while profiling), frozen by value into a [`Profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Heap allocations.
@@ -635,6 +290,44 @@ pub struct MemStats {
 }
 
 impl MemStats {
+    /// Index into [`MemStats::loads`]/[`MemStats::stores`] for an access
+    /// of `bytes` (1/2/4/8).
+    #[inline]
+    pub fn width_bucket(bytes: u64) -> usize {
+        match bytes {
+            1 => 0,
+            2 => 1,
+            4 => 2,
+            _ => 3,
+        }
+    }
+
+    /// Records a `malloc`, with the resulting live-byte figure for peak
+    /// tracking.
+    pub fn note_malloc(&mut self, live_bytes: u64) {
+        self.mallocs += 1;
+        self.peak_live_bytes = self.peak_live_bytes.max(live_bytes);
+    }
+
+    /// Folds a worker shard's counters into these: traffic counts add, the
+    /// peak takes the max (each worker's peak is measured against the same
+    /// shared heap's live-byte figure, so the max over shards equals the
+    /// sequential peak).
+    pub fn absorb(&mut self, s: &MemStats) {
+        self.mallocs += s.mallocs;
+        self.frees += s.frees;
+        self.peak_live_bytes = self.peak_live_bytes.max(s.peak_live_bytes);
+        for (c, v) in self.loads.iter_mut().zip(s.loads) {
+            *c += v;
+        }
+        for (c, v) in self.stores.iter_mut().zip(s.stores) {
+            *c += v;
+        }
+        self.vec_loads += s.vec_loads;
+        self.vec_stores += s.vec_stores;
+        self.prefetches += s.prefetches;
+    }
+
     /// Total scalar + vector loads.
     pub fn total_loads(&self) -> u64 {
         self.loads.iter().sum::<u64>() + self.vec_loads
@@ -880,38 +573,6 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn exercised_tracer() -> Tracer {
-        let mut t = Tracer::new();
-        t.set_enabled(true);
-        let s = t.now_us();
-        t.record(Stage::Parse, "chunk", s);
-        t.func_enter(Arc::from("outer"));
-        t.tick("add.i");
-        t.tick("add.i");
-        t.func_enter(Arc::from("inner"));
-        t.tick("mul.i");
-        t.func_exit();
-        t.tick("ret");
-        t.func_exit();
-        t
-    }
-
-    #[test]
-    fn inclusive_exclusive_accounting() {
-        let t = exercised_tracer();
-        let p = t.snapshot(MemStats::default());
-        assert_eq!(p.total_instructions(), 4);
-        let outer = p.func("outer").unwrap().counters;
-        assert_eq!(outer.calls, 1);
-        assert_eq!(outer.exclusive, 3);
-        assert_eq!(outer.inclusive, 4);
-        let inner = p.func("inner").unwrap().counters;
-        assert_eq!(inner.exclusive, 1);
-        assert_eq!(inner.inclusive, 1);
-        assert_eq!(p.op_count("add.i"), 2);
-        assert_eq!(p.op_count("nope"), 0);
-    }
-
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::new();
@@ -921,42 +582,26 @@ mod tests {
     }
 
     #[test]
-    fn unwind_attributes_partial_counts() {
-        let mut t = Tracer::new();
-        t.set_enabled(true);
-        t.func_enter(Arc::from("f"));
-        t.tick("add.i");
-        t.func_enter(Arc::from("g"));
-        t.tick("div.s");
-        t.unwind_to(0);
-        let p = t.snapshot(MemStats::default());
-        assert_eq!(p.func("g").unwrap().counters.exclusive, 1);
-        assert_eq!(p.func("f").unwrap().counters.inclusive, 2);
-        assert_eq!(t.depth(), 0);
-    }
-
-    #[test]
-    fn mem_counters_roundtrip() {
-        let c = MemCounters::default();
+    fn mem_stats_peak_and_absorb() {
+        let mut c = MemStats::default();
         c.note_malloc(128);
         c.note_malloc(64); // live shrank (hypothetically); peak must hold
-        c.note_free();
-        c.note_load(8);
-        c.note_load(1);
-        c.note_store(4);
-        c.note_vec_load();
-        c.note_vec_store();
-        c.note_prefetch();
-        let s = c.snapshot();
-        assert_eq!(s.mallocs, 2);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.peak_live_bytes, 128);
-        assert_eq!(s.loads, [1, 0, 0, 1]);
-        assert_eq!(s.stores, [0, 0, 1, 0]);
-        assert_eq!(s.total_loads(), 3);
-        assert_eq!(s.total_stores(), 2);
-        c.reset();
-        assert_eq!(c.snapshot(), MemStats::default());
+        c.loads[MemStats::width_bucket(8)] += 1;
+        c.loads[MemStats::width_bucket(1)] += 1;
+        c.stores[MemStats::width_bucket(4)] += 1;
+        c.vec_loads += 1;
+        c.vec_stores += 1;
+        assert_eq!((c.mallocs, c.peak_live_bytes), (2, 128));
+        assert_eq!(c.loads, [1, 0, 0, 1]);
+        assert_eq!(c.stores, [0, 0, 1, 0]);
+        assert_eq!((c.total_loads(), c.total_stores()), (3, 2));
+        let mut sum = MemStats {
+            peak_live_bytes: 500,
+            ..c
+        };
+        sum.absorb(&c);
+        assert_eq!((sum.mallocs, sum.peak_live_bytes), (4, 500));
+        assert_eq!(sum.total_loads(), 6);
     }
 
     #[test]
@@ -979,36 +624,6 @@ mod tests {
         assert!(CacheConfig::parse("l1=64,64,8:l2=256k,64,8").is_err()); // too small
         assert!(CacheConfig::parse("l1=1000,64,8:l2=256k,64,8").is_err()); // not multiple
         assert!(CacheConfig::parse("garbage").is_err());
-    }
-
-    #[test]
-    fn sampling_captures_the_activation_stack() {
-        let mut t = Tracer::new();
-        t.set_sample_interval(2);
-        t.func_enter(Arc::from("outer"));
-        t.sample_tick(); // 1: no sample
-        t.func_enter(Arc::from("inner"));
-        t.sample_tick(); // 2: sample at outer;inner
-        t.sample_tick(); // 3
-        t.func_exit();
-        t.sample_tick(); // 4: sample at outer
-        t.func_exit();
-        let p = t.snapshot(MemStats::default());
-        assert_eq!(p.samples.interval, 2);
-        assert_eq!(p.samples.total, 2);
-        assert_eq!(
-            p.samples.stacks,
-            vec![("outer".to_string(), 1), ("outer;inner".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn sampling_off_records_nothing() {
-        let mut t = Tracer::new();
-        t.func_enter(Arc::from("f"));
-        t.sample_tick();
-        t.func_exit();
-        assert_eq!(t.snapshot(MemStats::default()).samples.total, 0);
     }
 
     #[test]

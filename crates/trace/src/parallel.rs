@@ -300,35 +300,6 @@ impl ParallelStats {
         }
     }
 
-    /// Folds another collection into this one (used by the tracer's shard
-    /// merge; worker shards never carry parallel stats — nested
-    /// `parallelfor` is rejected statically — so this is usually a no-op).
-    pub fn absorb(&mut self, other: &ParallelStats) {
-        for s in &other.sites {
-            self.record(
-                &s.function,
-                s.line,
-                &s.provenance,
-                &s.kernel,
-                s.threads,
-                s.iterations,
-                s.chunks.clone(),
-            );
-            // `record` counts one invocation; restore the shard's real count.
-            let merged = self
-                .sites
-                .iter_mut()
-                .find(|t| {
-                    t.function == s.function
-                        && t.line == s.line
-                        && t.provenance == s.provenance
-                        && t.kernel == s.kernel
-                })
-                .expect("just recorded");
-            merged.invocations += s.invocations - 1;
-        }
-    }
-
     /// Discards every recorded site.
     pub fn clear(&mut self) {
         self.sites.clear();
@@ -487,20 +458,5 @@ mod tests {
         assert_eq!(bare.location(), "run:4");
         bare.line = 0;
         assert_eq!(bare.location(), "run");
-    }
-
-    #[test]
-    fn absorb_preserves_invocation_counts() {
-        let mut a = ParallelStats::default();
-        a.record("f", 1, "", "f$par0", 2, 10, vec![chunk(0, 0, 10)]);
-        let mut b = ParallelStats::default();
-        b.record("f", 1, "", "f$par0", 2, 10, vec![chunk(0, 0, 10)]);
-        b.record("f", 1, "", "f$par0", 2, 10, vec![chunk(0, 0, 10)]);
-        a.absorb(&b);
-        assert_eq!(a.sites.len(), 1);
-        assert_eq!(a.sites[0].invocations, 3);
-        assert_eq!(a.sites[0].chunks[0].instructions, 30);
-        a.clear();
-        assert!(a.is_empty());
     }
 }

@@ -373,10 +373,10 @@ impl Recorder {
         }
     }
 
-    /// Counts one retired instruction.
+    /// Counts `n` retired instructions.
     #[inline]
-    pub fn tick(&mut self) {
-        self.retired += 1;
+    pub fn retire(&mut self, n: u64) {
+        self.retired += n;
     }
 
     /// True when a checkpoint is due (owner only; the caller computes the
@@ -744,8 +744,8 @@ mod tests {
         meta.cadence = 2;
         meta.window = window;
         let mut rec = Recorder::new(meta);
-        rec.tick();
-        rec.tick();
+        rec.retire(1);
+        rec.retire(1);
         if rec.wants_detail() {
             rec.stage_site(EffectSite {
                 func: "kernel".into(),
@@ -850,7 +850,7 @@ mod tests {
         let mut rec = Recorder::new(meta);
         for i in 0..7u64 {
             for _ in 0..100 {
-                rec.tick();
+                rec.retire(1);
             }
             rec.effect(EffectKind::Store {
                 addr: 0x100 + i,

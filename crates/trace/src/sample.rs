@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-/// The live sampling state, owned by the `Tracer`.
+/// The live sampling state, owned by the VM's telemetry observer.
 #[derive(Debug, Default)]
 pub struct Sampler {
     interval: u64,
@@ -42,10 +42,16 @@ impl Sampler {
         self.interval > 0
     }
 
-    /// Counts one retired instruction; returns `true` when a sample is due.
+    /// Retired instructions left until the next sample (while active).
+    pub fn countdown(&self) -> u64 {
+        self.countdown
+    }
+
+    /// Counts `n` retired instructions — no more than
+    /// [`Sampler::countdown`] — and returns `true` when a sample is due.
     #[inline]
-    pub fn tick(&mut self) -> bool {
-        self.countdown -= 1;
+    pub fn advance(&mut self, n: u64) -> bool {
+        self.countdown -= n;
         if self.countdown == 0 {
             self.countdown = self.interval;
             true
@@ -155,12 +161,12 @@ mod tests {
     fn interval_gates_ticks() {
         let mut s = Sampler::default();
         s.set_interval(3);
-        assert!(!s.tick());
-        assert!(!s.tick());
-        assert!(s.tick());
-        assert!(!s.tick());
-        assert!(!s.tick());
-        assert!(s.tick());
+        assert!(!s.advance(1));
+        assert!(!s.advance(1));
+        assert!(s.advance(1));
+        assert!(!s.advance(1));
+        assert!(!s.advance(1));
+        assert!(s.advance(1));
     }
 
     #[test]
@@ -200,12 +206,12 @@ mod tests {
     fn reset_keeps_interval() {
         let mut s = Sampler::default();
         s.set_interval(2);
-        s.tick();
+        s.advance(1);
         s.record("f".to_string());
         s.reset();
         assert_eq!(s.interval(), 2);
         assert_eq!(s.snapshot().total, 0);
-        assert!(!s.tick());
-        assert!(s.tick());
+        assert!(!s.advance(1));
+        assert!(s.advance(1));
     }
 }

@@ -931,144 +931,153 @@ pub enum Instr {
 
 impl Instr {
     /// Whether this instruction performs a bounds-checked memory access —
-    /// the instructions the `checkelim` pass can mark check-free.
-    /// `Prefetch` is excluded: hints never trap, so they carry no check.
+    /// what the `checkelim` pass can mark check-free (rows tagged `mem`
+    /// below). `Prefetch` is excluded: hints never trap, so carry no check.
     pub fn is_mem_access(&self) -> bool {
-        matches!(
-            self,
-            Instr::LoadI8 { .. }
-                | Instr::LoadU8 { .. }
-                | Instr::LoadI16 { .. }
-                | Instr::LoadU16 { .. }
-                | Instr::LoadI32 { .. }
-                | Instr::LoadU32 { .. }
-                | Instr::Load64 { .. }
-                | Instr::LoadF32 { .. }
-                | Instr::LoadF64 { .. }
-                | Instr::LoadV { .. }
-                | Instr::Store8 { .. }
-                | Instr::Store16 { .. }
-                | Instr::Store32 { .. }
-                | Instr::Store64 { .. }
-                | Instr::StoreF32 { .. }
-                | Instr::StoreF64 { .. }
-                | Instr::StoreV { .. }
-                | Instr::CopyMem { .. }
-        )
+        MEM_ACCESS[self.opcode() as usize]
     }
 
-    /// The instruction's mnemonic, used as the key for the profiler's
-    /// per-opcode execution counters and in disassembly-style reports.
+    /// The instruction's mnemonic (its name in reports and counters).
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Instr::ConstI { .. } => "const.i",
-            Instr::ConstF64 { .. } => "const.f64",
-            Instr::ConstF32 { .. } => "const.f32",
-            Instr::Mov { .. } => "mov",
-            Instr::AddI { .. } => "add.i",
-            Instr::SubI { .. } => "sub.i",
-            Instr::MulI { .. } => "mul.i",
-            Instr::DivS { .. } => "div.s",
-            Instr::DivU { .. } => "div.u",
-            Instr::RemS { .. } => "rem.s",
-            Instr::RemU { .. } => "rem.u",
-            Instr::Shl { .. } => "shl",
-            Instr::ShrS { .. } => "shr.s",
-            Instr::ShrU { .. } => "shr.u",
-            Instr::And { .. } => "and",
-            Instr::Or { .. } => "or",
-            Instr::Xor { .. } => "xor",
-            Instr::MinS { .. } => "min.s",
-            Instr::MaxS { .. } => "max.s",
-            Instr::NegI { .. } => "neg.i",
-            Instr::NotI { .. } => "not.i",
-            Instr::NotB { .. } => "not.b",
-            Instr::Trunc { .. } => "trunc",
-            Instr::Lea { .. } => "lea",
-            Instr::AddF64 { .. } => "add.f64",
-            Instr::SubF64 { .. } => "sub.f64",
-            Instr::MulF64 { .. } => "mul.f64",
-            Instr::DivF64 { .. } => "div.f64",
-            Instr::MinF64 { .. } => "min.f64",
-            Instr::MaxF64 { .. } => "max.f64",
-            Instr::NegF64 { .. } => "neg.f64",
-            Instr::AddF32 { .. } => "add.f32",
-            Instr::SubF32 { .. } => "sub.f32",
-            Instr::MulF32 { .. } => "mul.f32",
-            Instr::DivF32 { .. } => "div.f32",
-            Instr::MinF32 { .. } => "min.f32",
-            Instr::MaxF32 { .. } => "max.f32",
-            Instr::NegF32 { .. } => "neg.f32",
-            Instr::CmpEqI { .. } => "cmp.eq.i",
-            Instr::CmpNeI { .. } => "cmp.ne.i",
-            Instr::CmpLtS { .. } => "cmp.lt.s",
-            Instr::CmpLeS { .. } => "cmp.le.s",
-            Instr::CmpLtU { .. } => "cmp.lt.u",
-            Instr::CmpLeU { .. } => "cmp.le.u",
-            Instr::CmpEqF64 { .. } => "cmp.eq.f64",
-            Instr::CmpNeF64 { .. } => "cmp.ne.f64",
-            Instr::CmpLtF64 { .. } => "cmp.lt.f64",
-            Instr::CmpLeF64 { .. } => "cmp.le.f64",
-            Instr::CmpEqF32 { .. } => "cmp.eq.f32",
-            Instr::CmpNeF32 { .. } => "cmp.ne.f32",
-            Instr::CmpLtF32 { .. } => "cmp.lt.f32",
-            Instr::CmpLeF32 { .. } => "cmp.le.f32",
-            Instr::CvtSToF64 { .. } => "cvt.s.f64",
-            Instr::CvtSToF32 { .. } => "cvt.s.f32",
-            Instr::CvtUToF64 { .. } => "cvt.u.f64",
-            Instr::CvtUToF32 { .. } => "cvt.u.f32",
-            Instr::CvtF64ToS { .. } => "cvt.f64.s",
-            Instr::CvtF64ToU { .. } => "cvt.f64.u",
-            Instr::CvtF32ToS { .. } => "cvt.f32.s",
-            Instr::CvtF32ToF64 { .. } => "cvt.f32.f64",
-            Instr::CvtF64ToF32 { .. } => "cvt.f64.f32",
-            Instr::LoadI8 { .. } => "load.i8",
-            Instr::LoadU8 { .. } => "load.u8",
-            Instr::LoadI16 { .. } => "load.i16",
-            Instr::LoadU16 { .. } => "load.u16",
-            Instr::LoadI32 { .. } => "load.i32",
-            Instr::LoadU32 { .. } => "load.u32",
-            Instr::Load64 { .. } => "load.64",
-            Instr::LoadF32 { .. } => "load.f32",
-            Instr::LoadF64 { .. } => "load.f64",
-            Instr::Store8 { .. } => "store.8",
-            Instr::Store16 { .. } => "store.16",
-            Instr::Store32 { .. } => "store.32",
-            Instr::Store64 { .. } => "store.64",
-            Instr::StoreF32 { .. } => "store.f32",
-            Instr::StoreF64 { .. } => "store.f64",
-            Instr::LoadV { .. } => "load.v",
-            Instr::StoreV { .. } => "store.v",
-            Instr::FrameAddr { .. } => "frame.addr",
-            Instr::CopyMem { .. } => "copy.mem",
-            Instr::Prefetch { .. } => "prefetch",
-            Instr::VAddF32 { .. } => "vadd.f32",
-            Instr::VSubF32 { .. } => "vsub.f32",
-            Instr::VMulF32 { .. } => "vmul.f32",
-            Instr::VDivF32 { .. } => "vdiv.f32",
-            Instr::VMinF32 { .. } => "vmin.f32",
-            Instr::VMaxF32 { .. } => "vmax.f32",
-            Instr::VAddF64 { .. } => "vadd.f64",
-            Instr::VSubF64 { .. } => "vsub.f64",
-            Instr::VMulF64 { .. } => "vmul.f64",
-            Instr::VDivF64 { .. } => "vdiv.f64",
-            Instr::VMinF64 { .. } => "vmin.f64",
-            Instr::VMaxF64 { .. } => "vmax.f64",
-            Instr::VFmaF32 { .. } => "vfma.f32",
-            Instr::VFmaF64 { .. } => "vfma.f64",
-            Instr::SplatF32 { .. } => "splat.f32",
-            Instr::SplatF64 { .. } => "splat.f64",
-            Instr::Jmp { .. } => "jmp",
-            Instr::BrFalse { .. } => "br.false",
-            Instr::BrTrue { .. } => "br.true",
-            Instr::Call { .. } => "call",
-            Instr::ParFor { .. } => "par.for",
-            Instr::CallIndirect { .. } => "call.indirect",
-            Instr::CallBuiltin { .. } => "call.builtin",
-            Instr::Ret { .. } => "ret",
-            Instr::Trap => "trap",
-        }
+        MNEMONICS[self.opcode() as usize]
     }
+}
+
+/// Declares the opcode numbering: one `Variant => "mnemonic"` row per
+/// [`Instr`] variant, so [`Instr::opcode`] is the row's position and
+/// [`MNEMONICS`] the name table profilers' dense counters are rendered by.
+macro_rules! opcodes {
+    (@mem mem) => { true };
+    (@mem) => { false };
+    ($($variant:ident => $name:literal $($mem:ident)?,)*) => {
+        #[repr(u8)]
+        enum Opcode { $($variant),* }
+
+        /// Mnemonic of every opcode, indexed by [`Instr::opcode`].
+        pub const MNEMONICS: [&str; N_OPCODES] = [$($name),*];
+
+        const MEM_ACCESS: [bool; N_OPCODES] = [$(opcodes!(@mem $($mem)?)),*];
+
+        impl Instr {
+            /// Dense opcode index of this instruction (`< N_OPCODES`).
+            #[inline]
+            pub fn opcode(&self) -> u8 {
+                match self { $(Instr::$variant { .. } => Opcode::$variant as u8,)* }
+            }
+        }
+    };
+}
+
+/// Number of distinct opcodes ([`Instr`] variants).
+pub const N_OPCODES: usize = 106;
+
+opcodes! {
+    ConstI => "const.i",
+    ConstF64 => "const.f64",
+    ConstF32 => "const.f32",
+    Mov => "mov",
+    AddI => "add.i",
+    SubI => "sub.i",
+    MulI => "mul.i",
+    DivS => "div.s",
+    DivU => "div.u",
+    RemS => "rem.s",
+    RemU => "rem.u",
+    Shl => "shl",
+    ShrS => "shr.s",
+    ShrU => "shr.u",
+    And => "and",
+    Or => "or",
+    Xor => "xor",
+    MinS => "min.s",
+    MaxS => "max.s",
+    NegI => "neg.i",
+    NotI => "not.i",
+    NotB => "not.b",
+    Trunc => "trunc",
+    Lea => "lea",
+    AddF64 => "add.f64",
+    SubF64 => "sub.f64",
+    MulF64 => "mul.f64",
+    DivF64 => "div.f64",
+    MinF64 => "min.f64",
+    MaxF64 => "max.f64",
+    NegF64 => "neg.f64",
+    AddF32 => "add.f32",
+    SubF32 => "sub.f32",
+    MulF32 => "mul.f32",
+    DivF32 => "div.f32",
+    MinF32 => "min.f32",
+    MaxF32 => "max.f32",
+    NegF32 => "neg.f32",
+    CmpEqI => "cmp.eq.i",
+    CmpNeI => "cmp.ne.i",
+    CmpLtS => "cmp.lt.s",
+    CmpLeS => "cmp.le.s",
+    CmpLtU => "cmp.lt.u",
+    CmpLeU => "cmp.le.u",
+    CmpEqF64 => "cmp.eq.f64",
+    CmpNeF64 => "cmp.ne.f64",
+    CmpLtF64 => "cmp.lt.f64",
+    CmpLeF64 => "cmp.le.f64",
+    CmpEqF32 => "cmp.eq.f32",
+    CmpNeF32 => "cmp.ne.f32",
+    CmpLtF32 => "cmp.lt.f32",
+    CmpLeF32 => "cmp.le.f32",
+    CvtSToF64 => "cvt.s.f64",
+    CvtSToF32 => "cvt.s.f32",
+    CvtUToF64 => "cvt.u.f64",
+    CvtUToF32 => "cvt.u.f32",
+    CvtF64ToS => "cvt.f64.s",
+    CvtF64ToU => "cvt.f64.u",
+    CvtF32ToS => "cvt.f32.s",
+    CvtF32ToF64 => "cvt.f32.f64",
+    CvtF64ToF32 => "cvt.f64.f32",
+    LoadI8 => "load.i8" mem,
+    LoadU8 => "load.u8" mem,
+    LoadI16 => "load.i16" mem,
+    LoadU16 => "load.u16" mem,
+    LoadI32 => "load.i32" mem,
+    LoadU32 => "load.u32" mem,
+    Load64 => "load.64" mem,
+    LoadF32 => "load.f32" mem,
+    LoadF64 => "load.f64" mem,
+    Store8 => "store.8" mem,
+    Store16 => "store.16" mem,
+    Store32 => "store.32" mem,
+    Store64 => "store.64" mem,
+    StoreF32 => "store.f32" mem,
+    StoreF64 => "store.f64" mem,
+    LoadV => "load.v" mem,
+    StoreV => "store.v" mem,
+    FrameAddr => "frame.addr",
+    CopyMem => "copy.mem" mem,
+    Prefetch => "prefetch",
+    VAddF32 => "vadd.f32",
+    VSubF32 => "vsub.f32",
+    VMulF32 => "vmul.f32",
+    VDivF32 => "vdiv.f32",
+    VMinF32 => "vmin.f32",
+    VMaxF32 => "vmax.f32",
+    VAddF64 => "vadd.f64",
+    VSubF64 => "vsub.f64",
+    VMulF64 => "vmul.f64",
+    VDivF64 => "vdiv.f64",
+    VMinF64 => "vmin.f64",
+    VMaxF64 => "vmax.f64",
+    VFmaF32 => "vfma.f32",
+    VFmaF64 => "vfma.f64",
+    SplatF32 => "splat.f32",
+    SplatF64 => "splat.f64",
+    Jmp => "jmp",
+    BrFalse => "br.false",
+    BrTrue => "br.true",
+    Call => "call",
+    CallIndirect => "call.indirect",
+    ParFor => "par.for",
+    CallBuiltin => "call.builtin",
+    Ret => "ret",
+    Trap => "trap",
 }
 
 /// Function-pointer values are tagged with this high bit pattern so that
@@ -1159,9 +1168,57 @@ impl CompiledFunction {
     }
 }
 
+/// A function with no debug info and no frame memory, for unit tests.
+#[cfg(test)]
+pub(crate) fn compiled(name: &str, ty: FuncTy, nregs: u16, code: Vec<Instr>) -> CompiledFunction {
+    CompiledFunction {
+        name: name.into(),
+        ty,
+        nregs,
+        provs: Vec::new(),
+        prov_table: Vec::new(),
+        frame_size: 0,
+        code,
+        lines: Vec::new(),
+        nochk: Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn opcodes_are_dense_and_mnemonics_distinct() {
+        // The `opcodes!` match is exhaustive and numbers variants by their
+        // row, so first and last rows pin the whole numbering.
+        assert_eq!(Instr::ConstI { d: 0, v: 0 }.opcode(), 0);
+        assert_eq!(Instr::Trap.opcode() as usize, N_OPCODES - 1);
+        let mut names = MNEMONICS.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), N_OPCODES, "two opcodes share a mnemonic");
+        // `chk` is the profiler's pseudo-op row; no real opcode may claim it.
+        assert!(!MNEMONICS.contains(&"chk"));
+        // 9 scalar loads, 6 scalar stores, 2 vector transfers, `copy.mem`.
+        assert_eq!(MEM_ACCESS.iter().filter(|m| **m).count(), 18);
+        assert!(Instr::CopyMem {
+            dst: 0,
+            src: 0,
+            size: 0
+        }
+        .is_mem_access());
+        assert!(!Instr::Prefetch { a: 0 }.is_mem_access());
+        for (instr, name) in [
+            (Instr::LoadF64 { d: 0, a: 0 }, "load.f64"),
+            (Instr::Jmp { target: 0 }, "jmp"),
+            (Instr::Ret { s: NO_REG }, "ret"),
+            (Instr::Trap, "trap"),
+        ] {
+            assert_eq!(MNEMONICS[instr.opcode() as usize], name);
+            assert_eq!(instr.mnemonic(), name);
+        }
+    }
 
     #[test]
     fn func_ptr_roundtrip() {

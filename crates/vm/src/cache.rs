@@ -9,54 +9,71 @@
 //! *useless* (already resident when hinted, or evicted before any demand).
 //!
 //! The simulator observes the VM's guest addresses only — it never touches
-//! host memory — and is gated behind the same `profile` flag as
-//! [`MemCounters`](terra_trace::MemCounters), so `-O`-level differential
-//! semantics are untouched. Only scalar, vector, and prefetch accesses are
+//! host memory — and is fed only while profiling, beside the memory
+//! counters ([`Memory::observe`](crate::Memory::observe)), so `-O`-level
+//! differential semantics are untouched. Only scalar, vector, and prefetch accesses are
 //! modeled; bulk host operations (`write_f64s`, string interning, memcpy)
 //! deliberately bypass it, as does instruction fetch (the VM has no icache).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use terra_trace::{CacheConfig, CacheLevelConfig, CacheLevelStats, CacheStats, LineStat};
+use terra_trace::{CacheConfig, CacheLevelConfig, CacheLevelStats, CacheStats};
 
 /// Demand ticks a prefetch needs in flight before its line counts as
 /// *useful*; a demand hit sooner than this means the hint was issued too
 /// late to fully hide the (modeled) memory latency.
 const PREFETCH_LATENCY: u64 = 24;
 
-/// One cache way: a tag plus LRU/prefetch bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    /// Full line address (`addr / line`); `u64::MAX` = invalid.
-    tag: u64,
-    /// LRU stamp: higher = more recently used.
-    stamp: u64,
-    /// Line was filled by a prefetch and not yet demanded.
-    prefetched: bool,
-    /// Demand tick at which the prefetch fill happened.
-    pf_tick: u64,
-}
-
+/// Tag of a way that holds no line.
 const INVALID: u64 = u64::MAX;
 
-impl Way {
-    fn empty() -> Way {
-        Way {
-            tag: INVALID,
-            stamp: 0,
-            prefetched: false,
-            pf_tick: 0,
+/// Prefetch tick of a way whose line was demanded (or never prefetched).
+const NOT_PREFETCHED: u64 = u64::MAX;
+
+/// A divisor fixed when the simulator is built: line sizes are powers of
+/// two and set counts nearly always are, so the per-access `/` and `%`
+/// become shifts instead of hardware divisions.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    n: u64,
+    pow2: bool,
+}
+
+impl Divisor {
+    fn new(n: u64) -> Divisor {
+        Divisor {
+            n,
+            pow2: n.is_power_of_two(),
         }
+    }
+
+    #[inline]
+    fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.n.trailing_zeros()
+        } else {
+            x / self.n
+        }
+    }
+
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        x - self.div(x) * self.n
     }
 }
 
-/// One set-associative cache level.
+/// One set-associative cache level. Ways are parallel arrays, set-major,
+/// so a set's tags are contiguous and the lookup can scan all of them
+/// without an early exit — no data-dependent branch to mispredict.
 #[derive(Debug)]
 struct Level {
-    cfg: CacheLevelConfig,
-    sets: u64,
-    /// `sets * assoc` ways, set-major.
-    ways: Vec<Way>,
+    sets: Divisor,
+    assoc: usize,
+    /// Full line address (`addr / line`) per way; [`INVALID`] = empty.
+    tags: Vec<u64>,
+    /// LRU stamp per way: higher = more recently used, 0 = never filled.
+    stamps: Vec<u64>,
+    /// Demand tick at which a prefetch filled the way, until the line is
+    /// first demanded; [`NOT_PREFETCHED`] otherwise.
+    pf_ticks: Vec<u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -67,17 +84,19 @@ struct Filled {
     hit: bool,
     /// The way index touched (for post-hoc prefetch classification).
     way: usize,
-    /// A valid line was displaced whose `prefetched` flag was still set.
+    /// A valid line was displaced that a prefetch filled and nobody used.
     evicted_unused_prefetch: bool,
 }
 
 impl Level {
     fn new(cfg: CacheLevelConfig) -> Level {
-        let sets = cfg.sets();
+        let ways = (cfg.sets() * cfg.assoc) as usize;
         Level {
-            cfg,
-            sets,
-            ways: vec![Way::empty(); (sets * cfg.assoc) as usize],
+            sets: Divisor::new(cfg.sets()),
+            assoc: cfg.assoc as usize,
+            tags: vec![INVALID; ways],
+            stamps: vec![0; ways],
+            pf_ticks: vec![NOT_PREFETCHED; ways],
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -85,57 +104,51 @@ impl Level {
     }
 
     fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = (line % self.sets) as usize;
-        let assoc = self.cfg.assoc as usize;
-        set * assoc..(set + 1) * assoc
+        let set = self.sets.rem(line) as usize;
+        set * self.assoc..(set + 1) * self.assoc
     }
 
     /// Looks up `line`; on miss, fills it (evicting LRU if needed). Counts a
     /// demand hit/miss unless `prefetch_fill` (prefetch traffic is free).
     fn access(&mut self, line: u64, stamp: u64, prefetch_fill: bool) -> Filled {
-        let range = self.set_range(line);
-        let base = range.start;
-        let ways = &mut self.ways[range];
-        if let Some((i, w)) = ways.iter_mut().enumerate().find(|(_, w)| w.tag == line) {
-            w.stamp = stamp;
-            if !prefetch_fill {
-                self.hits += 1;
+        let set = self.set_range(line);
+        let base = set.start;
+        let mut found = None;
+        for (i, &tag) in self.tags[set.clone()].iter().enumerate() {
+            if tag == line {
+                found = Some(base + i);
             }
+        }
+        if let Some(way) = found {
+            self.stamps[way] = stamp;
+            self.hits += !prefetch_fill as u64;
             return Filled {
                 hit: true,
-                way: base + i,
+                way,
                 evicted_unused_prefetch: false,
             };
         }
-        if !prefetch_fill {
-            self.misses += 1;
-        }
-        // Fill: first invalid way, else the least-recently-used (lowest
-        // stamp; lowest index breaks ties for determinism).
-        let victim = match ways.iter().position(|w| w.tag == INVALID) {
-            Some(i) => i,
-            None => {
-                let (i, _) = ways
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, w)| (w.stamp, *i))
-                    .unwrap();
-                i
+        self.misses += !prefetch_fill as u64;
+        // Fill the least-recently-used way: lowest stamp, so never-filled
+        // ways (stamp 0; live stamps start at 1) go first, and the lowest
+        // index breaks ties for determinism.
+        let stamps = &self.stamps[set];
+        let mut victim = 0;
+        for (i, &s) in stamps.iter().enumerate() {
+            if s < stamps[victim] {
+                victim = i;
             }
-        };
-        let evicted_unused_prefetch = ways[victim].tag != INVALID && ways[victim].prefetched;
-        if ways[victim].tag != INVALID {
-            self.evictions += 1;
         }
-        ways[victim] = Way {
-            tag: line,
-            stamp,
-            prefetched: false,
-            pf_tick: 0,
-        };
+        let way = base + victim;
+        let valid = self.tags[way] != INVALID;
+        self.evictions += valid as u64;
+        let evicted_unused_prefetch = valid && self.pf_ticks[way] != NOT_PREFETCHED;
+        self.tags[way] = line;
+        self.stamps[way] = stamp;
+        self.pf_ticks[way] = NOT_PREFETCHED;
         Filled {
             hit: false,
-            way: base + victim,
+            way,
             evicted_unused_prefetch,
         }
     }
@@ -147,27 +160,35 @@ impl Level {
             evictions: self.evictions,
         }
     }
-
-    fn reset(&mut self) {
-        self.ways.fill(Way::empty());
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-    }
 }
 
-/// Per-source-line attribution counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineCounters {
-    accesses: u64,
-    l1_misses: u64,
-    l2_misses: u64,
+/// What one demand access did to the hierarchy. The simulator attributes
+/// nothing itself; the VM's telemetry observer adds this to the executing
+/// instruction's row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Touch {
+    /// Cache lines the access covered (2 when it straddles a boundary).
+    pub accesses: u64,
+    /// Of those, lines that missed in L1.
+    pub l1_misses: u64,
+    /// Of those, lines that also missed in L2.
+    pub l2_misses: u64,
+}
+
+impl std::ops::AddAssign for Touch {
+    fn add_assign(&mut self, o: Touch) {
+        self.accesses += o.accesses;
+        self.l1_misses += o.l1_misses;
+        self.l2_misses += o.l2_misses;
+    }
 }
 
 /// The two-level simulator embedded in [`Memory`](crate::Memory).
 #[derive(Debug)]
 pub struct CacheSim {
     cfg: CacheConfig,
+    /// The L1 line size addresses are cut into lines by.
+    line: Divisor,
     l1: Level,
     l2: Level,
     /// Demand access counter (prefetch timing reference).
@@ -177,10 +198,6 @@ pub struct CacheSim {
     pf_useful: u64,
     pf_late: u64,
     pf_useless: u64,
-    /// Current attribution site: (function name, 1-based source line).
-    site: Option<(Arc<str>, u32)>,
-    /// Attribution table keyed by site.
-    lines: BTreeMap<(Arc<str>, u32), LineCounters>,
 }
 
 impl CacheSim {
@@ -188,6 +205,7 @@ impl CacheSim {
     pub fn new(cfg: CacheConfig) -> CacheSim {
         CacheSim {
             cfg,
+            line: Divisor::new(cfg.l1.line),
             l1: Level::new(cfg.l1),
             l2: Level::new(cfg.l2),
             tick: 0,
@@ -195,8 +213,6 @@ impl CacheSim {
             pf_useful: 0,
             pf_late: 0,
             pf_useless: 0,
-            site: None,
-            lines: BTreeMap::new(),
         }
     }
 
@@ -210,102 +226,71 @@ impl CacheSim {
         *self = CacheSim::new(cfg);
     }
 
-    /// Cold reset: clears counters, the attribution table, *and* the tag
-    /// arrays, so a `reset → run → snapshot` cycle is reproducible.
+    /// Cold reset: clears counters *and* the tag arrays, so a
+    /// `reset → run → snapshot` cycle is reproducible.
     pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.tick = 0;
-        self.stamp = 0;
-        self.pf_useful = 0;
-        self.pf_late = 0;
-        self.pf_useless = 0;
-        self.lines.clear();
-    }
-
-    /// Sets the attribution site for subsequent accesses.
-    pub fn set_site(&mut self, func: &Arc<str>, line: u32) {
-        match &mut self.site {
-            Some((f, l)) if Arc::ptr_eq(f, func) => *l = line,
-            site => *site = Some((Arc::clone(func), line)),
-        }
-    }
-
-    /// Clears the attribution site (host-side accesses are unattributed).
-    pub fn clear_site(&mut self) {
-        self.site = None;
+        *self = CacheSim::new(self.cfg);
     }
 
     /// A demand access of `len` bytes at guest address `addr` (write-allocate
-    /// means loads and stores walk the same path).
-    pub fn access(&mut self, addr: u64, len: u64) {
-        let line_size = self.cfg.l1.line;
-        let first = addr / line_size;
-        let last = addr.saturating_add(len.max(1) - 1) / line_size;
+    /// means loads and stores walk the same path). Returns what it did to
+    /// the hierarchy, for the caller to attribute.
+    pub(crate) fn access(&mut self, addr: u64, len: u64) -> Touch {
+        let first = self.line.div(addr);
+        let last = self.line.div(addr.saturating_add(len.max(1) - 1));
+        let mut touch = Touch::default();
         for line in first..=last {
             self.tick += 1;
             self.stamp += 1;
             let stamp = self.stamp;
             let r1 = self.l1.access(line, stamp, false);
-            let mut l1_miss = false;
-            let mut l2_miss = false;
+            touch.accesses += 1;
             if r1.hit {
                 // Demand hit on a line a prefetch brought in: classify it.
-                let w = &mut self.l1.ways[r1.way];
-                if w.prefetched {
-                    w.prefetched = false;
-                    if self.tick.saturating_sub(w.pf_tick) < PREFETCH_LATENCY {
+                let filled = std::mem::replace(&mut self.l1.pf_ticks[r1.way], NOT_PREFETCHED);
+                if filled != NOT_PREFETCHED {
+                    if self.tick.saturating_sub(filled) < PREFETCH_LATENCY {
                         self.pf_late += 1;
                     } else {
                         self.pf_useful += 1;
                     }
                 }
             } else {
-                l1_miss = true;
+                touch.l1_misses += 1;
                 if r1.evicted_unused_prefetch {
                     self.pf_useless += 1;
                 }
                 let r2 = self.l2.access(line, stamp, false);
-                l2_miss = !r2.hit;
-            }
-            if let Some(site) = &self.site {
-                let c = self.lines.entry(site.clone()).or_default();
-                c.accesses += 1;
-                c.l1_misses += l1_miss as u64;
-                c.l2_misses += l2_miss as u64;
+                touch.l2_misses += !r2.hit as u64;
             }
         }
+        touch
     }
 
     /// A software prefetch hint for the line containing `addr`.
     pub fn prefetch(&mut self, addr: u64) {
-        let line = addr / self.cfg.l1.line;
+        let line = self.line.div(addr);
         self.stamp += 1;
         let stamp = self.stamp;
         let range = self.l1.set_range(line);
-        if self.l1.ways[range].iter().any(|w| w.tag == line) {
+        if self.l1.tags[range].contains(&line) {
             // Already resident: the hint did nothing.
             self.pf_useless += 1;
             return;
         }
-        let r2 = self.l2.access(line, stamp, true);
-        let _ = r2;
+        self.l2.access(line, stamp, true);
         let r1 = self.l1.access(line, stamp, true);
         if r1.evicted_unused_prefetch {
             self.pf_useless += 1;
         }
-        let w = &mut self.l1.ways[r1.way];
-        w.prefetched = true;
-        w.pf_tick = self.tick;
+        self.l1.pf_ticks[r1.way] = self.tick;
     }
 
-    /// Folds another simulator's *counters* into this one: hit/miss/eviction
-    /// totals, prefetch classification, and the per-line attribution table
-    /// all add; the tag arrays are left alone. Used by the parallel harness
-    /// to merge per-chunk cache shards — each worker context simulates its
-    /// own cold hierarchy (see the `Memory` docs for why that is the defined
-    /// semantics under `parallelfor`), and the sums are commutative so the
-    /// merged stats are independent of worker interleaving.
+    /// Folds another simulator's *counters* into this one (the tag arrays are
+    /// left alone). The parallel harness merges per-chunk cache shards with
+    /// it — each worker simulates its own cold hierarchy (see the `Memory`
+    /// docs) — and the sums are commutative, so the merged stats do not
+    /// depend on worker interleaving.
     pub fn absorb(&mut self, other: &CacheSim) {
         self.l1.hits += other.l1.hits;
         self.l1.misses += other.l1.misses;
@@ -316,12 +301,6 @@ impl CacheSim {
         self.pf_useful += other.pf_useful;
         self.pf_late += other.pf_late;
         self.pf_useless += other.pf_useless;
-        for (site, c) in &other.lines {
-            let e = self.lines.entry(site.clone()).or_default();
-            e.accesses += c.accesses;
-            e.l1_misses += c.l1_misses;
-            e.l2_misses += c.l2_misses;
-        }
     }
 
     /// Freezes the hierarchy counters.
@@ -334,32 +313,6 @@ impl CacheSim {
             prefetch_late: self.pf_late,
             prefetch_useless: self.pf_useless,
         }
-    }
-
-    /// Freezes the per-line attribution table, hottest (most L1 misses)
-    /// first; ties broken by L2 misses, accesses, then location, so the
-    /// ordering is deterministic.
-    pub fn line_stats(&self) -> Vec<LineStat> {
-        let mut v: Vec<LineStat> = self
-            .lines
-            .iter()
-            .map(|((func, line), c)| LineStat {
-                func: func.to_string(),
-                line: *line,
-                accesses: c.accesses,
-                l1_misses: c.l1_misses,
-                l2_misses: c.l2_misses,
-            })
-            .collect();
-        v.sort_by(|a, b| {
-            b.l1_misses
-                .cmp(&a.l1_misses)
-                .then_with(|| b.l2_misses.cmp(&a.l2_misses))
-                .then_with(|| b.accesses.cmp(&a.accesses))
-                .then_with(|| a.func.cmp(&b.func))
-                .then_with(|| a.line.cmp(&b.line))
-        });
-        v
     }
 }
 
@@ -487,10 +440,11 @@ mod tests {
     #[test]
     fn reset_restores_cold_state_deterministically() {
         let run = |c: &mut CacheSim| {
+            let mut touched = Touch::default();
             for i in 0..32 {
-                c.access(4096 + i * 40, 8);
+                touched += c.access(4096 + i * 40, 8);
             }
-            (c.stats(), c.line_stats())
+            (c.stats(), touched)
         };
         let mut c = CacheSim::default();
         let a = run(&mut c);
@@ -501,23 +455,21 @@ mod tests {
     }
 
     #[test]
-    fn line_attribution_tracks_sites() {
+    fn access_reports_what_it_touched() {
         let mut c = CacheSim::default();
-        let f: Arc<str> = Arc::from("kern");
-        c.set_site(&f, 3);
-        c.access(4096, 8); // miss
-        c.access(4096, 8); // hit
-        c.set_site(&f, 7);
-        c.access(1 << 20, 8); // miss on another line
-        c.clear_site();
-        c.access(1 << 21, 8); // unattributed
-        let lines = c.line_stats();
-        assert_eq!(lines.len(), 2);
-        // Ordered by misses desc then location: both have 1 L1 miss, so
-        // line 3 (2 accesses) precedes line 7 (1 access).
-        assert_eq!((lines[0].line, lines[0].accesses), (3, 2));
-        assert_eq!((lines[1].line, lines[1].accesses), (7, 1));
-        assert_eq!(lines[0].func, "kern");
-        assert_eq!(c.stats().l1.accesses(), 4);
+        let cold = Touch {
+            accesses: 1,
+            l1_misses: 1,
+            l2_misses: 1,
+        };
+        assert_eq!(c.access(4096, 8), cold);
+        let warm = Touch {
+            accesses: 1,
+            ..Touch::default()
+        };
+        assert_eq!(c.access(4096, 8), warm);
+        // A straddling access walks two lines, one of them now resident.
+        let t = c.access(4096 + 60, 8);
+        assert_eq!((t.accesses, t.l1_misses, t.l2_misses), (2, 1, 1));
     }
 }

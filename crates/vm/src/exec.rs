@@ -2,7 +2,8 @@
 //!
 //! An [`ExecutionContext`] owns everything that changes while Terra code
 //! runs — the register file and call stack, the linear [`Memory`], printf
-//! output, the deterministic RNG, and the profiling [`Tracer`] — while the
+//! output, the deterministic RNG, the staging [`Tracer`] and the
+//! [`Telemetry`] observer — while the
 //! compiled code itself lives in a shared, immutable
 //! [`Arc<Program>`](crate::Program). The split is what makes parallelism
 //! sound by construction: `ExecutionContext` is `Send` (asserted by a
@@ -18,6 +19,7 @@
 use crate::bytecode::CompiledFunction;
 use crate::machine::Vm;
 use crate::memory::Memory;
+use crate::observer::Telemetry;
 use crate::program::{OutputSink, Program};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,16 +43,15 @@ pub struct ExecutionContext {
     pub rng_state: u64,
     /// Start instant for `clock()`.
     pub epoch: Instant,
-    /// Observability sink: staging timeline spans and VM opcode/function
-    /// counters land here. Shared between the staging pipeline (which
-    /// records spans through it) and the VM (which ticks counters); off by
-    /// default.
+    /// Staging-side observability sink: timeline spans, optimization
+    /// remarks and per-region `parallelfor` telemetry; off by default.
     pub trace: terra_trace::Tracer,
     /// Worker threads for `parallelfor` (1 = sequential fallback).
     threads: usize,
-    /// Execution flight recorder (`--record`), when active. Boxed so the
-    /// common no-recording case costs one pointer.
-    pub(crate) recorder: Option<Box<terra_trace::Recorder>>,
+    /// The VM-side observer (`--profile`, `--sample`, `--record`), created
+    /// with the first gate. `None` also while a call runs: `call_raw` moves
+    /// it out and hands it to the dispatch loop.
+    pub(crate) telemetry: Option<Box<Telemetry>>,
     /// Register file and call stack.
     pub(crate) vm: Vm,
 }
@@ -78,7 +79,7 @@ impl ExecutionContext {
             epoch: Instant::now(),
             trace: terra_trace::Tracer::new(),
             threads: 1,
-            recorder: None,
+            telemetry: None,
             vm: Vm::new(),
         }
     }
@@ -157,39 +158,51 @@ impl ExecutionContext {
         self.threads
     }
 
-    /// Turns profiling on or off for both the tracer and the memory-system
-    /// counters. Accumulated data is kept; use
-    /// [`ExecutionContext::reset_profile`] to clear it.
+    fn telemetry_mut(&mut self) -> &mut Telemetry {
+        self.telemetry.get_or_insert_with(Box::default)
+    }
+
+    /// Turns profiling on or off: staging spans, the VM's exact counters,
+    /// the memory-system counters. Data is kept until
+    /// [`ExecutionContext::reset_profile`].
     pub fn set_profile(&mut self, on: bool) {
         self.trace.set_enabled(on);
         self.memory.set_profile(on);
+        self.telemetry_mut().profiling = on;
     }
 
-    /// Clears all collected profile data (timeline, opcode/function
-    /// counters, memory counters, cache simulator) without changing the
-    /// on/off gate.
+    /// Clears all collected profile data (timeline, counters, samples,
+    /// cache simulator) without changing the on/off gates.
     pub fn reset_profile(&mut self) {
         self.trace.reset();
-        self.memory.counters().reset();
-        self.memory.reset_cache();
-        self.memory.reset_heap();
+        self.memory.reset_profile();
+        if let Some(tel) = &mut self.telemetry {
+            tel.reset();
+        }
     }
 
     /// Sets the sampling profiler's interval in retired instructions
-    /// (0 = sampling off). Independent of the exact-profiling gate: the
-    /// sampler maintains only the activation stack plus a countdown, so it
-    /// stays cheap enough to leave always-on.
+    /// (0 = sampling off). Independent of the exact-profiling gate.
     pub fn set_sample_interval(&mut self, interval: u64) {
-        self.trace.set_sample_interval(interval);
+        self.telemetry_mut().set_sample_interval(interval);
+    }
+
+    /// The configured sampling interval (0 = sampling off).
+    pub fn sample_interval(&self) -> u64 {
+        self.telemetry
+            .as_ref()
+            .map_or(0, |tel| tel.sample_interval())
     }
 
     /// Freezes the current profile (timeline + VM + memory + cache + heap
     /// counters and collected samples).
     pub fn profile(&self) -> terra_trace::Profile {
-        let mut p = self.trace.snapshot(self.memory.counters().snapshot());
+        let mut p = self.trace.snapshot(self.memory.counters());
         p.cache = self.memory.cache_stats();
-        p.cache_lines = self.memory.cache_line_stats();
         p.heap = self.memory.heap_stats();
+        if let Some(tel) = &self.telemetry {
+            tel.fill(&mut p);
+        }
         p
     }
 
@@ -229,22 +242,31 @@ impl ExecutionContext {
     /// Effects and checkpoints accumulate until
     /// [`ExecutionContext::take_recording`].
     pub fn set_record(&mut self, meta: terra_trace::RecMeta) {
-        self.recorder = Some(Box::new(terra_trace::Recorder::new(meta)));
+        let rec = Box::new(terra_trace::Recorder::new(meta));
+        self.telemetry_mut().set_recorder(Some(rec));
     }
 
     /// Whether the flight recorder is active.
     pub fn recording(&self) -> bool {
-        self.recorder.is_some()
+        self.telemetry.as_ref().is_some_and(|tel| tel.recording())
     }
 
     /// Stops the flight recorder and returns the finished recording
     /// (with a final checkpoint of the terminal state), or `None` if
     /// recording was never started.
     pub fn take_recording(&mut self) -> Option<terra_trace::Recording> {
-        let rec = self.recorder.take()?;
+        let rec = self.telemetry.as_mut()?.set_recorder(None)?;
         let regs = self.vm.state_hash();
         let heap = self.memory.heap_hash();
         Some(rec.finish(regs, heap))
+    }
+
+    /// Sends program output (`printf` text) to the configured sink.
+    pub(crate) fn emit(&mut self, text: &str) {
+        match &mut self.output {
+            OutputSink::Stdout => print!("{text}"),
+            OutputSink::Capture(buf) => buf.push_str(text),
+        }
     }
 
     /// Takes captured printf output, if capturing.
@@ -257,13 +279,18 @@ impl ExecutionContext {
 
     // -- parallel workers ----------------------------------------------------
 
-    /// Builds the context for one `parallelfor` worker chunk: a clone of
-    /// the program `Arc`, a shared view of this context's memory with the
-    /// given private stack window, fresh profile shards, a captured output
-    /// sink, and a fresh register file. The worker inherits the RNG state
-    /// read-only in effect: kernels are statically barred from `rand`, so
-    /// the field is just a copy for struct completeness.
-    pub(crate) fn worker(&mut self, stack_base: u64, stack_limit: u64) -> ExecutionContext {
+    /// Builds the context for one `parallelfor` worker chunk: the shared
+    /// program, a view of this context's memory with the given private
+    /// stack window, the given observer shard (the region's observer makes
+    /// it; this context's own is moved out while it runs), a captured
+    /// output sink, and a fresh register file. Kernels are statically
+    /// barred from `rand`, so the RNG state is a copy for completeness.
+    pub(crate) fn worker(
+        &mut self,
+        telemetry: Option<Box<Telemetry>>,
+        stack_base: u64,
+        stack_limit: u64,
+    ) -> ExecutionContext {
         ExecutionContext {
             program: Arc::clone(&self.program),
             memory: self.memory.worker_view(stack_base, stack_limit),
@@ -271,31 +298,10 @@ impl ExecutionContext {
             output: OutputSink::Capture(String::new()),
             rng_state: self.rng_state,
             epoch: self.epoch,
-            trace: self.trace.worker_shard(),
+            trace: terra_trace::Tracer::new(),
             threads: 1,
-            recorder: self.recorder.as_deref().map(|r| Box::new(r.worker_shard())),
+            telemetry,
             vm: Vm::new(),
-        }
-    }
-
-    /// Folds a quiesced worker's shards back into this context: trace
-    /// counters and samples (commutative sums), memory/cache counters, and
-    /// captured printf output (appended — the harness absorbs workers in
-    /// chunk order, so output order is deterministic).
-    pub(crate) fn absorb_worker(&mut self, worker: &mut ExecutionContext) {
-        self.trace.absorb(&worker.trace);
-        self.memory.absorb_worker(&worker.memory);
-        let text = worker.take_output();
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            if let Some(shard) = worker.recorder.take() {
-                rec.absorb_worker(*shard, &text);
-            }
-        }
-        if !text.is_empty() {
-            match &mut self.output {
-                OutputSink::Stdout => print!("{text}"),
-                OutputSink::Capture(buf) => buf.push_str(&text),
-            }
         }
     }
 }
@@ -348,25 +354,5 @@ mod tests {
         assert!(ctx.threads() >= 1);
         ctx.set_threads(8);
         assert_eq!(ctx.threads(), 8);
-    }
-
-    #[test]
-    fn worker_output_merges_in_order() {
-        let mut ctx = ExecutionContext::new();
-        ctx.output = OutputSink::Capture(String::new());
-        let (lo, hi) = ctx.memory.parallel_stack_span();
-        let mid = lo + (((hi - lo) / 2) & !15);
-        let mut w0 = ctx.worker(lo, mid);
-        let mut w1 = ctx.worker(mid, hi);
-        if let OutputSink::Capture(b) = &mut w0.output {
-            b.push_str("chunk0;");
-        }
-        if let OutputSink::Capture(b) = &mut w1.output {
-            b.push_str("chunk1;");
-        }
-        ctx.absorb_worker(&mut w0);
-        ctx.absorb_worker(&mut w1);
-        drop((w0, w1));
-        assert_eq!(ctx.take_output(), "chunk0;chunk1;");
     }
 }

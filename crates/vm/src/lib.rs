@@ -28,6 +28,7 @@ mod compile;
 mod exec;
 mod machine;
 mod memory;
+mod observer;
 pub mod parallel;
 mod program;
 

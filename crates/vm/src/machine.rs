@@ -9,17 +9,23 @@
 //! The dispatch loop itself owns **no state**: [`Vm`] is a plain data
 //! holder (register file + call stack) living inside the context, and
 //! every step of the loop borrows the context's fields (`vm`, `memory`,
-//! `trace`, …) for exactly as long as it needs them. That is what lets
+//! …) for exactly as long as it needs them. That is what lets
 //! `parallelfor` run one loop per worker thread with nothing shared but
 //! the `Arc<Program>`.
+//!
+//! Everything that *watches* execution sits behind the
+//! [`Observer`](crate::observer::Observer) hooks the loop is generic over;
+//! an unobserved run's instantiation contains no telemetry code at all.
 
 use crate::bytecode::{decode_func_ptr, CompiledFunction, Instr, IntWidth, Reg, NO_REG};
 use crate::exec::ExecutionContext;
-use crate::memory::{MemError, Memory};
-use crate::program::{OutputSink, Value};
+use crate::memory::{Access, MemError, Memory};
+use crate::observer::{observed, Observer};
+use crate::program::Value;
 use std::fmt;
 use std::sync::Arc;
 use terra_ir::{Builtin, FuncId, ScalarTy, Ty};
+use terra_trace::EffectKind;
 
 /// A runtime fault in Terra code.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,6 +197,12 @@ fn from_i64(v: i64) -> RegImage {
     [v as u64, 0, 0, 0]
 }
 
+/// Sign- or zero-extends a loaded integer into a register image.
+#[inline]
+fn widen<T: Into<i64>>(v: T) -> RegImage {
+    from_i64(v.into())
+}
+
 #[inline]
 fn vf64(v: RegImage) -> [f64; 4] {
     [
@@ -239,11 +251,7 @@ impl ExecutionContext {
     /// Returns a [`Trap`] on any runtime fault, including calling an
     /// undefined function or passing the wrong number of arguments.
     pub fn call(&mut self, f: FuncId, args: &[Value]) -> ExecResult<Value> {
-        let func = self
-            .program
-            .function(f)
-            .cloned()
-            .ok_or_else(|| Trap::Undefined(self.program.name(f).to_string()))?;
+        let func = self.defined(f)?;
         if args.len() != func.ty.params.len() {
             return Err(Trap::ArityMismatch {
                 expected: func.ty.params.len(),
@@ -263,21 +271,38 @@ impl ExecutionContext {
         Ok(decode_value(&ret_ty, bits))
     }
 
+    /// The compiled body of `f`, or the trap for calling a function that
+    /// was declared but never defined.
+    pub(crate) fn defined(&self, f: FuncId) -> ExecResult<Arc<CompiledFunction>> {
+        let body = self.program.function(f).cloned();
+        body.ok_or_else(|| Trap::Undefined(self.program.name(f).to_string()))
+    }
+
     /// Calls a compiled function with raw register images.
+    ///
+    /// "Is anyone observing?" is decided here, once per call: with any
+    /// telemetry gate on, the dispatch loop runs instantiated over the
+    /// context's [`Telemetry`](crate::observer::Telemetry); otherwise over
+    /// [`NoObserver`](crate::observer::NoObserver), whose hooks compile away.
     pub fn call_raw(
         &mut self,
         func: Arc<CompiledFunction>,
         args: &[RegImage],
     ) -> ExecResult<RegImage> {
+        observed!(self, |obs| self.call_observed(obs, func, args))
+    }
+
+    fn call_observed<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        func: Arc<CompiledFunction>,
+        args: &[RegImage],
+    ) -> ExecResult<RegImage> {
         let saved_regs = self.vm.regs.len();
         let saved_frames = self.vm.frames.len();
-        let saved_trace = self.trace.depth();
-        let result = self.run(func, args);
-        // Accesses made by the host from here on are not Terra code.
-        if self.memory.profile_enabled() {
-            self.memory.clear_access_site();
-            self.memory.clear_alloc_site();
-        }
+        let result = self.run(obs, func, args);
+        // Allocations made by the host from here on are not Terra code.
+        self.memory.clear_alloc_site();
         self.vm.regs.truncate(saved_regs);
         result.map_err(|trap| {
             // The innermost frame still on the stack names the Terra
@@ -294,12 +319,13 @@ impl ExecutionContext {
                     let prov: Option<Arc<str>> = fr.func.prov_at(pc).map(Arc::from);
                     (fr.func.name.clone(), line, prov)
                 });
-            // Unwind any frames (and their memory) left by the trap.
+            // Unwind the frames (and their memory) the trap left; each
+            // trapped activation still reports what it counted.
             while self.vm.frames.len() > saved_frames {
                 let fr = self.vm.frames.pop().expect("frame count checked");
                 self.memory.pop_frame(fr.mem_base);
+                obs.on_ret();
             }
-            self.trace.unwind_to(saved_trace);
             match trap {
                 Trap::Memory {
                     err, func: None, ..
@@ -320,34 +346,15 @@ impl ExecutionContext {
         })
     }
 
-    fn run(&mut self, func: Arc<CompiledFunction>, args: &[RegImage]) -> ExecResult<RegImage> {
+    fn run<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        func: Arc<CompiledFunction>,
+        args: &[RegImage],
+    ) -> ExecResult<RegImage> {
         let entry_frames = self.vm.frames.len();
-        let base = self.vm.regs.len();
-        self.vm.regs.resize(base + func.nregs as usize, [0; 4]);
+        let base = self.push_call(obs, func, NO_REG)?;
         self.vm.regs[base..base + args.len()].copy_from_slice(args);
-        let mem_base = self
-            .memory
-            .push_frame(func.frame_size as u64)
-            .map_err(|_| Trap::StackOverflow)?;
-        // Read the profiling gate once: the hot loop pays a single
-        // predictable branch per instruction when profiling is off.
-        let profiling = self.trace.enabled();
-        // The sampler needs the activation stack maintained (per-call work
-        // only) plus one countdown decrement per retired instruction.
-        let sampling = self.trace.sampling();
-        // The flight recorder likewise costs one predictable branch per
-        // instruction when off.
-        let recording = self.recorder.is_some();
-        if profiling || sampling {
-            self.trace.func_enter(Arc::clone(&func.name));
-        }
-        self.vm.frames.push(Frame {
-            func,
-            pc: 0,
-            base,
-            mem_base,
-            ret_dst: NO_REG,
-        });
 
         'frames: loop {
             // Pull the current frame's hot state into locals.
@@ -397,6 +404,39 @@ impl ExecutionContext {
                     }
                 };
             }
+            // Scalar load: raw access, then the observer sees the traffic.
+            macro_rules! load {
+                ($d:expr, $a:expr, $get:ident, $n:expr, $conv:expr) => {{
+                    let addr = ru!($a);
+                    let v = mem!(self.memory.$get(addr, !func.check_free(pc - 1)));
+                    obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Load);
+                    set!($d, $conv(v));
+                }};
+            }
+            // Scalar store of lane 0's low `$n` bytes (a float store is the
+            // integer store of its bit pattern).
+            macro_rules! store {
+                ($a:expr, $s:expr, $put:ident, $n:expr, $ty:ty) => {{
+                    let (addr, v) = (ru!($a), ru!($s));
+                    mem!(self.memory.$put(addr, v as $ty, !func.check_free(pc - 1)));
+                    obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Store);
+                    obs.on_effect(&self.memory, &func, pc - 1, || EffectKind::Store {
+                        addr,
+                        width: $n,
+                        bits: v & (u64::MAX >> (64 - 8 * $n)),
+                    });
+                }};
+            }
+            // Integer division: the one place a zero divisor becomes a trap.
+            macro_rules! divide {
+                ($d:expr, $a:expr, $b:expr, $reg:ident, $op:expr) => {{
+                    let y = $reg!($b);
+                    if y == 0 {
+                        return Err(Trap::DivByZero);
+                    }
+                    seti!($d, $op($reg!($a), y) as i64);
+                }};
+            }
             macro_rules! binf64 {
                 ($d:expr, $a:expr, $b:expr, $op:tt) => {{
                     let v = as_f64(r!($a)) $op as_f64(r!($b));
@@ -435,38 +475,7 @@ impl ExecutionContext {
             loop {
                 let instr = &code[pc];
                 pc += 1;
-                if profiling {
-                    self.trace.tick(instr.mnemonic());
-                    // A checked memory access retires an extra bounds-check
-                    // micro-op; elided accesses skip it, which is what the
-                    // checked-vs-elided instruction counts measure.
-                    if instr.is_mem_access() && !func.check_free(pc - 1) {
-                        self.trace.tick("chk");
-                    }
-                    // Attribute any memory traffic this instruction performs
-                    // to its (function, source line) for the cache simulator.
-                    self.memory
-                        .set_access_site(&func.name, func.line_at(pc - 1));
-                    // Likewise point the heap profiler at allocating builtins
-                    // so every malloc/realloc carries its staged source site.
-                    if let Instr::CallBuiltin {
-                        b: Builtin::Malloc | Builtin::Realloc,
-                        ..
-                    } = instr
-                    {
-                        self.memory.set_alloc_site(
-                            &func.name,
-                            func.line_at(pc - 1),
-                            func.prov_rc_at(pc - 1),
-                        );
-                    }
-                }
-                if sampling {
-                    self.trace.sample_tick();
-                }
-                if recording {
-                    self.record_tick();
-                }
+                obs.on_retire(self, &func, pc - 1, instr);
                 match *instr {
                     Instr::ConstI { d, v } => seti!(d, v),
                     Instr::ConstF64 { d, v } => set!(d, from_f64(v)),
@@ -476,34 +485,10 @@ impl ExecutionContext {
                     Instr::AddI { d, a, b } => seti!(d, ri!(a).wrapping_add(ri!(b))),
                     Instr::SubI { d, a, b } => seti!(d, ri!(a).wrapping_sub(ri!(b))),
                     Instr::MulI { d, a, b } => seti!(d, ri!(a).wrapping_mul(ri!(b))),
-                    Instr::DivS { d, a, b } => {
-                        let y = ri!(b);
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        seti!(d, ri!(a).wrapping_div(y));
-                    }
-                    Instr::DivU { d, a, b } => {
-                        let y = ru!(b);
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        seti!(d, (ru!(a) / y) as i64);
-                    }
-                    Instr::RemS { d, a, b } => {
-                        let y = ri!(b);
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        seti!(d, ri!(a).wrapping_rem(y));
-                    }
-                    Instr::RemU { d, a, b } => {
-                        let y = ru!(b);
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        seti!(d, (ru!(a) % y) as i64);
-                    }
+                    Instr::DivS { d, a, b } => divide!(d, a, b, ri, i64::wrapping_div),
+                    Instr::DivU { d, a, b } => divide!(d, a, b, ru, u64::wrapping_div),
+                    Instr::RemS { d, a, b } => divide!(d, a, b, ri, i64::wrapping_rem),
+                    Instr::RemU { d, a, b } => divide!(d, a, b, ru, u64::wrapping_rem),
                     Instr::Shl { d, a, b } => seti!(d, ri!(a).wrapping_shl(ru!(b) as u32 & 63)),
                     Instr::ShrS { d, a, b } => seti!(d, ri!(a).wrapping_shr(ru!(b) as u32 & 63)),
                     Instr::ShrU { d, a, b } => {
@@ -607,156 +592,66 @@ impl ExecutionContext {
                     Instr::CvtF32ToF64 { d, a } => set!(d, from_f64(as_f32(r!(a)) as f64)),
                     Instr::CvtF64ToF32 { d, a } => set!(d, from_f32(as_f64(r!(a)) as f32)),
 
-                    Instr::LoadI8 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i8_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU8 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u8_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadI16 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i16_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU16 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u16_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadI32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i32_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u32_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::Load64 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i64_sel(ru!(a), chk)))
-                    }
-                    Instr::LoadF32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, from_f32(mem!(self.memory.load_f32_sel(ru!(a), chk))))
-                    }
-                    Instr::LoadF64 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, from_f64(mem!(self.memory.load_f64_sel(ru!(a), chk))))
-                    }
-                    Instr::Store8 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u8_sel(addr, v as u8, chk));
-                        if recording {
-                            self.record_store(&func, pc - 1, instr.mnemonic(), addr, v & 0xff, 1);
-                        }
-                    }
-                    Instr::Store16 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u16_sel(addr, v as u16, chk));
-                        if recording {
-                            self.record_store(&func, pc - 1, instr.mnemonic(), addr, v & 0xffff, 2);
-                        }
-                    }
-                    Instr::Store32 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u32_sel(addr, v as u32, chk));
-                        if recording {
-                            self.record_store(
-                                &func,
-                                pc - 1,
-                                instr.mnemonic(),
-                                addr,
-                                v & 0xffff_ffff,
-                                4,
-                            );
-                        }
-                    }
-                    Instr::Store64 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u64_sel(addr, v, chk));
-                        if recording {
-                            self.record_store(&func, pc - 1, instr.mnemonic(), addr, v, 8);
-                        }
-                    }
-                    Instr::StoreF32 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), as_f32(r!(s)));
-                        mem!(self.memory.store_f32_sel(addr, v, chk));
-                        if recording {
-                            self.record_store(
-                                &func,
-                                pc - 1,
-                                instr.mnemonic(),
-                                addr,
-                                v.to_bits() as u64,
-                                4,
-                            );
-                        }
-                    }
-                    Instr::StoreF64 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), as_f64(r!(s)));
-                        mem!(self.memory.store_f64_sel(addr, v, chk));
-                        if recording {
-                            self.record_store(
-                                &func,
-                                pc - 1,
-                                instr.mnemonic(),
-                                addr,
-                                v.to_bits(),
-                                8,
-                            );
-                        }
-                    }
+                    Instr::LoadI8 { d, a } => load!(d, a, load_i8_sel, 1, widen),
+                    Instr::LoadU8 { d, a } => load!(d, a, load_u8_sel, 1, widen),
+                    Instr::LoadI16 { d, a } => load!(d, a, load_i16_sel, 2, widen),
+                    Instr::LoadU16 { d, a } => load!(d, a, load_u16_sel, 2, widen),
+                    Instr::LoadI32 { d, a } => load!(d, a, load_i32_sel, 4, widen),
+                    Instr::LoadU32 { d, a } => load!(d, a, load_u32_sel, 4, widen),
+                    Instr::Load64 { d, a } => load!(d, a, load_i64_sel, 8, widen),
+                    Instr::LoadF32 { d, a } => load!(d, a, load_f32_sel, 4, from_f32),
+                    Instr::LoadF64 { d, a } => load!(d, a, load_f64_sel, 8, from_f64),
+                    Instr::Store8 { a, s } => store!(a, s, store_u8_sel, 1, u8),
+                    Instr::Store16 { a, s } => store!(a, s, store_u16_sel, 2, u16),
+                    Instr::Store32 { a, s } => store!(a, s, store_u32_sel, 4, u32),
+                    Instr::Store64 { a, s } => store!(a, s, store_u64_sel, 8, u64),
+                    Instr::StoreF32 { a, s } => store!(a, s, store_u32_sel, 4, u32),
+                    Instr::StoreF64 { a, s } => store!(a, s, store_u64_sel, 8, u64),
                     Instr::LoadV { d, a, bytes } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, mem!(self.memory.load_vec_sel(ru!(a), bytes as u64, chk)))
+                        let (addr, len) = (ru!(a), bytes as u64);
+                        let v = mem!(self
+                            .memory
+                            .load_vec_sel(addr, len, !func.check_free(pc - 1)));
+                        obs.on_mem(&mut self.memory, pc - 1, addr, len, Access::VecLoad);
+                        set!(d, v);
                     }
                     Instr::StoreV { a, s, bytes } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (addr, v) = (ru!(a), r!(s));
-                        mem!(self.memory.store_vec_sel(addr, v, bytes as u64, chk));
-                        if recording {
+                        let (addr, v, len) = (ru!(a), r!(s), bytes as u64);
+                        mem!(self
+                            .memory
+                            .store_vec_sel(addr, v, len, !func.check_free(pc - 1)));
+                        obs.on_mem(&mut self.memory, pc - 1, addr, len, Access::VecStore);
+                        obs.on_effect(&self.memory, &func, pc - 1, || {
                             // Vector stores don't fit 64 value bits; record
                             // the FNV digest of the stored LE byte image.
                             let mut img = [0u8; 32];
                             for (i, lane) in v.iter().enumerate() {
                                 img[i * 8..i * 8 + 8].copy_from_slice(&lane.to_le_bytes());
                             }
-                            let bits = terra_trace::fnv64(&img[..(bytes as usize).min(32)]);
-                            self.record_store(
-                                &func,
-                                pc - 1,
-                                instr.mnemonic(),
+                            EffectKind::Store {
                                 addr,
-                                bits,
-                                bytes as u32,
-                            );
-                        }
+                                width: bytes as u32,
+                                bits: terra_trace::fnv64(&img[..(bytes as usize).min(32)]),
+                            }
+                        });
                     }
                     Instr::FrameAddr { d, offset } => seti!(d, (mem_base + offset as u64) as i64),
                     Instr::CopyMem { dst, src, size } => {
-                        let chk = !func.check_free(pc - 1);
-                        let (d, s) = (ru!(dst), ru!(src));
-                        mem!(self.memory.copy_within_sel(s, d, size as u64, chk));
-                        if recording && d >= self.memory.heap_base() {
-                            self.record_effect_at(
-                                &func,
-                                pc - 1,
-                                instr.mnemonic(),
-                                terra_trace::EffectKind::Copy {
-                                    dst: d,
-                                    src: s,
-                                    len: size as u64,
-                                },
-                            );
-                        }
+                        let (d, s, len) = (ru!(dst), ru!(src), size as u64);
+                        mem!(self
+                            .memory
+                            .copy_within_sel(s, d, len, !func.check_free(pc - 1)));
+                        obs.on_effect(&self.memory, &func, pc - 1, || EffectKind::Copy {
+                            dst: d,
+                            src: s,
+                            len,
+                        });
                     }
-                    Instr::Prefetch { a } => self.memory.prefetch(ru!(a)),
+                    Instr::Prefetch { a } => {
+                        let addr = ru!(a);
+                        obs.on_mem(&mut self.memory, pc - 1, addr, 0, Access::Prefetch);
+                        self.memory.prefetch(addr);
+                    }
 
                     Instr::VAddF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x + y),
                     Instr::VSubF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x - y),
@@ -810,24 +705,21 @@ impl ExecutionContext {
                     }
 
                     Instr::Call { d, f, args, nargs } => {
-                        let callee = self
-                            .program
-                            .function(f)
-                            .cloned()
-                            .ok_or_else(|| Trap::Undefined(self.program.name(f).to_string()))?;
+                        let callee = self.defined(f)?;
                         self.vm.frames[frame_idx].pc = pc;
-                        self.push_call(callee, d, base, args, nargs)?;
+                        let argv = base + args as usize..base + (args + nargs) as usize;
+                        let callee_base = self.push_call(obs, callee, d)?;
+                        self.vm.regs.copy_within(argv, callee_base);
                         continue 'frames;
                     }
                     Instr::CallIndirect { d, f, args, nargs } => {
                         let bits = ru!(f);
                         let id = decode_func_ptr(bits).ok_or(Trap::NotAFunction(bits))?;
-                        let callee =
-                            self.program.function(id).cloned().ok_or_else(|| {
-                                Trap::Undefined(self.program.name(id).to_string())
-                            })?;
+                        let callee = self.defined(id)?;
                         self.vm.frames[frame_idx].pc = pc;
-                        self.push_call(callee, d, base, args, nargs)?;
+                        let argv = base + args as usize..base + (args + nargs) as usize;
+                        let callee_base = self.push_call(obs, callee, d)?;
+                        self.vm.regs.copy_within(argv, callee_base);
                         continue 'frames;
                     }
                     Instr::ParFor {
@@ -837,50 +729,27 @@ impl ExecutionContext {
                         args,
                         nargs,
                     } => {
-                        let lo_v = r!(lo)[0] as i64;
-                        let hi_v = r!(hi)[0] as i64;
+                        let (lo_v, hi_v) = (ri!(lo), ri!(hi));
                         let start = base + args as usize;
-                        let argv: Vec<RegImage> =
-                            self.vm.regs[start..start + nargs as usize].to_vec();
-                        // Site identity for the parallel telemetry layer:
-                        // enclosing function + source line + staging chain,
-                        // the same keying traps and heap sites use.
-                        let site = crate::parallel::ParSite {
-                            function: Arc::clone(&func.name),
-                            line: func.line_at(pc - 1),
-                            provenance: func.prov_rc_at(pc - 1),
-                        };
                         self.vm.frames[frame_idx].pc = pc;
-                        crate::parallel::run_parallelfor_at(
+                        // The harness never touches this context's registers
+                        // (workers have their own): lend them out as arguments.
+                        let regs = std::mem::take(&mut self.vm.regs);
+                        let done = crate::parallel::run_parallelfor_at(
                             self,
+                            obs,
                             f,
                             lo_v,
                             hi_v,
-                            &argv,
-                            Some(&site),
-                        )?;
+                            &regs[start..start + nargs as usize],
+                            Some((&func, pc - 1)),
+                        );
+                        self.vm.regs = regs;
+                        done?;
                     }
                     Instr::CallBuiltin { d, b, args, nargs } => {
-                        let start = base + args as usize;
-                        let argv: Vec<RegImage> =
-                            self.vm.regs[start..start + nargs as usize].to_vec();
-                        if recording
-                            && matches!(
-                                b,
-                                Builtin::Malloc
-                                    | Builtin::Free
-                                    | Builtin::Realloc
-                                    | Builtin::Memcpy
-                                    | Builtin::Memset
-                                    | Builtin::Printf
-                            )
-                        {
-                            // The effect itself is emitted inside
-                            // `call_builtin`; stage its source site here
-                            // where the function and pc are at hand.
-                            self.record_stage_site(&func, pc - 1, instr.mnemonic());
-                        }
-                        let result = mem!(call_builtin(self, b, &argv));
+                        let argv = (base + args as usize, nargs as usize);
+                        let result = mem!(call_builtin(self, obs, &func, pc - 1, b, argv));
                         if d != NO_REG {
                             set!(d, result);
                         }
@@ -888,9 +757,7 @@ impl ExecutionContext {
                     Instr::Ret { s } => {
                         let val = if s == NO_REG { [0u64; 4] } else { r!(s) };
                         let done = self.vm.frames.len() == entry_frames + 1;
-                        if profiling || sampling {
-                            self.trace.func_exit();
-                        }
+                        obs.on_ret();
                         let fr = self.vm.frames.pop().expect("frame exists");
                         self.memory.pop_frame(fr.mem_base);
                         self.vm.regs.truncate(fr.base);
@@ -909,92 +776,17 @@ impl ExecutionContext {
         }
     }
 
-    // -- flight-recorder hooks ----------------------------------------------
-
-    /// Per-retired-instruction recorder work: count the instruction and,
-    /// when a checkpoint came due (owner contexts only), hash the register
-    /// file and heap. Split so the state hashes are computed outside the
-    /// recorder borrow.
-    fn record_tick(&mut self) {
-        let due = match self.recorder.as_deref_mut() {
-            Some(rec) => {
-                rec.tick();
-                rec.checkpoint_due()
-            }
-            None => return,
-        };
-        if due {
-            let regs = self.vm.state_hash();
-            let heap = self.memory.heap_hash();
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                rec.checkpoint(regs, heap);
-            }
-        }
-    }
-
-    /// Stages the (function, pc) source site for the next recorded effect
-    /// when the recorder is in full-fidelity mode.
-    fn record_stage_site(&mut self, func: &CompiledFunction, pc: usize, op: &str) {
-        let Some(rec) = self.recorder.as_deref_mut() else {
-            return;
-        };
-        if rec.wants_detail() {
-            rec.stage_site(terra_trace::EffectSite {
-                func: func.name.to_string(),
-                pc: pc as u32,
-                op: op.to_string(),
-                line: func.line_at(pc),
-                prov: func.prov_at(pc).map(|s| s.to_string()),
-            });
-        }
-    }
-
-    /// Records one effect with its source site.
-    fn record_effect_at(
+    /// Pushes a frame (zeroed registers, frame memory) for `callee` and
+    /// returns its register base; the caller copies the arguments in.
+    /// Always inlined: an out-of-line call from `run` costs the observed
+    /// loop's register allocation a quarter of its speed.
+    #[inline(always)]
+    fn push_call<O: Observer>(
         &mut self,
-        func: &CompiledFunction,
-        pc: usize,
-        op: &str,
-        kind: terra_trace::EffectKind,
-    ) {
-        self.record_stage_site(func, pc, op);
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.effect(kind);
-        }
-    }
-
-    /// Records a store effect if it landed in the heap region. Stack
-    /// stores are skipped: frame layouts differ legitimately across
-    /// optimization levels, so they are not part of the observable surface
-    /// the recorder aligns on.
-    fn record_store(
-        &mut self,
-        func: &CompiledFunction,
-        pc: usize,
-        op: &str,
-        addr: u64,
-        bits: u64,
-        width: u32,
-    ) {
-        if addr < self.memory.heap_base() {
-            return;
-        }
-        self.record_effect_at(
-            func,
-            pc,
-            op,
-            terra_trace::EffectKind::Store { addr, width, bits },
-        );
-    }
-
-    fn push_call(
-        &mut self,
+        obs: &mut O,
         callee: Arc<CompiledFunction>,
         ret_dst: Reg,
-        caller_base: usize,
-        args: Reg,
-        nargs: u16,
-    ) -> ExecResult<()> {
+    ) -> ExecResult<usize> {
         if self.vm.frames.len() >= MAX_FRAMES {
             return Err(Trap::StackOverflow);
         }
@@ -1002,17 +794,11 @@ impl ExecutionContext {
         self.vm
             .regs
             .resize(new_base + callee.nregs as usize, [0; 4]);
-        let src = caller_base + args as usize;
-        for i in 0..nargs as usize {
-            self.vm.regs[new_base + i] = self.vm.regs[src + i];
-        }
         let mem_base = self
             .memory
             .push_frame(callee.frame_size as u64)
             .map_err(|_| Trap::StackOverflow)?;
-        if self.trace.enabled() || self.trace.sampling() {
-            self.trace.func_enter(Arc::clone(&callee.name));
-        }
+        obs.on_call(&callee);
         self.vm.frames.push(Frame {
             func: callee,
             pc: 0,
@@ -1020,7 +806,7 @@ impl ExecutionContext {
             mem_base,
             ret_dst,
         });
-        Ok(())
+        Ok(new_base)
     }
 }
 
@@ -1053,61 +839,60 @@ pub fn decode_value(ty: &Ty, bits: RegImage) -> Value {
     }
 }
 
-fn call_builtin(ctx: &mut ExecutionContext, b: Builtin, args: &[RegImage]) -> ExecResult<RegImage> {
-    let a = |i: usize| -> u64 { args.get(i).map(|v| v[0]).unwrap_or(0) };
-    let f = |i: usize| -> f64 { f64::from_bits(a(i)) };
-    // Allocator and output builtins are observable effects; when the flight
-    // recorder is on, they land in the effect stream (the source site was
-    // staged by the dispatch loop).
-    macro_rules! record {
-        ($kind:expr) => {
-            if let Some(rec) = ctx.recorder.as_deref_mut() {
-                rec.effect($kind);
-            }
-        };
-    }
+/// Executes builtin `b` for the instruction at `func[pc]`, reading its
+/// `(first register index, count)` arguments in place; allocator and output
+/// builtins report their effects to `obs`.
+fn call_builtin<O: Observer>(
+    ctx: &mut ExecutionContext,
+    obs: &mut O,
+    func: &CompiledFunction,
+    pc: usize,
+    b: Builtin,
+    (start, nargs): (usize, usize),
+) -> ExecResult<RegImage> {
+    // No builtin but printf (which formats straight from the registers)
+    // takes more than three arguments; missing ones read as zero.
+    let args = &ctx.vm.regs[start..start + nargs];
+    let a: [u64; 3] = std::array::from_fn(|i| args.get(i).map_or(0, |v| v[0]));
+    let f = |i: usize| -> f64 { f64::from_bits(a[i]) };
     Ok(match b {
         Builtin::Malloc => {
-            let size = a(0);
-            let addr = ctx.memory.malloc(size);
-            record!(terra_trace::EffectKind::Alloc { size, addr });
+            obs.on_alloc(&mut ctx.memory, func, pc);
+            let (size, addr) = (a[0], ctx.memory.malloc(a[0]));
+            obs.on_effect(&ctx.memory, func, pc, || EffectKind::Alloc { size, addr });
             from_i64(addr as i64)
         }
         Builtin::Free => {
-            ctx.memory.free(a(0))?;
-            record!(terra_trace::EffectKind::Free { addr: a(0) });
+            ctx.memory.free(a[0])?;
+            obs.on_effect(&ctx.memory, func, pc, || EffectKind::Free { addr: a[0] });
             [0; 4]
         }
         Builtin::Realloc => {
-            let addr = ctx.memory.realloc(a(0), a(1))?;
-            record!(terra_trace::EffectKind::Realloc {
-                old: a(0),
-                size: a(1),
+            obs.on_alloc(&mut ctx.memory, func, pc);
+            let (old, size) = (a[0], a[1]);
+            let addr = ctx.memory.realloc(old, size)?;
+            obs.on_effect(&ctx.memory, func, pc, || EffectKind::Realloc {
+                old,
+                size,
                 addr,
             });
             from_i64(addr as i64)
         }
         Builtin::Memcpy => {
-            ctx.memory.copy_within(a(1), a(0), a(2))?;
-            if a(0) >= ctx.memory.heap_base() {
-                record!(terra_trace::EffectKind::Copy {
-                    dst: a(0),
-                    src: a(1),
-                    len: a(2),
-                });
-            }
-            from_i64(a(0) as i64)
+            let (dst, src, len) = (a[0], a[1], a[2]);
+            ctx.memory.copy_within(src, dst, len)?;
+            obs.on_effect(&ctx.memory, func, pc, || EffectKind::Copy { dst, src, len });
+            from_i64(dst as i64)
         }
         Builtin::Memset => {
-            ctx.memory.fill(a(0), a(1) as u8, a(2))?;
-            if a(0) >= ctx.memory.heap_base() {
-                record!(terra_trace::EffectKind::Set {
-                    addr: a(0),
-                    byte: a(1) as u8,
-                    len: a(2),
-                });
-            }
-            from_i64(a(0) as i64)
+            let (addr, byte, len) = (a[0], a[1] as u8, a[2]);
+            ctx.memory.fill(addr, byte, len)?;
+            obs.on_effect(&ctx.memory, func, pc, || EffectKind::Set {
+                addr,
+                byte,
+                len,
+            });
+            from_i64(addr as i64)
         }
         Builtin::Sqrt => from_f64(f(0).sqrt()),
         Builtin::Fabs => from_f64(f(0).abs()),
@@ -1121,19 +906,14 @@ fn call_builtin(ctx: &mut ExecutionContext, b: Builtin, args: &[RegImage]) -> Ex
         Builtin::Fmod => from_f64(f(0) % f(1)),
         Builtin::Clock => from_f64(ctx.epoch.elapsed().as_secs_f64()),
         Builtin::Printf => {
-            let out = format_printf(&ctx.memory, args)?;
-            let n = out.len() as i64;
-            if let Some(rec) = ctx.recorder.as_deref_mut() {
-                rec.effect_output(&out);
-            }
-            match &mut ctx.output {
-                OutputSink::Stdout => print!("{out}"),
-                OutputSink::Capture(buf) => buf.push_str(&out),
-            }
-            from_i64(n)
+            let out = format_printf(&ctx.memory, &ctx.vm.regs[start..start + nargs])?;
+            obs.on_output(func, pc, &out);
+            ctx.emit(&out);
+            from_i64(out.len() as i64)
         }
         Builtin::Prefetch => {
-            ctx.memory.prefetch(a(0));
+            obs.on_mem(&mut ctx.memory, pc, a[0], 0, Access::Prefetch);
+            ctx.memory.prefetch(a[0]);
             [0; 4]
         }
         Builtin::Rand => {
@@ -1144,7 +924,7 @@ fn call_builtin(ctx: &mut ExecutionContext, b: Builtin, args: &[RegImage]) -> Ex
             from_i64(((ctx.rng_state >> 33) & 0x7FFF_FFFF) as i64)
         }
         Builtin::Srand => {
-            ctx.rng_state = a(0) ^ 0x9E3779B97F4A7C15;
+            ctx.rng_state = a[0] ^ 0x9E3779B97F4A7C15;
             [0; 4]
         }
         Builtin::Abort => return Err(Trap::Abort),
@@ -1248,22 +1028,9 @@ fn pad_num(out: &mut String, s: &str, width: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::Instr as I;
+    use crate::bytecode::{compiled, Instr as I};
+    use crate::program::OutputSink;
     use terra_ir::FuncTy;
-
-    fn compiled(name: &str, ty: FuncTy, nregs: u16, code: Vec<I>) -> CompiledFunction {
-        CompiledFunction {
-            name: name.into(),
-            ty,
-            nregs,
-            provs: Vec::new(),
-            prov_table: Vec::new(),
-            frame_size: 0,
-            code,
-            lines: Vec::new(),
-            nochk: Vec::new(),
-        }
-    }
 
     #[test]
     fn add_function_executes() {

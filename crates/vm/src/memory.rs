@@ -29,15 +29,22 @@
 //! Racing writes to the same location are a data race in the Terra program,
 //! undefined just as in C.
 //!
-//! Every profile-gated collector embedded here is **per-context**: a worker
-//! view starts with fresh counters and a *cold* cache simulator, and the
-//! harness merges the shards back in chunk order (commutative sums, so the
-//! totals are byte-identical at any thread count — but note a parallel
-//! loop's cache stats model per-worker cold caches, not one shared cache).
-//! This replaces the old `RefCell` interior mutability, which silently
-//! assumed single-threaded access: loads now take `&mut self` and the cache
-//! simulator is a plain field.
+//! Every collector embedded here is **per-context**: a worker view starts
+//! with fresh counters and a *cold* cache simulator, and the harness merges
+//! the shards back in chunk order (commutative sums, so the totals are
+//! byte-identical at any thread count — but note a parallel loop's cache
+//! stats model per-worker cold caches, not one shared cache).
+//!
+//! # Who counts an access
+//!
+//! The `*_sel` accessors the dispatch loop uses check, move bytes, and
+//! count nothing, so an unobserved run never tests the profile gate; the
+//! VM's telemetry observer counts them through [`Memory::observe`]. The
+//! plain accessors (`load_f64`, `store_u8`, …) are the *host-facing*
+//! surface — string interning, embedder reads and writes — and count
+//! themselves while the profile gate is on.
 
+use crate::cache::Touch;
 use std::fmt;
 
 /// What went wrong with a memory access.
@@ -97,6 +104,16 @@ impl std::error::Error for MemError {}
 
 /// Result alias for memory operations.
 pub type MemResult<T> = Result<T, MemError>;
+
+/// The kind of memory traffic reported to [`Memory::observe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    Load,
+    Store,
+    VecLoad,
+    VecStore,
+    Prefetch,
+}
 
 const NULL_GUARD: u64 = 64;
 /// Size-class header stored before each heap block.
@@ -171,15 +188,13 @@ pub struct Memory {
     /// Freed heap payload ranges (`start → length`), kept only while the
     /// sanitizer is on, so stray accesses into them can be diagnosed.
     freed: std::collections::BTreeMap<u64, u64>,
-    /// Profiling gate for the memory counters below.
+    /// Profiling gate for host-facing accesses and the allocator.
     profile: bool,
     /// Allocation/load/store/prefetch counters (deterministic; only touched
-    /// while `profile` is on). Per-context: worker views get fresh counters
-    /// which the harness merges back in chunk order.
-    counters: terra_trace::MemCounters,
-    /// Two-level cache simulator, gated behind the same `profile` flag.
-    /// A plain field: loads take `&mut self`, so no interior mutability —
-    /// and therefore no hidden single-thread assumption — is needed.
+    /// while profiling). Per-context: worker views get fresh counters which
+    /// the harness merges back in chunk order.
+    counters: terra_trace::MemStats,
+    /// Two-level cache simulator, fed by [`Memory::observe`].
     cache: crate::cache::CacheSim,
     /// Allocation-site heap profiler, gated behind the same `profile` flag.
     heap: terra_trace::HeapProfiler,
@@ -208,7 +223,7 @@ impl Memory {
             sanitize: false,
             freed: std::collections::BTreeMap::new(),
             profile: false,
-            counters: terra_trace::MemCounters::default(),
+            counters: terra_trace::MemStats::default(),
             cache: crate::cache::CacheSim::default(),
             heap: terra_trace::HeapProfiler::default(),
         }
@@ -221,20 +236,22 @@ impl Memory {
     }
 
     /// Turns the memory-system counters on or off. Counts survive a toggle;
-    /// call `counters().reset()` to clear them.
+    /// [`Memory::reset_profile`] clears them.
     pub fn set_profile(&mut self, on: bool) {
         self.profile = on;
     }
 
-    /// Whether the memory counters are being collected.
-    pub fn profile_enabled(&self) -> bool {
-        self.profile
+    /// The memory counters so far.
+    pub fn counters(&self) -> terra_trace::MemStats {
+        self.counters
     }
 
-    /// The live memory counters (snapshot with
-    /// [`terra_trace::MemCounters::snapshot`]).
-    pub fn counters(&self) -> &terra_trace::MemCounters {
-        &self.counters
+    /// Discards everything collected while profiling: memory counters, heap
+    /// profile, and the cache simulator's counters *and* tags (cold reset).
+    pub fn reset_profile(&mut self) {
+        self.counters = terra_trace::MemStats::default();
+        self.cache.reset();
+        self.heap.reset();
     }
 
     // -- cache simulator -----------------------------------------------------
@@ -254,34 +271,31 @@ impl Memory {
         self.cache.stats()
     }
 
-    /// Freezes the per-source-line attribution table, hottest lines first.
-    pub fn cache_line_stats(&self) -> Vec<terra_trace::LineStat> {
-        self.cache.line_stats()
-    }
-
-    /// Cold-resets the cache simulator (counters, tags, attribution).
-    pub fn reset_cache(&mut self) {
-        self.cache.reset();
-    }
-
-    /// Sets the (function, source line) site subsequent accesses are
-    /// attributed to. Only meaningful while profiling is on.
+    /// Counts one access and walks it through the cache simulator,
+    /// returning what it touched there. Called by the host-facing accessors
+    /// and the VM's telemetry observer; the caller holds the profile gate.
     #[inline]
-    pub fn set_access_site(&mut self, func: &std::sync::Arc<str>, line: u32) {
-        self.cache.set_site(func, line);
-    }
-
-    /// Clears the attribution site (host-side accesses stay unattributed).
-    #[inline]
-    pub fn clear_access_site(&mut self) {
-        self.cache.clear_site();
+    pub(crate) fn observe(&mut self, addr: u64, len: u64, access: Access) -> Touch {
+        let width = terra_trace::MemStats::width_bucket(len);
+        match access {
+            Access::Load => self.counters.loads[width] += 1,
+            Access::Store => self.counters.stores[width] += 1,
+            Access::VecLoad => self.counters.vec_loads += 1,
+            Access::VecStore => self.counters.vec_stores += 1,
+            Access::Prefetch => {
+                self.counters.prefetches += 1;
+                self.cache.prefetch(addr);
+                return Touch::default();
+            }
+        }
+        self.cache.access(addr, len)
     }
 
     // -- heap profiler -------------------------------------------------------
 
     /// Sets the (function, line, provenance) site the next heap allocation
-    /// is attributed to. The VM calls this right before a `malloc`/`realloc`
-    /// builtin executes; only meaningful while profiling is on.
+    /// is attributed to. The VM's telemetry observer calls this right before
+    /// a `malloc`/`realloc` builtin executes.
     #[inline]
     pub fn set_alloc_site(
         &mut self,
@@ -303,11 +317,6 @@ impl Memory {
     /// high-water timeline, and surviving allocations for the leak report).
     pub fn heap_stats(&self) -> terra_trace::HeapStats {
         self.heap.snapshot()
-    }
-
-    /// Discards everything the heap profiler collected.
-    pub fn reset_heap(&mut self) {
-        self.heap.reset();
     }
 
     /// Turns sanitizer mode on or off. While on, freshly pushed stack frames
@@ -496,7 +505,7 @@ impl Memory {
             sanitize: self.sanitize,
             freed: self.freed.clone(),
             profile: self.profile,
-            counters: terra_trace::MemCounters::default(),
+            counters: terra_trace::MemStats::default(),
             cache: crate::cache::CacheSim::new(self.cache.config()),
             heap: terra_trace::HeapProfiler::default(),
         }
@@ -507,7 +516,7 @@ impl Memory {
     /// merged totals do not depend on worker interleaving; the harness still
     /// merges in chunk order for a deterministic remark/event order.
     pub fn absorb_worker(&mut self, worker: &Memory) {
-        self.counters.absorb(&worker.counters.snapshot());
+        self.counters.absorb(&worker.counters);
         self.cache.absorb(&worker.cache);
     }
 
@@ -596,7 +605,7 @@ impl Memory {
         }
         self.live_bytes = self.live_bytes.saturating_sub(1 << class);
         if self.profile {
-            self.counters.note_free();
+            self.counters.frees += 1;
             self.heap.note_free(ptr);
         }
         if let Some(list) = self.free_lists.get_mut(class) {
@@ -654,6 +663,21 @@ impl Memory {
         Ok(())
     }
 
+    /// The `*_sel` accessors' check: `checked: false` means the compiler
+    /// proved the access in-bounds, and only a cheap end-of-memory backstop
+    /// runs (a miscompiled elision must not escape the buffer). The
+    /// sanitizer always takes the full check.
+    #[inline]
+    fn check_sel(&self, addr: u64, len: u64, checked: bool) -> MemResult<()> {
+        if checked || self.sanitize {
+            self.check(addr, len)
+        } else if addr.saturating_add(len) > self.backing.len() as u64 {
+            Err(MemError::oob(addr, len))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Reads a byte slice into a fresh buffer.
     pub fn read_bytes(&self, addr: u64, len: u64) -> MemResult<Vec<u8>> {
         self.check(addr, len)?;
@@ -686,10 +710,8 @@ impl Memory {
         self.copy_within_sel(src, dst, len, true)
     }
 
-    /// [`Memory::copy_within`] with a selectable bounds check: `checked:
-    /// false` means the compiler proved both ranges in-bounds and only the
-    /// cheap end-of-memory backstop runs. Ignored under the sanitizer,
-    /// which always takes the full checked path.
+    /// [`Memory::copy_within`] with a selectable bounds check (see
+    /// `check_sel`).
     pub fn copy_within_sel(
         &mut self,
         src: u64,
@@ -697,13 +719,8 @@ impl Memory {
         len: u64,
         checked: bool,
     ) -> MemResult<()> {
-        if checked || self.sanitize {
-            self.check(src, len)?;
-            self.check(dst, len)?;
-        } else if src.saturating_add(len).max(dst.saturating_add(len)) > self.backing.len() as u64 {
-            // Backstop: a miscompiled elision must not escape the buffer.
-            return Err(MemError::oob(src.max(dst), len));
-        }
+        self.check_sel(src, len, checked)?;
+        self.check_sel(dst, len, checked)?;
         self.raw_copy(src, dst, len);
         Ok(())
     }
@@ -737,13 +754,10 @@ impl Memory {
     }
 
     /// Issues a CPU prefetch hint for the cache line holding `addr`, if the
-    /// address is valid (silently ignores invalid hints, like hardware does).
+    /// address is valid (invalid hints are ignored, like hardware does).
+    /// Uncounted: only the dispatch loop hints, and its observer counts.
     #[inline]
     pub fn prefetch(&mut self, addr: u64) {
-        if self.profile {
-            self.counters.note_prefetch();
-            self.cache.prefetch(addr);
-        }
         if self.check(addr, 1).is_ok() {
             #[cfg(target_arch = "x86_64")]
             unsafe {
@@ -765,58 +779,42 @@ impl Memory {
 macro_rules! scalar_access {
     ($load:ident, $load_sel:ident, $store:ident, $store_sel:ident, $ty:ty, $n:expr) => {
         impl Memory {
-            #[doc = concat!("Loads a `", stringify!($ty), "`.")]
+            /// Host-facing load: counted while profiling.
             #[inline]
             pub fn $load(&mut self, addr: u64) -> MemResult<$ty> {
-                self.$load_sel(addr, true)
+                let v = self.$load_sel(addr, true)?;
+                if self.profile {
+                    self.observe(addr, $n, Access::Load);
+                }
+                Ok(v)
             }
 
-            #[doc = concat!(
-                                "Loads a `", stringify!($ty), "` with a selectable bounds ",
-                                "check: `checked: false` means the compiler proved the ",
-                                "access in-bounds and only the cheap end-of-memory backstop ",
-                                "runs. Ignored under the sanitizer, which always takes the ",
-                                "full checked path."
-                            )]
+            /// The dispatch loop's load: uncounted, with a selectable
+            /// bounds check (see `check_sel`).
             #[inline]
             pub fn $load_sel(&mut self, addr: u64, checked: bool) -> MemResult<$ty> {
-                if checked || self.sanitize {
-                    self.check(addr, $n)?;
-                } else if addr.saturating_add($n) > self.backing.len() as u64 {
-                    // Backstop: a miscompiled elision must not escape the buffer.
-                    return Err(MemError::oob(addr, $n));
-                }
-                if self.profile {
-                    self.counters.note_load($n);
-                    self.cache.access(addr, $n);
-                }
+                self.check_sel(addr, $n, checked)?;
                 let mut b = [0u8; $n];
                 self.raw_read(addr, &mut b);
                 Ok(<$ty>::from_le_bytes(b))
             }
 
-            #[doc = concat!("Stores a `", stringify!($ty), "`.")]
+            /// Host-facing store: counted while profiling.
             #[inline]
             pub fn $store(&mut self, addr: u64, v: $ty) -> MemResult<()> {
-                self.$store_sel(addr, v, true)
+                self.$store_sel(addr, v, true)?;
+                if self.profile {
+                    // Write-allocate: stores walk the same fill path as loads.
+                    self.observe(addr, $n, Access::Store);
+                }
+                Ok(())
             }
 
-            #[doc = concat!(
-                                "Stores a `", stringify!($ty), "` with a selectable bounds ",
-                                "check (see the `_sel` load variant)."
-                            )]
+            /// The dispatch loop's store: uncounted, with a selectable
+            /// bounds check (see `check_sel`).
             #[inline]
             pub fn $store_sel(&mut self, addr: u64, v: $ty, checked: bool) -> MemResult<()> {
-                if checked || self.sanitize {
-                    self.check(addr, $n)?;
-                } else if addr.saturating_add($n) > self.backing.len() as u64 {
-                    return Err(MemError::oob(addr, $n));
-                }
-                if self.profile {
-                    self.counters.note_store($n);
-                    // Write-allocate: stores walk the same fill path as loads.
-                    self.cache.access(addr, $n);
-                }
+                self.check_sel(addr, $n, checked)?;
                 self.raw_write(addr, &v.to_le_bytes());
                 Ok(())
             }
@@ -836,25 +834,22 @@ scalar_access!(load_f32, load_f32_sel, store_f32, store_f32_sel, f32, 4);
 scalar_access!(load_f64, load_f64_sel, store_f64, store_f64_sel, f64, 8);
 
 impl Memory {
-    /// Loads `len` (≤ 32) raw bytes into a vector register image.
+    /// Loads `len` (≤ 32) raw bytes into a vector register image
+    /// (host-facing: counted while profiling).
     #[inline]
     pub fn load_vec(&mut self, addr: u64, len: u64) -> MemResult<[u64; 4]> {
-        self.load_vec_sel(addr, len, true)
+        let v = self.load_vec_sel(addr, len, true)?;
+        if self.profile {
+            self.observe(addr, len, Access::VecLoad);
+        }
+        Ok(v)
     }
 
     /// [`Memory::load_vec`] with a selectable bounds check (see the scalar
     /// `_sel` variants).
     #[inline]
     pub fn load_vec_sel(&mut self, addr: u64, len: u64, checked: bool) -> MemResult<[u64; 4]> {
-        if checked || self.sanitize {
-            self.check(addr, len)?;
-        } else if addr.saturating_add(len) > self.backing.len() as u64 {
-            return Err(MemError::oob(addr, len));
-        }
-        if self.profile {
-            self.counters.note_vec_load();
-            self.cache.access(addr, len);
-        }
+        self.check_sel(addr, len, checked)?;
         let mut out = [0u64; 4];
         let mut buf = [0u8; 32];
         self.raw_read(addr, &mut buf[..len as usize]);
@@ -864,10 +859,15 @@ impl Memory {
         Ok(out)
     }
 
-    /// Stores the low `len` (≤ 32) bytes of a vector register image.
+    /// Stores the low `len` (≤ 32) bytes of a vector register image
+    /// (host-facing: counted while profiling).
     #[inline]
     pub fn store_vec(&mut self, addr: u64, v: [u64; 4], len: u64) -> MemResult<()> {
-        self.store_vec_sel(addr, v, len, true)
+        self.store_vec_sel(addr, v, len, true)?;
+        if self.profile {
+            self.observe(addr, len, Access::VecStore);
+        }
+        Ok(())
     }
 
     /// [`Memory::store_vec`] with a selectable bounds check (see the scalar
@@ -880,15 +880,7 @@ impl Memory {
         len: u64,
         checked: bool,
     ) -> MemResult<()> {
-        if checked || self.sanitize {
-            self.check(addr, len)?;
-        } else if addr.saturating_add(len) > self.backing.len() as u64 {
-            return Err(MemError::oob(addr, len));
-        }
-        if self.profile {
-            self.counters.note_vec_store();
-            self.cache.access(addr, len);
-        }
+        self.check_sel(addr, len, checked)?;
         let mut buf = [0u8; 32];
         for (i, w) in v.iter().enumerate() {
             buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
@@ -1099,22 +1091,47 @@ mod tests {
     }
 
     #[test]
+    fn only_host_facing_accessors_count_themselves() {
+        let mut m = Memory::default();
+        m.set_profile(true);
+        let p = m.malloc(16);
+        // The dispatch loop's accessors are raw; its observer counts them.
+        m.store_u64_sel(p, 7, true).unwrap();
+        assert_eq!(m.load_u64_sel(p, false).unwrap(), 7);
+        m.prefetch(p);
+        let s = m.counters();
+        assert_eq!((s.total_loads(), s.total_stores(), s.prefetches), (0, 0, 0));
+        assert_eq!(m.cache_stats().total_accesses(), 0);
+        // The host-facing ones count themselves while the gate is on...
+        m.store_u8(p, 1).unwrap();
+        assert_eq!(m.load_u8(p).unwrap(), 1);
+        let s = m.counters();
+        assert_eq!((s.loads[0], s.stores[0]), (1, 1));
+        assert_eq!(m.cache_stats().total_accesses(), 2);
+        // ...but not a faulting access, and nothing once it is off.
+        assert!(m.load_u8(0).is_err());
+        m.set_profile(false);
+        m.store_u8(p, 2).unwrap();
+        assert_eq!(m.counters(), s);
+    }
+
+    #[test]
     fn worker_profile_shards_merge_into_parent() {
         let mut m = Memory::default();
         m.set_profile(true);
         let p = m.malloc(256);
-        let before = m.counters().snapshot();
+        let before = m.counters();
         let (lo, hi) = m.parallel_stack_span();
         let mut w = m.worker_view(lo, hi);
         w.store_f64(p, 1.0).unwrap();
         w.load_f64(p).unwrap();
-        let shard = w.counters().snapshot();
+        let shard = w.counters();
         assert_eq!(shard.loads[3], 1);
         assert_eq!(shard.stores[3], 1);
         let wstats = w.cache_stats();
         m.absorb_worker(&w);
         drop(w);
-        let after = m.counters().snapshot();
+        let after = m.counters();
         assert_eq!(after.loads[3], before.loads[3] + 1);
         assert_eq!(after.stores[3], before.stores[3] + 1);
         assert_eq!(

@@ -21,9 +21,9 @@
 //!   and therefore any pointer a kernel takes to a local — are identical at
 //!   every thread count.
 //! - **Order-independent profiles.** Each chunk collects into fresh shards
-//!   (tracer, memory counters, cold cache simulator) merged back in chunk
-//!   order with commutative sums, so `--profile` output is byte-identical
-//!   at any `--threads`.
+//!   (telemetry observer, memory counters, cold cache simulator) merged
+//!   back in chunk order with commutative sums, so `--profile` output is
+//!   byte-identical at any `--threads`.
 //! - **Run-to-completion traps.** A trap stops only its own chunk; every
 //!   other chunk still runs to completion (or its own first trap). The
 //!   lowest-chunk-index trap is reported. No cancellation means no
@@ -45,27 +45,42 @@
 use crate::bytecode::{CompiledFunction, Instr};
 use crate::exec::ExecutionContext;
 use crate::machine::{ExecResult, RegImage, Trap};
+use crate::observer::{observed, Observer};
 use crate::program::Program;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use terra_ir::{Builtin, FuncId};
-use terra_trace::ParChunkStats;
 
-/// Source identity of a `par.for` site, used to key the parallel telemetry:
-/// the enclosing Terra function, the statement's 1-based source line, and
-/// its rendered staging chain (so staged kernels report "generated via
-/// quote at line N"). The dispatcher builds this from the instruction's
-/// debug tables; host-driven invocations (tests, embedding APIs) may pass
-/// `None` and are recorded under `(host)`.
-#[derive(Debug, Clone)]
-pub struct ParSite {
-    /// Terra function containing the `parallelfor` statement.
-    pub function: Arc<str>,
-    /// 1-based source line (0 = unknown).
-    pub line: u32,
-    /// Rendered staging chain, `None` for in-place code.
-    pub provenance: Option<Arc<str>>,
+/// One joined `parallelfor` region, as handed to [`Observer::on_chunks`].
+#[derive(Debug)]
+pub(crate) struct ParRegion<'a> {
+    /// The `par.for` instruction (`function[pc]`) that ran the region: the
+    /// parallel telemetry is keyed by its function, source line and staging
+    /// chain. `None` for host-driven invocations, recorded under `(host)`.
+    pub site: Option<(&'a CompiledFunction, usize)>,
+    /// Name of the outlined kernel function.
+    pub kernel: &'a str,
+    /// Worker threads actually used.
+    pub threads: u64,
+    pub lo: i64,
+    pub iterations: u64,
+    /// Per-chunk wall-clock `(start, duration)` in µs since the tracer
+    /// epoch; never part of the deterministic profile surface.
+    pub times: &'a [(u64, u64)],
+}
+
+impl ParRegion<'_> {
+    /// Iteration range `[start, end)` of chunk `c`.
+    pub fn range(&self, c: u64) -> (i64, i64) {
+        chunk_range(self.lo, self.iterations, self.times.len() as u64, c)
+    }
+
+    /// Worker index chunk `c` ran on: the static block split
+    /// `c / ceil(chunks / threads)`.
+    pub fn worker_of(&self, c: u64) -> u64 {
+        c / (self.times.len() as u64).div_ceil(self.threads)
+    }
 }
 
 /// Number of chunks a loop of `n` iterations is split into. A function of
@@ -165,10 +180,29 @@ fn run_chunk(
     None
 }
 
+/// Folds quiesced workers back into `ctx` in chunk order: observer shards
+/// (through [`Observer::on_chunks`]), memory and cache counters
+/// (commutative sums), and captured printf output (appended, so output
+/// order is deterministic).
+fn join_region<O: Observer>(
+    ctx: &mut ExecutionContext,
+    obs: &mut O,
+    region: &ParRegion<'_>,
+    mut workers: Vec<ExecutionContext>,
+) {
+    let outputs: Vec<String> = workers.iter_mut().map(|w| w.take_output()).collect();
+    obs.on_chunks(ctx, region, &mut workers, &outputs);
+    for (worker, text) in workers.iter().zip(&outputs) {
+        ctx.memory.absorb_worker(&worker.memory);
+        ctx.emit(text);
+    }
+}
+
 /// Executes `kernel(i, extra...)` for every `i` in `[lo, hi)` across the
 /// context's configured worker threads. See the module docs for the
 /// determinism contract; `extra` holds the loop body's captured values
-/// (already encoded as register images).
+/// (already encoded as register images). Host-driven: the region's
+/// telemetry is recorded under `(host)`.
 ///
 /// # Errors
 ///
@@ -181,33 +215,27 @@ pub fn run_parallelfor(
     hi: i64,
     extra: &[RegImage],
 ) -> ExecResult<()> {
-    run_parallelfor_at(ctx, kernel_id, lo, hi, extra, None)
+    observed!(ctx, |obs| run_parallelfor_at(
+        ctx, obs, kernel_id, lo, hi, extra, None
+    ))
 }
 
-/// [`run_parallelfor`] with a source-site identity for the parallel
-/// telemetry layer. While profiling, each chunk's shard counters (retired
-/// instructions, loads/stores, cache misses) are captured *before* the
-/// thread-invariant merge and recorded under `site` — see
-/// `terra_trace::ParallelStats` for what is preserved and why it stays
-/// deterministic.
-///
-/// # Errors
-///
-/// Same as [`run_parallelfor`].
-pub fn run_parallelfor_at(
+/// [`run_parallelfor`] under the caller's observer, for the `par.for`
+/// instruction at `site`. Worker contexts start from `obs`'s shards, and
+/// the joined region is handed to [`Observer::on_chunks`] — see
+/// `terra_trace::ParallelStats` for what the telemetry preserves and why
+/// it stays deterministic.
+pub(crate) fn run_parallelfor_at<O: Observer>(
     ctx: &mut ExecutionContext,
+    obs: &mut O,
     kernel_id: FuncId,
     lo: i64,
     hi: i64,
     extra: &[RegImage],
-    site: Option<&ParSite>,
+    site: Option<(&CompiledFunction, usize)>,
 ) -> ExecResult<()> {
     check_kernel(ctx.program(), kernel_id)?;
-    let kernel = ctx
-        .program()
-        .function(kernel_id)
-        .cloned()
-        .ok_or_else(|| Trap::Undefined(ctx.program().name(kernel_id).to_string()))?;
+    let kernel = ctx.defined(kernel_id)?;
     if kernel.ty.params.len() != 1 + extra.len() {
         return Err(Trap::ArityMismatch {
             expected: kernel.ty.params.len(),
@@ -241,35 +269,37 @@ pub fn run_parallelfor_at(
     };
 
     let mut workers: Vec<ExecutionContext> = (0..chunks)
-        .map(|c| ctx.worker(span_lo + c * per, span_lo + (c + 1) * per))
+        .map(|c| ctx.worker(obs.shard(), span_lo + c * per, span_lo + (c + 1) * per))
         .collect();
     let mut traps: Vec<Option<Trap>> = (0..chunks).map(|_| None).collect();
     // Per-chunk wall-clock (start, dur) in µs, for the Chrome worker
-    // timelines. Measured against the tracer epoch so chunk slices line up
-    // with the staging/execution spans; never part of the deterministic
-    // profile surface.
+    // timelines.
     let mut times: Vec<(u64, u64)> = vec![(0, 0); chunks as usize];
-    let profiling = ctx.trace.enabled();
     let region_us = ctx.trace.now_us();
     let region_t0 = Instant::now();
 
+    // Runs a contiguous block of chunks, the first being chunk `first`.
+    let run_block = |first: usize,
+                     workers: &mut [ExecutionContext],
+                     traps: &mut [Option<Trap>],
+                     times: &mut [(u64, u64)]| {
+        for (j, ((worker, trap), time)) in workers.iter_mut().zip(traps).zip(times).enumerate() {
+            let (start, end) = chunk_range(lo, n, chunks, (first + j) as u64);
+            let t0 = region_t0.elapsed().as_micros() as u64;
+            *trap = run_chunk(worker, &kernel, start, end, extra);
+            let t1 = region_t0.elapsed().as_micros() as u64;
+            *time = (region_us + t0, t1.saturating_sub(t0));
+        }
+    };
     if threads == 1 {
         // Sequential fallback: same chunk structure, same windows, same
         // shard merge — only the executing thread differs.
-        for (c, worker) in workers.iter_mut().enumerate() {
-            let (start, end) = chunk_range(lo, n, chunks, c as u64);
-            let t0 = region_t0.elapsed().as_micros() as u64;
-            traps[c] = run_chunk(worker, &kernel, start, end, extra);
-            times[c] = (
-                region_us + t0,
-                (region_t0.elapsed().as_micros() as u64).saturating_sub(t0),
-            );
-        }
+        run_block(0, &mut workers, &mut traps, &mut times);
     } else {
         // One spawned task per thread, each owning a contiguous block of
         // chunks. Block assignment affects only wall-clock, not results.
         let per_thread = chunks.div_ceil(threads as u64) as usize;
-        let kernel_ref = &kernel;
+        let run_block = &run_block;
         rayon::scope(|s| {
             for (t, ((wblock, tblock), mblock)) in workers
                 .chunks_mut(per_thread)
@@ -277,80 +307,20 @@ pub fn run_parallelfor_at(
                 .zip(times.chunks_mut(per_thread))
                 .enumerate()
             {
-                s.spawn(move |_| {
-                    for (j, ((worker, slot), tslot)) in wblock
-                        .iter_mut()
-                        .zip(tblock.iter_mut())
-                        .zip(mblock.iter_mut())
-                        .enumerate()
-                    {
-                        let c = (t * per_thread + j) as u64;
-                        let (start, end) = chunk_range(lo, n, chunks, c);
-                        let t0 = region_t0.elapsed().as_micros() as u64;
-                        *slot = run_chunk(worker, kernel_ref, start, end, extra);
-                        *tslot = (
-                            region_us + t0,
-                            (region_t0.elapsed().as_micros() as u64).saturating_sub(t0),
-                        );
-                    }
-                });
+                s.spawn(move |_| run_block(t * per_thread, wblock, tblock, mblock));
             }
         });
     }
 
-    // Preserve per-chunk shard counters for the telemetry layer *before*
-    // the merge collapses them into thread-invariant totals. Every field
-    // except the wall-clock pair is a deterministic function of the chunk,
-    // and the worker assignment is `chunk / ceil(chunks/threads)` — the
-    // exact block split used above.
-    if profiling {
-        let per_thread = chunks.div_ceil(threads as u64);
-        let stats: Vec<ParChunkStats> = workers
-            .iter()
-            .enumerate()
-            .map(|(c, worker)| {
-                let (start, end) = chunk_range(lo, n, chunks, c as u64);
-                let mem = worker.memory.counters().snapshot();
-                let cache = worker.memory.cache_stats();
-                ParChunkStats {
-                    chunk: c as u64,
-                    start,
-                    end,
-                    worker: c as u64 / per_thread,
-                    instructions: worker.trace.total_ops(),
-                    loads: mem.total_loads(),
-                    stores: mem.total_stores(),
-                    l1_misses: cache.l1.misses,
-                    l2_misses: cache.l2.misses,
-                    start_us: times[c].0,
-                    dur_us: times[c].1,
-                }
-            })
-            .collect();
-        let (function, line, provenance) = match site {
-            Some(s) => (
-                s.function.as_ref(),
-                s.line,
-                s.provenance.as_deref().unwrap_or(""),
-            ),
-            None => ("(host)", 0, ""),
-        };
-        ctx.trace.record_parallel(
-            function,
-            line,
-            provenance,
-            &kernel.name,
-            threads as u64,
-            n,
-            stats,
-        );
-    }
-
-    // Merge shards and captured output back in chunk order.
-    for worker in &mut workers {
-        ctx.absorb_worker(worker);
-    }
-    drop(workers);
+    let region = ParRegion {
+        site,
+        kernel: &kernel.name,
+        threads: threads as u64,
+        lo,
+        iterations: n,
+        times: &times,
+    };
+    join_region(ctx, obs, &region, workers);
 
     // Report the lowest-chunk-index trap (every chunk has already run to
     // its own completion, so the heap state is thread-count-independent).
@@ -363,23 +333,9 @@ pub fn run_parallelfor_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{Instr as I, NO_REG};
+    use crate::bytecode::{compiled, Instr as I, NO_REG};
     use crate::program::Value;
     use terra_ir::{FuncTy, Ty};
-
-    fn compiled(name: &str, ty: FuncTy, nregs: u16, code: Vec<I>) -> CompiledFunction {
-        CompiledFunction {
-            name: name.into(),
-            ty,
-            nregs,
-            provs: Vec::new(),
-            prov_table: Vec::new(),
-            frame_size: 0,
-            code,
-            lines: Vec::new(),
-            nochk: Vec::new(),
-        }
-    }
 
     /// kernel(i, base): stores i*i into base[i] (f64).
     fn square_kernel(ctx: &mut ExecutionContext) -> FuncId {
@@ -625,8 +581,11 @@ mod tests {
             let kernel = ctx.program().function(id).cloned().unwrap();
             let (lo, hi) = ctx.memory.parallel_stack_span();
             let per = ((hi - lo) / 2) & !15;
-            let mut w0 = ctx.worker(lo, lo + per);
-            let mut w1 = ctx.worker(lo + per, lo + 2 * per);
+            // As inside a call: the context's observer is moved out and
+            // the workers start from its shards.
+            let mut tel = ctx.telemetry.take().unwrap();
+            let mut w0 = ctx.worker(tel.shard(), lo, lo + per);
+            let mut w1 = ctx.worker(tel.shard(), lo + per, lo + 2 * per);
             let extra = [[base, 0, 0, 0]];
             if reverse {
                 assert!(run_chunk(&mut w1, &kernel, 32, 64, &extra).is_none());
@@ -635,8 +594,16 @@ mod tests {
                 assert!(run_chunk(&mut w0, &kernel, 0, 32, &extra).is_none());
                 assert!(run_chunk(&mut w1, &kernel, 32, 64, &extra).is_none());
             }
-            ctx.absorb_worker(&mut w0);
-            ctx.absorb_worker(&mut w1);
+            let region = ParRegion {
+                site: None,
+                kernel: "square",
+                threads: 2,
+                lo: 0,
+                iterations: 64,
+                times: &[(0, 0); 2],
+            };
+            join_region(&mut ctx, &mut *tel, &region, vec![w0, w1]);
+            ctx.telemetry = Some(tel);
             ctx.profile()
         };
         let fwd = run_interleaved(false);
@@ -807,13 +774,100 @@ mod tests {
         let r = run(4);
         let u = &r.parallel.sites[0];
         for (a, b) in s.chunks.iter().zip(&u.chunks) {
-            let strip = |c: &ParChunkStats| ParChunkStats {
+            let strip = |c: &terra_trace::ParChunkStats| terra_trace::ParChunkStats {
                 start_us: 0,
                 dur_us: 0,
                 ..c.clone()
             };
             assert_eq!(strip(a), strip(b));
         }
+    }
+
+    /// A function that *executes* a `par.for` counts only its own
+    /// instructions: what its workers retire (their `chk` micro-ops
+    /// included) lands in the kernel's row, at every thread count.
+    #[test]
+    fn parallel_region_does_not_leak_into_its_caller() {
+        for threads in [1, 4] {
+            let mut ctx = ExecutionContext::new();
+            ctx.set_threads(threads);
+            ctx.set_profile(true);
+            let kernel = square_kernel(&mut ctx);
+            let caller = ctx.declare("caller");
+            ctx.define(
+                caller,
+                compiled(
+                    "caller",
+                    FuncTy {
+                        params: vec![Ty::I64, Ty::F64.ptr_to()],
+                        ret: Ty::Unit,
+                    },
+                    3,
+                    vec![
+                        I::ConstI { d: 2, v: 0 },
+                        I::ParFor {
+                            f: kernel,
+                            lo: 2,
+                            hi: 0,
+                            args: 1,
+                            nargs: 1,
+                        },
+                        I::Ret { s: NO_REG },
+                    ],
+                ),
+            );
+            let base = ctx.memory.malloc(8 * 100);
+            ctx.call(caller, &[Value::Int(100), Value::Ptr(base)])
+                .unwrap();
+            let p = ctx.profile();
+            let row = |name: &str| {
+                let c = p.func(name).unwrap().counters;
+                (c.calls, c.inclusive, c.exclusive)
+            };
+            assert_eq!(row("caller"), (1, 3, 3), "at {threads} threads");
+            // 5 instructions + 1 `chk` per iteration.
+            assert_eq!(row("square"), (100, 600, 600), "at {threads} threads");
+            assert_eq!(p.parallel.sites[0].function, "caller");
+        }
+    }
+
+    /// Worker `printf` output is re-emitted in chunk order, whatever order
+    /// the workers ran in.
+    #[test]
+    fn worker_output_merges_in_chunk_order() {
+        let mut ctx = ExecutionContext::new();
+        ctx.set_threads(4);
+        ctx.output = crate::program::OutputSink::Capture(String::new());
+        let fmt = ctx.intern_string("%d;");
+        let id = ctx.declare("say");
+        ctx.define(
+            id,
+            compiled(
+                "say",
+                FuncTy {
+                    params: vec![Ty::I64],
+                    ret: Ty::Unit,
+                },
+                3,
+                vec![
+                    I::ConstI {
+                        d: 1,
+                        v: fmt as i64,
+                    },
+                    I::Mov { d: 2, a: 0 },
+                    I::CallBuiltin {
+                        d: NO_REG,
+                        b: Builtin::Printf,
+                        args: 1,
+                        nargs: 2,
+                    },
+                    I::Ret { s: NO_REG },
+                ],
+            ),
+        );
+        run_parallelfor(&mut ctx, id, 0, 40, &[]).unwrap();
+        let expect: String = (0..40).map(|i| format!("{i};")).collect();
+        assert_eq!(ctx.take_output(), expect);
     }
 
     #[test]
