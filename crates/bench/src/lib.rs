@@ -1,9 +1,10 @@
 //! # terra-bench
 //!
-//! The benchmark harness of terra-rs: one binary per table/figure of the
-//! paper's evaluation (run with `cargo run --release -p terra-bench --bin
-//! fig6` etc.), plus Criterion benches (`cargo bench`) for statistically
-//! careful timing of the same kernels.
+//! The paper-table printers of terra-rs: one binary per table/figure of the
+//! paper's evaluation, each printing the per-size table the paper shows (run
+//! with `cargo run --release -p terra-bench --bin fig6` etc.). They are for
+//! reading, not for gating: the repository's one timing harness — repeated
+//! runs, spreads, per-layer metrics — is `benchmark/` (see its README).
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -11,6 +12,7 @@
 //! | `--bin fig8` | Figure 8: Orion schedule speedups (area filter, pointwise, fluid) |
 //! | `--bin fig9` | Figure 9: AoS vs SoA mesh throughput |
 //! | `--bin class_overhead` | §6.3.1 dispatch micro-benchmark |
+//! | `--bin ablate` | EXPERIMENTS.md A2/A3: kernel-mechanism and vector-dispatch ablations |
 //!
 //! Absolute numbers will not match the paper — the backend is a bytecode VM,
 //! not LLVM on a 2012 Core i7 — but the *shapes* (who wins, by what factor)

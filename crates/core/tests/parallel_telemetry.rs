@@ -177,6 +177,7 @@ mod cli {
         let b = profiled("--threads=4");
         assert!(a.contains("== parallel =="), "got: {a}");
         assert!(a.contains("imbalance"), "got: {a}");
+        assert!(a.contains("serial fraction"), "got: {a}");
         assert_eq!(counter_region(&a), counter_region(&b));
     }
 

@@ -217,3 +217,34 @@ return oob(1000000000)
     let err = t.exec(src).expect_err("OOB must trap");
     assert!(err.to_string().contains("invalid memory access"), "{err}");
 }
+
+/// On the staged-constant GEMM the abstract interpreter proves *every*
+/// access in-bounds at `-O2` — and elision must pay: the elided run retires
+/// strictly fewer instructions than the `elide_checks = false` run, for the
+/// same result.
+#[test]
+fn staged_constant_gemm_is_fully_proven_and_retires_fewer_instructions() {
+    let src = common::gemm_static_src(24) + "return gemm_static()";
+    // (retired instructions, runtime bounds checks, result) of one -O2 run.
+    let run = |elide: bool| {
+        let mut t = Interp::new();
+        t.opt = OptLevel::O2;
+        t.elide_checks = elide;
+        t.ctx.exec.set_profile(true);
+        let out = t.exec(&src).expect("GEMM must run");
+        let LuaValue::Number(r) = out[0] else {
+            panic!("gemm_static must return a number, got {out:?}");
+        };
+        let p = t.ctx.exec.profile();
+        (p.total_instructions(), p.op_count("chk"), r)
+    };
+    let (checked_instrs, checked_chks, checked_r) = run(false);
+    let (elided_instrs, elided_chks, elided_r) = run(true);
+    assert_eq!((checked_r, elided_r), (48.0, 48.0));
+    assert!(checked_chks > 0, "the checked run must execute checks");
+    assert_eq!(elided_chks, 0, "every access must be proven check-free");
+    assert!(
+        elided_instrs < checked_instrs,
+        "elision must retire fewer instructions ({elided_instrs} vs {checked_instrs})"
+    );
+}

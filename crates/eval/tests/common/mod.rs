@@ -158,6 +158,40 @@ pub fn expr_strategy() -> impl Strategy<Value = E> {
     })
 }
 
+/// A GEMM whose size is a *staged constant*: `n` is spliced from Lua into
+/// the loop bounds and `malloc` sizes, so at `-O2` every access is provably
+/// in-bounds. Defines `gemm_static() : double`, which returns `C[0] = 2n`.
+pub fn gemm_static_src(n: usize) -> String {
+    format!(
+        r#"local std = terralib.includec("stdlib.h")
+local N = {n}
+terra gemm_static() : double
+  var A = [&double](std.malloc([N * N * 8]))
+  var B = [&double](std.malloc([N * N * 8]))
+  var C = [&double](std.malloc([N * N * 8]))
+  for i = 0, [N * N] do
+    A[i] = 1.0
+    B[i] = 2.0
+  end
+  for i = 0, [N] do
+    for j = 0, [N] do
+      var sum = 0.0
+      for k = 0, [N] do
+        sum = sum + A[i * [N] + k] * B[k * [N] + j]
+      end
+      C[i * [N] + j] = sum
+    end
+  end
+  var r = C[0]
+  std.free([&int8](A))
+  std.free([&int8](B))
+  std.free([&int8](C))
+  return r
+end
+"#
+    )
+}
+
 // -- flight-recorder glue -----------------------------------------------------
 
 /// One side of a differential: the configuration a program runs under.
@@ -234,11 +268,18 @@ pub fn record_at(
 /// either way (clean differentials render as "0 divergences" — useful when
 /// the outputs differed through a channel the recorder does not cover).
 pub fn divergence_report(setup: &str, call: &str, a: RecConfig, b: RecConfig) -> String {
-    let ra = match record_at(setup, call, &a, None) {
+    divergence_report_sides((setup, a), (setup, b), call)
+}
+
+/// [`divergence_report`] with a setup per side, for differentials whose two
+/// sides are different *programs* (the configurations must still differ, so
+/// the re-record callback can tell the sides apart by their metadata).
+pub fn divergence_report_sides(a: (&str, RecConfig), b: (&str, RecConfig), call: &str) -> String {
+    let ra = match record_at(a.0, call, &a.1, None) {
         Ok(r) => r,
         Err(e) => return format!("(flight recorder unavailable on side A: {e})"),
     };
-    let rb = match record_at(setup, call, &b, None) {
+    let rb = match record_at(b.0, call, &b.1, None) {
         Ok(r) => r,
         Err(e) => return format!("(flight recorder unavailable on side B: {e})"),
     };
@@ -246,7 +287,7 @@ pub fn divergence_report(setup: &str, call: &str, a: RecConfig, b: RecConfig) ->
         // The meta names the side to re-record (recordings are
         // thread-count invariant, so identical metas mean either side's
         // config reproduces the same effect stream).
-        let cfg = if *meta == a.meta(Some(window)) {
+        let (setup, cfg) = if *meta == a.1.meta(Some(window)) {
             &a
         } else {
             &b

@@ -1,13 +1,9 @@
-//! End-to-end bisection of a seeded miscompile. `TERRA_TEST_MISCOMPILE`
-//! flips a deliberate bug into the constant folder (`a * b` folds to
-//! `a * b + 1` at `-O1`+), and the flight recorder must walk the `-O0` vs
-//! `-O2` differential down to the first wrong store — naming the function,
-//! the source line, and the staging provenance of the quote that generated
-//! the store.
-//!
-//! This lives in its own test binary: the miscompile knob is latched once
-//! per process (`OnceLock`), so it must not share a process with tests that
-//! need a correct optimizer.
+//! End-to-end bisection of a divergence. Two programs differ in one staged
+//! constant (`6 * 7` on one side, `6 * 7 + 1` on the other — what a
+//! miscompiling constant folder would produce), and the flight recorder must
+//! walk the differential down to the first wrong store — naming the
+//! function, the source line, and the staging provenance of the quote that
+//! generated the store.
 
 use terra_ir::OptLevel;
 
@@ -16,12 +12,13 @@ use common::RecConfig;
 
 /// The store is staged by a Lua `quote` and spliced into the loop, so the
 /// divergence report must carry the "via quote at line N" provenance chain
-/// in addition to the splice site's own line.
+/// in addition to the splice site's own line. `VALUE` is the constant the
+/// two sides disagree on.
 const SETUP: &str = r#"local std = terralib.includec("stdlib.h")
 
 local function fill(buf, i)
   return quote
-    buf[i] = 6 * 7
+    buf[i] = VALUE
   end
 end
 
@@ -40,18 +37,20 @@ end
 "#;
 
 #[test]
-fn seeded_miscompile_bisects_to_the_generated_store() {
-    // Latch the miscompile before any optimizer runs in this process.
-    std::env::set_var("TERRA_TEST_MISCOMPILE", "1");
-
-    let report = common::divergence_report(
-        SETUP,
+fn divergent_constant_bisects_to_the_generated_store() {
+    let report = common::divergence_report_sides(
+        (
+            &SETUP.replace("VALUE", "6 * 7"),
+            RecConfig::at(OptLevel::O0),
+        ),
+        (
+            &SETUP.replace("VALUE", "6 * 7 + 1"),
+            RecConfig::at(OptLevel::O2),
+        ),
         "return prog(10)",
-        RecConfig::at(OptLevel::O0),
-        RecConfig::at(OptLevel::O2),
     );
 
-    // The miscompile only fires at -O1+, so the sides must diverge…
+    // The sides store different constants, so they must diverge…
     assert!(
         report.contains("first divergent effect"),
         "expected a divergence, got:\n{report}"
@@ -70,13 +69,7 @@ fn seeded_miscompile_bisects_to_the_generated_store() {
     // Both sides are labeled by their optimization level.
     assert!(report.contains("-O0:"), "missing -O0 label in:\n{report}");
     assert!(report.contains("-O2:"), "missing -O2 label in:\n{report}");
-    // The folded constant is 42 on the honest side, 43 on the seeded one.
-    assert!(
-        report.contains("0x2a"),
-        "expected honest value 0x2a in:\n{report}"
-    );
-    assert!(
-        report.contains("0x2b"),
-        "expected seeded value 0x2b in:\n{report}"
-    );
+    // The stored constant is 42 on one side, 43 on the other.
+    assert!(report.contains("0x2a"), "expected 0x2a in:\n{report}");
+    assert!(report.contains("0x2b"), "expected 0x2b in:\n{report}");
 }

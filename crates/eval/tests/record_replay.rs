@@ -165,3 +165,22 @@ fn golden_state_hashes_for_fixed_program() {
         "recording must be byte-stable"
     );
 }
+
+/// The point of checkpoint sampling: a coarse recording stays tiny however
+/// long the run. A GEMM retiring over a million instructions (and thousands
+/// of heap effects) must serialize to at most 256 KiB, opening with the
+/// exact format-version header that consumers key their parsers off.
+#[test]
+fn million_instruction_run_records_coarsely_in_a_few_bytes() {
+    let rec = common::record_at(
+        &common::gemm_static_src(48),
+        "return gemm_static()",
+        &RecConfig::at(OptLevel::O0),
+        None,
+    )
+    .expect("GEMM must record");
+    assert!(rec.total_retired >= 1_000_000, "{}", rec.total_retired);
+    let text = rec.to_text();
+    assert!(text.starts_with("#terra-rec v1\n"), "header: {text:.40}");
+    assert!(text.len() <= 256 * 1024, "grew to {} bytes", text.len());
+}

@@ -233,25 +233,11 @@ fn normalize_int(st: ScalarTy, v: i64) -> i64 {
     }
 }
 
-/// Test-only miscompile knob: when the `TERRA_TEST_MISCOMPILE` environment
-/// variable is set, constant multiplication folds to the wrong product.
-/// This exists solely so the flight recorder's bisection machinery has a
-/// real miscompiling pass to pinpoint (the fold runs at -O1/-O2 but not
-/// -O0, so the seeded bug shows up as an opt-level divergence). The result
-/// is still a well-typed constant, so the IR verifier — which checks
-/// consistency, not values — accepts it.
-fn seeded_miscompile() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TERRA_TEST_MISCOMPILE").is_some())
-}
-
 fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
     if let (Some(a), Some(b)) = (int_const(lhs), int_const(rhs)) {
         let v = match op {
             BinKind::Add => a.wrapping_add(b),
             BinKind::Sub => a.wrapping_sub(b),
-            BinKind::Mul if seeded_miscompile() => a.wrapping_mul(b).wrapping_add(1),
             BinKind::Mul => a.wrapping_mul(b),
             BinKind::Div => {
                 if b == 0 {

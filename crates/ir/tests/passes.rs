@@ -258,6 +258,31 @@ fn cse_does_not_share_across_clobber() {
 }
 
 #[test]
+fn cse_does_not_share_across_self_referential_assign() {
+    // x = x + 1; y = x + 1; return y — the second `x + 1` reads the new x,
+    // so it must stay an Add and not collapse into a plain read of x.
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let x = LocalId(0);
+    let y = f.add_local("y", Ty::INT, false);
+    let x_plus_1 = || IrExpr::binary(BinKind::Add, IrExpr::local(x, Ty::INT), IrExpr::int32(1));
+    f.body = vec![
+        assign(x, x_plus_1()),
+        assign(y, x_plus_1()),
+        ret(IrExpr::local(y, Ty::INT)),
+    ];
+    run_opt(&mut f, OptLevel::O2);
+    let second_is_copy_of_x = f.body.iter().any(|s| match &s.kind {
+        StmtKind::Return(Some(e)) => e.kind == ExprKind::Local(x),
+        StmtKind::Assign { dst, value } => *dst == y && value.kind == ExprKind::Local(x),
+        _ => false,
+    });
+    assert!(
+        !second_is_copy_of_x,
+        "y = x+1 after x = x+1 was CSE'd into a read of x: {f:?}"
+    );
+}
+
+#[test]
 fn copyprop_forwards_through_copies() {
     // y = x; z = y; return z  →  return x
     let mut f = func(vec![Ty::INT], Ty::INT);
