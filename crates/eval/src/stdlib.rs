@@ -1155,7 +1155,7 @@ fn install_terralib(interp: &mut Interp) {
                         "symbol {name} : {} ({} instructions, {} registers)\n",
                         Ty::Func(std::sync::Arc::new(f.ty.clone())),
                         f.code.len(),
-                        f.nregs
+                        f.nslots()
                     ));
                 }
                 std::fs::write(&*path, out).map_err(|e| LuaError::msg(format!("saveobj: {e}")))?;

@@ -256,7 +256,8 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     }
     let globals = interp.ctx.global_addrs();
     let t0 = interp.ctx.exec.trace.now_us();
-    let compiled = terra_vm::compile(&ir, &interp.ctx.types, &mut interp.ctx.exec, &globals);
+    let compiled = terra_vm::try_compile(&ir, &interp.ctx.types, &mut interp.ctx.exec, &globals)
+        .map_err(|e| terr(e.to_string(), span))?;
     interp
         .ctx
         .exec

@@ -142,7 +142,8 @@ fn check_all_subsets(
 
 /// The straight-line `prog` of `opt_diff`, wrapped in a caller that prints
 /// two of its results: arithmetic, heap stores, a division that may trap,
-/// `malloc`, a call/return pair and a `printf` effect.
+/// `malloc`, a call/return pair, a `printf` effect, and a vector local (a
+/// four-slot register) stored to the heap.
 fn straight_line_setup(stmts: &[OpStmt]) -> String {
     let prog = program_txt(stmts);
     let prog = prog.strip_suffix("return prog").expect("generator trailer");
@@ -150,8 +151,11 @@ fn straight_line_setup(stmts: &[OpStmt]) -> String {
     format!(
         "{prog}\n\
          local io = terralib.includec(\"stdio.h\")\n\
+         local vec = vector(double, 4)\n\
          terra show(a : int, b : int, c : int) : &double\n\
          \u{20}   var buf = prog(a, b, c)\n\
+         \u{20}   var v = [vec](buf[0]) * [vec]([double](a)) + [vec](buf[{last}])\n\
+         \u{20}   @[&vec](std.malloc(32)) = v\n\
          \u{20}   io.printf(\"%g %g\\n\", buf[0], buf[{last}])\n\
          \u{20}   return buf\n\
          end\n"
@@ -183,10 +187,14 @@ proptest! {
             r#"
             local std = terralib.includec("stdlib.h")
             local io = terralib.includec("stdio.h")
+            local vec = vector(double, 4)
             terra f(n : int, k : int) : double
                 var buf = [&int64](std.malloc(n * 8))
+                var rows = [&vec](std.malloc(n * 32))
+                var v = [vec]([double](k)) + [vec](0.5)
                 parallelfor i = 0, n do
                     buf[i] = [int64]({body})
+                    rows[i] = v * [vec]([double](i))
                     if i % 16 == 0 then io.printf("%d;", i) end
                 end
                 var total : int64 = 0

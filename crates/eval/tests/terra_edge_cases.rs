@@ -478,3 +478,83 @@ fn clock_is_monotonic_within_terra() {
     "#;
     assert_eq!(eval_num(src), 1.0);
 }
+
+// ---------------------------------------------------------------------------
+// limits of the backend that must be diagnostics, not host panics
+// ---------------------------------------------------------------------------
+
+/// A frame has at most 65 534 register slots. A staged function that needs
+/// more — here through its locals at `-O0`, and through vector parameters
+/// (four slots each) at `-O2` — is an ordinary compile error that names
+/// the function, at its first call.
+#[test]
+fn too_many_register_slots_is_a_compile_error() {
+    let locals = r#"
+        local stmts = terralib.newlist()
+        for i = 1, 70000 do
+            stmts:insert(quote var [symbol(int, "v" .. i)] = i end)
+        end
+        terra crowded() : int
+            [stmts]
+            return 1
+        end
+    "#;
+    let params = r#"
+        local params = terralib.newlist()
+        for i = 1, 16400 do
+            params:insert(symbol(vector(double, 4), "p" .. i))
+        end
+        terra crowded([params]) : int
+            return 1
+        end
+    "#;
+    for (opt, setup, call) in [
+        (terra_ir::OptLevel::O0, locals, "return crowded()"),
+        (terra_ir::OptLevel::O2, params, "return crowded:compile()"),
+    ] {
+        let mut t = Interp::new();
+        t.opt = opt;
+        t.exec(setup)
+            .unwrap_or_else(|e| panic!("staging is fine: {e}"));
+        let e = t.exec(call).unwrap_err();
+        assert_eq!(e.phase, Phase::Typecheck, "{e}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains("'crowded' needs more than 65534 register slots"),
+            "{msg}"
+        );
+        // The session survives: a function that fits still compiles and runs.
+        let ok = t.exec("terra small() : int return 7 end return small()");
+        assert!(matches!(ok.as_deref(), Ok([LuaValue::Number(n)]) if *n == 7.0));
+    }
+}
+
+/// `realloc` of a pointer `malloc` never returned traps like `free` does,
+/// naming the pointer it was given — with and without the sanitizer.
+#[test]
+fn realloc_of_a_non_heap_pointer_traps_like_free() {
+    let src = r#"
+        local std = terralib.includec("stdlib.h")
+        terra below_the_heap() : &int8
+            return [&int8](std.realloc([&int8](3), 4096))
+        end
+        terra inside_a_block() : &int8
+            var p = [&int8](std.malloc(64))
+            return [&int8](std.realloc(p + 24, 4096))
+        end
+    "#;
+    for sanitize in [false, true] {
+        let mut t = Interp::new();
+        t.ctx.exec.memory.set_sanitize(sanitize);
+        t.exec(src).unwrap();
+        let e = t.exec("return below_the_heap()").unwrap_err();
+        assert_eq!(e.phase, Phase::Execution);
+        let msg = e.to_string();
+        assert!(msg.contains("free of non-heap address 0x3"), "{msg}");
+        assert!(msg.contains("'below_the_heap'"), "{msg}");
+        let e = t.exec("return inside_a_block()").unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains("free of non-heap address"), "{msg}");
+        assert!(msg.contains("'inside_a_block'"), "{msg}");
+    }
+}

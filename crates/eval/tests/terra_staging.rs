@@ -775,11 +775,25 @@ fn saveobj_writes_manifest() {
     t.exec(&format!(
         r#"
         terra runme(x : int) : int return x end
-        terralib.saveobj("{path}", {{ runme = runme }})
+        terra scale(a : int, b : int, c : double) : double
+            var s = a * b
+            return s * c + 1.0
+        end
+        local vec = vector(double, 4)
+        terra twice(v : vec) : vec return v + v end
+        terralib.saveobj("{path}", {{ runme = runme, scale = scale, twice = twice }})
     "#
     ))
     .unwrap();
     let contents = std::fs::read_to_string(&path).unwrap();
     assert!(contents.contains("symbol runme"), "{contents}");
+    // A scalar is one register slot, so a scalar function's count is its
+    // locals plus its deepest temporaries; a vector takes four.
+    let scale = "symbol scale : {int,int,double} -> double (7 instructions, 8 registers)";
+    assert!(contents.contains(scale), "{contents}");
+    assert!(
+        contents.contains("(2 instructions, 8 registers)"),
+        "{contents}"
+    );
     std::fs::remove_file(&path).ok();
 }

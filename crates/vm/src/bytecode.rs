@@ -1,18 +1,42 @@
 //! Register-machine bytecode.
 //!
-//! Each compiled Terra function is a flat instruction vector over 256-bit
-//! registers (`[u64; 4]`): scalars live in lane 0, SIMD vectors use all
-//! lanes (8×f32 or 4×f64 — the VM analogue of AVX). Jump targets are
-//! absolute instruction indices.
+//! Each compiled Terra function is a flat instruction vector over a frame
+//! of 8-byte register *slots*: a scalar lives in one slot, a SIMD vector
+//! (8×f32 or 4×f64 — the VM analogue of AVX) in [`VECTOR_SLOTS`]
+//! consecutive ones, named by the first. Jump targets are absolute
+//! instruction indices.
+//!
+//! Everything the dispatch loop would otherwise decide per retired
+//! instruction is decided here, when the function is built: operand widths
+//! are part of the opcode (or, for `mov`/`call`/`ret`, a field), memory
+//! instructions carry their own `chk` bit, and [`CompiledFunction::new`]
+//! refuses any function whose operands leave its frame or whose jumps leave
+//! its code — the invariant the loop's frame window relies on.
 
+use std::fmt;
 use std::sync::Arc;
-use terra_ir::{Builtin, FuncId, FuncTy};
+use terra_ir::{Builtin, FuncId, FuncTy, Ty};
 
-/// A register index within a frame.
+/// A register: the index of its first 8-byte slot within the frame.
 pub type Reg = u16;
 
 /// Sentinel register meaning "no destination/source".
 pub const NO_REG: Reg = u16::MAX;
+
+/// Most slots one frame may have; keeps [`NO_REG`] out of reach.
+pub const MAX_SLOTS: u16 = u16::MAX - 1;
+
+/// Slots a `vector(T, n)` value occupies (vectors are at most 32 bytes).
+pub const VECTOR_SLOTS: u16 = 4;
+
+/// Slots a value of type `ty` occupies in a frame.
+pub fn slots_of(ty: &Ty) -> u16 {
+    if matches!(ty, Ty::Vector(..)) {
+        VECTOR_SLOTS
+    } else {
+        1
+    }
+}
 
 /// Integer width/signedness tag used by `Trunc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,26 +67,28 @@ pub enum Instr {
         /// Immediate value.
         v: i64,
     },
-    /// `d = imm` (f64 bits in lane 0).
+    /// `d = imm` (f64 bits).
     ConstF64 {
         /// Destination.
         d: Reg,
         /// Immediate value.
         v: f64,
     },
-    /// `d = imm` (f32 bits in lane 0).
+    /// `d = imm` (f32 bits in the slot's low half).
     ConstF32 {
         /// Destination.
         d: Reg,
         /// Immediate value.
         v: f32,
     },
-    /// `d = a` (full 256-bit move).
+    /// `d = a`, `w` slots wide.
     Mov {
         /// Destination.
         d: Reg,
         /// Source.
         a: Reg,
+        /// Slots moved (1, or [`VECTOR_SLOTS`]).
+        w: u8,
     },
 
     // -- integer arithmetic (64-bit, canonical-extended operands) -----------
@@ -569,6 +595,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load an unsigned 8-bit value.
     LoadU8 {
@@ -576,6 +604,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load a signed 16-bit value.
     LoadI16 {
@@ -583,6 +613,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load an unsigned 16-bit value.
     LoadU16 {
@@ -590,6 +622,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load a signed 32-bit value.
     LoadI32 {
@@ -597,6 +631,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load an unsigned 32-bit value.
     LoadU32 {
@@ -604,6 +640,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load 64 bits (int/pointer).
     Load64 {
@@ -611,6 +649,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load an f32.
     LoadF32 {
@@ -618,6 +658,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Load an f64.
     LoadF64 {
@@ -625,6 +667,8 @@ pub enum Instr {
         d: Reg,
         /// Address register.
         a: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store low 8 bits.
     Store8 {
@@ -632,6 +676,8 @@ pub enum Instr {
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store low 16 bits.
     Store16 {
@@ -639,6 +685,8 @@ pub enum Instr {
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store low 32 bits.
     Store32 {
@@ -646,6 +694,8 @@ pub enum Instr {
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store 64 bits.
     Store64 {
@@ -653,13 +703,17 @@ pub enum Instr {
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
-    /// Store an f32 (lane-0 f32 bits).
+    /// Store an f32 (the slot's low 32 bits).
     StoreF32 {
         /// Address register.
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store an f64.
     StoreF64 {
@@ -667,8 +721,10 @@ pub enum Instr {
         a: Reg,
         /// Value register.
         s: Reg,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
-    /// Load `bytes` (8/16/32) into a vector register.
+    /// Load `bytes` (≤ 32) into a vector register, zeroing the rest.
     LoadV {
         /// Destination.
         d: Reg,
@@ -676,6 +732,8 @@ pub enum Instr {
         a: Reg,
         /// Bytes to load.
         bytes: u8,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Store the low `bytes` of a vector register.
     StoreV {
@@ -685,6 +743,8 @@ pub enum Instr {
         s: Reg,
         /// Bytes to store.
         bytes: u8,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Frame-slot address: `d = frame_base + offset`.
     FrameAddr {
@@ -701,6 +761,8 @@ pub enum Instr {
         src: Reg,
         /// Byte count.
         size: u32,
+        /// Bounds-checked (see [`Instr::chk`])?
+        chk: bool,
     },
     /// Prefetch the cache line at the address in `a`.
     Prefetch {
@@ -835,14 +897,14 @@ pub enum Instr {
         /// Right.
         b: Reg,
     },
-    /// Broadcast lane-0 f32 to all 8 lanes.
+    /// Broadcast a scalar f32 to all 8 lanes.
     SplatF32 {
         /// Destination.
         d: Reg,
         /// Source scalar.
         a: Reg,
     },
-    /// Broadcast lane-0 f64 to all 4 lanes.
+    /// Broadcast a scalar f64 to all 4 lanes.
     SplatF64 {
         /// Destination.
         d: Reg,
@@ -870,33 +932,38 @@ pub enum Instr {
         /// Absolute instruction index.
         target: u32,
     },
-    /// Direct call: copies `nargs` registers starting at `args` into the
-    /// callee frame; result (if any) lands in `d`.
+    /// Direct call: copies the `nargs` slots starting at `args` to the
+    /// bottom of the callee frame (parameters sit at the prefix sums of
+    /// their widths on both sides); the result (if any) lands in `d`.
     Call {
         /// Destination register or [`NO_REG`].
         d: Reg,
+        /// Slots of the result (0 without a destination).
+        w: u8,
         /// Callee.
         f: FuncId,
-        /// First argument register.
+        /// First slot of the argument block.
         args: Reg,
-        /// Argument count.
+        /// Slots in the argument block.
         nargs: u16,
     },
     /// Indirect call through a function-pointer value.
     CallIndirect {
         /// Destination register or [`NO_REG`].
         d: Reg,
+        /// Slots of the result (0 without a destination).
+        w: u8,
         /// Register holding the function pointer.
         f: Reg,
-        /// First argument register.
+        /// First slot of the argument block.
         args: Reg,
-        /// Argument count.
+        /// Slots in the argument block.
         nargs: u16,
     },
     /// Data-parallel loop: runs `f(i, extra...)` for every `i` in
     /// `[lo, hi)`, partitioned into deterministic chunks that may execute on
-    /// worker threads (see `crate::parallel`). `nargs` captured extras start
-    /// at `args`.
+    /// worker threads (see `crate::parallel`). The `nargs` slots of captured
+    /// extras start at `args`.
     ParFor {
         /// Kernel function (param 0 is the index).
         f: FuncId,
@@ -904,12 +971,12 @@ pub enum Instr {
         lo: Reg,
         /// Register holding the exclusive upper bound.
         hi: Reg,
-        /// First captured-argument register.
+        /// First slot of the captured-argument block.
         args: Reg,
-        /// Captured-argument count.
+        /// Slots in the captured-argument block.
         nargs: u16,
     },
-    /// Call a runtime builtin.
+    /// Call a runtime builtin (scalar arguments, scalar result).
     CallBuiltin {
         /// Destination register or [`NO_REG`].
         d: Reg,
@@ -924,45 +991,120 @@ pub enum Instr {
     Ret {
         /// Result register or [`NO_REG`].
         s: Reg,
+        /// Slots of the result (0 without a source).
+        w: u8,
     },
     /// Unconditional trap (unreachable code, `abort`).
     Trap,
 }
 
 impl Instr {
-    /// Whether this instruction performs a bounds-checked memory access —
-    /// what the `checkelim` pass can mark check-free (rows tagged `mem`
-    /// below). `Prefetch` is excluded: hints never trap, so carry no check.
+    /// Whether this instruction performs a bounds-checkable memory access —
+    /// what the `checkelim` pass can mark check-free. `Prefetch` is
+    /// excluded: hints never trap, so carry no check.
     pub fn is_mem_access(&self) -> bool {
-        MEM_ACCESS[self.opcode() as usize]
+        self.chk().is_some()
     }
 
     /// The instruction's mnemonic (its name in reports and counters).
     pub fn mnemonic(&self) -> &'static str {
         MNEMONICS[self.opcode() as usize]
     }
+
+    /// Whether control can continue at the next instruction.
+    pub(crate) fn falls_through(&self) -> bool {
+        !matches!(self, Instr::Jmp { .. } | Instr::Ret { .. } | Instr::Trap)
+    }
+
+    /// The instruction's jump target, if it has one.
+    pub(crate) fn target(&self) -> Option<u32> {
+        match *self {
+            Instr::Jmp { target }
+            | Instr::BrFalse { target, .. }
+            | Instr::BrTrue { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// Calls `visit(first slot, slots)` for every register operand, fixed
+    /// shape or not; [`NO_REG`] operands are skipped.
+    fn operands(&self, mut visit: impl FnMut(Reg, u16)) {
+        self.fixed_operands(&mut visit);
+        let mut optional = |r: Reg, w: u16| {
+            if r != NO_REG {
+                visit(r, w);
+            }
+        };
+        match *self {
+            Instr::Mov { d, a, w } => {
+                optional(d, w.into());
+                optional(a, w.into());
+            }
+            Instr::Lea { b, .. } => optional(b, 1),
+            Instr::Call {
+                d, w, args, nargs, ..
+            }
+            | Instr::CallIndirect {
+                d, w, args, nargs, ..
+            } => {
+                optional(d, w.into());
+                optional(args, nargs);
+            }
+            Instr::ParFor { args, nargs, .. } => optional(args, nargs),
+            Instr::CallBuiltin { d, args, nargs, .. } => {
+                optional(d, 1);
+                optional(args, nargs);
+            }
+            Instr::Ret { s, w } => optional(s, w.into()),
+            _ => {}
+        }
+    }
 }
 
-/// Declares the opcode numbering: one `Variant => "mnemonic"` row per
-/// [`Instr`] variant, so [`Instr::opcode`] is the row's position and
-/// [`MNEMONICS`] the name table profilers' dense counters are rendered by.
+/// Declares the opcode table, one row per [`Instr`] variant:
+/// `Variant => "mnemonic" [operands] chk?`. The row's position is the
+/// variant's [`Instr::opcode`] and [`MNEMONICS`] the name table profilers'
+/// dense counters are rendered by; `[operands]` lists the register fields
+/// of fixed shape (`r` one slot, `r*4` a vector), which is what the
+/// load-time validator walks; a trailing `chk` marks the bounds-checkable
+/// memory accesses, whose `chk` field [`Instr::chk`] reads.
 macro_rules! opcodes {
-    (@mem mem) => { true };
-    (@mem) => { false };
-    ($($variant:ident => $name:literal $($mem:ident)?,)*) => {
+    (@w) => { 1 };
+    (@w $w:literal) => { $w };
+    ($($variant:ident => $name:literal [$($r:ident $(* $w:literal)?),*] $($chk:ident)?,)*) => {
         #[repr(u8)]
         enum Opcode { $($variant),* }
 
         /// Mnemonic of every opcode, indexed by [`Instr::opcode`].
         pub const MNEMONICS: [&str; N_OPCODES] = [$($name),*];
 
-        const MEM_ACCESS: [bool; N_OPCODES] = [$(opcodes!(@mem $($mem)?)),*];
-
         impl Instr {
             /// Dense opcode index of this instruction (`< N_OPCODES`).
             #[inline]
             pub fn opcode(&self) -> u8 {
                 match self { $(Instr::$variant { .. } => Opcode::$variant as u8,)* }
+            }
+
+            /// The instruction's bounds-check bit: `Some(true)` for a memory
+            /// access that checks its address, `Some(false)` for one the
+            /// mid-end proved in-bounds (ignored under `--sanitize`), `None`
+            /// for everything that is not a checkable memory access.
+            #[inline]
+            pub fn chk(&self) -> Option<bool> {
+                match *self {
+                    $($(Instr::$variant { $chk, .. } => Some($chk),)?)*
+                    _ => None,
+                }
+            }
+
+            /// Calls `visit(first slot, slots)` for every fixed-shape
+            /// register operand.
+            fn fixed_operands(&self, visit: &mut impl FnMut(Reg, u16)) {
+                match *self {
+                    $(Instr::$variant { $($r,)* .. } => {
+                        $(visit($r, opcodes!(@w $($w)?));)*
+                    })*
+                }
             }
         }
     };
@@ -972,112 +1114,112 @@ macro_rules! opcodes {
 pub const N_OPCODES: usize = 106;
 
 opcodes! {
-    ConstI => "const.i",
-    ConstF64 => "const.f64",
-    ConstF32 => "const.f32",
-    Mov => "mov",
-    AddI => "add.i",
-    SubI => "sub.i",
-    MulI => "mul.i",
-    DivS => "div.s",
-    DivU => "div.u",
-    RemS => "rem.s",
-    RemU => "rem.u",
-    Shl => "shl",
-    ShrS => "shr.s",
-    ShrU => "shr.u",
-    And => "and",
-    Or => "or",
-    Xor => "xor",
-    MinS => "min.s",
-    MaxS => "max.s",
-    NegI => "neg.i",
-    NotI => "not.i",
-    NotB => "not.b",
-    Trunc => "trunc",
-    Lea => "lea",
-    AddF64 => "add.f64",
-    SubF64 => "sub.f64",
-    MulF64 => "mul.f64",
-    DivF64 => "div.f64",
-    MinF64 => "min.f64",
-    MaxF64 => "max.f64",
-    NegF64 => "neg.f64",
-    AddF32 => "add.f32",
-    SubF32 => "sub.f32",
-    MulF32 => "mul.f32",
-    DivF32 => "div.f32",
-    MinF32 => "min.f32",
-    MaxF32 => "max.f32",
-    NegF32 => "neg.f32",
-    CmpEqI => "cmp.eq.i",
-    CmpNeI => "cmp.ne.i",
-    CmpLtS => "cmp.lt.s",
-    CmpLeS => "cmp.le.s",
-    CmpLtU => "cmp.lt.u",
-    CmpLeU => "cmp.le.u",
-    CmpEqF64 => "cmp.eq.f64",
-    CmpNeF64 => "cmp.ne.f64",
-    CmpLtF64 => "cmp.lt.f64",
-    CmpLeF64 => "cmp.le.f64",
-    CmpEqF32 => "cmp.eq.f32",
-    CmpNeF32 => "cmp.ne.f32",
-    CmpLtF32 => "cmp.lt.f32",
-    CmpLeF32 => "cmp.le.f32",
-    CvtSToF64 => "cvt.s.f64",
-    CvtSToF32 => "cvt.s.f32",
-    CvtUToF64 => "cvt.u.f64",
-    CvtUToF32 => "cvt.u.f32",
-    CvtF64ToS => "cvt.f64.s",
-    CvtF64ToU => "cvt.f64.u",
-    CvtF32ToS => "cvt.f32.s",
-    CvtF32ToF64 => "cvt.f32.f64",
-    CvtF64ToF32 => "cvt.f64.f32",
-    LoadI8 => "load.i8" mem,
-    LoadU8 => "load.u8" mem,
-    LoadI16 => "load.i16" mem,
-    LoadU16 => "load.u16" mem,
-    LoadI32 => "load.i32" mem,
-    LoadU32 => "load.u32" mem,
-    Load64 => "load.64" mem,
-    LoadF32 => "load.f32" mem,
-    LoadF64 => "load.f64" mem,
-    Store8 => "store.8" mem,
-    Store16 => "store.16" mem,
-    Store32 => "store.32" mem,
-    Store64 => "store.64" mem,
-    StoreF32 => "store.f32" mem,
-    StoreF64 => "store.f64" mem,
-    LoadV => "load.v" mem,
-    StoreV => "store.v" mem,
-    FrameAddr => "frame.addr",
-    CopyMem => "copy.mem" mem,
-    Prefetch => "prefetch",
-    VAddF32 => "vadd.f32",
-    VSubF32 => "vsub.f32",
-    VMulF32 => "vmul.f32",
-    VDivF32 => "vdiv.f32",
-    VMinF32 => "vmin.f32",
-    VMaxF32 => "vmax.f32",
-    VAddF64 => "vadd.f64",
-    VSubF64 => "vsub.f64",
-    VMulF64 => "vmul.f64",
-    VDivF64 => "vdiv.f64",
-    VMinF64 => "vmin.f64",
-    VMaxF64 => "vmax.f64",
-    VFmaF32 => "vfma.f32",
-    VFmaF64 => "vfma.f64",
-    SplatF32 => "splat.f32",
-    SplatF64 => "splat.f64",
-    Jmp => "jmp",
-    BrFalse => "br.false",
-    BrTrue => "br.true",
-    Call => "call",
-    CallIndirect => "call.indirect",
-    ParFor => "par.for",
-    CallBuiltin => "call.builtin",
-    Ret => "ret",
-    Trap => "trap",
+    ConstI => "const.i" [d],
+    ConstF64 => "const.f64" [d],
+    ConstF32 => "const.f32" [d],
+    Mov => "mov" [],
+    AddI => "add.i" [d, a, b],
+    SubI => "sub.i" [d, a, b],
+    MulI => "mul.i" [d, a, b],
+    DivS => "div.s" [d, a, b],
+    DivU => "div.u" [d, a, b],
+    RemS => "rem.s" [d, a, b],
+    RemU => "rem.u" [d, a, b],
+    Shl => "shl" [d, a, b],
+    ShrS => "shr.s" [d, a, b],
+    ShrU => "shr.u" [d, a, b],
+    And => "and" [d, a, b],
+    Or => "or" [d, a, b],
+    Xor => "xor" [d, a, b],
+    MinS => "min.s" [d, a, b],
+    MaxS => "max.s" [d, a, b],
+    NegI => "neg.i" [d, a],
+    NotI => "not.i" [d, a],
+    NotB => "not.b" [d, a],
+    Trunc => "trunc" [d, a],
+    Lea => "lea" [d, a],
+    AddF64 => "add.f64" [d, a, b],
+    SubF64 => "sub.f64" [d, a, b],
+    MulF64 => "mul.f64" [d, a, b],
+    DivF64 => "div.f64" [d, a, b],
+    MinF64 => "min.f64" [d, a, b],
+    MaxF64 => "max.f64" [d, a, b],
+    NegF64 => "neg.f64" [d, a],
+    AddF32 => "add.f32" [d, a, b],
+    SubF32 => "sub.f32" [d, a, b],
+    MulF32 => "mul.f32" [d, a, b],
+    DivF32 => "div.f32" [d, a, b],
+    MinF32 => "min.f32" [d, a, b],
+    MaxF32 => "max.f32" [d, a, b],
+    NegF32 => "neg.f32" [d, a],
+    CmpEqI => "cmp.eq.i" [d, a, b],
+    CmpNeI => "cmp.ne.i" [d, a, b],
+    CmpLtS => "cmp.lt.s" [d, a, b],
+    CmpLeS => "cmp.le.s" [d, a, b],
+    CmpLtU => "cmp.lt.u" [d, a, b],
+    CmpLeU => "cmp.le.u" [d, a, b],
+    CmpEqF64 => "cmp.eq.f64" [d, a, b],
+    CmpNeF64 => "cmp.ne.f64" [d, a, b],
+    CmpLtF64 => "cmp.lt.f64" [d, a, b],
+    CmpLeF64 => "cmp.le.f64" [d, a, b],
+    CmpEqF32 => "cmp.eq.f32" [d, a, b],
+    CmpNeF32 => "cmp.ne.f32" [d, a, b],
+    CmpLtF32 => "cmp.lt.f32" [d, a, b],
+    CmpLeF32 => "cmp.le.f32" [d, a, b],
+    CvtSToF64 => "cvt.s.f64" [d, a],
+    CvtSToF32 => "cvt.s.f32" [d, a],
+    CvtUToF64 => "cvt.u.f64" [d, a],
+    CvtUToF32 => "cvt.u.f32" [d, a],
+    CvtF64ToS => "cvt.f64.s" [d, a],
+    CvtF64ToU => "cvt.f64.u" [d, a],
+    CvtF32ToS => "cvt.f32.s" [d, a],
+    CvtF32ToF64 => "cvt.f32.f64" [d, a],
+    CvtF64ToF32 => "cvt.f64.f32" [d, a],
+    LoadI8 => "load.i8" [d, a] chk,
+    LoadU8 => "load.u8" [d, a] chk,
+    LoadI16 => "load.i16" [d, a] chk,
+    LoadU16 => "load.u16" [d, a] chk,
+    LoadI32 => "load.i32" [d, a] chk,
+    LoadU32 => "load.u32" [d, a] chk,
+    Load64 => "load.64" [d, a] chk,
+    LoadF32 => "load.f32" [d, a] chk,
+    LoadF64 => "load.f64" [d, a] chk,
+    Store8 => "store.8" [a, s] chk,
+    Store16 => "store.16" [a, s] chk,
+    Store32 => "store.32" [a, s] chk,
+    Store64 => "store.64" [a, s] chk,
+    StoreF32 => "store.f32" [a, s] chk,
+    StoreF64 => "store.f64" [a, s] chk,
+    LoadV => "load.v" [d*4, a] chk,
+    StoreV => "store.v" [a, s*4] chk,
+    FrameAddr => "frame.addr" [d],
+    CopyMem => "copy.mem" [dst, src] chk,
+    Prefetch => "prefetch" [a],
+    VAddF32 => "vadd.f32" [d*4, a*4, b*4],
+    VSubF32 => "vsub.f32" [d*4, a*4, b*4],
+    VMulF32 => "vmul.f32" [d*4, a*4, b*4],
+    VDivF32 => "vdiv.f32" [d*4, a*4, b*4],
+    VMinF32 => "vmin.f32" [d*4, a*4, b*4],
+    VMaxF32 => "vmax.f32" [d*4, a*4, b*4],
+    VAddF64 => "vadd.f64" [d*4, a*4, b*4],
+    VSubF64 => "vsub.f64" [d*4, a*4, b*4],
+    VMulF64 => "vmul.f64" [d*4, a*4, b*4],
+    VDivF64 => "vdiv.f64" [d*4, a*4, b*4],
+    VMinF64 => "vmin.f64" [d*4, a*4, b*4],
+    VMaxF64 => "vmax.f64" [d*4, a*4, b*4],
+    VFmaF32 => "vfma.f32" [d*4, a*4, b*4],
+    VFmaF64 => "vfma.f64" [d*4, a*4, b*4],
+    SplatF32 => "splat.f32" [d*4, a],
+    SplatF64 => "splat.f64" [d*4, a],
+    Jmp => "jmp" [],
+    BrFalse => "br.false" [c],
+    BrTrue => "br.true" [c],
+    Call => "call" [],
+    CallIndirect => "call.indirect" [f],
+    ParFor => "par.for" [lo, hi],
+    CallBuiltin => "call.builtin" [],
+    Ret => "ret" [],
+    Trap => "trap" [],
 }
 
 /// Function-pointer values are tagged with this high bit pattern so that
@@ -1098,15 +1240,37 @@ pub fn decode_func_ptr(bits: u64) -> Option<FuncId> {
     }
 }
 
-/// A fully compiled Terra function.
+/// Why a function could not be turned into bytecode: it needs more register
+/// slots than a frame can have, or (an internal error) its instructions do
+/// not fit the frame they declare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BytecodeError {
+    /// The function being compiled or loaded.
+    pub func: Arc<str>,
+    /// What is wrong with it.
+    pub message: String,
+}
+
+impl fmt::Display for BytecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "terra function '{}' {}", self.func, self.message)
+    }
+}
+
+impl std::error::Error for BytecodeError {}
+
+/// A fully compiled Terra function. Built only by
+/// [`CompiledFunction::new`], so every instance has passed the load-time
+/// validator.
 #[derive(Debug, Clone)]
 pub struct CompiledFunction {
     /// Name for diagnostics.
     pub name: Arc<str>,
     /// Signature.
     pub ty: FuncTy,
-    /// Number of registers the frame needs (params occupy `0..nparams`).
-    pub nregs: u16,
+    /// Register slots the frame needs (parameters sit at the bottom, at the
+    /// prefix sums of their widths). Private: `code` was validated against it.
+    nslots: u16,
     /// Bytes of frame memory for in-memory locals.
     pub frame_size: u32,
     /// The instruction stream.
@@ -1121,14 +1285,98 @@ pub struct CompiledFunction {
     /// line 41, inlined at line 30"`). Kept separate because many
     /// instructions share the same chain.
     pub prov_table: Vec<Arc<str>>,
-    /// Per-instruction check-elision flags (parallel to `code`; may be
-    /// empty = all checked). `true` means the mid-end proved the memory
-    /// access at that pc in-bounds and the VM may skip its bounds check.
-    /// Ignored under `--sanitize`.
-    pub nochk: Vec<bool>,
 }
 
 impl CompiledFunction {
+    /// Builds a function without debug info, validating `code` against the
+    /// frame it declares: every register operand (with its width) lies
+    /// below `nslots`, every jump lands on an instruction, vector accesses
+    /// move at most 32 bytes, and control cannot run off the end. The
+    /// dispatch loop indexes its frame window and its code on the strength
+    /// of this walk.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending instruction.
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        ty: FuncTy,
+        nslots: u16,
+        frame_size: u32,
+        code: Vec<Instr>,
+    ) -> Result<CompiledFunction, BytecodeError> {
+        let name = name.into();
+        let invalid = |pc: usize, what: String| BytecodeError {
+            func: name.clone(),
+            message: format!("has invalid bytecode: {what} at pc {pc}"),
+        };
+        if nslots > MAX_SLOTS {
+            return Err(invalid(0, format!("a frame of {nslots} slots")));
+        }
+        if code.last().is_none_or(Instr::falls_through) {
+            return Err(invalid(code.len(), "control running off the end".into()));
+        }
+        for (pc, instr) in code.iter().enumerate() {
+            let mut stray = None;
+            instr.operands(|r, w| {
+                if u32::from(r) + u32::from(w) > u32::from(nslots) {
+                    stray.get_or_insert((r, w));
+                }
+            });
+            if let Some((r, w)) = stray {
+                let what = format!(
+                    "'{}' uses slots {r}..{} of a {nslots}-slot frame",
+                    instr.mnemonic(),
+                    u32::from(r) + u32::from(w)
+                );
+                return Err(invalid(pc, what));
+            }
+            if instr.target().is_some_and(|t| t as usize >= code.len()) {
+                return Err(invalid(pc, "a jump out of the function".into()));
+            }
+            if let Instr::LoadV { bytes, .. } | Instr::StoreV { bytes, .. } = *instr {
+                if !(1..=32).contains(&bytes) {
+                    return Err(invalid(pc, format!("a {bytes}-byte vector access")));
+                }
+            }
+        }
+        Ok(CompiledFunction {
+            name,
+            ty,
+            nslots,
+            frame_size,
+            code,
+            lines: Vec::new(),
+            provs: Vec::new(),
+            prov_table: Vec::new(),
+        })
+    }
+
+    /// Attaches the debug-info tables (`lines` and `provs` parallel to the
+    /// code, `provs` indexing `prov_table`).
+    pub fn with_debug_info(
+        mut self,
+        lines: Vec<u32>,
+        provs: Vec<u32>,
+        prov_table: Vec<Arc<str>>,
+    ) -> CompiledFunction {
+        debug_assert_eq!(lines.len(), self.code.len());
+        debug_assert_eq!(provs.len(), self.code.len());
+        (self.lines, self.provs, self.prov_table) = (lines, provs, prov_table);
+        self
+    }
+
+    /// Register slots a frame of this function has.
+    #[inline]
+    pub fn nslots(&self) -> usize {
+        self.nslots as usize
+    }
+
+    /// Slots the parameters occupy at the bottom of the frame.
+    pub fn param_slots(&self) -> usize {
+        self.ty.params.iter().map(|ty| slots_of(ty) as usize).sum()
+    }
+
     /// The source line of the instruction at `pc` (0 when unknown or when
     /// the function carries no debug info).
     #[inline]
@@ -1137,10 +1385,10 @@ impl CompiledFunction {
     }
 
     /// Whether the memory access at `pc` was proven in-bounds by the
-    /// mid-end and may run without its runtime check.
-    #[inline]
+    /// mid-end and runs without its check: the instruction's own
+    /// [`chk`](Instr::chk) bit, read back for static counts.
     pub fn check_free(&self, pc: usize) -> bool {
-        self.nochk.get(pc).copied().unwrap_or(false)
+        self.code.get(pc).and_then(Instr::chk) == Some(false)
     }
 
     /// The rendered staging chain of the instruction at `pc`, if it arrived
@@ -1170,18 +1418,8 @@ impl CompiledFunction {
 
 /// A function with no debug info and no frame memory, for unit tests.
 #[cfg(test)]
-pub(crate) fn compiled(name: &str, ty: FuncTy, nregs: u16, code: Vec<Instr>) -> CompiledFunction {
-    CompiledFunction {
-        name: name.into(),
-        ty,
-        nregs,
-        provs: Vec::new(),
-        prov_table: Vec::new(),
-        frame_size: 0,
-        code,
-        lines: Vec::new(),
-        nochk: Vec::new(),
-    }
+pub(crate) fn compiled(name: &str, ty: FuncTy, nslots: u16, code: Vec<Instr>) -> CompiledFunction {
+    CompiledFunction::new(name, ty, nslots, 0, code).expect("test bytecode is valid")
 }
 
 #[cfg(test)]
@@ -1200,19 +1438,26 @@ mod tests {
         assert_eq!(names.len(), N_OPCODES, "two opcodes share a mnemonic");
         // `chk` is the profiler's pseudo-op row; no real opcode may claim it.
         assert!(!MNEMONICS.contains(&"chk"));
-        // 9 scalar loads, 6 scalar stores, 2 vector transfers, `copy.mem`.
-        assert_eq!(MEM_ACCESS.iter().filter(|m| **m).count(), 18);
-        assert!(Instr::CopyMem {
+        let copy = Instr::CopyMem {
             dst: 0,
             src: 0,
-            size: 0
-        }
-        .is_mem_access());
+            size: 0,
+            chk: false,
+        };
+        assert_eq!(copy.chk(), Some(false));
+        assert!(copy.is_mem_access());
         assert!(!Instr::Prefetch { a: 0 }.is_mem_access());
         for (instr, name) in [
-            (Instr::LoadF64 { d: 0, a: 0 }, "load.f64"),
+            (
+                Instr::LoadF64 {
+                    d: 0,
+                    a: 0,
+                    chk: true,
+                },
+                "load.f64",
+            ),
             (Instr::Jmp { target: 0 }, "jmp"),
-            (Instr::Ret { s: NO_REG }, "ret"),
+            (Instr::Ret { s: NO_REG, w: 0 }, "ret"),
             (Instr::Trap, "trap"),
         ] {
             assert_eq!(MNEMONICS[instr.opcode() as usize], name);
@@ -1227,5 +1472,76 @@ mod tests {
         assert_eq!(decode_func_ptr(bits), Some(id));
         assert_eq!(decode_func_ptr(42), None);
         assert_eq!(decode_func_ptr(0), None);
+    }
+
+    /// The shapes the dispatch loop's cost rests on.
+    #[test]
+    fn instructions_stay_small() {
+        assert!(std::mem::size_of::<Instr>() <= 24);
+    }
+
+    fn load(code: Vec<Instr>, nslots: u16) -> Result<CompiledFunction, BytecodeError> {
+        let ty = FuncTy {
+            params: vec![],
+            ret: Ty::Unit,
+        };
+        CompiledFunction::new("f", ty, nslots, 0, code)
+    }
+
+    #[test]
+    fn validator_accepts_what_fits_and_names_what_does_not() {
+        let ret = Instr::Ret { s: NO_REG, w: 0 };
+        // A vector add needs four slots per operand.
+        let vadd = Instr::VAddF64 { d: 8, a: 0, b: 4 };
+        assert!(load(vec![vadd.clone(), ret.clone()], 12).is_ok());
+        let err = load(vec![vadd, ret.clone()], 11).unwrap_err();
+        assert!(err.message.contains("'vadd.f64' uses slots 8..12"), "{err}");
+        assert!(err.to_string().contains("function 'f'"), "{err}");
+        // Widths that travel in the instruction.
+        let mov = |w| Instr::Mov { d: 4, a: 0, w };
+        assert!(load(vec![mov(1), ret.clone()], 5).is_ok());
+        assert!(load(vec![mov(4), ret.clone()], 7).is_err());
+        let call = |args, nargs| Instr::Call {
+            d: 0,
+            w: 4,
+            f: FuncId(0),
+            args,
+            nargs,
+        };
+        assert!(load(vec![call(4, 2), ret.clone()], 6).is_ok());
+        assert!(load(vec![call(4, 3), ret.clone()], 6).is_err());
+        // An empty argument block may start where the frame ends.
+        assert!(load(vec![call(6, 0), ret.clone()], 6).is_ok());
+        assert!(load(vec![Instr::Ret { s: 3, w: 4 }], 6).is_err());
+        // The optional Lea index is an operand when present.
+        let lea = |b| Instr::Lea {
+            d: 0,
+            a: 0,
+            b,
+            scale: 8,
+            disp: 0,
+        };
+        assert!(load(vec![lea(NO_REG), ret.clone()], 1).is_ok());
+        assert!(load(vec![lea(1), ret.clone()], 1).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_stray_control_flow_and_wide_vectors() {
+        let ret = Instr::Ret { s: NO_REG, w: 0 };
+        assert!(load(vec![], 0).is_err());
+        assert!(load(vec![Instr::ConstI { d: 0, v: 0 }], 1).is_err());
+        let br = |target| Instr::BrFalse { c: 0, target };
+        assert!(load(vec![br(1), ret.clone()], 1).is_ok());
+        let err = load(vec![br(2), ret.clone()], 1).unwrap_err();
+        assert!(err.message.contains("jump out of the function"), "{err}");
+        assert!(load(vec![ret.clone(), br(0)], 1).is_err());
+        let wide = Instr::LoadV {
+            d: 0,
+            a: 0,
+            bytes: 33,
+            chk: true,
+        };
+        assert!(load(vec![wide, ret.clone()], 4).is_err());
+        assert!(load(vec![ret], MAX_SLOTS + 1).is_err());
     }
 }

@@ -2,11 +2,17 @@
 //!
 //! Register allocation is simple and fast (this is a JIT compiler in spirit):
 //! every register-class IR local gets a dedicated VM register, and expression
-//! temporaries are stack-allocated above them, released per statement.
-//! In-memory locals (aggregates and address-taken scalars) are laid out in
-//! the function's frame in linear memory.
+//! temporaries are stack-allocated above them, released per statement. A
+//! register is as many 8-byte frame slots as its type needs ([`slots_of`]):
+//! the type of every local and temporary is known here, so widths are
+//! decided once, at compile time. In-memory locals (aggregates and
+//! address-taken scalars) are laid out in the function's frame in linear
+//! memory.
 
-use crate::bytecode::{CompiledFunction, Instr, IntWidth, Reg, NO_REG};
+use crate::bytecode::{
+    slots_of, BytecodeError, CompiledFunction, Instr, IntWidth, Reg, MAX_SLOTS, NO_REG,
+    VECTOR_SLOTS,
+};
 use crate::exec::ExecutionContext;
 #[cfg(debug_assertions)]
 use crate::program::Program;
@@ -43,15 +49,35 @@ fn is_addr_ty(ty: &Ty) -> bool {
     )
 }
 
-/// Compiles one IR function against the given struct registry. String
-/// constants are interned into `ctx`'s memory; `globals` maps
-/// [`GlobalId`](terra_ir::GlobalId) indices to absolute addresses.
+/// [`try_compile`] for IR known to fit a frame — functions the pipeline has
+/// compiled before, tests.
+///
+/// # Panics
+///
+/// Panics where [`try_compile`] fails.
 pub fn compile(
     func: &IrFunction,
     types: &TypeRegistry,
     ctx: &mut ExecutionContext,
     globals: &[u64],
 ) -> CompiledFunction {
+    try_compile(func, types, ctx, globals).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Compiles one IR function against the given struct registry. String
+/// constants are interned into `ctx`'s memory; `globals` maps
+/// [`GlobalId`](terra_ir::GlobalId) indices to absolute addresses.
+///
+/// # Errors
+///
+/// Fails when the function's locals and temporaries need more than
+/// [`MAX_SLOTS`] register slots.
+pub fn try_compile(
+    func: &IrFunction,
+    types: &TypeRegistry,
+    ctx: &mut ExecutionContext,
+    globals: &[u64],
+) -> Result<CompiledFunction, BytecodeError> {
     // The compiler trusts the typechecker and folder; in debug builds, make
     // that trust explicit. The frontend reports verifier findings as proper
     // errors long before reaching this point, so a failure here means a
@@ -67,30 +93,44 @@ pub fn compile(
         panic!("refusing to compile inconsistent IR: {d}");
     }
     let mut c = Compiler::new(func, types, ctx, globals);
-    c.emit_entry();
-    let body = func.body.clone();
-    c.stmts(&body);
+    // With the locals alone past the limit there is nothing worth compiling.
+    if !c.overflow {
+        c.emit_entry();
+        c.stmts(&func.body);
+    }
+    if c.overflow {
+        return Err(BytecodeError {
+            func: func.name.clone(),
+            message: format!("needs more than {MAX_SLOTS} register slots"),
+        });
+    }
     // Implicit return for unit functions that fall off the end — skipped
-    // when control provably cannot reach the end of the body.
-    if !terra_ir::passes::util::block_terminates(&body) {
-        c.code.push(Instr::Ret { s: NO_REG });
+    // when control provably cannot reach the end of the body. What then
+    // still *looks* like running off the end (dead code after the last
+    // return, the exit edge of a `while true`) lands on a trap.
+    if !terra_ir::passes::util::block_terminates(&func.body) {
+        c.code.push(Instr::Ret { s: NO_REG, w: 0 });
+    } else {
+        let end = Some(c.code.len() as u32);
+        if c.code.last().is_none_or(Instr::falls_through)
+            || c.code.iter().any(|i| i.target() == end)
+        {
+            c.code.push(Instr::Trap);
+        }
     }
     debug_assert!(c.loop_breaks.is_empty());
     c.flush_lines();
-    debug_assert_eq!(c.lines.len(), c.code.len());
-    debug_assert_eq!(c.provs.len(), c.code.len());
-    debug_assert_eq!(c.nochk.len(), c.code.len());
-    CompiledFunction {
-        name: func.name.clone(),
-        ty: func.ty.clone(),
-        nregs: c.max_regs,
-        frame_size: c.frame_size,
-        code: c.code,
-        lines: c.lines,
-        provs: c.provs,
-        prov_table: c.prov_table,
-        nochk: c.nochk,
-    }
+    // The compiler is the validator's first customer: a function it rejects
+    // here is a bug in this file, not in the program.
+    let compiled = CompiledFunction::new(
+        func.name.clone(),
+        func.ty.clone(),
+        c.max_slots,
+        c.frame_size,
+        c.code,
+    )
+    .unwrap_or_else(|e| panic!("internal compiler error: {e}"));
+    Ok(compiled.with_debug_info(c.lines, c.provs, c.prov_table))
 }
 
 struct Compiler<'a> {
@@ -111,21 +151,23 @@ struct Compiler<'a> {
     cur_prov: u32,
     /// Interned rendered staging chains; `provs` holds `index + 1`.
     prov_table: Vec<std::sync::Arc<str>>,
-    /// Check-elision flags built alongside `code` (parallel; default
-    /// false = checked). Set for memory instructions whose address
-    /// expression the mid-end proved in-bounds.
-    nochk: Vec<bool>,
     /// Proven address expressions of the statement being compiled
     /// (`IrStmt::nochk`), matched structurally against the address operand
-    /// of each emitted memory instruction.
+    /// of each emitted memory instruction, whose `chk` bit they clear.
     cur_nochk: Vec<IrExpr>,
     /// Register assigned to each register-class local (NO_REG if in memory).
     local_regs: Vec<Reg>,
     /// Frame offset of each in-memory local (u32::MAX otherwise).
     local_offsets: Vec<u32>,
+    /// First slot above the locals; temporaries live in
+    /// `temp_base..temp_top`, and `max_slots` is how high they ever reached.
     temp_base: Reg,
     temp_top: Reg,
-    max_regs: u16,
+    max_slots: u16,
+    /// Set once the function has asked for more than [`MAX_SLOTS`] slots.
+    /// Compilation runs on over aliased slots (nothing else has to know)
+    /// and `try_compile` rejects the result.
+    overflow: bool,
     frame_size: u32,
     loop_breaks: Vec<Vec<usize>>,
 }
@@ -141,13 +183,18 @@ impl<'a> Compiler<'a> {
         let mut local_regs = vec![NO_REG; func.locals.len()];
         let mut local_offsets = vec![u32::MAX; func.locals.len()];
         let mut next_reg: Reg = 0;
+        let mut overflow = false;
         let mut frame_size: u32 = 0;
         for (i, slot) in func.locals.iter().enumerate() {
-            // Parameters always occupy registers 0..nparams (the calling
-            // convention); in-memory params are spilled by the prologue.
-            if i < nparams {
+            // Parameters always occupy the bottom of the frame, at the
+            // prefix sums of their widths (the calling convention);
+            // in-memory params are spilled by the prologue.
+            if i < nparams || !slot.in_memory {
                 local_regs[i] = next_reg;
-                next_reg += 1;
+                match next_reg.checked_add(slots_of(&slot.ty)) {
+                    Some(top) if top <= MAX_SLOTS => next_reg = top,
+                    _ => overflow = true,
+                }
             }
             if slot.in_memory {
                 let size = slot.ty.size(types).max(1) as u32;
@@ -155,9 +202,6 @@ impl<'a> Compiler<'a> {
                 frame_size = frame_size.div_ceil(align) * align;
                 local_offsets[i] = frame_size;
                 frame_size += size;
-            } else if i >= nparams {
-                local_regs[i] = next_reg;
-                next_reg += 1;
             }
         }
         Compiler {
@@ -170,13 +214,13 @@ impl<'a> Compiler<'a> {
             provs: Vec::new(),
             cur_prov: 0,
             prov_table: Vec::new(),
-            nochk: Vec::new(),
             cur_nochk: Vec::new(),
             local_regs,
             local_offsets,
             temp_base: next_reg,
             temp_top: next_reg,
-            max_regs: next_reg,
+            max_slots: next_reg,
+            overflow,
             frame_size: frame_size.div_ceil(16) * 16,
             loop_breaks: Vec::new(),
         }
@@ -186,22 +230,28 @@ impl<'a> Compiler<'a> {
         // Spill in-memory parameters from their incoming registers.
         for i in 0..self.func.param_count() {
             if self.func.locals[i].in_memory {
-                let addr = self.alloc_temp();
+                let addr = self.alloc_temp(1);
                 self.code.push(Instr::FrameAddr {
                     d: addr,
                     offset: self.local_offsets[i],
                 });
-                let ty = self.func.locals[i].ty.clone();
-                self.emit_store(&ty, addr, self.local_regs[i]);
+                let ty = &self.func.locals[i].ty;
+                self.emit_store(ty, addr, self.local_regs[i], true);
                 self.release(addr);
             }
         }
     }
 
-    fn alloc_temp(&mut self) -> Reg {
+    /// Reserves `width` consecutive slots above the live temporaries.
+    fn alloc_temp(&mut self, width: u16) -> Reg {
         let r = self.temp_top;
-        self.temp_top += 1;
-        self.max_regs = self.max_regs.max(self.temp_top);
+        match r.checked_add(width) {
+            Some(top) if top <= MAX_SLOTS => {
+                self.temp_top = top;
+                self.max_slots = self.max_slots.max(top);
+            }
+            _ => self.overflow = true,
+        }
         r
     }
 
@@ -216,21 +266,12 @@ impl<'a> Compiler<'a> {
     fn flush_lines(&mut self) {
         self.lines.resize(self.code.len(), self.cur_line);
         self.provs.resize(self.code.len(), self.cur_prov);
-        self.nochk.resize(self.code.len(), false);
     }
 
-    /// Marks the most recently emitted instruction check-free.
-    fn mark_nochk(&mut self) {
-        self.nochk.resize(self.code.len(), false);
-        if let Some(last) = self.nochk.last_mut() {
-            *last = true;
-        }
-    }
-
-    /// Whether the current statement's mid-end annotations prove `addr`
-    /// in-bounds for the access it feeds.
-    fn addr_proven(&self, addr: &IrExpr) -> bool {
-        !self.cur_nochk.is_empty() && self.cur_nochk.iter().any(|p| p == addr)
+    /// The `chk` bit of an access through `addr`: set unless the current
+    /// statement's mid-end annotations prove `addr` in-bounds for it.
+    fn chk(&self, addr: &IrExpr) -> bool {
+        !self.cur_nochk.iter().any(|p| p == addr)
     }
 
     /// Interns a rendered staging chain, returning its `provs` id
@@ -276,10 +317,7 @@ impl<'a> Compiler<'a> {
             StmtKind::Store { addr, value } => {
                 let a = self.expr(addr, None);
                 let v = self.expr(value, None);
-                self.emit_store(&value.ty, a, v);
-                if self.addr_proven(addr) {
-                    self.mark_nochk();
-                }
+                self.emit_store(&value.ty, a, v, self.chk(addr));
             }
             StmtKind::CopyMem { dst, src, size } => {
                 let d = self.expr(dst, None);
@@ -288,11 +326,9 @@ impl<'a> Compiler<'a> {
                     dst: d,
                     src: s,
                     size: *size as u32,
+                    // A copy touches two objects; both ends must be proven.
+                    chk: self.chk(dst) || self.chk(src),
                 });
-                // A copy touches two objects; both ends must be proven.
-                if self.addr_proven(dst) && self.addr_proven(src) {
-                    self.mark_nochk();
-                }
             }
             StmtKind::Expr(e) => {
                 let _ = self.expr(e, None);
@@ -351,7 +387,11 @@ impl<'a> Compiler<'a> {
                 let var_reg = self.local_regs[var.0 as usize];
                 let s = self.expr(start, Some(var_reg));
                 if s != var_reg {
-                    self.code.push(Instr::Mov { d: var_reg, a: s });
+                    self.code.push(Instr::Mov {
+                        d: var_reg,
+                        a: s,
+                        w: 1,
+                    });
                 }
                 // `stop`/`step` temps stay live for the whole loop.
                 let stop_reg = {
@@ -363,7 +403,7 @@ impl<'a> Compiler<'a> {
                     self.pin(r)
                 };
                 let head = self.code.len() as u32;
-                let c = self.alloc_temp();
+                let c = self.alloc_temp(1);
                 self.code.push(Instr::CmpLtS {
                     d: c,
                     a: var_reg,
@@ -401,33 +441,25 @@ impl<'a> Compiler<'a> {
                     let r = self.expr(stop, None);
                     self.pin(r)
                 };
-                // Captured extras must land in a contiguous temp block, same
-                // calling convention as `Call`.
-                let argbase = self.temp_top;
-                for _ in 0..args.len() {
-                    self.alloc_temp();
-                }
-                for (i, a) in args.iter().enumerate() {
-                    let r = self.expr(a, None);
-                    let slot = argbase + i as Reg;
-                    if r != slot {
-                        self.code.push(Instr::Mov { d: slot, a: r });
-                    }
-                    self.release(argbase + i as Reg + 1);
-                }
+                // Captured extras land in a contiguous block, same calling
+                // convention as `Call`.
+                let (args, nargs) = self.arg_block(args);
                 self.code.push(Instr::ParFor {
                     f: *kernel,
                     lo,
                     hi,
-                    args: argbase,
-                    nargs: args.len() as u16,
+                    args,
+                    nargs,
                 });
             }
             StmtKind::Return(Some(e)) => {
                 let r = self.expr(e, None);
-                self.code.push(Instr::Ret { s: r });
+                self.code.push(Instr::Ret {
+                    s: r,
+                    w: slots_of(&e.ty) as u8,
+                });
             }
-            StmtKind::Return(None) => self.code.push(Instr::Ret { s: NO_REG }),
+            StmtKind::Return(None) => self.code.push(Instr::Ret { s: NO_REG, w: 0 }),
             StmtKind::Break => {
                 let at = self.code.len();
                 self.code.push(Instr::Jmp { target: 0 });
@@ -451,22 +483,51 @@ impl<'a> Compiler<'a> {
         if r >= self.temp_base {
             r
         } else {
-            let t = self.alloc_temp();
-            self.code.push(Instr::Mov { d: t, a: r });
+            let t = self.alloc_temp(1);
+            self.code.push(Instr::Mov { d: t, a: r, w: 1 });
             t
         }
+    }
+
+    /// Compiles `args` into a fresh contiguous block of temporaries, each at
+    /// the prefix sum of the widths before it — where the callee's
+    /// parameters sit in its own frame. Returns the block's first slot and
+    /// its size in slots.
+    fn arg_block(&mut self, args: &[IrExpr]) -> (Reg, u16) {
+        let slots: u32 = args.iter().map(|a| u32::from(slots_of(&a.ty))).sum();
+        let slots = u16::try_from(slots).unwrap_or(u16::MAX);
+        let base = self.alloc_temp(slots);
+        if self.overflow {
+            return (base, 0);
+        }
+        let mut slot = base;
+        for a in args {
+            let w = slots_of(&a.ty);
+            let r = self.expr(a, None);
+            if r != slot {
+                self.code.push(Instr::Mov {
+                    d: slot,
+                    a: r,
+                    w: w as u8,
+                });
+            }
+            slot += w;
+            // Release any temps the argument expression used above its slot.
+            self.release(slot);
+        }
+        (base, slots)
     }
 
     fn compile_assign(&mut self, dst: LocalId, value: &IrExpr) {
         let slot = &self.func.locals[dst.0 as usize];
         if slot.in_memory {
-            let addr = self.alloc_temp();
+            let addr = self.alloc_temp(1);
             self.code.push(Instr::FrameAddr {
                 d: addr,
                 offset: self.local_offsets[dst.0 as usize],
             });
             let v = self.expr(value, None);
-            self.emit_store(&value.ty.clone(), addr, v);
+            self.emit_store(&value.ty, addr, v, true);
             return;
         }
         let dreg = self.local_regs[dst.0 as usize];
@@ -499,7 +560,11 @@ impl<'a> Compiler<'a> {
         }
         let r = self.expr(value, Some(dreg));
         if r != dreg {
-            self.code.push(Instr::Mov { d: dreg, a: r });
+            self.code.push(Instr::Mov {
+                d: dreg,
+                a: r,
+                w: slots_of(&value.ty) as u8,
+            });
         }
     }
 
@@ -518,7 +583,8 @@ impl<'a> Compiler<'a> {
     /// produces a fresh value. Returns the register actually holding the
     /// result.
     fn expr(&mut self, e: &IrExpr, want: Option<Reg>) -> Reg {
-        let dst = |c: &mut Self| want.unwrap_or_else(|| c.alloc_temp());
+        let width = slots_of(&e.ty);
+        let dst = |c: &mut Self| want.unwrap_or_else(|| c.alloc_temp(width));
         match &e.kind {
             ExprKind::ConstInt(v) => {
                 let d = dst(self);
@@ -561,13 +627,13 @@ impl<'a> Compiler<'a> {
             ExprKind::Local(id) => {
                 let slot = &self.func.locals[id.0 as usize];
                 if slot.in_memory {
-                    let a = self.alloc_temp();
+                    let a = self.alloc_temp(1);
                     self.code.push(Instr::FrameAddr {
                         d: a,
                         offset: self.local_offsets[id.0 as usize],
                     });
                     let d = dst(self);
-                    self.emit_load(&slot.ty.clone(), d, a);
+                    self.emit_load(&slot.ty, d, a, true);
                     d
                 } else {
                     self.local_regs[id.0 as usize]
@@ -593,12 +659,7 @@ impl<'a> Compiler<'a> {
             ExprKind::Load(addr) => {
                 let a = self.expr(addr, None);
                 let d = dst(self);
-                self.emit_load(&e.ty, d, a);
-                // Array loads decay to a Mov (no memory touched), so there
-                // is no check to elide.
-                if !matches!(e.ty, Ty::Array(..)) && self.addr_proven(addr) {
-                    self.mark_nochk();
-                }
+                self.emit_load(&e.ty, d, a, self.chk(addr));
                 d
             }
             ExprKind::Binary { op, lhs, rhs } => {
@@ -635,7 +696,7 @@ impl<'a> Compiler<'a> {
                     }
                     (UnKind::Neg, Ty::Vector(st, _)) => {
                         // 0 - x, lane-wise.
-                        let z = self.alloc_temp();
+                        let z = self.alloc_temp(VECTOR_SLOTS);
                         self.code.push(Instr::ConstI { d: z, v: 0 });
                         if *st == ScalarTy::F32 {
                             self.code.push(Instr::SplatF32 { d: z, a: z });
@@ -667,45 +728,38 @@ impl<'a> Compiler<'a> {
                 } else {
                     None
                 };
-                let argbase = self.temp_top;
-                for _ in 0..args.len() {
-                    self.alloc_temp();
-                }
-                for (i, a) in args.iter().enumerate() {
-                    let r = self.expr(a, None);
-                    let slot = argbase + i as Reg;
-                    if r != slot {
-                        self.code.push(Instr::Mov { d: slot, a: r });
-                    }
-                    // Release any temps the argument expression used above
-                    // its slot.
-                    self.release(argbase + i as Reg + 1);
-                }
-                let d = if e.ty == Ty::Unit { NO_REG } else { dst(self) };
+                let (args, nargs) = self.arg_block(args);
+                let (d, w) = if e.ty == Ty::Unit {
+                    (NO_REG, 0)
+                } else {
+                    (dst(self), width as u8)
+                };
                 match callee {
                     Callee::Direct(id) => self.code.push(Instr::Call {
                         d,
+                        w,
                         f: *id,
-                        args: argbase,
-                        nargs: args.len() as u16,
+                        args,
+                        nargs,
                     }),
                     Callee::Builtin(b) => {
                         if *b == Builtin::Prefetch {
-                            self.code.push(Instr::Prefetch { a: argbase });
+                            self.code.push(Instr::Prefetch { a: args });
                         } else {
                             self.code.push(Instr::CallBuiltin {
                                 d,
                                 b: *b,
-                                args: argbase,
-                                nargs: args.len() as u16,
+                                args,
+                                nargs,
                             });
                         }
                     }
                     Callee::Indirect(_) => self.code.push(Instr::CallIndirect {
                         d,
+                        w,
                         f: fptr.expect("indirect pointer compiled above"),
-                        args: argbase,
-                        nargs: args.len() as u16,
+                        args,
+                        nargs,
                     }),
                 }
                 if d == NO_REG {
@@ -727,9 +781,10 @@ impl<'a> Compiler<'a> {
                 let d = dst(self);
                 let br_at = self.code.len();
                 self.code.push(Instr::BrFalse { c, target: 0 });
+                let w = width as u8;
                 let t = self.expr(then_value, Some(d));
                 if t != d {
-                    self.code.push(Instr::Mov { d, a: t });
+                    self.code.push(Instr::Mov { d, a: t, w });
                 }
                 let jmp_at = self.code.len();
                 self.code.push(Instr::Jmp { target: 0 });
@@ -737,7 +792,7 @@ impl<'a> Compiler<'a> {
                 self.patch(br_at, else_start);
                 let f = self.expr(else_value, Some(d));
                 if f != d {
-                    self.code.push(Instr::Mov { d, a: f });
+                    self.code.push(Instr::Mov { d, a: f, w });
                 }
                 let end = self.code.len() as u32;
                 self.patch(jmp_at, end);
@@ -760,7 +815,7 @@ impl<'a> Compiler<'a> {
         match &offset.kind {
             ExprKind::ConstInt(d_imm) => {
                 let a = self.expr(base, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp());
+                let d = want.unwrap_or_else(|| self.alloc_temp(1));
                 self.code.push(Instr::Lea {
                     d,
                     a,
@@ -784,7 +839,7 @@ impl<'a> Compiler<'a> {
                 // the product still fits.
                 let a = self.expr(base, None);
                 let b = self.expr(idx, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp());
+                let d = want.unwrap_or_else(|| self.alloc_temp(1));
                 self.code.push(Instr::Lea {
                     d,
                     a,
@@ -809,7 +864,7 @@ impl<'a> Compiler<'a> {
                 };
                 let a = self.expr(base, None);
                 let b = self.expr(idx, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp());
+                let d = want.unwrap_or_else(|| self.alloc_temp(1));
                 self.code.push(Instr::Lea {
                     d,
                     a,
@@ -949,18 +1004,18 @@ impl<'a> Compiler<'a> {
         if from == to {
             return a;
         }
-        let d = want.unwrap_or_else(|| self.alloc_temp());
+        let d = want.unwrap_or_else(|| self.alloc_temp(slots_of(to)));
         match (from, to) {
             // Pointer/function/integer reinterpretations.
             (Ty::Ptr(_) | Ty::Func(_), Ty::Ptr(_) | Ty::Func(_)) => {
-                self.code.push(Instr::Mov { d, a });
+                self.code.push(Instr::Mov { d, a, w: 1 });
             }
             (Ty::Ptr(_), Ty::Scalar(s)) if s.is_integer() => {
-                self.code.push(Instr::Mov { d, a });
+                self.code.push(Instr::Mov { d, a, w: 1 });
                 self.emit_norm(to, d);
             }
             (Ty::Scalar(s), Ty::Ptr(_)) if s.is_integer() => {
-                self.code.push(Instr::Mov { d, a });
+                self.code.push(Instr::Mov { d, a, w: 1 });
             }
             // Scalar → vector broadcast.
             (Ty::Scalar(_), Ty::Vector(st, _)) => {
@@ -973,7 +1028,7 @@ impl<'a> Compiler<'a> {
             (Ty::Scalar(f), Ty::Scalar(t)) => self.emit_scalar_cast(*f, *t, d, a),
             // Arrays decay to pointers.
             (Ty::Array(..), Ty::Ptr(_)) => {
-                self.code.push(Instr::Mov { d, a });
+                self.code.push(Instr::Mov { d, a, w: 1 });
             }
             other => unreachable!("unsupported cast {other:?}"),
         }
@@ -1005,26 +1060,26 @@ impl<'a> Compiler<'a> {
                 self.code.push(instr);
             }
             (f, Bool) if f.is_integer() || f == Bool => {
-                let z = self.alloc_temp();
+                let z = self.alloc_temp(1);
                 self.code.push(Instr::ConstI { d: z, v: 0 });
                 self.code.push(Instr::CmpNeI { d, a, b: z });
             }
             (F32, Bool) | (F64, Bool) => {
-                let z = self.alloc_temp();
+                let z = self.alloc_temp(1);
                 self.code.push(Instr::ConstF64 { d: z, v: 0.0 });
                 if from == F32 {
-                    let w = self.alloc_temp();
+                    let w = self.alloc_temp(1);
                     self.code.push(Instr::CvtF32ToF64 { d: w, a });
                     self.code.push(Instr::CmpNeF64 { d, a: w, b: z });
                 } else {
                     self.code.push(Instr::CmpNeF64 { d, a, b: z });
                 }
             }
-            (Bool, t) if t.is_integer() => self.code.push(Instr::Mov { d, a }),
+            (Bool, t) if t.is_integer() => self.code.push(Instr::Mov { d, a, w: 1 }),
             (Bool, F32) => self.code.push(Instr::CvtUToF32 { d, a }),
             (Bool, F64) => self.code.push(Instr::CvtUToF64 { d, a }),
             (f, t) if f.is_integer() && t.is_integer() => {
-                self.code.push(Instr::Mov { d, a });
+                self.code.push(Instr::Mov { d, a, w: 1 });
                 self.emit_norm(&Ty::Scalar(t), d);
             }
             other => unreachable!("unsupported scalar cast {other:?}"),
@@ -1045,47 +1100,54 @@ impl<'a> Compiler<'a> {
         self.code.push(Instr::Trunc { d: r, a: r, w });
     }
 
-    fn emit_load(&mut self, ty: &Ty, d: Reg, a: Reg) {
+    /// Emits the load of a `ty` at the address in `a`, bounds-checked or
+    /// not as `chk` says.
+    fn emit_load(&mut self, ty: &Ty, d: Reg, a: Reg, chk: bool) {
         let instr = match ty {
-            Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::U8) => Instr::LoadU8 { d, a },
-            Ty::Scalar(ScalarTy::I8) => Instr::LoadI8 { d, a },
-            Ty::Scalar(ScalarTy::I16) => Instr::LoadI16 { d, a },
-            Ty::Scalar(ScalarTy::U16) => Instr::LoadU16 { d, a },
-            Ty::Scalar(ScalarTy::I32) => Instr::LoadI32 { d, a },
-            Ty::Scalar(ScalarTy::U32) => Instr::LoadU32 { d, a },
+            Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::U8) => Instr::LoadU8 { d, a, chk },
+            Ty::Scalar(ScalarTy::I8) => Instr::LoadI8 { d, a, chk },
+            Ty::Scalar(ScalarTy::I16) => Instr::LoadI16 { d, a, chk },
+            Ty::Scalar(ScalarTy::U16) => Instr::LoadU16 { d, a, chk },
+            Ty::Scalar(ScalarTy::I32) => Instr::LoadI32 { d, a, chk },
+            Ty::Scalar(ScalarTy::U32) => Instr::LoadU32 { d, a, chk },
             Ty::Scalar(ScalarTy::I64) | Ty::Scalar(ScalarTy::U64) | Ty::Ptr(_) | Ty::Func(_) => {
-                Instr::Load64 { d, a }
+                Instr::Load64 { d, a, chk }
             }
-            Ty::Scalar(ScalarTy::F32) => Instr::LoadF32 { d, a },
-            Ty::Scalar(ScalarTy::F64) => Instr::LoadF64 { d, a },
+            Ty::Scalar(ScalarTy::F32) => Instr::LoadF32 { d, a, chk },
+            Ty::Scalar(ScalarTy::F64) => Instr::LoadF64 { d, a, chk },
             Ty::Vector(st, n) => Instr::LoadV {
                 d,
                 a,
                 bytes: (st.size() * *n as u64) as u8,
+                chk,
             },
-            // Arrays in r-value position decay to their address.
-            Ty::Array(..) => Instr::Mov { d, a },
+            // Arrays in r-value position decay to their address: no memory
+            // is touched, so there is no check to carry.
+            Ty::Array(..) => Instr::Mov { d, a, w: 1 },
             other => unreachable!("cannot load aggregate type {other}"),
         };
         self.code.push(instr);
     }
 
-    fn emit_store(&mut self, ty: &Ty, a: Reg, s: Reg) {
+    /// Emits the store of a `ty` to the address in `a`, bounds-checked or
+    /// not as `chk` says.
+    fn emit_store(&mut self, ty: &Ty, a: Reg, s: Reg, chk: bool) {
         let instr = match ty {
             Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::I8) | Ty::Scalar(ScalarTy::U8) => {
-                Instr::Store8 { a, s }
+                Instr::Store8 { a, s, chk }
             }
-            Ty::Scalar(ScalarTy::I16) | Ty::Scalar(ScalarTy::U16) => Instr::Store16 { a, s },
-            Ty::Scalar(ScalarTy::I32) | Ty::Scalar(ScalarTy::U32) => Instr::Store32 { a, s },
+            Ty::Scalar(ScalarTy::I16) | Ty::Scalar(ScalarTy::U16) => Instr::Store16 { a, s, chk },
+            Ty::Scalar(ScalarTy::I32) | Ty::Scalar(ScalarTy::U32) => Instr::Store32 { a, s, chk },
             Ty::Scalar(ScalarTy::I64) | Ty::Scalar(ScalarTy::U64) | Ty::Ptr(_) | Ty::Func(_) => {
-                Instr::Store64 { a, s }
+                Instr::Store64 { a, s, chk }
             }
-            Ty::Scalar(ScalarTy::F32) => Instr::StoreF32 { a, s },
-            Ty::Scalar(ScalarTy::F64) => Instr::StoreF64 { a, s },
+            Ty::Scalar(ScalarTy::F32) => Instr::StoreF32 { a, s, chk },
+            Ty::Scalar(ScalarTy::F64) => Instr::StoreF64 { a, s, chk },
             Ty::Vector(st, n) => Instr::StoreV {
                 a,
                 s,
                 bytes: (st.size() * *n as u64) as u8,
+                chk,
             },
             other => unreachable!("cannot store aggregate type {other}"),
         };
@@ -1106,6 +1168,63 @@ mod tests {
         let compiled = compile(&f, &types, &mut ctx, &[]);
         ctx.define(id, compiled);
         ctx.call(id, args).unwrap()
+    }
+
+    fn unit_function(name: &str, body: Vec<IrStmt>) -> IrFunction {
+        IrFunction {
+            name: name.into(),
+            ty: FuncTy {
+                params: vec![],
+                ret: Ty::Unit,
+            },
+            locals: vec![],
+            body,
+        }
+    }
+
+    /// Temporaries overflow a frame just as locals do: a call whose
+    /// argument block alone is too wide is an error, not a wrapped counter.
+    #[test]
+    fn too_wide_an_argument_block_is_an_error() {
+        let mut ctx = ExecutionContext::new();
+        let callee = ctx.declare("sink");
+        let call = IrExpr {
+            ty: Ty::Unit,
+            kind: ExprKind::Call {
+                callee: Callee::Direct(callee),
+                args: vec![IrExpr::int32(1); MAX_SLOTS as usize + 1],
+            },
+        };
+        let f = unit_function("wide", vec![StmtKind::Expr(call).into()]);
+        let err = try_compile(&f, &TypeRegistry::new(), &mut ctx, &[]).unwrap_err();
+        assert_eq!(&*err.func, "wide");
+        assert!(err.message.contains("65534 register slots"), "{err}");
+    }
+
+    /// Code that only *looks* like it can run off the end — dead statements
+    /// after a `return`, the never-taken exit of a `while true` — ends in a
+    /// trap, so that every compiled function passes the validator.
+    #[test]
+    fn unreachable_ends_land_on_a_trap() {
+        let forever = StmtKind::While {
+            cond: IrExpr::boolean(true),
+            body: vec![],
+        };
+        let mut dead_tail = unit_function("dead_tail", vec![]);
+        let x = dead_tail.add_local("x", Ty::INT, false);
+        dead_tail.body = vec![
+            StmtKind::Return(None).into(),
+            StmtKind::Assign {
+                dst: x,
+                value: IrExpr::int32(1),
+            }
+            .into(),
+        ];
+        for f in [unit_function("forever", vec![forever.into()]), dead_tail] {
+            let mut ctx = ExecutionContext::new();
+            let compiled = compile(&f, &TypeRegistry::new(), &mut ctx, &[]);
+            assert_eq!(compiled.code.last(), Some(&Instr::Trap), "{}", f.name);
+        }
     }
 
     #[test]

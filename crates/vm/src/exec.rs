@@ -52,7 +52,8 @@ pub struct ExecutionContext {
     /// with the first gate. `None` also while a call runs: `call_raw` moves
     /// it out and hands it to the dispatch loop.
     pub(crate) telemetry: Option<Box<Telemetry>>,
-    /// Register file and call stack.
+    /// Register file and call stack: empty between calls, moved out while
+    /// one runs (the dispatch loop borrows its frame window from it).
     pub(crate) vm: Vm,
 }
 
@@ -256,7 +257,8 @@ impl ExecutionContext {
     /// recording was never started.
     pub fn take_recording(&mut self) -> Option<terra_trace::Recording> {
         let rec = self.telemetry.as_mut()?.set_recorder(None)?;
-        let regs = self.vm.state_hash();
+        // Between calls the register file is empty.
+        let regs = crate::machine::state_hash(&[], &[]);
         let heap = self.memory.heap_hash();
         Some(rec.finish(regs, heap))
     }

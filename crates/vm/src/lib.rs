@@ -2,7 +2,8 @@
 //!
 //! The execution backend for Terra code: a bytecode compiler over the typed
 //! IR from `terra-ir`, and a register-machine interpreter with linear memory,
-//! 256-bit SIMD-style vector registers, and a simulated libc.
+//! 8-byte register slots (a 256-bit SIMD-style vector register is four of
+//! them), and a simulated libc.
 //!
 //! The paper JIT-compiles Terra through LLVM; this crate plays that role in a
 //! dependency-free way. What matters for the reproduction is preserved:
@@ -33,10 +34,11 @@ pub mod parallel;
 mod program;
 
 pub use bytecode::{
-    decode_func_ptr, encode_func_ptr, CompiledFunction, Instr, IntWidth, Reg, NO_REG,
+    decode_func_ptr, encode_func_ptr, slots_of, BytecodeError, CompiledFunction, Instr, IntWidth,
+    Reg, MAX_SLOTS, NO_REG, VECTOR_SLOTS,
 };
 pub use cache::CacheSim;
-pub use compile::compile;
+pub use compile::{compile, try_compile};
 pub use exec::ExecutionContext;
 pub use machine::{decode_value, ExecResult, RegImage, Trap, Vm};
 pub use memory::{MemError, MemKind, MemResult, Memory};

@@ -1,27 +1,33 @@
 //! The bytecode interpreter.
 //!
-//! A register machine over 256-bit registers. Execution is completely
-//! independent of the meta-language (the paper's *separate evaluation*):
-//! the only shared state is the [`Program`](crate::Program)'s function
-//! table, reached read-only through the executing
+//! A register machine over one file of 8-byte slots: a scalar register is
+//! a slot, a vector register four consecutive ones, and a frame is the
+//! window of the file its function's `nslots` says. Execution is
+//! completely independent of the meta-language (the paper's *separate
+//! evaluation*): the only shared state is the [`Program`](crate::Program)'s
+//! function table, reached read-only through the executing
 //! [`ExecutionContext`](crate::ExecutionContext).
 //!
 //! The dispatch loop itself owns **no state**: [`Vm`] is a plain data
-//! holder (register file + call stack) living inside the context, and
-//! every step of the loop borrows the context's fields (`vm`, `memory`,
-//! …) for exactly as long as it needs them. That is what lets
-//! `parallelfor` run one loop per worker thread with nothing shared but
-//! the `Arc<Program>`.
+//! holder (register file + call stack) living inside the context, lent to
+//! the loop for the duration of a call. The loop specialises *before* it
+//! dispatches: it borrows the running frame's window, code and pc once per
+//! frame entry, frames name their function by [`FuncId`] into a program the
+//! caller holds (no reference count moves per call), and whether a memory
+//! access is bounds-checked is a bit of the instruction. What makes the
+//! window safe to index is [`CompiledFunction::new`]'s load-time walk.
+//! Nothing is shared between two loops but the `Arc<Program>`, which is
+//! what lets `parallelfor` run one per worker thread.
 //!
 //! Everything that *watches* execution sits behind the
 //! [`Observer`](crate::observer::Observer) hooks the loop is generic over;
 //! an unobserved run's instantiation contains no telemetry code at all.
 
-use crate::bytecode::{decode_func_ptr, CompiledFunction, Instr, IntWidth, Reg, NO_REG};
+use crate::bytecode::{decode_func_ptr, slots_of, CompiledFunction, Instr, IntWidth, Reg, NO_REG};
 use crate::exec::ExecutionContext;
-use crate::memory::{Access, MemError, Memory};
+use crate::memory::{image_of, lanes_of, Access, MemError, Memory};
 use crate::observer::{observed, Observer};
-use crate::program::Value;
+use crate::program::{Program, Value};
 use std::fmt;
 use std::sync::Arc;
 use terra_ir::{Builtin, FuncId, ScalarTy, Ty};
@@ -129,24 +135,32 @@ pub type ExecResult<T> = Result<T, Trap>;
 
 const MAX_FRAMES: usize = 4096;
 
-/// A 256-bit register image.
+/// A 256-bit register image: a value crossing the host boundary
+/// ([`ExecutionContext::call`], [`decode_value`]), scalar in lane 0. Inside
+/// the machine a register is a run of 8-byte frame slots.
 pub type RegImage = [u64; 4];
 
 #[derive(Debug)]
 struct Frame {
-    func: Arc<CompiledFunction>,
+    /// The running function: an index into the program's table, so a call
+    /// moves no reference count.
+    func: FuncId,
     pc: usize,
+    /// First slot of the frame's window in [`Vm::regs`].
     base: usize,
     mem_base: u64,
+    /// Where the caller wants the result (`ret_w` slots at `ret_dst`).
     ret_dst: Reg,
+    ret_w: u8,
 }
 
 /// The register file and call stack of one execution context. Pure data:
-/// the dispatch loop lives on [`ExecutionContext`] and borrows this
-/// alongside the context's memory and tracer.
+/// the dispatch loop lives on [`ExecutionContext`], which lends this out
+/// for the duration of a call.
 #[derive(Debug, Default)]
 pub struct Vm {
-    regs: Vec<RegImage>,
+    /// One slot file for every live frame, the running one on top.
+    regs: Vec<u64>,
     frames: Vec<Frame>,
 }
 
@@ -155,56 +169,41 @@ impl Vm {
     pub fn new() -> Self {
         Vm::default()
     }
+}
 
-    /// FNV-1a-64 digest of the live register file, hashing each 64-bit
-    /// lane as its little-endian byte image (endianness-independent).
-    /// Used by the flight recorder's checkpoints; meaningful only when
-    /// comparing identical configurations — register allocation differs
-    /// across optimization levels.
-    pub(crate) fn state_hash(&self) -> u64 {
-        let mut h = terra_trace::Fnv64::new();
-        for r in &self.regs {
-            for &lane in r {
-                h.write_u64(lane);
-            }
-        }
-        h.finish()
+/// FNV-1a-64 digest of a register file given in two pieces (the frames
+/// below the running one, then its window), hashing each slot as its
+/// little-endian byte image (endianness-independent). Used by the flight
+/// recorder's checkpoints; meaningful only when comparing identical
+/// configurations — register allocation differs across optimization levels.
+pub(crate) fn state_hash(lower: &[u64], frame: &[u64]) -> u64 {
+    let mut h = terra_trace::Fnv64::new();
+    for &slot in lower.iter().chain(frame) {
+        h.write_u64(slot);
     }
+    h.finish()
+}
+
+// The vector helpers below spell their lanes out instead of looping or
+// slicing: an unoptimized build (what `cargo test` runs) turns every
+// iterator step and range index into calls, and a vector instruction is
+// only worth having if it stays cheaper than the scalar ones it replaces.
+
+/// A vector register: the four slots starting at `r`.
+#[inline(always)]
+fn vget(frame: &[u64], r: Reg) -> [u64; 4] {
+    let r = r as usize;
+    [frame[r], frame[r + 1], frame[r + 2], frame[r + 3]]
+}
+
+#[inline(always)]
+fn vset(frame: &mut [u64], r: Reg, v: [u64; 4]) {
+    let r = r as usize;
+    (frame[r], frame[r + 1], frame[r + 2], frame[r + 3]) = (v[0], v[1], v[2], v[3]);
 }
 
 #[inline]
-fn as_f64(v: RegImage) -> f64 {
-    f64::from_bits(v[0])
-}
-
-#[inline]
-fn as_f32(v: RegImage) -> f32 {
-    f32::from_bits(v[0] as u32)
-}
-
-#[inline]
-fn from_f64(v: f64) -> RegImage {
-    [v.to_bits(), 0, 0, 0]
-}
-
-#[inline]
-fn from_f32(v: f32) -> RegImage {
-    [v.to_bits() as u64, 0, 0, 0]
-}
-
-#[inline]
-fn from_i64(v: i64) -> RegImage {
-    [v as u64, 0, 0, 0]
-}
-
-/// Sign- or zero-extends a loaded integer into a register image.
-#[inline]
-fn widen<T: Into<i64>>(v: T) -> RegImage {
-    from_i64(v.into())
-}
-
-#[inline]
-fn vf64(v: RegImage) -> [f64; 4] {
+fn vf64(v: [u64; 4]) -> [f64; 4] {
     [
         f64::from_bits(v[0]),
         f64::from_bits(v[1]),
@@ -214,7 +213,7 @@ fn vf64(v: RegImage) -> [f64; 4] {
 }
 
 #[inline]
-fn to_vf64(x: [f64; 4]) -> RegImage {
+fn to_vf64(x: [f64; 4]) -> [u64; 4] {
     [
         x[0].to_bits(),
         x[1].to_bits(),
@@ -224,22 +223,32 @@ fn to_vf64(x: [f64; 4]) -> RegImage {
 }
 
 #[inline]
-fn vf32(v: RegImage) -> [f32; 8] {
-    let mut out = [0f32; 8];
-    for i in 0..4 {
-        out[2 * i] = f32::from_bits(v[i] as u32);
-        out[2 * i + 1] = f32::from_bits((v[i] >> 32) as u32);
-    }
-    out
+fn vf32(v: [u64; 4]) -> [f32; 8] {
+    let (lo, hi) = (
+        |w: u64| f32::from_bits(w as u32),
+        |w: u64| f32::from_bits((w >> 32) as u32),
+    );
+    [
+        lo(v[0]),
+        hi(v[0]),
+        lo(v[1]),
+        hi(v[1]),
+        lo(v[2]),
+        hi(v[2]),
+        lo(v[3]),
+        hi(v[3]),
+    ]
 }
 
 #[inline]
-fn to_vf32(x: [f32; 8]) -> RegImage {
-    let mut out = [0u64; 4];
-    for i in 0..4 {
-        out[i] = x[2 * i].to_bits() as u64 | ((x[2 * i + 1].to_bits() as u64) << 32);
-    }
-    out
+fn to_vf32(x: [f32; 8]) -> [u64; 4] {
+    let pack = |lo: f32, hi: f32| lo.to_bits() as u64 | ((hi.to_bits() as u64) << 32);
+    [
+        pack(x[0], x[1]),
+        pack(x[2], x[3]),
+        pack(x[4], x[5]),
+        pack(x[6], x[7]),
+    ]
 }
 
 impl ExecutionContext {
@@ -251,78 +260,72 @@ impl ExecutionContext {
     /// Returns a [`Trap`] on any runtime fault, including calling an
     /// undefined function or passing the wrong number of arguments.
     pub fn call(&mut self, f: FuncId, args: &[Value]) -> ExecResult<Value> {
-        let func = self.defined(f)?;
+        let program = Arc::clone(&self.program);
+        let func = program.defined(f)?;
         if args.len() != func.ty.params.len() {
             return Err(Trap::ArityMismatch {
                 expected: func.ty.params.len(),
                 got: args.len(),
             });
         }
-        let raw: Vec<RegImage> = args
-            .iter()
-            .zip(&func.ty.params)
-            .map(|(v, ty)| [encode_arg(*v, ty), 0, 0, 0])
-            .collect();
-        let ret_ty = func.ty.ret.clone();
-        let name = func.name.clone();
+        let mut slots = Vec::with_capacity(func.param_slots());
+        for (v, ty) in args.iter().zip(&func.ty.params) {
+            let end = slots.len() + slots_of(ty) as usize;
+            slots.push(encode_arg(*v, ty));
+            slots.resize(end, 0);
+        }
         let start = self.trace.now_us();
-        let bits = self.call_raw(func, &raw)?;
-        self.trace.record(terra_trace::Stage::Execute, &name, start);
-        Ok(decode_value(&ret_ty, bits))
+        let bits = self.call_slots(&program, f, &slots)?;
+        self.trace
+            .record(terra_trace::Stage::Execute, &func.name, start);
+        Ok(decode_value(&func.ty.ret, bits))
     }
 
-    /// The compiled body of `f`, or the trap for calling a function that
-    /// was declared but never defined.
-    pub(crate) fn defined(&self, f: FuncId) -> ExecResult<Arc<CompiledFunction>> {
-        let body = self.program.function(f).cloned();
-        body.ok_or_else(|| Trap::Undefined(self.program.name(f).to_string()))
-    }
-
-    /// Calls a compiled function with raw register images.
+    /// Calls `program[f]` with its parameter slots already laid out.
+    /// `program` is this context's own, held by the caller so that neither
+    /// a call nor a `parallelfor` iteration touches its reference count.
     ///
     /// "Is anyone observing?" is decided here, once per call: with any
     /// telemetry gate on, the dispatch loop runs instantiated over the
     /// context's [`Telemetry`](crate::observer::Telemetry); otherwise over
     /// [`NoObserver`](crate::observer::NoObserver), whose hooks compile away.
-    pub fn call_raw(
+    pub(crate) fn call_slots(
         &mut self,
-        func: Arc<CompiledFunction>,
-        args: &[RegImage],
+        program: &Program,
+        f: FuncId,
+        args: &[u64],
     ) -> ExecResult<RegImage> {
-        observed!(self, |obs| self.call_observed(obs, func, args))
+        observed!(self, |obs| self.call_observed(obs, program, f, args))
     }
 
     fn call_observed<O: Observer>(
         &mut self,
         obs: &mut O,
-        func: Arc<CompiledFunction>,
-        args: &[RegImage],
+        program: &Program,
+        f: FuncId,
+        args: &[u64],
     ) -> ExecResult<RegImage> {
-        let saved_regs = self.vm.regs.len();
-        let saved_frames = self.vm.frames.len();
-        let result = self.run(obs, func, args);
+        // The loop borrows its frame window from the register file for as
+        // long as a frame runs, so the file cannot stay inside `self`, which
+        // builtins and `parallelfor` need whole.
+        let mut vm = std::mem::take(&mut self.vm);
+        debug_assert!(vm.frames.is_empty() && vm.regs.is_empty());
+        let result = self.run(obs, program, &mut vm, f, args);
         // Allocations made by the host from here on are not Terra code.
         self.memory.clear_alloc_site();
-        self.vm.regs.truncate(saved_regs);
-        result.map_err(|trap| {
+        let result = result.map_err(|trap| {
             // The innermost frame still on the stack names the Terra
             // function (and, via the debug-info table, the source line)
             // that was executing when the trap fired.
-            let current = self
-                .vm
-                .frames
-                .last()
-                .filter(|_| self.vm.frames.len() > saved_frames)
-                .map(|fr| {
-                    let pc = fr.pc.saturating_sub(1);
-                    let line = fr.func.line_at(pc);
-                    let prov: Option<Arc<str>> = fr.func.prov_at(pc).map(Arc::from);
-                    (fr.func.name.clone(), line, prov)
-                });
+            let current = vm.frames.last().map(|fr| {
+                let func = body(program, fr.func);
+                let pc = fr.pc.saturating_sub(1);
+                let prov: Option<Arc<str>> = func.prov_at(pc).map(Arc::from);
+                (func.name.clone(), func.line_at(pc), prov)
+            });
             // Unwind the frames (and their memory) the trap left; each
             // trapped activation still reports what it counted.
-            while self.vm.frames.len() > saved_frames {
-                let fr = self.vm.frames.pop().expect("frame count checked");
+            while let Some(fr) = vm.frames.pop() {
                 self.memory.pop_frame(fr.mem_base);
                 obs.on_ret();
             }
@@ -343,51 +346,87 @@ impl ExecutionContext {
                 }
                 other => other,
             }
-        })
+        });
+        vm.regs.clear();
+        self.vm = vm;
+        result
     }
 
     fn run<O: Observer>(
         &mut self,
         obs: &mut O,
-        func: Arc<CompiledFunction>,
-        args: &[RegImage],
+        program: &Program,
+        vm: &mut Vm,
+        f: FuncId,
+        args: &[u64],
     ) -> ExecResult<RegImage> {
-        let entry_frames = self.vm.frames.len();
-        let base = self.push_call(obs, func, NO_REG)?;
-        self.vm.regs[base..base + args.len()].copy_from_slice(args);
+        let entry = program.defined(f)?;
+        self.push_call(obs, vm, f, entry, NO_REG, 0)?;
+        let n = args.len().min(entry.nslots());
+        vm.regs[..n].copy_from_slice(&args[..n]);
 
         'frames: loop {
-            // Pull the current frame's hot state into locals.
-            let frame_idx = self.vm.frames.len() - 1;
-            let func = Arc::clone(&self.vm.frames[frame_idx].func);
-            let mut pc = self.vm.frames[frame_idx].pc;
-            let base = self.vm.frames[frame_idx].base;
-            let mem_base = self.vm.frames[frame_idx].mem_base;
+            // Pull the running frame's hot state into locals: its code, its
+            // pc, and its window of the register file. The window is
+            // borrowed once per frame entry; every operand below indexes it
+            // against a length that lives in a machine register, and the
+            // load-time validator proved each index inside it.
+            let fr = vm.frames.last_mut().expect("a frame is running");
+            let func: &CompiledFunction = body(program, fr.func);
             let code = &func.code[..];
+            let mem_base = fr.mem_base;
+            let mut pc = fr.pc;
+            let (lower, frame) = vm.regs.split_at_mut(fr.base);
+            let lower = &*lower;
 
             macro_rules! r {
                 ($i:expr) => {
-                    self.vm.regs[base + $i as usize]
+                    frame[$i as usize]
                 };
             }
             macro_rules! ri {
                 ($i:expr) => {
-                    self.vm.regs[base + $i as usize][0] as i64
+                    frame[$i as usize] as i64
                 };
             }
-            macro_rules! ru {
+            macro_rules! rf64 {
                 ($i:expr) => {
-                    self.vm.regs[base + $i as usize][0]
+                    f64::from_bits(frame[$i as usize])
+                };
+            }
+            macro_rules! rf32 {
+                ($i:expr) => {
+                    f32::from_bits(frame[$i as usize] as u32)
+                };
+            }
+            macro_rules! rv {
+                ($i:expr) => {
+                    vget(frame, $i)
                 };
             }
             macro_rules! set {
                 ($d:expr, $v:expr) => {
-                    self.vm.regs[base + $d as usize] = $v
+                    frame[$d as usize] = $v
                 };
             }
             macro_rules! seti {
                 ($d:expr, $v:expr) => {
-                    self.vm.regs[base + $d as usize] = from_i64($v)
+                    frame[$d as usize] = ($v) as u64
+                };
+            }
+            macro_rules! setf64 {
+                ($d:expr, $v:expr) => {
+                    frame[$d as usize] = ($v).to_bits()
+                };
+            }
+            macro_rules! setf32 {
+                ($d:expr, $v:expr) => {
+                    frame[$d as usize] = ($v).to_bits() as u64
+                };
+            }
+            macro_rules! setv {
+                ($d:expr, $v:expr) => {
+                    vset(frame, $d, $v)
                 };
             }
             // Fallible memory operation: on a fault, write the (already
@@ -398,29 +437,33 @@ impl ExecutionContext {
                     match $e {
                         Ok(v) => v,
                         Err(err) => {
-                            self.vm.frames[frame_idx].pc = pc;
+                            fr.pc = pc;
                             return Err(err.into());
                         }
                     }
                 };
             }
-            // Scalar load: raw access, then the observer sees the traffic.
+            // Scalar load of `$n` bytes as `$ty`, sign- or zero-extended to
+            // the slot (a float load is the load of its bit pattern); the
+            // observer sees the traffic.
             macro_rules! load {
-                ($d:expr, $a:expr, $get:ident, $n:expr, $conv:expr) => {{
-                    let addr = ru!($a);
-                    let v = mem!(self.memory.$get(addr, !func.check_free(pc - 1)));
+                ($d:expr, $a:expr, $chk:expr, $ty:ty, $n:literal) => {{
+                    let addr = r!($a);
+                    let bytes = mem!(self.memory.read::<$n>(addr, $chk));
                     obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Load);
-                    set!($d, $conv(v));
+                    seti!($d, <$ty>::from_le_bytes(bytes) as i64);
                 }};
             }
-            // Scalar store of lane 0's low `$n` bytes (a float store is the
-            // integer store of its bit pattern).
+            // Scalar store of the slot's low `$n` bytes (a float store is
+            // the integer store of its bit pattern).
             macro_rules! store {
-                ($a:expr, $s:expr, $put:ident, $n:expr, $ty:ty) => {{
-                    let (addr, v) = (ru!($a), ru!($s));
-                    mem!(self.memory.$put(addr, v as $ty, !func.check_free(pc - 1)));
+                ($a:expr, $s:expr, $chk:expr, $ty:ty, $n:literal) => {{
+                    let (addr, v) = (r!($a), r!($s));
+                    mem!(self
+                        .memory
+                        .write::<$n>(addr, (v as $ty).to_le_bytes(), $chk));
                     obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Store);
-                    obs.on_effect(&self.memory, &func, pc - 1, || EffectKind::Store {
+                    obs.on_effect(&self.memory, func, pc - 1, || EffectKind::Store {
                         addr,
                         width: $n,
                         bits: v & (u64::MAX >> (64 - 8 * $n)),
@@ -434,74 +477,85 @@ impl ExecutionContext {
                     if y == 0 {
                         return Err(Trap::DivByZero);
                     }
-                    seti!($d, $op($reg!($a), y) as i64);
+                    seti!($d, $op($reg!($a), y));
                 }};
             }
-            macro_rules! binf64 {
-                ($d:expr, $a:expr, $b:expr, $op:tt) => {{
-                    let v = as_f64(r!($a)) $op as_f64(r!($b));
-                    set!($d, from_f64(v));
+            // Enters `program[$id]`: pushes its frame and copies this frame's
+            // argument block to the bottom of it.
+            macro_rules! enter {
+                ($id:expr, $d:expr, $w:expr, $args:expr, $nargs:expr) => {{
+                    let callee = program.defined($id)?;
+                    fr.pc = pc;
+                    let argv = fr.base + $args as usize;
+                    let callee_base = self.push_call(obs, vm, $id, callee, $d, $w)?;
+                    // A callee reached through a cast function pointer may
+                    // have a smaller frame than its caller's argument block.
+                    let n = ($nargs as usize).min(callee.nslots());
+                    vm.regs.copy_within(argv..argv + n, callee_base);
+                    continue 'frames;
                 }};
             }
-            macro_rules! binf32 {
-                ($d:expr, $a:expr, $b:expr, $op:tt) => {{
-                    let v = as_f32(r!($a)) $op as_f32(r!($b));
-                    set!($d, from_f32(v));
-                }};
-            }
+            // Lane-wise `d = f(a, b)`; `f` is written over the lane
+            // variables `x` and `y`.
             macro_rules! vbin64 {
-                ($d:expr, $a:expr, $b:expr, $f:expr) => {{
-                    let x = vf64(r!($a));
-                    let y = vf64(r!($b));
-                    let mut o = [0f64; 4];
-                    for i in 0..4 {
-                        o[i] = $f(x[i], y[i]);
-                    }
-                    set!($d, to_vf64(o));
+                ($d:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $f:expr) => {{
+                    let (p, q) = (vf64(rv!($a)), vf64(rv!($b)));
+                    let f = |$x: f64, $y: f64| $f;
+                    let o = [f(p[0], q[0]), f(p[1], q[1]), f(p[2], q[2]), f(p[3], q[3])];
+                    setv!($d, to_vf64(o));
                 }};
             }
             macro_rules! vbin32 {
-                ($d:expr, $a:expr, $b:expr, $f:expr) => {{
-                    let x = vf32(r!($a));
-                    let y = vf32(r!($b));
-                    let mut o = [0f32; 8];
-                    for i in 0..8 {
-                        o[i] = $f(x[i], y[i]);
-                    }
-                    set!($d, to_vf32(o));
+                ($d:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $f:expr) => {{
+                    let (p, q) = (vf32(rv!($a)), vf32(rv!($b)));
+                    let f = |$x: f32, $y: f32| $f;
+                    let o = [
+                        f(p[0], q[0]),
+                        f(p[1], q[1]),
+                        f(p[2], q[2]),
+                        f(p[3], q[3]),
+                        f(p[4], q[4]),
+                        f(p[5], q[5]),
+                        f(p[6], q[6]),
+                        f(p[7], q[7]),
+                    ];
+                    setv!($d, to_vf32(o));
                 }};
             }
 
             loop {
                 let instr = &code[pc];
                 pc += 1;
-                obs.on_retire(self, &func, pc - 1, instr);
+                obs.on_retire(lower, frame, &self.memory, instr);
                 match *instr {
                     Instr::ConstI { d, v } => seti!(d, v),
-                    Instr::ConstF64 { d, v } => set!(d, from_f64(v)),
-                    Instr::ConstF32 { d, v } => set!(d, from_f32(v)),
-                    Instr::Mov { d, a } => set!(d, r!(a)),
+                    Instr::ConstF64 { d, v } => setf64!(d, v),
+                    Instr::ConstF32 { d, v } => setf32!(d, v),
+                    Instr::Mov { d, a, w: 1 } => set!(d, r!(a)),
+                    Instr::Mov { d, a, w } => {
+                        for i in 0..w as usize {
+                            frame[d as usize + i] = frame[a as usize + i];
+                        }
+                    }
 
                     Instr::AddI { d, a, b } => seti!(d, ri!(a).wrapping_add(ri!(b))),
                     Instr::SubI { d, a, b } => seti!(d, ri!(a).wrapping_sub(ri!(b))),
                     Instr::MulI { d, a, b } => seti!(d, ri!(a).wrapping_mul(ri!(b))),
                     Instr::DivS { d, a, b } => divide!(d, a, b, ri, i64::wrapping_div),
-                    Instr::DivU { d, a, b } => divide!(d, a, b, ru, u64::wrapping_div),
+                    Instr::DivU { d, a, b } => divide!(d, a, b, r, u64::wrapping_div),
                     Instr::RemS { d, a, b } => divide!(d, a, b, ri, i64::wrapping_rem),
-                    Instr::RemU { d, a, b } => divide!(d, a, b, ru, u64::wrapping_rem),
-                    Instr::Shl { d, a, b } => seti!(d, ri!(a).wrapping_shl(ru!(b) as u32 & 63)),
-                    Instr::ShrS { d, a, b } => seti!(d, ri!(a).wrapping_shr(ru!(b) as u32 & 63)),
-                    Instr::ShrU { d, a, b } => {
-                        seti!(d, (ru!(a).wrapping_shr(ru!(b) as u32 & 63)) as i64)
-                    }
-                    Instr::And { d, a, b } => seti!(d, ri!(a) & ri!(b)),
-                    Instr::Or { d, a, b } => seti!(d, ri!(a) | ri!(b)),
-                    Instr::Xor { d, a, b } => seti!(d, ri!(a) ^ ri!(b)),
+                    Instr::RemU { d, a, b } => divide!(d, a, b, r, u64::wrapping_rem),
+                    Instr::Shl { d, a, b } => seti!(d, ri!(a).wrapping_shl(r!(b) as u32 & 63)),
+                    Instr::ShrS { d, a, b } => seti!(d, ri!(a).wrapping_shr(r!(b) as u32 & 63)),
+                    Instr::ShrU { d, a, b } => set!(d, r!(a).wrapping_shr(r!(b) as u32 & 63)),
+                    Instr::And { d, a, b } => set!(d, r!(a) & r!(b)),
+                    Instr::Or { d, a, b } => set!(d, r!(a) | r!(b)),
+                    Instr::Xor { d, a, b } => set!(d, r!(a) ^ r!(b)),
                     Instr::MinS { d, a, b } => seti!(d, ri!(a).min(ri!(b))),
                     Instr::MaxS { d, a, b } => seti!(d, ri!(a).max(ri!(b))),
                     Instr::NegI { d, a } => seti!(d, ri!(a).wrapping_neg()),
-                    Instr::NotI { d, a } => seti!(d, !ri!(a)),
-                    Instr::NotB { d, a } => seti!(d, (ru!(a) == 0) as i64),
+                    Instr::NotI { d, a } => set!(d, !r!(a)),
+                    Instr::NotB { d, a } => seti!(d, r!(a) == 0),
                     Instr::Trunc { d, a, w } => {
                         let v = ri!(a);
                         let t = match w {
@@ -528,199 +582,170 @@ impl ExecutionContext {
                         seti!(d, v);
                     }
 
-                    Instr::AddF64 { d, a, b } => binf64!(d, a, b, +),
-                    Instr::SubF64 { d, a, b } => binf64!(d, a, b, -),
-                    Instr::MulF64 { d, a, b } => binf64!(d, a, b, *),
-                    Instr::DivF64 { d, a, b } => binf64!(d, a, b, /),
-                    Instr::MinF64 { d, a, b } => {
-                        set!(d, from_f64(as_f64(r!(a)).min(as_f64(r!(b)))))
-                    }
-                    Instr::MaxF64 { d, a, b } => {
-                        set!(d, from_f64(as_f64(r!(a)).max(as_f64(r!(b)))))
-                    }
-                    Instr::NegF64 { d, a } => set!(d, from_f64(-as_f64(r!(a)))),
-                    Instr::AddF32 { d, a, b } => binf32!(d, a, b, +),
-                    Instr::SubF32 { d, a, b } => binf32!(d, a, b, -),
-                    Instr::MulF32 { d, a, b } => binf32!(d, a, b, *),
-                    Instr::DivF32 { d, a, b } => binf32!(d, a, b, /),
-                    Instr::MinF32 { d, a, b } => {
-                        set!(d, from_f32(as_f32(r!(a)).min(as_f32(r!(b)))))
-                    }
-                    Instr::MaxF32 { d, a, b } => {
-                        set!(d, from_f32(as_f32(r!(a)).max(as_f32(r!(b)))))
-                    }
-                    Instr::NegF32 { d, a } => set!(d, from_f32(-as_f32(r!(a)))),
+                    Instr::AddF64 { d, a, b } => setf64!(d, rf64!(a) + rf64!(b)),
+                    Instr::SubF64 { d, a, b } => setf64!(d, rf64!(a) - rf64!(b)),
+                    Instr::MulF64 { d, a, b } => setf64!(d, rf64!(a) * rf64!(b)),
+                    Instr::DivF64 { d, a, b } => setf64!(d, rf64!(a) / rf64!(b)),
+                    Instr::MinF64 { d, a, b } => setf64!(d, rf64!(a).min(rf64!(b))),
+                    Instr::MaxF64 { d, a, b } => setf64!(d, rf64!(a).max(rf64!(b))),
+                    Instr::NegF64 { d, a } => setf64!(d, -rf64!(a)),
+                    Instr::AddF32 { d, a, b } => setf32!(d, rf32!(a) + rf32!(b)),
+                    Instr::SubF32 { d, a, b } => setf32!(d, rf32!(a) - rf32!(b)),
+                    Instr::MulF32 { d, a, b } => setf32!(d, rf32!(a) * rf32!(b)),
+                    Instr::DivF32 { d, a, b } => setf32!(d, rf32!(a) / rf32!(b)),
+                    Instr::MinF32 { d, a, b } => setf32!(d, rf32!(a).min(rf32!(b))),
+                    Instr::MaxF32 { d, a, b } => setf32!(d, rf32!(a).max(rf32!(b))),
+                    Instr::NegF32 { d, a } => setf32!(d, -rf32!(a)),
 
-                    Instr::CmpEqI { d, a, b } => seti!(d, (ru!(a) == ru!(b)) as i64),
-                    Instr::CmpNeI { d, a, b } => seti!(d, (ru!(a) != ru!(b)) as i64),
-                    Instr::CmpLtS { d, a, b } => seti!(d, (ri!(a) < ri!(b)) as i64),
-                    Instr::CmpLeS { d, a, b } => seti!(d, (ri!(a) <= ri!(b)) as i64),
-                    Instr::CmpLtU { d, a, b } => seti!(d, (ru!(a) < ru!(b)) as i64),
-                    Instr::CmpLeU { d, a, b } => seti!(d, (ru!(a) <= ru!(b)) as i64),
-                    Instr::CmpEqF64 { d, a, b } => {
-                        seti!(d, (as_f64(r!(a)) == as_f64(r!(b))) as i64)
-                    }
-                    Instr::CmpNeF64 { d, a, b } => {
-                        seti!(d, (as_f64(r!(a)) != as_f64(r!(b))) as i64)
-                    }
-                    Instr::CmpLtF64 { d, a, b } => {
-                        seti!(d, (as_f64(r!(a)) < as_f64(r!(b))) as i64)
-                    }
-                    Instr::CmpLeF64 { d, a, b } => {
-                        seti!(d, (as_f64(r!(a)) <= as_f64(r!(b))) as i64)
-                    }
-                    Instr::CmpEqF32 { d, a, b } => {
-                        seti!(d, (as_f32(r!(a)) == as_f32(r!(b))) as i64)
-                    }
-                    Instr::CmpNeF32 { d, a, b } => {
-                        seti!(d, (as_f32(r!(a)) != as_f32(r!(b))) as i64)
-                    }
-                    Instr::CmpLtF32 { d, a, b } => {
-                        seti!(d, (as_f32(r!(a)) < as_f32(r!(b))) as i64)
-                    }
-                    Instr::CmpLeF32 { d, a, b } => {
-                        seti!(d, (as_f32(r!(a)) <= as_f32(r!(b))) as i64)
-                    }
+                    Instr::CmpEqI { d, a, b } => seti!(d, r!(a) == r!(b)),
+                    Instr::CmpNeI { d, a, b } => seti!(d, r!(a) != r!(b)),
+                    Instr::CmpLtS { d, a, b } => seti!(d, ri!(a) < ri!(b)),
+                    Instr::CmpLeS { d, a, b } => seti!(d, ri!(a) <= ri!(b)),
+                    Instr::CmpLtU { d, a, b } => seti!(d, r!(a) < r!(b)),
+                    Instr::CmpLeU { d, a, b } => seti!(d, r!(a) <= r!(b)),
+                    Instr::CmpEqF64 { d, a, b } => seti!(d, rf64!(a) == rf64!(b)),
+                    Instr::CmpNeF64 { d, a, b } => seti!(d, rf64!(a) != rf64!(b)),
+                    Instr::CmpLtF64 { d, a, b } => seti!(d, rf64!(a) < rf64!(b)),
+                    Instr::CmpLeF64 { d, a, b } => seti!(d, rf64!(a) <= rf64!(b)),
+                    Instr::CmpEqF32 { d, a, b } => seti!(d, rf32!(a) == rf32!(b)),
+                    Instr::CmpNeF32 { d, a, b } => seti!(d, rf32!(a) != rf32!(b)),
+                    Instr::CmpLtF32 { d, a, b } => seti!(d, rf32!(a) < rf32!(b)),
+                    Instr::CmpLeF32 { d, a, b } => seti!(d, rf32!(a) <= rf32!(b)),
 
-                    Instr::CvtSToF64 { d, a } => set!(d, from_f64(ri!(a) as f64)),
-                    Instr::CvtSToF32 { d, a } => set!(d, from_f32(ri!(a) as f32)),
-                    Instr::CvtUToF64 { d, a } => set!(d, from_f64(ru!(a) as f64)),
-                    Instr::CvtUToF32 { d, a } => set!(d, from_f32(ru!(a) as f32)),
-                    Instr::CvtF64ToS { d, a } => seti!(d, as_f64(r!(a)) as i64),
-                    Instr::CvtF64ToU { d, a } => seti!(d, as_f64(r!(a)) as u64 as i64),
-                    Instr::CvtF32ToS { d, a } => seti!(d, as_f32(r!(a)) as i64),
-                    Instr::CvtF32ToF64 { d, a } => set!(d, from_f64(as_f32(r!(a)) as f64)),
-                    Instr::CvtF64ToF32 { d, a } => set!(d, from_f32(as_f64(r!(a)) as f32)),
+                    Instr::CvtSToF64 { d, a } => setf64!(d, ri!(a) as f64),
+                    Instr::CvtSToF32 { d, a } => setf32!(d, ri!(a) as f32),
+                    Instr::CvtUToF64 { d, a } => setf64!(d, r!(a) as f64),
+                    Instr::CvtUToF32 { d, a } => setf32!(d, r!(a) as f32),
+                    Instr::CvtF64ToS { d, a } => seti!(d, rf64!(a) as i64),
+                    Instr::CvtF64ToU { d, a } => set!(d, rf64!(a) as u64),
+                    Instr::CvtF32ToS { d, a } => seti!(d, rf32!(a) as i64),
+                    Instr::CvtF32ToF64 { d, a } => setf64!(d, rf32!(a) as f64),
+                    Instr::CvtF64ToF32 { d, a } => setf32!(d, rf64!(a) as f32),
 
-                    Instr::LoadI8 { d, a } => load!(d, a, load_i8_sel, 1, widen),
-                    Instr::LoadU8 { d, a } => load!(d, a, load_u8_sel, 1, widen),
-                    Instr::LoadI16 { d, a } => load!(d, a, load_i16_sel, 2, widen),
-                    Instr::LoadU16 { d, a } => load!(d, a, load_u16_sel, 2, widen),
-                    Instr::LoadI32 { d, a } => load!(d, a, load_i32_sel, 4, widen),
-                    Instr::LoadU32 { d, a } => load!(d, a, load_u32_sel, 4, widen),
-                    Instr::Load64 { d, a } => load!(d, a, load_i64_sel, 8, widen),
-                    Instr::LoadF32 { d, a } => load!(d, a, load_f32_sel, 4, from_f32),
-                    Instr::LoadF64 { d, a } => load!(d, a, load_f64_sel, 8, from_f64),
-                    Instr::Store8 { a, s } => store!(a, s, store_u8_sel, 1, u8),
-                    Instr::Store16 { a, s } => store!(a, s, store_u16_sel, 2, u16),
-                    Instr::Store32 { a, s } => store!(a, s, store_u32_sel, 4, u32),
-                    Instr::Store64 { a, s } => store!(a, s, store_u64_sel, 8, u64),
-                    Instr::StoreF32 { a, s } => store!(a, s, store_u32_sel, 4, u32),
-                    Instr::StoreF64 { a, s } => store!(a, s, store_u64_sel, 8, u64),
-                    Instr::LoadV { d, a, bytes } => {
-                        let (addr, len) = (ru!(a), bytes as u64);
-                        let v = mem!(self
-                            .memory
-                            .load_vec_sel(addr, len, !func.check_free(pc - 1)));
-                        obs.on_mem(&mut self.memory, pc - 1, addr, len, Access::VecLoad);
-                        set!(d, v);
+                    Instr::LoadI8 { d, a, chk } => load!(d, a, chk, i8, 1),
+                    Instr::LoadU8 { d, a, chk } => load!(d, a, chk, u8, 1),
+                    Instr::LoadI16 { d, a, chk } => load!(d, a, chk, i16, 2),
+                    Instr::LoadU16 { d, a, chk } => load!(d, a, chk, u16, 2),
+                    Instr::LoadI32 { d, a, chk } => load!(d, a, chk, i32, 4),
+                    Instr::LoadU32 { d, a, chk } => load!(d, a, chk, u32, 4),
+                    Instr::Load64 { d, a, chk } => load!(d, a, chk, u64, 8),
+                    Instr::LoadF32 { d, a, chk } => load!(d, a, chk, u32, 4),
+                    Instr::LoadF64 { d, a, chk } => load!(d, a, chk, u64, 8),
+                    Instr::Store8 { a, s, chk } => store!(a, s, chk, u8, 1),
+                    Instr::Store16 { a, s, chk } => store!(a, s, chk, u16, 2),
+                    Instr::Store32 { a, s, chk } => store!(a, s, chk, u32, 4),
+                    Instr::Store64 { a, s, chk } => store!(a, s, chk, u64, 8),
+                    Instr::StoreF32 { a, s, chk } => store!(a, s, chk, u32, 4),
+                    Instr::StoreF64 { a, s, chk } => store!(a, s, chk, u64, 8),
+                    Instr::LoadV { d, a, bytes, chk } => {
+                        let (addr, len) = (r!(a), bytes as usize);
+                        let mut image = [0u8; 32];
+                        mem!(self.memory.read_into(addr, &mut image[..len], chk));
+                        obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecLoad);
+                        setv!(d, lanes_of(image));
                     }
-                    Instr::StoreV { a, s, bytes } => {
-                        let (addr, v, len) = (ru!(a), r!(s), bytes as u64);
-                        mem!(self
-                            .memory
-                            .store_vec_sel(addr, v, len, !func.check_free(pc - 1)));
-                        obs.on_mem(&mut self.memory, pc - 1, addr, len, Access::VecStore);
-                        obs.on_effect(&self.memory, &func, pc - 1, || {
-                            // Vector stores don't fit 64 value bits; record
-                            // the FNV digest of the stored LE byte image.
-                            let mut img = [0u8; 32];
-                            for (i, lane) in v.iter().enumerate() {
-                                img[i * 8..i * 8 + 8].copy_from_slice(&lane.to_le_bytes());
-                            }
-                            EffectKind::Store {
-                                addr,
-                                width: bytes as u32,
-                                bits: terra_trace::fnv64(&img[..(bytes as usize).min(32)]),
-                            }
+                    Instr::StoreV { a, s, bytes, chk } => {
+                        let (addr, len) = (r!(a), bytes as usize);
+                        let image = image_of(rv!(s));
+                        mem!(self.memory.write_from(addr, &image[..len], chk));
+                        obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecStore);
+                        // Vector stores don't fit 64 value bits; record the
+                        // FNV digest of the stored LE byte image.
+                        obs.on_effect(&self.memory, func, pc - 1, || EffectKind::Store {
+                            addr,
+                            width: bytes as u32,
+                            bits: terra_trace::fnv64(&image[..len]),
                         });
                     }
-                    Instr::FrameAddr { d, offset } => seti!(d, (mem_base + offset as u64) as i64),
-                    Instr::CopyMem { dst, src, size } => {
-                        let (d, s, len) = (ru!(dst), ru!(src), size as u64);
-                        mem!(self
-                            .memory
-                            .copy_within_sel(s, d, len, !func.check_free(pc - 1)));
-                        obs.on_effect(&self.memory, &func, pc - 1, || EffectKind::Copy {
+                    Instr::FrameAddr { d, offset } => set!(d, mem_base + offset as u64),
+                    Instr::CopyMem {
+                        dst,
+                        src,
+                        size,
+                        chk,
+                    } => {
+                        let (d, s, len) = (r!(dst), r!(src), size as u64);
+                        mem!(self.memory.copy(s, d, len, chk));
+                        obs.on_effect(&self.memory, func, pc - 1, || EffectKind::Copy {
                             dst: d,
                             src: s,
                             len,
                         });
                     }
                     Instr::Prefetch { a } => {
-                        let addr = ru!(a);
+                        let addr = r!(a);
                         obs.on_mem(&mut self.memory, pc - 1, addr, 0, Access::Prefetch);
                         self.memory.prefetch(addr);
                     }
 
-                    Instr::VAddF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x + y),
-                    Instr::VSubF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x - y),
-                    Instr::VMulF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x * y),
-                    Instr::VDivF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x / y),
-                    Instr::VMinF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x.min(y)),
-                    Instr::VMaxF32 { d, a, b } => vbin32!(d, a, b, |x: f32, y: f32| x.max(y)),
-                    Instr::VAddF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x + y),
-                    Instr::VSubF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x - y),
-                    Instr::VMulF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x * y),
-                    Instr::VDivF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x / y),
-                    Instr::VMinF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x.min(y)),
-                    Instr::VMaxF64 { d, a, b } => vbin64!(d, a, b, |x: f64, y: f64| x.max(y)),
+                    Instr::VAddF32 { d, a, b } => vbin32!(d, a, b, |x, y| x + y),
+                    Instr::VSubF32 { d, a, b } => vbin32!(d, a, b, |x, y| x - y),
+                    Instr::VMulF32 { d, a, b } => vbin32!(d, a, b, |x, y| x * y),
+                    Instr::VDivF32 { d, a, b } => vbin32!(d, a, b, |x, y| x / y),
+                    Instr::VMinF32 { d, a, b } => vbin32!(d, a, b, |x, y| x.min(y)),
+                    Instr::VMaxF32 { d, a, b } => vbin32!(d, a, b, |x, y| x.max(y)),
+                    Instr::VAddF64 { d, a, b } => vbin64!(d, a, b, |x, y| x + y),
+                    Instr::VSubF64 { d, a, b } => vbin64!(d, a, b, |x, y| x - y),
+                    Instr::VMulF64 { d, a, b } => vbin64!(d, a, b, |x, y| x * y),
+                    Instr::VDivF64 { d, a, b } => vbin64!(d, a, b, |x, y| x / y),
+                    Instr::VMinF64 { d, a, b } => vbin64!(d, a, b, |x, y| x.min(y)),
+                    Instr::VMaxF64 { d, a, b } => vbin64!(d, a, b, |x, y| x.max(y)),
                     Instr::VFmaF32 { d, a, b } => {
-                        let x = vf32(r!(a));
-                        let y = vf32(r!(b));
-                        let mut acc = vf32(r!(d));
-                        for i in 0..8 {
-                            acc[i] += x[i] * y[i];
-                        }
-                        set!(d, to_vf32(acc));
+                        let (x, y, acc) = (vf32(rv!(a)), vf32(rv!(b)), vf32(rv!(d)));
+                        let o = [
+                            acc[0] + x[0] * y[0],
+                            acc[1] + x[1] * y[1],
+                            acc[2] + x[2] * y[2],
+                            acc[3] + x[3] * y[3],
+                            acc[4] + x[4] * y[4],
+                            acc[5] + x[5] * y[5],
+                            acc[6] + x[6] * y[6],
+                            acc[7] + x[7] * y[7],
+                        ];
+                        setv!(d, to_vf32(o));
                     }
                     Instr::VFmaF64 { d, a, b } => {
-                        let x = vf64(r!(a));
-                        let y = vf64(r!(b));
-                        let mut acc = vf64(r!(d));
-                        for i in 0..4 {
-                            acc[i] += x[i] * y[i];
-                        }
-                        set!(d, to_vf64(acc));
+                        let (x, y, acc) = (vf64(rv!(a)), vf64(rv!(b)), vf64(rv!(d)));
+                        let o = [
+                            acc[0] + x[0] * y[0],
+                            acc[1] + x[1] * y[1],
+                            acc[2] + x[2] * y[2],
+                            acc[3] + x[3] * y[3],
+                        ];
+                        setv!(d, to_vf64(o));
                     }
-                    Instr::SplatF32 { d, a } => {
-                        let v = as_f32(r!(a));
-                        set!(d, to_vf32([v; 8]));
-                    }
-                    Instr::SplatF64 { d, a } => {
-                        let v = as_f64(r!(a));
-                        set!(d, to_vf64([v; 4]));
-                    }
+                    Instr::SplatF32 { d, a } => setv!(d, to_vf32([rf32!(a); 8])),
+                    Instr::SplatF64 { d, a } => setv!(d, [r!(a); 4]),
 
                     Instr::Jmp { target } => pc = target as usize,
                     Instr::BrFalse { c, target } => {
-                        if ru!(c) == 0 {
+                        if r!(c) == 0 {
                             pc = target as usize;
                         }
                     }
                     Instr::BrTrue { c, target } => {
-                        if ru!(c) != 0 {
+                        if r!(c) != 0 {
                             pc = target as usize;
                         }
                     }
 
-                    Instr::Call { d, f, args, nargs } => {
-                        let callee = self.defined(f)?;
-                        self.vm.frames[frame_idx].pc = pc;
-                        let argv = base + args as usize..base + (args + nargs) as usize;
-                        let callee_base = self.push_call(obs, callee, d)?;
-                        self.vm.regs.copy_within(argv, callee_base);
-                        continue 'frames;
-                    }
-                    Instr::CallIndirect { d, f, args, nargs } => {
-                        let bits = ru!(f);
+                    Instr::Call {
+                        d,
+                        w,
+                        f,
+                        args,
+                        nargs,
+                    } => enter!(f, d, w, args, nargs),
+                    Instr::CallIndirect {
+                        d,
+                        w,
+                        f,
+                        args,
+                        nargs,
+                    } => {
+                        let bits = r!(f);
                         let id = decode_func_ptr(bits).ok_or(Trap::NotAFunction(bits))?;
-                        let callee = self.defined(id)?;
-                        self.vm.frames[frame_idx].pc = pc;
-                        let argv = base + args as usize..base + (args + nargs) as usize;
-                        let callee_base = self.push_call(obs, callee, d)?;
-                        self.vm.regs.copy_within(argv, callee_base);
-                        continue 'frames;
+                        enter!(id, d, w, args, nargs)
                     }
                     Instr::ParFor {
                         f,
@@ -730,44 +755,49 @@ impl ExecutionContext {
                         nargs,
                     } => {
                         let (lo_v, hi_v) = (ri!(lo), ri!(hi));
-                        let start = base + args as usize;
-                        self.vm.frames[frame_idx].pc = pc;
-                        // The harness never touches this context's registers
-                        // (workers have their own): lend them out as arguments.
-                        let regs = std::mem::take(&mut self.vm.regs);
-                        let done = crate::parallel::run_parallelfor_at(
-                            self,
-                            obs,
-                            f,
-                            lo_v,
-                            hi_v,
-                            &regs[start..start + nargs as usize],
-                            Some((&func, pc - 1)),
-                        );
-                        self.vm.regs = regs;
-                        done?;
+                        fr.pc = pc;
+                        // Workers have their own register files: the
+                        // captures are read straight out of this window.
+                        let captures = &frame[args as usize..][..nargs as usize];
+                        let site = Some((func, pc - 1));
+                        crate::parallel::run_parallelfor_at(
+                            self, obs, f, lo_v, hi_v, captures, site,
+                        )?;
                     }
                     Instr::CallBuiltin { d, b, args, nargs } => {
-                        let argv = (base + args as usize, nargs as usize);
-                        let result = mem!(call_builtin(self, obs, &func, pc - 1, b, argv));
+                        let argv = &frame[args as usize..][..nargs as usize];
+                        let result = mem!(call_builtin(self, obs, func, pc - 1, b, argv));
                         if d != NO_REG {
                             set!(d, result);
                         }
                     }
-                    Instr::Ret { s } => {
-                        let val = if s == NO_REG { [0u64; 4] } else { r!(s) };
-                        let done = self.vm.frames.len() == entry_frames + 1;
+                    Instr::Ret { s, w } => {
                         obs.on_ret();
-                        let fr = self.vm.frames.pop().expect("frame exists");
-                        self.memory.pop_frame(fr.mem_base);
-                        self.vm.regs.truncate(fr.base);
-                        if done {
-                            return Ok(val);
+                        let done = vm.frames.pop().expect("the running frame");
+                        self.memory.pop_frame(done.mem_base);
+                        let src = done.base + s as usize;
+                        let w = if s == NO_REG { 0 } else { w as usize };
+                        let Some(caller) = vm.frames.last() else {
+                            let mut result = [0u64; 4];
+                            for (i, lane) in result.iter_mut().enumerate().take(w) {
+                                *lane = vm.regs[src + i];
+                            }
+                            vm.regs.truncate(done.base);
+                            return Ok(result);
+                        };
+                        let dst = caller.base + done.ret_dst as usize;
+                        match (w, done.ret_w as usize) {
+                            (1, 1) => vm.regs[dst] = vm.regs[src],
+                            // What the caller expects and what the callee
+                            // returns differ only through a cast function
+                            // pointer: the missing slots read as zero.
+                            (w, want) => {
+                                for i in 0..want {
+                                    vm.regs[dst + i] = if i < w { vm.regs[src + i] } else { 0 };
+                                }
+                            }
                         }
-                        let parent = self.vm.frames.last().expect("caller frame exists");
-                        if fr.ret_dst != NO_REG {
-                            self.vm.regs[parent.base + fr.ret_dst as usize] = val;
-                        }
+                        vm.regs.truncate(done.base);
                         continue 'frames;
                     }
                     Instr::Trap => return Err(Trap::Abort),
@@ -776,38 +806,48 @@ impl ExecutionContext {
         }
     }
 
-    /// Pushes a frame (zeroed registers, frame memory) for `callee` and
-    /// returns its register base; the caller copies the arguments in.
-    /// Always inlined: an out-of-line call from `run` costs the observed
-    /// loop's register allocation a quarter of its speed.
+    /// Pushes a frame (zeroed slots, frame memory) for `callee`, which is
+    /// `program[id]`, and returns its register base; the caller copies the
+    /// arguments in. Always inlined: an out-of-line call from `run` costs
+    /// the observed loop's register allocation a quarter of its speed.
     #[inline(always)]
     fn push_call<O: Observer>(
         &mut self,
         obs: &mut O,
-        callee: Arc<CompiledFunction>,
+        vm: &mut Vm,
+        id: FuncId,
+        callee: &Arc<CompiledFunction>,
         ret_dst: Reg,
+        ret_w: u8,
     ) -> ExecResult<usize> {
-        if self.vm.frames.len() >= MAX_FRAMES {
+        if vm.frames.len() >= MAX_FRAMES {
             return Err(Trap::StackOverflow);
         }
-        let new_base = self.vm.regs.len();
-        self.vm
-            .regs
-            .resize(new_base + callee.nregs as usize, [0; 4]);
+        let base = vm.regs.len();
         let mem_base = self
             .memory
             .push_frame(callee.frame_size as u64)
             .map_err(|_| Trap::StackOverflow)?;
-        obs.on_call(&callee);
-        self.vm.frames.push(Frame {
-            func: callee,
+        vm.regs.resize(base + callee.nslots(), 0);
+        obs.on_call(callee);
+        vm.frames.push(Frame {
+            func: id,
             pc: 0,
-            base: new_base,
+            base,
             mem_base,
             ret_dst,
+            ret_w,
         });
-        Ok(new_base)
+        Ok(base)
     }
+}
+
+/// The body of a function that has a frame (which only defined ones get).
+#[inline]
+fn body(program: &Program, f: FuncId) -> &Arc<CompiledFunction> {
+    program
+        .function(f)
+        .expect("a function with a frame is defined")
 }
 
 /// Encodes an FFI value into register bits according to the parameter type
@@ -839,33 +879,31 @@ pub fn decode_value(ty: &Ty, bits: RegImage) -> Value {
     }
 }
 
-/// Executes builtin `b` for the instruction at `func[pc]`, reading its
-/// `(first register index, count)` arguments in place; allocator and output
-/// builtins report their effects to `obs`.
+/// Executes builtin `b` for the instruction at `func[pc]` on its argument
+/// slots; allocator and output builtins report their effects to `obs`.
 fn call_builtin<O: Observer>(
     ctx: &mut ExecutionContext,
     obs: &mut O,
     func: &CompiledFunction,
     pc: usize,
     b: Builtin,
-    (start, nargs): (usize, usize),
-) -> ExecResult<RegImage> {
-    // No builtin but printf (which formats straight from the registers)
-    // takes more than three arguments; missing ones read as zero.
-    let args = &ctx.vm.regs[start..start + nargs];
-    let a: [u64; 3] = std::array::from_fn(|i| args.get(i).map_or(0, |v| v[0]));
+    args: &[u64],
+) -> ExecResult<u64> {
+    // No builtin but printf (which formats straight from the slots) takes
+    // more than three arguments; missing ones read as zero.
+    let a: [u64; 3] = std::array::from_fn(|i| args.get(i).copied().unwrap_or(0));
     let f = |i: usize| -> f64 { f64::from_bits(a[i]) };
     Ok(match b {
         Builtin::Malloc => {
             obs.on_alloc(&mut ctx.memory, func, pc);
             let (size, addr) = (a[0], ctx.memory.malloc(a[0]));
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Alloc { size, addr });
-            from_i64(addr as i64)
+            addr
         }
         Builtin::Free => {
             ctx.memory.free(a[0])?;
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Free { addr: a[0] });
-            [0; 4]
+            0
         }
         Builtin::Realloc => {
             obs.on_alloc(&mut ctx.memory, func, pc);
@@ -876,13 +914,13 @@ fn call_builtin<O: Observer>(
                 size,
                 addr,
             });
-            from_i64(addr as i64)
+            addr
         }
         Builtin::Memcpy => {
             let (dst, src, len) = (a[0], a[1], a[2]);
             ctx.memory.copy_within(src, dst, len)?;
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Copy { dst, src, len });
-            from_i64(dst as i64)
+            dst
         }
         Builtin::Memset => {
             let (addr, byte, len) = (a[0], a[1] as u8, a[2]);
@@ -892,40 +930,40 @@ fn call_builtin<O: Observer>(
                 byte,
                 len,
             });
-            from_i64(addr as i64)
+            addr
         }
-        Builtin::Sqrt => from_f64(f(0).sqrt()),
-        Builtin::Fabs => from_f64(f(0).abs()),
-        Builtin::Sin => from_f64(f(0).sin()),
-        Builtin::Cos => from_f64(f(0).cos()),
-        Builtin::Exp => from_f64(f(0).exp()),
-        Builtin::Log => from_f64(f(0).ln()),
-        Builtin::Pow => from_f64(f(0).powf(f(1))),
-        Builtin::Floor => from_f64(f(0).floor()),
-        Builtin::Ceil => from_f64(f(0).ceil()),
-        Builtin::Fmod => from_f64(f(0) % f(1)),
-        Builtin::Clock => from_f64(ctx.epoch.elapsed().as_secs_f64()),
+        Builtin::Sqrt => f(0).sqrt().to_bits(),
+        Builtin::Fabs => f(0).abs().to_bits(),
+        Builtin::Sin => f(0).sin().to_bits(),
+        Builtin::Cos => f(0).cos().to_bits(),
+        Builtin::Exp => f(0).exp().to_bits(),
+        Builtin::Log => f(0).ln().to_bits(),
+        Builtin::Pow => f(0).powf(f(1)).to_bits(),
+        Builtin::Floor => f(0).floor().to_bits(),
+        Builtin::Ceil => f(0).ceil().to_bits(),
+        Builtin::Fmod => (f(0) % f(1)).to_bits(),
+        Builtin::Clock => ctx.epoch.elapsed().as_secs_f64().to_bits(),
         Builtin::Printf => {
-            let out = format_printf(&ctx.memory, &ctx.vm.regs[start..start + nargs])?;
+            let out = format_printf(&ctx.memory, args)?;
             obs.on_output(func, pc, &out);
             ctx.emit(&out);
-            from_i64(out.len() as i64)
+            out.len() as u64
         }
         Builtin::Prefetch => {
             obs.on_mem(&mut ctx.memory, pc, a[0], 0, Access::Prefetch);
             ctx.memory.prefetch(a[0]);
-            [0; 4]
+            0
         }
         Builtin::Rand => {
             ctx.rng_state = ctx
                 .rng_state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            from_i64(((ctx.rng_state >> 33) & 0x7FFF_FFFF) as i64)
+            (ctx.rng_state >> 33) & 0x7FFF_FFFF
         }
         Builtin::Srand => {
             ctx.rng_state = a[0] ^ 0x9E3779B97F4A7C15;
-            [0; 4]
+            0
         }
         Builtin::Abort => return Err(Trap::Abort),
     })
@@ -933,17 +971,17 @@ fn call_builtin<O: Observer>(
 
 /// Renders a `printf` call. Supports `%d %i %u %x %f %g %e %s %c %p %%`,
 /// optional width/precision, and the `l`/`ll` length modifiers.
-fn format_printf(memory: &Memory, args: &[RegImage]) -> ExecResult<String> {
-    let fmt_addr = args
+fn format_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
+    let fmt_addr = *args
         .first()
-        .ok_or_else(|| Trap::BadFormat("missing format string".into()))?[0];
+        .ok_or_else(|| Trap::BadFormat("missing format string".into()))?;
     let fmt = memory.c_string(fmt_addr)?;
     let mut out = String::new();
     let mut next = 1usize;
     let take = |next: &mut usize| -> ExecResult<u64> {
-        let v = args
+        let v = *args
             .get(*next)
-            .ok_or_else(|| Trap::BadFormat("too few arguments".into()))?[0];
+            .ok_or_else(|| Trap::BadFormat("too few arguments".into()))?;
         *next += 1;
         Ok(v)
     };
@@ -1032,6 +1070,50 @@ mod tests {
     use crate::program::OutputSink;
     use terra_ir::FuncTy;
 
+    /// The shapes the loop's per-instruction cost rests on: a register slot
+    /// is eight bytes, and a scalar-only function of `k` locals runs in a
+    /// `k`-slot frame.
+    #[test]
+    fn a_scalar_frame_is_one_eight_byte_slot_per_local() {
+        fn slot_bytes<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let mut ctx = ExecutionContext::new();
+        let mut f = terra_ir::IrFunction {
+            name: "five".into(),
+            ty: FuncTy {
+                params: vec![Ty::INT, Ty::F64],
+                ret: Ty::INT,
+            },
+            locals: vec![],
+            body: vec![],
+        };
+        let a = f.add_local("a", Ty::INT, false);
+        f.add_local("b", Ty::F64, false);
+        for name in ["c", "d", "e"] {
+            f.add_local(name, Ty::I64, false);
+        }
+        f.body = vec![terra_ir::StmtKind::Return(Some(terra_ir::IrExpr::local(a, Ty::INT))).into()];
+        let id = ctx.declare("five");
+        let compiled = crate::compile(&f, &terra_ir::TypeRegistry::new(), &mut ctx, &[]);
+        assert_eq!(compiled.nslots(), 5);
+        ctx.define(id, compiled);
+        let program = Arc::clone(ctx.program());
+        let mut vm = Vm::new();
+        let callee = program.defined(id).unwrap();
+        ctx.push_call(
+            &mut crate::observer::NoObserver,
+            &mut vm,
+            id,
+            callee,
+            NO_REG,
+            0,
+        )
+        .unwrap();
+        assert_eq!(vm.regs.len(), 5);
+        assert_eq!(slot_bytes(&vm.regs), 8);
+    }
+
     #[test]
     fn add_function_executes() {
         let mut ctx = ExecutionContext::new();
@@ -1045,7 +1127,7 @@ mod tests {
                     ret: Ty::INT,
                 },
                 3,
-                vec![I::AddI { d: 2, a: 0, b: 1 }, I::Ret { s: 2 }],
+                vec![I::AddI { d: 2, a: 0, b: 1 }, I::Ret { s: 2, w: 1 }],
             ),
         );
         let r = ctx.call(id, &[Value::Int(2), Value::Int(40)]).unwrap();
@@ -1070,16 +1152,17 @@ mod tests {
                     I::ConstI { d: 1, v: 1 },
                     I::CmpLeS { d: 2, a: 0, b: 1 },
                     I::BrFalse { c: 2, target: 4 },
-                    I::Ret { s: 1 },
+                    I::Ret { s: 1, w: 1 },
                     I::SubI { d: 3, a: 0, b: 1 },
                     I::Call {
                         d: 4,
+                        w: 1,
                         f: id,
                         args: 3,
                         nargs: 1,
                     },
                     I::MulI { d: 5, a: 0, b: 4 },
-                    I::Ret { s: 5 },
+                    I::Ret { s: 5, w: 1 },
                 ],
             ),
         );
@@ -1108,7 +1191,7 @@ mod tests {
                     ret: Ty::INT,
                 },
                 3,
-                vec![I::DivS { d: 2, a: 0, b: 1 }, I::Ret { s: 2 }],
+                vec![I::DivS { d: 2, a: 0, b: 1 }, I::Ret { s: 2, w: 1 }],
             ),
         );
         assert_eq!(
@@ -1138,9 +1221,17 @@ mod tests {
                 3,
                 vec![
                     I::ConstF64 { d: 1, v: 6.25 },
-                    I::StoreF64 { a: 0, s: 1 },
-                    I::LoadF64 { d: 2, a: 0 },
-                    I::Ret { s: 2 },
+                    I::StoreF64 {
+                        a: 0,
+                        s: 1,
+                        chk: true,
+                    },
+                    I::LoadF64 {
+                        d: 2,
+                        a: 0,
+                        chk: true,
+                    },
+                    I::Ret { s: 2, w: 1 },
                 ],
             ),
         );
@@ -1166,20 +1257,22 @@ mod tests {
                     params: vec![Ty::F64.ptr_to(), Ty::F64.ptr_to()],
                     ret: Ty::Unit,
                 },
-                4,
+                10,
                 vec![
                     I::LoadV {
                         d: 2,
                         a: 0,
                         bytes: 32,
+                        chk: true,
                     },
-                    I::VAddF64 { d: 3, a: 2, b: 2 },
+                    I::VAddF64 { d: 6, a: 2, b: 2 },
                     I::StoreV {
                         a: 1,
-                        s: 3,
+                        s: 6,
                         bytes: 32,
+                        chk: true,
                     },
-                    I::Ret { s: NO_REG },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );
@@ -1208,7 +1301,7 @@ mod tests {
                 vec![
                     I::ConstI { d: 1, v: 1 },
                     I::AddI { d: 2, a: 0, b: 1 },
-                    I::Ret { s: 2 },
+                    I::Ret { s: 2, w: 1 },
                 ],
             ),
         );
@@ -1229,14 +1322,15 @@ mod tests {
                 },
                 4,
                 vec![
-                    I::Mov { d: 2, a: 1 },
+                    I::Mov { d: 2, a: 1, w: 1 },
                     I::CallIndirect {
                         d: 3,
+                        w: 1,
                         f: 0,
                         args: 2,
                         nargs: 1,
                     },
-                    I::Ret { s: 3 },
+                    I::Ret { s: 3, w: 1 },
                 ],
             ),
         );
@@ -1291,7 +1385,7 @@ mod tests {
                         args: 4,
                         nargs: 1,
                     },
-                    I::Ret { s: 5 },
+                    I::Ret { s: 5, w: 1 },
                 ],
             ),
         );
@@ -1313,7 +1407,7 @@ mod tests {
                     ret: Ty::Unit,
                 },
                 1,
-                vec![I::Ret { s: NO_REG }],
+                vec![I::Ret { s: NO_REG, w: 0 }],
             ),
         );
         let err = ctx.call(id, &[]).unwrap_err();
@@ -1342,11 +1436,12 @@ mod tests {
                 vec![
                     I::Call {
                         d: NO_REG,
+                        w: 0,
                         f: id,
                         args: 0,
                         nargs: 0,
                     },
-                    I::Ret { s: NO_REG },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );

@@ -37,12 +37,13 @@
 //!
 //! # Who counts an access
 //!
-//! The `*_sel` accessors the dispatch loop uses check, move bytes, and
-//! count nothing, so an unobserved run never tests the profile gate; the
-//! VM's telemetry observer counts them through [`Memory::observe`]. The
-//! plain accessors (`load_f64`, `store_u8`, …) are the *host-facing*
-//! surface — string interning, embedder reads and writes — and count
-//! themselves while the profile gate is on.
+//! [`Memory::read`] and [`Memory::write`], which the dispatch loop uses,
+//! check (or not: the instruction's `chk` bit says), move bytes, and count
+//! nothing, so an unobserved run never tests the profile gate; the VM's
+//! telemetry observer counts them through [`Memory::observe`]. The typed
+//! accessors (`load_f64`, `store_u8`, …) are the *host-facing* surface —
+//! string interning, embedder reads and writes — always checked, and
+//! counting themselves while the profile gate is on.
 
 use crate::cache::Touch;
 use std::fmt;
@@ -577,13 +578,6 @@ impl Memory {
         if ptr == 0 {
             return Ok(());
         }
-        if ptr < BLOCK_HEADER || ptr - BLOCK_HEADER < NULL_GUARD + self.stack_size {
-            return Err(MemError {
-                addr: ptr,
-                len: 0,
-                kind: MemKind::BadFree,
-            });
-        }
         if self.sanitize && self.freed.contains_key(&ptr) {
             return Err(MemError {
                 addr: ptr,
@@ -591,18 +585,7 @@ impl Memory {
                 kind: MemKind::DoubleFree,
             });
         }
-        let base = ptr - BLOCK_HEADER;
-        self.check(base, 8)?;
-        let mut class_bytes = [0u8; 8];
-        self.raw_read(base, &mut class_bytes);
-        let class = u64::from_le_bytes(class_bytes) as usize;
-        if class >= 48 || class == 0 {
-            return Err(MemError {
-                addr: ptr,
-                len: 0,
-                kind: MemKind::BadFree,
-            });
-        }
+        let (base, class) = self.heap_block(ptr)?;
         self.live_bytes = self.live_bytes.saturating_sub(1 << class);
         if self.profile {
             self.counters.frees += 1;
@@ -619,16 +602,38 @@ impl Memory {
         Ok(())
     }
 
+    /// The `(block base, size class)` of the heap block whose payload
+    /// starts at `ptr`, or the `BadFree` error for a pointer `malloc`
+    /// cannot have returned: below the heap, or without a size-class header
+    /// in front of it.
+    fn heap_block(&self, ptr: u64) -> MemResult<(u64, usize)> {
+        let bad = MemError {
+            addr: ptr,
+            len: 0,
+            kind: MemKind::BadFree,
+        };
+        if ptr < BLOCK_HEADER || ptr - BLOCK_HEADER < self.heap_base() {
+            return Err(bad);
+        }
+        let base = ptr - BLOCK_HEADER;
+        let class = u64::from_le_bytes(self.read(base, true)?);
+        if class >= 48 || class == 0 {
+            return Err(bad);
+        }
+        Ok((base, class as usize))
+    }
+
     /// `realloc`: grows/shrinks an allocation, copying the old contents.
+    ///
+    /// # Errors
+    ///
+    /// Fails, like [`Memory::free`], on addresses that were not returned by
+    /// `malloc`.
     pub fn realloc(&mut self, ptr: u64, size: u64) -> MemResult<u64> {
         if ptr == 0 {
             return Ok(self.malloc(size));
         }
-        let base = ptr - BLOCK_HEADER;
-        self.check(base, 8)?;
-        let mut class_bytes = [0u8; 8];
-        self.raw_read(base, &mut class_bytes);
-        let old_class = u64::from_le_bytes(class_bytes) as usize;
+        let (_, old_class) = self.heap_block(ptr)?;
         let old_payload = (1u64 << old_class) - BLOCK_HEADER;
         if size + BLOCK_HEADER <= (1u64 << old_class) {
             return Ok(ptr);
@@ -663,12 +668,12 @@ impl Memory {
         Ok(())
     }
 
-    /// The `*_sel` accessors' check: `checked: false` means the compiler
-    /// proved the access in-bounds, and only a cheap end-of-memory backstop
-    /// runs (a miscompiled elision must not escape the buffer). The
-    /// sanitizer always takes the full check.
+    /// The check of an access carrying a `chk` bit: `checked: false` means
+    /// the compiler proved the access in-bounds, and only a cheap
+    /// end-of-memory backstop runs (a miscompiled elision must not escape
+    /// the buffer). The sanitizer always takes the full check.
     #[inline]
-    fn check_sel(&self, addr: u64, len: u64, checked: bool) -> MemResult<()> {
+    fn guard(&self, addr: u64, len: u64, checked: bool) -> MemResult<()> {
         if checked || self.sanitize {
             self.check(addr, len)
         } else if addr.saturating_add(len) > self.backing.len() as u64 {
@@ -676,6 +681,46 @@ impl Memory {
         } else {
             Ok(())
         }
+    }
+
+    /// Fills `dst` from guest memory at `addr`; `checked` as in
+    /// [`Memory::read`].
+    #[inline]
+    pub fn read_into(&self, addr: u64, dst: &mut [u8], checked: bool) -> MemResult<()> {
+        self.guard(addr, dst.len() as u64, checked)?;
+        self.raw_read(addr, dst);
+        Ok(())
+    }
+
+    /// Writes `src` to guest memory at `addr`; `checked` as in
+    /// [`Memory::read`].
+    #[inline]
+    pub fn write_from(&mut self, addr: u64, src: &[u8], checked: bool) -> MemResult<()> {
+        self.guard(addr, src.len() as u64, checked)?;
+        self.raw_write(addr, src);
+        Ok(())
+    }
+
+    /// Reads `N` bytes at `addr`, uncounted. `checked` is the accessing
+    /// instruction's `chk` bit: `false` skips the bounds check the compiler
+    /// proved redundant (except under the sanitizer).
+    #[inline]
+    pub fn read<const N: usize>(&self, addr: u64, checked: bool) -> MemResult<[u8; N]> {
+        let mut bytes = [0u8; N];
+        self.read_into(addr, &mut bytes, checked)?;
+        Ok(bytes)
+    }
+
+    /// Writes `N` bytes at `addr`, uncounted; `checked` as in
+    /// [`Memory::read`].
+    #[inline]
+    pub fn write<const N: usize>(
+        &mut self,
+        addr: u64,
+        bytes: [u8; N],
+        checked: bool,
+    ) -> MemResult<()> {
+        self.write_from(addr, &bytes, checked)
     }
 
     /// Reads a byte slice into a fresh buffer.
@@ -700,27 +745,19 @@ impl Memory {
 
     /// Writes a byte slice.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> MemResult<()> {
-        self.check(addr, bytes.len() as u64)?;
-        self.raw_write(addr, bytes);
-        Ok(())
+        self.write_from(addr, bytes, true)
     }
 
     /// `memmove`-style copy within the address space.
     pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) -> MemResult<()> {
-        self.copy_within_sel(src, dst, len, true)
+        self.copy(src, dst, len, true)
     }
 
-    /// [`Memory::copy_within`] with a selectable bounds check (see
-    /// `check_sel`).
-    pub fn copy_within_sel(
-        &mut self,
-        src: u64,
-        dst: u64,
-        len: u64,
-        checked: bool,
-    ) -> MemResult<()> {
-        self.check_sel(src, len, checked)?;
-        self.check_sel(dst, len, checked)?;
+    /// [`Memory::copy_within`] for the `copy.mem` instruction; `checked` is
+    /// its `chk` bit, as in [`Memory::read`].
+    pub(crate) fn copy(&mut self, src: u64, dst: u64, len: u64, checked: bool) -> MemResult<()> {
+        self.guard(src, len, checked)?;
+        self.guard(dst, len, checked)?;
         self.raw_copy(src, dst, len);
         Ok(())
     }
@@ -777,115 +814,82 @@ impl Memory {
 }
 
 macro_rules! scalar_access {
-    ($load:ident, $load_sel:ident, $store:ident, $store_sel:ident, $ty:ty, $n:expr) => {
+    ($load:ident, $store:ident, $ty:ty, $n:expr) => {
         impl Memory {
-            /// Host-facing load: counted while profiling.
+            /// Host-facing load: checked, and counted while profiling.
             #[inline]
             pub fn $load(&mut self, addr: u64) -> MemResult<$ty> {
-                let v = self.$load_sel(addr, true)?;
+                let v = <$ty>::from_le_bytes(self.read(addr, true)?);
                 if self.profile {
                     self.observe(addr, $n, Access::Load);
                 }
                 Ok(v)
             }
 
-            /// The dispatch loop's load: uncounted, with a selectable
-            /// bounds check (see `check_sel`).
-            #[inline]
-            pub fn $load_sel(&mut self, addr: u64, checked: bool) -> MemResult<$ty> {
-                self.check_sel(addr, $n, checked)?;
-                let mut b = [0u8; $n];
-                self.raw_read(addr, &mut b);
-                Ok(<$ty>::from_le_bytes(b))
-            }
-
-            /// Host-facing store: counted while profiling.
+            /// Host-facing store: checked, and counted while profiling.
             #[inline]
             pub fn $store(&mut self, addr: u64, v: $ty) -> MemResult<()> {
-                self.$store_sel(addr, v, true)?;
+                self.write(addr, v.to_le_bytes(), true)?;
                 if self.profile {
                     // Write-allocate: stores walk the same fill path as loads.
                     self.observe(addr, $n, Access::Store);
                 }
                 Ok(())
             }
-
-            /// The dispatch loop's store: uncounted, with a selectable
-            /// bounds check (see `check_sel`).
-            #[inline]
-            pub fn $store_sel(&mut self, addr: u64, v: $ty, checked: bool) -> MemResult<()> {
-                self.check_sel(addr, $n, checked)?;
-                self.raw_write(addr, &v.to_le_bytes());
-                Ok(())
-            }
         }
     };
 }
 
-scalar_access!(load_u8, load_u8_sel, store_u8, store_u8_sel, u8, 1);
-scalar_access!(load_i8, load_i8_sel, store_i8, store_i8_sel, i8, 1);
-scalar_access!(load_u16, load_u16_sel, store_u16, store_u16_sel, u16, 2);
-scalar_access!(load_i16, load_i16_sel, store_i16, store_i16_sel, i16, 2);
-scalar_access!(load_u32, load_u32_sel, store_u32, store_u32_sel, u32, 4);
-scalar_access!(load_i32, load_i32_sel, store_i32, store_i32_sel, i32, 4);
-scalar_access!(load_u64, load_u64_sel, store_u64, store_u64_sel, u64, 8);
-scalar_access!(load_i64, load_i64_sel, store_i64, store_i64_sel, i64, 8);
-scalar_access!(load_f32, load_f32_sel, store_f32, store_f32_sel, f32, 4);
-scalar_access!(load_f64, load_f64_sel, store_f64, store_f64_sel, f64, 8);
+scalar_access!(load_u8, store_u8, u8, 1);
+scalar_access!(load_i8, store_i8, i8, 1);
+scalar_access!(load_u16, store_u16, u16, 2);
+scalar_access!(load_i16, store_i16, i16, 2);
+scalar_access!(load_u32, store_u32, u32, 4);
+scalar_access!(load_i32, store_i32, i32, 4);
+scalar_access!(load_u64, store_u64, u64, 8);
+scalar_access!(load_i64, store_i64, i64, 8);
+scalar_access!(load_f32, store_f32, f32, 4);
+scalar_access!(load_f64, store_f64, f64, 8);
+
+/// The four 64-bit lanes of a vector's little-endian byte image.
+#[inline]
+pub(crate) fn lanes_of(image: [u8; 32]) -> [u64; 4] {
+    let mut lanes = [0u64; 4];
+    for (lane, bytes) in lanes.iter_mut().zip(image.chunks_exact(8)) {
+        *lane = u64::from_le_bytes(bytes.try_into().expect("8-byte lane"));
+    }
+    lanes
+}
+
+/// The little-endian byte image of a vector's four 64-bit lanes.
+#[inline]
+pub(crate) fn image_of(lanes: [u64; 4]) -> [u8; 32] {
+    let mut image = [0u8; 32];
+    for (bytes, lane) in image.chunks_exact_mut(8).zip(lanes) {
+        bytes.copy_from_slice(&lane.to_le_bytes());
+    }
+    image
+}
 
 impl Memory {
-    /// Loads `len` (≤ 32) raw bytes into a vector register image
-    /// (host-facing: counted while profiling).
-    #[inline]
+    /// Loads `len` (≤ 32) raw bytes into a vector register image, zeroing
+    /// the rest (host-facing: checked, and counted while profiling).
     pub fn load_vec(&mut self, addr: u64, len: u64) -> MemResult<[u64; 4]> {
-        let v = self.load_vec_sel(addr, len, true)?;
+        let mut image = [0u8; 32];
+        self.read_into(addr, &mut image[..len as usize], true)?;
         if self.profile {
             self.observe(addr, len, Access::VecLoad);
         }
-        Ok(v)
-    }
-
-    /// [`Memory::load_vec`] with a selectable bounds check (see the scalar
-    /// `_sel` variants).
-    #[inline]
-    pub fn load_vec_sel(&mut self, addr: u64, len: u64, checked: bool) -> MemResult<[u64; 4]> {
-        self.check_sel(addr, len, checked)?;
-        let mut out = [0u64; 4];
-        let mut buf = [0u8; 32];
-        self.raw_read(addr, &mut buf[..len as usize]);
-        for (i, chunk) in buf.chunks_exact(8).enumerate() {
-            out[i] = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-        Ok(out)
+        Ok(lanes_of(image))
     }
 
     /// Stores the low `len` (≤ 32) bytes of a vector register image
-    /// (host-facing: counted while profiling).
-    #[inline]
+    /// (host-facing: checked, and counted while profiling).
     pub fn store_vec(&mut self, addr: u64, v: [u64; 4], len: u64) -> MemResult<()> {
-        self.store_vec_sel(addr, v, len, true)?;
+        self.write_from(addr, &image_of(v)[..len as usize], true)?;
         if self.profile {
             self.observe(addr, len, Access::VecStore);
         }
-        Ok(())
-    }
-
-    /// [`Memory::store_vec`] with a selectable bounds check (see the scalar
-    /// `_sel` variants).
-    #[inline]
-    pub fn store_vec_sel(
-        &mut self,
-        addr: u64,
-        v: [u64; 4],
-        len: u64,
-        checked: bool,
-    ) -> MemResult<()> {
-        self.check_sel(addr, len, checked)?;
-        let mut buf = [0u8; 32];
-        for (i, w) in v.iter().enumerate() {
-            buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-        }
-        self.raw_write(addr, &buf[..len as usize]);
         Ok(())
     }
 }
@@ -941,6 +945,24 @@ mod tests {
         m.store_u64(p, 0xDEADBEEF).unwrap();
         let q = m.realloc(p, 4096).unwrap();
         assert_eq!(m.load_u64(q).unwrap(), 0xDEADBEEF);
+    }
+
+    #[test]
+    fn realloc_of_a_non_heap_pointer_is_a_bad_free() {
+        for sanitize in [false, true] {
+            let mut m = Memory::default();
+            m.set_sanitize(sanitize);
+            let p = m.malloc(64);
+            // Below the block header, inside the stack, inside a payload.
+            for ptr in [3, 72, p + 24] {
+                let err = m.realloc(ptr, 4096).unwrap_err();
+                assert_eq!((err.kind, err.addr), (MemKind::BadFree, ptr));
+            }
+            // The block itself is still live and still reallocs.
+            m.store_u64(p, 7).unwrap();
+            let q = m.realloc(p, 4096).unwrap();
+            assert_eq!(m.load_u64(q).unwrap(), 7);
+        }
     }
 
     #[test]
@@ -1096,8 +1118,8 @@ mod tests {
         m.set_profile(true);
         let p = m.malloc(16);
         // The dispatch loop's accessors are raw; its observer counts them.
-        m.store_u64_sel(p, 7, true).unwrap();
-        assert_eq!(m.load_u64_sel(p, false).unwrap(), 7);
+        m.write(p, 7u64.to_le_bytes(), true).unwrap();
+        assert_eq!(m.read(p, false), Ok(7u64.to_le_bytes()));
         m.prefetch(p);
         let s = m.counters();
         assert_eq!((s.total_loads(), s.total_stores(), s.prefetches), (0, 0, 0));

@@ -31,6 +31,7 @@
 use crate::bytecode::{CompiledFunction, Instr, MNEMONICS, N_OPCODES};
 use crate::cache::Touch;
 use crate::exec::ExecutionContext;
+use crate::machine::state_hash;
 use crate::memory::{Access, Memory};
 use crate::parallel::ParRegion;
 use std::collections::{BTreeMap, HashMap};
@@ -41,7 +42,8 @@ use terra_trace::{
 };
 
 /// Hooks the dispatch loop and the `parallelfor` harness call, all empty
-/// by default. `func`/`pc` always name the instruction being executed.
+/// by default; each takes the pieces of the machine it reads. `func`/`pc`
+/// always name the instruction being executed.
 pub(crate) trait Observer {
     /// The observer a `parallelfor` worker context starts with: fresh
     /// counters behind the same gates, or `None` to run it unobserved.
@@ -57,16 +59,10 @@ pub(crate) trait Observer {
     #[inline]
     fn on_ret(&mut self) {}
 
-    /// `instr` at `func[pc]` retires (called before it executes).
+    /// `instr` retires (called before it executes). The register file
+    /// comes in two pieces: the frames below the running one, and its window.
     #[inline]
-    fn on_retire(
-        &mut self,
-        _ctx: &ExecutionContext,
-        _func: &CompiledFunction,
-        _pc: usize,
-        _instr: &Instr,
-    ) {
-    }
+    fn on_retire(&mut self, _lower: &[u64], _frame: &[u64], _mem: &Memory, _instr: &Instr) {}
 
     /// The instruction at `pc` accessed `len` bytes at `addr`, in bounds.
     #[inline]
@@ -273,11 +269,11 @@ impl Telemetry {
     /// for. Out of line, or every instruction pays its register pressure.
     #[cold]
     #[inline(never)]
-    fn attend(&mut self, ctx: &ExecutionContext) {
+    fn attend(&mut self, lower: &[u64], frame: &[u64], mem: &Memory) {
         self.settle();
         if let Some(rec) = self.recorder.as_deref_mut() {
             if rec.checkpoint_due() {
-                rec.checkpoint(ctx.vm.state_hash(), ctx.memory.heap_hash());
+                rec.checkpoint(state_hash(lower, frame), mem.heap_hash());
                 self.settle();
             }
         }
@@ -480,18 +476,12 @@ impl Observer for Telemetry {
     }
 
     #[inline]
-    fn on_retire(
-        &mut self,
-        ctx: &ExecutionContext,
-        func: &CompiledFunction,
-        pc: usize,
-        instr: &Instr,
-    ) {
+    fn on_retire(&mut self, lower: &[u64], frame: &[u64], mem: &Memory, instr: &Instr) {
         if self.profiling {
             self.ops[instr.opcode() as usize] += 1;
             // A checked memory access retires an extra bounds-check
             // micro-op; elided accesses skip it (what checkelim's win is).
-            if instr.is_mem_access() && !func.check_free(pc) {
+            if instr.chk() == Some(true) {
                 self.ops[CHK] += 1;
                 self.settled += 1;
             }
@@ -500,7 +490,7 @@ impl Observer for Telemetry {
         // depend on whether exact profiling is also on.
         self.fuel -= 1;
         if self.fuel == 0 {
-            self.attend(ctx);
+            self.attend(lower, frame, mem);
         }
     }
 
@@ -641,6 +631,7 @@ mod tests {
         let (f, g, h) = (ctx.declare("f"), ctx.declare("g"), ctx.declare("h"));
         let call = |callee| I::Call {
             d: 2,
+            w: 1,
             f: callee,
             args: 1,
             nargs: 1,
@@ -657,7 +648,7 @@ mod tests {
                     I::AddI { d: 1, a: 0, b: 1 },
                     call(g),
                     I::AddI { d: 3, a: 2, b: 0 },
-                    I::Ret { s: 3 },
+                    I::Ret { s: 3, w: 1 },
                 ],
             ),
         );
@@ -669,11 +660,11 @@ mod tests {
                 ty(),
                 4,
                 vec![
-                    I::Mov { d: 1, a: 0 },
+                    I::Mov { d: 1, a: 0, w: 1 },
                     call(h),
                     I::ConstI { d: 1, v: 0 },
                     call(h),
-                    I::Ret { s: 2 },
+                    I::Ret { s: 2, w: 1 },
                 ],
             ),
         );
@@ -687,7 +678,7 @@ mod tests {
                 vec![
                     I::ConstI { d: 1, v: 100 },
                     I::DivS { d: 2, a: 1, b: 0 },
-                    I::Ret { s: 2 },
+                    I::Ret { s: 2, w: 1 },
                 ],
             ),
         );
@@ -728,11 +719,15 @@ mod tests {
                     vec![
                         I::ConstI { d: 2, v: 0 },
                         I::ConstI { d: 3, v: 1 },
-                        I::Store64 { a: 1, s: 2 },
+                        I::Store64 {
+                            a: 1,
+                            s: 2,
+                            chk: true,
+                        },
                         I::AddI { d: 2, a: 2, b: 3 },
                         I::CmpLtS { d: 4, a: 2, b: 0 },
                         I::BrTrue { c: 4, target: 2 },
-                        I::Ret { s: 2 },
+                        I::Ret { s: 2, w: 1 },
                     ],
                 ),
             );

@@ -44,7 +44,7 @@
 
 use crate::bytecode::{CompiledFunction, Instr};
 use crate::exec::ExecutionContext;
-use crate::machine::{ExecResult, RegImage, Trap};
+use crate::machine::{ExecResult, Trap};
 use crate::observer::{observed, Observer};
 use crate::program::Program;
 use std::collections::HashSet;
@@ -160,20 +160,23 @@ pub fn check_kernel(program: &Program, root: FuncId) -> ExecResult<()> {
 }
 
 /// Runs one chunk: kernel invocations for `start..end`, stopping at the
-/// chunk's first trap.
+/// chunk's first trap. `extra` holds the captures' slots, laid out as the
+/// kernel's parameters after the index.
 fn run_chunk(
     worker: &mut ExecutionContext,
-    kernel: &Arc<CompiledFunction>,
+    kernel: FuncId,
     start: i64,
     end: i64,
-    extra: &[RegImage],
+    extra: &[u64],
 ) -> Option<Trap> {
-    let mut args: Vec<RegImage> = Vec::with_capacity(1 + extra.len());
-    args.push([0; 4]);
+    // Held once per chunk: workers share the program's reference count.
+    let program = Arc::clone(worker.program());
+    let mut args: Vec<u64> = Vec::with_capacity(1 + extra.len());
+    args.push(0);
     args.extend_from_slice(extra);
     for i in start..end {
-        args[0] = [i as u64, 0, 0, 0];
-        if let Err(trap) = worker.call_raw(Arc::clone(kernel), &args) {
+        args[0] = i as u64;
+        if let Err(trap) = worker.call_slots(&program, kernel, &args) {
             return Some(trap);
         }
     }
@@ -201,8 +204,8 @@ fn join_region<O: Observer>(
 /// Executes `kernel(i, extra...)` for every `i` in `[lo, hi)` across the
 /// context's configured worker threads. See the module docs for the
 /// determinism contract; `extra` holds the loop body's captured values
-/// (already encoded as register images). Host-driven: the region's
-/// telemetry is recorded under `(host)`.
+/// (already encoded as register slots, a vector taking four). Host-driven:
+/// the region's telemetry is recorded under `(host)`.
 ///
 /// # Errors
 ///
@@ -213,7 +216,7 @@ pub fn run_parallelfor(
     kernel_id: FuncId,
     lo: i64,
     hi: i64,
-    extra: &[RegImage],
+    extra: &[u64],
 ) -> ExecResult<()> {
     observed!(ctx, |obs| run_parallelfor_at(
         ctx, obs, kernel_id, lo, hi, extra, None
@@ -231,14 +234,14 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
     kernel_id: FuncId,
     lo: i64,
     hi: i64,
-    extra: &[RegImage],
+    extra: &[u64],
     site: Option<(&CompiledFunction, usize)>,
 ) -> ExecResult<()> {
     check_kernel(ctx.program(), kernel_id)?;
-    let kernel = ctx.defined(kernel_id)?;
-    if kernel.ty.params.len() != 1 + extra.len() {
+    let kernel = Arc::clone(ctx.program().defined(kernel_id)?);
+    if kernel.param_slots() != 1 + extra.len() {
         return Err(Trap::ArityMismatch {
-            expected: kernel.ty.params.len(),
+            expected: kernel.param_slots(),
             got: 1 + extra.len(),
         });
     }
@@ -286,7 +289,7 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
         for (j, ((worker, trap), time)) in workers.iter_mut().zip(traps).zip(times).enumerate() {
             let (start, end) = chunk_range(lo, n, chunks, (first + j) as u64);
             let t0 = region_t0.elapsed().as_micros() as u64;
-            *trap = run_chunk(worker, &kernel, start, end, extra);
+            *trap = run_chunk(worker, kernel_id, start, end, extra);
             let t1 = region_t0.elapsed().as_micros() as u64;
             *time = (region_us + t0, t1.saturating_sub(t0));
         }
@@ -359,8 +362,12 @@ mod tests {
                         scale: 8,
                         disp: 0,
                     },
-                    I::StoreF64 { a: 4, s: 3 },
-                    I::Ret { s: NO_REG },
+                    I::StoreF64 {
+                        a: 4,
+                        s: 3,
+                        chk: true,
+                    },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );
@@ -372,7 +379,7 @@ mod tests {
         ctx.set_threads(threads);
         let id = square_kernel(&mut ctx);
         let base = ctx.memory.malloc(8 * n as u64);
-        let r = run_parallelfor(&mut ctx, id, 0, n, &[[base, 0, 0, 0]]);
+        let r = run_parallelfor(&mut ctx, id, 0, n, &[base]);
         let out = (0..n)
             .map(|i| ctx.memory.load_f64(base + 8 * i as u64).unwrap())
             .collect();
@@ -420,7 +427,7 @@ mod tests {
                         args: 0,
                         nargs: 1,
                     },
-                    I::Ret { s: NO_REG },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );
@@ -448,7 +455,7 @@ mod tests {
                         args: 0,
                         nargs: 0,
                     },
-                    I::Ret { s: 0 },
+                    I::Ret { s: 0, w: 1 },
                 ],
             ),
         );
@@ -465,11 +472,12 @@ mod tests {
                 vec![
                     I::Call {
                         d: 1,
+                        w: 1,
                         f: inner,
                         args: 1,
                         nargs: 0,
                     },
-                    I::Ret { s: NO_REG },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );
@@ -513,14 +521,18 @@ mod tests {
                             scale: 8,
                             disp: 0,
                         },
-                        I::StoreF64 { a: 7, s: 6 },
-                        I::Ret { s: NO_REG },
+                        I::StoreF64 {
+                            a: 7,
+                            s: 6,
+                            chk: true,
+                        },
+                        I::Ret { s: NO_REG, w: 0 },
                     ],
                 ),
             );
             let base = ctx.memory.malloc(8 * 1000);
             ctx.memory.fill(base, 0, 8 * 1000).unwrap();
-            let r = run_parallelfor(&mut ctx, id, 0, 1000, &[[base, 0, 0, 0]]);
+            let r = run_parallelfor(&mut ctx, id, 0, 1000, &[base]);
             let heap: Vec<u64> = (0..1000)
                 .map(|i| ctx.memory.load_u64(base + 8 * i).unwrap())
                 .collect();
@@ -547,7 +559,7 @@ mod tests {
             ctx.set_sample_interval(7);
             let id = square_kernel(&mut ctx);
             let base = ctx.memory.malloc(8 * 500);
-            run_parallelfor(&mut ctx, id, 0, 500, &[[base, 0, 0, 0]]).unwrap();
+            run_parallelfor(&mut ctx, id, 0, 500, &[base]).unwrap();
             ctx.profile()
         };
         let p1 = run(1);
@@ -578,7 +590,6 @@ mod tests {
             ctx.set_profile(true);
             let id = square_kernel(&mut ctx);
             let base = ctx.memory.malloc(8 * 64);
-            let kernel = ctx.program().function(id).cloned().unwrap();
             let (lo, hi) = ctx.memory.parallel_stack_span();
             let per = ((hi - lo) / 2) & !15;
             // As inside a call: the context's observer is moved out and
@@ -586,13 +597,13 @@ mod tests {
             let mut tel = ctx.telemetry.take().unwrap();
             let mut w0 = ctx.worker(tel.shard(), lo, lo + per);
             let mut w1 = ctx.worker(tel.shard(), lo + per, lo + 2 * per);
-            let extra = [[base, 0, 0, 0]];
+            let extra = [base];
             if reverse {
-                assert!(run_chunk(&mut w1, &kernel, 32, 64, &extra).is_none());
-                assert!(run_chunk(&mut w0, &kernel, 0, 32, &extra).is_none());
+                assert!(run_chunk(&mut w1, id, 32, 64, &extra).is_none());
+                assert!(run_chunk(&mut w0, id, 0, 32, &extra).is_none());
             } else {
-                assert!(run_chunk(&mut w0, &kernel, 0, 32, &extra).is_none());
-                assert!(run_chunk(&mut w1, &kernel, 32, 64, &extra).is_none());
+                assert!(run_chunk(&mut w0, id, 0, 32, &extra).is_none());
+                assert!(run_chunk(&mut w1, id, 32, 64, &extra).is_none());
             }
             let region = ParRegion {
                 site: None,
@@ -621,7 +632,7 @@ mod tests {
         seq.set_profile(true);
         let id = square_kernel(&mut seq);
         let base = seq.memory.malloc(8 * 64);
-        run_parallelfor(&mut seq, id, 0, 64, &[[base, 0, 0, 0]]).unwrap();
+        run_parallelfor(&mut seq, id, 0, 64, &[base]).unwrap();
         let sp = seq.profile();
         assert_eq!(fwd.ops, sp.ops, "opcode totals vs sequential");
         assert_eq!(fwd.funcs, sp.funcs, "function totals vs sequential");
@@ -638,15 +649,15 @@ mod tests {
             let id = ctx.declare("leak");
             ctx.define(
                 id,
-                CompiledFunction {
-                    name: "leak".into(),
-                    ty: FuncTy {
+                CompiledFunction::new(
+                    "leak",
+                    FuncTy {
                         params: vec![Ty::I64, Ty::I64.ptr_to()],
                         ret: Ty::Unit,
                     },
-                    nregs: 4,
-                    frame_size: 32,
-                    code: vec![
+                    4,
+                    32,
+                    vec![
                         I::FrameAddr { d: 2, offset: 0 },
                         I::Lea {
                             d: 3,
@@ -655,17 +666,18 @@ mod tests {
                             scale: 8,
                             disp: 0,
                         },
-                        I::Store64 { a: 3, s: 2 },
-                        I::Ret { s: NO_REG },
+                        I::Store64 {
+                            a: 3,
+                            s: 2,
+                            chk: true,
+                        },
+                        I::Ret { s: NO_REG, w: 0 },
                     ],
-                    lines: Vec::new(),
-                    provs: Vec::new(),
-                    prov_table: Vec::new(),
-                    nochk: Vec::new(),
-                },
+                )
+                .unwrap(),
             );
             let base = ctx.memory.malloc(8 * 64);
-            run_parallelfor(&mut ctx, id, 0, 64, &[[base, 0, 0, 0]]).unwrap();
+            run_parallelfor(&mut ctx, id, 0, 64, &[base]).unwrap();
             (0..64)
                 .map(|i| ctx.memory.load_u64(base + 8 * i).unwrap())
                 .collect::<Vec<_>>()
@@ -715,7 +727,7 @@ mod tests {
             ctx.set_profile(true);
             let id = square_kernel(&mut ctx);
             let base = ctx.memory.malloc(8 * 500);
-            run_parallelfor(&mut ctx, id, 0, 500, &[[base, 0, 0, 0]]).unwrap();
+            run_parallelfor(&mut ctx, id, 0, 500, &[base]).unwrap();
             ctx.profile()
         };
         let p = run(4);
@@ -812,7 +824,7 @@ mod tests {
                             args: 1,
                             nargs: 1,
                         },
-                        I::Ret { s: NO_REG },
+                        I::Ret { s: NO_REG, w: 0 },
                     ],
                 ),
             );
@@ -854,14 +866,14 @@ mod tests {
                         d: 1,
                         v: fmt as i64,
                     },
-                    I::Mov { d: 2, a: 0 },
+                    I::Mov { d: 2, a: 0, w: 1 },
                     I::CallBuiltin {
                         d: NO_REG,
                         b: Builtin::Printf,
                         args: 1,
                         nargs: 2,
                     },
-                    I::Ret { s: NO_REG },
+                    I::Ret { s: NO_REG, w: 0 },
                 ],
             ),
         );
@@ -876,7 +888,7 @@ mod tests {
         ctx.set_threads(4);
         let id = square_kernel(&mut ctx);
         let base = ctx.memory.malloc(8 * 100);
-        run_parallelfor(&mut ctx, id, 0, 100, &[[base, 0, 0, 0]]).unwrap();
+        run_parallelfor(&mut ctx, id, 0, 100, &[base]).unwrap();
         assert!(ctx.trace.parallel().is_empty());
     }
 
@@ -892,7 +904,7 @@ mod tests {
             ctx.set_sample_interval(5);
             let id = square_kernel(&mut ctx);
             let base = ctx.memory.malloc(8 * 400);
-            run_parallelfor(&mut ctx, id, 0, 400, &[[base, 0, 0, 0]]).unwrap();
+            run_parallelfor(&mut ctx, id, 0, 400, &[base]).unwrap();
             ctx.profile().samples
         };
         let s1 = run(1);
@@ -913,7 +925,7 @@ mod tests {
         ctx.set_threads(4);
         let id = square_kernel(&mut ctx);
         let base = ctx.memory.malloc(8 * 100);
-        run_parallelfor(&mut ctx, id, 0, 100, &[[base, 0, 0, 0]]).unwrap();
+        run_parallelfor(&mut ctx, id, 0, 100, &[base]).unwrap();
         // The parent can still malloc, call, and push frames.
         let p = ctx.memory.malloc(64);
         assert_ne!(p, 0);

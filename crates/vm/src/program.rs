@@ -17,6 +17,7 @@
 //! mutate shared storage.
 
 use crate::bytecode::{encode_func_ptr, CompiledFunction};
+use crate::machine::{ExecResult, Trap};
 use std::sync::Arc;
 use terra_ir::FuncId;
 
@@ -127,6 +128,13 @@ impl Program {
         self.funcs.get(id.0 as usize).and_then(|f| f.as_ref())
     }
 
+    /// The compiled body of `id`, or the trap for calling a function that
+    /// was declared but never defined.
+    pub(crate) fn defined(&self, id: FuncId) -> ExecResult<&Arc<CompiledFunction>> {
+        self.function(id)
+            .ok_or_else(|| Trap::Undefined(self.name(id).to_string()))
+    }
+
     /// Whether the id has been defined (not just declared).
     pub fn is_defined(&self, id: FuncId) -> bool {
         self.function(id).is_some()
@@ -157,22 +165,15 @@ mod tests {
     use terra_ir::{FuncTy, Ty};
 
     fn dummy(name: &str) -> CompiledFunction {
-        CompiledFunction {
-            name: name.into(),
-            ty: FuncTy {
-                params: vec![],
-                ret: Ty::Unit,
-            },
-            nregs: 0,
-            frame_size: 0,
-            code: vec![crate::bytecode::Instr::Ret {
-                s: crate::bytecode::NO_REG,
-            }],
-            lines: vec![0],
-            provs: vec![0],
-            prov_table: Vec::new(),
-            nochk: vec![false],
-        }
+        let ty = FuncTy {
+            params: vec![],
+            ret: Ty::Unit,
+        };
+        let ret = crate::bytecode::Instr::Ret {
+            s: crate::bytecode::NO_REG,
+            w: 0,
+        };
+        crate::bytecode::compiled(name, ty, 0, vec![ret])
     }
 
     #[test]
