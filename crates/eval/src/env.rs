@@ -5,77 +5,95 @@
 //! Core). During specialization, Terra-introduced variables are bound here
 //! as [`LuaValue::Symbol`]s, so escaped Lua code sees them, and Lua
 //! variables are visible to Terra code without explicit escapes.
+//!
+//! A scope is a vector of values in declaration order; names are gone by
+//! the time code runs. The parser decided, per use site, which scope
+//! (`hops` levels out) and which position (`index`) a name denotes
+//! ([`terra_syntax::Slot`]), by keeping the same stack of scopes the
+//! evaluator and specializer build here. Declaring is pushing: the n-th
+//! declaration executed in a scope fills slot n. Globals are not in the
+//! chain; they live in a map on the interpreter.
 
 use crate::value::LuaValue;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use terra_syntax::Name;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Scope {
-    vars: HashMap<Name, LuaValue>,
+    slots: RefCell<Vec<LuaValue>>,
     parent: Option<Env>,
 }
 
 /// A lexical scope; cheap to clone (shared).
-#[derive(Debug, Clone, Default)]
-pub struct Env(Rc<RefCell<Scope>>);
+#[derive(Debug, Clone)]
+pub struct Env(Rc<Scope>);
+
+impl Default for Env {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Env {
-    /// Creates a root scope.
+    /// Creates the empty scope a chunk starts in.
     pub fn new() -> Env {
-        Env::default()
+        Env(Rc::new(Scope {
+            slots: RefCell::new(Vec::new()),
+            parent: None,
+        }))
     }
 
-    /// Creates a child scope.
-    pub fn child(&self) -> Env {
-        Env(Rc::new(RefCell::new(Scope {
-            vars: HashMap::new(),
+    /// Creates a child scope with room for `nslots` declarations.
+    pub fn child(&self, nslots: usize) -> Env {
+        self.child_with(Vec::with_capacity(nslots))
+    }
+
+    /// Creates a child scope whose first slots are already filled (a call's
+    /// arguments, a generic `for`'s iteration values).
+    pub fn child_with(&self, slots: Vec<LuaValue>) -> Env {
+        Env(Rc::new(Scope {
+            slots: RefCell::new(slots),
             parent: Some(self.clone()),
-        })))
+        }))
     }
 
-    /// Looks a name up through the scope chain.
-    pub fn get(&self, name: &str) -> Option<LuaValue> {
-        let scope = self.0.borrow();
-        if let Some(v) = scope.vars.get(name) {
-            return Some(v.clone());
+    fn scope(&self, hops: u16) -> &Scope {
+        let mut scope = &*self.0;
+        for _ in 0..hops {
+            scope = &scope
+                .parent
+                .as_ref()
+                .expect("the parser counted this many enclosing scopes")
+                .0;
         }
-        scope.parent.as_ref().and_then(|p| p.get(name))
+        scope
     }
 
-    /// Declares a name in *this* scope (Lua `local`).
-    pub fn declare(&self, name: Name, value: LuaValue) {
-        self.0.borrow_mut().vars.insert(name, value);
+    /// Declares the next variable of *this* scope (Lua `local`, a Terra
+    /// `var` or parameter).
+    pub fn declare(&self, value: LuaValue) {
+        self.0.slots.borrow_mut().push(value);
     }
 
-    /// Assigns to an existing binding up the chain; returns `false` if the
-    /// name is not bound anywhere (caller then writes the global scope).
-    pub fn assign(&self, name: &str, value: LuaValue) -> bool {
-        let mut scope = self.0.borrow_mut();
-        if let Some(slot) = scope.vars.get_mut(name) {
-            *slot = value;
-            return true;
+    /// Reads slot `index` of the scope `hops` levels out.
+    pub fn get(&self, hops: u16, index: u16) -> LuaValue {
+        self.scope(hops).slots.borrow()[usize::from(index)].clone()
+    }
+
+    /// Writes slot `index` of the scope `hops` levels out.
+    pub fn set(&self, hops: u16, index: u16, value: LuaValue) {
+        self.scope(hops).slots.borrow_mut()[usize::from(index)] = value;
+    }
+
+    /// Empties this scope for the next loop iteration if nothing else holds
+    /// it — no closure captured it, so nobody can tell it from a fresh one.
+    /// Returns `false` (leaving it untouched) when it is shared.
+    pub fn recycle(&self) -> bool {
+        let unique = Rc::strong_count(&self.0) == 1;
+        if unique {
+            self.0.slots.borrow_mut().clear();
         }
-        match &scope.parent {
-            Some(p) => p.assign(name, value),
-            None => false,
-        }
-    }
-
-    /// Whether two env handles are the same scope.
-    pub fn ptr_eq(&self, other: &Env) -> bool {
-        Rc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// The root (global) scope of this chain.
-    pub fn root(&self) -> Env {
-        let parent = self.0.borrow().parent.clone();
-        match parent {
-            Some(p) => p.root(),
-            None => self.clone(),
-        }
+        unique
     }
 }
 
@@ -83,31 +101,53 @@ impl Env {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lexical_lookup_and_shadowing() {
-        let root = Env::new();
-        root.declare("x".into(), LuaValue::Number(1.0));
-        let inner = root.child();
-        assert!(matches!(inner.get("x"), Some(LuaValue::Number(n)) if n == 1.0));
-        inner.declare("x".into(), LuaValue::Number(2.0));
-        assert!(matches!(inner.get("x"), Some(LuaValue::Number(n)) if n == 2.0));
-        assert!(matches!(root.get("x"), Some(LuaValue::Number(n)) if n == 1.0));
+    fn num(v: LuaValue) -> f64 {
+        match v {
+            LuaValue::Number(n) => n,
+            other => panic!("expected a number, got {other:?}"),
+        }
     }
 
     #[test]
-    fn assignment_walks_up() {
+    fn slots_are_found_by_hops_and_index() {
         let root = Env::new();
-        root.declare("x".into(), LuaValue::Number(1.0));
-        let inner = root.child().child();
-        assert!(inner.assign("x", LuaValue::Number(5.0)));
-        assert!(matches!(root.get("x"), Some(LuaValue::Number(n)) if n == 5.0));
-        assert!(!inner.assign("missing", LuaValue::Nil));
+        let outer = root.child(2);
+        outer.declare(LuaValue::Number(1.0));
+        outer.declare(LuaValue::Number(2.0));
+        let inner = outer.child(1);
+        inner.declare(LuaValue::Number(3.0));
+        assert_eq!(num(inner.get(0, 0)), 3.0);
+        assert_eq!(num(inner.get(1, 0)), 1.0);
+        assert_eq!(num(inner.get(1, 1)), 2.0);
     }
 
     #[test]
-    fn root_finds_global_scope() {
-        let root = Env::new();
-        let deep = root.child().child().child();
-        assert!(deep.root().ptr_eq(&root));
+    fn assignment_reaches_the_shared_scope() {
+        let outer = Env::new().child(1);
+        outer.declare(LuaValue::Number(1.0));
+        let a = outer.child(0);
+        let b = outer.child(0);
+        a.set(1, 0, LuaValue::Number(5.0));
+        assert_eq!(num(b.get(1, 0)), 5.0);
+    }
+
+    #[test]
+    fn a_redeclared_name_is_a_new_slot() {
+        let scope = Env::new().child(2);
+        scope.declare(LuaValue::Number(1.0));
+        scope.declare(LuaValue::Number(2.0));
+        assert_eq!(num(scope.get(0, 0)), 1.0);
+        assert_eq!(num(scope.get(0, 1)), 2.0);
+    }
+
+    #[test]
+    fn only_an_unshared_scope_is_recycled() {
+        let scope = Env::new().child_with(vec![LuaValue::Number(1.0)]);
+        assert!(scope.recycle());
+        scope.declare(LuaValue::Number(2.0));
+        assert_eq!(num(scope.get(0, 0)), 2.0);
+        let captured = scope.clone();
+        assert!(!scope.recycle());
+        assert_eq!(num(captured.get(0, 0)), 2.0);
     }
 }

@@ -13,10 +13,11 @@ use crate::reflect;
 use crate::spec::{SpecFunc, Specializer};
 use crate::value::{LuaClosure, LuaValue, Table, TableRef};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use terra_ir::{FuncId, FuncTy, ScalarTy, StructId, Ty};
 use terra_syntax::{
-    BinOp, Block, LuaExpr, LuaStmt, Name, Span, StructEntry, TableItem, TerraFuncDef, UnOp,
+    BinOp, Block, LuaExpr, LuaStmt, Name, Slot, Span, StructEntry, TableItem, TerraFuncDef, UnOp,
 };
 use terra_vm::{OutputSink, Value};
 
@@ -34,17 +35,23 @@ pub enum Flow {
 /// so the guard must trip well before the host thread's stack runs out.
 const MAX_DEPTH: usize = if cfg!(debug_assertions) { 48 } else { 200 };
 
+/// An evaluated assignment target: what is left to do is the store.
+enum Place<'a> {
+    Var(&'a Name, Slot),
+    Index(LuaValue, LuaValue, Span),
+}
+
 /// The combined Lua-Terra interpreter and staging engine.
 pub struct Interp {
     /// Shared staging state (types, program, VM, function metadata).
     pub ctx: Context,
-    /// The global environment.
-    pub globals: Env,
+    /// The global table: every name no enclosing scope declares.
+    pub globals: HashMap<Name, LuaValue>,
     depth: usize,
     /// Registered modules for `require`.
-    pub modules: std::collections::HashMap<String, LuaValue>,
+    pub modules: HashMap<String, LuaValue>,
     /// Sources registered for `require` but not yet loaded.
-    pub module_sources: std::collections::HashMap<String, String>,
+    pub module_sources: HashMap<String, String>,
     /// When set, every function compiled from here on is also run through
     /// the full IR analysis suite (dataflow + bounds lints) and the
     /// resulting warnings accumulate in [`Interp::diagnostics`].
@@ -72,10 +79,10 @@ impl Interp {
     pub fn new() -> Self {
         let mut interp = Interp {
             ctx: Context::new(),
-            globals: Env::new(),
+            globals: HashMap::new(),
             depth: 0,
-            modules: std::collections::HashMap::new(),
-            module_sources: std::collections::HashMap::new(),
+            modules: HashMap::new(),
+            module_sources: HashMap::new(),
             lint: false,
             diagnostics: Vec::new(),
             opt: terra_ir::OptLevel::default(),
@@ -113,8 +120,7 @@ impl Interp {
             .exec
             .trace
             .record(terra_trace::Stage::Parse, "chunk", t0);
-        let env = self.globals.child();
-        match self.eval_block(&block, &env)? {
+        match self.eval_block(&block, &Env::new())? {
             Flow::Return(vs) => Ok(vs),
             _ => Ok(Vec::new()),
         }
@@ -122,21 +128,43 @@ impl Interp {
 
     /// Looks up a global variable.
     pub fn global(&self, name: &str) -> LuaValue {
-        self.globals.get(name).unwrap_or(LuaValue::Nil)
+        self.globals.get(name).cloned().unwrap_or(LuaValue::Nil)
     }
 
     /// Sets a global variable.
     pub fn set_global(&mut self, name: &str, v: LuaValue) {
-        self.globals.declare(Rc::from(name), v);
+        self.globals.insert(Rc::from(name), v);
     }
 
     // -----------------------------------------------------------------------
     // Statements
     // -----------------------------------------------------------------------
 
-    /// Evaluates a block in a fresh child scope.
+    /// Evaluates a block. If the block declares variables, its scope opens
+    /// just before the first declaring statement; a block that declares
+    /// nothing runs in `env` itself.
     pub fn eval_block(&mut self, block: &Block, env: &Env) -> EvalResult<Flow> {
-        for stmt in &block.stmts {
+        Ok(self.eval_block_in(block, env)?.0)
+    }
+
+    /// [`Interp::eval_block`], also returning the scope the block opened
+    /// (`repeat … until` evaluates its condition there).
+    fn eval_block_in(&mut self, block: &Block, env: &Env) -> EvalResult<(Flow, Option<Env>)> {
+        if block.nslots == 0 {
+            return Ok((self.eval_stmts(&block.stmts, env)?, None));
+        }
+        let (head, tail) = block.stmts.split_at(block.scope_at as usize);
+        match self.eval_stmts(head, env)? {
+            Flow::Normal => {}
+            flow => return Ok((flow, None)),
+        }
+        let scope = env.child(block.nslots.into());
+        let flow = self.eval_stmts(tail, &scope)?;
+        Ok((flow, Some(scope)))
+    }
+
+    fn eval_stmts(&mut self, stmts: &[LuaStmt], env: &Env) -> EvalResult<Flow> {
+        for stmt in stmts {
             match self.eval_stmt(stmt, env)? {
                 Flow::Normal => {}
                 flow => return Ok(flow),
@@ -152,16 +180,32 @@ impl Interp {
                 exprs,
                 span: _,
             } => {
-                let values = self.eval_exprlist(exprs, env, names.len())?;
-                for (n, v) in names.iter().zip(values) {
-                    env.declare(n.clone(), v);
+                if let ([_], [e]) = (names.as_slice(), exprs.as_slice()) {
+                    let v = self.eval_expr(e, env)?;
+                    env.declare(v);
+                } else {
+                    for v in self.eval_exprlist(exprs, env, names.len())? {
+                        env.declare(v);
+                    }
                 }
                 Ok(Flow::Normal)
             }
             LuaStmt::Assign { targets, exprs, .. } => {
-                let values = self.eval_exprlist(exprs, env, targets.len())?;
-                for (t, v) in targets.iter().zip(values) {
-                    self.assign_target(t, v, env)?;
+                if let ([t], [e]) = (targets.as_slice(), exprs.as_slice()) {
+                    let v = self.eval_expr(e, env)?;
+                    let place = self.eval_place(t, env)?;
+                    self.store(place, v, env)?;
+                } else {
+                    let values = self.eval_exprlist(exprs, env, targets.len())?;
+                    // Every target's table and key are evaluated before the
+                    // first store: `i, t[i] = i + 1, 20` writes `t[old i]`.
+                    let places = targets
+                        .iter()
+                        .map(|t| self.eval_place(t, env))
+                        .collect::<EvalResult<Vec<_>>>()?;
+                    for (place, v) in places.into_iter().zip(values) {
+                        self.store(place, v, env)?;
+                    }
                 }
                 Ok(Flow::Normal)
             }
@@ -169,17 +213,10 @@ impl Interp {
                 self.eval_expr_multi(e, env)?;
                 Ok(Flow::Normal)
             }
-            LuaStmt::Do(b) => {
-                let child = env.child();
-                self.eval_block(b, &child)
-            }
+            LuaStmt::Do(b) => self.eval_block(b, env),
             LuaStmt::While { cond, body } => {
-                loop {
-                    if !self.eval_expr(cond, env)?.truthy() {
-                        break;
-                    }
-                    let child = env.child();
-                    match self.eval_block(body, &child)? {
+                while self.eval_expr(cond, env)?.truthy() {
+                    match self.eval_block(body, env)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
@@ -189,13 +226,16 @@ impl Interp {
             }
             LuaStmt::Repeat { body, cond } => {
                 loop {
-                    let child = env.child();
-                    match self.eval_block(body, &child)? {
+                    let (flow, scope) = self.eval_block_in(body, env)?;
+                    match flow {
                         Flow::Normal => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
                     }
-                    if self.eval_expr(cond, &child)?.truthy() {
+                    if self
+                        .eval_expr(cond, scope.as_ref().unwrap_or(env))?
+                        .truthy()
+                    {
                         break;
                     }
                 }
@@ -204,18 +244,16 @@ impl Interp {
             LuaStmt::If { arms, else_body } => {
                 for (cond, body) in arms {
                     if self.eval_expr(cond, env)?.truthy() {
-                        let child = env.child();
-                        return self.eval_block(body, &child);
+                        return self.eval_block(body, env);
                     }
                 }
                 if let Some(body) = else_body {
-                    let child = env.child();
-                    return self.eval_block(body, &child);
+                    return self.eval_block(body, env);
                 }
                 Ok(Flow::Normal)
             }
             LuaStmt::NumericFor {
-                var,
+                var: _,
                 start,
                 stop,
                 step,
@@ -230,16 +268,22 @@ impl Interp {
                 if step == 0.0 {
                     return Err(LuaError::msg("'for' step is zero"));
                 }
+                // Each iteration gets a fresh scope — the loop variable, then
+                // the body's locals — because closures capture per-iteration
+                // variables; the allocation is reused when nothing did.
+                let mut scope = env.child(body.nslots.into());
                 let mut i = start;
                 while (step > 0.0 && i <= stop) || (step < 0.0 && i >= stop) {
-                    let child = env.child();
-                    child.declare(var.clone(), LuaValue::Number(i));
-                    match self.eval_block(body, &child)? {
+                    scope.declare(LuaValue::Number(i));
+                    match self.eval_stmts(&body.stmts, &scope)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
                     }
                     i += step;
+                    if !scope.recycle() {
+                        scope = env.child(body.nslots.into());
+                    }
                 }
                 Ok(Flow::Normal)
             }
@@ -250,7 +294,7 @@ impl Interp {
                 let func = vals.pop().unwrap_or(LuaValue::Nil);
                 let mut control = ctrl0;
                 loop {
-                    let rets = self.call_value(
+                    let mut rets = self.call_value(
                         func.clone(),
                         vec![state.clone(), control.clone()],
                         Span::synthetic(),
@@ -259,12 +303,13 @@ impl Interp {
                     if matches!(first, LuaValue::Nil) {
                         break;
                     }
-                    control = first.clone();
-                    let child = env.child();
-                    for (i, v) in vars.iter().enumerate() {
-                        child.declare(v.clone(), rets.get(i).cloned().unwrap_or(LuaValue::Nil));
-                    }
-                    match self.eval_block(body, &child)? {
+                    control = first;
+                    // The iterator's results become the iteration scope's
+                    // first slots: the loop variables.
+                    rets.resize(vars.len(), LuaValue::Nil);
+                    rets.reserve(usize::from(body.nslots).saturating_sub(vars.len()));
+                    let scope = env.child_with(rets);
+                    match self.eval_stmts(&body.stmts, &scope)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
@@ -274,48 +319,34 @@ impl Interp {
             }
             LuaStmt::FunctionDecl {
                 path,
+                base,
                 method,
                 body,
                 span,
             } => {
+                let (name, full): (String, Vec<Name>) = match method {
+                    Some(m) => (
+                        format!("{}:{}", path.join("."), m),
+                        path.iter().cloned().chain([m.clone()]).collect(),
+                    ),
+                    None => (path.join("."), path.to_vec()),
+                };
                 let closure = LuaValue::Function(Rc::new(LuaClosure {
                     body: body.clone(),
                     env: env.clone(),
-                    name: RefCell::new(Rc::from(path.join(".").as_str())),
+                    name: RefCell::new(Rc::from(name.as_str())),
                 }));
-                // Method declarations add an implicit `self` parameter.
-                let closure = if method.is_some() {
-                    let mut fb = (**body).clone();
-                    let mut params = vec![Rc::from("self") as Name];
-                    params.extend(fb.params);
-                    fb.params = params;
-                    LuaValue::Function(Rc::new(LuaClosure {
-                        body: Rc::new(fb),
-                        env: env.clone(),
-                        name: RefCell::new(Rc::from(
-                            format!("{}:{}", path.join("."), method.as_deref().unwrap_or(""))
-                                .as_str(),
-                        )),
-                    }))
-                } else {
-                    closure
-                };
-                let full: Vec<Name> = match method {
-                    Some(m) => path.iter().cloned().chain([m.clone()]).collect(),
-                    None => path.to_vec(),
-                };
-                self.assign_path(&full, closure, env, *span)?;
+                self.assign_path(&full, *base, closure, env, *span)?;
                 Ok(Flow::Normal)
             }
             LuaStmt::LocalFunction { name, body } => {
-                // Declare first so the body can recurse.
-                env.declare(name.clone(), LuaValue::Nil);
-                let closure = LuaValue::Function(Rc::new(LuaClosure {
+                // The closure captures the scope its own slot is about to
+                // join, so the body can recurse.
+                env.declare(LuaValue::Function(Rc::new(LuaClosure {
                     body: body.clone(),
                     env: env.clone(),
                     name: RefCell::new(name.clone()),
-                }));
-                env.assign(name, closure);
+                })));
                 Ok(Flow::Normal)
             }
             LuaStmt::Return { exprs, .. } => {
@@ -325,16 +356,18 @@ impl Interp {
             LuaStmt::Break(_) => Ok(Flow::Break),
             LuaStmt::TerraDef {
                 path,
+                base,
                 method,
                 def,
                 is_local,
                 span,
             } => {
-                self.eval_terra_def(path, method.as_ref(), def, *is_local, env, *span)?;
+                self.eval_terra_def(path, *base, method.as_ref(), def, *is_local, env, *span)?;
                 Ok(Flow::Normal)
             }
             LuaStmt::StructDef {
                 path,
+                base,
                 entries,
                 is_local,
                 span,
@@ -342,28 +375,39 @@ impl Interp {
                 let name: Rc<str> = Rc::from(path.join(".").as_str());
                 let ty = self.eval_struct_def(&name, entries, env)?;
                 if *is_local && path.len() == 1 {
-                    env.declare(path[0].clone(), LuaValue::Type(ty));
+                    env.declare(LuaValue::Type(ty));
                 } else {
-                    self.assign_path(path, LuaValue::Type(ty), env, *span)?;
+                    self.assign_path(path, *base, LuaValue::Type(ty), env, *span)?;
                 }
                 Ok(Flow::Normal)
             }
         }
     }
 
-    fn assign_target(&mut self, target: &LuaExpr, v: LuaValue, env: &Env) -> EvalResult<()> {
-        match target {
-            LuaExpr::Var(n, _) => {
-                if !env.assign(n, v.clone()) {
-                    // Undeclared: create a global.
-                    self.globals.declare(n.clone(), v);
-                }
-                Ok(())
+    /// Reads a variable; `None` only for a global that was never assigned.
+    pub(crate) fn lookup(&self, name: &Name, slot: Slot, env: &Env) -> Option<LuaValue> {
+        match slot {
+            Slot::Local { hops, index } => Some(env.get(hops, index)),
+            Slot::Global => self.globals.get(name).cloned(),
+        }
+    }
+
+    fn set_var(&mut self, name: &Name, slot: Slot, v: LuaValue, env: &Env) {
+        match slot {
+            Slot::Local { hops, index } => env.set(hops, index, v),
+            Slot::Global => {
+                self.globals.insert(name.clone(), v);
             }
+        }
+    }
+
+    fn eval_place<'a>(&mut self, target: &'a LuaExpr, env: &Env) -> EvalResult<Place<'a>> {
+        match target {
+            LuaExpr::Var(n, slot, _) => Ok(Place::Var(n, *slot)),
             LuaExpr::Index { obj, index, span } => {
                 let o = self.eval_expr(obj, env)?;
                 let k = self.eval_expr(index, env)?;
-                self.setindex_value(&o, k, v, *span)
+                Ok(Place::Index(o, k, *span))
             }
             other => Err(LuaError::at(
                 "cannot assign to this expression",
@@ -372,15 +416,31 @@ impl Interp {
         }
     }
 
-    fn assign_path(&mut self, path: &[Name], v: LuaValue, env: &Env, span: Span) -> EvalResult<()> {
-        if path.len() == 1 {
-            if !env.assign(&path[0], v.clone()) {
-                self.globals.declare(path[0].clone(), v);
+    fn store(&mut self, place: Place, v: LuaValue, env: &Env) -> EvalResult<()> {
+        match place {
+            Place::Var(n, slot) => {
+                self.set_var(n, slot, v, env);
+                Ok(())
             }
+            Place::Index(o, k, span) => self.setindex_value(&o, k, v, span),
+        }
+    }
+
+    /// Assigns to `a.b.c`; `base` is where `a` lives.
+    fn assign_path(
+        &mut self,
+        path: &[Name],
+        base: Slot,
+        v: LuaValue,
+        env: &Env,
+        span: Span,
+    ) -> EvalResult<()> {
+        if let [name] = path {
+            self.set_var(name, base, v, env);
             return Ok(());
         }
-        let mut obj = env
-            .get(&path[0])
+        let mut obj = self
+            .lookup(&path[0], base, env)
             .ok_or_else(|| LuaError::at(format!("undefined variable '{}'", path[0]), span))?;
         for part in &path[1..path.len() - 1] {
             obj = self.index_value(&obj, &LuaValue::Str(part.clone()), span)?;
@@ -393,9 +453,11 @@ impl Interp {
     // -----------------------------------------------------------------------
 
     /// Declares-and/or-defines a named `terra` function or method.
+    #[allow(clippy::too_many_arguments)]
     fn eval_terra_def(
         &mut self,
         path: &[Name],
+        base: Slot,
         method: Option<&Name>,
         def: &Rc<TerraFuncDef>,
         is_local: bool,
@@ -405,8 +467,8 @@ impl Interp {
         if let Some(mname) = method {
             // `terra Type:method(...)` — sugar for Type.methods.method with
             // implicit `self : &Type`.
-            let mut obj = env
-                .get(&path[0])
+            let mut obj = self
+                .lookup(&path[0], base, env)
                 .ok_or_else(|| LuaError::at(format!("undefined variable '{}'", path[0]), span))?;
             for part in &path[1..] {
                 obj = self.index_value(&obj, &LuaValue::Str(part.clone()), span)?;
@@ -432,31 +494,29 @@ impl Interp {
         let fname: Rc<str> = Rc::from(path.join(".").as_str());
         // If the name is already bound to a declared-but-undefined Terra
         // function, this definition fills it in (mutual recursion support).
-        let existing = if path.len() == 1 {
-            env.get(&path[0])
-        } else {
-            let mut obj = env.get(&path[0]);
-            if let Some(mut o) = obj.take() {
+        let existing = match self.lookup(&path[0], base, env) {
+            Some(mut o) => {
                 for part in &path[1..] {
                     o = self.index_value(&o, &LuaValue::Str(part.clone()), span)?;
                 }
                 Some(o)
-            } else {
-                None
             }
+            None => None,
         };
-        let id = match existing {
-            Some(LuaValue::TerraFunc(id)) if self.ctx.funcs[id.0 as usize].spec.is_none() => id,
-            _ => {
-                let id = self.ctx.declare_func(fname.clone());
-                if is_local && path.len() == 1 {
-                    env.declare(path[0].clone(), LuaValue::TerraFunc(id));
-                } else {
-                    self.assign_path(path, LuaValue::TerraFunc(id), env, span)?;
-                }
-                id
+        let forward = match existing {
+            Some(LuaValue::TerraFunc(id)) if self.ctx.funcs[id.0 as usize].spec.is_none() => {
+                Some(id)
             }
+            _ => None,
         };
+        let id = forward.unwrap_or_else(|| self.ctx.declare_func(fname.clone()));
+        if is_local && path.len() == 1 {
+            // `local terra f` always declares its slot, also when it fills in
+            // a forward declaration.
+            env.declare(LuaValue::TerraFunc(id));
+        } else if forward.is_none() {
+            self.assign_path(path, base, LuaValue::TerraFunc(id), env, span)?;
+        }
         // Bind before specializing so the body can refer to itself.
         let spec = self.specialize_function(def, env, fname, None)?;
         self.finish_define(id, spec, span)
@@ -487,9 +547,9 @@ impl Interp {
         let spec = if let Some(self_ty) = implicit_self {
             // Prepend `self` by specializing in an env where `self` is bound
             // to a fresh symbol, and adding it to the parameter list.
-            let menv = env.child();
+            let menv = env.child(1);
             let sym = self.ctx.fresh_symbol("self", Some(self_ty.clone()));
-            menv.declare(Rc::from("self"), LuaValue::Symbol(sym.clone()));
+            menv.declare(LuaValue::Symbol(sym.clone()));
             let mut spec = Specializer::new(self, menv).function(def, name)?;
             spec.params.insert(0, (sym, self_ty));
             spec
@@ -628,11 +688,7 @@ impl Interp {
         want: usize,
     ) -> EvalResult<Vec<LuaValue>> {
         let mut out = self.eval_exprlist_exact(exprs, env)?;
-        while out.len() < want {
-            out.push(LuaValue::Nil);
-        }
-        out.truncate(want.max(exprs.len().min(out.len())));
-        out.truncate(want);
+        out.resize(want, LuaValue::Nil);
         Ok(out)
     }
 
@@ -643,9 +699,19 @@ impl Interp {
         exprs: &[LuaExpr],
         env: &Env,
     ) -> EvalResult<Vec<LuaValue>> {
-        let mut out = Vec::with_capacity(exprs.len());
+        self.eval_exprlist_onto(Vec::with_capacity(exprs.len()), exprs, env)
+    }
+
+    /// [`Interp::eval_exprlist_exact`], appending to `out` (a call's
+    /// argument vector, sized by the caller for what it will become).
+    fn eval_exprlist_onto(
+        &mut self,
+        mut out: Vec<LuaValue>,
+        exprs: &[LuaExpr],
+        env: &Env,
+    ) -> EvalResult<Vec<LuaValue>> {
         for (i, e) in exprs.iter().enumerate() {
-            if i + 1 == exprs.len() {
+            if i + 1 == exprs.len() && is_multi(e) {
                 out.extend(self.eval_expr_multi(e, env)?);
             } else {
                 out.push(self.eval_expr(e, env)?);
@@ -654,39 +720,91 @@ impl Interp {
         Ok(out)
     }
 
-    /// Evaluates to exactly one value.
+    /// Evaluates to exactly one value. Only calls and `...` can produce
+    /// several; they go through [`Interp::eval_expr_multi`] and are
+    /// truncated, everything else is evaluated directly.
     pub fn eval_expr(&mut self, e: &LuaExpr, env: &Env) -> EvalResult<LuaValue> {
-        Ok(self
-            .eval_expr_multi(e, env)?
-            .into_iter()
-            .next()
-            .unwrap_or(LuaValue::Nil))
+        Ok(match e {
+            LuaExpr::Nil(_) => LuaValue::Nil,
+            LuaExpr::True(_) => LuaValue::Bool(true),
+            LuaExpr::False(_) => LuaValue::Bool(false),
+            LuaExpr::Number(n, _) => LuaValue::Number(*n),
+            LuaExpr::Str(s, _) => LuaValue::Str(s.clone()),
+            LuaExpr::Var(n, slot, _) => self.lookup(n, *slot, env).unwrap_or(LuaValue::Nil),
+            LuaExpr::Index { obj, index, span } => {
+                let o = self.eval_expr(obj, env)?;
+                let k = self.eval_expr(index, env)?;
+                self.index_value(&o, &k, *span)?
+            }
+            LuaExpr::BinOp { op, lhs, rhs, span } => self.eval_binop(*op, lhs, rhs, env, *span)?,
+            LuaExpr::UnOp { op, expr, span } => {
+                let v = self.eval_expr(expr, env)?;
+                self.eval_unop(*op, v, *span)?
+            }
+            LuaExpr::Paren(inner) => self.eval_expr(inner, env)?,
+            LuaExpr::Call { .. } | LuaExpr::MethodCall { .. } | LuaExpr::Vararg(..) => self
+                .eval_expr_multi(e, env)?
+                .into_iter()
+                .next()
+                .unwrap_or(LuaValue::Nil),
+            LuaExpr::Function(body) => LuaValue::Function(Rc::new(LuaClosure {
+                body: body.clone(),
+                env: env.clone(),
+                name: RefCell::new(Rc::from("anonymous")),
+            })),
+            LuaExpr::Table { items, span: _ } => self.eval_table(items, env)?,
+            LuaExpr::TerraFunction(def) => {
+                let name: Rc<str> = def
+                    .name_hint
+                    .clone()
+                    .unwrap_or_else(|| Rc::from("anonymous"));
+                LuaValue::TerraFunc(self.define_terra_function(def, env, name)?)
+            }
+            LuaExpr::Quote(q) => {
+                let spec = Specializer::new(self, env.clone()).quote(q)?;
+                LuaValue::Quote(Rc::new(spec))
+            }
+            LuaExpr::AnonStruct { entries, span: _ } => {
+                LuaValue::Type(self.eval_struct_def(&Rc::from("anon"), entries, env)?)
+            }
+            LuaExpr::PtrType(inner, span) => {
+                let v = self.eval_expr(inner, env)?;
+                LuaValue::Type(self.value_to_type(v, *span)?.ptr_to())
+            }
+            LuaExpr::TupleType(items, span) => {
+                LuaValue::Type(self.eval_tuple_type(items, *span, env)?)
+            }
+            LuaExpr::FuncType {
+                params,
+                returns,
+                span,
+            } => LuaValue::Type(self.eval_func_type(params, returns, *span, env)?),
+        })
     }
 
     /// Evaluates, preserving multiple results for calls and `...`.
     pub fn eval_expr_multi(&mut self, e: &LuaExpr, env: &Env) -> EvalResult<Vec<LuaValue>> {
         match e {
-            LuaExpr::Nil(_) => Ok(vec![LuaValue::Nil]),
-            LuaExpr::True(_) => Ok(vec![LuaValue::Bool(true)]),
-            LuaExpr::False(_) => Ok(vec![LuaValue::Bool(false)]),
-            LuaExpr::Number(n, _) => Ok(vec![LuaValue::Number(*n)]),
-            LuaExpr::Str(s, _) => Ok(vec![LuaValue::Str(s.clone())]),
-            LuaExpr::Vararg(span) => match env.get("...") {
-                Some(LuaValue::Table(t)) => Ok(t.borrow().iter_array().cloned().collect()),
-                _ => Err(LuaError::at(
-                    "cannot use '...' outside a vararg function",
-                    *span,
-                )),
+            // The packed arguments sit in the slot the parser named `...`;
+            // outside a vararg function nothing declares that name.
+            LuaExpr::Vararg(Slot::Local { hops, index }, _) => match env.get(*hops, *index) {
+                LuaValue::Table(t) => Ok(t.borrow().iter_array().cloned().collect()),
+                other => unreachable!("the '...' slot holds a {}", other.type_name()),
             },
-            LuaExpr::Var(n, _span) => Ok(vec![env.get(n).unwrap_or(LuaValue::Nil)]),
-            LuaExpr::Index { obj, index, span } => {
-                let o = self.eval_expr(obj, env)?;
-                let k = self.eval_expr(index, env)?;
-                Ok(vec![self.index_value(&o, &k, *span)?])
-            }
+            LuaExpr::Vararg(Slot::Global, span) => Err(LuaError::at(
+                "cannot use '...' outside a vararg function",
+                *span,
+            )),
             LuaExpr::Call { func, args, span } => {
                 let f = self.eval_expr(func, env)?;
-                let argv = self.eval_exprlist_exact(args, env)?;
+                // A Lua callee turns this vector into its scope; give it the
+                // room now.
+                let room = match &f {
+                    LuaValue::Function(c) => usize::from(c.body.body.nslots),
+                    _ => 0,
+                };
+                let argv =
+                    self.eval_exprlist_onto(Vec::with_capacity(room.max(args.len())), args, env)?;
                 self.call_value(f, argv, *span)
             }
             LuaExpr::MethodCall {
@@ -696,115 +814,93 @@ impl Interp {
                 span,
             } => {
                 let o = self.eval_expr(obj, env)?;
-                let argv = self.eval_exprlist_exact(args, env)?;
-                self.method_call_multi(o, name, argv, *span)
+                if !matches!(o, LuaValue::Table(_) | LuaValue::Str(_)) {
+                    let argv = self.eval_exprlist_exact(args, env)?;
+                    return Ok(vec![reflect::method_call_terra_value(
+                        self, o, name, argv, *span,
+                    )?]);
+                }
+                let mut full = Vec::with_capacity(args.len() + 1);
+                full.push(o);
+                let full = self.eval_exprlist_onto(full, args, env)?;
+                let m = self.find_method(&full[0], name, *span)?;
+                self.call_value(m, full, *span)
             }
-            LuaExpr::BinOp { op, lhs, rhs, span } => {
-                Ok(vec![self.eval_binop(*op, lhs, rhs, env, *span)?])
-            }
-            LuaExpr::UnOp { op, expr, span } => {
-                let v = self.eval_expr(expr, env)?;
-                Ok(vec![self.eval_unop(*op, v, *span)?])
-            }
-            LuaExpr::Function(body) => Ok(vec![LuaValue::Function(Rc::new(LuaClosure {
-                body: body.clone(),
-                env: env.clone(),
-                name: RefCell::new(Rc::from("anonymous")),
-            }))]),
-            LuaExpr::Table { items, span: _ } => {
-                let t = Rc::new(RefCell::new(Table::new()));
-                for (i, item) in items.iter().enumerate() {
-                    match item {
-                        TableItem::Positional(e) => {
-                            if i + 1 == items.len() {
-                                for v in self.eval_expr_multi(e, env)? {
-                                    t.borrow_mut().push(v);
-                                }
-                            } else {
-                                let v = self.eval_expr(e, env)?;
-                                t.borrow_mut().push(v);
-                            }
+            _ => Ok(vec![self.eval_expr(e, env)?]),
+        }
+    }
+
+    fn eval_table(&mut self, items: &[TableItem], env: &Env) -> EvalResult<LuaValue> {
+        let mut t = Table::new();
+        for (i, item) in items.iter().enumerate() {
+            match item {
+                TableItem::Positional(e) => {
+                    if i + 1 == items.len() && is_multi(e) {
+                        for v in self.eval_expr_multi(e, env)? {
+                            t.push(v);
                         }
-                        TableItem::Named(n, e) => {
-                            let v = self.eval_expr(e, env)?;
-                            t.borrow_mut().set_str(n, v);
-                        }
-                        TableItem::Keyed(k, e) => {
-                            let k = self.eval_expr(k, env)?;
-                            let v = self.eval_expr(e, env)?;
-                            t.borrow_mut().set(k, v);
-                        }
+                    } else {
+                        t.push(self.eval_expr(e, env)?);
                     }
                 }
-                Ok(vec![LuaValue::Table(t)])
-            }
-            LuaExpr::TerraFunction(def) => {
-                let name: Rc<str> = def
-                    .name_hint
-                    .clone()
-                    .unwrap_or_else(|| Rc::from("anonymous"));
-                let id = self.define_terra_function(def, env, name)?;
-                Ok(vec![LuaValue::TerraFunc(id)])
-            }
-            LuaExpr::Quote(q) => {
-                let spec = Specializer::new(self, env.clone()).quote(q)?;
-                Ok(vec![LuaValue::Quote(Rc::new(spec))])
-            }
-            LuaExpr::AnonStruct { entries, span: _ } => {
-                let ty = self.eval_struct_def(&Rc::from("anon"), entries, env)?;
-                Ok(vec![LuaValue::Type(ty)])
-            }
-            LuaExpr::PtrType(inner, span) => {
-                let v = self.eval_expr(inner, env)?;
-                let ty = self.value_to_type(v, *span)?;
-                Ok(vec![LuaValue::Type(ty.ptr_to())])
-            }
-            LuaExpr::TupleType(items, span) => {
-                let mut tys = Vec::with_capacity(items.len());
-                for it in items {
-                    let v = self.eval_expr(it, env)?;
-                    tys.push(self.value_to_type(v, *span)?);
+                TableItem::Named(n, e) => {
+                    let v = self.eval_expr(e, env)?;
+                    t.set(LuaValue::Str(n.clone()), v);
                 }
-                let ty = match tys.len() {
-                    0 => Ty::Unit,
-                    1 => tys.pop().expect("len checked"),
-                    _ => {
-                        return Err(LuaError::at(
-                            "tuple types with more than one element are not supported",
-                            *span,
-                        ))
-                    }
-                };
-                Ok(vec![LuaValue::Type(ty)])
-            }
-            LuaExpr::FuncType {
-                params,
-                returns,
-                span,
-            } => {
-                let mut ptys = Vec::with_capacity(params.len());
-                for p in params {
-                    let v = self.eval_expr(p, env)?;
-                    ptys.push(self.value_to_type(v, *span)?);
+                TableItem::Keyed(k, e) => {
+                    let k = self.eval_expr(k, env)?;
+                    let v = self.eval_expr(e, env)?;
+                    t.set(k, v);
                 }
-                let ret = match returns.len() {
-                    0 => Ty::Unit,
-                    1 => {
-                        let v = self.eval_expr(&returns[0], env)?;
-                        self.value_to_type(v, *span)?
-                    }
-                    _ => {
-                        return Err(LuaError::at(
-                            "multiple return types are not supported",
-                            *span,
-                        ))
-                    }
-                };
-                Ok(vec![LuaValue::Type(Ty::Func(std::sync::Arc::new(
-                    FuncTy { params: ptys, ret },
-                )))])
             }
         }
+        Ok(LuaValue::Table(Rc::new(RefCell::new(t))))
+    }
+
+    /// The Terra type operator `{T}` in annotation position.
+    fn eval_tuple_type(&mut self, items: &[LuaExpr], span: Span, env: &Env) -> EvalResult<Ty> {
+        let mut tys = Vec::with_capacity(items.len());
+        for it in items {
+            let v = self.eval_expr(it, env)?;
+            tys.push(self.value_to_type(v, span)?);
+        }
+        match tys.len() {
+            0 => Ok(Ty::Unit),
+            1 => Ok(tys.pop().expect("len checked")),
+            _ => Err(LuaError::at(
+                "tuple types with more than one element are not supported",
+                span,
+            )),
+        }
+    }
+
+    /// The Terra type operator `params -> returns`.
+    fn eval_func_type(
+        &mut self,
+        params: &[LuaExpr],
+        returns: &[LuaExpr],
+        span: Span,
+        env: &Env,
+    ) -> EvalResult<Ty> {
+        let mut ptys = Vec::with_capacity(params.len());
+        for p in params {
+            let v = self.eval_expr(p, env)?;
+            ptys.push(self.value_to_type(v, span)?);
+        }
+        let ret = match returns {
+            [] => Ty::Unit,
+            [r] => {
+                let v = self.eval_expr(r, env)?;
+                self.value_to_type(v, span)?
+            }
+            _ => {
+                return Err(LuaError::at(
+                    "multiple return types are not supported",
+                    span,
+                ))
+            }
+        };
+        Ok(Ty::Func(std::sync::Arc::new(FuncTy { params: ptys, ret })))
     }
 
     fn eval_binop(
@@ -1031,8 +1127,8 @@ impl Interp {
     // -----------------------------------------------------------------------
 
     fn meta_of_table(&self, t: &TableRef, name: &str) -> Option<LuaValue> {
-        let meta = t.borrow().meta.clone()?;
-        let v = meta.borrow().get_str(name);
+        let t = t.borrow();
+        let v = t.meta.as_ref()?.borrow().get_str(name);
         v.truthy().then_some(v)
     }
 
@@ -1151,22 +1247,31 @@ impl Interp {
     ) -> EvalResult<Vec<LuaValue>> {
         match f {
             LuaValue::Function(closure) => {
-                let call_env = closure.env.child();
-                let nparams = closure.body.params.len();
-                for (i, p) in closure.body.params.iter().enumerate() {
-                    call_env.declare(p.clone(), args.get(i).cloned().unwrap_or(LuaValue::Nil));
-                }
-                if closure.body.is_vararg {
-                    let rest = Rc::new(RefCell::new(Table::new()));
-                    for v in args.into_iter().skip(nparams) {
-                        rest.borrow_mut().push(v);
-                    }
-                    call_env.declare(Rc::from("..."), LuaValue::Table(rest));
-                }
-                match self
-                    .eval_block(&closure.body.body, &call_env)
-                    .map_err(|e| e.traced(format!("function '{}'", closure.name.borrow())))?
-                {
+                let body = &closure.body;
+                let nparams = body.params.len();
+                let flow = if nparams == 0 && !body.is_vararg {
+                    // Nothing to bind: the body opens a scope if and when it
+                    // declares a local.
+                    self.eval_block(&body.body, &closure.env)
+                } else {
+                    // The argument vector becomes the call's scope:
+                    // parameters, then the packed varargs, then room for the
+                    // body's locals.
+                    let mut slots = args;
+                    let rest = body.is_vararg.then(|| {
+                        let mut rest = Table::new();
+                        for v in slots.drain(nparams.min(slots.len())..) {
+                            rest.push(v);
+                        }
+                        LuaValue::Table(Rc::new(RefCell::new(rest)))
+                    });
+                    slots.resize(nparams, LuaValue::Nil);
+                    slots.extend(rest);
+                    slots.reserve(usize::from(body.body.nslots).saturating_sub(slots.len()));
+                    let scope = closure.env.child_with(slots);
+                    self.eval_stmts(&body.body.stmts, &scope)
+                };
+                match flow.map_err(|e| e.traced(format!("function '{}'", closure.name.borrow())))? {
                     Flow::Return(vs) => Ok(vs),
                     _ => Ok(Vec::new()),
                 }
@@ -1189,27 +1294,13 @@ impl Interp {
         }
     }
 
-    fn method_call_multi(
-        &mut self,
-        obj: LuaValue,
-        name: &Name,
-        args: Vec<LuaValue>,
-        span: Span,
-    ) -> EvalResult<Vec<LuaValue>> {
-        match &obj {
-            LuaValue::Table(_) | LuaValue::Str(_) => {
-                let m = self.index_value(&obj, &LuaValue::Str(name.clone()), span)?;
-                if matches!(m, LuaValue::Nil) {
-                    return Err(LuaError::at(format!("method '{name}' not found"), span));
-                }
-                let mut full = vec![obj];
-                full.extend(args);
-                self.call_value(m, full, span)
-            }
-            _ => Ok(vec![reflect::method_call_terra_value(
-                self, obj, name, args, span,
-            )?]),
+    /// `obj[name]` for a method call on a table or string.
+    fn find_method(&mut self, obj: &LuaValue, name: &Name, span: Span) -> EvalResult<LuaValue> {
+        let m = self.index_value(obj, &LuaValue::Str(name.clone()), span)?;
+        if matches!(m, LuaValue::Nil) {
+            return Err(LuaError::at(format!("method '{name}' not found"), span));
         }
+        Ok(m)
     }
 
     /// Calls a value's method (used by the specializer and reflection).
@@ -1220,8 +1311,14 @@ impl Interp {
         args: Vec<LuaValue>,
         span: Span,
     ) -> EvalResult<LuaValue> {
+        if !matches!(obj, LuaValue::Table(_) | LuaValue::Str(_)) {
+            return reflect::method_call_terra_value(self, obj, name, args, span);
+        }
+        let m = self.find_method(&obj, name, span)?;
+        let mut full = vec![obj];
+        full.extend(args);
         Ok(self
-            .method_call_multi(obj, name, args, span)?
+            .call_value(m, full, span)?
             .into_iter()
             .next()
             .unwrap_or(LuaValue::Nil))
@@ -1383,6 +1480,14 @@ impl Interp {
             OutputSink::Capture(buf) => buf.push_str(text),
         }
     }
+}
+
+/// Whether an expression can produce other than exactly one value.
+fn is_multi(e: &LuaExpr) -> bool {
+    matches!(
+        e,
+        LuaExpr::Call { .. } | LuaExpr::MethodCall { .. } | LuaExpr::Vararg(..)
+    )
 }
 
 /// Whether a Lua value denotes staged Terra code that supports operator

@@ -7,7 +7,9 @@
 //!   lexical environment, splicing the resulting Lua values in;
 //! - hygienically renames every Terra-introduced variable to a fresh
 //!   [`SymbolRef`], binding the name to the symbol in the shared environment
-//!   so escaped Lua code can refer to it (rules SLET/SVAR/LTDEFN);
+//!   so escaped Lua code can refer to it (rules SLET/SVAR/LTDEFN) — the
+//!   scopes opened and the order names are bound in are the ones the parser
+//!   assumed when it resolved every identifier to a slot;
 //! - resolves free identifiers through the shared environment, converting
 //!   Lua values to Terra terms (numbers to constants, Terra functions to
 //!   function references, types to type literals, quotes by splicing).
@@ -333,7 +335,7 @@ impl<'a> Specializer<'a> {
                         .ok_or_else(|| err(format!("parameter '{n}' requires a type"), *span))?;
                     let ty = self.eval_type(ty_expr)?;
                     let sym = self.interp.ctx.fresh_symbol(n.clone(), Some(ty.clone()));
-                    self.env.declare(n.clone(), LuaValue::Symbol(sym.clone()));
+                    self.env.declare(LuaValue::Symbol(sym.clone()));
                     params.push((sym, ty));
                 }
                 DeclName::Escape(e, span) => {
@@ -394,7 +396,7 @@ impl<'a> Specializer<'a> {
 
     fn enter_child(&mut self) -> crate::env::Env {
         let saved = self.env.clone();
-        self.env = self.env.child();
+        self.env = self.env.child(0);
         saved
     }
 
@@ -453,8 +455,8 @@ impl<'a> Specializer<'a> {
     }
 
     fn bind_symbol(&mut self, name: &DeclName, sym: &SymbolRef) {
-        if let DeclName::Ident(n, _) = name {
-            self.env.declare(n.clone(), LuaValue::Symbol(sym.clone()));
+        if let DeclName::Ident(..) = name {
+            self.env.declare(LuaValue::Symbol(sym.clone()));
         }
     }
 
@@ -562,8 +564,10 @@ impl<'a> Specializer<'a> {
                     Some(t) => Some(self.eval_type(t)?),
                     None => None,
                 };
-                let saved = self.enter_child();
+                // An escaped loop variable is evaluated outside the loop's
+                // scope, where it is written.
                 let sym = self.decl_symbol(var, ty.clone())?;
+                let saved = self.enter_child();
                 self.bind_symbol(var, &sym);
                 let body = self.block_no_scope(body)?;
                 self.leave(saved);
@@ -591,8 +595,8 @@ impl<'a> Specializer<'a> {
                     Some(t) => Some(self.eval_type(t)?),
                     None => None,
                 };
-                let saved = self.enter_child();
                 let sym = self.decl_symbol(var, ty.clone())?;
+                let saved = self.enter_child();
                 self.bind_symbol(var, &sym);
                 let body = self.block_no_scope(body)?;
                 self.leave(saved);
@@ -719,7 +723,7 @@ impl<'a> Specializer<'a> {
             TerraExpr::Str(s, span) => {
                 SpecVal::Terra(SpecExpr::new(SpecExprKind::Str(s.clone()), *span))
             }
-            TerraExpr::Ident(n, span) => match self.env.get(n) {
+            TerraExpr::Ident(n, slot, span) => match self.interp.lookup(n, *slot, &self.env) {
                 Some(LuaValue::Symbol(s)) => {
                     SpecVal::Terra(SpecExpr::new(SpecExprKind::Sym(s), *span))
                 }

@@ -136,21 +136,18 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     }
     let sig = ensure_signature(interp, id, span)?;
     let _ = sig;
-    let meta = &mut interp.ctx.funcs[id.0 as usize];
-    let name = meta.name.clone();
-    let (ir, deps) = match meta.ir.clone() {
-        Some(ir) => (ir, meta.deps.clone()),
-        None => {
-            let (ir, deps) = check_function(interp, id)
-                .map_err(|e| e.traced(format!("terra function '{name}'")))?;
-            // Cache the unoptimized lowering so functions compiled later can
-            // inline this one.
-            let meta = &mut interp.ctx.funcs[id.0 as usize];
-            meta.ir = Some(ir.clone());
-            meta.deps = deps.clone();
-            (ir, deps)
-        }
-    };
+    let name = interp.ctx.funcs[id.0 as usize].name.clone();
+    if interp.ctx.funcs[id.0 as usize].ir.is_none() {
+        let (ir, deps) =
+            check_function(interp, id).map_err(|e| e.traced(format!("terra function '{name}'")))?;
+        // Cache the unoptimized lowering so functions compiled later can
+        // inline this one. Everything below borrows it from the cache; the
+        // one copy made is the one the optimizer rewrites.
+        let meta = &mut interp.ctx.funcs[id.0 as usize];
+        meta.ir = Some(ir);
+        meta.deps = deps;
+    }
+    let deps = interp.ctx.funcs[id.0 as usize].deps.clone();
     // Materialize dependency IR up front so the inliner can see callee
     // bodies. Errors are deliberately ignored here: the linking loop below
     // re-runs the check and reports them exactly as before.
@@ -164,16 +161,19 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
             }
         }
     }
-    let mut ir = ir;
+    let ir = interp.ctx.funcs[id.0 as usize]
+        .ir
+        .as_ref()
+        .expect("materialized above");
     // Interprocedural summaries over this function plus every dependency
     // whose IR is materialized: the abstract interpreter uses them to refine
     // call returns and check call sites against callee access demands, both
     // in lint mode and in the check-elision pass.
     let sums = {
-        let mut fns: Vec<(FuncId, IrFunction)> = vec![(id, ir.clone())];
+        let mut fns: Vec<(FuncId, &IrFunction)> = vec![(id, ir)];
         for dep in &deps {
             if *dep != id {
-                if let Some(dir) = interp.ctx.funcs[dep.0 as usize].ir.clone() {
+                if let Some(dir) = &interp.ctx.funcs[dep.0 as usize].ir {
                     fns.push((*dep, dir));
                 }
             }
@@ -195,7 +195,7 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
             fold_function(&mut lint_ir);
             terra_ir::analyze_function_with(&lint_ir, Some(&interp.ctx.types), &env, Some(&sums))
         } else {
-            match terra_ir::verify_function(&ir, Some(&interp.ctx.types), &env) {
+            match terra_ir::verify_function(ir, Some(&interp.ctx.types), &env) {
                 Ok(()) => Vec::new(),
                 Err(d) => vec![d],
             }
@@ -219,7 +219,7 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     // Mid-end optimization pipeline; per-pass spans land on the staging
     // timeline after the fact (the pass manager times each pass itself).
     let opt_t0 = interp.ctx.exec.trace.now_us();
-    let stats = {
+    let (ir, stats) = {
         let env = CtxEnv { ctx: &interp.ctx };
         let cfg = terra_ir::PassConfig {
             level: interp.opt,
@@ -229,7 +229,7 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
             summaries: Some(&sums),
             elide_checks: interp.elide_checks,
         };
-        terra_ir::optimize(&mut ir, &cfg)
+        terra_ir::optimized(ir, &cfg)
     };
     let mut cursor = opt_t0;
     for run in &stats.runs {

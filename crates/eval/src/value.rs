@@ -192,11 +192,10 @@ impl LuaValue {
     }
 }
 
-/// A key in a Lua table's hash part. `NaN` keys are rejected at insert.
+/// A non-string key in a Lua table's hash part (string keys have a map of
+/// their own). `NaN` keys are rejected at insert.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LuaKey {
-    /// String key.
-    Str(Name),
     /// Number key (stored as bits; normalized so `-0.0 == 0.0`).
     Num(u64),
     /// Boolean key.
@@ -209,7 +208,6 @@ impl LuaKey {
     /// Converts a value to a key, if the value can be a key.
     pub fn from_value(v: &LuaValue) -> Option<LuaKey> {
         Some(match v {
-            LuaValue::Str(s) => LuaKey::Str(s.clone()),
             LuaValue::Number(n) => {
                 if n.is_nan() {
                     return None;
@@ -224,9 +222,11 @@ impl LuaKey {
             LuaValue::Quote(q) => LuaKey::Ref(Rc::as_ptr(q) as usize),
             LuaValue::TerraFunc(id) => LuaKey::Ref(0x1000_0000 + id.0 as usize),
             LuaValue::Global(id) => LuaKey::Ref(0x2000_0000 + id.0 as usize),
-            LuaValue::Type(_) | LuaValue::Macro(_) | LuaValue::Intrinsic(_) | LuaValue::Nil => {
-                return None
-            }
+            LuaValue::Str(_)
+            | LuaValue::Type(_)
+            | LuaValue::Macro(_)
+            | LuaValue::Intrinsic(_)
+            | LuaValue::Nil => return None,
         })
     }
 }
@@ -235,6 +235,9 @@ impl LuaKey {
 #[derive(Debug, Default)]
 pub struct Table {
     arr: Vec<LuaValue>,
+    /// String keys — field names, method names, metamethods — looked up by
+    /// `&str` without building a key.
+    strs: HashMap<Name, LuaValue>,
     map: HashMap<LuaKey, LuaValue>,
     /// Keys that cannot live in `map` (currently Terra types) as association
     /// pairs.
@@ -257,6 +260,9 @@ impl Table {
                 return self.arr[i as usize - 1].clone();
             }
         }
+        if let LuaValue::Str(s) = key {
+            return self.get_str(s);
+        }
         if let Some(k) = LuaKey::from_value(key) {
             if let Some(v) = self.map.get(&k) {
                 return v.clone();
@@ -272,10 +278,7 @@ impl Table {
 
     /// Convenience string-keyed get.
     pub fn get_str(&self, key: &str) -> LuaValue {
-        self.map
-            .get(&LuaKey::Str(Rc::from(key)))
-            .cloned()
-            .unwrap_or(LuaValue::Nil)
+        self.strs.get(key).cloned().unwrap_or(LuaValue::Nil)
     }
 
     /// Raw set (no metamethods).
@@ -312,6 +315,17 @@ impl Table {
                 }
             }
         }
+        let key = match key {
+            LuaValue::Str(s) => {
+                if matches!(value, LuaValue::Nil) {
+                    self.strs.remove(&s);
+                } else {
+                    self.strs.insert(s, value);
+                }
+                return;
+            }
+            other => other,
+        };
         match LuaKey::from_value(&key) {
             Some(k) => {
                 if matches!(value, LuaValue::Nil) {
@@ -342,7 +356,7 @@ impl Table {
 
     /// Whether both parts are empty.
     pub fn is_empty(&self) -> bool {
-        self.arr.is_empty() && self.map.is_empty() && self.assoc.is_empty()
+        self.arr.is_empty() && self.strs.is_empty() && self.map.is_empty() && self.assoc.is_empty()
     }
 
     /// Iterates the array part.
@@ -372,13 +386,15 @@ impl Table {
 
     /// Snapshot of all key/value pairs (for `pairs`).
     pub fn entries(&self) -> Vec<(LuaValue, LuaValue)> {
-        let mut out = Vec::with_capacity(self.arr.len() + self.map.len());
+        let mut out = Vec::with_capacity(self.arr.len() + self.strs.len() + self.map.len());
         for (i, v) in self.arr.iter().enumerate() {
             out.push((LuaValue::Number((i + 1) as f64), v.clone()));
         }
+        for (k, v) in &self.strs {
+            out.push((LuaValue::Str(k.clone()), v.clone()));
+        }
         for (k, v) in &self.map {
             let key = match k {
-                LuaKey::Str(s) => LuaValue::Str(s.clone()),
                 LuaKey::Num(bits) => LuaValue::Number(f64::from_bits(*bits)),
                 LuaKey::Bool(b) => LuaValue::Bool(*b),
                 LuaKey::Ref(_) => continue, // reference keys unreported in pairs snapshot

@@ -1,0 +1,116 @@
+//! Allocation budget of the meta-language evaluator, as a deterministic
+//! gate: heap allocations per iteration of a Lua loop, counted by a wrapping
+//! global allocator. Counts, not times — they are the explanation for the
+//! `staging-heavy` clock, gated here because the clock is too noisy to gate.
+//!
+//! The budget per iteration:
+//!
+//! | loop body                      | allocations                         |
+//! |--------------------------------|-------------------------------------|
+//! | `s = s + i % 7`                | ≤ 1 (the iteration's scope)         |
+//! | `if … then s = s + 1 end`      | nothing on top of `s = s + 1`       |
+//! | `id(i)`                        | ≤ 3 (arguments, scope, results)     |
+//! | `s = s + a`, `a` four scopes out | nothing on top of `s = s + 1`     |
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use terra_eval::Interp;
+
+thread_local! {
+    /// Allocator calls made by this thread (tests run on threads of their
+    /// own, so a test sees only its own evaluator's).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is bumping a thread-local
+// `Cell<u64>` that is const-initialized and has no destructor, so touching
+// it never allocates and is valid for the whole life of the thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations made while executing `template` with `$N` replaced by `n`.
+fn allocations(interp: &mut Interp, template: &str, n: u32) -> u64 {
+    let src = template.replace("$N", &n.to_string());
+    let before = ALLOCATIONS.with(Cell::get);
+    interp.exec(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Allocations per loop iteration: the difference between a 20 000- and a
+/// 10 000-iteration run of the same chunk (so parsing and set-up cancel),
+/// after a warm-up run.
+fn per_iteration(template: &str) -> f64 {
+    let mut interp = Interp::new();
+    allocations(&mut interp, template, 1_000);
+    let short = allocations(&mut interp, template, 10_000);
+    let long = allocations(&mut interp, template, 20_000);
+    (long - short) as f64 / 10_000.0
+}
+
+const ADD_ONE: &str = "local s = 0 for i = 1, $N do s = s + 1 end";
+
+#[test]
+fn arithmetic_on_locals_costs_at_most_the_iterations_scope() {
+    let n = per_iteration("local s = 0 for i = 1, $N do s = s + i % 7 end");
+    println!("s = s + i % 7: {n} allocations/iteration");
+    assert!(n <= 1.0, "{n}");
+}
+
+#[test]
+fn a_block_that_declares_nothing_is_free() {
+    let plain = per_iteration(ADD_ONE);
+    let guarded = per_iteration("local s = 0 for i = 1, $N do if i > 0 then s = s + 1 end end");
+    println!("s = s + 1: {plain}; under an `if`: {guarded} allocations/iteration");
+    assert_eq!(guarded, plain);
+}
+
+#[test]
+fn a_call_costs_its_arguments_its_scope_and_its_results() {
+    let n = per_iteration("local id = function(x) return x end for i = 1, $N do id(i) end");
+    println!("id(i): {n} allocations/iteration");
+    assert!(n <= 3.0, "{n}");
+}
+
+#[test]
+fn reading_a_variable_four_scopes_out_is_free() {
+    let plain = per_iteration(ADD_ONE);
+    let deep = per_iteration(
+        "local a = 1
+         local function f1() local x1 = 1
+           local function f2() local x2 = 2
+             local function f3() local x3 = 3
+               local s = 0
+               for i = 1, $N do s = s + a end
+               return s + x1 + x2 + x3
+             end
+             return f3()
+           end
+           return f2()
+         end
+         f1()",
+    );
+    println!("s = s + 1: {plain}; s = s + a, four scopes out: {deep} allocations/iteration");
+    assert_eq!(deep, plain);
+}

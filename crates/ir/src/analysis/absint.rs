@@ -42,6 +42,7 @@ use crate::ir::{
 use crate::passes::util::{collect_assigned, LocalSet};
 use crate::passes::Remark;
 use crate::types::{ScalarTy, Ty, TypeRegistry};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use terra_syntax::{Provenance, Span};
 
@@ -129,8 +130,8 @@ impl Summaries {
 /// Computes summaries for a set of functions with a bounded fixpoint (three
 /// rounds): round one sees unknown callees (sound), later rounds refine
 /// through call chains. Order-insensitive by construction.
-pub fn summarize(
-    fns: &[(FuncId, IrFunction)],
+pub fn summarize<F: Borrow<IrFunction>>(
+    fns: &[(FuncId, F)],
     types: Option<&TypeRegistry>,
     env: &dyn ModuleEnv,
 ) -> Summaries {
@@ -138,7 +139,8 @@ pub fn summarize(
     for _ in 0..3 {
         let mut next = Summaries::default();
         for (id, f) in fns {
-            next.map.insert(*id, summarize_one(f, types, env, &sums));
+            next.map
+                .insert(*id, summarize_one(f.borrow(), types, env, &sums));
         }
         let done = next == sums;
         sums = next;
@@ -155,9 +157,8 @@ fn summarize_one(
     env: &dyn ModuleEnv,
     sums: &Summaries,
 ) -> FnSummary {
-    let mut body = f.body.clone();
     let mut interp = Interp::new(f, types, env, Some(sums), Mode::Summary);
-    interp.block(&mut body);
+    interp.block(&f.body);
     let ret = interp.ret.take().map(sanitize_ret);
     FnSummary {
         ret,
@@ -189,14 +190,17 @@ pub(super) fn lint(
     sums: Option<&Summaries>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut body = f.body.clone();
-    let mut interp = Interp::new(f, types, env, sums, Mode::Lint(diags));
-    interp.block(&mut body);
+    Interp::new(f, types, env, sums, Mode::Lint(diags)).block(&f.body);
 }
 
 /// Stamps proven-in-bounds accesses into each statement's
-/// [`nochk`](IrStmt::nochk) list and emits `checkelim` remarks. Called by
-/// the `checkelim` pass with the function body taken out of `f`.
+/// [`nochk`](IrStmt::nochk) list and emits `checkelim` remarks; returns
+/// whether it stamped any. Called by the `checkelim` pass with the function
+/// body taken out of `f`.
+///
+/// The walk itself never mutates (summaries and lints run it over borrowed
+/// IR): it notes which statement each proof belongs to, and the proofs are
+/// attached afterwards.
 pub(crate) fn annotate(
     f: &IrFunction,
     body: &mut [IrStmt],
@@ -204,9 +208,48 @@ pub(crate) fn annotate(
     env: &dyn ModuleEnv,
     sums: Option<&Summaries>,
     remarks: &mut Vec<Remark>,
-) {
+) -> bool {
     let mut interp = Interp::new(f, types, env, sums, Mode::Elide(remarks));
     interp.block(body);
+    let stamps = interp.stamps;
+    let stamped = !stamps.is_empty();
+    let mut stamps = stamps.into_iter().peekable();
+    attach_stamps(body, &mut stamps);
+    debug_assert!(stamps.next().is_none(), "a proof outlived its statement");
+    stamped
+}
+
+/// A statement the walk proved accesses of (by identity; never read
+/// through) and the proven address expressions.
+type Stamp = (*const IrStmt, Vec<IrExpr>);
+
+/// Attaches each stamp to its statement. The walk visits statements in
+/// program order, at most once each, so one pass in the same order finds
+/// them all.
+fn attach_stamps(
+    stmts: &mut [IrStmt],
+    stamps: &mut std::iter::Peekable<std::vec::IntoIter<Stamp>>,
+) {
+    for s in stmts {
+        if stamps.peek().is_some_and(|(at, _)| std::ptr::eq(*at, s)) {
+            let (_, mut proven) = stamps.next().expect("peeked");
+            s.nochk.append(&mut proven);
+        }
+        match &mut s.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                attach_stamps(then_body, stamps);
+                attach_stamps(else_body, stamps);
+            }
+            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
+                attach_stamps(body, stamps)
+            }
+            _ => {}
+        }
+    }
 }
 
 /// State-free proof for LICM: whether an access of `size` bytes through
@@ -359,6 +402,8 @@ struct Interp<'a> {
     loop_depth: u32,
     /// Proven address expressions of the statement being walked.
     pending: Vec<IrExpr>,
+    /// Proofs per statement, in walk order (elide mode).
+    stamps: Vec<Stamp>,
     cur_span: Span,
     cur_prov: Option<Provenance>,
 }
@@ -414,6 +459,7 @@ impl<'a> Interp<'a> {
             depth: 0,
             loop_depth: 0,
             pending: Vec::new(),
+            stamps: Vec::new(),
             cur_span: Span::synthetic(),
             cur_prov: None,
         }
@@ -457,8 +503,8 @@ impl<'a> Interp<'a> {
     // Statement walk.
     // -----------------------------------------------------------------
 
-    fn block(&mut self, stmts: &mut [IrStmt]) -> Flow {
-        for s in stmts.iter_mut() {
+    fn block(&mut self, stmts: &[IrStmt]) -> Flow {
+        for s in stmts {
             if let Flow::Terminated = self.stmt(s) {
                 // Anything after a terminator is unreachable; the dataflow
                 // pass reports it, we just don't analyze it.
@@ -468,15 +514,22 @@ impl<'a> Interp<'a> {
         Flow::FallThrough
     }
 
-    fn stmt(&mut self, s: &mut IrStmt) -> Flow {
+    /// Moves the proofs gathered while evaluating `s`'s own operands onto
+    /// `s`, before any nested statement is walked.
+    fn stamp(&mut self, s: &IrStmt) {
+        if !self.pending.is_empty() {
+            self.stamps.push((s, std::mem::take(&mut self.pending)));
+        }
+    }
+
+    fn stmt(&mut self, s: &IrStmt) -> Flow {
         self.cur_span = s.span;
         self.cur_prov = s.prov.clone();
-        let mut own: Vec<IrExpr> = Vec::new();
-        let flow = match &mut s.kind {
+        match &s.kind {
             StmtKind::Assign { dst, value } => {
                 let dst = *dst;
                 let v = self.eval(value);
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 self.set(dst, v);
                 Flow::FallThrough
             }
@@ -485,7 +538,7 @@ impl<'a> Interp<'a> {
                 self.eval(value);
                 let av = self.eval(addr);
                 self.access(addr, &av, size, "store");
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 Flow::FallThrough
             }
             StmtKind::CopyMem { dst, src, size } => {
@@ -498,12 +551,12 @@ impl<'a> Interp<'a> {
                 // every address of the instruction is stamped.
                 self.access(dst, &dv, Some(size), "copy destination");
                 self.access(src, &sv, Some(size), "copy source");
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 Flow::FallThrough
             }
             StmtKind::Expr(e) => {
                 self.eval(e);
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 Flow::FallThrough
             }
             StmtKind::If {
@@ -512,7 +565,7 @@ impl<'a> Interp<'a> {
                 else_body,
             } => {
                 let c = self.eval(cond);
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 self.walk_if(&c, cond, then_body, else_body)
             }
             StmtKind::While { cond, body } => {
@@ -523,7 +576,7 @@ impl<'a> Interp<'a> {
                 collect_assigned(body, &mut writes);
                 self.widen(&writes);
                 let c = self.eval(cond);
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 if !self.definitely_false(&c) {
                     let saved = self.state.clone();
                     let feasible = self.refine(cond, true);
@@ -553,7 +606,7 @@ impl<'a> Interp<'a> {
                 let sv = self.eval(start);
                 let ev = self.eval(stop);
                 let stv = self.eval(step);
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 self.walk_for(var, &sv, &ev, &stv, body);
                 Flow::FallThrough
             }
@@ -564,16 +617,16 @@ impl<'a> Interp<'a> {
                 // own function is; only the operand expressions run here.
                 self.eval(start);
                 self.eval(stop);
-                for a in args.iter_mut() {
+                for a in args {
                     self.eval(a);
                 }
-                own = std::mem::take(&mut self.pending);
+                self.stamp(s);
                 Flow::FallThrough
             }
             StmtKind::Return(e) => {
                 if let Some(e) = e {
                     let v = self.eval(e);
-                    own = std::mem::take(&mut self.pending);
+                    self.stamp(s);
                     self.ret = Some(match self.ret.take() {
                         Some(prev) => join_absval(&prev, &v),
                         None => v,
@@ -582,19 +635,15 @@ impl<'a> Interp<'a> {
                 Flow::Terminated
             }
             StmtKind::Break => Flow::Terminated,
-        };
-        if !own.is_empty() {
-            s.nochk.append(&mut own);
         }
-        flow
     }
 
     fn walk_if(
         &mut self,
         c: &AbsVal,
         cond: &IrExpr,
-        then_body: &mut [IrStmt],
-        else_body: &mut [IrStmt],
+        then_body: &[IrStmt],
+        else_body: &[IrStmt],
     ) -> Flow {
         if self.definitely_true(c) {
             return self.block(then_body);
@@ -644,7 +693,7 @@ impl<'a> Interp<'a> {
         start: &AbsVal,
         stop: &AbsVal,
         step: &AbsVal,
-        body: &mut [IrStmt],
+        body: &[IrStmt],
     ) {
         let bounds = match (start, stop) {
             (AbsVal::Int(s), AbsVal::Int(e)) => Some((*s, *e)),

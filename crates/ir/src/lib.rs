@@ -34,7 +34,7 @@ pub use ir::{
 };
 pub use passes::fold::{fold_expr, fold_function};
 pub use passes::{
-    optimize, InlineEnv, NoInline, OptLevel, PassConfig, PassRun, PassStats, Remark, RemarkKind,
-    MAX_CALLEE_NODES,
+    optimize, optimized, InlineEnv, NoInline, OptLevel, PassConfig, PassRun, PassStats, Remark,
+    RemarkKind, MAX_CALLEE_NODES,
 };
 pub use types::{Field, FuncTy, ScalarTy, StructId, StructLayout, Ty, TyDisplay, TypeRegistry};

@@ -12,8 +12,9 @@ use super::{PassConfig, Remark};
 use crate::analysis::absint;
 use crate::ir::IrFunction;
 
-pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) {
+pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) -> bool {
     let mut body = std::mem::take(&mut f.body);
-    absint::annotate(f, &mut body, cfg.types, cfg.env, cfg.summaries, remarks);
+    let stamped = absint::annotate(f, &mut body, cfg.types, cfg.env, cfg.summaries, remarks);
     f.body = body;
+    stamped
 }

@@ -20,8 +20,9 @@ use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKi
 
 type CopyMap = Vec<Option<LocalId>>;
 
-/// Propagates register-to-register copies through the function body.
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
+/// Propagates register-to-register copies through the function body;
+/// returns whether any read was forwarded.
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let IrFunction { locals, body, .. } = f;
     let mut map: CopyMap = vec![None; locals.len()];
     let mut forwarded = 0usize;
@@ -34,6 +35,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
             format!("forwarded {forwarded} copied value read(s)"),
         ));
     }
+    forwarded > 0
 }
 
 /// Forgets every fact involving `w`: its own mapping and any copy sourced

@@ -20,11 +20,14 @@ use terra_syntax::Provenance;
 
 type Avail = Vec<(IrExpr, LocalId)>;
 
-/// Eliminates recomputation of stable expressions within the function.
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
+/// Eliminates recomputation of stable expressions within the function;
+/// returns whether any was replaced (each replacement leaves a remark).
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let IrFunction { locals, body, .. } = f;
     let mut avail: Avail = Vec::new();
+    let before = remarks.len();
     block(locals, body, &mut avail, remarks);
+    remarks.len() > before
 }
 
 /// Where replacements currently land, for remark attribution: the enclosing

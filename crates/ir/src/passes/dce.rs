@@ -23,8 +23,9 @@ use super::util::{add_uses, expr_is_pure, stmt_terminates, LocalSet};
 use super::Remark;
 use crate::ir::{ExprKind, IrFunction, IrStmt, LocalSlot, StmtKind};
 
-/// Removes code that cannot execute or whose results are never observed.
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
+/// Removes code that cannot execute or whose results are never observed;
+/// returns whether it removed anything.
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     // Each round can expose more dead code (a dead store's operands die with
     // it); iterate until nothing changes.
     let (mut unreachable, mut effect_free, mut dead_stores) = (0usize, 0usize, 0usize);
@@ -55,6 +56,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
             ));
         }
     }
+    unreachable + effect_free + dead_stores > 0
 }
 
 /// Truncates every block after its first terminating statement, returning

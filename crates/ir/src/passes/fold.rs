@@ -35,8 +35,10 @@ pub fn fold_function(f: &mut IrFunction) {
 }
 
 /// Pass-manager entry point: fold without the standalone verify wrapper
-/// (the pass manager verifies between passes itself).
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
+/// (the pass manager verifies the pipeline's result itself). Returns whether
+/// anything was folded or collapsed; both leave a remark.
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
+    let before = remarks.len();
     let mut folded = 0usize;
     fold_stmts(&mut f.body, &mut folded, remarks);
     if folded > 0 {
@@ -47,6 +49,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
             format!("folded {folded} constant expression(s)"),
         ));
     }
+    remarks.len() > before
 }
 
 fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &mut Vec<Remark>) {

@@ -29,11 +29,15 @@ use terra_syntax::{ProvKind, Provenance};
 /// Upper bound on the IR size of a callee worth inlining.
 pub const MAX_CALLEE_NODES: usize = 48;
 
-/// Inlines eligible direct calls in statement position.
-pub(crate) fn run(f: &mut IrFunction, env: &dyn InlineEnv, remarks: &mut Vec<Remark>) {
+/// Inlines eligible direct calls in statement position; returns whether it
+/// touched the function (a splice, or callee locals appended before a
+/// defensive bail-out).
+pub(crate) fn run(f: &mut IrFunction, env: &dyn InlineEnv, remarks: &mut Vec<Remark>) -> bool {
+    let locals_before = f.locals.len();
     let mut body = std::mem::take(&mut f.body);
-    inline_block(f, env, &mut body, remarks);
+    let spliced = inline_block(f, env, &mut body, remarks);
     f.body = body;
+    spliced || f.locals.len() != locals_before
 }
 
 fn inline_block(
@@ -41,7 +45,8 @@ fn inline_block(
     env: &dyn InlineEnv,
     stmts: &mut Vec<IrStmt>,
     remarks: &mut Vec<Remark>,
-) {
+) -> bool {
+    let mut spliced = false;
     let mut i = 0;
     while i < stmts.len() {
         match &mut stmts[i].kind {
@@ -50,23 +55,25 @@ fn inline_block(
                 else_body,
                 ..
             } => {
-                inline_block(f, env, then_body, remarks);
-                inline_block(f, env, else_body, remarks);
+                spliced |= inline_block(f, env, then_body, remarks);
+                spliced |= inline_block(f, env, else_body, remarks);
             }
             StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                inline_block(f, env, body, remarks);
+                spliced |= inline_block(f, env, body, remarks);
             }
             _ => {}
         }
         if let Some(expansion) = try_inline(f, env, &stmts[i], remarks) {
             let n = expansion.len();
             stmts.splice(i..=i, expansion);
+            spliced = true;
             // Leaf bodies contain no further calls; skip past the splice.
             i += n;
         } else {
             i += 1;
         }
     }
+    spliced
 }
 
 /// Extends the staging chain of every spliced callee statement with an

@@ -30,8 +30,9 @@ use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
 use crate::types::TypeRegistry;
 use terra_syntax::Span;
 
-/// Hoists loop-invariant computation out of every loop in the function.
-pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) {
+/// Hoists loop-invariant computation out of every loop in the function;
+/// returns whether anything was hoisted.
+pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) -> bool {
     let mut body = std::mem::take(&mut f.body);
     let mut licm = Licm {
         f,
@@ -41,7 +42,9 @@ pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark
         remarks,
     };
     licm.block(&mut body);
+    let hoisted = licm.counter > 0;
     f.body = body;
+    hoisted
 }
 
 struct Licm<'a> {

@@ -15,12 +15,15 @@
 //! [pure](util::expr_is_pure) computation and may cache/reuse only
 //! [stable](util::expr_is_stable) values.
 //!
-//! **Verifier-between-passes invariant:** if a function verifies cleanly
-//! going into the pipeline, it must verify cleanly after every pass that
-//! changed it. A violation is a compiler bug: debug builds panic at the
-//! offending pass; release builds revert that pass's effect (the pipeline
-//! snapshots the function before each pass) and continue, preferring slower
-//! correct code over a miscompile.
+//! **Verifier invariant:** a function that verifies going into the pipeline
+//! must verify coming out of it. Each pass reports whether it rewrote
+//! anything ([`PassRun::changed`] is the pass's own word, not a comparison
+//! of snapshots), and the pipeline's result is verified once, after the last
+//! pass, whatever the passes reported. A violation is a compiler bug. Debug
+//! builds additionally verify after every pass that reported a change and
+//! panic naming it; release builds fall back to the function's input IR —
+//! the `-O0` code — discarding the pipeline's rewrites and remarks,
+//! preferring slower correct code over a miscompile.
 //!
 //! Per-pass wall-clock timings are returned in [`PassStats`] so the driver
 //! can emit one trace span per pass (`--profile` shows where compile time
@@ -202,8 +205,10 @@ pub struct PassRun {
     pub changed: bool,
     /// Wall-clock duration in microseconds.
     pub dur_us: u64,
-    /// Whether the pass's effect was reverted because it broke the
-    /// verifier invariant (release builds only; debug builds panic).
+    /// Whether the pass's effect was discarded because the pipeline's
+    /// result broke the verifier invariant (release builds only; debug
+    /// builds panic). The fallback is the input IR, so every pass of such a
+    /// run is marked.
     pub reverted: bool,
 }
 
@@ -212,13 +217,19 @@ pub struct PassRun {
 pub struct PassStats {
     /// One entry per executed pass.
     pub runs: Vec<PassRun>,
-    /// Structured optimization remarks, in emission order. Remarks from a
-    /// reverted pass are discarded along with its effect.
+    /// Structured optimization remarks, in emission order. Remarks of a
+    /// discarded pipeline are dropped along with its effect.
     pub remarks: Vec<Remark>,
 }
 
 #[derive(Clone, Copy)]
 enum Pass {
+    /// Deliberately breaks typing, to exercise the fallback; `admits` is
+    /// what it reports as "changed".
+    #[cfg(test)]
+    Sabotage {
+        admits: bool,
+    },
     Inline,
     Fold,
     Simplify,
@@ -232,6 +243,8 @@ enum Pass {
 impl Pass {
     fn name(self) -> &'static str {
         match self {
+            #[cfg(test)]
+            Pass::Sabotage { .. } => "sabotage",
             Pass::Inline => "inline",
             Pass::Fold => "fold",
             Pass::Simplify => "simplify",
@@ -243,8 +256,11 @@ impl Pass {
         }
     }
 
-    fn apply(self, f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) {
+    /// Runs the pass; returns whether it rewrote anything.
+    fn apply(self, f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) -> bool {
         match self {
+            #[cfg(test)]
+            Pass::Sabotage { admits } => tests::sabotage(f, remarks) && admits,
             Pass::Inline => inline::run(f, cfg.inline, remarks),
             Pass::Fold => fold::run(f, remarks),
             Pass::Simplify => simplify::run(f, remarks),
@@ -252,11 +268,7 @@ impl Pass {
             Pass::CopyProp => copyprop::run(f, remarks),
             Pass::Licm => licm::run(f, cfg, remarks),
             Pass::Dce => dce::run(f, remarks),
-            Pass::CheckElim => {
-                if cfg.elide_checks {
-                    checkelim::run(f, cfg, remarks);
-                }
-            }
+            Pass::CheckElim => cfg.elide_checks && checkelim::run(f, cfg, remarks),
         }
     }
 }
@@ -282,50 +294,193 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
 }
 
 /// Runs the pipeline selected by `cfg.level` over `f`, enforcing the
-/// verifier-between-passes invariant, and returns per-pass statistics.
+/// verifier invariant, and returns per-pass statistics.
 pub fn optimize(f: &mut IrFunction, cfg: &PassConfig) -> PassStats {
+    let (out, stats) = optimize_from(f, pipeline(cfg.level), cfg);
+    *f = out;
+    stats
+}
+
+/// [`optimize`] for a caller that keeps the input: returns the optimized
+/// copy of `input` (the only copy made) and the statistics.
+pub fn optimized(input: &IrFunction, cfg: &PassConfig) -> (IrFunction, PassStats) {
+    optimize_from(input, pipeline(cfg.level), cfg)
+}
+
+fn optimize_from(input: &IrFunction, passes: &[Pass], cfg: &PassConfig) -> (IrFunction, PassStats) {
+    let mut f = input.clone();
     let mut stats = PassStats::default();
-    let passes = pipeline(cfg.level);
     if passes.is_empty() {
-        return stats;
+        return (f, stats);
     }
-    // Only police passes on functions that were consistent to begin with;
-    // the driver separately rejects functions that fail verification.
-    let baseline_ok = verify_function(f, cfg.types, cfg.env).is_ok();
+    // The verifier's complaint about `f`, if any — unless the input was
+    // inconsistent to begin with: only functions that went in clean are
+    // policed (the driver separately rejects the others).
+    let broken = |f: &IrFunction| {
+        verify_function(f, cfg.types, cfg.env)
+            .err()
+            .filter(|_| verify_function(input, cfg.types, cfg.env).is_ok())
+    };
     for pass in passes {
-        let snapshot = f.clone();
         let remarks_before = stats.remarks.len();
         let t0 = Instant::now();
-        pass.apply(f, cfg, &mut stats.remarks);
+        let changed = pass.apply(&mut f, cfg, &mut stats.remarks);
         let dur_us = t0.elapsed().as_micros() as u64;
-        let changed = *f != snapshot;
-        let mut reverted = false;
-        if changed && baseline_ok {
-            if let Err(d) = verify_function(f, cfg.types, cfg.env) {
-                if cfg!(debug_assertions) {
-                    panic!(
-                        "optimization pass '{}' broke IR consistency in '{}': {}",
-                        pass.name(),
-                        f.name,
-                        d
-                    );
-                }
-                *f = snapshot;
-                reverted = true;
-                // A reverted pass's remarks describe changes that were
-                // undone; drop them so the stream matches the final code.
-                stats.remarks.truncate(remarks_before);
-            }
-        }
         for r in &mut stats.remarks[remarks_before..] {
             r.function = Arc::clone(&f.name);
         }
         stats.runs.push(PassRun {
             pass: pass.name(),
-            changed: changed && !reverted,
+            changed,
             dur_us,
-            reverted,
+            reverted: false,
         });
+        if cfg!(debug_assertions) && changed {
+            if let Some(d) = broken(&f) {
+                panic!(
+                    "optimization pass '{}' broke IR consistency in '{}': {}",
+                    pass.name(),
+                    f.name,
+                    d
+                );
+            }
+        }
     }
-    stats
+    // Unconditional, so a pass that under-reports `changed` is still caught.
+    if let Some(d) = broken(&f) {
+        if cfg!(debug_assertions) {
+            panic!(
+                "the optimization pipeline broke IR consistency in '{}' \
+                 though no pass reported a change: {}",
+                f.name, d
+            );
+        }
+        f = input.clone();
+        // The remarks describe rewrites that were discarded; drop them so
+        // the stream matches the final code.
+        stats.remarks.clear();
+        for run in &mut stats.runs {
+            run.changed = false;
+            run.reverted = true;
+        }
+    }
+    (f, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::NoEnv;
+    use crate::ir::{BinKind, IrExpr, IrStmt, LocalId, StmtKind};
+    use crate::types::{FuncTy, Ty};
+
+    /// Retypes every returned value as `double`, whatever the function
+    /// returns.
+    pub(super) fn sabotage(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
+        for s in &mut f.body {
+            if let StmtKind::Return(Some(e)) = &mut s.kind {
+                e.ty = Ty::F64;
+            }
+        }
+        remarks.push(Remark::applied(
+            "sabotage",
+            0,
+            None,
+            "retyped the returned value".to_string(),
+        ));
+        true
+    }
+
+    /// `return p0 + (2 + 3)`: consistent, and `fold` has something to do.
+    fn foldable() -> IrFunction {
+        let mut f = IrFunction {
+            name: "victim".into(),
+            ty: FuncTy {
+                params: vec![Ty::INT],
+                ret: Ty::INT,
+            },
+            locals: Vec::new(),
+            body: Vec::new(),
+        };
+        f.add_local("p0", Ty::INT, false);
+        f.body = vec![IrStmt::new(StmtKind::Return(Some(IrExpr::binary(
+            BinKind::Add,
+            IrExpr::local(LocalId(0), Ty::INT),
+            IrExpr::binary(BinKind::Add, IrExpr::int32(2), IrExpr::int32(3)),
+        ))))];
+        f
+    }
+
+    fn run(passes: &[Pass]) -> (IrFunction, IrFunction, PassStats) {
+        let input = foldable();
+        let cfg = PassConfig {
+            level: OptLevel::O2,
+            types: None,
+            env: &NoEnv,
+            inline: &NoInline,
+            summaries: None,
+            elide_checks: true,
+        };
+        let (out, stats) = optimize_from(&input, passes, &cfg);
+        (input, out, stats)
+    }
+
+    #[test]
+    fn a_sound_pipeline_keeps_its_rewrites() {
+        let (input, out, stats) = run(&[Pass::Fold, Pass::Dce]);
+        assert_ne!(out, input, "2 + 3 folds");
+        let flags: Vec<_> = stats.runs.iter().map(|r| (r.changed, r.reverted)).collect();
+        assert_eq!(flags, [(true, false), (false, false)]);
+        assert!(stats.remarks.iter().all(|r| &*r.function == "victim"));
+        assert!(!stats.remarks.is_empty());
+    }
+
+    /// Release semantics: the function compiles from its input IR, every
+    /// pass of the run is marked reverted, and the discarded pipeline's
+    /// remarks are dropped — whether or not the culprit owned up.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_broken_pipeline_falls_back_to_the_input_ir() {
+        for admits in [true, false] {
+            let (input, out, stats) = run(&[Pass::Fold, Pass::Sabotage { admits }, Pass::Dce]);
+            assert_eq!(out, input);
+            assert_eq!(stats.runs.len(), 3);
+            assert!(stats.runs.iter().all(|r| r.reverted && !r.changed));
+            assert!(stats.remarks.is_empty(), "{:?}", stats.remarks);
+        }
+    }
+
+    /// Debug semantics: the pass that reported the breaking change is named.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "optimization pass 'sabotage' broke IR consistency in 'victim'")]
+    fn a_breaking_pass_is_named() {
+        run(&[Pass::Fold, Pass::Sabotage { admits: true }, Pass::Dce]);
+    }
+
+    /// Debug semantics: a pass that under-reports is still caught by the
+    /// unconditional verify after the last pass.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "though no pass reported a change")]
+    fn an_unreported_break_is_caught_at_the_end() {
+        run(&[Pass::Fold, Pass::Sabotage { admits: false }, Pass::Dce]);
+    }
+
+    #[test]
+    fn an_inconsistent_input_is_not_policed() {
+        let mut input = foldable();
+        sabotage(&mut input, &mut Vec::new());
+        let cfg = PassConfig {
+            level: OptLevel::O1,
+            types: None,
+            env: &NoEnv,
+            inline: &NoInline,
+            summaries: None,
+            elide_checks: true,
+        };
+        let (out, stats) = optimized(&input, &cfg);
+        assert_ne!(out, input, "the pipeline's result is kept");
+        assert!(stats.runs.iter().all(|r| !r.reverted));
+    }
 }

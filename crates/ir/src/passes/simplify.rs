@@ -19,8 +19,9 @@ use super::Remark;
 use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalSlot, StmtKind};
 use crate::types::{ScalarTy, Ty};
 
-/// Simplifies every expression in the function, bottom-up.
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
+/// Simplifies every expression in the function, bottom-up; returns whether
+/// any was rewritten.
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let IrFunction { locals, body, .. } = f;
     let mut rewrites = 0usize;
     block(locals, body, &mut rewrites);
@@ -32,6 +33,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) {
             format!("rewrote {rewrites} expression(s) (algebraic / strength reduction)"),
         ));
     }
+    rewrites > 0
 }
 
 fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], rewrites: &mut usize) {

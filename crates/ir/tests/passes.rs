@@ -4,7 +4,7 @@
 
 use terra_ir::{
     optimize, BinKind, Callee, ExprKind, FuncId, FuncTy, InlineEnv, IrExpr, IrFunction, IrStmt,
-    LocalId, NoEnv, NoInline, OptLevel, PassConfig, StmtKind, Ty,
+    LocalId, NoEnv, NoInline, OptLevel, PassConfig, PassStats, StmtKind, Ty, TypeRegistry,
 };
 
 fn func(params: Vec<Ty>, ret: Ty) -> IrFunction {
@@ -34,12 +34,25 @@ fn cfg(level: OptLevel, inline: &dyn InlineEnv) -> PassConfig<'_> {
     }
 }
 
-fn run_opt(f: &mut IrFunction, level: OptLevel) {
+fn run_opt(f: &mut IrFunction, level: OptLevel) -> PassStats {
     let stats = optimize(f, &cfg(level, &NoInline));
     assert!(
         stats.runs.iter().all(|r| !r.reverted),
         "no pass should be reverted: {stats:?}"
     );
+    stats
+}
+
+/// The names of the passes that reported rewriting something.
+fn changed_by(stats: &PassStats) -> Vec<&'static str> {
+    let mut names: Vec<_> = stats
+        .runs
+        .iter()
+        .filter(|r| r.changed)
+        .map(|r| r.pass)
+        .collect();
+    names.dedup();
+    names
 }
 
 /// Counts expression nodes matching `pred` anywhere in the body.
@@ -158,7 +171,8 @@ fn simplify_strength_reduces_mul_by_power_of_two() {
         IrExpr::local(p, Ty::INT),
         IrExpr::int32(8),
     ))];
-    run_opt(&mut f, OptLevel::O1);
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(changed_by(&stats), ["simplify"]);
     assert_eq!(
         count_exprs(&f, &|k| matches!(
             k,
@@ -205,7 +219,8 @@ fn cse_shares_repeated_computation() {
             IrExpr::local(b, Ty::INT),
         )),
     ];
-    run_opt(&mut f, OptLevel::O2);
+    let stats = run_opt(&mut f, OptLevel::O2);
+    assert!(changed_by(&stats).contains(&"cse"));
     assert_eq!(
         count_exprs(&f, &|k| matches!(
             k,
@@ -243,7 +258,8 @@ fn cse_does_not_share_across_clobber() {
             IrExpr::local(b, Ty::INT),
         )),
     ];
-    run_opt(&mut f, OptLevel::O2);
+    let stats = run_opt(&mut f, OptLevel::O2);
+    assert!(!changed_by(&stats).contains(&"cse"));
     assert_eq!(
         count_exprs(&f, &|k| matches!(
             k,
@@ -270,7 +286,8 @@ fn cse_does_not_share_across_self_referential_assign() {
         assign(y, x_plus_1()),
         ret(IrExpr::local(y, Ty::INT)),
     ];
-    run_opt(&mut f, OptLevel::O2);
+    let stats = run_opt(&mut f, OptLevel::O2);
+    assert!(!changed_by(&stats).contains(&"cse"));
     let second_is_copy_of_x = f.body.iter().any(|s| match &s.kind {
         StmtKind::Return(Some(e)) => e.kind == ExprKind::Local(x),
         StmtKind::Assign { dst, value } => *dst == y && value.kind == ExprKind::Local(x),
@@ -294,7 +311,8 @@ fn copyprop_forwards_through_copies() {
         assign(z, IrExpr::local(y, Ty::INT)),
         ret(IrExpr::local(z, Ty::INT)),
     ];
-    run_opt(&mut f, OptLevel::O1);
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(changed_by(&stats), ["copyprop", "dce"]);
     assert_eq!(
         f.body.len(),
         1,
@@ -325,7 +343,8 @@ fn dce_removes_dead_assign_keeps_observable_effects() {
         ),
         ret(IrExpr::local(p, Ty::INT)),
     ];
-    run_opt(&mut f, OptLevel::O2);
+    let stats = run_opt(&mut f, OptLevel::O2);
+    assert!(changed_by(&stats).contains(&"dce"));
     assert_eq!(
         count_exprs(&f, &|k| matches!(
             k,
@@ -360,7 +379,8 @@ fn dce_prunes_code_after_return() {
         assign(t, IrExpr::int32(1)),
         ret(IrExpr::local(t, Ty::INT)),
     ];
-    run_opt(&mut f, OptLevel::O1);
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(changed_by(&stats), ["dce"]);
     assert_eq!(f.body.len(), 1, "unreachable tail must be pruned: {f:?}");
 }
 
@@ -390,7 +410,8 @@ fn licm_hoists_invariant_multiply_out_of_loop() {
         }),
         ret(IrExpr::local(acc, Ty::INT)),
     ];
-    run_opt(&mut f, OptLevel::O2);
+    let stats = run_opt(&mut f, OptLevel::O2);
+    assert!(changed_by(&stats).contains(&"licm"));
     // The multiply must not be inside the loop body anymore.
     let in_loop = f
         .body
@@ -534,4 +555,73 @@ fn pipeline_reports_per_pass_timing() {
         ]
     );
     assert!(stats.runs.iter().any(|r| r.changed), "simplify should fire");
+}
+
+#[test]
+fn fold_reports_what_it_folded() {
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    f.body = vec![ret(IrExpr::binary(
+        BinKind::Add,
+        IrExpr::local(LocalId(0), Ty::INT),
+        IrExpr::binary(BinKind::Add, IrExpr::int32(2), IrExpr::int32(3)),
+    ))];
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(changed_by(&stats), ["fold"]);
+}
+
+#[test]
+fn checkelim_reports_what_it_stamped() {
+    // var slot : int (in memory); slot = 5 through its address; return p0.
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let slot = f.add_local("slot", Ty::INT, true);
+    f.body = vec![
+        IrStmt::new(StmtKind::Store {
+            addr: IrExpr {
+                ty: Ty::INT.ptr_to(),
+                kind: ExprKind::LocalAddr(slot),
+            },
+            value: IrExpr::int32(5),
+        }),
+        ret(IrExpr::local(LocalId(0), Ty::INT)),
+    ];
+    let types = TypeRegistry::new();
+    let config = PassConfig {
+        types: Some(&types),
+        ..cfg(OptLevel::O2, &NoInline)
+    };
+    let stats = optimize(&mut f, &config);
+    assert_eq!(changed_by(&stats), ["checkelim"]);
+    assert_eq!(f.body[0].nochk.len(), 1, "the store is proven: {f:?}");
+
+    // With elision off the pass runs but touches nothing.
+    let mut g = f.clone();
+    g.body[0].nochk.clear();
+    let stats = optimize(
+        &mut g,
+        &PassConfig {
+            elide_checks: false,
+            ..config
+        },
+    );
+    assert!(changed_by(&stats).is_empty());
+    assert!(g.body[0].nochk.is_empty());
+}
+
+#[test]
+fn no_pass_reports_a_change_it_did_not_make() {
+    // `return p0` cannot be improved by anything.
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    f.body = vec![ret(IrExpr::local(LocalId(0), Ty::INT))];
+    let before = f.clone();
+    let types = TypeRegistry::new();
+    let stats = optimize(
+        &mut f,
+        &PassConfig {
+            types: Some(&types),
+            ..cfg(OptLevel::O2, &NoInline)
+        },
+    );
+    assert_eq!(stats.runs.len(), 9);
+    assert!(changed_by(&stats).is_empty(), "{stats:?}");
+    assert_eq!(f, before);
 }

@@ -17,11 +17,39 @@ use std::rc::Rc;
 /// An interned-ish name (shared string).
 pub type Name = Rc<str>;
 
+/// Where a variable lives at run time. The parser fixes this once per
+/// use site by walking its own stack of scopes, so the evaluator never looks
+/// a name up by its spelling in a local scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// The `index`-th variable of the scope `hops` levels out from the
+    /// innermost one that exists at this point of the program.
+    Local {
+        /// Scopes to walk outwards.
+        hops: u16,
+        /// Position within that scope, in declaration order.
+        index: u16,
+    },
+    /// Not bound by any enclosing scope: the global table, by name.
+    Global,
+}
+
 /// A block of Lua statements.
+///
+/// A block that declares variables owns a scope. The scope opens just before
+/// the first declaring statement (`scope_at`) — statements before it run in
+/// the enclosing scope — and holds `nslots` variables in declaration order.
+/// Loop and function bodies open theirs on entry: the loop variables or
+/// parameters come first, then the body's own locals.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Block {
     /// The statements, in order.
     pub stmts: Vec<LuaStmt>,
+    /// Index of the statement before which the block's scope opens.
+    pub scope_at: u32,
+    /// Variables the block's scope holds; 0 means it has none and runs in
+    /// the enclosing scope.
+    pub nslots: u16,
 }
 
 /// Binary operators shared by Lua and Terra.
@@ -150,7 +178,10 @@ pub enum LuaStmt {
     FunctionDecl {
         /// Dotted path of the target (`a`, `b`, `c`).
         path: Vec<Name>,
-        /// Method name if declared with `:`; adds implicit `self`.
+        /// Where `path[0]` lives.
+        base: Slot,
+        /// Method name if declared with `:`; `body.params` then starts
+        /// with the implicit `self`.
         method: Option<Name>,
         /// The function itself.
         body: Rc<LuaFunctionBody>,
@@ -179,6 +210,9 @@ pub enum LuaStmt {
     TerraDef {
         /// Dotted path being assigned (e.g. `ImageImpl`, `methods`, `init`).
         path: Vec<Name>,
+        /// Where `path[0]` lived before this statement (a `local terra f`
+        /// additionally declares a new `f`).
+        base: Slot,
         /// Method name if declared with `:` — sugar for
         /// `path.methods.<name>` with implicit `self : &Path`.
         method: Option<Name>,
@@ -194,6 +228,9 @@ pub enum LuaStmt {
     StructDef {
         /// Dotted path being assigned.
         path: Vec<Name>,
+        /// Where `path[0]` lives (unused by a `local struct S`, which
+        /// declares a new `S`).
+        base: Slot,
         /// Declared entries.
         entries: Vec<StructEntry>,
         /// Whether the statement was prefixed with `local`.
@@ -218,12 +255,13 @@ pub struct StructEntry {
 /// The body of a Lua `function` literal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LuaFunctionBody {
-    /// Parameter names (without the implicit `self`, which the parser adds
-    /// explicitly for method declarations).
+    /// Parameter names (including the implicit `self`, which the parser adds
+    /// for method declarations).
     pub params: Vec<Name>,
     /// Whether the parameter list ends with `...`.
     pub is_vararg: bool,
-    /// Function body.
+    /// Function body. Its scope holds the parameters, then the packed
+    /// varargs if `is_vararg`, then the body's locals.
     pub body: Block,
     /// Definition location.
     pub span: Span,
@@ -242,10 +280,12 @@ pub enum LuaExpr {
     Number(f64, Span),
     /// String literal.
     Str(Name, Span),
-    /// `...`
-    Vararg(Span),
+    /// `...` (the slot of the enclosing vararg function's packed arguments).
+    Vararg(Slot, Span),
     /// Variable reference.
-    Var(Name, Span),
+    Var(Name, Slot, Span),
+    /// `(e)` around a call, method call or `...`: truncates to one value.
+    Paren(Box<LuaExpr>),
     /// `e[i]` or `e.name` (the latter with a string index).
     Index {
         /// Indexed object.
@@ -350,8 +390,8 @@ impl LuaExpr {
             | LuaExpr::False(s)
             | LuaExpr::Number(_, s)
             | LuaExpr::Str(_, s)
-            | LuaExpr::Vararg(s)
-            | LuaExpr::Var(_, s)
+            | LuaExpr::Vararg(_, s)
+            | LuaExpr::Var(_, _, s)
             | LuaExpr::PtrType(_, s)
             | LuaExpr::TupleType(_, s) => *s,
             LuaExpr::Index { span, .. }
@@ -362,6 +402,7 @@ impl LuaExpr {
             | LuaExpr::Table { span, .. }
             | LuaExpr::AnonStruct { span, .. }
             | LuaExpr::FuncType { span, .. } => *span,
+            LuaExpr::Paren(e) => e.span(),
             LuaExpr::Function(b) => b.span,
             LuaExpr::TerraFunction(d) => d.span,
             LuaExpr::Quote(q) => q.span,
@@ -584,9 +625,9 @@ pub enum TerraExpr {
     Nil(Span),
     /// String literal (becomes `rawstring`).
     Str(Name, Span),
-    /// Identifier; resolution (Terra local vs. Lua value) happens during
-    /// specialization.
-    Ident(Name, Span),
+    /// Identifier; what it denotes (Terra local vs. Lua value) is decided
+    /// during specialization by what its slot holds.
+    Ident(Name, Slot, Span),
     /// `e.name` — struct field access or Lua table select.
     Field {
         /// Object.
@@ -698,7 +739,7 @@ impl TerraExpr {
             | TerraExpr::Bool(_, span)
             | TerraExpr::Nil(span)
             | TerraExpr::Str(_, span)
-            | TerraExpr::Ident(_, span)
+            | TerraExpr::Ident(_, _, span)
             | TerraExpr::Field { span, .. }
             | TerraExpr::DynField { span, .. }
             | TerraExpr::Index { span, .. }

@@ -8,6 +8,7 @@
 use crate::error::{Result, SyntaxError};
 use crate::span::Span;
 use crate::token::{IntSuffix, Tok, Token};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Lexes `src` completely into a token vector terminated by [`Tok::Eof`].
@@ -36,6 +37,9 @@ struct Lexer<'a> {
     pos: usize,
     line: u32,
     out: Vec<Token>,
+    /// One shared string per identifier spelling in this chunk, so an
+    /// identifier used a hundred times costs one allocation.
+    names: HashMap<&'a str, Rc<str>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -46,6 +50,7 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             out: Vec::new(),
+            names: HashMap::new(),
         }
     }
 
@@ -140,7 +145,11 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let word = &self.src[start..self.pos];
-        Tok::keyword(word).unwrap_or_else(|| Tok::Name(Rc::from(word)))
+        Tok::keyword(word).unwrap_or_else(|| {
+            Tok::Name(Rc::clone(
+                self.names.entry(word).or_insert_with(|| Rc::from(word)),
+            ))
+        })
     }
 
     fn number(&mut self, start: usize) -> Result<Tok> {
@@ -424,6 +433,21 @@ mod tests {
 
     fn kinds(src: &str) -> Vec<Tok> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+    }
+
+    #[test]
+    fn one_shared_string_per_spelling() {
+        let toks = lex("local foo = foo + bar").unwrap();
+        let names: Vec<&Rc<str>> = toks
+            .iter()
+            .filter_map(|t| match &t.tok {
+                Tok::Name(n) => Some(n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names.len(), 3);
+        assert!(Rc::ptr_eq(names[0], names[1]));
+        assert!(!Rc::ptr_eq(names[0], names[2]));
     }
 
     #[test]

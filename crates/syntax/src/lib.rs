@@ -34,7 +34,7 @@ mod span;
 mod token;
 
 pub use ast::{
-    BinOp, Block, DeclName, LuaExpr, LuaFunctionBody, LuaStmt, Name, StructEntry, TableItem,
+    BinOp, Block, DeclName, LuaExpr, LuaFunctionBody, LuaStmt, Name, Slot, StructEntry, TableItem,
     TerraExpr, TerraFuncDef, TerraParam, TerraQuote, TerraStmt, UnOp,
 };
 pub use error::{Result, SyntaxError};

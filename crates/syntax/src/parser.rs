@@ -6,6 +6,14 @@
 //! expressions (types are Lua values, evaluated during specialization), with
 //! the Terra type operators `&T`, `{T,…} -> {T,…}` accepted in expression
 //! position.
+//!
+//! The parser also resolves variables. It keeps the stack of scopes that will
+//! exist at run time — Lua blocks, loop and function bodies, and the scopes
+//! the specializer opens for Terra functions, blocks and quotes — and stamps
+//! every use of a name with the [`Slot`] it denotes. A name is visible from
+//! the statement after its declaration, as in Lua, so one pass suffices. The
+//! scope discipline here and in `terra-eval`'s `interp.rs`/`spec.rs` must
+//! agree exactly; each `push_scope` below names its counterpart.
 
 use crate::ast::*;
 use crate::error::{Result, SyntaxError};
@@ -36,6 +44,7 @@ pub fn parse(src: &str) -> Result<Block> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        scopes: Vec::new(),
     };
     let block = p.block()?;
     p.expect(Tok::Eof)?;
@@ -45,6 +54,22 @@ pub fn parse(src: &str) -> Result<Block> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// The scopes enclosing the current position, outermost first.
+    scopes: Vec<Scope>,
+}
+
+/// One run-time scope as the parser sees it: the names declared so far, in
+/// slot order.
+struct Scope {
+    names: Vec<Name>,
+    /// Whether the scope exists yet at this point of the program. A Lua
+    /// block's scope opens at its first declaring statement; every other
+    /// scope opens when it is pushed.
+    open: bool,
+    /// Index, in the owning Lua block, of the statement being parsed.
+    stmt: u32,
+    /// `stmt` when the scope opened.
+    opened_at: u32,
 }
 
 impl Parser {
@@ -100,6 +125,68 @@ impl Parser {
     }
 
     // -----------------------------------------------------------------------
+    // Scopes and name resolution
+    // -----------------------------------------------------------------------
+
+    fn push_scope(&mut self, open: bool) {
+        self.scopes.push(Scope {
+            names: Vec::new(),
+            open,
+            stmt: 0,
+            opened_at: 0,
+        });
+    }
+
+    fn pop_scope(&mut self) -> Scope {
+        self.scopes.pop().expect("scope pushed by the caller")
+    }
+
+    fn scope(&mut self) -> &mut Scope {
+        self.scopes.last_mut().expect("inside the chunk's scope")
+    }
+
+    /// Opens the innermost scope if it is a Lua block's that has not
+    /// declared anything yet. Called at the start of a declaring statement,
+    /// so the whole statement is resolved — and later evaluated — inside it.
+    fn open_scope(&mut self) {
+        let scope = self.scope();
+        if !scope.open {
+            scope.open = true;
+            scope.opened_at = scope.stmt;
+        }
+    }
+
+    /// Declares `name` as the next slot of the innermost (open) scope.
+    fn declare(&mut self, name: Name) -> Result<()> {
+        if self.scope().names.len() >= usize::from(u16::MAX) {
+            return Err(self.err("too many local variables in one scope"));
+        }
+        self.scope().names.push(name);
+        Ok(())
+    }
+
+    /// The slot `name` denotes here: the latest declaration in the nearest
+    /// open scope that has one, else the global table.
+    fn resolve(&self, name: &str) -> Result<Slot> {
+        let open = self.scopes.iter().rev().filter(|s| s.open);
+        for (hops, scope) in open.enumerate() {
+            if let Some(index) = scope.names.iter().rposition(|n| &**n == name) {
+                let hops = u16::try_from(hops).map_err(|_| self.err("scopes nested too deeply"))?;
+                return Ok(Slot::Local {
+                    hops,
+                    index: index as u16,
+                });
+            }
+        }
+        Ok(Slot::Global)
+    }
+
+    fn var(&mut self, name: Name, span: Span) -> Result<LuaExpr> {
+        let slot = self.resolve(&name)?;
+        Ok(LuaExpr::Var(name, slot, span))
+    }
+
+    // -----------------------------------------------------------------------
     // Lua blocks and statements
     // -----------------------------------------------------------------------
 
@@ -110,13 +197,28 @@ impl Parser {
         )
     }
 
+    /// A block with a scope of its own (`Interp::eval_block`).
     fn block(&mut self) -> Result<Block> {
+        self.push_scope(false);
+        self.block_in_scope()
+    }
+
+    /// A block whose scope the caller pushed — possibly already open and
+    /// holding loop variables or parameters.
+    fn block_in_scope(&mut self) -> Result<Block> {
+        let stmts = self.stmts()?;
+        Ok(self.close_block(stmts))
+    }
+
+    /// Parses statements into the innermost scope.
+    fn stmts(&mut self) -> Result<Vec<LuaStmt>> {
         let mut stmts = Vec::new();
         loop {
             while self.check(&Tok::Semi) {}
             if self.block_ends() {
                 break;
             }
+            self.scope().stmt = stmts.len() as u32;
             let stmt = self.statement()?;
             let is_return = matches!(stmt, LuaStmt::Return { .. });
             stmts.push(stmt);
@@ -125,7 +227,17 @@ impl Parser {
                 break;
             }
         }
-        Ok(Block { stmts })
+        Ok(stmts)
+    }
+
+    /// Pops the innermost scope into the block that owns it.
+    fn close_block(&mut self, stmts: Vec<LuaStmt>) -> Block {
+        let scope = self.pop_scope();
+        Block {
+            stmts,
+            scope_at: scope.opened_at,
+            nslots: scope.names.len() as u16,
+        }
     }
 
     fn statement(&mut self) -> Result<LuaStmt> {
@@ -133,11 +245,14 @@ impl Parser {
         match self.peek().clone() {
             Tok::Local => {
                 self.bump();
+                self.open_scope();
                 match self.peek().clone() {
                     Tok::Function => {
                         self.bump();
                         let name = self.name()?;
-                        let body = self.lua_function_body(span)?;
+                        // Declared first so the body can recurse.
+                        self.declare(name.clone())?;
+                        let body = self.lua_function_body(span, false)?;
                         Ok(LuaStmt::LocalFunction {
                             name,
                             body: Rc::new(body),
@@ -161,6 +276,10 @@ impl Parser {
                         } else {
                             Vec::new()
                         };
+                        // The initializers do not see the new names.
+                        for n in &names {
+                            self.declare(n.clone())?;
+                        }
                         Ok(LuaStmt::Local { names, exprs, span })
                     }
                 }
@@ -211,9 +330,12 @@ impl Parser {
             }
             Tok::Repeat => {
                 self.bump();
-                let body = self.block()?;
+                // The condition is evaluated in the body's scope.
+                self.push_scope(false);
+                let stmts = self.stmts()?;
                 self.expect(Tok::Until)?;
                 let cond = self.expr()?;
+                let body = self.close_block(stmts);
                 Ok(LuaStmt::Repeat { body, cond })
             }
             Tok::Do => {
@@ -235,7 +357,7 @@ impl Parser {
                         None
                     };
                     self.expect(Tok::Do)?;
-                    let body = self.block()?;
+                    let body = self.loop_body(std::slice::from_ref(&first))?;
                     self.expect(Tok::End)?;
                     Ok(LuaStmt::NumericFor {
                         var: first,
@@ -252,7 +374,7 @@ impl Parser {
                     self.expect(Tok::In)?;
                     let exprs = self.exprlist()?;
                     self.expect(Tok::Do)?;
-                    let body = self.block()?;
+                    let body = self.loop_body(&vars)?;
                     self.expect(Tok::End)?;
                     Ok(LuaStmt::GenericFor { vars, exprs, body })
                 }
@@ -268,9 +390,11 @@ impl Parser {
                 } else {
                     None
                 };
-                let body = self.lua_function_body(span)?;
+                let base = self.resolve(&path[0])?;
+                let body = self.lua_function_body(span, method.is_some())?;
                 Ok(LuaStmt::FunctionDecl {
                     path,
+                    base,
                     method,
                     body: Rc::new(body),
                     span,
@@ -348,13 +472,28 @@ impl Parser {
         } else {
             None
         };
-        let mut def = self.terra_function_tail(span)?;
+        let base = self.resolve(&path[0])?;
+        if is_local && path.len() == 1 && method.is_none() {
+            // Bound before the body so the function can refer to itself.
+            self.declare(path[0].clone())?;
+        }
+        let mut def = if method.is_some() {
+            // `Interp::specialize_function`: a scope holding `self`.
+            self.push_scope(true);
+            self.declare(Rc::from("self"))?;
+            let def = self.terra_function_tail(span)?;
+            self.pop_scope();
+            def
+        } else {
+            self.terra_function_tail(span)?
+        };
         def.name_hint = Some(match &method {
             Some(m) => Rc::from(format!("{}:{}", path.join("."), m).as_str()),
             None => Rc::from(path.join(".").as_str()),
         });
         Ok(LuaStmt::TerraDef {
             path,
+            base,
             method,
             def: Rc::new(def),
             is_local,
@@ -367,9 +506,15 @@ impl Parser {
         while self.check(&Tok::Dot) {
             path.push(self.name()?);
         }
+        let base = self.resolve(&path[0])?;
         let entries = self.struct_body()?;
+        if is_local && path.len() == 1 {
+            // The entries do not see the new name.
+            self.declare(path[0].clone())?;
+        }
         Ok(LuaStmt::StructDef {
             path,
+            base,
             entries,
             is_local,
             span,
@@ -393,9 +538,26 @@ impl Parser {
         Ok(entries)
     }
 
-    fn lua_function_body(&mut self, span: Span) -> Result<LuaFunctionBody> {
+    /// A loop body: one scope per iteration, holding the loop variables and
+    /// then the body's locals.
+    fn loop_body(&mut self, vars: &[Name]) -> Result<Block> {
+        self.push_scope(true);
+        for v in vars {
+            self.declare(v.clone())?;
+        }
+        self.block_in_scope()
+    }
+
+    /// Parses `(params) body end`. The call's scope holds the parameters
+    /// (after an implicit `self` for method declarations), the packed
+    /// varargs under the name `...`, and the body's locals; a function with
+    /// no parameters opens it at its first `local`, like any block.
+    fn lua_function_body(&mut self, span: Span, method: bool) -> Result<LuaFunctionBody> {
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
+        if method {
+            params.push(Rc::from("self"));
+        }
         let mut is_vararg = false;
         if self.peek() != &Tok::RParen {
             loop {
@@ -419,7 +581,14 @@ impl Parser {
             }
         }
         self.expect(Tok::RParen)?;
-        let body = self.block()?;
+        self.push_scope(!params.is_empty() || is_vararg);
+        for p in &params {
+            self.declare(p.clone())?;
+        }
+        if is_vararg {
+            self.declare(Rc::from("..."))?;
+        }
+        let body = self.block_in_scope()?;
         self.expect(Tok::End)?;
         Ok(LuaFunctionBody {
             params,
@@ -674,22 +843,28 @@ impl Parser {
             }
             Tok::Ellipsis => {
                 self.bump();
-                Ok(LuaExpr::Vararg(span))
+                Ok(LuaExpr::Vararg(self.resolve("...")?, span))
             }
             Tok::Name(n) => {
                 self.bump();
-                Ok(LuaExpr::Var(n, span))
+                self.var(n, span)
             }
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                // Parentheses matter only around a multi-valued expression.
+                Ok(match e {
+                    LuaExpr::Call { .. } | LuaExpr::MethodCall { .. } | LuaExpr::Vararg(..) => {
+                        LuaExpr::Paren(Box::new(e))
+                    }
+                    e => e,
+                })
             }
             Tok::LBrace => self.table_constructor(),
             Tok::Function => {
                 self.bump();
-                let body = self.lua_function_body(span)?;
+                let body = self.lua_function_body(span, false)?;
                 Ok(LuaExpr::Function(Rc::new(body)))
             }
             Tok::Terra => {
@@ -709,7 +884,9 @@ impl Parser {
             }
             Tok::Backtick => {
                 self.bump();
+                self.push_scope(true);
                 let e = self.terra_expr()?;
+                self.pop_scope();
                 Ok(LuaExpr::Quote(Rc::new(TerraQuote {
                     stmts: Vec::new(),
                     exprs: vec![e],
@@ -726,7 +903,12 @@ impl Parser {
 
     /// Parses `(params) : ret body end` after the `terra` keyword (and any
     /// name) has been consumed.
+    ///
+    /// Scopes as in `Specializer::function`: one for the parameters — each
+    /// visible to the annotations after it and to the return type — and a
+    /// block scope inside it for the body.
     fn terra_function_tail(&mut self, span: Span) -> Result<TerraFuncDef> {
+        self.push_scope(true);
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
         if self.peek() != &Tok::RParen {
@@ -760,6 +942,7 @@ impl Parser {
                         ));
                     }
                 }
+                self.declare_decl(&name)?;
                 params.push(TerraParam { name, ty });
                 if !self.check(&Tok::Comma) {
                     break;
@@ -772,7 +955,8 @@ impl Parser {
         } else {
             None
         };
-        let body = self.terra_block()?;
+        let body = self.terra_scoped_block()?;
+        self.pop_scope();
         self.expect(Tok::End)?;
         Ok(TerraFuncDef {
             params,
@@ -815,7 +999,8 @@ impl Parser {
                 Ok(e)
             }
             _ => {
-                let mut e = LuaExpr::Var(self.name()?, span);
+                let name = self.name()?;
+                let mut e = self.var(name, span)?;
                 loop {
                     let sp = self.span();
                     match self.peek().clone() {
@@ -851,6 +1036,9 @@ impl Parser {
     }
 
     fn quote_body(&mut self, span: Span) -> Result<TerraQuote> {
+        // `Specializer::quote`: statements and `in` expressions share one
+        // scope.
+        self.push_scope(true);
         let stmts = self.terra_block()?;
         let exprs = if self.check(&Tok::In) {
             let mut v = vec![self.terra_expr()?];
@@ -861,6 +1049,7 @@ impl Parser {
         } else {
             Vec::new()
         };
+        self.pop_scope();
         self.expect(Tok::End)?;
         Ok(TerraQuote { stmts, exprs, span })
     }
@@ -882,6 +1071,32 @@ impl Parser {
             stmts.push(self.terra_stmt()?);
         }
         Ok(stmts)
+    }
+
+    /// A Terra block in a scope of its own (`Specializer::block`).
+    fn terra_scoped_block(&mut self) -> Result<Vec<TerraStmt>> {
+        self.push_scope(true);
+        let stmts = self.terra_block();
+        self.pop_scope();
+        stmts
+    }
+
+    /// A Terra loop body: the loop variable and the body share one scope.
+    fn terra_loop_body(&mut self, var: &DeclName) -> Result<Vec<TerraStmt>> {
+        self.push_scope(true);
+        self.declare_decl(var)?;
+        let stmts = self.terra_block();
+        self.pop_scope();
+        stmts
+    }
+
+    /// Binds a declared identifier (`Specializer::bind_symbol`); escaped
+    /// declarations bind no name.
+    fn declare_decl(&mut self, name: &DeclName) -> Result<()> {
+        match name {
+            DeclName::Ident(n, _) => self.declare(n.clone()),
+            DeclName::Escape(..) => Ok(()),
+        }
     }
 
     fn decl_name(&mut self) -> Result<DeclName> {
@@ -907,6 +1122,9 @@ impl Parser {
             Tok::Var => {
                 self.bump();
                 let mut decls = Vec::new();
+                // Each name is bound once its own annotation is evaluated, so
+                // later annotations see it; the initializers see none of them.
+                let before = self.scope().names.len();
                 loop {
                     let name = self.decl_name()?;
                     let ty = if self.check(&Tok::Colon) {
@@ -914,13 +1132,17 @@ impl Parser {
                     } else {
                         None
                     };
+                    self.declare_decl(&name)?;
                     decls.push((name, ty));
                     if !self.check(&Tok::Comma) {
                         break;
                     }
                 }
                 let inits = if self.check(&Tok::Assign) {
-                    self.terra_exprlist()?
+                    let declared = self.scope().names.split_off(before);
+                    let inits = self.terra_exprlist()?;
+                    self.scope().names.extend(declared);
+                    inits
                 } else {
                     Vec::new()
                 };
@@ -931,7 +1153,7 @@ impl Parser {
                 let mut arms = Vec::new();
                 let cond = self.terra_expr()?;
                 self.expect(Tok::Then)?;
-                let body = self.terra_block()?;
+                let body = self.terra_scoped_block()?;
                 arms.push((cond, body));
                 let mut else_body = None;
                 loop {
@@ -940,11 +1162,11 @@ impl Parser {
                             self.bump();
                             let c = self.terra_expr()?;
                             self.expect(Tok::Then)?;
-                            arms.push((c, self.terra_block()?));
+                            arms.push((c, self.terra_scoped_block()?));
                         }
                         Tok::Else => {
                             self.bump();
-                            else_body = Some(self.terra_block()?);
+                            else_body = Some(self.terra_scoped_block()?);
                             self.expect(Tok::End)?;
                             break;
                         }
@@ -969,15 +1191,18 @@ impl Parser {
                 self.bump();
                 let cond = self.terra_expr()?;
                 self.expect(Tok::Do)?;
-                let body = self.terra_block()?;
+                let body = self.terra_scoped_block()?;
                 self.expect(Tok::End)?;
                 Ok(TerraStmt::While { cond, body, span })
             }
             Tok::Repeat => {
                 self.bump();
+                // The condition sees the body's scope.
+                self.push_scope(true);
                 let body = self.terra_block()?;
                 self.expect(Tok::Until)?;
                 let cond = self.terra_expr()?;
+                self.pop_scope();
                 Ok(TerraStmt::Repeat { body, cond, span })
             }
             Tok::For => {
@@ -998,7 +1223,7 @@ impl Parser {
                     None
                 };
                 self.expect(Tok::Do)?;
-                let body = self.terra_block()?;
+                let body = self.terra_loop_body(&var)?;
                 self.expect(Tok::End)?;
                 Ok(TerraStmt::ForNum {
                     var,
@@ -1023,7 +1248,7 @@ impl Parser {
                 self.expect(Tok::Comma)?;
                 let stop = self.terra_expr()?;
                 self.expect(Tok::Do)?;
-                let body = self.terra_block()?;
+                let body = self.terra_loop_body(&var)?;
                 self.expect(Tok::End)?;
                 Ok(TerraStmt::ParallelFor {
                     var,
@@ -1036,7 +1261,7 @@ impl Parser {
             }
             Tok::Do => {
                 self.bump();
-                let body = self.terra_block()?;
+                let body = self.terra_scoped_block()?;
                 self.expect(Tok::End)?;
                 Ok(TerraStmt::Block(body, span))
             }
@@ -1342,7 +1567,8 @@ impl Parser {
             }
             Tok::Name(n) => {
                 self.bump();
-                Ok(TerraExpr::Ident(n, span))
+                let slot = self.resolve(&n)?;
+                Ok(TerraExpr::Ident(n, slot, span))
             }
             Tok::LParen => {
                 self.bump();
@@ -1696,5 +1922,228 @@ mod tests {
             GreyscaleImage = Image(float)
         "#;
         parse_ok(src);
+    }
+    // -- name resolution ------------------------------------------------------
+
+    fn at(hops: u16, index: u16) -> Slot {
+        Slot::Local { hops, index }
+    }
+
+    /// The slots of the variables (and `...`) a `return` statement lists.
+    fn returned(stmt: &LuaStmt) -> Vec<Slot> {
+        let LuaStmt::Return { exprs, .. } = stmt else {
+            panic!("not a return: {stmt:?}")
+        };
+        exprs
+            .iter()
+            .map(|e| match e {
+                LuaExpr::Var(_, slot, _) | LuaExpr::Vararg(slot, _) => *slot,
+                other => panic!("not a variable: {other:?}"),
+            })
+            .collect()
+    }
+
+    fn ident(e: &TerraExpr) -> Slot {
+        match e {
+            TerraExpr::Ident(_, slot, _) => *slot,
+            other => panic!("not an identifier: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_local_is_visible_from_the_next_statement() {
+        let b = parse_ok("print(x) local x = x local x = x return x");
+        assert_eq!((b.scope_at, b.nslots), (1, 2));
+        let LuaStmt::Local { exprs, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        assert!(matches!(exprs[0], LuaExpr::Var(_, Slot::Global, _)));
+        let LuaStmt::Local { exprs, .. } = &b.stmts[2] else {
+            panic!()
+        };
+        assert!(matches!(&exprs[0], LuaExpr::Var(_, slot, _) if *slot == at(0, 0)));
+        assert_eq!(returned(&b.stmts[3]), [at(0, 1)]);
+    }
+
+    #[test]
+    fn a_block_that_declares_nothing_adds_no_hop() {
+        let b = parse_ok(
+            "local a = 1
+             if c then return a end
+             do local b = 2 if c then return a, b end end",
+        );
+        let LuaStmt::If { arms, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        assert_eq!(arms[0].1.nslots, 0);
+        assert_eq!(returned(&arms[0].1.stmts[0]), [at(0, 0)]);
+        let LuaStmt::Do(inner) = &b.stmts[2] else {
+            panic!()
+        };
+        assert_eq!((inner.scope_at, inner.nslots), (0, 1));
+        let LuaStmt::If { arms, .. } = &inner.stmts[1] else {
+            panic!()
+        };
+        assert_eq!(returned(&arms[0].1.stmts[0]), [at(1, 0), at(0, 0)]);
+    }
+
+    #[test]
+    fn a_call_scope_holds_parameters_varargs_then_locals() {
+        let b = parse_ok("local function f(x, ...) local y = x return f, x, y, ... end");
+        let LuaStmt::LocalFunction { body, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        assert_eq!((body.body.scope_at, body.body.nslots), (0, 3));
+        assert_eq!(
+            returned(&body.body.stmts[1]),
+            [at(1, 0), at(0, 0), at(0, 2), at(0, 1)]
+        );
+        // Without parameters the scope opens at the first `local`; `...`
+        // outside a vararg function is nobody's.
+        let b = parse_ok("function g() print(1) local z = 1 return z, ... end");
+        let LuaStmt::FunctionDecl { body, base, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        assert_eq!(*base, Slot::Global);
+        assert_eq!((body.body.scope_at, body.body.nslots), (1, 1));
+        assert_eq!(returned(&body.body.stmts[2]), [at(0, 0), Slot::Global]);
+        // A method's `self` is its first parameter.
+        let b = parse_ok("local t = {} function t:m(a) return self, a, t end");
+        let LuaStmt::FunctionDecl { body, base, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        assert_eq!(*base, at(0, 0));
+        assert_eq!(body.params.len(), 2);
+        assert_eq!(
+            returned(&body.body.stmts[0]),
+            [at(0, 0), at(0, 1), at(1, 0)]
+        );
+    }
+
+    #[test]
+    fn loop_variables_share_the_iteration_scope_with_the_bodys_locals() {
+        let b = parse_ok("for i = 1, 2 do local k = i return i, k end");
+        let LuaStmt::NumericFor { body, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        assert_eq!((body.scope_at, body.nslots), (0, 2));
+        assert_eq!(returned(&body.stmts[1]), [at(0, 0), at(0, 1)]);
+        let b = parse_ok("for k, v in pairs(t) do return v, k end");
+        let LuaStmt::GenericFor { body, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        assert_eq!(returned(&body.stmts[0]), [at(0, 1), at(0, 0)]);
+        // `until` sees the body's locals.
+        let b = parse_ok("repeat local done = true until done");
+        let LuaStmt::Repeat { body, cond } = &b.stmts[0] else {
+            panic!()
+        };
+        assert_eq!(body.nslots, 1);
+        assert!(matches!(cond, LuaExpr::Var(_, slot, _) if *slot == at(0, 0)));
+    }
+
+    #[test]
+    fn terra_scopes_follow_the_specializer() {
+        // chunk scope ← parameter scope ← body scope.
+        let b = parse_ok(
+            "local n = 1
+             terra f(a : int) : int var b = a + n; return b end",
+        );
+        let LuaStmt::TerraDef { def, base, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        assert_eq!(*base, Slot::Global);
+        let TerraStmt::Var { inits, .. } = &def.body[0] else {
+            panic!()
+        };
+        let TerraExpr::BinOp { lhs, rhs, .. } = &inits[0] else {
+            panic!()
+        };
+        assert_eq!((ident(lhs), ident(rhs)), (at(1, 0), at(2, 0)));
+        let TerraStmt::Return { exprs, .. } = &def.body[1] else {
+            panic!()
+        };
+        assert_eq!(ident(&exprs[0]), at(0, 0));
+
+        // An initializer does not see the name it initializes; `local terra`
+        // binds its own name before the body.
+        let b = parse_ok(
+            "local x = 1
+             local terra g() : int var x = x; return x + g() end",
+        );
+        let LuaStmt::TerraDef { def, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        let TerraStmt::Var { inits, .. } = &def.body[0] else {
+            panic!()
+        };
+        assert_eq!(ident(&inits[0]), at(2, 0));
+        let TerraStmt::Return { exprs, .. } = &def.body[1] else {
+            panic!()
+        };
+        let TerraExpr::BinOp { lhs, rhs, .. } = &exprs[0] else {
+            panic!()
+        };
+        let TerraExpr::Call { func, .. } = &**rhs else {
+            panic!()
+        };
+        assert_eq!((ident(lhs), ident(func)), (at(0, 0), at(2, 1)));
+
+        // A method body sits inside one more scope, holding `self`.
+        let b = parse_ok("terra S:m() : int return self end");
+        let LuaStmt::TerraDef { def, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        let TerraStmt::Return { exprs, .. } = &def.body[0] else {
+            panic!()
+        };
+        assert_eq!(ident(&exprs[0]), at(2, 0));
+    }
+
+    #[test]
+    fn quotes_and_escapes_resolve_in_the_shared_scope_stack() {
+        let b = parse_ok(
+            "local v = 1
+             local q = quote var t = v; for i = 0, [v] do t = t + i end in t end",
+        );
+        let LuaStmt::Local { exprs, .. } = &b.stmts[1] else {
+            panic!()
+        };
+        let LuaExpr::Quote(q) = &exprs[0] else {
+            panic!()
+        };
+        let TerraStmt::Var { inits, .. } = &q.stmts[0] else {
+            panic!()
+        };
+        assert_eq!(ident(&inits[0]), at(1, 0));
+        let TerraStmt::ForNum { stop, body, .. } = &q.stmts[1] else {
+            panic!()
+        };
+        // The bound is evaluated outside the loop's scope…
+        let TerraExpr::EscapeExpr(e, _) = stop else {
+            panic!()
+        };
+        assert!(matches!(&**e, LuaExpr::Var(_, slot, _) if *slot == at(1, 0)));
+        // …and the body inside it: `t` one scope out, `i` in the loop's.
+        let TerraStmt::Assign { exprs, .. } = &body[0] else {
+            panic!()
+        };
+        let TerraExpr::BinOp { lhs, rhs, .. } = &exprs[0] else {
+            panic!()
+        };
+        assert_eq!((ident(lhs), ident(rhs)), (at(1, 0), at(0, 0)));
+        assert_eq!(ident(&q.exprs[0]), at(0, 0));
+    }
+
+    #[test]
+    fn parentheses_are_kept_only_around_multi_valued_expressions() {
+        let b = parse_ok("return (f()), (o:m()), (...), (x), (1 + 2)");
+        let LuaStmt::Return { exprs, .. } = &b.stmts[0] else {
+            panic!()
+        };
+        assert!(exprs[..3].iter().all(|e| matches!(e, LuaExpr::Paren(_))));
+        assert!(matches!(exprs[3], LuaExpr::Var(..)));
+        assert!(matches!(exprs[4], LuaExpr::BinOp { .. }));
+        assert!(parse("(f())").is_err(), "not a statement in Lua either");
     }
 }
