@@ -26,10 +26,11 @@
 //!                     core count; the chunk schedule depends only on the
 //!                     iteration count, so results, traps, and profiles are
 //!                     identical at every N)
-//!   --no-checkelim    keep every memory access bounds-checked at -O2 (by
-//!                     default the abstract interpreter proves accesses
-//!                     in-bounds and the VM elides their runtime checks;
-//!                     --sanitize overrides elision at runtime regardless)
+//!   --no-checkelim    keep every memory access bounds-checked and every
+//!                     narrow-integer result wrapped at -O2 (by default the
+//!                     abstract interpreter proves accesses in-bounds and
+//!                     results in range, and the VM elides those checks;
+//!                     under --sanitize nothing is elided)
 //!   --profile         collect staging/VM/memory counters and print a profile
 //!                     report after the program finishes
 //!   --heap-profile    attribute every heap allocation to its (function,

@@ -114,11 +114,13 @@ impl Terra {
         self.interp.opt = level;
     }
 
-    /// Enables or disables bounds-check elision (`--no-checkelim` clears
-    /// it; the default is on). At `-O2` the abstract interpreter proves
-    /// accesses in-bounds and the VM runs them without runtime checks;
-    /// disabling this keeps every access checked. The sanitizer overrides
-    /// elision at runtime either way, so `--sanitize` needs no recompile.
+    /// Enables or disables check elision (`--no-checkelim` clears it; the
+    /// default is on). At `-O2` the abstract interpreter proves accesses
+    /// in-bounds and narrow-integer results in range, and the VM runs them
+    /// without bounds checks and without the `trunc` that wraps a result
+    /// into its type; disabling this keeps every check. Nothing is elided
+    /// in functions compiled under the sanitizer, which also overrides
+    /// elided bounds checks at runtime, so `--sanitize` needs no recompile.
     pub fn set_check_elim(&mut self, on: bool) {
         self.interp.elide_checks = on;
     }

@@ -62,9 +62,11 @@ pub struct Interp {
     /// Changing it affects functions compiled after the change; already-
     /// compiled functions keep their code.
     pub opt: terra_ir::OptLevel,
-    /// Whether the `-O2` pipeline may elide bounds checks the abstract
-    /// interpreter proves redundant (`--no-checkelim` clears it). The VM
-    /// additionally ignores elisions at runtime under the sanitizer.
+    /// Whether the `-O2` pipeline may elide the checks the abstract
+    /// interpreter proves redundant — bounds checks, narrow-integer wraps
+    /// (`--no-checkelim` clears it). Functions compiled while the sanitizer
+    /// is on are compiled without, and the VM ignores elided bounds checks
+    /// at runtime under it.
     pub elide_checks: bool,
 }
 

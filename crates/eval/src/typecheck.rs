@@ -227,7 +227,9 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
             env: &env,
             inline: &env,
             summaries: Some(&sums),
-            elide_checks: interp.elide_checks,
+            // The sanitizer is the oracle proofs are checked against: under
+            // it none is made, so every check and every `trunc` runs.
+            elide_checks: interp.elide_checks && !interp.ctx.exec.memory.sanitize_enabled(),
         };
         terra_ir::optimized(ir, &cfg)
     };
@@ -244,14 +246,14 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     // Remarks flow to the tracer unconditionally (not gated on profiling):
     // they are part of the deterministic surface and must be identical with
     // and without --profile.
-    for r in &stats.remarks {
+    for r in stats.remarks {
         interp.ctx.exec.trace.add_remark(terra_trace::Remark {
             pass: r.pass.to_string(),
             kind: r.kind.label().to_string(),
             function: r.function.to_string(),
             line: r.line,
             provenance: r.prov.as_ref().map(|p| p.describe()).unwrap_or_default(),
-            message: r.message.clone(),
+            message: r.message,
         });
     }
     let globals = interp.ctx.global_addrs();

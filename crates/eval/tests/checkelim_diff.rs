@@ -1,8 +1,10 @@
-//! Differential tests for bounds-check elision: the same random kernel,
-//! compiled with elision on and off, must produce bit-identical results,
-//! identical heap state, and identical trap behavior at every optimization
-//! level — and the sanitizer must still catch seeded use-after-free and
-//! out-of-bounds accesses when elision is enabled.
+//! Differential tests for check elision (bounds checks and narrow-integer
+//! wraps): the same random kernel, compiled with elision on and off, must
+//! produce bit-identical results, identical heap state, and identical trap
+//! behavior at every optimization level — and the sanitizer must still
+//! catch seeded use-after-free and out-of-bounds accesses when elision is
+//! enabled. The narrow-integer statements sit at their types' limits, on
+//! both sides of where the no-wrap proof holds.
 
 use proptest::prelude::*;
 use terra_eval::{Interp, LuaValue};
@@ -28,7 +30,34 @@ enum Access {
     StoreParam { val: i8 },
     /// `s = s + a[idx]` accumulated into the checksum.
     LoadConst { idx: u8 },
+    /// `for i : T = MAX - below, MAX do s = s + i % 7 end` — a narrow
+    /// counter ending at its type's maximum: `i + 1 <= MAX`, so the
+    /// increment provably never wraps.
+    CountToMax { ty: u8, below: u8 },
+    /// `for i : uint8 = 250, [uint8](n + 245), step` — the bound is unknown
+    /// at stage time, so with `step >= 2` the no-wrap proof must fail
+    /// (the counter stops at 253 at most and never actually wraps).
+    CountToParam { step: u8 },
+    /// `for i = 0, 33 do s = s + (i * c) % 1000 end` with `c = 2^26 + d`:
+    /// `32 * c` reaches `2^31` exactly when `d >= 0`.
+    ScaledIndex { d: i8 },
+    /// `for i = 0, hi do s = s + [T](i * k) end` — a narrowing cast of a
+    /// bounded value, which fits `T` or not as `hi * k` decides.
+    CastBounded { ty: u8, hi: u8, k: u8 },
+    /// `s = s + [T](n * k + s)` — a narrowing cast of a value nothing bounds.
+    CastUnbounded { ty: u8, k: u8 },
+    /// `var c : T = MAX - n; c = c + add; s = s + c` — narrow arithmetic
+    /// that wraps at run time whenever `add > n`.
+    WrapAtMax { ty: u8, add: u8 },
 }
+
+/// The narrow integer types, with their largest values.
+const NARROW: [(&str, i64); 4] = [
+    ("uint8", u8::MAX as i64),
+    ("int8", i8::MAX as i64),
+    ("int16", i16::MAX as i64),
+    ("int32", i32::MAX as i64),
+];
 
 fn access_txt(acc: &Access) -> String {
     match acc {
@@ -40,6 +69,33 @@ fn access_txt(acc: &Access) -> String {
         Access::StoreRem { k } => format!("a[(n + {k}) % 8] = {k}"),
         Access::StoreParam { val } => format!("a[n] = {val}"),
         Access::LoadConst { idx } => format!("s = s + a[{}]", idx % 12),
+        Access::CountToMax { ty, below } => {
+            let (ty, max) = NARROW[*ty as usize % 4];
+            let from = max - i64::from(below % 7);
+            format!("for i : {ty} = {from}, {max} do s = s + i % 7 end")
+        }
+        Access::CountToParam { step } => {
+            let step = 1 + step % 3;
+            format!("for i : uint8 = 250, [uint8](n + 245), {step} do s = s + i end")
+        }
+        Access::ScaledIndex { d } => {
+            let c = (1i64 << 26) + i64::from(d % 3);
+            format!("for i = 0, 33 do s = s + (i * {c}) % 1000 end")
+        }
+        Access::CastBounded { ty, hi, k } => {
+            let (ty, _) = NARROW[*ty as usize % 3];
+            let (hi, k) = (1 + hi % 40, 1 + k % 9);
+            format!("for i = 0, {hi} do s = s + [{ty}](i * {k}) end")
+        }
+        Access::CastUnbounded { ty, k } => {
+            let (ty, _) = NARROW[*ty as usize % 3];
+            format!("s = s + [{ty}](n * {} + s)", 1 + k % 100)
+        }
+        Access::WrapAtMax { ty, add } => {
+            let (ty, max) = NARROW[*ty as usize % 4];
+            let add = add % 8;
+            format!("do var c : {ty} = {max} - n  c = c + {add}  s = s + c end")
+        }
     }
 }
 
@@ -75,6 +131,16 @@ fn access_strategy() -> impl Strategy<Value = Access> {
         any::<u8>().prop_map(|k| Access::StoreRem { k: k % 16 }),
         any::<i8>().prop_map(|val| Access::StoreParam { val }),
         any::<u8>().prop_map(|idx| Access::LoadConst { idx }),
+        (any::<u8>(), any::<u8>()).prop_map(|(ty, below)| Access::CountToMax { ty, below }),
+        any::<u8>().prop_map(|step| Access::CountToParam { step }),
+        any::<i8>().prop_map(|d| Access::ScaledIndex { d }),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(ty, hi, k)| Access::CastBounded {
+            ty,
+            hi,
+            k
+        }),
+        (any::<u8>(), any::<u8>()).prop_map(|(ty, k)| Access::CastUnbounded { ty, k }),
+        (any::<u8>(), any::<u8>()).prop_map(|(ty, add)| Access::WrapAtMax { ty, add }),
     ]
 }
 
@@ -170,6 +236,61 @@ fn harness_is_not_vacuous() {
             assert_eq!(f64::from_bits(sum), 8.0, "at {level:?} elide={elide}");
             let err = run_at(level, elide, bad, 0).expect_err("null store must trap");
             assert!(err.contains("invalid memory access"), "{err}");
+        }
+    }
+}
+
+/// The narrow-integer statements typecheck and compute what the host's own
+/// wrapping arithmetic computes, at every level, elided or not — so their
+/// agreement above is agreement on values, not on an error message.
+#[test]
+fn narrow_statements_compute_what_the_host_computes() {
+    let src = program_txt(&[
+        Access::CountToMax { ty: 0, below: 3 },
+        Access::CountToMax { ty: 3, below: 6 },
+        Access::CountToParam { step: 1 },
+        Access::ScaledIndex { d: 0 },
+        Access::CastBounded {
+            ty: 1,
+            hi: 39,
+            k: 8,
+        },
+        Access::CastUnbounded { ty: 0, k: 36 },
+        Access::WrapAtMax { ty: 1, add: 5 },
+    ]);
+    let host = |n: i32| {
+        let mut s = 0i32;
+        for i in 252..255 {
+            s += i % 7;
+        }
+        for i in i32::MAX - 6..i32::MAX {
+            s += i % 7;
+        }
+        let (mut i, stop) = (250u8, (n + 245) as u8);
+        while i < stop {
+            s += i32::from(i);
+            i = i.wrapping_add(2);
+        }
+        for i in 0..33i32 {
+            s += i.wrapping_mul(1 << 26) % 1000;
+        }
+        for i in 0..40 {
+            s += i32::from((i * 9) as i8);
+        }
+        s += i32::from((n * 37 + s) as u8);
+        s + i32::from(((127 - n) as i8).wrapping_add(5))
+    };
+    for n in [0, 3, 7] {
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            for elide in [false, true] {
+                let sum = run_at(level, elide, &src, n).expect("narrow kernel must run");
+                let want = f64::from(host(n));
+                assert_eq!(
+                    f64::from_bits(sum),
+                    want,
+                    "n={n} at {level:?} elide={elide}"
+                );
+            }
         }
     }
 }

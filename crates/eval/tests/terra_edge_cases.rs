@@ -558,3 +558,91 @@ fn realloc_of_a_non_heap_pointer_traps_like_free() {
         assert!(msg.contains("'inside_a_block'"), "{msg}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// the canonical-register invariant (DESIGN.md §6j) at its entry points
+// ---------------------------------------------------------------------------
+
+/// Runs `src` (which returns a number) at `-O0`, `-O2` and `-O2` without
+/// check elision; all three must agree, and that is the result.
+fn eval_at_every_level(src: &str) -> f64 {
+    let run = |level, elide| {
+        let mut t = Interp::new();
+        t.opt = level;
+        t.elide_checks = elide;
+        match t.exec(src).unwrap_or_else(|e| panic!("{src}: {e}"))[..] {
+            [LuaValue::Number(n)] => n,
+            ref other => panic!("expected a number, got {other:?}"),
+        }
+    };
+    let o0 = run(terra_ir::OptLevel::O0, true);
+    assert_eq!(run(terra_ir::OptLevel::O2, true), o0, "-O2: {src}");
+    assert_eq!(run(terra_ir::OptLevel::O2, false), o0, "unelided: {src}");
+    o0
+}
+
+/// An integer passed in from the host is wrapped into its parameter's type,
+/// as a cast in Terra code would: range proofs start from
+/// `Interval::full_for(ty)` for a parameter.
+#[test]
+fn host_passed_integers_are_wrapped_to_the_parameter_type() {
+    let widen8 = "terra f(x : uint8) : int64 return x end return f(100000)";
+    assert_eq!(eval_at_every_level(widen8), 160.0);
+    let widen32 = "terra g(x : int32) : int64 return x end return g(2^40 + 5)";
+    assert_eq!(eval_at_every_level(widen32), 5.0);
+    assert_eq!(
+        eval_at_every_level("terra s(x : int8) : int64 return x end return s(255)"),
+        -1.0
+    );
+    assert_eq!(
+        eval_at_every_level("terra b(x : bool) : int return [int](x) end return b(true)"),
+        1.0
+    );
+    // The index is provably below 256, so the load is unchecked at -O2: it
+    // had better be below 256.
+    let index = r#"
+        terra h(x : uint8) : int32
+            var a : int32[256]
+            for i = 0, 256 do a[i] = i end
+            return a[x]
+        end
+        return h(100000)"#;
+    assert_eq!(eval_at_every_level(index), 160.0);
+}
+
+/// A literal converted to a narrow type is that type's value, not the
+/// literal's bits.
+#[test]
+fn narrow_constants_are_wrapped_to_their_type() {
+    let src = "terra c() : int64 var x : uint8 = 300 return x end return c()";
+    assert_eq!(eval_at_every_level(src), 44.0);
+}
+
+/// `MIN / -1` is the one quotient that leaves a signed type; it wraps to
+/// `MIN` like every other overflow, at every width and level, and when the
+/// constant folder computes it.
+#[test]
+fn narrow_signed_division_wraps_at_min_over_minus_one() {
+    for (ty, min) in [
+        ("int8", -128.0),
+        ("int16", -32768.0),
+        ("int32", -2147483648.0),
+    ] {
+        let runtime = format!(
+            "terra d(a : {ty}, b : {ty}) : int64 return [int64](a / b) end return d({min}, -1)"
+        );
+        assert_eq!(eval_at_every_level(&runtime), min, "{ty}");
+        let folded = format!(
+            "terra d() : int64 var a : {ty} = {min} var b : {ty} = -1 \
+             return [int64](a / b) end return d()"
+        );
+        assert_eq!(eval_at_every_level(&folded), min, "{ty} folded");
+        // Where the range excludes `MIN / -1` nothing changes.
+        let plain = format!("terra d(a : {ty}) : int64 return [int64](a / 3) end return d({min})");
+        assert_eq!(
+            eval_at_every_level(&plain),
+            (min / 3.0_f64).trunc(),
+            "{ty} / 3"
+        );
+    }
+}

@@ -3,8 +3,9 @@
 //! A scalar is one 8-byte frame slot and a `vector(T, n)` value four
 //! consecutive ones, so every place the VM copies "a register" has to know
 //! which it is holding: `mov`, call argument blocks, return values,
-//! indirect calls, `parallelfor` captures, temporaries that take over slots
-//! a scalar just used, and frames pushed after the register file regrew.
+//! indirect calls, `parallelfor` captures, argument slots values are built
+//! in, temporaries that take over slots a scalar just used, and frames
+//! pushed after the register file regrew.
 //! Each path here carries a `vector(double, 4)` and a `vector(float, 8)`
 //! and is compared lane for lane with the same arithmetic done natively,
 //! at `-O0` and `-O2`.
@@ -73,6 +74,17 @@ const PROGRAM: &str = r#"
         var v = (mk(5) + mk(6)) * ([vec]([T](s)) - mk(7))
         var t = (s * 7 - x) * (s + x)
         return out(v + [vec]([T](t)))
+    end
+
+    -- Arguments are built in their slots, none of these the first: a negated
+    -- vector local, a selected value, a comparison.
+    terra pick(x : int, v : vec, s : int, b : bool) : vec
+        if b then return v + [vec]([T](s + x)) end
+        return v
+    end
+    terra in_place(x : int) : &T
+        var v = mk(9)
+        return out(pick(x, -v, terralib.select(x > 3, x, -x), x ~= 0))
     end
 
     -- A vector local live across a call, at every depth of a recursion deep
@@ -199,6 +211,14 @@ macro_rules! vector_paths {
                 let v = mul(add(mk(5), mk(6)), sub(splat(s as $T), mk(7)));
                 let t = (s * 7 - x) * (s + x);
                 check("reused(9)", 1, &add(v, splat(t as $T)));
+            }
+
+            #[test]
+            fn built_in_an_argument_slot() {
+                let neg = sub(splat(0.0), mk(9));
+                check("in_place(5)", 1, &add(neg, splat(10.0)));
+                check("in_place(-2)", 1, &neg);
+                check("in_place(0)", 1, &neg);
             }
 
             #[test]

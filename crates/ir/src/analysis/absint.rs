@@ -9,8 +9,10 @@
 //!   path that reaches it, so clean programs stay clean. Findings carry the
 //!   staging provenance of the offending statement.
 //! * **Check elision** (`checkelim` pass at `-O2`): accesses whose address
-//!   is proven inside its allocation are stamped into [`IrStmt::nochk`];
-//!   the VM compiles those without runtime bounds checks.
+//!   is proven inside its allocation, and narrow-integer results proven to
+//!   fit their type, are stamped into [`IrStmt::proven`]; the VM compiles
+//!   those without runtime bounds checks and without the `trunc` that wraps
+//!   a result back into its type.
 //! * **Summaries**: a bounded interprocedural fixpoint computes, per
 //!   function, the return-value fact and a per-pointer-parameter *demand*
 //!   (bytes the callee unconditionally accesses), consumed at call sites
@@ -32,6 +34,22 @@
 //! the host with arbitrary pointers), so intraprocedural proofs only ever
 //! rest on objects the function itself can see: its frame, globals, string
 //! constants, and `malloc` calls with stage-time-constant sizes.
+//!
+//! ## Soundness of the no-wrap proof
+//!
+//! Every register holds its value in *canonical* form: sign- or
+//! zero-extended from its type's width to 64 bits (DESIGN.md §6j says who
+//! establishes that). The VM computes narrow arithmetic in 64 bits and then
+//! re-canonicalizes with `trunc`. An interval here over-approximates the
+//! canonical values a node can take, so the un-wrapped interval `raw` of
+//! `a op b` contains the exact mathematical result; when `raw` fits the
+//! node's type the 64-bit computation cannot have overflowed either (narrow
+//! operands are below 2^32 in magnitude), the register already holds the
+//! canonical form, and the `trunc` is the identity. The same holds for a
+//! narrowing cast whose operand's interval fits the target, and for a
+//! `for`'s increment: with a positive pinned step and a body that does not
+//! write the variable, `var < stop` holds whenever `var + step` runs, so
+//! `stop.hi - 1 + step.hi` bounds it.
 
 use super::{diag, Diagnostic, EnvEntry, ModuleEnv, Severity};
 use crate::analysis::range::{Interval, Nullness};
@@ -55,6 +73,16 @@ pub(crate) enum AbsVal {
     Ptr(PtrVal),
     /// Anything (floats, vectors, unknown).
     Any,
+}
+
+impl AbsVal {
+    /// The integer interval, if this is one.
+    fn interval(&self) -> Option<Interval> {
+        match self {
+            AbsVal::Int(iv) => Some(*iv),
+            _ => None,
+        }
+    }
 }
 
 /// Abstract pointer: which object it points into and where.
@@ -193,8 +221,9 @@ pub(super) fn lint(
     Interp::new(f, types, env, sums, Mode::Lint(diags)).block(&f.body);
 }
 
-/// Stamps proven-in-bounds accesses into each statement's
-/// [`nochk`](IrStmt::nochk) list and emits `checkelim` remarks; returns
+/// Stamps proven-redundant checks (bounds checks of in-bounds accesses,
+/// wrap checks of results that fit) into each statement's
+/// [`proven`](IrStmt::proven) list and emits `checkelim` remarks; returns
 /// whether it stamped any. Called by the `checkelim` pass with the function
 /// body taken out of `f`.
 ///
@@ -211,7 +240,23 @@ pub(crate) fn annotate(
 ) -> bool {
     let mut interp = Interp::new(f, types, env, sums, Mode::Elide(remarks));
     interp.block(body);
-    let stamps = interp.stamps;
+    let (stamps, wraps) = (interp.stamps, interp.wraps);
+    // Wrap checks are reported per source line, not per node: a line of
+    // index arithmetic has several. Line 0 is code the optimizer made.
+    for (line, w) in wraps {
+        let at = match line {
+            0 => "in generated code".to_string(),
+            _ => format!("on line {line}"),
+        };
+        if w.elided > 0 {
+            let msg = format!("{} wrap check(s) elided {at}", w.elided);
+            remarks.push(Remark::applied("checkelim", line, w.prov.clone(), msg));
+        }
+        if let Some(why) = w.kept {
+            let msg = format!("wrap check kept {at}: {why}");
+            remarks.push(Remark::missed("checkelim", line, w.prov, msg));
+        }
+    }
     let stamped = !stamps.is_empty();
     let mut stamps = stamps.into_iter().peekable();
     attach_stamps(body, &mut stamps);
@@ -219,22 +264,30 @@ pub(crate) fn annotate(
     stamped
 }
 
-/// A statement the walk proved accesses of (by identity; never read
-/// through) and the proven address expressions.
-type Stamp = (*const IrStmt, Vec<IrExpr>);
+/// A statement the walk proved checks of redundant (by identity; never
+/// read through) and the [`IrStmt::proven`] indices of those checks.
+type Stamp = (*const IrStmt, Vec<u32>);
 
-/// Attaches each stamp to its statement. The walk visits statements in
-/// program order, at most once each, so one pass in the same order finds
-/// them all.
+/// The wrap checks of one source line, for its remarks.
+#[derive(Default)]
+struct WrapLine {
+    prov: Option<Provenance>,
+    /// Narrow-integer results proven to fit their type.
+    elided: u32,
+    /// Why the first check kept inside a loop could not be proven.
+    kept: Option<String>,
+}
+
+/// Attaches each stamp to its statement and leaves every other statement
+/// without proofs. The walk visits statements in program order, at most
+/// once each, so one pass in the same order finds them all.
 fn attach_stamps(
     stmts: &mut [IrStmt],
     stamps: &mut std::iter::Peekable<std::vec::IntoIter<Stamp>>,
 ) {
     for s in stmts {
-        if stamps.peek().is_some_and(|(at, _)| std::ptr::eq(*at, s)) {
-            let (_, mut proven) = stamps.next().expect("peeked");
-            s.nochk.append(&mut proven);
-        }
+        let stamp = stamps.next_if(|(at, _)| std::ptr::eq(*at, s));
+        s.proven = stamp.map(|(_, proven)| proven).unwrap_or_default();
         match &mut s.kind {
             StmtKind::If {
                 then_body,
@@ -250,6 +303,12 @@ fn attach_stamps(
             _ => {}
         }
     }
+}
+
+/// Forgets every proof in `stmts`. A proof names a node of its statement by
+/// position, so it is void once anything may rewrite the statement.
+pub(crate) fn clear_proofs(stmts: &mut [IrStmt]) {
+    attach_stamps(stmts, &mut Vec::new().into_iter().peekable());
 }
 
 /// State-free proof for LICM: whether an access of `size` bytes through
@@ -400,10 +459,17 @@ struct Interp<'a> {
     /// Loop nesting depth (missed-elision remarks only fire inside loops,
     /// where a kept check actually costs per iteration).
     loop_depth: u32,
-    /// Proven address expressions of the statement being walked.
-    pending: Vec<IrExpr>,
+    /// Operand nodes of the statement being walked whose check is proven
+    /// redundant (by identity; never read through).
+    pending: Vec<*const IrExpr>,
+    /// Whether the statement's own arithmetic (a `for`'s increment) is.
+    pending_stmt: bool,
     /// Proofs per statement, in walk order (elide mode).
     stamps: Vec<Stamp>,
+    /// Wrap checks of the statement being walked, on their way to its line.
+    stmt_wraps: WrapLine,
+    /// Wrap checks by source line (elide mode).
+    wraps: std::collections::BTreeMap<u32, WrapLine>,
     cur_span: Span,
     cur_prov: Option<Provenance>,
 }
@@ -459,7 +525,10 @@ impl<'a> Interp<'a> {
             depth: 0,
             loop_depth: 0,
             pending: Vec::new(),
+            pending_stmt: false,
             stamps: Vec::new(),
+            stmt_wraps: WrapLine::default(),
+            wraps: Default::default(),
             cur_span: Span::synthetic(),
             cur_prov: None,
         }
@@ -515,10 +584,95 @@ impl<'a> Interp<'a> {
     }
 
     /// Moves the proofs gathered while evaluating `s`'s own operands onto
-    /// `s`, before any nested statement is walked.
+    /// `s`, before any nested statement is walked: the proven nodes become
+    /// their [`IrStmt::operand_nodes`] indices.
     fn stamp(&mut self, s: &IrStmt) {
-        if !self.pending.is_empty() {
-            self.stamps.push((s, std::mem::take(&mut self.pending)));
+        let own = std::mem::take(&mut self.stmt_wraps);
+        if own.elided > 0 || own.kept.is_some() {
+            let line = self.wraps.entry(self.cur_span.line).or_default();
+            line.prov = line.prov.take().or_else(|| self.cur_prov.clone());
+            line.elided += own.elided;
+            line.kept = line.kept.take().or(own.kept);
+        }
+        if self.pending.is_empty() && !self.pending_stmt {
+            return;
+        }
+        let own = usize::from(std::mem::take(&mut self.pending_stmt));
+        let mut proven = Vec::with_capacity(own + self.pending.len());
+        proven.resize(own, 0);
+        self.pending.sort_unstable();
+        s.operand_nodes(&mut |i, e| {
+            if self.pending.binary_search(&(e as *const IrExpr)).is_ok() {
+                proven.push(i);
+            }
+        });
+        debug_assert_eq!(
+            proven.len(),
+            own + self.pending.len(),
+            "stray proof in {s:?}"
+        );
+        self.pending.clear();
+        self.stamps.push((s, proven));
+    }
+
+    /// Notes whether narrow-integer node `e` of type `s` can leave its type:
+    /// `raw` is its result before wrapping (`None` when unknown). When it
+    /// fits, the compiler's `trunc` after `e` is the identity. `operands`
+    /// are looked through for one to blame otherwise.
+    fn wrap_check(
+        &mut self,
+        e: &IrExpr,
+        s: ScalarTy,
+        raw: Option<Interval>,
+        operands: &[(&IrExpr, &AbsVal)],
+    ) {
+        let fits = raw.is_some_and(|r| r.fits(s));
+        if self.note_wrap(s, fits, raw, operands) && fits {
+            self.pending.push(e);
+        }
+    }
+
+    /// Counts one wrap check of a result of type `s` towards its source
+    /// line's remarks; returns whether there is a check at all (the pass is
+    /// eliding, and `s` is narrower than a register).
+    fn note_wrap(
+        &mut self,
+        s: ScalarTy,
+        fits: bool,
+        raw: Option<Interval>,
+        operands: &[(&IrExpr, &AbsVal)],
+    ) -> bool {
+        if !matches!(self.mode, Mode::Elide(_)) || s.size() == 8 {
+            return false;
+        }
+        // A kept check is only worth a remark where it costs per iteration.
+        if fits {
+            self.stmt_wraps.elided += 1;
+        } else if self.loop_depth > 0 && self.stmt_wraps.kept.is_none() {
+            self.stmt_wraps.kept = Some(self.blame(s, raw, operands));
+        }
+        true
+    }
+
+    /// Why a result may not fit `s`: the first operand whose range is its
+    /// whole type, else the range of the result.
+    fn blame(&self, s: ScalarTy, raw: Option<Interval>, operands: &[(&IrExpr, &AbsVal)]) -> String {
+        let unbounded = |(e, v): &(&IrExpr, &AbsVal)| match (v, e.ty.element_scalar()) {
+            (AbsVal::Int(iv), Some(t)) if t.is_integer() => *iv == Interval::full_for(t),
+            _ => true,
+        };
+        match (operands.iter().find(|o| unbounded(o)), raw) {
+            (Some((e, _)), _) => {
+                let what = match &e.kind {
+                    ExprKind::Local(l) => format!("'{}'", self.f.locals[l.0 as usize].name),
+                    ExprKind::Load(_) => "a loaded value".into(),
+                    ExprKind::Call { .. } => "a call result".into(),
+                    _ => "an intermediate value".into(),
+                };
+                format!("{what} is unbounded")
+            }
+            (None, Some(r)) => format!("the result range [{}, {}] exceeds {s}", r.lo, r.hi),
+            (None, None) => format!("the result is not known to fit {s}"),
         }
     }
 
@@ -606,8 +760,7 @@ impl<'a> Interp<'a> {
                 let sv = self.eval(start);
                 let ev = self.eval(stop);
                 let stv = self.eval(step);
-                self.stamp(s);
-                self.walk_for(var, &sv, &ev, &stv, body);
+                self.walk_for(s, var, &sv, (stop, &ev), (step, &stv), body);
                 Flow::FallThrough
             }
             StmtKind::ParallelFor {
@@ -687,38 +840,57 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// Walks a `for` whose operands evaluated to `start`, `stop` and `step`
+    /// (the last two with their expressions), stamping `s` before its body
+    /// is entered.
     fn walk_for(
         &mut self,
+        s: &IrStmt,
         var: LocalId,
         start: &AbsVal,
-        stop: &AbsVal,
-        step: &AbsVal,
+        stop: (&IrExpr, &AbsVal),
+        step: (&IrExpr, &AbsVal),
         body: &[IrStmt],
     ) {
-        let bounds = match (start, stop) {
-            (AbsVal::Int(s), AbsVal::Int(e)) => Some((*s, *e)),
+        let mut writes = LocalSet::new(self.f.locals.len());
+        collect_assigned(body, &mut writes);
+        // With a positive step and a body that leaves the variable alone, the
+        // variable stays within [start, stop-1] and `var + step` within
+        // [start+1, stop-1+step] — provided the latter cannot wrap.
+        let facts = match (start, stop.1, step.1) {
+            (AbsVal::Int(s), AbsVal::Int(e), AbsVal::Int(st))
+                if st.lo >= 1 && !writes.contains(var) =>
+            {
+                let next = Interval::new(s.lo + 1, (e.hi - 1).saturating_add(st.hi));
+                Some((Interval::new(s.lo, e.hi - 1), next))
+            }
             _ => None,
         };
+        let range = self.f.locals[var.0 as usize]
+            .ty
+            .element_scalar()
+            .and_then(|ty| {
+                let fits = facts.is_some_and(|(_, next)| next.fits(ty));
+                // The increment runs once per iteration: a loop of its own.
+                self.loop_depth += 1;
+                self.pending_stmt =
+                    self.note_wrap(ty, fits, facts.map(|f| f.1), &[stop, step]) && fits;
+                self.loop_depth -= 1;
+                facts.filter(|_| fits).map(|f| f.0)
+            });
+        self.stamp(s);
         // The loop definitely runs zero times when start >= stop everywhere.
-        if let Some((s, e)) = bounds {
+        if let (AbsVal::Int(s), AbsVal::Int(e)) = (start, stop.1) {
             if s.lo >= e.hi {
                 return;
             }
         }
-        let mut writes = LocalSet::new(self.f.locals.len());
-        collect_assigned(body, &mut writes);
-        let var_written_in_body = writes.contains(var);
         writes.insert(var);
-        let saved_outside = {
-            self.widen(&writes);
-            // With a positive step the loop variable stays within
-            // [start, stop-1]; a body that writes it escapes that argument.
-            let step_pos = matches!(step, AbsVal::Int(iv) if iv.lo >= 1);
-            if let (Some((s, e)), true, false) = (bounds, step_pos, var_written_in_body) {
-                self.set(var, AbsVal::Int(Interval::new(s.lo, e.hi - 1)));
-            }
-            self.state.clone()
-        };
+        self.widen(&writes);
+        if let Some(range) = range {
+            self.set(var, AbsVal::Int(range));
+        }
+        let saved_outside = self.state.clone();
         self.depth += 1;
         self.loop_depth += 1;
         let _ = self.block(body);
@@ -786,7 +958,7 @@ impl<'a> Interp<'a> {
                 }
             }
             ExprKind::Cmp { op, lhs, rhs } => {
-                let op = if truth { *op } else { negate_cmp(*op) };
+                let op = if truth { *op } else { op.negated() };
                 let a = self.refine_side(op, lhs, rhs);
                 let b = self.refine_side(mirror_cmp(op), rhs, lhs);
                 a && b
@@ -918,9 +1090,11 @@ impl<'a> Interp<'a> {
             }
             ExprKind::Unary { op, expr } => {
                 let v = self.eval(expr);
-                match (op, v, e.ty.element_scalar()) {
-                    (UnKind::Neg, AbsVal::Int(iv), Some(s)) if s.is_integer() => {
-                        AbsVal::Int((-iv).wrap_to(s))
+                match (op, &v, &e.ty) {
+                    (UnKind::Neg, _, Ty::Scalar(s)) if s.is_integer() => {
+                        let raw = v.interval().map(|iv| -iv);
+                        self.wrap_check(e, *s, raw, &[(expr, &v)]);
+                        raw.map_or(AbsVal::Any, |raw| AbsVal::Int(raw.wrap_to(*s)))
                     }
                     (UnKind::Not, AbsVal::Int(iv), _) if e.ty == Ty::BOOL => {
                         AbsVal::Int(Interval::new(1 - iv.hi.clamp(0, 1), 1 - iv.lo.clamp(0, 1)))
@@ -930,6 +1104,13 @@ impl<'a> Interp<'a> {
             }
             ExprKind::Cast(inner) => {
                 let v = self.eval(inner);
+                // A conversion the compiler wraps into its narrow integer
+                // target: anything but a widening of a canonical integer.
+                if let (Ty::Scalar(to), Ty::Scalar(from)) = (&e.ty, &inner.ty) {
+                    if to.is_integer() && (from.is_float() || !from.widens_to(*to)) {
+                        self.wrap_check(e, *to, v.interval(), &[(inner, &v)]);
+                    }
+                }
                 self.eval_cast(&e.ty, &inner.ty, v)
             }
             ExprKind::Call { callee, args } => self.eval_call(callee, args),
@@ -988,17 +1169,31 @@ impl<'a> Interp<'a> {
         if !s.is_integer() || !matches!(e.ty, Ty::Scalar(_)) {
             return AbsVal::Any;
         }
-        let (AbsVal::Int(x), AbsVal::Int(y)) = (&a, &b) else {
+        // The result before wrapping, where interval arithmetic has one.
+        let ints = a.interval().zip(b.interval());
+        let raw = ints.and_then(|(x, y)| match op {
+            BinKind::Add => Some(x + y),
+            BinKind::Sub => Some(x - y),
+            BinKind::Mul => Some(x * y),
+            BinKind::Div => Some(x / y),
+            BinKind::Rem => Some(x % y),
+            // Left shift of a non-negative value by a known amount is a
+            // multiply — simplify strength-reduces `i * 2^k` into this, so
+            // address math depends on it.
+            BinKind::Shl if x.lo >= 0 => {
+                let m = 1i128 << y.as_singleton().filter(|k| (0..64).contains(k))?;
+                Some(Interval::new(x.lo.checked_mul(m)?, x.hi.checked_mul(m)?))
+            }
+            _ => None,
+        });
+        if op.can_leave(s) {
+            self.wrap_check(e, s, raw, &[(lhs, &a), (rhs, &b)]);
+        }
+        let Some((x, y)) = ints else {
             return AbsVal::Int(Interval::full_for(s));
         };
-        let (x, y) = (*x, *y);
-        match op {
-            BinKind::Add | BinKind::Sub | BinKind::Mul => {
-                let raw = match op {
-                    BinKind::Add => x + y,
-                    BinKind::Sub => x - y,
-                    _ => x * y,
-                };
+        match (op, raw) {
+            (BinKind::Add | BinKind::Sub | BinKind::Mul, Some(raw)) => {
                 if s.is_signed() && raw.always_overflows(s) {
                     let sym = match op {
                         BinKind::Add => "+",
@@ -1017,7 +1212,7 @@ impl<'a> Interp<'a> {
                 }
                 AbsVal::Int(raw.wrap_to(s))
             }
-            BinKind::Div | BinKind::Rem => {
+            (BinKind::Div | BinKind::Rem, Some(raw)) => {
                 if y.lo == 0 && y.hi == 0 {
                     let sym = if op == BinKind::Div { "/" } else { "%" };
                     self.warn(
@@ -1025,28 +1220,17 @@ impl<'a> Interp<'a> {
                         format!("right operand of '{sym}' is zero on every execution"),
                     );
                 }
-                let raw = if op == BinKind::Div { x / y } else { x % y };
                 AbsVal::Int(raw.wrap_to(s))
             }
-            BinKind::Min => AbsVal::Int(Interval::new(x.lo.min(y.lo), x.hi.min(y.hi))),
-            BinKind::Max => AbsVal::Int(Interval::new(x.lo.max(y.lo), x.hi.max(y.hi))),
-            BinKind::And if x.lo >= 0 && y.lo >= 0 => AbsVal::Int(Interval::new(0, x.hi.min(y.hi))),
-            BinKind::Shr if x.lo >= 0 => match y.as_singleton() {
+            (BinKind::Shl, Some(raw)) => AbsVal::Int(raw.wrap_to(s)),
+            (BinKind::Min, _) => AbsVal::Int(Interval::new(x.lo.min(y.lo), x.hi.min(y.hi))),
+            (BinKind::Max, _) => AbsVal::Int(Interval::new(x.lo.max(y.lo), x.hi.max(y.hi))),
+            (BinKind::And, _) if x.lo >= 0 && y.lo >= 0 => {
+                AbsVal::Int(Interval::new(0, x.hi.min(y.hi)))
+            }
+            (BinKind::Shr, _) if x.lo >= 0 => match y.as_singleton() {
                 Some(k) if (0..64).contains(&k) => AbsVal::Int(Interval::new(x.lo >> k, x.hi >> k)),
                 _ => AbsVal::Int(Interval::new(0, x.hi)),
-            },
-            // Left shift of a non-negative value by a known amount is a
-            // multiply — simplify strength-reduces `i * 2^k` into this, so
-            // address math depends on it.
-            BinKind::Shl if x.lo >= 0 => match y.as_singleton() {
-                Some(k) if (0..64).contains(&k) => {
-                    let m = 1i128 << k;
-                    match (x.lo.checked_mul(m), x.hi.checked_mul(m)) {
-                        (Some(lo), Some(hi)) => AbsVal::Int(Interval::new(lo, hi).wrap_to(s)),
-                        _ => AbsVal::Int(Interval::full_for(s)),
-                    }
-                }
-                _ => AbsVal::Int(Interval::full_for(s)),
             },
             _ => AbsVal::Int(Interval::full_for(s)),
         }
@@ -1302,7 +1486,7 @@ impl<'a> Interp<'a> {
         match self.classify(av, size) {
             Verdict::Proven => {
                 if let Mode::Elide(_) = self.mode {
-                    self.pending.push(addr.clone());
+                    self.pending.push(addr);
                     let (line, prov) = (self.cur_span.line, self.cur_prov.clone());
                     if let Mode::Elide(remarks) = &mut self.mode {
                         let msg = match av {
@@ -1353,17 +1537,6 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-    }
-}
-
-fn negate_cmp(op: CmpKind) -> CmpKind {
-    match op {
-        CmpKind::Eq => CmpKind::Ne,
-        CmpKind::Ne => CmpKind::Eq,
-        CmpKind::Lt => CmpKind::Ge,
-        CmpKind::Le => CmpKind::Gt,
-        CmpKind::Gt => CmpKind::Le,
-        CmpKind::Ge => CmpKind::Lt,
     }
 }
 

@@ -134,6 +134,21 @@ pub enum BinKind {
     Max,
 }
 
+impl BinKind {
+    /// Whether the 64-bit result of this operator on canonical operands of
+    /// narrow integer type `s` can leave `s` and must be wrapped back into
+    /// it: sums, differences, products and left shifts can; a signed
+    /// quotient does at `MIN / -1`; unsigned quotients, remainders, right
+    /// shifts, bitwise operators, `min` and `max` cannot.
+    pub fn can_leave(self, s: crate::types::ScalarTy) -> bool {
+        match self {
+            BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Shl => true,
+            BinKind::Div => s.is_signed(),
+            _ => false,
+        }
+    }
+}
+
 /// Comparison predicates; result type is `bool`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpKind {
@@ -149,6 +164,21 @@ pub enum CmpKind {
     Gt,
     /// `>=`
     Ge,
+}
+
+impl CmpKind {
+    /// The predicate that holds exactly when `self` does not (on integers
+    /// and pointers; a float comparison with a NaN fails both).
+    pub fn negated(self) -> CmpKind {
+        match self {
+            CmpKind::Eq => CmpKind::Ne,
+            CmpKind::Ne => CmpKind::Eq,
+            CmpKind::Lt => CmpKind::Ge,
+            CmpKind::Le => CmpKind::Gt,
+            CmpKind::Gt => CmpKind::Le,
+            CmpKind::Ge => CmpKind::Lt,
+        }
+    }
 }
 
 /// Unary operators.
@@ -268,12 +298,16 @@ pub struct IrStmt {
     /// splice, a macro, or the inliner (`None` for code written inline in
     /// its function). Metadata like `span`: equality ignores it.
     pub prov: Option<Provenance>,
-    /// Address expressions within this statement whose memory accesses the
-    /// `checkelim` pass proved in-bounds (matched structurally at bytecode
-    /// compilation; instructions for these addresses skip the runtime
-    /// bounds check). Metadata like `span`: equality ignores it, and it is
-    /// only ever populated by the last pass in the `-O2` pipeline.
-    pub nochk: Vec<IrExpr>,
+    /// Operand nodes of this statement whose runtime check the `checkelim`
+    /// pass proved redundant, as ascending [`operand_nodes`](Self::operand_nodes)
+    /// indices: for the address of a memory access the bounds check, for
+    /// narrow-integer arithmetic and casts the re-canonicalizing `trunc`.
+    /// Index 0 is the statement's own arithmetic (a `for`'s increment).
+    /// Metadata like `span`: equality ignores it. A position holds for the
+    /// statement's shape when the proof was made: the `-O2` pipeline's
+    /// last pass populates it, and every run of the pipeline starts by
+    /// dropping what its input carried.
+    pub proven: Vec<u32>,
     /// The operation itself.
     pub kind: StmtKind,
 }
@@ -285,7 +319,7 @@ impl IrStmt {
             span: Span::synthetic(),
             implicit: false,
             prov: None,
-            nochk: Vec::new(),
+            proven: Vec::new(),
             kind,
         }
     }
@@ -296,7 +330,7 @@ impl IrStmt {
             span,
             implicit: false,
             prov: None,
-            nochk: Vec::new(),
+            proven: Vec::new(),
             kind,
         }
     }
@@ -307,9 +341,56 @@ impl IrStmt {
             span,
             implicit: true,
             prov: None,
-            nochk: Vec::new(),
+            proven: Vec::new(),
             kind,
         }
+    }
+}
+
+impl IrStmt {
+    /// Calls `visit` on each expression the statement evaluates itself (not
+    /// those of nested statement bodies), in evaluation order.
+    pub fn operand_roots<'s>(&'s self, visit: &mut dyn FnMut(&'s IrExpr)) {
+        match &self.kind {
+            StmtKind::Assign { value: e, .. }
+            | StmtKind::Expr(e)
+            | StmtKind::If { cond: e, .. }
+            | StmtKind::While { cond: e, .. }
+            | StmtKind::Return(Some(e)) => visit(e),
+            StmtKind::Store { addr: a, value: b } | StmtKind::CopyMem { dst: a, src: b, .. } => {
+                visit(a);
+                visit(b);
+            }
+            StmtKind::For {
+                start, stop, step, ..
+            } => {
+                visit(start);
+                visit(stop);
+                visit(step);
+            }
+            StmtKind::ParallelFor {
+                start, stop, args, ..
+            } => {
+                visit(start);
+                visit(stop);
+                args.iter().for_each(visit);
+            }
+            StmtKind::Return(None) | StmtKind::Break => {}
+        }
+    }
+
+    /// Calls `visit(index, node)` for every node of those expressions, in
+    /// preorder, numbered from 1. The numbering is what
+    /// [`proven`](Self::proven) refers to; it survives cloning the
+    /// statement.
+    pub fn operand_nodes(&self, visit: &mut dyn FnMut(u32, &IrExpr)) {
+        fn walk(e: &IrExpr, next: &mut u32, visit: &mut dyn FnMut(u32, &IrExpr)) {
+            *next += 1;
+            visit(*next, e);
+            crate::passes::util::each_child(e, &mut |c| walk(c, next, visit));
+        }
+        let mut next = 0;
+        self.operand_roots(&mut |e| walk(e, &mut next, visit));
     }
 }
 

@@ -1,12 +1,15 @@
-//! Bounds-check elision: stamps accesses the abstract interpreter proves
-//! in-bounds so the bytecode compiler emits them without runtime checks.
+//! Check elision: stamps the checks the abstract interpreter proves
+//! redundant so the bytecode compiler leaves them out — the bounds check of
+//! an access proven inside its object, and the `trunc` that wraps narrow
+//! integer arithmetic back into its type where the result provably fits.
 //!
-//! Runs **last** in the `-O2` pipeline — the annotations are address
-//! expressions matched structurally at bytecode compilation, so no later
-//! pass may rewrite them. The pass never changes observable semantics (or
-//! even the instruction stream — only a per-instruction flag), and the VM
-//! ignores the flag entirely under `--sanitize`, so the safety oracle is
-//! unaffected. See `analysis/absint.rs` for the proof obligations.
+//! Runs **last** in the `-O2` pipeline — a proof names an operand node of
+//! its statement by position ([`IrStmt::proven`](crate::ir::IrStmt::proven)),
+//! so no later pass may rewrite the statement. The pass never changes
+//! observable semantics: an elided bounds check is a per-instruction flag
+//! the VM ignores under `--sanitize`, an elided `trunc` would have been the
+//! identity, and under the sanitizer or `--no-checkelim` the pass does not
+//! run at all. See `analysis/absint.rs` for the proof obligations.
 
 use super::{PassConfig, Remark};
 use crate::analysis::absint;

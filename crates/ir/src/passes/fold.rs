@@ -223,19 +223,6 @@ fn float_const(e: &IrExpr) -> Option<f64> {
     }
 }
 
-/// Truncates `v` to the width/signedness of `st` (as the VM would).
-fn normalize_int(st: ScalarTy, v: i64) -> i64 {
-    match st {
-        ScalarTy::I8 => v as i8 as i64,
-        ScalarTy::U8 => v as u8 as i64,
-        ScalarTy::I16 => v as i16 as i64,
-        ScalarTy::U16 => v as u16 as i64,
-        ScalarTy::I32 => v as i32 as i64,
-        ScalarTy::U32 => v as u32 as i64,
-        _ => v,
-    }
-}
-
 fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
     if let (Some(a), Some(b)) = (int_const(lhs), int_const(rhs)) {
         let v = match op {
@@ -274,7 +261,7 @@ fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Opt
             BinKind::Min => a.min(b),
             BinKind::Max => a.max(b),
         };
-        return Some(ExprKind::ConstInt(normalize_int(st, v)));
+        return Some(ExprKind::ConstInt(st.canonical(v)));
     }
     // Algebraic identities (exact on integers).
     match (op, int_const(lhs), int_const(rhs)) {
@@ -359,11 +346,11 @@ fn cmp_u64(op: CmpKind, a: u64, b: u64) -> bool {
 fn fold_unary(st: ScalarTy, op: UnKind, expr: &IrExpr) -> Option<ExprKind> {
     match (op, &expr.kind) {
         (UnKind::Neg, ExprKind::ConstInt(v)) => {
-            Some(ExprKind::ConstInt(normalize_int(st, v.wrapping_neg())))
+            Some(ExprKind::ConstInt(st.canonical(v.wrapping_neg())))
         }
         (UnKind::Neg, ExprKind::ConstFloat(v)) => Some(ExprKind::ConstFloat(-v)),
         (UnKind::Not, ExprKind::ConstBool(b)) => Some(ExprKind::ConstBool(!b)),
-        (UnKind::Not, ExprKind::ConstInt(v)) => Some(ExprKind::ConstInt(normalize_int(st, !v))),
+        (UnKind::Not, ExprKind::ConstInt(v)) => Some(ExprKind::ConstInt(st.canonical(!v))),
         _ => None,
     }
 }
@@ -385,7 +372,7 @@ fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
             } else if to == ScalarTy::Bool {
                 Some(ExprKind::ConstBool(*v != 0))
             } else {
-                Some(ExprKind::ConstInt(normalize_int(to, *v)))
+                Some(ExprKind::ConstInt(to.canonical(*v)))
             }
         }
         (Ty::Scalar(_), ExprKind::ConstFloat(v)) => {
@@ -398,9 +385,9 @@ fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
             } else if to == ScalarTy::Bool {
                 Some(ExprKind::ConstBool(*v != 0.0))
             } else if to.is_signed() {
-                Some(ExprKind::ConstInt(normalize_int(to, *v as i64)))
+                Some(ExprKind::ConstInt(to.canonical(*v as i64)))
             } else {
-                Some(ExprKind::ConstInt(normalize_int(to, *v as u64 as i64)))
+                Some(ExprKind::ConstInt(to.canonical(*v as u64 as i64)))
             }
         }
         (Ty::Scalar(_), ExprKind::ConstBool(b)) => {

@@ -114,8 +114,9 @@ pub struct PassConfig<'a> {
     /// Interprocedural summaries for the abstract interpreter (`None` runs
     /// it intraprocedurally).
     pub summaries: Option<&'a Summaries>,
-    /// Whether the `checkelim` pass may stamp proven accesses check-free at
-    /// `-O2`. Off under `--sanitize` or `--no-checkelim`.
+    /// Whether the `checkelim` pass may stamp proven-redundant checks
+    /// (bounds checks, narrow-integer wraps) at `-O2`. Off under
+    /// `--sanitize` or `--no-checkelim`.
     pub elide_checks: bool,
 }
 
@@ -286,8 +287,8 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
             Pass::Licm,
             Pass::CopyProp,
             Pass::Dce,
-            // Must stay last: it stamps address expressions that later
-            // rewrites would invalidate.
+            // Must stay last: it stamps operand nodes by position, which
+            // later rewrites would invalidate.
             Pass::CheckElim,
         ],
     }
@@ -308,7 +309,15 @@ pub fn optimized(input: &IrFunction, cfg: &PassConfig) -> (IrFunction, PassStats
 }
 
 fn optimize_from(input: &IrFunction, passes: &[Pass], cfg: &PassConfig) -> (IrFunction, PassStats) {
-    let mut f = input.clone();
+    // The copy starts without proofs: those the input carries were made for
+    // its statements as they are now and under the configuration of then;
+    // the result has the ones this run's `checkelim` makes, or none.
+    let pristine = || {
+        let mut f = input.clone();
+        crate::analysis::absint::clear_proofs(&mut f.body);
+        f
+    };
+    let mut f = pristine();
     let mut stats = PassStats::default();
     if passes.is_empty() {
         return (f, stats);
@@ -355,7 +364,7 @@ fn optimize_from(input: &IrFunction, passes: &[Pass], cfg: &PassConfig) -> (IrFu
                 f.name, d
             );
         }
-        f = input.clone();
+        f = pristine();
         // The remarks describe rewrites that were discarded; drop them so
         // the stream matches the final code.
         stats.remarks.clear();

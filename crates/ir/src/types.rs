@@ -66,6 +66,33 @@ impl ScalarTy {
         )
     }
 
+    /// `v` wrapped into this type and sign- or zero-extended back to 64
+    /// bits: the canonical form a VM register holds an integer of this type
+    /// in, and the value the constant folder computes with. 64-bit and
+    /// non-integer types keep their bits.
+    pub fn canonical(self, v: i64) -> i64 {
+        match self {
+            ScalarTy::I8 => v as i8 as i64,
+            ScalarTy::U8 => v as u8 as i64,
+            ScalarTy::I16 => v as i16 as i64,
+            ScalarTy::U16 => v as u16 as i64,
+            ScalarTy::I32 => v as i32 as i64,
+            ScalarTy::U32 => v as u32 as i64,
+            _ => v,
+        }
+    }
+
+    /// Whether converting a `bool` or integer of this type to integer type
+    /// `to` changes no bit of its canonical register form (the value sign-
+    /// or zero-extended to 64 bits): `to` is 64 bits wide, or the same type,
+    /// or wider without turning a sign extension into a zero extension.
+    pub fn widens_to(self, to: ScalarTy) -> bool {
+        self == ScalarTy::Bool
+            || self == to
+            || to.size() == 8
+            || (to.size() > self.size() && (to.is_signed() || !self.is_signed()))
+    }
+
     /// Rank used for C-style implicit arithmetic conversions; higher ranks
     /// win when unifying the operand types of an arithmetic operator.
     pub fn conversion_rank(self) -> u8 {

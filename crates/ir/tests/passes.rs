@@ -591,11 +591,15 @@ fn checkelim_reports_what_it_stamped() {
     };
     let stats = optimize(&mut f, &config);
     assert_eq!(changed_by(&stats), ["checkelim"]);
-    assert_eq!(f.body[0].nochk.len(), 1, "the store is proven: {f:?}");
+    assert_eq!(
+        f.body[0].proven,
+        [1],
+        "the store's address is proven: {f:?}"
+    );
 
-    // With elision off the pass runs but touches nothing.
+    // With elision off the pass runs but stamps nothing, and the proof the
+    // input carried does not survive the run.
     let mut g = f.clone();
-    g.body[0].nochk.clear();
     let stats = optimize(
         &mut g,
         &PassConfig {
@@ -604,7 +608,143 @@ fn checkelim_reports_what_it_stamped() {
         },
     );
     assert!(changed_by(&stats).is_empty());
-    assert!(g.body[0].nochk.is_empty());
+    assert!(g.body[0].proven.is_empty());
+}
+
+/// A proof names a node by position, so it holds for one shape of its
+/// statement and one configuration: every run of the pipeline starts from
+/// none, whatever its input carried, and ends with its own.
+#[test]
+fn reoptimizing_stamped_ir_keeps_no_stale_proof() {
+    // `slot[1] = 5` with `slot : int[4]`: the address (node 1) is proven.
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let slot = f.add_local("slot", Ty::Array(Ty::INT.into(), 4), true);
+    let int64 = |kind| IrExpr { ty: Ty::I64, kind };
+    let elem = IrExpr {
+        ty: Ty::INT.ptr_to(),
+        kind: ExprKind::Binary {
+            op: BinKind::Add,
+            lhs: Box::new(IrExpr {
+                ty: Ty::INT.ptr_to(),
+                kind: ExprKind::LocalAddr(slot),
+            }),
+            rhs: Box::new(int64(ExprKind::ConstInt(4))),
+        },
+    };
+    f.body = vec![
+        IrStmt::new(StmtKind::Store {
+            addr: elem,
+            value: IrExpr::int32(5),
+        }),
+        ret(IrExpr::local(LocalId(0), Ty::INT)),
+    ];
+    let types = TypeRegistry::new();
+    let config = PassConfig {
+        types: Some(&types),
+        ..cfg(OptLevel::O2, &NoInline)
+    };
+    optimize(&mut f, &config);
+    let stamped = f.body[0].proven.clone();
+    assert_eq!(stamped, [1], "the store's address is proven: {f:?}");
+
+    // The same run again finds the same proofs, not the old ones on top.
+    let mut again = f.clone();
+    optimize(&mut again, &config);
+    assert_eq!(again.body[0].proven, stamped);
+
+    // Rewritten since — the store now goes to `slot + p0 * 4`, which
+    // nothing bounds, at the position the proven address had — and re-run
+    // with and without the pass that could tell: no run vouches for it.
+    let StmtKind::Store { addr, .. } = &mut f.body[0].kind else {
+        panic!("the store survives: {f:?}");
+    };
+    let ExprKind::Binary { rhs, .. } = &mut addr.kind else {
+        panic!("the address is still an add: {addr:?}");
+    };
+    let p0 = int64(ExprKind::Cast(Box::new(IrExpr::local(LocalId(0), Ty::INT))));
+    **rhs = IrExpr::binary(BinKind::Mul, p0, int64(ExprKind::ConstInt(4)));
+    for (level, elide_checks) in [
+        (OptLevel::O2, true),
+        (OptLevel::O2, false),
+        (OptLevel::O1, true),
+        (OptLevel::O0, true),
+    ] {
+        let mut g = f.clone();
+        let stats = optimize(
+            &mut g,
+            &PassConfig {
+                level,
+                elide_checks,
+                types: Some(&types),
+                ..cfg(level, &NoInline)
+            },
+        );
+        assert!(
+            g.body[0].proven.is_empty(),
+            "{level:?}, elision {elide_checks}: {g:?} after {:?}",
+            stats.runs
+        );
+    }
+}
+
+/// `for i = 0, stop, step do x = i * k + p0 end`, optimized; returns the
+/// proofs of the loop and of the assignment in it, and the remark messages.
+fn wrap_proofs(stop: IrExpr, step: i32, k: i32) -> (Vec<u32>, Vec<u32>, Vec<String>) {
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let x = f.add_local("x", Ty::INT, false);
+    let i = f.add_local("i", Ty::INT, false);
+    // Node 1 is the add, node 2 the multiply.
+    let value = IrExpr::binary(
+        BinKind::Add,
+        IrExpr::binary(BinKind::Mul, IrExpr::local(i, Ty::INT), IrExpr::int32(k)),
+        IrExpr::local(LocalId(0), Ty::INT),
+    );
+    f.body = vec![
+        IrStmt::new(StmtKind::For {
+            var: i,
+            start: IrExpr::int32(0),
+            stop,
+            step: IrExpr::int32(step),
+            body: vec![IrStmt::new(StmtKind::Assign { dst: x, value })],
+        }),
+        ret(IrExpr::local(x, Ty::INT)),
+    ];
+    let stats = optimize(&mut f, &cfg(OptLevel::O2, &NoInline));
+    let StmtKind::For { body, .. } = &f.body[0].kind else {
+        panic!("the loop survives: {f:?}");
+    };
+    let messages = stats.remarks.iter().map(|r| r.message.clone()).collect();
+    (f.body[0].proven.clone(), body[0].proven.clone(), messages)
+}
+
+#[test]
+fn checkelim_proves_a_wrap_away_only_where_the_range_says_so() {
+    // i in [0, 99]: `i * 3` fits, the increment fits; `... + p0` does not
+    // (p0 is any int), and the remark names it.
+    let (on_loop, on_assign, remarks) = wrap_proofs(IrExpr::int32(100), 1, 3);
+    assert_eq!((on_loop, on_assign), (vec![0], vec![2]), "{remarks:?}");
+    assert!(
+        remarks.iter().any(|m| m.contains("wrap check(s) elided")),
+        "{remarks:?}"
+    );
+    assert!(
+        remarks
+            .iter()
+            .any(|m| m.contains("wrap check kept") && m.contains("'p0' is unbounded")),
+        "{remarks:?}"
+    );
+    // i * 2^26 reaches 2^31 at i = 32: one past what fits.
+    let (_, on_assign, _) = wrap_proofs(IrExpr::int32(33), 1, 1 << 26);
+    assert!(on_assign.is_empty());
+    let (_, on_assign, _) = wrap_proofs(IrExpr::int32(32), 1, 1 << 26);
+    assert_eq!(on_assign, [2]);
+    // A runtime bound: `i < p0 <= MAX`, so `i + 1` cannot wrap, but `i * 3`
+    // can.
+    let (on_loop, on_assign, _) = wrap_proofs(IrExpr::local(LocalId(0), Ty::INT), 1, 3);
+    assert_eq!((on_loop, on_assign), (vec![0], vec![]));
+    // With a step of 2 it can: `MAX - 1 + 2`.
+    let (on_loop, _, remarks) = wrap_proofs(IrExpr::local(LocalId(0), Ty::INT), 2, 3);
+    assert!(on_loop.is_empty(), "{remarks:?}");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use terra_ir::{Builtin, FuncId, FuncTy, Ty};
+use terra_ir::{Builtin, FuncId, FuncTy, ScalarTy, Ty};
 
 /// A register: the index of its first 8-byte slot within the frame.
 pub type Reg = u16;
@@ -53,6 +53,22 @@ pub enum IntWidth {
     I32,
     /// Zero-extend from 32 bits.
     U32,
+}
+
+impl IntWidth {
+    /// The tag of narrow integer type `s` (`None` for 64-bit integers and
+    /// everything that is not an integer).
+    pub fn of(s: ScalarTy) -> Option<IntWidth> {
+        match s {
+            ScalarTy::I8 => Some(IntWidth::I8),
+            ScalarTy::U8 => Some(IntWidth::U8),
+            ScalarTy::I16 => Some(IntWidth::I16),
+            ScalarTy::U16 => Some(IntWidth::U16),
+            ScalarTy::I32 => Some(IntWidth::I32),
+            ScalarTy::U32 => Some(IntWidth::U32),
+            _ => None,
+        }
+    }
 }
 
 /// One bytecode instruction. `d` is the destination register; `a`/`b` are
@@ -932,6 +948,60 @@ pub enum Instr {
         /// Absolute instruction index.
         target: u32,
     },
+    /// Jump when `a == b` (integers, pointers, bools).
+    BrEqI {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
+    /// Jump when `a != b`.
+    BrNeI {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
+    /// Jump when `a < b`, signed.
+    BrLtS {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
+    /// Jump when `a <= b`, signed.
+    BrLeS {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
+    /// Jump when `a < b`, unsigned.
+    BrLtU {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
+    /// Jump when `a <= b`, unsigned.
+    BrLeU {
+        /// Left.
+        a: Reg,
+        /// Right.
+        b: Reg,
+        /// Absolute instruction index.
+        target: u32,
+    },
     /// Direct call: copies the `nargs` slots starting at `args` to the
     /// bottom of the callee frame (parameters sit at the prefix sums of
     /// their widths on both sides); the result (if any) lands in `d`.
@@ -998,6 +1068,24 @@ pub enum Instr {
     Trap,
 }
 
+/// The `target` field of a jump or branch, by whatever reference `$instr` is.
+macro_rules! jump_target {
+    ($instr:expr) => {
+        match $instr {
+            Instr::Jmp { target }
+            | Instr::BrFalse { target, .. }
+            | Instr::BrTrue { target, .. }
+            | Instr::BrEqI { target, .. }
+            | Instr::BrNeI { target, .. }
+            | Instr::BrLtS { target, .. }
+            | Instr::BrLeS { target, .. }
+            | Instr::BrLtU { target, .. }
+            | Instr::BrLeU { target, .. } => Some(target),
+            _ => None,
+        }
+    };
+}
+
 impl Instr {
     /// Whether this instruction performs a bounds-checkable memory access —
     /// what the `checkelim` pass can mark check-free. `Prefetch` is
@@ -1018,12 +1106,12 @@ impl Instr {
 
     /// The instruction's jump target, if it has one.
     pub(crate) fn target(&self) -> Option<u32> {
-        match *self {
-            Instr::Jmp { target }
-            | Instr::BrFalse { target, .. }
-            | Instr::BrTrue { target, .. } => Some(target),
-            _ => None,
-        }
+        jump_target!(self).copied()
+    }
+
+    /// The instruction's jump target, for the compiler to patch.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        jump_target!(self)
     }
 
     /// Calls `visit(first slot, slots)` for every register operand, fixed
@@ -1111,7 +1199,7 @@ macro_rules! opcodes {
 }
 
 /// Number of distinct opcodes ([`Instr`] variants).
-pub const N_OPCODES: usize = 106;
+pub const N_OPCODES: usize = 112;
 
 opcodes! {
     ConstI => "const.i" [d],
@@ -1214,6 +1302,12 @@ opcodes! {
     Jmp => "jmp" [],
     BrFalse => "br.false" [c],
     BrTrue => "br.true" [c],
+    BrEqI => "br.eq.i" [a, b],
+    BrNeI => "br.ne.i" [a, b],
+    BrLtS => "br.lt.s" [a, b],
+    BrLeS => "br.le.s" [a, b],
+    BrLtU => "br.lt.u" [a, b],
+    BrLeU => "br.le.u" [a, b],
     Call => "call" [],
     CallIndirect => "call.indirect" [f],
     ParFor => "par.for" [lo, hi],
@@ -1535,6 +1629,46 @@ mod tests {
         let err = load(vec![br(2), ret.clone()], 1).unwrap_err();
         assert!(err.message.contains("jump out of the function"), "{err}");
         assert!(load(vec![ret.clone(), br(0)], 1).is_err());
+        // A fused branch is checked like its two halves: both operands
+        // inside the frame, the target inside the code.
+        let fused = |a, b, target| Instr::BrLtS { a, b, target };
+        assert!(load(vec![fused(0, 1, 1), ret.clone()], 2).is_ok());
+        let err = load(vec![fused(0, 1, 2), ret.clone()], 2).unwrap_err();
+        assert!(err.message.contains("jump out of the function"), "{err}");
+        let err = load(vec![fused(0, 2, 1), ret.clone()], 2).unwrap_err();
+        assert!(err.message.contains("'br.lt.s' uses slots 2..3"), "{err}");
+        for (i, fused) in [
+            Instr::BrEqI {
+                a: 2,
+                b: 0,
+                target: 0,
+            },
+            Instr::BrNeI {
+                a: 0,
+                b: 2,
+                target: 0,
+            },
+            Instr::BrLeS {
+                a: 0,
+                b: 0,
+                target: 9,
+            },
+            Instr::BrLtU {
+                a: 2,
+                b: 0,
+                target: 0,
+            },
+            Instr::BrLeU {
+                a: 0,
+                b: 0,
+                target: 9,
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(load(vec![fused, ret.clone()], 2).is_err(), "row {i}");
+        }
         let wide = Instr::LoadV {
             d: 0,
             a: 0,

@@ -8,6 +8,15 @@
 //! decided once, at compile time. In-memory locals (aggregates and
 //! address-taken scalars) are laid out in the function's frame in linear
 //! memory.
+//!
+//! Every register holds an integer in *canonical* form, sign- or
+//! zero-extended from its type's width (DESIGN.md §6j). That is what makes
+//! widening casts free and lets compares and divisions work on whole
+//! registers; narrow arithmetic re-establishes it with a `trunc`, except
+//! where the mid-end proved the result cannot leave its type
+//! ([`IrStmt::proven`]). Loops test at the bottom with one fused
+//! compare-and-branch, and the constants a loop nest uses as operands are
+//! materialized once, in front of it.
 
 use crate::bytecode::{
     slots_of, BytecodeError, CompiledFunction, Instr, IntWidth, Reg, MAX_SLOTS, NO_REG,
@@ -47,6 +56,174 @@ fn is_addr_ty(ty: &Ty) -> bool {
         ty,
         Ty::Ptr(_) | Ty::Scalar(ScalarTy::I64) | Ty::Scalar(ScalarTy::U64)
     )
+}
+
+/// Most constants one loop nest keeps pinned in registers; an unrolled
+/// staged kernel may name hundreds, and each costs a frame slot.
+const MAX_PINNED: usize = 16;
+
+/// A constant that can sit in a register: which `const.*` instruction
+/// materializes it, and its bits (floats compare by bits: `-0.0` is not
+/// `0.0`).
+#[derive(Clone, Copy, PartialEq)]
+enum Const {
+    I(i64),
+    F64(u64),
+    F32(u32),
+}
+
+impl Const {
+    /// The constant an integer or float literal node denotes, an integer in
+    /// its type's canonical form.
+    fn of(e: &IrExpr) -> Option<Const> {
+        match (&e.kind, &e.ty) {
+            (ExprKind::ConstInt(v), Ty::Scalar(s)) => Some(Const::I(s.canonical(*v))),
+            (ExprKind::ConstInt(v), _) => Some(Const::I(*v)),
+            (ExprKind::ConstFloat(v), Ty::Scalar(ScalarTy::F32)) => {
+                Some(Const::F32((*v as f32).to_bits()))
+            }
+            (ExprKind::ConstFloat(v), _) => Some(Const::F64(v.to_bits())),
+            _ => None,
+        }
+    }
+
+    fn instr(self, d: Reg) -> Instr {
+        match self {
+            Const::I(v) => Instr::ConstI { d, v },
+            Const::F64(bits) => Instr::ConstF64 {
+                d,
+                v: f64::from_bits(bits),
+            },
+            Const::F32(bits) => Instr::ConstF32 {
+                d,
+                v: f32::from_bits(bits),
+            },
+        }
+    }
+}
+
+/// The operands of the one `Lea` that computes `e`, `(base, index, scale,
+/// disp)`, if `e` is a pointer or 64-bit add (nothing to truncate) of the
+/// shape `base + c`, `base + idx*c`, `base + c*idx` or `base + (idx << c)`.
+fn lea_of(e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
+    let ExprKind::Binary {
+        op: BinKind::Add,
+        lhs,
+        rhs,
+    } = &e.kind
+    else {
+        return None;
+    };
+    if !is_addr_ty(&e.ty) {
+        return None;
+    }
+    let (lhs, rhs): (&IrExpr, &IrExpr) = (lhs, rhs);
+    let (base, offset) = if matches!(lhs.kind, ExprKind::ConstInt(_))
+        && !matches!(rhs.kind, ExprKind::ConstInt(_) | ExprKind::Binary { .. })
+    {
+        (rhs, lhs)
+    } else {
+        (lhs, rhs)
+    };
+    match &offset.kind {
+        ExprKind::ConstInt(disp) => Some((base, None, 1, *disp)),
+        ExprKind::Binary {
+            op: BinKind::Mul,
+            lhs: m1,
+            rhs: m2,
+        } => match (&m1.kind, &m2.kind) {
+            (_, ExprKind::ConstInt(s)) if i32::try_from(*s).is_ok() => {
+                Some((base, Some(&**m1), *s as i32, 0))
+            }
+            (ExprKind::ConstInt(s), _) if i32::try_from(*s).is_ok() => {
+                Some((base, Some(&**m2), *s as i32, 0))
+            }
+            _ => None,
+        },
+        // Strength reduction rewrites `idx * 2^k` as `idx << k`; recognize
+        // the shifted spelling so fusion still fires on optimized IR. The
+        // operands are 64-bit here, so shift == scale exactly.
+        ExprKind::Binary {
+            op: BinKind::Shl,
+            lhs: idx,
+            rhs: sh,
+        } => match sh.kind {
+            ExprKind::ConstInt(k) if (0..=30).contains(&k) => Some((base, Some(&**idx), 1 << k, 0)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Whether a comparison of `operand`s is one the VM can branch on directly:
+/// integers, pointers, bools. Float compares stay apart — a NaN fails both
+/// a predicate and its negation, so they cannot be flipped.
+fn fusible(operand: &Ty) -> bool {
+    !matches!(
+        operand,
+        Ty::Vector(..) | Ty::Scalar(ScalarTy::F32 | ScalarTy::F64)
+    )
+}
+
+/// The VM's four integer predicates; the other two of [`CmpKind`] are these
+/// with the operands swapped.
+enum IntCmp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+}
+
+fn int_cmp(op: CmpKind, a: Reg, b: Reg) -> (IntCmp, Reg, Reg) {
+    match op {
+        CmpKind::Eq => (IntCmp::Eq, a, b),
+        CmpKind::Ne => (IntCmp::Ne, a, b),
+        CmpKind::Lt => (IntCmp::Lt, a, b),
+        CmpKind::Le => (IntCmp::Le, a, b),
+        CmpKind::Gt => (IntCmp::Lt, b, a),
+        CmpKind::Ge => (IntCmp::Le, b, a),
+    }
+}
+
+/// Collects the distinct integer and float constants the loop nest `stmts`
+/// needs in a register — all but what [`lea_of`] folds into an instruction —
+/// in first-use order, up to [`MAX_PINNED`]. Which of them `expr` will be
+/// asked for as operands is `expr`'s business and is not repeated here: a
+/// constant that is only ever built straight into a destination (an
+/// argument slot, a `select` arm, a loop's start) is collected too, and
+/// costs its nest one unread `const`.
+fn nest_constants(stmts: &[IrStmt], out: &mut Vec<Const>) {
+    fn scan(e: &IrExpr, out: &mut Vec<Const>) {
+        if let Some(c) = Const::of(e) {
+            if out.len() < MAX_PINNED && !out.contains(&c) {
+                out.push(c);
+            }
+        } else if let Some((base, index, ..)) = lea_of(e) {
+            scan(base, out);
+            index.into_iter().for_each(|i| scan(i, out));
+        } else {
+            terra_ir::passes::util::each_child(e, &mut |c| scan(c, out));
+        }
+    }
+    for s in stmts {
+        // The one such placement common enough to know: `x = c` is a
+        // `const` into `x`, whether or not `c` sits in a register.
+        if !matches!(&s.kind, StmtKind::Assign { value, .. } if Const::of(value).is_some()) {
+            s.operand_roots(&mut |e| scan(e, out));
+        }
+        match &s.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                nest_constants(then_body, out);
+                nest_constants(else_body, out);
+            }
+            StmtKind::While { body, .. } | StmtKind::For { body, .. } => nest_constants(body, out),
+            _ => {}
+        }
+    }
 }
 
 /// [`try_compile`] for IR known to fit a frame — functions the pipeline has
@@ -151,10 +328,14 @@ struct Compiler<'a> {
     cur_prov: u32,
     /// Interned rendered staging chains; `provs` holds `index + 1`.
     prov_table: Vec<std::sync::Arc<str>>,
-    /// Proven address expressions of the statement being compiled
-    /// (`IrStmt::nochk`), matched structurally against the address operand
-    /// of each emitted memory instruction, whose `chk` bit they clear.
-    cur_nochk: Vec<IrExpr>,
+    /// Operand nodes whose check the mid-end proved redundant
+    /// ([`IrStmt::proven`], resolved to node identities; never read
+    /// through): a stack of sorted runs, one per statement being compiled,
+    /// the innermost from `proven_base` on.
+    proven: Vec<*const IrExpr>,
+    proven_base: usize,
+    /// The constants pinned in registers for the loop nest being compiled.
+    pinned: Vec<(Const, Reg)>,
     /// Register assigned to each register-class local (NO_REG if in memory).
     local_regs: Vec<Reg>,
     /// Frame offset of each in-memory local (u32::MAX otherwise).
@@ -214,7 +395,9 @@ impl<'a> Compiler<'a> {
             provs: Vec::new(),
             cur_prov: 0,
             prov_table: Vec::new(),
-            cur_nochk: Vec::new(),
+            proven: Vec::new(),
+            proven_base: 0,
+            pinned: Vec::new(),
             local_regs,
             local_offsets,
             temp_base: next_reg,
@@ -268,10 +451,18 @@ impl<'a> Compiler<'a> {
         self.provs.resize(self.code.len(), self.cur_prov);
     }
 
-    /// The `chk` bit of an access through `addr`: set unless the current
-    /// statement's mid-end annotations prove `addr` in-bounds for it.
+    /// Whether the mid-end proved the check node `e` of the statement being
+    /// compiled would need redundant: the bounds check of an access through
+    /// address `e`, the `trunc` after narrow-integer arithmetic `e`.
+    fn proven(&self, e: &IrExpr) -> bool {
+        self.proven[self.proven_base..]
+            .binary_search(&(e as *const IrExpr))
+            .is_ok()
+    }
+
+    /// The `chk` bit of an access through `addr`.
     fn chk(&self, addr: &IrExpr) -> bool {
-        !self.cur_nochk.iter().any(|p| p == addr)
+        !self.proven(addr)
     }
 
     /// Interns a rendered staging chain, returning its `provs` id
@@ -311,7 +502,16 @@ impl<'a> Compiler<'a> {
             Some(p) => self.intern_prov(p.describe()),
             None => 0,
         };
-        let saved_nochk = std::mem::replace(&mut self.cur_nochk, s.nochk.clone());
+        let saved_base = std::mem::replace(&mut self.proven_base, self.proven.len());
+        if !s.proven.is_empty() {
+            let proven = &mut self.proven;
+            s.operand_nodes(&mut |i, e| {
+                if s.proven.binary_search(&i).is_ok() {
+                    proven.push(e);
+                }
+            });
+            proven[self.proven_base..].sort_unstable();
+        }
         match &s.kind {
             StmtKind::Assign { dst, value } => self.compile_assign(*dst, value),
             StmtKind::Store { addr, value } => {
@@ -338,9 +538,7 @@ impl<'a> Compiler<'a> {
                 then_body,
                 else_body,
             } => {
-                let c = self.expr(cond, None);
-                let br_at = self.code.len();
-                self.code.push(Instr::BrFalse { c, target: 0 });
+                let br_at = self.branch_if(cond, false);
                 self.release(mark);
                 self.stmts(then_body);
                 if else_body.is_empty() {
@@ -362,20 +560,18 @@ impl<'a> Compiler<'a> {
                     self.patch(jmp_at, end);
                 }
             }
+            // Loops test at the bottom: one branch per iteration.
             StmtKind::While { cond, body } => {
-                let head = self.code.len() as u32;
-                let c = self.expr(cond, None);
-                let br_at = self.code.len();
-                self.code.push(Instr::BrFalse { c, target: 0 });
-                self.release(mark);
-                self.loop_breaks.push(Vec::new());
+                let outermost = self.enter_loop(s);
+                let entry = self.code.len();
+                self.code.push(Instr::Jmp { target: 0 });
+                let top = self.code.len() as u32;
                 self.stmts(body);
-                self.code.push(Instr::Jmp { target: head });
-                let end = self.code.len() as u32;
-                self.patch(br_at, end);
-                for site in self.loop_breaks.pop().expect("pushed above") {
-                    self.patch(site, end);
-                }
+                let test = self.code.len() as u32;
+                self.patch(entry, test);
+                let back = self.branch_if(cond, true);
+                self.patch(back, top);
+                self.leave_loop(outermost);
             }
             StmtKind::For {
                 var,
@@ -384,15 +580,9 @@ impl<'a> Compiler<'a> {
                 step,
                 body,
             } => {
+                let outermost = self.enter_loop(s);
                 let var_reg = self.local_regs[var.0 as usize];
-                let s = self.expr(start, Some(var_reg));
-                if s != var_reg {
-                    self.code.push(Instr::Mov {
-                        d: var_reg,
-                        a: s,
-                        w: 1,
-                    });
-                }
+                self.expr_into(start, var_reg);
                 // `stop`/`step` temps stay live for the whole loop.
                 let stop_reg = {
                     let r = self.expr(stop, None);
@@ -402,30 +592,32 @@ impl<'a> Compiler<'a> {
                     let r = self.expr(step, None);
                     self.pin(r)
                 };
-                let head = self.code.len() as u32;
-                let c = self.alloc_temp(1);
-                self.code.push(Instr::CmpLtS {
-                    d: c,
-                    a: var_reg,
-                    b: stop_reg,
+                // Guard: no iteration when `stop <= var` on entry.
+                let guard = self.code.len();
+                self.code.push(Instr::BrLeS {
+                    a: stop_reg,
+                    b: var_reg,
+                    target: 0,
                 });
-                let br_at = self.code.len();
-                self.code.push(Instr::BrFalse { c, target: 0 });
-                self.release(c);
-                self.loop_breaks.push(Vec::new());
+                let top = self.code.len() as u32;
                 self.stmts(body);
                 self.code.push(Instr::AddI {
                     d: var_reg,
                     a: var_reg,
                     b: step_reg,
                 });
-                self.emit_norm(&self.func.locals[var.0 as usize].ty.clone(), var_reg);
-                self.code.push(Instr::Jmp { target: head });
-                let end = self.code.len() as u32;
-                self.patch(br_at, end);
-                for site in self.loop_breaks.pop().expect("pushed above") {
-                    self.patch(site, end);
+                // Index 0 of a `for`'s proofs: the increment cannot wrap.
+                if s.proven.first() != Some(&0) {
+                    self.emit_norm(&self.func.locals[var.0 as usize].ty, var_reg);
                 }
+                self.code.push(Instr::BrLtS {
+                    a: var_reg,
+                    b: stop_reg,
+                    target: top,
+                });
+                let end = self.code.len() as u32;
+                self.patch(guard, end);
+                self.leave_loop(outermost);
             }
             StmtKind::ParallelFor {
                 kernel,
@@ -471,7 +663,8 @@ impl<'a> Compiler<'a> {
         self.flush_lines();
         self.cur_line = saved_line;
         self.cur_prov = saved_prov;
-        self.cur_nochk = saved_nochk;
+        self.proven.truncate(self.proven_base);
+        self.proven_base = saved_base;
         self.release(mark);
     }
 
@@ -500,20 +693,15 @@ impl<'a> Compiler<'a> {
         if self.overflow {
             return (base, 0);
         }
+        // Each argument is built in its slot, like a value assigned to a
+        // local; what it needs on the way lives above the whole block, so a
+        // destination is never a register `alloc_temp` hands out.
+        let above = self.temp_top;
         let mut slot = base;
         for a in args {
-            let w = slots_of(&a.ty);
-            let r = self.expr(a, None);
-            if r != slot {
-                self.code.push(Instr::Mov {
-                    d: slot,
-                    a: r,
-                    w: w as u8,
-                });
-            }
-            slot += w;
-            // Release any temps the argument expression used above its slot.
-            self.release(slot);
+            self.expr_into(a, slot);
+            slot += slots_of(&a.ty);
+            self.release(above);
         }
         (base, slots)
     }
@@ -558,23 +746,85 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
-        let r = self.expr(value, Some(dreg));
-        if r != dreg {
-            self.code.push(Instr::Mov {
-                d: dreg,
-                a: r,
-                w: slots_of(&value.ty) as u8,
-            });
+        self.expr_into(value, dreg);
+    }
+
+    /// Computes `e` into `d`: built there if `e` makes a fresh value, copied
+    /// there if it already sits in a register.
+    fn expr_into(&mut self, e: &IrExpr, d: Reg) {
+        let r = self.expr(e, Some(d));
+        if r != d {
+            let w = slots_of(&e.ty) as u8;
+            self.code.push(Instr::Mov { d, a: r, w });
         }
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Instr::Jmp { target: t }
-            | Instr::BrFalse { target: t, .. }
-            | Instr::BrTrue { target: t, .. } => *t = target,
-            other => unreachable!("patching non-branch {other:?}"),
+        *self.code[at]
+            .target_mut()
+            .expect("only jumps and branches are patched") = target;
+    }
+
+    /// Opens a loop. Entering a loop nest (returns whether `s` is its
+    /// outermost loop) first pins the constants the nest uses as operands:
+    /// one `const.*` per entry of the nest instead of one per use.
+    fn enter_loop(&mut self, s: &IrStmt) -> bool {
+        let outermost = self.loop_breaks.is_empty();
+        if outermost {
+            let mut found = Vec::new();
+            nest_constants(std::slice::from_ref(s), &mut found);
+            for c in found {
+                let d = self.alloc_temp(1);
+                self.code.push(c.instr(d));
+                self.pinned.push((c, d));
+            }
         }
+        self.loop_breaks.push(Vec::new());
+        outermost
+    }
+
+    /// Closes the loop opened last: its `break`s land here.
+    fn leave_loop(&mut self, outermost: bool) {
+        let end = self.code.len() as u32;
+        for site in self.loop_breaks.pop().expect("pushed by enter_loop") {
+            self.patch(site, end);
+        }
+        if outermost {
+            self.pinned.clear();
+        }
+    }
+
+    /// Emits a branch taken when `cond` evaluates to `when` and returns its
+    /// index, for the caller to patch the target in. An integer comparison
+    /// is fused into the branch.
+    fn branch_if(&mut self, cond: &IrExpr, when: bool) -> usize {
+        let instr = match &cond.kind {
+            ExprKind::Cmp { op, lhs, rhs } if fusible(&lhs.ty) => {
+                let a = self.expr(lhs, None);
+                let b = self.expr(rhs, None);
+                let signed = matches!(lhs.ty, Ty::Scalar(s) if s.is_signed());
+                let op = if when { *op } else { op.negated() };
+                let target = 0;
+                match (int_cmp(op, a, b), signed) {
+                    ((IntCmp::Eq, a, b), _) => Instr::BrEqI { a, b, target },
+                    ((IntCmp::Ne, a, b), _) => Instr::BrNeI { a, b, target },
+                    ((IntCmp::Lt, a, b), true) => Instr::BrLtS { a, b, target },
+                    ((IntCmp::Le, a, b), true) => Instr::BrLeS { a, b, target },
+                    ((IntCmp::Lt, a, b), false) => Instr::BrLtU { a, b, target },
+                    ((IntCmp::Le, a, b), false) => Instr::BrLeU { a, b, target },
+                }
+            }
+            _ => {
+                let c = self.expr(cond, None);
+                if when {
+                    Instr::BrTrue { c, target: 0 }
+                } else {
+                    Instr::BrFalse { c, target: 0 }
+                }
+            }
+        };
+        self.code.push(instr);
+        self.code.len() - 1
     }
 
     // -- expressions ----------------------------------------------------------
@@ -586,18 +836,16 @@ impl<'a> Compiler<'a> {
         let width = slots_of(&e.ty);
         let dst = |c: &mut Self| want.unwrap_or_else(|| c.alloc_temp(width));
         match &e.kind {
-            ExprKind::ConstInt(v) => {
-                let d = dst(self);
-                self.code.push(Instr::ConstI { d, v: *v });
-                d
-            }
-            ExprKind::ConstFloat(v) => {
-                let d = dst(self);
-                if e.ty == Ty::F32 {
-                    self.code.push(Instr::ConstF32 { d, v: *v as f32 });
-                } else {
-                    self.code.push(Instr::ConstF64 { d, v: *v });
+            ExprKind::ConstInt(_) | ExprKind::ConstFloat(_) => {
+                let c = Const::of(e).expect("an integer or float literal");
+                // Inside a loop nest an operand may be sitting in a register.
+                if want.is_none() {
+                    if let Some((_, r)) = self.pinned.iter().find(|(p, _)| *p == c) {
+                        return *r;
+                    }
                 }
+                let d = dst(self);
+                self.code.push(c.instr(d));
                 d
             }
             ExprKind::ConstBool(b) => {
@@ -664,17 +912,28 @@ impl<'a> Compiler<'a> {
             }
             ExprKind::Binary { op, lhs, rhs } => {
                 // Address-fusion peephole: `base + idx*scale + disp` becomes
-                // one Lea dispatch. Only for pointer/64-bit adds (no
-                // truncation needed).
-                if *op == BinKind::Add && is_addr_ty(&e.ty) {
-                    if let Some(r) = self.try_lea(lhs, rhs, want) {
-                        return r;
-                    }
+                // one Lea dispatch.
+                if let Some((base, index, scale, disp)) = lea_of(e) {
+                    let a = self.expr(base, None);
+                    let b = index.map_or(NO_REG, |i| self.expr(i, None));
+                    let d = dst(self);
+                    self.code.push(Instr::Lea {
+                        d,
+                        a,
+                        b,
+                        scale,
+                        disp,
+                    });
+                    return d;
                 }
                 let a = self.expr(lhs, None);
                 let b = self.expr(rhs, None);
                 let d = dst(self);
                 self.emit_binary(&e.ty, *op, d, a, b);
+                // The 64-bit result may have left a narrow integer type.
+                if matches!(&e.ty, Ty::Scalar(s) if op.can_leave(*s)) && !self.proven(e) {
+                    self.emit_norm(&e.ty, d);
+                }
                 d
             }
             ExprKind::Cmp { op, lhs, rhs } => {
@@ -708,7 +967,9 @@ impl<'a> Compiler<'a> {
                     }
                     (UnKind::Neg, _) => {
                         self.code.push(Instr::NegI { d, a });
-                        self.emit_norm(&e.ty, d);
+                        if !self.proven(e) {
+                            self.emit_norm(&e.ty, d);
+                        }
                     }
                     (UnKind::Not, Ty::Scalar(ScalarTy::Bool)) => {
                         self.code.push(Instr::NotB { d, a })
@@ -777,104 +1038,18 @@ impl<'a> Compiler<'a> {
                 then_value,
                 else_value,
             } => {
-                let c = self.expr(cond, None);
+                let br_at = self.branch_if(cond, false);
                 let d = dst(self);
-                let br_at = self.code.len();
-                self.code.push(Instr::BrFalse { c, target: 0 });
-                let w = width as u8;
-                let t = self.expr(then_value, Some(d));
-                if t != d {
-                    self.code.push(Instr::Mov { d, a: t, w });
-                }
+                self.expr_into(then_value, d);
                 let jmp_at = self.code.len();
                 self.code.push(Instr::Jmp { target: 0 });
                 let else_start = self.code.len() as u32;
                 self.patch(br_at, else_start);
-                let f = self.expr(else_value, Some(d));
-                if f != d {
-                    self.code.push(Instr::Mov { d, a: f, w });
-                }
+                self.expr_into(else_value, d);
                 let end = self.code.len() as u32;
                 self.patch(jmp_at, end);
                 d
             }
-        }
-    }
-
-    /// Attempts to compile `lhs + rhs` as a single `Lea`:
-    /// `base + c`, `base + idx*c`, or `base + c*idx`.
-    fn try_lea(&mut self, lhs: &IrExpr, rhs: &IrExpr, want: Option<Reg>) -> Option<Reg> {
-        let (base, offset) = if matches!(rhs.kind, ExprKind::ConstInt(_) | ExprKind::Binary { .. })
-        {
-            (lhs, rhs)
-        } else if matches!(lhs.kind, ExprKind::ConstInt(_)) {
-            (rhs, lhs)
-        } else {
-            (lhs, rhs)
-        };
-        match &offset.kind {
-            ExprKind::ConstInt(d_imm) => {
-                let a = self.expr(base, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp(1));
-                self.code.push(Instr::Lea {
-                    d,
-                    a,
-                    b: NO_REG,
-                    scale: 1,
-                    disp: *d_imm,
-                });
-                Some(d)
-            }
-            ExprKind::Binary {
-                op: BinKind::Mul,
-                lhs: m1,
-                rhs: m2,
-            } => {
-                let (idx, scale) = match (&m1.kind, &m2.kind) {
-                    (_, ExprKind::ConstInt(s)) if i32::try_from(*s).is_ok() => (m1, *s as i32),
-                    (ExprKind::ConstInt(s), _) if i32::try_from(*s).is_ok() => (m2, *s as i32),
-                    _ => return None,
-                };
-                // The index itself may be `j * c`: fold into the scale when
-                // the product still fits.
-                let a = self.expr(base, None);
-                let b = self.expr(idx, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp(1));
-                self.code.push(Instr::Lea {
-                    d,
-                    a,
-                    b,
-                    scale,
-                    disp: 0,
-                });
-                Some(d)
-            }
-            ExprKind::Binary {
-                op: BinKind::Shl,
-                lhs: idx,
-                rhs: sh,
-            } => {
-                // Strength reduction rewrites `idx * 2^k` as `idx << k`;
-                // recognize the shifted spelling so fusion still fires on
-                // optimized IR. The operands are 64-bit here (the caller
-                // checked `is_addr_ty`), so shift == scale exactly.
-                let scale = match sh.kind {
-                    ExprKind::ConstInt(k) if (0..=30).contains(&k) => 1i32 << k,
-                    _ => return None,
-                };
-                let a = self.expr(base, None);
-                let b = self.expr(idx, None);
-                let d = want.unwrap_or_else(|| self.alloc_temp(1));
-                self.code.push(Instr::Lea {
-                    d,
-                    a,
-                    b,
-                    scale,
-                    disp: 0,
-                });
-                Some(d)
-            }
-            _ => None,
         }
     }
 
@@ -943,12 +1118,6 @@ impl<'a> Compiler<'a> {
                     BinKind::Max => Instr::MaxS { d, a, b },
                 };
                 self.code.push(instr);
-                if matches!(
-                    op,
-                    BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Shl | BinKind::Xor
-                ) {
-                    self.emit_norm(ty, d);
-                }
             }
         }
     }
@@ -980,17 +1149,13 @@ impl<'a> Compiler<'a> {
             }
             _ => {
                 let signed = matches!(operand_ty, Ty::Scalar(s) if s.is_signed());
-                let instr = match (op, signed) {
-                    (Eq, _) => Instr::CmpEqI { d, a, b },
-                    (Ne, _) => Instr::CmpNeI { d, a, b },
-                    (Lt, true) => Instr::CmpLtS { d, a, b },
-                    (Le, true) => Instr::CmpLeS { d, a, b },
-                    (Gt, true) => Instr::CmpLtS { d, a: b, b: a },
-                    (Ge, true) => Instr::CmpLeS { d, a: b, b: a },
-                    (Lt, false) => Instr::CmpLtU { d, a, b },
-                    (Le, false) => Instr::CmpLeU { d, a, b },
-                    (Gt, false) => Instr::CmpLtU { d, a: b, b: a },
-                    (Ge, false) => Instr::CmpLeU { d, a: b, b: a },
+                let instr = match (int_cmp(op, a, b), signed) {
+                    ((IntCmp::Eq, a, b), _) => Instr::CmpEqI { d, a, b },
+                    ((IntCmp::Ne, a, b), _) => Instr::CmpNeI { d, a, b },
+                    ((IntCmp::Lt, a, b), true) => Instr::CmpLtS { d, a, b },
+                    ((IntCmp::Le, a, b), true) => Instr::CmpLeS { d, a, b },
+                    ((IntCmp::Lt, a, b), false) => Instr::CmpLtU { d, a, b },
+                    ((IntCmp::Le, a, b), false) => Instr::CmpLeU { d, a, b },
                 };
                 self.code.push(instr);
             }
@@ -998,106 +1163,87 @@ impl<'a> Compiler<'a> {
     }
 
     fn emit_cast(&mut self, e: &IrExpr, inner: &IrExpr, want: Option<Reg>) -> Reg {
-        let a = self.expr(inner, None);
-        let from = &inner.ty;
-        let to = &e.ty;
-        if from == to {
-            return a;
+        use ScalarTy::{Bool, F32, F64};
+        let (from, to) = (&inner.ty, &e.ty);
+        // Casts that change no bit of the register emit nothing: the
+        // operand's canonical form is the result's.
+        let free = from == to
+            || match (from, to) {
+                (Ty::Ptr(_) | Ty::Func(_) | Ty::Array(..), Ty::Ptr(_) | Ty::Func(_)) => true,
+                (Ty::Scalar(f), Ty::Ptr(_)) => f.is_integer(),
+                (Ty::Ptr(_), Ty::Scalar(t)) => t.is_integer() && t.size() == 8,
+                (Ty::Scalar(f), Ty::Scalar(t)) => {
+                    !f.is_float() && t.is_integer() && (f.widens_to(*t) || self.proven(e))
+                }
+                _ => false,
+            };
+        if free {
+            return self.expr(inner, want);
         }
+        let a = self.expr(inner, None);
         let d = want.unwrap_or_else(|| self.alloc_temp(slots_of(to)));
-        match (from, to) {
-            // Pointer/function/integer reinterpretations.
-            (Ty::Ptr(_) | Ty::Func(_), Ty::Ptr(_) | Ty::Func(_)) => {
-                self.code.push(Instr::Mov { d, a, w: 1 });
-            }
-            (Ty::Ptr(_), Ty::Scalar(s)) if s.is_integer() => {
-                self.code.push(Instr::Mov { d, a, w: 1 });
-                self.emit_norm(to, d);
-            }
-            (Ty::Scalar(s), Ty::Ptr(_)) if s.is_integer() => {
-                self.code.push(Instr::Mov { d, a, w: 1 });
+        let instr = match (from, to) {
+            // Narrowing and sign-changing conversions wrap into the target.
+            (Ty::Ptr(_), Ty::Scalar(t)) | (Ty::Scalar(_), Ty::Scalar(t))
+                if !from.is_float() && IntWidth::of(*t).is_some() =>
+            {
+                let w = IntWidth::of(*t).expect("checked by the guard");
+                Instr::Trunc { d, a, w }
             }
             // Scalar → vector broadcast.
-            (Ty::Scalar(_), Ty::Vector(st, _)) => {
-                match st {
-                    ScalarTy::F32 => self.code.push(Instr::SplatF32 { d, a }),
-                    ScalarTy::F64 => self.code.push(Instr::SplatF64 { d, a }),
-                    _ => unreachable!("integer vectors are not supported"),
-                };
+            (Ty::Scalar(_), Ty::Vector(ScalarTy::F32, _)) => Instr::SplatF32 { d, a },
+            (Ty::Scalar(_), Ty::Vector(ScalarTy::F64, _)) => Instr::SplatF64 { d, a },
+            (Ty::Scalar(F32), Ty::Scalar(F64)) => Instr::CvtF32ToF64 { d, a },
+            (Ty::Scalar(F64), Ty::Scalar(F32)) => Instr::CvtF64ToF32 { d, a },
+            (Ty::Scalar(f), Ty::Scalar(t)) if f.is_float() && t.is_integer() => {
+                self.code.push(if *f == F32 {
+                    Instr::CvtF32ToS { d, a }
+                } else if t.is_signed() {
+                    Instr::CvtF64ToS { d, a }
+                } else {
+                    Instr::CvtF64ToU { d, a }
+                });
+                self.emit_norm(to, d);
+                return d;
             }
-            (Ty::Scalar(f), Ty::Scalar(t)) => self.emit_scalar_cast(*f, *t, d, a),
-            // Arrays decay to pointers.
-            (Ty::Array(..), Ty::Ptr(_)) => {
-                self.code.push(Instr::Mov { d, a, w: 1 });
+            (Ty::Scalar(f), Ty::Scalar(t)) if !f.is_float() && t.is_float() => {
+                match (f.is_signed(), t) {
+                    (true, F64) => Instr::CvtSToF64 { d, a },
+                    (true, _) => Instr::CvtSToF32 { d, a },
+                    (false, F64) => Instr::CvtUToF64 { d, a },
+                    (false, _) => Instr::CvtUToF32 { d, a },
+                }
+            }
+            (Ty::Scalar(f), Ty::Scalar(Bool)) => {
+                let z = self.alloc_temp(1);
+                if f.is_float() {
+                    self.code.push(Instr::ConstF64 { d: z, v: 0.0 });
+                    let wide = if *f == F32 {
+                        let w = self.alloc_temp(1);
+                        self.code.push(Instr::CvtF32ToF64 { d: w, a });
+                        w
+                    } else {
+                        a
+                    };
+                    Instr::CmpNeF64 { d, a: wide, b: z }
+                } else {
+                    self.code.push(Instr::ConstI { d: z, v: 0 });
+                    Instr::CmpNeI { d, a, b: z }
+                }
             }
             other => unreachable!("unsupported cast {other:?}"),
-        }
+        };
+        self.code.push(instr);
         d
-    }
-
-    fn emit_scalar_cast(&mut self, from: ScalarTy, to: ScalarTy, d: Reg, a: Reg) {
-        use ScalarTy::*;
-        match (from, to) {
-            (F32, F64) => self.code.push(Instr::CvtF32ToF64 { d, a }),
-            (F64, F32) => self.code.push(Instr::CvtF64ToF32 { d, a }),
-            (f, t) if f.is_float() && t.is_integer() => {
-                if f == F32 {
-                    self.code.push(Instr::CvtF32ToS { d, a });
-                } else if t.is_signed() {
-                    self.code.push(Instr::CvtF64ToS { d, a });
-                } else {
-                    self.code.push(Instr::CvtF64ToU { d, a });
-                }
-                self.emit_norm(&Ty::Scalar(t), d);
-            }
-            (f, t) if f.is_integer() && t.is_float() => {
-                let instr = match (f.is_signed(), t) {
-                    (true, F64) => Instr::CvtSToF64 { d, a },
-                    (true, F32) => Instr::CvtSToF32 { d, a },
-                    (false, F64) => Instr::CvtUToF64 { d, a },
-                    _ => Instr::CvtUToF32 { d, a },
-                };
-                self.code.push(instr);
-            }
-            (f, Bool) if f.is_integer() || f == Bool => {
-                let z = self.alloc_temp(1);
-                self.code.push(Instr::ConstI { d: z, v: 0 });
-                self.code.push(Instr::CmpNeI { d, a, b: z });
-            }
-            (F32, Bool) | (F64, Bool) => {
-                let z = self.alloc_temp(1);
-                self.code.push(Instr::ConstF64 { d: z, v: 0.0 });
-                if from == F32 {
-                    let w = self.alloc_temp(1);
-                    self.code.push(Instr::CvtF32ToF64 { d: w, a });
-                    self.code.push(Instr::CmpNeF64 { d, a: w, b: z });
-                } else {
-                    self.code.push(Instr::CmpNeF64 { d, a, b: z });
-                }
-            }
-            (Bool, t) if t.is_integer() => self.code.push(Instr::Mov { d, a, w: 1 }),
-            (Bool, F32) => self.code.push(Instr::CvtUToF32 { d, a }),
-            (Bool, F64) => self.code.push(Instr::CvtUToF64 { d, a }),
-            (f, t) if f.is_integer() && t.is_integer() => {
-                self.code.push(Instr::Mov { d, a, w: 1 });
-                self.emit_norm(&Ty::Scalar(t), d);
-            }
-            other => unreachable!("unsupported scalar cast {other:?}"),
-        }
     }
 
     /// Re-canonicalizes register `r` holding a value of narrow integer type.
     fn emit_norm(&mut self, ty: &Ty, r: Reg) {
-        let w = match ty {
-            Ty::Scalar(ScalarTy::I8) => IntWidth::I8,
-            Ty::Scalar(ScalarTy::U8) => IntWidth::U8,
-            Ty::Scalar(ScalarTy::I16) => IntWidth::I16,
-            Ty::Scalar(ScalarTy::U16) => IntWidth::U16,
-            Ty::Scalar(ScalarTy::I32) => IntWidth::I32,
-            Ty::Scalar(ScalarTy::U32) => IntWidth::U32,
-            _ => return,
-        };
-        self.code.push(Instr::Trunc { d: r, a: r, w });
+        if let Ty::Scalar(s) = ty {
+            if let Some(w) = IntWidth::of(*s) {
+                self.code.push(Instr::Trunc { d: r, a: r, w });
+            }
+        }
     }
 
     /// Emits the load of a `ty` at the address in `a`, bounds-checked or

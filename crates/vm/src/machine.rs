@@ -480,6 +480,14 @@ impl ExecutionContext {
                     seti!($d, $op($reg!($a), y));
                 }};
             }
+            // Fused compare-and-branch.
+            macro_rules! branch {
+                ($taken:expr, $target:expr) => {
+                    if $taken {
+                        pc = $target as usize;
+                    }
+                };
+            }
             // Enters `program[$id]`: pushes its frame and copies this frame's
             // argument block to the bottom of it.
             macro_rules! enter {
@@ -728,6 +736,12 @@ impl ExecutionContext {
                             pc = target as usize;
                         }
                     }
+                    Instr::BrEqI { a, b, target } => branch!(r!(a) == r!(b), target),
+                    Instr::BrNeI { a, b, target } => branch!(r!(a) != r!(b), target),
+                    Instr::BrLtS { a, b, target } => branch!(ri!(a) < ri!(b), target),
+                    Instr::BrLeS { a, b, target } => branch!(ri!(a) <= ri!(b), target),
+                    Instr::BrLtU { a, b, target } => branch!(r!(a) < r!(b), target),
+                    Instr::BrLeU { a, b, target } => branch!(r!(a) <= r!(b), target),
 
                     Instr::Call {
                         d,
@@ -851,13 +865,17 @@ fn body(program: &Program, f: FuncId) -> &Arc<CompiledFunction> {
 }
 
 /// Encodes an FFI value into register bits according to the parameter type
-/// (f32 parameters carry f32 bits in lane 0).
+/// (f32 parameters carry f32 bits in lane 0). Integers are wrapped into the
+/// parameter's type: compiled code, and every range proof behind it, takes
+/// registers to hold canonical values.
 fn encode_arg(v: Value, ty: &Ty) -> u64 {
     match (v, ty) {
         (Value::Float(f), Ty::Scalar(ScalarTy::F32)) => (f as f32).to_bits() as u64,
         (Value::Int(i), Ty::Scalar(ScalarTy::F32)) => (i as f32).to_bits() as u64,
         (Value::Int(i), Ty::Scalar(ScalarTy::F64)) => (i as f64).to_bits(),
-        (Value::Float(f), Ty::Scalar(s)) if s.is_integer() => f as i64 as u64,
+        (Value::Float(f), Ty::Scalar(s)) if s.is_integer() => s.canonical(f as i64) as u64,
+        (v, Ty::Scalar(ScalarTy::Bool)) => (v.to_bits() != 0) as u64,
+        (v, Ty::Scalar(s)) => s.canonical(v.to_bits() as i64) as u64,
         (v, _) => v.to_bits(),
     }
 }

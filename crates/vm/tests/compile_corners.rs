@@ -396,3 +396,691 @@ fn lea_fuses_shifted_index() {
         Value::Int(1040)
     );
 }
+
+// ---------------------------------------------------------------------------
+// Loops test at the bottom with one fused compare-and-branch, operand
+// constants are pinned per loop nest, and proven nodes lose their `trunc`.
+// ---------------------------------------------------------------------------
+
+use terra_ir::{IrStmt, LocalId, ScalarTy};
+use terra_vm::Instr;
+
+const I8: Ty = Ty::Scalar(ScalarTy::I8);
+const I16: Ty = Ty::Scalar(ScalarTy::I16);
+const U16: Ty = Ty::Scalar(ScalarTy::U16);
+const U32: Ty = Ty::Scalar(ScalarTy::U32);
+
+fn func(name: &str, params: Vec<Ty>, ret: Ty) -> IrFunction {
+    let mut f = IrFunction {
+        name: name.into(),
+        ty: FuncTy {
+            params: params.clone(),
+            ret,
+        },
+        locals: vec![],
+        body: vec![],
+    };
+    for (i, ty) in params.into_iter().enumerate() {
+        f.add_local(format!("p{i}"), ty, false);
+    }
+    f
+}
+
+fn int(l: LocalId) -> IrExpr {
+    IrExpr::local(l, Ty::INT)
+}
+
+fn set(dst: LocalId, value: IrExpr) -> IrStmt {
+    StmtKind::Assign { dst, value }.into()
+}
+
+fn bump(l: LocalId, by: i32) -> IrStmt {
+    set(l, IrExpr::binary(BinKind::Add, int(l), IrExpr::int32(by)))
+}
+
+fn for_loop(var: LocalId, start: IrExpr, stop: IrExpr, body: Vec<IrStmt>) -> IrStmt {
+    StmtKind::For {
+        var,
+        start,
+        stop,
+        step: IrExpr::int32(1),
+        body,
+    }
+    .into()
+}
+
+fn ret(e: IrExpr) -> IrStmt {
+    StmtKind::Return(Some(e)).into()
+}
+
+fn code_of(f: &IrFunction) -> Vec<Instr> {
+    compile(f, &TypeRegistry::new(), &mut ExecutionContext::new(), &[]).code
+}
+
+#[test]
+fn loops_run_zero_one_and_many_trips() {
+    // f(n) = count of `for i = 0, n`; g(n) = i after `while i < n do i += 1`.
+    let mut f = func("trips", vec![Ty::INT], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", Ty::INT, false),
+    );
+    f.body = vec![
+        for_loop(i, IrExpr::int32(0), int(LocalId(0)), vec![bump(acc, 1)]),
+        ret(int(acc)),
+    ];
+    let mut g = func("wtrips", vec![Ty::INT], Ty::INT);
+    let i = g.add_local("i", Ty::INT, false);
+    g.body = vec![
+        StmtKind::While {
+            cond: IrExpr::cmp(CmpKind::Lt, int(i), int(LocalId(0))),
+            body: vec![bump(i, 1)],
+        }
+        .into(),
+        ret(int(i)),
+    ];
+    for (n, trips) in [(0, 0), (1, 1), (-5, 0), (7, 7)] {
+        assert_eq!(
+            run(f.clone(), &[Value::Int(n)]),
+            Value::Int(trips),
+            "for {n}"
+        );
+        assert_eq!(
+            run(g.clone(), &[Value::Int(n)]),
+            Value::Int(trips),
+            "while {n}"
+        );
+    }
+    // One branch per iteration: the back edge is the only control transfer
+    // between the top of the body and the end of the loop.
+    for f in [&f, &g] {
+        let code = code_of(f);
+        let back = code
+            .iter()
+            .rposition(|i| matches!(i, Instr::BrLtS { .. }))
+            .unwrap_or_else(|| panic!("a fused back edge: {code:?}"));
+        let Instr::BrLtS { target, .. } = code[back] else {
+            unreachable!()
+        };
+        assert!(
+            code[target as usize..back].iter().all(|i| !matches!(
+                i,
+                Instr::Jmp { .. } | Instr::BrFalse { .. } | Instr::CmpLtS { .. }
+            )),
+            "{code:?}"
+        );
+    }
+}
+
+#[test]
+fn break_leaves_only_the_innermost_rotated_loop() {
+    // for i = 0, 4 { for j = 0, 10 { if j >= 2 break; c += 1 }
+    //                while true { if k >= 3 break; k += 1 }; c += 100 }
+    let mut f = func("brk2", vec![], Ty::INT);
+    let [c, i, j, k] = ["c", "i", "j", "k"].map(|n| f.add_local(n, Ty::INT, false));
+    let leave_if = |cond: IrExpr| -> IrStmt {
+        StmtKind::If {
+            cond,
+            then_body: vec![StmtKind::Break.into()],
+            else_body: vec![],
+        }
+        .into()
+    };
+    let inner_for = for_loop(
+        j,
+        IrExpr::int32(0),
+        IrExpr::int32(10),
+        vec![
+            leave_if(IrExpr::cmp(CmpKind::Ge, int(j), IrExpr::int32(2))),
+            bump(c, 1),
+        ],
+    );
+    let inner_while = StmtKind::While {
+        cond: IrExpr::boolean(true),
+        body: vec![
+            leave_if(IrExpr::cmp(CmpKind::Ge, int(k), IrExpr::int32(3))),
+            bump(k, 1),
+        ],
+    }
+    .into();
+    f.body = vec![
+        for_loop(
+            i,
+            IrExpr::int32(0),
+            IrExpr::int32(4),
+            vec![inner_for, inner_while, bump(c, 100)],
+        ),
+        ret(IrExpr::binary(BinKind::Add, int(c), int(k))),
+    ];
+    assert_eq!(run(f, &[]), Value::Int(4 * 102 + 3));
+}
+
+#[test]
+fn the_loop_variable_is_live_and_the_stop_operand_is_read_once() {
+    // Writing the variable in the body steers the loop: 0, 2, 4, 6, 8.
+    let mut f = func("steer", vec![], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", Ty::INT, false),
+    );
+    f.body = vec![
+        for_loop(
+            i,
+            IrExpr::int32(0),
+            IrExpr::int32(10),
+            vec![bump(acc, 1), bump(i, 1)],
+        ),
+        ret(int(acc)),
+    ];
+    assert_eq!(run(f, &[]), Value::Int(5));
+    // `stop` names a local the body zeroes; the bound was pinned on entry.
+    let mut g = func("pinned_stop", vec![Ty::INT], Ty::INT);
+    let (acc, i) = (
+        g.add_local("acc", Ty::INT, false),
+        g.add_local("i", Ty::INT, false),
+    );
+    g.body = vec![
+        for_loop(
+            i,
+            IrExpr::int32(0),
+            int(LocalId(0)),
+            vec![set(LocalId(0), IrExpr::int32(0)), bump(acc, 1)],
+        ),
+        ret(int(acc)),
+    ];
+    assert_eq!(run(g, &[Value::Int(4)]), Value::Int(4));
+}
+
+#[test]
+fn a_while_condition_runs_once_per_test() {
+    // tick(p, i, n) counts its calls in *p and answers i < n; the loop
+    // `while tick(&calls, i, n) do i += 1 end` must call it n + 1 times.
+    let mut ctx = ExecutionContext::new();
+    let types = TypeRegistry::new();
+    let mut tick = func("tick", vec![Ty::INT.ptr_to(), Ty::INT, Ty::INT], Ty::BOOL);
+    let p = IrExpr::local(LocalId(0), Ty::INT.ptr_to());
+    let load = IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Load(Box::new(p.clone())),
+    };
+    tick.body = vec![
+        StmtKind::Store {
+            addr: p,
+            value: IrExpr::binary(BinKind::Add, load, IrExpr::int32(1)),
+        }
+        .into(),
+        ret(IrExpr::cmp(CmpKind::Lt, int(LocalId(1)), int(LocalId(2)))),
+    ];
+    let tick_id = ctx.declare("tick");
+    let compiled = compile(&tick, &types, &mut ctx, &[]);
+    ctx.define(tick_id, compiled);
+
+    let mut f = func("count_tests", vec![Ty::INT], Ty::INT);
+    let calls = f.add_local("calls", Ty::INT, true);
+    let i = f.add_local("i", Ty::INT, false);
+    let calls_addr = IrExpr {
+        ty: Ty::INT.ptr_to(),
+        kind: ExprKind::LocalAddr(calls),
+    };
+    f.body = vec![
+        set(calls, IrExpr::int32(0)),
+        StmtKind::While {
+            cond: IrExpr {
+                ty: Ty::BOOL,
+                kind: ExprKind::Call {
+                    callee: Callee::Direct(tick_id),
+                    args: vec![calls_addr, int(i), int(LocalId(0))],
+                },
+            },
+            body: vec![bump(i, 1)],
+        }
+        .into(),
+        ret(int(calls)),
+    ];
+    let id = ctx.declare("count_tests");
+    let compiled = compile(&f, &types, &mut ctx, &[]);
+    ctx.define(id, compiled);
+    for n in [0, 1, 6] {
+        assert_eq!(ctx.call(id, &[Value::Int(n)]).unwrap(), Value::Int(n + 1));
+    }
+}
+
+#[test]
+fn fused_branches_agree_with_compares_at_the_extremes() {
+    // For every predicate, signedness and polarity: `if a OP b` (branches
+    // when false), `while a OP b` (branches when true) and the unfused
+    // `[int](a OP b)` against the host's own comparison.
+    let extremes = |ty: &Ty| -> Vec<i64> {
+        match ty {
+            t if *t == I8 => vec![i8::MIN as i64, -1, 0, i8::MAX as i64],
+            t if *t == Ty::INT => vec![i32::MIN as i64, -1, 0, i32::MAX as i64],
+            t if *t == Ty::I64 => vec![i64::MIN, -1, 0, i64::MAX],
+            t if *t == Ty::U8 => vec![0, 1, 0x7f, 0x80, 0xff],
+            t if *t == U32 => vec![0, 1, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff],
+            // As bits: 2^63 and 2^64 - 1 are negative `i64`s.
+            _ => vec![0, 1, i64::MAX, i64::MIN, -1],
+        }
+    };
+    for ty in [I8, Ty::INT, Ty::I64, Ty::U8, U32, Ty::U64] {
+        let signed = [I8, Ty::INT, Ty::I64].contains(&ty);
+        for op in [
+            CmpKind::Eq,
+            CmpKind::Ne,
+            CmpKind::Lt,
+            CmpKind::Le,
+            CmpKind::Gt,
+            CmpKind::Ge,
+        ] {
+            let cmp = || {
+                IrExpr::cmp(
+                    op,
+                    IrExpr::local(LocalId(0), ty.clone()),
+                    IrExpr::local(LocalId(1), ty.clone()),
+                )
+            };
+            let mut by_if = func("by_if", vec![ty.clone(), ty.clone()], Ty::INT);
+            by_if.body = vec![StmtKind::If {
+                cond: cmp(),
+                then_body: vec![ret(IrExpr::int32(1))],
+                else_body: vec![ret(IrExpr::int32(0))],
+            }
+            .into()];
+            let mut by_while = func("by_while", vec![ty.clone(), ty.clone()], Ty::INT);
+            by_while.body = vec![
+                StmtKind::While {
+                    cond: cmp(),
+                    body: vec![ret(IrExpr::int32(1))],
+                }
+                .into(),
+                ret(IrExpr::int32(0)),
+            ];
+            let mut by_value = func("by_value", vec![ty.clone(), ty.clone()], Ty::INT);
+            by_value.body = vec![ret(IrExpr {
+                ty: Ty::INT,
+                kind: ExprKind::Cast(Box::new(cmp())),
+            })];
+            for f in [&by_if, &by_while] {
+                let code = code_of(f);
+                assert!(
+                    code.iter().any(|i| matches!(
+                        i,
+                        Instr::BrEqI { .. }
+                            | Instr::BrNeI { .. }
+                            | Instr::BrLtS { .. }
+                            | Instr::BrLeS { .. }
+                            | Instr::BrLtU { .. }
+                            | Instr::BrLeU { .. }
+                    )) && !code
+                        .iter()
+                        .any(|i| matches!(i, Instr::BrFalse { .. } | Instr::BrTrue { .. })),
+                    "{op:?} on {ty} must fuse: {code:?}"
+                );
+            }
+            for &a in &extremes(&ty) {
+                for &b in &extremes(&ty) {
+                    let holds = match (op, signed) {
+                        (CmpKind::Eq, _) => a == b,
+                        (CmpKind::Ne, _) => a != b,
+                        (CmpKind::Lt, true) => a < b,
+                        (CmpKind::Le, true) => a <= b,
+                        (CmpKind::Gt, true) => a > b,
+                        (CmpKind::Ge, true) => a >= b,
+                        (CmpKind::Lt, false) => (a as u64) < b as u64,
+                        (CmpKind::Le, false) => a as u64 <= b as u64,
+                        (CmpKind::Gt, false) => a as u64 > b as u64,
+                        (CmpKind::Ge, false) => a as u64 >= b as u64,
+                    };
+                    for f in [&by_if, &by_while, &by_value] {
+                        assert_eq!(
+                            run(f.clone(), &[Value::Int(a), Value::Int(b)]),
+                            Value::Int(holds as i64),
+                            "{} {a} {op:?} {b} on {ty}",
+                            f.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn float_compares_are_not_fused() {
+    // NaN fails `<` and `>=` alike, so `if not (x < y)` cannot become
+    // `if x >= y`: the compare keeps its own instruction.
+    let mut f = func("fcmp", vec![Ty::F64, Ty::F64], Ty::INT);
+    f.body = vec![StmtKind::If {
+        cond: IrExpr::cmp(
+            CmpKind::Lt,
+            IrExpr::local(LocalId(0), Ty::F64),
+            IrExpr::local(LocalId(1), Ty::F64),
+        ),
+        then_body: vec![ret(IrExpr::int32(1))],
+        else_body: vec![ret(IrExpr::int32(0))],
+    }
+    .into()];
+    assert!(code_of(&f)
+        .iter()
+        .any(|i| matches!(i, Instr::CmpLtF64 { .. })));
+    for (x, y, lt) in [
+        (1.0, 2.0, 1),
+        (2.0, 1.0, 0),
+        (f64::NAN, 1.0, 0),
+        (1.0, f64::NAN, 0),
+    ] {
+        assert_eq!(
+            run(f.clone(), &[Value::Float(x), Value::Float(y)]),
+            Value::Int(lt)
+        );
+    }
+}
+
+/// `acc = acc + i * c` for each `c` of `consts`, ten times over.
+fn weighted_sum(consts: &[i32]) -> IrFunction {
+    let mut f = func("weighted", vec![], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", Ty::INT, false),
+    );
+    let body = consts
+        .iter()
+        .map(|&c| {
+            let term = IrExpr::binary(BinKind::Mul, int(i), IrExpr::int32(c));
+            set(acc, IrExpr::binary(BinKind::Add, int(acc), term))
+        })
+        .collect();
+    f.body = vec![
+        for_loop(i, IrExpr::int32(0), IrExpr::int32(10), body),
+        ret(int(acc)),
+    ];
+    f
+}
+
+#[test]
+fn operand_constants_are_pinned_in_front_of_the_nest_up_to_a_cap() {
+    let in_loop = |code: &[Instr]| {
+        let guard = code
+            .iter()
+            .position(|i| matches!(i, Instr::BrLeS { .. }))
+            .expect("the loop's guard");
+        code[guard..]
+            .iter()
+            .filter(|i| matches!(i, Instr::ConstI { .. }))
+            .count()
+    };
+    // A handful: the loop body materializes nothing.
+    let few = weighted_sum(&[3, 5, 7]);
+    assert_eq!(in_loop(&code_of(&few)), 0, "{:?}", code_of(&few));
+    assert_eq!(run(few, &[]), Value::Int(45 * 15));
+    // `acc = 9` is a `const` into `acc` wherever it stands: 9 is no operand
+    // and takes no pinned register.
+    let mut reset = weighted_sum(&[3]);
+    let StmtKind::For { body, .. } = &mut reset.body[0].kind else {
+        panic!("weighted_sum is one loop");
+    };
+    body.insert(0, set(LocalId(0), IrExpr::int32(9)));
+    let code = code_of(&reset);
+    let nines = |code: &[Instr]| {
+        code.iter()
+            .filter(|i| matches!(i, Instr::ConstI { v: 9, .. }))
+            .count()
+    };
+    assert_eq!((nines(&code), in_loop(&code)), (1, 1), "{code:?}");
+    assert_eq!(run(reset, &[]), Value::Int(9 + 9 * 3));
+    // More distinct constants than the cap: the overflow is materialized
+    // where it is used, and the sum does not care which were which.
+    let many: Vec<i32> = (101..131).collect();
+    let f = weighted_sum(&many);
+    let spilled = in_loop(&code_of(&f));
+    assert!(
+        (1..many.len()).contains(&spilled),
+        "{spilled} of {}",
+        many.len()
+    );
+    assert_eq!(
+        run(f, &[]),
+        Value::Int(45 * many.iter().sum::<i32>() as i64)
+    );
+}
+
+#[test]
+fn a_pinned_constant_survives_a_call() {
+    // The callee runs its own loop nest with its own pinned constants and
+    // scribbles over a frame's worth of temporaries; the caller's pinned 7
+    // sits in the caller's frame.
+    let mut ctx = ExecutionContext::new();
+    let types = TypeRegistry::new();
+    let mut callee = weighted_sum(&[11, 13, 17, 19, 23]);
+    callee.name = "busy".into();
+    let busy = ctx.declare("busy");
+    let compiled = compile(&callee, &types, &mut ctx, &[]);
+    ctx.define(busy, compiled);
+    let mut f = func("caller", vec![], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", Ty::INT, false),
+    );
+    let call = IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Call {
+            callee: Callee::Direct(busy),
+            args: vec![],
+        },
+    };
+    let term = IrExpr::binary(
+        BinKind::Add,
+        IrExpr::binary(BinKind::Mul, int(i), IrExpr::int32(7)),
+        IrExpr::binary(BinKind::Mul, call, IrExpr::int32(7)),
+    );
+    f.body = vec![
+        for_loop(
+            i,
+            IrExpr::int32(0),
+            IrExpr::int32(3),
+            vec![set(acc, IrExpr::binary(BinKind::Add, int(acc), term))],
+        ),
+        ret(int(acc)),
+    ];
+    let id = ctx.declare("caller");
+    let compiled = compile(&f, &types, &mut ctx, &[]);
+    ctx.define(id, compiled);
+    let busy_value = 45 * (11 + 13 + 17 + 19 + 23);
+    assert_eq!(
+        ctx.call(id, &[]).unwrap(),
+        Value::Int(7 * (1 + 2) + 3 * 7 * busy_value)
+    );
+}
+
+#[test]
+fn arguments_are_built_in_their_slots_without_touching_their_neighbours() {
+    // digits(a, b, c, d) = ((a * 10 + b) * 10 + c) * 10 + d
+    let mut ctx = ExecutionContext::new();
+    let types = TypeRegistry::new();
+    let mut callee = func("digits", vec![Ty::INT, Ty::INT, Ty::BOOL, Ty::INT], Ty::INT);
+    let digit = |i: u32| match i {
+        2 => IrExpr {
+            ty: Ty::INT,
+            kind: ExprKind::Cast(Box::new(IrExpr::local(LocalId(2), Ty::BOOL))),
+        },
+        _ => int(LocalId(i)),
+    };
+    let shift = |acc| IrExpr::binary(BinKind::Mul, acc, IrExpr::int32(10));
+    let sum = (1..4).fold(digit(0), |acc, i| {
+        IrExpr::binary(BinKind::Add, shift(acc), digit(i))
+    });
+    callee.body = vec![ret(sum)];
+    let digits = ctx.declare("digits");
+    let compiled = compile(&callee, &types, &mut ctx, &[]);
+    ctx.define(digits, compiled);
+    // caller(x, y) = digits(x, x < y ? x + 1 : y + 1, [bool](x - y), x * y - x):
+    // a selected value, an int-to-bool cast (it needs a zero to compare
+    // with) and arithmetic over the same locals, none of them first.
+    let mut f = func("caller", vec![Ty::INT, Ty::INT], Ty::INT);
+    let (x, y) = (LocalId(0), LocalId(1));
+    let plus_one = |l| IrExpr::binary(BinKind::Add, int(l), IrExpr::int32(1));
+    let selected = IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Select {
+            cond: Box::new(IrExpr::cmp(CmpKind::Lt, int(x), int(y))),
+            then_value: Box::new(plus_one(x)),
+            else_value: Box::new(plus_one(y)),
+        },
+    };
+    let differ = IrExpr {
+        ty: Ty::BOOL,
+        kind: ExprKind::Cast(Box::new(IrExpr::binary(BinKind::Sub, int(x), int(y)))),
+    };
+    let last = IrExpr::binary(
+        BinKind::Sub,
+        IrExpr::binary(BinKind::Mul, int(x), int(y)),
+        int(x),
+    );
+    f.body = vec![ret(IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Call {
+            callee: Callee::Direct(digits),
+            args: vec![int(x), selected, differ, last],
+        },
+    })];
+    let id = ctx.declare("caller");
+    let compiled = compile(&f, &types, &mut ctx, &[]);
+    let movs = |code: &[Instr]| {
+        code.iter()
+            .filter(|i| matches!(i, Instr::Mov { .. }))
+            .count()
+    };
+    assert_eq!(
+        movs(&compiled.code),
+        1,
+        "only the local is copied into its slot: {:?}",
+        compiled.code
+    );
+    ctx.define(id, compiled);
+    for (x, y, want) in [(2, 3, 2314), (3, 2, 3313), (2, 2, 2302)] {
+        let got = ctx.call(id, &[Value::Int(x), Value::Int(y)]).unwrap();
+        assert_eq!(got, Value::Int(want), "caller({x}, {y})");
+    }
+}
+
+#[test]
+fn a_proven_node_loses_its_trunc_and_only_it() {
+    // return (a * b) + c on int32: node 1 is the add, node 2 the multiply.
+    let build = |proven: Vec<u32>| {
+        let mut f = func("proofs", vec![Ty::INT, Ty::INT, Ty::INT], Ty::INT);
+        let mul = IrExpr::binary(BinKind::Mul, int(LocalId(0)), int(LocalId(1)));
+        let mut s = ret(IrExpr::binary(BinKind::Add, mul, int(LocalId(2))));
+        s.proven = proven;
+        f.body = vec![s];
+        f
+    };
+    let truncs = |f: &IrFunction| {
+        code_of(f)
+            .iter()
+            .filter(|i| matches!(i, Instr::Trunc { .. }))
+            .count()
+    };
+    assert_eq!(truncs(&build(vec![])), 2);
+    assert_eq!(truncs(&build(vec![2])), 1);
+    assert_eq!(truncs(&build(vec![1, 2])), 0);
+    // The surviving trunc is the add's: the product may leave int32, the
+    // sum wraps it back.
+    let args = [Value::Int(1 << 20), Value::Int(1 << 12), Value::Int(5)];
+    assert_eq!(run(build(vec![]), &args), Value::Int(5));
+    // A `for`'s own proof (index 0) is its increment.
+    let counted = |proven: Vec<u32>| {
+        let mut f = func("counted", vec![Ty::INT], Ty::INT);
+        let i = f.add_local("i", Ty::INT, false);
+        let mut s = for_loop(i, IrExpr::int32(0), int(LocalId(0)), vec![]);
+        s.proven = proven;
+        f.body = vec![s, ret(int(i))];
+        f
+    };
+    assert_eq!(truncs(&counted(vec![])), 1);
+    assert_eq!(truncs(&counted(vec![0])), 0);
+    assert_eq!(run(counted(vec![0]), &[Value::Int(9)]), Value::Int(9));
+}
+
+#[test]
+fn casts_that_change_no_bit_emit_nothing() {
+    let cast = |from: Ty, to: Ty| {
+        let mut f = func("cast", vec![from.clone()], to.clone());
+        f.body = vec![ret(IrExpr {
+            ty: to,
+            kind: ExprKind::Cast(Box::new(IrExpr::local(LocalId(0), from))),
+        })];
+        f
+    };
+    let ptr = Ty::F64.ptr_to();
+    for (from, to) in [
+        (Ty::INT, Ty::I64),
+        (Ty::INT, Ty::U64),
+        (U32, Ty::I64),
+        (Ty::U8, I16),
+        (Ty::U8, U32),
+        (I8, Ty::INT),
+        (Ty::BOOL, Ty::U8),
+        (Ty::I64, ptr.clone()),
+        (ptr.clone(), Ty::U64),
+        (ptr.clone(), Ty::U8.ptr_to()),
+    ] {
+        let code = code_of(&cast(from.clone(), to.clone()));
+        assert_eq!(code.len(), 1, "{from} -> {to}: {code:?}");
+    }
+    // Narrowing and sign-changing casts are one `trunc` from source to
+    // destination, and compute what they did.
+    for (from, to, arg, want) in [
+        (Ty::I64, Ty::INT, (1i64 << 32) + 5, 5),
+        (Ty::INT, U32, -1, 0xffff_ffff),
+        (I8, U16, -1, 0xffff),
+        (U32, Ty::INT, 0xffff_ffff, -1),
+        (Ty::INT, I8, 200, -56),
+        (ptr, Ty::U8, 0x1234, 0x34),
+    ] {
+        let f = cast(from.clone(), to.clone());
+        let code = code_of(&f);
+        assert!(
+            matches!(code[..], [Instr::Trunc { .. }, Instr::Ret { .. }]),
+            "{from} -> {to}: {code:?}"
+        );
+        let arg = if from.is_pointer() {
+            Value::Ptr(arg as u64)
+        } else {
+            Value::Int(arg)
+        };
+        assert_eq!(run(f, &[arg]), Value::Int(want), "{from} -> {to}");
+    }
+}
+
+#[test]
+fn bitwise_results_of_canonical_operands_stay_canonical() {
+    // `and`, `or` and `xor` of sign- (zero-) extended operands are sign-
+    // (zero-) extended: no `trunc`, and widening the result shows its value.
+    for (ty, values) in [
+        (I8, [i8::MIN as i64, -1, 0x55, i8::MAX as i64]),
+        (Ty::U8, [0, 0x80, 0xaa, 0xff]),
+    ] {
+        for op in [BinKind::And, BinKind::Or, BinKind::Xor] {
+            let mut f = func("bits", vec![ty.clone(), ty.clone()], Ty::I64);
+            let operand = |i| IrExpr::local(LocalId(i), ty.clone());
+            f.body = vec![ret(IrExpr {
+                ty: Ty::I64,
+                kind: ExprKind::Cast(Box::new(IrExpr::binary(op, operand(0), operand(1)))),
+            })];
+            assert_eq!(code_of(&f).len(), 2, "{op:?} on {ty}: {:?}", code_of(&f));
+            for a in values {
+                for b in values {
+                    let bits = match op {
+                        BinKind::And => a & b,
+                        BinKind::Or => a | b,
+                        _ => a ^ b,
+                    };
+                    assert_eq!(
+                        run(f.clone(), &[Value::Int(a), Value::Int(b)]),
+                        Value::Int(bits),
+                        "{a} {op:?} {b} on {ty}"
+                    );
+                }
+            }
+        }
+    }
+}

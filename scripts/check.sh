@@ -24,13 +24,19 @@ cargo test --workspace --release -q
 echo "==> benchmark driver unit tests (a package of its own, outside the workspace)"
 (cd benchmark && cargo test --offline -q)
 
-echo "==> telemetry cost gate (benchmark driver: --profile within 3x of the unobserved loop)"
+echo "==> telemetry cost gate (benchmark driver: --profile within 3.8x of the unobserved loop)"
 # The observed dispatch loop is a separate instantiation of the unobserved
 # one; this keeps its per-instruction hooks honest (before the split: ~8x).
+# The bound is re-based, not relaxed: it was 3.0 while the naive GEMM retired
+# 20 instructions per inner iteration and this ratio read 2.5-2.9; at 11 the
+# unobserved run takes half the time, the cache simulator still sees the same
+# two loads, and the ratio reads 3.1-3.5 though `--profile` itself got a
+# quarter faster. 3.8 sits as far above that as 3.0 sat above the old reading
+# (EXPERIMENTS.md A9).
 bench_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --trace 1 --workload gemm-observed 2>&1)"
 ratio="$(sed -n 's/^# gemm-observed: trace\.profile_ratio = \([0-9.]*\) ratio$/\1/p' <<< "$bench_out")"
-awk -v r="${ratio:-99}" 'BEGIN { exit !(r <= 3.0) }' \
-    || { echo "telemetry cost: trace.profile_ratio ${ratio:-missing} is above 3.0" >&2; exit 1; }
+awk -v r="${ratio:-99}" 'BEGIN { exit !(r <= 3.8) }' \
+    || { echo "telemetry cost: trace.profile_ratio ${ratio:-missing} is above 3.8" >&2; exit 1; }
 
 echo "All checks passed."

@@ -47,14 +47,19 @@ fn gemm_at(level: OptLevel) -> (u64, u64, Vec<u64>) {
 fn gemm_kernel_retires_fewer_instructions_at_o2() {
     let (total0, inner0, c0) = gemm_at(OptLevel::O0);
     let (total2, inner2, c2) = gemm_at(OptLevel::O2);
+    // The bytecode compiler's own savings (free casts, bottom-tested loops,
+    // pinned constants) apply at every level; what -O2 adds on top — hoisted
+    // and shared index arithmetic, proven wraps — is worth another quarter.
     assert!(
-        total2 < total0,
-        "-O2 must retire fewer instructions: O0={total0} O2={total2}"
+        4 * total2 <= 3 * total0,
+        "-O2 must retire at most 3/4 of -O0's instructions: O0={total0} O2={total2}"
     );
     assert!(
-        inner2 < inner0,
-        "inner kernel must shrink: O0={inner0} O2={inner2}"
+        4 * inner2 <= 3 * inner0,
+        "inner kernel must shrink by a quarter: O0={inner0} O2={inner2}"
     );
+    // 71 206 before loops were rotated and wraps proven away.
+    assert!(total2 <= 57_000, "the -O2 stream grew back: {total2}");
     assert_eq!(c0, c2, "optimized GEMM must produce bit-identical C");
 }
 
@@ -119,4 +124,83 @@ fn opt_levels_are_session_scoped() {
     t.exec("terra f(x : int) : int return x * 8 + x * 8 end")
         .unwrap();
     assert_eq!(t.call_i64("f", &[3.0]).unwrap(), 48);
+}
+
+/// Fig. 6's naive DGEMM over `n`×`n` matrices, retired-instruction counts
+/// by opcode. `staged` splices `n` into the kernel as a constant, as the
+/// paper's generator does; otherwise it arrives as a runtime `int32`.
+fn naive_gemm_ops(n: u64, staged: bool) -> terra_core::Profile {
+    let size = if staged { "[N]" } else { "n" };
+    let src = format!(
+        r#"
+local std = terralib.includec("stdlib.h")
+local N = {n}
+terra gemm(n : int32) : double
+    var A = [&double](std.malloc([N * N * 8]))
+    var B = [&double](std.malloc([N * N * 8]))
+    var C = [&double](std.malloc([N * N * 8]))
+    for i = 0, [N * N] do
+        A[i] = i % 7
+        B[i] = i % 5
+    end
+    for i = 0, {size} do
+        for j = 0, {size} do
+            var sum = 0.0
+            for k = 0, {size} do
+                sum = sum + A[i * {size} + k] * B[k * {size} + j]
+            end
+            C[i * {size} + j] = sum
+        end
+    end
+    var r = C[{last}]
+    std.free([&int8](A))
+    std.free([&int8](B))
+    std.free([&int8](C))
+    return r
+end
+"#,
+        last = n * n - 1
+    );
+    let mut t = Terra::new();
+    t.exec(&src).unwrap();
+    t.set_profile(true);
+    t.reset_profile();
+    let expected: u64 = (0..n)
+        .map(|k| (((n - 1) * n + k) % 7) * ((k * n + n - 1) % 5))
+        .sum();
+    assert_eq!(t.call_f64("gemm", &[n as f64]).unwrap(), expected as f64);
+    t.profile()
+}
+
+/// The claim of the bytecode compiler (DESIGN.md §6j), in counters: with
+/// the sizes known at stage 0, an iteration of `sum = sum + A[i*N+k] *
+/// B[k*N+j]` is eleven instructions, none of them bookkeeping. An opcode
+/// that retires fewer times than there are inner iterations between two
+/// sizes retires zero times per iteration.
+#[test]
+fn staged_naive_gemm_retires_no_bookkeeping_in_its_inner_loop() {
+    let (small, large) = (16u64, 32u64);
+    let inner = large.pow(3) - small.pow(3);
+    let (a, b) = (naive_gemm_ops(small, true), naive_gemm_ops(large, true));
+    let per_iteration = (b.total_instructions() - a.total_instructions()) as f64 / inner as f64;
+    assert!(per_iteration <= 12.0, "{per_iteration} instructions");
+    for op in ["trunc", "mov", "jmp", "const.i", "cmp.lt.s", "br.false"] {
+        let grew = b.op_count(op) - a.op_count(op);
+        assert!(grew < inner, "{op}: {grew} more over {inner} iterations");
+    }
+    assert_eq!(b.op_count("trunc"), 0, "every wrap is proven away");
+    assert_eq!(b.op_count("br.lt.s") - a.op_count("br.lt.s"), {
+        // One back edge per iteration of each of the three loops.
+        let edges = |n: u64| n.pow(3) + n.pow(2) + n + n.pow(2);
+        edges(large) - edges(small)
+    });
+
+    // With `n` a runtime value nothing bounds `i * n + k`: the proof must
+    // not fire, and the index arithmetic keeps wrapping.
+    let (a, b) = (naive_gemm_ops(small, false), naive_gemm_ops(large, false));
+    let grew = b.op_count("trunc") - a.op_count("trunc");
+    assert!(
+        grew >= 2 * inner,
+        "trunc: only {grew} more over {inner} iterations"
+    );
 }
