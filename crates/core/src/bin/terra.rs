@@ -16,8 +16,12 @@
 //!                     and dead-code elimination; -O2 adds inlining, CSE, and
 //!                     loop-invariant code motion
 //!   --lint            run the IR analysis suite over every compiled function
-//!                     and print the warnings (use-before-init, dead stores,
-//!                     unreachable code, constant out-of-bounds accesses, …)
+//!                     and print the warnings: use-before-init, dead-store,
+//!                     unreachable-code, missing-return, and the abstract
+//!                     interpreter's definite bugs — definite-oob (constant
+//!                     index or proven range; there is no separate
+//!                     out-of-bounds code), misaligned-vector, null-deref,
+//!                     div-by-zero, guaranteed-overflow
 //!                     (diagnostics are computed pre-optimization and are
 //!                     identical at every -O level)
 //!   --sanitize        poison fresh/freed VM memory and trap on use-after-free

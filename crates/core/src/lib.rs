@@ -94,8 +94,10 @@ impl Terra {
 
     /// Enables lint mode: every Terra function compiled from here on is run
     /// through the full IR analysis suite (use-before-init, dead stores,
-    /// unreachable code, missing returns, constant out-of-bounds accesses),
-    /// and the warnings accumulate until [`Terra::take_diagnostics`].
+    /// unreachable code, missing returns, and the abstract interpreter's
+    /// definite bugs: `definite-oob`, `misaligned-vector`, `null-deref`,
+    /// `div-by-zero`, `guaranteed-overflow`), and the warnings accumulate
+    /// until [`Terra::take_diagnostics`].
     pub fn set_lint(&mut self, on: bool) {
         self.interp.lint = on;
     }

@@ -84,6 +84,16 @@ fn missing_return_is_reported() {
     assert!(codes.contains(&"missing-return"), "{codes:?}");
 }
 
+/// The diagnostics on `line`, which must all be `definite-oob`: a constant
+/// out-of-bounds access has one oracle (`absint`) and one finding per access.
+fn definite_oob_on(diags: &[terra_core::Diagnostic], line: u32) -> Vec<&str> {
+    let on_line: Vec<_> = diags.iter().filter(|d| d.span.line == line).collect();
+    for d in &on_line {
+        assert_eq!(d.code, "definite-oob", "{d}");
+    }
+    on_line.iter().map(|d| d.message.as_str()).collect()
+}
+
 #[test]
 fn constant_oob_index_is_reported() {
     let diags = lint_diags(
@@ -96,12 +106,67 @@ fn constant_oob_index_is_reported() {
         f()
         "#,
     );
-    let d = diags
-        .iter()
-        .find(|d| d.code == "out-of-bounds")
-        .expect("expected an out-of-bounds warning");
-    assert!(d.message.contains("offset 20"), "{}", d.message);
-    assert_eq!(d.span.line, 5);
+    let on_line_5 = definite_oob_on(&diags, 5);
+    assert_eq!(on_line_5.len(), 1, "exactly one finding: {diags:?}");
+    assert!(on_line_5[0].contains("offset 20"), "{}", on_line_5[0]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+}
+
+#[test]
+fn constant_oob_global_access_is_reported_once() {
+    let diags = lint_diags(
+        r#"
+        struct Pair { a : int, b : int }
+        local g = global(Pair)
+        terra f() : int
+            g.a = 1
+            return (&g.a)[3]
+        end
+        f()
+        "#,
+    );
+    let on_line_6 = definite_oob_on(&diags, 6);
+    assert_eq!(on_line_6.len(), 1, "exactly one finding: {diags:?}");
+    assert!(
+        on_line_6[0].contains("offset 12 of global#0"),
+        "{}",
+        on_line_6[0]
+    );
+    assert_eq!(diags.len(), 1, "{diags:?}");
+}
+
+#[test]
+fn constant_oob_aggregate_copy_is_reported_once_per_side() {
+    let diags = lint_diags(
+        r#"
+        struct P { x : int, y : int, z : int, w : int }
+        terra f() : int
+            var a : int[6]
+            var p : P
+            p.x = 1
+            a[0] = 2
+            @[&P](&a[3]) = p
+            p = @[&P](&a[4])
+            return p.x + a[0]
+        end
+        f()
+        "#,
+    );
+    let dst = definite_oob_on(&diags, 8);
+    assert_eq!(dst.len(), 1, "exactly one finding: {diags:?}");
+    assert!(
+        dst[0].contains("copy destination of 16 byte(s) at offset 12"),
+        "{}",
+        dst[0]
+    );
+    let src = definite_oob_on(&diags, 9);
+    assert_eq!(src.len(), 1, "exactly one finding: {diags:?}");
+    assert!(
+        src[0].contains("copy source of 16 byte(s) at offset 16"),
+        "{}",
+        src[0]
+    );
+    assert_eq!(diags.len(), 2, "{diags:?}");
 }
 
 #[test]

@@ -487,74 +487,28 @@ fn install_string(interp: &mut Interp) {
         sb.set_str(
             "format",
             native("format", |it, args| {
+                // C's directives, rendered by the VM's `printf`; the
+                // arguments are Lua values: numbers, and for `%s`/`%q`
+                // anything, through `tostring`.
                 let fmt = str_arg(&args, 0, "format")?;
-                let mut out = String::new();
-                let mut ai = 1;
-                let bytes = fmt.as_bytes();
-                let mut i = 0;
-                while i < bytes.len() {
-                    if bytes[i] != b'%' {
-                        out.push(bytes[i] as char);
-                        i += 1;
-                        continue;
-                    }
-                    i += 1;
-                    let mut spec = String::new();
-                    while i < bytes.len()
-                        && (bytes[i].is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'-')
-                    {
-                        spec.push(bytes[i] as char);
-                        i += 1;
-                    }
-                    if i >= bytes.len() {
-                        return Err(LuaError::msg("string.format: trailing %"));
-                    }
-                    let conv = bytes[i];
-                    i += 1;
-                    let prec: Option<usize> = spec.split('.').nth(1).and_then(|p| p.parse().ok());
-                    let width: Option<usize> = spec
-                        .trim_start_matches('-')
-                        .split('.')
-                        .next()
-                        .and_then(|w| if w.is_empty() { None } else { w.parse().ok() });
-                    let rendered = match conv {
-                        b'%' => "%".to_string(),
-                        b'd' | b'i' => format!("{}", num_arg(&args, ai, "format")? as i64),
-                        b'u' => format!("{}", num_arg(&args, ai, "format")? as u64),
-                        b'x' => format!("{:x}", num_arg(&args, ai, "format")? as i64),
-                        b'c' => ((num_arg(&args, ai, "format")? as u8) as char).to_string(),
-                        b'f' | b'g' | b'e' => {
-                            let v = num_arg(&args, ai, "format")?;
-                            match (conv, prec) {
-                                (b'f', Some(p)) => format!("{v:.p$}"),
-                                (b'f', None) => format!("{v:.6}"),
-                                (b'e', _) => format!("{v:e}"),
-                                (_, Some(p)) => format!("{v:.p$}"),
-                                (_, None) => format!("{v}"),
+                let mut next = 0;
+                let out = terra_vm::format_printf(
+                    &fmt,
+                    &mut |conv, text| {
+                        next += 1;
+                        match conv {
+                            b's' | b'q' => {
+                                let v = arg(&args, next);
+                                text.push_str(&it.tostring_value(&v, Span::synthetic())?);
+                                Ok(0)
                             }
+                            b'f' | b'e' | b'g' => Ok(num_arg(&args, next, "format")?.to_bits()),
+                            b'u' => Ok(num_arg(&args, next, "format")? as u64),
+                            _ => Ok(num_arg(&args, next, "format")? as i64 as u64),
                         }
-                        b's' => it.tostring_value(&arg(&args, ai), Span::synthetic())?,
-                        b'q' => format!(
-                            "{:?}",
-                            it.tostring_value(&arg(&args, ai), Span::synthetic())?
-                        ),
-                        other => {
-                            return Err(LuaError::msg(format!(
-                                "string.format: unsupported conversion '%{}'",
-                                other as char
-                            )))
-                        }
-                    };
-                    if conv != b'%' {
-                        ai += 1;
-                    }
-                    if let Some(w) = width {
-                        for _ in rendered.len()..w {
-                            out.push(' ');
-                        }
-                    }
-                    out.push_str(&rendered);
-                }
+                    },
+                    &|what| LuaError::msg(format!("string.format: {what}")),
+                )?;
                 Ok(vec![LuaValue::str(out)])
             }),
         );

@@ -454,48 +454,32 @@ fn collect_addrof_expr(e: &SpecExpr, out: &mut HashSet<u64>) {
 /// Stamps every statement that doesn't already carry provenance (statements
 /// from a nested splice stamped their deeper chain first and win).
 fn stamp_prov(stmts: &mut [IrStmt], p: &Provenance) {
-    for s in stmts {
-        if s.prov.is_none() {
-            s.prov = Some(p.clone());
-        }
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                stamp_prov(then_body, p);
-                stamp_prov(else_body, p);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => stamp_prov(body, p),
-            _ => {}
-        }
-    }
+    IrStmt::walk_mut(stmts, &mut |s| {
+        s.prov.get_or_insert_with(|| p.clone());
+    });
 }
 
 // ---------------------------------------------------------------------------
 // parallelfor kernel extraction
 // ---------------------------------------------------------------------------
 
-/// Whether any statement (recursively) is a `return` — forbidden inside a
-/// `parallelfor` body, which outlines into a unit-returning kernel.
-fn contains_return(stmts: &[IrStmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Return(_) => true,
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => contains_return(then_body) || contains_return(else_body),
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => contains_return(body),
-        _ => false,
-    })
-}
-
-/// Records locals below `base` that `e` mentions (captures) and every direct
-/// callee (the kernel's link-time dependencies).
-fn scan_kernel_expr(e: &IrExpr, base: u32, used: &mut BTreeSet<u32>, calls: &mut BTreeSet<FuncId>) {
-    match &e.kind {
+/// What a `parallelfor` body needs from the frame around it, whose locals
+/// are those below `base`: the enclosing locals it mentions (its captures),
+/// the enclosing register locals it assigns (an error), and every function
+/// it calls directly (the kernel's link-time dependencies).
+fn scan_kernel(stmts: &[IrStmt], base: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet<FuncId>) {
+    let (mut used, mut assigned, mut calls) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    IrStmt::walk(stmts, &mut |s| match &s.kind {
+        StmtKind::Assign { dst, .. } if dst.0 < base => {
+            assigned.insert(dst.0);
+        }
+        // A nested parallel loop calls its kernel.
+        StmtKind::ParallelFor { kernel, .. } => {
+            calls.insert(*kernel);
+        }
+        _ => {}
+    });
+    IrStmt::walk_exprs(stmts, &mut |e| match &e.kind {
         ExprKind::Local(l) | ExprKind::LocalAddr(l) if l.0 < base => {
             used.insert(l.0);
         }
@@ -506,136 +490,8 @@ fn scan_kernel_expr(e: &IrExpr, base: u32, used: &mut BTreeSet<u32>, calls: &mut
             calls.insert(*id);
         }
         _ => {}
-    }
-    terra_ir::passes::util::each_child(e, &mut |c| scan_kernel_expr(c, base, used, calls));
-}
-
-fn scan_kernel_block(
-    stmts: &[IrStmt],
-    base: u32,
-    used: &mut BTreeSet<u32>,
-    assigned: &mut BTreeSet<u32>,
-    calls: &mut BTreeSet<FuncId>,
-) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign { dst, value } => {
-                if dst.0 < base {
-                    assigned.insert(dst.0);
-                }
-                scan_kernel_expr(value, base, used, calls);
-            }
-            StmtKind::Store { addr, value } => {
-                scan_kernel_expr(addr, base, used, calls);
-                scan_kernel_expr(value, base, used, calls);
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                scan_kernel_expr(dst, base, used, calls);
-                scan_kernel_expr(src, base, used, calls);
-            }
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => scan_kernel_expr(e, base, used, calls),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                scan_kernel_expr(cond, base, used, calls);
-                scan_kernel_block(then_body, base, used, assigned, calls);
-                scan_kernel_block(else_body, base, used, assigned, calls);
-            }
-            StmtKind::While { cond, body } => {
-                scan_kernel_expr(cond, base, used, calls);
-                scan_kernel_block(body, base, used, assigned, calls);
-            }
-            StmtKind::For {
-                start,
-                stop,
-                step,
-                body,
-                ..
-            } => {
-                scan_kernel_expr(start, base, used, calls);
-                scan_kernel_expr(stop, base, used, calls);
-                scan_kernel_expr(step, base, used, calls);
-                scan_kernel_block(body, base, used, assigned, calls);
-            }
-            StmtKind::ParallelFor {
-                kernel,
-                start,
-                stop,
-                args,
-            } => {
-                calls.insert(*kernel);
-                scan_kernel_expr(start, base, used, calls);
-                scan_kernel_expr(stop, base, used, calls);
-                for a in args {
-                    scan_kernel_expr(a, base, used, calls);
-                }
-            }
-            StmtKind::Return(None) | StmtKind::Break => {}
-        }
-    }
-}
-
-/// Renumbers locals of an outlined kernel body: captures (`< base`) become
-/// reads of capture parameters, the loop variable (`== base`) becomes param
-/// 0, and body-internal locals shift down past the capture params.
-fn remap_kernel_expr(e: &mut IrExpr, base: u32, cap: &BTreeMap<u32, u32>, ncap: u32) {
-    let replacement = match &e.kind {
-        // An in-memory capture's `LocalAddr` becomes the pointer param
-        // itself (the node's type is already the pointer type).
-        ExprKind::Local(l) | ExprKind::LocalAddr(l) if l.0 < base => {
-            Some(ExprKind::Local(LocalId(cap[&l.0])))
-        }
-        _ => None,
-    };
-    if let Some(k) = replacement {
-        e.kind = k;
-    } else if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = &mut e.kind {
-        if l.0 == base {
-            l.0 = 0;
-        } else {
-            l.0 = l.0 - base + ncap;
-        }
-    }
-    terra_ir::passes::util::each_child_mut(e, &mut |c| remap_kernel_expr(c, base, cap, ncap));
-}
-
-fn remap_kernel_block(stmts: &mut [IrStmt], base: u32, cap: &BTreeMap<u32, u32>, ncap: u32) {
-    for s in stmts {
-        {
-            let remap_id = |l: &mut LocalId| {
-                debug_assert!(l.0 >= base, "assignments to captures were rejected");
-                if l.0 == base {
-                    l.0 = 0;
-                } else {
-                    l.0 = l.0 - base + ncap;
-                }
-            };
-            match &mut s.kind {
-                StmtKind::Assign { dst, .. } => remap_id(dst),
-                StmtKind::For { var, .. } => remap_id(var),
-                _ => {}
-            }
-        }
-        terra_ir::passes::util::for_each_stmt_expr_mut(s, &mut |e| {
-            remap_kernel_expr(e, base, cap, ncap)
-        });
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                remap_kernel_block(then_body, base, cap, ncap);
-                remap_kernel_block(else_body, base, cap, ncap);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                remap_kernel_block(body, base, cap, ncap)
-            }
-            _ => {}
-        }
-    }
+    });
+    (used, assigned, calls)
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,7 +990,7 @@ impl Checker<'_> {
                 *sym.ty.borrow_mut() = Some(var_ty.clone());
                 let mut body_ir = Vec::new();
                 self.scoped(body, &mut body_ir)?;
-                if contains_return(&body_ir) {
+                if IrStmt::any(&body_ir, &mut |s| matches!(s.kind, StmtKind::Return(_))) {
                     return Err(terr("return is not allowed inside parallelfor", *span));
                 }
                 if terra_ir::passes::util::has_toplevel_break(&body_ir) {
@@ -1143,11 +999,8 @@ impl Checker<'_> {
                         *span,
                     ));
                 }
-                let mut used = BTreeSet::new();
-                let mut assigned = BTreeSet::new();
-                let mut calls = BTreeSet::new();
-                scan_kernel_block(&body_ir, base, &mut used, &mut assigned, &mut calls);
-                if let Some(&l) = assigned.iter().next() {
+                let (used, assigned, calls) = scan_kernel(&body_ir, base);
+                if let Some(&l) = assigned.first() {
                     return Err(terr(
                         format!(
                             "cannot assign to '{}' inside parallelfor: register captures \
@@ -1180,8 +1033,23 @@ impl Checker<'_> {
                         });
                     }
                 }
+                // Renumber into the kernel's frame: the loop variable
+                // (`base`) becomes param 0, captures become the params after
+                // it — an in-memory capture's `LocalAddr` is the pointer
+                // param itself, the node's type already the pointer type —
+                // and the body's own locals shift down past them.
                 let ncap = used.len() as u32;
-                remap_kernel_block(&mut body_ir, base, &cap_map, ncap);
+                IrStmt::walk_exprs_mut(&mut body_ir, &mut |e| match e.kind {
+                    ExprKind::LocalAddr(l) if l.0 < base => e.kind = ExprKind::Local(l),
+                    _ => {}
+                });
+                terra_ir::passes::util::renumber_locals(&mut body_ir, &|l| {
+                    LocalId(match l.0.checked_sub(base) {
+                        None => cap_map[&l.0],
+                        Some(0) => 0,
+                        Some(own) => own + ncap,
+                    })
+                });
                 let kname: Arc<str> =
                     format!("{}$par{}", self.func.name, self.interp.ctx.funcs.len()).into();
                 let mut kernel = IrFunction {

@@ -154,6 +154,16 @@ pub fn expr_strategy() -> impl Strategy<Value = E> {
             (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Sub(Box::new(l), Box::new(r))),
             (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Mul(Box::new(l), Box::new(r))),
             (inner.clone(), inner.clone()).prop_map(|(l, r)| E::Div(Box::new(l), Box::new(r))),
+            // An identity that drops its operand, over an operand that can
+            // trap: `(l / r) * 0` is 0 only where `l / r` is defined.
+            (inner.clone(), inner, any::<bool>()).prop_map(|(l, r, zero_first)| {
+                let div = Box::new(E::Div(Box::new(l), Box::new(r)));
+                if zero_first {
+                    E::Mul(Box::new(E::C(0)), div)
+                } else {
+                    E::Mul(div, Box::new(E::C(0)))
+                }
+            }),
         ]
     })
 }

@@ -154,3 +154,57 @@ fn div_by_zero_traps_at_every_level() {
     assert_eq!(errs[0], errs[2]);
     assert!(errs[0].contains("zero"), "{}", errs[0]);
 }
+
+/// `x * 0` is `0` only where `x` is defined and silent: the product may not
+/// drop an operand that traps or prints. Each program must produce the same
+/// value or trap, and the same output, at every level (at PR 17 `fold`
+/// rewrote all three to `0`: no trap, nothing printed).
+#[test]
+fn zero_product_keeps_an_operand_that_traps_or_prints() {
+    let outcome = |level: OptLevel, src: &str| {
+        let mut t = Interp::new();
+        t.opt = level;
+        t.capture_output();
+        let result = match t.exec(src) {
+            Ok(vals) => Ok(vals.first().and_then(|v| v.as_number())),
+            Err(e) => Err(e.to_string()),
+        };
+        (result, t.take_output())
+    };
+    let programs = [
+        (
+            "terra f(k : int, i : int) : int return (k / i) * 0 end return f(5, 0)",
+            Err("integer division by zero"),
+            "",
+        ),
+        (
+            "terra f(k : int, i : int) : int return 0 * (k % i) end return f(5, 0)",
+            Err("integer division by zero"),
+            "",
+        ),
+        (
+            "terra f(k : int, i : int) : int return (k / i) * 0 end return f(5, 2)",
+            Ok(0.0),
+            "",
+        ),
+        (
+            r#"local C = terralib.includec("stdio.h")
+            terra g() : int C.printf("g ran\n") return 7 end
+            terra f() : int return g() * 0 end
+            return f()"#,
+            Ok(0.0),
+            "g ran\n",
+        ),
+    ];
+    for (src, want, printed) in programs {
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let (got, out) = outcome(level, src);
+            match (&got, want) {
+                (Ok(v), Ok(w)) => assert_eq!(*v, Some(w), "at {level:?}: {src}"),
+                (Err(e), Err(w)) => assert!(e.contains(w), "at {level:?}: {e}"),
+                _ => panic!("at {level:?}: got {got:?}, want {want:?}: {src}"),
+            }
+            assert_eq!(out, printed, "at {level:?}: {src}");
+        }
+    }
+}

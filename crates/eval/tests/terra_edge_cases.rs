@@ -462,6 +462,27 @@ fn printf_many_formats() {
     assert_eq!(t.take_output(), "-3|7|ff|A|   42|1.500|end|%\n");
 }
 
+/// `printf` and `string.format` are one formatter with C's rules: `-` and `0`
+/// are honoured, `%e` and `%g` are C's, literal text is copied as written.
+#[test]
+fn printf_and_string_format_render_as_c_does() {
+    let mut t = Interp::new();
+    t.capture_output();
+    t.exec(
+        r#"
+        local C = terralib.includec("stdio.h")
+        terra f() : {}
+            C.printf("[%-5d] [%05d] [%e] [%g] naïve\n", 42, 42, 1.5, 1.0 / 3.0)
+        end
+        f()
+        print(string.format("[%-5d] [%05d] [%e] [%g] naïve", 42, 42, 1.5, 1 / 3))
+        "#,
+    )
+    .unwrap();
+    let want = "[42   ] [00042] [1.500000e+00] [0.333333] naïve\n";
+    assert_eq!(t.take_output(), format!("{want}{want}"));
+}
+
 #[test]
 fn clock_is_monotonic_within_terra() {
     let src = r#"

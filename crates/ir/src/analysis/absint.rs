@@ -3,11 +3,14 @@
 //!
 //! One walker serves three consumers:
 //!
-//! * **Lints** (`--lint`): definite out-of-bounds, definite null dereference,
-//!   definite division by zero, and guaranteed integer overflow — all
-//!   *definite-only*: a finding means the bad operation executes on every
-//!   path that reaches it, so clean programs stay clean. Findings carry the
-//!   staging provenance of the offending statement.
+//! * **Lints** (`--lint`): definite out-of-bounds (`definite-oob` — the one
+//!   bounds oracle: a constant index is an offset interval of one point, so
+//!   there is no separate constant-offset lint), misaligned vector access,
+//!   definite null dereference, definite division by zero, and guaranteed
+//!   integer overflow — all *definite-only*: a finding means the bad
+//!   operation executes on every path that reaches it, so clean programs
+//!   stay clean. Findings carry the staging provenance of the offending
+//!   statement.
 //! * **Check elision** (`checkelim` pass at `-O2`): accesses whose address
 //!   is proven inside its allocation, and narrow-integer results proven to
 //!   fit their type, are stamped into [`IrStmt::proven`]; the VM compiles
@@ -57,7 +60,7 @@ use crate::ir::{
     BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, GlobalId, IrExpr, IrFunction, IrStmt,
     LocalId, LocalSlot, StmtKind, UnKind,
 };
-use crate::passes::util::{collect_assigned, LocalSet};
+use crate::passes::util::{collect_assigned, has_toplevel_break, LocalSet};
 use crate::passes::Remark;
 use crate::types::{ScalarTy, Ty, TypeRegistry};
 use std::borrow::Borrow;
@@ -285,24 +288,10 @@ fn attach_stamps(
     stmts: &mut [IrStmt],
     stamps: &mut std::iter::Peekable<std::vec::IntoIter<Stamp>>,
 ) {
-    for s in stmts {
+    IrStmt::walk_mut(stmts, &mut |s| {
         let stamp = stamps.next_if(|(at, _)| std::ptr::eq(*at, s));
         s.proven = stamp.map(|(_, proven)| proven).unwrap_or_default();
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                attach_stamps(then_body, stamps);
-                attach_stamps(else_body, stamps);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                attach_stamps(body, stamps)
-            }
-            _ => {}
-        }
-    }
+    });
 }
 
 /// Forgets every proof in `stmts`. A proof names a node of its statement by
@@ -354,8 +343,8 @@ pub(crate) fn proven_const_access(
     off >= 0 && (off as u64).saturating_add(size) <= obj
 }
 
-/// Size of `t` if every struct it references is finalized (mirrors the
-/// linter's cautious version of [`Ty::size`]).
+/// Size of `t` if every struct it references is finalized (a cautious
+/// [`Ty::size`]).
 fn size_of_ty(t: &Ty, types: Option<&TypeRegistry>) -> Option<u64> {
     let reg = types?;
     match t {
@@ -407,19 +396,6 @@ fn join_absval(a: &AbsVal, b: &AbsVal) -> AbsVal {
         }
         _ => AbsVal::Any,
     }
-}
-
-/// `break` reachable without crossing into a nested loop.
-fn contains_break(stmts: &[IrStmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Break => true,
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => contains_break(then_body) || contains_break(else_body),
-        _ => false,
-    })
 }
 
 enum Mode<'m> {
@@ -692,6 +668,7 @@ impl<'a> Interp<'a> {
                 self.eval(value);
                 let av = self.eval(addr);
                 self.access(addr, &av, size, "store");
+                self.vector_alignment(&av, &value.ty, "store");
                 self.stamp(s);
                 Flow::FallThrough
             }
@@ -742,7 +719,7 @@ impl<'a> Interp<'a> {
                         self.loop_depth -= 1;
                     }
                     self.state = saved;
-                    if !contains_break(body) {
+                    if !has_toplevel_break(body) {
                         // Normal exit: the condition just failed.
                         let _ = self.refine(cond, false);
                     }
@@ -1080,6 +1057,7 @@ impl<'a> Interp<'a> {
                 let size = self.size_of(&e.ty);
                 let av = self.eval(addr);
                 self.access(addr, &av, size, "load");
+                self.vector_alignment(&av, &e.ty, "load");
                 AbsVal::Any
             }
             ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, *op, lhs, rhs),
@@ -1470,6 +1448,28 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// Lint: a vector load or store at a known byte offset of an object this
+    /// function can see (whose start is aligned) that is not a multiple of
+    /// the vector's element size.
+    fn vector_alignment(&mut self, av: &AbsVal, value_ty: &Ty, what: &str) {
+        let (Ty::Vector(s, _), AbsVal::Ptr(p)) = (value_ty, av) else {
+            return;
+        };
+        if matches!(p.base, PtrBase::Param(_) | PtrBase::Unknown) {
+            return;
+        }
+        let elem = s.size() as i128;
+        if let Some(off) = p.off.as_singleton().filter(|off| off % elem != 0) {
+            self.warn(
+                "misaligned-vector",
+                format!(
+                    "{what} of {value_ty} at byte offset {off}, which is not a multiple \
+                     of the {elem}-byte element size"
+                ),
+            );
+        }
+    }
+
     fn access(&mut self, addr: &IrExpr, av: &AbsVal, size: Option<u64>, what: &'static str) {
         // Summary demand: unconditional constant-offset accesses through a
         // pointer parameter.
@@ -1548,5 +1548,176 @@ fn mirror_cmp(op: CmpKind) -> CmpKind {
         CmpKind::Le => CmpKind::Ge,
         CmpKind::Gt => CmpKind::Lt,
         CmpKind::Ge => CmpKind::Le,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{analyze_function, EnvEntry, ModuleEnv, NoEnv};
+    use crate::ir::{BinKind, ExprKind, GlobalId, IrExpr, IrFunction, StmtKind};
+    use crate::types::{FuncTy, ScalarTy, Ty, TypeRegistry};
+    use std::sync::Arc;
+
+    fn array_fn(elem: Ty, n: u64) -> (IrFunction, crate::ir::LocalId) {
+        let mut f = IrFunction {
+            name: "t".into(),
+            ty: FuncTy {
+                params: vec![],
+                ret: Ty::Unit,
+            },
+            locals: vec![],
+            body: vec![],
+        };
+        let a = f.add_local("a", Ty::Array(Arc::new(elem), n), true);
+        (f, a)
+    }
+
+    /// Loads an `elem` from `byte_off` bytes past the object `base` names
+    /// (a `LocalAddr` or a `GlobalAddr`).
+    fn load_at(base: ExprKind, elem: Ty, byte_off: i64) -> IrExpr {
+        let addr = IrExpr {
+            ty: elem.clone().ptr_to(),
+            kind: ExprKind::Binary {
+                op: BinKind::Add,
+                lhs: Box::new(IrExpr {
+                    ty: elem.clone().ptr_to(),
+                    kind: base,
+                }),
+                rhs: Box::new(IrExpr::int64(byte_off)),
+            },
+        };
+        IrExpr {
+            ty: elem,
+            kind: ExprKind::Load(Box::new(addr)),
+        }
+    }
+
+    fn codes(f: &IrFunction, reg: &TypeRegistry) -> Vec<&'static str> {
+        analyze_function(f, Some(reg), &NoEnv)
+            .into_iter()
+            .map(|d| d.code)
+            .collect()
+    }
+
+    #[test]
+    fn flags_constant_oob_index() {
+        let reg = TypeRegistry::new();
+        let (mut f, a) = array_fn(Ty::INT, 4);
+        // a[5] → byte offset 20 of a 16-byte array.
+        f.body = vec![
+            StmtKind::Store {
+                addr: IrExpr {
+                    ty: Ty::INT.ptr_to(),
+                    kind: ExprKind::LocalAddr(a),
+                },
+                value: IrExpr::int32(1),
+            }
+            .into(),
+            StmtKind::Expr(load_at(ExprKind::LocalAddr(a), Ty::INT, 20)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        // One oracle, one finding.
+        assert_eq!(codes(&f, &reg), ["definite-oob"]);
+    }
+
+    #[test]
+    fn in_bounds_access_is_clean() {
+        let reg = TypeRegistry::new();
+        let (mut f, a) = array_fn(Ty::INT, 4);
+        f.body = vec![
+            StmtKind::Store {
+                addr: IrExpr {
+                    ty: Ty::INT.ptr_to(),
+                    kind: ExprKind::LocalAddr(a),
+                },
+                value: IrExpr::int32(1),
+            }
+            .into(),
+            StmtKind::Expr(load_at(ExprKind::LocalAddr(a), Ty::INT, 12)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        assert!(codes(&f, &reg).is_empty(), "{:?}", codes(&f, &reg));
+    }
+
+    /// Env that knows one global: id 0 is an `int[4]`.
+    struct OneGlobal;
+
+    impl ModuleEnv for OneGlobal {
+        fn global_ty(&self, id: GlobalId) -> EnvEntry<Ty> {
+            if id.0 == 0 {
+                EnvEntry::Known(Ty::Array(Arc::new(Ty::INT), 4))
+            } else {
+                EnvEntry::Invalid
+            }
+        }
+    }
+
+    fn global_load_at(elem: Ty, byte_off: i64) -> IrExpr {
+        load_at(ExprKind::GlobalAddr(GlobalId(0)), elem, byte_off)
+    }
+
+    #[test]
+    fn flags_constant_oob_global_access() {
+        let reg = TypeRegistry::new();
+        let (mut f, _) = array_fn(Ty::INT, 4);
+        // global[5] → byte offset 20 of a 16-byte global array.
+        f.body = vec![
+            StmtKind::Expr(global_load_at(Ty::INT, 20)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        let codes: Vec<_> = analyze_function(&f, Some(&reg), &OneGlobal)
+            .into_iter()
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(codes, ["definite-oob"]);
+    }
+
+    #[test]
+    fn in_bounds_global_access_is_clean() {
+        let reg = TypeRegistry::new();
+        let (mut f, _) = array_fn(Ty::INT, 4);
+        f.body = vec![
+            StmtKind::Expr(global_load_at(Ty::INT, 12)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        let diags = analyze_function(&f, Some(&reg), &OneGlobal);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn unknown_global_type_stays_silent() {
+        // With NoEnv the same OOB access cannot be checked statically.
+        let reg = TypeRegistry::new();
+        let (mut f, _) = array_fn(Ty::INT, 4);
+        f.body = vec![
+            StmtKind::Expr(global_load_at(Ty::INT, 20)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        let diags = analyze_function(&f, Some(&reg), &NoEnv);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn flags_misaligned_vector_load() {
+        let reg = TypeRegistry::new();
+        let vec4 = Ty::Vector(ScalarTy::F32, 4);
+        let (mut f, a) = array_fn(Ty::F32, 16);
+        f.body = vec![
+            StmtKind::Store {
+                addr: IrExpr {
+                    ty: Ty::F32.ptr_to(),
+                    kind: ExprKind::LocalAddr(a),
+                },
+                value: IrExpr {
+                    ty: Ty::F32,
+                    kind: ExprKind::ConstFloat(0.0),
+                },
+            }
+            .into(),
+            // 6 is not a multiple of the 4-byte element size.
+            StmtKind::Expr(load_at(ExprKind::LocalAddr(a), vec4, 6)).into(),
+            StmtKind::Return(None).into(),
+        ];
+        assert_eq!(codes(&f, &reg), ["misaligned-vector"]);
     }
 }

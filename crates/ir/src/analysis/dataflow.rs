@@ -1,6 +1,8 @@
 //! Dataflow analyses over the structured statement tree.
 //!
-//! Three passes, all warning-only:
+//! Three passes, all warning-only. They read the facts the optimizer reads —
+//! local sets, uses, termination, liveness — where it keeps them
+//! (`passes::util`); only the possible-init rules are this module's own.
 //!
 //! * **Use before initialization** — a forward *possible-init* walk. A local
 //!   counts as initialized once any explicit write to it exists on *some*
@@ -11,9 +13,10 @@
 //!   certainly a bug. Using possible- rather than definite-init keeps the
 //!   pass free of false positives on loop-carried patterns (`for i ... a[i]
 //!   = f(i)` then reading `a` after the loop).
-//! * **Dead stores** — a backward liveness walk with a union fixpoint for
-//!   loops. An explicit assignment whose value is never read afterwards and
-//!   has no side effects is flagged.
+//! * **Dead stores** — the backward liveness walk `dce` deletes dead stores
+//!   with ([`live_in`]), here only looking: an explicit assignment whose
+//!   value is never read afterwards and makes no call is flagged, and stays
+//!   a reader of its operands.
 //! * **Reachability** — statements after a `return`/`break`, after an `if`
 //!   whose branches both terminate, or after a `while true` with no `break`
 //!   are unreachable; a non-unit function whose body can fall through the
@@ -21,59 +24,13 @@
 
 use super::{diag, Diagnostic, Severity};
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
+use crate::passes::util::{collect_assigned, expr_has_call, live_in, stmt_terminates, LocalSet};
 use crate::types::Ty;
 use terra_syntax::Span;
 
 pub(super) fn run(f: &IrFunction, diags: &mut Vec<Diagnostic>) {
     init_pass(f, diags);
     liveness_pass(f, diags);
-}
-
-/// Dense bitset over local ids.
-#[derive(Clone, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn new(n: usize) -> Self {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    fn full(n: usize) -> Self {
-        let mut s = Self::new(n);
-        for i in 0..n {
-            s.insert(LocalId(i as u32));
-        }
-        s
-    }
-
-    fn insert(&mut self, l: LocalId) {
-        let i = l.0 as usize;
-        if i / 64 < self.words.len() {
-            self.words[i / 64] |= 1 << (i % 64);
-        }
-    }
-
-    fn remove(&mut self, l: LocalId) {
-        let i = l.0 as usize;
-        if i / 64 < self.words.len() {
-            self.words[i / 64] &= !(1 << (i % 64));
-        }
-    }
-
-    fn contains(&self, l: LocalId) -> bool {
-        let i = l.0 as usize;
-        i / 64 < self.words.len() && self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn union(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -83,15 +40,15 @@ impl BitSet {
 struct InitWalk<'a> {
     f: &'a IrFunction,
     diags: &'a mut Vec<Diagnostic>,
-    init: BitSet,
+    init: LocalSet,
     /// Locals already warned about (one finding per local).
-    reported: BitSet,
+    reported: LocalSet,
     span: Span,
 }
 
 fn init_pass(f: &IrFunction, diags: &mut Vec<Diagnostic>) {
     let n = f.locals.len();
-    let mut init = BitSet::new(n);
+    let mut init = LocalSet::new(n);
     for i in 0..f.param_count() {
         init.insert(LocalId(i as u32));
     }
@@ -99,7 +56,7 @@ fn init_pass(f: &IrFunction, diags: &mut Vec<Diagnostic>) {
         f,
         diags,
         init,
-        reported: BitSet::new(n),
+        reported: LocalSet::new(n),
         span: Span::synthetic(),
     };
     let falls_through = w.block(&f.body);
@@ -167,7 +124,6 @@ impl InitWalk<'_> {
                 self.addr(src, true);
                 self.addr(dst, false);
             }
-            StmtKind::Expr(e) => self.value(e),
             StmtKind::If {
                 cond,
                 then_body,
@@ -185,15 +141,10 @@ impl InitWalk<'_> {
                 }
             }
             StmtKind::While { cond, body } => {
-                // Simulate the back edge for possible-init: anything written
-                // anywhere in the body may be initialized by the time any
-                // statement in it executes again.
-                let mut writes = BitSet::new(self.f.locals.len());
-                collect_writes(body, &mut writes);
-                self.init.union(&writes);
+                self.back_edge(body);
                 self.value(cond);
                 self.block(body);
-                if is_const_true(cond) && !has_toplevel_break(body) {
+                if stmt_terminates(s) {
                     return Flow::Stops;
                 }
             }
@@ -208,32 +159,34 @@ impl InitWalk<'_> {
                 self.value(stop);
                 self.value(step);
                 self.init.insert(*var);
-                let mut writes = BitSet::new(self.f.locals.len());
-                collect_writes(body, &mut writes);
-                self.init.union(&writes);
+                self.back_edge(body);
                 self.block(body);
             }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                // The kernel body is a separate function; only the operands
-                // are evaluated in this frame. Captured addresses escape via
-                // `value`'s LocalAddr rule.
-                self.value(start);
-                self.value(stop);
-                for a in args {
-                    self.value(a);
-                }
-            }
-            StmtKind::Return(v) => {
-                if let Some(e) = v {
-                    self.value(e);
-                }
+            StmtKind::Return(_) | StmtKind::Break => {
+                s.operand_roots(&mut |e| self.value(e));
                 return Flow::Stops;
             }
-            StmtKind::Break => return Flow::Stops,
+            // A `parallelfor`'s body is a separate function; only its
+            // operands are evaluated in this frame, and captured addresses
+            // escape via `value`'s LocalAddr rule.
+            StmtKind::Expr(_) | StmtKind::ParallelFor { .. } => {
+                s.operand_roots(&mut |e| self.value(e))
+            }
         }
         Flow::Continues
+    }
+
+    /// Simulates a loop's back edge for possible-init: anything `body` could
+    /// write anywhere — register assignments, and locals whose address it
+    /// takes (a store or copy through it, or an escape into a call) — may
+    /// be initialized by the time any statement in it executes again.
+    fn back_edge(&mut self, body: &[IrStmt]) {
+        collect_assigned(body, &mut self.init);
+        IrStmt::walk_exprs(body, &mut |e| {
+            if let ExprKind::LocalAddr(l) = e.kind {
+                self.init.insert(l);
+            }
+        });
     }
 
     /// Visits an expression evaluated for its value.
@@ -244,29 +197,7 @@ impl InitWalk<'_> {
             // argument) escapes: assume the callee initializes it.
             ExprKind::LocalAddr(l) => self.init.insert(*l),
             ExprKind::Load(a) => self.addr(a, true),
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
-                self.value(lhs);
-                self.value(rhs);
-            }
-            ExprKind::Unary { expr, .. } | ExprKind::Cast(expr) => self.value(expr),
-            ExprKind::Call { callee, args } => {
-                if let crate::ir::Callee::Indirect(p) = callee {
-                    self.value(p);
-                }
-                for a in args {
-                    self.value(a);
-                }
-            }
-            ExprKind::Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                self.value(cond);
-                self.value(then_value);
-                self.value(else_value);
-            }
-            _ => {}
+            _ => e.children(&mut |c| self.value(c)),
         }
     }
 
@@ -312,277 +243,34 @@ enum Flow {
     Stops,
 }
 
-/// Records every local that any statement in `stmts` (recursively) could
-/// write: assignment targets, store/copy destinations, escaping addresses.
-fn collect_writes(stmts: &[IrStmt], out: &mut BitSet) {
-    fn expr(e: &IrExpr, out: &mut BitSet) {
-        if let ExprKind::LocalAddr(l) = e.kind {
-            out.insert(l);
-        }
-        each_child(e, &mut |c| expr(c, out));
-    }
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign { dst, value } => {
-                out.insert(*dst);
-                expr(value, out);
-            }
-            StmtKind::Store { addr, value } => {
-                expr(addr, out);
-                expr(value, out);
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                expr(dst, out);
-                expr(src, out);
-            }
-            StmtKind::Expr(e) => expr(e, out),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr(cond, out);
-                collect_writes(then_body, out);
-                collect_writes(else_body, out);
-            }
-            StmtKind::While { cond, body } => {
-                expr(cond, out);
-                collect_writes(body, out);
-            }
-            StmtKind::For {
-                var,
-                start,
-                stop,
-                step,
-                body,
-            } => {
-                out.insert(*var);
-                expr(start, out);
-                expr(stop, out);
-                expr(step, out);
-                collect_writes(body, out);
-            }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                expr(start, out);
-                expr(stop, out);
-                for a in args {
-                    expr(a, out);
-                }
-            }
-            StmtKind::Return(Some(e)) => expr(e, out),
-            StmtKind::Return(None) | StmtKind::Break => {}
-        }
-    }
-}
-
-fn is_const_true(e: &IrExpr) -> bool {
-    matches!(e.kind, ExprKind::ConstBool(true))
-}
-
-/// Whether `stmts` contains a `break` that targets the enclosing loop
-/// (i.e. not inside a nested loop).
-fn has_toplevel_break(stmts: &[IrStmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Break => true,
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => has_toplevel_break(then_body) || has_toplevel_break(else_body),
-        _ => false,
-    })
-}
-
-fn each_child(e: &IrExpr, f: &mut dyn FnMut(&IrExpr)) {
-    match &e.kind {
-        ExprKind::Load(a) => f(a),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Cast(expr) => f(expr),
-        ExprKind::Call { callee, args } => {
-            if let crate::ir::Callee::Indirect(p) = callee {
-                f(p);
-            }
-            for a in args {
-                f(a);
-            }
-        }
-        ExprKind::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            f(cond);
-            f(then_value);
-            f(else_value);
-        }
-        _ => {}
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Backward pass: liveness + dead stores.
 // ---------------------------------------------------------------------------
 
-struct Liveness<'a> {
-    f: &'a IrFunction,
-    diags: &'a mut Vec<Diagnostic>,
-}
-
 fn liveness_pass(f: &IrFunction, diags: &mut Vec<Diagnostic>) {
-    let mut lv = Liveness { f, diags };
-    let exit = BitSet::new(f.locals.len());
-    let _ = lv.block(&f.body, exit, true);
-}
-
-impl Liveness<'_> {
-    /// Computes live-in of `stmts` given `live` (live-out). Dead-store
-    /// warnings are emitted only when `report` is set, so loop fixpoint
-    /// iterations stay silent.
-    fn block(&mut self, stmts: &[IrStmt], mut live: BitSet, report: bool) -> BitSet {
-        for s in stmts.iter().rev() {
-            live = self.stmt(s, live, report);
-        }
-        live
-    }
-
-    fn stmt(&mut self, s: &IrStmt, mut live: BitSet, report: bool) -> BitSet {
-        match &s.kind {
-            StmtKind::Assign { dst, value } => {
-                if report && !s.implicit && !live.contains(*dst) && !has_call(value) {
-                    let name = &self.f.locals[dst.0 as usize].name;
-                    self.diags.push(diag(
-                        self.f,
-                        Severity::Warning,
-                        "dead-store",
-                        s.span,
-                        format!("value assigned to '{name}' is never read"),
-                    ));
-                }
-                live.remove(*dst);
-                add_uses(value, &mut live);
-                live
+    let n = f.locals.len();
+    live_in(
+        &f.body,
+        LocalSet::new(n),
+        n,
+        true,
+        &mut |s, dst, value, settled| {
+            // Silent while a loop is iterated to its fixpoint; compiler-made
+            // writes are nobody's mistake, and a call is worth its effects.
+            if settled && !s.implicit && !expr_has_call(value, true) {
+                let name = &f.locals[dst.0 as usize].name;
+                diags.push(diag(
+                    f,
+                    Severity::Warning,
+                    "dead-store",
+                    s.span,
+                    format!("value assigned to '{name}' is never read"),
+                ));
             }
-            StmtKind::Store { addr, value } => {
-                // Memory is not tracked: stores are gen-only.
-                add_uses(addr, &mut live);
-                add_uses(value, &mut live);
-                live
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                add_uses(dst, &mut live);
-                add_uses(src, &mut live);
-                live
-            }
-            StmtKind::Expr(e) => {
-                add_uses(e, &mut live);
-                live
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let t = self.block(then_body, live.clone(), report);
-                let mut e = self.block(else_body, live, report);
-                e.union(&t);
-                add_uses(cond, &mut e);
-                e
-            }
-            StmtKind::While { cond, body } => {
-                let mut boundary = live;
-                add_uses(cond, &mut boundary);
-                loop {
-                    let li = self.block(body, boundary.clone(), false);
-                    let mut next = boundary.clone();
-                    next.union(&li);
-                    if next == boundary {
-                        break;
-                    }
-                    boundary = next;
-                }
-                if report {
-                    let _ = self.block(body, boundary.clone(), true);
-                }
-                boundary
-            }
-            StmtKind::For {
-                var,
-                start,
-                stop,
-                step,
-                body,
-            } => {
-                let mut boundary = live;
-                // The loop variable and bounds are read by the loop header
-                // on every iteration.
-                boundary.insert(*var);
-                add_uses(stop, &mut boundary);
-                add_uses(step, &mut boundary);
-                loop {
-                    let li = self.block(body, boundary.clone(), false);
-                    let mut next = boundary.clone();
-                    next.union(&li);
-                    if next == boundary {
-                        break;
-                    }
-                    boundary = next;
-                }
-                if report {
-                    let _ = self.block(body, boundary.clone(), true);
-                }
-                let mut live_in = boundary;
-                live_in.remove(*var);
-                add_uses(start, &mut live_in);
-                add_uses(stop, &mut live_in);
-                add_uses(step, &mut live_in);
-                live_in
-            }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                add_uses(start, &mut live);
-                add_uses(stop, &mut live);
-                for a in args {
-                    add_uses(a, &mut live);
-                }
-                live
-            }
-            StmtKind::Return(v) => {
-                let mut live = BitSet::new(self.f.locals.len());
-                if let Some(e) = v {
-                    add_uses(e, &mut live);
-                }
-                live
-            }
-            // `break` jumps to the loop exit, whose liveness this structured
-            // walk doesn't thread through; assume everything is live to stay
-            // free of false dead-store positives.
-            StmtKind::Break => BitSet::full(self.f.locals.len()),
-        }
-    }
-}
-
-/// Adds every local mentioned by `e` (reads and address-takes) to `live`.
-fn add_uses(e: &IrExpr, live: &mut BitSet) {
-    match e.kind {
-        ExprKind::Local(l) | ExprKind::LocalAddr(l) => live.insert(l),
-        _ => {}
-    }
-    each_child(e, &mut |c| add_uses(c, live));
-}
-
-fn has_call(e: &IrExpr) -> bool {
-    if matches!(e.kind, ExprKind::Call { .. }) {
-        return true;
-    }
-    let mut found = false;
-    each_child(e, &mut |c| found |= has_call(c));
-    found
+            // A lint deletes nothing: the assignment stays, and reads.
+            false
+        },
+    );
 }
 
 #[cfg(test)]
@@ -722,17 +410,17 @@ mod tests {
         assert!(!codes(&f).contains(&"missing-return"), "{:?}", codes(&f));
     }
 
-    // -- BitSet ------------------------------------------------------------
+    // -- The local-id bitset both walks stand on ----------------------------
 
-    use super::BitSet;
     use crate::ir::LocalId;
+    use crate::passes::util::LocalSet;
 
     #[test]
     fn bitset_insert_remove_round_trip_at_word_boundaries() {
         // 63/64/65 exercise the last-bit-of-a-word, exact-multiple, and
         // one-past-a-word-boundary layouts.
         for n in [1usize, 63, 64, 65, 130] {
-            let mut s = BitSet::new(n);
+            let mut s = LocalSet::new(n);
             for i in 0..n {
                 assert!(!s.contains(LocalId(i as u32)), "n={n} fresh bit {i} set");
                 s.insert(LocalId(i as u32));
@@ -748,7 +436,7 @@ mod tests {
     #[test]
     fn bitset_full_holds_exactly_the_first_n_ids() {
         for n in [0usize, 63, 64, 65] {
-            let s = BitSet::full(n);
+            let s = LocalSet::full(n);
             for i in 0..n {
                 assert!(s.contains(LocalId(i as u32)), "n={n} missing {i}");
             }
@@ -757,20 +445,28 @@ mod tests {
     }
 
     #[test]
-    fn bitset_out_of_range_ops_are_noops() {
-        let mut s = BitSet::new(64);
+    fn bitset_grows_on_insert_and_ignores_out_of_range_removes() {
+        // Passes add locals while a set is alive, so an insert past the
+        // sized range grows the set; removing or probing there does not.
+        let mut s = LocalSet::new(64);
+        s.remove(LocalId(1000)); // must not panic
+        assert!(!s.contains(LocalId(1000)));
+        assert_eq!(s, LocalSet::new(0), "a probe or a remove grew the set");
         s.insert(LocalId(64));
         s.insert(LocalId(1000));
-        assert!(!s.contains(LocalId(64)));
-        assert!(!s.contains(LocalId(1000)));
-        s.remove(LocalId(1000)); // must not panic
-        assert_eq!(s.words.len(), 1, "out-of-range insert grew the set");
+        assert!(s.contains(LocalId(64)) && s.contains(LocalId(1000)));
+        assert!(!s.contains(LocalId(999)));
+        // Equality is about members, not about how far a set has grown.
+        let mut t = LocalSet::new(2000);
+        t.insert(LocalId(1000));
+        t.insert(LocalId(64));
+        assert_eq!(s, t);
     }
 
     #[test]
     fn bitset_union_is_bitwise_or() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
+        let mut a = LocalSet::new(100);
+        let mut b = LocalSet::new(100);
         a.insert(LocalId(3));
         a.insert(LocalId(64));
         b.insert(LocalId(64));
@@ -784,24 +480,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Model check against a HashSet: any interleaving of in-range
-        /// inserts and removes leaves exactly the model's members set.
+        /// Model check against a HashSet: any interleaving of inserts and
+        /// removes, inside the sized range or past it, leaves exactly the
+        /// model's members set.
         #[test]
         fn bitset_matches_hashset_model(
             n in 1usize..=130,
             ops in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u32..130), 0..64),
         ) {
-            // The guard is word-granular: ids up to the last allocated
-            // word round-trip; ids past it are dropped.
-            let cap = n.div_ceil(64) * 64;
-            let mut s = BitSet::new(n);
+            let mut s = LocalSet::new(n);
             let mut model = std::collections::HashSet::new();
             for (is_insert, id) in ops {
                 if is_insert {
                     s.insert(LocalId(id));
-                    if (id as usize) < cap {
-                        model.insert(id);
-                    }
+                    model.insert(id);
                 } else {
                     s.remove(LocalId(id));
                     model.remove(&id);
@@ -813,15 +505,17 @@ mod tests {
             }
         }
 
-        /// Union agrees with the set-theoretic union of two models.
+        /// Union agrees with the set-theoretic union of two models, also
+        /// when the sets have grown to different lengths.
         #[test]
         fn bitset_union_matches_model(
             n in 1usize..=130,
+            m in 1usize..=130,
             xs in proptest::collection::vec(0u32..130, 0..32),
             ys in proptest::collection::vec(0u32..130, 0..32),
         ) {
-            let mut a = BitSet::new(n);
-            let mut b = BitSet::new(n);
+            let mut a = LocalSet::new(n);
+            let mut b = LocalSet::new(m);
             for &x in &xs {
                 a.insert(LocalId(x));
             }
@@ -829,10 +523,8 @@ mod tests {
                 b.insert(LocalId(y));
             }
             a.union(&b);
-            let cap = n.div_ceil(64) * 64;
             for probe in 0..130u32 {
-                let want = (probe as usize) < cap
-                    && (xs.contains(&probe) || ys.contains(&probe));
+                let want = xs.contains(&probe) || ys.contains(&probe);
                 proptest::prop_assert_eq!(a.contains(LocalId(probe)), want);
             }
         }

@@ -1,12 +1,14 @@
-//! Static analysis over the typed IR: a type-consistency verifier, a small
-//! dataflow framework, and pointer/bounds lints.
+//! Static analysis over the typed IR: a type-consistency verifier, dataflow
+//! lints, and a forward abstract interpreter.
 //!
 //! The staging pipeline (typecheck → fold → compile) trusts each stage's
 //! output; this module makes that trust checkable. The verifier re-derives
 //! the type of every expression from operand rules and rejects IR whose
 //! annotations disagree, the dataflow passes warn about suspicious-but-legal
 //! programs (use before initialization, dead stores, unreachable code), and
-//! the lints catch constant-foldable memory errors before they reach the VM.
+//! the abstract interpreter (`absint`) catches memory and arithmetic errors
+//! that are certain at stage time before they reach the VM — and proves the
+//! optimizer's check elisions with the same walk.
 //!
 //! Analyses are pure: they never mutate the function. Context they can't
 //! derive from the function itself comes from two optional sources — a
@@ -18,7 +20,6 @@
 
 pub(crate) mod absint;
 mod dataflow;
-mod lint;
 pub mod range;
 mod verify;
 
@@ -136,8 +137,8 @@ pub fn verify_function(
 }
 
 /// Runs every analysis over `f`: the verifier, the dataflow passes
-/// (use-before-init, dead stores, unreachable code, missing return), and —
-/// when a registry is available — the pointer/bounds lints.
+/// (use-before-init, dead stores, unreachable code, missing return), and the
+/// abstract interpreter's definite-bug lints (object sizes need a registry).
 ///
 /// Findings come back ordered errors-first.
 pub fn analyze_function(
@@ -162,9 +163,6 @@ pub fn analyze_function_with(
     if diags.is_empty() {
         // Dataflow and lints assume type-consistent IR.
         dataflow::run(f, &mut diags);
-        if let Some(reg) = types {
-            lint::run(f, reg, env, &mut diags);
-        }
         absint::lint(f, types, env, sums, &mut diags);
     }
     diags.sort_by_key(|d| match d.severity {

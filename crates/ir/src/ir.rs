@@ -347,50 +347,194 @@ impl IrStmt {
     }
 }
 
+/// The shape of the tree, stated once: which fields of a node are the
+/// expressions it evaluates and which are nested statement blocks. Invoked
+/// twice, for shared and for mutable access; every traversal in the mid-end,
+/// the lints, the `parallelfor` outliner and the bytecode compiler is built
+/// from these three accessors, so a new node kind is described here (and in
+/// the code that gives it meaning: verifier, abstract interpreter, printer,
+/// code generator) and nowhere else.
+macro_rules! shape {
+    ($children:ident, $roots:ident, $blocks:ident $(, $m:tt)?) => {
+        impl IrExpr {
+            /// Calls `visit` on each direct child expression, in evaluation
+            /// order.
+            pub fn $children<'e>(&'e $($m)? self, visit: &mut dyn FnMut(&'e $($m)? IrExpr)) {
+                match &$($m)? self.kind {
+                    ExprKind::Load(e) | ExprKind::Unary { expr: e, .. } | ExprKind::Cast(e) => {
+                        visit(e)
+                    }
+                    ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
+                        visit(lhs);
+                        visit(rhs);
+                    }
+                    ExprKind::Call { callee, args } => {
+                        if let Callee::Indirect(p) = callee {
+                            visit(p);
+                        }
+                        for a in args {
+                            visit(a);
+                        }
+                    }
+                    ExprKind::Select {
+                        cond,
+                        then_value,
+                        else_value,
+                    } => {
+                        visit(cond);
+                        visit(then_value);
+                        visit(else_value);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        impl IrStmt {
+            /// Calls `visit` on each expression the statement evaluates
+            /// itself (not those of nested statement bodies), in field order.
+            pub fn $roots<'s>(&'s $($m)? self, visit: &mut dyn FnMut(&'s $($m)? IrExpr)) {
+                match &$($m)? self.kind {
+                    StmtKind::Assign { value: e, .. }
+                    | StmtKind::Expr(e)
+                    | StmtKind::If { cond: e, .. }
+                    | StmtKind::While { cond: e, .. }
+                    | StmtKind::Return(Some(e)) => visit(e),
+                    StmtKind::Store { addr: a, value: b }
+                    | StmtKind::CopyMem { dst: a, src: b, .. } => {
+                        visit(a);
+                        visit(b);
+                    }
+                    StmtKind::For {
+                        start, stop, step, ..
+                    } => {
+                        visit(start);
+                        visit(stop);
+                        visit(step);
+                    }
+                    StmtKind::ParallelFor {
+                        start, stop, args, ..
+                    } => {
+                        visit(start);
+                        visit(stop);
+                        for a in args {
+                            visit(a);
+                        }
+                    }
+                    StmtKind::Return(None) | StmtKind::Break => {}
+                }
+            }
+
+            /// The statement's nested blocks, in source order: the arms of
+            /// an `if`, the body of a loop.
+            pub fn $blocks(&$($m)? self) -> impl Iterator<Item = &$($m)? Vec<IrStmt>> {
+                match &$($m)? self.kind {
+                    StmtKind::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => [Some(then_body), Some(else_body)],
+                    StmtKind::While { body, .. } | StmtKind::For { body, .. } => [Some(body), None],
+                    _ => [None, None],
+                }
+                .into_iter()
+                .flatten()
+            }
+        }
+    };
+}
+
+shape!(children, operand_roots, blocks);
+shape!(children_mut, operand_roots_mut, blocks_mut, mut);
+
+impl IrExpr {
+    /// Calls `visit` on every node of the tree, in preorder.
+    pub fn walk<'e>(&'e self, visit: &mut impl FnMut(&'e IrExpr)) {
+        visit(self);
+        self.children(&mut |c| c.walk(visit));
+    }
+
+    /// [`walk`](Self::walk) with mutable access. A node `visit` replaces is
+    /// descended into as replaced.
+    pub fn walk_mut(&mut self, visit: &mut impl FnMut(&mut IrExpr)) {
+        visit(self);
+        self.children_mut(&mut |c| c.walk_mut(visit));
+    }
+
+    /// Whether `pred` holds for any node of the tree; nothing below or after
+    /// the first match is descended into.
+    pub fn any(&self, pred: &mut impl FnMut(&IrExpr) -> bool) -> bool {
+        let mut found = pred(self);
+        self.children(&mut |c| found = found || c.any(pred));
+        found
+    }
+}
+
 impl IrStmt {
-    /// Calls `visit` on each expression the statement evaluates itself (not
-    /// those of nested statement bodies), in evaluation order.
-    pub fn operand_roots<'s>(&'s self, visit: &mut dyn FnMut(&'s IrExpr)) {
-        match &self.kind {
-            StmtKind::Assign { value: e, .. }
-            | StmtKind::Expr(e)
-            | StmtKind::If { cond: e, .. }
-            | StmtKind::While { cond: e, .. }
-            | StmtKind::Return(Some(e)) => visit(e),
-            StmtKind::Store { addr: a, value: b } | StmtKind::CopyMem { dst: a, src: b, .. } => {
-                visit(a);
-                visit(b);
-            }
-            StmtKind::For {
-                start, stop, step, ..
-            } => {
-                visit(start);
-                visit(stop);
-                visit(step);
-            }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                visit(start);
-                visit(stop);
-                args.iter().for_each(visit);
-            }
-            StmtKind::Return(None) | StmtKind::Break => {}
+    /// Calls `visit(index, node)` for every node of the statement's
+    /// [operands](Self::operand_roots), in preorder, numbered from 1. The
+    /// numbering is what [`proven`](Self::proven) refers to; it survives
+    /// cloning the statement.
+    pub fn operand_nodes(&self, visit: &mut dyn FnMut(u32, &IrExpr)) {
+        let mut next = 0;
+        self.operand_roots(&mut |root| {
+            root.walk(&mut |e| {
+                next += 1;
+                visit(next, e);
+            })
+        });
+    }
+
+    /// Calls `visit` on every statement of `stmts` and of the blocks nested
+    /// in them, in preorder (a statement before its blocks).
+    pub fn walk<'s>(stmts: &'s [IrStmt], visit: &mut impl FnMut(&'s IrStmt)) {
+        for s in stmts {
+            visit(s);
+            s.blocks().for_each(|b| IrStmt::walk(b, visit));
         }
     }
 
-    /// Calls `visit(index, node)` for every node of those expressions, in
-    /// preorder, numbered from 1. The numbering is what
-    /// [`proven`](Self::proven) refers to; it survives cloning the
-    /// statement.
-    pub fn operand_nodes(&self, visit: &mut dyn FnMut(u32, &IrExpr)) {
-        fn walk(e: &IrExpr, next: &mut u32, visit: &mut dyn FnMut(u32, &IrExpr)) {
-            *next += 1;
-            visit(*next, e);
-            crate::passes::util::each_child(e, &mut |c| walk(c, next, visit));
+    /// [`walk`](Self::walk) with mutable access.
+    pub fn walk_mut(stmts: &mut [IrStmt], visit: &mut impl FnMut(&mut IrStmt)) {
+        for s in stmts {
+            visit(s);
+            s.blocks_mut().for_each(|b| IrStmt::walk_mut(b, visit));
         }
-        let mut next = 0;
-        self.operand_roots(&mut |e| walk(e, &mut next, visit));
+    }
+
+    /// Calls `visit` on every expression node of every statement
+    /// [`walk`](Self::walk) reaches: each statement's operands in
+    /// [`operand_nodes`](Self::operand_nodes) order.
+    pub fn walk_exprs<'s>(stmts: &'s [IrStmt], visit: &mut impl FnMut(&'s IrExpr)) {
+        IrStmt::walk(stmts, &mut |s| {
+            s.operand_roots(&mut |root| root.walk(visit))
+        });
+    }
+
+    /// [`walk_exprs`](Self::walk_exprs) with mutable access.
+    pub fn walk_exprs_mut(stmts: &mut [IrStmt], visit: &mut impl FnMut(&mut IrExpr)) {
+        IrStmt::walk_mut(stmts, &mut |s| {
+            s.operand_roots_mut(&mut |root| root.walk_mut(visit))
+        });
+    }
+
+    /// Whether `pred` holds for any statement [`walk`](Self::walk) would
+    /// reach; stops at the first.
+    pub fn any(stmts: &[IrStmt], pred: &mut impl FnMut(&IrStmt) -> bool) -> bool {
+        stmts
+            .iter()
+            .any(|s| pred(s) || s.blocks().any(|b| IrStmt::any(b, pred)))
+    }
+
+    /// Calls `visit` on every block of the tree rooted at `stmts`, innermost
+    /// first and `stmts` itself last — the order for rewrites that delete or
+    /// splice statements of the block they are handed.
+    pub fn each_block_mut(stmts: &mut Vec<IrStmt>, visit: &mut impl FnMut(&mut Vec<IrStmt>)) {
+        for s in stmts.iter_mut() {
+            s.blocks_mut()
+                .for_each(|b| IrStmt::each_block_mut(b, visit));
+        }
+        visit(stmts);
     }
 }
 
@@ -602,6 +746,15 @@ impl IrExpr {
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             },
+        }
+    }
+
+    /// The value of an integer constant node (its bit pattern; `ty` gives
+    /// signedness and width).
+    pub fn int_const(&self) -> Option<i64> {
+        match self.kind {
+            ExprKind::ConstInt(v) => Some(v),
+            _ => None,
         }
     }
 

@@ -67,7 +67,7 @@ fn replace_uses(e: &mut IrExpr, map: &CopyMap, forwarded: &mut usize) {
             *forwarded += 1;
         }
     }
-    super::util::each_child_mut(e, &mut |c| replace_uses(c, map, forwarded));
+    e.children_mut(&mut |c| replace_uses(c, map, forwarded));
 }
 
 fn intersect(a: CopyMap, b: &CopyMap) -> CopyMap {
@@ -91,15 +91,6 @@ fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], map: &mut CopyMap, forwarde
                     }
                 }
             }
-            StmtKind::Store { addr, value } => {
-                replace_uses(addr, map, forwarded);
-                replace_uses(value, map, forwarded);
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                replace_uses(dst, map, forwarded);
-                replace_uses(src, map, forwarded);
-            }
-            StmtKind::Expr(e) => replace_uses(e, map, forwarded),
             StmtKind::If {
                 cond,
                 then_body,
@@ -140,17 +131,8 @@ fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], map: &mut CopyMap, forwarde
                 let mut bmap = map.clone();
                 block(locals, body, &mut bmap, forwarded);
             }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                replace_uses(start, map, forwarded);
-                replace_uses(stop, map, forwarded);
-                for a in args {
-                    replace_uses(a, map, forwarded);
-                }
-            }
-            StmtKind::Return(Some(e)) => replace_uses(e, map, forwarded),
-            StmtKind::Return(None) | StmtKind::Break => {}
+            // Everything else only reads its operands.
+            _ => s.operand_roots_mut(&mut |e| replace_uses(e, map, forwarded)),
         }
     }
 }

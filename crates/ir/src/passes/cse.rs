@@ -13,7 +13,7 @@
 //! entries clobbered by either arm are dropped. Loop bodies start from a
 //! table purged of everything the body reassigns.
 
-use super::util::{collect_assigned, each_child_mut, expr_is_stable, expr_uses, LocalSet};
+use super::util::{collect_assigned, expr_is_stable, expr_uses, LocalSet};
 use super::Remark;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind};
 use terra_syntax::Provenance;
@@ -32,9 +32,9 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
 
 /// Where replacements currently land, for remark attribution: the enclosing
 /// statement's source line and staging chain.
-struct Site<'a> {
+struct Site {
     line: u32,
-    prov: &'a Option<Provenance>,
+    prov: Option<Provenance>,
 }
 
 /// Whether `e` is worth tracking: a stable compound computation (never a
@@ -73,18 +73,15 @@ fn replace(
             return;
         }
     }
-    each_child_mut(e, &mut |c| replace(c, avail, locals, site, remarks));
+    e.children_mut(&mut |c| replace(c, avail, locals, site, remarks));
 }
 
 /// Whether `e` mentions any local in `writes`.
 fn mentions(e: &IrExpr, writes: &LocalSet) -> bool {
-    match e.kind {
-        ExprKind::Local(l) | ExprKind::LocalAddr(l) if writes.contains(l) => return true,
-        _ => {}
-    }
-    let mut found = false;
-    super::util::each_child(e, &mut |c| found |= mentions(c, writes));
-    found
+    e.any(&mut |n| match n.kind {
+        ExprKind::Local(l) | ExprKind::LocalAddr(l) => writes.contains(l),
+        _ => false,
+    })
 }
 
 /// Drops entries held by or mentioning `w`.
@@ -100,7 +97,7 @@ fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], avail: &mut Avail, remarks:
     for s in stmts {
         let site = Site {
             line: s.span.line,
-            prov: &s.prov,
+            prov: s.prov.clone(),
         };
         match &mut s.kind {
             StmtKind::Assign { dst, value } => {
@@ -118,17 +115,6 @@ fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], avail: &mut Avail, remarks:
                     avail.push((value.clone(), dst));
                 }
             }
-            StmtKind::Store { addr, value } => {
-                // Stores don't invalidate anything: table entries never
-                // depend on memory.
-                replace(addr, avail, locals, &site, remarks);
-                replace(value, avail, locals, &site, remarks);
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                replace(dst, avail, locals, &site, remarks);
-                replace(src, avail, locals, &site, remarks);
-            }
-            StmtKind::Expr(e) => replace(e, avail, locals, &site, remarks),
             StmtKind::If {
                 cond,
                 then_body,
@@ -169,17 +155,9 @@ fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], avail: &mut Avail, remarks:
                 let mut bavail = avail.clone();
                 block(locals, body, &mut bavail, remarks);
             }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                replace(start, avail, locals, &site, remarks);
-                replace(stop, avail, locals, &site, remarks);
-                for a in args {
-                    replace(a, avail, locals, &site, remarks);
-                }
-            }
-            StmtKind::Return(Some(e)) => replace(e, avail, locals, &site, remarks),
-            StmtKind::Return(None) | StmtKind::Break => {}
+            // Everything else only reads its operands. Stores among them
+            // invalidate nothing: table entries never depend on memory.
+            _ => s.operand_roots_mut(&mut |e| replace(e, avail, locals, &site, remarks)),
         }
     }
 }

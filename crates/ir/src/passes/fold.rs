@@ -3,10 +3,13 @@
 //! Staged Terra code is full of constants spliced from Lua (block sizes,
 //! unroll factors, field offsets), so expressions like `0 * ldc + 3 * 8`
 //! are common in generated kernels. This pass folds them before bytecode
-//! compilation. Integer identities (`x*0`, `x*1`, `x+0`, `x<<0`) are applied;
-//! floating-point identities are restricted to the NaN-safe `x*1.0` and the
-//! constant-only cases.
+//! compilation. Integer identities (`x*0`, `x*1`, `x+0`, `x<<0`) are applied
+//! — the one that drops its operand, `x*0`, only over a [pure](expr_is_pure)
+//! `x`, the rule `simplify` states for every such rewrite; floating-point
+//! identities are restricted to the NaN-safe `x*1.0` and the constant-only
+//! cases.
 
+use super::util::expr_is_pure;
 use super::Remark;
 use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, StmtKind, UnKind};
 use crate::types::{ScalarTy, Ty};
@@ -53,93 +56,41 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
 }
 
 fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &mut Vec<Remark>) {
-    for s in stmts.iter_mut() {
-        match &mut s.kind {
-            StmtKind::Assign { value, .. } => fold_expr_counted(value, folded),
-            StmtKind::Store { addr, value } => {
-                fold_expr_counted(addr, folded);
-                fold_expr_counted(value, folded);
-            }
-            StmtKind::CopyMem { dst, src, .. } => {
-                fold_expr_counted(dst, folded);
-                fold_expr_counted(src, folded);
-            }
-            StmtKind::Expr(e) => fold_expr_counted(e, folded),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                fold_expr_counted(cond, folded);
-                fold_stmts(then_body, folded, remarks);
-                fold_stmts(else_body, folded, remarks);
-            }
-            StmtKind::While { cond, body } => {
-                fold_expr_counted(cond, folded);
-                fold_stmts(body, folded, remarks);
-            }
-            StmtKind::For {
-                start,
-                stop,
-                step,
-                body,
-                ..
-            } => {
-                fold_expr_counted(start, folded);
-                fold_expr_counted(stop, folded);
-                fold_expr_counted(step, folded);
-                fold_stmts(body, folded, remarks);
-            }
-            StmtKind::ParallelFor {
-                start, stop, args, ..
-            } => {
-                fold_expr_counted(start, folded);
-                fold_expr_counted(stop, folded);
-                for a in args {
-                    fold_expr_counted(a, folded);
-                }
-            }
-            StmtKind::Return(Some(e)) => fold_expr_counted(e, folded),
-            StmtKind::Return(None) | StmtKind::Break => {}
-        }
-    }
+    IrStmt::walk_mut(stmts, &mut |s| {
+        s.operand_roots_mut(&mut |e| fold_expr_counted(e, folded))
+    });
     // Statically-decided `if`s collapse to one arm.
-    let mut out: Vec<IrStmt> = Vec::with_capacity(stmts.len());
-    for s in stmts.drain(..) {
-        let const_if = matches!(
-            &s.kind,
-            StmtKind::If {
-                cond: IrExpr {
-                    kind: ExprKind::ConstBool(_),
-                    ..
-                },
-                ..
-            }
-        );
-        if const_if {
-            remarks.push(Remark::applied(
-                "fold",
-                s.span.line,
-                s.prov.clone(),
-                "collapsed statically-decided branch".to_string(),
-            ));
-            let StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } = s.kind
-            else {
-                unreachable!()
-            };
-            let ExprKind::ConstBool(b) = cond.kind else {
-                unreachable!()
-            };
-            out.extend(if b { then_body } else { else_body });
-        } else {
-            out.push(s);
+    IrStmt::each_block_mut(stmts, &mut |block| {
+        let const_if = |s: &IrStmt| match &s.kind {
+            StmtKind::If { cond, .. } => matches!(cond.kind, ExprKind::ConstBool(_)),
+            _ => false,
+        };
+        if !block.iter().any(const_if) {
+            return;
         }
-    }
-    *stmts = out;
+        for s in std::mem::take(block) {
+            match s.kind {
+                StmtKind::If {
+                    cond:
+                        IrExpr {
+                            kind: ExprKind::ConstBool(b),
+                            ..
+                        },
+                    then_body,
+                    else_body,
+                } => {
+                    remarks.push(Remark::applied(
+                        "fold",
+                        s.span.line,
+                        s.prov,
+                        "collapsed statically-decided branch".to_string(),
+                    ));
+                    block.extend(if b { then_body } else { else_body });
+                }
+                _ => block.push(s),
+            }
+        }
+    });
 }
 
 /// Folds one expression tree in-place.
@@ -151,33 +102,7 @@ pub fn fold_expr(e: &mut IrExpr) {
 /// [`fold_expr`] with a rewrite counter, for the pass manager's remarks.
 fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
     // Fold children first.
-    match &mut e.kind {
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
-            fold_expr_counted(lhs, folded);
-            fold_expr_counted(rhs, folded);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Cast(expr) | ExprKind::Load(expr) => {
-            fold_expr_counted(expr, folded)
-        }
-        ExprKind::Call { args, callee } => {
-            if let crate::ir::Callee::Indirect(p) = callee {
-                fold_expr_counted(p, folded);
-            }
-            for a in args {
-                fold_expr_counted(a, folded);
-            }
-        }
-        ExprKind::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            fold_expr_counted(cond, folded);
-            fold_expr_counted(then_value, folded);
-            fold_expr_counted(else_value, folded);
-        }
-        _ => {}
-    }
+    e.children_mut(&mut |c| fold_expr_counted(c, folded));
 
     let new_kind: Option<ExprKind> = match (&e.ty, &e.kind) {
         (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_integer() => {
@@ -209,13 +134,6 @@ fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
     }
 }
 
-fn int_const(e: &IrExpr) -> Option<i64> {
-    match e.kind {
-        ExprKind::ConstInt(v) => Some(v),
-        _ => None,
-    }
-}
-
 fn float_const(e: &IrExpr) -> Option<f64> {
     match e.kind {
         ExprKind::ConstFloat(v) => Some(v),
@@ -224,7 +142,7 @@ fn float_const(e: &IrExpr) -> Option<f64> {
 }
 
 fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
-    if let (Some(a), Some(b)) = (int_const(lhs), int_const(rhs)) {
+    if let (Some(a), Some(b)) = (lhs.int_const(), rhs.int_const()) {
         let v = match op {
             BinKind::Add => a.wrapping_add(b),
             BinKind::Sub => a.wrapping_sub(b),
@@ -264,14 +182,17 @@ fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Opt
         return Some(ExprKind::ConstInt(st.canonical(v)));
     }
     // Algebraic identities (exact on integers).
-    match (op, int_const(lhs), int_const(rhs)) {
+    match (op, lhs.int_const(), rhs.int_const()) {
         (BinKind::Add, Some(0), _) | (BinKind::Mul, Some(1), _) => Some(rhs.kind.clone()),
         (BinKind::Add, _, Some(0))
         | (BinKind::Sub, _, Some(0))
         | (BinKind::Mul, _, Some(1))
         | (BinKind::Shl, _, Some(0))
         | (BinKind::Shr, _, Some(0)) => Some(lhs.kind.clone()),
-        (BinKind::Mul, Some(0), _) | (BinKind::Mul, _, Some(0)) => Some(ExprKind::ConstInt(0)),
+        // The product drops the other operand, which therefore must be pure:
+        // `(k / i) * 0` still has to trap at `i = 0`.
+        (BinKind::Mul, Some(0), _) if expr_is_pure(rhs) => Some(ExprKind::ConstInt(0)),
+        (BinKind::Mul, _, Some(0)) if expr_is_pure(lhs) => Some(ExprKind::ConstInt(0)),
         _ => None,
     }
 }
@@ -303,7 +224,7 @@ fn fold_float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind
 
 fn fold_cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
     let signed = matches!(&lhs.ty, Ty::Scalar(s) if s.is_signed());
-    if let (Some(a), Some(b)) = (int_const(lhs), int_const(rhs)) {
+    if let (Some(a), Some(b)) = (lhs.int_const(), rhs.int_const()) {
         let (a, b) = if signed {
             (a, b)
         } else {

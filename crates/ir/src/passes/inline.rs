@@ -21,7 +21,7 @@
 //! the out-of-line version. The caller's `deps` are untouched: callees are
 //! still compiled and linked, preserving lazy-linking error behavior.
 
-use super::util::count_nodes;
+use super::util::{block_has_call, count_nodes, expr_is_pure, renumber_locals};
 use super::{InlineEnv, Remark};
 use crate::ir::{Callee, ExprKind, FuncId, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
 use terra_syntax::{ProvKind, Provenance};
@@ -49,19 +49,8 @@ fn inline_block(
     let mut spliced = false;
     let mut i = 0;
     while i < stmts.len() {
-        match &mut stmts[i].kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                spliced |= inline_block(f, env, then_body, remarks);
-                spliced |= inline_block(f, env, else_body, remarks);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                spliced |= inline_block(f, env, body, remarks);
-            }
-            _ => {}
+        for nested in stmts[i].blocks_mut() {
+            spliced |= inline_block(f, env, nested, remarks);
         }
         if let Some(expansion) = try_inline(f, env, &stmts[i], remarks) {
             let n = expansion.len();
@@ -79,24 +68,12 @@ fn inline_block(
 /// Extends the staging chain of every spliced callee statement with an
 /// "inlined at line …" frame, so provenance survives inlining.
 fn stamp_inline(stmts: &mut [IrStmt], line: u32) {
-    for s in stmts {
+    IrStmt::walk_mut(stmts, &mut |s| {
         s.prov = Some(match &s.prov {
             Some(p) => p.extended(ProvKind::Inline, line),
             None => Provenance::new(ProvKind::Inline, line),
         });
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                stamp_inline(then_body, line);
-                stamp_inline(else_body, line);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => stamp_inline(body, line),
-            _ => {}
-        }
-    }
+    });
 }
 
 /// The three statement shapes a call can appear in.
@@ -196,6 +173,7 @@ fn try_inline(
     }
 
     let mut body = callee.body.clone();
+    renumber_locals(&mut body, &|l| LocalId(l.0 + base));
     let tail = match body.last().map(|t| &t.kind) {
         Some(StmtKind::Return(_)) => {
             let Some(IrStmt {
@@ -209,28 +187,24 @@ fn try_inline(
         }
         _ => None,
     };
-    remap_block(&mut body, base);
     stamp_inline(&mut body, s.span.line);
     out.extend(body);
 
     match (site, tail) {
-        (Site::Assign(dst), Some(mut e)) => {
-            remap_expr(&mut e, base);
+        (Site::Assign(dst), Some(e)) => {
             let mut bind = IrStmt::synthesized(s.span, StmtKind::Assign { dst, value: e });
             bind.prov = s.prov.clone();
             out.push(bind);
         }
-        (Site::Discard, Some(mut e)) => {
-            remap_expr(&mut e, base);
-            if !super::util::expr_is_pure(&e) {
+        (Site::Discard, Some(e)) => {
+            if !expr_is_pure(&e) {
                 let mut tail = IrStmt::synthesized(s.span, StmtKind::Expr(e));
                 tail.prov = s.prov.clone();
                 out.push(tail);
             }
         }
         (Site::Discard, None) => {}
-        (Site::Return, Some(mut e)) => {
-            remap_expr(&mut e, base);
+        (Site::Return, Some(e)) => {
             let mut tail = IrStmt::synthesized(s.span, StmtKind::Return(Some(e)));
             tail.prov = s.prov.clone();
             out.push(tail);
@@ -266,12 +240,16 @@ fn not_inlinable_reason(callee: &IrFunction) -> Option<String> {
     {
         return Some("callee has aggregate or address-taken parameters".to_string());
     }
-    if block_has_calls(&callee.body) {
+    // Builtins are fine in a leaf: they cannot recurse into Terra code.
+    if block_has_call(&callee.body, false) {
         return Some("callee is not a leaf (contains calls)".to_string());
     }
     // Single-exit: zero returns (unit fallthrough) or exactly one, as the
     // final top-level statement.
-    let total = count_returns(&callee.body);
+    let mut total = 0;
+    IrStmt::walk(&callee.body, &mut |s| {
+        total += usize::from(matches!(s.kind, StmtKind::Return(_)))
+    });
     let single_exit = match total {
         0 => true,
         1 => matches!(
@@ -284,97 +262,4 @@ fn not_inlinable_reason(callee: &IrFunction) -> Option<String> {
         return Some(format!("callee has multiple exits ({total} returns)"));
     }
     None
-}
-
-fn count_returns(stmts: &[IrStmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| match &s.kind {
-            StmtKind::Return(_) => 1,
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => count_returns(then_body) + count_returns(else_body),
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => count_returns(body),
-            _ => 0,
-        })
-        .sum()
-}
-
-fn expr_has_calls(e: &IrExpr) -> bool {
-    if matches!(
-        e.kind,
-        ExprKind::Call {
-            callee: Callee::Direct(_) | Callee::Indirect(_),
-            ..
-        }
-    ) {
-        return true;
-    }
-    let mut found = false;
-    super::util::each_child(e, &mut |c| found |= expr_has_calls(c));
-    found
-}
-
-fn block_has_calls(stmts: &[IrStmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Assign { value, .. } => expr_has_calls(value),
-        StmtKind::Store { addr, value } => expr_has_calls(addr) || expr_has_calls(value),
-        StmtKind::CopyMem { dst, src, .. } => expr_has_calls(dst) || expr_has_calls(src),
-        StmtKind::Expr(e) => expr_has_calls(e),
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => expr_has_calls(cond) || block_has_calls(then_body) || block_has_calls(else_body),
-        StmtKind::While { cond, body } => expr_has_calls(cond) || block_has_calls(body),
-        StmtKind::For {
-            start,
-            stop,
-            step,
-            body,
-            ..
-        } => {
-            expr_has_calls(start)
-                || expr_has_calls(stop)
-                || expr_has_calls(step)
-                || block_has_calls(body)
-        }
-        // A parallel loop is a call to its kernel.
-        StmtKind::ParallelFor { .. } => true,
-        StmtKind::Return(Some(e)) => expr_has_calls(e),
-        StmtKind::Return(None) | StmtKind::Break => false,
-    })
-}
-
-fn remap_expr(e: &mut IrExpr, base: u32) {
-    match &mut e.kind {
-        ExprKind::Local(l) | ExprKind::LocalAddr(l) => l.0 += base,
-        _ => {}
-    }
-    super::util::each_child_mut(e, &mut |c| remap_expr(c, base));
-}
-
-fn remap_block(stmts: &mut [IrStmt], base: u32) {
-    for s in stmts {
-        match &mut s.kind {
-            StmtKind::Assign { dst, .. } => dst.0 += base,
-            StmtKind::For { var, .. } => var.0 += base,
-            _ => {}
-        }
-        super::util::for_each_stmt_expr_mut(s, &mut |e| remap_expr(e, base));
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                remap_block(then_body, base);
-                remap_block(else_body, base);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => remap_block(body, base),
-            _ => {}
-        }
-    }
 }

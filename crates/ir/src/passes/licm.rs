@@ -23,7 +23,7 @@
 //! a frame local (so the load cannot trap even when the loop runs zero
 //! times), an invariant load is hoisted like any other invariant value.
 
-use super::util::{collect_assigned, LocalSet};
+use super::util::{block_has_call, collect_assigned, expr_has_call, LocalSet};
 use super::{PassConfig, Remark};
 use crate::analysis::absint::proven_const_access;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
@@ -61,17 +61,8 @@ impl Licm<'_> {
     fn block(&mut self, stmts: &mut Vec<IrStmt>) {
         let mut i = 0;
         while i < stmts.len() {
-            match &mut stmts[i].kind {
-                StmtKind::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    self.block(then_body);
-                    self.block(else_body);
-                }
-                StmtKind::While { body, .. } | StmtKind::For { body, .. } => self.block(body),
-                _ => {}
+            for nested in stmts[i].blocks_mut() {
+                self.block(nested);
             }
             if matches!(stmts[i].kind, StmtKind::While { .. } | StmtKind::For { .. }) {
                 let hoists = self.hoist_loop(&mut stmts[i]);
@@ -100,7 +91,7 @@ impl Licm<'_> {
         let mut hoisted: Vec<(IrExpr, LocalId)> = Vec::new();
         match &mut s.kind {
             StmtKind::While { cond, body } => {
-                self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond);
+                self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond, true);
                 // The condition re-evaluates every iteration: its invariant
                 // parts are worth hoisting too.
                 self.scan_expr(cond, &writes, &mut hoisted);
@@ -144,58 +135,11 @@ impl Licm<'_> {
         writes: &LocalSet,
         out: &mut Vec<(IrExpr, LocalId)>,
     ) {
-        for s in stmts {
-            match &mut s.kind {
-                StmtKind::Assign { value, .. } => self.scan_expr(value, writes, out),
-                StmtKind::Store { addr, value } => {
-                    self.scan_expr(addr, writes, out);
-                    self.scan_expr(value, writes, out);
-                }
-                StmtKind::CopyMem { dst, src, .. } => {
-                    self.scan_expr(dst, writes, out);
-                    self.scan_expr(src, writes, out);
-                }
-                StmtKind::Expr(e) => self.scan_expr(e, writes, out),
-                StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    self.scan_expr(cond, writes, out);
-                    self.scan_block(then_body, writes, out);
-                    self.scan_block(else_body, writes, out);
-                }
-                StmtKind::While { cond, body } => {
-                    // `writes` covers the whole outer body, including this
-                    // nested loop, so invariance is still sound here.
-                    self.scan_expr(cond, writes, out);
-                    self.scan_block(body, writes, out);
-                }
-                StmtKind::For {
-                    start,
-                    stop,
-                    step,
-                    body,
-                    ..
-                } => {
-                    self.scan_expr(start, writes, out);
-                    self.scan_expr(stop, writes, out);
-                    self.scan_expr(step, writes, out);
-                    self.scan_block(body, writes, out);
-                }
-                StmtKind::ParallelFor {
-                    start, stop, args, ..
-                } => {
-                    self.scan_expr(start, writes, out);
-                    self.scan_expr(stop, writes, out);
-                    for a in args {
-                        self.scan_expr(a, writes, out);
-                    }
-                }
-                StmtKind::Return(Some(e)) => self.scan_expr(e, writes, out),
-                StmtKind::Return(None) | StmtKind::Break => {}
-            }
-        }
+        // `writes` covers the whole outer body, nested loops included, so
+        // invariance is still sound inside them.
+        IrStmt::walk_mut(stmts, &mut |s| {
+            s.operand_roots_mut(&mut |e| self.scan_expr(e, writes, out))
+        });
     }
 
     /// Replaces maximal invariant compound subtrees of `e` with temporary
@@ -215,7 +159,7 @@ impl Licm<'_> {
             e.kind = ExprKind::Local(dst);
             return;
         }
-        super::util::each_child_mut(e, &mut |c| self.scan_expr(c, writes, out));
+        e.children_mut(&mut |c| self.scan_expr(c, writes, out));
     }
 
     /// A hoist candidate is a compound register-valued expression that is
@@ -252,68 +196,24 @@ impl Licm<'_> {
             _ => {}
         }
         let mut ok = true;
-        super::util::each_child(e, &mut |c| ok &= self.invariant(c, writes));
+        e.children(&mut |c| ok &= self.invariant(c, writes));
         ok
     }
 }
 
 /// No statement in the block (or any nested block) can change memory: no
 /// stores, no memory copies, and no calls anywhere, including in expression
-/// position.
+/// position (builtins count: `memset`, `free`) and as a `parallelfor`, whose
+/// kernel may write through captured pointers.
 fn block_is_memory_pure(stmts: &[IrStmt]) -> bool {
-    stmts.iter().all(|s| match &s.kind {
-        StmtKind::Store { .. } | StmtKind::CopyMem { .. } => false,
-        StmtKind::Assign { value, .. } => !expr_has_call(value),
-        StmtKind::Expr(e) => !expr_has_call(e),
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            !expr_has_call(cond)
-                && block_is_memory_pure(then_body)
-                && block_is_memory_pure(else_body)
-        }
-        StmtKind::While { cond, body } => !expr_has_call(cond) && block_is_memory_pure(body),
-        StmtKind::For {
-            start,
-            stop,
-            step,
-            body,
-            ..
-        } => {
-            !expr_has_call(start)
-                && !expr_has_call(stop)
-                && !expr_has_call(step)
-                && block_is_memory_pure(body)
-        }
-        // The kernel may write memory through captured pointers.
-        StmtKind::ParallelFor { .. } => false,
-        StmtKind::Return(Some(e)) => !expr_has_call(e),
-        StmtKind::Return(None) | StmtKind::Break => true,
-    })
-}
-
-fn expr_has_call(e: &IrExpr) -> bool {
-    if matches!(e.kind, ExprKind::Call { .. }) {
-        return true;
-    }
-    let mut found = false;
-    super::util::each_child(e, &mut |c| found |= expr_has_call(c));
-    found
+    let writes = |s: &IrStmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::CopyMem { .. });
+    !IrStmt::any(stmts, &mut |s| writes(s)) && !block_has_call(stmts, true)
 }
 
 /// Every frame local whose address feeds `addr` is unwritten by the loop
 /// (wholesale reassignment of the local would change what the load sees).
 fn addr_bases_unwritten(addr: &IrExpr, writes: &LocalSet) -> bool {
-    if let ExprKind::LocalAddr(l) = addr.kind {
-        if writes.contains(l) {
-            return false;
-        }
-    }
-    let mut ok = true;
-    super::util::each_child(addr, &mut |c| ok &= addr_bases_unwritten(c, writes));
-    ok
+    !addr.any(&mut |e| matches!(e.kind, ExprKind::LocalAddr(l) if writes.contains(l)))
 }
 
 /// Non-recursive stability test (the recursion happens in `invariant`).

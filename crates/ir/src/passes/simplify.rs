@@ -14,9 +14,9 @@
 //! peephole recognizes `<<` by a constant as a scale, so reducing a
 //! multiplication inside an address computation never defeats `lea` fusion.
 
-use super::util::{each_child_mut, expr_is_pure, expr_is_stable, for_each_stmt_expr_mut};
+use super::util::{expr_is_pure, expr_is_stable};
 use super::Remark;
-use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalSlot, StmtKind};
+use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalSlot};
 use crate::types::{ScalarTy, Ty};
 
 /// Simplifies every expression in the function, bottom-up; returns whether
@@ -24,7 +24,9 @@ use crate::types::{ScalarTy, Ty};
 pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let IrFunction { locals, body, .. } = f;
     let mut rewrites = 0usize;
-    block(locals, body, &mut rewrites);
+    IrStmt::walk_mut(body, &mut |s| {
+        s.operand_roots_mut(&mut |e| simplify(locals, e, &mut rewrites))
+    });
     if rewrites > 0 {
         remarks.push(Remark::applied(
             "simplify",
@@ -34,33 +36,6 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
         ));
     }
     rewrites > 0
-}
-
-fn block(locals: &[LocalSlot], stmts: &mut [IrStmt], rewrites: &mut usize) {
-    for s in stmts {
-        for_each_stmt_expr_mut(s, &mut |e| simplify(locals, e, rewrites));
-        match &mut s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                block(locals, then_body, rewrites);
-                block(locals, else_body, rewrites);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                block(locals, body, rewrites)
-            }
-            _ => {}
-        }
-    }
-}
-
-fn int_const(e: &IrExpr) -> Option<i64> {
-    match e.kind {
-        ExprKind::ConstInt(v) => Some(v),
-        _ => None,
-    }
 }
 
 /// `Some(k)` when `c == 2^k` with `k >= 1` (interpreting `c` as the
@@ -81,7 +56,7 @@ fn power_of_two(st: ScalarTy, c: i64) -> Option<u32> {
 }
 
 fn simplify(locals: &[LocalSlot], e: &mut IrExpr, rewrites: &mut usize) {
-    each_child_mut(e, &mut |c| simplify(locals, c, rewrites));
+    e.children_mut(&mut |c| simplify(locals, c, rewrites));
 
     let new_kind: Option<ExprKind> = match (&e.ty, &e.kind) {
         (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_integer() => {
@@ -94,7 +69,7 @@ fn simplify(locals: &[LocalSlot], e: &mut IrExpr, rewrites: &mut usize) {
         (ty, ExprKind::Binary { op, lhs, rhs })
             if ty.is_pointer()
                 && matches!(op, BinKind::Add | BinKind::Sub)
-                && int_const(rhs) == Some(0) =>
+                && rhs.int_const() == Some(0) =>
         {
             Some(lhs.kind.clone())
         }
@@ -157,12 +132,12 @@ fn int_binary(
     match op {
         // x * 2^k → x << k (exact under two's-complement wrapping).
         BinKind::Mul => {
-            if let Some(c) = int_const(rhs) {
+            if let Some(c) = rhs.int_const() {
                 if let Some(k) = power_of_two(st, c) {
                     return shift(lhs, BinKind::Shl, k);
                 }
             }
-            if let Some(c) = int_const(lhs) {
+            if let Some(c) = lhs.int_const() {
                 if let Some(k) = power_of_two(st, c) {
                     return shift(rhs, BinKind::Shl, k);
                 }
@@ -170,7 +145,7 @@ fn int_binary(
             None
         }
         // Unsigned x / 2^k → logical shift; x / 1 is exact for any sign.
-        BinKind::Div => match int_const(rhs) {
+        BinKind::Div => match rhs.int_const() {
             Some(1) => Some(lhs.kind.clone()),
             Some(c) if !st.is_signed() => {
                 power_of_two(st, c).and_then(|k| shift(lhs, BinKind::Shr, k))
@@ -178,7 +153,7 @@ fn int_binary(
             _ => None,
         },
         // x % 1 → 0; unsigned x % 2^k → x & (2^k - 1).
-        BinKind::Rem => match int_const(rhs) {
+        BinKind::Rem => match rhs.int_const() {
             Some(1) if expr_is_pure(lhs) => Some(ExprKind::ConstInt(0)),
             Some(c) if !st.is_signed() => power_of_two(st, c).map(|_| ExprKind::Binary {
                 op: BinKind::And,

@@ -1,5 +1,7 @@
-//! Shared machinery for the optimization passes: local-id sets, expression
-//! walkers, purity/effect classification, write sets, and block termination.
+//! The facts the optimization passes and the `--lint` dataflow analyses both
+//! read, each stated once: local-id sets, purity/effect classification, uses
+//! and write sets, calls, block termination, and backward liveness. (The
+//! *shape* of the tree — children, operands, nested blocks — is in `ir.rs`.)
 //!
 //! The effect tests here define what every transform pass is allowed to
 //! delete, duplicate, or reorder. They are deliberately conservative: a
@@ -8,7 +10,9 @@
 //! is a non-zero constant (it can trap on zero). Optimized code must trap
 //! exactly when unoptimized code would.
 
-use crate::ir::{BinKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind};
+use crate::ir::{
+    BinKind, Callee, ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind,
+};
 
 /// Dense bitset over [`LocalId`]s that grows on insert (passes may add
 /// locals while a set is alive).
@@ -77,103 +81,6 @@ impl PartialEq for LocalSet {
     }
 }
 
-/// Calls `f` on each direct child expression of `e`.
-pub fn each_child(e: &IrExpr, f: &mut dyn FnMut(&IrExpr)) {
-    match &e.kind {
-        ExprKind::Load(a) => f(a),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Cast(expr) => f(expr),
-        ExprKind::Call { callee, args } => {
-            if let crate::ir::Callee::Indirect(p) = callee {
-                f(p);
-            }
-            for a in args {
-                f(a);
-            }
-        }
-        ExprKind::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            f(cond);
-            f(then_value);
-            f(else_value);
-        }
-        _ => {}
-    }
-}
-
-/// Calls `f` on each direct child expression of `e`, mutably.
-pub fn each_child_mut(e: &mut IrExpr, f: &mut dyn FnMut(&mut IrExpr)) {
-    match &mut e.kind {
-        ExprKind::Load(a) => f(a),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Cmp { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Cast(expr) => f(expr),
-        ExprKind::Call { callee, args } => {
-            if let crate::ir::Callee::Indirect(p) = callee {
-                f(p);
-            }
-            for a in args {
-                f(a);
-            }
-        }
-        ExprKind::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            f(cond);
-            f(then_value);
-            f(else_value);
-        }
-        _ => {}
-    }
-}
-
-/// Calls `f` on each expression a statement evaluates directly (not those
-/// inside nested statement blocks).
-pub fn for_each_stmt_expr_mut(s: &mut IrStmt, f: &mut dyn FnMut(&mut IrExpr)) {
-    match &mut s.kind {
-        StmtKind::Assign { value, .. } => f(value),
-        StmtKind::Store { addr, value } => {
-            f(addr);
-            f(value);
-        }
-        StmtKind::CopyMem { dst, src, .. } => {
-            f(dst);
-            f(src);
-        }
-        StmtKind::Expr(e) => f(e),
-        StmtKind::If { cond, .. } => f(cond),
-        StmtKind::While { cond, .. } => f(cond),
-        StmtKind::For {
-            start, stop, step, ..
-        } => {
-            f(start);
-            f(stop);
-            f(step);
-        }
-        StmtKind::ParallelFor {
-            start, stop, args, ..
-        } => {
-            f(start);
-            f(stop);
-            for a in args {
-                f(a);
-            }
-        }
-        StmtKind::Return(Some(e)) => f(e),
-        StmtKind::Return(None) | StmtKind::Break => {}
-    }
-}
-
 /// Whether an integer `Div`/`Rem` node can trap at runtime (divisor not a
 /// known non-zero constant). Float division never traps.
 fn divides_by_possible_zero(e: &IrExpr) -> bool {
@@ -198,7 +105,7 @@ pub fn expr_is_pure(e: &IrExpr) -> bool {
         return false;
     }
     let mut pure = true;
-    each_child(e, &mut |c| pure &= expr_is_pure(c));
+    e.children(&mut |c| pure &= expr_is_pure(c));
     pure
 }
 
@@ -215,53 +122,69 @@ pub fn expr_is_stable(e: &IrExpr, locals: &[LocalSlot]) -> bool {
         return false;
     }
     let mut ok = true;
-    each_child(e, &mut |c| ok &= expr_is_stable(c, locals));
+    e.children(&mut |c| ok &= expr_is_stable(c, locals));
     ok
 }
 
 /// Adds every local `e` mentions (reads and address-takes) to `out`.
 pub fn add_uses(e: &IrExpr, out: &mut LocalSet) {
-    match e.kind {
-        ExprKind::Local(l) | ExprKind::LocalAddr(l) => out.insert(l),
-        _ => {}
-    }
-    each_child(e, &mut |c| add_uses(c, out));
+    e.walk(&mut |n| {
+        if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = n.kind {
+            out.insert(l);
+        }
+    });
 }
 
 /// Whether `e` mentions local `l` (as a read or address-take).
 pub fn expr_uses(e: &IrExpr, l: LocalId) -> bool {
-    match e.kind {
-        ExprKind::Local(x) | ExprKind::LocalAddr(x) if x == l => return true,
-        _ => {}
-    }
-    let mut found = false;
-    each_child(e, &mut |c| found |= expr_uses(c, l));
-    found
+    e.any(&mut |n| matches!(n.kind, ExprKind::Local(x) | ExprKind::LocalAddr(x) if x == l))
+}
+
+/// Whether evaluating `e` makes a call: direct, indirect or — when
+/// `builtins` is set — to a VM builtin.
+pub(crate) fn expr_has_call(e: &IrExpr, builtins: bool) -> bool {
+    e.any(&mut |n| match &n.kind {
+        ExprKind::Call { callee, .. } => builtins || !matches!(callee, Callee::Builtin(_)),
+        _ => false,
+    })
+}
+
+/// [`expr_has_call`] over every expression of `stmts` and the blocks nested
+/// in them; a `parallelfor` is a call to its kernel.
+pub(crate) fn block_has_call(stmts: &[IrStmt], builtins: bool) -> bool {
+    IrStmt::any(stmts, &mut |s| {
+        let mut found = matches!(s.kind, StmtKind::ParallelFor { .. });
+        s.operand_roots(&mut |e| found = found || expr_has_call(e, builtins));
+        found
+    })
 }
 
 /// Records every register local that statements in `stmts` (recursively)
 /// assign: `Assign` destinations and `for` loop variables. Writes to memory
 /// (stores, copies) don't change register locals and are not collected.
 pub fn collect_assigned(stmts: &[IrStmt], out: &mut LocalSet) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign { dst, .. } => out.insert(*dst),
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-            StmtKind::While { body, .. } => collect_assigned(body, out),
-            StmtKind::For { var, body, .. } => {
-                out.insert(*var);
-                collect_assigned(body, out);
-            }
-            _ => {}
+    IrStmt::walk(stmts, &mut |s| {
+        if let StmtKind::Assign { dst: l, .. } | StmtKind::For { var: l, .. } = &s.kind {
+            out.insert(*l);
         }
-    }
+    });
+}
+
+/// Rewrites every local id in `stmts` — reads, address-takes, assignment
+/// destinations, loop variables — through `map`.
+pub fn renumber_locals(stmts: &mut [IrStmt], map: &dyn Fn(LocalId) -> LocalId) {
+    IrStmt::walk_mut(stmts, &mut |s| {
+        if let StmtKind::Assign { dst: l, .. } | StmtKind::For { var: l, .. } = &mut s.kind {
+            *l = map(*l);
+        }
+        s.operand_roots_mut(&mut |root| {
+            root.walk_mut(&mut |e| {
+                if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = &mut e.kind {
+                    *l = map(*l);
+                }
+            })
+        });
+    });
 }
 
 /// Whether `stmts` contains a `break` targeting the enclosing loop (not one
@@ -299,49 +222,110 @@ pub fn block_terminates(stmts: &[IrStmt]) -> bool {
     stmts.iter().any(stmt_terminates)
 }
 
+/// Backward liveness over the structured statement tree: the locals live on
+/// entry to `stmts`, given those `live` after them. Memory is not tracked
+/// (stores and copies only generate uses), a loop body is iterated to a
+/// union fixpoint over its back edge, and a `break` — whose target this
+/// structured walk does not thread through — makes every local live.
+///
+/// The `--lint` dead-store warning and the dead-store elimination of `dce`
+/// are both this walk; they differ in what an assignment to a dead local
+/// does to the liveness of its operands, so that is the parameter.
+/// `dead_assign(stmt, dst, value, settled)` is asked about every such
+/// assignment and answers whether it goes away: an assignment that stays
+/// keeps its operands live, one that goes generates no uses, which is what
+/// lets a chain of dead stores fall in one sweep. `settled` is false on the
+/// walks that only iterate a loop to its fixpoint and true on the one walk
+/// made over each statement with the final sets — the one to act on.
+pub(crate) fn live_in(
+    stmts: &[IrStmt],
+    mut live: LocalSet,
+    nlocals: usize,
+    settled: bool,
+    dead_assign: &mut dyn FnMut(&IrStmt, LocalId, &IrExpr, bool) -> bool,
+) -> LocalSet {
+    for s in stmts.iter().rev() {
+        match &s.kind {
+            StmtKind::Assign { dst, value } => {
+                if live.contains(*dst) || !dead_assign(s, *dst, value, settled) {
+                    live.remove(*dst);
+                    add_uses(value, &mut live);
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let t = live_in(then_body, live.clone(), nlocals, settled, dead_assign);
+                live = live_in(else_body, live, nlocals, settled, dead_assign);
+                live.union(&t);
+                add_uses(cond, &mut live);
+            }
+            StmtKind::While { cond, body } => {
+                add_uses(cond, &mut live);
+                live = loop_boundary(body, live, nlocals, settled, dead_assign);
+            }
+            StmtKind::For {
+                var,
+                start,
+                stop,
+                step,
+                body,
+            } => {
+                // The header reads the variable and the bounds on every
+                // iteration.
+                live.insert(*var);
+                add_uses(stop, &mut live);
+                add_uses(step, &mut live);
+                live = loop_boundary(body, live, nlocals, settled, dead_assign);
+                live.remove(*var);
+                for e in [start, stop, step] {
+                    add_uses(e, &mut live);
+                }
+            }
+            StmtKind::Return(_) => {
+                live = LocalSet::new(nlocals);
+                s.operand_roots(&mut |e| add_uses(e, &mut live));
+            }
+            StmtKind::Break => live = LocalSet::full(nlocals),
+            // Everything else only reads: stores, copies, calls, `parallelfor`.
+            _ => s.operand_roots(&mut |e| add_uses(e, &mut live)),
+        }
+    }
+    live
+}
+
+/// The set live at a loop's back edge, from the set live around the loop:
+/// the fixpoint of [`live_in`] over `body`, then the settled walk of it.
+fn loop_boundary(
+    body: &[IrStmt],
+    mut boundary: LocalSet,
+    nlocals: usize,
+    settled: bool,
+    dead_assign: &mut dyn FnMut(&IrStmt, LocalId, &IrExpr, bool) -> bool,
+) -> LocalSet {
+    loop {
+        let mut next = live_in(body, boundary.clone(), nlocals, false, dead_assign);
+        next.union(&boundary);
+        if next == boundary {
+            break;
+        }
+        boundary = next;
+    }
+    if settled {
+        live_in(body, boundary.clone(), nlocals, true, dead_assign);
+    }
+    boundary
+}
+
 /// IR size of a function: statements plus expression nodes. Used for the
 /// inliner's budget.
 pub fn count_nodes(f: &IrFunction) -> usize {
-    fn expr(e: &IrExpr) -> usize {
-        let mut n = 1;
-        each_child(e, &mut |c| n += expr(c));
-        n
-    }
-    fn block(stmts: &[IrStmt]) -> usize {
-        let mut n = 0;
-        for s in stmts {
-            n += 1;
-            match &s.kind {
-                StmtKind::Assign { value, .. } => n += expr(value),
-                StmtKind::Store { addr, value } => n += expr(addr) + expr(value),
-                StmtKind::CopyMem { dst, src, .. } => n += expr(dst) + expr(src),
-                StmtKind::Expr(e) => n += expr(e),
-                StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => n += expr(cond) + block(then_body) + block(else_body),
-                StmtKind::While { cond, body } => n += expr(cond) + block(body),
-                StmtKind::For {
-                    start,
-                    stop,
-                    step,
-                    body,
-                    ..
-                } => n += expr(start) + expr(stop) + expr(step) + block(body),
-                StmtKind::ParallelFor {
-                    start, stop, args, ..
-                } => {
-                    n += expr(start) + expr(stop);
-                    for a in args {
-                        n += expr(a);
-                    }
-                }
-                StmtKind::Return(Some(e)) => n += expr(e),
-                StmtKind::Return(None) | StmtKind::Break => {}
-            }
-        }
-        n
-    }
-    block(&f.body)
+    let mut n = 0;
+    IrStmt::walk(&f.body, &mut |s| {
+        n += 1;
+        s.operand_roots(&mut |root| root.walk(&mut |_| n += 1));
+    });
+    n
 }

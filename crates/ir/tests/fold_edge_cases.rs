@@ -2,7 +2,9 @@
 //! division/modulo by zero (left unfolded for the VM to trap), and float
 //! NaN propagation.
 
-use terra_ir::{fold_expr, BinKind, CmpKind, ExprKind, IrExpr, ScalarTy, Ty, UnKind};
+use terra_ir::{
+    fold_expr, BinKind, Callee, CmpKind, ExprKind, FuncId, IrExpr, LocalId, ScalarTy, Ty, UnKind,
+};
 
 fn int_const(ty: Ty, v: i64) -> IrExpr {
     IrExpr {
@@ -134,6 +136,63 @@ fn unsigned_div_by_zero_not_folded() {
             ..
         }
     ));
+}
+
+/// `x * 0` and `0 * x` drop `x`, so they fold only over a pure `x`: a
+/// division whose divisor may be zero, a load and a call all stay.
+#[test]
+fn zero_product_keeps_an_operand_that_can_trap() {
+    let k = || IrExpr::local(LocalId(0), Ty::INT);
+    let i = || IrExpr::local(LocalId(1), Ty::INT);
+    let load = IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Load(Box::new(IrExpr::local(LocalId(2), Ty::INT.ptr_to()))),
+    };
+    let call = IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Call {
+            callee: Callee::Direct(FuncId(0)),
+            args: vec![],
+        },
+    };
+    for effectful in [
+        bin(BinKind::Div, k(), i()),
+        bin(BinKind::Rem, k(), i()),
+        load,
+        call,
+    ] {
+        for zero_first in [false, true] {
+            let mut e = if zero_first {
+                bin(BinKind::Mul, IrExpr::int32(0), effectful.clone())
+            } else {
+                bin(BinKind::Mul, effectful.clone(), IrExpr::int32(0))
+            };
+            let before = e.clone();
+            fold_expr(&mut e);
+            assert_eq!(e, before, "dropped {effectful:?}");
+        }
+    }
+}
+
+#[test]
+fn zero_product_folds_over_a_pure_operand() {
+    let k = || IrExpr::local(LocalId(0), Ty::INT);
+    // A division by a non-zero constant cannot trap.
+    for pure in [
+        k(),
+        bin(BinKind::Add, k(), IrExpr::int32(3)),
+        bin(BinKind::Div, k(), IrExpr::int32(2)),
+    ] {
+        for zero_first in [false, true] {
+            let mut e = if zero_first {
+                bin(BinKind::Mul, IrExpr::int32(0), pure.clone())
+            } else {
+                bin(BinKind::Mul, pure.clone(), IrExpr::int32(0))
+            };
+            fold_expr(&mut e);
+            assert_eq!(folded_int(&e), Some(0), "kept {pure:?}");
+        }
+    }
 }
 
 #[test]

@@ -55,7 +55,9 @@ fn changed_by(stats: &PassStats) -> Vec<&'static str> {
     names
 }
 
-/// Counts expression nodes matching `pred` anywhere in the body.
+/// Counts expression nodes matching `pred` anywhere in the body. Written out
+/// variant by variant on purpose: it is the reference the IR's own
+/// traversals (`IrStmt::walk`, `IrExpr::walk`) are checked against below.
 fn count_exprs(f: &IrFunction, pred: &dyn Fn(&ExprKind) -> bool) -> usize {
     fn expr(e: &IrExpr, pred: &dyn Fn(&ExprKind) -> bool, n: &mut usize) {
         if pred(&e.kind) {
@@ -77,7 +79,12 @@ fn count_exprs(f: &IrFunction, pred: &dyn Fn(&ExprKind) -> bool) -> usize {
                 expr(then_value, pred, n);
                 expr(else_value, pred, n);
             }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| expr(a, pred, n)),
+            ExprKind::Call { callee, args } => {
+                if let Callee::Indirect(p) = callee {
+                    expr(p, pred, n);
+                }
+                args.iter().for_each(|a| expr(a, pred, n));
+            }
             _ => {}
         }
     }
@@ -764,4 +771,230 @@ fn no_pass_reports_a_change_it_did_not_make() {
     assert_eq!(stats.runs.len(), 9);
     assert!(changed_by(&stats).is_empty(), "{stats:?}");
     assert_eq!(f, before);
+}
+
+// ------------------------------------------------ the one traversal
+
+/// Every statement kind and every expression kind with children, nested.
+fn kitchen_sink() -> IrFunction {
+    let mut f = func(vec![Ty::INT, Ty::INT.ptr_to()], Ty::INT);
+    let (n, p) = (LocalId(0), LocalId(1));
+    let i = f.add_local("i", Ty::INT, false);
+    let acc = f.add_local("acc", Ty::INT, false);
+    let arr = f.add_local("arr", Ty::Array(std::sync::Arc::new(Ty::INT), 4), true);
+    let int = |l| IrExpr::local(l, Ty::INT);
+    let ptr = |kind| IrExpr {
+        ty: Ty::INT.ptr_to(),
+        kind,
+    };
+    let at = |base: IrExpr, off: IrExpr| IrExpr::binary(BinKind::Add, base, off);
+    let load = |addr: IrExpr| IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Load(Box::new(addr)),
+    };
+    let call = |callee, args| IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Call { callee, args },
+    };
+    let fn_ptr = IrExpr {
+        ty: Ty::Func(std::sync::Arc::new(FuncTy {
+            params: vec![Ty::INT],
+            ret: Ty::INT,
+        })),
+        kind: ExprKind::ConstFunc(FuncId(7)),
+    };
+    f.body = vec![
+        assign(acc, IrExpr::int32(0)),
+        IrStmt::new(StmtKind::Store {
+            addr: at(ptr(ExprKind::LocalAddr(arr)), IrExpr::int64(4)),
+            value: IrExpr::binary(BinKind::Mul, int(n), IrExpr::int32(3)),
+        }),
+        IrStmt::new(StmtKind::CopyMem {
+            dst: ptr(ExprKind::LocalAddr(arr)),
+            src: ptr(ExprKind::Local(p)),
+            size: 16,
+        }),
+        IrStmt::new(StmtKind::For {
+            var: i,
+            start: IrExpr::int32(0),
+            stop: int(n),
+            step: IrExpr::int32(1),
+            body: vec![
+                IrStmt::new(StmtKind::If {
+                    cond: IrExpr::cmp(terra_ir::CmpKind::Lt, int(i), IrExpr::int32(2)),
+                    then_body: vec![assign(
+                        acc,
+                        IrExpr::binary(
+                            BinKind::Add,
+                            int(acc),
+                            load(at(ptr(ExprKind::Local(p)), IrExpr::int64(8))),
+                        ),
+                    )],
+                    else_body: vec![
+                        IrStmt::new(StmtKind::Expr(call(
+                            Callee::Indirect(Box::new(fn_ptr)),
+                            vec![IrExpr {
+                                ty: Ty::INT,
+                                kind: ExprKind::Unary {
+                                    op: terra_ir::UnKind::Neg,
+                                    expr: Box::new(int(i)),
+                                },
+                            }],
+                        ))),
+                        IrStmt::new(StmtKind::Break),
+                    ],
+                }),
+                IrStmt::new(StmtKind::While {
+                    cond: IrExpr::cmp(terra_ir::CmpKind::Gt, int(acc), IrExpr::int32(100)),
+                    body: vec![assign(
+                        acc,
+                        IrExpr {
+                            ty: Ty::INT,
+                            kind: ExprKind::Select {
+                                cond: Box::new(IrExpr::boolean(true)),
+                                then_value: Box::new(IrExpr::binary(
+                                    BinKind::Sub,
+                                    int(acc),
+                                    int(n),
+                                )),
+                                else_value: Box::new(IrExpr {
+                                    ty: Ty::INT,
+                                    kind: ExprKind::Cast(Box::new(IrExpr::int64(1))),
+                                }),
+                            },
+                        },
+                    )],
+                }),
+            ],
+        }),
+        IrStmt::new(StmtKind::ParallelFor {
+            kernel: FuncId(3),
+            start: IrExpr::int32(0),
+            stop: IrExpr::binary(BinKind::Add, int(n), IrExpr::int32(1)),
+            args: vec![ptr(ExprKind::LocalAddr(arr)), int(acc)],
+        }),
+        IrStmt::new(StmtKind::Expr(call(
+            Callee::Direct(FuncId(2)),
+            vec![int(acc), int(n)],
+        ))),
+        ret(int(acc)),
+    ];
+    f
+}
+
+/// Statements of the body in preorder, by explicit recursion (the reference
+/// for `IrStmt::walk`).
+fn stmts_in_preorder<'a>(stmts: &'a [IrStmt], out: &mut Vec<&'a IrStmt>) {
+    for s in stmts {
+        out.push(s);
+        match &s.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                stmts_in_preorder(then_body, out);
+                stmts_in_preorder(else_body, out);
+            }
+            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
+                stmts_in_preorder(body, out)
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn the_walks_reach_every_node_once_and_in_one_order() {
+    let mut optimized = kitchen_sink();
+    terra_ir::verify_function(&optimized, None, &NoEnv).expect("a consistent fixture");
+    run_opt(&mut optimized, OptLevel::O2);
+    for mut f in [kitchen_sink(), optimized] {
+        // Every statement exactly once, in preorder.
+        let mut reference: Vec<&IrStmt> = Vec::new();
+        stmts_in_preorder(&f.body, &mut reference);
+        let mut walked = Vec::new();
+        IrStmt::walk(&f.body, &mut |s| walked.push(s));
+        assert!(reference.len() >= 8, "the fixture lost its shape: {f:?}");
+        assert_eq!(walked.len(), reference.len());
+        assert!(walked
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| std::ptr::eq(*a, *b)));
+        assert!(IrStmt::any(&f.body, &mut |s| std::ptr::eq(
+            s,
+            *reference.last().unwrap()
+        )));
+
+        // Every expression node exactly once: as many as the hand-written
+        // recursion finds, and `count_nodes` is those plus the statements.
+        let mut shared: Vec<*const IrExpr> = Vec::new();
+        IrStmt::walk_exprs(&f.body, &mut |e| shared.push(e));
+        assert_eq!(shared.len(), count_exprs(&f, &|_| true));
+        let (n_stmts, n_blocks) = (
+            reference.len(),
+            reference.iter().map(|s| s.blocks().count()).sum::<usize>(),
+        );
+        assert_eq!(
+            terra_ir::passes::util::count_nodes(&f),
+            n_stmts + shared.len()
+        );
+        let mut distinct = shared.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), shared.len(), "a node was visited twice");
+
+        // `proven` names nodes by their position in this order.
+        let mut numbered = Vec::new();
+        IrStmt::walk(&f.body, &mut |s| {
+            let mut expect = 0;
+            s.operand_nodes(&mut |i, e| {
+                expect += 1;
+                assert_eq!(i, expect);
+                numbered.push(e as *const IrExpr);
+            })
+        });
+        assert_eq!(numbered, shared);
+
+        // The mutable walks visit the same nodes in the same order.
+        let mut through_mut: Vec<*const IrExpr> = Vec::new();
+        IrStmt::walk_exprs_mut(&mut f.body, &mut |e| through_mut.push(e));
+        assert_eq!(through_mut, shared);
+
+        // Blocks innermost first, each once, the body last.
+        let mut blocks: Vec<*const Vec<IrStmt>> = Vec::new();
+        IrStmt::each_block_mut(&mut f.body, &mut |b| blocks.push(b));
+        assert_eq!(blocks.len(), n_blocks + 1);
+        assert!(std::ptr::eq(*blocks.last().unwrap(), &f.body));
+    }
+}
+
+// ------------------------------------- one liveness walk, two clients
+
+/// `a = 1; b = a; return p0` with `b` unread. The lint and `dce` run the
+/// same backward walk and differ in one thing: the lint's dead store stays
+/// and keeps reading `a`, so only `b` is flagged; `dce`'s goes away, `a`
+/// dies with it, and both fall in one sweep.
+#[test]
+fn a_dead_store_cascades_for_dce_but_not_for_the_lint() {
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let a = f.add_local("a", Ty::INT, false);
+    let b = f.add_local("b", Ty::INT, false);
+    f.body = vec![
+        assign(a, IrExpr::int32(1)),
+        assign(b, IrExpr::local(a, Ty::INT)),
+        ret(IrExpr::local(LocalId(0), Ty::INT)),
+    ];
+    let flagged: Vec<String> = terra_ir::analyze_function(&f, None, &NoEnv)
+        .into_iter()
+        .map(|d| format!("{}: {}", d.code, d.message))
+        .collect();
+    assert_eq!(flagged, ["dead-store: value assigned to 'b' is never read"]);
+
+    // `dce` alone, so nothing else has touched `b = a` first.
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(f.body, vec![ret(IrExpr::local(LocalId(0), Ty::INT))]);
+    let dce: Vec<_> = stats.remarks.iter().filter(|r| r.pass == "dce").collect();
+    assert_eq!(dce.len(), 1, "{dce:?}");
+    assert_eq!(dce[0].message, "removed 2 dead-store statement(s)");
 }

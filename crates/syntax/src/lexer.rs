@@ -289,8 +289,18 @@ impl<'a> Lexer<'a> {
                     b'\n' => s.push('\n'),
                     _ => return Err(self.err("invalid escape sequence", start)),
                 }
-            } else {
+            } else if c.is_ascii() {
                 s.push(c as char);
+            } else {
+                // The lead byte of a multi-byte character of the (UTF-8)
+                // source: the literal holds the character, not its bytes
+                // read as Latin-1.
+                let ch = self.src[self.pos - 1..]
+                    .chars()
+                    .next()
+                    .expect("a lead byte");
+                s.push(ch);
+                self.pos += ch.len_utf8() - 1;
             }
         }
         Ok(Tok::Str(Rc::from(s.as_str())))
@@ -490,6 +500,13 @@ mod tests {
         assert_eq!(kinds(r#""a\nb""#)[0], Tok::Str("a\nb".into()));
         assert_eq!(kinds(r#"'q'"#)[0], Tok::Str("q".into()));
         assert_eq!(kinds(r#""\65""#)[0], Tok::Str("A".into()));
+    }
+
+    #[test]
+    fn non_ascii_text_in_a_string_is_kept_as_written() {
+        assert_eq!(kinds("'naïve — ✓'")[0], Tok::Str("naïve — ✓".into()));
+        assert_eq!(kinds("\"日本\" x")[1], Tok::Name("x".into()));
+        assert_eq!(kinds("[[ï]]")[0], Tok::Str("ï".into()));
     }
 
     #[test]

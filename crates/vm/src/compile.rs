@@ -202,28 +202,16 @@ fn nest_constants(stmts: &[IrStmt], out: &mut Vec<Const>) {
             scan(base, out);
             index.into_iter().for_each(|i| scan(i, out));
         } else {
-            terra_ir::passes::util::each_child(e, &mut |c| scan(c, out));
+            e.children(&mut |c| scan(c, out));
         }
     }
-    for s in stmts {
+    IrStmt::walk(stmts, &mut |s| {
         // The one such placement common enough to know: `x = c` is a
         // `const` into `x`, whether or not `c` sits in a register.
         if !matches!(&s.kind, StmtKind::Assign { value, .. } if Const::of(value).is_some()) {
             s.operand_roots(&mut |e| scan(e, out));
         }
-        match &s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                nest_constants(then_body, out);
-                nest_constants(else_body, out);
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => nest_constants(body, out),
-            _ => {}
-        }
-    }
+    });
 }
 
 /// [`try_compile`] for IR known to fit a frame — functions the pipeline has

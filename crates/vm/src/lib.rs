@@ -31,6 +31,7 @@ mod machine;
 mod memory;
 mod observer;
 pub mod parallel;
+mod printf;
 mod program;
 
 pub use bytecode::{
@@ -42,5 +43,6 @@ pub use compile::{compile, try_compile};
 pub use exec::ExecutionContext;
 pub use machine::{decode_value, ExecResult, RegImage, Trap, Vm};
 pub use memory::{MemError, MemKind, MemResult, Memory};
+pub use printf::format_printf;
 pub use program::{OutputSink, Program, Value};
 pub use terra_trace as trace;

@@ -962,7 +962,7 @@ fn call_builtin<O: Observer>(
         Builtin::Fmod => (f(0) % f(1)).to_bits(),
         Builtin::Clock => ctx.epoch.elapsed().as_secs_f64().to_bits(),
         Builtin::Printf => {
-            let out = format_printf(&ctx.memory, args)?;
+            let out = render_printf(&ctx.memory, args)?;
             obs.on_output(func, pc, &out);
             ctx.emit(&out);
             out.len() as u64
@@ -987,98 +987,26 @@ fn call_builtin<O: Observer>(
     })
 }
 
-/// Renders a `printf` call. Supports `%d %i %u %x %f %g %e %s %c %p %%`,
-/// optional width/precision, and the `l`/`ll` length modifiers.
-fn format_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
-    let fmt_addr = *args
-        .first()
-        .ok_or_else(|| Trap::BadFormat("missing format string".into()))?;
-    let fmt = memory.c_string(fmt_addr)?;
-    let mut out = String::new();
-    let mut next = 1usize;
-    let take = |next: &mut usize| -> ExecResult<u64> {
-        let v = *args
-            .get(*next)
-            .ok_or_else(|| Trap::BadFormat("too few arguments".into()))?;
-        *next += 1;
-        Ok(v)
-    };
-    let bytes = fmt.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c != b'%' {
-            out.push(c as char);
-            i += 1;
-            continue;
-        }
-        i += 1;
-        if i >= bytes.len() {
-            return Err(Trap::BadFormat("trailing '%'".into()));
-        }
-        // Width / precision / length modifiers.
-        let mut width = String::new();
-        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'-')
-        {
-            width.push(bytes[i] as char);
-            i += 1;
-        }
-        while i < bytes.len() && (bytes[i] == b'l' || bytes[i] == b'z' || bytes[i] == b'h') {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(Trap::BadFormat("incomplete conversion".into()));
-        }
-        let conv = bytes[i];
-        i += 1;
-        let (w, p) = parse_width(&width);
-        match conv {
-            b'%' => out.push('%'),
-            b'd' | b'i' => pad_num(&mut out, &(take(&mut next)? as i64).to_string(), w),
-            b'u' => pad_num(&mut out, &take(&mut next)?.to_string(), w),
-            b'x' => pad_num(&mut out, &format!("{:x}", take(&mut next)?), w),
-            b'c' => out.push((take(&mut next)? as u8) as char),
-            b'p' => out.push_str(&format!("{:#x}", take(&mut next)?)),
-            b'f' | b'e' | b'g' => {
-                let v = f64::from_bits(take(&mut next)?);
-                let s = match (conv, p) {
-                    (b'f', Some(p)) => format!("{v:.p$}"),
-                    (b'f', None) => format!("{v:.6}"),
-                    (b'e', _) => format!("{v:e}"),
-                    (_, Some(p)) => format!("{v:.p$}"),
-                    (_, None) => format!("{v}"),
-                };
-                pad_num(&mut out, &s, w);
+/// Renders a `printf` call (`args[0]` is the format): integer and float
+/// arguments are registers, `%s` arguments C strings in `memory`. The
+/// directives are [`format_printf`](crate::printf::format_printf)'s.
+fn render_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
+    let mut args = args.iter();
+    let bad = |what: &str| Trap::BadFormat(what.into());
+    let fmt = memory.c_string(*args.next().ok_or_else(|| bad("missing format string"))?)?;
+    crate::printf::format_printf(
+        &fmt,
+        &mut |conv, text| {
+            let v = *args.next().ok_or_else(|| bad("too few arguments"))?;
+            match conv {
+                b's' => text.push_str(&memory.c_string(v)?),
+                b'q' => return Err(bad("unsupported conversion '%q'")),
+                _ => {}
             }
-            b's' => {
-                let s = memory.c_string(take(&mut next)?)?;
-                pad_num(&mut out, &s, w);
-            }
-            other => {
-                return Err(Trap::BadFormat(format!(
-                    "unsupported conversion '%{}'",
-                    other as char
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn parse_width(spec: &str) -> (Option<usize>, Option<usize>) {
-    let mut parts = spec.trim_start_matches('-').splitn(2, '.');
-    let w = parts.next().and_then(|s| s.parse().ok());
-    let p = parts.next().and_then(|s| s.parse().ok());
-    (w, p)
-}
-
-fn pad_num(out: &mut String, s: &str, width: Option<usize>) {
-    if let Some(w) = width {
-        for _ in s.len()..w {
-            out.push(' ');
-        }
-    }
-    out.push_str(s);
+            Ok(v)
+        },
+        &Trap::BadFormat,
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The `parallelfor` harness: rayon-backed data-parallel loop execution.
+//! The `parallelfor` harness: data-parallel loop execution on scoped threads.
 //!
 //! A `parallelfor i = lo, hi do ... end` loop is compiled into a *kernel*
 //! function `kernel(i, captures...)` plus a call into [`run_parallelfor`],
@@ -303,14 +303,16 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
         // chunks. Block assignment affects only wall-clock, not results.
         let per_thread = chunks.div_ceil(threads as u64) as usize;
         let run_block = &run_block;
-        rayon::scope(|s| {
+        // The scope joins every thread before it returns and re-raises a
+        // panic of any of them.
+        std::thread::scope(|s| {
             for (t, ((wblock, tblock), mblock)) in workers
                 .chunks_mut(per_thread)
                 .zip(traps.chunks_mut(per_thread))
                 .zip(times.chunks_mut(per_thread))
                 .enumerate()
             {
-                s.spawn(move |_| run_block(t * per_thread, wblock, tblock, mblock));
+                s.spawn(move || run_block(t * per_thread, wblock, tblock, mblock));
             }
         });
     }

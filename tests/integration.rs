@@ -10,7 +10,9 @@ use terra_orion::fluid::FluidSim;
 use terra_orion::{area_filter, input, ImageBuf, Pipeline, Schedule, Strategy};
 
 /// The headline GEMM shape: a tuned configuration beats naive by a wide
-/// margin even in a debug-friendly problem size.
+/// margin even in a debug-friendly problem size — asserted on what explains
+/// the speed, retired VM instructions, so the verdict is the same on a busy
+/// host (wall clock is `benchmark/`'s job).
 #[test]
 fn gemm_generated_beats_naive() {
     let mut s = GemmSession::new().unwrap();
@@ -31,22 +33,23 @@ fn gemm_generated_beats_naive() {
         .unwrap();
     s.run(&tuned, &ws);
     ws.verify(&s);
-    let g_naive = s.measure_gflops(&naive, &ws, 2);
-    let g_tuned = s.measure_gflops(&tuned, &ws, 2);
+    let i_naive = s.measure_cost(&naive, &ws).instructions;
+    let i_tuned = s.measure_cost(&tuned, &ws).instructions;
     assert!(
-        g_tuned > g_naive * 2.0,
-        "tuned {g_tuned:.3} GFLOPS should beat naive {g_naive:.3} by >2x even unoptimized"
+        i_tuned * 2 < i_naive,
+        "tuned retires {i_tuned} instructions, not under half of naive's {i_naive}"
     );
 }
 
-/// Orion schedules agree on results; vectorization speeds things up.
+/// Orion schedules agree on results; vectorization retires fewer
+/// instructions (the counter behind its speedup; no clock in tier-1).
 #[test]
 fn orion_vectorization_speedup_with_identical_results() {
     let p = area_filter();
     let (w, h) = (128, 96);
     let data: Vec<f32> = (0..w * h).map(|i| (i % 97) as f32 * 0.1).collect();
     let mut outs = Vec::new();
-    let mut times = Vec::new();
+    let mut retired = Vec::new();
     for vectorize in [false, true] {
         let mut t = Terra::new();
         let c = p
@@ -63,22 +66,19 @@ fn orion_vectorization_speedup_with_identical_results() {
         let img = ImageBuf::alloc(&mut t, &c);
         let out = ImageBuf::alloc(&mut t, &c);
         img.write(&mut t, &data);
+        t.set_profile(true);
         c.run(&mut t, &[&img], &out);
-        let start = std::time::Instant::now();
-        for _ in 0..3 {
-            c.run(&mut t, &[&img], &out);
-        }
-        times.push(start.elapsed());
+        retired.push(t.profile().total_instructions());
         outs.push(out.read(&t));
     }
     for (a, b) in outs[0].iter().zip(&outs[1]) {
         assert!((a - b).abs() < 1e-4);
     }
     assert!(
-        times[1] < times[0],
-        "vectorized {:?} should beat scalar {:?}",
-        times[1],
-        times[0]
+        retired[1] < retired[0],
+        "vectorized retires {} instructions, scalar {}",
+        retired[1],
+        retired[0]
     );
 }
 
