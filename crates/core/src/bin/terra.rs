@@ -1,320 +1,286 @@
 //! A command-line driver for combined Lua-Terra programs, in the spirit of
-//! the real system's `terra` executable:
-//!
-//! ```text
-//! terra [flags] script.t [args...]  run a script (args in the global `arg` table)
-//! terra [flags] -e 'code'           run a one-liner
-//! terra replay-diff A.rec B.rec     align two recordings and pinpoint their
-//!                                   first divergent effect (exit 0 = agree,
-//!                                   1 = divergence found, 2 = cannot compare)
-//! terra                             start a tiny REPL
-//!
-//! flags:
-//!   -O0 | -O1 | -O2   mid-end optimization level (default -O2): -O0 compiles
-//!                     the typechecker's IR directly; -O1 adds constant
-//!                     folding, algebraic simplification, copy propagation,
-//!                     and dead-code elimination; -O2 adds inlining, CSE, and
-//!                     loop-invariant code motion
-//!   --lint            run the IR analysis suite over every compiled function
-//!                     and print the warnings: use-before-init, dead-store,
-//!                     unreachable-code, missing-return, and the abstract
-//!                     interpreter's definite bugs — definite-oob (constant
-//!                     index or proven range; there is no separate
-//!                     out-of-bounds code), misaligned-vector, null-deref,
-//!                     div-by-zero, guaranteed-overflow
-//!                     (diagnostics are computed pre-optimization and are
-//!                     identical at every -O level)
-//!   --sanitize        poison fresh/freed VM memory and trap on use-after-free
-//!   --threads=N       worker threads for `parallelfor` loops (default 1,
-//!                     the sequential fallback; 0 = use the host's available
-//!                     core count; the chunk schedule depends only on the
-//!                     iteration count, so results, traps, and profiles are
-//!                     identical at every N)
-//!   --no-checkelim    keep every memory access bounds-checked and every
-//!                     narrow-integer result wrapped at -O2 (by default the
-//!                     abstract interpreter proves accesses in-bounds and
-//!                     results in range, and the VM elides those checks;
-//!                     under --sanitize nothing is elided)
-//!   --profile         collect staging/VM/memory counters and print a profile
-//!                     report after the program finishes
-//!   --heap-profile    attribute every heap allocation to its (function,
-//!                     line, provenance) site and print the `== heap ==`
-//!                     section — per-site traffic, the live-heap high-water
-//!                     timeline, and a leak report naming surviving
-//!                     allocations with their staging chains; with --profile
-//!                     the section joins the full report
-//!   --sample=N        deterministic sampling profiler: capture the Terra
-//!                     call stack every N retired instructions (byte-stable
-//!                     across runs) and print the `== samples ==` ranking;
-//!                     `--trace-out x.folded` then emits the sampled stacks
-//!   --trace-out FILE  write the run's timeline and counters; the format is
-//!                     chosen by extension: `.json` Chrome trace-event JSON
-//!                     (open in about:tracing / Perfetto), `.folded` folded
-//!                     stacks for flamegraph tools (inferno / flamegraph.pl),
-//!                     `.jsonl` the unified JSONL event stream; implies
-//!                     --profile
-//!   --events-out F    write the unified telemetry stream — spans, counters,
-//!                     cache stats, remarks, heap sites, samples — as
-//!                     newline-delimited JSON (deterministic: byte-identical
-//!                     across runs); implies profiling
-//!   --cache SPEC      simulated cache geometry for the locality profile,
-//!                     e.g. `l1=32k,64,8:l2=256k,64,8` (per level: total
-//!                     size, line size, associativity); implies --profile
-//!   --remarks[=pass]  print the optimizer's structured remarks (what each
-//!                     pass applied or missed, with staging provenance) to
-//!                     stderr after the program finishes, optionally
-//!                     restricted to one pass (inline, licm, cse, ...)
-//!   --remarks-out F   write the remark stream as JSON to F (deterministic:
-//!                     byte-identical across runs)
-//!   --record=F.rec    execution flight recorder: stream the run's heap
-//!                     effects and periodic state checksums into F.rec
-//!                     (deterministic: byte-identical across runs and
-//!                     --threads settings; requires a script file)
-//!   --replay=F.rec    re-execute the script recorded in F.rec under the
-//!                     recorded configuration and verify every checkpoint
-//!                     (exit 0 = verified, 1 = diverged)
-//! ```
+//! the real system's `terra` executable: it runs a script, a `-e` one-liner,
+//! the `replay-diff` subcommand or a tiny REPL. `terra --help` prints the
+//! modes ([`USAGE`]) and every flag ([`FLAGS`]).
 
 use std::io::{BufRead, Write};
-use terra_core::{LuaValue, Terra};
+use terra_core::{CacheConfig, LuaValue, OptLevel, Terra};
+
+const USAGE: &str = "\
+usage: terra [flags] script.t [args...]  run a script (args in the global `arg` table)
+       terra [flags] -e 'code'           run a one-liner
+       terra replay-diff A.rec B.rec     align two recordings and pinpoint their first
+                                         divergent effect (exit 0 = agree, 1 = divergence
+                                         found, 2 = cannot compare)
+       terra [flags]                     start a tiny REPL
+
+flags (before the script; a flag that takes a value may be given once):
+";
+
+/// How a flag is written; the string names its value in `--help`.
+enum Arg {
+    /// `--flag`
+    Bare,
+    /// `--flag=VALUE`
+    Eq(&'static str),
+    /// `--flag VALUE`
+    Next(&'static str),
+}
+use Arg::{Bare, Eq, Next};
+
+/// Every flag: its name, how it is written, its `--help` text. Parsing,
+/// `--help` and the README's table (`tests/cli_flags.rs` compares them) all
+/// come from here; `main` reads the parsed flags back by name.
+#[rustfmt::skip]
+const FLAGS: &[(&str, Arg, &str)] = &[
+    ("-h", Bare, "print this help and exit"),
+    ("--help", Bare, "print this help and exit"),
+    ("-O0", Bare, "no mid-end passes: compile the typechecker's IR directly"),
+    ("-O1", Bare, "constant folding, algebraic simplification, copy propagation and dead-code \
+                   elimination"),
+    ("-O2", Bare, "the default: -O1 plus inlining, CSE and loop-invariant code motion"),
+    ("--lint", Bare,
+     "run the IR analysis suite over every compiled function and print the warnings: \
+      use-before-init, dead-store, unreachable-code, missing-return, and the abstract \
+      interpreter's definite bugs (definite-oob, misaligned-vector, null-deref, div-by-zero, \
+      guaranteed-overflow); computed before optimization, so identical at every -O level"),
+    ("--sanitize", Bare,
+     "poison fresh and freed VM memory and trap on use-after-free; nothing is check-elided"),
+    ("--threads", Eq("N"),
+     "worker threads for `parallelfor` loops (default 1, the sequential fallback; 0 = the \
+      host's core count); results, traps and profiles are identical at every N"),
+    ("--no-checkelim", Bare,
+     "keep every memory access bounds-checked and every narrow-integer result wrapped at -O2 \
+      (by default the abstract interpreter proves what it can and the VM elides those checks)"),
+    ("--profile", Bare,
+     "collect staging/VM/memory counters and print a profile report after the program"),
+    ("--heap-profile", Bare,
+     "attribute every heap allocation to its (function, line, provenance) site and print the \
+      `== heap ==` section: per-site traffic, the live-heap high-water timeline and a leak \
+      report; with --profile the section joins the full report"),
+    ("--sample", Eq("N"),
+     "deterministic sampling profiler: capture the Terra call stack every N retired \
+      instructions and print the `== samples ==` ranking; `--trace-out x.folded` then emits \
+      the sampled stacks"),
+    ("--trace-out", Next("FILE"),
+     "write the run's timeline and counters in the format the extension names: `.json` Chrome \
+      trace-event JSON (about:tracing / Perfetto), `.folded` flamegraph stacks, `.jsonl` the \
+      JSONL event stream; implies --profile"),
+    ("--events-out", Next("FILE"),
+     "write the unified telemetry stream (spans, counters, cache stats, remarks, heap sites, \
+      samples) as newline-delimited JSON, byte-identical across runs; implies profiling"),
+    ("--cache", Next("SPEC"),
+     "simulated cache geometry for the locality profile, e.g. `l1=32k,64,8:l2=256k,64,8` (per \
+      level: total size, line size, associativity); implies --profile"),
+    ("--remarks", Bare,
+     "print the optimizer's structured remarks (what each pass applied or missed, with staging \
+      provenance) to stderr after the program"),
+    ("--remarks", Eq("PASS"), "the same, restricted to one pass (inline, licm, cse, ...)"),
+    ("--remarks-out", Next("FILE"), "write the remark stream as JSON, byte-identical across runs"),
+    ("--record", Eq("F.rec"),
+     "execution flight recorder: stream the run's heap effects and periodic state checksums \
+      into F.rec, byte-identical across runs and --threads settings; requires a script file"),
+    ("--replay", Eq("F.rec"),
+     "re-execute the script recorded in F.rec under the recorded configuration and verify \
+      every checkpoint (exit 0 = verified, 1 = diverged)"),
+];
+
+/// A flag as `--help` and error messages spell it: `--threads=N`.
+fn spelling(name: &str, arg: &Arg) -> String {
+    match arg {
+        Bare => name.to_string(),
+        Eq(value) => format!("{name}={value}"),
+        Next(value) => format!("{name} {value}"),
+    }
+}
+
+/// [`USAGE`] and one entry per flag, its text wrapped at 100 columns.
+fn help() -> String {
+    let mut out = USAGE.to_string();
+    for (name, arg, text) in FLAGS {
+        let mut line = format!("  {:<19}", spelling(name, arg));
+        for word in text.split(' ') {
+            if line.len() + 1 + word.len() > 100 {
+                out += line.trim_end();
+                line = format!("\n{:21}", "");
+            }
+            line += " ";
+            line += word;
+        }
+        out += line.trim_end();
+        out.push('\n');
+    }
+    out
+}
+
+/// The flags of one command line, in the order given, each with its value
+/// (empty for a bare flag).
+struct Flags(Vec<(&'static str, String)>);
+
+impl Flags {
+    /// Consumes the leading flags of `argv`; what is left is the mode
+    /// (`script.t args...`, `-e code`, `replay-diff A B`, or nothing).
+    fn parse(argv: &mut Vec<String>) -> Result<Flags, String> {
+        let mut flags = Flags(Vec::new());
+        while argv
+            .first()
+            .is_some_and(|a| a.starts_with('-') && a != "-e")
+        {
+            let first = argv.remove(0);
+            let (name, attached) = match first.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (first.as_str(), None),
+            };
+            // A name has one row per way of writing it (`--remarks[=PASS]`).
+            let forms = || FLAGS.iter().filter(|row| row.0 == name);
+            let Some((_, listed, _)) = forms().next() else {
+                return Err(format!("unknown option '{first}' (see terra --help)"));
+            };
+            let form = forms().find(|row| matches!(row.1, Eq(_)) == attached.is_some());
+            let Some(&(name, ref arg, _)) = form else {
+                let usage = spelling(name, listed);
+                return Err(format!(
+                    "option '{first}' is written '{usage}' (see terra --help)"
+                ));
+            };
+            let value = match arg {
+                Bare => String::new(),
+                Eq(_) => attached.unwrap_or_default().to_string(),
+                Next(what) if argv.is_empty() => {
+                    let what = what.to_lowercase();
+                    return Err(format!("{name} requires a {what} argument"));
+                }
+                Next(_) => argv.remove(0),
+            };
+            if !matches!(arg, Bare) && flags.has(name) {
+                return Err(format!("{name} is given twice"));
+            }
+            flags.0.push((name, value));
+        }
+        Ok(flags)
+    }
+
+    /// The value of the last `name` given, if any was.
+    fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|row| row.0 == name), "{name} is no flag");
+        let found = self.0.iter().rev().find(|(n, _)| *n == name);
+        found.map(|(_, value)| value.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The path given to `--record`/`--replay`, which must end in `.rec`.
+    fn rec_path(&self, name: &str) -> Option<&str> {
+        let path = self.value(name)?;
+        if !path.ends_with(".rec") {
+            die(&format!(
+                "{name}={path}: unsupported recording sink (recordings use the .rec \
+                 extension, e.g. {name}=run.rec)"
+            ));
+        }
+        Some(path)
+    }
+}
+
+/// Reports a command-line error and exits with status 1.
+fn die(message: &str) -> ! {
+    eprintln!("terra: {message}");
+    std::process::exit(1);
+}
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse(&mut argv).unwrap_or_else(|e| die(&e));
+    if flags.has("-h") || flags.has("--help") {
+        print!("{}", help());
+        return;
+    }
+    let mode = argv.first().map(|s| s.as_str());
     let mut t = Terra::new();
-    let mut lint = false;
-    let mut profile = false;
-    let mut heap_profile = false;
-    let mut sample: u64 = 0;
-    let mut trace_out: Option<String> = None;
-    let mut events_out: Option<String> = None;
-    let mut remarks: Option<Option<String>> = None;
-    let mut remarks_out: Option<String> = None;
-    let mut record_out: Option<String> = None;
-    let mut replay_in: Option<String> = None;
-    // Mirror of the configuration applied to `t`, captured into recording
-    // metadata so `--replay` can reconstruct the run.
-    let mut opt_num: u8 = 2;
-    let mut checkelim = true;
-    let mut sanitize = false;
-    while let Some(first) = argv.first().map(|s| s.as_str()) {
-        match first {
-            "--lint" => {
-                lint = true;
-                t.set_lint(true);
-                argv.remove(0);
-            }
-            "--sanitize" => {
-                sanitize = true;
-                t.set_sanitize(true);
-                argv.remove(0);
-            }
-            "--no-checkelim" => {
-                checkelim = false;
-                t.set_check_elim(false);
-                argv.remove(0);
-            }
-            _ if first.starts_with("-O") => {
-                match terra_core::OptLevel::parse(&first[2..]) {
-                    Some(level) => {
-                        opt_num = first[2..].parse().unwrap_or(2);
-                        t.set_opt_level(level)
-                    }
-                    None => {
-                        eprintln!("terra: unknown optimization level '{first}' (use -O0/-O1/-O2)");
-                        std::process::exit(1);
-                    }
-                }
-                argv.remove(0);
-            }
-            _ if first.starts_with("--record=") => {
-                let path = first["--record=".len()..].to_string();
-                if !path.ends_with(".rec") {
-                    eprintln!(
-                        "terra: --record={path}: unsupported recording sink (recordings use \
-                         the .rec extension, e.g. --record=run.rec)"
-                    );
-                    std::process::exit(1);
-                }
-                record_out = Some(path);
-                argv.remove(0);
-            }
-            _ if first.starts_with("--replay=") => {
-                let path = first["--replay=".len()..].to_string();
-                if !path.ends_with(".rec") {
-                    eprintln!(
-                        "terra: --replay={path}: unsupported recording sink (recordings use \
-                         the .rec extension, e.g. --replay=run.rec)"
-                    );
-                    std::process::exit(1);
-                }
-                replay_in = Some(path);
-                argv.remove(0);
-            }
-            "--profile" => {
-                profile = true;
-                argv.remove(0);
-            }
-            "--heap-profile" => {
-                heap_profile = true;
-                argv.remove(0);
-            }
-            _ if first.starts_with("--threads=") => {
-                let spec = &first["--threads=".len()..];
-                match spec.parse::<usize>() {
-                    Ok(n) => t.set_threads(n),
-                    _ => {
-                        eprintln!(
-                            "terra: bad --threads count '{spec}' (expected a non-negative \
-                             integer, e.g. --threads=4; 0 = host core count)"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                argv.remove(0);
-            }
-            _ if first.starts_with("--sample=") => {
-                let spec = &first["--sample=".len()..];
-                match spec.parse::<u64>() {
-                    Ok(n) if n > 0 => sample = n,
-                    _ => {
-                        eprintln!(
-                            "terra: bad --sample interval '{spec}' (expected a positive \
-                             instruction count, e.g. --sample=1000)"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                argv.remove(0);
-            }
-            "--trace-out" => {
-                argv.remove(0);
-                match argv.first() {
-                    Some(path) => {
-                        if !(path.ends_with(".json")
-                            || path.ends_with(".folded")
-                            || path.ends_with(".jsonl"))
-                        {
-                            eprintln!(
-                                "terra: --trace-out {path}: unsupported trace sink (the format \
-                                 is chosen by extension: .json for Chrome trace-event JSON, \
-                                 .folded for flamegraph stacks, .jsonl for the JSONL event \
-                                 stream)"
-                            );
-                            std::process::exit(1);
-                        }
-                        trace_out = Some(path.clone());
-                        profile = true;
-                        argv.remove(0);
-                    }
-                    None => {
-                        eprintln!("terra: --trace-out requires a file argument");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--events-out" => {
-                argv.remove(0);
-                match argv.first() {
-                    Some(path) => {
-                        events_out = Some(path.clone());
-                        argv.remove(0);
-                    }
-                    None => {
-                        eprintln!("terra: --events-out requires a file argument");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--cache" => {
-                argv.remove(0);
-                match argv.first() {
-                    Some(spec) => {
-                        match terra_core::CacheConfig::parse(spec) {
-                            Ok(cfg) => t.set_cache_config(cfg),
-                            Err(e) => {
-                                eprintln!("terra: bad --cache spec: {e}");
-                                std::process::exit(1);
-                            }
-                        }
-                        profile = true;
-                        argv.remove(0);
-                    }
-                    None => {
-                        eprintln!("terra: --cache requires a spec argument");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--remarks" => {
-                remarks = Some(None);
-                argv.remove(0);
-            }
-            _ if first.starts_with("--remarks=") => {
-                remarks = Some(Some(first["--remarks=".len()..].to_string()));
-                argv.remove(0);
-            }
-            "--remarks-out" => {
-                argv.remove(0);
-                match argv.first() {
-                    Some(path) => {
-                        remarks_out = Some(path.clone());
-                        argv.remove(0);
-                    }
-                    None => {
-                        eprintln!("terra: --remarks-out requires a file argument");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            _ => break,
+    // The last -O given wins.
+    let mut given = flags.0.iter().rev();
+    let opt = given.find_map(|(name, _)| OptLevel::parse(name.strip_prefix("-O")?));
+    let opt = opt.unwrap_or_default();
+    t.set_opt_level(opt);
+    let (lint, sanitize) = (flags.has("--lint"), flags.has("--sanitize"));
+    t.set_lint(lint);
+    t.set_sanitize(sanitize);
+    let checkelim = !flags.has("--no-checkelim");
+    t.set_check_elim(checkelim);
+    if let Some(n) = flags.value("--threads") {
+        t.set_threads(n.parse().unwrap_or_else(|_| {
+            die(&format!(
+                "bad --threads count '{n}' (expected a non-negative integer, e.g. \
+                 --threads=4; 0 = host core count)"
+            ))
+        }));
+    }
+    let sample = flags.value("--sample").map(|n| match n.parse::<u64>() {
+        Ok(n) if n > 0 => n,
+        _ => die(&format!(
+            "bad --sample interval '{n}' (expected a positive instruction count, e.g. \
+             --sample=1000)"
+        )),
+    });
+    let trace_out = flags.value("--trace-out");
+    if let Some(path) = trace_out {
+        if ![".json", ".folded", ".jsonl"]
+            .iter()
+            .any(|ext| path.ends_with(ext))
+        {
+            die(&format!(
+                "--trace-out {path}: unsupported trace sink (the format is chosen by \
+                 extension: .json for Chrome trace-event JSON, .folded for flamegraph \
+                 stacks, .jsonl for the JSONL event stream)"
+            ));
         }
     }
-    if let (Some(r), Some(p)) = (&record_out, &replay_in) {
-        if r == p {
-            eprintln!(
-                "terra: --record and --replay name the same file '{r}' (the replay would \
+    if let Some(spec) = flags.value("--cache") {
+        let cfg = CacheConfig::parse(spec);
+        t.set_cache_config(cfg.unwrap_or_else(|e| die(&format!("bad --cache spec: {e}"))));
+    }
+    let record_out = flags.rec_path("--record");
+    if let Some(rec_path) = flags.rec_path("--replay") {
+        if record_out == Some(rec_path) {
+            die(&format!(
+                "--record and --replay name the same file '{rec_path}' (the replay would \
                  verify against the recording it is overwriting); use distinct paths"
-            );
-            std::process::exit(1);
+            ));
         }
-    }
-    if let Some(rec_path) = &replay_in {
         // --replay re-runs the script named inside the recording; a script
         // argument on the command line is a contradiction.
-        if let Some(extra) = argv.first() {
-            eprintln!(
-                "terra: --replay={rec_path} re-runs the script recorded in the file; drop \
-                 the extra argument '{extra}'"
-            );
-            std::process::exit(1);
+        if let Some(extra) = mode {
+            die(&format!(
+                "--replay={rec_path} re-runs the script recorded in the file; drop the extra \
+                 argument '{extra}'"
+            ));
         }
         do_replay(rec_path);
     }
-    if record_out.is_some() && argv.first().map(|s| s.as_str()) != Some("replay-diff") {
-        // Recording needs a script *file*: --replay re-runs the script by
-        // its recorded path, so -e one-liners and the REPL cannot be
-        // replayed and are rejected up front.
-        match argv.first().map(|s| s.as_str()) {
-            Some("-e") | None => {
-                eprintln!(
-                    "terra: --record requires a script file argument (recordings replay the \
-                     script by path, so -e one-liners and the REPL cannot be recorded)"
-                );
-                std::process::exit(1);
-            }
-            _ => {}
-        }
+    // Recording needs a script *file*: --replay re-runs the script by its
+    // recorded path, so -e one-liners and the REPL cannot be replayed and
+    // are rejected up front.
+    if record_out.is_some() && matches!(mode, Some("-e") | None) {
+        die(
+            "--record requires a script file argument (recordings replay the script by \
+             path, so -e one-liners and the REPL cannot be recorded)",
+        );
     }
     // --heap-profile and --events-out need the collectors running even when
     // the full text report was not requested; --sample=N only arms the
     // deterministic sampler (exact per-instruction counting stays off).
+    let events_out = flags.value("--events-out");
+    let heap_profile = flags.has("--heap-profile");
+    let profile = flags.has("--profile") || trace_out.is_some() || flags.has("--cache");
     if profile || heap_profile || events_out.is_some() {
         t.set_profile(true);
     }
-    if sample > 0 {
-        t.set_sample_interval(sample);
+    if let Some(n) = sample {
+        t.set_sample_interval(n);
     }
-    match argv.first().map(|s| s.as_str()) {
+    match mode {
         Some("replay-diff") => {
             let (Some(a), Some(b)) = (argv.get(1), argv.get(2)) else {
                 eprintln!("terra: replay-diff requires two .rec file arguments");
@@ -323,30 +289,14 @@ fn main() {
             do_replay_diff(a, b);
         }
         Some("-e") => {
-            let Some(code) = argv.get(1).cloned() else {
-                eprintln!("terra: -e requires a code argument");
-                std::process::exit(1);
+            let Some(code) = argv.get(1) else {
+                die("-e requires a code argument");
             };
-            run(&mut t, &code, "(command line)", lint);
-        }
-        Some("-h") | Some("--help") => {
-            eprintln!(
-                "usage: terra [-O0|-O1|-O2] [--lint] [--sanitize] [--profile] \
-                 [--heap-profile] [--sample=N] [--threads=N (0 = host cores)] \
-                 [--trace-out FILE] [--events-out FILE] \
-                 [--cache SPEC] [--remarks[=pass]] [--remarks-out FILE] \
-                 [--record=F.rec] [--replay=F.rec] \
-                 [script.t [args...] | -e 'code' | replay-diff A.rec B.rec]"
-            );
+            run(&mut t, code, "(command line)", lint);
         }
         Some(path) => {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("terra: cannot open {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let src = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
             // Expose script arguments as the `arg` table, like Lua.
             let args_tbl = terra_core::Table::new();
             let tref = std::rc::Rc::new(std::cell::RefCell::new(args_tbl));
@@ -355,96 +305,75 @@ fn main() {
                     .set(LuaValue::Number((i + 1) as f64), LuaValue::str(a.as_str()));
             }
             t.set_global("arg", LuaValue::Table(tref));
-            let path = path.to_string();
-            if let Some(out) = &record_out {
+            if record_out.is_some() {
                 t.set_record(terra_core::RecMeta {
-                    script: path.clone(),
-                    opt: opt_num,
+                    script: path.to_string(),
+                    opt: opt as u8,
                     checkelim,
                     sanitize,
                     cadence: terra_core::DEFAULT_CADENCE,
                     window: None,
                 });
-                // `run` exits the process on a script error, so the write
-                // below only happens for a completed run.
-                run(&mut t, &src, &path, lint);
+            }
+            // `run` exits the process on a script error, so the recording
+            // is only written for a completed run.
+            run(&mut t, &src, path, lint);
+            if let Some(out) = record_out {
                 let rec = t.take_recording().expect("recorder was started above");
-                match std::fs::write(out, rec.to_text()) {
-                    Ok(()) => eprintln!(
-                        "terra: wrote recording to {out} ({} checkpoints, {} effects, {} \
-                         instructions)",
-                        rec.checkpoints.len(),
-                        rec.total_effects,
-                        rec.total_retired
-                    ),
-                    Err(e) => {
-                        eprintln!("terra: cannot write {out}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                run(&mut t, &src, &path, lint);
+                let what = format!(
+                    "recording ({} checkpoints, {} effects, {} instructions)",
+                    rec.checkpoints.len(),
+                    rec.total_effects,
+                    rec.total_retired
+                );
+                write_sink(out, rec.to_text(), &what);
             }
         }
         None => repl(&mut t, lint),
     }
+    // Each sink takes its own snapshot, so a run that asked for none pays
+    // for none.
     if profile {
-        emit_profile(&t, trace_out.as_deref());
+        eprint!("{}", t.profile().render_report());
     } else {
         // Section-only modes: --heap-profile / --sample=N without --profile
         // print just their own report section.
         if heap_profile {
             eprint!("{}", t.profile().render_heap());
         }
-        if sample > 0 {
+        if sample.is_some() {
             eprint!("{}", t.profile().render_samples());
         }
     }
-    if let Some(path) = &events_out {
-        match std::fs::write(path, t.profile().to_jsonl()) {
-            Ok(()) => eprintln!("terra: wrote event stream to {path}"),
-            Err(e) => {
-                eprintln!("terra: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+    // The sink format follows the extension, validated above.
+    match trace_out {
+        Some(path) if path.ends_with(".folded") => {
+            write_sink(path, t.profile().to_folded(), "folded stacks")
         }
-    }
-    if let Some(pass) = &remarks {
-        eprint!("{}", t.profile().render_remarks(pass.as_deref()));
-    }
-    if let Some(path) = &remarks_out {
-        match std::fs::write(path, t.profile().remarks_json()) {
-            Ok(()) => eprintln!("terra: wrote remarks to {path}"),
-            Err(e) => {
-                eprintln!("terra: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+        Some(path) if path.ends_with(".jsonl") => {
+            write_sink(path, t.profile().to_jsonl(), "event stream")
         }
+        Some(path) => write_sink(path, t.profile().to_chrome_json(), "Chrome trace"),
+        None => {}
+    }
+    if let Some(path) = events_out {
+        write_sink(path, t.profile().to_jsonl(), "event stream");
+    }
+    if let Some(pass) = flags.value("--remarks") {
+        let pass = (!pass.is_empty()).then_some(pass);
+        eprint!("{}", t.profile().render_remarks(pass));
+    }
+    if let Some(path) = flags.value("--remarks-out") {
+        write_sink(path, t.profile().remarks_json(), "remarks");
     }
 }
 
-/// Prints the profile report to stderr and, if requested, writes the trace
-/// file. The sink format follows the extension (validated at flag-parse
-/// time): `.folded` flamegraph stacks, `.jsonl` the unified event stream,
-/// `.json` Chrome trace-event JSON.
-fn emit_profile(t: &Terra, trace_out: Option<&str>) {
-    let profile = t.profile();
-    eprint!("{}", profile.render_report());
-    if let Some(path) = trace_out {
-        let (contents, what) = if path.ends_with(".folded") {
-            (profile.to_folded(), "folded stacks")
-        } else if path.ends_with(".jsonl") {
-            (profile.to_jsonl(), "event stream")
-        } else {
-            (profile.to_chrome_json(), "Chrome trace")
-        };
-        match std::fs::write(path, contents) {
-            Ok(()) => eprintln!("terra: wrote {what} to {path}"),
-            Err(e) => {
-                eprintln!("terra: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+/// Writes one output file and says so on stderr; a failed write ends the
+/// process with status 1.
+fn write_sink(path: &str, contents: String, what: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => eprintln!("terra: wrote {what} to {path}"),
+        Err(e) => die(&format!("cannot write {path}: {e}")),
     }
 }
 
@@ -476,20 +405,8 @@ fn load_recording(path: &str) -> Result<terra_core::Recording, String> {
 /// `--replay=FILE.rec`: re-execute and verify. Exit 0 = verified, 1 =
 /// diverged or could not run.
 fn do_replay(rec_path: &str) -> ! {
-    let recorded = match load_recording(rec_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("terra: {e}");
-            std::process::exit(1);
-        }
-    };
-    let live = match record_run(&recorded.meta) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("terra: --replay: {e}");
-            std::process::exit(1);
-        }
-    };
+    let recorded = load_recording(rec_path).unwrap_or_else(|e| die(&e));
+    let live = record_run(&recorded.meta).unwrap_or_else(|e| die(&format!("--replay: {e}")));
     match terra_core::replay::verify(&recorded, &live) {
         Ok(s) => {
             eprintln!(

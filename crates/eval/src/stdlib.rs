@@ -12,7 +12,7 @@ use crate::interp::Interp;
 use crate::value::{Builtin as NativeBuiltin, Intrinsic, LuaValue, MacroData, Table, TableRef};
 use std::cell::RefCell;
 use std::rc::Rc;
-use terra_ir::{Builtin, ScalarTy, Ty};
+use terra_ir::{Builtin, Effect, Lib, ScalarTy, Ty};
 use terra_syntax::Span;
 
 fn native(name: &'static str, f: crate::value::NativeFn) -> LuaValue {
@@ -375,10 +375,9 @@ fn install_types(interp: &mut Interp) {
             Ok(vec![LuaValue::Global(id)])
         }),
     );
-    interp.set_global(
-        "prefetch",
-        LuaValue::Intrinsic(Intrinsic::C(Builtin::Prefetch)),
-    );
+    for &b in Builtin::ALL.iter().filter(|b| b.info().lib == Lib::Terra) {
+        interp.set_global(b.name(), LuaValue::Intrinsic(Intrinsic::C(b)));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -851,12 +850,17 @@ pub fn call_intrinsic_from_lua(
             let (a, b) = (num(0)?, num(1)?);
             one(a.max(b))
         }
-        Intrinsic::C(b) => match b {
-            Builtin::Malloc => {
+        Intrinsic::C(b) => match (b, b.info().effect) {
+            (_, Effect::Pure(f)) => {
+                let x = num(0)?;
+                let binary = b.info().params.len() > 1;
+                one(f(x, if binary { num(1)? } else { 0.0 }))
+            }
+            (Builtin::Malloc, _) => {
                 let n = num(0)? as u64;
                 one(interp.ctx.exec.memory.malloc(n) as f64)
             }
-            Builtin::Free => {
+            (Builtin::Free, _) => {
                 interp
                     .ctx
                     .exec
@@ -865,21 +869,11 @@ pub fn call_intrinsic_from_lua(
                     .map_err(|e| LuaError::at(e.to_string(), span))?;
                 Ok(vec![])
             }
-            Builtin::Sqrt => one(num(0)?.sqrt()),
-            Builtin::Fabs => one(num(0)?.abs()),
-            Builtin::Sin => one(num(0)?.sin()),
-            Builtin::Cos => one(num(0)?.cos()),
-            Builtin::Exp => one(num(0)?.exp()),
-            Builtin::Log => one(num(0)?.ln()),
-            Builtin::Pow => one(num(0)?.powf(num(1)?)),
-            Builtin::Floor => one(num(0)?.floor()),
-            Builtin::Ceil => one(num(0)?.ceil()),
-            Builtin::Fmod => one(num(0)? % num(1)?),
-            Builtin::Clock => one(interp.ctx.exec.epoch.elapsed().as_secs_f64()),
-            other => Err(LuaError::at(
+            (Builtin::Clock, _) => one(interp.ctx.exec.epoch.elapsed().as_secs_f64()),
+            _ => Err(LuaError::at(
                 format!(
                     "C function '{}' can only be called from Terra code",
-                    other.name()
+                    b.name()
                 ),
                 span,
             )),
@@ -900,35 +894,13 @@ fn install_terralib(interp: &mut Interp) {
                 // header, mirroring what Clang+includec would produce for the
                 // functions this reproduction needs.
                 let out = new_table();
-                let defs: &[(&str, Builtin)] = &[
-                    ("malloc", Builtin::Malloc),
-                    ("free", Builtin::Free),
-                    ("realloc", Builtin::Realloc),
-                    ("memcpy", Builtin::Memcpy),
-                    ("memset", Builtin::Memset),
-                    ("rand", Builtin::Rand),
-                    ("srand", Builtin::Srand),
-                    ("abort", Builtin::Abort),
-                    ("printf", Builtin::Printf),
-                    ("sqrt", Builtin::Sqrt),
-                    ("sqrtf", Builtin::Sqrt),
-                    ("fabs", Builtin::Fabs),
-                    ("fabsf", Builtin::Fabs),
-                    ("sin", Builtin::Sin),
-                    ("cos", Builtin::Cos),
-                    ("exp", Builtin::Exp),
-                    ("log", Builtin::Log),
-                    ("pow", Builtin::Pow),
-                    ("powf", Builtin::Pow),
-                    ("floor", Builtin::Floor),
-                    ("ceil", Builtin::Ceil),
-                    ("fmod", Builtin::Fmod),
-                    ("fmodf", Builtin::Fmod),
-                    ("clock", Builtin::Clock),
-                ];
-                for (name, b) in defs {
-                    out.borrow_mut()
-                        .set_str(name, LuaValue::Intrinsic(Intrinsic::C(*b)));
+                for &b in Builtin::ALL {
+                    if b.info().lib == Lib::C {
+                        for name in b.info().names {
+                            out.borrow_mut()
+                                .set_str(name, LuaValue::Intrinsic(Intrinsic::C(b)));
+                        }
+                    }
                 }
                 out.borrow_mut()
                     .set_str("CLOCKS_PER_SEC", LuaValue::Number(1.0));
@@ -1349,8 +1321,8 @@ fn install_perf(interp: &mut Interp) {
                         let row = new_table();
                         {
                             let mut rb = row.borrow_mut();
-                            rb.set_str("pass", LuaValue::str(r.pass.as_str()));
-                            rb.set_str("kind", LuaValue::str(r.kind.as_str()));
+                            rb.set_str("pass", LuaValue::str(r.pass));
+                            rb.set_str("kind", LuaValue::str(r.kind));
                             rb.set_str("func", LuaValue::str(r.function.as_str()));
                             rb.set_str("line", LuaValue::Number(r.line as f64));
                             rb.set_str("provenance", LuaValue::str(r.provenance.as_str()));

@@ -248,8 +248,8 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     // and without --profile.
     for r in stats.remarks {
         interp.ctx.exec.trace.add_remark(terra_trace::Remark {
-            pass: r.pass.to_string(),
-            kind: r.kind.label().to_string(),
+            pass: r.pass,
+            kind: r.kind.label(),
             function: r.function.to_string(),
             line: r.line,
             provenance: r.prov.as_ref().map(|p| p.describe()).unwrap_or_default(),
@@ -1731,24 +1731,28 @@ impl Checker<'_> {
         _hint: Option<&Ty>,
         span: Span,
     ) -> EvalResult<TExp> {
-        let fixed = |c: &mut Self, b: Builtin, params: &[Ty], ret: Ty| -> EvalResult<TExp> {
-            if args.len() != params.len() {
+        // A call checked against the builtin's row of the `builtins!` table.
+        let fixed = |c: &mut Self, b: Builtin| -> EvalResult<TExp> {
+            let info = b.info();
+            if args.len() != info.params.len() {
                 return Err(terr(
                     format!(
                         "'{}' expects {} argument(s), got {}",
                         b.name(),
-                        params.len(),
+                        info.params.len(),
                         args.len()
                     ),
                     span,
                 ));
             }
             let mut irargs = Vec::new();
-            for (a, pty) in args.iter().zip(params) {
-                let t = c.expr(a, Some(pty))?;
-                let t = c.convert(t, pty, a.span, Some(a))?;
+            for (a, p) in args.iter().zip(info.params) {
+                let pty = p.ty();
+                let t = c.expr(a, Some(&pty))?;
+                let t = c.convert(t, &pty, a.span, Some(a))?;
                 irargs.push(c.read(t, a.span)?);
             }
+            let ret = info.ret.ty();
             Ok(TExp::rvalue(
                 ret.clone(),
                 IrExpr {
@@ -1760,7 +1764,6 @@ impl Checker<'_> {
                 },
             ))
         };
-        let vp = Ty::U8.ptr_to();
         match i {
             Intrinsic::Min | Intrinsic::Max => {
                 if args.len() != 2 {
@@ -1811,24 +1814,6 @@ impl Checker<'_> {
                 ))
             }
             Intrinsic::C(b) => match b {
-                Builtin::Malloc => fixed(self, b, &[Ty::U64], vp),
-                Builtin::Free => fixed(self, b, &[vp], Ty::Unit),
-                Builtin::Realloc => fixed(self, b, &[vp.clone(), Ty::U64], vp),
-                Builtin::Memcpy => fixed(self, b, &[vp.clone(), vp.clone(), Ty::U64], vp),
-                Builtin::Memset => fixed(self, b, &[vp.clone(), Ty::INT, Ty::U64], vp),
-                Builtin::Sqrt
-                | Builtin::Fabs
-                | Builtin::Sin
-                | Builtin::Cos
-                | Builtin::Exp
-                | Builtin::Log
-                | Builtin::Floor
-                | Builtin::Ceil => fixed(self, b, &[Ty::F64], Ty::F64),
-                Builtin::Pow | Builtin::Fmod => fixed(self, b, &[Ty::F64, Ty::F64], Ty::F64),
-                Builtin::Clock => fixed(self, b, &[], Ty::F64),
-                Builtin::Rand => fixed(self, b, &[], Ty::INT),
-                Builtin::Srand => fixed(self, b, &[Ty::Scalar(ScalarTy::U32)], Ty::Unit),
-                Builtin::Abort => fixed(self, b, &[], Ty::Unit),
                 Builtin::Prefetch => {
                     if args.is_empty() {
                         return Err(terr("prefetch expects an address", span));
@@ -1890,6 +1875,7 @@ impl Checker<'_> {
                         },
                     ))
                 }
+                _ => fixed(self, b),
             },
         }
     }

@@ -667,3 +667,116 @@ fn narrow_signed_division_wraps_at_min_over_minus_one() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// the C library is one table (`builtins!` in terra-ir); every layer that
+// reads it must agree with every row
+// ---------------------------------------------------------------------------
+
+use terra_ir::{Builtin, CTy, Effect, Lib};
+
+/// A call of C function `name` with one sample argument per parameter in
+/// `params`, written for a function whose `p` is a `&uint8`.
+fn c_call(name: &str, params: &[CTy]) -> String {
+    let sample = |c: &CTy| match c {
+        CTy::Ptr(terra_ir::ScalarTy::I8) => "\"x\"",
+        CTy::Ptr(_) => "p",
+        CTy::Scalar(s) if s.is_float() => "2.5",
+        CTy::Scalar(_) => "3",
+        CTy::Void => unreachable!("void is no parameter type"),
+    };
+    let args: Vec<&str> = params.iter().map(sample).collect();
+    format!("C.{name}({})", args.join(", "))
+}
+
+/// `body` as the guarded body of a Terra function that is typechecked (by
+/// calling it) but whose body never runs.
+fn typecheck_only(body: &str) -> String {
+    format!(
+        "local C = terralib.includec('stdlib.h')\n\
+         terra f(run : bool, p : &uint8) if run then {body} end end\n\
+         f(false, nil)"
+    )
+}
+
+#[test]
+fn every_c_name_typechecks_against_its_table_row() {
+    let libc = Builtin::ALL.iter().filter(|b| b.info().lib == Lib::C);
+    for info in libc.map(|b| b.info()) {
+        for name in info.names {
+            let src = typecheck_only(&c_call(name, info.params));
+            Interp::new()
+                .exec(&src)
+                .unwrap_or_else(|e| panic!("{src}: {e}"));
+            if info.variadic {
+                continue;
+            }
+            let mut wrong = info.params.to_vec();
+            wrong.push(CTy::Scalar(terra_ir::ScalarTy::I32));
+            let e = eval_err(&typecheck_only(&c_call(name, &wrong)));
+            assert_eq!(e.phase, Phase::Typecheck, "{name}: {e}");
+            let (canonical, n) = (info.names[0], info.params.len());
+            let expected = format!("'{canonical}' expects {n} argument(s), got {}", n + 1);
+            assert!(e.to_string().contains(&expected), "{name}: {e}");
+        }
+    }
+}
+
+#[test]
+fn pure_builtins_agree_bit_for_bit_between_lua_and_terra() {
+    let mut pure = 0;
+    for b in Builtin::ALL {
+        let info = b.info();
+        if !matches!(info.effect, Effect::Pure(_)) {
+            continue;
+        }
+        pure += 1;
+        for name in info.names {
+            let (params, args) = match info.params.len() {
+                1 => ("x : double", "2.5"),
+                _ => ("x : double, y : double", "2.5, 3"),
+            };
+            let lua = eval_num(&format!(
+                "local C = terralib.includec('math.h') return C.{name}({args})"
+            ));
+            let terra = eval_num(&format!(
+                "local C = terralib.includec('math.h')\n\
+                 terra t({params}) : double return C.{name}({}) end\n\
+                 return t({args})",
+                if info.params.len() == 1 { "x" } else { "x, y" }
+            ));
+            assert!(lua.is_finite(), "{name}({args}) = {lua}");
+            assert_eq!(lua.to_bits(), terra.to_bits(), "{name}({args})");
+        }
+    }
+    assert_eq!(pure, 10, "sqrt fabs sin cos exp log pow floor ceil fmod");
+}
+
+#[test]
+fn allocating_and_nondeterministic_builtins_are_rejected_in_kernels() {
+    let mut rejected = Vec::new();
+    for b in Builtin::ALL {
+        let info = b.info();
+        if !matches!(info.effect, Effect::Allocates | Effect::Nondeterministic) {
+            continue;
+        }
+        let name = info.names[0];
+        rejected.push(name);
+        let src = format!(
+            "local C = terralib.includec('stdlib.h')\n\
+             terra bad(n : int, p : &uint8) : int\n\
+                 parallelfor i = 0, n do {} end\n\
+                 return 0\n\
+             end\n\
+             return bad(4, nil)",
+            c_call(name, info.params)
+        );
+        let e = eval_err(&src).to_string();
+        let expected = format!("calls '{name}', which is not allowed inside a parallel loop");
+        assert!(e.contains(&expected), "{name}: {e}");
+    }
+    assert_eq!(
+        rejected,
+        ["malloc", "free", "realloc", "clock", "rand", "srand"]
+    );
+}

@@ -17,7 +17,7 @@
 
 use super::{diag, Diagnostic, EnvEntry, ModuleEnv, Severity};
 use crate::ir::{
-    BinKind, Builtin, Callee, ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind, UnKind,
+    BinKind, Builtin, CTy, Callee, ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind, UnKind,
 };
 use crate::types::{Ty, TypeRegistry};
 use terra_syntax::Span;
@@ -809,31 +809,8 @@ impl Verifier<'_> {
     }
 
     fn builtin_call(&mut self, t: &Ty, b: Builtin, args: &[IrExpr]) {
-        use ArgClass::*;
-        // Parameter classes per builtin. `Ptr` accepts any address-class
-        // value (lowering passes aggregate pointers to memset/memcpy).
-        let (params, variadic, ret): (&[ArgClass], bool, ArgClass) = match b {
-            Builtin::Malloc => (&[Int], false, Ptr),
-            Builtin::Free => (&[Ptr], false, Unit),
-            Builtin::Realloc => (&[Ptr, Int], false, Ptr),
-            Builtin::Memcpy => (&[Ptr, Ptr, Int], false, Ptr),
-            Builtin::Memset => (&[Ptr, Int, Int], false, Ptr),
-            Builtin::Sqrt
-            | Builtin::Fabs
-            | Builtin::Sin
-            | Builtin::Cos
-            | Builtin::Exp
-            | Builtin::Log
-            | Builtin::Floor
-            | Builtin::Ceil => (&[Float], false, Float),
-            Builtin::Pow | Builtin::Fmod => (&[Float, Float], false, Float),
-            Builtin::Clock => (&[], false, Float),
-            Builtin::Rand => (&[], false, Int),
-            Builtin::Srand => (&[Int], false, Unit),
-            Builtin::Abort => (&[], false, Unit),
-            Builtin::Prefetch => (&[Ptr], false, Unit),
-            Builtin::Printf => (&[Ptr], true, Int),
-        };
+        let info = b.info();
+        let (params, variadic, ret) = (info.params, info.variadic, info.ret);
         if args.len() < params.len() || (!variadic && args.len() != params.len()) {
             self.error(
                 "bad-arity",
@@ -848,7 +825,8 @@ impl Verifier<'_> {
             return;
         }
         for (i, (a, p)) in args.iter().zip(params).enumerate() {
-            if !p.admits(&a.ty) {
+            let (ok, expected) = class(*p, &a.ty);
+            if !ok {
                 self.error(
                     "type-mismatch",
                     format!(
@@ -856,7 +834,7 @@ impl Verifier<'_> {
                         i,
                         b.name(),
                         a.ty,
-                        p.describe()
+                        expected
                     ),
                 );
             }
@@ -875,50 +853,31 @@ impl Verifier<'_> {
                 }
             }
         }
-        if !(ret.admits(t) || (ret == Unit && *t == Ty::Unit)) {
+        let (ok, expected) = class(ret, t);
+        if !ok {
             self.error(
                 "type-mismatch",
                 format!(
                     "call to builtin {} annotated {} (expected {})",
                     b.name(),
                     t,
-                    ret.describe()
+                    expected
                 ),
             );
         }
     }
 }
 
-/// Loose per-argument classes for builtin signatures.
-#[derive(Clone, Copy, PartialEq)]
-enum ArgClass {
-    /// Any address-class value.
-    Ptr,
-    /// Any integer scalar.
-    Int,
-    /// Any floating scalar.
-    Float,
-    /// No value.
-    Unit,
-}
-
-impl ArgClass {
-    fn admits(self, t: &Ty) -> bool {
-        match self {
-            ArgClass::Ptr => is_addr_class(t),
-            ArgClass::Int => t.is_integer(),
-            ArgClass::Float => t.is_float(),
-            ArgClass::Unit => *t == Ty::Unit,
-        }
-    }
-
-    fn describe(self) -> &'static str {
-        match self {
-            ArgClass::Ptr => "a pointer",
-            ArgClass::Int => "an integer",
-            ArgClass::Float => "a float",
-            ArgClass::Unit => "no value",
-        }
+/// The class of types that may stand where a builtin's signature says `c`
+/// — any address-class value for a pointer (lowering passes aggregate
+/// pointers to memset/memcpy), any integer for an integer, any float for a
+/// float: whether `t` is in it, and its name for messages.
+fn class(c: CTy, t: &Ty) -> (bool, &'static str) {
+    match c {
+        CTy::Ptr(_) => (is_addr_class(t), "a pointer"),
+        CTy::Scalar(s) if s.is_float() => (t.is_float(), "a float"),
+        CTy::Scalar(_) => (t.is_integer(), "an integer"),
+        CTy::Void => (*t == Ty::Unit, "no value"),
     }
 }
 

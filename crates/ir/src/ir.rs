@@ -7,7 +7,7 @@
 //! dereference) has been lowered to explicit address arithmetic + `Load` /
 //! `Store` by the time IR exists.
 
-use crate::types::{FuncTy, Ty};
+use crate::types::{FuncTy, ScalarTy, Ty};
 use std::sync::Arc;
 use terra_syntax::{Provenance, Span};
 
@@ -25,81 +25,182 @@ pub struct GlobalId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalId(pub u32);
 
-/// Built-in functions provided by the VM runtime — the simulated libc and
-/// math library that `terralib.includec` exposes, plus Terra intrinsics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Builtin {
+/// A parameter or result type in a builtin's C signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CTy {
+    /// A pointer to the scalar: `&uint8` stands for C's `void*`, `&int8` is
+    /// a C string.
+    Ptr(ScalarTy),
+    /// A scalar.
+    Scalar(ScalarTy),
+    /// `void`.
+    Void,
+}
+
+impl CTy {
+    /// The Terra type a call is checked against.
+    pub fn ty(self) -> Ty {
+        match self {
+            CTy::Ptr(s) => Ty::Scalar(s).ptr_to(),
+            CTy::Scalar(s) => Ty::Scalar(s),
+            CTy::Void => Ty::Unit,
+        }
+    }
+}
+
+const PTR: CTy = CTy::Ptr(ScalarTy::U8);
+const STR: CTy = CTy::Ptr(ScalarTy::I8);
+const U64: CTy = CTy::Scalar(ScalarTy::U64);
+const U32: CTy = CTy::Scalar(ScalarTy::U32);
+const INT: CTy = CTy::Scalar(ScalarTy::I32);
+const F64: CTy = CTy::Scalar(ScalarTy::F64);
+const VOID: CTy = CTy::Void;
+
+/// Where Lua code finds a builtin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lib {
+    /// In the table `terralib.includec` returns.
+    C,
+    /// As a global: a Terra intrinsic, not a C function.
+    Terra,
+}
+
+/// What a builtin does besides returning a value — the class the layers
+/// behind the IR decide by.
+#[derive(Debug, Clone, Copy)]
+pub enum Effect {
+    /// Nothing: the result is this function of the `double` arguments (the
+    /// second is 0 for a unary builtin). Lua and the VM both call it, so
+    /// the two agree bit for bit.
+    Pure(fn(f64, f64) -> f64),
+    /// Reads or writes the memory its pointer arguments address.
+    Memory,
+    /// Changes the allocator's state; forbidden in `parallelfor` kernels.
+    Allocates,
+    /// Reads or changes state outside the program's data (clock, random
+    /// seed); forbidden in `parallelfor` kernels.
+    Nondeterministic,
+    /// Writes to the output sink.
+    Output,
+    /// Ends the run.
+    Traps,
+}
+
+/// One row of the `builtins!` table.
+#[derive(Debug)]
+pub struct BuiltinInfo {
+    /// Where Lua finds it.
+    pub lib: Lib,
+    /// Its names there; the first is the one diagnostics use.
+    pub names: &'static [&'static str],
+    /// Types of the fixed parameters.
+    pub params: &'static [CTy],
+    /// Whether more arguments may follow the fixed ones.
+    pub variadic: bool,
+    /// Result type.
+    pub ret: CTy,
+    /// Effect class.
+    pub effect: Effect,
+}
+
+/// Declares the VM runtime's builtins, one row each:
+///
+/// ```text
+/// /// doc
+/// Variant = Lib["name", "alias", ..] (param types) variadic? -> result, Effect;
+/// ```
+///
+/// The rows are [`Builtin`] and [`Builtin::info`]; the name list `includec`
+/// exports, the signatures the typechecker and the verifier check calls
+/// against, the kernel-safety rule of `parallelfor` and the arithmetic of
+/// the pure functions are all read from here. What a builtin's *effect* does
+/// (allocating, printing, trapping) is the one thing written elsewhere, in
+/// the VM's `call_builtin`.
+macro_rules! builtins {
+    (@variadic) => { false };
+    (@variadic variadic) => { true };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $lib:ident[$($name:literal),+] ($($param:expr),*) $($variadic:ident)? -> $ret:expr, $effect:expr;
+    )*) => {
+        /// Built-in functions provided by the VM runtime — the simulated libc
+        /// and math library that `terralib.includec` exposes, plus Terra
+        /// intrinsics.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Builtin { $($(#[$doc])* $variant),* }
+
+        impl Builtin {
+            /// Every builtin, in declaration order.
+            pub const ALL: &'static [Builtin] = &[$(Builtin::$variant),*];
+
+            /// The builtin's row of the table.
+            pub fn info(self) -> &'static BuiltinInfo {
+                use Effect::*;
+                static TABLE: &[BuiltinInfo] = &[$(BuiltinInfo {
+                    lib: Lib::$lib,
+                    names: &[$($name),+],
+                    params: &[$($param),*],
+                    variadic: builtins!(@variadic $($variadic)?),
+                    ret: $ret,
+                    effect: $effect,
+                }),*];
+                &TABLE[self as usize]
+            }
+        }
+    };
+}
+
+builtins! {
     /// `malloc(size) -> &opaque`
-    Malloc,
+    Malloc = C["malloc"] (U64) -> PTR, Allocates;
     /// `free(ptr)`
-    Free,
+    Free = C["free"] (PTR) -> VOID, Allocates;
     /// `realloc(ptr, size) -> &opaque`
-    Realloc,
+    Realloc = C["realloc"] (PTR, U64) -> PTR, Allocates;
     /// `memcpy(dst, src, n)`
-    Memcpy,
+    Memcpy = C["memcpy"] (PTR, PTR, U64) -> PTR, Memory;
     /// `memset(dst, byte, n)`
-    Memset,
-    /// `sqrt(double) -> double` (and `sqrtf`)
-    Sqrt,
+    Memset = C["memset"] (PTR, INT, U64) -> PTR, Memory;
+    /// `sqrt(double) -> double`
+    Sqrt = C["sqrt", "sqrtf"] (F64) -> F64, Pure(|x, _| x.sqrt());
     /// `fabs`
-    Fabs,
+    Fabs = C["fabs", "fabsf"] (F64) -> F64, Pure(|x, _| x.abs());
     /// `sin`
-    Sin,
+    Sin = C["sin"] (F64) -> F64, Pure(|x, _| x.sin());
     /// `cos`
-    Cos,
+    Cos = C["cos"] (F64) -> F64, Pure(|x, _| x.cos());
     /// `exp`
-    Exp,
+    Exp = C["exp"] (F64) -> F64, Pure(|x, _| x.exp());
     /// `log`
-    Log,
+    Log = C["log"] (F64) -> F64, Pure(|x, _| x.ln());
     /// `pow(double, double)`
-    Pow,
+    Pow = C["pow", "powf"] (F64, F64) -> F64, Pure(f64::powf);
     /// `floor`
-    Floor,
+    Floor = C["floor"] (F64) -> F64, Pure(|x, _| x.floor());
     /// `ceil`
-    Ceil,
+    Ceil = C["ceil"] (F64) -> F64, Pure(|x, _| x.ceil());
     /// `fmod`
-    Fmod,
+    Fmod = C["fmod", "fmodf"] (F64, F64) -> F64, Pure(|x, y| x % y);
     /// `clock() -> double` — seconds of CPU time, for in-language timing.
-    Clock,
+    Clock = C["clock"] () -> F64, Nondeterministic;
     /// `printf(fmt, …)` — a C-printf subset (`%d %f %g %s %u %lld %p %%`).
-    Printf,
+    Printf = C["printf"] (STR) variadic -> INT, Output;
     /// `prefetch(addr, rw, locality, cachetype)` — issues a real prefetch
-    /// hint for the addressed VM memory.
-    Prefetch,
+    /// hint for the addressed VM memory. The typechecker checks the three
+    /// hint arguments and drops them, so the IR call has the address alone.
+    Prefetch = Terra["prefetch"] (PTR) -> VOID, Memory;
     /// `rand() -> int` — deterministic LCG, seeded by `srand`.
-    Rand,
+    Rand = C["rand"] () -> INT, Nondeterministic;
     /// `srand(seed)`
-    Srand,
+    Srand = C["srand"] (U32) -> VOID, Nondeterministic;
     /// `abort()` — traps.
-    Abort,
+    Abort = C["abort"] () -> VOID, Traps;
 }
 
 impl Builtin {
     /// The builtin's C-level name.
     pub fn name(self) -> &'static str {
-        match self {
-            Builtin::Malloc => "malloc",
-            Builtin::Free => "free",
-            Builtin::Realloc => "realloc",
-            Builtin::Memcpy => "memcpy",
-            Builtin::Memset => "memset",
-            Builtin::Sqrt => "sqrt",
-            Builtin::Fabs => "fabs",
-            Builtin::Sin => "sin",
-            Builtin::Cos => "cos",
-            Builtin::Exp => "exp",
-            Builtin::Log => "log",
-            Builtin::Pow => "pow",
-            Builtin::Floor => "floor",
-            Builtin::Ceil => "ceil",
-            Builtin::Fmod => "fmod",
-            Builtin::Clock => "clock",
-            Builtin::Printf => "printf",
-            Builtin::Prefetch => "prefetch",
-            Builtin::Rand => "rand",
-            Builtin::Srand => "srand",
-            Builtin::Abort => "abort",
-        }
+        self.info().names[0]
     }
 }
 
@@ -140,7 +241,7 @@ impl BinKind {
     /// it: sums, differences, products and left shifts can; a signed
     /// quotient does at `MIN / -1`; unsigned quotients, remainders, right
     /// shifts, bitwise operators, `min` and `max` cannot.
-    pub fn can_leave(self, s: crate::types::ScalarTy) -> bool {
+    pub fn can_leave(self, s: ScalarTy) -> bool {
         match self {
             BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Shl => true,
             BinKind::Div => s.is_signed(),

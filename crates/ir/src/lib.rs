@@ -29,8 +29,8 @@ pub use analysis::{
 };
 pub use display::dump_function;
 pub use ir::{
-    BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, GlobalCell, GlobalId, IrExpr, IrFunction,
-    IrStmt, LocalId, LocalSlot, StmtKind, UnKind,
+    BinKind, Builtin, BuiltinInfo, CTy, Callee, CmpKind, Effect, ExprKind, FuncId, GlobalCell,
+    GlobalId, IrExpr, IrFunction, IrStmt, Lib, LocalId, LocalSlot, StmtKind, UnKind,
 };
 pub use passes::fold::{fold_expr, fold_function};
 pub use passes::{

@@ -2,29 +2,24 @@
 //!
 //! Emits the object form of the trace-event format: a `traceEvents` array of
 //! complete (`"ph":"X"`) spans — one per staging/execution span — plus an
-//! `otherData` object carrying the deterministic counter summary. No JSON
-//! library is used; the writer below produces the small subset we need.
+//! `otherData` object carrying the deterministic counter summary.
 
+use crate::events::{func_fields, mem_fields, remark_fields};
+use crate::json::Json;
 use crate::{Profile, Stage};
-use std::fmt::Write;
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Opens a trace event: name (the parts joined), category (if any), phase.
+fn event<'a, 'j>(e: &'a mut Json<'j>, name: &[&str], cat: &str, ph: &str) -> &'a mut Json<'j> {
+    e.strs("name", name);
+    if !cat.is_empty() {
+        e.str("cat", cat);
     }
-    out
+    e.str("ph", ph)
+}
+
+/// The track an event sits on.
+fn track<'a, 'j>(e: &'a mut Json<'j>, pid: u32, tid: u64) -> &'a mut Json<'j> {
+    e.raw("pid", pid).raw("tid", tid)
 }
 
 impl Profile {
@@ -34,88 +29,62 @@ impl Profile {
     /// complete event per span, microsecond timestamps) and an `otherData`
     /// object with opcode/function/memory counter totals.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
+        let mut out = String::new();
+        Json::object(&mut out, |top| {
+            top.array_in("traceEvents", |events| self.chrome_events(events))
+                .str("displayTimeUnit", "ms")
+                .object_in("otherData", |data| self.chrome_summary(data));
+        });
+        out
+    }
+
+    fn chrome_events(&self, events: &mut Json) {
         for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}: {}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":1}}",
-                e.stage.label(),
-                escape(&e.name),
-                e.stage.label(),
-                e.start_us,
-                e.dur_us
-            );
+            let label = e.stage.label();
+            events.element(|ev| {
+                event(ev, &[label, ": ", &e.name], label, "X")
+                    .raw("ts", e.start_us)
+                    .raw("dur", e.dur_us);
+                track(ev, 1, 1);
+            });
         }
         // Remarks become instant events pinned to the start of the optimize
         // span of the pass that emitted them, so they line up with the work
         // they explain in the timeline view.
         for r in &self.remarks {
             let span_name = format!("{}:{}", r.function, r.pass);
-            let ts = self
-                .events
-                .iter()
-                .find(|e| e.stage == Stage::Optimize && e.name == span_name)
-                .map(|e| e.start_us)
-                .unwrap_or(0);
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"remark: {} {}\",\"cat\":\"remark\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{{\"function\":\"{}\",\"line\":{},\
-                 \"provenance\":\"{}\",\"message\":\"{}\"}}}}",
-                escape(&r.pass),
-                escape(&r.kind),
-                escape(&r.function),
-                r.line,
-                escape(&r.provenance),
-                escape(&r.message)
-            );
+            let mut spans = self.events.iter();
+            let span = spans.find(|e| e.stage == Stage::Optimize && e.name == span_name);
+            events.element(|ev| {
+                event(ev, &["remark: ", r.pass, " ", r.kind], "remark", "i")
+                    .str("s", "t")
+                    .raw("ts", span.map_or(0, |e| e.start_us));
+                track(ev, 1, 1).object_in("args", |args| remark_fields(args, r));
+            });
         }
         // Counter-stream sample for the simulated cache hierarchy, placed at
         // the end of the timeline (counts are totals, not a time series).
-        let end_ts = self
-            .events
-            .iter()
-            .map(|e| e.start_us + e.dur_us)
-            .max()
-            .unwrap_or(0);
+        let ends = self.events.iter().map(|e| e.start_us + e.dur_us);
+        let end_ts = ends.max().unwrap_or(0);
         if self.cache.total_accesses() > 0 {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let c = &self.cache;
-            let _ = write!(
-                out,
-                "{{\"name\":\"cache misses\",\"ph\":\"C\",\"ts\":{end_ts},\"pid\":1,\"tid\":1,\
-                 \"args\":{{\"l1_misses\":{},\"l2_misses\":{}}}}}",
-                c.l1.misses, c.l2.misses
-            );
+            events.element(|ev| {
+                event(ev, &["cache misses"], "", "C").raw("ts", end_ts);
+                track(ev, 1, 1).object_in("args", |args| {
+                    args.raw("l1_misses", self.cache.l1.misses)
+                        .raw("l2_misses", self.cache.l2.misses);
+                });
+            });
         }
         // The heap high-water timeline becomes a counter series. Its x-axis
         // is the (deterministic) allocation sequence number, offset past the
         // wall-clock spans so the series renders after them.
         for p in &self.heap.timeline {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"heap live bytes\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":1,\
-                 \"args\":{{\"live_bytes\":{}}}}}",
-                end_ts + p.seq,
-                p.live_bytes
-            );
+            events.element(|ev| {
+                event(ev, &["heap live bytes"], "", "C").raw("ts", end_ts + p.seq);
+                track(ev, 1, 1).object_in("args", |args| {
+                    args.raw("live_bytes", p.live_bytes);
+                });
+            });
         }
         // Parallel regions render under a second process: one track per
         // worker (tid = worker index) with a duty slice per chunk, a
@@ -123,167 +92,98 @@ impl Profile {
         // efficiency" counter per site. Chunk slices carry wall-clock, so
         // this part of the export (like the span timeline) is not
         // byte-reproducible — the deterministic view is `to_jsonl()`.
-        let mut named_workers: Vec<u64> = Vec::new();
-        for s in &self.parallel.sites {
+        let sites = &self.parallel.sites;
+        let mut workers: Vec<u64> = sites
+            .iter()
+            .flat_map(|s| &s.chunks)
+            .map(|c| c.worker)
+            .collect();
+        workers.sort_unstable();
+        workers.dedup();
+        for w in workers {
+            events.element(|ev| {
+                track(event(ev, &["thread_name"], "", "M"), 2, w).object_in("args", |args| {
+                    args.str("name", &format!("worker {w}"));
+                });
+            });
+        }
+        for s in sites {
             for c in &s.chunks {
-                if !named_workers.contains(&c.worker) {
-                    named_workers.push(c.worker);
-                }
-            }
-        }
-        named_workers.sort_unstable();
-        for w in &named_workers {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{w},\
-                 \"args\":{{\"name\":\"worker {w}\"}}}}"
-            );
-        }
-        for s in &self.parallel.sites {
-            for c in &s.chunks {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{} chunk {} iters {}..{}\",\"cat\":\"parallel\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{},\"pid\":2,\"tid\":{},\
-                     \"args\":{{\"instructions\":{},\"loads\":{},\"stores\":{},\
-                     \"l1_misses\":{}}}}}",
-                    escape(&s.kernel),
-                    c.chunk,
-                    c.start,
-                    c.end,
-                    c.start_us,
-                    c.dur_us.max(1),
-                    c.worker,
-                    c.instructions,
-                    c.loads,
-                    c.stores,
-                    c.l1_misses
+                let name = format!(
+                    "{} chunk {} iters {}..{}",
+                    s.kernel, c.chunk, c.start, c.end
                 );
+                events.element(|ev| {
+                    event(ev, &[&name], "parallel", "X")
+                        .raw("ts", c.start_us)
+                        .raw("dur", c.dur_us.max(1));
+                    track(ev, 2, c.worker).object_in("args", |args| {
+                        args.raw("instructions", c.instructions)
+                            .raw("loads", c.loads)
+                            .raw("stores", c.stores)
+                            .raw("l1_misses", c.l1_misses);
+                    });
+                });
             }
-            if !s.chunks.is_empty() {
-                if !first {
-                    out.push(',');
+            if let Some(site_ts) = s.chunks.iter().map(|c| c.start_us).min() {
+                events.element(|ev| {
+                    event(ev, &["parallel efficiency"], "", "C").raw("ts", site_ts);
+                    track(ev, 2, 0).object_in("args", |args| {
+                        args.raw(&s.kernel, format_args!("{:.4}", s.efficiency()));
+                    });
+                });
+            }
+        }
+    }
+
+    fn chrome_summary(&self, data: &mut Json) {
+        data.raw("total_instructions", self.total_instructions())
+            .object_in("opcodes", |ops| {
+                for (op, n) in &self.ops {
+                    ops.raw(op, n);
                 }
-                first = false;
-                let site_ts = s.chunks.iter().map(|c| c.start_us).min().unwrap_or(0);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"parallel efficiency\",\"ph\":\"C\",\"ts\":{site_ts},\
-                     \"pid\":2,\"tid\":0,\"args\":{{\"{}\":{:.4}}}}}",
-                    escape(&s.kernel),
-                    s.efficiency()
-                );
-            }
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        let _ = write!(
-            out,
-            "\"total_instructions\":{},\"opcodes\":{{",
-            self.total_instructions()
-        );
-        for (i, (op, n)) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape(op), n);
-        }
-        out.push_str("},\"functions\":{");
-        for (i, f) in self.funcs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"calls\":{},\"inclusive\":{},\"exclusive\":{}}}",
-                escape(&f.name),
-                f.counters.calls,
-                f.counters.inclusive,
-                f.counters.exclusive
-            );
-        }
-        let m = &self.mem;
-        let _ = write!(
-            out,
-            "}},\"memory\":{{\"mallocs\":{},\"frees\":{},\"peak_live_bytes\":{},\
-             \"loads\":[{},{},{},{}],\"stores\":[{},{},{},{}],\
-             \"vector_loads\":{},\"vector_stores\":{},\"prefetches\":{}}}",
-            m.mallocs,
-            m.frees,
-            m.peak_live_bytes,
-            m.loads[0],
-            m.loads[1],
-            m.loads[2],
-            m.loads[3],
-            m.stores[0],
-            m.stores[1],
-            m.stores[2],
-            m.stores[3],
-            m.vec_loads,
-            m.vec_stores,
-            m.prefetches
-        );
-        let c = &self.cache;
-        let _ = write!(
-            out,
-            ",\"cache\":{{\"l1\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"miss_rate\":{:.6}}},\"l2\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"miss_rate\":{:.6}}},\"prefetch\":{{\"useful\":{},\"late\":{},\"useless\":{}}}}}",
-            c.l1.hits,
-            c.l1.misses,
-            c.l1.evictions,
-            c.l1.miss_rate(),
-            c.l2.hits,
-            c.l2.misses,
-            c.l2.evictions,
-            c.l2.miss_rate(),
-            c.prefetch_useful,
-            c.prefetch_late,
-            c.prefetch_useless
-        );
-        let h = &self.heap;
-        let _ = write!(
-            out,
-            ",\"heap\":{{\"sites\":{},\"live_bytes\":{},\"peak_live_bytes\":{},\
-             \"leaked_allocs\":{},\"leaked_bytes\":{}}}}}}}",
-            h.sites.len(),
-            h.live_bytes,
-            h.peak_live_bytes,
-            h.leaked_allocs(),
-            h.leaked_bytes()
-        );
-        out
+            })
+            .object_in("functions", |funcs| {
+                for f in &self.funcs {
+                    funcs.object_in(&f.name, |o| func_fields(o, &f.counters));
+                }
+            })
+            .object_in("memory", |o| mem_fields(o, &self.mem))
+            .object_in("cache", |cache| {
+                for (level, s) in [("l1", self.cache.l1), ("l2", self.cache.l2)] {
+                    cache.object_in(level, |o| {
+                        o.raw("hits", s.hits)
+                            .raw("misses", s.misses)
+                            .raw("evictions", s.evictions)
+                            .raw("miss_rate", format_args!("{:.6}", s.miss_rate()));
+                    });
+                }
+                cache.object_in("prefetch", |o| {
+                    o.raw("useful", self.cache.prefetch_useful)
+                        .raw("late", self.cache.prefetch_late)
+                        .raw("useless", self.cache.prefetch_useless);
+                });
+            })
+            .object_in("heap", |o| {
+                o.raw("sites", self.heap.sites.len())
+                    .raw("live_bytes", self.heap.live_bytes)
+                    .raw("peak_live_bytes", self.heap.peak_live_bytes)
+                    .raw("leaked_allocs", self.heap.leaked_allocs())
+                    .raw("leaked_bytes", self.heap.leaked_bytes());
+            });
     }
 
     /// Serializes the remark stream as a standalone JSON array (the
     /// `--remarks-out` payload). Deterministic: no timestamps, emission
     /// order.
     pub fn remarks_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, r) in self.remarks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = String::new();
+        Json::array(&mut out, |array| {
+            for r in &self.remarks {
+                array.element(|o| remark_fields(o, r));
             }
-            let _ = write!(
-                out,
-                "{{\"pass\":\"{}\",\"kind\":\"{}\",\"function\":\"{}\",\"line\":{},\
-                 \"provenance\":\"{}\",\"message\":\"{}\"}}",
-                escape(&r.pass),
-                escape(&r.kind),
-                escape(&r.function),
-                r.line,
-                escape(&r.provenance),
-                escape(&r.message)
-            );
-        }
-        out.push_str("]\n");
+        });
+        out.push('\n');
         out
     }
 }
@@ -437,10 +337,10 @@ mod tests {
         assert_eq!(open, close, "unbalanced brackets in {j}");
     }
 
-    fn remark(pass: &str, msg: &str) -> crate::Remark {
+    fn remark(pass: &'static str, msg: &str) -> crate::Remark {
         crate::Remark {
-            pass: pass.into(),
-            kind: "applied".into(),
+            pass,
+            kind: "applied",
             function: "gemm".into(),
             line: 7,
             provenance: "via quote at line 41".into(),

@@ -33,195 +33,171 @@
 //! decimals, and — like every other record — no wall-clock field appears,
 //! so the stream stays byte-stable across runs at a fixed thread count.
 
-use crate::chrome::escape;
-use crate::Profile;
-use std::fmt::Write as _;
+use crate::json::Json;
+use crate::{FuncCounters, MemStats, Profile, Remark};
+
+/// The six fields of a remark, as every export spells them.
+pub(crate) fn remark_fields(o: &mut Json, r: &Remark) {
+    o.str("pass", r.pass)
+        .str("kind", r.kind)
+        .str("function", &r.function)
+        .raw("line", r.line)
+        .str("provenance", &r.provenance)
+        .str("message", &r.message);
+}
+
+/// A function's call and instruction counters.
+pub(crate) fn func_fields(o: &mut Json, c: &FuncCounters) {
+    o.raw("calls", c.calls)
+        .raw("inclusive", c.inclusive)
+        .raw("exclusive", c.exclusive);
+}
+
+/// The memory system's counters; loads and stores are per access width.
+pub(crate) fn mem_fields(o: &mut Json, m: &MemStats) {
+    let [l1, l2, l4, l8] = m.loads;
+    let [s1, s2, s4, s8] = m.stores;
+    o.raw("mallocs", m.mallocs)
+        .raw("frees", m.frees)
+        .raw("peak_live_bytes", m.peak_live_bytes)
+        .raw("loads", format_args!("[{l1},{l2},{l4},{l8}]"))
+        .raw("stores", format_args!("[{s1},{s2},{s4},{s8}]"))
+        .raw("vec_loads", m.vec_loads)
+        .raw("vec_stores", m.vec_stores)
+        .raw("prefetches", m.prefetches);
+}
 
 impl Profile {
     /// Serializes the profile as one deterministic JSONL event stream.
     /// See the module docs of `events` for the schema.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"meta\",\"version\":1,\"total_instructions\":{},\"sample_interval\":{}}}",
-            self.total_instructions(),
-            self.samples.interval
-        );
+        // One record: an object whose first member is its type, then a
+        // newline.
+        let mut record = |ty: &str, fields: &dyn Fn(&mut Json)| {
+            Json::object(&mut out, |o| fields(o.str("type", ty)));
+            out.push('\n');
+        };
+        record("meta", &|o| {
+            o.raw("version", 1)
+                .raw("total_instructions", self.total_instructions())
+                .raw("sample_interval", self.samples.interval);
+        });
         for (seq, ev) in self.events.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"span\",\"seq\":{},\"stage\":\"{}\",\"name\":\"{}\"}}",
-                seq,
-                ev.stage.label(),
-                escape(&ev.name)
-            );
+            record("span", &|o| {
+                o.raw("seq", seq)
+                    .str("stage", ev.stage.label())
+                    .str("name", &ev.name);
+            });
         }
         for (op, n) in &self.ops {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"op\",\"name\":\"{}\",\"count\":{}}}",
-                escape(op),
-                n
-            );
+            record("op", &|o| {
+                o.str("name", op).raw("count", n);
+            });
         }
         for f in &self.funcs {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"func\",\"name\":\"{}\",\"calls\":{},\"inclusive\":{},\"exclusive\":{}}}",
-                escape(&f.name),
-                f.counters.calls,
-                f.counters.inclusive,
-                f.counters.exclusive
-            );
+            record("func", &|o| {
+                func_fields(o.str("name", &f.name), &f.counters)
+            });
         }
-        let m = &self.mem;
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"mem\",\"mallocs\":{},\"frees\":{},\"peak_live_bytes\":{},\
-             \"loads\":[{},{},{},{}],\"stores\":[{},{},{},{}],\
-             \"vec_loads\":{},\"vec_stores\":{},\"prefetches\":{}}}",
-            m.mallocs,
-            m.frees,
-            m.peak_live_bytes,
-            m.loads[0],
-            m.loads[1],
-            m.loads[2],
-            m.loads[3],
-            m.stores[0],
-            m.stores[1],
-            m.stores[2],
-            m.stores[3],
-            m.vec_loads,
-            m.vec_stores,
-            m.prefetches
-        );
+        record("mem", &|o| mem_fields(o, &self.mem));
         if self.cache.total_accesses() > 0 {
             for (level, s) in [("l1", self.cache.l1), ("l2", self.cache.l2)] {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"cache\",\"level\":\"{}\",\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-                    level, s.hits, s.misses, s.evictions
-                );
+                record("cache", &|o| {
+                    o.str("level", level)
+                        .raw("hits", s.hits)
+                        .raw("misses", s.misses)
+                        .raw("evictions", s.evictions);
+                });
             }
         }
         for l in &self.cache_lines {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"cache_line\",\"func\":\"{}\",\"line\":{},\"accesses\":{},\
-                 \"l1_misses\":{},\"l2_misses\":{}}}",
-                escape(&l.func),
-                l.line,
-                l.accesses,
-                l.l1_misses,
-                l.l2_misses
-            );
+            record("cache_line", &|o| {
+                o.str("func", &l.func)
+                    .raw("line", l.line)
+                    .raw("accesses", l.accesses)
+                    .raw("l1_misses", l.l1_misses)
+                    .raw("l2_misses", l.l2_misses);
+            });
         }
         for r in &self.remarks {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"remark\",\"pass\":\"{}\",\"kind\":\"{}\",\"function\":\"{}\",\
-                 \"line\":{},\"provenance\":\"{}\",\"message\":\"{}\"}}",
-                escape(&r.pass),
-                escape(&r.kind),
-                escape(&r.function),
-                r.line,
-                escape(&r.provenance),
-                escape(&r.message)
-            );
+            record("remark", &|o| remark_fields(o, r));
         }
         for s in &self.heap.sites {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"heap_site\",\"func\":\"{}\",\"line\":{},\"provenance\":\"{}\",\
-                 \"count\":{},\"bytes\":{},\"peak_bytes\":{},\"live_count\":{},\"live_bytes\":{}}}",
-                escape(&s.func),
-                s.line,
-                escape(&s.provenance),
-                s.count,
-                s.bytes,
-                s.peak_bytes,
-                s.live_count,
-                s.live_bytes
-            );
+            record("heap_site", &|o| {
+                o.str("func", &s.func)
+                    .raw("line", s.line)
+                    .str("provenance", &s.provenance)
+                    .raw("count", s.count)
+                    .raw("bytes", s.bytes)
+                    .raw("peak_bytes", s.peak_bytes)
+                    .raw("live_count", s.live_count)
+                    .raw("live_bytes", s.live_bytes);
+            });
         }
         for p in &self.heap.timeline {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"heap_timeline\",\"seq\":{},\"live_bytes\":{}}}",
-                p.seq, p.live_bytes
-            );
+            record("heap_timeline", &|o| {
+                o.raw("seq", p.seq).raw("live_bytes", p.live_bytes);
+            });
         }
         for s in self.heap.leaks() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"leak\",\"func\":\"{}\",\"line\":{},\"provenance\":\"{}\",\
-                 \"count\":{},\"bytes\":{}}}",
-                escape(&s.func),
-                s.line,
-                escape(&s.provenance),
-                s.live_count,
-                s.live_bytes
-            );
+            record("leak", &|o| {
+                o.str("func", &s.func)
+                    .raw("line", s.line)
+                    .str("provenance", &s.provenance)
+                    .raw("count", s.live_count)
+                    .raw("bytes", s.live_bytes);
+            });
         }
         for (stack, n) in &self.samples.stacks {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"sample\",\"stack\":\"{}\",\"count\":{}}}",
-                escape(stack),
-                n
-            );
+            record("sample", &|o| {
+                o.str("stack", stack).raw("count", n);
+            });
         }
         for (si, s) in self.parallel.sites.iter().enumerate() {
             let (min, median, max) = s.chunk_instruction_spread();
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"par_site\",\"site\":{},\"function\":\"{}\",\"line\":{},\
-                 \"provenance\":\"{}\",\"kernel\":\"{}\",\"threads\":{},\"invocations\":{},\
-                 \"chunks\":{},\"iterations\":{},\"instructions\":{},\"min\":{},\"median\":{},\
-                 \"max\":{},\"imbalance\":{:.4},\"efficiency\":{:.4},\"critical_chunk\":{}}}",
-                si,
-                escape(&s.function),
-                s.line,
-                escape(&s.provenance),
-                escape(&s.kernel),
-                s.threads,
-                s.invocations,
-                s.chunks.len(),
-                s.iterations,
-                s.total_instructions(),
-                min,
-                median,
-                max,
-                s.imbalance(),
-                s.efficiency(),
-                s.critical_chunk().map(|c| c.chunk).unwrap_or(0)
-            );
+            record("par_site", &|o| {
+                o.raw("site", si)
+                    .str("function", &s.function)
+                    .raw("line", s.line)
+                    .str("provenance", &s.provenance)
+                    .str("kernel", &s.kernel)
+                    .raw("threads", s.threads)
+                    .raw("invocations", s.invocations)
+                    .raw("chunks", s.chunks.len())
+                    .raw("iterations", s.iterations)
+                    .raw("instructions", s.total_instructions())
+                    .raw("min", min)
+                    .raw("median", median)
+                    .raw("max", max)
+                    .raw("imbalance", format_args!("{:.4}", s.imbalance()))
+                    .raw("efficiency", format_args!("{:.4}", s.efficiency()))
+                    .raw(
+                        "critical_chunk",
+                        s.critical_chunk().map(|c| c.chunk).unwrap_or(0),
+                    );
+            });
             for c in &s.chunks {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"par_chunk\",\"site\":{},\"chunk\":{},\"start\":{},\"end\":{},\
-                     \"worker\":{},\"instructions\":{},\"loads\":{},\"stores\":{},\
-                     \"l1_misses\":{},\"l2_misses\":{}}}",
-                    si,
-                    c.chunk,
-                    c.start,
-                    c.end,
-                    c.worker,
-                    c.instructions,
-                    c.loads,
-                    c.stores,
-                    c.l1_misses,
-                    c.l2_misses
-                );
+                record("par_chunk", &|o| {
+                    o.raw("site", si)
+                        .raw("chunk", c.chunk)
+                        .raw("start", c.start)
+                        .raw("end", c.end)
+                        .raw("worker", c.worker)
+                        .raw("instructions", c.instructions)
+                        .raw("loads", c.loads)
+                        .raw("stores", c.stores)
+                        .raw("l1_misses", c.l1_misses)
+                        .raw("l2_misses", c.l2_misses);
+                });
             }
             for w in s.worker_loads() {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"par_worker\",\"site\":{},\"worker\":{},\"chunks\":{},\
-                     \"instructions\":{}}}",
-                    si, w.worker, w.chunks, w.instructions
-                );
+                record("par_worker", &|o| {
+                    o.raw("site", si)
+                        .raw("worker", w.worker)
+                        .raw("chunks", w.chunks)
+                        .raw("instructions", w.instructions);
+                });
             }
         }
         out
@@ -254,8 +230,8 @@ mod tests {
                 },
             }],
             remarks: vec![Remark {
-                pass: "inline".to_string(),
-                kind: "applied".to_string(),
+                pass: "inline",
+                kind: "applied",
                 function: "f".to_string(),
                 line: 4,
                 provenance: "via quote at line 9".to_string(),

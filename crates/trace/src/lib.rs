@@ -31,6 +31,7 @@ mod chrome;
 mod events;
 mod folded;
 mod heap;
+mod json;
 mod parallel;
 pub mod record;
 pub mod replay;
@@ -93,9 +94,9 @@ impl Stage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Remark {
     /// Pass that emitted it (`"inline"`, `"licm"`, `"cse"`, ...).
-    pub pass: String,
+    pub pass: &'static str,
     /// `"applied"` or `"missed"`.
-    pub kind: String,
+    pub kind: &'static str,
     /// Terra function the remark concerns.
     pub function: String,
     /// 1-based source line of the affected statement (0 = whole function).

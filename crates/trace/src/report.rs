@@ -369,16 +369,16 @@ mod tests {
         assert!(!p.render_counters().contains("== remarks =="));
         p.remarks = vec![
             crate::Remark {
-                pass: "inline".into(),
-                kind: "applied".into(),
+                pass: "inline",
+                kind: "applied",
                 function: "sieve".into(),
                 line: 12,
                 provenance: "via quote at line 4".into(),
                 message: "inlined 'is_marked' (9 IR nodes)".into(),
             },
             crate::Remark {
-                pass: "dce".into(),
-                kind: "applied".into(),
+                pass: "dce",
+                kind: "applied",
                 function: "sieve".into(),
                 line: 0,
                 provenance: String::new(),

@@ -71,1019 +71,368 @@ impl IntWidth {
     }
 }
 
-/// One bytecode instruction. `d` is the destination register; `a`/`b` are
-/// operands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    // -- constants / moves --------------------------------------------------
+/// Declares the instruction set, one row per instruction, in opcode order:
+///
+/// ```text
+/// /// doc
+/// Variant = "mnemonic" { regs } var { reg*width, .. } imm { field: Type, .. } @chk;
+/// ```
+///
+/// `{ regs }` are the register operands of fixed shape (`r` one slot, `r*4`
+/// a vector); `var` registers may be [`NO_REG`] and are as wide as the
+/// literal or `imm` field after the `*`; `imm` are the fields that are not
+/// registers, and one named `target` is a jump target; `@chk` marks a
+/// bounds-checkable memory access and adds its `chk: bool`. A row without
+/// braces is a unit variant.
+///
+/// The rows *are* [`Instr`]: the enum, its dense [`Instr::opcode`]
+/// numbering, [`MNEMONICS`] (the names profilers' counters are rendered by),
+/// [`N_OPCODES`], [`Instr::chk`], and the operand and jump-target walks the
+/// load-time validator runs are all generated from them, so an instruction
+/// is this row, its dispatch arm in `machine.rs` and its emitter in
+/// `compile.rs`.
+macro_rules! opcodes {
+    (@w) => { 1 };
+    (@w $w:literal) => { $w };
+    (@w $w:ident) => { u16::from($w) };
+    (@jump $instr:expr, $variant:ident target) => {
+        if let Instr::$variant { target, .. } = $instr {
+            return Some(target);
+        }
+    };
+    (@jump $instr:expr, $variant:ident $imm:ident) => {};
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal $(
+            { $($r:ident $(* $w:literal)?),* }
+            $(var { $($v:ident * $vw:tt),* })?
+            $(imm { $($i:ident : $ity:ty),* })?
+            $(@ $chk:ident)?
+        )?;
+    )*) => {
+        /// One bytecode instruction. `d` is the destination register, `a`/`b`
+        /// the operands; memory instructions take their address in `a` and
+        /// store the value in `s`.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Instr {
+            $(
+                $(#[$doc])*
+                $variant $({
+                    $(#[doc = "Register operand."] $r: Reg,)*
+                    $($(#[doc = "Register operand, or [`NO_REG`] for none."] $v: Reg,)*)?
+                    $($(#[doc = "Immediate."] $i: $ity,)*)?
+                    $(#[doc = "Bounds-checked (see [`Instr::chk`])?"] $chk: bool,)?
+                })?,
+            )*
+        }
+
+        #[repr(u8)]
+        enum Opcode { $($variant),* }
+
+        /// Number of distinct opcodes ([`Instr`] variants).
+        pub const N_OPCODES: usize = [$($name),*].len();
+
+        /// Mnemonic of every opcode, indexed by [`Instr::opcode`].
+        pub const MNEMONICS: [&str; N_OPCODES] = [$($name),*];
+
+        impl Instr {
+            /// Dense opcode index of this instruction (`< N_OPCODES`).
+            #[inline]
+            pub fn opcode(&self) -> u8 {
+                match self { $(Instr::$variant { .. } => Opcode::$variant as u8,)* }
+            }
+
+            /// The instruction's bounds-check bit: `Some(true)` for a memory
+            /// access that checks its address, `Some(false)` for one the
+            /// mid-end proved in-bounds (ignored under `--sanitize`), `None`
+            /// for everything that is not a checkable memory access.
+            #[inline]
+            pub fn chk(&self) -> Option<bool> {
+                match *self {
+                    $($($(Instr::$variant { $chk, .. } => Some($chk),)?)?)*
+                    _ => None,
+                }
+            }
+
+            /// Calls `visit(first slot, slots)` for every register operand
+            /// that is present.
+            #[allow(unused_variables)]
+            fn operands(&self, mut visit: impl FnMut(Reg, u16)) {
+                match *self {
+                    $(Instr::$variant { $($($r,)* $($($v,)*)? $($($i,)*)?)? .. } => {
+                        $($(visit($r, opcodes!(@w $($w)?));)*)?
+                        $($($(if $v != NO_REG {
+                            visit($v, opcodes!(@w $vw));
+                        })*)?)?
+                    })*
+                }
+            }
+
+            /// The instruction's jump target, if it has one.
+            fn target_ref(&self) -> Option<&u32> {
+                $($($($(opcodes!(@jump self, $variant $i);)*)?)?)*
+                None
+            }
+
+            /// The instruction's jump target, for the compiler to patch.
+            pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+                $($($($(opcodes!(@jump self, $variant $i);)*)?)?)*
+                None
+            }
+        }
+    };
+}
+
+opcodes! {
+    // -- constants / moves
     /// `d = imm` (integer/pointer/bool bit pattern).
-    ConstI {
-        /// Destination.
-        d: Reg,
-        /// Immediate value.
-        v: i64,
-    },
+    ConstI = "const.i" { d } imm { v: i64 };
     /// `d = imm` (f64 bits).
-    ConstF64 {
-        /// Destination.
-        d: Reg,
-        /// Immediate value.
-        v: f64,
-    },
+    ConstF64 = "const.f64" { d } imm { v: f64 };
     /// `d = imm` (f32 bits in the slot's low half).
-    ConstF32 {
-        /// Destination.
-        d: Reg,
-        /// Immediate value.
-        v: f32,
-    },
-    /// `d = a`, `w` slots wide.
-    Mov {
-        /// Destination.
-        d: Reg,
-        /// Source.
-        a: Reg,
-        /// Slots moved (1, or [`VECTOR_SLOTS`]).
-        w: u8,
-    },
+    ConstF32 = "const.f32" { d } imm { v: f32 };
+    /// `d = a`, `w` slots wide (1, or [`VECTOR_SLOTS`]).
+    Mov = "mov" {} var { d*w, a*w } imm { w: u8 };
 
-    // -- integer arithmetic (64-bit, canonical-extended operands) -----------
+    // -- integer arithmetic (64-bit, canonical-extended operands)
     /// `d = a + b` (wrapping).
-    AddI {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    AddI = "add.i" { d, a, b };
     /// `d = a - b` (wrapping).
-    SubI {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    SubI = "sub.i" { d, a, b };
     /// `d = a * b` (wrapping).
-    MulI {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MulI = "mul.i" { d, a, b };
     /// Signed division (traps on divide-by-zero).
-    DivS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    DivS = "div.s" { d, a, b };
     /// Unsigned division (traps on divide-by-zero).
-    DivU {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    DivU = "div.u" { d, a, b };
     /// Signed remainder.
-    RemS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    RemS = "rem.s" { d, a, b };
     /// Unsigned remainder.
-    RemU {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    RemU = "rem.u" { d, a, b };
     /// `d = a << b`.
-    Shl {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    Shl = "shl" { d, a, b };
     /// Arithmetic shift right.
-    ShrS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    ShrS = "shr.s" { d, a, b };
     /// Logical shift right.
-    ShrU {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    ShrU = "shr.u" { d, a, b };
     /// Bitwise and.
-    And {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    And = "and" { d, a, b };
     /// Bitwise or.
-    Or {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    Or = "or" { d, a, b };
     /// Bitwise xor.
-    Xor {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    Xor = "xor" { d, a, b };
     /// Signed integer min.
-    MinS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MinS = "min.s" { d, a, b };
     /// Signed integer max.
-    MaxS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MaxS = "max.s" { d, a, b };
     /// `d = -a` (wrapping).
-    NegI {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    NegI = "neg.i" { d, a };
     /// `d = !a` (bitwise).
-    NotI {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    NotI = "not.i" { d, a };
     /// Boolean not (`0/1`).
-    NotB {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    NotB = "not.b" { d, a };
     /// Re-canonicalizes a narrow integer after arithmetic.
-    Trunc {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-        /// Target width.
-        w: IntWidth,
-    },
-    /// `d = a + b*scale + disp` — fused address computation.
-    Lea {
-        /// Destination.
-        d: Reg,
-        /// Base register.
-        a: Reg,
-        /// Index register (or [`NO_REG`]).
-        b: Reg,
-        /// Scale applied to the index.
-        scale: i32,
-        /// Constant displacement.
-        disp: i64,
-    },
+    Trunc = "trunc" { d, a } imm { w: IntWidth };
+    /// `d = a + b*scale + disp` — fused address computation; without an index
+    /// `b` is [`NO_REG`].
+    Lea = "lea" { d, a } var { b*1 } imm { scale: i32, disp: i64 };
 
-    // -- floating arithmetic -------------------------------------------------
+    // -- floating arithmetic
     /// f64 add.
-    AddF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    AddF64 = "add.f64" { d, a, b };
     /// f64 subtract.
-    SubF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    SubF64 = "sub.f64" { d, a, b };
     /// f64 multiply.
-    MulF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MulF64 = "mul.f64" { d, a, b };
     /// f64 divide.
-    DivF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    DivF64 = "div.f64" { d, a, b };
     /// f64 min.
-    MinF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MinF64 = "min.f64" { d, a, b };
     /// f64 max.
-    MaxF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MaxF64 = "max.f64" { d, a, b };
     /// f64 negate.
-    NegF64 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    NegF64 = "neg.f64" { d, a };
     /// f32 add.
-    AddF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    AddF32 = "add.f32" { d, a, b };
     /// f32 subtract.
-    SubF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    SubF32 = "sub.f32" { d, a, b };
     /// f32 multiply.
-    MulF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MulF32 = "mul.f32" { d, a, b };
     /// f32 divide.
-    DivF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    DivF32 = "div.f32" { d, a, b };
     /// f32 min.
-    MinF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MinF32 = "min.f32" { d, a, b };
     /// f32 max.
-    MaxF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    MaxF32 = "max.f32" { d, a, b };
     /// f32 negate.
-    NegF32 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    NegF32 = "neg.f32" { d, a };
 
-    // -- comparisons (produce 0/1) -------------------------------------------
+    // -- comparisons (produce 0/1)
     /// Integer equality.
-    CmpEqI {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpEqI = "cmp.eq.i" { d, a, b };
     /// Integer inequality.
-    CmpNeI {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpNeI = "cmp.ne.i" { d, a, b };
     /// Signed less-than.
-    CmpLtS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLtS = "cmp.lt.s" { d, a, b };
     /// Signed less-or-equal.
-    CmpLeS {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLeS = "cmp.le.s" { d, a, b };
     /// Unsigned less-than.
-    CmpLtU {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLtU = "cmp.lt.u" { d, a, b };
     /// Unsigned less-or-equal.
-    CmpLeU {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLeU = "cmp.le.u" { d, a, b };
     /// f64 compare.
-    CmpEqF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpEqF64 = "cmp.eq.f64" { d, a, b };
     /// f64 not-equal.
-    CmpNeF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpNeF64 = "cmp.ne.f64" { d, a, b };
     /// f64 less-than.
-    CmpLtF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLtF64 = "cmp.lt.f64" { d, a, b };
     /// f64 less-or-equal.
-    CmpLeF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLeF64 = "cmp.le.f64" { d, a, b };
     /// f32 compare.
-    CmpEqF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpEqF32 = "cmp.eq.f32" { d, a, b };
     /// f32 not-equal.
-    CmpNeF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpNeF32 = "cmp.ne.f32" { d, a, b };
     /// f32 less-than.
-    CmpLtF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLtF32 = "cmp.lt.f32" { d, a, b };
     /// f32 less-or-equal.
-    CmpLeF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    CmpLeF32 = "cmp.le.f32" { d, a, b };
 
-    // -- conversions ---------------------------------------------------------
+    // -- conversions
     /// Signed int → f64.
-    CvtSToF64 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtSToF64 = "cvt.s.f64" { d, a };
     /// Signed int → f32.
-    CvtSToF32 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtSToF32 = "cvt.s.f32" { d, a };
     /// Unsigned int → f64.
-    CvtUToF64 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtUToF64 = "cvt.u.f64" { d, a };
     /// Unsigned int → f32.
-    CvtUToF32 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtUToF32 = "cvt.u.f32" { d, a };
     /// f64 → signed int (truncating).
-    CvtF64ToS {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtF64ToS = "cvt.f64.s" { d, a };
     /// f64 → unsigned int (truncating).
-    CvtF64ToU {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtF64ToU = "cvt.f64.u" { d, a };
     /// f32 → signed int (truncating).
-    CvtF32ToS {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtF32ToS = "cvt.f32.s" { d, a };
     /// f32 → f64.
-    CvtF32ToF64 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtF32ToF64 = "cvt.f32.f64" { d, a };
     /// f64 → f32.
-    CvtF64ToF32 {
-        /// Destination.
-        d: Reg,
-        /// Operand.
-        a: Reg,
-    },
+    CvtF64ToF32 = "cvt.f64.f32" { d, a };
 
-    // -- memory --------------------------------------------------------------
+    // -- memory
     /// Load a signed 8-bit value.
-    LoadI8 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadI8 = "load.i8" { d, a } @chk;
     /// Load an unsigned 8-bit value.
-    LoadU8 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadU8 = "load.u8" { d, a } @chk;
     /// Load a signed 16-bit value.
-    LoadI16 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadI16 = "load.i16" { d, a } @chk;
     /// Load an unsigned 16-bit value.
-    LoadU16 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadU16 = "load.u16" { d, a } @chk;
     /// Load a signed 32-bit value.
-    LoadI32 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadI32 = "load.i32" { d, a } @chk;
     /// Load an unsigned 32-bit value.
-    LoadU32 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadU32 = "load.u32" { d, a } @chk;
     /// Load 64 bits (int/pointer).
-    Load64 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    Load64 = "load.64" { d, a } @chk;
     /// Load an f32.
-    LoadF32 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadF32 = "load.f32" { d, a } @chk;
     /// Load an f64.
-    LoadF64 {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadF64 = "load.f64" { d, a } @chk;
     /// Store low 8 bits.
-    Store8 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    Store8 = "store.8" { a, s } @chk;
     /// Store low 16 bits.
-    Store16 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    Store16 = "store.16" { a, s } @chk;
     /// Store low 32 bits.
-    Store32 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    Store32 = "store.32" { a, s } @chk;
     /// Store 64 bits.
-    Store64 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    Store64 = "store.64" { a, s } @chk;
     /// Store an f32 (the slot's low 32 bits).
-    StoreF32 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    StoreF32 = "store.f32" { a, s } @chk;
     /// Store an f64.
-    StoreF64 {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    StoreF64 = "store.f64" { a, s } @chk;
     /// Load `bytes` (≤ 32) into a vector register, zeroing the rest.
-    LoadV {
-        /// Destination.
-        d: Reg,
-        /// Address register.
-        a: Reg,
-        /// Bytes to load.
-        bytes: u8,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    LoadV = "load.v" { d*4, a } imm { bytes: u8 } @chk;
     /// Store the low `bytes` of a vector register.
-    StoreV {
-        /// Address register.
-        a: Reg,
-        /// Value register.
-        s: Reg,
-        /// Bytes to store.
-        bytes: u8,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
-    /// Frame-slot address: `d = frame_base + offset`.
-    FrameAddr {
-        /// Destination.
-        d: Reg,
-        /// Byte offset within the frame.
-        offset: u32,
-    },
-    /// `memcpy(dst, src, size)` with a constant size.
-    CopyMem {
-        /// Destination address register.
-        dst: Reg,
-        /// Source address register.
-        src: Reg,
-        /// Byte count.
-        size: u32,
-        /// Bounds-checked (see [`Instr::chk`])?
-        chk: bool,
-    },
+    StoreV = "store.v" { a, s*4 } imm { bytes: u8 } @chk;
+    /// Frame-slot address: `d = frame_base + offset` (bytes).
+    FrameAddr = "frame.addr" { d } imm { offset: u32 };
+    /// `memcpy(dst, src, size)` between the addresses in `dst` and `src`, with
+    /// a constant size.
+    CopyMem = "copy.mem" { dst, src } imm { size: u32 } @chk;
     /// Prefetch the cache line at the address in `a`.
-    Prefetch {
-        /// Address register.
-        a: Reg,
-    },
+    Prefetch = "prefetch" { a };
 
-    // -- vectors (f32 uses 8 lanes, f64 uses 4) -------------------------------
+    // -- vectors (f32 uses 8 lanes, f64 uses 4)
     /// Lane-wise f32 add.
-    VAddF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VAddF32 = "vadd.f32" { d*4, a*4, b*4 };
     /// Lane-wise f32 subtract.
-    VSubF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VSubF32 = "vsub.f32" { d*4, a*4, b*4 };
     /// Lane-wise f32 multiply.
-    VMulF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMulF32 = "vmul.f32" { d*4, a*4, b*4 };
     /// Lane-wise f32 divide.
-    VDivF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VDivF32 = "vdiv.f32" { d*4, a*4, b*4 };
     /// Lane-wise f32 min.
-    VMinF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMinF32 = "vmin.f32" { d*4, a*4, b*4 };
     /// Lane-wise f32 max.
-    VMaxF32 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMaxF32 = "vmax.f32" { d*4, a*4, b*4 };
     /// Lane-wise f64 add.
-    VAddF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VAddF64 = "vadd.f64" { d*4, a*4, b*4 };
     /// Lane-wise f64 subtract.
-    VSubF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VSubF64 = "vsub.f64" { d*4, a*4, b*4 };
     /// Lane-wise f64 multiply.
-    VMulF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMulF64 = "vmul.f64" { d*4, a*4, b*4 };
     /// Lane-wise f64 divide.
-    VDivF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VDivF64 = "vdiv.f64" { d*4, a*4, b*4 };
     /// Lane-wise f64 min.
-    VMinF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMinF64 = "vmin.f64" { d*4, a*4, b*4 };
     /// Lane-wise f64 max.
-    VMaxF64 {
-        /// Destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VMaxF64 = "vmax.f64" { d*4, a*4, b*4 };
     /// Fused multiply-add `d = a*b + d` on f32 lanes (kernel hot path).
-    VFmaF32 {
-        /// Accumulator / destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VFmaF32 = "vfma.f32" { d*4, a*4, b*4 };
     /// Fused multiply-add `d = a*b + d` on f64 lanes.
-    VFmaF64 {
-        /// Accumulator / destination.
-        d: Reg,
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-    },
+    VFmaF64 = "vfma.f64" { d*4, a*4, b*4 };
     /// Broadcast a scalar f32 to all 8 lanes.
-    SplatF32 {
-        /// Destination.
-        d: Reg,
-        /// Source scalar.
-        a: Reg,
-    },
+    SplatF32 = "splat.f32" { d*4, a };
     /// Broadcast a scalar f64 to all 4 lanes.
-    SplatF64 {
-        /// Destination.
-        d: Reg,
-        /// Source scalar.
-        a: Reg,
-    },
+    SplatF64 = "splat.f64" { d*4, a };
 
-    // -- control flow ---------------------------------------------------------
+    // -- control flow
     /// Unconditional jump.
-    Jmp {
-        /// Absolute instruction index.
-        target: u32,
-    },
+    Jmp = "jmp" {} imm { target: u32 };
     /// Jump when the register is zero/false.
-    BrFalse {
-        /// Condition register.
-        c: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrFalse = "br.false" { c } imm { target: u32 };
     /// Jump when the register is nonzero/true.
-    BrTrue {
-        /// Condition register.
-        c: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrTrue = "br.true" { c } imm { target: u32 };
     /// Jump when `a == b` (integers, pointers, bools).
-    BrEqI {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrEqI = "br.eq.i" { a, b } imm { target: u32 };
     /// Jump when `a != b`.
-    BrNeI {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrNeI = "br.ne.i" { a, b } imm { target: u32 };
     /// Jump when `a < b`, signed.
-    BrLtS {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrLtS = "br.lt.s" { a, b } imm { target: u32 };
     /// Jump when `a <= b`, signed.
-    BrLeS {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrLeS = "br.le.s" { a, b } imm { target: u32 };
     /// Jump when `a < b`, unsigned.
-    BrLtU {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
+    BrLtU = "br.lt.u" { a, b } imm { target: u32 };
     /// Jump when `a <= b`, unsigned.
-    BrLeU {
-        /// Left.
-        a: Reg,
-        /// Right.
-        b: Reg,
-        /// Absolute instruction index.
-        target: u32,
-    },
-    /// Direct call: copies the `nargs` slots starting at `args` to the
-    /// bottom of the callee frame (parameters sit at the prefix sums of
-    /// their widths on both sides); the result (if any) lands in `d`.
-    Call {
-        /// Destination register or [`NO_REG`].
-        d: Reg,
-        /// Slots of the result (0 without a destination).
-        w: u8,
-        /// Callee.
-        f: FuncId,
-        /// First slot of the argument block.
-        args: Reg,
-        /// Slots in the argument block.
-        nargs: u16,
-    },
-    /// Indirect call through a function-pointer value.
-    CallIndirect {
-        /// Destination register or [`NO_REG`].
-        d: Reg,
-        /// Slots of the result (0 without a destination).
-        w: u8,
-        /// Register holding the function pointer.
-        f: Reg,
-        /// First slot of the argument block.
-        args: Reg,
-        /// Slots in the argument block.
-        nargs: u16,
-    },
-    /// Data-parallel loop: runs `f(i, extra...)` for every `i` in
+    BrLeU = "br.le.u" { a, b } imm { target: u32 };
+    /// Direct call of `f`: copies the `nargs` slots starting at `args` to the
+    /// bottom of the callee frame (parameters sit at the prefix sums of their
+    /// widths on both sides); the `w`-slot result lands in `d`, and without
+    /// one `d` is [`NO_REG`] and `w` 0.
+    Call = "call" {} var { d*w, args*nargs } imm { w: u8, f: FuncId, nargs: u16 };
+    /// Indirect call through the function-pointer value in `f`; the rest as
+    /// [`Instr::Call`].
+    CallIndirect = "call.indirect" { f } var { d*w, args*nargs } imm { w: u8, nargs: u16 };
+    /// Data-parallel loop: runs kernel `f(i, extra...)` for every `i` in
     /// `[lo, hi)`, partitioned into deterministic chunks that may execute on
     /// worker threads (see `crate::parallel`). The `nargs` slots of captured
     /// extras start at `args`.
-    ParFor {
-        /// Kernel function (param 0 is the index).
-        f: FuncId,
-        /// Register holding the inclusive lower bound.
-        lo: Reg,
-        /// Register holding the exclusive upper bound.
-        hi: Reg,
-        /// First slot of the captured-argument block.
-        args: Reg,
-        /// Slots in the captured-argument block.
-        nargs: u16,
-    },
-    /// Call a runtime builtin (scalar arguments, scalar result).
-    CallBuiltin {
-        /// Destination register or [`NO_REG`].
-        d: Reg,
-        /// Which builtin.
-        b: Builtin,
-        /// First argument register.
-        args: Reg,
-        /// Argument count.
-        nargs: u16,
-    },
-    /// Return (source register or [`NO_REG`]).
-    Ret {
-        /// Result register or [`NO_REG`].
-        s: Reg,
-        /// Slots of the result (0 without a source).
-        w: u8,
-    },
+    ParFor = "par.for" { lo, hi } var { args*nargs } imm { f: FuncId, nargs: u16 };
+    /// Call runtime builtin `b` on the `nargs` scalar arguments starting at
+    /// `args`; a scalar result lands in `d`.
+    CallBuiltin = "call.builtin" {} var { d*1, args*nargs } imm { b: Builtin, nargs: u16 };
+    /// Return the `w` slots starting at `s` ([`NO_REG`] and 0 for no result).
+    Ret = "ret" {} var { s*w } imm { w: u8 };
     /// Unconditional trap (unreachable code, `abort`).
-    Trap,
-}
-
-/// The `target` field of a jump or branch, by whatever reference `$instr` is.
-macro_rules! jump_target {
-    ($instr:expr) => {
-        match $instr {
-            Instr::Jmp { target }
-            | Instr::BrFalse { target, .. }
-            | Instr::BrTrue { target, .. }
-            | Instr::BrEqI { target, .. }
-            | Instr::BrNeI { target, .. }
-            | Instr::BrLtS { target, .. }
-            | Instr::BrLeS { target, .. }
-            | Instr::BrLtU { target, .. }
-            | Instr::BrLeU { target, .. } => Some(target),
-            _ => None,
-        }
-    };
+    Trap = "trap";
 }
 
 impl Instr {
@@ -1106,214 +455,8 @@ impl Instr {
 
     /// The instruction's jump target, if it has one.
     pub(crate) fn target(&self) -> Option<u32> {
-        jump_target!(self).copied()
+        self.target_ref().copied()
     }
-
-    /// The instruction's jump target, for the compiler to patch.
-    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
-        jump_target!(self)
-    }
-
-    /// Calls `visit(first slot, slots)` for every register operand, fixed
-    /// shape or not; [`NO_REG`] operands are skipped.
-    fn operands(&self, mut visit: impl FnMut(Reg, u16)) {
-        self.fixed_operands(&mut visit);
-        let mut optional = |r: Reg, w: u16| {
-            if r != NO_REG {
-                visit(r, w);
-            }
-        };
-        match *self {
-            Instr::Mov { d, a, w } => {
-                optional(d, w.into());
-                optional(a, w.into());
-            }
-            Instr::Lea { b, .. } => optional(b, 1),
-            Instr::Call {
-                d, w, args, nargs, ..
-            }
-            | Instr::CallIndirect {
-                d, w, args, nargs, ..
-            } => {
-                optional(d, w.into());
-                optional(args, nargs);
-            }
-            Instr::ParFor { args, nargs, .. } => optional(args, nargs),
-            Instr::CallBuiltin { d, args, nargs, .. } => {
-                optional(d, 1);
-                optional(args, nargs);
-            }
-            Instr::Ret { s, w } => optional(s, w.into()),
-            _ => {}
-        }
-    }
-}
-
-/// Declares the opcode table, one row per [`Instr`] variant:
-/// `Variant => "mnemonic" [operands] chk?`. The row's position is the
-/// variant's [`Instr::opcode`] and [`MNEMONICS`] the name table profilers'
-/// dense counters are rendered by; `[operands]` lists the register fields
-/// of fixed shape (`r` one slot, `r*4` a vector), which is what the
-/// load-time validator walks; a trailing `chk` marks the bounds-checkable
-/// memory accesses, whose `chk` field [`Instr::chk`] reads.
-macro_rules! opcodes {
-    (@w) => { 1 };
-    (@w $w:literal) => { $w };
-    ($($variant:ident => $name:literal [$($r:ident $(* $w:literal)?),*] $($chk:ident)?,)*) => {
-        #[repr(u8)]
-        enum Opcode { $($variant),* }
-
-        /// Mnemonic of every opcode, indexed by [`Instr::opcode`].
-        pub const MNEMONICS: [&str; N_OPCODES] = [$($name),*];
-
-        impl Instr {
-            /// Dense opcode index of this instruction (`< N_OPCODES`).
-            #[inline]
-            pub fn opcode(&self) -> u8 {
-                match self { $(Instr::$variant { .. } => Opcode::$variant as u8,)* }
-            }
-
-            /// The instruction's bounds-check bit: `Some(true)` for a memory
-            /// access that checks its address, `Some(false)` for one the
-            /// mid-end proved in-bounds (ignored under `--sanitize`), `None`
-            /// for everything that is not a checkable memory access.
-            #[inline]
-            pub fn chk(&self) -> Option<bool> {
-                match *self {
-                    $($(Instr::$variant { $chk, .. } => Some($chk),)?)*
-                    _ => None,
-                }
-            }
-
-            /// Calls `visit(first slot, slots)` for every fixed-shape
-            /// register operand.
-            fn fixed_operands(&self, visit: &mut impl FnMut(Reg, u16)) {
-                match *self {
-                    $(Instr::$variant { $($r,)* .. } => {
-                        $(visit($r, opcodes!(@w $($w)?));)*
-                    })*
-                }
-            }
-        }
-    };
-}
-
-/// Number of distinct opcodes ([`Instr`] variants).
-pub const N_OPCODES: usize = 112;
-
-opcodes! {
-    ConstI => "const.i" [d],
-    ConstF64 => "const.f64" [d],
-    ConstF32 => "const.f32" [d],
-    Mov => "mov" [],
-    AddI => "add.i" [d, a, b],
-    SubI => "sub.i" [d, a, b],
-    MulI => "mul.i" [d, a, b],
-    DivS => "div.s" [d, a, b],
-    DivU => "div.u" [d, a, b],
-    RemS => "rem.s" [d, a, b],
-    RemU => "rem.u" [d, a, b],
-    Shl => "shl" [d, a, b],
-    ShrS => "shr.s" [d, a, b],
-    ShrU => "shr.u" [d, a, b],
-    And => "and" [d, a, b],
-    Or => "or" [d, a, b],
-    Xor => "xor" [d, a, b],
-    MinS => "min.s" [d, a, b],
-    MaxS => "max.s" [d, a, b],
-    NegI => "neg.i" [d, a],
-    NotI => "not.i" [d, a],
-    NotB => "not.b" [d, a],
-    Trunc => "trunc" [d, a],
-    Lea => "lea" [d, a],
-    AddF64 => "add.f64" [d, a, b],
-    SubF64 => "sub.f64" [d, a, b],
-    MulF64 => "mul.f64" [d, a, b],
-    DivF64 => "div.f64" [d, a, b],
-    MinF64 => "min.f64" [d, a, b],
-    MaxF64 => "max.f64" [d, a, b],
-    NegF64 => "neg.f64" [d, a],
-    AddF32 => "add.f32" [d, a, b],
-    SubF32 => "sub.f32" [d, a, b],
-    MulF32 => "mul.f32" [d, a, b],
-    DivF32 => "div.f32" [d, a, b],
-    MinF32 => "min.f32" [d, a, b],
-    MaxF32 => "max.f32" [d, a, b],
-    NegF32 => "neg.f32" [d, a],
-    CmpEqI => "cmp.eq.i" [d, a, b],
-    CmpNeI => "cmp.ne.i" [d, a, b],
-    CmpLtS => "cmp.lt.s" [d, a, b],
-    CmpLeS => "cmp.le.s" [d, a, b],
-    CmpLtU => "cmp.lt.u" [d, a, b],
-    CmpLeU => "cmp.le.u" [d, a, b],
-    CmpEqF64 => "cmp.eq.f64" [d, a, b],
-    CmpNeF64 => "cmp.ne.f64" [d, a, b],
-    CmpLtF64 => "cmp.lt.f64" [d, a, b],
-    CmpLeF64 => "cmp.le.f64" [d, a, b],
-    CmpEqF32 => "cmp.eq.f32" [d, a, b],
-    CmpNeF32 => "cmp.ne.f32" [d, a, b],
-    CmpLtF32 => "cmp.lt.f32" [d, a, b],
-    CmpLeF32 => "cmp.le.f32" [d, a, b],
-    CvtSToF64 => "cvt.s.f64" [d, a],
-    CvtSToF32 => "cvt.s.f32" [d, a],
-    CvtUToF64 => "cvt.u.f64" [d, a],
-    CvtUToF32 => "cvt.u.f32" [d, a],
-    CvtF64ToS => "cvt.f64.s" [d, a],
-    CvtF64ToU => "cvt.f64.u" [d, a],
-    CvtF32ToS => "cvt.f32.s" [d, a],
-    CvtF32ToF64 => "cvt.f32.f64" [d, a],
-    CvtF64ToF32 => "cvt.f64.f32" [d, a],
-    LoadI8 => "load.i8" [d, a] chk,
-    LoadU8 => "load.u8" [d, a] chk,
-    LoadI16 => "load.i16" [d, a] chk,
-    LoadU16 => "load.u16" [d, a] chk,
-    LoadI32 => "load.i32" [d, a] chk,
-    LoadU32 => "load.u32" [d, a] chk,
-    Load64 => "load.64" [d, a] chk,
-    LoadF32 => "load.f32" [d, a] chk,
-    LoadF64 => "load.f64" [d, a] chk,
-    Store8 => "store.8" [a, s] chk,
-    Store16 => "store.16" [a, s] chk,
-    Store32 => "store.32" [a, s] chk,
-    Store64 => "store.64" [a, s] chk,
-    StoreF32 => "store.f32" [a, s] chk,
-    StoreF64 => "store.f64" [a, s] chk,
-    LoadV => "load.v" [d*4, a] chk,
-    StoreV => "store.v" [a, s*4] chk,
-    FrameAddr => "frame.addr" [d],
-    CopyMem => "copy.mem" [dst, src] chk,
-    Prefetch => "prefetch" [a],
-    VAddF32 => "vadd.f32" [d*4, a*4, b*4],
-    VSubF32 => "vsub.f32" [d*4, a*4, b*4],
-    VMulF32 => "vmul.f32" [d*4, a*4, b*4],
-    VDivF32 => "vdiv.f32" [d*4, a*4, b*4],
-    VMinF32 => "vmin.f32" [d*4, a*4, b*4],
-    VMaxF32 => "vmax.f32" [d*4, a*4, b*4],
-    VAddF64 => "vadd.f64" [d*4, a*4, b*4],
-    VSubF64 => "vsub.f64" [d*4, a*4, b*4],
-    VMulF64 => "vmul.f64" [d*4, a*4, b*4],
-    VDivF64 => "vdiv.f64" [d*4, a*4, b*4],
-    VMinF64 => "vmin.f64" [d*4, a*4, b*4],
-    VMaxF64 => "vmax.f64" [d*4, a*4, b*4],
-    VFmaF32 => "vfma.f32" [d*4, a*4, b*4],
-    VFmaF64 => "vfma.f64" [d*4, a*4, b*4],
-    SplatF32 => "splat.f32" [d*4, a],
-    SplatF64 => "splat.f64" [d*4, a],
-    Jmp => "jmp" [],
-    BrFalse => "br.false" [c],
-    BrTrue => "br.true" [c],
-    BrEqI => "br.eq.i" [a, b],
-    BrNeI => "br.ne.i" [a, b],
-    BrLtS => "br.lt.s" [a, b],
-    BrLeS => "br.le.s" [a, b],
-    BrLtU => "br.lt.u" [a, b],
-    BrLeU => "br.le.u" [a, b],
-    Call => "call" [],
-    CallIndirect => "call.indirect" [f],
-    ParFor => "par.for" [lo, hi],
-    CallBuiltin => "call.builtin" [],
-    Ret => "ret" [],
-    Trap => "trap" [],
 }
 
 /// Function-pointer values are tagged with this high bit pattern so that
@@ -1526,6 +669,7 @@ mod tests {
         // row, so first and last rows pin the whole numbering.
         assert_eq!(Instr::ConstI { d: 0, v: 0 }.opcode(), 0);
         assert_eq!(Instr::Trap.opcode() as usize, N_OPCODES - 1);
+        assert_eq!(N_OPCODES, MNEMONICS.len());
         let mut names = MNEMONICS.to_vec();
         names.sort_unstable();
         names.dedup();
@@ -1571,7 +715,7 @@ mod tests {
     /// The shapes the dispatch loop's cost rests on.
     #[test]
     fn instructions_stay_small() {
-        assert!(std::mem::size_of::<Instr>() <= 24);
+        assert_eq!(std::mem::size_of::<Instr>(), 24);
     }
 
     fn load(code: Vec<Instr>, nslots: u16) -> Result<CompiledFunction, BytecodeError> {
@@ -1607,6 +751,25 @@ mod tests {
         // An empty argument block may start where the frame ends.
         assert!(load(vec![call(6, 0), ret.clone()], 6).is_ok());
         assert!(load(vec![Instr::Ret { s: 3, w: 4 }], 6).is_err());
+        let builtin = |d, nargs| Instr::CallBuiltin {
+            d,
+            b: Builtin::Pow,
+            args: 4,
+            nargs,
+        };
+        assert!(load(vec![builtin(NO_REG, 2), ret.clone()], 6).is_ok());
+        assert!(load(vec![builtin(6, 2), ret.clone()], 6).is_err());
+        assert!(load(vec![builtin(0, 3), ret.clone()], 6).is_err());
+        let parfor = |hi, nargs| Instr::ParFor {
+            f: FuncId(0),
+            lo: 0,
+            hi,
+            args: 2,
+            nargs,
+        };
+        assert!(load(vec![parfor(1, 4), ret.clone()], 6).is_ok());
+        assert!(load(vec![parfor(6, 4), ret.clone()], 6).is_err());
+        assert!(load(vec![parfor(1, 5), ret.clone()], 6).is_err());
         // The optional Lea index is an operand when present.
         let lea = |b| Instr::Lea {
             d: 0,

@@ -36,7 +36,7 @@ mod program;
 
 pub use bytecode::{
     decode_func_ptr, encode_func_ptr, slots_of, BytecodeError, CompiledFunction, Instr, IntWidth,
-    Reg, MAX_SLOTS, NO_REG, VECTOR_SLOTS,
+    Reg, MAX_SLOTS, MNEMONICS, NO_REG, VECTOR_SLOTS,
 };
 pub use cache::CacheSim;
 pub use compile::{compile, try_compile};

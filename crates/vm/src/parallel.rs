@@ -50,7 +50,7 @@ use crate::program::Program;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-use terra_ir::{Builtin, FuncId};
+use terra_ir::{Effect, FuncId};
 
 /// One joined `parallelfor` region, as handed to [`Observer::on_chunks`].
 #[derive(Debug)]
@@ -120,20 +120,15 @@ pub fn check_kernel(program: &Program, root: FuncId) -> ExecResult<()> {
         for instr in &func.code {
             match instr {
                 Instr::CallBuiltin { b, .. } => {
-                    let forbidden = match b {
-                        Builtin::Malloc => Some("malloc"),
-                        Builtin::Free => Some("free"),
-                        Builtin::Realloc => Some("realloc"),
-                        Builtin::Rand => Some("rand"),
-                        Builtin::Srand => Some("srand"),
-                        Builtin::Clock => Some("clock"),
-                        _ => None,
-                    };
-                    if let Some(name) = forbidden {
+                    if matches!(
+                        b.info().effect,
+                        Effect::Allocates | Effect::Nondeterministic
+                    ) {
                         return Err(Trap::Parallel(format!(
-                            "kernel function '{}' calls '{name}', which is not \
+                            "kernel function '{}' calls '{}', which is not \
                              allowed inside a parallel loop",
-                            func.name
+                            func.name,
+                            b.name()
                         )));
                     }
                 }
@@ -340,7 +335,7 @@ mod tests {
     use super::*;
     use crate::bytecode::{compiled, Instr as I, NO_REG};
     use crate::program::Value;
-    use terra_ir::{FuncTy, Ty};
+    use terra_ir::{Builtin, FuncTy, Ty};
 
     /// kernel(i, base): stores i*i into base[i] (f64).
     fn square_kernel(ctx: &mut ExecutionContext) -> FuncId {

@@ -1084,3 +1084,270 @@ fn bitwise_results_of_canonical_operands_stay_canonical() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The instruction set is a table (`opcodes!`); every row of it must be an
+// instruction some program actually runs.
+// ---------------------------------------------------------------------------
+
+fn constant(ty: &Ty, v: i32) -> IrExpr {
+    let kind = if ty.is_float() {
+        ExprKind::ConstFloat(v.into())
+    } else {
+        ExprKind::ConstInt(v.into())
+    };
+    let ty = ty.clone();
+    IrExpr { ty, kind }
+}
+
+fn eval(e: IrExpr) -> IrStmt {
+    StmtKind::Expr(e).into()
+}
+
+fn cast(to: &Ty, e: IrExpr) -> IrExpr {
+    let (ty, kind) = (to.clone(), ExprKind::Cast(Box::new(e)));
+    IrExpr { ty, kind }
+}
+
+fn unary(op: terra_ir::UnKind, e: IrExpr) -> IrExpr {
+    let ty = e.ty.clone();
+    let expr = Box::new(e);
+    let kind = ExprKind::Unary { op, expr };
+    IrExpr { ty, kind }
+}
+
+fn call(callee: Callee, args: Vec<IrExpr>, ty: Ty) -> IrExpr {
+    let kind = ExprKind::Call { callee, args };
+    IrExpr { ty, kind }
+}
+
+const BIN_KINDS: [BinKind; 12] = [
+    BinKind::Add,
+    BinKind::Sub,
+    BinKind::Mul,
+    BinKind::Div,
+    BinKind::Rem,
+    BinKind::Shl,
+    BinKind::Shr,
+    BinKind::And,
+    BinKind::Or,
+    BinKind::Xor,
+    BinKind::Min,
+    BinKind::Max,
+];
+const FLOAT_KINDS: [BinKind; 6] = [
+    BinKind::Add,
+    BinKind::Sub,
+    BinKind::Mul,
+    BinKind::Div,
+    BinKind::Min,
+    BinKind::Max,
+];
+const CMP_KINDS: [CmpKind; 6] = [
+    CmpKind::Eq,
+    CmpKind::Ne,
+    CmpKind::Lt,
+    CmpKind::Le,
+    CmpKind::Gt,
+    CmpKind::Ge,
+];
+
+/// Every arithmetic, comparison and conversion on every kind of scalar, as
+/// values and (for integers) as fused branches.
+fn scalar_program() -> IrFunction {
+    use terra_ir::UnKind::{Neg, Not};
+    let mut f = func("scalars", vec![], Ty::Unit);
+    let (ints, floats) = ([Ty::I64, Ty::U64, Ty::INT], [Ty::F64, Ty::F32]);
+    for ty in &ints {
+        for op in BIN_KINDS {
+            let e = IrExpr::binary(op, constant(ty, 7), constant(ty, 2));
+            f.body.push(eval(e));
+        }
+        f.body.push(eval(unary(Neg, constant(ty, 7))));
+        f.body.push(eval(unary(Not, constant(ty, 7))));
+    }
+    f.body.push(eval(unary(Not, IrExpr::boolean(true))));
+    for ty in &floats {
+        for op in FLOAT_KINDS {
+            let e = IrExpr::binary(op, constant(ty, 7), constant(ty, 2));
+            f.body.push(eval(e));
+        }
+        f.body.push(eval(unary(Neg, constant(ty, 7))));
+    }
+    for ty in ints.iter().chain(&floats) {
+        for op in CMP_KINDS {
+            let test = || IrExpr::cmp(op, constant(ty, 7), constant(ty, 2));
+            f.body.push(eval(test()));
+            f.body.push(
+                StmtKind::If {
+                    cond: test(),
+                    then_body: vec![],
+                    else_body: vec![],
+                }
+                .into(),
+            );
+        }
+        for to in ints.iter().chain(&floats) {
+            f.body.push(eval(cast(to, constant(ty, 7))));
+        }
+    }
+    let kind = ExprKind::Select {
+        cond: Box::new(IrExpr::boolean(true)),
+        then_value: Box::new(i64e(1)),
+        else_value: Box::new(i64e(2)),
+    };
+    f.body.push(eval(IrExpr { ty: Ty::I64, kind }));
+    f
+}
+
+/// A load and a store of every width, vectors, frame addresses, copies and
+/// prefetches, all on the function's own frame.
+fn memory_program() -> IrFunction {
+    let mut f = func("memory", vec![], Ty::Unit);
+    let scalars = [
+        I8,
+        Ty::U8,
+        I16,
+        U16,
+        Ty::INT,
+        U32,
+        Ty::I64,
+        Ty::F32,
+        Ty::F64,
+    ];
+    let mut last = None;
+    for ty in scalars {
+        let m = f.add_local("m", ty.clone(), true);
+        f.body.push(set(m, constant(&ty, 7)));
+        f.body.push(eval(IrExpr::local(m, ty)));
+        last = Some(m);
+    }
+    let addr = |l| IrExpr {
+        ty: Ty::F64.ptr_to(),
+        kind: ExprKind::LocalAddr(l),
+    };
+    let (dst, src) = (last.unwrap(), f.add_local("src", Ty::F64, true));
+    f.body.push(
+        StmtKind::CopyMem {
+            dst: addr(dst),
+            src: addr(src),
+            size: 8,
+        }
+        .into(),
+    );
+    let hint = call(
+        Callee::Builtin(Builtin::Prefetch),
+        vec![addr(src)],
+        Ty::Unit,
+    );
+    f.body.push(eval(hint));
+    for scalar in [ScalarTy::F32, ScalarTy::F64] {
+        let vty = Ty::Vector(scalar, (32 / scalar.size()) as u8);
+        let (m, v) = (
+            f.add_local("vm", vty.clone(), true),
+            f.add_local("v", vty.clone(), false),
+        );
+        let vector = |l| IrExpr::local(l, vty.clone());
+        f.body
+            .push(set(m, cast(&vty, constant(&Ty::Scalar(scalar), 3))));
+        f.body.push(set(v, vector(m)));
+        for op in FLOAT_KINDS {
+            f.body.push(eval(IrExpr::binary(op, vector(v), vector(v))));
+        }
+        // The fused multiply-add spelling: `v = v + v * v`.
+        let product = IrExpr::binary(BinKind::Mul, vector(v), vector(v));
+        f.body
+            .push(set(v, IrExpr::binary(BinKind::Add, vector(v), product)));
+    }
+    f
+}
+
+/// Loops (a `for`, and a `while` on a flag), a register move, and every
+/// kind of call; `callee` is `fn(int64) -> int64`, `kernel` a `parallelfor`
+/// kernel without captures.
+fn control_program(callee: terra_ir::FuncId, kernel: terra_ir::FuncId) -> IrFunction {
+    let mut f = func("control", vec![], Ty::Unit);
+    let i = f.add_local("i", Ty::INT, false);
+    let flag = f.add_local("flag", Ty::BOOL, false);
+    let copy = f.add_local("copy", Ty::BOOL, false);
+    f.body
+        .push(for_loop(i, IrExpr::int32(0), IrExpr::int32(2), vec![]));
+    f.body.push(set(flag, IrExpr::boolean(true)));
+    f.body.push(
+        StmtKind::While {
+            cond: IrExpr::local(flag, Ty::BOOL),
+            body: vec![set(flag, IrExpr::boolean(false))],
+        }
+        .into(),
+    );
+    f.body.push(set(copy, IrExpr::local(flag, Ty::BOOL)));
+    let sig = FuncTy {
+        params: vec![Ty::I64],
+        ret: Ty::I64,
+    };
+    let pointer = IrExpr {
+        ty: Ty::Func(sig.into()),
+        kind: ExprKind::ConstFunc(callee),
+    };
+    for target in [Callee::Direct(callee), Callee::Indirect(Box::new(pointer))] {
+        f.body.push(eval(call(target, vec![i64e(3)], Ty::I64)));
+    }
+    let sqrt = Callee::Builtin(Builtin::Sqrt);
+    f.body
+        .push(eval(call(sqrt, vec![IrExpr::f64(4.0)], Ty::F64)));
+    f.body.push(
+        StmtKind::ParallelFor {
+            kernel,
+            start: i64e(0),
+            stop: i64e(4),
+            args: vec![],
+        }
+        .into(),
+    );
+    f
+}
+
+#[test]
+fn every_opcode_is_retired_by_some_program() {
+    let mut ctx = ExecutionContext::new();
+    ctx.set_profile(true);
+    let types = TypeRegistry::new();
+    let mut define = |f: IrFunction| {
+        let id = ctx.declare(f.name.clone());
+        let compiled = compile(&f, &types, &mut ctx, &[]);
+        ctx.define(id, compiled);
+        id
+    };
+    let mut callee = func("callee", vec![Ty::I64], Ty::I64);
+    callee.body.push(ret(IrExpr::local(LocalId(0), Ty::I64)));
+    let callee = define(callee);
+    let kernel = define(func("kernel", vec![Ty::I64], Ty::Unit));
+    let programs = [
+        define(scalar_program()),
+        define(memory_program()),
+        define(control_program(callee, kernel)),
+    ];
+    for id in programs {
+        assert_eq!(ctx.call(id, &[]), Ok(Value::Unit));
+    }
+    // The compiler emits `trap` only where it has shown control cannot
+    // arrive, so no compiled program retires one: assemble it.
+    let unit = FuncTy {
+        params: vec![],
+        ret: Ty::Unit,
+    };
+    let trap = terra_vm::CompiledFunction::new("trap", unit, 0, 0, vec![Instr::Trap]).unwrap();
+    let id = ctx.declare("trap");
+    ctx.define(id, trap);
+    assert!(ctx.call(id, &[]).is_err());
+
+    // `chk` is the profiler's pseudo-op row for executed bounds checks.
+    let profile = ctx.profile();
+    let rows = profile.ops.iter().map(|(op, _)| op.as_str());
+    let retired: Vec<&str> = rows.filter(|op| *op != "chk").collect();
+    let mut all = terra_vm::MNEMONICS.to_vec();
+    all.sort_unstable();
+    let missing: Vec<_> = all.iter().filter(|op| !retired.contains(op)).collect();
+    assert!(missing.is_empty(), "no program retires {missing:?}");
+    assert_eq!(retired, all, "the profile names an opcode the table lacks");
+}

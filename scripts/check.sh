@@ -21,6 +21,17 @@ cargo test --workspace -q
 echo "==> cargo test --release"
 cargo test --workspace --release -q
 
+echo "==> the instruction set stays one table (scripts/loc.sh crates/vm/src/bytecode.rs <= 750)"
+# `opcodes!` generates `enum Instr`; transcribing the enum again would put
+# the file back over 1 500 non-test lines.
+scripts/loc.sh crates/vm/src/bytecode.rs | awk '/total/ { exit !($1 <= 750) }' \
+    || { echo "crates/vm/src/bytecode.rs is over 750 non-test lines" >&2; exit 1; }
+
+# Cargo drops a stale entry from the frozen benchmark/Cargo.lock whenever it
+# builds there; put the file back as it was, whichever way this script ends.
+bench_lock="$(cat benchmark/Cargo.lock)"
+trap 'printf "%s\n" "$bench_lock" > benchmark/Cargo.lock' EXIT
+
 echo "==> benchmark driver unit tests (a package of its own, outside the workspace)"
 (cd benchmark && cargo test --offline -q)
 
