@@ -305,6 +305,7 @@ fn type_corrupted_ir_is_rejected() {
             kind: terra_ir::ExprKind::ConstFloat(1.5),
         }))
         .into()],
+        index_range: None,
     });
     let err = t
         .exec("print(g())")

@@ -161,7 +161,16 @@ pub fn method_call_terra_value(
                 .function(*id)
                 .expect("just compiled")
                 .clone();
-            Ok(LuaValue::str(format!("{:#?}", f.code)))
+            // One instruction per line: its index, its source line (blank
+            // when unknown), the instruction as `Instr`'s `Display` spells it.
+            let text = f.code.iter().enumerate().map(|(pc, instr)| {
+                let line = match f.line_at(pc) {
+                    0 => String::new(),
+                    line => line.to_string(),
+                };
+                format!("{pc:4} {line:>5}  {instr}\n")
+            });
+            Ok(LuaValue::str(text.collect::<String>()))
         }
         (LuaValue::Global(g), "get") => {
             let meta = interp.ctx.globals[g.0 as usize].clone();

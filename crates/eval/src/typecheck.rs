@@ -126,6 +126,10 @@ impl terra_ir::ModuleEnv for CtxEnv<'_> {
             None => terra_ir::EnvEntry::Invalid,
         }
     }
+
+    fn kernel_index_range(&self, id: FuncId) -> Option<(i64, i64)> {
+        self.ctx.funcs.get(id.0 as usize)?.ir.as_ref()?.index_range
+    }
 }
 
 /// Typechecks, compiles, and links `id` and its whole connected component of
@@ -304,6 +308,7 @@ fn check_function_inner(interp: &mut Interp, id: FuncId) -> EvalResult<(IrFuncti
         },
         locals: Vec::new(),
         body: Vec::new(),
+        index_range: None,
     };
     let mut syms = HashMap::new();
     for (sym, ty) in &spec.params {
@@ -1062,6 +1067,9 @@ impl Checker<'_> {
                     },
                     locals: Vec::new(),
                     body: Vec::new(),
+                    // Stage-time-constant bounds bound the index for the
+                    // kernel's own range proofs.
+                    index_range: start_e.int_value().zip(stop_e.int_value()),
                 };
                 kernel.add_local(&*sym.name, var_ty, false);
                 for (n, t) in &cap_params {

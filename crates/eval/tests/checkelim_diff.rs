@@ -11,7 +11,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::RecConfig;
+use common::{nest_strategy, run_nest, RecConfig};
 
 /// One access into the 8-slot stack array `a` (indices ≥ 8 trap).
 #[derive(Debug, Clone)]
@@ -207,6 +207,31 @@ proptest! {
             common::divergence_report(&src, &call, RecConfig::at(OptLevel::O2), checked0)
         };
         prop_assert_eq!(&fast, &slow, "pipeline diverged for:\n{}\n{}", src, bisect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Affine indexing in narrow arithmetic at the wrap boundary (the shared
+    /// nest generator): the proofs that let `-O2` reassociate an address and
+    /// drop its check change nothing — elision on, off, and under the
+    /// sanitizer, which takes no proof, agree with fully-checked `-O0`.
+    #[test]
+    fn affine_nests_agree_with_and_without_proofs(nest in nest_strategy()) {
+        let src = nest.src(false);
+        let mut slow = RecConfig::at(OptLevel::O0);
+        slow.elide_checks = false;
+        let base = run_nest(&src, nest.rows(), &slow);
+        for (elide_checks, sanitize) in [(true, false), (false, false), (true, true)] {
+            let cfg = RecConfig {
+                elide_checks,
+                sanitize,
+                ..RecConfig::at(OptLevel::O2)
+            };
+            let got = run_nest(&src, nest.rows(), &cfg);
+            prop_assert_eq!(&got, &base, "{:?} vs checked -O0 for:\n{}", cfg, src);
+        }
     }
 }
 

@@ -168,6 +168,131 @@ pub fn expr_strategy() -> impl Strategy<Value = E> {
     })
 }
 
+/// Nested `for`s that index a buffer through affine arithmetic in a narrow
+/// integer type — `p[(i*c + j) + k]`, `p[(i*c + j) - k]`, the field of an
+/// array element — with `k` chosen so that the extreme index lands `edge`
+/// past the limit of the type: inside it (`edge <= 0`: no operation wraps,
+/// and with staged bounds the mid-end can prove so and reassociate the
+/// address) or beyond it (the index wraps, and an address rebuilt as if it
+/// had not would read another element or trap somewhere else).
+#[derive(Debug, Clone)]
+pub struct Nest {
+    /// Index type: `int8`, `uint8` or `int32`.
+    pub ty: u8,
+    /// 0: `(i*c + j) + k` at the top of the type; 1: `(i*c + j) - k` at zero
+    /// (where only an unsigned type wraps; a signed one gets a negative
+    /// displacement); 2: shape 0 into an array of structs, reading a field.
+    pub shape: u8,
+    pub rows: u8,
+    pub cols: u8,
+    pub stride: u8,
+    pub edge: i8,
+    /// Whether the row count is spliced in as a constant (so the index has
+    /// a range) or arrives as the function's parameter.
+    pub staged: bool,
+}
+
+impl Nest {
+    /// Rows the loop nest runs; what to pass `nest` as `n`.
+    pub fn rows(&self) -> i64 {
+        i64::from(self.rows % 3) + 2
+    }
+
+    /// Defines `nest(n : int) : double`: the nest (its outer loop a
+    /// `parallelfor` on request) copies the indexed elements into a dense
+    /// buffer and, when serial, also stores through the same address; the
+    /// result weighs every element of both buffers, so a misplaced access
+    /// shows.
+    pub fn src(&self, parallel: bool) -> String {
+        let (ty, max) =
+            [("int8", 127i64), ("uint8", 255), ("int32", i32::MAX as i64)][self.ty as usize % 3];
+        let shape = self.shape % 3;
+        let (rows, cols) = (self.rows(), i64::from(self.cols % 3) + 2);
+        let stride = i64::from(self.stride % 5) + cols + 2;
+        let edge = i64::from(self.edge.clamp(-2, 2));
+        let j0 = if shape == 1 { 2 } else { 0 };
+        let hi = (rows - 1) * stride + j0 + cols - 1;
+        let sum = format!("(i * [{ty}]({stride}) + j)");
+        let index = if shape == 1 {
+            format!("{sum} - [{ty}]({})", j0 + edge)
+        } else {
+            format!("{sum} + [{ty}]({})", max + edge - hi)
+        };
+        // An `int32` at its top cannot index memory; bring it back down in
+        // 64 bits, where nothing wraps.
+        let index = if max > 255 && shape != 1 {
+            format!("([int64]({index})) - {}LL", max - 200)
+        } else {
+            index
+        };
+        let elem = if shape == 2 {
+            format!("q[{index}].val")
+        } else {
+            format!("q[{index}]")
+        };
+        let (cell, init) = if shape == 2 {
+            ("Cell", "p[t].tag = t  p[t].val = t")
+        } else {
+            ("double", "p[t] = t")
+        };
+        let total = if shape == 2 {
+            "p[t].val + p[t].tag"
+        } else {
+            "p[t]"
+        };
+        let bound = if self.staged {
+            rows.to_string()
+        } else {
+            format!("[{ty}](n)")
+        };
+        let outer = if parallel { "parallelfor" } else { "for" };
+        let store = if parallel {
+            String::new()
+        } else {
+            format!("{elem} = {elem} + 1")
+        };
+        format!(
+            r#"local std = terralib.includec("stdlib.h")
+struct Cell {{ tag : int32; val : double }}
+terra nest(n : int) : double
+    var p = [&{cell}](std.malloc(512 * [sizeof({cell})]))
+    var out = [&double](std.malloc({rows} * {cols} * 8))
+    for t = 0, 512 do {init} end
+    var q = p + 128
+    {outer} i : {ty} = 0, {bound} do
+        for j : {ty} = {j0}, {j0} + {cols} do
+            out[([int](i)) * {cols} + [int](j) - {j0}] = {elem}
+            {store}
+        end
+    end
+    var total = 0.0
+    for t = 0, {rows} * {cols} do total = total + out[t] * ((t % 5) + 1) end
+    for t = 0, 512 do total = total + ({total}) * ((t % 7) + 1) end
+    std.free(p)
+    std.free(out)
+    return total
+end
+"#
+        )
+    }
+}
+
+pub fn nest_strategy() -> impl Strategy<Value = Nest> {
+    (
+        (any::<u8>(), any::<u8>(), any::<u8>()),
+        (any::<u8>(), any::<u8>(), -2i8..=2, any::<bool>()),
+    )
+        .prop_map(|((ty, shape, rows), (cols, stride, edge, staged))| Nest {
+            ty,
+            shape,
+            rows,
+            cols,
+            stride,
+            edge,
+            staged,
+        })
+}
+
 /// A GEMM whose size is a *staged constant*: `n` is spliced from Lua into
 /// the loop bounds and `malloc` sizes, so at `-O2` every access is provably
 /// in-bounds. Defines `gemm_static() : double`, which returns `C[0] = 2n`.
@@ -245,6 +370,24 @@ impl RecConfig {
             cadence: 64,
             window,
         }
+    }
+}
+
+/// Runs `return nest(n)` after the definitions in `src` under `cfg`: the
+/// result's bits, or the rendered trap.
+pub fn run_nest(src: &str, n: i64, cfg: &RecConfig) -> Result<u64, String> {
+    let mut t = Interp::new();
+    t.opt = cfg.opt;
+    t.elide_checks = cfg.elide_checks;
+    t.ctx.exec.set_threads(cfg.threads);
+    t.ctx.exec.memory.set_sanitize(cfg.sanitize);
+    t.exec(src).map_err(|e| e.to_string())?;
+    match t.exec(&format!("return nest({n})")) {
+        Ok(out) => match out.first() {
+            Some(terra_eval::LuaValue::Number(v)) => Ok(v.to_bits()),
+            other => Err(format!("non-number result: {other:?}")),
+        },
+        Err(e) => Err(format!("trap: {e}")),
     }
 }
 

@@ -17,7 +17,7 @@ use terra_ir::OptLevel;
 use terra_trace::SampleStats;
 
 mod common;
-use common::{expr_strategy, program_txt, stmt_strategy, OpStmt, RecConfig, Src};
+use common::{expr_strategy, nest_strategy, program_txt, stmt_strategy, OpStmt, RecConfig, Src};
 
 /// Everything observable about one run.
 #[derive(Debug, PartialEq)]
@@ -204,6 +204,20 @@ proptest! {
             "#,
         );
         check_all_subsets(&setup, &format!("return f({n}, {k})"), &[1, 4])?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The shared affine nest, serial and under `parallelfor`: indexed
+    /// memory operands and counted-loop back edges are what the observers
+    /// see most of, and an address is reported as the access computed it.
+    #[test]
+    fn telemetry_never_changes_an_affine_nest(nest in nest_strategy(), parallel in any::<bool>()) {
+        let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
+        let call = format!("return nest({})", nest.rows());
+        check_all_subsets(&nest.src(parallel), &call, threads)?;
     }
 }
 

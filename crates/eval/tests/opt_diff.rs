@@ -9,7 +9,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{program_txt, stmt_strategy, OpStmt, RecConfig, Src};
+use common::{nest_strategy, program_txt, run_nest, stmt_strategy, Nest, OpStmt, RecConfig, Src};
 
 /// Runs the program at the given level; returns the buffer contents on
 /// success or the trap message on failure.
@@ -116,6 +116,82 @@ proptest! {
             }
             (Err(e0), Err(e1)) => prop_assert_eq!(e0, e1),
             _ => prop_assert!(false, "-O0 {r0:?} vs -O1 {r1:?} for:\n{src}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Affine indexing through narrow arithmetic at the wrap boundary reads
+    /// and writes the same elements, or traps the same way, at every level:
+    /// `-O2` may only reassociate an address through operations that do not
+    /// wrap.
+    #[test]
+    fn affine_nests_agree_at_every_level(nest in nest_strategy()) {
+        let src = nest.src(false);
+        let base = run_nest(&src, nest.rows(), &RecConfig::at(OptLevel::O0));
+        for level in [OptLevel::O1, OptLevel::O2] {
+            let got = run_nest(&src, nest.rows(), &RecConfig::at(level));
+            let bisect = if got == base {
+                String::new()
+            } else {
+                let call = format!("return nest({})", nest.rows());
+                common::divergence_report(
+                    &src,
+                    &call,
+                    RecConfig::at(OptLevel::O0),
+                    RecConfig::at(level),
+                )
+            };
+            prop_assert_eq!(&got, &base, "{:?} vs -O0 for:\n{}\n{}", level, src, bisect);
+        }
+    }
+}
+
+/// The nests above do run, do wrap where they are built to, and are what
+/// the `affine` pass rewrites when they are not.
+#[test]
+fn affine_nests_are_not_vacuous() {
+    let nest = |ty, shape, edge, staged| Nest {
+        ty,
+        shape,
+        rows: 1,
+        cols: 1,
+        stride: 1,
+        edge,
+        staged,
+    };
+    for ty in 0..3 {
+        for shape in 0..3 {
+            let inside = nest(ty, shape, 0, true);
+            let src = inside.src(false);
+            let o0 = run_nest(&src, inside.rows(), &RecConfig::at(OptLevel::O0));
+            let o2 = run_nest(&src, inside.rows(), &RecConfig::at(OptLevel::O2));
+            assert!(o0.is_ok(), "type {ty} shape {shape}: {o0:?}\n{src}");
+            assert_eq!(o0, o2, "type {ty} shape {shape}\n{src}");
+            // One step further the extreme index wraps (a signed `- k`
+            // excepted: it only goes negative), which moves an access.
+            let beyond = nest(ty, shape, 1, true);
+            let wrapped = run_nest(
+                &beyond.src(false),
+                beyond.rows(),
+                &RecConfig::at(OptLevel::O0),
+            );
+            assert_ne!(wrapped, o0, "type {ty} shape {shape}");
+            // Staged bounds are what lets `-O2` split the address.
+            let mut t = Interp::new();
+            t.exec(&src).unwrap();
+            t.exec("nest:compile()").unwrap();
+            let split = |t: &Interp| {
+                t.ctx
+                    .exec
+                    .trace
+                    .remarks()
+                    .iter()
+                    .any(|r| r.pass == "affine" && r.function == "nest")
+            };
+            assert!(split(&t), "type {ty} shape {shape}\n{src}");
         }
     }
 }

@@ -10,7 +10,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{expr_strategy, RecConfig};
+use common::{expr_strategy, nest_strategy, run_nest, RecConfig};
 
 /// Runs the program at a given (threads, opt level); returns the result
 /// bits or the rendered trap.
@@ -89,6 +89,29 @@ proptest! {
             common::divergence_report(&setup, &call, a, b)
         };
         prop_assert_eq!(&o0, &o2, "-O0 vs -O2 diverged under threads=4\n{}", bisect);
+    }
+
+    /// The shared affine nest with its outer loop a `parallelfor`: the
+    /// kernel's index has the range of the (staged) bounds and its addresses
+    /// are split on the strength of it, or neither; the same elements are
+    /// read, or the same trap reported, at every thread count and level, and
+    /// the serial loop agrees.
+    #[test]
+    fn affine_nests_are_thread_count_invariant(nest in nest_strategy()) {
+        let (src, n) = (nest.src(true), nest.rows());
+        let base = run_nest(&src, n, &RecConfig::at(OptLevel::O0));
+        for level in [OptLevel::O0, OptLevel::O2] {
+            for threads in [1, 2, 4] {
+                let cfg = RecConfig { threads, ..RecConfig::at(level) };
+                let got = run_nest(&src, n, &cfg);
+                prop_assert_eq!(&got, &base, "{:?} for:\n{}", cfg, src);
+            }
+        }
+        // Serial and parallel differ in the stores the serial nest makes
+        // through the indexed address, so compare what they share: whether
+        // the program traps.
+        let serial = run_nest(&nest.src(false), n, &RecConfig::at(OptLevel::O2));
+        prop_assert_eq!(serial.is_ok(), base.is_ok(), "{:?} vs {:?}", serial, base);
     }
 
     /// Writes through an in-memory capture land in the parent frame

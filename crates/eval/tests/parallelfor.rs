@@ -249,3 +249,84 @@ fn kernel_trap_is_reported_deterministically() {
         "got: {e1}"
     );
 }
+
+/// A kernel whose site has stage-time-constant bounds knows its index's
+/// range: the 3×3 stencil's `(y + dy) * W + (x + dx)` is proven not to wrap
+/// (no `trunc` retires), its address is split so that the innermost loop
+/// loads from `[row + dx*4]`, and the image is the same at every thread
+/// count. With run-time bounds nothing is assumed.
+#[test]
+fn a_kernel_over_constant_bounds_has_a_range_for_its_index() {
+    let blur = |bounds: &str| {
+        format!(
+            r#"
+        local std = terralib.includec("stdlib.h")
+        local W, H = 24, 16
+        terra blur(src : &float, dst : &float, h : int)
+            parallelfor y = {bounds} do
+                for x = 1, [W - 1] do
+                    var s : float = 0.0f
+                    for dy = -1, 2 do
+                        for dx = -1, 2 do
+                            s = s + src[(y + dy) * W + (x + dx)]
+                        end
+                    end
+                    dst[y * W + x] = s
+                end
+            end
+        end
+        terra run() : double
+            var src = [&float](std.malloc([W * H * 4]))
+            var dst = [&float](std.malloc([W * H * 4]))
+            for i = 0, [W * H] do
+                src[i] = i % 11
+                dst[i] = 0
+            end
+            blur(src, dst, H)
+            var total = 0.0
+            for i = 0, [W * H] do total = total + dst[i] * ((i % 7) + 1) end
+            return total
+        end
+        "#
+        )
+    };
+    let run = |bounds: &str, threads| {
+        let mut t = Interp::new();
+        t.ctx.exec.set_threads(threads);
+        t.exec(&blur(bounds)).unwrap();
+        t.exec("blur:compile()").unwrap();
+        t.ctx.exec.set_profile(true);
+        let out = t.exec("return run()").unwrap();
+        let LuaValue::Number(total) = out[0] else {
+            panic!("a number: {out:?}");
+        };
+        let kernel_truncs = t.ctx.exec.profile().op_count("trunc");
+        (total, kernel_truncs)
+    };
+    let (expected, truncs) = run("1, [H - 1]", 1);
+    assert_eq!(truncs, 0, "every wrap in the kernel is proven away");
+    for threads in [2, 4] {
+        assert_eq!(run("1, [H - 1]", threads), (expected, 0));
+    }
+    // `h - 1` arrives at run time: same image, the index arithmetic wraps.
+    let (total, truncs) = run("1, h - 1", 2);
+    assert_eq!(total, expected);
+    assert!(truncs >= 9 * 22 * 14, "{truncs}");
+    // The innermost load of the constant-bounds kernel is `[row + dx*4]`.
+    let mut t = Interp::new();
+    t.exec(&blur("1, [H - 1]")).unwrap();
+    t.exec("blur:compile()").unwrap();
+    let program = t.ctx.exec.program().clone();
+    let kernel = (0..program.len() as u32)
+        .filter_map(|id| program.function(terra_ir::FuncId(id)))
+        .find(|f| f.name.contains("$par"))
+        .expect("the outlined kernel");
+    let text: Vec<String> = kernel.code.iter().map(|i| i.to_string()).collect();
+    let load = text
+        .iter()
+        .position(|l| l.starts_with("load.f32"))
+        .expect("a load");
+    assert!(text[load].contains("*4]"), "{text:#?}");
+    assert!(text[load + 1].starts_with("add.f32"), "{text:#?}");
+    assert!(text[load + 2].starts_with("loop.lt.s"), "{text:#?}");
+}

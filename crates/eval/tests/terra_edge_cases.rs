@@ -639,6 +639,80 @@ fn narrow_constants_are_wrapped_to_their_type() {
     assert_eq!(eval_at_every_level(src), 44.0);
 }
 
+/// A `for` over `uint64` compares unsigned: a range that straddles 2^63 runs
+/// its four iterations (it ran none while every loop compared signed).
+/// Narrower unsigned counters are zero-extended in their registers, so a
+/// signed compare is right for them up to their maxima.
+#[test]
+fn unsigned_loop_counters_count_up_to_their_types_maxima() {
+    let across = r#"
+        terra f() : int
+            var c = 0
+            var lo : uint64 = 0x7FFFFFFFFFFFFFFEULL
+            for i : uint64 = lo, lo + 4 do c = c + 1 end
+            return c
+        end
+        return f()"#;
+    assert_eq!(eval_at_every_level(across), 4.0);
+    // The bounds as run-time values, the counter read in the body.
+    let high = r#"
+        terra g(lo : uint64) : int64
+            var s : uint64 = 0
+            for i : uint64 = lo, lo + 3 do s = s + (i - lo) end
+            return s
+        end
+        return g(2^63)"#;
+    assert_eq!(eval_at_every_level(high), 3.0);
+    let top = r#"
+        terra h() : int
+            var c = 0
+            for i : uint64 = 0xFFFFFFFFFFFFFFF0ULL, 0xFFFFFFFFFFFFFFFFULL do c = c + 1 end
+            return c
+        end
+        return h()"#;
+    assert_eq!(eval_at_every_level(top), 15.0);
+    for (ty, lo, hi, trips) in [
+        ("uint8", "250", "255", 5.0),
+        ("uint16", "65530", "65535", 5.0),
+        ("uint32", "4294967290U", "4294967295U", 5.0),
+    ] {
+        let src = format!(
+            "terra n() : int var c = 0 for i : {ty} = {lo}, {hi} do c = c + 1 end \
+             return c end return n()"
+        );
+        assert_eq!(eval_at_every_level(&src), trips, "{ty}");
+    }
+}
+
+/// `p[a + b]` over `uint8` indexes with the wrapped sum: 250 + 10 is 4,
+/// whether the address is compiled as written, has its check elided, or is
+/// offered to the pass that reassociates addresses (which may not look
+/// through a sum that can wrap).
+#[test]
+fn a_narrow_index_that_wraps_reads_the_wrapped_element() {
+    let src = r#"
+        terra f(a : uint8, b : uint8) : int
+            var p : int[256]
+            for i = 0, 256 do p[i] = i * 3 end
+            var s = 0
+            for k : uint8 = 0, 2 do s = s + p[a + b + k] end
+            return s
+        end
+        return f(250, 10)"#;
+    assert_eq!(eval_at_every_level(src), (4.0 + 5.0) * 3.0);
+    // With constants the sum is folded — to the wrapped value.
+    let folded = r#"
+        terra g() : int
+            var p : int[256]
+            for i = 0, 256 do p[i] = i end
+            var a : uint8 = 250
+            var b : uint8 = 10
+            return p[a + b]
+        end
+        return g()"#;
+    assert_eq!(eval_at_every_level(folded), 4.0);
+}
+
 /// `MIN / -1` is the one quotient that leaves a signed type; it wraps to
 /// `MIN` like every other overflow, at every width and level, and when the
 /// constant folder computes it.

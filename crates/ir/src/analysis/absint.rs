@@ -226,9 +226,10 @@ pub(super) fn lint(
 
 /// Stamps proven-redundant checks (bounds checks of in-bounds accesses,
 /// wrap checks of results that fit) into each statement's
-/// [`proven`](IrStmt::proven) list and emits `checkelim` remarks; returns
-/// whether it stamped any. Called by the `checkelim` pass with the function
-/// body taken out of `f`.
+/// [`proven`](IrStmt::proven) list and, given somewhere to put them, emits
+/// `checkelim` remarks; returns whether it stamped any. Called with the
+/// function body taken out of `f`: by the `checkelim` pass, and without
+/// remarks by `affine`, which reads the proofs and drops them again.
 ///
 /// The walk itself never mutates (summaries and lints run it over borrowed
 /// IR): it notes which statement each proof belongs to, and the proofs are
@@ -239,25 +240,27 @@ pub(crate) fn annotate(
     types: Option<&TypeRegistry>,
     env: &dyn ModuleEnv,
     sums: Option<&Summaries>,
-    remarks: &mut Vec<Remark>,
+    mut remarks: Option<&mut Vec<Remark>>,
 ) -> bool {
-    let mut interp = Interp::new(f, types, env, sums, Mode::Elide(remarks));
+    let mut interp = Interp::new(f, types, env, sums, Mode::Elide(remarks.as_deref_mut()));
     interp.block(body);
     let (stamps, wraps) = (interp.stamps, interp.wraps);
     // Wrap checks are reported per source line, not per node: a line of
     // index arithmetic has several. Line 0 is code the optimizer made.
-    for (line, w) in wraps {
-        let at = match line {
-            0 => "in generated code".to_string(),
-            _ => format!("on line {line}"),
-        };
-        if w.elided > 0 {
-            let msg = format!("{} wrap check(s) elided {at}", w.elided);
-            remarks.push(Remark::applied("checkelim", line, w.prov.clone(), msg));
-        }
-        if let Some(why) = w.kept {
-            let msg = format!("wrap check kept {at}: {why}");
-            remarks.push(Remark::missed("checkelim", line, w.prov, msg));
+    if let Some(remarks) = remarks {
+        for (line, w) in wraps {
+            let at = match line {
+                0 => "in generated code".to_string(),
+                _ => format!("on line {line}"),
+            };
+            if w.elided > 0 {
+                let msg = format!("{} wrap check(s) elided {at}", w.elided);
+                remarks.push(Remark::applied("checkelim", line, w.prov.clone(), msg));
+            }
+            if let Some(why) = w.kept {
+                let msg = format!("wrap check kept {at}: {why}");
+                remarks.push(Remark::missed("checkelim", line, w.prov, msg));
+            }
         }
     }
     let stamped = !stamps.is_empty();
@@ -401,8 +404,9 @@ fn join_absval(a: &AbsVal, b: &AbsVal) -> AbsVal {
 enum Mode<'m> {
     /// Emit definite-bug diagnostics.
     Lint(&'m mut Vec<Diagnostic>),
-    /// Stamp proven accesses and emit checkelim remarks.
-    Elide(&'m mut Vec<Remark>),
+    /// Stamp proven accesses and, into the list if there is one, emit
+    /// checkelim remarks.
+    Elide(Option<&'m mut Vec<Remark>>),
     /// Collect return/demand facts only.
     Summary,
 }
@@ -470,7 +474,14 @@ impl<'a> Interp<'a> {
                             off: Interval::singleton(0),
                             null: Nullness::Maybe,
                         }),
-                        Ty::Scalar(s) if s.is_integer() => AbsVal::Int(Interval::full_for(*s)),
+                        Ty::Scalar(s) if s.is_integer() => {
+                            // A `parallelfor` kernel's index comes from its
+                            // one site's constant range, if it has one.
+                            let range = f.index_range.filter(|(lo, hi)| i == 0 && lo < hi);
+                            AbsVal::Int(range.map_or(Interval::full_for(*s), |(lo, hi)| {
+                                Interval::new(lo as i128, hi as i128 - 1)
+                            }))
+                        }
                         _ => AbsVal::Any,
                     }
                 } else {
@@ -618,13 +629,16 @@ impl<'a> Interp<'a> {
         raw: Option<Interval>,
         operands: &[(&IrExpr, &AbsVal)],
     ) -> bool {
-        if !matches!(self.mode, Mode::Elide(_)) || s.size() == 8 {
+        let Mode::Elide(remarks) = &self.mode else {
+            return false;
+        };
+        if s.size() == 8 {
             return false;
         }
         // A kept check is only worth a remark where it costs per iteration.
         if fits {
             self.stmt_wraps.elided += 1;
-        } else if self.loop_depth > 0 && self.stmt_wraps.kept.is_none() {
+        } else if remarks.is_some() && self.loop_depth > 0 && self.stmt_wraps.kept.is_none() {
             self.stmt_wraps.kept = Some(self.blame(s, raw, operands));
         }
         true
@@ -1155,10 +1169,11 @@ impl<'a> Interp<'a> {
             BinKind::Mul => Some(x * y),
             BinKind::Div => Some(x / y),
             BinKind::Rem => Some(x % y),
-            // Left shift of a non-negative value by a known amount is a
-            // multiply — simplify strength-reduces `i * 2^k` into this, so
-            // address math depends on it.
-            BinKind::Shl if x.lo >= 0 => {
+            // Left shift by a known amount is a multiply, of a negative
+            // value too (the VM shifts the sign-extended register) —
+            // simplify strength-reduces `i * 2^k` into this, so address math
+            // depends on it.
+            BinKind::Shl => {
                 let m = 1i128 << y.as_singleton().filter(|k| (0..64).contains(k))?;
                 Some(Interval::new(x.lo.checked_mul(m)?, x.hi.checked_mul(m)?))
             }
@@ -1488,7 +1503,7 @@ impl<'a> Interp<'a> {
                 if let Mode::Elide(_) = self.mode {
                     self.pending.push(addr);
                     let (line, prov) = (self.cur_span.line, self.cur_prov.clone());
-                    if let Mode::Elide(remarks) = &mut self.mode {
+                    if let Mode::Elide(Some(remarks)) = &mut self.mode {
                         let msg = match av {
                             AbsVal::Ptr(p) => format!(
                                 "bounds check elided: {what} of {size} byte(s) proven \
@@ -1526,7 +1541,7 @@ impl<'a> Interp<'a> {
             Verdict::Unknown { reason } => {
                 if self.loop_depth > 0 {
                     let (line, prov) = (self.cur_span.line, self.cur_prov.clone());
-                    if let Mode::Elide(remarks) = &mut self.mode {
+                    if let Mode::Elide(Some(remarks)) = &mut self.mode {
                         remarks.push(Remark::missed(
                             "checkelim",
                             line,
@@ -1567,6 +1582,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let a = f.add_local("a", Ty::Array(Arc::new(elem), n), true);
         (f, a)

@@ -288,6 +288,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         }
     }
 

@@ -112,6 +112,13 @@ pub trait ModuleEnv {
         let _ = id;
         EnvEntry::Opaque
     }
+
+    /// The [`index_range`](IrFunction::index_range) function `id` claims, if
+    /// its IR is at hand and it is a `parallelfor` kernel that claims one.
+    fn kernel_index_range(&self, id: FuncId) -> Option<(i64, i64)> {
+        let _ = id;
+        None
+    }
 }
 
 /// Environment that knows nothing; every id-dependent check is skipped.

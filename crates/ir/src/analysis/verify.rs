@@ -289,6 +289,20 @@ impl Verifier<'_> {
                         );
                     }
                 }
+                // A kernel whose range proofs assume constant bounds may
+                // only be run over exactly those.
+                if let Some((lo, hi)) = self.env.kernel_index_range(*kernel) {
+                    if (start.int_value(), stop.int_value()) != (Some(lo), Some(hi)) {
+                        self.error(
+                            "bad-kernel-range",
+                            format!(
+                                "parallelfor kernel fn{} was checked for the index range \
+                                 [{lo}, {hi}) but this loop's bounds are not those constants",
+                                kernel.0
+                            ),
+                        );
+                    }
+                }
                 match self.env.function_sig(*kernel) {
                     EnvEntry::Known(sig) => {
                         if sig.ret != Ty::Unit {
@@ -896,6 +910,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         }
     }
 
@@ -963,6 +978,41 @@ mod tests {
         };
         f.body = vec![StmtKind::Expr(load).into(), StmtKind::Return(None).into()];
         assert!(verify_function(&f, None, &NoEnv).is_ok());
+    }
+
+    /// A kernel that was range-checked for `[1, 31)` may be run over
+    /// exactly those constants and nothing else.
+    #[test]
+    fn holds_a_parallelfor_to_the_range_its_kernel_claims() {
+        struct Claims;
+        impl super::super::ModuleEnv for Claims {
+            fn kernel_index_range(&self, _: crate::ir::FuncId) -> Option<(i64, i64)> {
+                Some((1, 31))
+            }
+        }
+        let site = |start: IrExpr, stop: IrExpr| {
+            let mut f = unit_fn("site");
+            f.add_local("n", Ty::INT, false);
+            f.body = vec![StmtKind::ParallelFor {
+                kernel: crate::ir::FuncId(0),
+                start,
+                stop,
+                args: vec![],
+            }
+            .into()];
+            f
+        };
+        let ok = site(IrExpr::int32(1), IrExpr::int32(31));
+        assert!(verify_function(&ok, None, &Claims).is_ok());
+        assert!(verify_function(&site(IrExpr::int32(0), IrExpr::int32(31)), None, &NoEnv).is_ok());
+        let n = IrExpr::local(crate::ir::LocalId(0), Ty::INT);
+        for bad in [
+            site(IrExpr::int32(0), IrExpr::int32(31)),
+            site(IrExpr::int32(1), n),
+        ] {
+            let err = verify_function(&bad, None, &Claims).unwrap_err();
+            assert_eq!(err.code, "bad-kernel-range", "{err}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::fmt::Write;
 ///     ty: FuncTy { params: vec![], ret: Ty::Unit },
 ///     locals: vec![],
 ///     body: vec![],
+///     index_range: None,
 /// };
 /// assert!(dump_function(&f).starts_with("function empty"));
 /// ```
@@ -187,6 +188,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let n = f.add_local("n", Ty::INT, false);
         let acc = f.add_local("acc", Ty::INT, false);

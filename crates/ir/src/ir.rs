@@ -586,6 +586,22 @@ impl IrStmt {
         });
     }
 
+    /// Appends the nodes [`proven`](Self::proven) names, as identities
+    /// (never to be read through), in ascending order: what a consumer of
+    /// the proofs looks a node up in while it walks the statement.
+    pub fn proven_nodes(&self, out: &mut Vec<*const IrExpr>) {
+        if self.proven.is_empty() {
+            return;
+        }
+        let first = out.len();
+        self.operand_nodes(&mut |i, e| {
+            if self.proven.binary_search(&i).is_ok() {
+                out.push(e);
+            }
+        });
+        out[first..].sort_unstable();
+    }
+
     /// Calls `visit` on every statement of `stmts` and of the blocks nested
     /// in them, in preorder (a statement before its blocks).
     pub fn walk<'s>(stmts: &'s [IrStmt], visit: &mut impl FnMut(&'s IrStmt)) {
@@ -752,6 +768,12 @@ pub struct IrFunction {
     pub locals: Vec<LocalSlot>,
     /// Function body.
     pub body: Vec<IrStmt>,
+    /// For a `parallelfor` kernel whose one site has stage-time-constant
+    /// bounds: the half-open range `[start, stop)` its first parameter (the
+    /// loop index) is drawn from. The verifier holds the site to it, and the
+    /// abstract interpreter starts the parameter there instead of at its
+    /// whole type. `None` for every other function.
+    pub index_range: Option<(i64, i64)>,
 }
 
 impl IrFunction {
@@ -859,6 +881,15 @@ impl IrExpr {
         }
     }
 
+    /// The value an integer constant node denotes: its bit pattern in its
+    /// type's canonical form.
+    pub fn int_value(&self) -> Option<i64> {
+        match (&self.kind, &self.ty) {
+            (ExprKind::ConstInt(v), Ty::Scalar(s)) if s.is_integer() => Some(s.canonical(*v)),
+            _ => None,
+        }
+    }
+
     /// Whether the expression is a compile-time constant.
     pub fn is_const(&self) -> bool {
         matches!(
@@ -886,6 +917,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let a = f.add_local("a", Ty::INT, false);
         let b = f.add_local("b", Ty::F64, true);

@@ -17,7 +17,14 @@ use crate::ir::IrFunction;
 
 pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) -> bool {
     let mut body = std::mem::take(&mut f.body);
-    let stamped = absint::annotate(f, &mut body, cfg.types, cfg.env, cfg.summaries, remarks);
+    let stamped = absint::annotate(
+        f,
+        &mut body,
+        cfg.types,
+        cfg.env,
+        cfg.summaries,
+        Some(remarks),
+    );
     f.body = body;
     stamped
 }

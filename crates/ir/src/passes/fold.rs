@@ -427,6 +427,7 @@ mod tests {
                 then_body: vec![StmtKind::Return(None).into()],
                 else_body: vec![StmtKind::Break.into()],
             })],
+            index_range: None,
         };
         fold_function(&mut f);
         assert_eq!(f.body, vec![StmtKind::Return(None).into()]);

@@ -7,13 +7,25 @@
 //! |-------|----------|
 //! | `-O0` | none — the typechecker's IR compiles as-is |
 //! | `-O1` | fold → simplify → copyprop → dce |
-//! | `-O2` | inline → fold → simplify → cse → copyprop → licm → copyprop → dce → checkelim |
+//! | `-O2` | inline → fold → simplify → cse → copyprop → affine → licm → copyprop → dce → checkelim |
 //!
 //! Every pass must preserve *observable semantics*: outputs, stores, traps
 //! (including which trap fires first), and calls. The shared vocabulary for
 //! that contract lives in [`util`]: a pass may delete or duplicate only
 //! [pure](util::expr_is_pure) computation and may cache/reuse only
 //! [stable](util::expr_is_stable) values.
+//!
+//! `affine` (its module has the argument in full) reassociates the address
+//! of every load, store and copy into `base + Σ cᵢ·tᵢ + d`, terms ordered
+//! by the loop that last changes them, so that `licm` finds each prefix
+//! invariant. It is exact because an address is a sum in wrapping 64-bit
+//! arithmetic, a ring; the narrow-integer operations it looks through are
+//! those the abstract interpreter proves cannot leave their type — the
+//! proof that elides their `trunc` — and it consumes nothing else, nothing
+//! at all with [`PassConfig::elide_checks`] off. It runs after `copyprop`
+//! (an index held in a copy must reach the address it feeds) and before
+//! `licm` (which does the hoisting) and `checkelim` (which proves the
+//! accesses in the form they are compiled in).
 //!
 //! **Verifier invariant:** a function that verifies going into the pipeline
 //! must verify coming out of it. Each pass reports whether it rewrote
@@ -29,6 +41,7 @@
 //! can emit one trace span per pass (`--profile` shows where compile time
 //! goes).
 
+mod affine;
 mod checkelim;
 mod copyprop;
 mod cse;
@@ -236,6 +249,7 @@ enum Pass {
     Simplify,
     Cse,
     CopyProp,
+    Affine,
     Licm,
     Dce,
     CheckElim,
@@ -251,6 +265,7 @@ impl Pass {
             Pass::Simplify => "simplify",
             Pass::Cse => "cse",
             Pass::CopyProp => "copyprop",
+            Pass::Affine => "affine",
             Pass::Licm => "licm",
             Pass::Dce => "dce",
             Pass::CheckElim => "checkelim",
@@ -267,6 +282,7 @@ impl Pass {
             Pass::Simplify => simplify::run(f, remarks),
             Pass::Cse => cse::run(f, remarks),
             Pass::CopyProp => copyprop::run(f, remarks),
+            Pass::Affine => affine::run(f, cfg, remarks),
             Pass::Licm => licm::run(f, cfg, remarks),
             Pass::Dce => dce::run(f, remarks),
             Pass::CheckElim => cfg.elide_checks && checkelim::run(f, cfg, remarks),
@@ -284,6 +300,7 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
             Pass::Simplify,
             Pass::Cse,
             Pass::CopyProp,
+            Pass::Affine,
             Pass::Licm,
             Pass::CopyProp,
             Pass::Dce,
@@ -410,6 +427,7 @@ mod tests {
             },
             locals: Vec::new(),
             body: Vec::new(),
+            index_range: None,
         };
         f.add_local("p0", Ty::INT, false);
         f.body = vec![IrStmt::new(StmtKind::Return(Some(IrExpr::binary(

@@ -16,6 +16,7 @@ fn func(params: Vec<Ty>, ret: Ty) -> IrFunction {
         },
         locals: Vec::new(),
         body: Vec::new(),
+        index_range: None,
     };
     for (i, p) in params.into_iter().enumerate() {
         f.add_local(format!("p{i}"), p, false);
@@ -555,6 +556,7 @@ fn pipeline_reports_per_pass_timing() {
             "simplify",
             "cse",
             "copyprop",
+            "affine",
             "licm",
             "copyprop",
             "dce",
@@ -754,6 +756,315 @@ fn checkelim_proves_a_wrap_away_only_where_the_range_says_so() {
     assert!(on_loop.is_empty(), "{remarks:?}");
 }
 
+/// A `parallelfor` kernel's index is bounded by the constant range of its
+/// one site, where the typechecker recorded one; a shift of a negative range
+/// is the multiplication it stands for.
+#[test]
+fn a_kernel_index_starts_from_its_sites_range() {
+    let stamped = |index_range, scale: IrExpr, op| {
+        let mut f = func(vec![Ty::INT], Ty::Unit);
+        f.index_range = index_range;
+        let x = f.add_local("x", Ty::INT, false);
+        // Node 1 is the product; the store keeps it alive.
+        let product = IrExpr::binary(op, IrExpr::local(LocalId(0), Ty::INT), scale);
+        let slot = f.add_local("slot", Ty::INT, true);
+        f.body = vec![
+            assign(x, product),
+            IrStmt::new(StmtKind::Store {
+                addr: IrExpr {
+                    ty: Ty::INT.ptr_to(),
+                    kind: ExprKind::LocalAddr(slot),
+                },
+                value: IrExpr::local(x, Ty::INT),
+            }),
+        ];
+        optimize_with_layouts(&mut f, true);
+        let mut proven = Vec::new();
+        IrStmt::walk(&f.body, &mut |s| {
+            let product = |e: &IrExpr| matches!(e.kind, ExprKind::Binary { .. });
+            let mut at = Vec::new();
+            s.operand_nodes(&mut |i, e| {
+                if product(e) {
+                    at.push(i);
+                }
+            });
+            proven.extend(at.iter().map(|i| s.proven.contains(i)));
+        });
+        proven
+    };
+    let big = IrExpr::int32(1 << 20);
+    assert_eq!(stamped(None, big.clone(), BinKind::Mul), [false]);
+    assert_eq!(stamped(Some((1, 255)), big.clone(), BinKind::Mul), [true]);
+    assert_eq!(
+        stamped(Some((-255, 255)), IrExpr::int32(20), BinKind::Shl),
+        [true]
+    );
+    // 2^11 * 2^20 leaves `int`; an empty range claims nothing.
+    assert_eq!(stamped(Some((1, 2049)), big.clone(), BinKind::Mul), [false]);
+    assert_eq!(stamped(Some((5, 5)), big, BinKind::Mul), [false]);
+}
+
+// ------------------------------------------------ affine address splitting
+
+/// `for i = 0, rows do for k = 0, 16 do acc = acc + a[index(i, k, &t)] end
+/// end` over frame arrays `a : double[256]` and `t : int[16]`; `rows` is the
+/// constant 16 or, when `staged` is off, the parameter.
+fn matrix_walk(staged: bool, index: impl Fn(IrExpr, IrExpr, IrExpr) -> IrExpr) -> IrFunction {
+    let mut f = func(vec![Ty::INT], Ty::F64);
+    let a = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::F64), 256), true);
+    let t = f.add_local("t", Ty::Array(std::sync::Arc::new(Ty::INT), 16), true);
+    let acc = f.add_local("acc", Ty::F64, false);
+    let (i, k) = (
+        f.add_local("i", Ty::INT, false),
+        f.add_local("k", Ty::INT, false),
+    );
+    let local = |l| IrExpr::local(l, Ty::INT);
+    let ptr = |kind| IrExpr {
+        ty: Ty::F64.ptr_to(),
+        kind,
+    };
+    let addr = ptr(ExprKind::Binary {
+        op: BinKind::Add,
+        lhs: Box::new(ptr(ExprKind::LocalAddr(a))),
+        rhs: Box::new(index(
+            local(i),
+            local(k),
+            IrExpr {
+                ty: Ty::INT.ptr_to(),
+                kind: ExprKind::LocalAddr(t),
+            },
+        )),
+    });
+    let element = IrExpr {
+        ty: Ty::F64,
+        kind: ExprKind::Load(Box::new(addr)),
+    };
+    let sum = IrExpr::binary(BinKind::Add, IrExpr::local(acc, Ty::F64), element);
+    let nest = |var, stop, body| {
+        IrStmt::new(StmtKind::For {
+            var,
+            start: IrExpr::int32(0),
+            stop,
+            step: IrExpr::int32(1),
+            body,
+        })
+    };
+    let rows = if staged {
+        IrExpr::int32(16)
+    } else {
+        local(LocalId(0))
+    };
+    let inner = nest(k, IrExpr::int32(16), vec![assign(acc, sum)]);
+    f.body = vec![nest(i, rows, vec![inner]), ret(IrExpr::local(acc, Ty::F64))];
+    f
+}
+
+/// `int64(i * 16 + k) * 8`: the byte offset of `a[i][k]`, computed in `int`.
+fn row_major(i: IrExpr, k: IrExpr, _: IrExpr) -> IrExpr {
+    let flat = IrExpr::binary(
+        BinKind::Add,
+        IrExpr::binary(BinKind::Mul, i, IrExpr::int32(16)),
+        k,
+    );
+    let wide = IrExpr {
+        ty: Ty::I64,
+        kind: ExprKind::Cast(Box::new(flat)),
+    };
+    IrExpr::binary(BinKind::Mul, wide, IrExpr::int64(8))
+}
+
+/// The load addresses left in `f`, and what was hoisted into `$licm` locals.
+fn addresses_and_hoists(f: &IrFunction) -> (Vec<IrExpr>, Vec<IrExpr>) {
+    let (mut addrs, mut hoists) = (Vec::new(), Vec::new());
+    IrStmt::walk_exprs(&f.body, &mut |e| {
+        if let ExprKind::Load(a) = &e.kind {
+            addrs.push((**a).clone());
+        }
+    });
+    IrStmt::walk(&f.body, &mut |s| {
+        if let StmtKind::Assign { dst, value } = &s.kind {
+            if f.locals[dst.0 as usize].name.starts_with("$licm") {
+                hoists.push(value.clone());
+            }
+        }
+    });
+    (addrs, hoists)
+}
+
+fn optimize_with_layouts(f: &mut IrFunction, elide_checks: bool) -> PassStats {
+    let types = TypeRegistry::new();
+    let config = PassConfig {
+        types: Some(&types),
+        elide_checks,
+        ..cfg(OptLevel::O2, &NoInline)
+    };
+    optimize(f, &config)
+}
+
+#[test]
+fn affine_splits_a_proven_address_so_that_licm_hoists_the_row() {
+    let mut f = matrix_walk(true, row_major);
+    let stats = optimize_with_layouts(&mut f, true);
+    assert!(changed_by(&stats).contains(&"affine"), "{stats:?}");
+    assert!(
+        stats.remarks.iter().any(|r| r.pass == "affine"),
+        "{:?}",
+        stats.remarks
+    );
+    // What is left in the `k` loop is `row + (int64(k) << 3)`; the row is
+    // `&a + (int64(i) << 7)`, computed once per `i`.
+    let (addrs, hoists) = addresses_and_hoists(&f);
+    let dump = terra_ir::dump_function(&f);
+    let [addr] = &addrs[..] else {
+        panic!("one load: {dump}");
+    };
+    let ExprKind::Binary { lhs, rhs, .. } = &addr.kind else {
+        panic!("a sum: {dump}");
+    };
+    assert!(matches!(lhs.kind, ExprKind::Local(_)), "{dump}");
+    assert!(
+        matches!(&rhs.kind, ExprKind::Binary { op: BinKind::Shl, rhs: by, .. }
+            if by.int_const() == Some(3)),
+        "{dump}"
+    );
+    let [row] = &hoists[..] else {
+        panic!("one hoisted row pointer: {dump}");
+    };
+    assert!(row.ty.is_pointer(), "{dump}");
+    assert!(row.any(&mut |e| matches!(e.kind, ExprKind::LocalAddr(_))));
+    // No narrow arithmetic is left to wrap, and the access keeps its proof
+    // through the hoisted pointer.
+    let narrow = |k: &ExprKind| {
+        matches!(
+            k,
+            ExprKind::Binary {
+                op: BinKind::Mul,
+                ..
+            }
+        )
+    };
+    assert_eq!(count_exprs(&f, &narrow), 0, "{dump}");
+    let mut proven_loads = 0;
+    IrStmt::walk(&f.body, &mut |s| {
+        if matches!(&s.kind, StmtKind::Assign { value, .. }
+            if value.any(&mut |e| matches!(e.kind, ExprKind::Load(_))))
+        {
+            proven_loads += s.proven.len();
+        }
+    });
+    assert_eq!(
+        proven_loads, 1,
+        "the load is still proven in bounds: {dump}"
+    );
+
+    // Idempotent: its own output is already in normal form (only the
+    // proofs, dropped on the way in, are made again).
+    let before = f.clone();
+    let stats = optimize_with_layouts(&mut f, true);
+    assert_eq!(changed_by(&stats), ["checkelim"], "{stats:?}");
+    assert_eq!(f, before);
+}
+
+#[test]
+fn affine_leaves_an_address_it_cannot_prove_exactly_as_it_is() {
+    // The row count is a parameter: nothing bounds `i * 16 + k`, the `int`
+    // arithmetic may wrap, and reassociating through it would move the
+    // access. The same with the proofs switched off.
+    for (staged, elide_checks) in [(false, true), (true, false)] {
+        let mut f = matrix_walk(staged, row_major);
+        let stats = optimize_with_layouts(&mut f, elide_checks);
+        assert!(
+            !changed_by(&stats).contains(&"affine"),
+            "staged={staged} elide={elide_checks}: {stats:?}"
+        );
+        assert!(stats.remarks.iter().all(|r| r.pass != "affine"));
+        // The address is what the other passes make of it on their own:
+        // `&a + (int64($licm + k) << 3)`.
+        let (addrs, hoists) = addresses_and_hoists(&f);
+        let dump = terra_ir::dump_function(&f);
+        let [addr] = &addrs[..] else {
+            panic!("one load: {dump}");
+        };
+        let ExprKind::Binary { lhs, rhs, .. } = &addr.kind else {
+            panic!("a sum: {dump}");
+        };
+        assert!(matches!(lhs.kind, ExprKind::LocalAddr(_)), "{dump}");
+        assert!(
+            rhs.any(&mut |e| matches!(e.kind, ExprKind::Cast(_))),
+            "{dump}"
+        );
+        assert!(hoists.iter().all(|h| h.ty == Ty::INT), "{dump}");
+    }
+}
+
+#[test]
+fn affine_never_moves_a_load_or_a_possible_trap_out_of_its_place() {
+    // a[i][t[k] / p0]: 64-bit arithmetic throughout, so the sum is split
+    // without any proof — `int64(i) * 128` may move in front and out of the
+    // `k` loop, the atom that loads and may divide by zero may not.
+    let mut f = matrix_walk(true, |i, k, table| {
+        let wide = |e: IrExpr| IrExpr {
+            ty: Ty::I64,
+            kind: ExprKind::Cast(Box::new(e)),
+        };
+        let entry = IrExpr {
+            ty: Ty::INT,
+            kind: ExprKind::Load(Box::new(IrExpr {
+                ty: Ty::INT.ptr_to(),
+                kind: ExprKind::Binary {
+                    op: BinKind::Add,
+                    lhs: Box::new(table),
+                    rhs: Box::new(IrExpr::binary(BinKind::Mul, wide(k), IrExpr::int64(4))),
+                },
+            })),
+        };
+        let column = IrExpr::binary(BinKind::Div, entry, IrExpr::local(LocalId(0), Ty::INT));
+        IrExpr::binary(
+            BinKind::Add,
+            IrExpr::binary(BinKind::Mul, wide(column), IrExpr::int64(8)),
+            IrExpr::binary(BinKind::Mul, wide(i), IrExpr::int64(128)),
+        )
+    });
+    let loads = |f: &IrFunction| count_exprs(f, &|k| matches!(k, ExprKind::Load(_)));
+    let divisions = |f: &IrFunction| {
+        count_exprs(f, &|k| {
+            matches!(
+                k,
+                ExprKind::Binary {
+                    op: BinKind::Div,
+                    ..
+                }
+            )
+        })
+    };
+    let before = (loads(&f), divisions(&f));
+    let stats = optimize_with_layouts(&mut f, true);
+    assert!(changed_by(&stats).contains(&"affine"), "{stats:?}");
+    let dump = terra_ir::dump_function(&f);
+    assert_eq!((loads(&f), divisions(&f)), before, "{dump}");
+    let (addrs, hoists) = addresses_and_hoists(&f);
+    assert!(!hoists.is_empty(), "the row pointer is hoisted: {dump}");
+    for h in &hoists {
+        assert!(
+            terra_ir::passes::util::expr_is_stable(h, &f.locals),
+            "{dump}"
+        );
+    }
+    // The outer access still ends in the atom that was last evaluated.
+    let outer = addrs
+        .iter()
+        .find(|a| a.ty == Ty::F64.ptr_to())
+        .expect("the element load");
+    let ExprKind::Binary { lhs, rhs, .. } = &outer.kind else {
+        panic!("a sum: {dump}");
+    };
+    assert!(matches!(lhs.kind, ExprKind::Local(_)), "{dump}");
+    assert!(
+        rhs.any(&mut |e| matches!(e.kind, ExprKind::Load(_))),
+        "{dump}"
+    );
+}
+
 #[test]
 fn no_pass_reports_a_change_it_did_not_make() {
     // `return p0` cannot be improved by anything.
@@ -768,7 +1079,7 @@ fn no_pass_reports_a_change_it_did_not_make() {
             ..cfg(OptLevel::O2, &NoInline)
         },
     );
-    assert_eq!(stats.runs.len(), 9);
+    assert_eq!(stats.runs.len(), 10);
     assert!(changed_by(&stats).is_empty(), "{stats:?}");
     assert_eq!(f, before);
 }

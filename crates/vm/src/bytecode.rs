@@ -75,22 +75,22 @@ impl IntWidth {
 ///
 /// ```text
 /// /// doc
-/// Variant = "mnemonic" { regs } var { reg*width, .. } imm { field: Type, .. } @chk;
+/// Variant = "mnemonic" { regs } at m var { reg*width, .. } imm { field: Type, .. } @chk;
 /// ```
 ///
 /// `{ regs }` are the register operands of fixed shape (`r` one slot, `r*4`
-/// a vector); `var` registers may be [`NO_REG`] and are as wide as the
-/// literal or `imm` field after the `*`; `imm` are the fields that are not
-/// registers, and one named `target` is a jump target; `@chk` marks a
-/// bounds-checkable memory access and adds its `chk: bool`. A row without
-/// braces is a unit variant.
+/// a vector); `at m` is an address operand, the [`Addr`] field `m`; `var`
+/// registers may be [`NO_REG`] and are as wide as the literal or `imm` field
+/// after the `*`; `imm` are the fields that are not registers, and one named
+/// `target` is a jump target; `@chk` marks a bounds-checkable memory access
+/// and adds its `chk: bool`. A row without braces is a unit variant.
 ///
 /// The rows *are* [`Instr`]: the enum, its dense [`Instr::opcode`]
 /// numbering, [`MNEMONICS`] (the names profilers' counters are rendered by),
 /// [`N_OPCODES`], [`Instr::chk`], and the operand and jump-target walks the
-/// load-time validator runs are all generated from them, so an instruction
-/// is this row, its dispatch arm in `machine.rs` and its emitter in
-/// `compile.rs`.
+/// load-time validator runs and the one-line rendering `f:disas()` prints
+/// ([`fmt::Display`]) are all generated from them, so an instruction is this
+/// row, its dispatch arm in `machine.rs` and its emitter in `compile.rs`.
 macro_rules! opcodes {
     (@w) => { 1 };
     (@w $w:literal) => { $w };
@@ -101,24 +101,28 @@ macro_rules! opcodes {
         }
     };
     (@jump $instr:expr, $variant:ident $imm:ident) => {};
+    (@imm target $v:expr) => { Operand::Target(*$v) };
+    (@imm $imm:ident $v:expr) => { Operand::Imm(stringify!($imm), $v) };
     ($(
         $(#[$doc:meta])*
         $variant:ident = $name:literal $(
             { $($r:ident $(* $w:literal)?),* }
+            $(at $m:ident)?
             $(var { $($v:ident * $vw:tt),* })?
             $(imm { $($i:ident : $ity:ty),* })?
             $(@ $chk:ident)?
         )?;
     )*) => {
         /// One bytecode instruction. `d` is the destination register, `a`/`b`
-        /// the operands; memory instructions take their address in `a` and
-        /// store the value in `s`.
+        /// the operands; memory instructions access the address `m` and store
+        /// the value in `s`.
         #[derive(Debug, Clone, PartialEq)]
         pub enum Instr {
             $(
                 $(#[$doc])*
                 $variant $({
                     $(#[doc = "Register operand."] $r: Reg,)*
+                    $(#[doc = "Address operand."] $m: Addr,)?
                     $($(#[doc = "Register operand, or [`NO_REG`] for none."] $v: Reg,)*)?
                     $($(#[doc = "Immediate."] $i: $ity,)*)?
                     $(#[doc = "Bounds-checked (see [`Instr::chk`])?"] $chk: bool,)?
@@ -159,8 +163,14 @@ macro_rules! opcodes {
             #[allow(unused_variables)]
             fn operands(&self, mut visit: impl FnMut(Reg, u16)) {
                 match *self {
-                    $(Instr::$variant { $($($r,)* $($($v,)*)? $($($i,)*)?)? .. } => {
+                    $(Instr::$variant { $($($r,)* $($m,)? $($($v,)*)? $($($i,)*)?)? .. } => {
                         $($(visit($r, opcodes!(@w $($w)?));)*)?
+                        $($(
+                            visit($m.a, 1);
+                            if $m.b != NO_REG {
+                                visit($m.b, 1);
+                            }
+                        )?)?
                         $($($(if $v != NO_REG {
                             visit($v, opcodes!(@w $vw));
                         })*)?)?
@@ -169,8 +179,8 @@ macro_rules! opcodes {
             }
 
             /// The instruction's jump target, if it has one.
-            fn target_ref(&self) -> Option<&u32> {
-                $($($($(opcodes!(@jump self, $variant $i);)*)?)?)*
+            pub(crate) fn target(&self) -> Option<u32> {
+                $($($($(opcodes!(@jump *self, $variant $i);)*)?)?)*
                 None
             }
 
@@ -178,6 +188,25 @@ macro_rules! opcodes {
             pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
                 $($($($(opcodes!(@jump self, $variant $i);)*)?)?)*
                 None
+            }
+        }
+
+        /// One line of disassembly: the mnemonic (with a `!` when the access
+        /// is bounds-checked), then the operands in row order — registers as
+        /// `rN` (`-` for none), an address as `[r3 + r9*8 + 16]`, immediates
+        /// as `name=value`, a jump target as `-> pc`.
+        impl fmt::Display for Instr {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(Instr::$variant $({
+                        $($r,)* $($m,)? $($($v,)*)? $($($i,)*)? $($chk,)?
+                    })? => disassemble(f, $name, false $($(|| *$chk)?)?, &[$(
+                        $(Operand::Reg(*$r),)*
+                        $(Operand::At(*$m),)?
+                        $($(Operand::Reg(*$v),)*)?
+                        $($(opcodes!(@imm $i $i),)*)?
+                    )?]),)*
+                }
             }
         }
     };
@@ -233,9 +262,9 @@ opcodes! {
     NotB = "not.b" { d, a };
     /// Re-canonicalizes a narrow integer after arithmetic.
     Trunc = "trunc" { d, a } imm { w: IntWidth };
-    /// `d = a + b*scale + disp` — fused address computation; without an index
-    /// `b` is [`NO_REG`].
-    Lea = "lea" { d, a } var { b*1 } imm { scale: i32, disp: i64 };
+    /// `d = m` — an address that is itself a value (stored, passed, compared,
+    /// hoisted).
+    Lea = "lea" { d } at m;
 
     // -- floating arithmetic
     /// f64 add.
@@ -317,41 +346,41 @@ opcodes! {
     /// f64 → f32.
     CvtF64ToF32 = "cvt.f64.f32" { d, a };
 
-    // -- memory
+    // -- memory: loads and stores compute their own address, as `lea` does
     /// Load a signed 8-bit value.
-    LoadI8 = "load.i8" { d, a } @chk;
+    LoadI8 = "load.i8" { d } at m @chk;
     /// Load an unsigned 8-bit value.
-    LoadU8 = "load.u8" { d, a } @chk;
+    LoadU8 = "load.u8" { d } at m @chk;
     /// Load a signed 16-bit value.
-    LoadI16 = "load.i16" { d, a } @chk;
+    LoadI16 = "load.i16" { d } at m @chk;
     /// Load an unsigned 16-bit value.
-    LoadU16 = "load.u16" { d, a } @chk;
+    LoadU16 = "load.u16" { d } at m @chk;
     /// Load a signed 32-bit value.
-    LoadI32 = "load.i32" { d, a } @chk;
+    LoadI32 = "load.i32" { d } at m @chk;
     /// Load an unsigned 32-bit value.
-    LoadU32 = "load.u32" { d, a } @chk;
+    LoadU32 = "load.u32" { d } at m @chk;
     /// Load 64 bits (int/pointer).
-    Load64 = "load.64" { d, a } @chk;
+    Load64 = "load.64" { d } at m @chk;
     /// Load an f32.
-    LoadF32 = "load.f32" { d, a } @chk;
+    LoadF32 = "load.f32" { d } at m @chk;
     /// Load an f64.
-    LoadF64 = "load.f64" { d, a } @chk;
+    LoadF64 = "load.f64" { d } at m @chk;
     /// Store low 8 bits.
-    Store8 = "store.8" { a, s } @chk;
+    Store8 = "store.8" { s } at m @chk;
     /// Store low 16 bits.
-    Store16 = "store.16" { a, s } @chk;
+    Store16 = "store.16" { s } at m @chk;
     /// Store low 32 bits.
-    Store32 = "store.32" { a, s } @chk;
+    Store32 = "store.32" { s } at m @chk;
     /// Store 64 bits.
-    Store64 = "store.64" { a, s } @chk;
+    Store64 = "store.64" { s } at m @chk;
     /// Store an f32 (the slot's low 32 bits).
-    StoreF32 = "store.f32" { a, s } @chk;
+    StoreF32 = "store.f32" { s } at m @chk;
     /// Store an f64.
-    StoreF64 = "store.f64" { a, s } @chk;
+    StoreF64 = "store.f64" { s } at m @chk;
     /// Load `bytes` (≤ 32) into a vector register, zeroing the rest.
-    LoadV = "load.v" { d*4, a } imm { bytes: u8 } @chk;
+    LoadV = "load.v" { d*4 } at m imm { bytes: u8 } @chk;
     /// Store the low `bytes` of a vector register.
-    StoreV = "store.v" { a, s*4 } imm { bytes: u8 } @chk;
+    StoreV = "store.v" { s*4 } at m imm { bytes: u8 } @chk;
     /// Frame-slot address: `d = frame_base + offset` (bytes).
     FrameAddr = "frame.addr" { d } imm { offset: u32 };
     /// `memcpy(dst, src, size)` between the addresses in `dst` and `src`, with
@@ -413,6 +442,9 @@ opcodes! {
     BrLtU = "br.lt.u" { a, b } imm { target: u32 };
     /// Jump when `a <= b`, unsigned.
     BrLeU = "br.le.u" { a, b } imm { target: u32 };
+    /// The back edge of a counted loop: `var += step` (wrapping), then jump
+    /// when `var < stop`, signed.
+    LoopLtS = "loop.lt.s" { var, step, stop } imm { target: u32 };
     /// Direct call of `f`: copies the `nargs` slots starting at `args` to the
     /// bottom of the callee frame (parameters sit at the prefix sums of their
     /// widths on both sides); the `w`-slot result lands in `d`, and without
@@ -435,6 +467,77 @@ opcodes! {
     Trap = "trap";
 }
 
+/// An operand of an instruction being disassembled.
+enum Operand<'a> {
+    Reg(Reg),
+    At(Addr),
+    Imm(&'static str, &'a dyn fmt::Debug),
+    Target(u32),
+}
+
+/// What [`Instr`]'s `Display` writes: one function for every row, so that a
+/// row costs an array of operands and not its own formatting code.
+fn disassemble(f: &mut fmt::Formatter<'_>, name: &str, chk: bool, ops: &[Operand]) -> fmt::Result {
+    write!(f, "{name}{}", if chk { "!" } else { "" })?;
+    let mut sep = " ";
+    for operand in ops {
+        match operand {
+            Operand::Reg(NO_REG) => write!(f, "{sep}-")?,
+            Operand::Reg(r) => write!(f, "{sep}r{r}")?,
+            Operand::At(m) => write!(f, "{sep}{m}")?,
+            Operand::Imm(field, v) => write!(f, "{sep}{field}={v:?}")?,
+            Operand::Target(pc) => write!(f, " -> {pc}")?,
+        }
+        sep = ", ";
+    }
+    Ok(())
+}
+
+/// An address operand, `a + b*scale + disp` in wrapping 64-bit arithmetic:
+/// what `lea` computes and every load and store accesses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Addr {
+    /// Base register.
+    pub a: Reg,
+    /// Index register, or [`NO_REG`] for none.
+    pub b: Reg,
+    /// What the index is multiplied by.
+    pub scale: i32,
+    /// Constant byte displacement.
+    pub disp: i64,
+}
+
+impl Addr {
+    /// The address held in register `a`.
+    pub fn reg(a: Reg) -> Addr {
+        Addr {
+            a,
+            b: NO_REG,
+            scale: 1,
+            disp: 0,
+        }
+    }
+}
+
+/// `[r3 + r9*8 + 16]`; an absent index and a zero displacement are left out.
+impl fmt::Display for Addr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[r{}", self.a)?;
+        if self.b != NO_REG {
+            write!(f, " + r{}*{}", self.b, self.scale)?;
+        }
+        match self.disp {
+            0 => f.write_str("]"),
+            d => write!(
+                f,
+                " {} {}]",
+                if d < 0 { '-' } else { '+' },
+                d.unsigned_abs()
+            ),
+        }
+    }
+}
+
 impl Instr {
     /// Whether this instruction performs a bounds-checkable memory access —
     /// what the `checkelim` pass can mark check-free. `Prefetch` is
@@ -451,11 +554,6 @@ impl Instr {
     /// Whether control can continue at the next instruction.
     pub(crate) fn falls_through(&self) -> bool {
         !matches!(self, Instr::Jmp { .. } | Instr::Ret { .. } | Instr::Trap)
-    }
-
-    /// The instruction's jump target, if it has one.
-    pub(crate) fn target(&self) -> Option<u32> {
-        self.target_ref().copied()
     }
 }
 
@@ -628,28 +726,24 @@ impl CompiledFunction {
         self.code.get(pc).and_then(Instr::chk) == Some(false)
     }
 
-    /// The rendered staging chain of the instruction at `pc`, if it arrived
+    /// The interned staging chain of the instruction at `pc`, if it arrived
     /// through a splice or the inliner.
+    fn prov_entry(&self, pc: usize) -> Option<&Arc<str>> {
+        let idx = self.provs.get(pc).copied().unwrap_or(0);
+        self.prov_table.get(idx.checked_sub(1)? as usize)
+    }
+
+    /// The rendered staging chain of the instruction at `pc`, if it has one.
     #[inline]
     pub fn prov_at(&self, pc: usize) -> Option<&str> {
-        let idx = self.provs.get(pc).copied().unwrap_or(0);
-        if idx == 0 {
-            None
-        } else {
-            self.prov_table.get(idx as usize - 1).map(|s| &**s)
-        }
+        self.prov_entry(pc).map(|s| &**s)
     }
 
     /// Like [`CompiledFunction::prov_at`], but returns the interned handle —
     /// for attribution sinks (the heap profiler) that outlive the frame.
     #[inline]
     pub fn prov_rc_at(&self, pc: usize) -> Option<Arc<str>> {
-        let idx = self.provs.get(pc).copied().unwrap_or(0);
-        if idx == 0 {
-            None
-        } else {
-            self.prov_table.get(idx as usize - 1).cloned()
-        }
+        self.prov_entry(pc).cloned()
     }
 }
 
@@ -689,7 +783,7 @@ mod tests {
             (
                 Instr::LoadF64 {
                     d: 0,
-                    a: 0,
+                    m: Addr::reg(0),
                     chk: true,
                 },
                 "load.f64",
@@ -700,6 +794,72 @@ mod tests {
         ] {
             assert_eq!(MNEMONICS[instr.opcode() as usize], name);
             assert_eq!(instr.mnemonic(), name);
+        }
+    }
+
+    /// One line per instruction, generated from the rows: what `f:disas()`
+    /// prints.
+    #[test]
+    fn instructions_display_as_one_line_of_disassembly() {
+        let at = |b, scale, disp| Addr {
+            a: 3,
+            b,
+            scale,
+            disp,
+        };
+        let load = |m, chk| Instr::LoadF64 { d: 5, m, chk };
+        for (instr, text) in [
+            (Instr::ConstI { d: 1, v: -7 }, "const.i r1, v=-7"),
+            (Instr::AddF64 { d: 2, a: 0, b: 1 }, "add.f64 r2, r0, r1"),
+            (load(Addr::reg(3), false), "load.f64 r5, [r3]"),
+            (load(at(9, 8, 16), true), "load.f64! r5, [r3 + r9*8 + 16]"),
+            (load(at(NO_REG, 1, -4), false), "load.f64 r5, [r3 - 4]"),
+            (
+                Instr::Store8 {
+                    m: at(9, -2, 0),
+                    s: 4,
+                    chk: true,
+                },
+                "store.8! r4, [r3 + r9*-2]",
+            ),
+            (
+                Instr::Lea {
+                    d: 0,
+                    m: at(1, 4, i64::MIN),
+                },
+                "lea r0, [r3 + r1*4 - 9223372036854775808]",
+            ),
+            (
+                Instr::LoopLtS {
+                    var: 7,
+                    step: 14,
+                    stop: 13,
+                    target: 33,
+                },
+                "loop.lt.s r7, r14, r13 -> 33",
+            ),
+            (Instr::Jmp { target: 4 }, "jmp -> 4"),
+            (
+                Instr::Trunc {
+                    d: 1,
+                    a: 1,
+                    w: IntWidth::U8,
+                },
+                "trunc r1, r1, w=U8",
+            ),
+            (
+                Instr::CallBuiltin {
+                    d: NO_REG,
+                    b: Builtin::Free,
+                    args: 12,
+                    nargs: 1,
+                },
+                "call.builtin -, r12, b=Free, nargs=1",
+            ),
+            (Instr::Ret { s: NO_REG, w: 0 }, "ret -, w=0"),
+            (Instr::Trap, "trap"),
+        ] {
+            assert_eq!(instr.to_string(), text);
         }
     }
 
@@ -770,16 +930,21 @@ mod tests {
         assert!(load(vec![parfor(1, 4), ret.clone()], 6).is_ok());
         assert!(load(vec![parfor(6, 4), ret.clone()], 6).is_err());
         assert!(load(vec![parfor(1, 5), ret.clone()], 6).is_err());
-        // The optional Lea index is an operand when present.
-        let lea = |b| Instr::Lea {
-            d: 0,
-            a: 0,
-            b,
-            scale: 8,
-            disp: 0,
+        // The optional index of an address is an operand when present, of
+        // a `lea` and of a memory access alike.
+        let indexed = |b| {
+            let m = Addr {
+                b,
+                scale: 8,
+                ..Addr::reg(0)
+            };
+            let store = Instr::Store8 { m, s: 0, chk: true };
+            [Instr::Lea { d: 0, m }, store]
         };
-        assert!(load(vec![lea(NO_REG), ret.clone()], 1).is_ok());
-        assert!(load(vec![lea(1), ret.clone()], 1).is_err());
+        for (bare, with_index) in indexed(NO_REG).into_iter().zip(indexed(1)) {
+            assert!(load(vec![bare, ret.clone()], 1).is_ok());
+            assert!(load(vec![with_index, ret.clone()], 1).is_err());
+        }
     }
 
     #[test]
@@ -826,6 +991,18 @@ mod tests {
                 b: 0,
                 target: 9,
             },
+            Instr::LoopLtS {
+                var: 0,
+                step: 0,
+                stop: 2,
+                target: 0,
+            },
+            Instr::LoopLtS {
+                var: 0,
+                step: 1,
+                stop: 1,
+                target: 9,
+            },
         ]
         .into_iter()
         .enumerate()
@@ -834,7 +1011,7 @@ mod tests {
         }
         let wide = Instr::LoadV {
             d: 0,
-            a: 0,
+            m: Addr::reg(0),
             bytes: 33,
             chk: true,
         };

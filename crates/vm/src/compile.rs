@@ -14,12 +14,15 @@
 //! widening casts free and lets compares and divisions work on whole
 //! registers; narrow arithmetic re-establishes it with a `trunc`, except
 //! where the mid-end proved the result cannot leave its type
-//! ([`IrStmt::proven`]). Loops test at the bottom with one fused
-//! compare-and-branch, and the constants a loop nest uses as operands are
-//! materialized once, in front of it.
+//! ([`IrStmt::proven`]). A load or store computes its own address from an
+//! operand `[base + index*scale + disp]` ([`lea_of`] decides what of the
+//! address expression that absorbs); loops test at the bottom — a counted
+//! loop whose increment is exact with the one instruction `loop.lt.s`, the
+//! rest with a fused compare-and-branch — and the constants a loop nest uses
+//! as operands are materialized once, in front of it.
 
 use crate::bytecode::{
-    slots_of, BytecodeError, CompiledFunction, Instr, IntWidth, Reg, MAX_SLOTS, NO_REG,
+    slots_of, Addr, BytecodeError, CompiledFunction, Instr, IntWidth, Reg, MAX_SLOTS, NO_REG,
     VECTOR_SLOTS,
 };
 use crate::exec::ExecutionContext;
@@ -102,22 +105,43 @@ impl Const {
     }
 }
 
-/// The operands of the one `Lea` that computes `e`, `(base, index, scale,
-/// disp)`, if `e` is a pointer or 64-bit add (nothing to truncate) of the
-/// shape `base + c`, `base + idx*c`, `base + c*idx` or `base + (idx << c)`.
-fn lea_of(e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
-    let ExprKind::Binary {
-        op: BinKind::Add,
-        lhs,
-        rhs,
-    } = &e.kind
-    else {
+/// The two sides of `e` if it is a pointer or 64-bit add (nothing to
+/// truncate).
+fn addr_add(e: &IrExpr) -> Option<(&IrExpr, &IrExpr)> {
+    match &e.kind {
+        ExprKind::Binary {
+            op: BinKind::Add,
+            lhs,
+            rhs,
+        } if is_addr_ty(&e.ty) => Some((lhs, rhs)),
+        _ => None,
+    }
+}
+
+/// `(idx, c)` if `e` is `idx * c`, `c * idx` or `idx << c` with a scale that
+/// fits an address operand's field.
+fn scaled(e: &IrExpr) -> Option<(&IrExpr, i32)> {
+    let ExprKind::Binary { op, lhs, rhs } = &e.kind else {
         return None;
     };
-    if !is_addr_ty(&e.ty) {
-        return None;
+    match (op, &lhs.kind, &rhs.kind) {
+        (BinKind::Mul, _, ExprKind::ConstInt(s)) => Some((&**lhs, i32::try_from(*s).ok()?)),
+        (BinKind::Mul, ExprKind::ConstInt(s), _) => Some((&**rhs, i32::try_from(*s).ok()?)),
+        // Strength reduction rewrites `idx * 2^k` as `idx << k`; the
+        // operands are 64-bit here, so shift == scale exactly.
+        (BinKind::Shl, _, ExprKind::ConstInt(k)) if (0..=30).contains(k) => Some((&**lhs, 1 << k)),
+        _ => None,
     }
-    let (lhs, rhs): (&IrExpr, &IrExpr) = (lhs, rhs);
+}
+
+/// The address operand `(base, index, scale, disp)` that computes `e` — of a
+/// memory instruction when `e` is its address, of a `lea` when `e` is a
+/// value — if `e` is a pointer or 64-bit add: `base + c`, `base + idx*c`
+/// (also `c*idx`, `idx << c`), either with a constant added on top, or,
+/// failing those, `base + idx` at scale 1. A scale that does not fit its
+/// field leaves the product to be computed as the index.
+fn lea_of(e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
+    let (lhs, rhs) = addr_add(e)?;
     let (base, offset) = if matches!(lhs.kind, ExprKind::ConstInt(_))
         && !matches!(rhs.kind, ExprKind::ConstInt(_) | ExprKind::Binary { .. })
     {
@@ -125,34 +149,18 @@ fn lea_of(e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
     } else {
         (lhs, rhs)
     };
-    match &offset.kind {
-        ExprKind::ConstInt(disp) => Some((base, None, 1, *disp)),
-        ExprKind::Binary {
-            op: BinKind::Mul,
-            lhs: m1,
-            rhs: m2,
-        } => match (&m1.kind, &m2.kind) {
-            (_, ExprKind::ConstInt(s)) if i32::try_from(*s).is_ok() => {
-                Some((base, Some(&**m1), *s as i32, 0))
+    let indexed = |index| scaled(index).unwrap_or((index, 1));
+    if let ExprKind::ConstInt(disp) = offset.kind {
+        return Some(match addr_add(base) {
+            Some((base, index)) if !matches!(index.kind, ExprKind::ConstInt(_)) => {
+                let (index, scale) = indexed(index);
+                (base, Some(index), scale, disp)
             }
-            (ExprKind::ConstInt(s), _) if i32::try_from(*s).is_ok() => {
-                Some((base, Some(&**m2), *s as i32, 0))
-            }
-            _ => None,
-        },
-        // Strength reduction rewrites `idx * 2^k` as `idx << k`; recognize
-        // the shifted spelling so fusion still fires on optimized IR. The
-        // operands are 64-bit here, so shift == scale exactly.
-        ExprKind::Binary {
-            op: BinKind::Shl,
-            lhs: idx,
-            rhs: sh,
-        } => match sh.kind {
-            ExprKind::ConstInt(k) if (0..=30).contains(&k) => Some((base, Some(&**idx), 1 << k, 0)),
-            _ => None,
-        },
-        _ => None,
+            _ => (base, None, 1, disp),
+        });
     }
+    let (index, scale) = indexed(offset);
+    Some((base, Some(index), scale, 0))
 }
 
 /// Whether a comparison of `operand`s is one the VM can branch on directly:
@@ -407,7 +415,7 @@ impl<'a> Compiler<'a> {
                     offset: self.local_offsets[i],
                 });
                 let ty = &self.func.locals[i].ty;
-                self.emit_store(ty, addr, self.local_regs[i], true);
+                self.emit_store(ty, Addr::reg(addr), self.local_regs[i], true);
                 self.release(addr);
             }
         }
@@ -491,21 +499,13 @@ impl<'a> Compiler<'a> {
             None => 0,
         };
         let saved_base = std::mem::replace(&mut self.proven_base, self.proven.len());
-        if !s.proven.is_empty() {
-            let proven = &mut self.proven;
-            s.operand_nodes(&mut |i, e| {
-                if s.proven.binary_search(&i).is_ok() {
-                    proven.push(e);
-                }
-            });
-            proven[self.proven_base..].sort_unstable();
-        }
+        s.proven_nodes(&mut self.proven);
         match &s.kind {
             StmtKind::Assign { dst, value } => self.compile_assign(*dst, value),
             StmtKind::Store { addr, value } => {
-                let a = self.expr(addr, None);
+                let m = self.mem(addr);
                 let v = self.expr(value, None);
-                self.emit_store(&value.ty, a, v, self.chk(addr));
+                self.emit_store(&value.ty, m, v, self.chk(addr));
             }
             StmtKind::CopyMem { dst, src, size } => {
                 let d = self.expr(dst, None);
@@ -580,29 +580,48 @@ impl<'a> Compiler<'a> {
                     let r = self.expr(step, None);
                     self.pin(r)
                 };
+                let var_ty = &self.func.locals[var.0 as usize].ty;
+                // Every integer type but `uint64` compares right as a signed
+                // register: canonical forms of narrower unsigned types are
+                // zero-extended.
+                let unsigned = matches!(var_ty, Ty::Scalar(ScalarTy::U64));
                 // Guard: no iteration when `stop <= var` on entry.
                 let guard = self.code.len();
-                self.code.push(Instr::BrLeS {
-                    a: stop_reg,
-                    b: var_reg,
-                    target: 0,
+                let (a, b, target) = (stop_reg, var_reg, 0);
+                self.code.push(if unsigned {
+                    Instr::BrLeU { a, b, target }
+                } else {
+                    Instr::BrLeS { a, b, target }
                 });
                 let top = self.code.len() as u32;
                 self.stmts(body);
-                self.code.push(Instr::AddI {
-                    d: var_reg,
-                    a: var_reg,
-                    b: step_reg,
-                });
-                // Index 0 of a `for`'s proofs: the increment cannot wrap.
-                if s.proven.first() != Some(&0) {
-                    self.emit_norm(&self.func.locals[var.0 as usize].ty, var_reg);
+                // Index 0 of a `for`'s proofs: the increment cannot wrap; a
+                // 64-bit one has nothing to wrap into.
+                let exact = s.proven.first() == Some(&0)
+                    || matches!(var_ty, Ty::Scalar(t) if IntWidth::of(*t).is_none());
+                if exact && !unsigned {
+                    self.code.push(Instr::LoopLtS {
+                        var: var_reg,
+                        step: step_reg,
+                        stop: stop_reg,
+                        target: top,
+                    });
+                } else {
+                    self.code.push(Instr::AddI {
+                        d: var_reg,
+                        a: var_reg,
+                        b: step_reg,
+                    });
+                    if !exact {
+                        self.emit_norm(var_ty, var_reg);
+                    }
+                    let (a, b, target) = (var_reg, stop_reg, top);
+                    self.code.push(if unsigned {
+                        Instr::BrLtU { a, b, target }
+                    } else {
+                        Instr::BrLtS { a, b, target }
+                    });
                 }
-                self.code.push(Instr::BrLtS {
-                    a: var_reg,
-                    b: stop_reg,
-                    target: top,
-                });
                 let end = self.code.len() as u32;
                 self.patch(guard, end);
                 self.leave_loop(outermost);
@@ -703,7 +722,7 @@ impl<'a> Compiler<'a> {
                 offset: self.local_offsets[dst.0 as usize],
             });
             let v = self.expr(value, None);
-            self.emit_store(&value.ty, addr, v, true);
+            self.emit_store(&value.ty, Addr::reg(addr), v, true);
             return;
         }
         let dreg = self.local_regs[dst.0 as usize];
@@ -869,7 +888,7 @@ impl<'a> Compiler<'a> {
                         offset: self.local_offsets[id.0 as usize],
                     });
                     let d = dst(self);
-                    self.emit_load(&slot.ty, d, a, true);
+                    self.emit_load(&slot.ty, d, Addr::reg(a), true);
                     d
                 } else {
                     self.local_regs[id.0 as usize]
@@ -893,26 +912,22 @@ impl<'a> Compiler<'a> {
                 d
             }
             ExprKind::Load(addr) => {
-                let a = self.expr(addr, None);
+                let m = self.mem(addr);
                 let d = dst(self);
-                self.emit_load(&e.ty, d, a, self.chk(addr));
+                self.emit_load(&e.ty, d, m, self.chk(addr));
                 d
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                // Address-fusion peephole: `base + idx*scale + disp` becomes
-                // one Lea dispatch.
-                if let Some((base, index, scale, disp)) = lea_of(e) {
-                    let a = self.expr(base, None);
-                    let b = index.map_or(NO_REG, |i| self.expr(i, None));
-                    let d = dst(self);
-                    self.code.push(Instr::Lea {
-                        d,
-                        a,
-                        b,
-                        scale,
-                        disp,
-                    });
-                    return d;
+                // An address that is a value: `base + idx*scale + disp` is
+                // one `lea` (and a bare `base + idx` the `add.i` below).
+                match lea_of(e) {
+                    None | Some((_, Some(_), 1, 0)) => {}
+                    Some(parts) => {
+                        let m = self.operand(parts);
+                        let d = dst(self);
+                        self.code.push(Instr::Lea { d, m });
+                        return d;
+                    }
                 }
                 let a = self.expr(lhs, None);
                 let b = self.expr(rhs, None);
@@ -1234,51 +1249,72 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Emits the load of a `ty` at the address in `a`, bounds-checked or
-    /// not as `chk` says.
-    fn emit_load(&mut self, ty: &Ty, d: Reg, a: Reg, chk: bool) {
+    /// The operand that addresses `addr`: what [`lea_of`] finds in it, or
+    /// else the whole of it in one register.
+    fn mem(&mut self, addr: &IrExpr) -> Addr {
+        match lea_of(addr) {
+            Some(parts) => self.operand(parts),
+            None => Addr::reg(self.expr(addr, None)),
+        }
+    }
+
+    /// What [`lea_of`] found, its base and index in registers.
+    fn operand(&mut self, parts: (&IrExpr, Option<&IrExpr>, i32, i64)) -> Addr {
+        let (base, index, scale, disp) = parts;
+        Addr {
+            a: self.expr(base, None),
+            b: index.map_or(NO_REG, |i| self.expr(i, None)),
+            scale,
+            disp,
+        }
+    }
+
+    /// Emits the load of a `ty` from `m`, bounds-checked or not as `chk`
+    /// says.
+    fn emit_load(&mut self, ty: &Ty, d: Reg, m: Addr, chk: bool) {
         let instr = match ty {
-            Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::U8) => Instr::LoadU8 { d, a, chk },
-            Ty::Scalar(ScalarTy::I8) => Instr::LoadI8 { d, a, chk },
-            Ty::Scalar(ScalarTy::I16) => Instr::LoadI16 { d, a, chk },
-            Ty::Scalar(ScalarTy::U16) => Instr::LoadU16 { d, a, chk },
-            Ty::Scalar(ScalarTy::I32) => Instr::LoadI32 { d, a, chk },
-            Ty::Scalar(ScalarTy::U32) => Instr::LoadU32 { d, a, chk },
+            Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::U8) => Instr::LoadU8 { d, m, chk },
+            Ty::Scalar(ScalarTy::I8) => Instr::LoadI8 { d, m, chk },
+            Ty::Scalar(ScalarTy::I16) => Instr::LoadI16 { d, m, chk },
+            Ty::Scalar(ScalarTy::U16) => Instr::LoadU16 { d, m, chk },
+            Ty::Scalar(ScalarTy::I32) => Instr::LoadI32 { d, m, chk },
+            Ty::Scalar(ScalarTy::U32) => Instr::LoadU32 { d, m, chk },
             Ty::Scalar(ScalarTy::I64) | Ty::Scalar(ScalarTy::U64) | Ty::Ptr(_) | Ty::Func(_) => {
-                Instr::Load64 { d, a, chk }
+                Instr::Load64 { d, m, chk }
             }
-            Ty::Scalar(ScalarTy::F32) => Instr::LoadF32 { d, a, chk },
-            Ty::Scalar(ScalarTy::F64) => Instr::LoadF64 { d, a, chk },
+            Ty::Scalar(ScalarTy::F32) => Instr::LoadF32 { d, m, chk },
+            Ty::Scalar(ScalarTy::F64) => Instr::LoadF64 { d, m, chk },
             Ty::Vector(st, n) => Instr::LoadV {
                 d,
-                a,
+                m,
                 bytes: (st.size() * *n as u64) as u8,
                 chk,
             },
             // Arrays in r-value position decay to their address: no memory
             // is touched, so there is no check to carry.
-            Ty::Array(..) => Instr::Mov { d, a, w: 1 },
+            Ty::Array(..) if m == Addr::reg(m.a) => Instr::Mov { d, a: m.a, w: 1 },
+            Ty::Array(..) => Instr::Lea { d, m },
             other => unreachable!("cannot load aggregate type {other}"),
         };
         self.code.push(instr);
     }
 
-    /// Emits the store of a `ty` to the address in `a`, bounds-checked or
-    /// not as `chk` says.
-    fn emit_store(&mut self, ty: &Ty, a: Reg, s: Reg, chk: bool) {
+    /// Emits the store of a `ty` to `m`, bounds-checked or not as `chk`
+    /// says.
+    fn emit_store(&mut self, ty: &Ty, m: Addr, s: Reg, chk: bool) {
         let instr = match ty {
             Ty::Scalar(ScalarTy::Bool) | Ty::Scalar(ScalarTy::I8) | Ty::Scalar(ScalarTy::U8) => {
-                Instr::Store8 { a, s, chk }
+                Instr::Store8 { m, s, chk }
             }
-            Ty::Scalar(ScalarTy::I16) | Ty::Scalar(ScalarTy::U16) => Instr::Store16 { a, s, chk },
-            Ty::Scalar(ScalarTy::I32) | Ty::Scalar(ScalarTy::U32) => Instr::Store32 { a, s, chk },
+            Ty::Scalar(ScalarTy::I16) | Ty::Scalar(ScalarTy::U16) => Instr::Store16 { m, s, chk },
+            Ty::Scalar(ScalarTy::I32) | Ty::Scalar(ScalarTy::U32) => Instr::Store32 { m, s, chk },
             Ty::Scalar(ScalarTy::I64) | Ty::Scalar(ScalarTy::U64) | Ty::Ptr(_) | Ty::Func(_) => {
-                Instr::Store64 { a, s, chk }
+                Instr::Store64 { m, s, chk }
             }
-            Ty::Scalar(ScalarTy::F32) => Instr::StoreF32 { a, s, chk },
-            Ty::Scalar(ScalarTy::F64) => Instr::StoreF64 { a, s, chk },
+            Ty::Scalar(ScalarTy::F32) => Instr::StoreF32 { m, s, chk },
+            Ty::Scalar(ScalarTy::F64) => Instr::StoreF64 { m, s, chk },
             Ty::Vector(st, n) => Instr::StoreV {
-                a,
+                m,
                 s,
                 bytes: (st.size() * *n as u64) as u8,
                 chk,
@@ -1313,6 +1349,7 @@ mod tests {
             },
             locals: vec![],
             body,
+            index_range: None,
         }
     }
 
@@ -1372,6 +1409,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let a = f.add_local("a", Ty::INT, false);
         let b = f.add_local("b", Ty::INT, false);
@@ -1399,6 +1437,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let n = f.add_local("n", Ty::INT, false);
         let acc = f.add_local("acc", Ty::INT, false);
@@ -1441,6 +1480,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let x = f.add_local("x", Ty::INT, true);
         f.body = vec![
@@ -1468,6 +1508,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let i = f.add_local("i", Ty::INT, false);
         f.body = vec![
@@ -1513,6 +1554,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let a = f.add_local("a", Ty::U8, false);
         f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -1538,6 +1580,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let x = f.add_local("x", Ty::F64, false);
         f.body = vec![StmtKind::Return(Some(IrExpr {

@@ -35,8 +35,8 @@ mod printf;
 mod program;
 
 pub use bytecode::{
-    decode_func_ptr, encode_func_ptr, slots_of, BytecodeError, CompiledFunction, Instr, IntWidth,
-    Reg, MAX_SLOTS, MNEMONICS, NO_REG, VECTOR_SLOTS,
+    decode_func_ptr, encode_func_ptr, slots_of, Addr, BytecodeError, CompiledFunction, Instr,
+    IntWidth, Reg, MAX_SLOTS, MNEMONICS, NO_REG, VECTOR_SLOTS,
 };
 pub use cache::CacheSim;
 pub use compile::{compile, try_compile};

@@ -443,12 +443,24 @@ impl ExecutionContext {
                     }
                 };
             }
+            // The address an operand names, computed once per access: what
+            // the memory, the observer and a trap are all told.
+            macro_rules! ea {
+                ($m:expr) => {{
+                    let base = r!($m.a).wrapping_add($m.disp as u64);
+                    if $m.b == NO_REG {
+                        base
+                    } else {
+                        base.wrapping_add(r!($m.b).wrapping_mul($m.scale as u64))
+                    }
+                }};
+            }
             // Scalar load of `$n` bytes as `$ty`, sign- or zero-extended to
             // the slot (a float load is the load of its bit pattern); the
             // observer sees the traffic.
             macro_rules! load {
-                ($d:expr, $a:expr, $chk:expr, $ty:ty, $n:literal) => {{
-                    let addr = r!($a);
+                ($d:expr, $m:expr, $chk:expr, $ty:ty, $n:literal) => {{
+                    let addr = ea!($m);
                     let bytes = mem!(self.memory.read::<$n>(addr, $chk));
                     obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Load);
                     seti!($d, <$ty>::from_le_bytes(bytes) as i64);
@@ -457,8 +469,8 @@ impl ExecutionContext {
             // Scalar store of the slot's low `$n` bytes (a float store is
             // the integer store of its bit pattern).
             macro_rules! store {
-                ($a:expr, $s:expr, $chk:expr, $ty:ty, $n:literal) => {{
-                    let (addr, v) = (r!($a), r!($s));
+                ($m:expr, $s:expr, $chk:expr, $ty:ty, $n:literal) => {{
+                    let (addr, v) = (ea!($m), r!($s));
                     mem!(self
                         .memory
                         .write::<$n>(addr, (v as $ty).to_le_bytes(), $chk));
@@ -576,19 +588,7 @@ impl ExecutionContext {
                         };
                         seti!(d, t);
                     }
-                    Instr::Lea {
-                        d,
-                        a,
-                        b,
-                        scale,
-                        disp,
-                    } => {
-                        let mut v = ri!(a).wrapping_add(disp);
-                        if b != NO_REG {
-                            v = v.wrapping_add(ri!(b).wrapping_mul(scale as i64));
-                        }
-                        seti!(d, v);
-                    }
+                    Instr::Lea { d, m } => set!(d, ea!(m)),
 
                     Instr::AddF64 { d, a, b } => setf64!(d, rf64!(a) + rf64!(b)),
                     Instr::SubF64 { d, a, b } => setf64!(d, rf64!(a) - rf64!(b)),
@@ -630,30 +630,30 @@ impl ExecutionContext {
                     Instr::CvtF32ToF64 { d, a } => setf64!(d, rf32!(a) as f64),
                     Instr::CvtF64ToF32 { d, a } => setf32!(d, rf64!(a) as f32),
 
-                    Instr::LoadI8 { d, a, chk } => load!(d, a, chk, i8, 1),
-                    Instr::LoadU8 { d, a, chk } => load!(d, a, chk, u8, 1),
-                    Instr::LoadI16 { d, a, chk } => load!(d, a, chk, i16, 2),
-                    Instr::LoadU16 { d, a, chk } => load!(d, a, chk, u16, 2),
-                    Instr::LoadI32 { d, a, chk } => load!(d, a, chk, i32, 4),
-                    Instr::LoadU32 { d, a, chk } => load!(d, a, chk, u32, 4),
-                    Instr::Load64 { d, a, chk } => load!(d, a, chk, u64, 8),
-                    Instr::LoadF32 { d, a, chk } => load!(d, a, chk, u32, 4),
-                    Instr::LoadF64 { d, a, chk } => load!(d, a, chk, u64, 8),
-                    Instr::Store8 { a, s, chk } => store!(a, s, chk, u8, 1),
-                    Instr::Store16 { a, s, chk } => store!(a, s, chk, u16, 2),
-                    Instr::Store32 { a, s, chk } => store!(a, s, chk, u32, 4),
-                    Instr::Store64 { a, s, chk } => store!(a, s, chk, u64, 8),
-                    Instr::StoreF32 { a, s, chk } => store!(a, s, chk, u32, 4),
-                    Instr::StoreF64 { a, s, chk } => store!(a, s, chk, u64, 8),
-                    Instr::LoadV { d, a, bytes, chk } => {
-                        let (addr, len) = (r!(a), bytes as usize);
+                    Instr::LoadI8 { d, m, chk } => load!(d, m, chk, i8, 1),
+                    Instr::LoadU8 { d, m, chk } => load!(d, m, chk, u8, 1),
+                    Instr::LoadI16 { d, m, chk } => load!(d, m, chk, i16, 2),
+                    Instr::LoadU16 { d, m, chk } => load!(d, m, chk, u16, 2),
+                    Instr::LoadI32 { d, m, chk } => load!(d, m, chk, i32, 4),
+                    Instr::LoadU32 { d, m, chk } => load!(d, m, chk, u32, 4),
+                    Instr::Load64 { d, m, chk } => load!(d, m, chk, u64, 8),
+                    Instr::LoadF32 { d, m, chk } => load!(d, m, chk, u32, 4),
+                    Instr::LoadF64 { d, m, chk } => load!(d, m, chk, u64, 8),
+                    Instr::Store8 { m, s, chk } => store!(m, s, chk, u8, 1),
+                    Instr::Store16 { m, s, chk } => store!(m, s, chk, u16, 2),
+                    Instr::Store32 { m, s, chk } => store!(m, s, chk, u32, 4),
+                    Instr::Store64 { m, s, chk } => store!(m, s, chk, u64, 8),
+                    Instr::StoreF32 { m, s, chk } => store!(m, s, chk, u32, 4),
+                    Instr::StoreF64 { m, s, chk } => store!(m, s, chk, u64, 8),
+                    Instr::LoadV { d, m, bytes, chk } => {
+                        let (addr, len) = (ea!(m), bytes as usize);
                         let mut image = [0u8; 32];
                         mem!(self.memory.read_into(addr, &mut image[..len], chk));
                         obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecLoad);
                         setv!(d, lanes_of(image));
                     }
-                    Instr::StoreV { a, s, bytes, chk } => {
-                        let (addr, len) = (r!(a), bytes as usize);
+                    Instr::StoreV { m, s, bytes, chk } => {
+                        let (addr, len) = (ea!(m), bytes as usize);
                         let image = image_of(rv!(s));
                         mem!(self.memory.write_from(addr, &image[..len], chk));
                         obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecStore);
@@ -742,6 +742,16 @@ impl ExecutionContext {
                     Instr::BrLeS { a, b, target } => branch!(ri!(a) <= ri!(b), target),
                     Instr::BrLtU { a, b, target } => branch!(r!(a) < r!(b), target),
                     Instr::BrLeU { a, b, target } => branch!(r!(a) <= r!(b), target),
+                    Instr::LoopLtS {
+                        var,
+                        step,
+                        stop,
+                        target,
+                    } => {
+                        let next = ri!(var).wrapping_add(ri!(step));
+                        seti!(var, next);
+                        branch!(next < ri!(stop), target);
+                    }
 
                     Instr::Call {
                         d,
@@ -1005,7 +1015,7 @@ fn render_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compiled, Instr as I};
+    use crate::bytecode::{compiled, Addr, Instr as I};
     use crate::program::OutputSink;
     use terra_ir::FuncTy;
 
@@ -1026,6 +1036,7 @@ mod tests {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let a = f.add_local("a", Ty::INT, false);
         f.add_local("b", Ty::F64, false);
@@ -1189,13 +1200,13 @@ mod tests {
                 vec![
                     I::ConstF64 { d: 1, v: 6.25 },
                     I::StoreF64 {
-                        a: 0,
+                        m: Addr::reg(0),
                         s: 1,
                         chk: true,
                     },
                     I::LoadF64 {
                         d: 2,
-                        a: 0,
+                        m: Addr::reg(0),
                         chk: true,
                     },
                     I::Ret { s: 2, w: 1 },
@@ -1228,13 +1239,13 @@ mod tests {
                 vec![
                     I::LoadV {
                         d: 2,
-                        a: 0,
+                        m: Addr::reg(0),
                         bytes: 32,
                         chk: true,
                     },
                     I::VAddF64 { d: 6, a: 2, b: 2 },
                     I::StoreV {
-                        a: 1,
+                        m: Addr::reg(1),
                         s: 6,
                         bytes: 32,
                         chk: true,

@@ -608,7 +608,7 @@ impl Observer for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compiled, Instr as I};
+    use crate::bytecode::{compiled, Addr, Instr as I};
     use crate::machine::Trap;
     use crate::program::Value;
     use terra_ir::{FuncTy, Ty};
@@ -720,7 +720,7 @@ mod tests {
                         I::ConstI { d: 2, v: 0 },
                         I::ConstI { d: 3, v: 1 },
                         I::Store64 {
-                            a: 1,
+                            m: Addr::reg(1),
                             s: 2,
                             chk: true,
                         },

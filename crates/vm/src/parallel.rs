@@ -333,7 +333,7 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compiled, Instr as I, NO_REG};
+    use crate::bytecode::{compiled, Addr, Instr as I, NO_REG};
     use crate::program::Value;
     use terra_ir::{Builtin, FuncTy, Ty};
 
@@ -354,13 +354,15 @@ mod tests {
                     I::CvtSToF64 { d: 3, a: 2 },
                     I::Lea {
                         d: 4,
-                        a: 1,
-                        b: 0,
-                        scale: 8,
-                        disp: 0,
+                        m: Addr {
+                            a: 1,
+                            b: 0,
+                            scale: 8,
+                            disp: 0,
+                        },
                     },
                     I::StoreF64 {
-                        a: 4,
+                        m: Addr::reg(4),
                         s: 3,
                         chk: true,
                     },
@@ -513,13 +515,15 @@ mod tests {
                         I::ConstF64 { d: 6, v: 1.0 },
                         I::Lea {
                             d: 7,
-                            a: 1,
-                            b: 0,
-                            scale: 8,
-                            disp: 0,
+                            m: Addr {
+                                a: 1,
+                                b: 0,
+                                scale: 8,
+                                disp: 0,
+                            },
                         },
                         I::StoreF64 {
-                            a: 7,
+                            m: Addr::reg(7),
                             s: 6,
                             chk: true,
                         },
@@ -658,13 +662,15 @@ mod tests {
                         I::FrameAddr { d: 2, offset: 0 },
                         I::Lea {
                             d: 3,
-                            a: 1,
-                            b: 0,
-                            scale: 8,
-                            disp: 0,
+                            m: Addr {
+                                a: 1,
+                                b: 0,
+                                scale: 8,
+                                disp: 0,
+                            },
                         },
                         I::Store64 {
-                            a: 3,
+                            m: Addr::reg(3),
                             s: 2,
                             chk: true,
                         },

@@ -32,6 +32,7 @@ fn lea_base_plus_constant() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let x = f.add_local("x", Ty::I64, false);
     f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -54,6 +55,7 @@ fn lea_constant_plus_base() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let x = f.add_local("x", Ty::I64, false);
     f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -77,6 +79,7 @@ fn lea_scaled_index_both_orders() {
             },
             locals: vec![],
             body: vec![],
+            index_range: None,
         };
         let x = f.add_local("x", Ty::I64, false);
         let i = f.add_local("i", Ty::I64, false);
@@ -106,6 +109,7 @@ fn lea_negative_index_scaling() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let i = f.add_local("i", Ty::I64, false);
     f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -128,6 +132,7 @@ fn no_lea_on_narrow_ints_wraps_correctly() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let x = f.add_local("x", Ty::INT, false);
     f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -154,6 +159,7 @@ fn huge_scale_falls_back_to_mul() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let i = f.add_local("i", Ty::I64, false);
     f.body = vec![StmtKind::Return(Some(IrExpr::binary(
@@ -177,6 +183,7 @@ fn select_evaluates_only_taken_side() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let i = f.add_local("i", Ty::I64, false);
     f.body = vec![StmtKind::Return(Some(IrExpr {
@@ -207,6 +214,7 @@ fn builtin_memset_and_memcpy_compose() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let p = f.add_local("p", Ty::U8.ptr_to(), false);
     let call = |b: Builtin, args: Vec<IrExpr>, ty: Ty| IrExpr {
@@ -280,6 +288,7 @@ fn many_arguments_calling_convention() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let params: Vec<_> = (0..n)
         .map(|i| callee.add_local(format!("p{i}"), Ty::I64, false))
@@ -305,6 +314,7 @@ fn no_trailing_ret_when_all_paths_return() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let x = f.add_local("x", Ty::I64, false);
     f.body = vec![StmtKind::If {
@@ -346,6 +356,7 @@ fn trailing_ret_kept_for_fallthrough() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let x = f.add_local("x", Ty::I64, false);
     f.body = vec![StmtKind::If {
@@ -369,6 +380,7 @@ fn lea_fuses_shifted_index() {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     let p = f.add_local("p", Ty::I64, false);
     let i = f.add_local("i", Ty::I64, false);
@@ -386,7 +398,7 @@ fn lea_fuses_shifted_index() {
         compiled
             .code
             .iter()
-            .any(|i| matches!(i, terra_vm::Instr::Lea { scale: 8, .. })),
+            .any(|i| matches!(i, terra_vm::Instr::Lea { m, .. } if m.scale == 8)),
         "i << 3 must fuse as scale 8: {:?}",
         compiled.code
     );
@@ -419,6 +431,7 @@ fn func(name: &str, params: Vec<Ty>, ret: Ty) -> IrFunction {
         },
         locals: vec![],
         body: vec![],
+        index_range: None,
     };
     for (i, ty) in params.into_iter().enumerate() {
         f.add_local(format!("p{i}"), ty, false);
@@ -1090,6 +1103,263 @@ fn bitwise_results_of_canonical_operands_stay_canonical() {
 // instruction some program actually runs.
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// Every memory instruction addresses `[a + b*scale + disp]` itself, and a
+// counted loop's back edge is one instruction.
+// ---------------------------------------------------------------------------
+
+use terra_vm::NO_REG;
+
+fn int_ptr(kind: ExprKind) -> IrExpr {
+    let ty = Ty::INT.ptr_to();
+    IrExpr { ty, kind }
+}
+
+fn offset(base: IrExpr, by: IrExpr) -> IrExpr {
+    int_ptr(ExprKind::Binary {
+        op: BinKind::Add,
+        lhs: Box::new(base),
+        rhs: Box::new(by),
+    })
+}
+
+fn load(addr: IrExpr) -> IrExpr {
+    let (ty, kind) = (Ty::INT, ExprKind::Load(Box::new(addr)));
+    IrExpr { ty, kind }
+}
+
+/// A function of `params` over a frame array `a : int[8]` holding 10 … 17
+/// that returns the element at `address(&a)`.
+fn element_at(params: Vec<Ty>, address: impl Fn(IrExpr) -> IrExpr) -> IrFunction {
+    let mut f = func("element", params, Ty::INT);
+    let a = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::INT), 8), true);
+    let base = || int_ptr(ExprKind::LocalAddr(a));
+    for t in 0..8 {
+        let addr = offset(base(), i64e(4 * t));
+        let value = IrExpr::int32(10 + t as i32);
+        f.body.push(StmtKind::Store { addr, value }.into());
+    }
+    f.body.push(ret(load(address(base()))));
+    f
+}
+
+/// The one load of `f`'s last statement.
+fn the_load(f: &IrFunction) -> (terra_vm::Addr, bool) {
+    let code = code_of(f);
+    let mut loads = code.iter().filter_map(|i| match i {
+        Instr::LoadI32 { m, chk, .. } => Some((*m, *chk)),
+        _ => None,
+    });
+    loads
+        .next_back()
+        .unwrap_or_else(|| panic!("a load: {code:?}"))
+}
+
+fn scaled(index: IrExpr, by: i64) -> IrExpr {
+    IrExpr::binary(BinKind::Mul, index, i64e(by))
+}
+
+#[test]
+fn a_negative_displacement_is_part_of_the_operand() {
+    // a[i - 1] as the mid-end leaves it: (&a + i*4) + -4.
+    let f = element_at(vec![Ty::I64], |a| {
+        let i = IrExpr::local(LocalId(0), Ty::I64);
+        offset(offset(a, scaled(i, 4)), i64e(-4))
+    });
+    let (m, _) = the_load(&f);
+    assert!(m.b != NO_REG && m.scale == 4 && m.disp == -4, "{m}");
+    let code = code_of(&f);
+    let arithmetic = |i: &Instr| matches!(i, Instr::Lea { .. } | Instr::AddI { .. });
+    assert!(!code.iter().any(arithmetic), "{code:?}");
+    for (i, want) in [(1, 10), (4, 13), (8, 17)] {
+        assert_eq!(run(f.clone(), &[Value::Int(i)]), Value::Int(want));
+    }
+}
+
+#[test]
+fn a_scale_that_does_not_fit_its_field_is_computed_as_the_index() {
+    // &a + i * 2^33: the product is arithmetic, the operand takes it at
+    // scale 1, and the access is the same one. (A displacement is 64 bits
+    // wide, like the constants it comes from: it always fits.)
+    let f = element_at(vec![Ty::I64], |a| {
+        let i = IrExpr::local(LocalId(0), Ty::I64);
+        offset(offset(a, scaled(i, 1 << 33)), i64e(12))
+    });
+    let (m, _) = the_load(&f);
+    assert!(m.b != NO_REG && m.scale == 1 && m.disp == 12, "{m}");
+    let code = code_of(&f);
+    assert!(code.iter().any(|i| matches!(i, Instr::MulI { .. })));
+    assert_eq!(run(f, &[Value::Int(0)]), Value::Int(13));
+    // As a value: the same sum through `mul.i` and a `lea`.
+    let mut g = func("wide", vec![Ty::I64, Ty::I64], Ty::I64);
+    let [p, i] = [0, 1].map(|l| IrExpr::local(LocalId(l), Ty::I64));
+    g.body = vec![ret(IrExpr::binary(BinKind::Add, p, scaled(i, 1 << 33)))];
+    let args = [Value::Int(5), Value::Int(-3)];
+    assert_eq!(run(g, &args), Value::Int(5 - (3 << 33)));
+}
+
+#[test]
+fn a_narrow_index_that_wraps_addresses_the_wrapped_element() {
+    // a[x + y] over uint8: 250 + 10 is 4, whatever the operand absorbs.
+    let f = element_at(vec![Ty::U8, Ty::U8], |a| {
+        let [x, y] = [0, 1].map(|l| IrExpr::local(LocalId(l), Ty::U8));
+        let sum = IrExpr::binary(BinKind::Add, x, y);
+        offset(a, scaled(cast(&Ty::I64, sum), 4))
+    });
+    let code = code_of(&f);
+    assert!(code.iter().any(|i| matches!(i, Instr::Trunc { .. })));
+    assert_eq!(the_load(&f).0.scale, 4);
+    let args = [Value::Int(250), Value::Int(10)];
+    assert_eq!(run(f.clone(), &args), Value::Int(14));
+    assert_eq!(run(f, &[Value::Int(2), Value::Int(3)]), Value::Int(15));
+}
+
+#[test]
+fn a_proven_access_stays_check_free_whatever_its_operand_absorbs() {
+    // return load(&a + i*4 + 8): node 1 is the load, node 2 its address.
+    let build = |proven: Vec<u32>| {
+        let mut f = element_at(vec![Ty::I64], |a| {
+            let i = IrExpr::local(LocalId(0), Ty::I64);
+            offset(offset(a, scaled(i, 4)), i64e(8))
+        });
+        f.body.last_mut().unwrap().proven = proven;
+        f
+    };
+    let (m, chk) = the_load(&build(vec![]));
+    assert!(chk && m.b != NO_REG && m.disp == 8, "{m}");
+    let (m, chk) = the_load(&build(vec![2]));
+    assert!(!chk && m.b != NO_REG && m.disp == 8, "{m}");
+    // A proof of something else in the statement is not a proof of this.
+    assert!(the_load(&build(vec![3])).1);
+    assert_eq!(run(build(vec![2]), &[Value::Int(1)]), Value::Int(13));
+}
+
+/// `f(n)`: how often the body of `for i : ty = 0, n` runs; with `proven`
+/// the loop carries the proof that its increment cannot wrap.
+fn counted(ty: Ty, proven: bool, body: impl Fn(LocalId, LocalId) -> Vec<IrStmt>) -> IrFunction {
+    let mut f = func("counted", vec![ty.clone()], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", ty.clone(), false),
+    );
+    let mut s: IrStmt = StmtKind::For {
+        var: i,
+        start: constant(&ty, 0),
+        stop: IrExpr::local(LocalId(0), ty.clone()),
+        step: constant(&ty, 1),
+        body: body(acc, i),
+    }
+    .into();
+    s.proven = if proven { vec![0] } else { vec![] };
+    f.body = vec![s, ret(int(acc))];
+    f
+}
+
+#[test]
+fn a_counted_loop_is_one_instruction_per_iteration_when_its_increment_is_exact() {
+    let count = |acc, _| vec![bump(acc, 1)];
+    for (ty, proven, fused) in [
+        (Ty::INT, true, true),
+        (Ty::INT, false, false),
+        (I8, true, true),
+        (Ty::I64, false, true),
+    ] {
+        let f = counted(ty.clone(), proven, count);
+        let code = code_of(&f);
+        // What follows the body's `add.i`, `trunc`, up to the `ret`.
+        let edge: Vec<&str> = code[code.len() - 4..code.len() - 1]
+            .iter()
+            .map(Instr::mnemonic)
+            .collect();
+        if fused {
+            assert_eq!(edge[1..], ["trunc", "loop.lt.s"], "{ty} {code:?}");
+        } else {
+            assert_eq!(edge, ["add.i", "trunc", "br.lt.s"], "{ty} {code:?}");
+        }
+        for (n, trips) in [(0, 0), (1, 1), (-5, 0), (7, 7)] {
+            let got = run(f.clone(), &[Value::Int(n)]);
+            assert_eq!(got, Value::Int(trips), "{ty} proven={proven} n={n}");
+        }
+    }
+    // `break` leaves a counted loop like any other.
+    let leave_at_3 = |acc, i| {
+        let cond = IrExpr::cmp(CmpKind::Ge, int(i), IrExpr::int32(3));
+        let leave = StmtKind::If {
+            cond,
+            then_body: vec![StmtKind::Break.into()],
+            else_body: vec![],
+        };
+        vec![leave.into(), bump(acc, 1)]
+    };
+    let f = counted(Ty::INT, true, leave_at_3);
+    assert!(code_of(&f)
+        .iter()
+        .any(|i| matches!(i, Instr::LoopLtS { .. })));
+    for (n, trips) in [(0, 0), (2, 2), (9, 3)] {
+        assert_eq!(run(f.clone(), &[Value::Int(n)]), Value::Int(trips));
+    }
+}
+
+#[test]
+fn a_loop_that_assigns_its_own_variable_fuses_only_what_stays_exact() {
+    // The body bumps the variable too: 0, 2, 4, 6, 8. No proof is made for
+    // such a loop (`absint` requires the body to leave the variable alone),
+    // so a narrow variable keeps its wrapping increment; a 64-bit one has
+    // nothing to wrap and fuses all the same.
+    let steer = |acc, i| vec![bump(acc, 1), bump(i, 1)];
+    let narrow = counted(Ty::INT, false, steer);
+    let code = code_of(&narrow);
+    assert!(!code.iter().any(|i| matches!(i, Instr::LoopLtS { .. })));
+    assert!(code.iter().any(|i| matches!(i, Instr::Trunc { .. })));
+    assert_eq!(run(narrow, &[Value::Int(10)]), Value::Int(5));
+    let steer64 = |acc, i: LocalId| {
+        let next = IrExpr::binary(BinKind::Add, IrExpr::local(i, Ty::I64), i64e(1));
+        vec![bump(acc, 1), set(i, next)]
+    };
+    let wide = counted(Ty::I64, false, steer64);
+    assert!(code_of(&wide)
+        .iter()
+        .any(|i| matches!(i, Instr::LoopLtS { .. })));
+    assert_eq!(run(wide, &[Value::Int(10)]), Value::Int(5));
+}
+
+#[test]
+fn a_uint64_loop_compares_unsigned() {
+    // for i : uint64 = 2^63 - 2, 2^63 + 2: four trips across the sign bit.
+    let u64t = Ty::Scalar(ScalarTy::U64);
+    let mut f = func("across", vec![], Ty::INT);
+    let (acc, i) = (
+        f.add_local("acc", Ty::INT, false),
+        f.add_local("i", u64t.clone(), false),
+    );
+    let at = |v: i64| {
+        let (ty, kind) = (u64t.clone(), ExprKind::ConstInt(v));
+        IrExpr { ty, kind }
+    };
+    f.body = vec![
+        StmtKind::For {
+            var: i,
+            start: at(i64::MAX - 1),
+            stop: at(i64::MIN + 2),
+            step: at(1),
+            body: vec![bump(acc, 1)],
+        }
+        .into(),
+        ret(int(acc)),
+    ];
+    let code = code_of(&f);
+    assert!(
+        code.iter().any(|i| matches!(i, Instr::BrLeU { .. })),
+        "{code:?}"
+    );
+    assert!(
+        code.iter().any(|i| matches!(i, Instr::BrLtU { .. })),
+        "{code:?}"
+    );
+    assert!(!code.iter().any(|i| matches!(i, Instr::LoopLtS { .. })));
+    assert_eq!(run(f, &[]), Value::Int(4));
+}
+
 fn constant(ty: &Ty, v: i32) -> IrExpr {
     let kind = if ty.is_float() {
         ExprKind::ConstFloat(v.into())
@@ -1262,7 +1532,7 @@ fn memory_program() -> IrFunction {
     f
 }
 
-/// Loops (a `for`, and a `while` on a flag), a register move, and every
+/// Loops (a narrow `for`, a 64-bit one, a `while` on a flag), a register move, and every
 /// kind of call; `callee` is `fn(int64) -> int64`, `kernel` a `parallelfor`
 /// kernel without captures.
 fn control_program(callee: terra_ir::FuncId, kernel: terra_ir::FuncId) -> IrFunction {
@@ -1272,6 +1542,18 @@ fn control_program(callee: terra_ir::FuncId, kernel: terra_ir::FuncId) -> IrFunc
     let copy = f.add_local("copy", Ty::BOOL, false);
     f.body
         .push(for_loop(i, IrExpr::int32(0), IrExpr::int32(2), vec![]));
+    // A 64-bit counter has nothing to wrap: its back edge is `loop.lt.s`.
+    let wide = f.add_local("wide", Ty::I64, false);
+    f.body.push(
+        StmtKind::For {
+            var: wide,
+            start: i64e(0),
+            stop: i64e(2),
+            step: i64e(1),
+            body: vec![],
+        }
+        .into(),
+    );
     f.body.push(set(flag, IrExpr::boolean(true)));
     f.body.push(
         StmtKind::While {
