@@ -288,7 +288,7 @@ impl GemmSession {
             vector_ops: profile
                 .ops
                 .iter()
-                .filter(|(m, _)| m.starts_with('v') || m.ends_with(".v") || m.starts_with("splat"))
+                .filter(|(m, _)| m.starts_with('v') || m.ends_with(".v") || m.contains("splat"))
                 .map(|(_, c)| *c)
                 .sum(),
             l1_misses: profile.cache.l1.misses,

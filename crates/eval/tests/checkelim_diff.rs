@@ -11,7 +11,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{nest_strategy, run_nest, RecConfig};
+use common::{nest_strategy, run_nest, shuffle_strategy, RecConfig};
 
 /// One access into the 8-slot stack array `a` (indices ≥ 8 trap).
 #[derive(Debug, Clone)]
@@ -231,6 +231,27 @@ proptest! {
             };
             let got = run_nest(&src, nest.rows(), &cfg);
             prop_assert_eq!(&got, &base, "{:?} vs checked -O0 for:\n{}", cfg, src);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Multiple assignments (the shared generator), whose coalesced pointer
+    /// bumps feed checked loads: elision on, off and under the sanitizer
+    /// compute what the language says.
+    #[test]
+    fn multiple_assignments_agree_with_and_without_proofs(shuffle in shuffle_strategy()) {
+        let (src, n) = (shuffle.src(false), shuffle.rows());
+        let expected = Ok(shuffle.expected(n).to_bits());
+        for (elide_checks, sanitize) in [(true, false), (false, false), (true, true)] {
+            let cfg = RecConfig {
+                elide_checks,
+                sanitize,
+                ..RecConfig::at(OptLevel::O2)
+            };
+            prop_assert_eq!(&run_nest(&src, n, &cfg), &expected, "{:?} for:\n{}", cfg, src);
         }
     }
 }

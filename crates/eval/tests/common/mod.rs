@@ -293,6 +293,118 @@ pub fn nest_strategy() -> impl Strategy<Value = Nest> {
         })
 }
 
+/// A loop whose body is a run of multiple assignments over integers,
+/// pointers, a frame array and vectors — the forms the typechecker stages
+/// through temporaries and `copyprop` coalesces back where no target is read
+/// by a later right-hand side: a swap, a three-way rotate, `a, b = b, a + b`,
+/// pointer bumps, an in-memory target, a target a later right-hand side
+/// reads, and two vector swaps.
+#[derive(Debug, Clone)]
+pub struct Shuffle {
+    /// The assignments, in order (each `% 8` picks a form of [`Shuffle::FORMS`]).
+    pub steps: Vec<u8>,
+    pub rows: u8,
+}
+
+impl Shuffle {
+    pub const FORMS: [&str; 8] = [
+        "a, b = b, a",
+        "a, b, c = b, c, a",
+        "a, b = b, a + b",
+        "p, q = p + 1, q + 2",
+        "m[1], a = a, m[1]",
+        "a, b = c + 1, a",
+        "u, v = v, u",
+        "u, v = v, u + v",
+    ];
+
+    /// Rows the loop runs; what to pass `nest` as `n`.
+    pub fn rows(&self) -> i64 {
+        i64::from(self.rows % 3) + 2
+    }
+
+    /// Defines `nest(n : int) : double` (the name [`run_nest`] calls): row
+    /// `i` starts from values derived from `i`, runs the assignments, and
+    /// writes every variable to its row of `out`; the result weighs all of
+    /// `out`.
+    pub fn src(&self, parallel: bool) -> String {
+        let outer = if parallel { "parallelfor" } else { "for" };
+        let steps: String = self
+            .steps
+            .iter()
+            .map(|s| format!("        {}\n", Self::FORMS[*s as usize % 8]))
+            .collect();
+        format!(
+            r#"local std = terralib.includec("stdlib.h")
+local vec = vector(double, 4)
+terra nest(n : int) : double
+    var src = [&double](std.malloc(64 * 8))
+    var out = [&double](std.malloc(n * 16 * 8))
+    for t = 0, 64 do src[t] = t * 0.5 + 1 end
+    {outer} i = 0, n do
+        var a : int64, b : int64, c : int64 = i + 1, 2 * i + 3, 5 - i
+        var p, q = src + i, src + 2 * i + 1
+        var m : int64[2]
+        m[0], m[1] = 7 * i, i - 9
+        var u, v = @[&vec](src + i), @[&vec](src + 8 + i)
+{steps}        var row = out + i * 16
+        row[0], row[1], row[2], row[3], row[4] = a, b, c, @p, @q
+        row[5], row[6], row[7] = m[1], m[0], 0
+        @[&vec](row + 8), @[&vec](row + 12) = u, v
+    end
+    var total = 0.0
+    for t = 0, n * 16 do total = total + out[t] * ((t % 7) + 1) end
+    std.free(src)
+    std.free(out)
+    return total
+end
+"#
+        )
+    }
+
+    /// What `nest(n)` returns, computed here.
+    pub fn expected(&self, n: i64) -> f64 {
+        let src = |t: i64| t as f64 * 0.5 + 1.0;
+        let mut total = 0.0;
+        for i in 0..n {
+            let (mut a, mut b, mut c) = (i + 1, 2 * i + 3, 5 - i);
+            let (mut p, mut q) = (i, 2 * i + 1);
+            let mut m = [7 * i, i - 9];
+            let lanes = |at: i64| [0, 1, 2, 3].map(|l| src(at + l));
+            let (mut u, mut v) = (lanes(i), lanes(8 + i));
+            for s in &self.steps {
+                match s % 8 {
+                    0 => (a, b) = (b, a),
+                    1 => (a, b, c) = (b, c, a),
+                    2 => (a, b) = (b, a + b),
+                    3 => (p, q) = (p + 1, q + 2),
+                    4 => (m[1], a) = (a, m[1]),
+                    5 => (a, b) = (c + 1, a),
+                    6 => (u, v) = (v, u),
+                    _ => (u, v) = (v, [0, 1, 2, 3].map(|l| u[l] + v[l])),
+                }
+            }
+            let ints = [a, b, c].map(|x| x as f64);
+            let row = [
+                &ints[..],
+                &[src(p), src(q), m[1] as f64, m[0] as f64, 0.0],
+                &u,
+                &v,
+            ]
+            .concat();
+            for (t, x) in row.iter().enumerate() {
+                total += x * (((i * 16 + t as i64) % 7) + 1) as f64;
+            }
+        }
+        total
+    }
+}
+
+pub fn shuffle_strategy() -> impl Strategy<Value = Shuffle> {
+    (proptest::collection::vec(any::<u8>(), 1..8), any::<u8>())
+        .prop_map(|(steps, rows)| Shuffle { steps, rows })
+}
+
 /// A GEMM whose size is a *staged constant*: `n` is spliced from Lua into
 /// the loop bounds and `malloc` sizes, so at `-O2` every access is provably
 /// in-bounds. Defines `gemm_static() : double`, which returns `C[0] = 2n`.

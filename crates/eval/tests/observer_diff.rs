@@ -17,7 +17,10 @@ use terra_ir::OptLevel;
 use terra_trace::SampleStats;
 
 mod common;
-use common::{expr_strategy, nest_strategy, program_txt, stmt_strategy, OpStmt, RecConfig, Src};
+use common::{
+    expr_strategy, nest_strategy, program_txt, shuffle_strategy, stmt_strategy, OpStmt, RecConfig,
+    Src,
+};
 
 /// Everything observable about one run.
 #[derive(Debug, PartialEq)]
@@ -218,6 +221,19 @@ proptest! {
         let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
         let call = format!("return nest({})", nest.rows());
         check_all_subsets(&nest.src(parallel), &call, threads)?;
+    }
+
+    /// The shared multiple assignments, serial and under `parallelfor`:
+    /// broadcast and cast-through vector loads, coalesced pointer bumps and
+    /// the stores of every target look the same to every observer.
+    #[test]
+    fn telemetry_never_changes_a_multiple_assignment(
+        shuffle in shuffle_strategy(),
+        parallel in any::<bool>(),
+    ) {
+        let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
+        let call = format!("return nest({})", shuffle.rows());
+        check_all_subsets(&shuffle.src(parallel), &call, threads)?;
     }
 }
 

@@ -9,7 +9,10 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{nest_strategy, program_txt, run_nest, stmt_strategy, Nest, OpStmt, RecConfig, Src};
+use common::{
+    nest_strategy, program_txt, run_nest, shuffle_strategy, stmt_strategy, Nest, OpStmt, RecConfig,
+    Shuffle, Src,
+};
 
 /// Runs the program at the given level; returns the buffer contents on
 /// success or the trap message on failure.
@@ -147,6 +150,49 @@ proptest! {
             prop_assert_eq!(&got, &base, "{:?} vs -O0 for:\n{}\n{}", level, src, bisect);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Multiple assignments (the shared generator: swaps, rotates, pointer
+    /// bumps, memory and vector targets) mean what the language says — every
+    /// right-hand side is read before any target is written — at every
+    /// level, whichever of their temporaries `copyprop` coalesces away.
+    #[test]
+    fn multiple_assignments_agree_at_every_level(shuffle in shuffle_strategy()) {
+        let (src, n) = (shuffle.src(false), shuffle.rows());
+        let expected = Ok(shuffle.expected(n).to_bits());
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let got = run_nest(&src, n, &RecConfig::at(level));
+            prop_assert_eq!(&got, &expected, "{:?} for:\n{}", level, src);
+        }
+    }
+}
+
+/// Every form of the shared generator at once: the program runs, and some
+/// of its temporaries are coalesced while the swaps keep one.
+#[test]
+fn multiple_assignments_are_not_vacuous() {
+    let all = Shuffle {
+        steps: (0..8).collect(),
+        rows: 1,
+    };
+    let src = all.src(false);
+    let got = run_nest(&src, all.rows(), &RecConfig::at(OptLevel::O2));
+    assert_eq!(got, Ok(all.expected(all.rows()).to_bits()), "{src}");
+    let mut t = Interp::new();
+    t.exec(&src).unwrap();
+    t.exec("nest:compile()").unwrap();
+    let remarks = t.ctx.exec.trace.remarks();
+    let count = |kind: &str| {
+        let of_kind = |r: &&terra_trace::Remark| r.pass == "copyprop" && r.kind == kind;
+        remarks.iter().filter(of_kind).count()
+    };
+    // One temporary per right-hand side, 18 over the eight forms; a form
+    // keeps one for each target a later right-hand side reads.
+    assert!(count("applied") >= 10, "{remarks:?}");
+    assert!(count("missed") >= 6, "{remarks:?}");
 }
 
 /// The nests above do run, do wrap where they are built to, and are what

@@ -10,7 +10,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{expr_strategy, nest_strategy, run_nest, RecConfig};
+use common::{expr_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
 
 /// Runs the program at a given (threads, opt level); returns the result
 /// bits or the rendered trap.
@@ -112,6 +112,21 @@ proptest! {
         // the program traps.
         let serial = run_nest(&nest.src(false), n, &RecConfig::at(OptLevel::O2));
         prop_assert_eq!(serial.is_ok(), base.is_ok(), "{:?} vs {:?}", serial, base);
+    }
+
+    /// The shared multiple assignments as the body of a `parallelfor`: the
+    /// kernel's coalesced temporaries, its frame array and its vector
+    /// registers give what the language says at every thread count and level.
+    #[test]
+    fn multiple_assignments_are_thread_count_invariant(shuffle in shuffle_strategy()) {
+        let (src, n) = (shuffle.src(true), shuffle.rows());
+        let expected = Ok(shuffle.expected(n).to_bits());
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            for threads in [1, 2, 4] {
+                let cfg = RecConfig { threads, ..RecConfig::at(level) };
+                prop_assert_eq!(&run_nest(&src, n, &cfg), &expected, "{:?} for:\n{}", cfg, src);
+            }
+        }
     }
 
     /// Writes through an in-memory capture land in the parent frame

@@ -13,17 +13,30 @@
 //!
 //! Propagated-over copies whose destination is no longer read are removed
 //! later by dead-code elimination, not here.
+//!
+//! Before that walk the pass does the backward half, coalescing: `t = e; …;
+//! x = t` becomes `x = e; …` when the copy is the only read of `t` anywhere
+//! in the function (so `t` is dead after it) and the statements in between
+//! are straight-line ones of the same block that neither read nor write `x`.
+//! `e` is evaluated where it was and only the write to `x` moves up, past
+//! statements that cannot tell. It is what turns the temporaries the
+//! typechecker stages every multiple assignment through (`B, A = B + ldb,
+//! A + 1` is `t1 = B + ldb; t2 = A + 1; B = t1; A = t2`, so that a swap reads
+//! both sides first) back into `B = B + ldb; A = A + 1` wherever no target
+//! is read by a later right-hand side; in a swap one temporary stays.
 
-use super::util::{collect_assigned, LocalSet};
+use super::util::{collect_assigned, expr_uses, LocalSet};
 use super::Remark;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind};
 
 type CopyMap = Vec<Option<LocalId>>;
 
-/// Propagates register-to-register copies through the function body;
-/// returns whether any read was forwarded.
+/// Coalesces single-use temporaries into the local they are copied to, then
+/// propagates register-to-register copies through the function body; returns
+/// whether either rewrote anything.
 pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let IrFunction { locals, body, .. } = f;
+    let coalesced = coalesce(locals, body, remarks);
     let mut map: CopyMap = vec![None; locals.len()];
     let mut forwarded = 0usize;
     block(locals, body, &mut map, &mut forwarded);
@@ -35,7 +48,123 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
             format!("forwarded {forwarded} copied value read(s)"),
         ));
     }
-    forwarded > 0
+    coalesced || forwarded > 0
+}
+
+/// The backward half (see the module comment); one `applied` remark per
+/// temporary coalesced, one `missed` per copy that only a read or write of
+/// its destination in between keeps apart from its definition (said once,
+/// though the pass runs twice at `-O2`).
+fn coalesce(locals: &[LocalSlot], body: &mut Vec<IrStmt>, remarks: &mut Vec<Remark>) -> bool {
+    // How often each local is read, a `for` variable once more by its
+    // loop's header.
+    let mut reads = vec![0u32; locals.len()];
+    IrStmt::walk(body, &mut |s| {
+        if let StmtKind::For { var, .. } = &s.kind {
+            reads[var.0 as usize] += 1;
+        }
+        s.operand_roots(&mut |root| {
+            root.walk(&mut |e| {
+                if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = e.kind {
+                    reads[l.0 as usize] += 1;
+                }
+            })
+        });
+    });
+    let mut coalesced = false;
+    IrStmt::each_block_mut(body, &mut |block| {
+        // Indices of the copies coalesced away, ascending.
+        let mut gone: Vec<usize> = Vec::new();
+        for j in 0..block.len() {
+            let StmtKind::Assign { dst: x, value } = &block[j].kind else {
+                continue;
+            };
+            let (ExprKind::Local(t), x) = (&value.kind, *x) else {
+                continue;
+            };
+            let (t, tmp, dst) = (*t, &locals[t.0 as usize], &locals[x.0 as usize]);
+            if t == x
+                || reads[t.0 as usize] != 1
+                || tmp.in_memory
+                || dst.in_memory
+                || tmp.ty != dst.ty
+            {
+                continue;
+            }
+            let Some((i, blocker)) = definition(block, &gone, j, t, x) else {
+                continue;
+            };
+            let (line, prov) = (block[j].span.line, block[j].prov.clone());
+            let what = format!("temporary '{}' into '{}'", tmp.name, dst.name);
+            if let Some((at, how)) = blocker {
+                let x = &dst.name;
+                let why = format!("'{x}' is {how} at line {at}, between the two");
+                let remark = Remark::missed(
+                    "copyprop",
+                    line,
+                    prov,
+                    format!("cannot coalesce {what}: {why}"),
+                );
+                let said = |r: &Remark| r.line == line && r.message == remark.message;
+                if !remarks.iter().any(said) {
+                    remarks.push(remark);
+                }
+                continue;
+            }
+            let message = format!("coalesced {what}");
+            remarks.push(Remark::applied("copyprop", line, prov, message));
+            let StmtKind::Assign { dst, .. } = &mut block[i].kind else {
+                unreachable!("a definition is an assignment");
+            };
+            *dst = x;
+            reads[t.0 as usize] = 0;
+            gone.push(j);
+            coalesced = true;
+        }
+        let mut index = 0;
+        block.retain(|_| {
+            index += 1;
+            gone.binary_search(&(index - 1)).is_err()
+        });
+    });
+    coalesced
+}
+
+/// Walks back from the copy `x = t` at `block[j]` to the assignment that
+/// defines `t`, over straight-line statements only (a branch, a loop or an
+/// exit may leave before the copy, so the write to `x` may not move above
+/// one); `gone` are the statements already coalesced away. Returns the
+/// definition's index and, if a statement in between mentions `x`, the line
+/// of the nearest one and what it does to `x`.
+fn definition(
+    block: &[IrStmt],
+    gone: &[usize],
+    j: usize,
+    t: LocalId,
+    x: LocalId,
+) -> Option<(usize, Option<(u32, &'static str)>)> {
+    let mut blocker = None;
+    for k in (0..j).rev().filter(|k| gone.binary_search(k).is_err()) {
+        let s = &block[k];
+        match &s.kind {
+            StmtKind::Assign { dst, .. } if *dst == t => return Some((k, blocker)),
+            StmtKind::Assign { dst, .. } if *dst == x => {
+                blocker.get_or_insert((s.span.line, "written"));
+            }
+            StmtKind::Assign { .. }
+            | StmtKind::Store { .. }
+            | StmtKind::CopyMem { .. }
+            | StmtKind::Expr(_)
+            | StmtKind::ParallelFor { .. } => {}
+            _ => return None,
+        }
+        let mut reads_x = false;
+        s.operand_roots(&mut |e| reads_x |= expr_uses(e, x));
+        if reads_x {
+            blocker.get_or_insert((s.span.line, "read"));
+        }
+    }
+    None
 }
 
 /// Forgets every fact involving `w`: its own mapping and any copy sourced

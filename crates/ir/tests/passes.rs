@@ -1282,18 +1282,20 @@ fn the_walks_reach_every_node_once_and_in_one_order() {
 
 // ------------------------------------- one liveness walk, two clients
 
-/// `a = 1; b = a; return p0` with `b` unread. The lint and `dce` run the
-/// same backward walk and differ in one thing: the lint's dead store stays
-/// and keeps reading `a`, so only `b` is flagged; `dce`'s goes away, `a`
-/// dies with it, and both fall in one sweep.
+/// `a = 1; b = a + a; return p0` with `b` unread. The lint and `dce` run
+/// the same backward walk and differ in one thing: the lint's dead store
+/// stays and keeps reading `a`, so only `b` is flagged; `dce`'s goes away,
+/// `a` dies with it, and both fall in one sweep. (`b = a` would do for the
+/// lint, but `copyprop` coalesces that into `b = 1` before `dce` sees it.)
 #[test]
 fn a_dead_store_cascades_for_dce_but_not_for_the_lint() {
     let mut f = func(vec![Ty::INT], Ty::INT);
     let a = f.add_local("a", Ty::INT, false);
     let b = f.add_local("b", Ty::INT, false);
+    let read_a = || IrExpr::local(a, Ty::INT);
     f.body = vec![
         assign(a, IrExpr::int32(1)),
-        assign(b, IrExpr::local(a, Ty::INT)),
+        assign(b, IrExpr::binary(BinKind::Add, read_a(), read_a())),
         ret(IrExpr::local(LocalId(0), Ty::INT)),
     ];
     let flagged: Vec<String> = terra_ir::analyze_function(&f, None, &NoEnv)
@@ -1302,10 +1304,218 @@ fn a_dead_store_cascades_for_dce_but_not_for_the_lint() {
         .collect();
     assert_eq!(flagged, ["dead-store: value assigned to 'b' is never read"]);
 
-    // `dce` alone, so nothing else has touched `b = a` first.
+    // `dce` alone: nothing else touches either assignment first.
     let stats = run_opt(&mut f, OptLevel::O1);
     assert_eq!(f.body, vec![ret(IrExpr::local(LocalId(0), Ty::INT))]);
     let dce: Vec<_> = stats.remarks.iter().filter(|r| r.pass == "dce").collect();
     assert_eq!(dce.len(), 1, "{dce:?}");
     assert_eq!(dce[0].message, "removed 2 dead-store statement(s)");
+}
+
+// ------------------------------- copyprop's backward half: coalescing
+
+/// `f(y : int) : int` over locals `t` and `x`; `body(y, t, x)` is what it
+/// runs before `return x`.
+fn staged(
+    body: impl Fn(IrExpr, LocalId, LocalId) -> Vec<IrStmt>,
+) -> (IrFunction, LocalId, LocalId) {
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    let t = f.add_local("t", Ty::INT, false);
+    let x = f.add_local("x", Ty::INT, false);
+    f.body = body(IrExpr::local(LocalId(0), Ty::INT), t, x);
+    f.body.push(ret(IrExpr::local(x, Ty::INT)));
+    (f, t, x)
+}
+
+fn plus(e: IrExpr, c: i32) -> IrExpr {
+    IrExpr::binary(BinKind::Add, e, IrExpr::int32(c))
+}
+
+/// The `copyprop` remarks about coalescing: how many temporaries went, and
+/// the messages of the refusals it explained.
+fn coalescing(stats: &PassStats) -> (usize, Vec<&str>) {
+    let of = |kind| {
+        let ours = move |r: &&terra_ir::Remark| r.pass == "copyprop" && r.kind == kind;
+        stats.remarks.iter().filter(ours).map(|r| &*r.message)
+    };
+    let applied = of(terra_ir::RemarkKind::Applied).filter(|m| m.starts_with("coalesced"));
+    (applied.count(), of(terra_ir::RemarkKind::Missed).collect())
+}
+
+fn assigns(f: &IrFunction, l: LocalId) -> bool {
+    IrStmt::any(
+        &f.body,
+        &mut |s| matches!(s.kind, StmtKind::Assign { dst, .. } if dst == l),
+    )
+}
+
+#[test]
+fn coalescing_builds_a_staged_value_in_its_destination() {
+    // t = x + 1; x = t  →  x = x + 1 (the value may read its destination).
+    let (mut f, t, x) = staged(|_, t, x| {
+        vec![
+            assign(t, plus(IrExpr::local(x, Ty::INT), 1)),
+            assign(x, IrExpr::local(t, Ty::INT)),
+        ]
+    });
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(coalescing(&stats), (1, vec![]));
+    assert_eq!(f.body[0], assign(x, plus(IrExpr::local(x, Ty::INT), 1)));
+    assert!(!assigns(&f, t) && f.body.len() == 2, "{f:?}");
+
+    // B, A = B + 1, A + 2 as the typechecker stages it: both temporaries go,
+    // past an assignment to an unrelated local.
+    let mut f = func(vec![Ty::INT, Ty::INT], Ty::INT);
+    let (a, b) = (LocalId(0), LocalId(1));
+    let (t1, t2) = (
+        f.add_local("t1", Ty::INT, false),
+        f.add_local("t2", Ty::INT, false),
+    );
+    let int = |l| IrExpr::local(l, Ty::INT);
+    f.body = vec![
+        assign(t1, plus(int(b), 1)),
+        assign(t2, plus(int(a), 2)),
+        assign(b, int(t1)),
+        assign(a, int(t2)),
+        ret(IrExpr::binary(BinKind::Sub, int(a), int(b))),
+    ];
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(coalescing(&stats), (2, vec![]));
+    assert_eq!(
+        f.body[..2],
+        [assign(b, plus(int(b), 1)), assign(a, plus(int(a), 2))]
+    );
+    assert_eq!(f.body.len(), 3, "{f:?}");
+}
+
+#[test]
+fn coalescing_refuses_when_the_destination_is_read_in_between() {
+    // A swap: t1 = b; t2 = a; a = t1; b = t2. `a = t1` would clobber the `a`
+    // that `t2 = a` still reads; `b = t2` can go.
+    let mut f = func(vec![Ty::INT, Ty::INT], Ty::INT);
+    let (a, b) = (LocalId(0), LocalId(1));
+    let (t1, t2) = (
+        f.add_local("t1", Ty::INT, false),
+        f.add_local("t2", Ty::INT, false),
+    );
+    let int = |l| IrExpr::local(l, Ty::INT);
+    f.body = vec![
+        assign(t1, int(b)),
+        assign(t2, int(a)),
+        assign(a, int(t1)),
+        assign(b, int(t2)),
+        ret(IrExpr::binary(BinKind::Sub, int(a), int(b))),
+    ];
+    f.body[1].span.line = 7;
+    let stats = run_opt(&mut f, OptLevel::O1);
+    let (applied, missed) = coalescing(&stats);
+    assert_eq!(applied, 1);
+    let why = "cannot coalesce temporary 't1' into 'p0': 'p0' is read at line 7, between the two";
+    assert_eq!(missed, [why]);
+    // One temporary stays; the copy out of it is forwarded into the result.
+    let swapped = ret(IrExpr::binary(BinKind::Sub, int(t1), int(b)));
+    assert_eq!(f.body, [assign(t1, int(b)), assign(b, int(a)), swapped]);
+}
+
+#[test]
+fn coalescing_refuses_when_the_destination_is_written_in_between() {
+    // t = y + 1; x = y; x = t: moving the last write up would let `x = y`
+    // win.
+    let (mut f, t, _) = staged(|y, t, x| {
+        let mut between = assign(x, y.clone());
+        between.span.line = 3;
+        vec![
+            assign(t, plus(y, 1)),
+            between,
+            assign(x, IrExpr::local(t, Ty::INT)),
+        ]
+    });
+    let stats = run_opt(&mut f, OptLevel::O1);
+    let (applied, missed) = coalescing(&stats);
+    assert_eq!(applied, 0);
+    let why = "cannot coalesce temporary 't' into 'x': 'x' is written at line 3, between the two";
+    assert_eq!(missed, [why]);
+    assert!(assigns(&f, t), "{f:?}");
+}
+
+#[test]
+fn coalescing_refuses_locals_that_live_in_memory() {
+    // A frame slot can be read and written through its address; neither
+    // side of the copy may be one.
+    for (t_in_memory, x_in_memory) in [(true, false), (false, true)] {
+        let (mut f, t, _) =
+            staged(|y, t, x| vec![assign(t, plus(y, 1)), assign(x, IrExpr::local(t, Ty::INT))]);
+        f.locals[t.0 as usize].in_memory = t_in_memory;
+        f.locals[t.0 as usize + 1].in_memory = x_in_memory;
+        let stats = run_opt(&mut f, OptLevel::O1);
+        assert_eq!(coalescing(&stats), (0, vec![]));
+        assert!(assigns(&f, t), "{f:?}");
+    }
+}
+
+#[test]
+fn coalescing_refuses_a_temporary_that_is_read_again() {
+    // t = y + 1; x = t; return x + t: `t` is live after the copy.
+    let (mut f, t, x) =
+        staged(|y, t, x| vec![assign(t, plus(y, 1)), assign(x, IrExpr::local(t, Ty::INT))]);
+    let int = |l| IrExpr::local(l, Ty::INT);
+    *f.body.last_mut().unwrap() = ret(IrExpr::binary(BinKind::Add, int(x), int(t)));
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(coalescing(&stats), (0, vec![]));
+    assert!(assigns(&f, t), "{f:?}");
+    // Likewise a loop variable, which its loop's header reads.
+    let (mut f, t, x) = staged(|y, t, x| {
+        let body = vec![
+            assign(t, plus(y.clone(), 1)),
+            assign(x, IrExpr::local(t, Ty::INT)),
+        ];
+        vec![IrStmt::new(StmtKind::For {
+            var: t,
+            start: IrExpr::int32(0),
+            stop: y,
+            step: IrExpr::int32(1),
+            body,
+        })]
+    });
+    f.body.insert(0, assign(x, IrExpr::int32(0)));
+    let stats = run_opt(&mut f, OptLevel::O1);
+    assert_eq!(coalescing(&stats), (0, vec![]));
+    assert!(assigns(&f, t), "{f:?}");
+}
+
+#[test]
+fn coalescing_refuses_across_a_branch_or_loop_boundary() {
+    let flag = |y: &IrExpr| IrExpr::cmp(terra_ir::CmpKind::Lt, y.clone(), IrExpr::int32(0));
+    // A branch between the two: it may leave before the copy. A loop between
+    // them, and a copy inside a loop whose temporary is set outside it.
+    type Shape = fn(IrExpr, IrStmt, IrStmt) -> Vec<IrStmt>;
+    let shapes: [Shape; 3] = [
+        |cond, def, copy| {
+            let leave = IrStmt::new(StmtKind::Return(Some(IrExpr::int32(0))));
+            let branch = StmtKind::If {
+                cond,
+                then_body: vec![leave],
+                else_body: vec![],
+            };
+            vec![def, IrStmt::new(branch), copy]
+        },
+        |cond, def, copy| {
+            let body = vec![IrStmt::new(StmtKind::Break)];
+            vec![def, IrStmt::new(StmtKind::While { cond, body }), copy]
+        },
+        |cond, def, copy| {
+            let body = vec![copy, IrStmt::new(StmtKind::Break)];
+            vec![def, IrStmt::new(StmtKind::While { cond, body })]
+        },
+    ];
+    for (i, shape) in shapes.into_iter().enumerate() {
+        let (mut f, t, x) = staged(|y, t, x| {
+            let def = assign(t, plus(y.clone(), 1));
+            shape(flag(&y), def, assign(x, IrExpr::local(t, Ty::INT)))
+        });
+        f.body.insert(0, assign(x, IrExpr::int32(9)));
+        let stats = run_opt(&mut f, OptLevel::O1);
+        assert_eq!(coalescing(&stats), (0, vec![]), "shape {i}");
+        assert!(assigns(&f, t), "shape {i}: {f:?}");
+    }
 }

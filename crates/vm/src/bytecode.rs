@@ -381,13 +381,17 @@ opcodes! {
     LoadV = "load.v" { d*4 } at m imm { bytes: u8 } @chk;
     /// Store the low `bytes` of a vector register.
     StoreV = "store.v" { s*4 } at m imm { bytes: u8 } @chk;
+    /// Load an f32 and broadcast it to all 8 lanes.
+    LoadSplatF32 = "load.splat.f32" { d*4 } at m @chk;
+    /// Load an f64 and broadcast it to all 4 lanes.
+    LoadSplatF64 = "load.splat.f64" { d*4 } at m @chk;
     /// Frame-slot address: `d = frame_base + offset` (bytes).
     FrameAddr = "frame.addr" { d } imm { offset: u32 };
     /// `memcpy(dst, src, size)` between the addresses in `dst` and `src`, with
     /// a constant size.
     CopyMem = "copy.mem" { dst, src } imm { size: u32 } @chk;
-    /// Prefetch the cache line at the address in `a`.
-    Prefetch = "prefetch" { a };
+    /// Prefetch the cache line at `m`.
+    Prefetch = "prefetch" {} at m;
 
     // -- vectors (f32 uses 8 lanes, f64 uses 4)
     /// Lane-wise f32 add.
@@ -726,24 +730,13 @@ impl CompiledFunction {
         self.code.get(pc).and_then(Instr::chk) == Some(false)
     }
 
-    /// The interned staging chain of the instruction at `pc`, if it arrived
-    /// through a splice or the inliner.
-    fn prov_entry(&self, pc: usize) -> Option<&Arc<str>> {
+    /// The rendered staging chain of the instruction at `pc`, if it arrived
+    /// through a splice or the inliner: the interned handle, which a sink
+    /// that outlives the frame (the heap profiler) clones.
+    #[inline]
+    pub fn prov_at(&self, pc: usize) -> Option<&Arc<str>> {
         let idx = self.provs.get(pc).copied().unwrap_or(0);
         self.prov_table.get(idx.checked_sub(1)? as usize)
-    }
-
-    /// The rendered staging chain of the instruction at `pc`, if it has one.
-    #[inline]
-    pub fn prov_at(&self, pc: usize) -> Option<&str> {
-        self.prov_entry(pc).map(|s| &**s)
-    }
-
-    /// Like [`CompiledFunction::prov_at`], but returns the interned handle —
-    /// for attribution sinks (the heap profiler) that outlive the frame.
-    #[inline]
-    pub fn prov_rc_at(&self, pc: usize) -> Option<Arc<str>> {
-        self.prov_entry(pc).cloned()
     }
 }
 
@@ -778,7 +771,7 @@ mod tests {
         };
         assert_eq!(copy.chk(), Some(false));
         assert!(copy.is_mem_access());
-        assert!(!Instr::Prefetch { a: 0 }.is_mem_access());
+        assert!(!Instr::Prefetch { m: Addr::reg(0) }.is_mem_access());
         for (instr, name) in [
             (
                 Instr::LoadF64 {
@@ -837,6 +830,26 @@ mod tests {
                     target: 33,
                 },
                 "loop.lt.s r7, r14, r13 -> 33",
+            ),
+            (
+                Instr::Prefetch { m: at(154, 1, 0) },
+                "prefetch [r3 + r154*1]",
+            ),
+            (
+                Instr::LoadSplatF64 {
+                    d: 105,
+                    m: Addr::reg(0),
+                    chk: true,
+                },
+                "load.splat.f64! r105, [r0]",
+            ),
+            (
+                Instr::LoadSplatF32 {
+                    d: 8,
+                    m: at(NO_REG, 1, 4),
+                    chk: false,
+                },
+                "load.splat.f32 r8, [r3 + 4]",
             ),
             (Instr::Jmp { target: 4 }, "jmp -> 4"),
             (
@@ -931,7 +944,7 @@ mod tests {
         assert!(load(vec![parfor(6, 4), ret.clone()], 6).is_err());
         assert!(load(vec![parfor(1, 5), ret.clone()], 6).is_err());
         // The optional index of an address is an operand when present, of
-        // a `lea` and of a memory access alike.
+        // a `lea`, of a memory access and of a hint alike.
         let indexed = |b| {
             let m = Addr {
                 b,
@@ -939,12 +952,20 @@ mod tests {
                 ..Addr::reg(0)
             };
             let store = Instr::Store8 { m, s: 0, chk: true };
-            [Instr::Lea { d: 0, m }, store]
+            [Instr::Lea { d: 0, m }, store, Instr::Prefetch { m }]
         };
         for (bare, with_index) in indexed(NO_REG).into_iter().zip(indexed(1)) {
             assert!(load(vec![bare, ret.clone()], 1).is_ok());
             assert!(load(vec![with_index, ret.clone()], 1).is_err());
         }
+        // A broadcast load fills a vector register.
+        let splat = |d| Instr::LoadSplatF64 {
+            d,
+            m: Addr::reg(0),
+            chk: true,
+        };
+        assert!(load(vec![splat(1), ret.clone()], 5).is_ok());
+        assert!(load(vec![splat(2), ret.clone()], 5).is_err());
     }
 
     #[test]

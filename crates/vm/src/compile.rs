@@ -138,9 +138,18 @@ fn scaled(e: &IrExpr) -> Option<(&IrExpr, i32)> {
 /// memory instruction when `e` is its address, of a `lea` when `e` is a
 /// value — if `e` is a pointer or 64-bit add: `base + c`, `base + idx*c`
 /// (also `c*idx`, `idx << c`), either with a constant added on top, or,
-/// failing those, `base + idx` at scale 1. A scale that does not fit its
-/// field leaves the product to be computed as the index.
-fn lea_of(e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
+/// failing those, `base + idx` at scale 1 — whatever pointer type the sum
+/// has been cast to. A scale that does not fit its field leaves the product
+/// to be computed as the index.
+fn lea_of(mut e: &IrExpr) -> Option<(&IrExpr, Option<&IrExpr>, i32, i64)> {
+    // A pointer recast to another pointer type (`@vector_pointer(&B[n])`) is
+    // the same address.
+    while let ExprKind::Cast(inner) = &e.kind {
+        if !matches!((&inner.ty, &e.ty), (Ty::Ptr(_), Ty::Ptr(_))) {
+            break;
+        }
+        e = inner;
+    }
     let (lhs, rhs) = addr_add(e)?;
     let (base, offset) = if matches!(lhs.kind, ExprKind::ConstInt(_))
         && !matches!(rhs.kind, ExprKind::ConstInt(_) | ExprKind::Binary { .. })
@@ -518,9 +527,15 @@ impl<'a> Compiler<'a> {
                     chk: self.chk(dst) || self.chk(src),
                 });
             }
-            StmtKind::Expr(e) => {
-                let _ = self.expr(e, None);
-            }
+            // A call for its effects leaves no value behind.
+            StmtKind::Expr(e) => match &e.kind {
+                ExprKind::Call { callee, args } => {
+                    self.call(e, callee, args, None);
+                }
+                _ => {
+                    self.expr(e, None);
+                }
+            },
             StmtKind::If {
                 cond,
                 then_body,
@@ -985,57 +1000,16 @@ impl<'a> Compiler<'a> {
                 d
             }
             ExprKind::Cast(inner) => self.emit_cast(e, inner, want),
-            ExprKind::Call { callee, args } => {
-                // Arguments must land in a contiguous temp block.
-                let fptr = if let Callee::Indirect(p) = callee {
-                    Some(self.expr(p, None))
-                } else {
-                    None
-                };
-                let (args, nargs) = self.arg_block(args);
-                let (d, w) = if e.ty == Ty::Unit {
-                    (NO_REG, 0)
-                } else {
-                    (dst(self), width as u8)
-                };
-                match callee {
-                    Callee::Direct(id) => self.code.push(Instr::Call {
-                        d,
-                        w,
-                        f: *id,
-                        args,
-                        nargs,
-                    }),
-                    Callee::Builtin(b) => {
-                        if *b == Builtin::Prefetch {
-                            self.code.push(Instr::Prefetch { a: args });
-                        } else {
-                            self.code.push(Instr::CallBuiltin {
-                                d,
-                                b: *b,
-                                args,
-                                nargs,
-                            });
-                        }
-                    }
-                    Callee::Indirect(_) => self.code.push(Instr::CallIndirect {
-                        d,
-                        w,
-                        f: fptr.expect("indirect pointer compiled above"),
-                        args,
-                        nargs,
-                    }),
-                }
-                if d == NO_REG {
-                    // Unit-typed call used in expression position: hand back
-                    // a zeroed register for uniformity.
+            ExprKind::Call { callee, args } => match self.call(e, callee, args, want) {
+                // Unit-typed call used in expression position: hand back a
+                // zeroed register for uniformity.
+                NO_REG => {
                     let z = dst(self);
                     self.code.push(Instr::ConstI { d: z, v: 0 });
                     z
-                } else {
-                    d
                 }
-            }
+                d => d,
+            },
             ExprKind::Select {
                 cond,
                 then_value,
@@ -1054,6 +1028,53 @@ impl<'a> Compiler<'a> {
                 d
             }
         }
+    }
+
+    /// Compiles the call `e` and returns the register its result lands in,
+    /// [`NO_REG`] when it has none.
+    fn call(&mut self, e: &IrExpr, callee: &Callee, args: &[IrExpr], want: Option<Reg>) -> Reg {
+        // A hint addresses memory the way a load does.
+        if let (Callee::Builtin(Builtin::Prefetch), [addr]) = (callee, args) {
+            let m = self.mem(addr);
+            self.code.push(Instr::Prefetch { m });
+            return NO_REG;
+        }
+        let fptr = if let Callee::Indirect(p) = callee {
+            Some(self.expr(p, None))
+        } else {
+            None
+        };
+        // Arguments must land in a contiguous temp block.
+        let (args, nargs) = self.arg_block(args);
+        let w = slots_of(&e.ty);
+        let (d, w) = if e.ty == Ty::Unit {
+            (NO_REG, 0)
+        } else {
+            (want.unwrap_or_else(|| self.alloc_temp(w)), w as u8)
+        };
+        self.code.push(match callee {
+            Callee::Direct(id) => Instr::Call {
+                d,
+                w,
+                f: *id,
+                args,
+                nargs,
+            },
+            Callee::Builtin(b) => Instr::CallBuiltin {
+                d,
+                b: *b,
+                args,
+                nargs,
+            },
+            Callee::Indirect(_) => Instr::CallIndirect {
+                d,
+                w,
+                f: fptr.expect("indirect pointer compiled above"),
+                args,
+                nargs,
+            },
+        });
+        d
     }
 
     fn emit_binary(&mut self, ty: &Ty, op: BinKind, d: Reg, a: Reg, b: Reg) {
@@ -1182,6 +1203,22 @@ impl<'a> Compiler<'a> {
             };
         if free {
             return self.expr(inner, want);
+        }
+        // A broadcast of a loaded scalar is one instruction: the same load,
+        // landing in every lane.
+        if let (ExprKind::Load(addr), Ty::Scalar(s @ (F32 | F64)), Ty::Vector(lane, _)) =
+            (&inner.kind, from, to)
+        {
+            if s == lane {
+                let m = self.mem(addr);
+                let d = want.unwrap_or_else(|| self.alloc_temp(VECTOR_SLOTS));
+                let chk = self.chk(addr);
+                self.code.push(match s {
+                    F32 => Instr::LoadSplatF32 { d, m, chk },
+                    _ => Instr::LoadSplatF64 { d, m, chk },
+                });
+                return d;
+            }
         }
         let a = self.expr(inner, None);
         let d = want.unwrap_or_else(|| self.alloc_temp(slots_of(to)));

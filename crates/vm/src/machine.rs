@@ -184,22 +184,30 @@ pub(crate) fn state_hash(lower: &[u64], frame: &[u64]) -> u64 {
     h.finish()
 }
 
-// The vector helpers below spell their lanes out instead of looping or
-// slicing: an unoptimized build (what `cargo test` runs) turns every
-// iterator step and range index into calls, and a vector instruction is
-// only worth having if it stays cheaper than the scalar ones it replaces.
+// The vector helpers below spell their lanes out instead of looping: an
+// unoptimized build (what `cargo test` runs) turns every iterator step into
+// calls, and a vector instruction is only worth having if it stays cheaper
+// than the scalar ones it replaces.
 
-/// A vector register: the four slots starting at `r`.
+/// A vector register: the four slots starting at `r`, taken as one range —
+/// one bounds check per operand, where indexing lane by lane made four (16
+/// per `vfma`), and in an unoptimized build one call instead of four.
 #[inline(always)]
 fn vget(frame: &[u64], r: Reg) -> [u64; 4] {
     let r = r as usize;
-    [frame[r], frame[r + 1], frame[r + 2], frame[r + 3]]
+    match frame[r..r + 4] {
+        [a, b, c, d] => [a, b, c, d],
+        _ => unreachable!("a range of four"),
+    }
 }
 
 #[inline(always)]
 fn vset(frame: &mut [u64], r: Reg, v: [u64; 4]) {
     let r = r as usize;
-    (frame[r], frame[r + 1], frame[r + 2], frame[r + 3]) = (v[0], v[1], v[2], v[3]);
+    match &mut frame[r..r + 4] {
+        [a, b, c, d] => (*a, *b, *c, *d) = (v[0], v[1], v[2], v[3]),
+        _ => unreachable!("a range of four"),
+    }
 }
 
 #[inline]
@@ -320,8 +328,11 @@ impl ExecutionContext {
             let current = vm.frames.last().map(|fr| {
                 let func = body(program, fr.func);
                 let pc = fr.pc.saturating_sub(1);
-                let prov: Option<Arc<str>> = func.prov_at(pc).map(Arc::from);
-                (func.name.clone(), func.line_at(pc), prov)
+                (
+                    func.name.clone(),
+                    func.line_at(pc),
+                    func.prov_at(pc).cloned(),
+                )
             });
             // Unwind the frames (and their memory) the trap left; each
             // trapped activation still reports what it counted.
@@ -455,16 +466,22 @@ impl ExecutionContext {
                     }
                 }};
             }
-            // Scalar load of `$n` bytes as `$ty`, sign- or zero-extended to
-            // the slot (a float load is the load of its bit pattern); the
-            // observer sees the traffic.
-            macro_rules! load {
-                ($d:expr, $m:expr, $chk:expr, $ty:ty, $n:literal) => {{
+            // The `$n` bytes a scalar load reads; the observer sees the
+            // traffic.
+            macro_rules! fetch {
+                ($m:expr, $chk:expr, $n:literal) => {{
                     let addr = ea!($m);
                     let bytes = mem!(self.memory.read::<$n>(addr, $chk));
                     obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Load);
-                    seti!($d, <$ty>::from_le_bytes(bytes) as i64);
+                    bytes
                 }};
+            }
+            // Scalar load of `$n` bytes as `$ty`, sign- or zero-extended to
+            // the slot (a float load is the load of its bit pattern).
+            macro_rules! load {
+                ($d:expr, $m:expr, $chk:expr, $ty:ty, $n:literal) => {
+                    seti!($d, <$ty>::from_le_bytes(fetch!($m, $chk, $n)) as i64)
+                };
             }
             // Scalar store of the slot's low `$n` bytes (a float store is
             // the integer store of its bit pattern).
@@ -665,6 +682,14 @@ impl ExecutionContext {
                             bits: terra_trace::fnv64(&image[..len]),
                         });
                     }
+                    // A broadcast load is the scalar load to the memory and
+                    // to the observer.
+                    Instr::LoadSplatF32 { d, m, chk } => {
+                        setv!(d, to_vf32([f32::from_le_bytes(fetch!(m, chk, 4)); 8]))
+                    }
+                    Instr::LoadSplatF64 { d, m, chk } => {
+                        setv!(d, [u64::from_le_bytes(fetch!(m, chk, 8)); 4])
+                    }
                     Instr::FrameAddr { d, offset } => set!(d, mem_base + offset as u64),
                     Instr::CopyMem {
                         dst,
@@ -680,8 +705,8 @@ impl ExecutionContext {
                             len,
                         });
                     }
-                    Instr::Prefetch { a } => {
-                        let addr = r!(a);
+                    Instr::Prefetch { m } => {
+                        let addr = ea!(m);
                         obs.on_mem(&mut self.memory, pc - 1, addr, 0, Access::Prefetch);
                         self.memory.prefetch(addr);
                     }

@@ -504,7 +504,7 @@ impl Observer for Telemetry {
 
     fn on_alloc(&mut self, mem: &mut Memory, func: &CompiledFunction, pc: usize) {
         if self.profiling {
-            mem.set_alloc_site(&func.name, func.line_at(pc), func.prov_rc_at(pc));
+            mem.set_alloc_site(&func.name, func.line_at(pc), func.prov_at(pc).cloned());
         }
     }
 
@@ -578,7 +578,7 @@ impl Observer for Telemetry {
                 })
                 .collect();
             let (function, line, provenance) = match region.site {
-                Some((f, pc)) => (&*f.name, f.line_at(pc), f.prov_at(pc).unwrap_or("")),
+                Some((f, pc)) => (&*f.name, f.line_at(pc), f.prov_at(pc).map_or("", |s| &**s)),
                 None => ("(host)", 0, ""),
             };
             ctx.trace.parallel_mut().record(

@@ -1528,6 +1528,16 @@ fn memory_program() -> IrFunction {
         let product = IrExpr::binary(BinKind::Mul, vector(v), vector(v));
         f.body
             .push(set(v, IrExpr::binary(BinKind::Add, vector(v), product)));
+        // A broadcast straight from memory (of the vector's first lane).
+        let lane = IrExpr {
+            ty: Ty::Scalar(scalar).ptr_to(),
+            kind: ExprKind::LocalAddr(m),
+        };
+        let loaded = IrExpr {
+            ty: Ty::Scalar(scalar),
+            kind: ExprKind::Load(Box::new(lane)),
+        };
+        f.body.push(eval(cast(&vty, loaded)));
     }
     f
 }
@@ -1632,4 +1642,177 @@ fn every_opcode_is_retired_by_some_program() {
     let missing: Vec<_> = all.iter().filter(|op| !retired.contains(op)).collect();
     assert!(missing.is_empty(), "no program retires {missing:?}");
     assert_eq!(retired, all, "the profile names an opcode the table lacks");
+}
+
+// ---------------------------------------------------------------------------
+// What a staged kernel writes is what is selected: an address through a
+// pointer cast is still an operand, a broadcast of a loaded scalar is one
+// load, a prefetch addresses like a load, and a call for its effects leaves
+// no value behind.
+// ---------------------------------------------------------------------------
+
+/// `f(i)`: lane 1 of `value(&a)`, a `vector(scalar, lanes)`, where the frame
+/// array `a : scalar[16]` holds 1 … 16. The vector goes through a second
+/// frame array, `out`; `value` is the last statement but one.
+fn lane_one_of(scalar: ScalarTy, value: impl Fn(IrExpr) -> IrExpr) -> IrFunction {
+    let elem = Ty::Scalar(scalar);
+    let vty = Ty::Vector(scalar, (32 / scalar.size()) as u8);
+    let array = Ty::Array(std::sync::Arc::new(elem.clone()), 16);
+    let mut f = func("lane", vec![Ty::I64], elem.clone());
+    let a = f.add_local("a", array.clone(), true);
+    let out = f.add_local("out", array, true);
+    let base = |l| IrExpr {
+        ty: elem.clone().ptr_to(),
+        kind: ExprKind::LocalAddr(l),
+    };
+    let at = |l, t: u64| IrExpr::binary(BinKind::Add, base(l), i64e((t * scalar.size()) as i64));
+    for t in 0..16 {
+        let (addr, value) = (at(a, t), constant(&elem, t as i32 + 1));
+        f.body.push(StmtKind::Store { addr, value }.into());
+    }
+    let addr = cast(&vty.clone().ptr_to(), base(out));
+    let value = value(base(a));
+    f.body.push(StmtKind::Store { addr, value }.into());
+    let kind = ExprKind::Load(Box::new(at(out, 1)));
+    f.body.push(ret(IrExpr { ty: elem, kind }));
+    f
+}
+
+/// `f` with the address of the vector statement's one load proven in bounds.
+fn with_the_load_proven(mut f: IrFunction) -> IrFunction {
+    let stmt = &mut f.body[16];
+    let mut address = 0;
+    stmt.operand_nodes(&mut |i, e| {
+        if matches!(e.kind, ExprKind::Load(_)) {
+            address = i + 1;
+        }
+    });
+    stmt.proven = vec![address];
+    f
+}
+
+#[test]
+fn an_address_cast_to_another_pointer_type_is_still_an_operand() {
+    // @[&vector(double,4)](&a[i] + 32), as `@vector_pointer(&B[n*V])` lowers.
+    let vty = Ty::Vector(ScalarTy::F64, 4);
+    let f = lane_one_of(ScalarTy::F64, |a| {
+        let i = IrExpr::local(LocalId(0), Ty::I64);
+        let sum = IrExpr::binary(BinKind::Add, a, scaled(i, 8));
+        let addr = cast(
+            &vty.clone().ptr_to(),
+            IrExpr::binary(BinKind::Add, sum, i64e(32)),
+        );
+        let (ty, kind) = (vty.clone(), ExprKind::Load(Box::new(addr)));
+        IrExpr { ty, kind }
+    });
+    let the_access = |f: &IrFunction| {
+        let code = code_of(f);
+        let found = code.iter().find_map(|i| match i {
+            Instr::LoadV { m, chk, .. } => Some((*m, *chk)),
+            _ => None,
+        });
+        assert!(
+            !code.iter().any(|i| matches!(i, Instr::Lea { .. })),
+            "{code:?}"
+        );
+        found.unwrap_or_else(|| panic!("a vector load: {code:?}"))
+    };
+    let (m, chk) = the_access(&f);
+    assert!(chk && m.b != NO_REG && m.scale == 8 && m.disp == 32, "{m}");
+    // The proof is of the cast node, the operand what lies beneath it.
+    let (m, chk) = the_access(&with_the_load_proven(f.clone()));
+    assert!(!chk && m.scale == 8 && m.disp == 32, "{m}");
+    // Lane 1 of a[i + 4 ..]: a[i + 5], which holds i + 6.
+    assert_eq!(run(f.clone(), &[Value::Int(0)]), Value::Float(6.0));
+    assert_eq!(run(f, &[Value::Int(3)]), Value::Float(9.0));
+}
+
+#[test]
+fn a_broadcast_of_a_loaded_scalar_is_one_load() {
+    for scalar in [ScalarTy::F64, ScalarTy::F32] {
+        let elem = Ty::Scalar(scalar);
+        let vty = Ty::Vector(scalar, (32 / scalar.size()) as u8);
+        // vector_type(a[i]), as `vector_type(A[m * lda])` lowers.
+        let f = lane_one_of(scalar, |a| {
+            let i = IrExpr::local(LocalId(0), Ty::I64);
+            let addr = IrExpr::binary(BinKind::Add, a, scaled(i, scalar.size() as i64));
+            let (ty, kind) = (elem.clone(), ExprKind::Load(Box::new(addr)));
+            cast(&vty, IrExpr { ty, kind })
+        });
+        let the_access = |f: &IrFunction| {
+            let code = code_of(f);
+            let found = code.iter().find_map(|i| match i {
+                Instr::LoadSplatF64 { m, chk, .. } if scalar == ScalarTy::F64 => Some((*m, *chk)),
+                Instr::LoadSplatF32 { m, chk, .. } if scalar == ScalarTy::F32 => Some((*m, *chk)),
+                _ => None,
+            });
+            let two_steps = |i: &Instr| {
+                use Instr::*;
+                matches!(
+                    i,
+                    SplatF64 { .. } | SplatF32 { .. } | LoadF64 { .. } | LoadF32 { .. }
+                )
+            };
+            // (The function's own last load, of the lane it returns, aside.)
+            let steps = code.iter().filter(|i| two_steps(i)).count();
+            assert_eq!(steps, 1, "{code:?}");
+            found.unwrap_or_else(|| panic!("a broadcast load: {code:?}"))
+        };
+        let (m, chk) = the_access(&f);
+        assert!(
+            chk && m.b != NO_REG && m.scale as u64 == scalar.size(),
+            "{m}"
+        );
+        assert!(!the_access(&with_the_load_proven(f.clone())).1);
+        assert_eq!(run(f.clone(), &[Value::Int(0)]), Value::Float(1.0));
+        assert_eq!(run(f, &[Value::Int(11)]), Value::Float(12.0));
+    }
+    // A broadcast of anything else is computed, then splat.
+    let vty = Ty::Vector(ScalarTy::F64, 4);
+    let f = lane_one_of(ScalarTy::F64, |_| {
+        let i = cast(&Ty::F64, IrExpr::local(LocalId(0), Ty::I64));
+        cast(&vty, i)
+    });
+    let code = code_of(&f);
+    assert!(code.iter().any(|i| matches!(i, Instr::SplatF64 { .. })));
+    assert!(!code.iter().any(|i| matches!(i, Instr::LoadSplatF64 { .. })));
+    assert_eq!(run(f, &[Value::Int(5)]), Value::Float(5.0));
+}
+
+#[test]
+fn a_prefetch_addresses_like_a_load_and_a_call_for_effect_leaves_no_value() {
+    // prefetch(&a[i]); free(malloc(16)); return 7
+    let mut f = func("hint", vec![Ty::I64], Ty::INT);
+    let a = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::F64), 4), true);
+    let byte_ptr = Ty::U8.ptr_to();
+    let base = IrExpr {
+        ty: byte_ptr.clone(),
+        kind: ExprKind::LocalAddr(a),
+    };
+    let i = IrExpr::local(LocalId(0), Ty::I64);
+    let hinted = IrExpr::binary(BinKind::Add, base, scaled(i, 8));
+    let prefetch = Callee::Builtin(Builtin::Prefetch);
+    f.body.push(eval(call(prefetch, vec![hinted], Ty::Unit)));
+    let size = IrExpr {
+        ty: Ty::U64,
+        kind: ExprKind::ConstInt(16),
+    };
+    let block = call(Callee::Builtin(Builtin::Malloc), vec![size], byte_ptr);
+    let free = Callee::Builtin(Builtin::Free);
+    f.body.push(eval(call(free, vec![block], Ty::Unit)));
+    f.body.push(ret(IrExpr::int32(7)));
+    let code = code_of(&f);
+    let hint = code.iter().find_map(|i| match i {
+        Instr::Prefetch { m } => Some(*m),
+        _ => None,
+    });
+    let m = hint.unwrap_or_else(|| panic!("a prefetch: {code:?}"));
+    assert!(m.b != NO_REG && m.scale == 8 && m.disp == 0, "{m}");
+    // Neither call is followed by the zero a unit value would be.
+    let zero = |i: &Instr| matches!(i, Instr::ConstI { v: 0, .. });
+    assert!(!code.iter().any(zero), "{code:?}");
+    // A hint never traps, however far out it points.
+    for i in [0, 3, 1 << 40, -(1 << 40)] {
+        assert_eq!(run(f.clone(), &[Value::Int(i)]), Value::Int(7));
+    }
 }

@@ -35,9 +35,11 @@ fn gemm_generated_beats_naive() {
     ws.verify(&s);
     let i_naive = s.measure_cost(&naive, &ws).instructions;
     let i_tuned = s.measure_cost(&tuned, &ws).instructions;
+    // 1 864 006 against 297 732 (6.3x); 417 092 (4.5x) before the back end
+    // emitted the generator's k-loop as written.
     assert!(
-        i_tuned * 2 < i_naive,
-        "tuned retires {i_tuned} instructions, not under half of naive's {i_naive}"
+        i_tuned * 6 < i_naive,
+        "tuned retires {i_tuned} instructions, not under a sixth of naive's {i_naive}"
     );
 }
 

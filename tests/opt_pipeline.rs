@@ -219,6 +219,21 @@ fn staged_naive_gemm_retires_no_bookkeeping_in_its_inner_loop() {
     );
 }
 
+/// The instruction of a line of `f:disas()`, its register numbers (the
+/// allocator's business) masked.
+fn masked(line: &str) -> String {
+    let mut out = String::new();
+    let mut chars = line[12..].chars().peekable();
+    while let Some(c) = chars.next() {
+        out.push(c);
+        if c == 'r' && chars.peek().is_some_and(char::is_ascii_digit) {
+            out.push('#');
+            while chars.next_if(char::is_ascii_digit).is_some() {}
+        }
+    }
+    out
+}
+
 /// The same claim as text: `gemm:disas()` is one line per instruction —
 /// index, source line, instruction — and the Fig. 6 loop is five of them.
 /// Register numbers are the allocator's; the shape is the contract.
@@ -236,20 +251,6 @@ fn the_fig6_inner_loop_is_five_instructions_of_disassembly() {
         assert_eq!(line[..4].trim().parse(), Ok(pc), "{line:?}");
     }
     let source_line = |l: &str| l[4..10].trim().parse::<u32>().ok();
-    // The instruction of a line, its register numbers (the allocator's
-    // business) masked.
-    let masked = |l: &str| {
-        let mut out = String::new();
-        let mut chars = l[12..].chars().peekable();
-        while let Some(c) = chars.next() {
-            out.push(c);
-            if c == 'r' && chars.peek().is_some_and(char::is_ascii_digit) {
-                out.push('#');
-                while chars.next_if(char::is_ascii_digit).is_some() {}
-            }
-        }
-        out
-    };
     // The `k` loop is the statement on source line 15, its body line 16; the
     // back edge jumps to the first load.
     let top = lines
@@ -270,4 +271,80 @@ fn the_fig6_inner_loop_is_five_instructions_of_disassembly() {
     );
     assert_eq!(source_line(lines[top + 4]), Some(15), "{text}");
     assert_eq!(source_line(lines[top + 5]), Some(18), "{text}");
+}
+
+/// The claim of §6.1 (Fig. 5), where the paper states it: the k-loop the VM
+/// retires is the one `genkernel` wrote — RN vector loads of B, RM broadcast
+/// loads of A, RM·RN multiply-adds, a prefetch, two pointer bumps and the
+/// loop's own edge — for every register blocking, as counters and as text.
+#[test]
+fn the_fig5_k_loop_is_what_the_generator_wrote() {
+    let (nb, v) = (128u64, 4u64);
+    for (rm, rn) in [(4u64, 4u64), (2, 4), (1, 1)] {
+        let mut s = GemmSession::new().expect("gemm session");
+        s.terra()
+            .exec(&format!(
+                "kernel = genkernel({nb}, {rm}, {rn}, {v}, 1, double)"
+            ))
+            .unwrap();
+        let kernel = s.terra().function("kernel").unwrap();
+        let ws = s.workspace(nb as usize, Precision::F64);
+        let [a, b, c] = [ws.a, ws.b, ws.c].map(terra_core::Value::Ptr);
+        let ld = terra_core::Value::Int(nb as i64);
+        let args = [a, b, c, ld, ld, ld];
+        s.terra().set_profile(true);
+        s.terra().reset_profile();
+        s.terra().invoke(&kernel, &args).expect("the kernel runs");
+        let p = s.terra().profile();
+        s.terra().set_profile(false);
+
+        // Iterations of the three loops, innermost first.
+        let nn = nb / rm * (nb / (rn * v));
+        let k = nn * nb;
+        let written = rn + rm + rm * rn + 4;
+        assert_eq!(p.op_count("prefetch"), k, "RM={rm} RN={rn}");
+        assert_eq!(p.op_count("vfma.f64"), rm * rn * k, "RM={rm} RN={rn}");
+        assert_eq!(p.op_count("load.splat.f64"), rm * k, "RM={rm} RN={rn}");
+        assert_eq!(
+            p.op_count("load.v"),
+            rn * k + rm * rn * nn,
+            "RM={rm} RN={rn}"
+        );
+        assert_eq!(p.op_count("loop.lt.s"), k + nn + nb / rm, "RM={rm} RN={rn}");
+        // Everything outside the k-loop together retires less often than
+        // the loop iterates (NB is large enough), so the quotient is the
+        // loop's length.
+        let retired = p.total_instructions() - p.op_count("chk");
+        assert_eq!(retired / k, written, "RM={rm} RN={rn}: {retired} over {k}");
+
+        let out = s.terra().exec("return kernel:disas()").unwrap();
+        let terra_core::LuaValue::Str(text) = &out[0] else {
+            panic!("disas returns a string: {out:?}");
+        };
+        let lines: Vec<String> = text.lines().map(masked).collect();
+        let top = lines
+            .iter()
+            .position(|l| l.starts_with("prefetch"))
+            .expect("the loop starts with its prefetch");
+        let disp = |bytes: u64| match bytes {
+            0 => String::new(),
+            d => format!(" + {d}"),
+        };
+        let mut expected = vec!["prefetch [r# + r#*1]".to_string()];
+        expected.extend((0..rn).map(|n| format!("load.v! r#, [r#{}], bytes=32", disp(32 * n))));
+        expected.extend((0..rm).map(|m| match m {
+            0 => "load.splat.f64! r#, [r#]".to_string(),
+            _ => "load.splat.f64! r#, [r# + r#*1]".to_string(),
+        }));
+        expected.extend((0..rm * rn).map(|_| "vfma.f64 r#, r#, r#".to_string()));
+        expected.push("add.i r#, r#, r#".to_string());
+        expected.push("lea r#, [r# + 8]".to_string());
+        expected.push(format!("loop.lt.s r#, r#, r# -> {top}"));
+        assert_eq!(expected.len() as u64, written);
+        assert_eq!(
+            lines[top..top + expected.len()],
+            expected[..],
+            "RM={rm} RN={rn}:\n{text}"
+        );
+    }
 }
