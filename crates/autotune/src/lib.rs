@@ -573,7 +573,7 @@ mod tests {
         assert!(
             remarks
                 .iter()
-                .any(|r| r.kind == "applied" && r.provenance.contains("via quote at line")),
+                .any(|r| r.kind == "applied" && r.site.fields().2.contains("via quote at line")),
             "expected an applied remark with a staging chain: {remarks:?}"
         );
         // The same check is available from inside the Lua driver via

@@ -48,9 +48,9 @@ pub use terra_trace::{
     replay, CacheConfig, CacheLevelConfig, CacheStats, DiffReport, FuncProfile, HeapSiteStats,
     HeapStats, HeapTimelinePoint, LineStat, MemStats, ParChunkStats, ParSiteStats, ParWorkerLoad,
     ParallelStats, Profile, RecMeta, Recorder, Recording, Remark, ReplaySummary, SampleFuncRank,
-    SampleStats, SpanEvent, Stage, DEFAULT_CADENCE, REC_FORMAT_VERSION,
+    SampleStats, Site, SpanEvent, Stage, DEFAULT_CADENCE, REC_FORMAT_VERSION,
 };
-pub use terra_vm::{Trap, Value};
+pub use terra_vm::{Trap, TrapKind, Value};
 
 /// An embedded Lua-Terra session.
 ///

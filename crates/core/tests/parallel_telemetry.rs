@@ -42,7 +42,7 @@ fn chunk_totals_sum_to_the_kernel_function_counter() {
     let stats = t.parallel_stats();
     assert_eq!(stats.sites.len(), 1);
     let site = &stats.sites[0];
-    assert_eq!(site.function, "fill");
+    assert_eq!(&*site.site.func, "fill");
     assert!(
         site.kernel.starts_with("fill$par"),
         "kernel = {}",

@@ -381,6 +381,78 @@ fn oob_traps_name_the_function() {
 }
 
 // ---------------------------------------------------------------------------
+// One Site on every channel
+// ---------------------------------------------------------------------------
+
+/// One quote, written on one line and spliced once, that allocates and
+/// never frees, runs a `parallelfor`, inlines a call, misses the cache and
+/// divides by `z`: everything the runtime can say about it happened at the
+/// same [`terra_core::Site`].
+const SEAM_SCRIPT: &str = r#"
+    local C = terralib.includec("stdlib.h")
+    terra last(p : &int, n : int) : int return p[n - 1] end
+    local function body(n, z)
+        return quote var p = [&int](C.malloc(n * 4)); parallelfor i = 0, n do p[i] = i end; var l = last(p, n); p[0] = l / z end
+    end
+    terra run(n : int, z : int) : int
+        [body(n, z)]
+        return 0
+    end
+"#;
+
+#[test]
+fn every_channel_prints_the_same_site() {
+    use terra_core::{RecMeta, Site};
+    let site = Site::new("run", 5, Some("via quote at line 8"));
+    let text = "run:5, generated via quote at line 8";
+    assert_eq!(site.to_string(), text);
+
+    let mut t = Terra::new();
+    t.set_profile(true);
+    t.exec(SEAM_SCRIPT).unwrap();
+    let mut meta = RecMeta::coarse("<seam>", 2);
+    meta.window = Some((0, 1));
+    t.set_record(meta);
+    let trap = t.exec("run(4096, 0)").unwrap_err().message;
+    let rec = t.take_recording().expect("recording");
+    let p = t.profile();
+
+    // The values: every located record holds the one `Site`…
+    assert_eq!(p.heap.sites[0].site, site);
+    assert_eq!(p.heap.leaks().next().unwrap().site, site);
+    assert_eq!(p.parallel.sites[0].site, site);
+    let inlined = p.remarks.iter().find(|r| r.pass == "inline").unwrap();
+    assert_eq!(inlined.site, site);
+    let first = rec.effects[0].site.as_ref().expect("window mode");
+    assert_eq!((&first.at, &*first.op), (&site, "call.builtin"));
+    // … and the text: each channel renders it with the one `Display` (a
+    // remark row puts its message between place and chain; a hot line is a
+    // line, summed over every splice that put code on it).
+    let report = p.render_report();
+    let row = |has: &str| {
+        let mut rows = report.lines().filter(|l| l.contains(has));
+        rows.next()
+            .unwrap_or_else(|| panic!("no {has:?} row in:\n{report}"))
+    };
+    assert!(row("  32768  ").ends_with(&format!("  {text}")), "{report}");
+    assert!(row("allocated at").ends_with(&format!("allocated at {text}")));
+    assert_eq!(row("-> kernel"), format!("  {text} -> kernel run$par2"));
+    assert_eq!(
+        row("inlined 'last'"),
+        "  inline   applied run:5                inlined 'last' (10 IR nodes) [via quote at line 8]"
+    );
+    assert!(row("100.0%").ends_with("  run:5"), "{report}");
+    assert!(rec
+        .to_text()
+        .contains(" line=5 f=run prov=via quote at line 8\n"));
+    assert_eq!(
+        trap,
+        format!("integer division by zero {}", site.sentence())
+    );
+    assert!(trap.ends_with("at line 5, generated via quote at line 8)"));
+}
+
+// ---------------------------------------------------------------------------
 // Allocation-site heap profiler
 // ---------------------------------------------------------------------------
 
@@ -420,13 +492,13 @@ fn heap_sites_attribute_allocations_with_provenance() {
     let p = leak_run();
     assert_eq!(p.heap.sites.len(), 2, "two staged malloc sites");
     for s in &p.heap.sites {
-        assert_eq!(s.func.as_str(), "lp");
+        assert_eq!(&*s.site.func, "lp");
         assert_eq!(s.count, 1);
         assert!(s.bytes >= 64 * 8);
         assert!(
-            s.provenance.contains("via quote at line"),
-            "staged malloc must carry its quote chain, got: {:?}",
-            s.provenance
+            s.site.fields().2.contains("via quote at line"),
+            "staged malloc must carry its quote chain, got: {}",
+            s.site
         );
     }
     assert_eq!(p.heap.leaked_allocs(), 1, "exactly one seeded leak");
@@ -434,9 +506,11 @@ fn heap_sites_attribute_allocations_with_provenance() {
     assert!(p.heap.peak_live_bytes >= 2 * 64 * 8);
     let leak = p.heap.leaks().next().unwrap();
     assert!(
-        leak.location().contains("generated via quote at line"),
+        leak.site
+            .to_string()
+            .contains("generated via quote at line"),
         "leak report names the staging chain, got: {}",
-        leak.location()
+        leak.site
     );
 }
 
@@ -872,6 +946,100 @@ mod cli {
         );
         assert!(a.contains("\"type\":\"leak\""), "got: {a}");
         assert!(a.contains("\"type\":\"sample\""), "got: {a}");
+    }
+
+    /// DESIGN.md §6c's record table is the schema's one statement: every
+    /// record type `--events-out` writes has exactly the keys, in the
+    /// order, the table lists for it, on a program that produces all
+    /// fifteen types.
+    #[test]
+    fn events_out_matches_the_documented_schema() {
+        let design = include_str!("../../../DESIGN.md");
+        let table = design
+            .split_once("Records, in emission order:")
+            .expect("DESIGN.md §6c introduces the record table")
+            .1;
+        let documented: Vec<(String, Vec<String>)> = table
+            .lines()
+            .skip_while(|l| !l.starts_with("|---"))
+            .skip(1)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                // A field is a backticked word outside parentheses.
+                let mut names = Vec::new();
+                let (mut depth, mut rest) = (0, row);
+                while let Some(at) = rest.find(['(', ')', '`']) {
+                    let (c, tail) = (rest.as_bytes()[at], &rest[at + 1..]);
+                    rest = tail;
+                    match c {
+                        b'(' => depth += 1,
+                        b')' => depth -= 1,
+                        _ => {
+                            let (name, tail) = tail.split_once('`').expect("closing backtick");
+                            rest = tail;
+                            if depth == 0 {
+                                names.push(name.to_string());
+                            }
+                        }
+                    }
+                }
+                let ty = names.remove(0);
+                (ty, names)
+            })
+            .collect();
+        assert_eq!(documented.len(), 15, "{documented:?}");
+
+        let path = std::env::temp_dir().join(format!("terra-schema-{}.jsonl", std::process::id()));
+        let program = format!("{} print(run(4096, 1))", super::SEAM_SCRIPT);
+        let out = terra()
+            .args(["--events-out", path.to_str().unwrap(), "--sample=100", "-e"])
+            .arg(&program)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stream = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        // Keys at the top level of one record, in order.
+        let keys = |line: &str| -> Vec<String> {
+            let b = line.as_bytes();
+            let (mut keys, mut depth, mut i) = (Vec::new(), 0, 0);
+            while i < b.len() {
+                match b[i] {
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => depth -= 1,
+                    b'"' => {
+                        let start = i + 1;
+                        i = start;
+                        while b[i] != b'"' {
+                            i += if b[i] == b'\\' { 2 } else { 1 };
+                        }
+                        if depth == 1 && b.get(i + 1) == Some(&b':') {
+                            keys.push(line[start..i].to_string());
+                        }
+                    }
+                    _ => {}
+                }
+                i += 1;
+            }
+            keys
+        };
+        let mut emitted: Vec<(String, Vec<String>)> = Vec::new();
+        for line in stream.lines() {
+            let mut k = keys(line);
+            assert_eq!(k.remove(0), "type", "{line}");
+            let ty = line.split('"').nth(3).unwrap().to_string();
+            match emitted.iter().find(|(t, _)| *t == ty) {
+                Some((_, first)) => assert_eq!(&k, first, "{line}"),
+                None => emitted.push((ty, k)),
+            }
+        }
+        // First appearances come in emission order, the table's order.
+        assert_eq!(emitted, documented);
     }
 
     #[test]

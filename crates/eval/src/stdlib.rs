@@ -1096,6 +1096,25 @@ fn install_terralib(interp: &mut Interp) {
 // perf
 // ---------------------------------------------------------------------------
 
+/// The error `what` (a `perf` function that reads counters) raises while
+/// nothing is being counted.
+fn profiling(it: &Interp, what: &str) -> EvalResult<()> {
+    if it.ctx.exec.trace.enabled() {
+        return Ok(());
+    }
+    Err(LuaError::msg(format!(
+        "{what}: profiling not enabled (call perf.enable() or run with --profile)"
+    )))
+}
+
+/// A site's three fields, as `perf` rows spell them.
+fn set_site(row: &mut crate::value::Table, site: &terra_vm::trace::Site) {
+    let (func, line, chain) = site.fields();
+    row.set_str("func", LuaValue::str(func));
+    row.set_str("line", LuaValue::Number(line as f64));
+    row.set_str("provenance", LuaValue::str(chain));
+}
+
 /// Builds a Lua table view of a [`terra_vm::trace::Profile`]. Counts are
 /// exposed as Lua numbers (f64), which is exact up to 2^53 instructions.
 fn profile_to_table(profile: &terra_vm::trace::Profile) -> TableRef {
@@ -1224,12 +1243,7 @@ fn install_perf(interp: &mut Interp) {
         tb.set_str(
             "counters",
             native("perf.counters", |it, _args| {
-                if !it.ctx.exec.trace.enabled() {
-                    return Err(LuaError::msg(
-                        "perf.counters: profiling not enabled \
-                         (call perf.enable() or run with --profile)",
-                    ));
-                }
+                profiling(it, "perf.counters")?;
                 let profile = it.ctx.exec.profile();
                 Ok(vec![LuaValue::Table(profile_to_table(&profile))])
             }),
@@ -1237,12 +1251,7 @@ fn install_perf(interp: &mut Interp) {
         tb.set_str(
             "report",
             native("perf.report", |it, _args| {
-                if !it.ctx.exec.trace.enabled() {
-                    return Err(LuaError::msg(
-                        "perf.report: profiling not enabled \
-                         (call perf.enable() or run with --profile)",
-                    ));
-                }
+                profiling(it, "perf.report")?;
                 let profile = it.ctx.exec.profile();
                 Ok(vec![LuaValue::Str(Rc::from(
                     profile.render_counters().as_str(),
@@ -1252,12 +1261,7 @@ fn install_perf(interp: &mut Interp) {
         tb.set_str(
             "parallel",
             native("perf.parallel", |it, _args| {
-                if !it.ctx.exec.trace.enabled() {
-                    return Err(LuaError::msg(
-                        "perf.parallel: profiling not enabled \
-                         (call perf.enable() or run with --profile)",
-                    ));
-                }
+                profiling(it, "perf.parallel")?;
                 // One row per par.for site, array-indexed in first-execution
                 // order, carrying the derived imbalance/efficiency metrics so
                 // autotuners can rank chunkings without re-deriving them.
@@ -1270,9 +1274,7 @@ fn install_perf(interp: &mut Interp) {
                         let row = new_table();
                         {
                             let mut rb = row.borrow_mut();
-                            rb.set_str("func", LuaValue::str(s.function.as_str()));
-                            rb.set_str("line", n(s.line as u64));
-                            rb.set_str("provenance", LuaValue::str(s.provenance.as_str()));
+                            set_site(&mut rb, &s.site);
                             rb.set_str("kernel", LuaValue::str(s.kernel.as_str()));
                             rb.set_str("threads", n(s.threads));
                             rb.set_str("invocations", n(s.invocations));
@@ -1323,9 +1325,7 @@ fn install_perf(interp: &mut Interp) {
                             let mut rb = row.borrow_mut();
                             rb.set_str("pass", LuaValue::str(r.pass));
                             rb.set_str("kind", LuaValue::str(r.kind));
-                            rb.set_str("func", LuaValue::str(r.function.as_str()));
-                            rb.set_str("line", LuaValue::Number(r.line as f64));
-                            rb.set_str("provenance", LuaValue::str(r.provenance.as_str()));
+                            set_site(&mut rb, &r.site);
                             rb.set_str("message", LuaValue::str(r.message.as_str()));
                         }
                         ob.set(LuaValue::Number(i), LuaValue::Table(row));

@@ -81,15 +81,26 @@ pub fn ensure_signature(interp: &mut Interp, id: FuncId, span: Span) -> EvalResu
         ));
     }
     interp.ctx.funcs[id.0 as usize].checking = true;
-    let result = check_function(interp, id);
-    interp.ctx.funcs[id.0 as usize].checking = false;
-    let (ir, deps) = result.map_err(|e| e.traced(format!("terra function '{name}'")))?;
-    let sig = ir.ty.clone();
+    let result = ensure_ir(interp, id);
     let meta = &mut interp.ctx.funcs[id.0 as usize];
+    meta.checking = false;
+    result.map_err(|e| e.traced(format!("terra function '{name}'")))?;
+    let sig = meta.ir.as_ref().expect("just checked").ty.clone();
     meta.sig = Some(sig.clone());
-    meta.ir = Some(ir);
-    meta.deps = deps;
     Ok(sig)
+}
+
+/// Typechecks `id` unless its lowering is already cached, and caches it with
+/// its direct dependencies. What is cached is the *unoptimized* IR, so that
+/// functions compiled later can inline this one; everything downstream
+/// borrows it from the cache.
+fn ensure_ir(interp: &mut Interp, id: FuncId) -> EvalResult<()> {
+    if interp.ctx.funcs[id.0 as usize].ir.is_none() {
+        let (ir, deps) = check_function(interp, id)?;
+        let meta = &mut interp.ctx.funcs[id.0 as usize];
+        (meta.ir, meta.deps) = (Some(ir), deps);
+    }
+    Ok(())
 }
 
 /// The evaluator's view of the module for IR verification: function
@@ -141,28 +152,17 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     let sig = ensure_signature(interp, id, span)?;
     let _ = sig;
     let name = interp.ctx.funcs[id.0 as usize].name.clone();
-    if interp.ctx.funcs[id.0 as usize].ir.is_none() {
-        let (ir, deps) =
-            check_function(interp, id).map_err(|e| e.traced(format!("terra function '{name}'")))?;
-        // Cache the unoptimized lowering so functions compiled later can
-        // inline this one. Everything below borrows it from the cache; the
-        // one copy made is the one the optimizer rewrites.
-        let meta = &mut interp.ctx.funcs[id.0 as usize];
-        meta.ir = Some(ir);
-        meta.deps = deps;
-    }
+    // Everything below borrows the IR from the cache; the one copy made is
+    // the one the optimizer rewrites.
+    ensure_ir(interp, id).map_err(|e| e.traced(format!("terra function '{name}'")))?;
     let deps = interp.ctx.funcs[id.0 as usize].deps.clone();
     // Materialize dependency IR up front so the inliner can see callee
     // bodies. Errors are deliberately ignored here: the linking loop below
     // re-runs the check and reports them exactly as before.
     for dep in &deps {
         let dmeta = &interp.ctx.funcs[dep.0 as usize];
-        if *dep != id && dmeta.ir.is_none() && dmeta.spec.is_some() && !dmeta.checking {
-            if let Ok((dir, ddeps)) = check_function(interp, *dep) {
-                let dmeta = &mut interp.ctx.funcs[dep.0 as usize];
-                dmeta.ir = Some(dir);
-                dmeta.deps = ddeps;
-            }
+        if *dep != id && dmeta.spec.is_some() && !dmeta.checking {
+            let _ = ensure_ir(interp, *dep);
         }
     }
     let ir = interp.ctx.funcs[id.0 as usize]
@@ -254,9 +254,11 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
         interp.ctx.exec.trace.add_remark(terra_trace::Remark {
             pass: r.pass,
             kind: r.kind.label(),
-            function: r.function.to_string(),
-            line: r.line,
-            provenance: r.prov.as_ref().map(|p| p.describe()).unwrap_or_default(),
+            site: terra_trace::Site {
+                func: r.function,
+                line: r.line,
+                chain: r.prov.map(|p| p.describe().into()),
+            },
             message: r.message,
         });
     }
@@ -680,6 +682,39 @@ impl Checker<'_> {
         Ok(())
     }
 
+    /// A loop bound (or step) as a value of the loop variable's type.
+    fn bound(&mut self, e: &SpecExpr, var_ty: &Ty) -> EvalResult<IrExpr> {
+        let t = self.expr(e, Some(var_ty))?;
+        let t = self.convert(t, var_ty, e.span, Some(e))?;
+        self.read(t, e.span)
+    }
+
+    /// The variable type of a counted loop (`what` names it in the
+    /// diagnostic) and its two bounds: what `for` and `parallelfor` share.
+    fn loop_bounds(
+        &mut self,
+        what: &str,
+        ty: &Option<Ty>,
+        start: &SpecExpr,
+        stop: &SpecExpr,
+        span: Span,
+    ) -> EvalResult<(Ty, IrExpr, IrExpr)> {
+        let var_ty = match ty {
+            Some(t) => t.clone(),
+            // Loop variables default to `int` when the bound is a spliced
+            // Lua number.
+            None => Some(self.expr(start, None)?.ty)
+                .filter(Ty::is_integer)
+                .unwrap_or(Ty::INT),
+        };
+        if !var_ty.is_integer() {
+            let msg = format!("{what} variable must have integer type");
+            return Err(terr(msg, span));
+        }
+        let (start_e, stop_e) = (self.bound(start, &var_ty)?, self.bound(stop, &var_ty)?);
+        Ok((var_ty, start_e, stop_e))
+    }
+
     fn flush_prelude(&mut self, out: &mut Vec<IrStmt>) {
         out.append(&mut self.prelude);
     }
@@ -887,37 +922,11 @@ impl Checker<'_> {
                 body,
                 span,
             } => {
-                let var_ty = match ty {
-                    Some(t) => t.clone(),
-                    None => {
-                        let probe = self.expr(start, None)?;
-                        // Loop variables default to `int` when the bound is a
-                        // spliced Lua number.
-                        if probe.ty.is_integer() {
-                            probe.ty
-                        } else {
-                            Ty::INT
-                        }
-                    }
-                };
-                if !var_ty.is_integer() {
-                    return Err(terr("for-loop variable must have integer type", *span));
-                }
-                let start_t = self.expr(start, Some(&var_ty))?;
-                let start_e = {
-                    let t = self.convert(start_t, &var_ty, start.span, Some(start))?;
-                    self.read(t, start.span)?
-                };
-                let stop_t = self.expr(stop, Some(&var_ty))?;
-                let stop_e = {
-                    let t = self.convert(stop_t, &var_ty, stop.span, Some(stop))?;
-                    self.read(t, stop.span)?
-                };
+                let (var_ty, start_e, stop_e) =
+                    self.loop_bounds("for-loop", ty, start, stop, *span)?;
                 let step_e = match step {
                     Some(e) => {
-                        let t = self.expr(e, Some(&var_ty))?;
-                        let t = self.convert(t, &var_ty, e.span, Some(e))?;
-                        let mut ir = self.read(t, e.span)?;
+                        let mut ir = self.bound(e, &var_ty)?;
                         // Terra loops ascend; catch constant non-positive
                         // steps at compile time (fold first so `-2` is seen
                         // as a constant).
@@ -961,30 +970,8 @@ impl Checker<'_> {
                 body,
                 span,
             } => {
-                let var_ty = match ty {
-                    Some(t) => t.clone(),
-                    None => {
-                        let probe = self.expr(start, None)?;
-                        if probe.ty.is_integer() {
-                            probe.ty
-                        } else {
-                            Ty::INT
-                        }
-                    }
-                };
-                if !var_ty.is_integer() {
-                    return Err(terr("parallelfor variable must have integer type", *span));
-                }
-                let start_t = self.expr(start, Some(&var_ty))?;
-                let start_e = {
-                    let t = self.convert(start_t, &var_ty, start.span, Some(start))?;
-                    self.read(t, start.span)?
-                };
-                let stop_t = self.expr(stop, Some(&var_ty))?;
-                let stop_e = {
-                    let t = self.convert(stop_t, &var_ty, stop.span, Some(stop))?;
-                    self.read(t, stop.span)?
-                };
+                let (var_ty, start_e, stop_e) =
+                    self.loop_bounds("parallelfor", ty, start, stop, *span)?;
                 self.flush_prelude(out);
                 // The loop body is outlined into a *kernel function* whose
                 // param 0 is the index; everything below `base` stays in the

@@ -145,15 +145,15 @@ fn access_strategy() -> impl Strategy<Value = Access> {
 }
 
 /// Runs the kernel; returns the checksum read back from VM heap memory on
-/// success or the trap message on failure.
+/// success or, on failure, what the trap was (configurations are compared).
 fn run_at(level: OptLevel, elide: bool, src: &str, n: i32) -> Result<u64, String> {
     let mut t = Interp::new();
     t.opt = level;
     t.elide_checks = elide;
-    t.exec(src).map_err(|e| e.to_string())?;
+    t.exec(src).map_err(common::trap_kind)?;
     let out = t
         .exec(&format!("return prog({n})"))
-        .map_err(|e| e.to_string())?;
+        .map_err(common::trap_kind)?;
     let LuaValue::Number(addr) = out[0] else {
         panic!("prog must return a pointer, got {out:?}");
     };

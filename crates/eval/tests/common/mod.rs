@@ -485,6 +485,18 @@ impl RecConfig {
     }
 }
 
+/// What went wrong without where: a rendered trap up to its site. This is
+/// the part that is comparable *across* configurations — the inliner moves
+/// a faulting instruction into its caller, so the site's function and chain
+/// depend on `-O`; runs of one configuration compare the full text.
+pub fn trap_kind(e: impl ToString) -> String {
+    let rendered = e.to_string();
+    match rendered.split_once(" (in terra function '") {
+        Some((kind, _site)) => kind.to_string(),
+        None => rendered,
+    }
+}
+
 /// Runs `return nest(n)` after the definitions in `src` under `cfg`: the
 /// result's bits, or the rendered trap.
 pub fn run_nest(src: &str, n: i64, cfg: &RecConfig) -> Result<u64, String> {

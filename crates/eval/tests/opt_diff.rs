@@ -15,7 +15,7 @@ use common::{
 };
 
 /// Runs the program at the given level; returns the buffer contents on
-/// success or the trap message on failure.
+/// success or, on failure, what the trap was (levels are compared).
 fn run_at(
     level: OptLevel,
     src: &str,
@@ -24,9 +24,9 @@ fn run_at(
 ) -> Result<Vec<f64>, String> {
     let mut t = Interp::new();
     t.opt = level;
-    t.exec(src).map_err(|e| e.to_string())?;
+    t.exec(src).map_err(common::trap_kind)?;
     let call = format!("return prog({}, {}, {})", args.0, args.1, args.2);
-    let out = t.exec(&call).map_err(|e| e.to_string())?;
+    let out = t.exec(&call).map_err(common::trap_kind)?;
     let LuaValue::Number(addr) = out[0] else {
         panic!("prog must return a pointer, got {out:?}");
     };
@@ -235,7 +235,7 @@ fn affine_nests_are_not_vacuous() {
                     .trace
                     .remarks()
                     .iter()
-                    .any(|r| r.pass == "affine" && r.function == "nest")
+                    .any(|r| r.pass == "affine" && &*r.site.func == "nest")
             };
             assert!(split(&t), "type {ty} shape {shape}\n{src}");
         }

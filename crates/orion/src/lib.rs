@@ -550,7 +550,7 @@ fn emit_loop(
     let pad = "  ".repeat(indent);
     let _ = writeln!(out, "{pad}for y = 0, {h} do");
     let _ = writeln!(out, "{pad}  var inrow = (y + {p}) * {s} + {p}");
-    emit_x_loop(out, dst, "inrow", w, vec, body, indent + 1);
+    emit_x_loop_range(out, dst, "inrow", 0, w as i32, vec, body, indent + 1);
     let _ = writeln!(out, "{pad}end");
 }
 
@@ -575,29 +575,6 @@ fn emit_x_loop_range(
         let _ = writeln!(out, "{pad}end");
     } else {
         let _ = writeln!(out, "{pad}for x = {lo}, {hi} do");
-        let _ = writeln!(out, "{pad}  {dst}[{dst_base} + x] = {body}");
-        let _ = writeln!(out, "{pad}end");
-    }
-}
-
-/// Emits the x loop (scalar or vector) storing `body` into
-/// `dst[dst_base + x]`.
-fn emit_x_loop(
-    out: &mut String,
-    dst: &str,
-    dst_base: &str,
-    w: usize,
-    vec: bool,
-    body: &str,
-    indent: usize,
-) {
-    let pad = "  ".repeat(indent);
-    if vec {
-        let _ = writeln!(out, "{pad}for x = 0, {w}, {VW} do");
-        let _ = writeln!(out, "{pad}  @pv8(&{dst}[{dst_base} + x]) = {body}");
-        let _ = writeln!(out, "{pad}end");
-    } else {
-        let _ = writeln!(out, "{pad}for x = 0, {w} do");
         let _ = writeln!(out, "{pad}  {dst}[{dst_base} + x] = {body}");
         let _ = writeln!(out, "{pad}end");
     }

@@ -630,27 +630,7 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<LuaExpr> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            let (op, lprec, rprec) = match self.peek() {
-                Tok::Or => (BinOp::Or, 1, 2),
-                Tok::And => (BinOp::And, 3, 4),
-                Tok::Lt => (BinOp::Lt, 5, 6),
-                Tok::Gt => (BinOp::Gt, 5, 6),
-                Tok::Le => (BinOp::Le, 5, 6),
-                Tok::Ge => (BinOp::Ge, 5, 6),
-                Tok::Ne => (BinOp::Ne, 5, 6),
-                Tok::Eq => (BinOp::Eq, 5, 6),
-                Tok::Shl => (BinOp::Shl, 7, 8),
-                Tok::Shr => (BinOp::Shr, 7, 8),
-                Tok::DotDot => (BinOp::Concat, 10, 9), // right associative
-                Tok::Plus => (BinOp::Add, 11, 12),
-                Tok::Minus => (BinOp::Sub, 11, 12),
-                Tok::Star => (BinOp::Mul, 13, 14),
-                Tok::Slash => (BinOp::Div, 13, 14),
-                Tok::Percent => (BinOp::Mod, 13, 14),
-                Tok::Caret => (BinOp::Pow, 18, 17), // right assoc, above unary
-                _ => break,
-            };
+        while let Some((op, lprec, rprec)) = binary_op(self.peek()) {
             if lprec < min_prec {
                 break;
             }
@@ -669,42 +649,17 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<LuaExpr> {
         let span = self.span();
-        match self.peek() {
-            Tok::Not => {
-                self.bump();
-                let e = self.binary_expr(15)?;
-                Ok(LuaExpr::UnOp {
-                    op: UnOp::Not,
-                    expr: Box::new(e),
-                    span,
-                })
-            }
-            Tok::Minus => {
-                self.bump();
-                let e = self.binary_expr(15)?;
-                Ok(LuaExpr::UnOp {
-                    op: UnOp::Neg,
-                    expr: Box::new(e),
-                    span,
-                })
-            }
-            Tok::Hash => {
-                self.bump();
-                let e = self.binary_expr(15)?;
-                Ok(LuaExpr::UnOp {
-                    op: UnOp::Len,
-                    expr: Box::new(e),
-                    span,
-                })
-            }
-            Tok::Amp => {
-                // Terra type operator: pointer type.
-                self.bump();
-                let e = self.binary_expr(15)?;
-                Ok(LuaExpr::PtrType(Box::new(e), span))
-            }
-            _ => self.suffixed_expr(),
+        let op = unary_op(self.peek());
+        if op.is_none() && self.peek() != &Tok::Amp {
+            return self.suffixed_expr();
         }
+        self.bump();
+        let expr = Box::new(self.binary_expr(15)?);
+        Ok(match op {
+            Some(op) => LuaExpr::UnOp { op, expr, span },
+            // Terra type operator: pointer type.
+            None => LuaExpr::PtrType(expr, span),
+        })
     }
 
     fn suffixed_expr(&mut self) -> Result<LuaExpr> {
@@ -1340,27 +1295,9 @@ impl Parser {
 
     fn terra_binary_expr(&mut self, min_prec: u8) -> Result<TerraExpr> {
         let mut lhs = self.terra_unary_expr()?;
-        loop {
-            let (op, lprec, rprec) = match self.peek() {
-                Tok::Or => (BinOp::Or, 1, 2),
-                Tok::And => (BinOp::And, 3, 4),
-                Tok::Lt => (BinOp::Lt, 5, 6),
-                Tok::Gt => (BinOp::Gt, 5, 6),
-                Tok::Le => (BinOp::Le, 5, 6),
-                Tok::Ge => (BinOp::Ge, 5, 6),
-                Tok::Ne => (BinOp::Ne, 5, 6),
-                Tok::Eq => (BinOp::Eq, 5, 6),
-                Tok::Shl => (BinOp::Shl, 7, 8),
-                Tok::Shr => (BinOp::Shr, 7, 8),
-                Tok::Plus => (BinOp::Add, 11, 12),
-                Tok::Minus => (BinOp::Sub, 11, 12),
-                Tok::Star => (BinOp::Mul, 13, 14),
-                Tok::Slash => (BinOp::Div, 13, 14),
-                Tok::Percent => (BinOp::Mod, 13, 14),
-                Tok::Caret => (BinOp::Pow, 18, 17),
-                _ => break,
-            };
-            if lprec < min_prec {
+        while let Some((op, lprec, rprec)) = binary_op(self.peek()) {
+            // Terra has no `..`.
+            if lprec < min_prec || op == BinOp::Concat {
                 break;
             }
             let span = self.span();
@@ -1378,37 +1315,19 @@ impl Parser {
 
     fn terra_unary_expr(&mut self) -> Result<TerraExpr> {
         let span = self.span();
-        match self.peek() {
-            Tok::Not => {
-                self.bump();
-                let e = self.terra_binary_expr(15)?;
-                Ok(TerraExpr::UnOp {
-                    op: UnOp::Not,
-                    expr: Box::new(e),
-                    span,
-                })
-            }
-            Tok::Minus => {
-                self.bump();
-                let e = self.terra_binary_expr(15)?;
-                Ok(TerraExpr::UnOp {
-                    op: UnOp::Neg,
-                    expr: Box::new(e),
-                    span,
-                })
-            }
-            Tok::At => {
-                self.bump();
-                let e = self.terra_binary_expr(15)?;
-                Ok(TerraExpr::Deref(Box::new(e), span))
-            }
-            Tok::Amp => {
-                self.bump();
-                let e = self.terra_binary_expr(15)?;
-                Ok(TerraExpr::AddrOf(Box::new(e), span))
-            }
-            _ => self.terra_suffixed_expr(),
+        let prefix = self.peek().clone();
+        // Terra has `@` and `&` where Lua has `#`.
+        let op = unary_op(&prefix).filter(|op| *op != UnOp::Len);
+        if op.is_none() && !matches!(prefix, Tok::At | Tok::Amp) {
+            return self.terra_suffixed_expr();
         }
+        self.bump();
+        let expr = Box::new(self.terra_binary_expr(15)?);
+        Ok(match (op, prefix) {
+            (Some(op), _) => TerraExpr::UnOp { op, expr, span },
+            (None, Tok::At) => TerraExpr::Deref(expr, span),
+            (None, _) => TerraExpr::AddrOf(expr, span),
+        })
     }
 
     fn terra_suffixed_expr(&mut self) -> Result<TerraExpr> {
@@ -1589,6 +1508,42 @@ impl Parser {
             }
             other => Err(self.err(format!("unexpected {other} in Terra expression"))),
         }
+    }
+}
+
+/// The binary operator `tok` spells, with its left and right binding powers
+/// (right-associative operators bind tighter on the left). One table for
+/// both languages: they share every operator but `..`.
+fn binary_op(tok: &Tok) -> Option<(BinOp, u8, u8)> {
+    Some(match tok {
+        Tok::Or => (BinOp::Or, 1, 2),
+        Tok::And => (BinOp::And, 3, 4),
+        Tok::Lt => (BinOp::Lt, 5, 6),
+        Tok::Gt => (BinOp::Gt, 5, 6),
+        Tok::Le => (BinOp::Le, 5, 6),
+        Tok::Ge => (BinOp::Ge, 5, 6),
+        Tok::Ne => (BinOp::Ne, 5, 6),
+        Tok::Eq => (BinOp::Eq, 5, 6),
+        Tok::Shl => (BinOp::Shl, 7, 8),
+        Tok::Shr => (BinOp::Shr, 7, 8),
+        Tok::DotDot => (BinOp::Concat, 10, 9), // right associative
+        Tok::Plus => (BinOp::Add, 11, 12),
+        Tok::Minus => (BinOp::Sub, 11, 12),
+        Tok::Star => (BinOp::Mul, 13, 14),
+        Tok::Slash => (BinOp::Div, 13, 14),
+        Tok::Percent => (BinOp::Mod, 13, 14),
+        Tok::Caret => (BinOp::Pow, 18, 17), // right assoc, above unary
+        _ => return None,
+    })
+}
+
+/// The prefix operator `tok` spells, in either language.
+fn unary_op(tok: &Tok) -> Option<UnOp> {
+    match tok {
+        Tok::Not => Some(UnOp::Not),
+        Tok::Minus => Some(UnOp::Neg),
+        Tok::Hash => Some(UnOp::Len),
+        _ => None,
     }
 }
 

@@ -52,7 +52,7 @@ impl Profile {
         // span of the pass that emitted them, so they line up with the work
         // they explain in the timeline view.
         for r in &self.remarks {
-            let span_name = format!("{}:{}", r.function, r.pass);
+            let span_name = format!("{}:{}", r.site.func, r.pass);
             let mut spans = self.events.iter();
             let span = spans.find(|e| e.stage == Stage::Optimize && e.name == span_name);
             events.element(|ev| {
@@ -280,9 +280,7 @@ mod tests {
         };
         let mut stats = crate::ParallelStats::default();
         stats.record(
-            "run",
-            4,
-            "",
+            crate::Site::new("run", 4, None),
             "run$par0",
             2,
             8,
@@ -341,9 +339,7 @@ mod tests {
         crate::Remark {
             pass,
             kind: "applied",
-            function: "gemm".into(),
-            line: 7,
-            provenance: "via quote at line 41".into(),
+            site: crate::Site::new("gemm", 7, Some("via quote at line 41")),
             message: msg.into(),
         }
     }

@@ -7,43 +7,35 @@
 //! deliberately omitted (spans appear as order-only records). Two runs of
 //! the same program therefore produce byte-identical files.
 //!
-//! Record types, in emission order (`"type"` field):
-//!
-//! | type            | fields |
-//! |-----------------|--------|
-//! | `meta`          | `version`, `total_instructions`, `sample_interval` |
-//! | `span`          | `seq`, `stage`, `name` |
-//! | `op`            | `name`, `count` |
-//! | `func`          | `name`, `calls`, `inclusive`, `exclusive` |
-//! | `mem`           | `mallocs`, `frees`, `peak_live_bytes`, `loads`, `stores`, `vec_loads`, `vec_stores`, `prefetches` |
-//! | `cache`         | `level` (`"l1"`/`"l2"`), `hits`, `misses`, `evictions` (only when the simulator saw traffic) |
-//! | `cache_line`    | `func`, `line`, `accesses`, `l1_misses`, `l2_misses` |
-//! | `remark`        | `pass`, `kind`, `function`, `line`, `provenance`, `message` |
-//! | `heap_site`     | `func`, `line`, `provenance`, `count`, `bytes`, `peak_bytes`, `live_count`, `live_bytes` |
-//! | `heap_timeline` | `seq`, `live_bytes` |
-//! | `leak`          | `func`, `line`, `provenance`, `count`, `bytes` |
-//! | `sample`        | `stack` (`"outer;inner"`), `count` |
-//! | `par_site`      | `site`, `function`, `line`, `provenance`, `kernel`, `threads`, `invocations`, `chunks`, `iterations`, `instructions`, `min`, `median`, `max`, `imbalance`, `efficiency`, `critical_chunk` |
-//! | `par_chunk`     | `site`, `chunk`, `start`, `end`, `worker`, `instructions`, `loads`, `stores`, `l1_misses`, `l2_misses` |
-//! | `par_worker`    | `site`, `worker`, `chunks`, `instructions` |
-//!
-//! The `par_*` records preserve the per-chunk `parallelfor` shards (see
-//! `ParallelStats`): `site` is the index of the owning `par_site` record,
-//! floats (`imbalance`, `efficiency`) are formatted with four fixed
-//! decimals, and — like every other record — no wall-clock field appears,
-//! so the stream stays byte-stable across runs at a fixed thread count.
+//! The record table — each type and its fields, in emission order — is
+//! DESIGN.md §6c's; `core/tests/profile.rs` holds that table to what this
+//! file emits. A located record writes its [`Site`] through
+//! [`site_fields`]: the function under the key that record type has always
+//! used (`func` or `function`), then `line` and `provenance`.
 
 use crate::json::Json;
-use crate::{FuncCounters, MemStats, Profile, Remark};
+use crate::{FuncCounters, MemStats, Profile, Remark, Site};
+
+/// A site's three fields, the function under `func_key`.
+pub(crate) fn site_fields<'a, 'j>(
+    o: &'a mut Json<'j>,
+    func_key: &str,
+    site: &Site,
+) -> &'a mut Json<'j> {
+    let (func, line, chain) = site.fields();
+    o.str(func_key, func)
+        .raw("line", line)
+        .str("provenance", chain)
+}
 
 /// The six fields of a remark, as every export spells them.
 pub(crate) fn remark_fields(o: &mut Json, r: &Remark) {
-    o.str("pass", r.pass)
-        .str("kind", r.kind)
-        .str("function", &r.function)
-        .raw("line", r.line)
-        .str("provenance", &r.provenance)
-        .str("message", &r.message);
+    site_fields(
+        o.str("pass", r.pass).str("kind", r.kind),
+        "function",
+        &r.site,
+    )
+    .str("message", &r.message);
 }
 
 /// A function's call and instruction counters.
@@ -113,8 +105,8 @@ impl Profile {
         }
         for l in &self.cache_lines {
             record("cache_line", &|o| {
-                o.str("func", &l.func)
-                    .raw("line", l.line)
+                o.str("func", &l.site.func)
+                    .raw("line", l.site.line)
                     .raw("accesses", l.accesses)
                     .raw("l1_misses", l.l1_misses)
                     .raw("l2_misses", l.l2_misses);
@@ -125,9 +117,7 @@ impl Profile {
         }
         for s in &self.heap.sites {
             record("heap_site", &|o| {
-                o.str("func", &s.func)
-                    .raw("line", s.line)
-                    .str("provenance", &s.provenance)
+                site_fields(o, "func", &s.site)
                     .raw("count", s.count)
                     .raw("bytes", s.bytes)
                     .raw("peak_bytes", s.peak_bytes)
@@ -142,9 +132,7 @@ impl Profile {
         }
         for s in self.heap.leaks() {
             record("leak", &|o| {
-                o.str("func", &s.func)
-                    .raw("line", s.line)
-                    .str("provenance", &s.provenance)
+                site_fields(o, "func", &s.site)
                     .raw("count", s.live_count)
                     .raw("bytes", s.live_bytes);
             });
@@ -157,10 +145,7 @@ impl Profile {
         for (si, s) in self.parallel.sites.iter().enumerate() {
             let (min, median, max) = s.chunk_instruction_spread();
             record("par_site", &|o| {
-                o.raw("site", si)
-                    .str("function", &s.function)
-                    .raw("line", s.line)
-                    .str("provenance", &s.provenance)
+                site_fields(o.raw("site", si), "function", &s.site)
                     .str("kernel", &s.kernel)
                     .raw("threads", s.threads)
                     .raw("invocations", s.invocations)
@@ -212,6 +197,10 @@ mod tests {
         SampleStats, SpanEvent, Stage,
     };
 
+    fn staged() -> Site {
+        Site::new("f", 4, Some("via quote at line 9"))
+    }
+
     fn sample_profile() -> Profile {
         Profile {
             events: vec![SpanEvent {
@@ -232,16 +221,12 @@ mod tests {
             remarks: vec![Remark {
                 pass: "inline",
                 kind: "applied",
-                function: "f".to_string(),
-                line: 4,
-                provenance: "via quote at line 9".to_string(),
+                site: staged(),
                 message: "inlined 'g'".to_string(),
             }],
             heap: HeapStats {
                 sites: vec![HeapSiteStats {
-                    func: "f".to_string(),
-                    line: 4,
-                    provenance: "via quote at line 9".to_string(),
+                    site: staged(),
                     count: 2,
                     bytes: 128,
                     peak_bytes: 128,
@@ -263,9 +248,7 @@ mod tests {
             parallel: {
                 let mut stats = crate::ParallelStats::default();
                 stats.record(
-                    "f",
-                    4,
-                    "via quote at line 9",
+                    staged(),
                     "f$par0",
                     2,
                     8,

@@ -1,32 +1,18 @@
 //! Allocation-site heap profiling.
 //!
 //! [`HeapProfiler`] is the live collector embedded in the VM's `Memory`.
-//! The VM points it at the current allocation site — the same
-//! `(function, line, provenance-chain)` triple the trap path uses — right
-//! before a `malloc`/`realloc` builtin executes, so every allocation is
-//! attributed to the staged source that asked for it. Host-side allocations
-//! (string interning, globals, embedder calls) carry no site and are folded
-//! into a synthetic `(host)` row.
+//! The VM points it at the current allocation [`Site`] right before a
+//! `malloc`/`realloc` builtin executes, so every allocation is attributed
+//! to the staged source that asked for it. Host-side allocations (string
+//! interning, globals, embedder calls) are folded into the
+//! [`Site::host`] row.
 //!
 //! Everything here counts allocation events and bytes, never wall clock, so
 //! the frozen [`HeapStats`] is part of the deterministic surface: two runs
 //! of the same program produce byte-identical heap reports.
 
+use crate::Site;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Interning key for an allocation site.
-type SiteKey = (Arc<str>, u32, Option<Arc<str>>);
-
-/// Per-site accumulators while the program runs.
-#[derive(Debug, Default, Clone)]
-struct SiteRecord {
-    count: u64,
-    bytes: u64,
-    live_count: u64,
-    live_bytes: u64,
-    peak_bytes: u64,
-}
 
 /// One live allocation, keyed by payload address in [`HeapProfiler::live`].
 #[derive(Debug, Clone, Copy)]
@@ -52,9 +38,9 @@ const TIMELINE_CAP: usize = 512;
 /// Live allocation-site collector. See the module docs.
 #[derive(Debug, Default)]
 pub struct HeapProfiler {
-    site_ids: BTreeMap<SiteKey, usize>,
-    keys: Vec<SiteKey>,
-    sites: Vec<SiteRecord>,
+    site_ids: BTreeMap<Site, usize>,
+    /// The rows of the report, accumulating as the program runs.
+    sites: Vec<HeapSiteStats>,
     live: BTreeMap<u64, LiveAlloc>,
     current: Option<usize>,
     live_bytes: u64,
@@ -72,10 +58,8 @@ impl HeapProfiler {
     /// Sets the site the *next* allocation(s) will be attributed to. The VM
     /// calls this when the instruction about to execute is a
     /// `malloc`/`realloc` builtin call.
-    pub fn set_site(&mut self, func: &Arc<str>, line: u32, prov: Option<Arc<str>>) {
-        let key = (Arc::clone(func), line, prov);
-        let id = self.intern(key);
-        self.current = Some(id);
+    pub fn set_site(&mut self, site: Site) {
+        self.current = Some(self.intern(site));
     }
 
     /// Clears the current site; subsequent allocations are host-side.
@@ -83,19 +67,22 @@ impl HeapProfiler {
         self.current = None;
     }
 
-    fn intern(&mut self, key: SiteKey) -> usize {
-        if let Some(&id) = self.site_ids.get(&key) {
+    fn intern(&mut self, site: Site) -> usize {
+        if let Some(&id) = self.site_ids.get(&site) {
             return id;
         }
         let id = self.sites.len();
-        self.site_ids.insert(key.clone(), id);
-        self.keys.push(key);
-        self.sites.push(SiteRecord::default());
+        self.site_ids.insert(site.clone(), id);
+        let zero = HeapSiteStats {
+            site,
+            count: 0,
+            bytes: 0,
+            peak_bytes: 0,
+            live_count: 0,
+            live_bytes: 0,
+        };
+        self.sites.push(zero);
         id
-    }
-
-    fn host_site(&mut self) -> usize {
-        self.intern((Arc::from("(host)"), 0, None))
     }
 
     /// Records an allocation of `bytes` (the block size, matching the VM's
@@ -103,7 +90,7 @@ impl HeapProfiler {
     pub fn note_alloc(&mut self, addr: u64, bytes: u64) {
         let site = match self.current {
             Some(id) => id,
-            None => self.host_site(),
+            None => self.intern(Site::host()),
         };
         self.seq += 1;
         let rec = &mut self.sites[site];
@@ -158,26 +145,12 @@ impl HeapProfiler {
     /// (descending), then function name and line, for a deterministic
     /// report.
     pub fn snapshot(&self) -> HeapStats {
-        let mut sites: Vec<HeapSiteStats> = self
-            .keys
-            .iter()
-            .zip(self.sites.iter())
-            .map(|((func, line, prov), rec)| HeapSiteStats {
-                func: func.to_string(),
-                line: *line,
-                provenance: prov.as_deref().unwrap_or("").to_string(),
-                count: rec.count,
-                bytes: rec.bytes,
-                peak_bytes: rec.peak_bytes,
-                live_count: rec.live_count,
-                live_bytes: rec.live_bytes,
-            })
-            .collect();
+        let mut sites = self.sites.clone();
         sites.sort_by(|a, b| {
             b.bytes
                 .cmp(&a.bytes)
-                .then_with(|| a.func.cmp(&b.func))
-                .then_with(|| a.line.cmp(&b.line))
+                .then_with(|| a.site.func.cmp(&b.site.func))
+                .then_with(|| a.site.line.cmp(&b.site.line))
         });
         HeapStats {
             sites,
@@ -191,14 +164,9 @@ impl HeapProfiler {
 /// A frozen per-site row of the heap profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapSiteStats {
-    /// Terra function the allocation executed in (`"(host)"` for embedder /
-    /// interning allocations with no VM context).
-    pub func: String,
-    /// 1-based source line of the allocating statement (0 = unknown).
-    pub line: u32,
-    /// Rendered staging chain (`"via quote at line 9"`), empty when the
-    /// allocation site was written in place.
-    pub provenance: String,
+    /// The allocating statement ([`Site::host`] for embedder / interning
+    /// allocations with no VM context).
+    pub site: Site,
     /// Allocations attributed to this site.
     pub count: u64,
     /// Total bytes ever allocated here.
@@ -209,22 +177,6 @@ pub struct HeapSiteStats {
     pub live_count: u64,
     /// Bytes from this site still live at snapshot time.
     pub live_bytes: u64,
-}
-
-impl HeapSiteStats {
-    /// Renders the site as `func:line [provenance]` — the form the leak
-    /// report and hot-site table use.
-    pub fn location(&self) -> String {
-        let mut s = if self.line == 0 {
-            self.func.clone()
-        } else {
-            format!("{}:{}", self.func, self.line)
-        };
-        if !self.provenance.is_empty() {
-            s.push_str(&format!(", generated {}", self.provenance));
-        }
-        s
-    }
 }
 
 /// A frozen snapshot of the heap profiler, embedded in a `Profile`.
@@ -264,8 +216,7 @@ mod tests {
     use super::*;
 
     fn site(h: &mut HeapProfiler, func: &str, line: u32, prov: Option<&str>) {
-        let f: Arc<str> = Arc::from(func);
-        h.set_site(&f, line, prov.map(Arc::from));
+        h.set_site(Site::new(func, line, prov));
     }
 
     #[test]
@@ -285,10 +236,13 @@ mod tests {
         assert_eq!(s.live_bytes, 192);
         assert_eq!(s.leaked_allocs(), 2);
         assert_eq!(s.leaked_bytes(), 192);
-        let quoted = s.sites.iter().find(|x| x.line == 7).unwrap();
+        let quoted = s.sites.iter().find(|x| x.site.line == 7).unwrap();
         assert_eq!(quoted.count, 2);
         assert_eq!(quoted.live_count, 1);
-        assert_eq!(quoted.location(), "kernel:7, generated via quote at line 3");
+        assert_eq!(
+            quoted.site.to_string(),
+            "kernel:7, generated via quote at line 3"
+        );
     }
 
     #[test]
@@ -297,9 +251,7 @@ mod tests {
         h.note_alloc(500, 32);
         let s = h.snapshot();
         assert_eq!(s.sites.len(), 1);
-        assert_eq!(s.sites[0].func, "(host)");
-        assert_eq!(s.sites[0].line, 0);
-        assert_eq!(s.sites[0].location(), "(host)");
+        assert_eq!(s.sites[0].site, Site::host());
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod record;
 pub mod replay;
 mod report;
 mod sample;
+mod site;
 
 pub use heap::{HeapProfiler, HeapSiteStats, HeapStats, HeapTimelinePoint};
 pub use parallel::{ParChunkStats, ParSiteStats, ParWorkerLoad, ParallelStats};
@@ -46,6 +47,7 @@ pub use record::{
 };
 pub use replay::{DiffReport, DivergentSide, ReplaySummary};
 pub use sample::{SampleFuncRank, SampleStats, Sampler};
+pub use site::Site;
 
 use std::time::Instant;
 
@@ -97,13 +99,8 @@ pub struct Remark {
     pub pass: &'static str,
     /// `"applied"` or `"missed"`.
     pub kind: &'static str,
-    /// Terra function the remark concerns.
-    pub function: String,
-    /// 1-based source line of the affected statement (0 = whole function).
-    pub line: u32,
-    /// Rendered staging chain (`"via quote at line 41, inlined at line 30"`),
-    /// empty when the code was written in place.
-    pub provenance: String,
+    /// The affected statement (line 0 = the whole function).
+    pub site: Site,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -510,10 +507,9 @@ impl CacheStats {
 /// Cache behaviour attributed to one Terra source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineStat {
-    /// Terra function the accesses executed in.
-    pub func: String,
-    /// 1-based source line (0 when the line is unknown).
-    pub line: u32,
+    /// The line (no chain: a line's accesses are summed over every splice
+    /// that put code on it).
+    pub site: Site,
     /// Demand accesses issued from this line.
     pub accesses: u64,
     /// L1 misses among them.

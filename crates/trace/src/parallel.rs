@@ -34,6 +34,7 @@
 //!   retired *outside* this parallel region (an Amdahl-style ceiling on
 //!   further speedup from this loop alone).
 
+use crate::Site;
 use std::collections::BTreeMap;
 
 /// Frozen counters for one chunk of one `parallelfor` site.
@@ -82,18 +83,12 @@ pub struct ParWorkerLoad {
     pub instructions: u64,
 }
 
-/// Per-chunk telemetry for one `par.for` site, identified the same way
-/// traps and heap sites are: enclosing function + source line + staging
-/// provenance chain, plus the outlined kernel's name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Per-chunk telemetry for one `par.for` site, identified by the
+/// statement's [`Site`] plus the outlined kernel's name.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParSiteStats {
-    /// Terra function containing the `parallelfor` statement.
-    pub function: String,
-    /// 1-based source line of the statement (0 = unknown/host-driven).
-    pub line: u32,
-    /// Rendered staging chain (`"via quote at line 9"`), empty when the
-    /// loop was written in place.
-    pub provenance: String,
+    /// The `parallelfor` statement ([`Site::host`] when host-driven).
+    pub site: Site,
     /// Name of the outlined kernel function (`parent$parN`).
     pub kernel: String,
     /// Worker threads the most recent execution actually used
@@ -110,21 +105,6 @@ pub struct ParSiteStats {
 }
 
 impl ParSiteStats {
-    /// `function:line` plus the staging chain, matching the heap/trap
-    /// location format (`run:15, generated via quote at line 36`).
-    pub fn location(&self) -> String {
-        let base = if self.line == 0 {
-            self.function.clone()
-        } else {
-            format!("{}:{}", self.function, self.line)
-        };
-        if self.provenance.is_empty() {
-            base
-        } else {
-            format!("{base}, generated {}", self.provenance)
-        }
-    }
-
     /// Total instructions retired inside the parallel region.
     pub fn total_instructions(&self) -> u64 {
         self.chunks.iter().map(|c| c.instructions).sum()
@@ -229,7 +209,7 @@ impl ParSiteStats {
 /// times excepted, see [`ParChunkStats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// One entry per distinct `(function, line, provenance, kernel)` site.
+    /// One entry per distinct `(site, kernel)`.
     pub sites: Vec<ParSiteStats>,
 }
 
@@ -248,44 +228,39 @@ impl ParallelStats {
     /// with the same identity: per-chunk counters accumulate by chunk
     /// index, iteration ranges / worker assignment / thread count are
     /// overwritten with this execution's values.
-    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
-        function: &str,
-        line: u32,
-        provenance: &str,
+        site: Site,
         kernel: &str,
         threads: u64,
         iterations: u64,
         chunks: Vec<ParChunkStats>,
     ) {
-        let site = match self.sites.iter_mut().find(|s| {
-            s.function == function
-                && s.line == line
-                && s.provenance == provenance
-                && s.kernel == kernel
-        }) {
-            Some(s) => s,
-            None => {
-                self.sites.push(ParSiteStats {
-                    function: function.to_string(),
-                    line,
-                    provenance: provenance.to_string(),
-                    kernel: kernel.to_string(),
-                    ..ParSiteStats::default()
-                });
-                self.sites.last_mut().expect("just pushed")
-            }
-        };
-        site.threads = threads;
-        site.invocations += 1;
-        site.iterations += iterations;
+        let known = self
+            .sites
+            .iter()
+            .position(|s| s.site == site && s.kernel == kernel);
+        let at = known.unwrap_or_else(|| {
+            self.sites.push(ParSiteStats {
+                site,
+                kernel: kernel.to_string(),
+                threads: 0,
+                invocations: 0,
+                iterations: 0,
+                chunks: Vec::new(),
+            });
+            self.sites.len() - 1
+        });
+        let stats = &mut self.sites[at];
+        stats.threads = threads;
+        stats.invocations += 1;
+        stats.iterations += iterations;
         for c in chunks {
             let i = c.chunk as usize;
-            if i >= site.chunks.len() {
-                site.chunks.resize_with(i + 1, ParChunkStats::default);
+            if i >= stats.chunks.len() {
+                stats.chunks.resize_with(i + 1, ParChunkStats::default);
             }
-            let slot = &mut site.chunks[i];
+            let slot = &mut stats.chunks[i];
             slot.chunk = c.chunk;
             slot.start = c.start;
             slot.end = c.end;
@@ -329,15 +304,8 @@ mod tests {
     fn site(chunks: Vec<ParChunkStats>, threads: u64) -> ParSiteStats {
         let mut p = ParallelStats::default();
         let n = chunks.iter().map(|c| (c.end - c.start) as u64).sum();
-        p.record(
-            "run",
-            4,
-            "via quote at line 9",
-            "run$par0",
-            threads,
-            n,
-            chunks,
-        );
+        let at = Site::new("run", 4, Some("via quote at line 9"));
+        p.record(at, "run$par0", threads, n, chunks);
         p.sites.into_iter().next().unwrap()
     }
 
@@ -408,7 +376,7 @@ mod tests {
 
     #[test]
     fn empty_site_degenerates_to_neutral_metrics() {
-        let s = ParSiteStats::default();
+        let s = site(Vec::new(), 1);
         assert_eq!(s.chunk_instruction_spread(), (0, 0, 0));
         assert_eq!(s.imbalance(), 1.0);
         assert_eq!(s.efficiency(), 1.0);
@@ -418,24 +386,11 @@ mod tests {
     #[test]
     fn record_merges_repeat_invocations_by_chunk_index() {
         let mut p = ParallelStats::default();
-        p.record(
-            "run",
-            4,
-            "",
-            "run$par0",
-            2,
-            20,
-            vec![chunk(0, 0, 10), chunk(1, 1, 20)],
-        );
-        p.record(
-            "run",
-            4,
-            "",
-            "run$par0",
-            4,
-            20,
-            vec![chunk(0, 0, 5), chunk(1, 1, 5)],
-        );
+        let at = Site::new("run", 4, None);
+        let first = vec![chunk(0, 0, 10), chunk(1, 1, 20)];
+        p.record(at.clone(), "run$par0", 2, 20, first);
+        let again = vec![chunk(0, 0, 5), chunk(1, 1, 5)];
+        p.record(at, "run$par0", 4, 20, again);
         assert_eq!(p.sites.len(), 1);
         let s = &p.sites[0];
         assert_eq!(s.invocations, 2);
@@ -444,19 +399,9 @@ mod tests {
         assert_eq!(s.chunks[0].instructions, 15);
         assert_eq!(s.chunks[1].instructions, 25);
         // A different site identity stays separate.
-        p.record("run", 9, "", "run$par1", 2, 4, vec![chunk(0, 0, 1)]);
+        let other = Site::new("run", 9, None);
+        p.record(other, "run$par1", 2, 4, vec![chunk(0, 0, 1)]);
         assert_eq!(p.sites.len(), 2);
         assert_eq!(p.total_instructions(), 41);
-    }
-
-    #[test]
-    fn location_includes_the_staging_chain() {
-        let s = site(vec![chunk(0, 0, 1)], 1);
-        assert_eq!(s.location(), "run:4, generated via quote at line 9");
-        let mut bare = s.clone();
-        bare.provenance.clear();
-        assert_eq!(bare.location(), "run:4");
-        bare.line = 0;
-        assert_eq!(bare.location(), "run");
     }
 }

@@ -16,8 +16,8 @@
 //! checkpoint *k* in both covers the same effect prefix, and a divergent
 //! checksum brackets the first divergence to one effect window. Replay
 //! machinery (`replay.rs`) then re-records that window at full fidelity
-//! ([`EffectSite`] per effect: function, pc, opcode, source line, staging
-//! provenance) and reports the first divergent effect.
+//! ([`EffectSite`] per effect: its [`Site`], pc and opcode) and reports the
+//! first divergent effect.
 //!
 //! Under `parallelfor`, each worker gets a [`Recorder::worker_shard`] that
 //! buffers its effects locally; the owner absorbs shards **in chunk order**
@@ -25,6 +25,7 @@
 //! byte-identical at every thread count. Thread count is deliberately not
 //! part of [`RecMeta`].
 
+use crate::Site;
 use std::fmt::Write as _;
 
 /// `.rec` text format version. The parser rejects anything else loudly.
@@ -181,18 +182,6 @@ pub enum EffectKind {
 }
 
 impl EffectKind {
-    fn tag(&self) -> &'static str {
-        match self {
-            EffectKind::Store { .. } => "st",
-            EffectKind::Alloc { .. } => "al",
-            EffectKind::Free { .. } => "fr",
-            EffectKind::Realloc { .. } => "re",
-            EffectKind::Copy { .. } => "cp",
-            EffectKind::Set { .. } => "ms",
-            EffectKind::Output { .. } => "out",
-        }
-    }
-
     /// Human-readable one-line description for divergence reports.
     pub fn describe(&self) -> String {
         match self {
@@ -220,16 +209,12 @@ impl EffectKind {
 /// Where an effect came from: attached only inside a full-fidelity window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectSite {
-    /// Terra function name.
-    pub func: String,
-    /// Bytecode pc of the instruction that produced the effect.
+    /// The source site of the instruction that produced the effect.
+    pub at: Site,
+    /// Its bytecode pc.
     pub pc: u32,
     /// Opcode mnemonic.
     pub op: String,
-    /// Source line (from the function's `lines` debug table).
-    pub line: u32,
-    /// Staging-provenance chain, e.g. `"generated via quote at line 9"`.
-    pub prov: Option<String>,
 }
 
 /// One recorded effect; `site` is present only in window (full-fidelity) mode.
@@ -307,16 +292,8 @@ impl Recorder {
     /// never takes checkpoints of its own.
     pub fn worker_shard(&self) -> Recorder {
         Recorder {
-            meta: self.meta.clone(),
-            effects: 0,
-            retired: 0,
-            out: Fnv64::new(),
-            out_bytes: 0,
-            checkpoints: Vec::new(),
-            window_effects: Vec::new(),
-            staged: None,
-            due: false,
             in_worker: true,
+            ..Recorder::new(self.meta.clone())
         }
     }
 
@@ -340,11 +317,7 @@ impl Recorder {
     /// Records one heap effect at the current cursor.
     pub fn effect(&mut self, kind: EffectKind) {
         let site = self.staged.take();
-        let keep = match self.meta.window {
-            None => false,
-            Some((lo, hi)) => self.in_worker || (self.effects >= lo && self.effects < hi),
-        };
-        if keep {
+        if self.wants_detail() {
             self.window_effects.push(Effect {
                 idx: self.effects,
                 kind,
@@ -487,38 +460,35 @@ impl Recording {
             );
         }
         for e in &self.effects {
-            let _ = write!(s, "ef e={} k={}", e.idx, e.kind.tag());
+            let _ = write!(s, "ef e={}", e.idx);
             match &e.kind {
                 EffectKind::Store { addr, width, bits } => {
-                    let _ = write!(s, " a={addr:x} w={width} v={bits:x}");
+                    let _ = write!(s, " k=st a={addr:x} w={width} v={bits:x}");
                 }
                 EffectKind::Alloc { size, addr } => {
-                    let _ = write!(s, " n={size:x} a={addr:x}");
+                    let _ = write!(s, " k=al n={size:x} a={addr:x}");
                 }
                 EffectKind::Free { addr } => {
-                    let _ = write!(s, " a={addr:x}");
+                    let _ = write!(s, " k=fr a={addr:x}");
                 }
                 EffectKind::Realloc { old, size, addr } => {
-                    let _ = write!(s, " p={old:x} n={size:x} a={addr:x}");
+                    let _ = write!(s, " k=re p={old:x} n={size:x} a={addr:x}");
                 }
                 EffectKind::Copy { dst, src, len } => {
-                    let _ = write!(s, " d={dst:x} s={src:x} n={len:x}");
+                    let _ = write!(s, " k=cp d={dst:x} s={src:x} n={len:x}");
                 }
                 EffectKind::Set { addr, byte, len } => {
-                    let _ = write!(s, " a={addr:x} b={byte:x} n={len:x}");
+                    let _ = write!(s, " k=ms a={addr:x} b={byte:x} n={len:x}");
                 }
                 EffectKind::Output { len, hash } => {
-                    let _ = write!(s, " n={len:x} h={hash:x}");
+                    let _ = write!(s, " k=out n={len:x} h={hash:x}");
                 }
             }
             if let Some(site) = &e.site {
-                let _ = write!(
-                    s,
-                    " pc={} op={} line={} f={}",
-                    site.pc, site.op, site.line, site.func
-                );
-                if let Some(p) = &site.prov {
-                    let _ = write!(s, " prov={p}");
+                let (Site { func, line, chain }, pc, op) = (&site.at, site.pc, &site.op);
+                let _ = write!(s, " pc={pc} op={op} line={line} f={func}");
+                if let Some(chain) = chain {
+                    let _ = write!(s, " prov={chain}");
                 }
             }
             s.push('\n');
@@ -555,7 +525,7 @@ impl Recording {
             } else if let Some(rest) = line.strip_prefix("ef ") {
                 effects.push(parse_effect(rest)?);
             } else if let Some(rest) = line.strip_prefix("end ") {
-                let f = Fields::new(rest);
+                let f = Fields(rest);
                 end = Some((f.u64("e")?, f.u64("i")?, f.u64("outb")?));
             } else {
                 return Err(format!("unrecognized recording line {line:?}"));
@@ -580,10 +550,6 @@ impl Recording {
 struct Fields<'a>(&'a str);
 
 impl<'a> Fields<'a> {
-    fn new(line: &'a str) -> Self {
-        Fields(line)
-    }
-
     fn raw(&self, key: &str) -> Option<&'a str> {
         let pat = format!("{key}=");
         let mut rest = self.0;
@@ -609,18 +575,19 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// A field the record cannot do without.
+    fn need(&self, key: &str) -> Result<&'a str, String> {
+        self.raw(key).ok_or_else(|| format!("missing field {key}="))
+    }
+
     fn u64(&self, key: &str) -> Result<u64, String> {
-        let v = self
-            .raw(key)
-            .ok_or_else(|| format!("missing field {key}="))?;
+        let v = self.need(key)?;
         v.parse::<u64>()
             .map_err(|_| format!("bad decimal field {key}={v}"))
     }
 
     fn hex(&self, key: &str) -> Result<u64, String> {
-        let v = self
-            .raw(key)
-            .ok_or_else(|| format!("missing field {key}="))?;
+        let v = self.need(key)?;
         u64::from_str_radix(v, 16).map_err(|_| format!("bad hex field {key}={v}"))
     }
 }
@@ -629,8 +596,8 @@ fn parse_meta(line: &str) -> Result<RecMeta, String> {
     let rest = line
         .strip_prefix("meta ")
         .ok_or_else(|| format!("expected meta line, got {line:?}"))?;
-    let f = Fields::new(rest);
-    let window_s = f.raw("window").ok_or("missing field window=")?;
+    let f = Fields(rest);
+    let window_s = f.need("window")?;
     let window = if window_s == "-" {
         None
     } else {
@@ -653,7 +620,7 @@ fn parse_meta(line: &str) -> Result<RecMeta, String> {
 }
 
 fn parse_checkpoint(rest: &str) -> Result<Checkpoint, String> {
-    let f = Fields::new(rest);
+    let f = Fields(rest);
     Ok(Checkpoint {
         effects: f.u64("e")?,
         retired: f.u64("i")?,
@@ -664,11 +631,11 @@ fn parse_checkpoint(rest: &str) -> Result<Checkpoint, String> {
 }
 
 fn parse_effect(rest: &str) -> Result<Effect, String> {
-    let f = Fields::new(rest);
-    let kind = match f.raw("k").ok_or("missing field k=")? {
+    let f = Fields(rest);
+    let kind = match f.need("k")? {
         "st" => EffectKind::Store {
             addr: f.hex("a")?,
-            width: f.hex("w").or_else(|_| f.u64("w"))? as u32,
+            width: f.u64("w")? as u32,
             bits: f.hex("v")?,
         },
         "al" => EffectKind::Alloc {
@@ -701,10 +668,8 @@ fn parse_effect(rest: &str) -> Result<Effect, String> {
         None => None,
         Some(pc) => Some(EffectSite {
             pc: pc.parse::<u32>().map_err(|_| "bad pc field")?,
-            op: f.raw("op").ok_or("missing field op=")?.to_string(),
-            line: f.u64("line")? as u32,
-            func: f.raw("f").ok_or("missing field f=")?.to_string(),
-            prov: f.tail("prov").map(|p| p.to_string()),
+            op: f.need("op")?.to_string(),
+            at: Site::new(f.need("f")?, f.u64("line")? as u32, f.tail("prov")),
         }),
     };
     Ok(Effect {
@@ -748,11 +713,9 @@ mod tests {
         rec.retire(1);
         if rec.wants_detail() {
             rec.stage_site(EffectSite {
-                func: "kernel".into(),
+                at: Site::new("kernel", 4, Some("via quote at line 9")),
                 pc: 7,
                 op: "st.64".into(),
-                line: 4,
-                prov: Some("generated via quote at line 9".into()),
             });
         }
         rec.effect(EffectKind::Store {
@@ -789,8 +752,10 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.effects.len(), 3);
         let site = back.effects[0].site.as_ref().expect("site");
-        assert_eq!(site.func, "kernel");
-        assert_eq!(site.prov.as_deref(), Some("generated via quote at line 9"));
+        assert_eq!(
+            site.at.to_string(),
+            "kernel:4, generated via quote at line 9"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   checkpoint streams for the first effect window whose heap/output
 //!   checksums disagree, re-record that window at full fidelity via a
 //!   caller-supplied rerun closure, and report the first divergent effect
-//!   with its function, source line, and staging-provenance chain.
+//!   with its [`Site`](crate::Site).
 //!
 //! Only `effects`, `heap`, and `out` participate in cross-config
 //! comparison; `retired` and `regs` are instruction-stream-dependent and
@@ -162,13 +162,7 @@ fn describe_side(s: &DivergentSide) -> String {
         Some(e) => {
             let mut out = format!("{}: {}", s.label, e.kind.describe());
             if let Some(site) = &e.site {
-                out.push_str(&format!(
-                    " in {} at line {} ({}, pc {})",
-                    site.func, site.line, site.op, site.pc
-                ));
-                if let Some(p) = &site.prov {
-                    out.push_str(&format!(", {p}"));
-                }
+                out.push_str(&format!(" at {} ({}, pc {})", site.at, site.op, site.pc));
             }
             out
         }
@@ -321,16 +315,11 @@ mod tests {
         let mut r = Recorder::new(meta);
         for (i, &v) in values.iter().enumerate() {
             if r.wants_detail() {
+                let chain = (i == 2).then_some("via quote at line 3");
                 r.stage_site(EffectSite {
-                    func: "prog".into(),
+                    at: crate::Site::new("prog", 10 + i as u32, chain),
                     pc: i as u32,
                     op: "st.64".into(),
-                    line: 10 + i as u32,
-                    prov: if i == 2 {
-                        Some("generated via quote at line 3".into())
-                    } else {
-                        None
-                    },
                 });
             }
             r.effect(EffectKind::Store {
@@ -395,7 +384,7 @@ mod tests {
                 assert_eq!(b.label, "-O2");
                 let rendered = report.render();
                 assert!(rendered.contains("first divergent effect #4"), "{rendered}");
-                assert!(rendered.contains("in prog at line 14"), "{rendered}");
+                assert!(rendered.contains("at prog:14 (st.64, pc 4)"), "{rendered}");
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -415,7 +404,7 @@ mod tests {
         .expect("diff");
         let rendered = report.render();
         assert!(
-            rendered.contains("generated via quote at line 3"),
+            rendered.contains("at prog:12, generated via quote at line 3 (st.64, pc 2)"),
             "{rendered}"
         );
     }

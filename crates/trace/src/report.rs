@@ -110,11 +110,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "  {:>8} {:>11} {:>11} {:>11}  {}",
-                s.count,
-                s.bytes,
-                s.peak_bytes,
-                s.live_bytes,
-                s.location()
+                s.count, s.bytes, s.peak_bytes, s.live_bytes, s.site
             );
         }
         if let Some(last) = h.timeline.last() {
@@ -137,9 +133,7 @@ impl Profile {
                 let _ = writeln!(
                     out,
                     "    {} bytes in {} allocation(s): allocated at {}",
-                    s.live_bytes,
-                    s.live_count,
-                    s.location()
+                    s.live_bytes, s.live_count, s.site
                 );
             }
         } else {
@@ -191,7 +185,7 @@ impl Profile {
             self.parallel.sites.len()
         );
         for s in &self.parallel.sites {
-            let _ = writeln!(out, "  {} -> kernel {}", s.location(), s.kernel);
+            let _ = writeln!(out, "  {} -> kernel {}", s.site, s.kernel);
             let _ = writeln!(
                 out,
                 "    chunks {}  iterations {}  instructions {}  invocations {}",
@@ -244,18 +238,16 @@ impl Profile {
                 continue;
             }
             shown += 1;
-            let loc = if r.line == 0 {
-                r.function.clone()
-            } else {
-                format!("{}:{}", r.function, r.line)
-            };
             let _ = write!(
                 out,
                 "  {:<8} {:<7} {:<20} {}",
-                r.pass, r.kind, loc, r.message
+                r.pass,
+                r.kind,
+                r.site.place(),
+                r.message
             );
-            if !r.provenance.is_empty() {
-                let _ = write!(out, " [{}]", r.provenance);
+            if let Some(chain) = &r.site.chain {
+                let _ = write!(out, " [{chain}]");
             }
             out.push('\n');
         }
@@ -311,15 +303,10 @@ impl Profile {
                 } else {
                     l.l1_misses as f64 / l.accesses as f64 * 100.0
                 };
-                let loc = if l.line == 0 {
-                    format!("{}:?", l.func)
-                } else {
-                    format!("{}:{}", l.func, l.line)
-                };
                 let _ = writeln!(
                     out,
                     "    {:>8} {:>11} {:>11} {:>5.1}%  {}",
-                    l.accesses, l.l1_misses, l.l2_misses, rate, loc
+                    l.accesses, l.l1_misses, l.l2_misses, rate, l.site
                 );
             }
         }
@@ -331,7 +318,7 @@ impl Profile {
 mod tests {
     use crate::{
         CacheLevelStats, FuncCounters, FuncProfile, HeapSiteStats, HeapStats, HeapTimelinePoint,
-        LineStat, Profile, SampleStats,
+        LineStat, Profile, SampleStats, Site,
     };
 
     fn base_profile() -> Profile {
@@ -371,17 +358,13 @@ mod tests {
             crate::Remark {
                 pass: "inline",
                 kind: "applied",
-                function: "sieve".into(),
-                line: 12,
-                provenance: "via quote at line 4".into(),
+                site: Site::new("sieve", 12, Some("via quote at line 4")),
                 message: "inlined 'is_marked' (9 IR nodes)".into(),
             },
             crate::Remark {
                 pass: "dce",
                 kind: "applied",
-                function: "sieve".into(),
-                line: 0,
-                provenance: String::new(),
+                site: Site::new("sieve", 0, None),
                 message: "removed 2 dead-store statement(s)".into(),
             },
         ];
@@ -406,9 +389,7 @@ mod tests {
         p.heap = HeapStats {
             sites: vec![
                 HeapSiteStats {
-                    func: "kernel".into(),
-                    line: 7,
-                    provenance: "via quote at line 3".into(),
+                    site: Site::new("kernel", 7, Some("via quote at line 3")),
                     count: 2,
                     bytes: 128,
                     peak_bytes: 128,
@@ -416,9 +397,7 @@ mod tests {
                     live_bytes: 64,
                 },
                 HeapSiteStats {
-                    func: "kernel".into(),
-                    line: 9,
-                    provenance: String::new(),
+                    site: Site::new("kernel", 9, None),
                     count: 1,
                     bytes: 32,
                     peak_bytes: 32,
@@ -452,9 +431,7 @@ mod tests {
     fn heap_section_reports_no_leaks_when_clean() {
         let mut p = base_profile();
         p.heap.sites = vec![HeapSiteStats {
-            func: "f".into(),
-            line: 2,
-            provenance: String::new(),
+            site: Site::new("f", 2, None),
             count: 1,
             bytes: 16,
             peak_bytes: 16,
@@ -492,9 +469,7 @@ mod tests {
         assert!(!p.render_counters().contains("== parallel =="));
         let mut stats = crate::ParallelStats::default();
         stats.record(
-            "run",
-            4,
-            "via quote at line 9",
+            Site::new("run", 4, Some("via quote at line 9")),
             "run$par0",
             2,
             40,
@@ -567,8 +542,7 @@ mod tests {
         };
         p.cache.prefetch_useful = 1;
         p.cache_lines = vec![LineStat {
-            func: "saxpy".into(),
-            line: 14,
+            site: Site::new("saxpy", 14, None),
             accesses: 100,
             l1_misses: 10,
             l2_misses: 2,

@@ -730,13 +730,20 @@ impl CompiledFunction {
         self.code.get(pc).and_then(Instr::chk) == Some(false)
     }
 
-    /// The rendered staging chain of the instruction at `pc`, if it arrived
-    /// through a splice or the inliner: the interned handle, which a sink
-    /// that outlives the frame (the heap profiler) clones.
-    #[inline]
-    pub fn prov_at(&self, pc: usize) -> Option<&Arc<str>> {
+    /// Where the instruction at `pc` came from: the VM's one constructor of
+    /// a [`Site`](terra_trace::Site). The chain is there if the instruction
+    /// arrived through a splice or the inliner; both handles are interned,
+    /// so building one moves two reference counts.
+    pub fn site_at(&self, pc: usize) -> terra_trace::Site {
         let idx = self.provs.get(pc).copied().unwrap_or(0);
-        self.prov_table.get(idx.checked_sub(1)? as usize)
+        let chain = idx
+            .checked_sub(1)
+            .and_then(|i| self.prov_table.get(i as usize));
+        terra_trace::Site {
+            func: self.name.clone(),
+            line: self.line_at(pc),
+            chain: chain.cloned(),
+        }
     }
 }
 
@@ -889,6 +896,14 @@ mod tests {
     #[test]
     fn instructions_stay_small() {
         assert_eq!(std::mem::size_of::<Instr>(), 24);
+    }
+
+    /// The loop's error type carries no site (two `Arc`s fewer to move and
+    /// drop on every `?`), and an unobserved run's observer is nothing.
+    #[test]
+    fn the_loops_error_and_the_idle_observer_stay_small() {
+        assert!(std::mem::size_of::<crate::TrapKind>() <= 40);
+        assert_eq!(std::mem::size_of::<crate::observer::NoObserver>(), 0);
     }
 
     fn load(code: Vec<Instr>, nslots: u16) -> Result<CompiledFunction, BytecodeError> {

@@ -31,28 +31,17 @@ use crate::program::{Program, Value};
 use std::fmt;
 use std::sync::Arc;
 use terra_ir::{Builtin, Effect, FuncId, ScalarTy, Ty};
-use terra_trace::EffectKind;
+use terra_trace::{EffectKind, Site};
 
-/// A runtime fault in Terra code.
+/// What went wrong in a runtime fault: everything about a [`Trap`] but where
+/// it happened. This is what the dispatch loop raises; a new fault (a
+/// budget, an audit, a race) is one more row here and needs no formatting
+/// code of its own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Trap {
+pub enum TrapKind {
     /// Out-of-bounds or null memory access (including sanitizer
-    /// use-after-free / double-free findings), with the Terra function that
-    /// was executing when it fired, if known.
-    Memory {
-        /// The underlying memory fault.
-        err: MemError,
-        /// Name of the Terra function executing at trap time. `None` only
-        /// for faults raised outside VM execution (host-side accesses).
-        func: Option<Arc<str>>,
-        /// 1-based source line of the faulting instruction, from the
-        /// bytecode debug-info table (0 = unknown).
-        line: u32,
-        /// Rendered staging chain of the faulting instruction (`"via quote
-        /// at line 41, inlined at line 30"`), when it was produced by a
-        /// splice or the inliner rather than written in place.
-        prov: Option<Arc<str>>,
-    },
+    /// use-after-free / double-free findings).
+    Memory(MemError),
     /// Integer division or remainder by zero.
     DivByZero,
     /// Terra stack exhausted (deep recursion or huge frames).
@@ -78,60 +67,72 @@ pub enum Trap {
     Parallel(String),
 }
 
-impl fmt::Display for Trap {
+impl fmt::Display for TrapKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Trap::Memory {
-                err,
-                func,
-                line,
-                prov,
-            } => {
-                write!(f, "{err}")?;
-                if let Some(name) = func {
-                    if *line > 0 {
-                        write!(f, " (in terra function '{name}' at line {line}")?;
-                    } else {
-                        write!(f, " (in terra function '{name}'")?;
-                    }
-                    if let Some(chain) = prov {
-                        write!(f, ", generated {chain}")?;
-                    }
-                    write!(f, ")")?;
-                }
-                Ok(())
-            }
-            Trap::DivByZero => write!(f, "integer division by zero"),
-            Trap::StackOverflow => write!(f, "terra stack overflow"),
-            Trap::Undefined(name) => write!(f, "call to undefined function '{name}'"),
-            Trap::NotAFunction(bits) => {
+            TrapKind::Memory(err) => write!(f, "{err}"),
+            TrapKind::DivByZero => write!(f, "integer division by zero"),
+            TrapKind::StackOverflow => write!(f, "terra stack overflow"),
+            TrapKind::Undefined(name) => write!(f, "call to undefined function '{name}'"),
+            TrapKind::NotAFunction(bits) => {
                 write!(f, "indirect call through non-function value {bits:#x}")
             }
-            Trap::Abort => write!(f, "program aborted"),
-            Trap::BadFormat(m) => write!(f, "printf: {m}"),
-            Trap::ArityMismatch { expected, got } => {
+            TrapKind::Abort => write!(f, "program aborted"),
+            TrapKind::BadFormat(m) => write!(f, "printf: {m}"),
+            TrapKind::ArityMismatch { expected, got } => {
                 write!(f, "expected {expected} argument(s) but got {got}")
             }
-            Trap::Parallel(m) => write!(f, "parallelfor: {m}"),
+            TrapKind::Parallel(m) => write!(f, "parallelfor: {m}"),
+        }
+    }
+}
+
+impl From<MemError> for TrapKind {
+    fn from(e: MemError) -> Self {
+        TrapKind::Memory(e)
+    }
+}
+
+/// A runtime fault in Terra code: what went wrong, and the [`Site`] of the
+/// innermost Terra frame when it did. `site` is `None` only for faults
+/// raised outside VM execution (a host-side access, the arity check at the
+/// FFI boundary, the static check of a `parallelfor` kernel).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trap {
+    /// What went wrong.
+    pub kind: TrapKind,
+    /// Where, if Terra code was running.
+    pub site: Option<Site>,
+}
+
+impl fmt::Display for Trap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.kind)?;
+        match &self.site {
+            Some(site) => write!(f, " {}", site.sentence()),
+            None => Ok(()),
         }
     }
 }
 
 impl std::error::Error for Trap {}
 
-impl From<MemError> for Trap {
-    fn from(e: MemError) -> Self {
-        Trap::Memory {
-            err: e,
-            func: None,
-            line: 0,
-            prov: None,
+/// A fault raised where no Terra code is running.
+impl<K: Into<TrapKind>> From<K> for Trap {
+    fn from(kind: K) -> Self {
+        Trap {
+            kind: kind.into(),
+            site: None,
         }
     }
 }
 
 /// Result alias for VM execution.
 pub type ExecResult<T> = Result<T, Trap>;
+
+/// Result of the dispatch loop and what it calls, before
+/// [`ExecutionContext::call_observed`] says where a fault happened.
+pub(crate) type Raised<T> = Result<T, TrapKind>;
 
 const MAX_FRAMES: usize = 4096;
 
@@ -162,6 +163,10 @@ pub struct Vm {
     /// One slot file for every live frame, the running one on top.
     regs: Vec<u64>,
     frames: Vec<Frame>,
+    /// Where a trap that is crossing a `parallelfor` region says it
+    /// happened: the loop raises a site-less [`TrapKind`], so the region's
+    /// answer waits here for [`ExecutionContext::call_observed`].
+    region_site: Option<Option<Site>>,
 }
 
 impl Vm {
@@ -271,10 +276,8 @@ impl ExecutionContext {
         let program = Arc::clone(&self.program);
         let func = program.defined(f)?;
         if args.len() != func.ty.params.len() {
-            return Err(Trap::ArityMismatch {
-                expected: func.ty.params.len(),
-                got: args.len(),
-            });
+            let (expected, got) = (func.ty.params.len(), args.len());
+            return Err(TrapKind::ArityMismatch { expected, got }.into());
         }
         let mut slots = Vec::with_capacity(func.param_slots());
         for (v, ty) in args.iter().zip(&func.ty.params) {
@@ -321,18 +324,14 @@ impl ExecutionContext {
         let result = self.run(obs, program, &mut vm, f, args);
         // Allocations made by the host from here on are not Terra code.
         self.memory.clear_alloc_site();
-        let result = result.map_err(|trap| {
+        let result = result.map_err(|kind| {
             // The innermost frame still on the stack names the Terra
-            // function (and, via the debug-info table, the source line)
-            // that was executing when the trap fired.
-            let current = vm.frames.last().map(|fr| {
-                let func = body(program, fr.func);
+            // function and (its pc was written back when the fault was
+            // raised) the instruction that was executing — unless the fault
+            // crossed a `parallelfor` region, which has already said where.
+            let innermost = vm.frames.last().map(|fr| {
                 let pc = fr.pc.saturating_sub(1);
-                (
-                    func.name.clone(),
-                    func.line_at(pc),
-                    func.prov_at(pc).cloned(),
-                )
+                body(program, fr.func).site_at(pc)
             });
             // Unwind the frames (and their memory) the trap left; each
             // trapped activation still reports what it counted.
@@ -340,23 +339,8 @@ impl ExecutionContext {
                 self.memory.pop_frame(fr.mem_base);
                 obs.on_ret();
             }
-            match trap {
-                Trap::Memory {
-                    err, func: None, ..
-                } => {
-                    let (func, line, prov) = match current {
-                        Some((name, line, prov)) => (Some(name), line, prov),
-                        None => (None, 0, None),
-                    };
-                    Trap::Memory {
-                        err,
-                        func,
-                        line,
-                        prov,
-                    }
-                }
-                other => other,
-            }
+            let site = vm.region_site.take().unwrap_or(innermost);
+            Trap { kind, site }
         });
         vm.regs.clear();
         self.vm = vm;
@@ -370,7 +354,7 @@ impl ExecutionContext {
         vm: &mut Vm,
         f: FuncId,
         args: &[u64],
-    ) -> ExecResult<RegImage> {
+    ) -> Raised<RegImage> {
         let entry = program.defined(f)?;
         self.push_call(obs, vm, f, entry, NO_REG, 0)?;
         let n = args.len().min(entry.nslots());
@@ -440,17 +424,21 @@ impl ExecutionContext {
                     vset(frame, $d, $v)
                 };
             }
-            // Fallible memory operation: on a fault, write the (already
-            // advanced) pc back to the frame so the unwinder can look up the
-            // faulting instruction's source line in the debug-info table.
+            // Raises a fault: writes the (already advanced) pc back to the
+            // frame first, so the unwinder can look up the faulting
+            // instruction's site in the debug-info tables.
+            macro_rules! raise {
+                ($kind:expr) => {{
+                    fr.pc = pc;
+                    return Err($kind.into());
+                }};
+            }
+            // Fallible operation: its error is raised here.
             macro_rules! mem {
                 ($e:expr) => {
                     match $e {
                         Ok(v) => v,
-                        Err(err) => {
-                            fr.pc = pc;
-                            return Err(err.into());
-                        }
+                        Err(err) => raise!(err),
                     }
                 };
             }
@@ -504,7 +492,7 @@ impl ExecutionContext {
                 ($d:expr, $a:expr, $b:expr, $reg:ident, $op:expr) => {{
                     let y = $reg!($b);
                     if y == 0 {
-                        return Err(Trap::DivByZero);
+                        raise!(TrapKind::DivByZero);
                     }
                     seti!($d, $op($reg!($a), y));
                 }};
@@ -517,14 +505,16 @@ impl ExecutionContext {
                     }
                 };
             }
-            // Enters `program[$id]`: pushes its frame and copies this frame's
-            // argument block to the bottom of it.
+            // Enters `program[$id]` (`$id` may fail to name a function):
+            // pushes its frame and copies this frame's argument block to the
+            // bottom of it.
             macro_rules! enter {
                 ($id:expr, $d:expr, $w:expr, $args:expr, $nargs:expr) => {{
-                    let callee = program.defined($id)?;
                     fr.pc = pc;
+                    let id = $id?;
+                    let callee = program.defined(id)?;
                     let argv = fr.base + $args as usize;
-                    let callee_base = self.push_call(obs, vm, $id, callee, $d, $w)?;
+                    let callee_base = self.push_call(obs, vm, id, callee, $d, $w)?;
                     // A callee reached through a cast function pointer may
                     // have a smaller frame than its caller's argument block.
                     let n = ($nargs as usize).min(callee.nslots());
@@ -784,7 +774,7 @@ impl ExecutionContext {
                         f,
                         args,
                         nargs,
-                    } => enter!(f, d, w, args, nargs),
+                    } => enter!(Raised::Ok(f), d, w, args, nargs),
                     Instr::CallIndirect {
                         d,
                         w,
@@ -793,7 +783,7 @@ impl ExecutionContext {
                         nargs,
                     } => {
                         let bits = r!(f);
-                        let id = decode_func_ptr(bits).ok_or(Trap::NotAFunction(bits))?;
+                        let id = decode_func_ptr(bits).ok_or(TrapKind::NotAFunction(bits));
                         enter!(id, d, w, args, nargs)
                     }
                     Instr::ParFor {
@@ -809,9 +799,15 @@ impl ExecutionContext {
                         // captures are read straight out of this window.
                         let captures = &frame[args as usize..][..nargs as usize];
                         let site = Some((func, pc - 1));
-                        crate::parallel::run_parallelfor_at(
+                        if let Err(trap) = crate::parallel::run_parallelfor_at(
                             self, obs, f, lo_v, hi_v, captures, site,
-                        )?;
+                        ) {
+                            // The region has said where: in a kernel's
+                            // frame, or — its static check runs before any
+                            // of its code — nowhere.
+                            vm.region_site = Some(trap.site);
+                            return Err(trap.kind);
+                        }
                     }
                     Instr::CallBuiltin { d, b, args, nargs } => {
                         let argv = &frame[args as usize..][..nargs as usize];
@@ -849,7 +845,7 @@ impl ExecutionContext {
                         vm.regs.truncate(done.base);
                         continue 'frames;
                     }
-                    Instr::Trap => return Err(Trap::Abort),
+                    Instr::Trap => raise!(TrapKind::Abort),
                 }
             }
         }
@@ -868,15 +864,15 @@ impl ExecutionContext {
         callee: &Arc<CompiledFunction>,
         ret_dst: Reg,
         ret_w: u8,
-    ) -> ExecResult<usize> {
+    ) -> Raised<usize> {
         if vm.frames.len() >= MAX_FRAMES {
-            return Err(Trap::StackOverflow);
+            return Err(TrapKind::StackOverflow);
         }
         let base = vm.regs.len();
         let mem_base = self
             .memory
             .push_frame(callee.frame_size as u64)
-            .map_err(|_| Trap::StackOverflow)?;
+            .map_err(|_| TrapKind::StackOverflow)?;
         vm.regs.resize(base + callee.nslots(), 0);
         obs.on_call(callee);
         vm.frames.push(Frame {
@@ -941,7 +937,7 @@ fn call_builtin<O: Observer>(
     pc: usize,
     b: Builtin,
     args: &[u64],
-) -> ExecResult<u64> {
+) -> Raised<u64> {
     // No builtin but printf (which formats straight from the slots) takes
     // more than three arguments; missing ones read as zero.
     let a: [u64; 3] = std::array::from_fn(|i| args.get(i).copied().unwrap_or(0));
@@ -1010,7 +1006,7 @@ fn call_builtin<O: Observer>(
             ctx.rng_state = a[0] ^ 0x9E3779B97F4A7C15;
             0
         }
-        Builtin::Abort => return Err(Trap::Abort),
+        Builtin::Abort => return Err(TrapKind::Abort),
         _ => unreachable!("'{}' is pure and was answered by its table row", b.name()),
     })
 }
@@ -1018,9 +1014,9 @@ fn call_builtin<O: Observer>(
 /// Renders a `printf` call (`args[0]` is the format): integer and float
 /// arguments are registers, `%s` arguments C strings in `memory`. The
 /// directives are [`format_printf`](crate::printf::format_printf)'s.
-fn render_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
+fn render_printf(memory: &Memory, args: &[u64]) -> Raised<String> {
     let mut args = args.iter();
-    let bad = |what: &str| Trap::BadFormat(what.into());
+    let bad = |what: &str| TrapKind::BadFormat(what.into());
     let fmt = memory.c_string(*args.next().ok_or_else(|| bad("missing format string"))?)?;
     crate::printf::format_printf(
         &fmt,
@@ -1033,7 +1029,7 @@ fn render_printf(memory: &Memory, args: &[u64]) -> ExecResult<String> {
             }
             Ok(v)
         },
-        &Trap::BadFormat,
+        &TrapKind::BadFormat,
     )
 }
 
@@ -1178,7 +1174,35 @@ mod tests {
         let mut ctx = ExecutionContext::new();
         let id = ctx.declare("ghost");
         let err = ctx.call(id, &[]).unwrap_err();
-        assert!(matches!(err, Trap::Undefined(_)));
+        // No frame was ever pushed: the fault is the host's.
+        assert!(matches!(err.kind, TrapKind::Undefined(_)) && err.site.is_none());
+    }
+
+    #[test]
+    fn a_call_to_an_undefined_function_is_located_in_its_caller() {
+        let mut ctx = ExecutionContext::new();
+        let (ghost, caller) = (ctx.declare("ghost"), ctx.declare("caller"));
+        let call = I::Call {
+            d: NO_REG,
+            w: 0,
+            f: ghost,
+            args: 0,
+            nargs: 0,
+        };
+        let ty = FuncTy {
+            params: vec![],
+            ret: Ty::Unit,
+        };
+        let code = vec![call, I::Ret { s: NO_REG, w: 0 }];
+        let f = compiled("caller", ty, 1, code).with_debug_info(vec![7, 8], vec![1, 0], {
+            vec!["via quote at line 3".into()]
+        });
+        ctx.define(caller, f);
+        assert_eq!(
+            ctx.call(caller, &[]).unwrap_err().to_string(),
+            "call to undefined function 'ghost' \
+             (in terra function 'caller' at line 7, generated via quote at line 3)"
+        );
     }
 
     #[test]
@@ -1197,9 +1221,12 @@ mod tests {
                 vec![I::DivS { d: 2, a: 0, b: 1 }, I::Ret { s: 2, w: 1 }],
             ),
         );
+        // Located in the running frame (this bytecode has no debug info).
+        let err = ctx.call(id, &[Value::Int(1), Value::Int(0)]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::DivByZero);
         assert_eq!(
-            ctx.call(id, &[Value::Int(1), Value::Int(0)]),
-            Err(Trap::DivByZero)
+            err.to_string(),
+            "integer division by zero (in terra function 'div')"
         );
         // The context remains usable after a trap.
         assert_eq!(
@@ -1345,7 +1372,8 @@ mod tests {
         let err = ctx
             .call(caller, &[Value::Ptr(1234), Value::Int(9)])
             .unwrap_err();
-        assert!(matches!(err, Trap::NotAFunction(_)));
+        assert!(matches!(err.kind, TrapKind::NotAFunction(1234)));
+        assert!(err.site.is_some());
     }
 
     #[test]
@@ -1414,13 +1442,9 @@ mod tests {
             ),
         );
         let err = ctx.call(id, &[]).unwrap_err();
-        assert_eq!(
-            err,
-            Trap::ArityMismatch {
-                expected: 1,
-                got: 0
-            }
-        );
+        let (expected, got) = (1, 0);
+        assert_eq!(err, TrapKind::ArityMismatch { expected, got }.into());
+        assert_eq!(err.to_string(), "expected 1 argument(s) but got 0");
     }
 
     #[test]
@@ -1448,6 +1472,10 @@ mod tests {
                 ],
             ),
         );
-        assert_eq!(ctx.call(id, &[]), Err(Trap::StackOverflow));
+        // The frame that could not be pushed is not on the stack: the site
+        // is the call that asked for it.
+        let err = ctx.call(id, &[]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::StackOverflow);
+        assert_eq!(err.site, Some(Site::new("loop", 0, None)));
     }
 }

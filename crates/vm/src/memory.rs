@@ -294,17 +294,12 @@ impl Memory {
 
     // -- heap profiler -------------------------------------------------------
 
-    /// Sets the (function, line, provenance) site the next heap allocation
-    /// is attributed to. The VM's telemetry observer calls this right before
-    /// a `malloc`/`realloc` builtin executes.
+    /// Sets the site the next heap allocation is attributed to. The VM's
+    /// telemetry observer calls this right before a `malloc`/`realloc`
+    /// builtin executes.
     #[inline]
-    pub fn set_alloc_site(
-        &mut self,
-        func: &std::sync::Arc<str>,
-        line: u32,
-        prov: Option<std::sync::Arc<str>>,
-    ) {
-        self.heap.set_site(func, line, prov);
+    pub fn set_alloc_site(&mut self, site: terra_trace::Site) {
+        self.heap.set_site(site);
     }
 
     /// Clears the allocation site; subsequent allocations (string interning,

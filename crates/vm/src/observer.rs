@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use terra_trace::{
     EffectKind, EffectSite, FuncCounters, FuncProfile, LineStat, ParChunkStats, Profile, Recorder,
-    Sampler,
+    Sampler, Site,
 };
 
 /// Hooks the dispatch loop and the `parallelfor` harness call, all empty
@@ -317,7 +317,7 @@ impl Telemetry {
             key.extend(name.map(|ch| if ch == ';' { ',' } else { ch }));
         }
         if key.is_empty() {
-            key.push_str("(host)");
+            key.push_str(Site::HOST);
         }
         self.sampler.record(key);
     }
@@ -354,7 +354,7 @@ impl Telemetry {
         p.ops.sort();
 
         let mut funcs: BTreeMap<&str, FuncCounters> = BTreeMap::new();
-        let mut lines: BTreeMap<(&str, u32), Touch> = BTreeMap::new();
+        let mut lines: BTreeMap<(&Arc<str>, u32), Touch> = BTreeMap::new();
         for slot in &self.funcs {
             if slot.counters.calls > 0 {
                 let c = funcs.entry(&slot.func.name).or_default();
@@ -383,8 +383,11 @@ impl Telemetry {
         p.cache_lines = lines
             .into_iter()
             .map(|((func, line), t)| LineStat {
-                func: func.to_string(),
-                line,
+                site: Site {
+                    func: func.clone(),
+                    line,
+                    chain: None,
+                },
                 accesses: t.accesses,
                 l1_misses: t.l1_misses,
                 l2_misses: t.l2_misses,
@@ -403,11 +406,9 @@ impl Telemetry {
 fn stage_site(rec: &mut Recorder, func: &CompiledFunction, pc: usize) {
     if rec.wants_detail() {
         rec.stage_site(EffectSite {
-            func: func.name.to_string(),
+            at: func.site_at(pc),
             pc: pc as u32,
             op: func.code[pc].mnemonic().to_string(),
-            line: func.line_at(pc),
-            prov: func.prov_at(pc).map(|s| s.to_string()),
         });
     }
 }
@@ -504,7 +505,7 @@ impl Observer for Telemetry {
 
     fn on_alloc(&mut self, mem: &mut Memory, func: &CompiledFunction, pc: usize) {
         if self.profiling {
-            mem.set_alloc_site(&func.name, func.line_at(pc), func.prov_at(pc).cloned());
+            mem.set_alloc_site(func.site_at(pc));
         }
     }
 
@@ -577,14 +578,9 @@ impl Observer for Telemetry {
                     }
                 })
                 .collect();
-            let (function, line, provenance) = match region.site {
-                Some((f, pc)) => (&*f.name, f.line_at(pc), f.prov_at(pc).map_or("", |s| &**s)),
-                None => ("(host)", 0, ""),
-            };
+            let site = region.site.map_or_else(Site::host, |(f, pc)| f.site_at(pc));
             ctx.trace.parallel_mut().record(
-                function,
-                line,
-                provenance,
+                site,
                 region.kernel,
                 region.threads,
                 region.iterations,
@@ -609,7 +605,7 @@ impl Observer for Telemetry {
 mod tests {
     use super::*;
     use crate::bytecode::{compiled, Addr, Instr as I};
-    use crate::machine::Trap;
+    use crate::machine::TrapKind;
     use crate::program::Value;
     use terra_ir::{FuncTy, Ty};
 
@@ -683,7 +679,8 @@ mod tests {
             ),
         );
         ctx.set_profile(true);
-        assert_eq!(ctx.call(f, &[Value::Int(4)]), Err(Trap::DivByZero));
+        let trap = ctx.call(f, &[Value::Int(4)]).unwrap_err();
+        assert_eq!(trap.kind, TrapKind::DivByZero);
         let p = ctx.profile();
         let row = |name: &str| {
             let c = p.func(name).unwrap().counters;

@@ -40,11 +40,11 @@
 //! which must not grow or reshape while borrowed), the global RNG
 //! (`rand`/`srand` mutate run-order-dependent state), wall-clock `clock`,
 //! and indirect calls (their targets cannot be checked statically).
-//! Violations raise [`Trap::Parallel`] before any work starts.
+//! Violations raise [`TrapKind::Parallel`] before any work starts.
 
 use crate::bytecode::{CompiledFunction, Instr};
 use crate::exec::ExecutionContext;
-use crate::machine::{ExecResult, Trap};
+use crate::machine::{ExecResult, Trap, TrapKind};
 use crate::observer::{observed, Observer};
 use crate::program::Program;
 use std::collections::HashSet;
@@ -105,18 +105,16 @@ fn chunk_range(lo: i64, n: u64, count: u64, c: u64) -> (i64, i64) {
 ///
 /// # Errors
 ///
-/// [`Trap::Parallel`] naming the offending function and operation, or
-/// [`Trap::Undefined`] if the kernel reaches an undefined function.
-pub fn check_kernel(program: &Program, root: FuncId) -> ExecResult<()> {
+/// [`TrapKind::Parallel`] naming the offending function and operation, or
+/// [`TrapKind::Undefined`] if the kernel reaches an undefined function.
+pub fn check_kernel(program: &Program, root: FuncId) -> Result<(), TrapKind> {
     let mut visited: HashSet<u32> = HashSet::new();
     let mut worklist = vec![root];
     while let Some(id) = worklist.pop() {
         if !visited.insert(id.0) {
             continue;
         }
-        let func = program
-            .function(id)
-            .ok_or_else(|| Trap::Undefined(program.name(id).to_string()))?;
+        let func = program.defined(id)?;
         for instr in &func.code {
             match instr {
                 Instr::CallBuiltin { b, .. } => {
@@ -124,7 +122,7 @@ pub fn check_kernel(program: &Program, root: FuncId) -> ExecResult<()> {
                         b.info().effect,
                         Effect::Allocates | Effect::Nondeterministic
                     ) {
-                        return Err(Trap::Parallel(format!(
+                        return Err(TrapKind::Parallel(format!(
                             "kernel function '{}' calls '{}', which is not \
                              allowed inside a parallel loop",
                             func.name,
@@ -133,14 +131,14 @@ pub fn check_kernel(program: &Program, root: FuncId) -> ExecResult<()> {
                     }
                 }
                 Instr::CallIndirect { .. } => {
-                    return Err(Trap::Parallel(format!(
+                    return Err(TrapKind::Parallel(format!(
                         "kernel function '{}' makes an indirect call, which \
                          cannot be checked for a parallel loop",
                         func.name
                     )));
                 }
                 Instr::ParFor { .. } => {
-                    return Err(Trap::Parallel(format!(
+                    return Err(TrapKind::Parallel(format!(
                         "kernel function '{}' contains a nested parallelfor, \
                          which is not supported",
                         func.name
@@ -204,8 +202,9 @@ fn join_region<O: Observer>(
 ///
 /// # Errors
 ///
-/// [`Trap::Parallel`] from the static kernel check, or the
-/// lowest-chunk-index trap raised by the kernel itself.
+/// [`TrapKind::Parallel`] from the static kernel check (no site: none of
+/// the region's code has run), or the lowest-chunk-index trap raised by the
+/// kernel itself, with its site in the kernel.
 pub fn run_parallelfor(
     ctx: &mut ExecutionContext,
     kernel_id: FuncId,
@@ -235,10 +234,8 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
     check_kernel(ctx.program(), kernel_id)?;
     let kernel = Arc::clone(ctx.program().defined(kernel_id)?);
     if kernel.param_slots() != 1 + extra.len() {
-        return Err(Trap::ArityMismatch {
-            expected: kernel.param_slots(),
-            got: 1 + extra.len(),
-        });
+        let (expected, got) = (kernel.param_slots(), 1 + extra.len());
+        return Err(TrapKind::ArityMismatch { expected, got }.into());
     }
     if hi <= lo {
         return Ok(());
@@ -252,9 +249,9 @@ pub(crate) fn run_parallelfor_at<O: Observer>(
     let (span_lo, span_hi) = ctx.memory.parallel_stack_span();
     let per = ((span_hi - span_lo) / chunks) & !15;
     if per < 1024 {
-        return Err(Trap::Parallel(
-            "insufficient stack space for a parallel region".into(),
-        ));
+        return Err(
+            TrapKind::Parallel("insufficient stack space for a parallel region".into()).into(),
+        );
     }
 
     // The sanitizer's freed-block tracking is snapshotted per worker and
@@ -431,7 +428,8 @@ mod tests {
             ),
         );
         let err = run_parallelfor(&mut ctx, id, 0, 4, &[]).unwrap_err();
-        assert!(matches!(err, Trap::Parallel(ref m) if m.contains("malloc")));
+        assert!(matches!(err.kind, TrapKind::Parallel(ref m) if m.contains("malloc")));
+        assert!(err.site.is_none(), "no code of the region ran");
     }
 
     #[test]
@@ -481,7 +479,7 @@ mod tests {
             ),
         );
         let err = run_parallelfor(&mut ctx, outer, 0, 4, &[]).unwrap_err();
-        assert!(matches!(err, Trap::Parallel(ref m) if m.contains("rand")));
+        assert!(matches!(err.kind, TrapKind::Parallel(ref m) if m.contains("rand")));
     }
 
     #[test]
@@ -542,7 +540,10 @@ mod tests {
         let (r1, h1) = build(1);
         let (r4, h4) = build(4);
         assert_eq!(r1, r4, "trap must be thread-count independent");
-        assert!(matches!(r1, Err(Trap::DivByZero)));
+        // The same trap, site included: the kernel's frame in chunk 0.
+        let trap = r1.unwrap_err();
+        assert_eq!(trap.kind, TrapKind::DivByZero);
+        assert_eq!(trap.site, Some(terra_trace::Site::new("trapper", 0, None)));
         assert_eq!(h1, h4, "heap state must be thread-count independent");
         // Iterations after the trapping one in the same chunk did not run;
         // all other chunks completed.
@@ -738,7 +739,7 @@ mod tests {
         let s = &p.parallel.sites[0];
         // Host-driven invocation (no ParFor instruction): recorded under
         // the fallback identity.
-        assert_eq!(s.function, "(host)");
+        assert_eq!(s.site, terra_trace::Site::host());
         assert_eq!(s.kernel, "square");
         assert_eq!(s.invocations, 1);
         assert_eq!(s.iterations, 500);
@@ -842,7 +843,7 @@ mod tests {
             assert_eq!(row("caller"), (1, 3, 3), "at {threads} threads");
             // 5 instructions + 1 `chk` per iteration.
             assert_eq!(row("square"), (100, 600, 600), "at {threads} threads");
-            assert_eq!(p.parallel.sites[0].function, "caller");
+            assert_eq!(&*p.parallel.sites[0].site.func, "caller");
         }
     }
 

@@ -17,7 +17,7 @@
 //! mutate shared storage.
 
 use crate::bytecode::{encode_func_ptr, CompiledFunction};
-use crate::machine::{ExecResult, Trap};
+use crate::machine::{Raised, TrapKind};
 use std::sync::Arc;
 use terra_ir::FuncId;
 
@@ -130,9 +130,9 @@ impl Program {
 
     /// The compiled body of `id`, or the trap for calling a function that
     /// was declared but never defined.
-    pub(crate) fn defined(&self, id: FuncId) -> ExecResult<&Arc<CompiledFunction>> {
+    pub(crate) fn defined(&self, id: FuncId) -> Raised<&Arc<CompiledFunction>> {
         self.function(id)
-            .ok_or_else(|| Trap::Undefined(self.name(id).to_string()))
+            .ok_or_else(|| TrapKind::Undefined(self.name(id).to_string()))
     }
 
     /// Whether the id has been defined (not just declared).

@@ -27,6 +27,13 @@ echo "==> the instruction set stays one table (scripts/loc.sh crates/vm/src/byte
 scripts/loc.sh crates/vm/src/bytecode.rs | awk '/total/ { exit !($1 <= 750) }' \
     || { echo "crates/vm/src/bytecode.rs is over 750 non-test lines" >&2; exit 1; }
 
+echo "==> a new reporter pays for itself (scripts/loc.sh crates/trace/src crates/vm/src/observer.rs <= 3807)"
+# Every located record holds a `Site` and renders through it (PR 22, when
+# this read 3 807; 3 870 before); a trap, audit or race report that arrives
+# with its own copy of the triple or its own renderer shows up here.
+scripts/loc.sh crates/trace/src crates/vm/src/observer.rs | awk '/total/ { exit !($1 <= 3807) }' \
+    || { echo "crates/trace/src + crates/vm/src/observer.rs are over 3807 non-test lines" >&2; exit 1; }
+
 # Cargo drops a stale entry from the frozen benchmark/Cargo.lock whenever it
 # builds there; put the file back as it was, whichever way this script ends.
 bench_lock="$(cat benchmark/Cargo.lock)"
