@@ -8,7 +8,7 @@
 
 use crate::spec::SpecFunc;
 use crate::value::{SymbolData, SymbolRef, Table, TableRef};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use terra_ir::{FuncId, FuncTy, GlobalId, StructId, Ty, TypeRegistry};
 use terra_syntax::Name;
@@ -101,6 +101,7 @@ impl Context {
             id: self.next_symbol,
             name: name.into(),
             ty: RefCell::new(ty),
+            addr_taken: Cell::new(false),
         })
     }
 
@@ -192,7 +193,7 @@ mod tests {
             name: "f".into(),
             params: vec![],
             ret: Some(Ty::Unit),
-            body: vec![],
+            body: Rc::new([]),
             span: terra_syntax::Span::synthetic(),
         });
         assert!(ctx.define_func(id, spec.clone()));

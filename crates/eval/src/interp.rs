@@ -10,7 +10,7 @@ use crate::context::Context;
 use crate::env::Env;
 use crate::error::{EvalResult, LuaError, Phase};
 use crate::reflect;
-use crate::spec::{SpecFunc, Specializer};
+use crate::spec::{lua_to_spec, SpecExpr, SpecExprKind, SpecFunc, SpecQuote, Specializer};
 use crate::value::{LuaClosure, LuaValue, Table, TableRef};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -1027,14 +1027,9 @@ impl Interp {
                 // quotes/symbols (and numbers) builds a new quotation, as in
                 // the real system.
                 if is_staged(&l) || is_staged(&r) {
-                    let le = crate::spec::lua_to_spec(self, l, span)?;
-                    let re = crate::spec::lua_to_spec(self, r, span)?;
-                    let kind = crate::spec::SpecExprKind::Bin(op, Box::new(le), Box::new(re));
-                    return Ok(LuaValue::Quote(Rc::new(crate::spec::SpecQuote {
-                        stmts: vec![],
-                        exprs: vec![crate::spec::SpecExpr::new(kind, span)],
-                        span,
-                    })));
+                    let kind = SpecExprKind::Bin(op, lua_to_spec(l, span)?, lua_to_spec(r, span)?);
+                    let e = SpecExpr::new(kind, span);
+                    return Ok(LuaValue::Quote(SpecQuote::of_expr(e, span)));
                 }
                 if let (Some(a), Some(b)) = (l.as_number(), r.as_number()) {
                     let v = match op {
@@ -1093,13 +1088,9 @@ impl Interp {
             UnOp::Not => Ok(LuaValue::Bool(!v.truthy())),
             UnOp::Neg => {
                 if is_staged(&v) {
-                    let e = crate::spec::lua_to_spec(self, v, span)?;
-                    let kind = crate::spec::SpecExprKind::Un(UnOp::Neg, Box::new(e));
-                    return Ok(LuaValue::Quote(Rc::new(crate::spec::SpecQuote {
-                        stmts: vec![],
-                        exprs: vec![crate::spec::SpecExpr::new(kind, span)],
-                        span,
-                    })));
+                    let kind = SpecExprKind::Un(UnOp::Neg, lua_to_spec(v, span)?);
+                    let e = SpecExpr::new(kind, span);
+                    return Ok(LuaValue::Quote(SpecQuote::of_expr(e, span)));
                 }
                 if let Some(n) = v.as_number() {
                     Ok(LuaValue::Number(-n))
@@ -1364,12 +1355,17 @@ impl Interp {
             .exec
             .call(id, &ffi_args)
             .map_err(|t| LuaError::at(t.to_string(), span).phase(Phase::Execution))?;
-        Ok(vec![self.ffi_to_lua(result)])
+        Ok(vec![self.ffi_to_lua(result, &sig.ret)])
     }
 
     /// Converts a Lua value to an FFI value of the given Terra type.
     pub fn lua_to_ffi(&mut self, v: LuaValue, ty: &Ty, span: Span) -> EvalResult<Value> {
         Ok(match (&v, ty) {
+            // `f64 as i64` saturates at 2^63 - 1: the upper half of `uint64`
+            // goes through `u64` (negative numbers keep wrapping, as in C).
+            (LuaValue::Number(n), Ty::Scalar(ScalarTy::U64)) if *n >= 0.0 => {
+                Value::Int(*n as u64 as i64)
+            }
             (LuaValue::Number(n), Ty::Scalar(s)) if s.is_integer() => Value::Int(*n as i64),
             (LuaValue::Number(n), Ty::Scalar(ScalarTy::F32)) => Value::Float(*n as f32 as f64),
             (LuaValue::Number(n), Ty::Scalar(ScalarTy::F64)) => Value::Float(*n),
@@ -1398,10 +1394,11 @@ impl Interp {
         })
     }
 
-    /// Converts an FFI result back to a Lua value.
-    pub fn ffi_to_lua(&self, v: Value) -> LuaValue {
+    /// Converts an FFI value of Terra type `ty` back to a Lua value.
+    pub fn ffi_to_lua(&self, v: Value, ty: &Ty) -> LuaValue {
         match v {
             Value::Unit => LuaValue::Nil,
+            Value::Int(i) if *ty == Ty::U64 => LuaValue::Number(i as u64 as f64),
             Value::Int(i) => LuaValue::Number(i as f64),
             Value::Float(f) => LuaValue::Number(f),
             Value::Bool(b) => LuaValue::Bool(b),

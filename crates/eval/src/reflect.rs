@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use terra_ir::{ScalarTy, Ty};
 use terra_syntax::{Name, Span};
-use terra_vm::Value;
+use terra_vm::{decode_value, encode_arg, Value};
 
 /// Indexes a Terra entity with a key (`T.entries`, `fn.name`, `g.type` …).
 pub fn index_terra_value(
@@ -175,7 +175,7 @@ pub fn method_call_terra_value(
         (LuaValue::Global(g), "get") => {
             let meta = interp.ctx.globals[g.0 as usize].clone();
             let v = read_global(interp, &meta)?;
-            Ok(interp.ffi_to_lua(v))
+            Ok(interp.ffi_to_lua(v, &meta.ty))
         }
         (LuaValue::Global(g), "set") => {
             let meta = interp.ctx.globals[g.0 as usize].clone();
@@ -243,27 +243,31 @@ fn type_method(
     }
 }
 
+/// The size of a global Lua can read and write: one that holds a scalar or
+/// a pointer. Memory has the value's low bytes, a register its canonical
+/// (sign- or zero-extended) form, and the VM's `encode_arg`/`decode_value`
+/// own the conversion between a register and a [`Value`].
+fn scalar_size(interp: &Interp, ty: &Ty) -> Option<u64> {
+    matches!(ty, Ty::Scalar(_) | Ty::Ptr(_)).then(|| ty.size(&interp.ctx.types))
+}
+
 fn read_global(interp: &mut Interp, meta: &crate::context::GlobalMeta) -> EvalResult<Value> {
-    let mem = &mut interp.ctx.exec.memory;
-    let v = match &meta.ty {
-        Ty::Scalar(ScalarTy::F32) => {
-            Value::Float(mem.load_f32(meta.addr).map_err(to_lua_err)? as f64)
-        }
-        Ty::Scalar(ScalarTy::F64) => Value::Float(mem.load_f64(meta.addr).map_err(to_lua_err)?),
-        Ty::Scalar(ScalarTy::Bool) => Value::Bool(mem.load_u8(meta.addr).map_err(to_lua_err)? != 0),
-        Ty::Scalar(s) if s.is_integer() => {
-            let raw = match s.size() {
-                1 => mem.load_i8(meta.addr).map_err(to_lua_err)? as i64,
-                2 => mem.load_i16(meta.addr).map_err(to_lua_err)? as i64,
-                4 => mem.load_i32(meta.addr).map_err(to_lua_err)? as i64,
-                _ => mem.load_i64(meta.addr).map_err(to_lua_err)?,
-            };
-            Value::Int(raw)
-        }
-        Ty::Ptr(_) => Value::Ptr(mem.load_u64(meta.addr).map_err(to_lua_err)?),
-        _ => return Err(LuaError::msg("cannot read aggregate global from Lua")),
+    let Some(size) = scalar_size(interp, &meta.ty) else {
+        return Err(LuaError::msg("cannot read aggregate global from Lua"));
     };
-    Ok(v)
+    let mem = &mut interp.ctx.exec.memory;
+    let raw = match size {
+        1 => mem.load_u8(meta.addr).map(u64::from),
+        2 => mem.load_u16(meta.addr).map(u64::from),
+        4 => mem.load_u32(meta.addr).map(u64::from),
+        _ => mem.load_u64(meta.addr),
+    }
+    .map_err(to_lua_err)?;
+    let bits = match &meta.ty {
+        Ty::Scalar(s) => s.canonical(raw as i64) as u64,
+        _ => raw,
+    };
+    Ok(decode_value(&meta.ty, [bits, 0, 0, 0]))
 }
 
 fn write_global(
@@ -272,28 +276,18 @@ fn write_global(
     v: LuaValue,
     span: Span,
 ) -> EvalResult<()> {
-    let ffi = interp.lua_to_ffi(v, &meta.ty, span)?;
+    let Some(size) = scalar_size(interp, &meta.ty) else {
+        return Err(LuaError::at("unsupported global assignment", span));
+    };
+    let bits = encode_arg(interp.lua_to_ffi(v, &meta.ty, span)?, &meta.ty);
     let mem = &mut interp.ctx.exec.memory;
-    match (&meta.ty, ffi) {
-        (Ty::Scalar(ScalarTy::F32), Value::Float(f)) => {
-            mem.store_f32(meta.addr, f as f32).map_err(to_lua_err)?
-        }
-        (Ty::Scalar(ScalarTy::F64), Value::Float(f)) => {
-            mem.store_f64(meta.addr, f).map_err(to_lua_err)?
-        }
-        (Ty::Scalar(ScalarTy::Bool), Value::Bool(b)) => {
-            mem.store_u8(meta.addr, b as u8).map_err(to_lua_err)?
-        }
-        (Ty::Scalar(s), Value::Int(i)) if s.is_integer() => match s.size() {
-            1 => mem.store_u8(meta.addr, i as u8).map_err(to_lua_err)?,
-            2 => mem.store_u16(meta.addr, i as u16).map_err(to_lua_err)?,
-            4 => mem.store_u32(meta.addr, i as u32).map_err(to_lua_err)?,
-            _ => mem.store_u64(meta.addr, i as u64).map_err(to_lua_err)?,
-        },
-        (Ty::Ptr(_), Value::Ptr(p)) => mem.store_u64(meta.addr, p).map_err(to_lua_err)?,
-        _ => return Err(LuaError::at("unsupported global assignment", span)),
+    match size {
+        1 => mem.store_u8(meta.addr, bits as u8),
+        2 => mem.store_u16(meta.addr, bits as u16),
+        4 => mem.store_u32(meta.addr, bits as u32),
+        _ => mem.store_u64(meta.addr, bits),
     }
-    Ok(())
+    .map_err(to_lua_err)
 }
 
 fn to_lua_err(e: terra_vm::MemError) -> LuaError {

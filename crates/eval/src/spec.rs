@@ -28,8 +28,10 @@ use terra_syntax::{
     TerraStmt, UnOp,
 };
 
-/// A specialized Terra expression.
-#[derive(Debug, Clone)]
+/// A specialized Terra expression. The tree is immutable once built and
+/// shared by reference: a splice points at the quote it splices, so neither
+/// this type nor [`SpecStmt`] nor [`SpecQuote`] is `Clone`.
+#[derive(Debug)]
 pub struct SpecExpr {
     /// Node kind.
     pub kind: SpecExprKind,
@@ -38,7 +40,7 @@ pub struct SpecExpr {
 }
 
 /// Specialized expression kinds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SpecExprKind {
     /// Integer literal.
     Int(i64, IntSuffix),
@@ -64,138 +66,150 @@ pub enum SpecExprKind {
     /// A Terra intrinsic used as a callee (simulated C function, `select`).
     Intrinsic(crate::value::Intrinsic),
     /// Field selection on a struct value or pointer.
-    Field(Box<SpecExpr>, Name),
+    Field(Rc<SpecExpr>, Name),
     /// Pointer/array indexing.
-    Index(Box<SpecExpr>, Box<SpecExpr>),
+    Index(Rc<SpecExpr>, Rc<SpecExpr>),
     /// Call (direct, indirect, cast — resolved by the typechecker from the
     /// callee's kind/type).
-    Call(Box<SpecExpr>, Vec<SpecExpr>),
+    Call(Rc<SpecExpr>, Vec<Rc<SpecExpr>>),
     /// Method call, desugared by the typechecker via the receiver's static
-    /// type (paper: `obj:m(a)` ⇒ `[T.methods.m](obj, a)`).
-    MethodCall(Box<SpecExpr>, Name, Vec<SpecExpr>),
+    /// type (paper: `obj:m(a)` ⇒ `[T.methods.m](obj, a)`). Built only by
+    /// [`SpecExpr::method_call`].
+    MethodCall(Rc<SpecExpr>, Name, Vec<Rc<SpecExpr>>),
     /// Struct literal `T { … }`.
-    StructInit(Ty, Vec<(Option<Name>, SpecExpr)>),
+    StructInit(Ty, Vec<(Option<Name>, Rc<SpecExpr>)>),
     /// Binary operator.
-    Bin(BinOp, Box<SpecExpr>, Box<SpecExpr>),
+    Bin(BinOp, Rc<SpecExpr>, Rc<SpecExpr>),
     /// Unary operator.
-    Un(UnOp, Box<SpecExpr>),
+    Un(UnOp, Rc<SpecExpr>),
     /// `@e`
-    Deref(Box<SpecExpr>),
-    /// `&e`
-    AddrOf(Box<SpecExpr>),
-    /// A statement-carrying quote spliced in expression position:
-    /// `quote s… in e end`. The third field is the 1-based source line of
-    /// the splice site, when the quote arrived through an escape (it feeds
-    /// provenance chains; `None` for quotes written in place).
-    LetIn(Vec<SpecStmt>, Box<SpecExpr>, Option<u32>),
+    Deref(Rc<SpecExpr>),
+    /// `&e`. Built only by [`SpecExpr::addr_of`].
+    AddrOf(Rc<SpecExpr>),
+    /// A statement-carrying quote (`quote s… in e end`, exactly one `in`
+    /// expression) spliced in expression position, and the 1-based source
+    /// line of the splice site (it feeds provenance chains).
+    LetIn(Rc<SpecQuote>, u32),
 }
 
 impl SpecExpr {
     /// Builds a node.
-    pub fn new(kind: SpecExprKind, span: Span) -> SpecExpr {
-        SpecExpr { kind, span }
+    pub fn new(kind: SpecExprKind, span: Span) -> Rc<SpecExpr> {
+        Rc::new(SpecExpr { kind, span })
+    }
+
+    /// `&x`. When `x` is a variable, the variable has to live in memory:
+    /// that is recorded on its symbol here, where the fact is created.
+    pub fn addr_of(x: Rc<SpecExpr>, span: Span) -> Rc<SpecExpr> {
+        x.mark_addr_taken();
+        SpecExpr::new(SpecExprKind::AddrOf(x), span)
+    }
+
+    /// `obj:name(args)`. Methods take `&self`, so a variable receiver has
+    /// its address taken just as by [`SpecExpr::addr_of`].
+    pub fn method_call(
+        obj: Rc<SpecExpr>,
+        name: Name,
+        args: Vec<Rc<SpecExpr>>,
+        span: Span,
+    ) -> Rc<SpecExpr> {
+        obj.mark_addr_taken();
+        SpecExpr::new(SpecExprKind::MethodCall(obj, name, args), span)
+    }
+
+    fn mark_addr_taken(&self) {
+        if let SpecExprKind::Sym(s) = &self.kind {
+            s.addr_taken.set(true);
+        }
     }
 }
 
 /// A specialized Terra statement.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SpecStmt {
     /// Variable declaration.
     Var {
         /// Declared symbols with optional annotated types.
         decls: Vec<(SymbolRef, Option<Ty>)>,
         /// Initializers.
-        inits: Vec<SpecExpr>,
+        inits: Vec<Rc<SpecExpr>>,
         /// Location.
         span: Span,
     },
     /// Assignment.
     Assign {
         /// L-value targets.
-        targets: Vec<SpecExpr>,
+        targets: Vec<Rc<SpecExpr>>,
         /// Right-hand sides.
-        exprs: Vec<SpecExpr>,
+        exprs: Vec<Rc<SpecExpr>>,
         /// Location.
         span: Span,
     },
     /// Conditional.
     If {
         /// `(cond, body)` arms.
-        arms: Vec<(SpecExpr, Vec<SpecStmt>)>,
+        arms: Vec<(Rc<SpecExpr>, Rc<[SpecStmt]>)>,
         /// Else body.
-        else_body: Vec<SpecStmt>,
+        else_body: Option<Rc<[SpecStmt]>>,
         /// Location.
         span: Span,
     },
     /// While loop.
     While {
         /// Condition.
-        cond: SpecExpr,
+        cond: Rc<SpecExpr>,
         /// Body.
-        body: Vec<SpecStmt>,
+        body: Rc<[SpecStmt]>,
         /// Location.
         span: Span,
     },
     /// Repeat-until loop.
     Repeat {
         /// Body.
-        body: Vec<SpecStmt>,
+        body: Rc<[SpecStmt]>,
         /// Exit condition.
-        cond: SpecExpr,
+        cond: Rc<SpecExpr>,
         /// Location.
         span: Span,
     },
-    /// Numeric for (half-open).
+    /// Numeric for (half-open). When `parallel`, iterations may run
+    /// concurrently (step 1), so the typechecker extracts the body into a
+    /// kernel function.
     For {
+        /// `parallelfor` rather than `for`.
+        parallel: bool,
         /// Loop symbol.
         sym: SymbolRef,
         /// Optional annotated type.
         ty: Option<Ty>,
         /// Start.
-        start: SpecExpr,
+        start: Rc<SpecExpr>,
         /// Exclusive stop.
-        stop: SpecExpr,
+        stop: Rc<SpecExpr>,
         /// Optional step.
-        step: Option<SpecExpr>,
+        step: Option<Rc<SpecExpr>>,
         /// Body.
-        body: Vec<SpecStmt>,
-        /// Location.
-        span: Span,
-    },
-    /// Data-parallel numeric for (half-open, step 1): iterations may run
-    /// concurrently, so the typechecker extracts the body into a kernel
-    /// function.
-    ParallelFor {
-        /// Loop symbol.
-        sym: SymbolRef,
-        /// Optional annotated type.
-        ty: Option<Ty>,
-        /// Start.
-        start: SpecExpr,
-        /// Exclusive stop.
-        stop: SpecExpr,
-        /// Body.
-        body: Vec<SpecStmt>,
+        body: Rc<[SpecStmt]>,
         /// Location.
         span: Span,
     },
     /// Return.
-    Return(Vec<SpecExpr>, Span),
+    Return(Vec<Rc<SpecExpr>>, Span),
     /// Break.
     Break(Span),
     /// Scoped block.
-    Block(Vec<SpecStmt>, Span),
+    Block(Rc<[SpecStmt]>, Span),
     /// Expression statement.
-    Expr(SpecExpr),
+    Expr(Rc<SpecExpr>),
     /// Deferred call (runs at scope exit).
-    Defer(SpecExpr, Span),
-    /// Statements contributed by splicing a `quote` at an escape site.
-    /// The typechecker lowers the inner statements normally and stamps the
-    /// resulting IR with a provenance frame for the splice.
+    Defer(Rc<SpecExpr>, Span),
+    /// A `quote` spliced at a statement-position escape. The typechecker
+    /// lowers its statements, then its `in` expressions as expression
+    /// statements, and stamps the resulting IR with a provenance frame for
+    /// the splice.
     Spliced {
-        /// The quote's statements (trailing `in` expressions become
-        /// expression statements).
-        stmts: Vec<SpecStmt>,
+        /// The quote, shared with the Lua value it came from.
+        quote: Rc<SpecQuote>,
         /// 1-based source line of the splice site.
         line: u32,
         /// Location of the splice.
@@ -204,18 +218,30 @@ pub enum SpecStmt {
 }
 
 /// A specialized quotation: the value of `quote … end` / `` `e ``.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SpecQuote {
     /// Quoted statements.
-    pub stmts: Vec<SpecStmt>,
+    pub stmts: Rc<[SpecStmt]>,
     /// Trailing `in` expressions (or the single backtick expression).
-    pub exprs: Vec<SpecExpr>,
+    pub exprs: Vec<Rc<SpecExpr>>,
     /// Location.
     pub span: Span,
 }
 
+impl SpecQuote {
+    /// The statement-free quote of one expression: what a macro argument, an
+    /// operator on staged values and a `__cast` origin are.
+    pub fn of_expr(e: Rc<SpecExpr>, span: Span) -> Rc<SpecQuote> {
+        Rc::new(SpecQuote {
+            stmts: Rc::new([]),
+            exprs: vec![e],
+            span,
+        })
+    }
+}
+
 /// A fully specialized Terra function awaiting (lazy) typechecking.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SpecFunc {
     /// Name for diagnostics.
     pub name: Rc<str>,
@@ -224,7 +250,7 @@ pub struct SpecFunc {
     /// Annotated return type (`None` = infer).
     pub ret: Option<Ty>,
     /// Body.
-    pub body: Vec<SpecStmt>,
+    pub body: Rc<[SpecStmt]>,
     /// Definition site.
     pub span: Span,
 }
@@ -235,17 +261,17 @@ pub struct SpecFunc {
 /// without explicit escapes.
 pub enum SpecVal {
     /// A Terra term.
-    Terra(SpecExpr),
+    Terra(Rc<SpecExpr>),
     /// A Lua value not yet converted.
     Lua(LuaValue, Span),
 }
 
 impl SpecVal {
     /// Forces conversion to a Terra term.
-    pub fn into_terra(self, interp: &Interp) -> EvalResult<SpecExpr> {
+    pub fn into_terra(self) -> EvalResult<Rc<SpecExpr>> {
         match self {
             SpecVal::Terra(e) => Ok(e),
-            SpecVal::Lua(v, span) => lua_to_spec(interp, v, span),
+            SpecVal::Lua(v, span) => lua_to_spec(v, span),
         }
     }
 }
@@ -256,7 +282,7 @@ fn err(msg: impl Into<String>, span: Span) -> LuaError {
 
 /// Converts a Lua value to a Terra term (rules SVAR/SESC: only a subset of
 /// Lua values are Terra terms).
-pub fn lua_to_spec(_interp: &Interp, v: LuaValue, span: Span) -> EvalResult<SpecExpr> {
+pub fn lua_to_spec(v: LuaValue, span: Span) -> EvalResult<Rc<SpecExpr>> {
     let kind = match v {
         LuaValue::Number(n) => SpecExprKind::LuaNum(n),
         LuaValue::Bool(b) => SpecExprKind::Bool(b),
@@ -267,7 +293,7 @@ pub fn lua_to_spec(_interp: &Interp, v: LuaValue, span: Span) -> EvalResult<Spec
         LuaValue::Symbol(s) => SpecExprKind::Sym(s),
         LuaValue::Global(g) => SpecExprKind::GlobalRef(g),
         LuaValue::Intrinsic(i) => SpecExprKind::Intrinsic(i),
-        LuaValue::Quote(q) => return splice_quote_expr(&q, span),
+        LuaValue::Quote(q) => return splice_quote_expr(q, span),
         LuaValue::Table(_) => {
             return Err(err(
                 "a Lua table is not a Terra value (did you mean to index it, or use a quote?)",
@@ -287,22 +313,18 @@ pub fn lua_to_spec(_interp: &Interp, v: LuaValue, span: Span) -> EvalResult<Spec
     Ok(SpecExpr::new(kind, span))
 }
 
-/// Splices a quote into expression position.
-fn splice_quote_expr(q: &SpecQuote, span: Span) -> EvalResult<SpecExpr> {
-    if q.exprs.len() > 1 {
-        return Err(err(
-            "quote yields multiple expressions; only one can be spliced here",
-            span,
-        ));
-    }
-    match (q.stmts.is_empty(), q.exprs.first()) {
-        (true, Some(e)) => Ok(e.clone()),
-        (false, Some(e)) => Ok(SpecExpr::new(
-            SpecExprKind::LetIn(q.stmts.clone(), Box::new(e.clone()), Some(span.line)),
+/// Splices a quote into expression position: a statement-free quote *is* the
+/// expression it quotes (so lvalues, type heads and `&[q]` see through it).
+fn splice_quote_expr(q: Rc<SpecQuote>, span: Span) -> EvalResult<Rc<SpecExpr>> {
+    match (&q.exprs[..], q.stmts.is_empty()) {
+        ([e], true) => Ok(Rc::clone(e)),
+        ([_], false) => Ok(SpecExpr::new(SpecExprKind::LetIn(q, span.line), span)),
+        ([], _) => Err(err(
+            "quote contains only statements and cannot be used as an expression",
             span,
         )),
-        (_, None) => Err(err(
-            "quote contains only statements and cannot be used as an expression",
+        _ => Err(err(
+            "quote yields multiple expressions; only one can be spliced here",
             span,
         )),
     }
@@ -381,11 +403,7 @@ impl<'a> Specializer<'a> {
     pub fn quote(&mut self, q: &TerraQuote) -> EvalResult<SpecQuote> {
         let saved = self.enter_child();
         let stmts = self.block_no_scope(&q.stmts)?;
-        let exprs = q
-            .exprs
-            .iter()
-            .map(|e| self.expr_terra(e))
-            .collect::<EvalResult<Vec<_>>>()?;
+        let exprs = self.exprs_terra(&q.exprs)?;
         self.leave(saved);
         Ok(SpecQuote {
             stmts,
@@ -410,19 +428,19 @@ impl<'a> Specializer<'a> {
         self.interp.value_to_type(v, e.span())
     }
 
-    fn block(&mut self, stmts: &[TerraStmt]) -> EvalResult<Vec<SpecStmt>> {
+    fn block(&mut self, stmts: &[TerraStmt]) -> EvalResult<Rc<[SpecStmt]>> {
         let saved = self.enter_child();
         let out = self.block_no_scope(stmts);
         self.leave(saved);
         out
     }
 
-    fn block_no_scope(&mut self, stmts: &[TerraStmt]) -> EvalResult<Vec<SpecStmt>> {
+    fn block_no_scope(&mut self, stmts: &[TerraStmt]) -> EvalResult<Rc<[SpecStmt]>> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             self.stmt(s, &mut out)?;
         }
-        Ok(out)
+        Ok(out.into())
     }
 
     fn decl_symbol(&mut self, name: &DeclName, ty: Option<Ty>) -> EvalResult<SymbolRef> {
@@ -464,10 +482,7 @@ impl<'a> Specializer<'a> {
         match s {
             TerraStmt::Var { decls, inits, span } => {
                 // Initializers are specialized in the *outer* scope…
-                let inits = inits
-                    .iter()
-                    .map(|e| self.expr_terra(e))
-                    .collect::<EvalResult<Vec<_>>>()?;
+                let inits = self.exprs_terra(inits)?;
                 // …then the names are bound (hygienic let).
                 let mut sdecls = Vec::with_capacity(decls.len());
                 for (name, ty_expr) in decls {
@@ -490,14 +505,8 @@ impl<'a> Specializer<'a> {
                 exprs,
                 span,
             } => {
-                let targets = targets
-                    .iter()
-                    .map(|e| self.expr_terra(e))
-                    .collect::<EvalResult<Vec<_>>>()?;
-                let exprs = exprs
-                    .iter()
-                    .map(|e| self.expr_terra(e))
-                    .collect::<EvalResult<Vec<_>>>()?;
+                let targets = self.exprs_terra(targets)?;
+                let exprs = self.exprs_terra(exprs)?;
                 out.push(SpecStmt::Assign {
                     targets,
                     exprs,
@@ -515,8 +524,8 @@ impl<'a> Specializer<'a> {
                     sarms.push((c, self.block(body)?));
                 }
                 let else_body = match else_body {
-                    Some(b) => self.block(b)?,
-                    None => Vec::new(),
+                    Some(b) => Some(self.block(b)?),
+                    None => None,
                 };
                 out.push(SpecStmt::If {
                     arms: sarms,
@@ -545,7 +554,8 @@ impl<'a> Specializer<'a> {
                     span: *span,
                 });
             }
-            TerraStmt::ForNum {
+            TerraStmt::For {
+                parallel,
                 var,
                 ty,
                 start,
@@ -572,6 +582,7 @@ impl<'a> Specializer<'a> {
                 let body = self.block_no_scope(body)?;
                 self.leave(saved);
                 out.push(SpecStmt::For {
+                    parallel: *parallel,
                     sym,
                     ty,
                     start,
@@ -581,40 +592,8 @@ impl<'a> Specializer<'a> {
                     span: *span,
                 });
             }
-            TerraStmt::ParallelFor {
-                var,
-                ty,
-                start,
-                stop,
-                body,
-                span,
-            } => {
-                let start = self.expr_terra(start)?;
-                let stop = self.expr_terra(stop)?;
-                let ty = match ty {
-                    Some(t) => Some(self.eval_type(t)?),
-                    None => None,
-                };
-                let sym = self.decl_symbol(var, ty.clone())?;
-                let saved = self.enter_child();
-                self.bind_symbol(var, &sym);
-                let body = self.block_no_scope(body)?;
-                self.leave(saved);
-                out.push(SpecStmt::ParallelFor {
-                    sym,
-                    ty,
-                    start,
-                    stop,
-                    body,
-                    span: *span,
-                });
-            }
             TerraStmt::Return { exprs, span } => {
-                let exprs = exprs
-                    .iter()
-                    .map(|e| self.expr_terra(e))
-                    .collect::<EvalResult<Vec<_>>>()?;
-                out.push(SpecStmt::Return(exprs, *span));
+                out.push(SpecStmt::Return(self.exprs_terra(exprs)?, *span));
             }
             TerraStmt::Break(span) => out.push(SpecStmt::Break(*span)),
             TerraStmt::Block(body, span) => {
@@ -648,13 +627,9 @@ impl<'a> Specializer<'a> {
     ) -> EvalResult<()> {
         match v {
             LuaValue::Nil => Ok(()),
-            LuaValue::Quote(q) => {
-                let mut stmts: Vec<SpecStmt> = q.stmts.to_vec();
-                for e in &q.exprs {
-                    stmts.push(SpecStmt::Expr(e.clone()));
-                }
+            LuaValue::Quote(quote) => {
                 out.push(SpecStmt::Spliced {
-                    stmts,
+                    quote,
                     line: span.line,
                     span,
                 });
@@ -668,22 +643,24 @@ impl<'a> Specializer<'a> {
                 Ok(())
             }
             other => {
-                let e = lua_to_spec(self.interp, other, span)?;
-                out.push(SpecStmt::Expr(e));
+                out.push(SpecStmt::Expr(lua_to_spec(other, span)?));
                 Ok(())
             }
         }
     }
 
-    fn expr_terra(&mut self, e: &TerraExpr) -> EvalResult<SpecExpr> {
-        let sv = self.expr(e)?;
-        sv.into_terra(self.interp)
+    fn expr_terra(&mut self, e: &TerraExpr) -> EvalResult<Rc<SpecExpr>> {
+        self.expr(e)?.into_terra()
+    }
+
+    fn exprs_terra(&mut self, es: &[TerraExpr]) -> EvalResult<Vec<Rc<SpecExpr>>> {
+        es.iter().map(|e| self.expr_terra(e)).collect()
     }
 
     /// Specializes a call argument list. An escape that evaluates to a Lua
     /// list splices as multiple arguments (the paper's `f(self, [params])`
     /// stub pattern).
-    fn spec_args(&mut self, args: &[TerraExpr]) -> EvalResult<Vec<SpecExpr>> {
+    fn spec_args(&mut self, args: &[TerraExpr]) -> EvalResult<Vec<Rc<SpecExpr>>> {
         let mut out = Vec::with_capacity(args.len());
         for a in args {
             if let TerraExpr::EscapeExpr(le, span) = a {
@@ -691,11 +668,11 @@ impl<'a> Specializer<'a> {
                 if let LuaValue::Table(t) = &v {
                     let items: Vec<LuaValue> = t.borrow().iter_array().cloned().collect();
                     for item in items {
-                        out.push(lua_to_spec(self.interp, item, *span)?);
+                        out.push(lua_to_spec(item, *span)?);
                     }
                     continue;
                 }
-                out.push(lua_to_spec(self.interp, v, *span)?);
+                out.push(lua_to_spec(v, *span)?);
                 continue;
             }
             out.push(self.expr_terra(a)?);
@@ -750,11 +727,8 @@ impl<'a> Specializer<'a> {
                         SpecVal::Lua(r, *span)
                     }
                     other => {
-                        let o = other.into_terra(self.interp)?;
-                        SpecVal::Terra(SpecExpr::new(
-                            SpecExprKind::Field(Box::new(o), name.clone()),
-                            *span,
-                        ))
+                        let o = other.into_terra()?;
+                        SpecVal::Terra(SpecExpr::new(SpecExprKind::Field(o, name.clone()), *span))
                     }
                 }
             }
@@ -770,7 +744,7 @@ impl<'a> Specializer<'a> {
                         SpecVal::Lua(r, *span)
                     }
                     other => {
-                        let o = other.into_terra(self.interp)?;
+                        let o = other.into_terra()?;
                         let field = match key {
                             LuaValue::Str(s) => s,
                             LuaValue::Symbol(s) => s.name.clone(),
@@ -784,10 +758,7 @@ impl<'a> Specializer<'a> {
                                 ))
                             }
                         };
-                        SpecVal::Terra(SpecExpr::new(
-                            SpecExprKind::Field(Box::new(o), field),
-                            *span,
-                        ))
+                        SpecVal::Terra(SpecExpr::new(SpecExprKind::Field(o, field), *span))
                     }
                 }
             }
@@ -815,10 +786,7 @@ impl<'a> Specializer<'a> {
                     }
                     SpecVal::Terra(o) => {
                         let i = self.expr_terra(index)?;
-                        SpecVal::Terra(SpecExpr::new(
-                            SpecExprKind::Index(Box::new(o), Box::new(i)),
-                            *span,
-                        ))
+                        SpecVal::Terra(SpecExpr::new(SpecExprKind::Index(o, i), *span))
                     }
                 }
             }
@@ -830,11 +798,7 @@ impl<'a> Specializer<'a> {
                         let mut qargs = Vec::with_capacity(args.len());
                         for a in args {
                             let e = self.expr_terra(a)?;
-                            qargs.push(LuaValue::Quote(Rc::new(SpecQuote {
-                                stmts: vec![],
-                                exprs: vec![e],
-                                span: *span,
-                            })));
+                            qargs.push(LuaValue::Quote(SpecQuote::of_expr(e, *span)));
                         }
                         let result = self.interp.call_value(m.func.clone(), qargs, *span)?;
                         let first = result.into_iter().next().unwrap_or(LuaValue::Nil);
@@ -850,8 +814,8 @@ impl<'a> Specializer<'a> {
                             match self.expr(a)? {
                                 SpecVal::Lua(lv, _) => largs.push(lv),
                                 SpecVal::Terra(t) => {
-                                    if let SpecExprKind::TypeLit(ty) = t.kind {
-                                        largs.push(LuaValue::Type(ty));
+                                    if let SpecExprKind::TypeLit(ty) = &t.kind {
+                                        largs.push(LuaValue::Type(ty.clone()));
                                     } else {
                                         return Err(err(
                                             "cannot call a Lua function with runtime Terra \
@@ -867,9 +831,9 @@ impl<'a> Specializer<'a> {
                         SpecVal::Lua(first, *span)
                     }
                     other => {
-                        let c = other.into_terra(self.interp)?;
+                        let c = other.into_terra()?;
                         let args = self.spec_args(args)?;
-                        SpecVal::Terra(SpecExpr::new(SpecExprKind::Call(Box::new(c), args), *span))
+                        SpecVal::Terra(SpecExpr::new(SpecExprKind::Call(c, args), *span))
                     }
                 }
             }
@@ -879,22 +843,13 @@ impl<'a> Specializer<'a> {
                 args,
                 span,
             } => {
-                let obj = self.expr(obj)?;
-                match obj {
-                    SpecVal::Lua(
-                        v @ (LuaValue::Global(_) | LuaValue::Quote(_) | LuaValue::Symbol(_)),
-                        sp,
-                    ) => {
-                        // Method call on a staged value is a Terra method
-                        // call on the spliced term.
-                        let o = lua_to_spec(self.interp, v, sp)?;
-                        let args = self.spec_args(args)?;
-                        SpecVal::Terra(SpecExpr::new(
-                            SpecExprKind::MethodCall(Box::new(o), name.clone(), args),
-                            *span,
-                        ))
-                    }
-                    SpecVal::Lua(v, _) => {
+                let o = match self.expr(obj)? {
+                    SpecVal::Lua(v, _)
+                        if !matches!(
+                            v,
+                            LuaValue::Global(_) | LuaValue::Quote(_) | LuaValue::Symbol(_)
+                        ) =>
+                    {
                         // Compile-time method call (e.g. reflection API used
                         // inside an annotation-like position).
                         let args = args
@@ -909,16 +864,14 @@ impl<'a> Specializer<'a> {
                             })
                             .collect::<EvalResult<Vec<_>>>()?;
                         let r = self.interp.method_call_value(v, name, args, *span)?;
-                        SpecVal::Lua(r, *span)
+                        return Ok(SpecVal::Lua(r, *span));
                     }
-                    SpecVal::Terra(o) => {
-                        let args = self.spec_args(args)?;
-                        SpecVal::Terra(SpecExpr::new(
-                            SpecExprKind::MethodCall(Box::new(o), name.clone(), args),
-                            *span,
-                        ))
-                    }
-                }
+                    // Method call on a staged value is a Terra method call
+                    // on the spliced term.
+                    term => term.into_terra()?,
+                };
+                let args = self.spec_args(args)?;
+                SpecVal::Terra(SpecExpr::method_call(o, name.clone(), args, *span))
             }
             TerraExpr::DynMethodCall {
                 obj,
@@ -941,26 +894,23 @@ impl<'a> Specializer<'a> {
                     }
                 };
                 let args = self.spec_args(args)?;
-                SpecVal::Terra(SpecExpr::new(
-                    SpecExprKind::MethodCall(Box::new(o), mname, args),
-                    *span,
-                ))
+                SpecVal::Terra(SpecExpr::method_call(o, mname, args, *span))
             }
             TerraExpr::StructInit { ty, args, span } => {
-                let head = self.expr(ty)?;
-                let t = match head {
-                    SpecVal::Lua(LuaValue::Type(t), _) => t,
-                    SpecVal::Terra(SpecExpr {
-                        kind: SpecExprKind::TypeLit(t),
-                        ..
-                    }) => t,
-                    _ => {
-                        return Err(err(
-                            "struct literal requires a Terra struct type before '{'",
-                            *span,
-                        ))
-                    }
-                };
+                let t = match self.expr(ty)? {
+                    SpecVal::Lua(LuaValue::Type(t), _) => Some(t),
+                    SpecVal::Terra(e) => match &e.kind {
+                        SpecExprKind::TypeLit(t) => Some(t.clone()),
+                        _ => None,
+                    },
+                    SpecVal::Lua(..) => None,
+                }
+                .ok_or_else(|| {
+                    err(
+                        "struct literal requires a Terra struct type before '{'",
+                        *span,
+                    )
+                })?;
                 let args = args
                     .iter()
                     .map(|(n, a)| Ok((n.clone(), self.expr_terra(a)?)))
@@ -970,18 +920,15 @@ impl<'a> Specializer<'a> {
             TerraExpr::BinOp { op, lhs, rhs, span } => {
                 let l = self.expr_terra(lhs)?;
                 let r = self.expr_terra(rhs)?;
-                SpecVal::Terra(SpecExpr::new(
-                    SpecExprKind::Bin(*op, Box::new(l), Box::new(r)),
-                    *span,
-                ))
+                SpecVal::Terra(SpecExpr::new(SpecExprKind::Bin(*op, l, r), *span))
             }
             TerraExpr::UnOp { op, expr, span } => {
                 let x = self.expr_terra(expr)?;
-                SpecVal::Terra(SpecExpr::new(SpecExprKind::Un(*op, Box::new(x)), *span))
+                SpecVal::Terra(SpecExpr::new(SpecExprKind::Un(*op, x), *span))
             }
             TerraExpr::Deref(inner, span) => {
                 let x = self.expr_terra(inner)?;
-                SpecVal::Terra(SpecExpr::new(SpecExprKind::Deref(Box::new(x)), *span))
+                SpecVal::Terra(SpecExpr::new(SpecExprKind::Deref(x), *span))
             }
             TerraExpr::AddrOf(inner, span) => {
                 let x = self.expr(inner)?;
@@ -991,10 +938,7 @@ impl<'a> Specializer<'a> {
                     SpecVal::Lua(LuaValue::Type(t), _) => {
                         SpecVal::Lua(LuaValue::Type(t.ptr_to()), *span)
                     }
-                    other => {
-                        let x = other.into_terra(self.interp)?;
-                        SpecVal::Terra(SpecExpr::new(SpecExprKind::AddrOf(Box::new(x)), *span))
-                    }
+                    other => SpecVal::Terra(SpecExpr::addr_of(other.into_terra()?, *span)),
                 }
             }
             TerraExpr::TerraFunction(def) => {
@@ -1045,5 +989,91 @@ pub fn collect_symbols(v: LuaValue, span: Span) -> EvalResult<Vec<SymbolRef>> {
             ),
             span,
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fails to compile when `$t: Clone`: the method then resolves through
+    /// both blanket impls and the `_` cannot be inferred.
+    macro_rules! assert_not_clone {
+        ($($t:ty),*) => {$(
+            const _: fn() = || {
+                trait AmbiguousIfClone<A> {
+                    fn check() {}
+                }
+                impl<T: ?Sized> AmbiguousIfClone<()> for T {}
+                impl<T: ?Sized + Clone> AmbiguousIfClone<u8> for T {}
+                let _ = <$t as AmbiguousIfClone<_>>::check;
+            };
+        )*};
+    }
+    // A deep copy of specialized code is a compile error, not a review
+    // comment: re-deriving `Clone` on any of these breaks the build here.
+    assert_not_clone!(SpecExpr, SpecStmt, SpecQuote);
+
+    fn quote_of(interp: &Interp, name: &str) -> Rc<SpecQuote> {
+        match interp.global(name) {
+            LuaValue::Quote(q) => q,
+            other => panic!("{name} is {other:?}"),
+        }
+    }
+
+    fn body_of(interp: &Interp, name: &str) -> Rc<SpecFunc> {
+        let LuaValue::TerraFunc(id) = interp.global(name) else {
+            panic!("{name} is not a terra function");
+        };
+        interp.ctx.funcs[id.0 as usize].spec.clone().unwrap()
+    }
+
+    #[test]
+    fn a_splice_points_at_the_quote_it_splices() {
+        let mut interp = Interp::new();
+        interp
+            .exec(
+                "x = symbol(int, 'x')
+                 stmts = quote var [x] = 1 end
+                 both = quote var y = 2 in y end
+                 expr = `[x] + 1
+                 terra f() : int [stmts]; var a = [both]; return [expr] end",
+            )
+            .unwrap();
+        let f = body_of(&interp, "f");
+        let [SpecStmt::Spliced { quote, .. }, SpecStmt::Var { inits, .. }, SpecStmt::Return(ret, _)] =
+            &f.body[..]
+        else {
+            panic!("{:?}", f.body);
+        };
+        assert!(Rc::ptr_eq(quote, &quote_of(&interp, "stmts")));
+        let SpecExprKind::LetIn(q, _) = &inits[0].kind else {
+            panic!("{:?}", inits[0]);
+        };
+        assert!(Rc::ptr_eq(q, &quote_of(&interp, "both")));
+        // A statement-free quote is the quoted expression itself.
+        assert!(Rc::ptr_eq(&ret[0], &quote_of(&interp, "expr").exprs[0]));
+    }
+
+    #[test]
+    fn address_of_is_recorded_on_the_symbol_where_it_is_built() {
+        let mut interp = Interp::new();
+        interp
+            .exec(
+                "struct S { v : int }
+                 terra S:get() : int return self.v end
+                 a, b, c, d = symbol(int, 'a'), symbol(int, 'b'), symbol(S, 'c'), symbol(int, 'd')
+                 qb = `[b]
+                 q = quote var p = &[a]; var r = &[qb]; var n = [c]:get(); var m = [d] + 1 end",
+            )
+            .unwrap();
+        let taken = |name: &str| match interp.global(name) {
+            LuaValue::Symbol(s) => s.addr_taken.get(),
+            other => panic!("{name} is {other:?}"),
+        };
+        assert!(taken("a"), "&[a]");
+        assert!(taken("b"), "&[q] with q = `b sees through the quote");
+        assert!(taken("c"), "a method call takes its receiver's address");
+        assert!(!taken("d"), "reading a variable does not");
     }
 }

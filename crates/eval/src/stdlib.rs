@@ -360,15 +360,15 @@ fn install_types(interp: &mut Interp) {
             }
             let init_bytes: Option<Vec<u8>> = match arg(&args, 1) {
                 LuaValue::Nil => None,
-                LuaValue::Number(n) => Some(match &ty {
-                    Ty::Scalar(ScalarTy::F32) => (n as f32).to_le_bytes().to_vec(),
-                    Ty::Scalar(ScalarTy::F64) => n.to_le_bytes().to_vec(),
-                    Ty::Scalar(s) if s.is_integer() => {
-                        (n as i64).to_le_bytes()[..s.size() as usize].to_vec()
-                    }
-                    _ => return Err(LuaError::msg("global: cannot initialize this type")),
-                }),
-                LuaValue::Bool(b) => Some(vec![b as u8]),
+                // The initializer is stored as `g:set(v)` would store it.
+                v @ (LuaValue::Number(_) | LuaValue::Bool(_)) => {
+                    let Ty::Scalar(s) = &ty else {
+                        return Err(LuaError::msg("global: cannot initialize this type"));
+                    };
+                    let v = it.lua_to_ffi(v, &ty, Span::synthetic())?;
+                    let bits = terra_vm::encode_arg(v, &ty);
+                    Some(bits.to_le_bytes()[..s.size() as usize].to_vec())
+                }
                 _ => return Err(LuaError::msg("global: unsupported initializer")),
             };
             let id = it.ctx.new_global("global", ty, init_bytes.as_deref());
@@ -613,25 +613,58 @@ fn install_string(interp: &mut Interp) {
     interp.set_global("string", LuaValue::Table(s));
 }
 
+/// `table.insert(t, [pos,] v)`, which is also a list's `:insert`.
+fn table_insert(_: &mut Interp, args: Vec<LuaValue>) -> EvalResult<Vec<LuaValue>> {
+    let LuaValue::Table(t) = arg(&args, 0) else {
+        return Err(LuaError::msg("table.insert: table expected"));
+    };
+    if args.len() >= 3 {
+        let pos = num_arg(&args, 1, "insert")? as usize;
+        t.borrow_mut().insert_at(pos, arg(&args, 2));
+    } else {
+        t.borrow_mut().push(arg(&args, 1));
+    }
+    Ok(vec![])
+}
+
+/// Stable bottom-up merge sort under a comparator that may fail (it can be a
+/// Lua function): at most n·⌈log₂ n⌉ calls of `less`, the first error ends it.
+fn merge_sort(
+    items: &mut Vec<LuaValue>,
+    less: &mut dyn FnMut(&LuaValue, &LuaValue) -> EvalResult<bool>,
+) -> EvalResult<()> {
+    let n = items.len();
+    let mut merged = Vec::with_capacity(n);
+    let mut width = 1;
+    while width < n {
+        for lo in (0..n).step_by(2 * width) {
+            let (mid, hi) = ((lo + width).min(n), (lo + 2 * width).min(n));
+            let (mut i, mut j) = (lo, mid);
+            while i < mid && j < hi {
+                // The right run's element goes first only when strictly less.
+                if less(&items[j], &items[i])? {
+                    merged.push(items[j].clone());
+                    j += 1;
+                } else {
+                    merged.push(items[i].clone());
+                    i += 1;
+                }
+            }
+            merged.extend_from_slice(&items[i..mid]);
+            merged.extend_from_slice(&items[j..hi]);
+        }
+        std::mem::swap(items, &mut merged);
+        merged.clear();
+        width *= 2;
+    }
+    Ok(())
+}
+
 fn install_table_lib(interp: &mut Interp) {
     let t = new_table();
     {
         let mut tb = t.borrow_mut();
-        tb.set_str(
-            "insert",
-            native("insert", |_, args| {
-                let LuaValue::Table(t) = arg(&args, 0) else {
-                    return Err(LuaError::msg("table.insert: table expected"));
-                };
-                if args.len() >= 3 {
-                    let pos = num_arg(&args, 1, "insert")? as usize;
-                    t.borrow_mut().insert_at(pos, arg(&args, 2));
-                } else {
-                    t.borrow_mut().push(arg(&args, 1));
-                }
-                Ok(vec![])
-            }),
-        );
+        tb.set_str("insert", native("insert", table_insert));
         tb.set_str(
             "remove",
             native("remove", |_, args| {
@@ -676,34 +709,19 @@ fn install_table_lib(interp: &mut Interp) {
                 };
                 let cmp = arg(&args, 1);
                 let mut items: Vec<LuaValue> = t.borrow().iter_array().cloned().collect();
-                // Insertion sort so the comparator can be a Lua function.
-                for i in 1..items.len() {
-                    let mut j = i;
-                    while j > 0 {
-                        let less = match &cmp {
-                            LuaValue::Nil => match (&items[j], &items[j - 1]) {
-                                (LuaValue::Number(a), LuaValue::Number(b)) => a < b,
-                                (LuaValue::Str(a), LuaValue::Str(b)) => a < b,
-                                _ => false,
-                            },
-                            f => it
-                                .call_value(
-                                    f.clone(),
-                                    vec![items[j].clone(), items[j - 1].clone()],
-                                    Span::synthetic(),
-                                )?
-                                .first()
-                                .map(|v| v.truthy())
-                                .unwrap_or(false),
-                        };
-                        if less {
-                            items.swap(j, j - 1);
-                            j -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                merge_sort(&mut items, &mut |a, b| {
+                    Ok(match &cmp {
+                        LuaValue::Nil => match (a, b) {
+                            (LuaValue::Number(a), LuaValue::Number(b)) => a < b,
+                            (LuaValue::Str(a), LuaValue::Str(b)) => a < b,
+                            _ => false,
+                        },
+                        f => it
+                            .call_value(f.clone(), vec![a.clone(), b.clone()], Span::synthetic())?
+                            .first()
+                            .is_some_and(LuaValue::truthy),
+                    })
+                })?;
                 let mut tb = t.borrow_mut();
                 for (i, v) in items.into_iter().enumerate() {
                     tb.set(LuaValue::Number((i + 1) as f64), v);
@@ -769,21 +787,7 @@ fn install_list_meta(interp: &mut Interp) {
     let methods = new_table();
     {
         let mut mb = methods.borrow_mut();
-        mb.set_str(
-            "insert",
-            native("insert", |_, args| {
-                let LuaValue::Table(t) = arg(&args, 0) else {
-                    return Err(LuaError::msg("list:insert: list expected"));
-                };
-                if args.len() >= 3 {
-                    let pos = num_arg(&args, 1, "insert")? as usize;
-                    t.borrow_mut().insert_at(pos, arg(&args, 2));
-                } else {
-                    t.borrow_mut().push(arg(&args, 1));
-                }
-                Ok(vec![])
-            }),
-        );
+        mb.set_str("insert", native("insert", table_insert));
         mb.set_str(
             "insertall",
             native("insertall", |_, args| {

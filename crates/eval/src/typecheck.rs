@@ -14,9 +14,9 @@
 
 use crate::error::{EvalResult, LuaError, Phase};
 use crate::interp::Interp;
-use crate::spec::{SpecExpr, SpecExprKind, SpecStmt};
+use crate::spec::{SpecExpr, SpecExprKind, SpecQuote, SpecStmt};
 use crate::value::{Intrinsic, LuaValue};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 use terra_ir::{
@@ -299,9 +299,6 @@ fn check_function_inner(interp: &mut Interp, id: FuncId) -> EvalResult<(IrFuncti
         .spec
         .clone()
         .expect("caller verified definition");
-    let mut addrof = HashSet::new();
-    collect_addrof_stmts(&spec.body, &mut addrof);
-
     let mut func = IrFunction {
         name: spec.name.as_ref().into(),
         ty: FuncTy {
@@ -314,7 +311,7 @@ fn check_function_inner(interp: &mut Interp, id: FuncId) -> EvalResult<(IrFuncti
     };
     let mut syms = HashMap::new();
     for (sym, ty) in &spec.params {
-        let in_memory = is_aggregate(ty) || addrof.contains(&sym.id);
+        let in_memory = is_aggregate(ty) || sym.addr_taken.get();
         let lid = func.add_local(&*sym.name, ty.clone(), in_memory);
         syms.insert(sym.id, lid);
     }
@@ -322,7 +319,6 @@ fn check_function_inner(interp: &mut Interp, id: FuncId) -> EvalResult<(IrFuncti
         interp,
         func,
         syms,
-        addrof,
         ret_ty: spec.ret.clone(),
         deps: BTreeSet::new(),
         prelude: Vec::new(),
@@ -345,125 +341,17 @@ fn is_aggregate(ty: &Ty) -> bool {
     matches!(ty, Ty::Struct(_) | Ty::Array(..))
 }
 
-// ---------------------------------------------------------------------------
-// address-of pre-pass
-// ---------------------------------------------------------------------------
-
-fn collect_addrof_stmts(stmts: &[SpecStmt], out: &mut HashSet<u64>) {
-    for s in stmts {
-        match s {
-            SpecStmt::Var { inits, .. } => {
-                for e in inits {
-                    collect_addrof_expr(e, out);
-                }
-            }
-            SpecStmt::Assign { targets, exprs, .. } => {
-                for e in targets.iter().chain(exprs) {
-                    collect_addrof_expr(e, out);
-                }
-            }
-            SpecStmt::If {
-                arms, else_body, ..
-            } => {
-                for (c, b) in arms {
-                    collect_addrof_expr(c, out);
-                    collect_addrof_stmts(b, out);
-                }
-                collect_addrof_stmts(else_body, out);
-            }
-            SpecStmt::While { cond, body, .. } | SpecStmt::Repeat { cond, body, .. } => {
-                collect_addrof_expr(cond, out);
-                collect_addrof_stmts(body, out);
-            }
-            SpecStmt::For {
-                start,
-                stop,
-                step,
-                body,
-                ..
-            } => {
-                collect_addrof_expr(start, out);
-                collect_addrof_expr(stop, out);
-                if let Some(s) = step {
-                    collect_addrof_expr(s, out);
-                }
-                collect_addrof_stmts(body, out);
-            }
-            SpecStmt::Return(es, _) => {
-                for e in es {
-                    collect_addrof_expr(e, out);
-                }
-            }
-            SpecStmt::ParallelFor {
-                start, stop, body, ..
-            } => {
-                collect_addrof_expr(start, out);
-                collect_addrof_expr(stop, out);
-                collect_addrof_stmts(body, out);
-            }
-            SpecStmt::Block(b, _) => collect_addrof_stmts(b, out),
-            SpecStmt::Spliced { stmts, .. } => collect_addrof_stmts(stmts, out),
-            SpecStmt::Expr(e) | SpecStmt::Defer(e, _) => collect_addrof_expr(e, out),
-            SpecStmt::Break(_) => {}
-        }
+/// The struct a method call or `__cast` on `ty` dispatches through: `ty`
+/// itself or its pointee.
+fn struct_of(ty: &Ty) -> Option<terra_ir::StructId> {
+    match ty {
+        Ty::Struct(s) => Some(*s),
+        Ty::Ptr(p) => match &**p {
+            Ty::Struct(s) => Some(*s),
+            _ => None,
+        },
+        _ => None,
     }
-}
-
-fn collect_addrof_expr(e: &SpecExpr, out: &mut HashSet<u64>) {
-    match &e.kind {
-        SpecExprKind::AddrOf(inner) => {
-            if let SpecExprKind::Sym(s) = &inner.kind {
-                out.insert(s.id);
-            }
-            collect_addrof_expr(inner, out);
-        }
-        SpecExprKind::MethodCall(obj, _, args) => {
-            // `x:m()` on a scalar-typed local would need its address; structs
-            // are in memory anyway, and scalars have no methods, so only the
-            // receiver of Field matters — conservatively mark simple symbols.
-            if let SpecExprKind::Sym(s) = &obj.kind {
-                out.insert(s.id);
-            }
-            collect_addrof_expr(obj, out);
-            for a in args {
-                collect_addrof_expr(a, out);
-            }
-        }
-        SpecExprKind::Field(o, _) => collect_addrof_expr(o, out),
-        SpecExprKind::Index(o, i) => {
-            collect_addrof_expr(o, out);
-            collect_addrof_expr(i, out);
-        }
-        SpecExprKind::Call(f, args) => {
-            collect_addrof_expr(f, out);
-            for a in args {
-                collect_addrof_expr(a, out);
-            }
-        }
-        SpecExprKind::StructInit(_, args) => {
-            for (_, a) in args {
-                collect_addrof_expr(a, out);
-            }
-        }
-        SpecExprKind::Bin(_, l, r) => {
-            collect_addrof_expr(l, out);
-            collect_addrof_expr(r, out);
-        }
-        SpecExprKind::Un(_, x) | SpecExprKind::Deref(x) => collect_addrof_expr(x, out),
-        SpecExprKind::LetIn(stmts, x, _) => {
-            collect_addrof_stmts(stmts, out);
-            collect_addrof_expr(x, out);
-        }
-        _ => {}
-    }
-}
-
-/// Stamps every statement that doesn't already carry provenance (statements
-/// from a nested splice stamped their deeper chain first and win).
-fn stamp_prov(stmts: &mut [IrStmt], p: &Provenance) {
-    IrStmt::walk_mut(stmts, &mut |s| {
-        s.prov.get_or_insert_with(|| p.clone());
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +423,6 @@ struct Checker<'a> {
     interp: &'a mut Interp,
     func: IrFunction,
     syms: HashMap<u64, LocalId>,
-    addrof: HashSet<u64>,
     ret_ty: Option<Ty>,
     deps: BTreeSet<FuncId>,
     /// Statements hoisted out of expression lowering (spliced statement
@@ -683,7 +570,7 @@ impl Checker<'_> {
     }
 
     /// A loop bound (or step) as a value of the loop variable's type.
-    fn bound(&mut self, e: &SpecExpr, var_ty: &Ty) -> EvalResult<IrExpr> {
+    fn bound(&mut self, e: &Rc<SpecExpr>, var_ty: &Ty) -> EvalResult<IrExpr> {
         let t = self.expr(e, Some(var_ty))?;
         let t = self.convert(t, var_ty, e.span, Some(e))?;
         self.read(t, e.span)
@@ -695,8 +582,8 @@ impl Checker<'_> {
         &mut self,
         what: &str,
         ty: &Option<Ty>,
-        start: &SpecExpr,
-        stop: &SpecExpr,
+        start: &Rc<SpecExpr>,
+        stop: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<(Ty, IrExpr, IrExpr)> {
         let var_ty = match ty {
@@ -733,7 +620,7 @@ impl Checker<'_> {
         match s {
             SpecStmt::Var { decls, inits, span } => {
                 // Typecheck initializers first (they see the outer bindings).
-                let mut init_texps: Vec<Option<(TExp, &SpecExpr)>> = Vec::new();
+                let mut init_texps: Vec<Option<(TExp, &Rc<SpecExpr>)>> = Vec::new();
                 for (i, (_, ann)) in decls.iter().enumerate() {
                     match inits.get(i) {
                         Some(e) => {
@@ -755,7 +642,7 @@ impl Checker<'_> {
                             ))
                         }
                     };
-                    let in_memory = is_aggregate(&ty) || self.addrof.contains(&sym.id);
+                    let in_memory = is_aggregate(&ty) || sym.addr_taken.get();
                     let lid = self.func.add_local(&*sym.name, ty.clone(), in_memory);
                     self.syms.insert(sym.id, lid);
                     *sym.ty.borrow_mut() = Some(ty.clone());
@@ -826,7 +713,9 @@ impl Checker<'_> {
             } => {
                 // Lower else-if chains from the back.
                 let mut else_ir = Vec::new();
-                self.scoped(else_body, &mut else_ir)?;
+                if let Some(body) = else_body {
+                    self.scoped(body, &mut else_ir)?;
+                }
                 for (cond, body) in arms.iter().rev() {
                     let c = self.cond(cond)?;
                     self.flush_prelude(out);
@@ -914,6 +803,7 @@ impl Checker<'_> {
                 ));
             }
             SpecStmt::For {
+                parallel: false,
                 sym,
                 ty,
                 start,
@@ -962,13 +852,16 @@ impl Checker<'_> {
                     },
                 ));
             }
-            SpecStmt::ParallelFor {
+            // A `parallelfor` (which has no step).
+            SpecStmt::For {
+                parallel: true,
                 sym,
                 ty,
                 start,
                 stop,
                 body,
                 span,
+                ..
             } => {
                 let (var_ty, start_e, stop_e) =
                     self.loop_bounds("parallelfor", ty, start, stop, *span)?;
@@ -1163,16 +1056,7 @@ impl Checker<'_> {
             SpecStmt::Block(body, _) => {
                 self.scoped(body, out)?;
             }
-            SpecStmt::Expr(e) => {
-                let t = self.expr(e, None)?;
-                self.flush_prelude(out);
-                if let TVal::R(ir) = t.val {
-                    if matches!(ir.kind, ExprKind::Call { .. }) || t.ty == Ty::Unit {
-                        out.push(IrStmt::at(e.span, StmtKind::Expr(ir)));
-                    }
-                    // Non-call expression statements have no effect; drop.
-                }
-            }
+            SpecStmt::Expr(e) => self.expr_stmt(e, out)?,
             SpecStmt::Defer(e, span) => {
                 let t = self.expr(e, None)?;
                 self.flush_prelude(out);
@@ -1187,26 +1071,53 @@ impl Checker<'_> {
                     .expect("root scope always open")
                     .push(ir);
             }
-            SpecStmt::Spliced { stmts, line, .. } => {
-                let chain = self.splice_chain(*line);
-                self.prov.push(chain);
-                let start = out.len();
-                let result = self.stmts(stmts, out);
-                let chain = self.prov.pop().expect("pushed above");
-                result?;
-                stamp_prov(&mut out[start..], &chain);
+            SpecStmt::Spliced { quote, line, .. } => {
+                self.splice(quote, *line, &quote.exprs, out)?
             }
         }
         Ok(())
     }
 
-    /// The provenance chain for code spliced at `line`: a fresh quote frame,
-    /// nested inside whatever splice is already being lowered.
-    fn splice_chain(&self, line: u32) -> Provenance {
-        match self.prov.last() {
+    /// An expression in statement position.
+    fn expr_stmt(&mut self, e: &SpecExpr, out: &mut Vec<IrStmt>) -> EvalResult<()> {
+        let t = self.expr(e, None)?;
+        self.flush_prelude(out);
+        if let TVal::R(ir) = t.val {
+            if matches!(ir.kind, ExprKind::Call { .. }) || t.ty == Ty::Unit {
+                out.push(IrStmt::at(e.span, StmtKind::Expr(ir)));
+            }
+            // Non-call expression statements have no effect; drop.
+        }
+        Ok(())
+    }
+
+    /// Lowers the statements of a quote spliced at `line`, then `tail` (those
+    /// of its `in` expressions that are statements here), under a fresh
+    /// provenance frame — a quote frame nested inside whatever splice is
+    /// already being lowered — and stamps what was emitted with it.
+    fn splice(
+        &mut self,
+        quote: &SpecQuote,
+        line: u32,
+        tail: &[Rc<SpecExpr>],
+        out: &mut Vec<IrStmt>,
+    ) -> EvalResult<()> {
+        self.prov.push(match self.prov.last() {
             Some(outer) => outer.with_inner(ProvKind::Quote, line),
             None => Provenance::quote(line),
-        }
+        });
+        let start = out.len();
+        let result = self
+            .stmts(&quote.stmts, out)
+            .and_then(|()| tail.iter().try_for_each(|e| self.expr_stmt(e, out)));
+        let chain = self.prov.pop().expect("pushed above");
+        result?;
+        // Statements from a nested splice stamped their deeper chain first
+        // and win.
+        IrStmt::walk_mut(&mut out[start..], &mut |s| {
+            s.prov.get_or_insert_with(|| chain.clone());
+        });
+        Ok(())
     }
 
     fn zero_local(&mut self, lid: LocalId, span: Span, out: &mut Vec<IrStmt>) {
@@ -1524,22 +1435,13 @@ impl Checker<'_> {
                     Self::ptr_to_addr(&ty, addr),
                 ))
             }
-            SpecExprKind::LetIn(stmts, inner, splice_line) => {
-                let chain = splice_line.map(|l| self.splice_chain(l));
-                if let Some(c) = &chain {
-                    self.prov.push(c.clone());
-                }
+            SpecExprKind::LetIn(quote, line) => {
+                // The value belongs to the statement that consumes it, so
+                // the `in` expression is lowered outside the splice's frame.
                 let mut hoisted = Vec::new();
-                let result = self.stmts(stmts, &mut hoisted);
-                if chain.is_some() {
-                    self.prov.pop();
-                }
-                result?;
-                if let Some(c) = &chain {
-                    stamp_prov(&mut hoisted, c);
-                }
+                self.splice(quote, *line, &[], &mut hoisted)?;
                 self.prelude.append(&mut hoisted);
-                self.expr(inner, hint)
+                self.expr(&quote.exprs[0], hint)
             }
         }
     }
@@ -1636,7 +1538,7 @@ impl Checker<'_> {
     fn call(
         &mut self,
         callee: &SpecExpr,
-        args: &[SpecExpr],
+        args: &[Rc<SpecExpr>],
         hint: Option<&Ty>,
         span: Span,
     ) -> EvalResult<TExp> {
@@ -1696,7 +1598,7 @@ impl Checker<'_> {
     fn check_args(
         &mut self,
         sig: &FuncTy,
-        args: &[SpecExpr],
+        args: &[Rc<SpecExpr>],
         span: Span,
         name: &str,
     ) -> EvalResult<Vec<IrExpr>> {
@@ -1722,7 +1624,7 @@ impl Checker<'_> {
     fn intrinsic_call(
         &mut self,
         i: Intrinsic,
-        args: &[SpecExpr],
+        args: &[Rc<SpecExpr>],
         _hint: Option<&Ty>,
         span: Span,
     ) -> EvalResult<TExp> {
@@ -1879,33 +1781,18 @@ impl Checker<'_> {
         &mut self,
         obj: &SpecExpr,
         name: &str,
-        args: &[SpecExpr],
+        args: &[Rc<SpecExpr>],
         span: Span,
     ) -> EvalResult<TExp> {
         let t = self.expr(obj, None)?;
-        let sid = match &t.ty {
-            Ty::Struct(sid) => *sid,
-            Ty::Ptr(inner) => match &**inner {
-                Ty::Struct(sid) => *sid,
-                _ => {
-                    return Err(terr(
-                        format!(
-                            "method call on non-struct type {}",
-                            t.ty.display(&self.interp.ctx.types)
-                        ),
-                        span,
-                    ))
-                }
-            },
-            _ => {
-                return Err(terr(
-                    format!(
-                        "method call on non-struct type {}",
-                        t.ty.display(&self.interp.ctx.types)
-                    ),
-                    span,
-                ))
-            }
+        let Some(sid) = struct_of(&t.ty) else {
+            return Err(terr(
+                format!(
+                    "method call on non-struct type {}",
+                    t.ty.display(&self.interp.ctx.types)
+                ),
+                span,
+            ));
         };
         self.interp.finalize_struct(sid, span)?;
         let method = self
@@ -1986,7 +1873,7 @@ impl Checker<'_> {
     fn struct_init(
         &mut self,
         ty: &Ty,
-        args: &[(Option<terra_syntax::Name>, SpecExpr)],
+        args: &[(Option<terra_syntax::Name>, Rc<SpecExpr>)],
         span: Span,
     ) -> EvalResult<TExp> {
         let Ty::Struct(sid) = ty else {
@@ -2091,8 +1978,8 @@ impl Checker<'_> {
     fn binop(
         &mut self,
         op: BinOp,
-        l: &SpecExpr,
-        r: &SpecExpr,
+        l: &Rc<SpecExpr>,
+        r: &Rc<SpecExpr>,
         hint: Option<&Ty>,
         span: Span,
     ) -> EvalResult<TExp> {
@@ -2297,8 +2184,8 @@ impl Checker<'_> {
         kind: BinKind,
         lt: TExp,
         rt: TExp,
-        l: &SpecExpr,
-        r: &SpecExpr,
+        l: &Rc<SpecExpr>,
+        r: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<TExp> {
         let (a, b, ty) = self.unify_arith(lt, rt, l, r, span)?;
@@ -2320,8 +2207,8 @@ impl Checker<'_> {
         &mut self,
         lt: TExp,
         rt: TExp,
-        l: &SpecExpr,
-        r: &SpecExpr,
+        l: &Rc<SpecExpr>,
+        r: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<(IrExpr, IrExpr, Ty)> {
         let target: Ty = match (&lt.ty, &rt.ty) {
@@ -2412,7 +2299,7 @@ impl Checker<'_> {
         t: TExp,
         target: &Ty,
         span: Span,
-        origin: Option<&SpecExpr>,
+        origin: Option<&Rc<SpecExpr>>,
     ) -> EvalResult<TExp> {
         if &t.ty == target {
             return Ok(t);
@@ -2522,19 +2409,9 @@ impl Checker<'_> {
         &mut self,
         from: &Ty,
         target: &Ty,
-        origin: &SpecExpr,
+        origin: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<Option<TExp>> {
-        let struct_of = |ty: &Ty| -> Option<terra_ir::StructId> {
-            match ty {
-                Ty::Struct(s) => Some(*s),
-                Ty::Ptr(p) => match &**p {
-                    Ty::Struct(s) => Some(*s),
-                    _ => None,
-                },
-                _ => None,
-            }
-        };
         let candidates: Vec<terra_ir::StructId> = [struct_of(from), struct_of(target)]
             .into_iter()
             .flatten()
@@ -2550,11 +2427,7 @@ impl Checker<'_> {
             if !mm.truthy() {
                 continue;
             }
-            let quote = LuaValue::Quote(Rc::new(crate::spec::SpecQuote {
-                stmts: vec![],
-                exprs: vec![origin.clone()],
-                span,
-            }));
+            let quote = LuaValue::Quote(SpecQuote::of_expr(Rc::clone(origin), span));
             let result = self.interp.call_value(
                 mm,
                 vec![
@@ -2567,7 +2440,7 @@ impl Checker<'_> {
             match result {
                 Ok(values) => {
                     let v = values.into_iter().next().unwrap_or(LuaValue::Nil);
-                    let spec = crate::spec::lua_to_spec(self.interp, v, span)?;
+                    let spec = crate::spec::lua_to_spec(v, span)?;
                     let t = self.expr(&spec, Some(target))?;
                     if &t.ty == target {
                         return Ok(Some(t));
@@ -2597,7 +2470,7 @@ impl Checker<'_> {
         t: TExp,
         target: &Ty,
         span: Span,
-        origin: Option<&SpecExpr>,
+        origin: Option<&Rc<SpecExpr>>,
     ) -> EvalResult<TExp> {
         if &t.ty == target {
             return Ok(t);

@@ -11,6 +11,10 @@
 //! | `if … then s = s + 1 end`      | nothing on top of `s = s + 1`       |
 //! | `id(i)`                        | ≤ 3 (arguments, scope, results)     |
 //! | `s = s + a`, `a` four scopes out | nothing on top of `s = s + 1`     |
+//!
+//! And of the specializer, per splice: a splice points at the quote it
+//! splices, so its cost does not depend on the size of the quote, and a chain
+//! of *d* quotes each splicing the one before costs O(*d*), not O(*d*²).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -113,4 +117,35 @@ fn reading_a_variable_four_scopes_out_is_free() {
     );
     println!("s = s + 1: {plain}; s = s + a, four scopes out: {deep} allocations/iteration");
     assert_eq!(deep, plain);
+}
+
+/// A quote of `n` statements bound to the global `name`.
+fn define_quote(interp: &mut Interp, name: &str, n: usize) {
+    let body = "var a = 1\n".repeat(n);
+    interp
+        .exec(&format!("{name} = quote {body} end"))
+        .unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn a_splice_costs_the_same_whatever_the_size_of_the_quote() {
+    let mut interp = Interp::new();
+    define_quote(&mut interp, "qs", 10);
+    define_quote(&mut interp, "ql", 1_000);
+    allocations(&mut interp, "terra warm() [qs] end", 0);
+    let small = allocations(&mut interp, "terra fs() [qs] end", 0);
+    let large = allocations(&mut interp, "terra fl() [ql] end", 0);
+    println!("splicing 10 statements: {small} allocations; 1 000 statements: {large}");
+    assert!(small.abs_diff(large) <= 2, "{small} vs {large}");
+}
+
+#[test]
+fn a_chain_of_splices_allocates_linearly_in_its_depth() {
+    let chain = "local x = symbol(int, 'x') local q = `x for i = 1, $N do q = `[q] + x end";
+    let mut interp = Interp::new();
+    allocations(&mut interp, chain, 10);
+    let short = allocations(&mut interp, chain, 200);
+    let long = allocations(&mut interp, chain, 400);
+    println!("200 links: {short} allocations; 400 links: {long}");
+    assert!((long as f64) < 2.2 * short as f64, "{short} -> {long}");
 }

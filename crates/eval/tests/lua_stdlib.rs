@@ -233,3 +233,41 @@ fn lua_stack_overflow_is_caught() {
         .unwrap_err();
     assert!(e.to_string().contains("stack overflow"), "{e}");
 }
+
+/// `table.sort` is O(n log n) in comparator calls — pinned by the count, not
+/// a clock (an insertion sort makes about n²/4 = 4·10⁶ here) — stable, and
+/// hands a comparator's error to its caller.
+#[test]
+fn table_sort_calls_its_comparator_n_log_n_times() {
+    let src = r#"
+        local n, x, t = 4096, 12345, {}
+        for i = 1, n do
+            x = (x * 1103515245 + 12345) % 2147483648
+            t[i] = { key = x % 64, seq = i }
+        end
+        local calls = 0
+        table.sort(t, function(a, b) calls = calls + 1 return a.key < b.key end)
+        for i = 2, n do
+            local a, b = t[i - 1], t[i]
+            assert(a.key < b.key or (a.key == b.key and a.seq < b.seq), "unsorted or unstable")
+        end
+        return calls
+    "#;
+    let calls = eval_num(src);
+    assert!(calls <= 2.0 * 4096.0 * 12.0, "{calls} comparator calls");
+    let failing = "return select(2, pcall(table.sort, {3, 2, 1}, function() error('boom') end))";
+    assert!(eval_str(failing).contains("boom"));
+    // The table is untouched when the comparator failed.
+    let src = "local t = {3, 2, 1} pcall(table.sort, t, function() error('x') end) return t[1]";
+    assert_eq!(eval_num(src), 3.0);
+}
+
+/// A list's `:insert` is `table.insert`.
+#[test]
+fn list_insert_is_table_insert() {
+    let src = "local l = terralib.newlist() l:insert(2) l:insert(1, 1) table.insert(l, 3)
+               return l[1] * 100 + l[2] * 10 + l[3]";
+    assert_eq!(eval_num(src), 123.0);
+    let e = eval_str("return select(2, pcall(terralib.newlist().insert, 1))");
+    assert!(e.contains("table.insert: table expected"), "{e}");
+}

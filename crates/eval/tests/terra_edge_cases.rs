@@ -631,6 +631,130 @@ fn host_passed_integers_are_wrapped_to_the_parameter_type() {
     assert_eq!(eval_at_every_level(index), 160.0);
 }
 
+/// Every scalar type crosses the Lua↔Terra boundary as its own value, by
+/// every door — a global's initializer, `g:set()`/`g:get()`, a call argument
+/// and a call result, with Terra code reading the same global agreeing — at
+/// zero and at both ends of its range. One past the top wraps for the narrow
+/// integers; the 64-bit ones saturate, as a Lua number (an `f64`) cannot name
+/// their last values exactly: the rows use the nearest it can.
+#[test]
+fn every_scalar_type_crosses_the_ffi_as_its_own_value() {
+    const P31: f64 = 2147483648.0;
+    const P63: f64 = 9223372036854775808.0;
+    const FMAX: f64 = f32::MAX as f64;
+    // (type, [(passed in, read back)]): 0, max, min, max + 1.
+    let rows: &[(&str, [(f64, f64); 4])] = &[
+        (
+            "int8",
+            [
+                (0.0, 0.0),
+                (127.0, 127.0),
+                (-128.0, -128.0),
+                (128.0, -128.0),
+            ],
+        ),
+        (
+            "uint8",
+            [(0.0, 0.0), (255.0, 255.0), (0.0, 0.0), (256.0, 0.0)],
+        ),
+        (
+            "int16",
+            [
+                (0.0, 0.0),
+                (32767.0, 32767.0),
+                (-32768.0, -32768.0),
+                (32768.0, -32768.0),
+            ],
+        ),
+        (
+            "uint16",
+            [(0.0, 0.0), (65535.0, 65535.0), (0.0, 0.0), (65536.0, 0.0)],
+        ),
+        (
+            "int32",
+            [
+                (0.0, 0.0),
+                (P31 - 1.0, P31 - 1.0),
+                (-P31, -P31),
+                (P31, -P31),
+            ],
+        ),
+        (
+            "uint32",
+            [
+                (0.0, 0.0),
+                (2.0 * P31 - 1.0, 2.0 * P31 - 1.0),
+                (0.0, 0.0),
+                (2.0 * P31, 0.0),
+            ],
+        ),
+        (
+            "int64",
+            [
+                (0.0, 0.0),
+                (P63 - 1024.0, P63 - 1024.0),
+                (-P63, -P63),
+                (P63, P63),
+            ],
+        ),
+        (
+            "uint64",
+            [
+                (0.0, 0.0),
+                (2.0 * P63 - 2048.0, 2.0 * P63 - 2048.0),
+                (P63, P63),
+                (2.0 * P63, 2.0 * P63),
+            ],
+        ),
+        (
+            "float",
+            [
+                (0.0, 0.0),
+                (FMAX, FMAX),
+                (-FMAX, -FMAX),
+                (16777217.0, 16777216.0),
+            ],
+        ),
+        (
+            "double",
+            [
+                (0.0, 0.0),
+                (f64::MAX, f64::MAX),
+                (f64::MIN, f64::MIN),
+                (0.1, 0.1),
+            ],
+        ),
+        ("bool", [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (2.0, 1.0)]),
+    ];
+    for (ty, cases) in rows {
+        let mut t = Interp::new();
+        // Lua sees a `bool` as a boolean; the table holds it as 0/1.
+        let num = if *ty == "bool" {
+            "function(b) return b and 1 or 0 end"
+        } else {
+            "function(n) return n end"
+        };
+        t.exec(&format!(
+            "local g, num = global({ty}), {num}
+             local terra id(x : {ty}) : {ty} return x end
+             local terra rd() : {ty} return g end
+             function doors(v)
+                 g:set(v)
+                 return num(global({ty}, v):get()), num(g:get()), num(rd()), num(id(v))
+             end"
+        ))
+        .unwrap();
+        for (input, expected) in cases {
+            let out = t.exec(&format!("return doors({input:e})")).unwrap();
+            let got: Vec<f64> = out.iter().map(|v| v.as_number().unwrap()).collect();
+            assert_eq!(
+                got, [*expected; 4],
+                "{ty}: {input:e} by initializer, set/get, Terra read, call"
+            );
+        }
+    }
+}
+
 /// A literal converted to a narrow type is that type's value, not the
 /// literal's bits.
 #[test]

@@ -797,3 +797,122 @@ fn saveobj_writes_manifest() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------------
+// a quote is built once and shared by every splice: sharing must not alias
+// ---------------------------------------------------------------------------
+
+/// The lowered locals of the Terra function bound to the global `name`.
+fn locals_of(t: &Interp, name: &str) -> Vec<(String, bool)> {
+    let LuaValue::TerraFunc(id) = t.global(name) else {
+        panic!("{name} is not a terra function");
+    };
+    let ir = t.ctx.funcs[id.0 as usize].ir.as_ref().expect("compiled");
+    let local = |l: &terra_ir::LocalSlot| (l.name.to_string(), l.in_memory);
+    ir.locals.iter().map(local).collect()
+}
+
+#[test]
+fn one_quote_spliced_three_times_declares_three_locals() {
+    let mut t = Interp::new();
+    let out = t
+        .exec(
+            r#"
+            local v = symbol(int, "v")
+            local q = quote var [v] = 1; [v] = [v] + 1 end
+            local e = quote var w = 10 in w end
+            terra f() : int
+                [q]
+                var first = [v];
+                [q];
+                [v] = [v] + 10
+                var a, b = [e], [e]
+                a = a + 1
+                return first * 10000 + [v] * 100 + a + b
+            end
+            terra g() : int [q] return [v] + [e] end
+            F, G = f, g
+            return f(), g()
+            "#,
+        )
+        .unwrap();
+    assert!(
+        matches!(out[..], [LuaValue::Number(a), LuaValue::Number(b)] if a == 21221.0 && b == 12.0)
+    );
+    let count = |f: &str, n: &str| locals_of(&t, f).iter().filter(|(l, _)| l == n).count();
+    assert_eq!((count("F", "v"), count("F", "w")), (2, 2));
+    assert_eq!((count("G", "v"), count("G", "w")), (1, 1));
+}
+
+#[test]
+fn a_type_error_in_a_shared_quote_is_reported_at_the_quote_from_every_splice() {
+    let mut t = Interp::new();
+    t.exec("q = quote\n var ok = 1\n var bad : int = ok + nil\n end\nx = `1 + nil")
+        .unwrap();
+    t.exec("terra f1() [q] end\nterra f2()\n\n [q]\n end")
+        .unwrap();
+    t.exec("terra g1() : int return [x] end\nterra g2() : int\n\n return [x]\n end")
+        .unwrap();
+    let report = |t: &mut Interp, f: &str| {
+        let e = t.exec(&format!("{f}()")).unwrap_err();
+        (e.message, e.span.map(|s| s.line))
+    };
+    let stmt = ("invalid operand types int and &uint8".to_string(), Some(3));
+    assert_eq!(report(&mut t, "f1"), stmt);
+    assert_eq!(report(&mut t, "f2"), stmt);
+    let expr = (stmt.0, Some(5));
+    assert_eq!(report(&mut t, "g1"), expr);
+    assert_eq!(report(&mut t, "g2"), expr);
+}
+
+#[test]
+fn address_of_a_quoted_variable_puts_the_variable_in_memory() {
+    let mut t = Interp::new();
+    let src = r#"
+        local x = symbol(int, "x")
+        local q = `[x]
+        terra f() : int
+            var [x] = 1
+            var p = &[q]
+            @p = 5
+            return [x]
+        end
+        F = f
+        return f()
+    "#;
+    assert!(matches!(t.exec(src).unwrap()[..], [LuaValue::Number(n)] if n == 5.0));
+    assert!(locals_of(&t, "F").contains(&("x".to_string(), true)));
+}
+
+/// `&x` is recorded when the `&` is specialized, whether or not the quote
+/// around it is ever spliced: such a quote moves `x` into its frame and
+/// changes nothing the program can see.
+#[test]
+fn a_quote_that_is_never_spliced_changes_no_output() {
+    let run = |stray: &str| {
+        let mut t = Interp::new();
+        t.capture_output();
+        let src = format!(
+            r#"
+            local C = terralib.includec("stdio.h")
+            local x = symbol(int, "x")
+            {stray}
+            terra f(n : int) : int
+                var [x] = n * 2
+                for i = 0, n do [x] = [x] + i end
+                C.printf("x = %d\n", [x])
+                return [x]
+            end
+            F = f
+            return f(5)
+            "#
+        );
+        let out = t.exec(&src).unwrap();
+        let in_memory = locals_of(&t, "F").contains(&("x".to_string(), true));
+        (format!("{out:?}"), t.take_output(), in_memory)
+    };
+    let (plain, stray) = (run(""), run("local stray = `&[x]"));
+    assert_eq!((&plain.0, &plain.1), (&stray.0, &stray.1));
+    assert_eq!(plain.1, "x = 20\n");
+    assert_eq!((plain.2, stray.2), (false, true));
+}

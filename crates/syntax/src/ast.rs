@@ -523,8 +523,13 @@ pub enum TerraStmt {
         /// Location.
         span: Span,
     },
-    /// `for v = start, stop [, step] do body end` (half-open, like Terra).
-    ForNum {
+    /// `for v = start, stop [, step] do body end` (half-open, like Terra),
+    /// or `parallelfor v = start, stop do body end` — a data-parallel numeric
+    /// loop: iterations may execute concurrently across worker threads (no
+    /// step; the body is extracted into a kernel function at typechecking).
+    For {
+        /// `parallelfor` rather than `for`.
+        parallel: bool,
         /// Loop variable.
         var: DeclName,
         /// Optional loop-variable type annotation.
@@ -535,23 +540,6 @@ pub enum TerraStmt {
         stop: TerraExpr,
         /// Optional step.
         step: Option<TerraExpr>,
-        /// Body.
-        body: Vec<TerraStmt>,
-        /// Location.
-        span: Span,
-    },
-    /// `parallelfor v = start, stop do body end` — a data-parallel numeric
-    /// loop: iterations may execute concurrently across worker threads (no
-    /// step; the body is extracted into a kernel function at typechecking).
-    ParallelFor {
-        /// Loop variable.
-        var: DeclName,
-        /// Optional loop-variable type annotation.
-        ty: Option<LuaExpr>,
-        /// Start expression.
-        start: TerraExpr,
-        /// Exclusive stop expression.
-        stop: TerraExpr,
         /// Body.
         body: Vec<TerraStmt>,
         /// Location.
@@ -586,8 +574,7 @@ impl TerraStmt {
             | TerraStmt::If { span, .. }
             | TerraStmt::While { span, .. }
             | TerraStmt::Repeat { span, .. }
-            | TerraStmt::ForNum { span, .. }
-            | TerraStmt::ParallelFor { span, .. }
+            | TerraStmt::For { span, .. }
             | TerraStmt::Return { span, .. }
             | TerraStmt::Block(_, span)
             | TerraStmt::Escape(_, span)

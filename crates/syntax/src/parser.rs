@@ -1160,8 +1160,8 @@ impl Parser {
                 self.pop_scope();
                 Ok(TerraStmt::Repeat { body, cond, span })
             }
-            Tok::For => {
-                self.bump();
+            Tok::For | Tok::Parallelfor => {
+                let parallel = self.bump().tok == Tok::Parallelfor;
                 let var = self.decl_name()?;
                 let ty = if self.check(&Tok::Colon) {
                     Some(self.expr()?)
@@ -1172,7 +1172,8 @@ impl Parser {
                 let start = self.terra_expr()?;
                 self.expect(Tok::Comma)?;
                 let stop = self.terra_expr()?;
-                let step = if self.check(&Tok::Comma) {
+                // A `parallelfor` has no step: its `,` is left for `do` to reject.
+                let step = if !parallel && self.check(&Tok::Comma) {
                     Some(self.terra_expr()?)
                 } else {
                     None
@@ -1180,36 +1181,13 @@ impl Parser {
                 self.expect(Tok::Do)?;
                 let body = self.terra_loop_body(&var)?;
                 self.expect(Tok::End)?;
-                Ok(TerraStmt::ForNum {
+                Ok(TerraStmt::For {
+                    parallel,
                     var,
                     ty,
                     start,
                     stop,
                     step,
-                    body,
-                    span,
-                })
-            }
-            Tok::Parallelfor => {
-                self.bump();
-                let var = self.decl_name()?;
-                let ty = if self.check(&Tok::Colon) {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect(Tok::Assign)?;
-                let start = self.terra_expr()?;
-                self.expect(Tok::Comma)?;
-                let stop = self.terra_expr()?;
-                self.expect(Tok::Do)?;
-                let body = self.terra_loop_body(&var)?;
-                self.expect(Tok::End)?;
-                Ok(TerraStmt::ParallelFor {
-                    var,
-                    ty,
-                    start,
-                    stop,
                     body,
                     span,
                 })
@@ -2071,7 +2049,7 @@ mod tests {
             panic!()
         };
         assert_eq!(ident(&inits[0]), at(1, 0));
-        let TerraStmt::ForNum { stop, body, .. } = &q.stmts[1] else {
+        let TerraStmt::For { stop, body, .. } = &q.stmts[1] else {
             panic!()
         };
         // The bound is evaluated outside the loop's scope…

@@ -41,7 +41,7 @@ pub use bytecode::{
 pub use cache::CacheSim;
 pub use compile::{compile, try_compile};
 pub use exec::ExecutionContext;
-pub use machine::{decode_value, ExecResult, RegImage, Trap, TrapKind, Vm};
+pub use machine::{decode_value, encode_arg, ExecResult, RegImage, Trap, TrapKind, Vm};
 pub use memory::{MemError, MemKind, MemResult, Memory};
 pub use printf::format_printf;
 pub use program::{OutputSink, Program, Value};

@@ -899,7 +899,7 @@ fn body(program: &Program, f: FuncId) -> &Arc<CompiledFunction> {
 /// (f32 parameters carry f32 bits in lane 0). Integers are wrapped into the
 /// parameter's type: compiled code, and every range proof behind it, takes
 /// registers to hold canonical values.
-fn encode_arg(v: Value, ty: &Ty) -> u64 {
+pub fn encode_arg(v: Value, ty: &Ty) -> u64 {
     match (v, ty) {
         (Value::Float(f), Ty::Scalar(ScalarTy::F32)) => (f as f32).to_bits() as u64,
         (Value::Int(i), Ty::Scalar(ScalarTy::F32)) => (i as f32).to_bits() as u64,
