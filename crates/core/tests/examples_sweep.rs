@@ -34,8 +34,9 @@ fn examples() -> Vec<PathBuf> {
 /// Configurations whose stdout must equal the `-O2 --threads=1` run's.
 /// Plain runs, not `--profile`: the perf counters some examples print are
 /// live only under the profiler.
-const SAME_STDOUT_AS_BASELINE: [&[&str]; 3] = [
+const SAME_STDOUT_AS_BASELINE: [&[&str]; 4] = [
     &["-O0", "--threads=1"],
+    &["-O1", "--threads=1"],
     // The parallelfor chunk schedule is a function of the iteration count
     // alone, so output is independent of the worker-thread count.
     &["-O2", "--threads=4"],

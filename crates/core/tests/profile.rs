@@ -387,12 +387,13 @@ fn oob_traps_name_the_function() {
 /// One quote, written on one line and spliced once, that allocates and
 /// never frees, runs a `parallelfor`, inlines a call, misses the cache and
 /// divides by `z`: everything the runtime can say about it happened at the
-/// same [`terra_core::Site`].
+/// same [`terra_core::Site`]. (The miss is the quote's own load: `last`'s,
+/// once inlined, is located at `last`'s line, inlined at the call's.)
 const SEAM_SCRIPT: &str = r#"
     local C = terralib.includec("stdlib.h")
     terra last(p : &int, n : int) : int return p[n - 1] end
     local function body(n, z)
-        return quote var p = [&int](C.malloc(n * 4)); parallelfor i = 0, n do p[i] = i end; var l = last(p, n); p[0] = l / z end
+        return quote var p = [&int](C.malloc(n * 4)); parallelfor i = 0, n do p[i] = i end; var l = p[n - 1]; l = last(p, n); p[0] = l / z end
     end
     terra run(n : int, z : int) : int
         [body(n, z)]

@@ -73,8 +73,8 @@ pub enum SpecExprKind {
     /// callee's kind/type).
     Call(Rc<SpecExpr>, Vec<Rc<SpecExpr>>),
     /// Method call, desugared by the typechecker via the receiver's static
-    /// type (paper: `obj:m(a)` ⇒ `[T.methods.m](obj, a)`). Built only by
-    /// [`SpecExpr::method_call`].
+    /// type (paper: `obj:m(a)` ⇒ `[T.methods.m](obj, a)`). A struct-valued
+    /// receiver is in memory as an aggregate; a pointer one needs no address.
     MethodCall(Rc<SpecExpr>, Name, Vec<Rc<SpecExpr>>),
     /// Struct literal `T { … }`.
     StructInit(Ty, Vec<(Option<Name>, Rc<SpecExpr>)>),
@@ -101,26 +101,10 @@ impl SpecExpr {
     /// `&x`. When `x` is a variable, the variable has to live in memory:
     /// that is recorded on its symbol here, where the fact is created.
     pub fn addr_of(x: Rc<SpecExpr>, span: Span) -> Rc<SpecExpr> {
-        x.mark_addr_taken();
-        SpecExpr::new(SpecExprKind::AddrOf(x), span)
-    }
-
-    /// `obj:name(args)`. Methods take `&self`, so a variable receiver has
-    /// its address taken just as by [`SpecExpr::addr_of`].
-    pub fn method_call(
-        obj: Rc<SpecExpr>,
-        name: Name,
-        args: Vec<Rc<SpecExpr>>,
-        span: Span,
-    ) -> Rc<SpecExpr> {
-        obj.mark_addr_taken();
-        SpecExpr::new(SpecExprKind::MethodCall(obj, name, args), span)
-    }
-
-    fn mark_addr_taken(&self) {
-        if let SpecExprKind::Sym(s) = &self.kind {
+        if let SpecExprKind::Sym(s) = &x.kind {
             s.addr_taken.set(true);
         }
+        SpecExpr::new(SpecExprKind::AddrOf(x), span)
     }
 }
 
@@ -871,7 +855,10 @@ impl<'a> Specializer<'a> {
                     term => term.into_terra()?,
                 };
                 let args = self.spec_args(args)?;
-                SpecVal::Terra(SpecExpr::method_call(o, name.clone(), args, *span))
+                SpecVal::Terra(SpecExpr::new(
+                    SpecExprKind::MethodCall(o, name.clone(), args),
+                    *span,
+                ))
             }
             TerraExpr::DynMethodCall {
                 obj,
@@ -894,7 +881,10 @@ impl<'a> Specializer<'a> {
                     }
                 };
                 let args = self.spec_args(args)?;
-                SpecVal::Terra(SpecExpr::method_call(o, mname, args, *span))
+                SpecVal::Terra(SpecExpr::new(
+                    SpecExprKind::MethodCall(o, mname, args),
+                    *span,
+                ))
             }
             TerraExpr::StructInit { ty, args, span } => {
                 let t = match self.expr(ty)? {
@@ -1063,8 +1053,11 @@ mod tests {
                 "struct S { v : int }
                  terra S:get() : int return self.v end
                  a, b, c, d = symbol(int, 'a'), symbol(int, 'b'), symbol(S, 'c'), symbol(int, 'd')
+                 e = symbol(&S, 'e')
                  qb = `[b]
-                 q = quote var p = &[a]; var r = &[qb]; var n = [c]:get(); var m = [d] + 1 end",
+                 q = quote
+                     var p = &[a]; var r = &[qb]; var n = [c]:get() + [e]:get(); var m = [d] + 1
+                 end",
             )
             .unwrap();
         let taken = |name: &str| match interp.global(name) {
@@ -1073,7 +1066,9 @@ mod tests {
         };
         assert!(taken("a"), "&[a]");
         assert!(taken("b"), "&[q] with q = `b sees through the quote");
-        assert!(taken("c"), "a method call takes its receiver's address");
+        // A method call does not: a struct receiver is in memory as an
+        // aggregate, and a pointer receiver is passed as it is.
+        assert!(!taken("c") && !taken("e"), "[c]:get(), [e]:get()");
         assert!(!taken("d"), "reading a variable does not");
     }
 }

@@ -16,12 +16,13 @@ use crate::error::{EvalResult, LuaError, Phase};
 use crate::interp::Interp;
 use crate::spec::{SpecExpr, SpecExprKind, SpecQuote, SpecStmt};
 use crate::value::{Intrinsic, LuaValue};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 use terra_ir::{
-    fold_function, BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, FuncTy, IrExpr, IrFunction,
-    IrStmt, LocalId, ScalarTy, StmtKind, Ty, UnKind,
+    direct_calls, fold_function, BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, FuncTy,
+    IrExpr, IrFunction, IrStmt, LocalId, ScalarTy, StmtKind, Ty, UnKind,
 };
 use terra_syntax::{BinOp, IntSuffix, ProvKind, Provenance, Span, UnOp};
 
@@ -111,10 +112,16 @@ struct CtxEnv<'a> {
 
 impl terra_ir::InlineEnv for CtxEnv<'_> {
     fn callee_ir(&self, id: FuncId) -> Option<IrFunction> {
-        // The cached IR is the *unoptimized* lowering (stored before the
-        // caller's pipeline runs), so inlined bodies are optimized in the
-        // caller's context.
-        self.ctx.funcs.get(id.0 as usize)?.ir.clone()
+        self.callee_ref(id).map(Cow::into_owned)
+    }
+
+    // The cached IR is the *unoptimized* lowering (stored before the
+    // caller's pipeline runs), so inlined bodies are optimized in the
+    // caller's context.
+    fn callee_ref(&self, id: FuncId) -> Option<Cow<'_, IrFunction>> {
+        Some(Cow::Borrowed(
+            self.ctx.funcs.get(id.0 as usize)?.ir.as_ref()?,
+        ))
     }
 }
 
@@ -149,42 +156,69 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     if interp.ctx.exec.is_defined(id) {
         return Ok(());
     }
-    let sig = ensure_signature(interp, id, span)?;
-    let _ = sig;
-    let name = interp.ctx.funcs[id.0 as usize].name.clone();
-    // Everything below borrows the IR from the cache; the one copy made is
-    // the one the optimizer rewrites.
-    ensure_ir(interp, id).map_err(|e| e.traced(format!("terra function '{name}'")))?;
+    ensure_linkable(interp, id, span)?;
+    // The inliner may look through any function the component reaches, so
+    // its IR is materialized before the first of them is optimized: once, in
+    // link order, errors ignored (linking reports them exactly as before).
+    let mut order = vec![id];
+    materialize(interp, id, &mut BTreeSet::from([id]), &mut order);
+    order
+        .into_iter()
+        .try_for_each(|f| compile_one(interp, f, span))
+}
+
+/// Appends what `id` reaches and is not compiled yet to `order`, depth first,
+/// checking each one's dependencies before descending (linking's old order).
+fn materialize(
+    interp: &mut Interp,
+    id: FuncId,
+    seen: &mut BTreeSet<FuncId>,
+    order: &mut Vec<FuncId>,
+) {
     let deps = interp.ctx.funcs[id.0 as usize].deps.clone();
-    // Materialize dependency IR up front so the inliner can see callee
-    // bodies. Errors are deliberately ignored here: the linking loop below
-    // re-runs the check and reports them exactly as before.
     for dep in &deps {
         let dmeta = &interp.ctx.funcs[dep.0 as usize];
-        if *dep != id && dmeta.spec.is_some() && !dmeta.checking {
+        if dmeta.spec.is_some() && !dmeta.checking {
             let _ = ensure_ir(interp, *dep);
         }
     }
-    let ir = interp.ctx.funcs[id.0 as usize]
-        .ir
-        .as_ref()
-        .expect("materialized above");
+    for dep in deps {
+        if seen.insert(dep) && !interp.ctx.exec.is_defined(dep) {
+            order.push(dep);
+            materialize(interp, dep, seen, order);
+        }
+    }
+}
+
+/// `id`'s signature and IR, or the error that keeps it from linking.
+fn ensure_linkable(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
+    ensure_signature(interp, id, span)?;
+    let name = interp.ctx.funcs[id.0 as usize].name.clone();
+    ensure_ir(interp, id).map_err(|e| e.traced(format!("terra function '{name}'")))
+}
+
+/// Verifies, optimizes, compiles and defines one function of a materialized component.
+fn compile_one(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
+    if interp.ctx.exec.is_defined(id) {
+        return Ok(());
+    }
+    ensure_linkable(interp, id, span)?;
+    let meta = &interp.ctx.funcs[id.0 as usize];
+    let (name, ir) = (meta.name.clone(), meta.ir.as_ref().expect("linkable"));
     // Interprocedural summaries over this function plus every dependency
     // whose IR is materialized: the abstract interpreter uses them to refine
     // call returns and check call sites against callee access demands, both
     // in lint mode and in the check-elision pass.
-    let sums = {
-        let mut fns: Vec<(FuncId, &IrFunction)> = vec![(id, ir)];
-        for dep in &deps {
-            if *dep != id {
-                if let Some(dir) = &interp.ctx.funcs[dep.0 as usize].ir {
-                    fns.push((*dep, dir));
-                }
-            }
-        }
-        let env = CtxEnv { ctx: &interp.ctx };
-        terra_ir::summarize(&fns, Some(&interp.ctx.types), &env)
-    };
+    let mut unit: Vec<(FuncId, &IrFunction)> = vec![(id, ir)];
+    for d in meta.deps.iter().filter(|d| **d != id) {
+        unit.extend(
+            interp.ctx.funcs[d.0 as usize]
+                .ir
+                .as_ref()
+                .map(|dir| (*d, dir)),
+        );
+    }
+    let sums = terra_ir::summarize(&unit, Some(&interp.ctx.types), &CtxEnv { ctx: &interp.ctx });
     // Every function passes the IR verifier between lowering and
     // compilation: a failure here means the typechecker produced
     // inconsistent IR, and is reported instead of miscompiled. Lint mode
@@ -272,10 +306,6 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
         .trace
         .record(terra_trace::Stage::Compile, &name, t0);
     interp.ctx.exec.define(id, compiled);
-    // Link the rest of the connected component before this function can run.
-    for dep in deps {
-        ensure_compiled(interp, dep, span)?;
-    }
     Ok(())
 }
 
@@ -359,18 +389,13 @@ fn struct_of(ty: &Ty) -> Option<terra_ir::StructId> {
 // ---------------------------------------------------------------------------
 
 /// What a `parallelfor` body needs from the frame around it, whose locals
-/// are those below `base`: the enclosing locals it mentions (its captures),
-/// the enclosing register locals it assigns (an error), and every function
-/// it calls directly (the kernel's link-time dependencies).
-fn scan_kernel(stmts: &[IrStmt], base: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet<FuncId>) {
-    let (mut used, mut assigned, mut calls) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+/// are those below `base`: the enclosing locals it mentions (its captures)
+/// and the enclosing register locals it assigns (an error).
+fn scan_kernel(stmts: &[IrStmt], base: u32) -> (BTreeSet<u32>, BTreeSet<u32>) {
+    let (mut used, mut assigned) = (BTreeSet::new(), BTreeSet::new());
     IrStmt::walk(stmts, &mut |s| match &s.kind {
         StmtKind::Assign { dst, .. } if dst.0 < base => {
             assigned.insert(dst.0);
-        }
-        // A nested parallel loop calls its kernel.
-        StmtKind::ParallelFor { kernel, .. } => {
-            calls.insert(*kernel);
         }
         _ => {}
     });
@@ -378,15 +403,9 @@ fn scan_kernel(stmts: &[IrStmt], base: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BT
         ExprKind::Local(l) | ExprKind::LocalAddr(l) if l.0 < base => {
             used.insert(l.0);
         }
-        ExprKind::Call {
-            callee: Callee::Direct(id),
-            ..
-        } => {
-            calls.insert(*id);
-        }
         _ => {}
     });
-    (used, assigned, calls)
+    (used, assigned)
 }
 
 // ---------------------------------------------------------------------------
@@ -444,10 +463,7 @@ impl Checker<'_> {
     fn read(&mut self, t: TExp, span: Span) -> EvalResult<IrExpr> {
         match t.val {
             TVal::R(e) => Ok(e),
-            TVal::PlaceReg(l) => Ok(IrExpr {
-                ty: t.ty,
-                kind: ExprKind::Local(l),
-            }),
+            TVal::PlaceReg(l) => Ok(IrExpr::local(l, t.ty)),
             TVal::PlaceMem(addr) => {
                 if t.ty.is_register() {
                     Ok(IrExpr {
@@ -884,7 +900,7 @@ impl Checker<'_> {
                         *span,
                     ));
                 }
-                let (used, assigned, calls) = scan_kernel(&body_ir, base);
+                let (used, assigned) = scan_kernel(&body_ir, base);
                 if let Some(&l) = assigned.first() {
                     return Err(terr(
                         format!(
@@ -912,10 +928,7 @@ impl Checker<'_> {
                         });
                     } else {
                         cap_params.push((slot.name.clone(), slot.ty.clone()));
-                        args.push(IrExpr {
-                            ty: slot.ty.clone(),
-                            kind: ExprKind::Local(LocalId(l)),
-                        });
+                        args.push(IrExpr::local(LocalId(l), slot.ty.clone()));
                     }
                 }
                 // Renumber into the kernel's frame: the loop variable
@@ -963,8 +976,8 @@ impl Checker<'_> {
                 let kid = self.interp.ctx.declare_func(&*kname);
                 let meta = &mut self.interp.ctx.funcs[kid.0 as usize];
                 meta.sig = Some(kernel.ty.clone());
+                meta.deps = direct_calls(&kernel.body).into_iter().collect();
                 meta.ir = Some(kernel);
-                meta.deps = calls.into_iter().collect();
                 self.deps.insert(kid);
                 out.push(IrStmt::at(
                     *span,
@@ -1027,10 +1040,7 @@ impl Checker<'_> {
                             self.emit_defers_from(0, out);
                             out.push(IrStmt::at(
                                 *span,
-                                StmtKind::Return(Some(IrExpr {
-                                    ty,
-                                    kind: ExprKind::Local(tmp),
-                                })),
+                                StmtKind::Return(Some(IrExpr::local(tmp, ty))),
                             ));
                         } else {
                             self.emit_defers_from(0, out);

@@ -28,10 +28,10 @@ pub struct SymbolData {
     /// Optional type carried by user-created symbols (`symbol(ty, name)`),
     /// used when a symbol declares a variable or parameter.
     pub ty: RefCell<Option<Ty>>,
-    /// Whether some specialized code applies `&` to this symbol (or calls a
-    /// method on it): every variable it declares then lives in memory. Set
-    /// where the `&` node is built (`SpecExpr::addr_of`/`method_call`), which
-    /// is before any function that could contain it is typechecked.
+    /// Whether some specialized code applies `&` to this symbol: every
+    /// variable it declares then lives in memory. Set where the `&` node is
+    /// built (`SpecExpr::addr_of`), which is before any function that could
+    /// contain it is typechecked.
     pub addr_taken: Cell<bool>,
 }
 

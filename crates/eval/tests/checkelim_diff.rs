@@ -11,7 +11,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{nest_strategy, run_nest, shuffle_strategy, RecConfig};
+use common::{calls_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
 
 /// One access into the 8-slot stack array `a` (indices ≥ 8 trap).
 #[derive(Debug, Clone)]
@@ -252,6 +252,24 @@ proptest! {
                 ..RecConfig::at(OptLevel::O2)
             };
             prop_assert_eq!(&run_nest(&src, n, &cfg), &expected, "{:?} for:\n{}", cfg, src);
+        }
+    }
+
+    /// Calls the inliner takes bring their callers' objects along — a
+    /// struct value, a heap struct, a table of function pointers — and their
+    /// accesses with them: proofs on, off and under the sanitizer compute
+    /// what the model says, or divide by zero.
+    #[test]
+    fn call_graphs_agree_with_and_without_proofs(calls in calls_strategy()) {
+        let (src, n) = (calls.src(false), calls.rows());
+        for (elide_checks, sanitize) in [(true, false), (false, false), (true, true)] {
+            let cfg = RecConfig {
+                elide_checks,
+                sanitize,
+                ..RecConfig::at(OptLevel::O2)
+            };
+            let got = run_nest(&src, n, &cfg);
+            prop_assert!(calls.agrees(n, &got), "{:?}: {:?} for:\n{}", cfg, got, src);
         }
     }
 }

@@ -405,6 +405,192 @@ pub fn shuffle_strategy() -> impl Strategy<Value = Shuffle> {
         .prop_map(|(steps, rows)| Shuffle { steps, rows })
 }
 
+/// A loop whose body is a run of small calls — the shapes the inliner takes
+/// or refuses: a wrapper of a wrapper, a method on a struct value that
+/// mutates it and one on a pointer, a dispatch stub through a table of
+/// function pointers, a wrapper around a method call, a callee that divides
+/// by zero on one row, and a small recursive callee.
+#[derive(Debug, Clone)]
+pub struct Calls {
+    /// The calls, in order (each `% 8` picks a form of [`Calls::FORMS`]).
+    pub steps: Vec<u8>,
+    pub rows: u8,
+    /// The row on which `divide` divides by zero (none when past the last).
+    pub trap_row: u8,
+}
+
+impl Calls {
+    /// `{T}` is the trap row. Form 3 is the stub through the table; a
+    /// `parallelfor` kernel may not call indirectly, so there it is `pick`,
+    /// the same choice made by branches.
+    pub const FORMS: [&str; 8] = [
+        "x = wrap2(x)",
+        "x = acc:add(x)",
+        "x = p:add(x % 97)",
+        "x = call(&table[0], (x % 3 + 3) % 3, x)",
+        "do var d = divide(x, i - {T}) x = x + d end",
+        "do var r = recur(x % 4) x = x + r end",
+        "do var g = acc:get() x = (x + g % 7) % 100003 end",
+        "x = both(p, x)",
+    ];
+
+    /// Rows the loop runs; what to pass `nest` as `n`.
+    pub fn rows(&self) -> i64 {
+        i64::from(self.rows % 3) + 2
+    }
+
+    fn trap_at(&self) -> i64 {
+        i64::from(self.trap_row % 5)
+    }
+
+    /// Defines `nest(n : int) : double` (the name [`run_nest`] calls): row
+    /// `i` starts `x`, a struct value `acc` and the heap struct `p` from `i`,
+    /// runs the calls, and writes all three to its row of `out`; the result
+    /// weighs all of `out`.
+    pub fn src(&self, parallel: bool) -> String {
+        let outer = if parallel { "parallelfor" } else { "for" };
+        let steps: String = self
+            .steps
+            .iter()
+            .map(|s| match s % 8 {
+                3 if parallel => "x = pick((x % 3 + 3) % 3, x)".to_string(),
+                s => Self::FORMS[s as usize].replace("{T}", &self.trap_at().to_string()),
+            })
+            .map(|s| format!("        {s}\n"))
+            .collect();
+        format!(
+            r#"local std = terralib.includec("stdlib.h")
+local Fn = {{int64}} -> int64
+struct Acc {{ v : int64, k : int64 }}
+terra Acc:add(x : int64) : int64
+    self.v = (self.v + x) % 100003
+    return self.v
+end
+terra Acc:get() : int64
+    return self.v * 3 + self.k
+end
+terra twice(x : int64) : int64
+    return (x * 2 + 1) % 100003
+end
+terra neg(x : int64) : int64
+    return -x
+end
+terra sq(x : int64) : int64
+    return (x % 1000) * (x % 1000)
+end
+terra wrap1(x : int64) : int64
+    return twice(x)
+end
+terra wrap2(x : int64) : int64
+    var y = wrap1(x)
+    return y - 3
+end
+terra divide(x : int64, d : int64) : int64
+    return x / d
+end
+terra recur(n : int64) : int64
+    var r : int64 = 1
+    if n > 0 then
+        r = recur(n - 1) * 2
+    end
+    return r
+end
+terra call(t : &Fn, j : int64, x : int64) : int64
+    return t[j](x)
+end
+terra pick(j : int64, x : int64) : int64
+    var r : int64
+    if j == 0 then r = twice(x) elseif j == 1 then r = neg(x) else r = sq(x) end
+    return r
+end
+terra both(q : &Acc, x : int64) : int64
+    var y = q:add(x % 89)
+    return wrap1(y)
+end
+terra nest(n : int) : double
+    var accs = [&Acc](std.malloc(n * sizeof(Acc)))
+    var out = [&int64](std.malloc(n * 3 * 8))
+    var table : Fn[3]
+    table[0], table[1], table[2] = twice, neg, sq
+    {outer} i = 0, n do
+        var x : int64 = i + 1
+        var acc : Acc
+        acc.v, acc.k = i * 7, i - 2
+        var p = accs + i
+        p.v, p.k = 5 - i, 3 * i
+{steps}        out[i * 3], out[i * 3 + 1], out[i * 3 + 2] = x, acc.v, p.v
+    end
+    var total = 0.0
+    for t = 0, n * 3 do total = total + out[t] * ((t % 7) + 1) end
+    std.free(accs)
+    std.free(out)
+    return total
+end
+"#
+        )
+    }
+
+    /// What `nest(n)` returns, computed here; `None` when it divides by
+    /// zero.
+    pub fn expected(&self, n: i64) -> Option<f64> {
+        let twice = |x: i64| (x * 2 + 1) % 100003;
+        let table = |j: i64, x: i64| match j {
+            0 => twice(x),
+            1 => -x,
+            _ => (x % 1000) * (x % 1000),
+        };
+        let add = |v: &mut i64, x: i64| {
+            *v = (*v + x) % 100003;
+            *v
+        };
+        let mut total = 0.0;
+        for i in 0..n {
+            let mut x = i + 1;
+            let (mut acc_v, acc_k) = (i * 7, i - 2);
+            let mut p_v = 5 - i;
+            for s in &self.steps {
+                match s % 8 {
+                    0 => x = twice(x) - 3,
+                    1 => x = add(&mut acc_v, x),
+                    2 => x = add(&mut p_v, x % 97),
+                    3 => x = table((x % 3 + 3) % 3, x),
+                    4 => x += x.checked_div(i - self.trap_at())?,
+                    5 => x += 1 << (x % 4).max(0),
+                    6 => x = (x + (acc_v * 3 + acc_k) % 7) % 100003,
+                    _ => x = twice(add(&mut p_v, x % 89)),
+                }
+            }
+            for (t, v) in [x, acc_v, p_v].into_iter().enumerate() {
+                total += v as f64 * (((i * 3 + t as i64) % 7) + 1) as f64;
+            }
+        }
+        Some(total)
+    }
+
+    /// `run_nest`'s result for this program at `n`, as the model says: the
+    /// bits, or a trap that reads as a division by zero.
+    pub fn agrees(&self, n: i64, got: &Result<u64, String>) -> bool {
+        match (self.expected(n), got) {
+            (Some(v), Ok(bits)) => v.to_bits() == *bits,
+            (None, Err(e)) => trap_kind(e).ends_with("integer division by zero"),
+            _ => false,
+        }
+    }
+}
+
+pub fn calls_strategy() -> impl Strategy<Value = Calls> {
+    (
+        proptest::collection::vec(any::<u8>(), 1..8),
+        any::<u8>(),
+        any::<u8>(),
+    )
+        .prop_map(|(steps, rows, trap_row)| Calls {
+            steps,
+            rows,
+            trap_row,
+        })
+}
+
 /// A GEMM whose size is a *staged constant*: `n` is spliced from Lua into
 /// the loop bounds and `malloc` sizes, so at `-O2` every access is provably
 /// in-bounds. Defines `gemm_static() : double`, which returns `C[0] = 2n`.

@@ -18,8 +18,8 @@ use terra_trace::SampleStats;
 
 mod common;
 use common::{
-    expr_strategy, nest_strategy, program_txt, shuffle_strategy, stmt_strategy, OpStmt, RecConfig,
-    Src,
+    calls_strategy, expr_strategy, nest_strategy, program_txt, shuffle_strategy, stmt_strategy,
+    OpStmt, RecConfig, Src,
 };
 
 /// Everything observable about one run.
@@ -234,6 +234,19 @@ proptest! {
         let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
         let call = format!("return nest({})", shuffle.rows());
         check_all_subsets(&shuffle.src(parallel), &call, threads)?;
+    }
+
+    /// Inlined and out-of-line calls — wrappers, methods, the stub through a
+    /// table, a trapping and a recursive callee — look the same to every
+    /// observer, trap included.
+    #[test]
+    fn telemetry_never_changes_a_call_graph(
+        calls in calls_strategy(),
+        parallel in any::<bool>(),
+    ) {
+        let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
+        let call = format!("return nest({})", calls.rows());
+        check_all_subsets(&calls.src(parallel), &call, threads)?;
     }
 }
 

@@ -10,8 +10,8 @@ use terra_ir::OptLevel;
 
 mod common;
 use common::{
-    nest_strategy, program_txt, run_nest, shuffle_strategy, stmt_strategy, Nest, OpStmt, RecConfig,
-    Shuffle, Src,
+    calls_strategy, nest_strategy, program_txt, run_nest, shuffle_strategy, stmt_strategy, Calls,
+    Nest, OpStmt, RecConfig, Shuffle, Src,
 };
 
 /// Runs the program at the given level; returns the buffer contents on
@@ -167,6 +167,77 @@ proptest! {
             let got = run_nest(&src, n, &RecConfig::at(level));
             prop_assert_eq!(&got, &expected, "{:?} for:\n{}", level, src);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Small call graphs (the shared generator: wrappers, methods on values
+    /// and on pointers, a table of function pointers, a callee that traps, a
+    /// recursive one) compute what the model says, or divide by zero, at
+    /// every level, whatever the inliner takes.
+    #[test]
+    fn call_graphs_agree_at_every_level(calls in calls_strategy()) {
+        let (src, n) = (calls.src(false), calls.rows());
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let got = run_nest(&src, n, &RecConfig::at(level));
+            prop_assert!(
+                calls.agrees(n, &got),
+                "{:?}: {:?}, model {:?}, for:\n{}", level, got, calls.expected(n), src
+            );
+        }
+    }
+}
+
+/// Every form of the call generator at once: the program runs, at `-O2` the
+/// wrappers and the stub go in while the recursive callee stays a call, and
+/// with a zero divisor on a row it traps at every level.
+#[test]
+fn call_graphs_are_not_vacuous() {
+    let all = |trap_row| Calls {
+        steps: (0..8).collect(),
+        rows: 1,
+        trap_row,
+    };
+    let fine = all(4);
+    let src = fine.src(false);
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let got = run_nest(&src, fine.rows(), &RecConfig::at(level));
+        assert!(fine.expected(fine.rows()).is_some());
+        assert!(fine.agrees(fine.rows(), &got), "{level:?}: {got:?}\n{src}");
+    }
+    let mut t = Interp::new();
+    t.exec(&src).unwrap();
+    t.exec("nest:compile()").unwrap();
+    let inline: Vec<String> = t
+        .ctx
+        .exec
+        .trace
+        .remarks()
+        .iter()
+        .filter(|r| r.pass == "inline" && &*r.site.func == "nest")
+        .map(|r| r.message.clone())
+        .collect();
+    for callee in [
+        "wrap2", "wrap1", "twice", "call", "divide", "both", "Acc:add",
+    ] {
+        assert!(
+            inline
+                .iter()
+                .any(|m| m.starts_with(&format!("inlined '{callee}'"))),
+            "{callee}: {inline:#?}"
+        );
+    }
+    assert!(
+        inline.contains(&"call to 'recur' not inlined: callee is recursive (reaches itself through direct calls)".to_string()),
+        "{inline:#?}"
+    );
+    let trapping = all(1);
+    assert_eq!(trapping.expected(trapping.rows()), None);
+    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        let got = run_nest(&trapping.src(false), trapping.rows(), &RecConfig::at(level));
+        assert!(trapping.agrees(trapping.rows(), &got), "{level:?}: {got:?}");
     }
 }
 

@@ -10,7 +10,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{expr_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
+use common::{calls_strategy, expr_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
 
 /// Runs the program at a given (threads, opt level); returns the result
 /// bits or the rendered trap.
@@ -125,6 +125,23 @@ proptest! {
             for threads in [1, 2, 4] {
                 let cfg = RecConfig { threads, ..RecConfig::at(level) };
                 prop_assert_eq!(&run_nest(&src, n, &cfg), &expected, "{:?} for:\n{}", cfg, src);
+            }
+        }
+    }
+
+    /// A kernel's calls — wrappers, methods on a row's struct value and on
+    /// its heap struct, a callee that divides by zero on one row — are
+    /// inlined into the kernel or called from it alike at every thread
+    /// count: the same bits, or the same trap word for word.
+    #[test]
+    fn call_graphs_are_thread_count_invariant(calls in calls_strategy()) {
+        let (src, n) = (calls.src(true), calls.rows());
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let serial = run_nest(&src, n, &RecConfig::at(level));
+            prop_assert!(calls.agrees(n, &serial), "{:?}: {:?} for:\n{}", level, serial, src);
+            for threads in [2, 4] {
+                let cfg = RecConfig { threads, ..RecConfig::at(level) };
+                prop_assert_eq!(&run_nest(&src, n, &cfg), &serial, "{:?} for:\n{}", cfg, src);
             }
         }
     }

@@ -257,7 +257,7 @@ fn liveness_pass(f: &IrFunction, diags: &mut Vec<Diagnostic>) {
         &mut |s, dst, value, settled| {
             // Silent while a loop is iterated to its fixpoint; compiler-made
             // writes are nobody's mistake, and a call is worth its effects.
-            if settled && !s.implicit && !expr_has_call(value, true) {
+            if settled && !s.implicit && !expr_has_call(value) {
                 let name = &f.locals[dst.0 as usize].name;
                 diags.push(diag(
                     f,

@@ -33,8 +33,9 @@ pub use ir::{
     GlobalId, IrExpr, IrFunction, IrStmt, Lib, LocalId, LocalSlot, StmtKind, UnKind,
 };
 pub use passes::fold::{fold_expr, fold_function};
+pub use passes::util::direct_calls;
 pub use passes::{
     optimize, optimized, InlineEnv, NoInline, OptLevel, PassConfig, PassRun, PassStats, Remark,
-    RemarkKind, MAX_CALLEE_NODES,
+    RemarkKind, MAX_CALLEE_NODES, MAX_CALLER_GROWTH,
 };
 pub use types::{Field, FuncTy, ScalarTy, StructId, StructLayout, Ty, TyDisplay, TypeRegistry};

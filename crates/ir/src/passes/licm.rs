@@ -91,7 +91,7 @@ impl Licm<'_> {
         let mut hoisted: Vec<(IrExpr, LocalId)> = Vec::new();
         match &mut s.kind {
             StmtKind::While { cond, body } => {
-                self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond, true);
+                self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond);
                 // The condition re-evaluates every iteration: its invariant
                 // parts are worth hoisting too.
                 self.scan_expr(cond, &writes, &mut hoisted);
@@ -207,7 +207,7 @@ impl Licm<'_> {
 /// kernel may write through captured pointers.
 fn block_is_memory_pure(stmts: &[IrStmt]) -> bool {
     let writes = |s: &IrStmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::CopyMem { .. });
-    !IrStmt::any(stmts, &mut |s| writes(s)) && !block_has_call(stmts, true)
+    !IrStmt::any(stmts, &mut |s| writes(s)) && !block_has_call(stmts)
 }
 
 /// Every frame local whose address feeds `addr` is unwritten by the loop

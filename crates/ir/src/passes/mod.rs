@@ -55,11 +55,12 @@ pub mod util;
 use crate::analysis::{verify_function, ModuleEnv, Summaries};
 use crate::ir::{FuncId, IrFunction};
 use crate::types::TypeRegistry;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 use terra_syntax::Provenance;
 
-pub use inline::MAX_CALLEE_NODES;
+pub use inline::{MAX_CALLEE_NODES, MAX_CALLER_GROWTH};
 
 /// How hard the mid-end works on each function.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -103,6 +104,14 @@ impl OptLevel {
 pub trait InlineEnv {
     /// The callee's IR, if available.
     fn callee_ir(&self, id: FuncId) -> Option<IrFunction>;
+
+    /// [`callee_ir`](Self::callee_ir) by reference, for an environment that
+    /// holds the IR; the default is the owned copy. The inliner reads every
+    /// callee it considers, and every function such a callee reaches,
+    /// through this, and copies a body only to splice it.
+    fn callee_ref(&self, id: FuncId) -> Option<Cow<'_, IrFunction>> {
+        self.callee_ir(id).map(Cow::Owned)
+    }
 }
 
 /// An [`InlineEnv`] with no visibility: disables inlining.

@@ -11,8 +11,9 @@
 //! exactly when unoptimized code would.
 
 use crate::ir::{
-    BinKind, Callee, ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind,
+    BinKind, Callee, ExprKind, FuncId, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind,
 };
+use std::collections::BTreeSet;
 
 /// Dense bitset over [`LocalId`]s that grows on insert (passes may add
 /// locals while a set is alive).
@@ -140,23 +141,40 @@ pub fn expr_uses(e: &IrExpr, l: LocalId) -> bool {
     e.any(&mut |n| matches!(n.kind, ExprKind::Local(x) | ExprKind::LocalAddr(x) if x == l))
 }
 
-/// Whether evaluating `e` makes a call: direct, indirect or — when
-/// `builtins` is set — to a VM builtin.
-pub(crate) fn expr_has_call(e: &IrExpr, builtins: bool) -> bool {
-    e.any(&mut |n| match &n.kind {
-        ExprKind::Call { callee, .. } => builtins || !matches!(callee, Callee::Builtin(_)),
-        _ => false,
-    })
+/// Whether evaluating `e` makes a call: direct, indirect or to a VM builtin.
+pub(crate) fn expr_has_call(e: &IrExpr) -> bool {
+    e.any(&mut |n| matches!(n.kind, ExprKind::Call { .. }))
 }
 
 /// [`expr_has_call`] over every expression of `stmts` and the blocks nested
 /// in them; a `parallelfor` is a call to its kernel.
-pub(crate) fn block_has_call(stmts: &[IrStmt], builtins: bool) -> bool {
+pub(crate) fn block_has_call(stmts: &[IrStmt]) -> bool {
     IrStmt::any(stmts, &mut |s| {
         let mut found = matches!(s.kind, StmtKind::ParallelFor { .. });
-        s.operand_roots(&mut |e| found = found || expr_has_call(e, builtins));
+        s.operand_roots(&mut |e| found = found || expr_has_call(e));
         found
     })
+}
+
+/// The functions `stmts` call directly, and the kernels their `parallelfor`s
+/// run: each once, in id order.
+pub fn direct_calls(stmts: &[IrStmt]) -> BTreeSet<FuncId> {
+    let mut calls = BTreeSet::new();
+    IrStmt::walk(stmts, &mut |s| {
+        if let StmtKind::ParallelFor { kernel, .. } = s.kind {
+            calls.insert(kernel);
+        }
+    });
+    IrStmt::walk_exprs(stmts, &mut |e| {
+        if let ExprKind::Call {
+            callee: Callee::Direct(id),
+            ..
+        } = e.kind
+        {
+            calls.insert(id);
+        }
+    });
+    calls
 }
 
 /// Records every register local that statements in `stmts` (recursively)

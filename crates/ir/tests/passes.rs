@@ -4,7 +4,8 @@
 
 use terra_ir::{
     optimize, BinKind, Callee, ExprKind, FuncId, FuncTy, InlineEnv, IrExpr, IrFunction, IrStmt,
-    LocalId, NoEnv, NoInline, OptLevel, PassConfig, PassStats, StmtKind, Ty, TypeRegistry,
+    LocalId, NoEnv, NoInline, OptLevel, PassConfig, PassStats, RemarkKind, StmtKind, Ty,
+    TypeRegistry, MAX_CALLER_GROWTH,
 };
 
 fn func(params: Vec<Ty>, ret: Ty) -> IrFunction {
@@ -455,14 +456,6 @@ fn licm_hoists_invariant_multiply_out_of_loop() {
     );
 }
 
-struct OneCallee(IrFunction);
-
-impl InlineEnv for OneCallee {
-    fn callee_ir(&self, id: FuncId) -> Option<IrFunction> {
-        (id == FuncId(0)).then(|| self.0.clone())
-    }
-}
-
 #[test]
 fn inline_replaces_small_leaf_call() {
     // callee: add1(x) = x + 1
@@ -490,7 +483,7 @@ fn inline_replaces_small_leaf_call() {
         ),
         ret(IrExpr::local(r, Ty::INT)),
     ];
-    let env = OneCallee(callee);
+    let env = Callees(vec![callee]);
     let stats = optimize(&mut caller, &cfg(OptLevel::O2, &env));
     assert!(stats.runs.iter().any(|r| r.pass == "inline" && r.changed));
     assert_eq!(
@@ -510,32 +503,272 @@ fn inline_replaces_small_leaf_call() {
     );
 }
 
+/// Callee `i` is `FuncId(i)`.
+struct Callees(Vec<IrFunction>);
+
+impl InlineEnv for Callees {
+    fn callee_ir(&self, id: FuncId) -> Option<IrFunction> {
+        self.0.get(id.0 as usize).cloned()
+    }
+}
+
+/// A direct call of `FuncId(id)`.
+fn call(id: u32, args: Vec<IrExpr>, ty: Ty) -> IrExpr {
+    IrExpr {
+        ty,
+        kind: ExprKind::Call {
+            callee: Callee::Direct(FuncId(id)),
+            args,
+        },
+    }
+}
+
+/// `name(x : int) : int` whose body is `body(x)`.
+fn unary(name: &str, body: impl FnOnce(IrExpr) -> Vec<IrStmt>) -> IrFunction {
+    let mut f = func(vec![Ty::INT], Ty::INT);
+    f.name = name.into();
+    f.body = body(IrExpr::local(LocalId(0), Ty::INT));
+    f
+}
+
+/// `name(x) = return callee(x)`, the return at `line`.
+fn forwarder(name: &str, callee: u32, line: u32) -> IrFunction {
+    unary(name, |x| {
+        vec![IrStmt::at(
+            span(line),
+            StmtKind::Return(Some(call(callee, vec![x], Ty::INT))),
+        )]
+    })
+}
+
+fn span(line: u32) -> terra_syntax::Span {
+    terra_syntax::Span {
+        start: 0,
+        end: 0,
+        line,
+    }
+}
+
+/// `r = callee(p0); return r`, the call at line 10, optimized at `-O2`
+/// against `env`; returns the caller and the inliner's remarks as
+/// `(applied, line, message, chain)`.
+fn inline_into_caller(
+    callee: u32,
+    env: &dyn InlineEnv,
+) -> (IrFunction, Vec<(bool, u32, String, String)>) {
+    let mut caller = func(vec![Ty::INT], Ty::INT);
+    let r = caller.add_local("r", Ty::INT, false);
+    caller.body = vec![
+        IrStmt::at(
+            span(10),
+            StmtKind::Assign {
+                dst: r,
+                value: call(callee, vec![IrExpr::local(LocalId(0), Ty::INT)], Ty::INT),
+            },
+        ),
+        ret(IrExpr::local(r, Ty::INT)),
+    ];
+    let stats = optimize(&mut caller, &cfg(OptLevel::O2, env));
+    let remarks = stats
+        .remarks
+        .iter()
+        .filter(|r| r.pass == "inline")
+        .map(|r| {
+            (
+                r.kind == RemarkKind::Applied,
+                r.line,
+                r.message.clone(),
+                r.prov.as_ref().map_or(String::new(), |p| p.describe()),
+            )
+        })
+        .collect();
+    (caller, remarks)
+}
+
+fn calls_in(f: &IrFunction) -> usize {
+    count_exprs(f, &|k| matches!(k, ExprKind::Call { .. }))
+}
+
+/// `w2(x) = return w1(x)`, `w1(x) = return add1(x)`: one run inlines all
+/// three, outer splice first, and each nested remark names the sites it
+/// was copied through.
+#[test]
+fn a_wrapper_of_a_wrapper_is_inlined_in_one_run() {
+    let add1 = unary("add1", |x| {
+        vec![IrStmt::at(
+            span(30),
+            StmtKind::Return(Some(IrExpr::binary(BinKind::Add, x, IrExpr::int32(1)))),
+        )]
+    });
+    let env = Callees(vec![add1, forwarder("w1", 0, 20), forwarder("w2", 1, 40)]);
+    let (caller, remarks) = inline_into_caller(2, &env);
+    assert_eq!(calls_in(&caller), 0, "{caller:?}");
+    let applied: Vec<_> = remarks
+        .iter()
+        .map(|(a, line, m, chain)| (*a, *line, m.as_str(), chain.as_str()))
+        .collect();
+    assert_eq!(
+        applied,
+        [
+            (true, 10, "inlined 'w2' (3 IR nodes)", ""),
+            (true, 40, "inlined 'w1' (3 IR nodes)", "inlined at line 10"),
+            (
+                true,
+                20,
+                "inlined 'add1' (4 IR nodes)",
+                "inlined at line 40, inlined at line 10"
+            ),
+        ]
+    );
+}
+
+/// What the inliner said about the one call site of [`inline_into_caller`].
+fn refusal_of(callee: u32, env: &dyn InlineEnv) -> String {
+    let (caller, remarks) = inline_into_caller(callee, env);
+    assert_eq!(calls_in(&caller), 1, "the call stays: {caller:?}");
+    match &remarks[..] {
+        [(false, 10, m, _)] => m.clone(),
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn inline_skips_recursive_callee() {
-    // callee calls itself: f(x) = f(x) — not a leaf, never inlined.
-    let mut callee = func(vec![Ty::INT], Ty::INT);
-    callee.body = vec![ret(IrExpr {
-        ty: Ty::INT,
-        kind: ExprKind::Call {
-            callee: Callee::Direct(FuncId(0)),
-            args: vec![IrExpr::local(LocalId(0), Ty::INT)],
-        },
-    })];
-    let mut caller = func(vec![Ty::INT], Ty::INT);
-    caller.body = vec![ret(IrExpr {
-        ty: Ty::INT,
-        kind: ExprKind::Call {
-            callee: Callee::Direct(FuncId(0)),
-            args: vec![IrExpr::local(LocalId(0), Ty::INT)],
-        },
-    })];
-    let env = OneCallee(callee);
-    optimize(&mut caller, &cfg(OptLevel::O2, &env));
+    // f(x) = f(x): its frames are the recursion depth, at every level.
+    let env = Callees(vec![forwarder("f", 0, 1)]);
     assert_eq!(
-        count_exprs(&caller, &|k| matches!(k, ExprKind::Call { .. })),
-        1,
-        "recursive callee must not be inlined: {caller:?}"
+        refusal_of(0, &env),
+        "call to 'f' not inlined: callee is recursive (reaches itself through direct calls)"
     );
+    // even(x) = odd(x), odd(x) = even(x): the same through two functions —
+    // and through the caller, were it `odd`: a callee that reaches the
+    // function calling it reaches itself.
+    let env = Callees(vec![forwarder("even", 1, 1), forwarder("odd", 0, 2)]);
+    assert_eq!(
+        refusal_of(0, &env),
+        "call to 'even' not inlined: callee is recursive (reaches itself through direct calls)"
+    );
+    // A callee that calls something whose body is unknown might reach
+    // anything, the caller included.
+    let env = Callees(vec![forwarder("f", 7, 1)]);
+    assert_eq!(
+        refusal_of(0, &env),
+        "call to 'f' not inlined: callee reaches a function whose body is not available"
+    );
+}
+
+/// A `parallelfor` site is keyed by the function that encloses it, so a
+/// function containing one keeps its frame.
+#[test]
+fn a_callee_with_a_parallelfor_is_refused() {
+    let par = unary("par", |x| {
+        vec![
+            IrStmt::new(StmtKind::ParallelFor {
+                kernel: FuncId(1),
+                start: IrExpr::int32(0),
+                stop: x.clone(),
+                args: Vec::new(),
+            }),
+            ret(x),
+        ]
+    });
+    let kernel = func(vec![Ty::INT], Ty::Unit);
+    let env = Callees(vec![par, kernel]);
+    assert_eq!(
+        refusal_of(0, &env),
+        "call to 'par' not inlined: callee contains a parallelfor"
+    );
+}
+
+/// A caller gains at most `MAX_CALLER_GROWTH` nodes: the splice that would
+/// cross it is refused, with the arithmetic in the remark, and so is every
+/// later one.
+#[test]
+fn the_growth_budget_stops_inlining_with_a_remark() {
+    // add(x) = x + 1 + 1 + …: 40 nodes.
+    let add = unary("add", |x| {
+        let mut e = x;
+        while count_nodes_of(&e) < 38 {
+            e = IrExpr::binary(BinKind::Add, e, IrExpr::int32(1));
+        }
+        vec![ret(e)]
+    });
+    let nodes = terra_ir::passes::util::count_nodes(&add);
+    let fit = MAX_CALLER_GROWTH / nodes;
+    let mut caller = func(vec![Ty::INT], Ty::INT);
+    let p = IrExpr::local(LocalId(0), Ty::INT);
+    caller.body = (0..fit + 2)
+        .map(|_| IrStmt::new(StmtKind::Expr(call(0, vec![p.clone()], Ty::INT))))
+        .chain([ret(p.clone())])
+        .collect();
+    let stats = optimize(&mut caller, &cfg(OptLevel::O2, &Callees(vec![add])));
+    let inline: Vec<_> = stats
+        .remarks
+        .iter()
+        .filter(|r| r.pass == "inline")
+        .collect();
+    assert_eq!(inline.len(), fit + 2);
+    assert!(inline[..fit].iter().all(|r| r.kind == RemarkKind::Applied));
+    assert_eq!(
+        inline[fit].message,
+        format!(
+            "call to 'add' not inlined: caller growth budget spent ({} + {nodes} > {MAX_CALLER_GROWTH})",
+            fit * nodes
+        )
+    );
+    assert_eq!(inline[fit + 1].kind, RemarkKind::Missed);
+    assert_eq!(calls_in(&caller), 2);
+}
+
+fn count_nodes_of(e: &IrExpr) -> usize {
+    let mut n = 0;
+    e.walk(&mut |_| n += 1);
+    n
+}
+
+/// A dispatch stub — `stub(fp, x) = return fp(x)` — goes in; its call stays
+/// one indirect call, through the caller's own operands.
+#[test]
+fn a_callee_with_an_indirect_call_is_inlined_and_keeps_its_operands() {
+    let fn_ty = Ty::Func(std::sync::Arc::new(FuncTy {
+        params: vec![Ty::INT],
+        ret: Ty::INT,
+    }));
+    let mut stub = func(vec![fn_ty.clone(), Ty::INT], Ty::INT);
+    stub.name = "stub".into();
+    stub.body = vec![ret(IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Call {
+            callee: Callee::Indirect(Box::new(IrExpr::local(LocalId(0), fn_ty.clone()))),
+            args: vec![IrExpr::local(LocalId(1), Ty::INT)],
+        },
+    })];
+    let mut caller = func(vec![fn_ty.clone(), Ty::INT], Ty::INT);
+    caller.body = vec![ret(call(
+        0,
+        vec![
+            IrExpr::local(LocalId(0), fn_ty.clone()),
+            IrExpr::local(LocalId(1), Ty::INT),
+        ],
+        Ty::INT,
+    ))];
+    let stats = optimize(&mut caller, &cfg(OptLevel::O2, &Callees(vec![stub])));
+    assert!(stats
+        .remarks
+        .iter()
+        .any(|r| r.message == "inlined 'stub' (4 IR nodes)"));
+    assert_eq!(
+        caller.body.last().map(|s| &s.kind),
+        Some(&StmtKind::Return(Some(IrExpr {
+            ty: Ty::INT,
+            kind: ExprKind::Call {
+                callee: Callee::Indirect(Box::new(IrExpr::local(LocalId(0), fn_ty))),
+                args: vec![IrExpr::local(LocalId(1), Ty::INT)],
+            },
+        }))),
+        "{caller:?}"
+    );
+    assert_eq!(calls_in(&caller), 1);
 }
 
 #[test]

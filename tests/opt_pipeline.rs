@@ -348,3 +348,139 @@ fn the_fig5_k_loop_is_what_the_generator_wrote() {
         );
     }
 }
+
+/// §6.3.1's class hierarchy as `dispatch-calls` builds it, with its two
+/// dispatching loops and constructors the host can call.
+const DISPATCH: &str = r#"
+local std = terralib.includec("stdlib.h")
+Scorer = J.interface { score = {int} -> int }
+struct Base { bias : int }
+struct Derived { mul : int }
+struct Other { k : int }
+J.extends(Derived, Base)
+J.implements(Base, Scorer)
+J.implements(Other, Scorer)
+terra Base:score(x : int) : int return (x + self.bias) % 1000003 end
+terra Derived:score(x : int) : int return (x * self.mul + self.bias) % 1000003 end
+terra Other:score(x : int) : int return (x * 5 + self.k) % 1000003 end
+terra newbase(bias : int) : &Base
+    var o = [&Base](std.malloc(sizeof(Base)))
+    o:initclass()
+    o.bias = bias
+    return o
+end
+terra newderived(bias : int, mul : int) : &Derived
+    var o = [&Derived](std.malloc(sizeof(Derived)))
+    o:initclass()
+    o.bias = bias
+    o.mul = mul
+    return o
+end
+terra newother(k : int) : &Other
+    var o = [&Other](std.malloc(sizeof(Other)))
+    o:initclass()
+    o.k = k
+    return o
+end
+terra asbase(d : &Derived) : &Base return d end
+terra scorer(b : &Base) : &Scorer return b end
+terra oscorer(o : &Other) : &Scorer return o end
+terra virtual_loop(a : &Base, b : &Base, n : int) : int
+    var acc = 1
+    for i = 0, n do
+        acc = a:score(acc)
+        acc = b:score(acc)
+    end
+    return acc
+end
+terra interface_loop(a : &Scorer, b : &Scorer, n : int) : int
+    var acc = 1
+    for i = 0, n do
+        acc = a:score(acc)
+        acc = b:score(acc)
+    end
+    return acc
+end
+"#;
+
+/// The claim of §6.3.1 that the paper owes to LLVM inlining the dispatch
+/// stub: at `-O2` a virtual or interface call is the stub's two loads (the
+/// object's table, the slot), the moves into the argument block and one
+/// `call.indirect` — no `call` of the stub, no `frame.addr` spilling a
+/// pointer receiver — as counters and as `disas()` text.
+#[test]
+fn a_virtual_call_is_one_indirect_call() {
+    let mut s = terra_classes::ClassSession::new().expect("class library");
+    s.exec(DISPATCH).unwrap();
+    let mut ptr = |call: &str| match s.terra().exec(&format!("return {call}")).unwrap()[..] {
+        [terra_core::LuaValue::Number(p)] => terra_core::Value::Ptr(p as u64),
+        ref other => panic!("{call}: {other:?}"),
+    };
+    let (base, derived) = (ptr("newbase(7)"), ptr("asbase(newderived(3, 11))"));
+    let (ibase, iother) = (ptr("scorer(newbase(7))"), ptr("oscorer(newother(5))"));
+    for (name, a, b) in [
+        ("virtual_loop", base, derived),
+        ("interface_loop", ibase, iother),
+    ] {
+        let f = s.terra().function(name).unwrap();
+        let mut ops = |n: i64| {
+            let t = s.terra();
+            t.set_profile(true);
+            t.reset_profile();
+            t.invoke(&f, &[a, b, terra_core::Value::Int(n)])
+                .expect("the loop runs");
+            let p = t.profile();
+            t.set_profile(false);
+            p
+        };
+        let (small, large) = (ops(1000), ops(3000));
+        let calls = 2 * (3000 - 1000);
+        let grew = |op: &str| large.op_count(op) - small.op_count(op);
+        assert_eq!(large.op_count("call"), 0, "{name}: the stub is inlined");
+        assert_eq!(
+            large.op_count("frame.addr"),
+            0,
+            "{name}: receivers stay in registers"
+        );
+        assert_eq!(grew("call.indirect"), calls, "{name}");
+        assert_eq!(grew("load.64"), 2 * calls, "{name}: the table and the slot");
+        assert_eq!(
+            grew("mov"),
+            2 * calls,
+            "{name}: the receiver and the argument"
+        );
+        assert_eq!(
+            grew("ret"),
+            calls,
+            "{name}: one frame per call, the callee's"
+        );
+
+        let out = s.terra().exec(&format!("return {name}:disas()")).unwrap();
+        let terra_core::LuaValue::Str(text) = &out[0] else {
+            panic!("disas returns a string: {out:?}");
+        };
+        let lines: Vec<String> = text.lines().map(masked).collect();
+        let top = lines
+            .iter()
+            .position(|l| l.starts_with("load.64"))
+            .expect("the loop starts with the first stub's load");
+        let one_call = [
+            "load.64! r#, [r#]",
+            "load.64! r#, [r#]",
+            "mov r#, r#, w=1",
+            "mov r#, r#, w=1",
+            "call.indirect r#, r#, r#, w=1, nargs=2",
+        ];
+        let mut expected: Vec<String> = one_call
+            .iter()
+            .chain(&one_call)
+            .map(|l| l.to_string())
+            .collect();
+        expected.push(format!("loop.lt.s r#, r#, r# -> {top}"));
+        assert_eq!(
+            lines[top..top + expected.len()],
+            expected[..],
+            "{name}:\n{text}"
+        );
+    }
+}
