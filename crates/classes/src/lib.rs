@@ -312,7 +312,14 @@ mod tests {
     #[test]
     fn dispatch_overhead_is_small_constant() {
         let mut b = DispatchBench::new().unwrap();
-        let cost = b.measure(200_000);
+        // The fastest of three per flavor: a busy host only ever adds time.
+        let runs: Vec<DispatchCost> = (0..3).map(|_| b.measure(200_000)).collect();
+        let best = |ns: fn(&DispatchCost) -> f64| runs.iter().map(ns).fold(f64::INFINITY, f64::min);
+        let cost = DispatchCost {
+            virtual_ns: best(|c| c.virtual_ns),
+            interface_ns: best(|c| c.interface_ns),
+            direct_ns: best(|c| c.direct_ns),
+        };
         // Dynamic dispatch must cost a small constant over a direct call.
         // The paper reports within 1% for native code, where the stub is
         // inlined away; this bench runs at -O1 (no inlining) so all three

@@ -155,22 +155,31 @@ pub fn method_call_terra_value(
         }
         (LuaValue::TerraFunc(id), "disas") => {
             crate::typecheck::ensure_compiled(interp, *id, span)?;
-            let f = interp
-                .ctx
-                .exec
-                .function(*id)
-                .expect("just compiled")
-                .clone();
             // One instruction per line: its index, its source line (blank
             // when unknown), the instruction as `Instr`'s `Display` spells it.
-            let text = f.code.iter().enumerate().map(|(pc, instr)| {
-                let line = match f.line_at(pc) {
-                    0 => String::new(),
-                    line => line.to_string(),
-                };
-                format!("{pc:4} {line:>5}  {instr}\n")
-            });
-            Ok(LuaValue::str(text.collect::<String>()))
+            let listing = |f: &terra_vm::CompiledFunction| {
+                let lines = f.code.iter().enumerate().map(|(pc, instr)| {
+                    let line = match f.line_at(pc) {
+                        0 => String::new(),
+                        line => line.to_string(),
+                    };
+                    format!("{pc:4} {line:>5}  {instr}\n")
+                });
+                lines.collect::<String>()
+            };
+            let exec = &interp.ctx.exec;
+            let f = exec.function(*id).expect("just compiled");
+            let mut text = listing(f);
+            // The kernel each `par.for` runs follows, under its name: the
+            // loop's body is there, not in `f`.
+            for instr in &f.code {
+                if let terra_vm::Instr::ParFor { f: kernel, .. } = instr {
+                    if let Some(k) = exec.function(*kernel) {
+                        text += &format!("kernel '{}':\n{}", k.name, listing(k));
+                    }
+                }
+            }
+            Ok(LuaValue::str(text))
         }
         (LuaValue::Global(g), "get") => {
             let meta = interp.ctx.globals[g.0 as usize].clone();

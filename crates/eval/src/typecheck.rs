@@ -1015,7 +1015,7 @@ impl Checker<'_> {
                         let t = match &hint {
                             Some(rt) => self.convert(t, &rt.clone(), e.span, Some(e))?,
                             None => {
-                                let ty = default_ty(&t.ty);
+                                let ty = t.ty.clone();
                                 let t2 = self.convert(t, &ty, e.span, Some(e))?;
                                 if is_aggregate(&ty) {
                                     return Err(terr(
@@ -1293,7 +1293,7 @@ impl Checker<'_> {
                     IntSuffix::LL => Ty::I64,
                     IntSuffix::ULL => Ty::U64,
                 };
-                Ok(const_num(ty, *v as f64))
+                Ok(const_num(ty, *v as f64, *v))
             }
             SpecExprKind::Float(v, is_f32) => {
                 let ty = if *is_f32 { Ty::F32 } else { Ty::F64 };
@@ -1321,7 +1321,7 @@ impl Checker<'_> {
                         }
                     }
                 };
-                Ok(const_num(ty, *n))
+                Ok(const_num(ty, *n, *n as i64))
             }
             SpecExprKind::Bool(b) => Ok(TExp::rvalue(
                 Ty::BOOL,
@@ -1702,7 +1702,7 @@ impl Checker<'_> {
                 }
                 let c = self.cond(&args[0])?;
                 let a = self.expr(&args[1], None)?;
-                let ty = default_ty(&a.ty);
+                let ty = a.ty.clone();
                 let a = self.convert(a, &ty, args[1].span, Some(&args[1]))?;
                 let b = self.expr(&args[2], Some(&ty))?;
                 let b = self.convert(b, &ty, args[2].span, Some(&args[2]))?;
@@ -2543,16 +2543,13 @@ fn zero_of(ty: &Ty) -> IrExpr {
     }
 }
 
-fn const_num(ty: Ty, n: f64) -> TExp {
+/// A constant of type `ty`: `n` for a float or a `bool`, `int` for an
+/// integer (exact past 2⁵³, where `n` is not).
+fn const_num(ty: Ty, n: f64, int: i64) -> TExp {
     let kind = match &ty {
         Ty::Scalar(s) if s.is_float() => ExprKind::ConstFloat(n),
         Ty::Scalar(ScalarTy::Bool) => ExprKind::ConstBool(n != 0.0),
-        _ => ExprKind::ConstInt(n as i64),
+        _ => ExprKind::ConstInt(int),
     };
     TExp::rvalue(ty.clone(), IrExpr { ty, kind })
-}
-
-/// The "natural" type of an expression used without context.
-fn default_ty(t: &Ty) -> Ty {
-    t.clone()
 }

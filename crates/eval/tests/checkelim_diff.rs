@@ -11,7 +11,7 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{calls_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
+use common::{calls_strategy, nest_strategy, run_nest, shuffle_strategy, taps_strategy, RecConfig};
 
 /// One access into the 8-slot stack array `a` (indices ≥ 8 trap).
 #[derive(Debug, Clone)]
@@ -270,6 +270,23 @@ proptest! {
             };
             let got = run_nest(&src, n, &cfg);
             prop_assert!(calls.agrees(n, &got), "{:?}: {:?} for:\n{}", cfg, got, src);
+        }
+    }
+
+    /// Loops `unroll` takes or refuses (the shared generator), whose copies'
+    /// accesses are proven or checked at constant offsets: proofs on, off and
+    /// under the sanitizer compute what the model says, or divide by zero.
+    #[test]
+    fn constant_trip_loops_agree_with_and_without_proofs(taps in taps_strategy()) {
+        let (src, n) = (taps.src(false), taps.rows());
+        for (elide_checks, sanitize) in [(true, false), (false, false), (true, true)] {
+            let cfg = RecConfig {
+                elide_checks,
+                sanitize,
+                ..RecConfig::at(OptLevel::O2)
+            };
+            let got = run_nest(&src, n, &cfg);
+            prop_assert!(taps.agrees(n, &got), "{:?}: {:?} for:\n{}", cfg, got, src);
         }
     }
 }

@@ -591,6 +591,230 @@ pub fn calls_strategy() -> impl Strategy<Value = Calls> {
         })
 }
 
+/// A row loop whose body runs a `for` with stage-time-constant bounds — the
+/// loops `unroll` takes or refuses: 0, 1 or 3 trips, or one less than, as
+/// many as or one more than the most the growth budget takes for this body;
+/// a step of 1 to 4 that need not divide the range; an `int8`, `uint8` or
+/// `int32` counter placed at the top of its type (the value that ends the
+/// loop at most its maximum) or at the bottom (negative starts); locals
+/// declared in the body; the counter in an address and in a value; and, on
+/// request, a division by zero at the second trip.
+#[derive(Debug, Clone)]
+pub struct Taps {
+    /// Counter type: `int8`, `uint8` or `int32`.
+    pub ty: u8,
+    /// `% 6` picks 0, 1, 3, or the budget's trip count − 1, + 0 or + 1.
+    pub trips: u8,
+    pub step: u8,
+    /// How far the range sits from its end of the type, and how far the stop
+    /// falls short of a whole number of steps.
+    pub slack: u8,
+    pub top: bool,
+    pub rows: u8,
+    pub trap: bool,
+}
+
+impl Taps {
+    /// Rows the loop runs; what to pass `nest` as `n`.
+    pub fn rows(&self) -> i64 {
+        i64::from(self.rows % 3) + 2
+    }
+
+    /// The counter's type name and range.
+    fn ty(&self) -> (&'static str, i64, i64) {
+        [
+            ("int8", -128, 127),
+            ("uint8", 0, 255),
+            ("int32", i64::from(i32::MIN), i64::from(i32::MAX)),
+        ][self.ty as usize % 3]
+    }
+
+    fn step(&self) -> i64 {
+        i64::from(self.step % 4) + 1
+    }
+
+    /// The tap loop's trip count.
+    pub fn trips(&self) -> i64 {
+        match self.trips % 6 {
+            0 => 0,
+            1 => 1,
+            2 => 3,
+            k => self.budget_trips() + i64::from(k) - 4,
+        }
+    }
+
+    /// `(start, stop)` for `trips` trips.
+    fn range(&self, trips: i64) -> (i64, i64) {
+        let (_, min, max) = self.ty();
+        let step = self.step();
+        let (off, short) = (i64::from(self.slack % 4), i64::from(self.slack / 4) % step);
+        let start = if self.top {
+            max - trips * step - off
+        } else {
+            min + off
+        };
+        match trips {
+            0 => (start, start),
+            _ => (start, start + (trips - 1) * step + 1 + short),
+        }
+    }
+
+    /// Defines `nest(n : int) : double` (the name [`run_nest`] calls): row
+    /// `i` runs the tap loop, which adds into `acc` and stores into its row
+    /// of `out`; the result weighs `out` and every row's `acc`.
+    pub fn src(&self, parallel: bool) -> String {
+        self.program(self.trips(), parallel)
+    }
+
+    fn program(&self, trips: i64, parallel: bool) -> String {
+        let outer = if parallel { "parallelfor" } else { "for" };
+        let (ty, _, max) = self.ty();
+        let (start, stop) = self.range(trips);
+        let step = self.step();
+        // No constant of the body is an identity `fold` would drop (`x + 0`,
+        // `x * 1`), so its size, and the budget's trip count, does not depend
+        // on where the range sits. `off` is odd, so never 0: the element of
+        // `t` is `2 * (t - start) + 1`.
+        let off = 1 - 2 * start;
+        let trap = if self.trap {
+            // `t0 - t` is 0 at the second trip; `t0` on the left is no
+            // identity whatever its value.
+            let t0 = (start + step).min(max);
+            format!("var q = 1000 / (({t0}) - [int](t))\n            acc = acc + q")
+        } else {
+            String::new()
+        };
+        format!(
+            r#"local std = terralib.includec("stdlib.h")
+terra nest(n : int) : double
+    var src = [&double](std.malloc(512 * 8))
+    var out = [&double](std.malloc(n * 256 * 8))
+    var res = [&double](std.malloc(n * 8))
+    for k = 0, 512 do src[k] = k * 0.5 + 1 end
+    for k = 0, n * 256 do out[k] = 0 end
+    {outer} i = 0, n do
+        var acc = 0.0
+        var row = out + i * 256
+        for t : {ty} = ({start}), ({stop}), {step} do
+            var w = [int](t) * 3 + i
+            {trap}
+            var v = src[i + [int64](t) * 2 + [int64]({off})]
+            acc = acc + v * w + [int](t)
+            row[ [int64](t) * 2 + [int64]({off})] = w
+        end
+        res[i] = acc
+    end
+    var total = 0.0
+    for k = 0, n * 256 do total = total + out[k] * ((k % 7) + 1) end
+    for k = 0, n do total = total + res[k] * ((k % 5) + 1) end
+    std.free(src)
+    std.free(out)
+    std.free(res)
+    return total
+end
+"#
+        )
+    }
+
+    /// The most trips `unroll` takes for this body: `MAX_UNROLL_GROWTH /
+    /// nodes + 1`, with the body's node count read off the refusal of a
+    /// 40-trip loop over it (a counter type and a trap make the body
+    /// differ; nothing else does).
+    pub fn budget_trips(&self) -> i64 {
+        thread_local! {
+            static KNOWN: std::cell::RefCell<Vec<((u8, bool), i64)>> = Default::default();
+        }
+        let key = (self.ty % 3, self.trap);
+        let known = KNOWN.with(|k| k.borrow().iter().find(|(k, _)| *k == key).copied());
+        if let Some((_, b)) = known {
+            return b;
+        }
+        let probe = Taps {
+            trips: 0,
+            step: 0,
+            slack: 0,
+            top: false,
+            ..self.clone()
+        };
+        let mut t = Interp::new();
+        t.exec(&probe.program(40, false)).unwrap();
+        t.exec("nest:compile()").unwrap();
+        let nodes: i64 = t
+            .ctx
+            .exec
+            .trace
+            .remarks()
+            .iter()
+            .find_map(|r| {
+                let rest = r.message.strip_prefix("loop not unrolled: 40 trips of ")?;
+                rest.split(' ').next()?.parse().ok()
+            })
+            .expect("the 40-trip tap loop is refused for its growth");
+        let b = terra_ir::MAX_UNROLL_GROWTH as i64 / nodes + 1;
+        KNOWN.with(|k| k.borrow_mut().push((key, b)));
+        b
+    }
+
+    /// What `nest(n)` returns, computed here; `None` when it divides by
+    /// zero.
+    pub fn expected(&self, n: i64) -> Option<f64> {
+        let trips = self.trips();
+        let (start, _) = self.range(trips);
+        let step = self.step();
+        let mut out = vec![0.0f64; n as usize * 256];
+        let mut res = vec![0.0f64; n as usize];
+        for i in 0..n {
+            let mut acc = 0.0f64;
+            for k in 0..trips {
+                let t = start + k * step;
+                let w = (t as i32).wrapping_mul(3).wrapping_add(i as i32);
+                if self.trap {
+                    let d = (start + step - t) as i32;
+                    acc += f64::from(1000i32.checked_div(d)?);
+                }
+                let at = 2 * (t - start) + 1;
+                let v = (i + at) as f64 * 0.5 + 1.0;
+                acc = acc + v * f64::from(w) + t as f64;
+                out[(i * 256 + at) as usize] = f64::from(w);
+            }
+            res[i as usize] = acc;
+        }
+        let mut total = 0.0;
+        for (k, x) in out.iter().enumerate() {
+            total += x * ((k % 7) + 1) as f64;
+        }
+        for (k, x) in res.iter().enumerate() {
+            total += x * ((k % 5) + 1) as f64;
+        }
+        Some(total)
+    }
+
+    /// `run_nest`'s result for this program at `n`, as the model says.
+    pub fn agrees(&self, n: i64, got: &Result<u64, String>) -> bool {
+        match (self.expected(n), got) {
+            (Some(v), Ok(bits)) => v.to_bits() == *bits,
+            (None, Err(e)) => trap_kind(e).ends_with("integer division by zero"),
+            _ => false,
+        }
+    }
+}
+
+pub fn taps_strategy() -> impl Strategy<Value = Taps> {
+    (
+        (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+        (any::<bool>(), any::<u8>(), any::<bool>()),
+    )
+        .prop_map(|((ty, trips, step, slack), (top, rows, trap))| Taps {
+            ty,
+            trips,
+            step,
+            slack,
+            top,
+            rows,
+            trap,
+        })
+}
+
 /// A GEMM whose size is a *staged constant*: `n` is spliced from Lua into
 /// the loop bounds and `malloc` sizes, so at `-O2` every access is provably
 /// in-bounds. Defines `gemm_static() : double`, which returns `C[0] = 2n`.

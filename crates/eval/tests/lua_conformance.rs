@@ -1,0 +1,169 @@
+//! Lua conformance as a table: each row is a program, and the string it
+//! returns as written from the Lua 5.1 reference manual, not from running
+//! this interpreter (there is no reference `lua` here to run).
+//!
+//! The rows so far are the numeric `for` of §2.4.5, which the manual gives
+//! as the loop
+//!
+//! ```lua
+//! do
+//!   local var, limit, step = tonumber(e1), tonumber(e2), tonumber(e3)
+//!   if not (var and limit and step) then error() end
+//!   while (step > 0 and var <= limit) or (step <= 0 and var >= limit) do
+//!     local v = var
+//!     block
+//!     var = var + step
+//!   end
+//! end
+//! ```
+//!
+//! so: the limit is inclusive, the three expressions are evaluated once, a
+//! float step accumulates, `v` is a fresh local of each iteration (assigning
+//! it changes nothing about the count, and nothing outside sees it), and a
+//! bound that is not a number is an error.
+
+use terra_eval::{Interp, LuaValue};
+
+/// What `src` returns, as `tostring` renders it; an error as `error`.
+fn returns(src: &str) -> String {
+    let mut t = Interp::new();
+    match t.exec(src) {
+        Ok(out) => match out.first() {
+            Some(LuaValue::Str(s)) => s.to_string(),
+            Some(LuaValue::Number(n)) => format!("{n}"),
+            Some(LuaValue::Bool(b)) => b.to_string(),
+            other => panic!("{src}: returned {other:?}"),
+        },
+        Err(_) => "error".to_string(),
+    }
+}
+
+/// `body` run with a list `t` to collect into; returns `t` joined by spaces.
+fn collected(body: &str) -> String {
+    returns(&format!(
+        "local t = {{}}\n{body}\nlocal s = {{}}\n\
+         for k = 1, #t do s[k] = tostring(t[k]) end\n\
+         return table.concat(s, ' ')"
+    ))
+}
+
+const NUMERIC_FOR: &[(&str, &str, &str)] = &[
+    (
+        "the limit is inclusive",
+        "for i = 1, 3 do t[#t + 1] = i end",
+        "1 2 3",
+    ),
+    (
+        "a start equal to the limit is one trip",
+        "for i = 5, 5 do t[#t + 1] = i end",
+        "5",
+    ),
+    (
+        "a start past the limit is zero trips",
+        "for i = 3, 1 do t[#t + 1] = i end",
+        "",
+    ),
+    (
+        "a negative step counts down",
+        "for i = 3, 1, -1 do t[#t + 1] = i end",
+        "3 2 1",
+    ),
+    (
+        "a negative step stops before passing the limit",
+        "for i = 10, 1, -4 do t[#t + 1] = i end",
+        "10 6 2",
+    ),
+    (
+        "a negative step from below the limit is zero trips",
+        "for i = 1, 3, -1 do t[#t + 1] = i end",
+        "",
+    ),
+    (
+        "a float step reaches an inclusive limit",
+        "for x = 0, 1, 0.25 do t[#t + 1] = x end",
+        "0 0.25 0.5 0.75 1",
+    ),
+    (
+        "a float step that does not divide the range",
+        "for x = 0, 1, 0.4 do t[#t + 1] = x end",
+        "0 0.4 0.8",
+    ),
+    (
+        "a float start with the default step",
+        "for x = 0.5, 3 do t[#t + 1] = x end",
+        "0.5 1.5 2.5",
+    ),
+    (
+        "a negative float step",
+        "for x = 1, 0, -0.5 do t[#t + 1] = x end",
+        "1 0.5 0",
+    ),
+    (
+        "assigning the control variable does not change the iterations",
+        "for i = 1, 3 do t[#t + 1] = i i = 10 end",
+        "1 2 3",
+    ),
+    (
+        "the limit is evaluated once",
+        "local n = 3 for i = 1, n do n = 0 t[#t + 1] = i end",
+        "1 2 3",
+    ),
+    (
+        "the step is evaluated once",
+        "local d = 1 for i = 1, 4, d do d = 2 t[#t + 1] = i end",
+        "1 2 3 4",
+    ),
+    (
+        "each iteration has a variable of its own",
+        "local f = {} for i = 1, 3 do f[i] = function() return i end end \
+         for k = 1, 3 do t[k] = f[k]() end",
+        "1 2 3",
+    ),
+    (
+        "numeric strings are bounds",
+        "for i = '1', '3' do t[#t + 1] = i end",
+        "1 2 3",
+    ),
+    (
+        "break leaves the loop",
+        "for i = 1, 10 do if i > 3 then break end t[#t + 1] = i end",
+        "1 2 3",
+    ),
+];
+
+#[test]
+fn numeric_for_follows_the_manual() {
+    let mut wrong = Vec::new();
+    for (row, body, expected) in NUMERIC_FOR {
+        let got = collected(body);
+        if got != *expected {
+            wrong.push(format!(
+                "{row}: `{body}` gave {got:?}, the manual says {expected:?}"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// The control variable is local to the loop: a global or an outer local of
+/// the same name is what the name means after it.
+#[test]
+fn the_control_variable_is_not_visible_after_the_loop() {
+    assert_eq!(returns("i = 'g' for i = 1, 2 do end return i"), "g");
+    assert_eq!(returns("local i = 7 for i = 1, 2 do end return i"), "7");
+    assert_eq!(
+        returns("for i = 1, 2 do end return i == nil"),
+        "true",
+        "no global springs into being"
+    );
+}
+
+/// "They must all result in numbers": a bound or step that is not is an
+/// error, raised before the first trip.
+#[test]
+fn a_bound_that_is_not_a_number_is_an_error() {
+    for header in ["i = 1, {}", "i = {}, 3", "i = 1, 3, 'x'", "i = nil, 3"] {
+        let src = format!("local n = 0 for {header} do n = n + 1 end return n");
+        assert_eq!(returns(&src), "error", "{header}");
+    }
+}

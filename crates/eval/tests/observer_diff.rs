@@ -19,7 +19,7 @@ use terra_trace::SampleStats;
 mod common;
 use common::{
     calls_strategy, expr_strategy, nest_strategy, program_txt, shuffle_strategy, stmt_strategy,
-    OpStmt, RecConfig, Src,
+    taps_strategy, OpStmt, RecConfig, Src,
 };
 
 /// Everything observable about one run.
@@ -247,6 +247,19 @@ proptest! {
         let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
         let call = format!("return nest({})", calls.rows());
         check_all_subsets(&calls.src(parallel), &call, threads)?;
+    }
+
+    /// Unrolled copies of a loop with stage-time bounds — their accesses at
+    /// constant offsets, their trap at the second trip — look the same to
+    /// every observer as the loop they replace.
+    #[test]
+    fn telemetry_never_changes_a_constant_trip_loop(
+        taps in taps_strategy(),
+        parallel in any::<bool>(),
+    ) {
+        let threads: &[usize] = if parallel { &[1, 4] } else { &[1] };
+        let call = format!("return nest({})", taps.rows());
+        check_all_subsets(&taps.src(parallel), &call, threads)?;
     }
 }
 

@@ -10,8 +10,8 @@ use terra_ir::OptLevel;
 
 mod common;
 use common::{
-    calls_strategy, nest_strategy, program_txt, run_nest, shuffle_strategy, stmt_strategy, Calls,
-    Nest, OpStmt, RecConfig, Shuffle, Src,
+    calls_strategy, nest_strategy, program_txt, run_nest, shuffle_strategy, stmt_strategy,
+    taps_strategy, Calls, Nest, OpStmt, RecConfig, Shuffle, Src, Taps,
 };
 
 /// Runs the program at the given level; returns the buffer contents on
@@ -186,6 +186,99 @@ proptest! {
                 calls.agrees(n, &got),
                 "{:?}: {:?}, model {:?}, for:\n{}", level, got, calls.expected(n), src
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Loops with stage-time bounds (the shared generator: 0, 1 and 3 trips
+    /// and the growth budget's edge, steps that do not divide the range,
+    /// narrow counters at the ends of their types, body locals, the counter
+    /// in an address and a value) compute what the model says, or divide by
+    /// zero, at every level, whichever `unroll` takes.
+    #[test]
+    fn constant_trip_loops_agree_at_every_level(taps in taps_strategy()) {
+        let (src, n) = (taps.src(false), taps.rows());
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let got = run_nest(&src, n, &RecConfig::at(level));
+            prop_assert!(
+                taps.agrees(n, &got),
+                "{:?}: {:?}, model {:?}, for:\n{}", level, got, taps.expected(n), src
+            );
+        }
+    }
+}
+
+/// The tap generator is not vacuous: for every counter type the budget's
+/// trip count is unrolled and one trip more is not, serial and under
+/// `parallelfor`; the result is the model's; and a trap at the second trip
+/// is one at every level.
+#[test]
+fn constant_trip_loops_are_not_vacuous() {
+    let unroll_remarks = |src: &str| {
+        let mut t = Interp::new();
+        t.exec(src).unwrap();
+        t.exec("nest:compile()").unwrap();
+        let remarks = t.ctx.exec.trace.remarks();
+        let of_taps = |r: &&terra_trace::Remark| r.pass == "unroll" && r.site.line == 11;
+        let rows: Vec<(String, String)> = remarks
+            .iter()
+            .filter(of_taps)
+            .map(|r| (r.kind.to_string(), r.message.clone()))
+            .collect();
+        rows
+    };
+    for ty in 0..3 {
+        for parallel in [false, true] {
+            let taps = |trips, trap| Taps {
+                ty,
+                trips,
+                step: 2,
+                slack: 5,
+                top: ty != 1,
+                rows: 0,
+                trap,
+            };
+            let b = taps(4, false).budget_trips();
+            let at_budget = taps(4, false);
+            assert_eq!(at_budget.trips(), b);
+            let rows = unroll_remarks(&at_budget.src(parallel));
+            let [(kind, message)] = &rows[..] else {
+                panic!("type {ty}: one remark for the tap loop: {rows:?}");
+            };
+            assert_eq!(kind, "applied", "type {ty}: {message}");
+            assert!(
+                message.starts_with(&format!("unrolled {b} trips")),
+                "{message}"
+            );
+            let past = taps(5, false);
+            let rows = unroll_remarks(&past.src(parallel));
+            let [(kind, message)] = &rows[..] else {
+                panic!("type {ty}: one remark for the tap loop: {rows:?}");
+            };
+            assert_eq!(kind, "missed", "type {ty}: {message}");
+            assert!(
+                message.contains(&format!("{} trips of", b + 1)),
+                "{message}"
+            );
+            for (level, taps) in [(OptLevel::O0, &at_budget), (OptLevel::O2, &past)] {
+                let (src, n) = (taps.src(parallel), taps.rows());
+                let got = run_nest(&src, n, &RecConfig::at(level));
+                assert!(taps.expected(n).is_some());
+                assert!(taps.agrees(n, &got), "{level:?}: {got:?}\n{src}");
+            }
+            let trapping = taps(2, true);
+            assert_eq!(trapping.expected(trapping.rows()), None);
+            for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+                let got = run_nest(
+                    &trapping.src(parallel),
+                    trapping.rows(),
+                    &RecConfig::at(level),
+                );
+                assert!(trapping.agrees(trapping.rows(), &got), "{level:?}: {got:?}");
+            }
         }
     }
 }

@@ -10,7 +10,10 @@ use terra_eval::{Interp, LuaValue};
 use terra_ir::OptLevel;
 
 mod common;
-use common::{calls_strategy, expr_strategy, nest_strategy, run_nest, shuffle_strategy, RecConfig};
+use common::{
+    calls_strategy, expr_strategy, nest_strategy, run_nest, shuffle_strategy, taps_strategy,
+    RecConfig,
+};
 
 /// Runs the program at a given (threads, opt level); returns the result
 /// bits or the rendered trap.
@@ -139,6 +142,22 @@ proptest! {
         for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
             let serial = run_nest(&src, n, &RecConfig::at(level));
             prop_assert!(calls.agrees(n, &serial), "{:?}: {:?} for:\n{}", level, serial, src);
+            for threads in [2, 4] {
+                let cfg = RecConfig { threads, ..RecConfig::at(level) };
+                prop_assert_eq!(&run_nest(&src, n, &cfg), &serial, "{:?} for:\n{}", cfg, src);
+            }
+        }
+    }
+
+    /// A kernel whose body runs a loop with stage-time bounds — unrolled in
+    /// the kernel or not, trapping at its second trip or not — gives what the
+    /// model says at every thread count and level, the trap word for word.
+    #[test]
+    fn constant_trip_loops_are_thread_count_invariant(taps in taps_strategy()) {
+        let (src, n) = (taps.src(true), taps.rows());
+        for level in [OptLevel::O0, OptLevel::O2] {
+            let serial = run_nest(&src, n, &RecConfig::at(level));
+            prop_assert!(taps.agrees(n, &serial), "{:?}: {:?} for:\n{}", level, serial, src);
             for threads in [2, 4] {
                 let cfg = RecConfig { threads, ..RecConfig::at(level) };
                 prop_assert_eq!(&run_nest(&src, n, &cfg), &serial, "{:?} for:\n{}", cfg, src);

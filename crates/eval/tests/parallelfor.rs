@@ -252,9 +252,10 @@ fn kernel_trap_is_reported_deterministically() {
 
 /// A kernel whose site has stage-time-constant bounds knows its index's
 /// range: the 3×3 stencil's `(y + dy) * W + (x + dx)` is proven not to wrap
-/// (no `trunc` retires), its address is split so that the innermost loop
-/// loads from `[row + dx*4]`, and the image is the same at every thread
-/// count. With run-time bounds nothing is assumed.
+/// (no `trunc` retires), the constant tap loops unroll and each address is
+/// split so that the `x` loop is nine loads from `[row + x*4 + d]`, and the
+/// image is the same at every thread count. With run-time bounds nothing is
+/// assumed.
 #[test]
 fn a_kernel_over_constant_bounds_has_a_range_for_its_index() {
     let blur = |bounds: &str| {
@@ -312,7 +313,8 @@ fn a_kernel_over_constant_bounds_has_a_range_for_its_index() {
     let (total, truncs) = run("1, h - 1", 2);
     assert_eq!(total, expected);
     assert!(truncs >= 9 * 22 * 14, "{truncs}");
-    // The innermost load of the constant-bounds kernel is `[row + dx*4]`.
+    // The constant-bounds kernel's `x` loop: nine loads `[row + x*4 + d]`,
+    // the store, the loop's edge.
     let mut t = Interp::new();
     t.exec(&blur("1, [H - 1]")).unwrap();
     t.exec("blur:compile()").unwrap();
@@ -322,11 +324,12 @@ fn a_kernel_over_constant_bounds_has_a_range_for_its_index() {
         .find(|f| f.name.contains("$par"))
         .expect("the outlined kernel");
     let text: Vec<String> = kernel.code.iter().map(|i| i.to_string()).collect();
-    let load = text
+    let loads: Vec<&String> = text.iter().filter(|l| l.starts_with("load.f32")).collect();
+    assert_eq!(loads.len(), 9, "{text:#?}");
+    assert!(loads.iter().all(|l| l.contains("*4")), "{text:#?}");
+    let edge = text
         .iter()
-        .position(|l| l.starts_with("load.f32"))
-        .expect("a load");
-    assert!(text[load].contains("*4]"), "{text:#?}");
-    assert!(text[load + 1].starts_with("add.f32"), "{text:#?}");
-    assert!(text[load + 2].starts_with("loop.lt.s"), "{text:#?}");
+        .position(|l| l.starts_with("loop.lt.s"))
+        .expect("the x loop");
+    assert!(text[edge - 1].starts_with("store.f32"), "{text:#?}");
 }

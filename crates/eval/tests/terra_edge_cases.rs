@@ -978,3 +978,68 @@ fn allocating_and_nondeterministic_builtins_are_rejected_in_kernels() {
         ["malloc", "free", "realloc", "clock", "rand", "srand"]
     );
 }
+
+// ---------------------------------------------------------------------------
+// the Terra `for` as a table
+// ---------------------------------------------------------------------------
+
+/// Terra's `for i = a, b, c` is C's `for (i = a; i < b; i += c)` on a
+/// counter of `i`'s type: half-open, ascending, the bounds evaluated once,
+/// and `i += c` wrapping as it does in that type. Each row is a header, the
+/// value summed per trip, and the trips and sum it gives at `-O0`, `-O2`
+/// and `-O2` without check elision. Every header has stage-time bounds, so
+/// these are the loops `-O2` unrolls (the short ones) or keeps (the long
+/// ones, and those whose counter leaves its type).
+#[test]
+fn for_loops_count_like_c_at_every_level() {
+    // 120, 123, 126, then 129 wraps to -127: the loop goes on until the
+    // counter lands on 127 exactly.
+    let (mut wraps, mut wrapped_sum, mut i) = (0i64, 0i64, 120i8);
+    while i < 127 {
+        wraps += 1;
+        wrapped_sum += i64::from(i);
+        i = i.wrapping_add(3);
+    }
+    let rows: &[(&str, &str, i64, i64)] = &[
+        ("i = 0, 3", "i", 3, 3),
+        ("i = 3, 3", "i", 0, 0),
+        ("i = 5, 2", "i", 0, 0),
+        ("i = 0, 10, 3", "i", 4, 18),
+        ("i = -7, 0, 2", "i", 4, -16),
+        ("i : uint8 = 250, 255", "i", 5, 1260),
+        ("i : uint8 = 0, 255", "i", 255, 32385),
+        ("i : int8 = -128, -125", "i", 3, -381),
+        ("i : int32 = 2147483645, 2147483647", "i", 2, 4294967291),
+        ("i : int8 = 120, 127, 3", "i", wraps, wrapped_sum),
+        // Across 2^63, where `unroll` keeps the loop.
+        (
+            "i : uint64 = 9223372036854775806ULL, 9223372036854775807ULL + 2ULL",
+            "i - 9223372036854775806ULL",
+            3,
+            3,
+        ),
+    ];
+    for (header, value, trips, sum) in rows {
+        let src = format!(
+            "terra f() : int64\n\
+                 var n : int64 = 0\n\
+                 var s : int64 = 0\n\
+                 for {header} do n = n + 1 s = s + [int64]({value}) end\n\
+                 return n * 1000000 + s\n\
+             end\n\
+             return f()"
+        );
+        let got = eval_at_every_level(&src);
+        assert_eq!(got, (trips * 1_000_000 + sum) as f64, "for {header}");
+    }
+}
+
+/// A decimal integer literal past 2^53 is its own value, not the nearest
+/// double's (`9223372036854775806ULL` read as 2^63 - 1 while literals went
+/// through `f64`).
+#[test]
+fn large_integer_literals_are_exact() {
+    let src = "terra f() : int64 return 9223372036854775806LL - 9223372036854775000LL end \
+               return f()";
+    assert_eq!(eval_at_every_level(src), 806.0);
+}

@@ -36,6 +36,6 @@ pub use passes::fold::{fold_expr, fold_function};
 pub use passes::util::direct_calls;
 pub use passes::{
     optimize, optimized, InlineEnv, NoInline, OptLevel, PassConfig, PassRun, PassStats, Remark,
-    RemarkKind, MAX_CALLEE_NODES, MAX_CALLER_GROWTH,
+    RemarkKind, MAX_CALLEE_NODES, MAX_CALLER_GROWTH, MAX_UNROLL_GROWTH,
 };
 pub use types::{Field, FuncTy, ScalarTy, StructId, StructLayout, Ty, TyDisplay, TypeRegistry};

@@ -25,7 +25,7 @@
 //! both sides first) back into `B = B + ldb; A = A + 1` wherever no target
 //! is read by a later right-hand side; in a swap one temporary stays.
 
-use super::util::{collect_assigned, expr_uses, LocalSet};
+use super::util::{collect_assigned, count_reads, expr_uses, LocalSet};
 use super::Remark;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind};
 
@@ -56,21 +56,8 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
 /// its destination in between keeps apart from its definition (said once,
 /// though the pass runs twice at `-O2`).
 fn coalesce(locals: &[LocalSlot], body: &mut Vec<IrStmt>, remarks: &mut Vec<Remark>) -> bool {
-    // How often each local is read, a `for` variable once more by its
-    // loop's header.
-    let mut reads = vec![0u32; locals.len()];
-    IrStmt::walk(body, &mut |s| {
-        if let StmtKind::For { var, .. } = &s.kind {
-            reads[var.0 as usize] += 1;
-        }
-        s.operand_roots(&mut |root| {
-            root.walk(&mut |e| {
-                if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = e.kind {
-                    reads[l.0 as usize] += 1;
-                }
-            })
-        });
-    });
+    let mut reads = vec![0; locals.len()];
+    count_reads(body, &mut reads, 1);
     let mut coalesced = false;
     IrStmt::each_block_mut(body, &mut |block| {
         // Indices of the copies coalesced away, ascending.

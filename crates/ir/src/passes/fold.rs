@@ -55,7 +55,9 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     remarks.len() > before
 }
 
-fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &mut Vec<Remark>) {
+/// Folds every expression of `stmts` and collapses the `if`s that become
+/// statically decided; `unroll` runs it over each copy of a loop body.
+pub(super) fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &mut Vec<Remark>) {
     IrStmt::walk_mut(stmts, &mut |s| {
         s.operand_roots_mut(&mut |e| fold_expr_counted(e, folded))
     });

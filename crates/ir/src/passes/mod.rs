@@ -7,7 +7,7 @@
 //! |-------|----------|
 //! | `-O0` | none — the typechecker's IR compiles as-is |
 //! | `-O1` | fold → simplify → copyprop → dce |
-//! | `-O2` | inline → fold → simplify → cse → copyprop → affine → licm → copyprop → dce → checkelim |
+//! | `-O2` | inline → fold → unroll → simplify → cse → copyprop → affine → licm → copyprop → dce → checkelim |
 //!
 //! Every pass must preserve *observable semantics*: outputs, stores, traps
 //! (including which trap fires first), and calls. The shared vocabulary for
@@ -26,6 +26,12 @@
 //! (an index held in a copy must reach the address it feeds) and before
 //! `licm` (which does the hoisting) and `checkelim` (which proves the
 //! accesses in the form they are compiled in).
+//!
+//! `unroll` replaces a `for` whose bounds `fold` made constants with one
+//! folded copy of its body per iterate, within [`MAX_UNROLL_GROWTH`] nodes
+//! per loop. It runs once, before `simplify`, so that every later pass sees
+//! the copies: the loop's compare and branch are gone, and `affine` turns
+//! the constant index offsets into load displacements.
 //!
 //! **Verifier invariant:** a function that verifies going into the pipeline
 //! must verify coming out of it. Each pass reports whether it rewrote
@@ -50,6 +56,7 @@ pub mod fold;
 mod inline;
 mod licm;
 mod simplify;
+mod unroll;
 pub mod util;
 
 use crate::analysis::{verify_function, ModuleEnv, Summaries};
@@ -61,6 +68,7 @@ use std::time::Instant;
 use terra_syntax::Provenance;
 
 pub use inline::{MAX_CALLEE_NODES, MAX_CALLER_GROWTH};
+pub use unroll::MAX_UNROLL_GROWTH;
 
 /// How hard the mid-end works on each function.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,8 +78,8 @@ pub enum OptLevel {
     /// Cheap cleanups: constant folding, algebraic simplification, copy
     /// propagation, dead-code elimination.
     O1,
-    /// The full pipeline, adding inlining, CSE, and loop-invariant code
-    /// motion.
+    /// The full pipeline, adding inlining, unrolling of constant-trip loops,
+    /// CSE, and loop-invariant code motion.
     #[default]
     O2,
 }
@@ -255,6 +263,7 @@ enum Pass {
     },
     Inline,
     Fold,
+    Unroll,
     Simplify,
     Cse,
     CopyProp,
@@ -271,6 +280,7 @@ impl Pass {
             Pass::Sabotage { .. } => "sabotage",
             Pass::Inline => "inline",
             Pass::Fold => "fold",
+            Pass::Unroll => "unroll",
             Pass::Simplify => "simplify",
             Pass::Cse => "cse",
             Pass::CopyProp => "copyprop",
@@ -288,6 +298,7 @@ impl Pass {
             Pass::Sabotage { admits } => tests::sabotage(f, remarks) && admits,
             Pass::Inline => inline::run(f, cfg.inline, remarks),
             Pass::Fold => fold::run(f, remarks),
+            Pass::Unroll => unroll::run(f, remarks),
             Pass::Simplify => simplify::run(f, remarks),
             Pass::Cse => cse::run(f, remarks),
             Pass::CopyProp => copyprop::run(f, remarks),
@@ -306,6 +317,7 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
         OptLevel::O2 => &[
             Pass::Inline,
             Pass::Fold,
+            Pass::Unroll,
             Pass::Simplify,
             Pass::Cse,
             Pass::CopyProp,

@@ -188,6 +188,32 @@ pub fn collect_assigned(stmts: &[IrStmt], out: &mut LocalSet) {
     });
 }
 
+/// Adds `by` to `counts[l]` for every read of local `l` in `stmts` (taking
+/// its address is one) and once more for each `for` over it, whose header
+/// reads it; `counts` grows to fit. A local all of whose reads lie in one
+/// region is dead outside it.
+pub fn count_reads(stmts: &[IrStmt], counts: &mut Vec<i32>, by: i32) {
+    let mut bump = |l: LocalId| {
+        let i = l.0 as usize;
+        if i >= counts.len() {
+            counts.resize(i + 1, 0);
+        }
+        counts[i] += by;
+    };
+    IrStmt::walk(stmts, &mut |s| {
+        if let StmtKind::For { var, .. } = s.kind {
+            bump(var);
+        }
+        s.operand_roots(&mut |root| {
+            root.walk(&mut |e| {
+                if let ExprKind::Local(l) | ExprKind::LocalAddr(l) = e.kind {
+                    bump(l);
+                }
+            })
+        });
+    });
+}
+
 /// Rewrites every local id in `stmts` — reads, address-takes, assignment
 /// destinations, loop variables — through `map`.
 pub fn renumber_locals(stmts: &mut [IrStmt], map: &dyn Fn(LocalId) -> LocalId) {
@@ -340,8 +366,13 @@ fn loop_boundary(
 /// IR size of a function: statements plus expression nodes. Used for the
 /// inliner's budget.
 pub fn count_nodes(f: &IrFunction) -> usize {
+    block_nodes(&f.body)
+}
+
+/// [`count_nodes`] of a block: the unroller's measure of a loop body.
+pub fn block_nodes(stmts: &[IrStmt]) -> usize {
     let mut n = 0;
-    IrStmt::walk(&f.body, &mut |s| {
+    IrStmt::walk(stmts, &mut |s| {
         n += 1;
         s.operand_roots(&mut |root| root.walk(&mut |_| n += 1));
     });

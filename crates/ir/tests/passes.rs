@@ -5,7 +5,7 @@
 use terra_ir::{
     optimize, BinKind, Callee, ExprKind, FuncId, FuncTy, InlineEnv, IrExpr, IrFunction, IrStmt,
     LocalId, NoEnv, NoInline, OptLevel, PassConfig, PassStats, RemarkKind, StmtKind, Ty,
-    TypeRegistry, MAX_CALLER_GROWTH,
+    TypeRegistry, MAX_CALLER_GROWTH, MAX_UNROLL_GROWTH,
 };
 
 fn func(params: Vec<Ty>, ret: Ty) -> IrFunction {
@@ -786,6 +786,7 @@ fn pipeline_reports_per_pass_timing() {
         [
             "inline",
             "fold",
+            "unroll",
             "simplify",
             "cse",
             "copyprop",
@@ -929,9 +930,10 @@ fn reoptimizing_stamped_ir_keeps_no_stale_proof() {
     }
 }
 
-/// `for i = 0, stop, step do x = i * k + p0 end`, optimized; returns the
+/// `for i = start, stop, step do x = i * k + p0 end`, optimized; returns the
 /// proofs of the loop and of the assignment in it, and the remark messages.
-fn wrap_proofs(stop: IrExpr, step: i32, k: i32) -> (Vec<u32>, Vec<u32>, Vec<String>) {
+/// The loops below run more trips than `unroll` takes, so they stay loops.
+fn wrap_proofs(start: i32, stop: IrExpr, step: i32, k: i32) -> (Vec<u32>, Vec<u32>, Vec<String>) {
     let mut f = func(vec![Ty::INT], Ty::INT);
     let x = f.add_local("x", Ty::INT, false);
     let i = f.add_local("i", Ty::INT, false);
@@ -944,7 +946,7 @@ fn wrap_proofs(stop: IrExpr, step: i32, k: i32) -> (Vec<u32>, Vec<u32>, Vec<Stri
     f.body = vec![
         IrStmt::new(StmtKind::For {
             var: i,
-            start: IrExpr::int32(0),
+            start: IrExpr::int32(start),
             stop,
             step: IrExpr::int32(step),
             body: vec![IrStmt::new(StmtKind::Assign { dst: x, value })],
@@ -963,7 +965,7 @@ fn wrap_proofs(stop: IrExpr, step: i32, k: i32) -> (Vec<u32>, Vec<u32>, Vec<Stri
 fn checkelim_proves_a_wrap_away_only_where_the_range_says_so() {
     // i in [0, 99]: `i * 3` fits, the increment fits; `... + p0` does not
     // (p0 is any int), and the remark names it.
-    let (on_loop, on_assign, remarks) = wrap_proofs(IrExpr::int32(100), 1, 3);
+    let (on_loop, on_assign, remarks) = wrap_proofs(0, IrExpr::int32(100), 1, 3);
     assert_eq!((on_loop, on_assign), (vec![0], vec![2]), "{remarks:?}");
     assert!(
         remarks.iter().any(|m| m.contains("wrap check(s) elided")),
@@ -975,17 +977,18 @@ fn checkelim_proves_a_wrap_away_only_where_the_range_says_so() {
             .any(|m| m.contains("wrap check kept") && m.contains("'p0' is unbounded")),
         "{remarks:?}"
     );
-    // i * 2^26 reaches 2^31 at i = 32: one past what fits.
-    let (_, on_assign, _) = wrap_proofs(IrExpr::int32(33), 1, 1 << 26);
+    // i * 2^26 fits for i in [-32, 31] and reaches 2^31 at i = 32: one past
+    // what fits.
+    let (_, on_assign, _) = wrap_proofs(-32, IrExpr::int32(33), 1, 1 << 26);
     assert!(on_assign.is_empty());
-    let (_, on_assign, _) = wrap_proofs(IrExpr::int32(32), 1, 1 << 26);
+    let (_, on_assign, _) = wrap_proofs(-32, IrExpr::int32(32), 1, 1 << 26);
     assert_eq!(on_assign, [2]);
     // A runtime bound: `i < p0 <= MAX`, so `i + 1` cannot wrap, but `i * 3`
     // can.
-    let (on_loop, on_assign, _) = wrap_proofs(IrExpr::local(LocalId(0), Ty::INT), 1, 3);
+    let (on_loop, on_assign, _) = wrap_proofs(0, IrExpr::local(LocalId(0), Ty::INT), 1, 3);
     assert_eq!((on_loop, on_assign), (vec![0], vec![]));
     // With a step of 2 it can: `MAX - 1 + 2`.
-    let (on_loop, _, remarks) = wrap_proofs(IrExpr::local(LocalId(0), Ty::INT), 2, 3);
+    let (on_loop, _, remarks) = wrap_proofs(0, IrExpr::local(LocalId(0), Ty::INT), 2, 3);
     assert!(on_loop.is_empty(), "{remarks:?}");
 }
 
@@ -1039,13 +1042,14 @@ fn a_kernel_index_starts_from_its_sites_range() {
 
 // ------------------------------------------------ affine address splitting
 
-/// `for i = 0, rows do for k = 0, 16 do acc = acc + a[index(i, k, &t)] end
-/// end` over frame arrays `a : double[256]` and `t : int[16]`; `rows` is the
-/// constant 16 or, when `staged` is off, the parameter.
+/// `for i = 0, rows do for k = 0, 32 do acc = acc + a[index(i, k, &t)] end
+/// end` over frame arrays `a : double[512]` and `t : int[32]`; `rows` is the
+/// constant 16 or, when `staged` is off, the parameter. Both loops run more
+/// trips than `unroll` takes, so they stay loops.
 fn matrix_walk(staged: bool, index: impl Fn(IrExpr, IrExpr, IrExpr) -> IrExpr) -> IrFunction {
     let mut f = func(vec![Ty::INT], Ty::F64);
-    let a = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::F64), 256), true);
-    let t = f.add_local("t", Ty::Array(std::sync::Arc::new(Ty::INT), 16), true);
+    let a = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::F64), 512), true);
+    let t = f.add_local("t", Ty::Array(std::sync::Arc::new(Ty::INT), 32), true);
     let acc = f.add_local("acc", Ty::F64, false);
     let (i, k) = (
         f.add_local("i", Ty::INT, false),
@@ -1087,16 +1091,16 @@ fn matrix_walk(staged: bool, index: impl Fn(IrExpr, IrExpr, IrExpr) -> IrExpr) -
     } else {
         local(LocalId(0))
     };
-    let inner = nest(k, IrExpr::int32(16), vec![assign(acc, sum)]);
+    let inner = nest(k, IrExpr::int32(32), vec![assign(acc, sum)]);
     f.body = vec![nest(i, rows, vec![inner]), ret(IrExpr::local(acc, Ty::F64))];
     f
 }
 
-/// `int64(i * 16 + k) * 8`: the byte offset of `a[i][k]`, computed in `int`.
+/// `int64(i * 32 + k) * 8`: the byte offset of `a[i][k]`, computed in `int`.
 fn row_major(i: IrExpr, k: IrExpr, _: IrExpr) -> IrExpr {
     let flat = IrExpr::binary(
         BinKind::Add,
-        IrExpr::binary(BinKind::Mul, i, IrExpr::int32(16)),
+        IrExpr::binary(BinKind::Mul, i, IrExpr::int32(32)),
         k,
     );
     let wide = IrExpr {
@@ -1145,7 +1149,7 @@ fn affine_splits_a_proven_address_so_that_licm_hoists_the_row() {
         stats.remarks
     );
     // What is left in the `k` loop is `row + (int64(k) << 3)`; the row is
-    // `&a + (int64(i) << 7)`, computed once per `i`.
+    // `&a + (int64(i) << 8)`, computed once per `i`.
     let (addrs, hoists) = addresses_and_hoists(&f);
     let dump = terra_ir::dump_function(&f);
     let [addr] = &addrs[..] else {
@@ -1233,7 +1237,7 @@ fn affine_leaves_an_address_it_cannot_prove_exactly_as_it_is() {
 #[test]
 fn affine_never_moves_a_load_or_a_possible_trap_out_of_its_place() {
     // a[i][t[k] / p0]: 64-bit arithmetic throughout, so the sum is split
-    // without any proof — `int64(i) * 128` may move in front and out of the
+    // without any proof — `int64(i) * 256` may move in front and out of the
     // `k` loop, the atom that loads and may divide by zero may not.
     let mut f = matrix_walk(true, |i, k, table| {
         let wide = |e: IrExpr| IrExpr {
@@ -1255,7 +1259,7 @@ fn affine_never_moves_a_load_or_a_possible_trap_out_of_its_place() {
         IrExpr::binary(
             BinKind::Add,
             IrExpr::binary(BinKind::Mul, wide(column), IrExpr::int64(8)),
-            IrExpr::binary(BinKind::Mul, wide(i), IrExpr::int64(128)),
+            IrExpr::binary(BinKind::Mul, wide(i), IrExpr::int64(256)),
         )
     });
     let loads = |f: &IrFunction| count_exprs(f, &|k| matches!(k, ExprKind::Load(_)));
@@ -1312,7 +1316,7 @@ fn no_pass_reports_a_change_it_did_not_make() {
             ..cfg(OptLevel::O2, &NoInline)
         },
     );
-    assert_eq!(stats.runs.len(), 10);
+    assert_eq!(stats.runs.len(), 11);
     assert!(changed_by(&stats).is_empty(), "{stats:?}");
     assert_eq!(f, before);
 }
@@ -1751,4 +1755,286 @@ fn coalescing_refuses_across_a_branch_or_loop_boundary() {
         assert_eq!(coalescing(&stats), (0, vec![]), "shape {i}");
         assert!(assigns(&f, t), "shape {i}: {f:?}");
     }
+}
+
+// ------------------------------------------------ unrolling constant-trip loops
+
+/// `f(p0 : &int, p1 : int)` whose body is `for i : ty = start, stop, step do
+/// body(i) end`, the loop at line 2; `i` is `LocalId(2)`.
+fn counted(
+    ty: Ty,
+    start: i64,
+    stop: IrExpr,
+    step: i64,
+    body: impl FnOnce(IrExpr) -> Vec<IrStmt>,
+) -> IrFunction {
+    let mut f = func(vec![Ty::INT.ptr_to(), Ty::INT], Ty::Unit);
+    let i = f.add_local("i", ty.clone(), false);
+    let konst = |v| IrExpr {
+        ty: ty.clone(),
+        kind: ExprKind::ConstInt(v),
+    };
+    let loop_ = StmtKind::For {
+        var: i,
+        start: konst(start),
+        stop,
+        step: konst(step),
+        body: body(IrExpr::local(i, ty.clone())),
+    };
+    f.body = vec![IrStmt::at(span(2), loop_)];
+    f
+}
+
+/// `p0[v] = v`, both through casts from `v`'s type (`p0 : &int`).
+fn poke(v: IrExpr) -> IrStmt {
+    let cast = |ty: Ty, e: &IrExpr| IrExpr {
+        ty,
+        kind: ExprKind::Cast(Box::new(e.clone())),
+    };
+    let offset = IrExpr::binary(BinKind::Mul, cast(Ty::I64, &v), IrExpr::int64(4));
+    let addr = IrExpr {
+        ty: Ty::INT.ptr_to(),
+        kind: ExprKind::Binary {
+            op: BinKind::Add,
+            lhs: Box::new(IrExpr::local(LocalId(0), Ty::INT.ptr_to())),
+            rhs: Box::new(offset),
+        },
+    };
+    IrStmt::new(StmtKind::Store {
+        addr,
+        value: cast(Ty::INT, &v),
+    })
+}
+
+/// The values `f` stores, in order (`None` for one that is not a constant).
+fn stored(f: &IrFunction) -> Vec<Option<i64>> {
+    let mut values = Vec::new();
+    IrStmt::walk(&f.body, &mut |s| {
+        if let StmtKind::Store { value, .. } = &s.kind {
+            values.push(value.int_const());
+        }
+    });
+    values
+}
+
+fn loops_in(f: &IrFunction) -> usize {
+    let mut n = 0;
+    IrStmt::walk(&f.body, &mut |s| {
+        n += usize::from(matches!(s.kind, StmtKind::For { .. }))
+    });
+    n
+}
+
+/// `f` optimized at `-O2`, with what `unroll` said as `(applied, line,
+/// message)`.
+fn unrolled(mut f: IrFunction) -> (IrFunction, Vec<(bool, u32, String)>) {
+    let stats = run_opt(&mut f, OptLevel::O2);
+    let remarks = stats
+        .remarks
+        .iter()
+        .filter(|r| r.pass == "unroll")
+        .map(|r| (r.kind == RemarkKind::Applied, r.line, r.message.clone()))
+        .collect();
+    (f, remarks)
+}
+
+/// A loop of no trips goes, a loop of one trip is its body with the
+/// variable's value in it, and a loop of three is three copies in iteration
+/// order, its step not dividing the range.
+#[test]
+fn unroll_replaces_a_constant_trip_loop_by_its_copies() {
+    let nodes = terra_ir::passes::util::block_nodes(&[poke(IrExpr::local(LocalId(2), Ty::INT))]);
+    for (stop, values, message) in [
+        (3, vec![], "deleted a loop of 0 trips".to_string()),
+        (1, vec![], "deleted a loop of 0 trips".to_string()),
+        (
+            4,
+            vec![Some(3)],
+            "replaced a loop of 1 trip by its body".to_string(),
+        ),
+        (
+            8,
+            vec![Some(3), Some(5), Some(7)],
+            format!("unrolled 3 trips (+{} IR nodes)", 2 * nodes),
+        ),
+    ] {
+        let step = if stop == 8 { 2 } else { 1 };
+        let (f, remarks) = unrolled(counted(Ty::INT, 3, IrExpr::int32(stop), step, |i| {
+            vec![poke(i)]
+        }));
+        assert_eq!(loops_in(&f), 0, "stop {stop}: {f:?}");
+        assert_eq!(stored(&f), values, "stop {stop}: {f:?}");
+        assert_eq!(remarks, [(true, 2, message)], "stop {stop}");
+    }
+}
+
+/// `for dy = -1, 2 do for dx = -1, 2 do p0[3*dy + dx] = 3*dy + dx end end`:
+/// the inner loop goes first, then the outer one, copies and all, so the
+/// nest is nine stores of constants in the order the loops ran them.
+#[test]
+fn a_3x3_nest_unrolls_innermost_first() {
+    let mut f = func(vec![Ty::INT.ptr_to(), Ty::INT], Ty::Unit);
+    let (dy, dx) = (
+        f.add_local("dy", Ty::INT, false),
+        f.add_local("dx", Ty::INT, false),
+    );
+    let tap = IrExpr::binary(
+        BinKind::Add,
+        IrExpr::binary(BinKind::Mul, IrExpr::int32(3), IrExpr::local(dy, Ty::INT)),
+        IrExpr::local(dx, Ty::INT),
+    );
+    let taps = |var, line, body| {
+        IrStmt::at(
+            span(line),
+            StmtKind::For {
+                var,
+                start: IrExpr::int32(-1),
+                stop: IrExpr::int32(2),
+                step: IrExpr::int32(1),
+                body,
+            },
+        )
+    };
+    let tap_nodes = terra_ir::passes::util::block_nodes(&[poke(tap.clone())]);
+    f.body = vec![taps(dy, 2, vec![taps(dx, 3, vec![poke(tap)])])];
+    let (f, remarks) = unrolled(f);
+    assert_eq!(loops_in(&f), 0, "{f:?}");
+    assert_eq!(stored(&f), (-4..=4).map(Some).collect::<Vec<_>>(), "{f:?}");
+    // The outer body is the inner loop's three copies, folded: the `3 * dy`
+    // of each is a constant by then.
+    let [(true, 3, inner), (true, 2, outer)] = &remarks[..] else {
+        panic!("{remarks:?}");
+    };
+    assert_eq!(
+        inner,
+        &format!("unrolled 3 trips (+{} IR nodes)", 2 * tap_nodes)
+    );
+    assert!(outer.starts_with("unrolled 3 trips (+"), "{outer}");
+}
+
+/// What `unroll` said about the one loop of `f`, which stays a loop at `-O2`.
+fn refusal(f: IrFunction) -> String {
+    let (f, remarks) = unrolled(f);
+    assert_eq!(loops_in(&f), 1, "the loop stays: {f:?}");
+    match &remarks[..] {
+        [(false, 2, m)] => m
+            .strip_prefix("loop not unrolled: ")
+            .expect("the remark's form")
+            .to_string(),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn unroll_refuses_each_rule_with_its_own_reason() {
+    let int = IrExpr::int32;
+    let p1 = || IrExpr::local(LocalId(1), Ty::INT);
+    let counted_int =
+        |stop, body: Box<dyn FnOnce(IrExpr) -> Vec<IrStmt>>| counted(Ty::INT, 0, stop, 1, body);
+    // A bound that arrives at run time: the trip count is not known.
+    assert_eq!(
+        refusal(counted_int(p1(), Box::new(|i| vec![poke(i)]))),
+        "its bounds are not stage-time constants"
+    );
+    // A body that moves the counter itself.
+    let bump = |i: IrExpr| {
+        vec![
+            poke(i.clone()),
+            assign(LocalId(2), IrExpr::binary(BinKind::Add, i, int(1))),
+        ]
+    };
+    assert_eq!(
+        refusal(counted_int(int(4), Box::new(bump))),
+        "its body assigns the loop variable"
+    );
+    // A body that may leave early.
+    let leave = |i: IrExpr| {
+        vec![
+            IrStmt::new(StmtKind::If {
+                cond: IrExpr::cmp(terra_ir::CmpKind::Gt, p1(), int(0)),
+                then_body: vec![StmtKind::Break.into()],
+                else_body: vec![],
+            }),
+            poke(i),
+        ]
+    };
+    assert_eq!(
+        refusal(counted_int(int(4), Box::new(leave))),
+        "its body breaks out of it"
+    );
+    // A parallel site, which is keyed by its position.
+    let parallel = |i: IrExpr| {
+        vec![IrStmt::new(StmtKind::ParallelFor {
+            kernel: FuncId(0),
+            start: int(0),
+            stop: i,
+            args: Vec::new(),
+        })]
+    };
+    assert_eq!(
+        refusal(counted_int(int(4), Box::new(parallel))),
+        "its body contains a parallelfor"
+    );
+    // 120 and 125 fit `int8`; the step after them does not, and at run time
+    // the counter wraps to -126 and carries on.
+    let narrow = counted(
+        Ty::Scalar(terra_ir::ScalarTy::I8),
+        120,
+        IrExpr {
+            ty: Ty::Scalar(terra_ir::ScalarTy::I8),
+            kind: ExprKind::ConstInt(127),
+        },
+        5,
+        |i| vec![poke(i)],
+    );
+    assert_eq!(
+        refusal(narrow),
+        "its counter would reach 130, outside `int8`"
+    );
+    // A `uint64` range across 2^63.
+    let wide = counted(
+        Ty::U64,
+        i64::MAX - 1,
+        IrExpr {
+            ty: Ty::U64,
+            kind: ExprKind::ConstInt(i64::MIN + 1),
+        },
+        1,
+        |i| vec![poke(i)],
+    );
+    assert_eq!(
+        refusal(wide),
+        "its counter would reach 9223372036854775809, outside `uint64`"
+    );
+}
+
+/// A loop is unrolled while `(trips - 1) * body nodes` fits
+/// `MAX_UNROLL_GROWTH`, one trip more is refused with the arithmetic.
+#[test]
+fn unroll_takes_a_loop_up_to_its_growth_budget() {
+    let nodes = terra_ir::passes::util::block_nodes(&[poke(IrExpr::local(LocalId(2), Ty::INT))]);
+    let fit = MAX_UNROLL_GROWTH / nodes + 1;
+    let at = |trips: usize| {
+        counted(Ty::INT, 0, IrExpr::int32(trips as i32), 1, |i| {
+            vec![poke(i)]
+        })
+    };
+    let (f, remarks) = unrolled(at(fit));
+    assert_eq!((loops_in(&f), stored(&f).len()), (0, fit));
+    assert_eq!(
+        remarks,
+        [(
+            true,
+            2,
+            format!("unrolled {fit} trips (+{} IR nodes)", (fit - 1) * nodes)
+        )]
+    );
+    assert_eq!(
+        refusal(at(fit + 1)),
+        format!(
+            "{} trips of {nodes} IR nodes would add {} > {MAX_UNROLL_GROWTH}",
+            fit + 1,
+            fit * nodes
+        )
+    );
 }

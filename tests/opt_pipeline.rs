@@ -484,3 +484,80 @@ fn a_virtual_call_is_one_indirect_call() {
         );
     }
 }
+
+/// `stencil-par`'s blur at its width (the `benchmark/` workload's `W`),
+/// over fewer rows: a 3×3 box sum under `parallelfor`, its taps two loops
+/// with stage-time bounds.
+const BLUR: &str = r#"
+local W, H = 256, 8
+terra blur(src : &float, dst : &float)
+    parallelfor y = 1, [H - 1] do
+        for x = 1, [W - 1] do
+            var s : float = 0.0f
+            for dy = -1, 2 do
+                for dx = -1, 2 do
+                    s = s + src[(y + dy) * W + (x + dx)]
+                end
+            end
+            dst[y * W + x] = s
+        end
+    end
+end
+"#;
+
+/// The claim of the `unroll` pass (DESIGN.md §6d), in counters and as text:
+/// the taps' loops are gone from the kernel, so a pixel is the nine loads
+/// the program asks for — each `[row + x*4 ± d]`, its tap a displacement —
+/// nine adds, the store, the zero the sum starts from and the `x` loop's
+/// edge: 21 instructions, not 45.
+#[test]
+fn a_constant_tap_loop_is_straight_line() {
+    let (w, h) = (256u64, 8u64);
+    let pixels = (w - 2) * (h - 2);
+    let mut t = Terra::new();
+    t.exec(BLUR).unwrap();
+    let blur = t.function("blur").unwrap();
+    let (src, dst) = (t.malloc(w * h * 4), t.malloc(w * h * 4));
+    t.set_profile(true);
+    t.reset_profile();
+    let args = [terra_core::Value::Ptr(src), terra_core::Value::Ptr(dst)];
+    t.invoke(&blur, &args).expect("the blur runs");
+    let p = t.profile();
+    t.set_profile(false);
+    assert_eq!(p.op_count("load.f32"), 9 * pixels);
+    assert_eq!(p.op_count("add.f32"), 9 * pixels);
+    assert_eq!(p.op_count("store.f32"), pixels);
+    assert_eq!(p.op_count("loop.lt.s"), pixels, "one back edge per pixel");
+    // What each row adds besides its pixels retires less often than a row
+    // has pixels, so the quotient is a pixel's length.
+    let retired = p.total_instructions() - p.op_count("chk");
+    assert_eq!(retired / pixels, 21, "{retired} over {pixels} pixels");
+
+    let out = t.exec("return blur:disas()").unwrap();
+    let terra_core::LuaValue::Str(text) = &out[0] else {
+        panic!("disas returns a string: {out:?}");
+    };
+    let (_, kernel) = text
+        .split_once("kernel 'blur$par")
+        .expect("disas lists the kernel the parallelfor runs");
+    let lines: Vec<String> = kernel.lines().skip(1).map(masked).collect();
+    let top = lines
+        .iter()
+        .position(|l| l.starts_with("const.f32"))
+        .expect("the pixel starts with its zero");
+    let row = w as i64 * 4;
+    let mut expected = vec!["const.f32 r#, v=0.0".to_string()];
+    for d in [-row - 4, -row, -row + 4, -4, 0, 4, row - 4, row, row + 4] {
+        let disp = match d {
+            0 => String::new(),
+            d if d < 0 => format!(" - {}", -d),
+            d => format!(" + {d}"),
+        };
+        expected.push(format!("load.f32! r#, [r# + r#*4{disp}]"));
+        expected.push("add.f32 r#, r#, r#".to_string());
+    }
+    expected.push("store.f32! r#, [r# + r#*4]".to_string());
+    expected.push(format!("loop.lt.s r#, r#, r# -> {top}"));
+    assert_eq!(expected.len(), 21);
+    assert_eq!(lines[top..top + expected.len()], expected[..], "{text}");
+}
