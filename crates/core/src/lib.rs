@@ -184,12 +184,7 @@ impl Terra {
     /// [`CacheConfig::parse`] for the `--cache` spec syntax). Cold-resets
     /// the simulator.
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.interp.ctx.exec.memory.set_cache_config(cfg);
-    }
-
-    /// The simulated cache geometry currently in effect.
-    pub fn cache_config(&self) -> CacheConfig {
-        self.interp.ctx.exec.memory.cache_config()
+        self.interp.ctx.exec.set_cache_config(cfg);
     }
 
     /// Freezes and returns the current profile: staging/execution timeline
@@ -216,7 +211,7 @@ impl Terra {
     /// of total cost alone. Everything except the chunks' wall-clock pair
     /// is bit-identical across runs at a fixed thread count.
     pub fn parallel_stats(&self) -> &ParallelStats {
-        self.interp.ctx.exec.trace.parallel()
+        self.interp.ctx.exec.parallel_stats()
     }
 
     /// Starts the execution flight recorder (`--record`): from here on the
@@ -334,7 +329,7 @@ impl Terra {
     /// Allocates `bytes` of Terra memory (like C `malloc`), returning the
     /// address.
     pub fn malloc(&mut self, bytes: u64) -> u64 {
-        self.interp.ctx.exec.memory.malloc(bytes)
+        self.interp.ctx.exec.malloc(bytes)
     }
 
     /// Frees Terra memory.
@@ -343,7 +338,7 @@ impl Terra {
     ///
     /// Fails on addresses not returned by [`Terra::malloc`].
     pub fn free(&mut self, addr: u64) -> Result<(), Trap> {
-        self.interp.ctx.exec.memory.free(addr)?;
+        self.interp.ctx.exec.free(addr)?;
         Ok(())
     }
 
@@ -366,16 +361,9 @@ impl Terra {
     ///
     /// Panics if the range is out of bounds.
     pub fn read_f64s(&self, addr: u64, n: usize) -> Vec<f64> {
-        // Host-side readback: bulk bytes, not guest loads, so it neither
-        // perturbs profiling counters nor needs a mutable context.
-        self.interp
-            .ctx
-            .exec
-            .memory
-            .read_bytes(addr, 8 * n as u64)
-            .expect("read_f64s out of bounds")
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        let mem = &self.interp.ctx.exec.memory;
+        (0..n as u64)
+            .map(|i| mem.load_f64(addr + 8 * i).expect("read_f64s out of bounds"))
             .collect()
     }
 
@@ -398,14 +386,9 @@ impl Terra {
     ///
     /// Panics if the range is out of bounds.
     pub fn read_f32s(&self, addr: u64, n: usize) -> Vec<f32> {
-        self.interp
-            .ctx
-            .exec
-            .memory
-            .read_bytes(addr, 4 * n as u64)
-            .expect("read_f32s out of bounds")
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        let mem = &self.interp.ctx.exec.memory;
+        (0..n as u64)
+            .map(|i| mem.load_f32(addr + 4 * i).expect("read_f32s out of bounds"))
             .collect()
     }
 

@@ -414,7 +414,7 @@ fn every_channel_prints_the_same_site() {
     let mut meta = RecMeta::coarse("<seam>", 2);
     meta.window = Some((0, 1));
     t.set_record(meta);
-    let trap = t.exec("run(4096, 0)").unwrap_err().message;
+    let trap = t.exec("run(4096, 0)").unwrap_err().message.clone();
     let rec = t.take_recording().expect("recording");
     let p = t.profile();
 
@@ -530,6 +530,71 @@ fn heap_profile_is_deterministic() {
     let (a, b) = (leak_run(), leak_run());
     assert_eq!(a.render_heap(), b.render_heap());
     assert_eq!(a.heap.timeline, b.heap.timeline);
+}
+
+/// Every way a heap block or a host access arises under `--profile`:
+/// `malloc`, a `realloc` that fits and one that moves, `free`, a leaked
+/// block, Lua's `C.malloc`/`C.free`, a string constant, a Lua global `:set`
+/// and a 2-chunk `parallelfor`.
+const HEAP_EVENTS_SCRIPT: &str = r#"
+    local C = terralib.includec("stdlib.h")
+    scale = global(int, 0)
+    terra churn(n : int) : int
+        var a = [&int](C.malloc(64))
+        a = [&int](C.realloc(a, 40))
+        a = [&int](C.realloc(a, 4096))
+        var kept = [&int](C.malloc(n * 4))
+        for i = 0, n do
+            kept[i] = i
+        end
+        a[0] = kept[n - 1]
+        C.printf("churn %d\n", a[0])
+        var r = a[0]
+        C.free(a)
+        return r
+    end
+    terra fill(p : &int)
+        parallelfor i = 0, 2 do
+            p[i] = i * scale
+        end
+    end
+    local p = C.malloc(64)
+    scale:set(3)
+    churn(16)
+    fill(p)
+    C.free(p)
+"#;
+
+/// The whole deterministic surface of one profiled run of
+/// `HEAP_EVENTS_SCRIPT`: every counter, heap row and JSONL record.
+#[test]
+fn heap_events_profile_is_golden() {
+    let mut t = Terra::new();
+    t.capture_output();
+    t.set_profile(true);
+    t.exec(HEAP_EVENTS_SCRIPT).unwrap();
+    assert_eq!(t.take_output(), "churn 15\n");
+    let p = t.profile();
+    assert_eq!(p.render_counters(), include_str!("golden/heap_events.txt"));
+    assert_eq!(p.to_jsonl(), include_str!("golden/heap_events.jsonl"));
+}
+
+/// Host accesses are not Terra traffic: writing an array from Rust and
+/// setting a Lua-visible global while profiling leave the memory counters
+/// and the simulated cache where they were.
+#[test]
+fn host_accesses_are_not_counted() {
+    let mut t = Terra::new();
+    t.set_profile(true);
+    t.exec("g = global(double, 0)").unwrap();
+    let buf = t.malloc(64);
+    let before = t.profile();
+    t.write_f64s(buf, &[1.0; 8]);
+    t.exec("g:set(2.5) assert(g:get() == 2.5)").unwrap();
+    assert_eq!(t.read_f64s(buf, 1), [1.0]);
+    let after = t.profile();
+    assert_eq!(after.mem, before.mem);
+    assert_eq!(after.cache, before.cache);
 }
 
 #[test]

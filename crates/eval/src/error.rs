@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use terra_syntax::Span;
 
 /// Which phase produced the error. The paper (§4.1) is explicit about *when*
@@ -35,9 +36,15 @@ impl fmt::Display for Phase {
     }
 }
 
-/// An error in the combined Lua-Terra system.
+/// An error in the combined Lua-Terra system: one pointer to what it says
+/// (its fields read through it), because every frame of the evaluator
+/// returns an [`EvalResult`] and an error carried by value widened them all.
 #[derive(Debug, Clone)]
-pub struct LuaError {
+pub struct LuaError(Box<LuaErrorData>);
+
+/// What a [`LuaError`] says.
+#[derive(Debug, Clone)]
+pub struct LuaErrorData {
     /// What failed.
     pub message: String,
     /// Where (if known).
@@ -48,36 +55,41 @@ pub struct LuaError {
     pub trace: Vec<String>,
 }
 
+impl Deref for LuaError {
+    type Target = LuaErrorData;
+
+    fn deref(&self) -> &LuaErrorData {
+        &self.0
+    }
+}
+
 impl LuaError {
     /// A plain Lua runtime error.
     pub fn msg(message: impl Into<String>) -> LuaError {
-        LuaError {
+        LuaError(Box::new(LuaErrorData {
             message: message.into(),
             span: None,
             phase: Phase::Lua,
             trace: Vec::new(),
-        }
+        }))
     }
 
     /// An error at a specific location.
     pub fn at(message: impl Into<String>, span: Span) -> LuaError {
-        LuaError {
-            message: message.into(),
-            span: Some(span),
-            phase: Phase::Lua,
-            trace: Vec::new(),
-        }
+        let mut e = LuaError::msg(message);
+        e.0.span = Some(span);
+        e
     }
 
     /// Tags the error with a phase.
     pub fn phase(mut self, phase: Phase) -> LuaError {
-        self.phase = phase;
+        self.0.phase = phase;
         self
     }
 
     /// Adds a stack-frame note.
     pub fn traced(mut self, frame: impl Into<String>) -> LuaError {
-        self.trace.push(frame.into());
+        self.0.trace.push(frame.into());
         self
     }
 }
@@ -125,5 +137,17 @@ mod tests {
         assert!(s.contains("type error"));
         assert!(s.contains("boom"));
         assert!(s.contains("laplace"));
+    }
+
+    /// A result carries its error in one word beside its value, so no
+    /// evaluator frame pays for the error it almost never returns.
+    #[test]
+    fn an_error_is_one_pointer_wide() {
+        use crate::LuaValue;
+        let (result, value) = (
+            std::mem::size_of::<EvalResult<LuaValue>>(),
+            std::mem::size_of::<LuaValue>(),
+        );
+        assert!(result <= value + 8, "{result} > {value} + 8");
     }
 }

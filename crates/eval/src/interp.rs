@@ -31,9 +31,14 @@ pub enum Flow {
     Return(Vec<LuaValue>),
 }
 
-/// Lua call-depth limit. Debug builds have much larger interpreter frames,
-/// so the guard must trip well before the host thread's stack runs out.
-const MAX_DEPTH: usize = if cfg!(debug_assertions) { 48 } else { 200 };
+/// Host stack that nested Lua calls may take, counted from the outermost
+/// one: half of a 2 MiB thread (Rust's default for a spawned thread), which
+/// leaves the other half to what runs above that call and below the
+/// innermost (the typechecker, the VM). A call past it is a "lua stack
+/// overflow" error. The depth this allows is the budget over the host stack
+/// one Lua call takes, whatever the build profile makes that: 3.5 KB in
+/// release and 18.7 KB in debug, so 297 and 56 calls (EXPERIMENTS.md A18).
+const LUA_STACK_BUDGET: usize = 1 << 20;
 
 /// An evaluated assignment target: what is left to do is the store.
 enum Place<'a> {
@@ -47,7 +52,9 @@ pub struct Interp {
     pub ctx: Context,
     /// The global table: every name no enclosing scope declares.
     pub globals: HashMap<Name, LuaValue>,
+    /// Lua calls in progress, and where the host stack was at the outermost.
     depth: usize,
+    stack_base: usize,
     /// Registered modules for `require`.
     pub modules: HashMap<String, LuaValue>,
     /// Sources registered for `require` but not yet loaded.
@@ -83,6 +90,7 @@ impl Interp {
             ctx: Context::new(),
             globals: HashMap::new(),
             depth: 0,
+            stack_base: 0,
             modules: HashMap::new(),
             module_sources: HashMap::new(),
             lint: false,
@@ -1223,7 +1231,12 @@ impl Interp {
         args: Vec<LuaValue>,
         span: Span,
     ) -> EvalResult<Vec<LuaValue>> {
-        if self.depth >= MAX_DEPTH {
+        // The address of a local is where the host stack is.
+        let marker = 0u8;
+        let here = std::hint::black_box(&marker) as *const u8 as usize;
+        if self.depth == 0 {
+            self.stack_base = here;
+        } else if self.stack_base.abs_diff(here) > LUA_STACK_BUDGET {
             return Err(LuaError::at("lua stack overflow", span));
         }
         self.depth += 1;

@@ -39,6 +39,6 @@ mod value;
 
 pub use context::{Context, FuncMeta, GlobalMeta, StructMeta};
 pub use env::Env;
-pub use error::{EvalResult, LuaError, Phase};
+pub use error::{EvalResult, LuaError, LuaErrorData, Phase};
 pub use interp::{Flow, Interp};
 pub use value::{Intrinsic, LuaValue, SymbolData, SymbolRef, Table, TableRef};

@@ -264,7 +264,7 @@ fn read_global(interp: &mut Interp, meta: &crate::context::GlobalMeta) -> EvalRe
     let Some(size) = scalar_size(interp, &meta.ty) else {
         return Err(LuaError::msg("cannot read aggregate global from Lua"));
     };
-    let mem = &mut interp.ctx.exec.memory;
+    let mem = &interp.ctx.exec.memory;
     let raw = match size {
         1 => mem.load_u8(meta.addr).map(u64::from),
         2 => mem.load_u16(meta.addr).map(u64::from),

@@ -137,7 +137,7 @@ fn install_base(interp: &mut Interp) {
                     out.append(&mut rets);
                     Ok(out)
                 }
-                Err(e) => Ok(vec![LuaValue::Bool(false), LuaValue::str(e.message)]),
+                Err(e) => Ok(vec![LuaValue::Bool(false), LuaValue::str(&e.message)]),
             }
         }),
     );
@@ -862,13 +862,12 @@ pub fn call_intrinsic_from_lua(
             }
             (Builtin::Malloc, _) => {
                 let n = num(0)? as u64;
-                one(interp.ctx.exec.memory.malloc(n) as f64)
+                one(interp.ctx.exec.malloc(n) as f64)
             }
             (Builtin::Free, _) => {
                 interp
                     .ctx
                     .exec
-                    .memory
                     .free(num(0)? as u64)
                     .map_err(|e| LuaError::at(e.to_string(), span))?;
                 Ok(vec![])
@@ -1274,7 +1273,7 @@ fn install_perf(interp: &mut Interp) {
                 let out = new_table();
                 {
                     let mut ob = out.borrow_mut();
-                    for (i, s) in it.ctx.exec.trace.parallel().sites.iter().enumerate() {
+                    for (i, s) in it.ctx.exec.parallel_stats().sites.iter().enumerate() {
                         let row = new_table();
                         {
                             let mut rb = row.borrow_mut();

@@ -15,6 +15,9 @@
 //! And of the specializer, per splice: a splice points at the quote it
 //! splices, so its cost does not depend on the size of the quote, and a chain
 //! of *d* quotes each splicing the one before costs O(*d*), not O(*d*²).
+//!
+//! And of the VM: a `parallelfor` region nothing observes builds nothing a
+//! profiler would need, so its bytes do not depend on the simulated cache.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,17 +27,25 @@ thread_local! {
     /// Allocator calls made by this thread (tests run on threads of their
     /// own, so a test sees only its own evaluator's).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 struct Counting;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is bumping a thread-local
-// `Cell<u64>` that is const-initialized and has no destructor, so touching
-// it never allocates and is valid for the whole life of the thread.
+// the `GlobalAlloc` contract; the only addition is bumping thread-local
+// `Cell<u64>`s that are const-initialized and have no destructor, so
+// touching them never allocates and is valid for the whole life of the
+// thread.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are passed straight through.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `alloc` and `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -148,4 +159,31 @@ fn a_chain_of_splices_allocates_linearly_in_its_depth() {
     let long = allocations(&mut interp, chain, 400);
     println!("200 links: {short} allocations; 400 links: {long}");
     assert!((long as f64) < 2.2 * short as f64, "{short} -> {long}");
+}
+
+/// Bytes allocated by one call of a 32-chunk `parallelfor` region with
+/// nothing observing it, under the simulated cache geometry `cache`.
+fn unobserved_region_bytes(interp: &mut Interp, cache: &str) -> u64 {
+    let cfg = terra_trace::CacheConfig::parse(cache).expect("a cache spec");
+    interp.ctx.exec.set_cache_config(cfg);
+    let before = BYTES.with(Cell::get);
+    interp.exec("fill(buf)").unwrap_or_else(|e| panic!("{e}"));
+    BYTES.with(Cell::get) - before
+}
+
+#[test]
+fn an_unobserved_region_builds_no_cache_simulator() {
+    let mut interp = Interp::new();
+    interp
+        .exec(
+            "local C = terralib.includec('stdlib.h')
+             terra fill(p : &int) parallelfor i = 0, 32 do p[i] = i end end
+             buf = C.malloc(32 * 4)
+             fill(buf)",
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+    let default = unobserved_region_bytes(&mut interp, "l1=32k,64,8:l2=256k,64,8");
+    let large = unobserved_region_bytes(&mut interp, "l1=32k,64,8:l2=4m,64,8");
+    println!("one 32-chunk region: {default} bytes; with a 4 MiB simulated L2: {large}");
+    assert_eq!(default, large);
 }

@@ -234,6 +234,28 @@ fn lua_stack_overflow_is_caught() {
     assert!(e.to_string().contains("stack overflow"), "{e}");
 }
 
+/// Unbounded recursion on a 2 MiB thread — a spawned thread's default —
+/// ends in a Lua error with its phase and a traceback, not in a host stack
+/// overflow, whatever the build profile.
+#[test]
+fn unbounded_recursion_on_a_2_mib_thread_is_a_lua_error() {
+    let run = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let mut t = Interp::new();
+            let src = "local function down(n) return down(n + 1) + 1 end return down(0)";
+            let e = t.exec(src).unwrap_err();
+            (e.message.clone(), e.phase, e.trace.len())
+        })
+        .expect("spawn");
+    let (message, phase, frames) = run.join().expect("the thread returned");
+    assert_eq!(
+        (message.as_str(), phase),
+        ("lua stack overflow", terra_eval::Phase::Lua)
+    );
+    assert!(frames >= 48, "a traceback of {frames} frames");
+}
+
 /// `table.sort` is O(n log n) in comparator calls — pinned by the count, not
 /// a clock (an insertion sort makes about n²/4 = 4·10⁶ here) — stable, and
 /// hands a comparator's error to its caller.

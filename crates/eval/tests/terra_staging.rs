@@ -855,7 +855,7 @@ fn a_type_error_in_a_shared_quote_is_reported_at_the_quote_from_every_splice() {
         .unwrap();
     let report = |t: &mut Interp, f: &str| {
         let e = t.exec(&format!("{f}()")).unwrap_err();
-        (e.message, e.span.map(|s| s.line))
+        (e.message.clone(), e.span.map(|s| s.line))
     };
     let stmt = ("invalid operand types int and &uint8".to_string(), Some(3));
     assert_eq!(report(&mut t, "f1"), stmt);

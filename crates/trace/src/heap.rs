@@ -1,11 +1,9 @@
 //! Allocation-site heap profiling.
 //!
-//! [`HeapProfiler`] is the live collector embedded in the VM's `Memory`.
-//! The VM points it at the current allocation [`Site`] right before a
-//! `malloc`/`realloc` builtin executes, so every allocation is attributed
-//! to the staged source that asked for it. Host-side allocations (string
-//! interning, globals, embedder calls) are folded into the
-//! [`Site::host`] row.
+//! [`HeapProfiler`] is the live collector held by the VM's telemetry
+//! observer. Every allocation reaches it with the [`Site`] that asked for
+//! it: a `malloc`/`realloc` builtin's statement, or [`Site::host`] for
+//! host-side allocations (string interning, globals, embedder calls).
 //!
 //! Everything here counts allocation events and bytes, never wall clock, so
 //! the frozen [`HeapStats`] is part of the deterministic surface: two runs
@@ -42,7 +40,6 @@ pub struct HeapProfiler {
     /// The rows of the report, accumulating as the program runs.
     sites: Vec<HeapSiteStats>,
     live: BTreeMap<u64, LiveAlloc>,
-    current: Option<usize>,
     live_bytes: u64,
     peak_live_bytes: u64,
     seq: u64,
@@ -50,23 +47,6 @@ pub struct HeapProfiler {
 }
 
 impl HeapProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        HeapProfiler::default()
-    }
-
-    /// Sets the site the *next* allocation(s) will be attributed to. The VM
-    /// calls this when the instruction about to execute is a
-    /// `malloc`/`realloc` builtin call.
-    pub fn set_site(&mut self, site: Site) {
-        self.current = Some(self.intern(site));
-    }
-
-    /// Clears the current site; subsequent allocations are host-side.
-    pub fn clear_site(&mut self) {
-        self.current = None;
-    }
-
     fn intern(&mut self, site: Site) -> usize {
         if let Some(&id) = self.site_ids.get(&site) {
             return id;
@@ -85,13 +65,10 @@ impl HeapProfiler {
         id
     }
 
-    /// Records an allocation of `bytes` (the block size, matching the VM's
-    /// live-byte accounting) whose payload starts at `addr`.
-    pub fn note_alloc(&mut self, addr: u64, bytes: u64) {
-        let site = match self.current {
-            Some(id) => id,
-            None => self.intern(Site::host()),
-        };
+    /// Records an allocation by `site` of `bytes` (the block size, matching
+    /// the VM's live-byte accounting) whose payload starts at `addr`.
+    pub fn note_alloc(&mut self, site: Site, addr: u64, bytes: u64) {
+        let site = self.intern(site);
         self.seq += 1;
         let rec = &mut self.sites[site];
         rec.count += 1;
@@ -215,18 +192,17 @@ impl HeapStats {
 mod tests {
     use super::*;
 
-    fn site(h: &mut HeapProfiler, func: &str, line: u32, prov: Option<&str>) {
-        h.set_site(Site::new(func, line, prov));
+    fn f1() -> Site {
+        Site::new("f", 1, None)
     }
 
     #[test]
     fn attribution_and_leaks() {
-        let mut h = HeapProfiler::new();
-        site(&mut h, "kernel", 7, Some("via quote at line 3"));
-        h.note_alloc(1000, 64);
-        h.note_alloc(2000, 64);
-        site(&mut h, "kernel", 9, None);
-        h.note_alloc(3000, 128);
+        let mut h = HeapProfiler::default();
+        let quoted = Site::new("kernel", 7, Some("via quote at line 3"));
+        h.note_alloc(quoted.clone(), 1000, 64);
+        h.note_alloc(quoted, 2000, 64);
+        h.note_alloc(Site::new("kernel", 9, None), 3000, 128);
         h.note_free(2000);
         let s = h.snapshot();
         assert_eq!(s.sites.len(), 2);
@@ -247,8 +223,8 @@ mod tests {
 
     #[test]
     fn host_allocations_get_a_synthetic_site() {
-        let mut h = HeapProfiler::new();
-        h.note_alloc(500, 32);
+        let mut h = HeapProfiler::default();
+        h.note_alloc(Site::host(), 500, 32);
         let s = h.snapshot();
         assert_eq!(s.sites.len(), 1);
         assert_eq!(s.sites[0].site, Site::host());
@@ -256,21 +232,19 @@ mod tests {
 
     #[test]
     fn unknown_free_is_ignored() {
-        let mut h = HeapProfiler::new();
-        site(&mut h, "f", 1, None);
-        h.note_alloc(100, 16);
+        let mut h = HeapProfiler::default();
+        h.note_alloc(f1(), 100, 16);
         h.note_free(999); // never recorded
         assert_eq!(h.snapshot().live_bytes, 16);
     }
 
     #[test]
     fn timeline_records_new_peaks_only() {
-        let mut h = HeapProfiler::new();
-        site(&mut h, "f", 1, None);
-        h.note_alloc(100, 16); // peak 16
+        let mut h = HeapProfiler::default();
+        h.note_alloc(f1(), 100, 16); // peak 16
         h.note_free(100);
-        h.note_alloc(200, 8); // live 8, no new peak
-        h.note_alloc(300, 16); // live 24, new peak
+        h.note_alloc(f1(), 200, 8); // live 8, no new peak
+        h.note_alloc(f1(), 300, 16); // live 24, new peak
         let s = h.snapshot();
         assert_eq!(
             s.timeline,
@@ -289,29 +263,26 @@ mod tests {
 
     #[test]
     fn timeline_decimates_deterministically() {
-        let mut h = HeapProfiler::new();
-        site(&mut h, "f", 1, None);
+        let mut h = HeapProfiler::default();
         for i in 0..2000u64 {
-            h.note_alloc(10_000 + i * 16, 16); // every alloc a new peak
+            h.note_alloc(f1(), 10_000 + i * 16, 16); // every alloc a new peak
         }
         let s = h.snapshot();
         assert!(s.timeline.len() <= TIMELINE_CAP);
         // The final (highest) peak always survives decimation.
         assert_eq!(s.timeline.last().unwrap().live_bytes, 2000 * 16);
         // A second identical run produces identical points.
-        let mut h2 = HeapProfiler::new();
-        site(&mut h2, "f", 1, None);
+        let mut h2 = HeapProfiler::default();
         for i in 0..2000u64 {
-            h2.note_alloc(10_000 + i * 16, 16);
+            h2.note_alloc(f1(), 10_000 + i * 16, 16);
         }
         assert_eq!(s.timeline, h2.snapshot().timeline);
     }
 
     #[test]
     fn reset_discards_everything() {
-        let mut h = HeapProfiler::new();
-        site(&mut h, "f", 1, None);
-        h.note_alloc(100, 16);
+        let mut h = HeapProfiler::default();
+        h.note_alloc(f1(), 100, 16);
         h.reset();
         let s = h.snapshot();
         assert!(s.sites.is_empty());

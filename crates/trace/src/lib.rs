@@ -141,17 +141,15 @@ pub struct FuncProfile {
 }
 
 /// The collector threaded through the staging pipeline: spans (a no-op
-/// until [`Tracer::set_enabled`]), optimization remarks, and per-region
-/// `parallelfor` telemetry. The VM's per-instruction counters are *not*
-/// here: its telemetry observer keeps them, indexed by opcode, and merges
-/// them into the [`Profile`] when one is frozen.
+/// until [`Tracer::set_enabled`]) and optimization remarks. What the VM
+/// collects while Terra code runs is its telemetry observer's, merged into
+/// the [`Profile`] when one is frozen.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
     epoch: Instant,
     events: Vec<SpanEvent>,
     remarks: Vec<Remark>,
-    par: ParallelStats,
 }
 
 impl Default for Tracer {
@@ -168,7 +166,6 @@ impl Tracer {
             epoch: Instant::now(),
             events: Vec::new(),
             remarks: Vec::new(),
-            par: ParallelStats::default(),
         }
     }
 
@@ -183,12 +180,10 @@ impl Tracer {
         self.enabled
     }
 
-    /// Discards all collected events, remarks and parallel telemetry (the
-    /// gate stays as-is).
+    /// Discards all collected events and remarks (the gate stays as-is).
     pub fn reset(&mut self) {
         self.events.clear();
         self.remarks.clear();
-        self.par.clear();
     }
 
     // -- remarks -------------------------------------------------------------
@@ -236,37 +231,21 @@ impl Tracer {
         });
     }
 
-    // -- parallel telemetry --------------------------------------------------
-
-    /// The parallel-execution telemetry, for the VM's telemetry observer
-    /// to record executed `parallelfor` regions into.
-    pub fn parallel_mut(&mut self) -> &mut ParallelStats {
-        &mut self.par
-    }
-
-    /// The parallel-execution telemetry collected so far.
-    pub fn parallel(&self) -> &ParallelStats {
-        &self.par
-    }
-
     // -- snapshots -----------------------------------------------------------
 
-    /// Freezes the collected data into a [`Profile`], combining it with the
-    /// memory counters (which live on the VM's `Memory`). The VM fills in
-    /// its opcode, per-function, cache, heap and sample sections.
-    pub fn snapshot(&self, mem: MemStats) -> Profile {
+    /// Freezes the spans and remarks into a [`Profile`]; the VM's telemetry
+    /// observer fills in the sections it collected.
+    pub fn snapshot(&self) -> Profile {
         Profile {
             events: self.events.clone(),
-            mem,
             remarks: self.remarks.clone(),
-            parallel: self.par.clone(),
             ..Profile::default()
         }
     }
 }
 
-/// Memory-system counters: live in the VM's `Memory` (which bumps them only
-/// while profiling), frozen by value into a [`Profile`].
+/// Memory-system counters: kept by the VM's telemetry observer while
+/// profiling, frozen by value into a [`Profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Heap allocations.
@@ -575,7 +554,7 @@ mod tests {
         let mut t = Tracer::new();
         let s = t.now_us();
         t.record(Stage::Parse, "chunk", s);
-        assert!(t.snapshot(MemStats::default()).events.is_empty());
+        assert!(t.snapshot().events.is_empty());
     }
 
     #[test]

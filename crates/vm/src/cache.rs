@@ -9,13 +9,14 @@
 //! *useless* (already resident when hinted, or evicted before any demand).
 //!
 //! The simulator observes the VM's guest addresses only — it never touches
-//! host memory — and is fed only while profiling, beside the memory
-//! counters ([`Memory::observe`](crate::Memory::observe)), so `-O`-level
-//! differential semantics are untouched. Only scalar, vector, and prefetch accesses are
-//! modeled; bulk host operations (`write_f64s`, string interning, memcpy)
-//! deliberately bypass it, as does instruction fetch (the VM has no icache).
+//! host memory — and is fed only by the telemetry observer while profiling,
+//! beside the memory counters ([`Traffic`]), so `-O`-level differential
+//! semantics are untouched. Only the dispatch loop's scalar, vector, and
+//! prefetch accesses are modeled; host accesses (`write_f64s`, Lua globals,
+//! string interning) and the `memcpy`/`memset` builtins deliberately bypass
+//! it, as does instruction fetch (the VM has no icache).
 
-use terra_trace::{CacheConfig, CacheLevelConfig, CacheLevelStats, CacheStats};
+use terra_trace::{CacheConfig, CacheLevelConfig, CacheLevelStats, CacheStats, MemStats};
 
 /// Demand ticks a prefetch needs in flight before its line counts as
 /// *useful*; a demand hit sooner than this means the hint was issued too
@@ -183,9 +184,9 @@ impl std::ops::AddAssign for Touch {
     }
 }
 
-/// The two-level simulator embedded in [`Memory`](crate::Memory).
+/// The two-level simulator the telemetry observer's [`Traffic`] walks.
 #[derive(Debug)]
-pub struct CacheSim {
+pub(crate) struct CacheSim {
     cfg: CacheConfig,
     /// The L1 line size addresses are cut into lines by.
     line: Divisor,
@@ -214,16 +215,6 @@ impl CacheSim {
             pf_late: 0,
             pf_useless: 0,
         }
-    }
-
-    /// The geometry this simulator was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
-    }
-
-    /// Replaces the geometry, cold-resetting all state.
-    pub fn reconfigure(&mut self, cfg: CacheConfig) {
-        *self = CacheSim::new(cfg);
     }
 
     /// Cold reset: clears counters *and* the tag arrays, so a
@@ -287,10 +278,10 @@ impl CacheSim {
     }
 
     /// Folds another simulator's *counters* into this one (the tag arrays are
-    /// left alone). The parallel harness merges per-chunk cache shards with
-    /// it — each worker simulates its own cold hierarchy (see the `Memory`
-    /// docs) — and the sums are commutative, so the merged stats do not
-    /// depend on worker interleaving.
+    /// left alone). The telemetry observer merges per-chunk cache shards with
+    /// it — each profiled worker simulates its own cold hierarchy — and the
+    /// sums are commutative, so the merged stats do not depend on worker
+    /// interleaving.
     pub fn absorb(&mut self, other: &CacheSim) {
         self.l1.hits += other.l1.hits;
         self.l1.misses += other.l1.misses;
@@ -319,6 +310,92 @@ impl CacheSim {
 impl Default for CacheSim {
     fn default() -> Self {
         CacheSim::new(CacheConfig::default())
+    }
+}
+
+/// The kind of memory traffic the dispatch loop reports to its observer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    Load,
+    Store,
+    VecLoad,
+    VecStore,
+    Prefetch,
+}
+
+/// What `--profile` collects about memory: the counters, and the hierarchy
+/// of geometry `config` the traffic walks. The telemetry observer holds one
+/// per context and gives each worker shard a fresh one; the simulator
+/// (≈ 110 KB of tags at the default geometry) is built only once profiling
+/// is on, so a context or shard that only samples or records has none.
+#[derive(Debug, Default)]
+pub(crate) struct Traffic {
+    config: CacheConfig,
+    /// Loads, stores and prefetches, and the allocator's events.
+    pub(crate) stats: MemStats,
+    sim: Option<CacheSim>,
+}
+
+impl Traffic {
+    /// A worker's collector: zero counters of the same geometry, over a
+    /// cold hierarchy if `profiling`.
+    pub(crate) fn shard(&self, profiling: bool) -> Traffic {
+        let (config, stats) = (self.config, MemStats::default());
+        let sim = profiling.then(|| CacheSim::new(config));
+        Traffic { config, stats, sim }
+    }
+
+    /// Builds the (cold) simulator unless there is one.
+    pub(crate) fn arm(&mut self) {
+        self.sim.get_or_insert_with(|| CacheSim::new(self.config));
+    }
+
+    /// Replaces the geometry; the counters stay, the simulator restarts cold.
+    pub(crate) fn set_config(&mut self, cfg: CacheConfig) {
+        self.config = cfg;
+        self.sim = self.sim.take().map(|_| CacheSim::new(cfg));
+    }
+
+    /// Zero counters over a cold simulator.
+    pub(crate) fn reset(&mut self) {
+        self.stats = MemStats::default();
+        self.sim.iter_mut().for_each(CacheSim::reset);
+    }
+
+    /// Counts one access of `len` bytes at `addr` and walks it through the
+    /// simulator, which profiling has built, returning what it touched
+    /// there (a prefetch is charged nothing).
+    #[inline]
+    pub(crate) fn observe(&mut self, addr: u64, len: u64, access: Access) -> Touch {
+        let (s, width) = (&mut self.stats, MemStats::width_bucket(len));
+        let sim = self.sim.as_mut().expect("profiling builds the simulator");
+        match access {
+            Access::Load => s.loads[width] += 1,
+            Access::Store => s.stores[width] += 1,
+            Access::VecLoad => s.vec_loads += 1,
+            Access::VecStore => s.vec_stores += 1,
+            Access::Prefetch => {
+                s.prefetches += 1;
+                sim.prefetch(addr);
+                return Touch::default();
+            }
+        }
+        sim.access(addr, len)
+    }
+
+    /// Folds a worker shard's counters into these: commutative sums.
+    pub(crate) fn absorb(&mut self, shard: &Traffic) {
+        self.stats.absorb(&shard.stats);
+        if let (Some(mine), Some(theirs)) = (&mut self.sim, &shard.sim) {
+            mine.absorb(theirs);
+        }
+    }
+
+    /// The hierarchy's counters (all zero before it is built).
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let mut stats = self.sim.as_ref().map(CacheSim::stats).unwrap_or_default();
+        stats.config = self.config;
+        stats
     }
 }
 

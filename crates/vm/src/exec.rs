@@ -18,13 +18,14 @@
 
 use crate::bytecode::CompiledFunction;
 use crate::machine::Vm;
-use crate::memory::Memory;
-use crate::observer::Telemetry;
+use crate::memory::{MemResult, Memory};
+use crate::observer::{Observer, Telemetry};
 use crate::program::{OutputSink, Program};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use terra_ir::FuncId;
+use terra_trace::{CacheConfig, ParallelStats, Site};
 
 /// All mutable state needed to run Terra code against a shared
 /// [`Program`]. One per thread of execution; cheap to construct.
@@ -43,8 +44,8 @@ pub struct ExecutionContext {
     pub rng_state: u64,
     /// Start instant for `clock()`.
     pub epoch: Instant,
-    /// Staging-side observability sink: timeline spans, optimization
-    /// remarks and per-region `parallelfor` telemetry; off by default.
+    /// Staging-side observability sink: timeline spans and optimization
+    /// remarks; spans are off by default.
     pub trace: terra_trace::Tracer,
     /// Worker threads for `parallelfor` (1 = sequential fallback).
     threads: usize,
@@ -168,18 +169,32 @@ impl ExecutionContext {
     /// [`ExecutionContext::reset_profile`].
     pub fn set_profile(&mut self, on: bool) {
         self.trace.set_enabled(on);
-        self.memory.set_profile(on);
-        self.telemetry_mut().profiling = on;
+        let tel = self.telemetry_mut();
+        tel.profiling = on;
+        if on {
+            tel.traffic.arm();
+        }
     }
 
     /// Clears all collected profile data (timeline, counters, samples,
     /// cache simulator) without changing the on/off gates.
     pub fn reset_profile(&mut self) {
         self.trace.reset();
-        self.memory.reset_profile();
         if let Some(tel) = &mut self.telemetry {
             tel.reset();
         }
+    }
+
+    /// Replaces the simulated cache geometry used while profiling
+    /// (cold-resets the simulator).
+    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
+        self.telemetry_mut().traffic.set_config(cfg);
+    }
+
+    /// Per-chunk `parallelfor` telemetry collected while profiling.
+    pub fn parallel_stats(&self) -> &ParallelStats {
+        static NONE: ParallelStats = ParallelStats { sites: Vec::new() };
+        self.telemetry.as_ref().map_or(&NONE, |tel| &tel.parallel)
     }
 
     /// Sets the sampling profiler's interval in retired instructions
@@ -198,13 +213,32 @@ impl ExecutionContext {
     /// Freezes the current profile (timeline + VM + memory + cache + heap
     /// counters and collected samples).
     pub fn profile(&self) -> terra_trace::Profile {
-        let mut p = self.trace.snapshot(self.memory.counters());
-        p.cache = self.memory.cache_stats();
-        p.heap = self.memory.heap_stats();
+        let mut p = self.trace.snapshot();
         if let Some(tel) = &self.telemetry {
             tel.fill(&mut p);
         }
         p
+    }
+
+    /// Allocates `size` bytes of Terra heap for the host — string constants,
+    /// globals, the embedder's and Lua's `C.malloc` — which the heap profile
+    /// lists under the `(host)` site.
+    pub fn malloc(&mut self, size: u64) -> u64 {
+        let addr = self.memory.malloc(size);
+        if let Some(tel) = &mut self.telemetry {
+            tel.on_alloc(&self.memory, Site::host, addr, size);
+        }
+        addr
+    }
+
+    /// Frees a block of Terra heap for the host; fails as [`Memory::free`]
+    /// does.
+    pub fn free(&mut self, addr: u64) -> MemResult<()> {
+        self.memory.free(addr)?;
+        if let Some(tel) = &mut self.telemetry {
+            tel.on_free(addr);
+        }
+        Ok(())
     }
 
     /// Interns a string constant into program memory, returning its address
@@ -213,12 +247,9 @@ impl ExecutionContext {
         if let Some(&addr) = self.strings.get(s) {
             return addr;
         }
-        let addr = self.memory.malloc(s.len() as u64 + 1);
+        let addr = self.malloc(s.len() as u64 + 1);
         self.memory
-            .write_bytes(addr, s.as_bytes())
-            .expect("fresh allocation is writable");
-        self.memory
-            .store_u8(addr + s.len() as u64, 0)
+            .write_bytes(addr, &[s.as_bytes(), &[0]].concat())
             .expect("fresh allocation is writable");
         self.strings.insert(Arc::from(s), addr);
         addr
@@ -227,7 +258,7 @@ impl ExecutionContext {
     /// Allocates a zero-initialized global cell of `size` bytes, returning
     /// its address.
     pub fn alloc_global(&mut self, size: u64, init: Option<&[u8]>) -> u64 {
-        let addr = self.memory.malloc(size.max(1));
+        let addr = self.malloc(size.max(1));
         self.memory
             .fill(addr, 0, size.max(1))
             .expect("fresh allocation is writable");

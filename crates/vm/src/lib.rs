@@ -38,7 +38,6 @@ pub use bytecode::{
     decode_func_ptr, encode_func_ptr, slots_of, Addr, BytecodeError, CompiledFunction, Instr,
     IntWidth, Reg, MAX_SLOTS, MNEMONICS, NO_REG, VECTOR_SLOTS,
 };
-pub use cache::CacheSim;
 pub use compile::{compile, try_compile};
 pub use exec::ExecutionContext;
 pub use machine::{decode_value, encode_arg, ExecResult, RegImage, Trap, TrapKind, Vm};

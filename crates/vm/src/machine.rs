@@ -24,8 +24,9 @@
 //! an unobserved run's instantiation contains no telemetry code at all.
 
 use crate::bytecode::{decode_func_ptr, slots_of, CompiledFunction, Instr, IntWidth, Reg, NO_REG};
+use crate::cache::Access;
 use crate::exec::ExecutionContext;
-use crate::memory::{image_of, lanes_of, Access, MemError, Memory};
+use crate::memory::{image_of, lanes_of, MemError, Memory};
 use crate::observer::{observed, Observer};
 use crate::program::{Program, Value};
 use std::fmt;
@@ -322,8 +323,6 @@ impl ExecutionContext {
         let mut vm = std::mem::take(&mut self.vm);
         debug_assert!(vm.frames.is_empty() && vm.regs.is_empty());
         let result = self.run(obs, program, &mut vm, f, args);
-        // Allocations made by the host from here on are not Terra code.
-        self.memory.clear_alloc_site();
         let result = result.map_err(|kind| {
             // The innermost frame still on the stack names the Terra
             // function and (its pc was written back when the fault was
@@ -460,7 +459,7 @@ impl ExecutionContext {
                 ($m:expr, $chk:expr, $n:literal) => {{
                     let addr = ea!($m);
                     let bytes = mem!(self.memory.read::<$n>(addr, $chk));
-                    obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Load);
+                    obs.on_mem(pc - 1, addr, $n, Access::Load);
                     bytes
                 }};
             }
@@ -479,7 +478,7 @@ impl ExecutionContext {
                     mem!(self
                         .memory
                         .write::<$n>(addr, (v as $ty).to_le_bytes(), $chk));
-                    obs.on_mem(&mut self.memory, pc - 1, addr, $n, Access::Store);
+                    obs.on_mem(pc - 1, addr, $n, Access::Store);
                     obs.on_effect(&self.memory, func, pc - 1, || EffectKind::Store {
                         addr,
                         width: $n,
@@ -656,14 +655,14 @@ impl ExecutionContext {
                         let (addr, len) = (ea!(m), bytes as usize);
                         let mut image = [0u8; 32];
                         mem!(self.memory.read_into(addr, &mut image[..len], chk));
-                        obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecLoad);
+                        obs.on_mem(pc - 1, addr, len as u64, Access::VecLoad);
                         setv!(d, lanes_of(image));
                     }
                     Instr::StoreV { m, s, bytes, chk } => {
                         let (addr, len) = (ea!(m), bytes as usize);
                         let image = image_of(rv!(s));
                         mem!(self.memory.write_from(addr, &image[..len], chk));
-                        obs.on_mem(&mut self.memory, pc - 1, addr, len as u64, Access::VecStore);
+                        obs.on_mem(pc - 1, addr, len as u64, Access::VecStore);
                         // Vector stores don't fit 64 value bits; record the
                         // FNV digest of the stored LE byte image.
                         obs.on_effect(&self.memory, func, pc - 1, || EffectKind::Store {
@@ -697,7 +696,7 @@ impl ExecutionContext {
                     }
                     Instr::Prefetch { m } => {
                         let addr = ea!(m);
-                        obs.on_mem(&mut self.memory, pc - 1, addr, 0, Access::Prefetch);
+                        obs.on_mem(pc - 1, addr, 0, Access::Prefetch);
                         self.memory.prefetch(addr);
                     }
 
@@ -946,20 +945,25 @@ fn call_builtin<O: Observer>(
     }
     Ok(match b {
         Builtin::Malloc => {
-            obs.on_alloc(&mut ctx.memory, func, pc);
             let (size, addr) = (a[0], ctx.memory.malloc(a[0]));
+            obs.on_alloc(&ctx.memory, || func.site_at(pc), addr, size);
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Alloc { size, addr });
             addr
         }
         Builtin::Free => {
             ctx.memory.free(a[0])?;
+            obs.on_free(a[0]);
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Free { addr: a[0] });
             0
         }
         Builtin::Realloc => {
-            obs.on_alloc(&mut ctx.memory, func, pc);
             let (old, size) = (a[0], a[1]);
-            let addr = ctx.memory.realloc(old, size)?;
+            let addr = ctx.memory.realloc(old, size, |mem, addr| {
+                obs.on_alloc(mem, || func.site_at(pc), addr, size)
+            })?;
+            if addr != old {
+                obs.on_free(old);
+            }
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Realloc {
                 old,
                 size,
@@ -991,7 +995,7 @@ fn call_builtin<O: Observer>(
             out.len() as u64
         }
         Builtin::Prefetch => {
-            obs.on_mem(&mut ctx.memory, pc, a[0], 0, Access::Prefetch);
+            obs.on_mem(pc, a[0], 0, Access::Prefetch);
             ctx.memory.prefetch(a[0]);
             0
         }

@@ -29,23 +29,17 @@
 //! Racing writes to the same location are a data race in the Terra program,
 //! undefined just as in C.
 //!
-//! Every collector embedded here is **per-context**: a worker view starts
-//! with fresh counters and a *cold* cache simulator, and the harness merges
-//! the shards back in chunk order (commutative sums, so the totals are
-//! byte-identical at any thread count — but note a parallel loop's cache
-//! stats model per-worker cold caches, not one shared cache).
-//!
 //! # Who counts an access
 //!
-//! [`Memory::read`] and [`Memory::write`], which the dispatch loop uses,
-//! check (or not: the instruction's `chk` bit says), move bytes, and count
-//! nothing, so an unobserved run never tests the profile gate; the VM's
-//! telemetry observer counts them through [`Memory::observe`]. The typed
+//! Nobody here: a `Memory` is the bytes, the allocator and the sanitizer,
+//! with no profile gate. [`Memory::read`] and [`Memory::write`], which the
+//! dispatch loop uses, check (or not: the instruction's `chk` bit says) and
+//! move bytes; the VM's telemetry observer, when there is one, is told of
+//! each access and each allocation and does the counting. The typed
 //! accessors (`load_f64`, `store_u8`, …) are the *host-facing* surface —
-//! string interning, embedder reads and writes — always checked, and
-//! counting themselves while the profile gate is on.
+//! string interning, embedder reads and writes, Lua globals — always
+//! checked, and never Terra traffic.
 
-use crate::cache::Touch;
 use std::fmt;
 
 /// What went wrong with a memory access.
@@ -105,16 +99,6 @@ impl std::error::Error for MemError {}
 
 /// Result alias for memory operations.
 pub type MemResult<T> = Result<T, MemError>;
-
-/// The kind of memory traffic reported to [`Memory::observe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Access {
-    Load,
-    Store,
-    VecLoad,
-    VecStore,
-    Prefetch,
-}
 
 const NULL_GUARD: u64 = 64;
 /// Size-class header stored before each heap block.
@@ -189,16 +173,6 @@ pub struct Memory {
     /// Freed heap payload ranges (`start → length`), kept only while the
     /// sanitizer is on, so stray accesses into them can be diagnosed.
     freed: std::collections::BTreeMap<u64, u64>,
-    /// Profiling gate for host-facing accesses and the allocator.
-    profile: bool,
-    /// Allocation/load/store/prefetch counters (deterministic; only touched
-    /// while profiling). Per-context: worker views get fresh counters which
-    /// the harness merges back in chunk order.
-    counters: terra_trace::MemStats,
-    /// Two-level cache simulator, fed by [`Memory::observe`].
-    cache: crate::cache::CacheSim,
-    /// Allocation-site heap profiler, gated behind the same `profile` flag.
-    heap: terra_trace::HeapProfiler,
 }
 
 impl Default for Memory {
@@ -223,10 +197,6 @@ impl Memory {
             live_bytes: 0,
             sanitize: false,
             freed: std::collections::BTreeMap::new(),
-            profile: false,
-            counters: terra_trace::MemStats::default(),
-            cache: crate::cache::CacheSim::default(),
-            heap: terra_trace::HeapProfiler::default(),
         }
     }
 
@@ -234,85 +204,6 @@ impl Memory {
     /// worker views).
     pub fn is_owned(&self) -> bool {
         matches!(self.backing, Backing::Owned(_))
-    }
-
-    /// Turns the memory-system counters on or off. Counts survive a toggle;
-    /// [`Memory::reset_profile`] clears them.
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on;
-    }
-
-    /// The memory counters so far.
-    pub fn counters(&self) -> terra_trace::MemStats {
-        self.counters
-    }
-
-    /// Discards everything collected while profiling: memory counters, heap
-    /// profile, and the cache simulator's counters *and* tags (cold reset).
-    pub fn reset_profile(&mut self) {
-        self.counters = terra_trace::MemStats::default();
-        self.cache.reset();
-        self.heap.reset();
-    }
-
-    // -- cache simulator -----------------------------------------------------
-
-    /// Replaces the simulated cache geometry (cold-resets the simulator).
-    pub fn set_cache_config(&mut self, cfg: terra_trace::CacheConfig) {
-        self.cache.reconfigure(cfg);
-    }
-
-    /// The simulated cache geometry currently in effect.
-    pub fn cache_config(&self) -> terra_trace::CacheConfig {
-        self.cache.config()
-    }
-
-    /// Freezes the simulated cache-hierarchy counters.
-    pub fn cache_stats(&self) -> terra_trace::CacheStats {
-        self.cache.stats()
-    }
-
-    /// Counts one access and walks it through the cache simulator,
-    /// returning what it touched there. Called by the host-facing accessors
-    /// and the VM's telemetry observer; the caller holds the profile gate.
-    #[inline]
-    pub(crate) fn observe(&mut self, addr: u64, len: u64, access: Access) -> Touch {
-        let width = terra_trace::MemStats::width_bucket(len);
-        match access {
-            Access::Load => self.counters.loads[width] += 1,
-            Access::Store => self.counters.stores[width] += 1,
-            Access::VecLoad => self.counters.vec_loads += 1,
-            Access::VecStore => self.counters.vec_stores += 1,
-            Access::Prefetch => {
-                self.counters.prefetches += 1;
-                self.cache.prefetch(addr);
-                return Touch::default();
-            }
-        }
-        self.cache.access(addr, len)
-    }
-
-    // -- heap profiler -------------------------------------------------------
-
-    /// Sets the site the next heap allocation is attributed to. The VM's
-    /// telemetry observer calls this right before a `malloc`/`realloc`
-    /// builtin executes.
-    #[inline]
-    pub fn set_alloc_site(&mut self, site: terra_trace::Site) {
-        self.heap.set_site(site);
-    }
-
-    /// Clears the allocation site; subsequent allocations (string interning,
-    /// embedder `Terra::malloc`) are attributed to a synthetic `(host)` row.
-    #[inline]
-    pub fn clear_alloc_site(&mut self) {
-        self.heap.clear_site();
-    }
-
-    /// Freezes the allocation-site heap profile (per-site traffic, the
-    /// high-water timeline, and surviving allocations for the leak report).
-    pub fn heap_stats(&self) -> terra_trace::HeapStats {
-        self.heap.snapshot()
     }
 
     /// Turns sanitizer mode on or off. While on, freshly pushed stack frames
@@ -476,8 +367,7 @@ impl Memory {
 
     /// Creates a worker view over this memory for one `parallelfor` chunk:
     /// shared bytes, a private stack window `[stack_base, stack_limit)`,
-    /// fresh profile shards (counters, cold cache simulator of the same
-    /// geometry, empty heap profiler), and a copy of the sanitizer state.
+    /// and a copy of the sanitizer state.
     ///
     /// The view cannot allocate: `malloc` on a shared backing returns null,
     /// and the harness statically rejects kernels that reach allocating
@@ -500,20 +390,7 @@ impl Memory {
             live_bytes: self.live_bytes,
             sanitize: self.sanitize,
             freed: self.freed.clone(),
-            profile: self.profile,
-            counters: terra_trace::MemStats::default(),
-            cache: crate::cache::CacheSim::new(self.cache.config()),
-            heap: terra_trace::HeapProfiler::default(),
         }
-    }
-
-    /// Folds a worker view's profile shards (memory counters + cache
-    /// simulator counters) back into this memory. Commutative sums, so the
-    /// merged totals do not depend on worker interleaving; the harness still
-    /// merges in chunk order for a deterministic remark/event order.
-    pub fn absorb_worker(&mut self, worker: &Memory) {
-        self.counters.absorb(&worker.counters);
-        self.cache.absorb(&worker.cache);
     }
 
     // -- heap ----------------------------------------------------------------
@@ -521,6 +398,12 @@ impl Memory {
     fn size_class(size: u64) -> usize {
         let padded = (size.max(1) + BLOCK_HEADER).next_power_of_two();
         padded.trailing_zeros() as usize
+    }
+
+    /// The bytes a `malloc` of `size` takes from the heap: its size class's
+    /// block, header included — what [`Memory::live_bytes`] counts it as.
+    pub fn block_size(size: u64) -> u64 {
+        1 << Self::size_class(size)
     }
 
     /// Allocates `size` bytes, returning a non-null, 16-byte-aligned address.
@@ -551,10 +434,6 @@ impl Memory {
         self.raw_write(base, &(class as u64).to_le_bytes());
         self.live_bytes += block_size;
         let payload = base + BLOCK_HEADER;
-        if self.profile {
-            self.counters.note_malloc(self.live_bytes);
-            self.heap.note_alloc(payload, block_size);
-        }
         if self.sanitize {
             self.freed.remove(&payload);
             let end = base + block_size;
@@ -582,10 +461,6 @@ impl Memory {
         }
         let (base, class) = self.heap_block(ptr)?;
         self.live_bytes = self.live_bytes.saturating_sub(1 << class);
-        if self.profile {
-            self.counters.frees += 1;
-            self.heap.note_free(ptr);
-        }
         if let Some(list) = self.free_lists.get_mut(class) {
             list.push(base);
         }
@@ -619,14 +494,23 @@ impl Memory {
     }
 
     /// `realloc`: grows/shrinks an allocation, copying the old contents.
+    /// When it allocates a block, `allocated` sees it before the old one is
+    /// freed — the moment the heap is largest.
     ///
     /// # Errors
     ///
     /// Fails, like [`Memory::free`], on addresses that were not returned by
     /// `malloc`.
-    pub fn realloc(&mut self, ptr: u64, size: u64) -> MemResult<u64> {
+    pub fn realloc(
+        &mut self,
+        ptr: u64,
+        size: u64,
+        allocated: impl FnOnce(&Memory, u64),
+    ) -> MemResult<u64> {
         if ptr == 0 {
-            return Ok(self.malloc(size));
+            let new_ptr = self.malloc(size);
+            allocated(self, new_ptr);
+            return Ok(new_ptr);
         }
         let (_, old_class) = self.heap_block(ptr)?;
         let old_payload = (1u64 << old_class) - BLOCK_HEADER;
@@ -634,6 +518,7 @@ impl Memory {
             return Ok(ptr);
         }
         let new_ptr = self.malloc(size);
+        allocated(self, new_ptr);
         let n = old_payload.min(size);
         self.copy_within(ptr, new_ptr, n)?;
         self.free(ptr)?;
@@ -718,26 +603,6 @@ impl Memory {
         self.write_from(addr, &bytes, checked)
     }
 
-    /// Reads a byte slice into a fresh buffer.
-    pub fn read_bytes(&self, addr: u64, len: u64) -> MemResult<Vec<u8>> {
-        self.check(addr, len)?;
-        let mut out = vec![0u8; len as usize];
-        self.raw_read(addr, &mut out);
-        Ok(out)
-    }
-
-    /// Borrows a byte slice of guest memory. Host-side only: on a shared
-    /// worker view a returned `&[u8]` could alias another worker's writes,
-    /// so this is restricted to owned memory (worker views return an
-    /// out-of-range error; kernels have no path here).
-    pub fn bytes(&self, addr: u64, len: u64) -> MemResult<&[u8]> {
-        self.check(addr, len)?;
-        let Backing::Owned(data) = &self.backing else {
-            return Err(MemError::oob(addr, len));
-        };
-        Ok(&data[addr as usize..(addr + len) as usize])
-    }
-
     /// Writes a byte slice.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> MemResult<()> {
         self.write_from(addr, bytes, true)
@@ -809,42 +674,33 @@ impl Memory {
 }
 
 macro_rules! scalar_access {
-    ($load:ident, $store:ident, $ty:ty, $n:expr) => {
+    ($load:ident, $store:ident, $ty:ty) => {
         impl Memory {
-            /// Host-facing load: checked, and counted while profiling.
+            /// Host-facing load: checked, never counted.
             #[inline]
-            pub fn $load(&mut self, addr: u64) -> MemResult<$ty> {
-                let v = <$ty>::from_le_bytes(self.read(addr, true)?);
-                if self.profile {
-                    self.observe(addr, $n, Access::Load);
-                }
-                Ok(v)
+            pub fn $load(&self, addr: u64) -> MemResult<$ty> {
+                Ok(<$ty>::from_le_bytes(self.read(addr, true)?))
             }
 
-            /// Host-facing store: checked, and counted while profiling.
+            /// Host-facing store: checked, never counted.
             #[inline]
             pub fn $store(&mut self, addr: u64, v: $ty) -> MemResult<()> {
-                self.write(addr, v.to_le_bytes(), true)?;
-                if self.profile {
-                    // Write-allocate: stores walk the same fill path as loads.
-                    self.observe(addr, $n, Access::Store);
-                }
-                Ok(())
+                self.write(addr, v.to_le_bytes(), true)
             }
         }
     };
 }
 
-scalar_access!(load_u8, store_u8, u8, 1);
-scalar_access!(load_i8, store_i8, i8, 1);
-scalar_access!(load_u16, store_u16, u16, 2);
-scalar_access!(load_i16, store_i16, i16, 2);
-scalar_access!(load_u32, store_u32, u32, 4);
-scalar_access!(load_i32, store_i32, i32, 4);
-scalar_access!(load_u64, store_u64, u64, 8);
-scalar_access!(load_i64, store_i64, i64, 8);
-scalar_access!(load_f32, store_f32, f32, 4);
-scalar_access!(load_f64, store_f64, f64, 8);
+scalar_access!(load_u8, store_u8, u8);
+scalar_access!(load_i8, store_i8, i8);
+scalar_access!(load_u16, store_u16, u16);
+scalar_access!(load_i16, store_i16, i16);
+scalar_access!(load_u32, store_u32, u32);
+scalar_access!(load_i32, store_i32, i32);
+scalar_access!(load_u64, store_u64, u64);
+scalar_access!(load_i64, store_i64, i64);
+scalar_access!(load_f32, store_f32, f32);
+scalar_access!(load_f64, store_f64, f64);
 
 /// The four 64-bit lanes of a vector's little-endian byte image.
 #[inline]
@@ -868,24 +724,17 @@ pub(crate) fn image_of(lanes: [u64; 4]) -> [u8; 32] {
 
 impl Memory {
     /// Loads `len` (≤ 32) raw bytes into a vector register image, zeroing
-    /// the rest (host-facing: checked, and counted while profiling).
-    pub fn load_vec(&mut self, addr: u64, len: u64) -> MemResult<[u64; 4]> {
+    /// the rest (host-facing: checked, never counted).
+    pub fn load_vec(&self, addr: u64, len: u64) -> MemResult<[u64; 4]> {
         let mut image = [0u8; 32];
         self.read_into(addr, &mut image[..len as usize], true)?;
-        if self.profile {
-            self.observe(addr, len, Access::VecLoad);
-        }
         Ok(lanes_of(image))
     }
 
     /// Stores the low `len` (≤ 32) bytes of a vector register image
-    /// (host-facing: checked, and counted while profiling).
+    /// (host-facing: checked, never counted).
     pub fn store_vec(&mut self, addr: u64, v: [u64; 4], len: u64) -> MemResult<()> {
-        self.write_from(addr, &image_of(v)[..len as usize], true)?;
-        if self.profile {
-            self.observe(addr, len, Access::VecStore);
-        }
-        Ok(())
+        self.write_from(addr, &image_of(v)[..len as usize], true)
     }
 }
 
@@ -895,7 +744,7 @@ mod tests {
 
     #[test]
     fn null_access_is_rejected() {
-        let mut m = Memory::default();
+        let m = Memory::default();
         assert!(m.load_u8(0).is_err());
         assert!(m.load_f64(8).is_err());
     }
@@ -938,8 +787,12 @@ mod tests {
         let mut m = Memory::default();
         let p = m.malloc(16);
         m.store_u64(p, 0xDEADBEEF).unwrap();
-        let q = m.realloc(p, 4096).unwrap();
+        let mut seen = None;
+        let q = m.realloc(p, 4096, |_, q| seen = Some(q)).unwrap();
         assert_eq!(m.load_u64(q).unwrap(), 0xDEADBEEF);
+        assert_eq!(seen, Some(q));
+        // A block that already holds the request stays, and nothing is new.
+        assert_eq!(m.realloc(q, 8, |_, _| panic!("no new block")), Ok(q));
     }
 
     #[test]
@@ -950,12 +803,12 @@ mod tests {
             let p = m.malloc(64);
             // Below the block header, inside the stack, inside a payload.
             for ptr in [3, 72, p + 24] {
-                let err = m.realloc(ptr, 4096).unwrap_err();
+                let err = m.realloc(ptr, 4096, |_, _| {}).unwrap_err();
                 assert_eq!((err.kind, err.addr), (MemKind::BadFree, ptr));
             }
             // The block itself is still live and still reallocs.
             m.store_u64(p, 7).unwrap();
-            let q = m.realloc(p, 4096).unwrap();
+            let q = m.realloc(p, 4096, |_, _| {}).unwrap();
             assert_eq!(m.load_u64(q).unwrap(), 7);
         }
     }
@@ -1079,7 +932,7 @@ mod tests {
         let (lo, hi) = m.parallel_stack_span();
         let mid = lo + (((hi - lo) / 2) & !15);
         let mut w0 = m.worker_view(lo, mid);
-        let mut w1 = m.worker_view(mid, hi);
+        let w1 = m.worker_view(mid, hi);
         // Heap data is visible through both views.
         assert_eq!(w0.load_f64(p).unwrap(), 1.25);
         assert_eq!(w1.load_f64(p).unwrap(), 1.25);
@@ -1105,55 +958,5 @@ mod tests {
         let mut w = m.worker_view(lo, hi);
         assert_eq!(w.malloc(64), 0);
         assert!(!w.is_owned());
-    }
-
-    #[test]
-    fn only_host_facing_accessors_count_themselves() {
-        let mut m = Memory::default();
-        m.set_profile(true);
-        let p = m.malloc(16);
-        // The dispatch loop's accessors are raw; its observer counts them.
-        m.write(p, 7u64.to_le_bytes(), true).unwrap();
-        assert_eq!(m.read(p, false), Ok(7u64.to_le_bytes()));
-        m.prefetch(p);
-        let s = m.counters();
-        assert_eq!((s.total_loads(), s.total_stores(), s.prefetches), (0, 0, 0));
-        assert_eq!(m.cache_stats().total_accesses(), 0);
-        // The host-facing ones count themselves while the gate is on...
-        m.store_u8(p, 1).unwrap();
-        assert_eq!(m.load_u8(p).unwrap(), 1);
-        let s = m.counters();
-        assert_eq!((s.loads[0], s.stores[0]), (1, 1));
-        assert_eq!(m.cache_stats().total_accesses(), 2);
-        // ...but not a faulting access, and nothing once it is off.
-        assert!(m.load_u8(0).is_err());
-        m.set_profile(false);
-        m.store_u8(p, 2).unwrap();
-        assert_eq!(m.counters(), s);
-    }
-
-    #[test]
-    fn worker_profile_shards_merge_into_parent() {
-        let mut m = Memory::default();
-        m.set_profile(true);
-        let p = m.malloc(256);
-        let before = m.counters();
-        let (lo, hi) = m.parallel_stack_span();
-        let mut w = m.worker_view(lo, hi);
-        w.store_f64(p, 1.0).unwrap();
-        w.load_f64(p).unwrap();
-        let shard = w.counters();
-        assert_eq!(shard.loads[3], 1);
-        assert_eq!(shard.stores[3], 1);
-        let wstats = w.cache_stats();
-        m.absorb_worker(&w);
-        drop(w);
-        let after = m.counters();
-        assert_eq!(after.loads[3], before.loads[3] + 1);
-        assert_eq!(after.stores[3], before.stores[3] + 1);
-        assert_eq!(
-            m.cache_stats().l1.misses,
-            wstats.l1.misses // parent cache was cold before the absorb
-        );
     }
 }

@@ -5,11 +5,12 @@
 //! observable happens. There are exactly two implementations:
 //! [`NoObserver`], zero-sized, whose hooks are the empty defaults, so the
 //! loop instantiated over it contains no telemetry code at all; and
-//! [`Telemetry`], which owns the counter profiler, the cache-simulator
-//! attribution, the sampler and the flight recorder.
-//! [`ExecutionContext::call_raw`] picks one per call, so "is anyone
-//! observing?" is never asked inside the loop, and a budget or a race
-//! detector is one more implementation, not more branches.
+//! [`Telemetry`], which owns every VM collector: the counter profiler, the
+//! memory counters and cache simulator, the heap profiler, the per-chunk
+//! parallel shards, the sampler and the flight recorder. `call_slots` picks
+//! one per call, so "is anyone observing?" is never asked inside the loop,
+//! and a budget or a race detector is one more implementation, not more
+//! branches.
 //!
 //! **Dense counters.** No per-instruction hook touches a map. Opcode counts
 //! are an array indexed by [`Instr::opcode`]; cache behaviour is attributed
@@ -29,16 +30,16 @@
 //! how far the clock moved between its call/return boundaries.
 
 use crate::bytecode::{CompiledFunction, Instr, MNEMONICS, N_OPCODES};
-use crate::cache::Touch;
+use crate::cache::{Access, Touch, Traffic};
 use crate::exec::ExecutionContext;
 use crate::machine::state_hash;
-use crate::memory::{Access, Memory};
+use crate::memory::Memory;
 use crate::parallel::ParRegion;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use terra_trace::{
-    EffectKind, EffectSite, FuncCounters, FuncProfile, LineStat, ParChunkStats, Profile, Recorder,
-    Sampler, Site,
+    EffectKind, EffectSite, FuncCounters, FuncProfile, HeapProfiler, LineStat, ParChunkStats,
+    ParallelStats, Profile, Recorder, Sampler, Site,
 };
 
 /// Hooks the dispatch loop and the `parallelfor` harness call, all empty
@@ -66,11 +67,16 @@ pub(crate) trait Observer {
 
     /// The instruction at `pc` accessed `len` bytes at `addr`, in bounds.
     #[inline]
-    fn on_mem(&mut self, _mem: &mut Memory, _pc: usize, _addr: u64, _len: u64, _access: Access) {}
+    fn on_mem(&mut self, _pc: usize, _addr: u64, _len: u64, _access: Access) {}
 
-    /// The retiring instruction is about to allocate from the heap.
+    /// The allocator gave `site` — a builtin's statement, or the host — the
+    /// block at `addr` for `size` bytes.
     #[inline]
-    fn on_alloc(&mut self, _mem: &mut Memory, _func: &CompiledFunction, _pc: usize) {}
+    fn on_alloc(&mut self, _mem: &Memory, _site: impl FnOnce() -> Site, _addr: u64, _size: u64) {}
+
+    /// `free(addr)` succeeded (`free(NULL)` frees nothing).
+    #[inline]
+    fn on_free(&mut self, _addr: u64) {}
 
     /// The retiring instruction had an observable heap effect; `kind`
     /// builds its description only if someone wants it.
@@ -89,10 +95,9 @@ pub(crate) trait Observer {
     fn on_output(&mut self, _func: &CompiledFunction, _pc: usize, _text: &str) {}
 
     /// A `parallelfor` region joined: `workers[c]` ran chunk `c` and
-    /// printed `outputs[c]`; the harness has yet to merge either into `ctx`.
+    /// printed `outputs[c]`.
     fn on_chunks(
         &mut self,
-        _ctx: &mut ExecutionContext,
         _region: &ParRegion<'_>,
         _workers: &mut [ExecutionContext],
         _outputs: &[String],
@@ -157,8 +162,11 @@ struct Activation {
 #[derive(Debug)]
 pub(crate) struct Telemetry {
     /// Exact counting gate (`--profile`): opcode, per-function and memory
-    /// counters, cache simulation, allocation sites.
+    /// counters, cache simulation, allocation sites, parallel shards.
     pub(crate) profiling: bool,
+    pub(crate) traffic: Traffic,
+    heap: HeapProfiler,
+    pub(crate) parallel: ParallelStats,
     /// Retired-instruction counts by [`Instr::opcode`], plus [`CHK`].
     ops: [u64; N_OPCODES + 1],
     /// Instructions until one needs attention (see the module docs).
@@ -187,6 +195,9 @@ impl Default for Telemetry {
     fn default() -> Self {
         Telemetry {
             profiling: false,
+            traffic: Traffic::default(),
+            heap: HeapProfiler::default(),
+            parallel: ParallelStats::default(),
             ops: [0; N_OPCODES + 1],
             fuel: u64::MAX,
             tank: u64::MAX,
@@ -231,6 +242,9 @@ impl Telemetry {
 
     /// Discards counters and samples; gates, interval and recording stay.
     pub(crate) fn reset(&mut self) {
+        self.traffic.reset();
+        self.heap.reset();
+        self.parallel.clear();
         self.ops = [0; N_OPCODES + 1];
         self.stack.clear();
         self.funcs.clear();
@@ -325,6 +339,7 @@ impl Telemetry {
     /// Folds a quiesced worker shard's counters into this one: commutative
     /// sums, so the totals do not depend on worker interleaving.
     fn absorb(&mut self, shard: &Telemetry) {
+        self.traffic.absorb(&shard.traffic);
         for (mine, theirs) in self.ops.iter_mut().zip(shard.ops) {
             *mine += theirs;
         }
@@ -398,6 +413,9 @@ impl Telemetry {
             (b.l1_misses, b.l2_misses, b.accesses).cmp(&(a.l1_misses, a.l2_misses, a.accesses))
         });
         p.samples = self.sampler.snapshot();
+        (p.mem, p.cache) = (self.traffic.stats, self.traffic.cache_stats());
+        p.heap = self.heap.snapshot();
+        p.parallel = self.parallel.clone();
     }
 }
 
@@ -417,6 +435,7 @@ impl Observer for Telemetry {
     fn shard(&self) -> Option<Box<Telemetry>> {
         let mut shard = Telemetry {
             profiling: self.profiling,
+            traffic: self.traffic.shard(self.profiling),
             recorder: self.recorder.as_deref().map(|r| Box::new(r.worker_shard())),
             ..Telemetry::default()
         };
@@ -496,16 +515,23 @@ impl Observer for Telemetry {
     }
 
     #[inline]
-    fn on_mem(&mut self, mem: &mut Memory, pc: usize, addr: u64, len: u64, access: Access) {
+    fn on_mem(&mut self, pc: usize, addr: u64, len: u64, access: Access) {
         if self.profiling {
-            let touch = mem.observe(addr, len, access);
-            self.funcs[self.slot].touched[pc] += touch;
+            self.funcs[self.slot].touched[pc] += self.traffic.observe(addr, len, access);
         }
     }
 
-    fn on_alloc(&mut self, mem: &mut Memory, func: &CompiledFunction, pc: usize) {
+    fn on_alloc(&mut self, mem: &Memory, site: impl FnOnce() -> Site, addr: u64, size: u64) {
         if self.profiling {
-            mem.set_alloc_site(func.site_at(pc));
+            self.traffic.stats.note_malloc(mem.live_bytes());
+            self.heap.note_alloc(site(), addr, Memory::block_size(size));
+        }
+    }
+
+    fn on_free(&mut self, addr: u64) {
+        if self.profiling && addr != 0 {
+            self.traffic.stats.frees += 1;
+            self.heap.note_free(addr);
         }
     }
 
@@ -544,57 +570,47 @@ impl Observer for Telemetry {
         }
     }
 
-    /// Preserves each chunk's shard counters for the parallel telemetry
-    /// *before* the merge collapses them into thread-invariant totals, then
-    /// absorbs the shards in chunk order (what keeps recordings
-    /// thread-count invariant).
+    /// Absorbs the shards in chunk order (what keeps totals and recordings
+    /// thread-count invariant), keeping each chunk's counters for the
+    /// parallel telemetry before the merge collapses them.
     fn on_chunks(
         &mut self,
-        ctx: &mut ExecutionContext,
         region: &ParRegion<'_>,
         workers: &mut [ExecutionContext],
         outputs: &[String],
     ) {
-        if self.profiling {
-            let chunks = workers
-                .iter()
-                .enumerate()
-                .map(|(c, worker)| {
-                    let (start, end) = region.range(c as u64);
-                    let mem = worker.memory.counters();
-                    let cache = worker.memory.cache_stats();
-                    ParChunkStats {
-                        chunk: c as u64,
-                        start,
-                        end,
-                        worker: region.worker_of(c as u64),
-                        instructions: worker.telemetry.as_ref().map_or(0, |t| t.ops.iter().sum()),
-                        loads: mem.total_loads(),
-                        stores: mem.total_stores(),
-                        l1_misses: cache.l1.misses,
-                        l2_misses: cache.l2.misses,
-                        start_us: region.times[c].0,
-                        dur_us: region.times[c].1,
-                    }
-                })
-                .collect();
-            let site = region.site.map_or_else(Site::host, |(f, pc)| f.site_at(pc));
-            ctx.trace.parallel_mut().record(
-                site,
-                region.kernel,
-                region.threads,
-                region.iterations,
-                chunks,
-            );
-        }
-        for (worker, text) in workers.iter_mut().zip(outputs) {
+        let mut chunks = Vec::new();
+        for (c, (worker, text)) in (0..).zip(workers.iter_mut().zip(outputs)) {
             let Some(shard) = worker.telemetry.take() else {
                 continue;
             };
+            if self.profiling {
+                let (start, end) = region.range(c);
+                let (mem, cache) = (&shard.traffic.stats, shard.traffic.cache_stats());
+                chunks.push(ParChunkStats {
+                    chunk: c,
+                    start,
+                    end,
+                    worker: region.worker_of(c),
+                    instructions: shard.ops.iter().sum(),
+                    loads: mem.total_loads(),
+                    stores: mem.total_stores(),
+                    l1_misses: cache.l1.misses,
+                    l2_misses: cache.l2.misses,
+                    start_us: region.times[c as usize].0,
+                    dur_us: region.times[c as usize].1,
+                });
+            }
             self.absorb(&shard);
             if let (Some(rec), Some(theirs)) = (self.recorder.as_deref_mut(), shard.recorder) {
                 rec.absorb_worker(*theirs, text);
             }
+        }
+        if self.profiling {
+            let site = region.site.map_or_else(Site::host, |(f, pc)| f.site_at(pc));
+            let (kernel, threads) = (region.kernel, region.threads);
+            self.parallel
+                .record(site, kernel, threads, region.iterations, chunks);
         }
         // An absorbed effect may have made a checkpoint due.
         self.settle();

@@ -20,10 +20,11 @@
 //!   index (see [`Memory::parallel_stack_span`]), so `FrameAddr` values —
 //!   and therefore any pointer a kernel takes to a local — are identical at
 //!   every thread count.
-//! - **Order-independent profiles.** Each chunk collects into fresh shards
-//!   (telemetry observer, memory counters, cold cache simulator) merged
-//!   back in chunk order with commutative sums, so `--profile` output is
-//!   byte-identical at any `--threads`.
+//! - **Order-independent profiles.** Each chunk of an observed region
+//!   collects into a fresh shard of the region's observer (counters, and a
+//!   cold cache simulator when profiling) merged back in chunk order with
+//!   commutative sums, so `--profile` output is byte-identical at any
+//!   `--threads`. An unobserved region's workers carry no shard at all.
 //! - **Run-to-completion traps.** A trap stops only its own chunk; every
 //!   other chunk still runs to completion (or its own first trap). The
 //!   lowest-chunk-index trap is reported. No cancellation means no
@@ -177,9 +178,8 @@ fn run_chunk(
 }
 
 /// Folds quiesced workers back into `ctx` in chunk order: observer shards
-/// (through [`Observer::on_chunks`]), memory and cache counters
-/// (commutative sums), and captured printf output (appended, so output
-/// order is deterministic).
+/// (through [`Observer::on_chunks`]) and captured printf output (appended,
+/// so output order is deterministic).
 fn join_region<O: Observer>(
     ctx: &mut ExecutionContext,
     obs: &mut O,
@@ -187,9 +187,8 @@ fn join_region<O: Observer>(
     mut workers: Vec<ExecutionContext>,
 ) {
     let outputs: Vec<String> = workers.iter_mut().map(|w| w.take_output()).collect();
-    obs.on_chunks(ctx, region, &mut workers, &outputs);
-    for (worker, text) in workers.iter().zip(&outputs) {
-        ctx.memory.absorb_worker(&worker.memory);
+    obs.on_chunks(region, &mut workers, &outputs);
+    for text in &outputs {
         ctx.emit(text);
     }
 }
@@ -886,6 +885,26 @@ mod tests {
         assert_eq!(ctx.take_output(), expect);
     }
 
+    /// Each profiled worker's shard merges into the parent: its memory and
+    /// cache totals are the sums of the per-chunk rows kept before the merge.
+    #[test]
+    fn worker_shards_merge_into_the_parent() {
+        let mut ctx = ExecutionContext::new();
+        ctx.set_threads(2);
+        let id = square_kernel(&mut ctx);
+        let base = ctx.memory.malloc(8 * 100);
+        ctx.set_profile(true);
+        run_parallelfor(&mut ctx, id, 0, 100, &[base]).unwrap();
+        let p = ctx.profile();
+        let chunks = &p.parallel.sites[0].chunks;
+        let sum = |f: fn(&terra_trace::ParChunkStats) -> u64| chunks.iter().map(f).sum::<u64>();
+        assert_eq!(p.mem.stores[3], 100);
+        assert_eq!(sum(|c| c.stores), p.mem.total_stores());
+        assert_eq!(sum(|c| c.loads), p.mem.total_loads());
+        assert_eq!(sum(|c| c.l1_misses), p.cache.l1.misses);
+        assert_eq!(sum(|c| c.l2_misses), p.cache.l2.misses);
+    }
+
     #[test]
     fn telemetry_is_not_collected_without_profiling() {
         let mut ctx = ExecutionContext::new();
@@ -893,7 +912,7 @@ mod tests {
         let id = square_kernel(&mut ctx);
         let base = ctx.memory.malloc(8 * 100);
         run_parallelfor(&mut ctx, id, 0, 100, &[base]).unwrap();
-        assert!(ctx.trace.parallel().is_empty());
+        assert!(ctx.parallel_stats().is_empty());
     }
 
     /// Pins the sampling profiler's parallel behavior: the sample interval

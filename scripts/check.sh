@@ -27,12 +27,14 @@ echo "==> the instruction set stays one table (scripts/loc.sh crates/vm/src/byte
 scripts/loc.sh crates/vm/src/bytecode.rs | awk '/total/ { exit !($1 <= 750) }' \
     || { echo "crates/vm/src/bytecode.rs is over 750 non-test lines" >&2; exit 1; }
 
-echo "==> a new reporter pays for itself (scripts/loc.sh crates/trace/src crates/vm/src/observer.rs <= 3807)"
+echo "==> a new reporter pays for itself (scripts/loc.sh crates/trace/src crates/vm/src/observer.rs <= 3779)"
 # Every located record holds a `Site` and renders through it (PR 22, when
 # this read 3 807; 3 870 before); a trap, audit or race report that arrives
-# with its own copy of the triple or its own renderer shows up here.
-scripts/loc.sh crates/trace/src crates/vm/src/observer.rs | awk '/total/ { exit !($1 <= 3807) }' \
-    || { echo "crates/trace/src + crates/vm/src/observer.rs are over 3807 non-test lines" >&2; exit 1; }
+# with its own copy of the triple or its own renderer shows up here. Re-based
+# 3 807 -> 3 779 when every VM collector moved into the observer and the heap
+# profiler's site protocol and the tracer's parallel shards went.
+scripts/loc.sh crates/trace/src crates/vm/src/observer.rs | awk '/total/ { exit !($1 <= 3779) }' \
+    || { echo "crates/trace/src + crates/vm/src/observer.rs are over 3779 non-test lines" >&2; exit 1; }
 
 echo "==> the specialized tree is walked once (scripts/loc.sh crates/eval/src/typecheck.rs crates/eval/src/spec.rs <= 3542)"
 # A quote is built once, shared by every splice, and lowered by one walk; what
