@@ -4,7 +4,7 @@
 //! modes ([`USAGE`]) and every flag ([`FLAGS`]).
 
 use std::io::{BufRead, Write};
-use terra_core::{CacheConfig, LuaValue, OptLevel, Terra};
+use terra_core::{CacheConfig, LuaValue, OptLevel, Profile, Terra};
 
 const USAGE: &str = "\
 usage: terra [flags] script.t [args...]  run a script (args in the global `arg` table)
@@ -16,6 +16,15 @@ usage: terra [flags] script.t [args...]  run a script (args in the global `arg` 
 
 flags (before the script; a flag that takes a value may be given once):
 ";
+
+/// `--trace-out`'s sinks: the extension that names one, what writes it, and
+/// what the file holds.
+type TraceSink = (&'static str, fn(&Profile) -> String, &'static str);
+const TRACE_SINKS: [TraceSink; 3] = [
+    (".json", Profile::to_chrome_json, "Chrome trace"),
+    (".folded", Profile::to_folded, "folded stacks"),
+    (".jsonl", Profile::to_jsonl, "event stream"),
+];
 
 /// How a flag is written; the string names its value in `--help`.
 enum Arg {
@@ -54,10 +63,6 @@ const FLAGS: &[(&str, Arg, &str)] = &[
       (by default the abstract interpreter proves what it can and the VM elides those checks)"),
     ("--profile", Bare,
      "collect staging/VM/memory counters and print a profile report after the program"),
-    ("--heap-profile", Bare,
-     "attribute every heap allocation to its (function, line, provenance) site and print the \
-      `== heap ==` section: per-site traffic, the live-heap high-water timeline and a leak \
-      report; with --profile the section joins the full report"),
     ("--sample", Eq("N"),
      "deterministic sampling profiler: capture the Terra call stack every N retired \
       instructions and print the `== samples ==` ranking; `--trace-out x.folded` then emits \
@@ -66,9 +71,6 @@ const FLAGS: &[(&str, Arg, &str)] = &[
      "write the run's timeline and counters in the format the extension names: `.json` Chrome \
       trace-event JSON (about:tracing / Perfetto), `.folded` flamegraph stacks, `.jsonl` the \
       JSONL event stream; implies --profile"),
-    ("--events-out", Next("FILE"),
-     "write the unified telemetry stream (spans, counters, cache stats, remarks, heap sites, \
-      samples) as newline-delimited JSON, byte-identical across runs; implies profiling"),
     ("--cache", Next("SPEC"),
      "simulated cache geometry for the locality profile, e.g. `l1=32k,64,8:l2=256k,64,8` (per \
       level: total size, line size, associativity); implies --profile"),
@@ -76,7 +78,6 @@ const FLAGS: &[(&str, Arg, &str)] = &[
      "print the optimizer's structured remarks (what each pass applied or missed, with staging \
       provenance) to stderr after the program"),
     ("--remarks", Eq("PASS"), "the same, restricted to one pass (inline, licm, cse, ...)"),
-    ("--remarks-out", Next("FILE"), "write the remark stream as JSON, byte-identical across runs"),
     ("--record", Eq("F.rec"),
      "execution flight recorder: stream the run's heap effects and periodic state checksums \
       into F.rec, byte-identical across runs and --threads settings; requires a script file"),
@@ -224,19 +225,16 @@ fn main() {
              --sample=1000)"
         )),
     });
-    let trace_out = flags.value("--trace-out");
-    if let Some(path) = trace_out {
-        if ![".json", ".folded", ".jsonl"]
-            .iter()
-            .any(|ext| path.ends_with(ext))
-        {
-            die(&format!(
+    let trace_out = flags.value("--trace-out").map(|path| {
+        match TRACE_SINKS.iter().find(|sink| path.ends_with(sink.0)) {
+            Some(sink) => (path, sink),
+            None => die(&format!(
                 "--trace-out {path}: unsupported trace sink (the format is chosen by \
                  extension: .json for Chrome trace-event JSON, .folded for flamegraph \
                  stacks, .jsonl for the JSONL event stream)"
-            ));
+            )),
         }
-    }
+    });
     if let Some(spec) = flags.value("--cache") {
         let cfg = CacheConfig::parse(spec);
         t.set_cache_config(cfg.unwrap_or_else(|e| die(&format!("bad --cache spec: {e}"))));
@@ -268,13 +266,10 @@ fn main() {
              path, so -e one-liners and the REPL cannot be recorded)",
         );
     }
-    // --heap-profile and --events-out need the collectors running even when
-    // the full text report was not requested; --sample=N only arms the
-    // deterministic sampler (exact per-instruction counting stays off).
-    let events_out = flags.value("--events-out");
-    let heap_profile = flags.has("--heap-profile");
+    // --sample=N only arms the deterministic sampler (exact per-instruction
+    // counting stays off).
     let profile = flags.has("--profile") || trace_out.is_some() || flags.has("--cache");
-    if profile || heap_profile || events_out.is_some() {
+    if profile {
         t.set_profile(true);
     }
     if let Some(n) = sample {
@@ -335,36 +330,16 @@ fn main() {
     // for none.
     if profile {
         eprint!("{}", t.profile().render_report());
-    } else {
-        // Section-only modes: --heap-profile / --sample=N without --profile
-        // print just their own report section.
-        if heap_profile {
-            eprint!("{}", t.profile().render_heap());
-        }
-        if sample.is_some() {
-            eprint!("{}", t.profile().render_samples());
-        }
+    } else if sample.is_some() {
+        // --sample=N without --profile prints just its own report section.
+        eprint!("{}", t.profile().render_samples());
     }
-    // The sink format follows the extension, validated above.
-    match trace_out {
-        Some(path) if path.ends_with(".folded") => {
-            write_sink(path, t.profile().to_folded(), "folded stacks")
-        }
-        Some(path) if path.ends_with(".jsonl") => {
-            write_sink(path, t.profile().to_jsonl(), "event stream")
-        }
-        Some(path) => write_sink(path, t.profile().to_chrome_json(), "Chrome trace"),
-        None => {}
-    }
-    if let Some(path) = events_out {
-        write_sink(path, t.profile().to_jsonl(), "event stream");
+    if let Some((path, (_, render, what))) = trace_out {
+        write_sink(path, render(&t.profile()), what);
     }
     if let Some(pass) = flags.value("--remarks") {
         let pass = (!pass.is_empty()).then_some(pass);
         eprint!("{}", t.profile().render_remarks(pass));
-    }
-    if let Some(path) = flags.value("--remarks-out") {
-        write_sink(path, t.profile().remarks_json(), "remarks");
     }
 }
 

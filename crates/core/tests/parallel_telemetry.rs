@@ -1,6 +1,6 @@
 //! Integration tests for the parallel-execution telemetry: the
 //! `== parallel ==` profile section, the `par_*` JSONL records, the
-//! Chrome worker tracks, the Lua `perf.parallel()` view, and the
+//! Chrome worker tracks, the Lua `perf.counters().par_site` rows, and the
 //! `--threads=0` (host core count) contract shared by the API and CLI.
 
 use terra_core::Terra;
@@ -112,15 +112,16 @@ fn perf_parallel_is_lua_visible() {
     t.exec(SCRIPT).unwrap();
     t.exec(
         r#"
-        local sites = perf.parallel()
-        assert(#sites == 1)
-        local s = sites[1]
+        local c = perf.counters()
+        assert(#c.par_site == 1)
+        local s = c.par_site[1]
         assert(s.func == "fill")
         assert(s.chunks == 32)
+        assert(#c.par_chunk == 32)
         assert(s.iterations == 1000)
         assert(s.instructions > 0)
-        assert(s.min_chunk_instructions <= s.median_chunk_instructions)
-        assert(s.median_chunk_instructions <= s.max_chunk_instructions)
+        assert(s.min <= s.median)
+        assert(s.median <= s.max)
         assert(s.imbalance >= 1.0)
         assert(s.efficiency > 0.0 and s.efficiency <= 1.0)
         assert(s.serial_fraction >= 0.0 and s.serial_fraction <= 1.0)
@@ -133,7 +134,7 @@ fn perf_parallel_is_lua_visible() {
 #[test]
 fn perf_parallel_requires_profiling() {
     let mut t = Terra::new();
-    let err = t.exec("perf.parallel()").unwrap_err();
+    let err = t.exec("return perf.counters().par_site").unwrap_err();
     assert!(
         err.to_string().contains("profiling not enabled"),
         "got: {err}"
@@ -199,9 +200,8 @@ mod cli {
             std::env::temp_dir().join(format!("terra-par-threads0-{}.jsonl", std::process::id()));
         let out = terra()
             .args([
-                "--profile",
                 "--threads=0",
-                "--events-out",
+                "--trace-out",
                 path.to_str().unwrap(),
                 PARFILL,
             ])
@@ -226,9 +226,8 @@ mod cli {
             ));
             let out = terra()
                 .args([
-                    "--profile",
                     "--threads=4",
-                    "--events-out",
+                    "--trace-out",
                     path.to_str().unwrap(),
                     PARFILL,
                 ])

@@ -219,6 +219,64 @@ mod json {
         }
     }
 
+    /// The members of one flat JSONL record, in order: each key with its
+    /// value as written.
+    pub fn members(line: &str) -> Vec<(String, String)> {
+        let b = line.as_bytes();
+        let (mut out, mut i) = (Vec::new(), 1);
+        while i < b.len() - 1 {
+            let key_end = past_string(b, i);
+            let start = key_end + 1;
+            let (mut j, mut depth) = (start, 0);
+            while depth > 0 || !matches!(b[j], b',' | b'}') {
+                match b[j] {
+                    b'"' => j = past_string(b, j) - 1,
+                    b'[' => depth += 1,
+                    b']' => depth -= 1,
+                    _ => {}
+                }
+                j += 1;
+            }
+            out.push((
+                line[i + 1..key_end - 1].to_string(),
+                line[start..j].to_string(),
+            ));
+            i = j + 1;
+        }
+        out
+    }
+
+    /// The index just past the string literal that opens at `b[i]`.
+    fn past_string(b: &[u8], mut i: usize) -> usize {
+        i += 1;
+        while b[i] != b'"' {
+            i += if b[i] == b'\\' { 2 } else { 1 };
+        }
+        i + 1
+    }
+
+    /// A string literal's text.
+    pub fn unescape(literal: &str) -> String {
+        let mut out = String::new();
+        let mut chars = literal[1..literal.len() - 1].chars();
+        while let Some(c) = chars.next() {
+            out.push(match (c, c == '\\') {
+                (_, false) => c,
+                _ => match chars.next().unwrap() {
+                    'n' => '\n',
+                    't' => '\t',
+                    'r' => '\r',
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap()
+                    }
+                    escaped => escaped,
+                },
+            });
+        }
+        out
+    }
+
     fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
         *i += 1;
         skip_ws(b, i);
@@ -249,7 +307,6 @@ fn chrome_trace_is_well_formed() {
     assert!(trace.starts_with(r#"{"traceEvents":["#));
     assert!(trace.contains(r#""ph":"X""#));
     assert!(trace.contains(r#""cat":"execute""#));
-    assert!(trace.contains(r#""total_instructions""#));
     assert!(trace.contains("kernel"));
 }
 
@@ -291,14 +348,19 @@ fn perf_counters_visible_from_lua() {
         assert(perf.enabled())
         triple(14)
         local c = perf.counters()
-        assert(c.total_instructions > 0, "instructions counted")
-        assert(c.funcs.triple.calls == 1, "per-function call count")
-        assert(c.funcs.triple.inclusive > 0)
-        assert(c.ops["mul.i"] == 1, "opcode counters")
+        local function named(rows, name)
+            for _, r in ipairs(rows) do
+                if r.name == name then return r end
+            end
+        end
+        assert(c.meta[1].total_instructions > 0, "instructions counted")
+        assert(named(c.func, "triple").calls == 1, "per-function call count")
+        assert(named(c.func, "triple").inclusive > 0)
+        assert(named(c.op, "mul.i").count == 1, "opcode counters")
         local r = perf.report()
         assert(string.find(r, "opcode counters") ~= nil, "report renders")
         perf.reset()
-        assert(perf.counters().total_instructions == 0, "reset clears")
+        assert(perf.counters().meta[1].total_instructions == 0, "reset clears")
         perf.disable()
         assert(not perf.enabled())
         print("perf ok")
@@ -321,7 +383,7 @@ fn perf_counters_are_deterministic_from_lua() {
             end
             perf.enable()
             work(50)
-            return perf.counters().total_instructions
+            return perf.counters().meta[1].total_instructions
         "#,
         )
         .unwrap()
@@ -330,6 +392,72 @@ fn perf_counters_are_deterministic_from_lua() {
         .unwrap()
     };
     assert_eq!(format!("{:?}", run()), format!("{:?}", run()));
+}
+
+/// The `perf` rows are the JSONL records: on a program that produces every
+/// record type, `perf.counters()` holds, per type, one row per record of
+/// that type in emission order, with exactly the record's keys and values.
+#[test]
+fn perf_rows_are_the_jsonl_records() {
+    use terra_core::LuaValue;
+    let mut t = Terra::new();
+    t.capture_output();
+    t.set_profile(true);
+    t.set_sample_interval(100);
+    t.exec(&seam_program()).unwrap();
+    let LuaValue::Table(counters) = t.exec("return perf.counters()").unwrap().remove(0) else {
+        panic!("perf.counters() is not a table");
+    };
+    let jsonl = t.profile().to_jsonl();
+    // A Lua value against a JSON value as written: a string, a number, or a
+    // list of numbers.
+    fn same(lua: &LuaValue, json: &str) -> bool {
+        match lua {
+            LuaValue::Str(s) => json.starts_with('"') && json::unescape(json) == **s,
+            LuaValue::Number(n) => json.parse::<f64>() == Ok(*n),
+            LuaValue::Table(list) => {
+                let list = list.borrow();
+                let items = json.strip_prefix('[').and_then(|j| j.strip_suffix(']'));
+                items.is_some_and(|items| {
+                    items.split(',').count() == list.len()
+                        && items
+                            .split(',')
+                            .zip(list.iter_array())
+                            .all(|(n, v)| same(v, n))
+                })
+            }
+            _ => false,
+        }
+    }
+    // Records seen so far, per type.
+    let mut seen = std::collections::BTreeMap::new();
+    for line in jsonl.lines() {
+        let mut members = json::members(line);
+        let ty = json::unescape(&members.remove(0).1);
+        let n = seen.entry(ty.clone()).or_insert(0);
+        *n += 1;
+        let LuaValue::Table(rows) = counters.borrow().get_str(&ty) else {
+            panic!("perf.counters() has no {ty} rows");
+        };
+        let LuaValue::Table(row) = rows.borrow().get(&LuaValue::Number(*n as f64)) else {
+            panic!("perf.counters().{ty} has no row {n}");
+        };
+        let row = row.borrow();
+        assert_eq!(row.entries().len(), members.len(), "{line}");
+        for (key, value) in &members {
+            let lua = row.get_str(key);
+            assert!(same(&lua, value), "{ty}[{n}].{key} is {lua:?}, not {value}");
+        }
+    }
+    assert_eq!(seen.len(), 16, "every record type: {seen:?}");
+    let counters = counters.borrow();
+    assert_eq!(counters.entries().len(), seen.len());
+    for (ty, n) in &seen {
+        let LuaValue::Table(rows) = counters.get_str(ty) else {
+            unreachable!()
+        };
+        assert_eq!(rows.borrow().len(), *n, "{ty}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +528,11 @@ const SEAM_SCRIPT: &str = r#"
         return 0
     end
 "#;
+
+/// [`SEAM_SCRIPT`] run once: it produces every telemetry record type.
+fn seam_program() -> String {
+    format!("{SEAM_SCRIPT} print(run(4096, 1))")
+}
 
 #[test]
 fn every_channel_prints_the_same_site() {
@@ -614,7 +747,7 @@ fn perf_counters_exposes_heap_from_lua() {
     t.exec(LEAK_SCRIPT).unwrap();
     t.exec(
         r#"
-        local h = perf.counters().heap
+        local h = perf.counters().heap[1]
         assert(h.sites == 2, "site count")
         assert(h.leaked_allocs == 1, "leak count")
         assert(h.leaked_bytes >= 512, "leak size")
@@ -941,9 +1074,9 @@ mod cli {
     }
 
     #[test]
-    fn heap_profile_flag_prints_only_the_heap_section() {
+    fn profile_flag_prints_the_heap_section() {
         let out = terra()
-            .args(["--heap-profile", "../../examples/leak.t"])
+            .args(["--profile", "../../examples/leak.t"])
             .output()
             .unwrap();
         assert!(out.status.success());
@@ -951,8 +1084,6 @@ mod cli {
         assert!(stderr.contains("== heap =="), "got: {stderr}");
         assert!(stderr.contains("leaked allocations"), "got: {stderr}");
         assert!(stderr.contains("via quote at line"), "got: {stderr}");
-        // Without --profile the rest of the report stays quiet.
-        assert!(!stderr.contains("== opcode counters =="), "got: {stderr}");
     }
 
     #[test]
@@ -986,7 +1117,7 @@ mod cli {
         for p in [&p1, &p2] {
             let out = terra()
                 .args([
-                    "--events-out",
+                    "--trace-out",
                     p.to_str().unwrap(),
                     "--sample=100",
                     "../../examples/leak.t",
@@ -1001,13 +1132,13 @@ mod cli {
         );
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
-        assert_eq!(a, b, "--events-out must be byte-stable across runs");
+        assert_eq!(a, b, "the JSONL stream must be byte-stable across runs");
         for line in a.lines() {
             super::json::validate(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
         }
         // The meta record versions the schema; consumers key off it.
         assert!(
-            a.starts_with("{\"type\":\"meta\",\"version\":1"),
+            a.starts_with("{\"type\":\"meta\",\"version\":2"),
             "got: {a}"
         );
         assert!(a.contains("\"type\":\"leak\""), "got: {a}");
@@ -1015,11 +1146,11 @@ mod cli {
     }
 
     /// DESIGN.md §6c's record table is the schema's one statement: every
-    /// record type `--events-out` writes has exactly the keys, in the
+    /// record type `--trace-out x.jsonl` writes has exactly the keys, in the
     /// order, the table lists for it, on a program that produces all
-    /// fifteen types.
+    /// sixteen types.
     #[test]
-    fn events_out_matches_the_documented_schema() {
+    fn trace_out_jsonl_matches_the_documented_schema() {
         let design = include_str!("../../../DESIGN.md");
         let table = design
             .split_once("Records, in emission order:")
@@ -1053,13 +1184,12 @@ mod cli {
                 (ty, names)
             })
             .collect();
-        assert_eq!(documented.len(), 15, "{documented:?}");
+        assert_eq!(documented.len(), 16, "{documented:?}");
 
         let path = std::env::temp_dir().join(format!("terra-schema-{}.jsonl", std::process::id()));
-        let program = format!("{} print(run(4096, 1))", super::SEAM_SCRIPT);
         let out = terra()
-            .args(["--events-out", path.to_str().unwrap(), "--sample=100", "-e"])
-            .arg(&program)
+            .args(["--trace-out", path.to_str().unwrap(), "--sample=100", "-e"])
+            .arg(super::seam_program())
             .output()
             .unwrap();
         assert!(
@@ -1070,33 +1200,12 @@ mod cli {
         let stream = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        // Keys at the top level of one record, in order.
-        let keys = |line: &str| -> Vec<String> {
-            let b = line.as_bytes();
-            let (mut keys, mut depth, mut i) = (Vec::new(), 0, 0);
-            while i < b.len() {
-                match b[i] {
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' => depth -= 1,
-                    b'"' => {
-                        let start = i + 1;
-                        i = start;
-                        while b[i] != b'"' {
-                            i += if b[i] == b'\\' { 2 } else { 1 };
-                        }
-                        if depth == 1 && b.get(i + 1) == Some(&b':') {
-                            keys.push(line[start..i].to_string());
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            keys
-        };
         let mut emitted: Vec<(String, Vec<String>)> = Vec::new();
         for line in stream.lines() {
-            let mut k = keys(line);
+            let mut k: Vec<String> = super::json::members(line)
+                .into_iter()
+                .map(|m| m.0)
+                .collect();
             assert_eq!(k.remove(0), "type", "{line}");
             let ty = line.split('"').nth(3).unwrap().to_string();
             match emitted.iter().find(|(t, _)| *t == ty) {

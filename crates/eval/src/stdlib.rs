@@ -1110,102 +1110,37 @@ fn profiling(it: &Interp, what: &str) -> EvalResult<()> {
     )))
 }
 
-/// A site's three fields, as `perf` rows spell them.
-fn set_site(row: &mut crate::value::Table, site: &terra_vm::trace::Site) {
-    let (func, line, chain) = site.fields();
-    row.set_str("func", LuaValue::str(func));
-    row.set_str("line", LuaValue::Number(line as f64));
-    row.set_str("provenance", LuaValue::str(chain));
+/// A `perf` row: one telemetry record's fields under its JSONL keys, with
+/// the values the JSONL holds (a ratio to its four decimals).
+struct Row<'a>(&'a mut Table);
+
+impl terra_vm::trace::Fields for Row<'_> {
+    fn int(&mut self, key: &str, value: i64) {
+        self.0.set_str(key, LuaValue::Number(value as f64));
+    }
+
+    fn ratio(&mut self, key: &str, value: f64) {
+        let fixed = format!("{value:.4}").parse().unwrap_or(value);
+        self.0.set_str(key, LuaValue::Number(fixed));
+    }
+
+    fn str(&mut self, key: &str, value: &str) {
+        self.0.set_str(key, LuaValue::str(value));
+    }
+
+    fn ints(&mut self, key: &str, values: &[u64]) {
+        let list = new_table();
+        for v in values {
+            list.borrow_mut().push(LuaValue::Number(*v as f64));
+        }
+        self.0.set_str(key, LuaValue::Table(list));
+    }
 }
 
-/// Builds a Lua table view of a [`terra_vm::trace::Profile`]. Counts are
-/// exposed as Lua numbers (f64), which is exact up to 2^53 instructions.
-fn profile_to_table(profile: &terra_vm::trace::Profile) -> TableRef {
-    let n = |v: u64| LuaValue::Number(v as f64);
+/// The record `fields` writes, as a `perf` row.
+fn row(fields: &dyn Fn(&mut dyn terra_vm::trace::Fields)) -> TableRef {
     let t = new_table();
-    {
-        let mut tb = t.borrow_mut();
-        tb.set_str("total_instructions", n(profile.total_instructions()));
-
-        let ops = new_table();
-        {
-            let mut ob = ops.borrow_mut();
-            for (mnemonic, count) in &profile.ops {
-                ob.set_str(mnemonic, n(*count));
-            }
-        }
-        tb.set_str("ops", LuaValue::Table(ops));
-
-        let funcs = new_table();
-        {
-            let mut fb = funcs.borrow_mut();
-            for f in &profile.funcs {
-                let row = new_table();
-                {
-                    let mut rb = row.borrow_mut();
-                    rb.set_str("calls", n(f.counters.calls));
-                    rb.set_str("inclusive", n(f.counters.inclusive));
-                    rb.set_str("exclusive", n(f.counters.exclusive));
-                }
-                fb.set_str(&f.name, LuaValue::Table(row));
-            }
-        }
-        tb.set_str("funcs", LuaValue::Table(funcs));
-
-        let mem = new_table();
-        {
-            let m = &profile.mem;
-            let mut mb = mem.borrow_mut();
-            mb.set_str("mallocs", n(m.mallocs));
-            mb.set_str("frees", n(m.frees));
-            mb.set_str("peak_live_bytes", n(m.peak_live_bytes));
-            mb.set_str("loads", n(m.total_loads()));
-            mb.set_str("stores", n(m.total_stores()));
-            mb.set_str("vec_loads", n(m.vec_loads));
-            mb.set_str("vec_stores", n(m.vec_stores));
-            mb.set_str("prefetches", n(m.prefetches));
-        }
-        tb.set_str("mem", LuaValue::Table(mem));
-
-        let cache = new_table();
-        {
-            let c = &profile.cache;
-            let mut cb = cache.borrow_mut();
-            cb.set_str("l1_hits", n(c.l1.hits));
-            cb.set_str("l1_misses", n(c.l1.misses));
-            cb.set_str("l1_evictions", n(c.l1.evictions));
-            cb.set_str("l1_miss_rate", LuaValue::Number(c.l1.miss_rate()));
-            cb.set_str("l2_hits", n(c.l2.hits));
-            cb.set_str("l2_misses", n(c.l2.misses));
-            cb.set_str("l2_evictions", n(c.l2.evictions));
-            cb.set_str("l2_miss_rate", LuaValue::Number(c.l2.miss_rate()));
-            cb.set_str("prefetch_useful", n(c.prefetch_useful));
-            cb.set_str("prefetch_late", n(c.prefetch_late));
-            cb.set_str("prefetch_useless", n(c.prefetch_useless));
-        }
-        tb.set_str("cache", LuaValue::Table(cache));
-
-        let heap = new_table();
-        {
-            let h = &profile.heap;
-            let mut hb = heap.borrow_mut();
-            hb.set_str("sites", n(h.sites.len() as u64));
-            hb.set_str("live_bytes", n(h.live_bytes));
-            hb.set_str("peak_live_bytes", n(h.peak_live_bytes));
-            hb.set_str("leaked_allocs", n(h.leaked_allocs()));
-            hb.set_str("leaked_bytes", n(h.leaked_bytes()));
-        }
-        tb.set_str("heap", LuaValue::Table(heap));
-
-        let samples = new_table();
-        {
-            let s = &profile.samples;
-            let mut sb = samples.borrow_mut();
-            sb.set_str("interval", n(s.interval));
-            sb.set_str("total", n(s.total));
-        }
-        tb.set_str("samples", LuaValue::Table(samples));
-    }
+    fields(&mut Row(&mut t.borrow_mut()));
     t
 }
 
@@ -1213,131 +1148,67 @@ fn profile_to_table(profile: &terra_vm::trace::Profile) -> TableRef {
 /// instruction and memory counters, so scripts (notably autotuners) can rank
 /// kernel variants without relying on wall-clock noise.
 fn install_perf(interp: &mut Interp) {
-    let t = new_table();
-    {
-        let mut tb = t.borrow_mut();
-        tb.set_str(
-            "enable",
-            native("perf.enable", |it, _args| {
-                it.ctx.exec.set_profile(true);
-                Ok(vec![])
-            }),
-        );
-        tb.set_str(
-            "disable",
-            native("perf.disable", |it, _args| {
-                it.ctx.exec.set_profile(false);
-                Ok(vec![])
-            }),
-        );
-        tb.set_str(
-            "enabled",
-            native("perf.enabled", |it, _args| {
-                Ok(vec![LuaValue::Bool(it.ctx.exec.trace.enabled())])
-            }),
-        );
-        tb.set_str(
-            "reset",
-            native("perf.reset", |it, _args| {
-                it.ctx.exec.reset_profile();
-                Ok(vec![])
-            }),
-        );
-        tb.set_str(
-            "counters",
-            native("perf.counters", |it, _args| {
-                profiling(it, "perf.counters")?;
-                let profile = it.ctx.exec.profile();
-                Ok(vec![LuaValue::Table(profile_to_table(&profile))])
-            }),
-        );
-        tb.set_str(
-            "report",
-            native("perf.report", |it, _args| {
-                profiling(it, "perf.report")?;
-                let profile = it.ctx.exec.profile();
-                Ok(vec![LuaValue::Str(Rc::from(
-                    profile.render_counters().as_str(),
-                ))])
-            }),
-        );
-        tb.set_str(
-            "parallel",
-            native("perf.parallel", |it, _args| {
-                profiling(it, "perf.parallel")?;
-                // One row per par.for site, array-indexed in first-execution
-                // order, carrying the derived imbalance/efficiency metrics so
-                // autotuners can rank chunkings without re-deriving them.
-                let n = |v: u64| LuaValue::Number(v as f64);
-                let program_total = it.ctx.exec.profile().total_instructions();
-                let out = new_table();
-                {
-                    let mut ob = out.borrow_mut();
-                    for (i, s) in it.ctx.exec.parallel_stats().sites.iter().enumerate() {
-                        let row = new_table();
-                        {
-                            let mut rb = row.borrow_mut();
-                            set_site(&mut rb, &s.site);
-                            rb.set_str("kernel", LuaValue::str(s.kernel.as_str()));
-                            rb.set_str("threads", n(s.threads));
-                            rb.set_str("invocations", n(s.invocations));
-                            rb.set_str("chunks", n(s.chunks.len() as u64));
-                            rb.set_str("iterations", n(s.iterations));
-                            rb.set_str("instructions", n(s.total_instructions()));
-                            let (min, median, max) = s.chunk_instruction_spread();
-                            rb.set_str("min_chunk_instructions", n(min));
-                            rb.set_str("median_chunk_instructions", n(median));
-                            rb.set_str("max_chunk_instructions", n(max));
-                            rb.set_str("imbalance", LuaValue::Number(s.imbalance()));
-                            rb.set_str("efficiency", LuaValue::Number(s.efficiency()));
-                            rb.set_str(
-                                "critical_chunk",
-                                n(s.critical_chunk().map(|c| c.chunk).unwrap_or(0)),
-                            );
-                            rb.set_str(
-                                "serial_fraction",
-                                LuaValue::Number(s.serial_fraction(program_total)),
-                            );
-                        }
-                        ob.set(LuaValue::Number((i + 1) as f64), LuaValue::Table(row));
+    let natives: [(&'static str, crate::value::NativeFn); 7] = [
+        ("perf.enable", |it, _args| {
+            it.ctx.exec.set_profile(true);
+            Ok(vec![])
+        }),
+        ("perf.disable", |it, _args| {
+            it.ctx.exec.set_profile(false);
+            Ok(vec![])
+        }),
+        ("perf.enabled", |it, _args| {
+            Ok(vec![LuaValue::Bool(it.ctx.exec.trace.enabled())])
+        }),
+        ("perf.reset", |it, _args| {
+            it.ctx.exec.reset_profile();
+            Ok(vec![])
+        }),
+        ("perf.counters", |it, _args| {
+            profiling(it, "perf.counters")?;
+            // One array of rows per record type, in emission order.
+            let out = new_table();
+            it.ctx.exec.profile().records(|ty, fields| {
+                let mut ob = out.borrow_mut();
+                let rows = match ob.get_str(ty) {
+                    LuaValue::Table(rows) => rows,
+                    _ => {
+                        let rows = new_table();
+                        ob.set_str(ty, LuaValue::Table(rows.clone()));
+                        rows
                     }
-                }
-                Ok(vec![LuaValue::Table(out)])
-            }),
-        );
-        tb.set_str(
-            "remarks",
-            native("perf.remarks", |it, args| {
-                // Optional filter: perf.remarks("inline"). Remarks are
-                // collected unconditionally, so this works without
-                // perf.enable().
-                let filter = match arg(&args, 0) {
-                    LuaValue::Str(s) => Some(s),
-                    _ => None,
                 };
-                let out = new_table();
-                {
-                    let mut ob = out.borrow_mut();
-                    let mut i = 1.0;
-                    for r in it.ctx.exec.trace.remarks() {
-                        if filter.as_deref().is_some_and(|p| p != r.pass) {
-                            continue;
-                        }
-                        let row = new_table();
-                        {
-                            let mut rb = row.borrow_mut();
-                            rb.set_str("pass", LuaValue::str(r.pass));
-                            rb.set_str("kind", LuaValue::str(r.kind));
-                            set_site(&mut rb, &r.site);
-                            rb.set_str("message", LuaValue::str(r.message.as_str()));
-                        }
-                        ob.set(LuaValue::Number(i), LuaValue::Table(row));
-                        i += 1.0;
-                    }
+                rows.borrow_mut().push(LuaValue::Table(row(fields)));
+            });
+            Ok(vec![LuaValue::Table(out)])
+        }),
+        ("perf.report", |it, _args| {
+            profiling(it, "perf.report")?;
+            Ok(vec![LuaValue::str(it.ctx.exec.profile().render_counters())])
+        }),
+        ("perf.remarks", |it, args| {
+            // Optional filter: perf.remarks("inline"). Remarks are collected
+            // unconditionally, so this works without perf.enable().
+            let filter = str_arg(&args, 0, "perf.remarks").ok();
+            let remarks = it.ctx.exec.trace.remarks().iter();
+            let remarks = remarks.filter(|r| filter.as_deref().is_none_or(|p| p == r.pass));
+            let profile = terra_vm::trace::Profile {
+                remarks: remarks.cloned().collect(),
+                ..Default::default()
+            };
+            let out = new_table();
+            profile.records(|ty, fields| {
+                if ty == "remark" {
+                    out.borrow_mut().push(LuaValue::Table(row(fields)));
                 }
-                Ok(vec![LuaValue::Table(out)])
-            }),
-        );
+            });
+            Ok(vec![LuaValue::Table(out)])
+        }),
+    ];
+    let t = new_table();
+    for (name, f) in natives {
+        t.borrow_mut()
+            .set_str(&name["perf.".len()..], native(name, f));
     }
     interp.set_global("perf", LuaValue::Table(t));
 }

@@ -1,12 +1,15 @@
 //! Chrome trace-event JSON export (`chrome://tracing`, Perfetto, Speedscope).
 //!
 //! Emits the object form of the trace-event format: a `traceEvents` array of
-//! complete (`"ph":"X"`) spans — one per staging/execution span — plus an
-//! `otherData` object carrying the deterministic counter summary.
+//! complete (`"ph":"X"`) spans — one per staging/execution span — plus
+//! instant, counter and worker-track events. The deterministic counters are
+//! the JSONL stream's and the text report's; a remark's or a chunk's `args`
+//! are its `remark`/`par_chunk` record fields.
 
-use crate::events::{func_fields, mem_fields, remark_fields};
+use crate::events::{chunk_fields, remark_fields, Fields};
 use crate::json::Json;
 use crate::{Profile, Stage};
+use std::collections::HashMap;
 
 /// Opens a trace event: name (the parts joined), category (if any), phase.
 fn event<'a, 'j>(e: &'a mut Json<'j>, name: &[&str], cat: &str, ph: &str) -> &'a mut Json<'j> {
@@ -26,14 +29,12 @@ impl Profile {
     /// Serializes the profile as Chrome trace-event JSON.
     ///
     /// The result is a single JSON object with a `traceEvents` array (one
-    /// complete event per span, microsecond timestamps) and an `otherData`
-    /// object with opcode/function/memory counter totals.
+    /// complete event per span, microsecond timestamps).
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::new();
         Json::object(&mut out, |top| {
             top.array_in("traceEvents", |events| self.chrome_events(events))
-                .str("displayTimeUnit", "ms")
-                .object_in("otherData", |data| self.chrome_summary(data));
+                .str("displayTimeUnit", "ms");
         });
         out
     }
@@ -50,15 +51,20 @@ impl Profile {
         }
         // Remarks become instant events pinned to the start of the optimize
         // span of the pass that emitted them, so they line up with the work
-        // they explain in the timeline view.
+        // they explain in the timeline view. A pass's span is named
+        // `func:pass`; the first one of each name is the one a remark joins.
+        let mut optimize_starts = HashMap::new();
+        for e in self.events.iter().filter(|e| e.stage == Stage::Optimize) {
+            if let Some(key) = e.name.rsplit_once(':') {
+                optimize_starts.entry(key).or_insert(e.start_us);
+            }
+        }
         for r in &self.remarks {
-            let span_name = format!("{}:{}", r.site.func, r.pass);
-            let mut spans = self.events.iter();
-            let span = spans.find(|e| e.stage == Stage::Optimize && e.name == span_name);
+            let start = optimize_starts.get(&(&*r.site.func, r.pass));
             events.element(|ev| {
                 event(ev, &["remark: ", r.pass, " ", r.kind], "remark", "i")
                     .str("s", "t")
-                    .raw("ts", span.map_or(0, |e| e.start_us));
+                    .raw("ts", start.copied().unwrap_or(0));
                 track(ev, 1, 1).object_in("args", |args| remark_fields(args, r));
             });
         }
@@ -107,7 +113,7 @@ impl Profile {
                 });
             });
         }
-        for s in sites {
+        for (si, s) in sites.iter().enumerate() {
             for c in &s.chunks {
                 let name = format!(
                     "{} chunk {} iters {}..{}",
@@ -117,74 +123,16 @@ impl Profile {
                     event(ev, &[&name], "parallel", "X")
                         .raw("ts", c.start_us)
                         .raw("dur", c.dur_us.max(1));
-                    track(ev, 2, c.worker).object_in("args", |args| {
-                        args.raw("instructions", c.instructions)
-                            .raw("loads", c.loads)
-                            .raw("stores", c.stores)
-                            .raw("l1_misses", c.l1_misses);
-                    });
+                    track(ev, 2, c.worker).object_in("args", |args| chunk_fields(args, si, c));
                 });
             }
             if let Some(site_ts) = s.chunks.iter().map(|c| c.start_us).min() {
                 events.element(|ev| {
                     event(ev, &["parallel efficiency"], "", "C").raw("ts", site_ts);
-                    track(ev, 2, 0).object_in("args", |args| {
-                        args.raw(&s.kernel, format_args!("{:.4}", s.efficiency()));
-                    });
+                    track(ev, 2, 0).object_in("args", |args| args.ratio(&s.kernel, s.efficiency()));
                 });
             }
         }
-    }
-
-    fn chrome_summary(&self, data: &mut Json) {
-        data.raw("total_instructions", self.total_instructions())
-            .object_in("opcodes", |ops| {
-                for (op, n) in &self.ops {
-                    ops.raw(op, n);
-                }
-            })
-            .object_in("functions", |funcs| {
-                for f in &self.funcs {
-                    funcs.object_in(&f.name, |o| func_fields(o, &f.counters));
-                }
-            })
-            .object_in("memory", |o| mem_fields(o, &self.mem))
-            .object_in("cache", |cache| {
-                for (level, s) in [("l1", self.cache.l1), ("l2", self.cache.l2)] {
-                    cache.object_in(level, |o| {
-                        o.raw("hits", s.hits)
-                            .raw("misses", s.misses)
-                            .raw("evictions", s.evictions)
-                            .raw("miss_rate", format_args!("{:.6}", s.miss_rate()));
-                    });
-                }
-                cache.object_in("prefetch", |o| {
-                    o.raw("useful", self.cache.prefetch_useful)
-                        .raw("late", self.cache.prefetch_late)
-                        .raw("useless", self.cache.prefetch_useless);
-                });
-            })
-            .object_in("heap", |o| {
-                o.raw("sites", self.heap.sites.len())
-                    .raw("live_bytes", self.heap.live_bytes)
-                    .raw("peak_live_bytes", self.heap.peak_live_bytes)
-                    .raw("leaked_allocs", self.heap.leaked_allocs())
-                    .raw("leaked_bytes", self.heap.leaked_bytes());
-            });
-    }
-
-    /// Serializes the remark stream as a standalone JSON array (the
-    /// `--remarks-out` payload). Deterministic: no timestamps, emission
-    /// order.
-    pub fn remarks_json(&self) -> String {
-        let mut out = String::new();
-        Json::array(&mut out, |array| {
-            for r in &self.remarks {
-                array.element(|o| remark_fields(o, r));
-            }
-        });
-        out.push('\n');
-        out
     }
 }
 
@@ -207,7 +155,6 @@ mod tests {
         let j = p.to_chrome_json();
         assert!(j.starts_with("{\"traceEvents\":["));
         assert!(j.contains("\\\"nk"), "quote must be escaped: {j}");
-        assert!(j.contains("\"cache\""), "otherData must carry cache: {j}");
         // No cache activity: no counter event in the stream.
         assert!(!j.contains("\"ph\":\"C\""), "{j}");
         let open = j.matches(['{', '[']).count();
@@ -248,10 +195,9 @@ mod tests {
                 start_us: 0,
                 dur_us: 1,
             }],
-            ops: vec![("weird\\op\"".into(), 1)],
-            funcs: vec![crate::FuncProfile {
-                name: "f\\\"g\n".into(),
-                counters: crate::FuncCounters::default(),
+            remarks: vec![crate::Remark {
+                site: crate::Site::new("f\\\"g\n", 1, None),
+                ..remark("inline", "weird\\op\"")
             }],
             ..Profile::default()
         };
@@ -368,17 +314,19 @@ mod tests {
 
     #[test]
     fn remarks_json_is_deterministic_and_escaped() {
-        let mut p = Profile {
+        // A remark's Chrome `args` are its `remark` record fields.
+        let p = Profile {
             remarks: vec![remark("inline", "inlined 'f\"g\\h'")],
             ..Profile::default()
         };
-        let a = p.remarks_json();
-        assert_eq!(a, p.remarks_json());
-        assert!(a.starts_with('['));
-        assert!(a.ends_with("]\n"));
-        assert!(a.contains("\"pass\":\"inline\""), "{a}");
-        assert!(a.contains("inlined 'f\\\"g\\\\h'"), "{a}");
-        p.remarks.clear();
-        assert_eq!(p.remarks_json(), "[]\n");
+        let j = p.to_chrome_json();
+        assert_eq!(j, p.to_chrome_json());
+        assert!(
+            j.contains(
+                "\"args\":{\"pass\":\"inline\",\"kind\":\"applied\",\"func\":\"gemm\",\"line\":7,"
+            ),
+            "{j}"
+        );
+        assert!(j.contains("inlined 'f\\\"g\\\\h'"), "{j}");
     }
 }

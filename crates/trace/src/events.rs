@@ -1,190 +1,232 @@
-//! Unified JSONL telemetry stream.
-//!
-//! One newline-delimited JSON object per event, so external tooling
-//! consumes a single artifact instead of four bespoke exports. The stream
-//! is **deterministic**: every record is derived from instruction/byte
-//! counts or emission order, and the wall-clock span timestamps are
-//! deliberately omitted (spans appear as order-only records). Two runs of
-//! the same program therefore produce byte-identical files.
-//!
-//! The record table — each type and its fields, in emission order — is
-//! DESIGN.md §6c's; `core/tests/profile.rs` holds that table to what this
-//! file emits. A located record writes its [`Site`] through
-//! [`site_fields`]: the function under the key that record type has always
-//! used (`func` or `function`), then `line` and `provenance`.
+//! The telemetry records: [`Profile::records`] visits each once — its type,
+//! then its fields in order, through a [`Fields`] sink. The JSONL stream is
+//! that walk through the JSON writer, the Lua `perf` rows the walk through a
+//! Lua-table sink, and Chrome's remark and chunk `args` are the `remark` and
+//! `par_chunk` fields. Every field is a count, a ratio of counts or an
+//! emission order — span timestamps are left out — so two runs of a program
+//! give byte-identical records. DESIGN.md §6c's table is the schema;
+//! `core/tests/profile.rs` holds this file to it.
 
 use crate::json::Json;
-use crate::{FuncCounters, MemStats, Profile, Remark, Site};
+use crate::{ParChunkStats, Profile, Remark, Site};
 
-/// A site's three fields, the function under `func_key`.
-pub(crate) fn site_fields<'a, 'j>(
-    o: &'a mut Json<'j>,
-    func_key: &str,
-    site: &Site,
-) -> &'a mut Json<'j> {
+/// Where a record's fields go, in order.
+pub trait Fields {
+    /// An integer.
+    fn int(&mut self, key: &str, value: i64);
+    /// A ratio, kept to four fixed decimals.
+    fn ratio(&mut self, key: &str, value: f64);
+    /// A string.
+    fn str(&mut self, key: &str, value: &str);
+    /// A list of counts.
+    fn ints(&mut self, key: &str, values: &[u64]);
+}
+
+impl Fields for Json<'_> {
+    fn int(&mut self, key: &str, value: i64) {
+        self.raw(key, value);
+    }
+
+    fn ratio(&mut self, key: &str, value: f64) {
+        self.raw(key, format_args!("{value:.4}"));
+    }
+
+    fn str(&mut self, key: &str, value: &str) {
+        Json::str(self, key, value);
+    }
+
+    fn ints(&mut self, key: &str, values: &[u64]) {
+        let items: Vec<String> = values.iter().map(u64::to_string).collect();
+        self.raw(key, format_args!("[{}]", items.join(",")));
+    }
+}
+
+impl dyn Fields + '_ {
+    /// A count: every integer field but an iteration bound.
+    fn count(&mut self, key: &str, value: u64) {
+        self.int(key, i64::try_from(value).unwrap_or(i64::MAX));
+    }
+}
+
+/// A site's three fields: `func`, `line`, `provenance`.
+fn site_fields(f: &mut dyn Fields, site: &Site) {
     let (func, line, chain) = site.fields();
-    o.str(func_key, func)
-        .raw("line", line)
-        .str("provenance", chain)
+    f.str("func", func);
+    f.count("line", line.into());
+    f.str("provenance", chain);
 }
 
-/// The six fields of a remark, as every export spells them.
-pub(crate) fn remark_fields(o: &mut Json, r: &Remark) {
-    site_fields(
-        o.str("pass", r.pass).str("kind", r.kind),
-        "function",
-        &r.site,
-    )
-    .str("message", &r.message);
+/// The fields of a `remark` record.
+pub(crate) fn remark_fields(f: &mut dyn Fields, r: &Remark) {
+    f.str("pass", r.pass);
+    f.str("kind", r.kind);
+    site_fields(f, &r.site);
+    f.str("message", &r.message);
 }
 
-/// A function's call and instruction counters.
-pub(crate) fn func_fields(o: &mut Json, c: &FuncCounters) {
-    o.raw("calls", c.calls)
-        .raw("inclusive", c.inclusive)
-        .raw("exclusive", c.exclusive);
-}
-
-/// The memory system's counters; loads and stores are per access width.
-pub(crate) fn mem_fields(o: &mut Json, m: &MemStats) {
-    let [l1, l2, l4, l8] = m.loads;
-    let [s1, s2, s4, s8] = m.stores;
-    o.raw("mallocs", m.mallocs)
-        .raw("frees", m.frees)
-        .raw("peak_live_bytes", m.peak_live_bytes)
-        .raw("loads", format_args!("[{l1},{l2},{l4},{l8}]"))
-        .raw("stores", format_args!("[{s1},{s2},{s4},{s8}]"))
-        .raw("vec_loads", m.vec_loads)
-        .raw("vec_stores", m.vec_stores)
-        .raw("prefetches", m.prefetches);
+/// The fields of a `par_chunk` record: chunk `c` of `par_site` number `site`.
+pub(crate) fn chunk_fields(f: &mut dyn Fields, site: usize, c: &ParChunkStats) {
+    f.count("site", site as u64);
+    f.count("chunk", c.chunk);
+    f.int("start", c.start);
+    f.int("end", c.end);
+    f.count("worker", c.worker);
+    f.count("instructions", c.instructions);
+    f.count("loads", c.loads);
+    f.count("stores", c.stores);
+    f.count("l1_misses", c.l1_misses);
+    f.count("l2_misses", c.l2_misses);
 }
 
 impl Profile {
-    /// Serializes the profile as one deterministic JSONL event stream.
-    /// See the module docs of `events` for the schema.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        // One record: an object whose first member is its type, then a
-        // newline.
-        let mut record = |ty: &str, fields: &dyn Fn(&mut Json)| {
-            Json::object(&mut out, |o| fields(o.str("type", ty)));
-            out.push('\n');
-        };
-        record("meta", &|o| {
-            o.raw("version", 1)
-                .raw("total_instructions", self.total_instructions())
-                .raw("sample_interval", self.samples.interval);
+    /// Visits every record of the profile once, in emission order: `each`
+    /// gets the record's type and a function that writes its fields into a
+    /// sink. See the module docs for who reads the walk.
+    pub fn records(&self, mut each: impl FnMut(&'static str, &dyn Fn(&mut dyn Fields))) {
+        let total = self.total_instructions();
+        each("meta", &|f| {
+            f.count("version", 2);
+            f.count("total_instructions", total);
+            f.count("sample_interval", self.samples.interval);
+            f.count("sample_total", self.samples.total);
         });
         for (seq, ev) in self.events.iter().enumerate() {
-            record("span", &|o| {
-                o.raw("seq", seq)
-                    .str("stage", ev.stage.label())
-                    .str("name", &ev.name);
+            each("span", &|f| {
+                f.count("seq", seq as u64);
+                f.str("stage", ev.stage.label());
+                f.str("name", &ev.name);
             });
         }
         for (op, n) in &self.ops {
-            record("op", &|o| {
-                o.str("name", op).raw("count", n);
+            each("op", &|f| {
+                f.str("name", op);
+                f.count("count", *n);
             });
         }
-        for f in &self.funcs {
-            record("func", &|o| {
-                func_fields(o.str("name", &f.name), &f.counters)
+        for p in &self.funcs {
+            each("func", &|f| {
+                f.str("name", &p.name);
+                f.count("calls", p.counters.calls);
+                f.count("inclusive", p.counters.inclusive);
+                f.count("exclusive", p.counters.exclusive);
             });
         }
-        record("mem", &|o| mem_fields(o, &self.mem));
-        if self.cache.total_accesses() > 0 {
-            for (level, s) in [("l1", self.cache.l1), ("l2", self.cache.l2)] {
-                record("cache", &|o| {
-                    o.str("level", level)
-                        .raw("hits", s.hits)
-                        .raw("misses", s.misses)
-                        .raw("evictions", s.evictions);
+        let (m, c) = (&self.mem, &self.cache);
+        each("mem", &|f| {
+            f.count("mallocs", m.mallocs);
+            f.count("frees", m.frees);
+            f.count("peak_live_bytes", m.peak_live_bytes);
+            f.ints("loads", &m.loads);
+            f.ints("stores", &m.stores);
+            f.count("vec_loads", m.vec_loads);
+            f.count("vec_stores", m.vec_stores);
+            f.count("prefetches", m.prefetches);
+            f.count("prefetch_useful", c.prefetch_useful);
+            f.count("prefetch_late", c.prefetch_late);
+            f.count("prefetch_useless", c.prefetch_useless);
+        });
+        if c.total_accesses() > 0 {
+            for (level, s) in [("l1", c.l1), ("l2", c.l2)] {
+                each("cache", &|f| {
+                    f.str("level", level);
+                    f.count("hits", s.hits);
+                    f.count("misses", s.misses);
+                    f.count("evictions", s.evictions);
+                    f.ratio("miss_rate", s.miss_rate());
                 });
             }
         }
         for l in &self.cache_lines {
-            record("cache_line", &|o| {
-                o.str("func", &l.site.func)
-                    .raw("line", l.site.line)
-                    .raw("accesses", l.accesses)
-                    .raw("l1_misses", l.l1_misses)
-                    .raw("l2_misses", l.l2_misses);
+            each("cache_line", &|f| {
+                f.str("func", &l.site.func);
+                f.count("line", l.site.line.into());
+                f.count("accesses", l.accesses);
+                f.count("l1_misses", l.l1_misses);
+                f.count("l2_misses", l.l2_misses);
             });
         }
         for r in &self.remarks {
-            record("remark", &|o| remark_fields(o, r));
+            each("remark", &|f| remark_fields(f, r));
         }
-        for s in &self.heap.sites {
-            record("heap_site", &|o| {
-                site_fields(o, "func", &s.site)
-                    .raw("count", s.count)
-                    .raw("bytes", s.bytes)
-                    .raw("peak_bytes", s.peak_bytes)
-                    .raw("live_count", s.live_count)
-                    .raw("live_bytes", s.live_bytes);
+        let h = &self.heap;
+        each("heap", &|f| {
+            f.count("sites", h.sites.len() as u64);
+            f.count("live_bytes", h.live_bytes);
+            f.count("peak_live_bytes", h.peak_live_bytes);
+            f.count("leaked_allocs", h.leaked_allocs());
+            f.count("leaked_bytes", h.leaked_bytes());
+        });
+        for s in &h.sites {
+            each("heap_site", &|f| {
+                site_fields(f, &s.site);
+                f.count("count", s.count);
+                f.count("bytes", s.bytes);
+                f.count("peak_bytes", s.peak_bytes);
+                f.count("live_count", s.live_count);
+                f.count("live_bytes", s.live_bytes);
             });
         }
-        for p in &self.heap.timeline {
-            record("heap_timeline", &|o| {
-                o.raw("seq", p.seq).raw("live_bytes", p.live_bytes);
+        for p in &h.timeline {
+            each("heap_timeline", &|f| {
+                f.count("seq", p.seq);
+                f.count("live_bytes", p.live_bytes);
             });
         }
-        for s in self.heap.leaks() {
-            record("leak", &|o| {
-                site_fields(o, "func", &s.site)
-                    .raw("count", s.live_count)
-                    .raw("bytes", s.live_bytes);
+        for s in h.leaks() {
+            each("leak", &|f| {
+                site_fields(f, &s.site);
+                f.count("count", s.live_count);
+                f.count("bytes", s.live_bytes);
             });
         }
         for (stack, n) in &self.samples.stacks {
-            record("sample", &|o| {
-                o.str("stack", stack).raw("count", n);
+            each("sample", &|f| {
+                f.str("stack", stack);
+                f.count("count", *n);
             });
         }
         for (si, s) in self.parallel.sites.iter().enumerate() {
             let (min, median, max) = s.chunk_instruction_spread();
-            record("par_site", &|o| {
-                site_fields(o.raw("site", si), "function", &s.site)
-                    .str("kernel", &s.kernel)
-                    .raw("threads", s.threads)
-                    .raw("invocations", s.invocations)
-                    .raw("chunks", s.chunks.len())
-                    .raw("iterations", s.iterations)
-                    .raw("instructions", s.total_instructions())
-                    .raw("min", min)
-                    .raw("median", median)
-                    .raw("max", max)
-                    .raw("imbalance", format_args!("{:.4}", s.imbalance()))
-                    .raw("efficiency", format_args!("{:.4}", s.efficiency()))
-                    .raw(
-                        "critical_chunk",
-                        s.critical_chunk().map(|c| c.chunk).unwrap_or(0),
-                    );
+            each("par_site", &|f| {
+                f.count("site", si as u64);
+                site_fields(f, &s.site);
+                f.str("kernel", &s.kernel);
+                f.count("threads", s.threads);
+                f.count("invocations", s.invocations);
+                f.count("chunks", s.chunks.len() as u64);
+                f.count("iterations", s.iterations);
+                f.count("instructions", s.total_instructions());
+                f.count("min", min);
+                f.count("median", median);
+                f.count("max", max);
+                f.ratio("imbalance", s.imbalance());
+                f.ratio("efficiency", s.efficiency());
+                f.count("critical_chunk", s.critical_chunk().map_or(0, |c| c.chunk));
+                f.ratio("serial_fraction", s.serial_fraction(total));
             });
             for c in &s.chunks {
-                record("par_chunk", &|o| {
-                    o.raw("site", si)
-                        .raw("chunk", c.chunk)
-                        .raw("start", c.start)
-                        .raw("end", c.end)
-                        .raw("worker", c.worker)
-                        .raw("instructions", c.instructions)
-                        .raw("loads", c.loads)
-                        .raw("stores", c.stores)
-                        .raw("l1_misses", c.l1_misses)
-                        .raw("l2_misses", c.l2_misses);
-                });
+                each("par_chunk", &|f| chunk_fields(f, si, c));
             }
             for w in s.worker_loads() {
-                record("par_worker", &|o| {
-                    o.raw("site", si)
-                        .raw("worker", w.worker)
-                        .raw("chunks", w.chunks)
-                        .raw("instructions", w.instructions);
+                each("par_worker", &|f| {
+                    f.count("site", si as u64);
+                    f.count("worker", w.worker);
+                    f.count("chunks", w.chunks);
+                    f.count("instructions", w.instructions);
                 });
             }
         }
+    }
+
+    /// Serializes the profile as one deterministic JSONL stream: each
+    /// record of [`Profile::records`] as an object whose first member is
+    /// its `type`, then a newline.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        self.records(|ty, fields| {
+            Json::object(&mut out, |o| fields(o.str("type", ty)));
+            out.push('\n');
+        });
         out
     }
 }

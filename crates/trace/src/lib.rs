@@ -18,8 +18,10 @@
 //!   Counters are **deterministic**: two runs of the same program produce
 //!   identical snapshots, so they double as a reproducible cost model next
 //!   to wall-clock timing (the autotuner ranks kernels with them).
-//! - **Exports** — a human-readable report and Chrome `traceEvents` JSON
-//!   ([`Profile::to_chrome_json`]) loadable in `chrome://tracing` / Perfetto.
+//! - **Exports** — a human-readable report, one walk over the typed records
+//!   ([`Profile::records`]) that the JSONL stream and the Lua `perf` rows
+//!   read, and Chrome `traceEvents` JSON ([`Profile::to_chrome_json`])
+//!   loadable in `chrome://tracing` / Perfetto.
 //!
 //! Timeline timestamps are wall-clock and therefore *not* part of the
 //! deterministic surface; [`Profile::render_counters`] is the
@@ -39,6 +41,7 @@ mod report;
 mod sample;
 mod site;
 
+pub use events::Fields;
 pub use heap::{HeapProfiler, HeapSiteStats, HeapStats, HeapTimelinePoint};
 pub use parallel::{ParChunkStats, ParSiteStats, ParWorkerLoad, ParallelStats};
 pub use record::{

@@ -27,14 +27,19 @@ echo "==> the instruction set stays one table (scripts/loc.sh crates/vm/src/byte
 scripts/loc.sh crates/vm/src/bytecode.rs | awk '/total/ { exit !($1 <= 750) }' \
     || { echo "crates/vm/src/bytecode.rs is over 750 non-test lines" >&2; exit 1; }
 
-echo "==> a new reporter pays for itself (scripts/loc.sh crates/trace/src crates/vm/src/observer.rs <= 3779)"
+echo "==> a new reporter pays for itself (scripts/loc.sh crates/trace/src crates/vm/src/observer.rs <= 3772)"
 # Every located record holds a `Site` and renders through it (PR 22, when
 # this read 3 807; 3 870 before); a trap, audit or race report that arrives
 # with its own copy of the triple or its own renderer shows up here. Re-based
 # 3 807 -> 3 779 when every VM collector moved into the observer and the heap
-# profiler's site protocol and the tracer's parallel shards went.
-scripts/loc.sh crates/trace/src crates/vm/src/observer.rs | awk '/total/ { exit !($1 <= 3779) }' \
-    || { echo "crates/trace/src + crates/vm/src/observer.rs are over 3779 non-test lines" >&2; exit 1; }
+# profiler's site protocol and the tracer's parallel shards went. Re-based
+# 3 779 -> 3 772 when every structured export became one record walk
+# (`Profile::records`) and Chrome's `otherData` went. The cap follows the
+# count down so the freed lines are not quietly spent: a second spelling of
+# a record's fields shows up here, and the absint audit and the execution
+# budgets, which will report through this crate, each delete to make room.
+scripts/loc.sh crates/trace/src crates/vm/src/observer.rs | awk '/total/ { exit !($1 <= 3772) }' \
+    || { echo "crates/trace/src + crates/vm/src/observer.rs are over 3772 non-test lines" >&2; exit 1; }
 
 echo "==> the specialized tree is walked once (scripts/loc.sh crates/eval/src/typecheck.rs crates/eval/src/spec.rs <= 3542)"
 # A quote is built once, shared by every splice, and lowered by one walk; what
