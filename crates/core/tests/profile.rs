@@ -356,7 +356,7 @@ fn perf_counters_visible_from_lua() {
         assert(c.meta[1].total_instructions > 0, "instructions counted")
         assert(named(c.func, "triple").calls == 1, "per-function call count")
         assert(named(c.func, "triple").inclusive > 0)
-        assert(named(c.op, "mul.i").count == 1, "opcode counters")
+        assert(named(c.op, "mul.i32").count == 1, "opcode counters")
         local r = perf.report()
         assert(string.find(r, "opcode counters") ~= nil, "report renders")
         perf.reset()

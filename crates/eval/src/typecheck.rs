@@ -600,16 +600,21 @@ impl Checker<'_> {
         ty: &Option<Ty>,
         start: &Rc<SpecExpr>,
         stop: &Rc<SpecExpr>,
+        step: Option<&Rc<SpecExpr>>,
         span: Span,
     ) -> EvalResult<(Ty, IrExpr, IrExpr)> {
-        let var_ty = match ty {
-            Some(t) => t.clone(),
-            // Loop variables default to `int` when the bound is a spliced
-            // Lua number.
-            None => Some(self.expr(start, None)?.ty)
-                .filter(Ty::is_integer)
-                .unwrap_or(Ty::INT),
-        };
+        let mut var_ty = ty.clone();
+        // Unannotated: the meet of the bounds' and step's integer types, as
+        // Terra's `fornum` takes it (`int` for spliced Lua numbers alone).
+        let bounds = [Some(start), Some(stop), step].map(|e| e.filter(|_| ty.is_none()));
+        for e in bounds.into_iter().flatten() {
+            let t = self.expr(e, None)?.ty;
+            let rank = |t: &Ty| t.element_scalar().map(ScalarTy::conversion_rank);
+            if t.is_integer() && var_ty.as_ref().is_none_or(|v| rank(v) < rank(&t)) {
+                var_ty = Some(t);
+            }
+        }
+        let var_ty = var_ty.unwrap_or(Ty::INT);
         if !var_ty.is_integer() {
             let msg = format!("{what} variable must have integer type");
             return Err(terr(msg, span));
@@ -829,7 +834,7 @@ impl Checker<'_> {
                 span,
             } => {
                 let (var_ty, start_e, stop_e) =
-                    self.loop_bounds("for-loop", ty, start, stop, *span)?;
+                    self.loop_bounds("for-loop", ty, start, stop, step.as_ref(), *span)?;
                 let step_e = match step {
                     Some(e) => {
                         let mut ir = self.bound(e, &var_ty)?;
@@ -837,10 +842,8 @@ impl Checker<'_> {
                         // steps at compile time (fold first so `-2` is seen
                         // as a constant).
                         terra_ir::fold_expr(&mut ir);
-                        if let ExprKind::ConstInt(v) = ir.kind {
-                            if v <= 0 {
-                                return Err(terr("for-loop step must be positive", e.span));
-                            }
+                        if matches!(ir.kind, ExprKind::ConstInt(v) if v <= 0) {
+                            return Err(terr("for-loop step must be positive", e.span));
                         }
                         ir
                     }
@@ -880,7 +883,7 @@ impl Checker<'_> {
                 ..
             } => {
                 let (var_ty, start_e, stop_e) =
-                    self.loop_bounds("parallelfor", ty, start, stop, *span)?;
+                    self.loop_bounds("parallelfor", ty, start, stop, None, *span)?;
                 self.flush_prelude(out);
                 // The loop body is outlined into a *kernel function* whose
                 // param 0 is the index; everything below `base` stays in the

@@ -1011,6 +1011,13 @@ fn for_loops_count_like_c_at_every_level() {
         ("i : int8 = -128, -125", "i", 3, -381),
         ("i : int32 = 2147483645, 2147483647", "i", 2, 4294967291),
         ("i : int8 = 120, 127, 3", "i", wraps, wrapped_sum),
+        // Unannotated, the counter has the meet of the bounds' and step's
+        // types, as Terra's `fornum` gives it: nothing is narrowed to the
+        // start's type (the stops would read 2147483650 - 2^32 and 44, and
+        // a `uint8` counter stepping by 3 wraps past 255 to 0 and goes on).
+        ("i = 2147483647, 2147483650LL", "i", 3, 6442450944),
+        ("i = [uint8](0), 300", "i", 300, 44850),
+        ("i = [uint8](250), [uint8](255), [int16](3)", "i", 2, 503),
         // Across 2^63, where `unroll` keeps the loop.
         (
             "i : uint64 = 9223372036854775806ULL, 9223372036854775807ULL + 2ULL",

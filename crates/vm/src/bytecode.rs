@@ -56,8 +56,7 @@ pub enum IntWidth {
 }
 
 impl IntWidth {
-    /// The tag of narrow integer type `s` (`None` for 64-bit integers and
-    /// everything that is not an integer).
+    /// The tag of narrow integer type `s`; `None` for every other type.
     pub fn of(s: ScalarTy) -> Option<IntWidth> {
         match s {
             ScalarTy::I8 => Some(IntWidth::I8),
@@ -240,6 +239,14 @@ opcodes! {
     RemU = "rem.u" { d, a, b };
     /// `d = a << b`.
     Shl = "shl" { d, a, b };
+    /// `add.i` and `trunc w=I32` in one instruction (and so the next three).
+    AddI32 = "add.i32" { d, a, b };
+    /// `sub.i` wrapped to `int32`.
+    SubI32 = "sub.i32" { d, a, b };
+    /// `mul.i` wrapped to `int32`.
+    MulI32 = "mul.i32" { d, a, b };
+    /// `shl` wrapped to `int32`.
+    ShlI32 = "shl.i32" { d, a, b };
     /// Arithmetic shift right.
     ShrS = "shr.s" { d, a, b };
     /// Logical shift right.
@@ -449,9 +456,9 @@ opcodes! {
     /// The back edge of a counted loop: `var += step` (wrapping), then jump
     /// when `var < stop`, signed.
     LoopLtS = "loop.lt.s" { var, step, stop } imm { target: u32 };
-    /// Direct call of `f`: copies the `nargs` slots starting at `args` to the
-    /// bottom of the callee frame (parameters sit at the prefix sums of their
-    /// widths on both sides); the `w`-slot result lands in `d`, and without
+    /// Direct call of `f`: the callee's frame starts at `args`, so the `nargs`
+    /// slots there are its parameters (at the prefix sums of their widths)
+    /// and nothing is copied; the `w`-slot result lands in `d`, and without
     /// one `d` is [`NO_REG`] and `w` 0.
     Call = "call" {} var { d*w, args*nargs } imm { w: u8, f: FuncId, nargs: u16 };
     /// Indirect call through the function-pointer value in `f`; the rest as
@@ -530,14 +537,10 @@ impl fmt::Display for Addr {
         if self.b != NO_REG {
             write!(f, " + r{}*{}", self.b, self.scale)?;
         }
+        let sign = if self.disp < 0 { '-' } else { '+' };
         match self.disp {
             0 => f.write_str("]"),
-            d => write!(
-                f,
-                " {} {}]",
-                if d < 0 { '-' } else { '+' },
-                d.unsigned_abs()
-            ),
+            d => write!(f, " {sign} {}]", d.unsigned_abs()),
         }
     }
 }
@@ -572,11 +575,8 @@ pub fn encode_func_ptr(id: FuncId) -> u64 {
 
 /// Decodes a Terra function-pointer value, if valid.
 pub fn decode_func_ptr(bits: u64) -> Option<FuncId> {
-    if bits & 0xFFFF_0000_0000_0000 == FUNC_PTR_TAG {
-        Some(FuncId((bits & 0xFFFF_FFFF) as u32))
-    } else {
-        None
-    }
+    let tagged = bits & 0xFFFF_0000_0000_0000 == FUNC_PTR_TAG;
+    tagged.then_some(FuncId((bits & 0xFFFF_FFFF) as u32))
 }
 
 /// Why a function could not be turned into bytecode: it needs more register
@@ -610,6 +610,9 @@ pub struct CompiledFunction {
     /// Register slots the frame needs (parameters sit at the bottom, at the
     /// prefix sums of their widths). Private: `code` was validated against it.
     nslots: u16,
+    /// Slots a call zeroes, from the last argument up: the parameters' and
+    /// register locals' (a temporary is written before it is read).
+    pub(crate) zeroed: u16,
     /// Bytes of frame memory for in-memory locals.
     pub frame_size: u32,
     /// The instruction stream.
@@ -663,11 +666,8 @@ impl CompiledFunction {
                 }
             });
             if let Some((r, w)) = stray {
-                let what = format!(
-                    "'{}' uses slots {r}..{} of a {nslots}-slot frame",
-                    instr.mnemonic(),
-                    u32::from(r) + u32::from(w)
-                );
+                let (op, end) = (instr.mnemonic(), u32::from(r) + u32::from(w));
+                let what = format!("'{op}' uses slots {r}..{end} of a {nslots}-slot frame");
                 return Err(invalid(pc, what));
             }
             if instr.target().is_some_and(|t| t as usize >= code.len()) {
@@ -683,6 +683,7 @@ impl CompiledFunction {
             name,
             ty,
             nslots,
+            zeroed: nslots,
             frame_size,
             code,
             lines: Vec::new(),
@@ -747,8 +748,8 @@ impl CompiledFunction {
     }
 }
 
-/// A function with no debug info and no frame memory, for unit tests.
 #[cfg(test)]
+/// A function with no debug info and no frame memory, for unit tests.
 pub(crate) fn compiled(name: &str, ty: FuncTy, nslots: u16, code: Vec<Instr>) -> CompiledFunction {
     CompiledFunction::new(name, ty, nslots, 0, code).expect("test bytecode is valid")
 }

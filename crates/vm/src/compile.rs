@@ -9,10 +9,14 @@
 //! address-taken scalars) are laid out in the function's frame in linear
 //! memory.
 //!
-//! Every register holds an integer in *canonical* form, sign- or
-//! zero-extended from its type's width (DESIGN.md §6j). That is what makes
-//! widening casts free and lets compares and divisions work on whole
-//! registers; narrow arithmetic re-establishes it with a `trunc`, except
+//! Temporaries are a stack, so an argument block, built last, is its top:
+//! the callee's register window starts at the block (DESIGN.md §6g), and
+//! nothing live in the caller sits at or above it across the call. Every
+//! register holds an integer in *canonical* form, sign- or zero-extended
+//! from its type's width (DESIGN.md §6j). That is what makes widening casts
+//! free and lets compares and divisions work on whole registers; narrow
+//! arithmetic re-establishes it with a `trunc` — an `int32` add, subtract,
+//! multiply or left shift with the instruction's own wrapping row — except
 //! where the mid-end proved the result cannot leave its type
 //! ([`IrStmt::proven`]). A load or store computes its own address from an
 //! operand `[base + index*scale + disp]` ([`lea_of`] decides what of the
@@ -304,7 +308,7 @@ pub fn try_compile(
     c.flush_lines();
     // The compiler is the validator's first customer: a function it rejects
     // here is a bug in this file, not in the program.
-    let compiled = CompiledFunction::new(
+    let mut compiled = CompiledFunction::new(
         func.name.clone(),
         func.ty.clone(),
         c.max_slots,
@@ -312,6 +316,9 @@ pub fn try_compile(
         c.code,
     )
     .unwrap_or_else(|e| panic!("internal compiler error: {e}"));
+    // Only parameters and register locals can be read before they are
+    // written; a call leaves the temporaries above them as it finds them.
+    compiled.zeroed = c.temp_base;
     Ok(compiled.with_debug_info(c.lines, c.provs, c.prov_table))
 }
 
@@ -706,8 +713,9 @@ impl<'a> Compiler<'a> {
 
     /// Compiles `args` into a fresh contiguous block of temporaries, each at
     /// the prefix sum of the widths before it — where the callee's
-    /// parameters sit in its own frame. Returns the block's first slot and
-    /// its size in slots.
+    /// parameters sit in its own frame, which starts at the block. Returns
+    /// the block's first slot and its size in slots; the block is the top
+    /// of the live temporaries when it returns.
     fn arg_block(&mut self, args: &[IrExpr]) -> (Reg, u16) {
         let slots: u32 = args.iter().map(|a| u32::from(slots_of(&a.ty))).sum();
         let slots = u16::try_from(slots).unwrap_or(u16::MAX);
@@ -1044,8 +1052,12 @@ impl<'a> Compiler<'a> {
         } else {
             None
         };
-        // Arguments must land in a contiguous temp block.
+        // Arguments land in a contiguous block at the top of the live
+        // temporaries: the callee's frame starts there, so it overwrites
+        // nothing this frame still needs (a result wanted above the block is
+        // written after the callee is gone).
         let (args, nargs) = self.arg_block(args);
+        debug_assert!(self.overflow || args + nargs == self.temp_top);
         let w = slots_of(&e.ty);
         let (d, w) = if e.ty == Ty::Unit {
             (NO_REG, 0)
@@ -1278,12 +1290,19 @@ impl<'a> Compiler<'a> {
     }
 
     /// Re-canonicalizes register `r` holding a value of narrow integer type.
+    /// An `int32` result of the `add.i`/`sub.i`/`mul.i`/`shl` just emitted
+    /// is wrapped by that instruction's 32-bit row instead of a `trunc`.
     fn emit_norm(&mut self, ty: &Ty, r: Reg) {
-        if let Ty::Scalar(s) = ty {
-            if let Some(w) = IntWidth::of(*s) {
-                self.code.push(Instr::Trunc { d: r, a: r, w });
-            }
-        }
+        let Ty::Scalar(s) = ty else { return };
+        let Some(w) = IntWidth::of(*s) else { return };
+        let wrapped = match (w, self.code.last()) {
+            (IntWidth::I32, Some(&Instr::AddI { d, a, b })) if d == r => Instr::AddI32 { d, a, b },
+            (IntWidth::I32, Some(&Instr::SubI { d, a, b })) if d == r => Instr::SubI32 { d, a, b },
+            (IntWidth::I32, Some(&Instr::MulI { d, a, b })) if d == r => Instr::MulI32 { d, a, b },
+            (IntWidth::I32, Some(&Instr::Shl { d, a, b })) if d == r => Instr::ShlI32 { d, a, b },
+            _ => return self.code.push(Instr::Trunc { d: r, a: r, w }),
+        };
+        *self.code.last_mut().expect("an instruction was matched") = wrapped;
     }
 
     /// The operand that addresses `addr`: what [`lea_of`] finds in it, or

@@ -2,7 +2,9 @@
 //!
 //! A register machine over one file of 8-byte slots: a scalar register is
 //! a slot, a vector register four consecutive ones, and a frame is the
-//! window of the file its function's `nslots` says. Execution is
+//! window of the file its function's `nslots` says. Windows overlap the way
+//! Lua 5's do: a callee's starts at its caller's argument block, so a call
+//! copies no argument and a return copies one result. Execution is
 //! completely independent of the meta-language (the paper's *separate
 //! evaluation*): the only shared state is the [`Program`](crate::Program)'s
 //! function table, reached read-only through the executing
@@ -148,8 +150,10 @@ struct Frame {
     /// moves no reference count.
     func: FuncId,
     pc: usize,
-    /// First slot of the frame's window in [`Vm::regs`].
+    /// First slot of the frame's window in [`Vm::regs`]: its caller's
+    /// argument block, where its parameters already are.
     base: usize,
+    /// Its frame memory, or the stack pointer at entry when it has none.
     mem_base: u64,
     /// Where the caller wants the result (`ret_w` slots at `ret_dst`).
     ret_dst: Reg,
@@ -161,7 +165,9 @@ struct Frame {
 /// for the duration of a call.
 #[derive(Debug, Default)]
 pub struct Vm {
-    /// One slot file for every live frame, the running one on top.
+    /// One slot file for every live frame, the running one on top. Windows
+    /// overlap: a callee's starts at its caller's argument block. The file
+    /// only grows, to the highest window a call has reached.
     regs: Vec<u64>,
     frames: Vec<Frame>,
     /// Where a trap that is crossing a `parallelfor` region says it
@@ -354,19 +360,24 @@ impl ExecutionContext {
         f: FuncId,
         args: &[u64],
     ) -> Raised<RegImage> {
-        let entry = program.defined(f)?;
-        self.push_call(obs, vm, f, entry, NO_REG, 0)?;
-        let n = args.len().min(entry.nslots());
-        vm.regs[..n].copy_from_slice(&args[..n]);
+        // The function each frame entry below runs: looked up once per
+        // call, by the call, and once per return, for the caller.
+        let mut running = program.defined(f)?;
+        let n = args.len().min(running.nslots());
+        vm.regs.extend_from_slice(&args[..n]);
+        self.push_call(obs, vm, f, running, 0, n, NO_REG, 0)?;
 
         'frames: loop {
             // Pull the running frame's hot state into locals: its code, its
             // pc, and its window of the register file. The window is
             // borrowed once per frame entry; every operand below indexes it
             // against a length that lives in a machine register, and the
-            // load-time validator proved each index inside it.
+            // load-time validator proved each index inside it. (It is the
+            // whole file above `base`: cut to `nslots`, its length is known
+            // to fit 16 bits, and the loop then keeps its code pointer on
+            // the stack.)
             let fr = vm.frames.last_mut().expect("a frame is running");
-            let func: &CompiledFunction = body(program, fr.func);
+            let func: &CompiledFunction = running;
             let code = &func.code[..];
             let mem_base = fr.mem_base;
             let mut pc = fr.pc;
@@ -505,19 +516,16 @@ impl ExecutionContext {
                 };
             }
             // Enters `program[$id]` (`$id` may fail to name a function):
-            // pushes its frame and copies this frame's argument block to the
-            // bottom of it.
+            // its frame starts at this frame's argument block, which the
+            // compiler left at the top of everything live here.
             macro_rules! enter {
                 ($id:expr, $d:expr, $w:expr, $args:expr, $nargs:expr) => {{
                     fr.pc = pc;
                     let id = $id?;
                     let callee = program.defined(id)?;
-                    let argv = fr.base + $args as usize;
-                    let callee_base = self.push_call(obs, vm, id, callee, $d, $w)?;
-                    // A callee reached through a cast function pointer may
-                    // have a smaller frame than its caller's argument block.
-                    let n = ($nargs as usize).min(callee.nslots());
-                    vm.regs.copy_within(argv..argv + n, callee_base);
+                    let base = fr.base + $args as usize;
+                    self.push_call(obs, vm, id, callee, base, $nargs as usize, $d, $w)?;
+                    running = callee;
                     continue 'frames;
                 }};
             }
@@ -572,6 +580,15 @@ impl ExecutionContext {
                     Instr::RemS { d, a, b } => divide!(d, a, b, ri, i64::wrapping_rem),
                     Instr::RemU { d, a, b } => divide!(d, a, b, r, u64::wrapping_rem),
                     Instr::Shl { d, a, b } => seti!(d, ri!(a).wrapping_shl(r!(b) as u32 & 63)),
+                    // A 64-bit result wrapped to `int32` (the low 32 bits of
+                    // a sum, difference, product or left shift are those of
+                    // its operands' low 32 bits), sign-extended to the slot.
+                    Instr::AddI32 { d, a, b } => seti!(d, ri!(a).wrapping_add(ri!(b)) as i32),
+                    Instr::SubI32 { d, a, b } => seti!(d, ri!(a).wrapping_sub(ri!(b)) as i32),
+                    Instr::MulI32 { d, a, b } => seti!(d, ri!(a).wrapping_mul(ri!(b)) as i32),
+                    Instr::ShlI32 { d, a, b } => {
+                        seti!(d, ri!(a).wrapping_shl(r!(b) as u32 & 63) as i32)
+                    }
                     Instr::ShrS { d, a, b } => seti!(d, ri!(a).wrapping_shr(r!(b) as u32 & 63)),
                     Instr::ShrU { d, a, b } => set!(d, r!(a).wrapping_shr(r!(b) as u32 & 63)),
                     Instr::And { d, a, b } => set!(d, r!(a) & r!(b)),
@@ -782,7 +799,10 @@ impl ExecutionContext {
                         nargs,
                     } => {
                         let bits = r!(f);
-                        let id = decode_func_ptr(bits).ok_or(TrapKind::NotAFunction(bits));
+                        // Lazily: an eager `ok_or` drops the unused error
+                        // out of line on every call.
+                        #[allow(clippy::unnecessary_lazy_evaluations)]
+                        let id = decode_func_ptr(bits).ok_or_else(|| TrapKind::NotAFunction(bits));
                         enter!(id, d, w, args, nargs)
                     }
                     Instr::ParFor {
@@ -817,31 +837,38 @@ impl ExecutionContext {
                     }
                     Instr::Ret { s, w } => {
                         obs.on_ret();
+                        // The result leaves the window before the caller's
+                        // destination, which may lie inside it, is written.
+                        let result = match (s, w) {
+                            (NO_REG, _) => [0; 4],
+                            (s, 1) => [frame[s as usize], 0, 0, 0],
+                            (s, w) => {
+                                let mut lanes = [0; 4];
+                                let slots = &frame[s as usize..][..w as usize];
+                                for (lane, &v) in lanes.iter_mut().zip(slots) {
+                                    *lane = v;
+                                }
+                                lanes
+                            }
+                        };
                         let done = vm.frames.pop().expect("the running frame");
                         self.memory.pop_frame(done.mem_base);
-                        let src = done.base + s as usize;
-                        let w = if s == NO_REG { 0 } else { w as usize };
                         let Some(caller) = vm.frames.last() else {
-                            let mut result = [0u64; 4];
-                            for (i, lane) in result.iter_mut().enumerate().take(w) {
-                                *lane = vm.regs[src + i];
-                            }
-                            vm.regs.truncate(done.base);
                             return Ok(result);
                         };
                         let dst = caller.base + done.ret_dst as usize;
-                        match (w, done.ret_w as usize) {
-                            (1, 1) => vm.regs[dst] = vm.regs[src],
+                        match done.ret_w {
+                            0 => {}
+                            1 => vm.regs[dst] = result[0],
                             // What the caller expects and what the callee
                             // returns differ only through a cast function
                             // pointer: the missing slots read as zero.
-                            (w, want) => {
-                                for i in 0..want {
-                                    vm.regs[dst + i] = if i < w { vm.regs[src + i] } else { 0 };
-                                }
+                            want => {
+                                let want = (want as usize).min(result.len());
+                                vm.regs[dst..dst + want].copy_from_slice(&result[..want]);
                             }
                         }
-                        vm.regs.truncate(done.base);
+                        running = body(program, caller.func);
                         continue 'frames;
                     }
                     Instr::Trap => raise!(TrapKind::Abort),
@@ -850,10 +877,14 @@ impl ExecutionContext {
         }
     }
 
-    /// Pushes a frame (zeroed slots, frame memory) for `callee`, which is
-    /// `program[id]`, and returns its register base; the caller copies the
-    /// arguments in. Always inlined: an out-of-line call from `run` costs
-    /// the observed loop's register allocation a quarter of its speed.
+    /// Pushes a frame for `callee`, which is `program[id]`, whose window
+    /// starts at slot `base` of the file: the `nargs` slots there are its
+    /// arguments, already in place, and the rest of the window is zeroed
+    /// (the file grows if the window reaches past its end). Frame memory is
+    /// pushed only for a callee that has some. Always inlined: an
+    /// out-of-line call from `run` costs the observed loop's register
+    /// allocation a quarter of its speed.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn push_call<O: Observer>(
         &mut self,
@@ -861,18 +892,31 @@ impl ExecutionContext {
         vm: &mut Vm,
         id: FuncId,
         callee: &Arc<CompiledFunction>,
+        base: usize,
+        nargs: usize,
         ret_dst: Reg,
         ret_w: u8,
-    ) -> Raised<usize> {
+    ) -> Raised<()> {
         if vm.frames.len() >= MAX_FRAMES {
             return Err(TrapKind::StackOverflow);
         }
-        let base = vm.regs.len();
-        let mem_base = self
-            .memory
-            .push_frame(callee.frame_size as u64)
-            .map_err(|_| TrapKind::StackOverflow)?;
-        vm.regs.resize(base + callee.nslots(), 0);
+        let mem_base = match callee.frame_size {
+            0 => self.memory.stack_pointer(),
+            size => self
+                .memory
+                .push_frame(size.into())
+                .map_err(|_| TrapKind::StackOverflow)?,
+        };
+        let top = base + callee.nslots();
+        if vm.regs.len() < top {
+            vm.regs.resize(top, 0);
+        }
+        // Locals start at zero, and so do the parameters a callee reached
+        // through a cast function pointer was passed no argument for.
+        let zeroed = base + callee.zeroed as usize;
+        if base + nargs < zeroed {
+            vm.regs[base + nargs..zeroed].fill(0);
+        }
         obs.on_call(callee);
         vm.frames.push(Frame {
             func: id,
@@ -882,7 +926,7 @@ impl ExecutionContext {
             ret_dst,
             ret_w,
         });
-        Ok(base)
+        Ok(())
     }
 }
 
@@ -1076,15 +1120,9 @@ mod tests {
         let program = Arc::clone(ctx.program());
         let mut vm = Vm::new();
         let callee = program.defined(id).unwrap();
-        ctx.push_call(
-            &mut crate::observer::NoObserver,
-            &mut vm,
-            id,
-            callee,
-            NO_REG,
-            0,
-        )
-        .unwrap();
+        let observer = &mut crate::observer::NoObserver;
+        ctx.push_call(observer, &mut vm, id, callee, 0, 2, NO_REG, 0)
+            .unwrap();
         assert_eq!(vm.regs.len(), 5);
         assert_eq!(slot_bytes(&vm.regs), 8);
     }

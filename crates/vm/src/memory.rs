@@ -344,6 +344,12 @@ impl Memory {
         Ok(base)
     }
 
+    /// The stack pointer: where the next frame would start, before its
+    /// alignment.
+    pub(crate) fn stack_pointer(&self) -> u64 {
+        self.sp
+    }
+
     /// Pops a stack frame previously pushed at `base`.
     pub fn pop_frame(&mut self, base: u64) {
         debug_assert!(self.stack_base <= base && base <= self.sp);

@@ -124,15 +124,22 @@ impl Program {
     }
 
     /// Looks up a defined function.
+    #[inline]
     pub fn function(&self, id: FuncId) -> Option<&Arc<CompiledFunction>> {
         self.funcs.get(id.0 as usize).and_then(|f| f.as_ref())
     }
 
     /// The compiled body of `id`, or the trap for calling a function that
-    /// was declared but never defined.
+    /// was declared but never defined. Always inlined: every call asks, and
+    /// only the trap is worth a call.
+    #[inline(always)]
     pub(crate) fn defined(&self, id: FuncId) -> Raised<&Arc<CompiledFunction>> {
-        self.function(id)
-            .ok_or_else(|| TrapKind::Undefined(self.name(id).to_string()))
+        self.function(id).ok_or_else(|| self.undefined(id))
+    }
+
+    #[cold]
+    fn undefined(&self, id: FuncId) -> TrapKind {
+        TrapKind::Undefined(self.name(id).to_string())
     }
 
     /// Whether the id has been defined (not just declared).

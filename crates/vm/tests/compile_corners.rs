@@ -975,6 +975,19 @@ fn arguments_are_built_in_their_slots_without_touching_their_neighbours() {
     }
 }
 
+/// Whether `i` wraps a result into a narrow type: a `trunc`, or an
+/// arithmetic row that wraps to `int32` itself.
+fn wraps(i: &Instr) -> bool {
+    matches!(
+        i,
+        Instr::Trunc { .. }
+            | Instr::AddI32 { .. }
+            | Instr::SubI32 { .. }
+            | Instr::MulI32 { .. }
+            | Instr::ShlI32 { .. }
+    )
+}
+
 #[test]
 fn a_proven_node_loses_its_trunc_and_only_it() {
     // return (a * b) + c on int32: node 1 is the add, node 2 the multiply.
@@ -986,16 +999,11 @@ fn a_proven_node_loses_its_trunc_and_only_it() {
         f.body = vec![s];
         f
     };
-    let truncs = |f: &IrFunction| {
-        code_of(f)
-            .iter()
-            .filter(|i| matches!(i, Instr::Trunc { .. }))
-            .count()
-    };
+    let truncs = |f: &IrFunction| code_of(f).iter().filter(|i| wraps(i)).count();
     assert_eq!(truncs(&build(vec![])), 2);
     assert_eq!(truncs(&build(vec![2])), 1);
     assert_eq!(truncs(&build(vec![1, 2])), 0);
-    // The surviving trunc is the add's: the product may leave int32, the
+    // The surviving wrap is the add's: the product may leave int32, the
     // sum wraps it back.
     let args = [Value::Int(1 << 20), Value::Int(1 << 12), Value::Int(5)];
     assert_eq!(run(build(vec![]), &args), Value::Int(5));
@@ -1266,15 +1274,16 @@ fn a_counted_loop_is_one_instruction_per_iteration_when_its_increment_is_exact()
     ] {
         let f = counted(ty.clone(), proven, count);
         let code = code_of(&f);
-        // What follows the body's `add.i`, `trunc`, up to the `ret`.
+        // What follows the body's `add.i32` (an `int` add and its wrap),
+        // up to the `ret`.
         let edge: Vec<&str> = code[code.len() - 4..code.len() - 1]
             .iter()
             .map(Instr::mnemonic)
             .collect();
         if fused {
-            assert_eq!(edge[1..], ["trunc", "loop.lt.s"], "{ty} {code:?}");
+            assert_eq!(edge[1..], ["add.i32", "loop.lt.s"], "{ty} {code:?}");
         } else {
-            assert_eq!(edge, ["add.i", "trunc", "br.lt.s"], "{ty} {code:?}");
+            assert_eq!(edge, ["add.i32", "add.i32", "br.lt.s"], "{ty} {code:?}");
         }
         for (n, trips) in [(0, 0), (1, 1), (-5, 0), (7, 7)] {
             let got = run(f.clone(), &[Value::Int(n)]);
@@ -1310,7 +1319,7 @@ fn a_loop_that_assigns_its_own_variable_fuses_only_what_stays_exact() {
     let narrow = counted(Ty::INT, false, steer);
     let code = code_of(&narrow);
     assert!(!code.iter().any(|i| matches!(i, Instr::LoopLtS { .. })));
-    assert!(code.iter().any(|i| matches!(i, Instr::Trunc { .. })));
+    assert!(code.iter().any(|i| matches!(i, Instr::AddI32 { .. })));
     assert_eq!(run(narrow, &[Value::Int(10)]), Value::Int(5));
     let steer64 = |acc, i: LocalId| {
         let next = IrExpr::binary(BinKind::Add, IrExpr::local(i, Ty::I64), i64e(1));
@@ -1427,7 +1436,7 @@ const CMP_KINDS: [CmpKind; 6] = [
 fn scalar_program() -> IrFunction {
     use terra_ir::UnKind::{Neg, Not};
     let mut f = func("scalars", vec![], Ty::Unit);
-    let (ints, floats) = ([Ty::I64, Ty::U64, Ty::INT], [Ty::F64, Ty::F32]);
+    let (ints, floats) = ([Ty::I64, Ty::U64, Ty::INT, I8], [Ty::F64, Ty::F32]);
     for ty in &ints {
         for op in BIN_KINDS {
             let e = IrExpr::binary(op, constant(ty, 7), constant(ty, 2));
@@ -1814,5 +1823,67 @@ fn a_prefetch_addresses_like_a_load_and_a_call_for_effect_leaves_no_value() {
     // A hint never traps, however far out it points.
     for i in [0, 3, 1 << 40, -(1 << 40)] {
         assert_eq!(run(f.clone(), &[Value::Int(i)]), Value::Int(7));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// An `int` add, subtract, multiply or left shift wraps inside its own
+// instruction; every other width keeps its `trunc`, and a result proven to
+// stay in its type is wrapped by nothing.
+// ---------------------------------------------------------------------------
+
+/// `f(a, b) = a op b` on `ty`; with `proven` the statement carries the proof
+/// that the result stays in `ty` (node 1 is the operation).
+fn binop(op: BinKind, ty: &Ty, proven: bool) -> IrFunction {
+    let mut f = func("binop", vec![ty.clone(), ty.clone()], ty.clone());
+    let [a, b] = [0, 1].map(|l| IrExpr::local(LocalId(l), ty.clone()));
+    let mut s = ret(IrExpr::binary(op, a, b));
+    s.proven = if proven { vec![1] } else { vec![] };
+    f.body = vec![s];
+    f
+}
+
+#[test]
+fn an_int_result_wraps_inside_its_instruction() {
+    let selected = |op, ty: &Ty, proven| -> Vec<&'static str> {
+        let code = code_of(&binop(op, ty, proven));
+        code.iter().map(Instr::mnemonic).collect()
+    };
+    for (op, fused) in [
+        (BinKind::Add, "add.i32"),
+        (BinKind::Sub, "sub.i32"),
+        (BinKind::Mul, "mul.i32"),
+        (BinKind::Shl, "shl.i32"),
+    ] {
+        assert_eq!(selected(op, &Ty::INT, false), [fused, "ret"], "{op:?}");
+    }
+    assert_eq!(selected(BinKind::Add, &Ty::I64, false), ["add.i", "ret"]);
+    assert_eq!(
+        selected(BinKind::Add, &Ty::U8, false),
+        ["add.i", "trunc", "ret"]
+    );
+    let code = code_of(&binop(BinKind::Add, &Ty::U8, false));
+    assert_eq!(code[1].to_string(), "trunc r2, r2, w=U8");
+    assert_eq!(selected(BinKind::Add, &Ty::INT, true), ["add.i", "ret"]);
+    // A remainder cannot leave its operands' type: nothing wraps it.
+    assert_eq!(selected(BinKind::Rem, &Ty::INT, false), ["rem.s", "ret"]);
+
+    // The boundary, against Rust's own wrapping arithmetic.
+    let (max, min) = (i32::MAX as i64, i32::MIN as i64);
+    for (op, a, b, want) in [
+        (BinKind::Add, max, 1, i32::MAX.wrapping_add(1)),
+        (BinKind::Add, min, -1, i32::MIN.wrapping_add(-1)),
+        (BinKind::Sub, min, 1, i32::MIN.wrapping_sub(1)),
+        (BinKind::Sub, max, -1, i32::MAX.wrapping_sub(-1)),
+        (BinKind::Mul, 65536, 65536, 65536i32.wrapping_mul(65536)),
+        (BinKind::Mul, 46341, 46341, 46341i32.wrapping_mul(46341)),
+        (BinKind::Mul, max, max, i32::MAX.wrapping_mul(i32::MAX)),
+        (BinKind::Shl, 1, 31, 1i32 << 31),
+        (BinKind::Shl, 3, 31, 3i32 << 31),
+        (BinKind::Shl, -1, 31, -1i32 << 31),
+        (BinKind::Shl, 0x1234_5678, 4, 0x1234_5678i32 << 4),
+    ] {
+        let got = run(binop(op, &Ty::INT, false), &[Value::Int(a), Value::Int(b)]);
+        assert_eq!(got, Value::Int(want.into()), "{a} {op:?} {b}");
     }
 }

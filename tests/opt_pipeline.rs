@@ -194,13 +194,13 @@ fn staged_naive_gemm_retires_no_bookkeeping_in_its_inner_loop() {
     assert!(per_iteration <= 6.0, "{per_iteration} instructions");
     let bookkeeping = [
         "lea", "shl", "add.i", "mul.i", "trunc", "mov", "jmp", "const.i", "cmp.lt.s", "br.false",
-        "br.lt.s",
+        "br.lt.s", "add.i32", "sub.i32", "mul.i32", "shl.i32",
     ];
     for op in bookkeeping {
         let grew = b.op_count(op) - a.op_count(op);
         assert!(grew < inner, "{op}: {grew} more over {inner} iterations");
     }
-    assert_eq!(b.op_count("trunc"), 0, "every wrap is proven away");
+    assert_eq!(wraps(&b), 0, "every wrap is proven away");
     assert_eq!(b.op_count("chk"), 0, "every access is proven in bounds");
     assert_eq!(b.op_count("loop.lt.s") - a.op_count("loop.lt.s"), {
         // One back edge per iteration of each of the three loops.
@@ -212,11 +212,20 @@ fn staged_naive_gemm_retires_no_bookkeeping_in_its_inner_loop() {
     // not fire, the index arithmetic keeps wrapping, and the address is not
     // taken apart.
     let (a, b) = (naive_gemm_ops(small, false), naive_gemm_ops(large, false));
-    let grew = b.op_count("trunc") - a.op_count("trunc");
+    let grew = wraps(&b) - wraps(&a);
     assert!(
         grew >= 2 * inner,
-        "trunc: only {grew} more over {inner} iterations"
+        "wraps: only {grew} more over {inner} iterations"
     );
+}
+
+/// Retired instructions that wrap a result into a narrow type: `trunc`, and
+/// the `int32` arithmetic rows that wrap inside the instruction.
+fn wraps(p: &terra_core::Profile) -> u64 {
+    ["trunc", "add.i32", "sub.i32", "mul.i32", "shl.i32"]
+        .iter()
+        .map(|op| p.op_count(op))
+        .sum()
 }
 
 /// The instruction of a line of `f:disas()`, its register numbers (the
@@ -361,6 +370,7 @@ J.extends(Derived, Base)
 J.implements(Base, Scorer)
 J.implements(Other, Scorer)
 terra Base:score(x : int) : int return (x + self.bias) % 1000003 end
+base_score = Base.methods.score
 terra Derived:score(x : int) : int return (x * self.mul + self.bias) % 1000003 end
 terra Other:score(x : int) : int return (x * 5 + self.k) % 1000003 end
 terra newbase(bias : int) : &Base
@@ -483,6 +493,25 @@ fn a_virtual_call_is_one_indirect_call() {
             "{name}:\n{text}"
         );
     }
+
+    // The body the call reaches: the field, an `int` add that wraps
+    // inside its own instruction, the modulus and the return.
+    let out = s.terra().exec("return base_score:disas()").unwrap();
+    let terra_core::LuaValue::Str(text) = &out[0] else {
+        panic!("disas returns a string: {out:?}");
+    };
+    let lines: Vec<String> = text.lines().map(masked).collect();
+    assert_eq!(
+        lines,
+        [
+            "load.i32! r#, [r# + 8]",
+            "add.i32 r#, r#, r#",
+            "const.i r#, v=1000003",
+            "rem.s r#, r#, r#",
+            "ret r#, w=1",
+        ],
+        "Base:score:\n{text}"
+    );
 }
 
 /// `stencil-par`'s blur at its width (the `benchmark/` workload's `W`),
