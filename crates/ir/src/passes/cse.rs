@@ -13,7 +13,7 @@
 //! entries clobbered by either arm are dropped. Loop bodies start from a
 //! table purged of everything the body reassigns.
 
-use super::util::{collect_assigned, expr_is_stable, expr_uses, LocalSet};
+use super::util::{collect_assigned, expr_is_stable, expr_uses, is_compound, LocalSet};
 use super::Remark;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, LocalSlot, StmtKind};
 use terra_syntax::Provenance;
@@ -37,17 +37,9 @@ struct Site {
     prov: Option<Provenance>,
 }
 
-/// Whether `e` is worth tracking: a stable compound computation (never a
-/// bare constant, local, or address, which are as cheap as a register read).
+/// Whether `e` is worth tracking: a stable compound computation.
 fn eligible(e: &IrExpr, locals: &[LocalSlot]) -> bool {
-    matches!(
-        e.kind,
-        ExprKind::Binary { .. }
-            | ExprKind::Unary { .. }
-            | ExprKind::Cast(_)
-            | ExprKind::Cmp { .. }
-            | ExprKind::Select { .. }
-    ) && expr_is_stable(e, locals)
+    is_compound(e) && expr_is_stable(e, locals)
 }
 
 /// Replaces available subexpressions in `e`, outermost match first.

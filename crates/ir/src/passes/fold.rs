@@ -225,37 +225,17 @@ fn fold_float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind
 }
 
 fn fold_cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
-    let signed = matches!(&lhs.ty, Ty::Scalar(s) if s.is_signed());
-    if let (Some(a), Some(b)) = (lhs.int_const(), rhs.int_const()) {
-        let (a, b) = if signed {
-            (a, b)
-        } else {
-            // Compare as unsigned by biasing.
-            return Some(ExprKind::ConstBool(cmp_u64(op, a as u64, b as u64)));
-        };
-        return Some(ExprKind::ConstBool(match op {
-            CmpKind::Eq => a == b,
-            CmpKind::Ne => a != b,
-            CmpKind::Lt => a < b,
-            CmpKind::Le => a <= b,
-            CmpKind::Gt => a > b,
-            CmpKind::Ge => a >= b,
-        }));
-    }
-    if let (Some(a), Some(b)) = (float_const(lhs), float_const(rhs)) {
-        return Some(ExprKind::ConstBool(match op {
-            CmpKind::Eq => a == b,
-            CmpKind::Ne => a != b,
-            CmpKind::Lt => a < b,
-            CmpKind::Le => a <= b,
-            CmpKind::Gt => a > b,
-            CmpKind::Ge => a >= b,
-        }));
-    }
-    None
+    let holds = match (lhs.int_const(), rhs.int_const()) {
+        (Some(a), Some(b)) if matches!(&lhs.ty, Ty::Scalar(s) if s.is_signed()) => {
+            compare(op, a, b)
+        }
+        (Some(a), Some(b)) => compare(op, a as u64, b as u64),
+        _ => compare(op, float_const(lhs)?, float_const(rhs)?),
+    };
+    Some(ExprKind::ConstBool(holds))
 }
 
-fn cmp_u64(op: CmpKind, a: u64, b: u64) -> bool {
+fn compare<T: PartialOrd>(op: CmpKind, a: T, b: T) -> bool {
     match op {
         CmpKind::Eq => a == b,
         CmpKind::Ne => a != b,

@@ -23,7 +23,9 @@
 //! a frame local (so the load cannot trap even when the loop runs zero
 //! times), an invariant load is hoisted like any other invariant value.
 
-use super::util::{block_has_call, collect_assigned, expr_has_call, LocalSet};
+use super::util::{
+    block_has_call, collect_assigned, expr_has_call, is_compound, node_is_stable, LocalSet,
+};
 use super::{PassConfig, Remark};
 use crate::analysis::absint::proven_const_access;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
@@ -176,28 +178,15 @@ impl Licm<'_> {
                     proven_const_access(addr, &self.f.locals, reg, e.ty.size(reg))
                 });
         }
-        let compound = matches!(
-            e.kind,
-            ExprKind::Binary { .. }
-                | ExprKind::Unary { .. }
-                | ExprKind::Cast(_)
-                | ExprKind::Cmp { .. }
-                | ExprKind::Select { .. }
-        );
-        compound && e.ty.is_register() && self.invariant(e, writes)
+        is_compound(e) && e.ty.is_register() && self.invariant(e, writes)
     }
 
+    /// Every node of `e` is stable and reads no local the loop writes.
     fn invariant(&self, e: &IrExpr, writes: &LocalSet) -> bool {
-        if !expr_is_stable_shallow(e, &self.f.locals) {
-            return false;
-        }
-        match e.kind {
-            ExprKind::Local(l) if writes.contains(l) => return false,
-            _ => {}
-        }
-        let mut ok = true;
-        e.children(&mut |c| ok &= self.invariant(c, writes));
-        ok
+        !e.any(&mut |n| {
+            !node_is_stable(n, Some(&self.f.locals))
+                || matches!(n.kind, ExprKind::Local(l) if writes.contains(l))
+        })
     }
 }
 
@@ -214,21 +203,4 @@ fn block_is_memory_pure(stmts: &[IrStmt]) -> bool {
 /// (wholesale reassignment of the local would change what the load sees).
 fn addr_bases_unwritten(addr: &IrExpr, writes: &LocalSet) -> bool {
     !addr.any(&mut |e| matches!(e.kind, ExprKind::LocalAddr(l) if writes.contains(l)))
-}
-
-/// Non-recursive stability test (the recursion happens in `invariant`).
-fn expr_is_stable_shallow(e: &IrExpr, locals: &[crate::ir::LocalSlot]) -> bool {
-    // Reuse the full test on the node alone by checking its own kind; the
-    // recursive walk over children is done by `invariant`.
-    match &e.kind {
-        ExprKind::Call { .. } | ExprKind::Load(_) | ExprKind::ConstStr(_) => false,
-        ExprKind::Local(l) => !locals[l.0 as usize].in_memory,
-        ExprKind::Binary { op, rhs, .. }
-            if matches!(op, crate::ir::BinKind::Div | crate::ir::BinKind::Rem)
-                && !e.ty.is_float() =>
-        {
-            matches!(rhs.kind, ExprKind::ConstInt(v) if v != 0)
-        }
-        _ => true,
-    }
 }

@@ -82,49 +82,50 @@ impl PartialEq for LocalSet {
     }
 }
 
-/// Whether an integer `Div`/`Rem` node can trap at runtime (divisor not a
-/// known non-zero constant). Float division never traps.
-fn divides_by_possible_zero(e: &IrExpr) -> bool {
-    let ExprKind::Binary { op, rhs, .. } = &e.kind else {
-        return false;
-    };
-    if !matches!(op, BinKind::Div | BinKind::Rem) || e.ty.is_float() {
-        return false;
+/// Whether the node `e` alone, its children aside, is free of observable
+/// effects: no call, no memory read (a load can trap), no string interning,
+/// and no integer `Div`/`Rem` whose divisor is not a known non-zero constant
+/// (float division never traps). Given `locals`, a read of an `in_memory`
+/// local, whose frame slot can change through stores, fails it too.
+pub(crate) fn node_is_stable(e: &IrExpr, locals: Option<&[LocalSlot]>) -> bool {
+    match &e.kind {
+        ExprKind::Call { .. } | ExprKind::Load(_) | ExprKind::ConstStr(_) => false,
+        ExprKind::Local(l) => locals.is_none_or(|ls| !ls[l.0 as usize].in_memory),
+        ExprKind::Binary { op, rhs, .. }
+            if matches!(op, BinKind::Div | BinKind::Rem) && !e.ty.is_float() =>
+        {
+            matches!(rhs.kind, ExprKind::ConstInt(v) if v != 0)
+        }
+        _ => true,
     }
-    !matches!(rhs.kind, ExprKind::ConstInt(v) if v != 0)
 }
 
-/// Whether evaluating `e` is free of observable effects: no calls, no memory
-/// reads (loads can trap), no possible division traps, and no string
-/// interning. Pure expressions may be deleted, duplicated, or hoisted.
+/// Whether evaluating `e` is free of observable effects: every node passes
+/// [`node_is_stable`] without `locals`. Pure expressions may be deleted,
+/// duplicated, or hoisted.
 pub fn expr_is_pure(e: &IrExpr) -> bool {
-    match &e.kind {
-        ExprKind::Call { .. } | ExprKind::Load(_) | ExprKind::ConstStr(_) => return false,
-        _ => {}
-    }
-    if divides_by_possible_zero(e) {
-        return false;
-    }
-    let mut pure = true;
-    e.children(&mut |c| pure &= expr_is_pure(c));
-    pure
+    !e.any(&mut |n| !node_is_stable(n, None))
 }
 
 /// Whether `e` denotes a *stable value*: pure, and independent of mutable
-/// memory (no reads of `in_memory` locals, whose frame slots can change
-/// through stores). Stable values can be cached in a register and reused.
+/// memory (every node passes [`node_is_stable`] against `locals`). Stable
+/// values can be cached in a register and reused.
 pub fn expr_is_stable(e: &IrExpr, locals: &[LocalSlot]) -> bool {
-    match &e.kind {
-        ExprKind::Call { .. } | ExprKind::Load(_) | ExprKind::ConstStr(_) => return false,
-        ExprKind::Local(l) if locals[l.0 as usize].in_memory => return false,
-        _ => {}
-    }
-    if divides_by_possible_zero(e) {
-        return false;
-    }
-    let mut ok = true;
-    e.children(&mut |c| ok &= expr_is_stable(c, locals));
-    ok
+    !e.any(&mut |n| !node_is_stable(n, Some(locals)))
+}
+
+/// Whether `e` is a compound register computation: the only kinds `cse`
+/// reuses and `licm` hoists (a bare constant, local or address is as cheap
+/// as the register read that would replace it).
+pub(crate) fn is_compound(e: &IrExpr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::Binary { .. }
+            | ExprKind::Unary { .. }
+            | ExprKind::Cast(_)
+            | ExprKind::Cmp { .. }
+            | ExprKind::Select { .. }
+    )
 }
 
 /// Adds every local `e` mentions (reads and address-takes) to `out`.

@@ -2038,3 +2038,118 @@ fn unroll_takes_a_loop_up_to_its_growth_budget() {
         )
     );
 }
+
+/// Which expressions `cse` reuses and `licm` hoists, one row per kind of
+/// node. Both passes ask the same two questions — is the node compound, and
+/// is every node under it stable — and `licm` alone takes a load it can
+/// prove safe to run on a zero-trip loop.
+#[test]
+fn what_cse_reuses_and_licm_hoists() {
+    let int = |l: u32| IrExpr::local(LocalId(l), Ty::INT);
+    let load = |addr: IrExpr| IrExpr {
+        ty: Ty::INT,
+        kind: ExprKind::Load(Box::new(addr)),
+    };
+    let plus = |e: IrExpr| IrExpr::binary(BinKind::Add, e, int(1));
+    // p0, p1 : int; p2 : &int; `cell` an int whose address is taken;
+    // `arr` an int[4] in the frame.
+    let base = || {
+        let mut f = func(vec![Ty::INT, Ty::INT, Ty::INT.ptr_to()], Ty::INT);
+        f.add_local("cell", Ty::INT, true);
+        f.add_local("arr", Ty::Array(std::sync::Arc::new(Ty::INT), 4), true);
+        f
+    };
+    let (cell, arr) = (LocalId(3), LocalId(4));
+    let in_arr = IrExpr {
+        ty: Ty::INT.ptr_to(),
+        kind: ExprKind::LocalAddr(arr),
+    };
+    let p2 = IrExpr::local(LocalId(2), Ty::INT.ptr_to());
+    let rows = [
+        (
+            "stable compound",
+            IrExpr::binary(BinKind::Mul, int(0), int(1)),
+            true,
+            true,
+        ),
+        (
+            "reads an in_memory local",
+            plus(IrExpr::local(cell, Ty::INT)),
+            false,
+            false,
+        ),
+        ("loads", plus(load(p2)), false, false),
+        ("calls", plus(call(0, vec![int(0)], Ty::INT)), false, false),
+        (
+            "divides by a variable",
+            IrExpr::binary(BinKind::Div, int(0), int(1)),
+            false,
+            false,
+        ),
+        (
+            "divides by the constant 0",
+            IrExpr::binary(BinKind::Div, int(0), IrExpr::int32(0)),
+            false,
+            false,
+        ),
+        (
+            "invariant in-bounds load, memory-pure loop",
+            load(IrExpr::binary(BinKind::Add, in_arr, IrExpr::int64(8))),
+            false,
+            true,
+        ),
+    ];
+    let applied = |stats: &PassStats, pass: &str| {
+        stats
+            .remarks
+            .iter()
+            .any(|r| r.pass == pass && r.kind == RemarkKind::Applied)
+    };
+    let types = TypeRegistry::new();
+    let config = PassConfig {
+        types: Some(&types),
+        ..cfg(OptLevel::O2, &NoInline)
+    };
+    for (what, e, reused, hoisted) in rows {
+        // a = e; b = e; return a + b
+        let mut f = base();
+        let (a, b) = (
+            f.add_local("a", Ty::INT, false),
+            f.add_local("b", Ty::INT, false),
+        );
+        f.body = vec![
+            assign(a, e.clone()),
+            assign(b, e.clone()),
+            ret(IrExpr::binary(
+                BinKind::Add,
+                IrExpr::local(a, Ty::INT),
+                IrExpr::local(b, Ty::INT),
+            )),
+        ];
+        let stats = optimize(&mut f, &config);
+        assert_eq!(applied(&stats, "cse"), reused, "cse, {what}: {f:?}");
+
+        // for i = 0, p1 do acc = acc + e end; return acc
+        let mut f = base();
+        let (acc, i) = (
+            f.add_local("acc", Ty::INT, false),
+            f.add_local("i", Ty::INT, false),
+        );
+        f.body = vec![
+            assign(acc, IrExpr::int32(0)),
+            IrStmt::new(StmtKind::For {
+                var: i,
+                start: IrExpr::int32(0),
+                stop: int(1),
+                step: IrExpr::int32(1),
+                body: vec![assign(
+                    acc,
+                    IrExpr::binary(BinKind::Add, IrExpr::local(acc, Ty::INT), e),
+                )],
+            }),
+            ret(IrExpr::local(acc, Ty::INT)),
+        ];
+        let stats = optimize(&mut f, &config);
+        assert_eq!(applied(&stats, "licm"), hoisted, "licm, {what}: {f:?}");
+    }
+}

@@ -45,17 +45,27 @@ pub fn parse(src: &str) -> Result<Block> {
         toks: tokens,
         pos: 0,
         scopes: Vec::new(),
+        levels: 0,
     };
     let block = p.block()?;
     p.expect(Tok::Eof)?;
     Ok(block)
 }
 
+/// Syntax levels a chunk may nest — a statement inside a statement, an
+/// operand inside an operator — as Lua's `LUAI_MAXCCALLS`: the parser and
+/// every later phase recurse once per level, and the host stack is finite.
+/// The deepest source the repository has or generates, an inlined Orion
+/// fluid schedule, nests 31.
+const MAX_LEVELS: u32 = 200;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
     /// The scopes enclosing the current position, outermost first.
     scopes: Vec<Scope>,
+    /// Syntax levels entered and not yet left (see [`MAX_LEVELS`]).
+    levels: u32,
 }
 
 /// One run-time scope as the parser sees it: the names declared so far, in
@@ -112,6 +122,17 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> SyntaxError {
         SyntaxError::new(msg, self.span())
+    }
+
+    /// Enters one syntax level, as Lua's `enterlevel` does; the caller
+    /// leaves it on success. A failed parse stops at its error, so an error
+    /// path need not leave.
+    fn enter(&mut self) -> Result<()> {
+        self.levels += 1;
+        if self.levels > MAX_LEVELS {
+            return Err(self.err("chunk has too many syntax levels"));
+        }
+        Ok(())
     }
 
     fn name(&mut self) -> Result<Name> {
@@ -219,7 +240,9 @@ impl Parser {
                 break;
             }
             self.scope().stmt = stmts.len() as u32;
+            self.enter()?;
             let stmt = self.statement()?;
+            self.levels -= 1;
             let is_return = matches!(stmt, LuaStmt::Return { .. });
             stmts.push(stmt);
             if is_return {
@@ -629,6 +652,7 @@ impl Parser {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<LuaExpr> {
+        self.enter()?;
         let mut lhs = self.unary_expr()?;
         while let Some((op, lprec, rprec)) = binary_op(self.peek()) {
             if lprec < min_prec {
@@ -644,6 +668,7 @@ impl Parser {
                 span,
             };
         }
+        self.levels -= 1;
         Ok(lhs)
     }
 
@@ -1023,7 +1048,9 @@ impl Parser {
             if self.terra_block_ends() {
                 break;
             }
+            self.enter()?;
             stmts.push(self.terra_stmt()?);
+            self.levels -= 1;
         }
         Ok(stmts)
     }
@@ -1272,6 +1299,7 @@ impl Parser {
     }
 
     fn terra_binary_expr(&mut self, min_prec: u8) -> Result<TerraExpr> {
+        self.enter()?;
         let mut lhs = self.terra_unary_expr()?;
         while let Some((op, lprec, rprec)) = binary_op(self.peek()) {
             // Terra has no `..`.
@@ -1288,6 +1316,7 @@ impl Parser {
                 span,
             };
         }
+        self.levels -= 1;
         Ok(lhs)
     }
 

@@ -77,3 +77,33 @@ proptest! {
         prop_assert_eq!(chunk.stmts.len(), 1);
     }
 }
+
+/// Nesting 10 000 deep — parentheses in Lua and in a `terra` body, `do`
+/// blocks, table constructors — is a `SyntaxError` with its line, not a
+/// host stack overflow, on a 2 MiB thread (the default for a spawned one).
+#[test]
+fn deep_nesting_is_a_syntax_error() {
+    const N: usize = 10_000;
+    let nest = |open: &str, close: &str, inner: &str| {
+        format!("{}{inner}{}", open.repeat(N), close.repeat(N))
+    };
+    let shapes = [
+        format!("print({})", nest("(", ")", "1")),
+        format!("terra f() : int return {} end", nest("(", ")", "1")),
+        nest("do ", " end", ""),
+        format!("x = {}", nest("{", "}", "")),
+        format!("terra f() {} end", nest("do ", " end", "")),
+    ];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for src in shapes {
+                let e = terra_syntax::parse(&src).expect_err(&src[..40]);
+                assert!(e.message().contains("too many syntax levels"), "{e}");
+                assert_eq!(e.span().line, 1, "{e}");
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
