@@ -322,24 +322,6 @@ pub struct KernelCost {
     pub l2_misses: u64,
 }
 
-/// Weight of one simulated L1 miss (hit in L2) in instruction-equivalents,
-/// in the spirit of a ~4-cycle-vs-1 L2 latency ratio.
-pub const L1_MISS_PENALTY: u64 = 4;
-/// Weight of one simulated L2 miss (memory access), ~40x an L1 hit.
-pub const L2_MISS_PENALTY: u64 = 40;
-
-impl KernelCost {
-    /// The weighted scalar cost the tuner minimizes:
-    /// `instructions + L1_MISS_PENALTY·l1_misses + L2_MISS_PENALTY·l2_misses`.
-    ///
-    /// A pure instruction count cannot separate two variants that retire the
-    /// same work with different locality (e.g. loop orders); the miss terms
-    /// make blocking/layout choices visible to the tuner.
-    pub fn cost(&self) -> u64 {
-        self.instructions + L1_MISS_PENALTY * self.l1_misses + L2_MISS_PENALTY * self.l2_misses
-    }
-}
-
 /// An allocated matrix workspace plus host-side copies for verification.
 pub struct Workspace {
     /// Address of A.
@@ -535,9 +517,7 @@ mod tests {
         assert!(tuned_cost.loads < naive_cost.loads);
         assert!(tuned_cost.vector_ops > 0);
         assert_eq!(naive_cost.vector_ops, 0);
-        // The weighted model agrees, and the miss terms are populated.
-        assert!(tuned_cost.cost() < naive_cost.cost());
-        assert!(naive_cost.cost() >= naive_cost.instructions);
+        // The miss counters are populated.
         assert!(naive_cost.l1_misses > 0, "{naive_cost:?}");
         // Counters are wall-clock-free: a second measurement is identical.
         assert_eq!(s.measure_cost(&naive, &ws), naive_cost);

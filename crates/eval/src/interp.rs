@@ -996,6 +996,14 @@ impl Interp {
                                 v.first().map(|x| x.truthy()).unwrap_or(false),
                             ));
                         }
+                        // Without `__le`, Lua 5.1 takes `a <= b` as `not (b < a)`.
+                        let lt = self
+                            .meta_for(&r, "__lt")
+                            .or_else(|| self.meta_for(&l, "__lt"));
+                        if let (Le, Some(mm)) = (op, lt) {
+                            let v = self.call_value(mm, vec![r, l], span)?;
+                            return Ok(LuaValue::Bool(!v.first().is_some_and(|x| x.truthy())));
+                        }
                         Err(LuaError::at(
                             format!(
                                 "attempt to compare {} with {}",

@@ -143,10 +143,26 @@ fn install_base(interp: &mut Interp) {
     );
     interp.set_global(
         "select",
-        native("select", |_, args| match arg(&args, 0) {
-            LuaValue::Str(s) if &*s == "#" => Ok(vec![LuaValue::Number((args.len() - 1) as f64)]),
-            LuaValue::Number(n) => Ok(args.into_iter().skip(n as usize).collect()),
-            _ => Err(LuaError::msg("bad argument #1 to 'select'")),
+        native("select", |_, args| {
+            let n = args.len() as i64;
+            match arg(&args, 0) {
+                LuaValue::Str(s) if &*s == "#" => Ok(vec![LuaValue::Number((n - 1) as f64)]),
+                // As Lua 5.1's `luaB_select`: a negative index counts back
+                // from the last value, and one before the first is an error.
+                LuaValue::Number(i) => {
+                    let first = match i as i64 {
+                        i if i < 0 => n + i,
+                        i => i,
+                    };
+                    if first < 1 {
+                        return Err(LuaError::msg(
+                            "bad argument #1 to 'select' (index out of range)",
+                        ));
+                    }
+                    Ok(args.into_iter().skip(first as usize).collect())
+                }
+                _ => Err(LuaError::msg("bad argument #1 to 'select'")),
+            }
         }),
     );
     interp.set_global(

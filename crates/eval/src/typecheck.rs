@@ -430,10 +430,23 @@ enum TVal {
 }
 
 impl TExp {
-    fn rvalue(ty: Ty, ir: IrExpr) -> TExp {
+    /// A register-class value; its type is its node's.
+    fn rvalue(ir: IrExpr) -> TExp {
         TExp {
-            ty,
+            ty: ir.ty.clone(),
             val: TVal::R(ir),
+        }
+    }
+
+    /// The place at `addr`; its type is what `addr` points to. Every place
+    /// in memory is built here, so `addr.ty` is always `ty.ptr_to()`.
+    fn place(addr: IrExpr) -> TExp {
+        let Ty::Ptr(ty) = &addr.ty else {
+            unreachable!("a place's address is a pointer")
+        };
+        TExp {
+            ty: (**ty).clone(),
+            val: TVal::PlaceMem(addr),
         }
     }
 }
@@ -466,19 +479,13 @@ impl Checker<'_> {
             TVal::PlaceReg(l) => Ok(IrExpr::local(l, t.ty)),
             TVal::PlaceMem(addr) => {
                 if t.ty.is_register() {
-                    Ok(IrExpr {
-                        ty: t.ty,
-                        kind: ExprKind::Load(Box::new(addr)),
-                    })
+                    Ok(IrExpr::load(t.ty, addr))
                 } else if matches!(t.ty, Ty::Array(..)) {
                     // Arrays decay to a pointer to their first element.
                     let Ty::Array(elem, _) = &t.ty else {
                         unreachable!()
                     };
-                    Ok(IrExpr {
-                        ty: (**elem).clone().ptr_to(),
-                        kind: addr.kind,
-                    })
+                    Ok(IrExpr::new((**elem).clone().ptr_to(), addr.kind))
                 } else {
                     Err(terr(
                         format!(
@@ -507,13 +514,6 @@ impl Checker<'_> {
         }
     }
 
-    fn ptr_to_addr(ty: &Ty, addr: IrExpr) -> IrExpr {
-        IrExpr {
-            ty: ty.clone().ptr_to(),
-            kind: addr.kind,
-        }
-    }
-
     fn local_ty(&self, l: LocalId) -> Ty {
         self.func.locals[l.0 as usize].ty.clone()
     }
@@ -526,10 +526,7 @@ impl Checker<'_> {
         let idx64 = if idx.ty == Ty::I64 {
             idx
         } else {
-            IrExpr {
-                ty: Ty::I64,
-                kind: ExprKind::Cast(Box::new(idx)),
-            }
+            IrExpr::cast(Ty::I64, idx)
         };
         if size == 1 {
             return idx64;
@@ -538,31 +535,15 @@ impl Checker<'_> {
     }
 
     fn ptr_offset(&mut self, base: IrExpr, idx: IrExpr, elem_size: u64) -> IrExpr {
-        let ty = base.ty.clone();
         let scaled = self.scale_index(idx, elem_size);
-        IrExpr {
-            ty,
-            kind: ExprKind::Binary {
-                op: BinKind::Add,
-                lhs: Box::new(base),
-                rhs: Box::new(scaled),
-            },
-        }
+        IrExpr::binary(BinKind::Add, base, scaled)
     }
 
     fn const_offset(&mut self, base: IrExpr, off: u64) -> IrExpr {
         if off == 0 {
             return base;
         }
-        let ty = base.ty.clone();
-        IrExpr {
-            ty,
-            kind: ExprKind::Binary {
-                op: BinKind::Add,
-                lhs: Box::new(base),
-                rhs: Box::new(IrExpr::int64(off as i64)),
-            },
-        }
+        IrExpr::binary(BinKind::Add, base, IrExpr::int64(off as i64))
     }
 
     fn emit_defers_from(&mut self, depth: usize, out: &mut Vec<IrStmt>) {
@@ -774,13 +755,7 @@ impl Checker<'_> {
                     inner.push(IrStmt::at(
                         *span,
                         StmtKind::If {
-                            cond: IrExpr {
-                                ty: Ty::BOOL,
-                                kind: ExprKind::Unary {
-                                    op: UnKind::Not,
-                                    expr: Box::new(c),
-                                },
-                            },
+                            cond: IrExpr::unary(UnKind::Not, c),
                             then_body: vec![IrStmt::synthesized(*span, StmtKind::Break)],
                             else_body: vec![],
                         },
@@ -847,10 +822,7 @@ impl Checker<'_> {
                         }
                         ir
                     }
-                    None => IrExpr {
-                        ty: var_ty.clone(),
-                        kind: ExprKind::ConstInt(1),
-                    },
+                    None => IrExpr::new(var_ty.clone(), ExprKind::ConstInt(1)),
                 };
                 self.flush_prelude(out);
                 let lid = self.func.add_local(&*sym.name, var_ty.clone(), false);
@@ -925,10 +897,7 @@ impl Checker<'_> {
                     if slot.in_memory {
                         let pty = slot.ty.clone().ptr_to();
                         cap_params.push((format!("&{}", slot.name).into(), pty.clone()));
-                        args.push(IrExpr {
-                            ty: pty,
-                            kind: ExprKind::LocalAddr(LocalId(l)),
-                        });
+                        args.push(IrExpr::new(pty, ExprKind::LocalAddr(LocalId(l))));
                     } else {
                         cap_params.push((slot.name.clone(), slot.ty.clone()));
                         args.push(IrExpr::local(LocalId(l), slot.ty.clone()));
@@ -1137,26 +1106,10 @@ impl Checker<'_> {
         let ty = self.local_ty(lid);
         if is_aggregate(&ty) {
             let size = ty.size(&self.interp.ctx.types);
-            let addr = IrExpr {
-                ty: ty.clone().ptr_to(),
-                kind: ExprKind::LocalAddr(lid),
-            };
+            let addr = IrExpr::new(ty.clone().ptr_to(), ExprKind::LocalAddr(lid));
             out.push(IrStmt::synthesized(
                 span,
-                StmtKind::Expr(IrExpr {
-                    ty: Ty::U8.ptr_to(),
-                    kind: ExprKind::Call {
-                        callee: Callee::Builtin(Builtin::Memset),
-                        args: vec![
-                            addr,
-                            IrExpr::int32(0),
-                            IrExpr {
-                                ty: Ty::U64,
-                                kind: ExprKind::ConstInt(size as i64),
-                            },
-                        ],
-                    },
-                }),
+                StmtKind::Expr(memset(addr, size)),
             ));
             return;
         }
@@ -1165,10 +1118,7 @@ impl Checker<'_> {
             out.push(IrStmt::synthesized(
                 span,
                 StmtKind::Store {
-                    addr: IrExpr {
-                        ty: ty.clone().ptr_to(),
-                        kind: ExprKind::LocalAddr(lid),
-                    },
+                    addr: IrExpr::new(ty.clone().ptr_to(), ExprKind::LocalAddr(lid)),
                     value: zero,
                 },
             ));
@@ -1194,10 +1144,7 @@ impl Checker<'_> {
         let slot_mem = self.func.locals[lid.0 as usize].in_memory;
         if is_aggregate(&ty) {
             let src = self.addr(v, span)?;
-            let dst = IrExpr {
-                ty: ty.clone().ptr_to(),
-                kind: ExprKind::LocalAddr(lid),
-            };
+            let dst = IrExpr::new(ty.clone().ptr_to(), ExprKind::LocalAddr(lid));
             self.flush_prelude(out);
             out.push(IrStmt::at(
                 span,
@@ -1214,10 +1161,7 @@ impl Checker<'_> {
                 out.push(IrStmt::at(
                     span,
                     StmtKind::Store {
-                        addr: IrExpr {
-                            ty: ty.clone().ptr_to(),
-                            kind: ExprKind::LocalAddr(lid),
-                        },
+                        addr: IrExpr::new(ty.clone().ptr_to(), ExprKind::LocalAddr(lid)),
                         value,
                     },
                 ));
@@ -1304,13 +1248,7 @@ impl Checker<'_> {
                     Some(t @ Ty::Scalar(s)) if s.is_float() => t.clone(),
                     _ => ty,
                 };
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::ConstFloat(*v),
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::new(ty, ExprKind::ConstFloat(*v))))
             }
             SpecExprKind::LuaNum(n) => {
                 let ty = match hint {
@@ -1326,33 +1264,18 @@ impl Checker<'_> {
                 };
                 Ok(const_num(ty, *n, *n as i64))
             }
-            SpecExprKind::Bool(b) => Ok(TExp::rvalue(
-                Ty::BOOL,
-                IrExpr {
-                    ty: Ty::BOOL,
-                    kind: ExprKind::ConstBool(*b),
-                },
-            )),
+            SpecExprKind::Bool(b) => Ok(TExp::rvalue(IrExpr::boolean(*b))),
             SpecExprKind::Null => {
                 let ty = match hint {
                     Some(t @ Ty::Ptr(_)) => t.clone(),
                     _ => Ty::U8.ptr_to(),
                 };
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::ConstNull,
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::new(ty, ExprKind::ConstNull)))
             }
-            SpecExprKind::Str(s) => Ok(TExp::rvalue(
+            SpecExprKind::Str(s) => Ok(TExp::rvalue(IrExpr::new(
                 Ty::rawstring(),
-                IrExpr {
-                    ty: Ty::rawstring(),
-                    kind: ExprKind::ConstStr(s.as_ref().into()),
-                },
-            )),
+                ExprKind::ConstStr(s.as_ref().into()),
+            ))),
             SpecExprKind::Sym(sym) => {
                 let lid = *self.syms.get(&sym.id).ok_or_else(|| {
                     terr(
@@ -1366,13 +1289,10 @@ impl Checker<'_> {
                 })?;
                 let ty = self.local_ty(lid);
                 if self.func.locals[lid.0 as usize].in_memory {
-                    Ok(TExp {
-                        ty: ty.clone(),
-                        val: TVal::PlaceMem(IrExpr {
-                            ty: ty.ptr_to(),
-                            kind: ExprKind::LocalAddr(lid),
-                        }),
-                    })
+                    Ok(TExp::place(IrExpr::new(
+                        ty.ptr_to(),
+                        ExprKind::LocalAddr(lid),
+                    )))
                 } else {
                     Ok(TExp {
                         ty,
@@ -1384,23 +1304,14 @@ impl Checker<'_> {
                 let sig = ensure_signature(self.interp, *id, span)?;
                 self.deps.insert(*id);
                 let ty = Ty::Func(std::sync::Arc::new(sig));
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::ConstFunc(*id),
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::new(ty, ExprKind::ConstFunc(*id))))
             }
             SpecExprKind::GlobalRef(g) => {
-                let meta = self.interp.ctx.globals[g.0 as usize].clone();
-                Ok(TExp {
-                    ty: meta.ty.clone(),
-                    val: TVal::PlaceMem(IrExpr {
-                        ty: meta.ty.ptr_to(),
-                        kind: ExprKind::GlobalAddr(*g),
-                    }),
-                })
+                let ty = self.interp.ctx.globals[g.0 as usize].ty.clone();
+                Ok(TExp::place(IrExpr::new(
+                    ty.ptr_to(),
+                    ExprKind::GlobalAddr(*g),
+                )))
             }
             SpecExprKind::TypeLit(_) => Err(terr(
                 "a type is not a value here (types may be called as casts: T(e))",
@@ -1419,7 +1330,7 @@ impl Checker<'_> {
             SpecExprKind::Un(op, x) => self.unop(*op, x, hint, span),
             SpecExprKind::Deref(p) => {
                 let t = self.expr(p, None)?;
-                let Ty::Ptr(inner) = t.ty.clone() else {
+                if !t.ty.is_pointer() {
                     return Err(terr(
                         format!(
                             "cannot dereference non-pointer type {}",
@@ -1427,26 +1338,18 @@ impl Checker<'_> {
                         ),
                         span,
                     ));
-                };
-                let addr = self.read(t, span)?;
-                Ok(TExp {
-                    ty: (*inner).clone(),
-                    val: TVal::PlaceMem(addr),
-                })
+                }
+                Ok(TExp::place(self.read(t, span)?))
             }
             SpecExprKind::AddrOf(x) => {
                 let t = self.expr(x, None)?;
-                let ty = t.ty.clone();
                 let addr = self.addr(t, span).map_err(|_| {
                     terr(
                         "'&' requires an addressable value (a variable, field, or index)",
                         span,
                     )
                 })?;
-                Ok(TExp::rvalue(
-                    ty.clone().ptr_to(),
-                    Self::ptr_to_addr(&ty, addr),
-                ))
+                Ok(TExp::rvalue(addr))
             }
             SpecExprKind::LetIn(quote, line) => {
                 // The value belongs to the statement that consumes it, so
@@ -1502,13 +1405,7 @@ impl Checker<'_> {
             ));
         };
         let addr = self.const_offset(base_addr, offset);
-        Ok(TExp {
-            ty: fty.clone(),
-            val: TVal::PlaceMem(IrExpr {
-                ty: fty.ptr_to(),
-                kind: addr.kind,
-            }),
-        })
+        Ok(TExp::place(IrExpr::new(fty.ptr_to(), addr.kind)))
     }
 
     fn index(&mut self, obj: &SpecExpr, idx: &SpecExpr, span: Span) -> EvalResult<TExp> {
@@ -1522,24 +1419,13 @@ impl Checker<'_> {
             Ty::Ptr(elem) => {
                 let size = elem.size(&self.interp.ctx.types);
                 let base = self.read(t, span)?;
-                let addr = self.ptr_offset(base, iv, size);
-                Ok(TExp {
-                    ty: (*elem).clone(),
-                    val: TVal::PlaceMem(addr),
-                })
+                Ok(TExp::place(self.ptr_offset(base, iv, size)))
             }
             Ty::Array(elem, _) => {
                 let size = elem.size(&self.interp.ctx.types);
                 let base = self.addr(t, span)?;
-                let base = IrExpr {
-                    ty: (*elem).clone().ptr_to(),
-                    kind: base.kind,
-                };
-                let addr = self.ptr_offset(base, iv, size);
-                Ok(TExp {
-                    ty: (*elem).clone(),
-                    val: TVal::PlaceMem(addr),
-                })
+                let base = IrExpr::new((*elem).clone().ptr_to(), base.kind);
+                Ok(TExp::place(self.ptr_offset(base, iv, size)))
             }
             other => Err(terr(
                 format!("cannot index {}", other.display(&self.interp.ctx.types)),
@@ -1569,16 +1455,11 @@ impl Checker<'_> {
                 self.deps.insert(*id);
                 let fname = self.interp.ctx.funcs[id.0 as usize].name.to_string();
                 let irargs = self.check_args(&sig, args, span, &fname)?;
-                Ok(TExp::rvalue(
+                Ok(TExp::rvalue(IrExpr::call(
                     sig.ret.clone(),
-                    IrExpr {
-                        ty: sig.ret.clone(),
-                        kind: ExprKind::Call {
-                            callee: Callee::Direct(*id),
-                            args: irargs,
-                        },
-                    },
-                ))
+                    Callee::Direct(*id),
+                    irargs,
+                )))
             }
             SpecExprKind::Intrinsic(i) => self.intrinsic_call(*i, args, hint, span),
             _ => {
@@ -1594,16 +1475,11 @@ impl Checker<'_> {
                 };
                 let fv = self.read(f, span)?;
                 let irargs = self.check_args(&sig, args, span, "function pointer")?;
-                Ok(TExp::rvalue(
+                Ok(TExp::rvalue(IrExpr::call(
                     sig.ret.clone(),
-                    IrExpr {
-                        ty: sig.ret.clone(),
-                        kind: ExprKind::Call {
-                            callee: Callee::Indirect(Box::new(fv)),
-                            args: irargs,
-                        },
-                    },
-                ))
+                    Callee::Indirect(Box::new(fv)),
+                    irargs,
+                )))
             }
         }
     }
@@ -1662,17 +1538,8 @@ impl Checker<'_> {
                 let t = c.convert(t, &pty, a.span, Some(a))?;
                 irargs.push(c.read(t, a.span)?);
             }
-            let ret = info.ret.ty();
-            Ok(TExp::rvalue(
-                ret.clone(),
-                IrExpr {
-                    ty: ret,
-                    kind: ExprKind::Call {
-                        callee: Callee::Builtin(b),
-                        args: irargs,
-                    },
-                },
-            ))
+            let call = IrExpr::call(info.ret.ty(), Callee::Builtin(b), irargs);
+            Ok(TExp::rvalue(call))
         };
         match i {
             Intrinsic::Min | Intrinsic::Max => {
@@ -1681,23 +1548,13 @@ impl Checker<'_> {
                 }
                 let lt = self.expr(&args[0], _hint)?;
                 let rt = self.expr(&args[1], Some(&lt.ty.clone()))?;
-                let (a, b, ty) = self.unify_arith(lt, rt, &args[0], &args[1], span)?;
+                let (a, b) = self.unify_arith(lt, rt, &args[0], &args[1], span)?;
                 let kind = if matches!(i, Intrinsic::Min) {
                     BinKind::Min
                 } else {
                     BinKind::Max
                 };
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Binary {
-                            op: kind,
-                            lhs: Box::new(a),
-                            rhs: Box::new(b),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::binary(kind, a, b)))
             }
             Intrinsic::Select => {
                 if args.len() != 3 {
@@ -1711,17 +1568,7 @@ impl Checker<'_> {
                 let b = self.convert(b, &ty, args[2].span, Some(&args[2]))?;
                 let av = self.read(a, args[1].span)?;
                 let bv = self.read(b, args[2].span)?;
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Select {
-                            cond: Box::new(c),
-                            then_value: Box::new(av),
-                            else_value: Box::new(bv),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::select(c, av, bv)))
             }
             Intrinsic::C(b) => match b {
                 Builtin::Prefetch => {
@@ -1739,16 +1586,9 @@ impl Checker<'_> {
                         let t = self.expr(a, Some(&Ty::INT))?;
                         let _ = self.read(t, a.span)?;
                     }
-                    Ok(TExp::rvalue(
-                        Ty::Unit,
-                        IrExpr {
-                            ty: Ty::Unit,
-                            kind: ExprKind::Call {
-                                callee: Callee::Builtin(Builtin::Prefetch),
-                                args: vec![addr],
-                            },
-                        },
-                    ))
+                    let call =
+                        IrExpr::call(Ty::Unit, Callee::Builtin(Builtin::Prefetch), vec![addr]);
+                    Ok(TExp::rvalue(call))
                 }
                 Builtin::Printf => {
                     if args.is_empty() {
@@ -1774,16 +1614,8 @@ impl Checker<'_> {
                         };
                         irargs.push(self.read(promoted, a.span)?);
                     }
-                    Ok(TExp::rvalue(
-                        Ty::INT,
-                        IrExpr {
-                            ty: Ty::INT,
-                            kind: ExprKind::Call {
-                                callee: Callee::Builtin(Builtin::Printf),
-                                args: irargs,
-                            },
-                        },
-                    ))
+                    let call = IrExpr::call(Ty::INT, Callee::Builtin(Builtin::Printf), irargs);
+                    Ok(TExp::rvalue(call))
                 }
                 _ => fixed(self, b),
             },
@@ -1836,9 +1668,7 @@ impl Checker<'_> {
         // pointers.
         let self_arg: IrExpr = match (&sig.params[0], &t.ty) {
             (Ty::Ptr(want), Ty::Struct(_)) if matches!(&**want, Ty::Struct(s) if *s == sid) => {
-                let ty = t.ty.clone();
-                let addr = self.addr(t, span)?;
-                Self::ptr_to_addr(&ty, addr)
+                self.addr(t, span)?
             }
             (Ty::Ptr(want), Ty::Ptr(_)) if matches!(&**want, Ty::Struct(s) if *s == sid) => {
                 self.read(t, span)?
@@ -1871,16 +1701,11 @@ impl Checker<'_> {
             let ta = self.convert(ta, &pty.clone(), a.span, Some(a))?;
             irargs.push(self.read(ta, a.span)?);
         }
-        Ok(TExp::rvalue(
+        Ok(TExp::rvalue(IrExpr::call(
             sig.ret.clone(),
-            IrExpr {
-                ty: sig.ret.clone(),
-                kind: ExprKind::Call {
-                    callee: Callee::Direct(mid),
-                    args: irargs,
-                },
-            },
-        ))
+            Callee::Direct(mid),
+            irargs,
+        )))
     }
 
     fn struct_init(
@@ -1902,44 +1727,20 @@ impl Checker<'_> {
                 .collect()
         };
         let tmp = self.add_temp(ty.clone(), true);
-        let base = |fty: &Ty, off: u64| IrExpr {
-            ty: fty.clone().ptr_to(),
-            kind: if off == 0 {
-                ExprKind::LocalAddr(tmp)
-            } else {
-                ExprKind::Binary {
-                    op: BinKind::Add,
-                    lhs: Box::new(IrExpr {
-                        ty: fty.clone().ptr_to(),
-                        kind: ExprKind::LocalAddr(tmp),
-                    }),
-                    rhs: Box::new(IrExpr::int64(off as i64)),
-                }
-            },
+        let addr = |ty: Ty| IrExpr::new(ty, ExprKind::LocalAddr(tmp));
+        let base = |fty: &Ty, off: u64| {
+            let at = addr(fty.clone().ptr_to());
+            match off {
+                0 => at,
+                _ => IrExpr::binary(BinKind::Add, at, IrExpr::int64(off as i64)),
+            }
         };
         // Zero first when partially initialized.
         if args.len() < fields.len() {
             let size = ty.size(&self.interp.ctx.types);
-            self.prelude.push(IrStmt::synthesized(
-                span,
-                StmtKind::Expr(IrExpr {
-                    ty: Ty::U8.ptr_to(),
-                    kind: ExprKind::Call {
-                        callee: Callee::Builtin(Builtin::Memset),
-                        args: vec![
-                            IrExpr {
-                                ty: Ty::U8.ptr_to(),
-                                kind: ExprKind::LocalAddr(tmp),
-                            },
-                            IrExpr::int32(0),
-                            IrExpr {
-                                ty: Ty::U64,
-                                kind: ExprKind::ConstInt(size as i64),
-                            },
-                        ],
-                    },
-                }),
-            ));
+            let zero = memset(addr(Ty::U8.ptr_to()), size);
+            self.prelude
+                .push(IrStmt::synthesized(span, StmtKind::Expr(zero)));
         }
         for (i, (fname, fe)) in args.iter().enumerate() {
             let (fname2, offset, fty) = match fname {
@@ -1979,13 +1780,7 @@ impl Checker<'_> {
                     .push(IrStmt::at(fe.span, StmtKind::Store { addr, value: v }));
             }
         }
-        Ok(TExp {
-            ty: ty.clone(),
-            val: TVal::PlaceMem(IrExpr {
-                ty: ty.clone().ptr_to(),
-                kind: ExprKind::LocalAddr(tmp),
-            }),
-        })
+        Ok(TExp::place(addr(ty.clone().ptr_to())))
     }
 
     fn binop(
@@ -2013,36 +1808,16 @@ impl Checker<'_> {
                     } else {
                         (IrExpr::boolean(true), rv)
                     };
-                    return Ok(TExp::rvalue(
-                        Ty::BOOL,
-                        IrExpr {
-                            ty: Ty::BOOL,
-                            kind: ExprKind::Select {
-                                cond: Box::new(c),
-                                then_value: Box::new(tv),
-                                else_value: Box::new(fv),
-                            },
-                        },
-                    ));
+                    return Ok(TExp::rvalue(IrExpr::select(c, tv, fv)));
                 }
                 // Integer bitwise and/or.
                 let rt = self.expr(r, Some(&lt.ty.clone()))?;
-                let (a, b, ty) = self.unify_arith(lt, rt, l, r, span)?;
-                if !ty.is_integer() {
+                let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+                if !a.ty.is_integer() {
                     return Err(terr("bitwise and/or requires integer operands", span));
                 }
                 let kind = if op == And { BinKind::And } else { BinKind::Or };
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Binary {
-                            op: kind,
-                            lhs: Box::new(a),
-                            rhs: Box::new(b),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::binary(kind, a, b)))
             }
             Eq | Ne | Lt | Le | Gt | Ge => {
                 let lt = self.expr(l, None)?;
@@ -2067,15 +1842,15 @@ impl Checker<'_> {
                     let b0 = self.convert(rt, &target, r.span, Some(r))?;
                     let a = self.read(a0, l.span)?;
                     let b = self.read(b0, r.span)?;
-                    return Ok(TExp::rvalue(Ty::BOOL, IrExpr::cmp(ck, a, b)));
+                    return Ok(TExp::rvalue(IrExpr::cmp(ck, a, b)));
                 }
                 if lt.ty == Ty::BOOL && rt.ty == Ty::BOOL && matches!(op, Eq | Ne) {
                     let a = self.read(lt, l.span)?;
                     let b = self.read(rt, r.span)?;
-                    return Ok(TExp::rvalue(Ty::BOOL, IrExpr::cmp(ck, a, b)));
+                    return Ok(TExp::rvalue(IrExpr::cmp(ck, a, b)));
                 }
-                let (a, b, _ty) = self.unify_arith(lt, rt, l, r, span)?;
-                Ok(TExp::rvalue(Ty::BOOL, IrExpr::cmp(ck, a, b)))
+                let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+                Ok(TExp::rvalue(IrExpr::cmp(ck, a, b)))
             }
             Add | Sub => {
                 let lt = self.expr(l, hint)?;
@@ -2087,39 +1862,21 @@ impl Checker<'_> {
                         let base = self.read(lt, l.span)?;
                         let idx = self.read(rt, r.span)?;
                         let idx = if op == Sub {
-                            IrExpr {
-                                ty: idx.ty.clone(),
-                                kind: ExprKind::Unary {
-                                    op: UnKind::Neg,
-                                    expr: Box::new(idx),
-                                },
-                            }
+                            IrExpr::unary(UnKind::Neg, idx)
                         } else {
                             idx
                         };
-                        let addr = self.ptr_offset(base, idx, size);
-                        return Ok(TExp::rvalue(addr.ty.clone(), addr));
+                        return Ok(TExp::rvalue(self.ptr_offset(base, idx, size)));
                     }
                     if rt.ty.is_pointer() && op == Sub {
                         let a = self.read(lt, l.span)?;
                         let b = self.read(rt, r.span)?;
-                        let diff = IrExpr {
-                            ty: Ty::I64,
-                            kind: ExprKind::Binary {
-                                op: BinKind::Sub,
-                                lhs: Box::new(IrExpr {
-                                    ty: Ty::I64,
-                                    kind: a.kind,
-                                }),
-                                rhs: Box::new(IrExpr {
-                                    ty: Ty::I64,
-                                    kind: b.kind,
-                                }),
-                            },
-                        };
+                        // The two addresses, re-typed as `int64`s.
+                        let (a, b) = (IrExpr::new(Ty::I64, a.kind), IrExpr::new(Ty::I64, b.kind));
+                        let diff = IrExpr::binary(BinKind::Sub, a, b);
                         let result =
                             IrExpr::binary(BinKind::Div, diff, IrExpr::int64(size.max(1) as i64));
-                        return Ok(TExp::rvalue(Ty::I64, result));
+                        return Ok(TExp::rvalue(result));
                     }
                     return Err(terr("invalid pointer arithmetic", span));
                 }
@@ -2151,16 +1908,8 @@ impl Checker<'_> {
                 let b0 = self.convert(rt, &Ty::F64, r.span, Some(r))?;
                 let a = self.read(a0, l.span)?;
                 let b = self.read(b0, r.span)?;
-                Ok(TExp::rvalue(
-                    Ty::F64,
-                    IrExpr {
-                        ty: Ty::F64,
-                        kind: ExprKind::Call {
-                            callee: Callee::Builtin(Builtin::Pow),
-                            args: vec![a, b],
-                        },
-                    },
-                ))
+                let call = IrExpr::call(Ty::F64, Callee::Builtin(Builtin::Pow), vec![a, b]);
+                Ok(TExp::rvalue(call))
             }
             Shl | Shr => {
                 let lt = self.expr(l, hint)?;
@@ -2168,7 +1917,6 @@ impl Checker<'_> {
                 if !lt.ty.is_integer() || !rt.ty.is_integer() {
                     return Err(terr("shift requires integer operands", span));
                 }
-                let ty = lt.ty.clone();
                 let kind = if op == Shl {
                     BinKind::Shl
                 } else {
@@ -2176,17 +1924,7 @@ impl Checker<'_> {
                 };
                 let a = self.read(lt, l.span)?;
                 let b = self.read(rt, r.span)?;
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Binary {
-                            op: kind,
-                            lhs: Box::new(a),
-                            rhs: Box::new(b),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::binary(kind, a, b)))
             }
             Concat => Err(terr("'..' is not a Terra operator", span)),
         }
@@ -2201,18 +1939,8 @@ impl Checker<'_> {
         r: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<TExp> {
-        let (a, b, ty) = self.unify_arith(lt, rt, l, r, span)?;
-        Ok(TExp::rvalue(
-            ty.clone(),
-            IrExpr {
-                ty,
-                kind: ExprKind::Binary {
-                    op: kind,
-                    lhs: Box::new(a),
-                    rhs: Box::new(b),
-                },
-            },
-        ))
+        let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+        Ok(TExp::rvalue(IrExpr::binary(kind, a, b)))
     }
 
     /// Unifies two arithmetic (or vector) operands, inserting conversions.
@@ -2223,7 +1951,7 @@ impl Checker<'_> {
         l: &Rc<SpecExpr>,
         r: &Rc<SpecExpr>,
         span: Span,
-    ) -> EvalResult<(IrExpr, IrExpr, Ty)> {
+    ) -> EvalResult<(IrExpr, IrExpr)> {
         let target: Ty = match (&lt.ty, &rt.ty) {
             (Ty::Vector(s1, n1), Ty::Vector(s2, n2)) => {
                 if s1 != s2 || n1 != n2 {
@@ -2257,7 +1985,7 @@ impl Checker<'_> {
         let rt = self.convert(rt, &target, r.span, Some(r))?;
         let a = self.read(lt, l.span)?;
         let b = self.read(rt, r.span)?;
-        Ok((a, b, target))
+        Ok((a, b))
     }
 
     fn unop(&mut self, op: UnOp, x: &SpecExpr, hint: Option<&Ty>, span: Span) -> EvalResult<TExp> {
@@ -2272,16 +2000,7 @@ impl Checker<'_> {
                     ));
                 }
                 let v = self.read(t, span)?;
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Unary {
-                            op: UnKind::Neg,
-                            expr: Box::new(v),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::unary(UnKind::Neg, v)))
             }
             UnOp::Not => {
                 let ty = t.ty.clone();
@@ -2289,16 +2008,7 @@ impl Checker<'_> {
                     return Err(terr("'not' requires a bool or integer operand", span));
                 }
                 let v = self.read(t, span)?;
-                Ok(TExp::rvalue(
-                    ty.clone(),
-                    IrExpr {
-                        ty,
-                        kind: ExprKind::Unary {
-                            op: UnKind::Not,
-                            expr: Box::new(v),
-                        },
-                    },
-                ))
+                Ok(TExp::rvalue(IrExpr::unary(UnKind::Not, v)))
             }
             UnOp::Len => Err(terr("'#' is not a Terra operator", span)),
         }
@@ -2340,23 +2050,11 @@ impl Checker<'_> {
         // Arithmetic conversions.
         if t.ty.is_arithmetic() && target.is_arithmetic() {
             let v = self.read(t.clone(), span)?;
-            return Ok(Some(TExp::rvalue(
-                target.clone(),
-                IrExpr {
-                    ty: target.clone(),
-                    kind: ExprKind::Cast(Box::new(v)),
-                },
-            )));
+            return Ok(Some(TExp::rvalue(IrExpr::cast(target.clone(), v))));
         }
         if t.ty == Ty::BOOL && target.is_arithmetic() {
             let v = self.read(t.clone(), span)?;
-            return Ok(Some(TExp::rvalue(
-                target.clone(),
-                IrExpr {
-                    ty: target.clone(),
-                    kind: ExprKind::Cast(Box::new(v)),
-                },
-            )));
+            return Ok(Some(TExp::rvalue(IrExpr::cast(target.clone(), v))));
         }
         // Scalar → vector broadcast.
         if let Ty::Vector(s, _) = target {
@@ -2364,55 +2062,27 @@ impl Checker<'_> {
                 let scalar = Ty::Scalar(*s);
                 let v0 = self.convert(t.clone(), &scalar, span, None)?;
                 let v = self.read(v0, span)?;
-                return Ok(Some(TExp::rvalue(
-                    target.clone(),
-                    IrExpr {
-                        ty: target.clone(),
-                        kind: ExprKind::Cast(Box::new(v)),
-                    },
-                )));
+                return Ok(Some(TExp::rvalue(IrExpr::cast(target.clone(), v))));
             }
         }
         // Null to any pointer.
-        if matches!(
-            t.val,
-            TVal::R(IrExpr {
-                kind: ExprKind::ConstNull,
-                ..
-            })
-        ) && target.is_pointer()
-        {
-            return Ok(Some(TExp::rvalue(
+        if matches!(&t.val, TVal::R(e) if e.kind == ExprKind::ConstNull) && target.is_pointer() {
+            return Ok(Some(TExp::rvalue(IrExpr::new(
                 target.clone(),
-                IrExpr {
-                    ty: target.clone(),
-                    kind: ExprKind::ConstNull,
-                },
-            )));
+                ExprKind::ConstNull,
+            ))));
         }
         // void* (modeled as &uint8) to/from any pointer.
         let voidish = |ty: &Ty| matches!(ty, Ty::Ptr(p) if **p == Ty::U8);
         if t.ty.is_pointer() && target.is_pointer() && (voidish(&t.ty) || voidish(target)) {
             let v = self.read(t.clone(), span)?;
-            return Ok(Some(TExp::rvalue(
-                target.clone(),
-                IrExpr {
-                    ty: target.clone(),
-                    kind: ExprKind::Cast(Box::new(v)),
-                },
-            )));
+            return Ok(Some(TExp::rvalue(IrExpr::cast(target.clone(), v))));
         }
         // Array decay.
         if let (Ty::Array(elem, _), Ty::Ptr(want)) = (&t.ty, target) {
             if elem == want {
                 let addr = self.addr(t.clone(), span)?;
-                return Ok(Some(TExp::rvalue(
-                    target.clone(),
-                    IrExpr {
-                        ty: target.clone(),
-                        kind: addr.kind,
-                    },
-                )));
+                return Ok(Some(TExp::rvalue(IrExpr::new(target.clone(), addr.kind))));
             }
         }
         Ok(None)
@@ -2505,13 +2175,7 @@ impl Checker<'_> {
                 (Ty::Array(..), _) => self.addr(t.clone(), span)?,
                 _ => self.read(t, span)?,
             };
-            return Ok(TExp::rvalue(
-                target.clone(),
-                IrExpr {
-                    ty: target.clone(),
-                    kind: ExprKind::Cast(Box::new(v)),
-                },
-            ));
+            return Ok(TExp::rvalue(IrExpr::cast(target.clone(), v)));
         }
         if let Some(origin) = origin {
             if let Some(res) = self.try_user_cast(&t.ty.clone(), target, origin, span)? {
@@ -2540,10 +2204,17 @@ fn zero_of(ty: &Ty) -> IrExpr {
         Ty::Vector(s, _) => ExprKind::Cast(Box::new(zero_of(&Ty::Scalar(*s)))),
         _ => ExprKind::ConstInt(0),
     };
-    IrExpr {
-        ty: ty.clone(),
-        kind,
-    }
+    IrExpr::new(ty.clone(), kind)
+}
+
+/// `memset(addr, 0, size)`, the zeroing of an aggregate.
+fn memset(addr: IrExpr, size: u64) -> IrExpr {
+    let args = vec![
+        addr,
+        IrExpr::int32(0),
+        IrExpr::new(Ty::U64, ExprKind::ConstInt(size as i64)),
+    ];
+    IrExpr::call(Ty::U8.ptr_to(), Callee::Builtin(Builtin::Memset), args)
 }
 
 /// A constant of type `ty`: `n` for a float or a `bool`, `int` for an
@@ -2554,5 +2225,5 @@ fn const_num(ty: Ty, n: f64, int: i64) -> TExp {
         Ty::Scalar(ScalarTy::Bool) => ExprKind::ConstBool(n != 0.0),
         _ => ExprKind::ConstInt(int),
     };
-    TExp::rvalue(ty.clone(), IrExpr { ty, kind })
+    TExp::rvalue(IrExpr::new(ty, kind))
 }

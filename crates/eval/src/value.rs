@@ -187,11 +187,31 @@ impl LuaValue {
         LuaValue::Table(Rc::new(RefCell::new(Table::new())))
     }
 
-    /// The number inside, if this is a number or numeric string.
+    /// The number inside, if this is a number or numeric string. A string
+    /// converts as Lua 5.1's `luaO_str2d` reads it: a decimal number, or an
+    /// integer in hexadecimal after `0x` or `0X`, either with an optional
+    /// sign and surrounding spaces.
     pub fn as_number(&self) -> Option<f64> {
         match self {
             LuaValue::Number(n) => Some(*n),
-            LuaValue::Str(s) => s.trim().parse().ok(),
+            LuaValue::Str(s) => {
+                let s = s.trim();
+                let (neg, unsigned) = match s.strip_prefix('-') {
+                    Some(rest) => (true, rest),
+                    None => (false, s.strip_prefix('+').unwrap_or(s)),
+                };
+                let Some(hex) = unsigned
+                    .strip_prefix("0x")
+                    .or_else(|| unsigned.strip_prefix("0X"))
+                else {
+                    return s.parse().ok();
+                };
+                let n = hex
+                    .chars()
+                    .try_fold(0.0, |n, c| Some(n * 16.0 + f64::from(c.to_digit(16)?)));
+                n.filter(|_| !hex.is_empty())
+                    .map(|n| if neg { -n } else { n })
+            }
             _ => None,
         }
     }

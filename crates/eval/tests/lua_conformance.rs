@@ -2,7 +2,7 @@
 //! returns as written from the Lua 5.1 reference manual, not from running
 //! this interpreter (there is no reference `lua` here to run).
 //!
-//! The rows so far are the numeric `for` of §2.4.5, which the manual gives
+//! The first rows are the numeric `for` of §2.4.5, which the manual gives
 //! as the loop
 //!
 //! ```lua
@@ -21,6 +21,10 @@
 //! float step accumulates, `v` is a fresh local of each iteration (assigning
 //! it changes nothing about the count, and nothing outside sees it), and a
 //! bound that is not a number is an error.
+//!
+//! The rows after them, `CORNERS`, are corners of the base library and of
+//! string coercion: `select`'s index, `<=` on tables with only `__lt`, and
+//! hexadecimal strings.
 
 use terra_eval::{Interp, LuaValue};
 
@@ -166,4 +170,88 @@ fn a_bound_that_is_not_a_number_is_an_error() {
         let src = format!("local n = 0 for {header} do n = n + 1 end return n");
         assert_eq!(returns(&src), "error", "{header}");
     }
+}
+
+/// Corners of the base library and of coercion, each as §5.1 and §2.2.1 of
+/// the manual state them: a program, and what it returns.
+const CORNERS: &[(&str, &str, &str)] = &[
+    (
+        "select with a negative index counts from the end",
+        "return select(-1, 'a', 'b', 'c')",
+        "c",
+    ),
+    (
+        "select with -n returns all n values",
+        "return table.concat({select(-3, 'a', 'b', 'c')}, ' ')",
+        "a b c",
+    ),
+    (
+        "select past the last value returns nothing",
+        "return select('#', select(5, 'a'))",
+        "0",
+    ),
+    (
+        "select with index 0 is an error",
+        "return select(0, 'a')",
+        "error",
+    ),
+    (
+        "select with an index before the first value is an error",
+        "return select(-4, 'a', 'b', 'c')",
+        "error",
+    ),
+    (
+        "the error names the argument",
+        "local ok, e = pcall(select, 0, 'a') return e",
+        "bad argument #1 to 'select' (index out of range)",
+    ),
+    (
+        "`<=` without `__le` is `not (b < a)` through `__lt`",
+        "local mt = {__lt = function(a, b) return a.v < b.v end} \
+         local x, y = setmetatable({v = 1}, mt), setmetatable({v = 2}, mt) \
+         return tostring(x <= y) .. ' ' .. tostring(y <= x) .. ' ' .. tostring(y >= x) \
+         .. ' ' .. tostring(x <= x)",
+        "true false true true",
+    ),
+    (
+        "`__le` is called when there is one",
+        "local mt = {__lt = function() return true end, __le = function() return false end} \
+         local x, y = setmetatable({}, mt), setmetatable({}, mt) \
+         return tostring(x <= y) .. ' ' .. tostring(x < y)",
+        "false true",
+    ),
+    (
+        "tonumber reads a hexadecimal integer",
+        "return tostring(tonumber('0x10'))",
+        "16",
+    ),
+    (
+        "a hexadecimal string is coerced in arithmetic",
+        "return '0x10' + 1",
+        "17",
+    ),
+    (
+        "the 0X prefix and the digits are caseless, spaces are skipped",
+        "return tostring(tonumber(' 0XfF '))",
+        "255",
+    ),
+    (
+        "a prefix without digits is not a number",
+        "return tostring(tonumber('0x')) .. ' ' .. tostring(tonumber('0x1g'))",
+        "nil nil",
+    ),
+];
+
+#[test]
+fn library_corners_follow_the_manual() {
+    let mut wrong = Vec::new();
+    for (row, src, expected) in CORNERS {
+        let got = returns(src);
+        if got != *expected {
+            wrong.push(format!(
+                "{row}: `{src}` gave {got:?}, the manual says {expected:?}"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

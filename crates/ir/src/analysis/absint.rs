@@ -1591,21 +1591,11 @@ mod tests {
     /// Loads an `elem` from `byte_off` bytes past the object `base` names
     /// (a `LocalAddr` or a `GlobalAddr`).
     fn load_at(base: ExprKind, elem: Ty, byte_off: i64) -> IrExpr {
-        let addr = IrExpr {
-            ty: elem.clone().ptr_to(),
-            kind: ExprKind::Binary {
-                op: BinKind::Add,
-                lhs: Box::new(IrExpr {
-                    ty: elem.clone().ptr_to(),
-                    kind: base,
-                }),
-                rhs: Box::new(IrExpr::int64(byte_off)),
-            },
-        };
-        IrExpr {
-            ty: elem,
-            kind: ExprKind::Load(Box::new(addr)),
-        }
+        let base = IrExpr::new(elem.clone().ptr_to(), base);
+        IrExpr::load(
+            elem,
+            IrExpr::binary(BinKind::Add, base, IrExpr::int64(byte_off)),
+        )
     }
 
     fn codes(f: &IrFunction, reg: &TypeRegistry) -> Vec<&'static str> {

@@ -960,22 +960,9 @@ mod tests {
         // produced by index lowering).
         let mut f = unit_fn("ptr_math");
         let arr = f.add_local("a", Ty::Array(std::sync::Arc::new(Ty::INT), 8), true);
-        let base = IrExpr {
-            ty: Ty::INT.ptr_to(),
-            kind: ExprKind::LocalAddr(arr),
-        };
-        let addr = IrExpr {
-            ty: Ty::INT.ptr_to(),
-            kind: ExprKind::Binary {
-                op: crate::ir::BinKind::Add,
-                lhs: Box::new(base),
-                rhs: Box::new(IrExpr::int64(4)),
-            },
-        };
-        let load = IrExpr {
-            ty: Ty::INT,
-            kind: ExprKind::Load(Box::new(addr)),
-        };
+        let base = IrExpr::new(Ty::INT.ptr_to(), ExprKind::LocalAddr(arr));
+        let addr = IrExpr::binary(crate::ir::BinKind::Add, base, IrExpr::int64(4));
+        let load = IrExpr::load(Ty::INT, addr);
         f.body = vec![StmtKind::Expr(load).into(), StmtKind::Return(None).into()];
         assert!(verify_function(&f, None, &NoEnv).is_ok());
     }

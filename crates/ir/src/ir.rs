@@ -806,70 +806,88 @@ pub struct GlobalCell {
     pub name: Arc<str>,
 }
 
-// Convenience constructors used by the lowering code and tests.
+// Constructors: the one place a node's shape and result type are stated.
+// The lowering and the passes build their nodes through these.
 impl IrExpr {
+    /// A node of type `ty`: the general form, for leaves and for re-typing
+    /// an existing node's kind.
+    pub fn new(ty: Ty, kind: ExprKind) -> IrExpr {
+        IrExpr { ty, kind }
+    }
+
     /// An `int` constant.
     pub fn int32(v: i32) -> IrExpr {
-        IrExpr {
-            ty: Ty::INT,
-            kind: ExprKind::ConstInt(v as i64),
-        }
+        IrExpr::new(Ty::INT, ExprKind::ConstInt(v as i64))
     }
 
     /// An `int64` constant.
     pub fn int64(v: i64) -> IrExpr {
-        IrExpr {
-            ty: Ty::I64,
-            kind: ExprKind::ConstInt(v),
-        }
+        IrExpr::new(Ty::I64, ExprKind::ConstInt(v))
     }
 
     /// A `double` constant.
     pub fn f64(v: f64) -> IrExpr {
-        IrExpr {
-            ty: Ty::F64,
-            kind: ExprKind::ConstFloat(v),
-        }
+        IrExpr::new(Ty::F64, ExprKind::ConstFloat(v))
     }
 
     /// A `bool` constant.
     pub fn boolean(v: bool) -> IrExpr {
-        IrExpr {
-            ty: Ty::BOOL,
-            kind: ExprKind::ConstBool(v),
-        }
+        IrExpr::new(Ty::BOOL, ExprKind::ConstBool(v))
     }
 
     /// Reads local `id` of type `ty`.
     pub fn local(id: LocalId, ty: Ty) -> IrExpr {
-        IrExpr {
-            ty,
-            kind: ExprKind::Local(id),
-        }
+        IrExpr::new(ty, ExprKind::Local(id))
     }
 
     /// Builds `lhs op rhs` with the result typed like `lhs`.
     pub fn binary(op: BinKind, lhs: IrExpr, rhs: IrExpr) -> IrExpr {
-        IrExpr {
-            ty: lhs.ty.clone(),
-            kind: ExprKind::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            },
-        }
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        IrExpr::new(lhs.ty.clone(), ExprKind::Binary { op, lhs, rhs })
     }
 
     /// Builds a comparison producing `bool`.
     pub fn cmp(op: CmpKind, lhs: IrExpr, rhs: IrExpr) -> IrExpr {
-        IrExpr {
-            ty: Ty::BOOL,
-            kind: ExprKind::Cmp {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        IrExpr::new(Ty::BOOL, ExprKind::Cmp { op, lhs, rhs })
+    }
+
+    /// Builds `op expr` with the result typed like `expr`.
+    pub fn unary(op: UnKind, expr: IrExpr) -> IrExpr {
+        IrExpr::new(
+            expr.ty.clone(),
+            ExprKind::Unary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                expr: Box::new(expr),
             },
-        }
+        )
+    }
+
+    /// Builds `select(cond, then_value, else_value)`, typed like `then_value`.
+    pub fn select(cond: IrExpr, then_value: IrExpr, else_value: IrExpr) -> IrExpr {
+        IrExpr::new(
+            then_value.ty.clone(),
+            ExprKind::Select {
+                cond: Box::new(cond),
+                then_value: Box::new(then_value),
+                else_value: Box::new(else_value),
+            },
+        )
+    }
+
+    /// Converts `expr` to `ty`.
+    pub fn cast(ty: Ty, expr: IrExpr) -> IrExpr {
+        IrExpr::new(ty, ExprKind::Cast(Box::new(expr)))
+    }
+
+    /// Loads a `ty` from `addr`.
+    pub fn load(ty: Ty, addr: IrExpr) -> IrExpr {
+        IrExpr::new(ty, ExprKind::Load(Box::new(addr)))
+    }
+
+    /// Calls `callee` with `args`, returning a `ty`.
+    pub fn call(ty: Ty, callee: Callee, args: Vec<IrExpr>) -> IrExpr {
+        IrExpr::new(ty, ExprKind::Call { callee, args })
     }
 
     /// The value of an integer constant node (its bit pattern; `ty` gives

@@ -358,10 +358,7 @@ mod tests {
 
     #[test]
     fn wrapping_respects_width() {
-        let big = IrExpr {
-            ty: Ty::INT,
-            kind: ExprKind::ConstInt(i32::MAX as i64),
-        };
+        let big = IrExpr::int32(i32::MAX);
         let e = fold(IrExpr::binary(BinKind::Add, big, IrExpr::int32(1)));
         assert_eq!(e.kind, ExprKind::ConstInt(i32::MIN as i64));
     }
@@ -370,28 +367,19 @@ mod tests {
     fn folds_comparisons_and_selects() {
         let c = fold(IrExpr::cmp(CmpKind::Lt, IrExpr::int32(1), IrExpr::int32(2)));
         assert_eq!(c.kind, ExprKind::ConstBool(true));
-        let sel = fold(IrExpr {
-            ty: Ty::INT,
-            kind: ExprKind::Select {
-                cond: Box::new(IrExpr::boolean(false)),
-                then_value: Box::new(IrExpr::int32(1)),
-                else_value: Box::new(IrExpr::int32(2)),
-            },
-        });
+        let sel = fold(IrExpr::select(
+            IrExpr::boolean(false),
+            IrExpr::int32(1),
+            IrExpr::int32(2),
+        ));
         assert_eq!(sel.kind, ExprKind::ConstInt(2));
     }
 
     #[test]
     fn folds_casts() {
-        let e = fold(IrExpr {
-            ty: Ty::F64,
-            kind: ExprKind::Cast(Box::new(IrExpr::int32(7))),
-        });
+        let e = fold(IrExpr::cast(Ty::F64, IrExpr::int32(7)));
         assert_eq!(e.kind, ExprKind::ConstFloat(7.0));
-        let e = fold(IrExpr {
-            ty: Ty::U8,
-            kind: ExprKind::Cast(Box::new(IrExpr::int32(300))),
-        });
+        let e = fold(IrExpr::cast(Ty::U8, IrExpr::int32(300)));
         assert_eq!(e.kind, ExprKind::ConstInt(44));
     }
 
@@ -417,16 +405,12 @@ mod tests {
 
     #[test]
     fn unsigned_comparison_semantics() {
-        let a = IrExpr {
-            ty: Ty::U64,
-            kind: ExprKind::ConstInt(-1), // bit pattern of u64::MAX
-        };
-        let e = fold(IrExpr::cmp(CmpKind::Gt, a, {
-            IrExpr {
-                ty: Ty::U64,
-                kind: ExprKind::ConstInt(1),
-            }
-        }));
+        let a = IrExpr::new(Ty::U64, ExprKind::ConstInt(-1)); // bit pattern of u64::MAX
+        let e = fold(IrExpr::cmp(
+            CmpKind::Gt,
+            a,
+            IrExpr::new(Ty::U64, ExprKind::ConstInt(1)),
+        ));
         assert_eq!(e.kind, ExprKind::ConstBool(true));
     }
 }

@@ -123,10 +123,7 @@ fn int_binary(
         Some(ExprKind::Binary {
             op: dir,
             lhs: Box::new(x.clone()),
-            rhs: Box::new(IrExpr {
-                ty: x.ty.clone(),
-                kind: ExprKind::ConstInt(k as i64),
-            }),
+            rhs: Box::new(IrExpr::new(x.ty.clone(), ExprKind::ConstInt(k as i64))),
         })
     };
     match op {
@@ -158,10 +155,7 @@ fn int_binary(
             Some(c) if !st.is_signed() => power_of_two(st, c).map(|_| ExprKind::Binary {
                 op: BinKind::And,
                 lhs: Box::new(lhs.clone()),
-                rhs: Box::new(IrExpr {
-                    ty: lhs.ty.clone(),
-                    kind: ExprKind::ConstInt(c - 1),
-                }),
+                rhs: Box::new(IrExpr::new(lhs.ty.clone(), ExprKind::ConstInt(c - 1))),
             }),
             _ => None,
         },

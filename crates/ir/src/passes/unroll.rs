@@ -116,10 +116,10 @@ fn copies(locals: &mut Vec<LocalSlot>, reads: &[i32], body: &[IrStmt], p: &Plan)
     let trips = if body.is_empty() { 0 } else { p.trips };
     let mut out = Vec::new();
     for k in 0..trips {
-        let value = IrExpr {
-            ty: locals[p.var.0 as usize].ty.clone(),
-            kind: ExprKind::ConstInt((p.first + k * p.step) as i64),
-        };
+        let value = IrExpr::new(
+            locals[p.var.0 as usize].ty.clone(),
+            ExprKind::ConstInt((p.first + k * p.step) as i64),
+        );
         let mut copy = body.to_vec();
         IrStmt::walk_exprs_mut(&mut copy, &mut |e| {
             if matches!(e.kind, ExprKind::Local(l) if l == p.var) {

@@ -3,9 +3,10 @@
 //! any pass that breaks the verifier invariant panics inside `optimize`.
 
 use terra_ir::{
-    optimize, BinKind, Callee, ExprKind, FuncId, FuncTy, InlineEnv, IrExpr, IrFunction, IrStmt,
-    LocalId, NoEnv, NoInline, OptLevel, PassConfig, PassStats, RemarkKind, StmtKind, Ty,
-    TypeRegistry, MAX_CALLER_GROWTH, MAX_UNROLL_GROWTH,
+    optimize, verify_function, BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, FuncTy,
+    InlineEnv, IrExpr, IrFunction, IrStmt, LocalId, NoEnv, NoInline, OptLevel, PassConfig,
+    PassStats, RemarkKind, StmtKind, Ty, TypeRegistry, UnKind, MAX_CALLER_GROWTH,
+    MAX_UNROLL_GROWTH,
 };
 
 fn func(params: Vec<Ty>, ret: Ty) -> IrFunction {
@@ -514,13 +515,7 @@ impl InlineEnv for Callees {
 
 /// A direct call of `FuncId(id)`.
 fn call(id: u32, args: Vec<IrExpr>, ty: Ty) -> IrExpr {
-    IrExpr {
-        ty,
-        kind: ExprKind::Call {
-            callee: Callee::Direct(FuncId(id)),
-            args,
-        },
-    }
+    IrExpr::call(ty, Callee::Direct(FuncId(id)), args)
 }
 
 /// `name(x : int) : int` whose body is `body(x)`.
@@ -1072,10 +1067,7 @@ fn matrix_walk(staged: bool, index: impl Fn(IrExpr, IrExpr, IrExpr) -> IrExpr) -
             },
         )),
     });
-    let element = IrExpr {
-        ty: Ty::F64,
-        kind: ExprKind::Load(Box::new(addr)),
-    };
+    let element = IrExpr::load(Ty::F64, addr);
     let sum = IrExpr::binary(BinKind::Add, IrExpr::local(acc, Ty::F64), element);
     let nest = |var, stop, body| {
         IrStmt::new(StmtKind::For {
@@ -1336,14 +1328,8 @@ fn kitchen_sink() -> IrFunction {
         kind,
     };
     let at = |base: IrExpr, off: IrExpr| IrExpr::binary(BinKind::Add, base, off);
-    let load = |addr: IrExpr| IrExpr {
-        ty: Ty::INT,
-        kind: ExprKind::Load(Box::new(addr)),
-    };
-    let call = |callee, args| IrExpr {
-        ty: Ty::INT,
-        kind: ExprKind::Call { callee, args },
-    };
+    let load = |addr: IrExpr| IrExpr::load(Ty::INT, addr);
+    let call = |callee, args| IrExpr::call(Ty::INT, callee, args);
     let fn_ptr = IrExpr {
         ty: Ty::Func(std::sync::Arc::new(FuncTy {
             params: vec![Ty::INT],
@@ -2046,10 +2032,7 @@ fn unroll_takes_a_loop_up_to_its_growth_budget() {
 #[test]
 fn what_cse_reuses_and_licm_hoists() {
     let int = |l: u32| IrExpr::local(LocalId(l), Ty::INT);
-    let load = |addr: IrExpr| IrExpr {
-        ty: Ty::INT,
-        kind: ExprKind::Load(Box::new(addr)),
-    };
+    let load = |addr: IrExpr| IrExpr::load(Ty::INT, addr);
     let plus = |e: IrExpr| IrExpr::binary(BinKind::Add, e, int(1));
     // p0, p1 : int; p2 : &int; `cell` an int whose address is taken;
     // `arr` an int[4] in the frame.
@@ -2152,4 +2135,59 @@ fn what_cse_reuses_and_licm_hoists() {
         let stats = optimize(&mut f, &config);
         assert_eq!(applied(&stats, "licm"), hoisted, "licm, {what}: {f:?}");
     }
+}
+
+/// Each constructor types its node by the rule `ir.rs` states for it:
+/// `unary` by its operand, `select` by its `then` arm, `cast`, `load`, `call`
+/// and `new` by the type they are given.
+#[test]
+fn constructors_type_their_nodes() {
+    let x = || IrExpr::local(LocalId(0), Ty::F64);
+    let p = || IrExpr::local(LocalId(1), Ty::INT.ptr_to());
+    let yes = || IrExpr::boolean(true);
+    let rows = [
+        ("unary -x", IrExpr::unary(UnKind::Neg, x()), Ty::F64),
+        ("unary not", IrExpr::unary(UnKind::Not, yes()), Ty::BOOL),
+        (
+            "select",
+            IrExpr::select(yes(), IrExpr::int64(1), IrExpr::int32(2)),
+            Ty::I64,
+        ),
+        ("cast", IrExpr::cast(Ty::F64, IrExpr::int32(1)), Ty::F64),
+        ("load", IrExpr::load(Ty::INT, p()), Ty::INT),
+        (
+            "call",
+            IrExpr::call(Ty::F64, Callee::Direct(FuncId(0)), vec![IrExpr::int32(1)]),
+            Ty::F64,
+        ),
+        ("new", IrExpr::new(Ty::U64, ExprKind::ConstInt(3)), Ty::U64),
+    ];
+    for (row, node, ty) in rows {
+        assert_eq!(node.ty, ty, "{row}");
+    }
+}
+
+/// A function built from constructors alone passes the verifier:
+/// `f(x : double, p : &int, b : bool) : double` returns
+/// `select(not b == false, -x, sqrt(double(p[1])))`.
+#[test]
+fn a_function_built_from_constructors_verifies() {
+    let mut f = func(vec![Ty::F64, Ty::INT.ptr_to(), Ty::BOOL], Ty::F64);
+    let x = IrExpr::local(LocalId(0), Ty::F64);
+    let p = IrExpr::local(LocalId(1), Ty::INT.ptr_to());
+    let b = IrExpr::local(LocalId(2), Ty::BOOL);
+    let elem = IrExpr::load(Ty::INT, IrExpr::binary(BinKind::Add, p, IrExpr::int64(4)));
+    let root = IrExpr::call(
+        Ty::F64,
+        Callee::Builtin(Builtin::Sqrt),
+        vec![IrExpr::cast(Ty::F64, elem)],
+    );
+    let cond = IrExpr::cmp(
+        CmpKind::Eq,
+        IrExpr::unary(UnKind::Not, b),
+        IrExpr::boolean(false),
+    );
+    let value = IrExpr::select(cond, IrExpr::unary(UnKind::Neg, x), root);
+    f.body = vec![ret(value)];
+    assert_eq!(verify_function(&f, None, &NoEnv), Ok(()));
 }
