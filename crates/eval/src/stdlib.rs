@@ -354,8 +354,10 @@ fn install_types(interp: &mut Interp) {
                 return Err(LuaError::msg("vector: terra type expected"));
             };
             let n = num_arg(&args, 1, "vector")? as u64;
-            let Ty::Scalar(s) = t else {
-                return Err(LuaError::msg("vector: scalar element type expected"));
+            let Ty::Scalar(s @ (ScalarTy::F32 | ScalarTy::F64)) = t else {
+                return Err(LuaError::msg(
+                    "vector: element type must be float or double",
+                ));
             };
             if !(1..=16).contains(&n) || s.size() * n > 32 {
                 return Err(LuaError::msg(

@@ -1548,7 +1548,7 @@ impl Checker<'_> {
                 }
                 let lt = self.expr(&args[0], _hint)?;
                 let rt = self.expr(&args[1], Some(&lt.ty.clone()))?;
-                let (a, b) = self.unify_arith(lt, rt, &args[0], &args[1], span)?;
+                let (a, b) = self.unify_arith(lt, rt, &args[0], &args[1], span, true)?;
                 let kind = if matches!(i, Intrinsic::Min) {
                     BinKind::Min
                 } else {
@@ -1743,7 +1743,7 @@ impl Checker<'_> {
                 .push(IrStmt::synthesized(span, StmtKind::Expr(zero)));
         }
         for (i, (fname, fe)) in args.iter().enumerate() {
-            let (fname2, offset, fty) = match fname {
+            let (_, offset, fty) = match fname {
                 Some(n) => {
                     let f = fields
                         .iter()
@@ -1764,7 +1764,6 @@ impl Checker<'_> {
                     .cloned()
                     .ok_or_else(|| terr("too many initializers for struct", fe.span))?,
             };
-            let _ = fname2;
             let t = self.expr(fe, Some(&fty))?;
             let t = self.convert(t, &fty, fe.span, Some(fe))?;
             if is_aggregate(&fty) {
@@ -1812,7 +1811,7 @@ impl Checker<'_> {
                 }
                 // Integer bitwise and/or.
                 let rt = self.expr(r, Some(&lt.ty.clone()))?;
-                let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+                let (a, b) = self.unify_arith(lt, rt, l, r, span, false)?;
                 if !a.ty.is_integer() {
                     return Err(terr("bitwise and/or requires integer operands", span));
                 }
@@ -1833,11 +1832,7 @@ impl Checker<'_> {
                 };
                 // Pointer comparisons.
                 if lt.ty.is_pointer() || rt.ty.is_pointer() {
-                    let target = if lt.ty.is_pointer() {
-                        lt.ty.clone()
-                    } else {
-                        rt.ty.clone()
-                    };
+                    let target = if lt.ty.is_pointer() { &lt.ty } else { &rt.ty }.clone();
                     let a0 = self.convert(lt, &target, l.span, Some(l))?;
                     let b0 = self.convert(rt, &target, r.span, Some(r))?;
                     let a = self.read(a0, l.span)?;
@@ -1849,7 +1844,7 @@ impl Checker<'_> {
                     let b = self.read(rt, r.span)?;
                     return Ok(TExp::rvalue(IrExpr::cmp(ck, a, b)));
                 }
-                let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+                let (a, b) = self.unify_arith(lt, rt, l, r, span, false)?;
                 Ok(TExp::rvalue(IrExpr::cmp(ck, a, b)))
             }
             Add | Sub => {
@@ -1880,10 +1875,9 @@ impl Checker<'_> {
                     }
                     return Err(terr("invalid pointer arithmetic", span));
                 }
-                let kind = if op == Add {
-                    BinKind::Add
-                } else {
-                    BinKind::Sub
+                let kind = match op {
+                    Add => BinKind::Add,
+                    _ => BinKind::Sub,
                 };
                 self.arith(kind, lt, rt, l, r, span)
             }
@@ -1917,10 +1911,9 @@ impl Checker<'_> {
                 if !lt.ty.is_integer() || !rt.ty.is_integer() {
                     return Err(terr("shift requires integer operands", span));
                 }
-                let kind = if op == Shl {
-                    BinKind::Shl
-                } else {
-                    BinKind::Shr
+                let kind = match op {
+                    Shl => BinKind::Shl,
+                    _ => BinKind::Shr,
                 };
                 let a = self.read(lt, l.span)?;
                 let b = self.read(rt, r.span)?;
@@ -1939,11 +1932,12 @@ impl Checker<'_> {
         r: &Rc<SpecExpr>,
         span: Span,
     ) -> EvalResult<TExp> {
-        let (a, b) = self.unify_arith(lt, rt, l, r, span)?;
+        let (a, b) = self.unify_arith(lt, rt, l, r, span, kind != BinKind::Rem)?;
         Ok(TExp::rvalue(IrExpr::binary(kind, a, b)))
     }
 
-    /// Unifies two arithmetic (or vector) operands, inserting conversions.
+    /// Unifies two arithmetic operands, inserting conversions; vector ones
+    /// only where `vectors` (the VM has no vector `%` or comparison).
     fn unify_arith(
         &mut self,
         lt: TExp,
@@ -1951,8 +1945,12 @@ impl Checker<'_> {
         l: &Rc<SpecExpr>,
         r: &Rc<SpecExpr>,
         span: Span,
+        vectors: bool,
     ) -> EvalResult<(IrExpr, IrExpr)> {
         let target: Ty = match (&lt.ty, &rt.ty) {
+            (Ty::Vector(..), _) | (_, Ty::Vector(..)) if !vectors => {
+                return Err(terr("operator is not defined on vectors", span))
+            }
             (Ty::Vector(s1, n1), Ty::Vector(s2, n2)) => {
                 if s1 != s2 || n1 != n2 {
                     return Err(terr("vector operands must have identical types", span));

@@ -376,6 +376,54 @@ fn vector_width_mismatch_is_an_error() {
     assert!(e.to_string().contains("vector"), "{e}");
 }
 
+/// A vector has `float` or `double` lanes, the only lanes the VM has vector
+/// instructions for (DESIGN.md §2), and `%` and comparisons are not vector
+/// operators. Each row is refused with a message at `-O0` and `-O2`. An
+/// integer-lane vector used to reach the back end and abort the host
+/// (`unsupported cast`), and `v < w` compared one register slot.
+#[test]
+fn vectors_have_float_lanes_only() {
+    let lanes = "vector: element type must be float or double";
+    let rows = [
+        (
+            "terra f() : int var v : vector(int, 4) return 1 end return f()",
+            lanes,
+        ),
+        ("local V = vector(int64, 4)", lanes),
+        ("local V = vector(bool, 4)", lanes),
+        (
+            "terra f() : int var v : vector(float, 4) = 3 var w = v % v return 1 end\n\
+             return f()",
+            "type error: operator is not defined on vectors",
+        ),
+        (
+            "terra f() : bool var v : vector(float, 4) = 3 return v < v end return f()",
+            "type error: operator is not defined on vectors",
+        ),
+    ];
+    for level in [terra_ir::OptLevel::O0, terra_ir::OptLevel::O2] {
+        for (src, msg) in rows {
+            let mut t = Interp::new();
+            t.opt = level;
+            let e = t.exec(src).expect_err(src).to_string();
+            assert!(e.contains(msg), "{level:?} {src}: {e}");
+        }
+    }
+    // The float-lane forms of the same code: an uninitialized vector is zero
+    // and a scalar stored through a vector pointer is broadcast.
+    let src = "local V = vector(double, 4)\n\
+               terra f() : double\n\
+                   var v : V\n\
+                   var w : V = 1\n\
+                   var p = &w\n\
+                   @p = 2.5\n\
+                   var a, b = [&double](&v), [&double](&w)\n\
+                   return a[0] + b[3]\n\
+               end\n\
+               return f()";
+    assert_eq!(eval_at_every_level(src), 2.5);
+}
+
 // ---------------------------------------------------------------------------
 // reflection / globals corners
 // ---------------------------------------------------------------------------

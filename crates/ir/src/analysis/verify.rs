@@ -549,10 +549,10 @@ impl Verifier<'_> {
                         format!("comparison of {} against {}", lhs.ty, rhs.ty),
                     );
                 }
-                if !lhs.ty.is_register() {
+                if !matches!(lhs.ty, Ty::Scalar(_) | Ty::Ptr(_) | Ty::Func(_)) {
                     self.error(
                         "type-mismatch",
-                        format!("comparison of non-register type {}", lhs.ty),
+                        format!("comparison of non-scalar type {}", lhs.ty),
                     );
                 }
             }
@@ -566,14 +566,9 @@ impl Verifier<'_> {
                 }
                 let elem_ok = match op {
                     UnKind::Neg => {
-                        t.is_arithmetic()
-                            || matches!(t, Ty::Vector(s, _) if s.is_integer() || s.is_float())
+                        t.is_arithmetic() || matches!(t, Ty::Vector(s, _) if s.is_float())
                     }
-                    UnKind::Not => {
-                        *t == Ty::BOOL
-                            || t.is_integer()
-                            || matches!(t, Ty::Vector(s, _) if s.is_integer())
-                    }
+                    UnKind::Not => *t == Ty::BOOL || t.is_integer(),
                 };
                 if !elem_ok {
                     self.error(
@@ -644,18 +639,17 @@ impl Verifier<'_> {
                 }
             }
             Ty::Vector(s, _) => {
-                let arith_ok = s.is_float() || s.is_integer();
-                let op_ok = match op {
-                    BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Div => arith_ok,
-                    BinKind::Min | BinKind::Max => arith_ok,
-                    BinKind::Rem
-                    | BinKind::Shl
-                    | BinKind::Shr
-                    | BinKind::And
-                    | BinKind::Or
-                    | BinKind::Xor => s.is_integer(),
-                };
-                if !op_ok {
+                // The VM's vector rows are float and double arithmetic only.
+                let arith = matches!(
+                    op,
+                    BinKind::Add
+                        | BinKind::Sub
+                        | BinKind::Mul
+                        | BinKind::Div
+                        | BinKind::Min
+                        | BinKind::Max
+                );
+                if !(s.is_float() && arith) {
                     self.error(
                         "type-mismatch",
                         format!("vector binary {op:?} on element type {s}"),

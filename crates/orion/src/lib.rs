@@ -740,33 +740,6 @@ impl ImageBuf {
     }
 }
 
-/// The schedule ladder of Figure 8, in report order.
-pub fn figure8_schedules() -> Vec<(&'static str, Schedule)> {
-    vec![
-        (
-            "Matching Orion",
-            Schedule {
-                strategy: Strategy::Materialize,
-                vectorize: false,
-            },
-        ),
-        (
-            "+ Vectorization",
-            Schedule {
-                strategy: Strategy::Materialize,
-                vectorize: true,
-            },
-        ),
-        (
-            "+ Line buffering",
-            Schedule {
-                strategy: Strategy::LineBuffer,
-                vectorize: true,
-            },
-        ),
-    ]
-}
-
 /// The separable 5×5 area filter from §6.2: a 1-D average in y, then in x.
 pub fn area_filter() -> Pipeline {
     let f = input(0);

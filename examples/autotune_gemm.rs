@@ -2,7 +2,7 @@
 //! best, verify it, and compare against the baselines — the ATLAS workflow
 //! in one process, as the paper argues staging enables.
 //!
-//! Run with: `cargo run --release -p terra-bench --example autotune_gemm`
+//! Run with: `cargo run --release -p terra-core --example autotune_gemm`
 
 use terra_autotune::{autotune, candidate_configs, GemmSession, Precision};
 

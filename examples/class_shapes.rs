@@ -2,7 +2,7 @@
 //! virtual dispatch — all built from type reflection, none of it built into
 //! the language.
 //!
-//! Run with: `cargo run --release -p terra-bench --example class_shapes`
+//! Run with: `cargo run --release -p terra-core --example class_shapes`
 
 use terra_classes::ClassSession;
 

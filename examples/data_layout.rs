@@ -1,7 +1,7 @@
 //! The §6.3.2 DataTable: one mesh-processing program, two memory layouts —
 //! change a string, keep the interface, move the performance.
 //!
-//! Run with: `cargo run --release -p terra-bench --example data_layout`
+//! Run with: `cargo run --release -p terra-core --example data_layout`
 
 use terra_layout::{HostMesh, Layout, MeshKit};
 

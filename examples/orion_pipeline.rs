@@ -2,7 +2,7 @@
 //! change *only the schedule* and watch the same algorithm speed up — the
 //! decoupling the paper demonstrates.
 //!
-//! Run with: `cargo run --release -p terra-bench --example orion_pipeline`
+//! Run with: `cargo run --release -p terra-core --example orion_pipeline`
 
 use std::time::Instant;
 use terra_core::Terra;

@@ -6,6 +6,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> every root tests/*.rs and examples/*.rs is a target of some crate"
+# Cargo compiles a file outside a crate's directory only when a manifest names
+# it as a `path`; a root test or example no manifest names is silently never
+# built.
+for f in tests/*.rs examples/*.rs; do
+    grep -qF "path = \"../../$f\"" crates/*/Cargo.toml \
+        || { echo "$f is not the path of any target in crates/*/Cargo.toml" >&2; exit 1; }
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

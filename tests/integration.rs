@@ -35,11 +35,77 @@ fn gemm_generated_beats_naive() {
     ws.verify(&s);
     let i_naive = s.measure_cost(&naive, &ws).instructions;
     let i_tuned = s.measure_cost(&tuned, &ws).instructions;
-    // 1 864 006 against 297 732 (6.3x); 417 092 (4.5x) before the back end
+    // 1 864 006 against 295 438 (6.3x); 417 092 (4.5x) before the back end
     // emitted the generator's k-loop as written.
     assert!(
         i_tuned * 6 < i_naive,
         "tuned retires {i_tuned} instructions, not under a sixth of naive's {i_naive}"
+    );
+}
+
+/// EXPERIMENTS.md A2: each of the generator's two mechanisms, register
+/// blocking and vectors, retires fewer instructions than neither, and the two
+/// together fewer than either alone.
+#[test]
+fn gemm_register_blocking_and_vectors_compose() {
+    let mut s = GemmSession::new().unwrap();
+    let n = 32;
+    let ws = s.workspace(n, Precision::F64);
+    let mut retired = |rm, rn, v| {
+        let f = s
+            .generated(n, GemmConfig { nb: 16, rm, rn, v }, Precision::F64)
+            .unwrap();
+        s.run(&f, &ws);
+        ws.verify(&s);
+        s.measure_cost(&f, &ws).instructions
+    };
+    let base = retired(1, 1, 1);
+    let (blocked, vector, both) = (retired(4, 4, 1), retired(1, 1, 4), retired(2, 2, 4));
+    let counts = format!("base {base}, RM=RN=4 {blocked}, V=4 {vector}, both {both}");
+    assert!(blocked < base && vector < base, "{counts}");
+    assert!(both < blocked && both < vector, "{counts}");
+}
+
+/// EXPERIMENTS.md A3: one vector instruction does the work of its lanes, so
+/// saxpy retires fewer instructions as `vector(float,4)` than as scalar
+/// code, and fewer again as `vector(float,8)`.
+#[test]
+fn saxpy_retires_fewer_instructions_with_wider_vectors() {
+    let n = 1024;
+    let mut src = format!(
+        "terra saxpy_1(x : &float, y : &float, a : float)
+            for i = 0, {n} do y[i] = a * x[i] + y[i] end
+        end\n"
+    );
+    for lanes in [4, 8] {
+        src.push_str(&format!(
+            "local vec{lanes} = vector(float, {lanes})
+            terra saxpy_{lanes}(x : &float, y : &float, a : float)
+                var px, py = [&vec{lanes}](x), [&vec{lanes}](y)
+                for i = 0, {n} / {lanes} do py[i] = a * px[i] + py[i] end
+            end\n"
+        ));
+    }
+    let mut t = Terra::new();
+    t.exec(&src).unwrap();
+    let (x, y) = (t.malloc(n as u64 * 4), t.malloc(n as u64 * 4));
+    t.write_f32s(x, &vec![1.0; n]);
+    t.write_f32s(y, &vec![2.0; n]);
+    let mut retired = Vec::new();
+    for lanes in [1, 4, 8] {
+        let f = t.function(&format!("saxpy_{lanes}")).unwrap();
+        t.set_profile(true);
+        t.reset_profile();
+        t.invoke(&f, &[Value::Ptr(x), Value::Ptr(y), Value::Float(0.5)])
+            .unwrap();
+        retired.push(t.profile().total_instructions());
+        t.set_profile(false);
+    }
+    // Each of the three runs added 0.5 to every element.
+    assert!(t.read_f32s(y, n).iter().all(|v| *v == 3.5));
+    assert!(
+        retired[1] < retired[0] && retired[2] < retired[1],
+        "scalar, 4-wide, 8-wide: {retired:?}"
     );
 }
 
