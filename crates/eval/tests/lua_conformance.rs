@@ -24,7 +24,10 @@
 //!
 //! The rows after them, `CORNERS`, are corners of the base library and of
 //! string coercion: `select`'s index, `<=` on tables with only `__lt`, and
-//! hexadecimal strings.
+//! hexadecimal strings; then the arithmetic and call metamethods an image
+//! algebra like Orion's relies on (§2.8): a number on either side of an
+//! operator, the operands' order, `__call`'s arguments, and the handler's
+//! own error.
 
 use terra_eval::{Interp, LuaValue};
 
@@ -239,6 +242,51 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "a prefix without digits is not a number",
         "return tostring(tonumber('0x')) .. ' ' .. tostring(tonumber('0x1g'))",
         "nil nil",
+    ),
+    (
+        "a number on the left of `-` reaches the table's `__sub`",
+        "local function v(a) return type(a) == 'number' and a or a.v end \
+         local x = setmetatable({v = 4}, {__sub = function(a, b) return v(a) - v(b) end}) \
+         return 1 - x",
+        "-3",
+    ),
+    (
+        "a number on the left of `*` reaches the table's `__mul`",
+        "local function v(a) return type(a) == 'number' and a or a.v end \
+         local x = setmetatable({v = 4}, {__mul = function(a, b) return v(a) * v(b) end}) \
+         return 2 * x",
+        "8",
+    ),
+    (
+        "a number on the left of `/` reaches the table's `__div`",
+        "local function v(a) return type(a) == 'number' and a or a.v end \
+         local x = setmetatable({v = 4}, {__div = function(a, b) return v(a) / v(b) end}) \
+         return 6 / x",
+        "1.5",
+    ),
+    (
+        "`__sub` and `__div` get the operands in the order written",
+        "local function f(a, b) return type(a) .. ' ' .. type(b) end \
+         local x = setmetatable({}, {__sub = f, __div = f}) \
+         return (1 - x) .. ', ' .. (x - 1) .. ', ' .. (6 / x) .. ', ' .. (x / 2)",
+        "number table, table number, number table, table number",
+    ),
+    (
+        "`__call` gets the table, then both arguments",
+        "local x = setmetatable({v = 4}, {__call = function(t, dx, dy) \
+             return t.v .. ' ' .. dx .. ' ' .. dy end}) \
+         return x(-1, 2)",
+        "4 -1 2",
+    ),
+    (
+        "`table + {}` fails with the handler's own error",
+        "local mt = {} \
+         mt.__add = function(a, b) \
+             if getmetatable(b) ~= mt then error('not an image', 0) end return a end \
+         local x = setmetatable({}, mt) \
+         local ok, e = pcall(function() return x + {} end) \
+         return tostring(ok) .. ' ' .. e",
+        "false not an image",
     ),
 ];
 

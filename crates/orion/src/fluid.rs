@@ -4,80 +4,21 @@
 //! boundary condition is zero, and the semi-Lagrangian advection step —
 //! which is *not* a stencil — is supplied as a raw Terra function that
 //! composes with the DSL-generated kernels (the interoperability point the
-//! paper highlights).
+//! paper highlights). All six kernels are staged by `orion.fluid` in
+//! `orion.lua`; this module drives them.
 //!
 //! The diffusion and pressure solves run Jacobi iterations **in fused
 //! pairs**: each pipeline contains two chained Jacobi stages, so the
 //! line-buffer schedule interleaves them — "line buffering pairs of the
 //! iterations of the diffuse and project kernels" (§6.2).
 
-use crate::{input, stage_ref, CompiledStencil, ImageBuf, OrionExpr, Pipeline, Schedule};
-use terra_core::{LuaError, Terra, TerraFn, Value};
-
-/// One Jacobi step of `(x0 + a·(neighbors of x)) / (1 + 4a)` as an Orion
-/// expression over `x` and `x0`.
-fn jacobi_diffuse(x: &OrionExpr, x0: &OrionExpr, a: f64) -> OrionExpr {
-    (x0.at(0, 0) + (x.at(-1, 0) + x.at(1, 0) + x.at(0, -1) + x.at(0, 1)) * a)
-        * (1.0 / (1.0 + 4.0 * a))
-}
-
-/// One Jacobi step of the pressure solve `(div + neighbors of p) / 4`.
-fn jacobi_pressure(p: &OrionExpr, div: &OrionExpr) -> OrionExpr {
-    (div.at(0, 0) + p.at(-1, 0) + p.at(1, 0) + p.at(0, -1) + p.at(0, 1)) * 0.25
-}
-
-/// The paired-iteration diffusion pipeline: inputs `(x, x0)`, output = two
-/// Jacobi steps.
-pub fn diffuse_pair(a: f64) -> Pipeline {
-    let mut p = Pipeline::new(2);
-    let x = input(0);
-    let x0 = input(1);
-    let s1 = p.stage(jacobi_diffuse(&x, &x0, a));
-    p.stage(jacobi_diffuse(&stage_ref(s1), &x0, a));
-    p
-}
-
-/// The paired-iteration pressure pipeline: inputs `(p, div)`.
-pub fn pressure_pair() -> Pipeline {
-    let mut pl = Pipeline::new(2);
-    let p = input(0);
-    let div = input(1);
-    let s1 = pl.stage(jacobi_pressure(&p, &div));
-    pl.stage(jacobi_pressure(&stage_ref(s1), &div));
-    pl
-}
-
-/// Divergence of the velocity field: inputs `(u, v)`.
-pub fn divergence(n: usize) -> Pipeline {
-    let h = -0.5 / n as f64;
-    let mut p = Pipeline::new(2);
-    let u = input(0);
-    let v = input(1);
-    p.stage((u.at(1, 0) - u.at(-1, 0) + v.at(0, 1) - v.at(0, -1)) * h);
-    p
-}
-
-/// Pressure-gradient subtraction for one velocity component. `axis` 0 for
-/// `u` (x-gradient), 1 for `v` (y-gradient). Inputs `(vel, p)`.
-pub fn grad_subtract(n: usize, axis: usize) -> Pipeline {
-    let mut pl = Pipeline::new(2);
-    let vel = input(0);
-    let p = input(1);
-    let g = if axis == 0 {
-        p.at(1, 0) - p.at(-1, 0)
-    } else {
-        p.at(0, 1) - p.at(0, -1)
-    };
-    pl.stage(vel.at(0, 0) - g * (0.5 * n as f64));
-    pl
-}
+use crate::{lua_num, stage_kernels, CompiledStencil, ImageBuf, Schedule};
+use terra_core::{LuaError, Terra};
 
 /// A complete fluid simulation state for an `n`×`n` grid.
 pub struct FluidSim {
     terra: Terra,
     n: usize,
-    padding: usize,
-    dt: f64,
     /// Velocity fields.
     pub u: ImageBuf,
     /// Velocity fields.
@@ -93,7 +34,7 @@ pub struct FluidSim {
     div_k: CompiledStencil,
     gradsub_u: CompiledStencil,
     gradsub_v: CompiledStencil,
-    advect_k: TerraFn,
+    advect_k: CompiledStencil,
     /// Jacobi iterations per solve (must be even; run as fused pairs).
     pub solver_iters: usize,
 }
@@ -103,54 +44,42 @@ impl FluidSim {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a multiple of 8 when the schedule vectorizes.
+    /// Propagates staging errors, and the library's error for a vectorized
+    /// schedule with `n` not a multiple of 8.
     pub fn new(n: usize, dt: f64, diff: f64, schedule: Schedule) -> Result<FluidSim, LuaError> {
         let mut terra = Terra::new();
-        let a = dt * diff * (n * n) as f64;
-        let pipes = [
-            diffuse_pair(a),
-            pressure_pair(),
-            divergence(n),
-            grad_subtract(n, 0),
-            grad_subtract(n, 1),
-        ];
-        let padding = pipes.iter().map(|p| p.padding()).max().expect("nonempty");
-        let diffuse2 = pipes[0].compile_padded(&mut terra, n, n, schedule, padding)?;
-        let pressure2 = pipes[1].compile_padded(&mut terra, n, n, schedule, padding)?;
-        let div_k = pipes[2].compile_padded(&mut terra, n, n, schedule, padding)?;
-        let gradsub_u = pipes[3].compile_padded(&mut terra, n, n, schedule, padding)?;
-        let gradsub_v = pipes[4].compile_padded(&mut terra, n, n, schedule, padding)?;
-        let advect_k = compile_advect(&mut terra, n, padding, dt)?;
-        let alloc = |t: &mut Terra| ImageBuf::alloc_raw(t, n, n, padding);
-        let u = alloc(&mut terra);
-        let v = alloc(&mut terra);
-        let dens = alloc(&mut terra);
-        let scratch_a = alloc(&mut terra);
-        let scratch_b = alloc(&mut terra);
-        let pressure = alloc(&mut terra);
-        let div = alloc(&mut terra);
+        let chunk = format!(
+            "local k = orion.fluid({n}, {}, {}, {})\n\
+             return k.padding, k.diffuse, k.pressure, k.divergence, k.gradsub_u, k.gradsub_v, k.advect",
+            lua_num(dt),
+            lua_num(diff),
+            schedule.lua()
+        );
+        let (padding, k) = stage_kernels(&mut terra, &chunk)?;
+        let stencil = |i: usize, n_inputs| CompiledStencil {
+            f: k[i].clone(),
+            w: n,
+            h: n,
+            padding,
+            n_inputs,
+        };
+        let mut alloc = || ImageBuf::alloc_raw(&mut terra, n, n, padding);
         Ok(FluidSim {
+            u: alloc(),
+            v: alloc(),
+            dens: alloc(),
+            scratch_a: alloc(),
+            scratch_b: alloc(),
+            pressure: alloc(),
+            div: alloc(),
             terra,
             n,
-            padding,
-            dt,
-            u,
-            v,
-            dens,
-            scratch_a,
-            scratch_b,
-            pressure,
-            div,
-            diffuse2,
-            pressure2,
-            div_k,
-            gradsub_u,
-            gradsub_v,
-            advect_k,
+            diffuse2: stencil(0, 2),
+            pressure2: stencil(1, 2),
+            div_k: stencil(2, 2),
+            gradsub_u: stencil(3, 2),
+            gradsub_v: stencil(4, 2),
+            advect_k: stencil(5, 3),
             solver_iters: 16,
         })
     }
@@ -158,11 +87,6 @@ impl FluidSim {
     /// The grid size.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Access to the underlying session (e.g. to read fields).
-    pub fn terra(&mut self) -> &mut Terra {
-        &mut self.terra
     }
 
     /// Reads a field's interior.
@@ -190,7 +114,6 @@ impl FluidSim {
         }
         if cur.addr != x.addr {
             copy_field(&mut self.terra, &cur, &x);
-            self.scratch_a = cur;
         }
     }
 
@@ -215,27 +138,13 @@ impl FluidSim {
         self.gradsub_v
             .run(&mut self.terra, &[&self.v, &cur], &self.scratch_b);
         copy_field(&mut self.terra, &self.scratch_b, &self.v);
-        if cur.addr != self.pressure.addr {
-            self.scratch_a = cur;
-        } else {
-            // pressure/scratch_a identity preserved
-        }
     }
 
     /// Semi-Lagrangian advection of `field` by the current velocity.
     fn advect_field(&mut self, field: ImageBuf) {
         let out = self.scratch_b;
-        self.terra
-            .invoke(
-                &self.advect_k,
-                &[
-                    Value::Ptr(field.addr),
-                    Value::Ptr(self.u.addr),
-                    Value::Ptr(self.v.addr),
-                    Value::Ptr(out.addr),
-                ],
-            )
-            .expect("advect kernel trapped");
+        self.advect_k
+            .run(&mut self.terra, &[&field, &self.u, &self.v], &out);
         copy_field(&mut self.terra, &out, &field);
     }
 
@@ -267,16 +176,6 @@ impl FluidSim {
             .map(|(a, b)| (*a as f64) * (*a as f64) + (*b as f64) * (*b as f64))
             .sum()
     }
-
-    /// The timestep.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Padding shared by every field buffer.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
 }
 
 fn copy_field(t: &mut Terra, src: &ImageBuf, dst: &ImageBuf) {
@@ -288,43 +187,6 @@ fn copy_field(t: &mut Terra, src: &ImageBuf, dst: &ImageBuf) {
         .memory
         .copy_within(src.addr, dst.addr, total)
         .expect("field buffers are allocated");
-}
-
-/// Compiles the raw-Terra semi-Lagrangian advection kernel — the non-stencil
-/// computation the user supplies directly, per §6.2.
-fn compile_advect(t: &mut Terra, n: usize, p: usize, dt: f64) -> Result<TerraFn, LuaError> {
-    let s = n + 2 * p;
-    let dt0 = dt * n as f64;
-    let hi = n as f64 - 1.001;
-    let src = format!(
-        r#"
-__fluid_advect = terra(d0 : &float, u : &float, v : &float, dout : &float)
-  for y = 0, {n} do
-    var row = (y + {p}) * {s} + {p}
-    for x = 0, {n} do
-      -- backtrace the particle that lands on (x, y)
-      var fx = x - {dt0} * u[row + x]
-      var fy = y - {dt0} * v[row + x]
-      fx = terralib.max(terralib.min(fx, {hi}), 0.0)
-      fy = terralib.max(terralib.min(fy, {hi}), 0.0)
-      var i0 = [int](fx)
-      var j0 = [int](fy)
-      var s1 = fx - i0
-      var t1 = fy - j0
-      var s0 = 1.0 - s1
-      var t0 = 1.0 - t1
-      var r0 = (j0 + {p}) * {s} + {p} + i0
-      var r1 = r0 + {s}
-      dout[row + x] = [float](
-          s0 * (t0 * d0[r0] + t1 * d0[r1])
-        + s1 * (t0 * d0[r0 + 1] + t1 * d0[r1 + 1]))
-    end
-  end
-end
-"#
-    );
-    t.exec(&src)?;
-    t.function("__fluid_advect")
 }
 
 #[cfg(test)]

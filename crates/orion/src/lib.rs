@@ -1,31 +1,26 @@
 //! # terra-orion
 //!
 //! Orion, the stencil DSL of §6.2 of the Terra paper: programs are
-//! *image-wide operators* with constant offsets (which guarantees every
-//! stage is a stencil), and the user guides optimization by choosing a
-//! **schedule** — each intermediate image can be *materialized*, *inlined*,
-//! or *line-buffered*, and any schedule can additionally be *vectorized*
-//! using Terra's vector types.
+//! *image-wide operators* with constant offsets, so every stage is a
+//! stencil, and the user picks a **schedule**: each intermediate image is
+//! *materialized*, *inlined* or *line-buffered*, and any schedule can be
+//! *vectorized* with Terra's vector types.
 //!
-//! This crate plays the role of the Lua front end in the paper: an
-//! expression IR built by operator overloading ([`OrionExpr`]), a compiler
-//! ([`Pipeline::compile`]) that stages Terra code for the chosen
-//! [`Schedule`], and padded zero-boundary image buffers ([`ImageBuf`]).
+//! As in the paper, Orion is a Lua library, [`ORION_SCRIPT`]: operator
+//! overloading builds the image algebra, and each schedule stages Terra
+//! with quotes, escapes and symbols. This crate wraps it: a [`Pipeline`]
+//! holds each stage's Lua source, [`Pipeline::compile`] stages it under a
+//! [`Schedule`], and [`ImageBuf`] holds padded zero-boundary images.
 //!
 //! ```
 //! use terra_core::Terra;
-//! use terra_orion::{input, Pipeline, Schedule, Strategy, ImageBuf};
+//! use terra_orion::{ImageBuf, Pipeline, Schedule};
 //! # fn main() -> Result<(), terra_core::LuaError> {
 //! let mut t = Terra::new();
 //! // diffuse-like kernel: average of the 4-neighborhood
-//! let f = input(0);
-//! let blur = (f.at(-1, 0) + f.at(1, 0) + f.at(0, -1) + f.at(0, 1)) * 0.25;
 //! let mut p = Pipeline::new(1);
-//! p.stage(blur);
-//! let compiled = p.compile(
-//!     &mut t, 16, 16,
-//!     Schedule { strategy: Strategy::Materialize, vectorize: false },
-//! )?;
+//! p.stage("(input(0)(-1, 0) + input(0)(1, 0) + input(0)(0, -1) + input(0)(0, 1)) * 0.25");
+//! let compiled = p.compile(&mut t, 16, 16, Schedule::match_c())?;
 //! let img = ImageBuf::alloc(&mut t, &compiled);
 //! let out = ImageBuf::alloc(&mut t, &compiled);
 //! img.write(&mut t, &vec![1.0; 16 * 16]);
@@ -38,126 +33,15 @@
 
 pub mod fluid;
 
-use std::fmt::Write as _;
-use std::ops::{Add, Div, Mul, Sub};
-use std::rc::Rc;
-use terra_core::{LuaError, Terra, TerraFn, Value};
+use terra_core::{LuaError, LuaValue, Terra, TerraFn, Value};
+
+/// The Orion library, written in the staged language: the image algebra,
+/// the three schedules and the fluid solver's kernels.
+pub const ORION_SCRIPT: &str = include_str!("orion.lua");
 
 /// Reference to a pipeline stage (in definition order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageId(pub usize);
-
-/// Binary operators of the image algebra.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// lane-wise minimum
-    Min,
-    /// lane-wise maximum
-    Max,
-}
-
-/// An image-wide expression: the Orion IR. Offsets are compile-time
-/// constants, which is what makes every program a stencil (paper §6.2).
-#[derive(Debug, Clone)]
-pub enum OrionExpr {
-    /// Source image `k`, translated by `(dx, dy)`.
-    In(usize, i32, i32),
-    /// An earlier stage, translated by `(dx, dy)`.
-    St(StageId, i32, i32),
-    /// A constant.
-    K(f64),
-    /// A binary operation.
-    Bin(Op, Rc<OrionExpr>, Rc<OrionExpr>),
-}
-
-/// An un-shifted reference to source image `k` (`f` in the paper's
-/// examples).
-pub fn input(k: usize) -> OrionExpr {
-    OrionExpr::In(k, 0, 0)
-}
-
-/// An un-shifted reference to an earlier stage.
-pub fn stage_ref(s: StageId) -> OrionExpr {
-    OrionExpr::St(s, 0, 0)
-}
-
-/// A constant image.
-pub fn k(v: f64) -> OrionExpr {
-    OrionExpr::K(v)
-}
-
-impl OrionExpr {
-    /// Translates the expression: `f.at(-1, 0)` is the paper's `f(-1,0)`.
-    pub fn at(&self, dx: i32, dy: i32) -> OrionExpr {
-        match self {
-            OrionExpr::In(k, x, y) => OrionExpr::In(*k, x + dx, y + dy),
-            OrionExpr::St(s, x, y) => OrionExpr::St(*s, x + dx, y + dy),
-            OrionExpr::K(v) => OrionExpr::K(*v),
-            OrionExpr::Bin(op, a, b) => {
-                OrionExpr::Bin(*op, Rc::new(a.at(dx, dy)), Rc::new(b.at(dx, dy)))
-            }
-        }
-    }
-
-    /// Lane-wise minimum.
-    pub fn min(self, other: OrionExpr) -> OrionExpr {
-        OrionExpr::Bin(Op::Min, Rc::new(self), Rc::new(other))
-    }
-
-    /// Lane-wise maximum.
-    pub fn max(self, other: OrionExpr) -> OrionExpr {
-        OrionExpr::Bin(Op::Max, Rc::new(self), Rc::new(other))
-    }
-
-    /// Clamps to `[lo, hi]`.
-    pub fn clamp(self, lo: f64, hi: f64) -> OrionExpr {
-        self.max(k(lo)).min(k(hi))
-    }
-
-    fn radius(&self) -> i32 {
-        match self {
-            OrionExpr::In(_, dx, dy) | OrionExpr::St(_, dx, dy) => dx.abs().max(dy.abs()),
-            OrionExpr::K(_) => 0,
-            OrionExpr::Bin(_, a, b) => a.radius().max(b.radius()),
-        }
-    }
-}
-
-macro_rules! orion_binop {
-    ($trait:ident, $method:ident, $op:expr) => {
-        impl $trait for OrionExpr {
-            type Output = OrionExpr;
-            fn $method(self, rhs: OrionExpr) -> OrionExpr {
-                OrionExpr::Bin($op, Rc::new(self), Rc::new(rhs))
-            }
-        }
-        impl $trait<f64> for OrionExpr {
-            type Output = OrionExpr;
-            fn $method(self, rhs: f64) -> OrionExpr {
-                OrionExpr::Bin($op, Rc::new(self), Rc::new(OrionExpr::K(rhs)))
-            }
-        }
-        impl $trait<OrionExpr> for f64 {
-            type Output = OrionExpr;
-            fn $method(self, rhs: OrionExpr) -> OrionExpr {
-                OrionExpr::Bin($op, Rc::new(OrionExpr::K(self)), Rc::new(rhs))
-            }
-        }
-    };
-}
-
-orion_binop!(Add, add, Op::Add);
-orion_binop!(Sub, sub, Op::Sub);
-orion_binop!(Mul, mul, Op::Mul);
-orion_binop!(Div, div, Op::Div);
 
 /// How intermediate stages are stored (paper §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,19 +72,26 @@ impl Schedule {
             vectorize: false,
         }
     }
+
+    /// The arguments `orion.lua` takes for this schedule: the strategy's
+    /// name and the vectorize flag.
+    fn lua(&self) -> String {
+        let strategy = format!("{:?}", self.strategy).to_lowercase();
+        format!("\"{strategy}\", {}", self.vectorize)
+    }
 }
 
-/// Strip height for the line-buffer schedule (large enough that the
-/// overlapped-halo recompute is a small fraction of the strip).
-const STRIP: usize = 64;
-/// Vector width (8 × f32 = 256-bit).
-const VW: usize = 8;
-
 /// A pipeline of image stages; the last stage added is the output.
+///
+/// Each stage is an expression in Orion's Lua syntax: `input(k)` is source
+/// image `k`, `stage(j)` an earlier stage, `f(dx, dy)` is `f` translated by
+/// a constant offset, `+ - * /` take images and numbers on either side, and
+/// `:min`, `:max` and `:clamp` are lane-wise.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     n_inputs: usize,
-    stages: Vec<OrionExpr>,
+    stages: Vec<String>,
+    inlined: Vec<usize>,
 }
 
 impl Pipeline {
@@ -209,125 +100,40 @@ impl Pipeline {
         Pipeline {
             n_inputs,
             stages: Vec::new(),
+            inlined: Vec::new(),
         }
     }
 
-    /// Adds a stage; returns its id for use in later stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression references a not-yet-defined stage or an
-    /// out-of-range input.
-    pub fn stage(&mut self, e: OrionExpr) -> StageId {
-        fn check(e: &OrionExpr, n_inputs: usize, n_stages: usize) {
-            match e {
-                OrionExpr::In(k, ..) => assert!(*k < n_inputs, "input {k} out of range"),
-                OrionExpr::St(s, ..) => {
-                    assert!(s.0 < n_stages, "stage {} referenced before definition", s.0)
-                }
-                OrionExpr::K(_) => {}
-                OrionExpr::Bin(_, a, b) => {
-                    check(a, n_inputs, n_stages);
-                    check(b, n_inputs, n_stages);
-                }
-            }
-        }
-        check(&e, self.n_inputs, self.stages.len());
-        self.stages.push(e);
+    /// Adds a stage written in Orion's Lua syntax; returns its id for use
+    /// in later stages. [`Pipeline::compile`] reports a stage that names a
+    /// later stage or an input out of range.
+    pub fn stage(&mut self, src: &str) -> StageId {
+        self.stages.push(src.to_string());
         StageId(self.stages.len() - 1)
     }
 
-    /// Number of stages.
+    /// Number of stages left to schedule (those not inlined).
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.stages.len().saturating_sub(self.inlined.len())
     }
 
-    /// Whether the pipeline is empty.
+    /// Whether the pipeline has no stage to schedule.
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.len() == 0
     }
 
     /// Returns a pipeline with the given stages inlined into their
     /// consumers (removed as materialization points) — per-stage scheduling,
     /// as in the paper where each Orion expression can individually be
     /// materialized, inlined, or line-buffered. The remaining stages are
-    /// then scheduled by the global [`Strategy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output stage is requested to be inlined.
+    /// then scheduled by the global [`Strategy`]. Inlining the output stage
+    /// is an error that [`Pipeline::compile`] reports.
     pub fn with_inlined(&self, inline: &[StageId]) -> Pipeline {
-        let last = self.stages.len() - 1;
-        assert!(
-            inline.iter().all(|s| s.0 != last),
-            "the output stage cannot be inlined away"
-        );
-        let inline_set: std::collections::HashSet<usize> = inline.iter().map(|s| s.0).collect();
-        // Rewrite each kept stage, substituting inlined stages (with offset
-        // accumulation) and renumbering references.
-        let mut keep_index = vec![usize::MAX; self.stages.len()];
-        let mut out = Pipeline::new(self.n_inputs);
-        fn rewrite(
-            p: &Pipeline,
-            inline_set: &std::collections::HashSet<usize>,
-            keep_index: &[usize],
-            e: &OrionExpr,
-            dx: i32,
-            dy: i32,
-        ) -> OrionExpr {
-            match e {
-                OrionExpr::In(k, x, y) => OrionExpr::In(*k, x + dx, y + dy),
-                OrionExpr::K(v) => OrionExpr::K(*v),
-                OrionExpr::St(sid, x, y) => {
-                    if inline_set.contains(&sid.0) {
-                        rewrite(p, inline_set, keep_index, &p.stages[sid.0], x + dx, y + dy)
-                    } else {
-                        OrionExpr::St(StageId(keep_index[sid.0]), x + dx, y + dy)
-                    }
-                }
-                OrionExpr::Bin(op, a, b) => OrionExpr::Bin(
-                    *op,
-                    Rc::new(rewrite(p, inline_set, keep_index, a, dx, dy)),
-                    Rc::new(rewrite(p, inline_set, keep_index, b, dx, dy)),
-                ),
-            }
-        }
-        for (i, st) in self.stages.iter().enumerate() {
-            if inline_set.contains(&i) {
-                continue;
-            }
-            let e = rewrite(self, &inline_set, &keep_index, st, 0, 0);
-            keep_index[i] = out.stage(e).0;
-        }
-        out
-    }
-
-    /// Total padding required around every buffer so that no read, however
-    /// scheduled, leaves the allocation: enough for every stage's halo
-    /// region plus its own read radius, rounded up for vector alignment.
-    pub fn padding(&self) -> usize {
-        let (halo, xhalo) = self.halos();
-        let mut need = 8i32;
-        for (i, st) in self.stages.iter().enumerate() {
-            let r = st.radius();
-            need = need.max(xhalo[i] + r).max(halo[i] + r);
-        }
-        (need as usize).div_ceil(8) * 8
-    }
-
-    /// Per-stage y-halos: rows beyond the output region each intermediate
-    /// must be computed on (sum of downstream radii), and the 8-aligned
-    /// x-halos used by vectorized loops.
-    fn halos(&self) -> (Vec<i32>, Vec<i32>) {
-        let n = self.stages.len();
-        let radii: Vec<i32> = self.stages.iter().map(|e| e.radius()).collect();
-        let mut halo = vec![0i32; n];
-        let mut xhalo = vec![0i32; n];
-        for i in (0..n.saturating_sub(1)).rev() {
-            halo[i] = halo[i + 1] + radii[i + 1];
-            xhalo[i] = (xhalo[i + 1] + radii[i + 1] + 7) / 8 * 8;
-        }
-        (halo, xhalo)
+        let mut p = self.clone();
+        p.inlined.extend(inline.iter().map(|s| s.0));
+        p.inlined.sort_unstable();
+        p.inlined.dedup();
+        p
     }
 
     /// Stages the pipeline into a compiled Terra function for a `w`×`h`
@@ -335,12 +141,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors (a bug in code generation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, or if `vectorize` is requested
-    /// with `w` not divisible by 8.
+    /// Returns the library's error for a stage that names a later stage or
+    /// an input out of range, an empty pipeline, a vectorized schedule with
+    /// `w` not a multiple of 8, or an inlined output stage; and any staging
+    /// error.
     pub fn compile(
         &self,
         t: &mut Terra,
@@ -348,292 +152,57 @@ impl Pipeline {
         h: usize,
         schedule: Schedule,
     ) -> Result<CompiledStencil, LuaError> {
-        self.compile_padded(t, w, h, schedule, self.padding())
-    }
-
-    /// Like [`Pipeline::compile`] but with an explicit (larger) padding, so
-    /// that several pipelines can share buffers (the fluid solver does this).
-    ///
-    /// # Errors
-    ///
-    /// Propagates staging errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `padding` is smaller than [`Pipeline::padding`].
-    pub fn compile_padded(
-        &self,
-        t: &mut Terra,
-        w: usize,
-        h: usize,
-        schedule: Schedule,
-        padding: usize,
-    ) -> Result<CompiledStencil, LuaError> {
-        assert!(!self.stages.is_empty(), "pipeline has no stages");
-        assert!(padding >= self.padding(), "padding too small for pipeline");
-        if schedule.vectorize {
-            assert!(
-                w.is_multiple_of(VW),
-                "vectorized schedules require W % 8 == 0"
-            );
-        }
-        let src = self.codegen_at(w, h, schedule, padding);
-        static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let id = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = format!("__orion_{id}");
-        t.exec(&format!("{name} = (function()\n{src}\nend)()"))
-            .map_err(|e| e.traced("orion-generated code"))?;
-        let f = t.function(&name)?;
+        let mut chunk = format!(
+            "local input, stage = orion.input, orion.stage\nlocal p = orion.pipeline({})\n",
+            self.n_inputs
+        );
+        chunk.extend(self.stages.iter().map(|s| format!("p:stage(\n{s}\n)\n")));
+        chunk.extend(self.inlined.iter().map(|j| format!("p:inline({j})\n")));
+        chunk += &format!(
+            "local f, padding = p:compile({w}, {h}, {})\nreturn padding, f",
+            schedule.lua()
+        );
+        let (padding, mut f) = stage_kernels(t, &chunk)?;
         Ok(CompiledStencil {
-            f,
+            f: f.remove(0),
             w,
             h,
             padding,
             n_inputs: self.n_inputs,
-            source: src,
         })
     }
-
-    // -- code generation ----------------------------------------------------
-
-    fn codegen_at(&self, w: usize, h: usize, schedule: Schedule, p: usize) -> String {
-        let s = w + 2 * p; // stride
-        let mut out = String::new();
-        let _ = writeln!(out, "local std = terralib.includec(\"stdlib.h\")");
-        let _ = writeln!(out, "local v8 = vector(float, 8)");
-        let _ = writeln!(out, "local pv8 = &v8");
-        let mut params: Vec<String> = (0..self.n_inputs)
-            .map(|i| format!("in{i} : &float"))
-            .collect();
-        params.push("out : &float".to_string());
-        let _ = writeln!(out, "return terra({})", params.join(", "));
-        match schedule.strategy {
-            Strategy::Inline => self.gen_inline(&mut out, w, h, p, s, schedule.vectorize),
-            Strategy::Materialize => self.gen_materialize(&mut out, w, h, p, s, schedule.vectorize),
-            Strategy::LineBuffer => self.gen_linebuffer(&mut out, w, h, p, s, schedule.vectorize),
-        }
-        let _ = writeln!(out, "end");
-        out
-    }
-
-    /// Fully-inlined single loop: every stage substituted into the output
-    /// expression with accumulated offsets.
-    fn gen_inline(&self, out: &mut String, w: usize, h: usize, p: usize, s: usize, vec: bool) {
-        let expr = self.resolve_inline(self.stages.len() - 1, 0, 0);
-        let body = emit_expr(&expr, s as i32, vec);
-        emit_loop(out, "out", w, h, p, s, vec, &body, 1);
-    }
-
-    fn resolve_inline(&self, stage: usize, dx: i32, dy: i32) -> OrionExpr {
-        fn go(p: &Pipeline, e: &OrionExpr, dx: i32, dy: i32) -> OrionExpr {
-            match e {
-                OrionExpr::In(k, x, y) => OrionExpr::In(*k, x + dx, y + dy),
-                OrionExpr::K(v) => OrionExpr::K(*v),
-                OrionExpr::St(sid, x, y) => p.resolve_inline(sid.0, x + dx, y + dy),
-                OrionExpr::Bin(op, a, b) => {
-                    OrionExpr::Bin(*op, Rc::new(go(p, a, dx, dy)), Rc::new(go(p, b, dx, dy)))
-                }
-            }
-        }
-        go(self, &self.stages[stage], dx, dy)
-    }
-
-    /// One full-sized buffer and loop per stage — what a straightforward C
-    /// implementation would do. Intermediates are computed over their halo
-    /// region so that boundary conditions apply only at the source images.
-    fn gen_materialize(&self, out: &mut String, w: usize, h: usize, p: usize, s: usize, vec: bool) {
-        let bytes = s * (h + 2 * p) * 4;
-        let n = self.stages.len();
-        let (halo, xhalo) = self.halos();
-        for i in 0..n - 1 {
-            let _ = writeln!(out, "  var st{i} = [&float](std.malloc({bytes}))");
-            let _ = writeln!(out, "  std.memset([&uint8](st{i}), 0, {bytes})");
-        }
-        for (i, stage) in self.stages.iter().enumerate() {
-            let dst = if i == n - 1 {
-                "out".to_string()
-            } else {
-                format!("st{i}")
-            };
-            let body = emit_expr(stage, s as i32, vec);
-            let (hy, hx) = (halo[i], xhalo[i]);
-            let pad = "  ";
-            let _ = writeln!(out, "{pad}for y = {}, {} do", -hy, h as i32 + hy);
-            let _ = writeln!(out, "{pad}  var inrow = (y + {p}) * {s} + {p}");
-            emit_x_loop_range(out, &dst, "inrow", -hx, w as i32 + hx, vec, &body, 2);
-            let _ = writeln!(out, "{pad}end");
-        }
-        for i in 0..n - 1 {
-            let _ = writeln!(out, "  std.free(st{i})");
-        }
-    }
-
-    /// Strip-interleaved execution: intermediates live in small scratch
-    /// buffers of `STRIP + 2·halo` rows; strips recompute halo rows
-    /// (overlapped tiling), trading a little compute for the memory-traffic
-    /// profile of classic line buffering.
-    fn gen_linebuffer(&self, out: &mut String, w: usize, h: usize, p: usize, s: usize, vec: bool) {
-        let n = self.stages.len();
-        let (halo, xhalo) = self.halos();
-        let scratch_rows: Vec<usize> = halo.iter().map(|h_| STRIP + 2 * (*h_ as usize)).collect();
-        for (i, rows) in scratch_rows.iter().enumerate().take(n - 1) {
-            let bytes = s * rows * 4;
-            let _ = writeln!(out, "  var st{i} = [&float](std.malloc({bytes}))");
-            let _ = writeln!(out, "  std.memset([&uint8](st{i}), 0, {bytes})");
-        }
-        let _ = writeln!(out, "  for y0 = 0, {h}, {STRIP} do");
-        for (i, stage) in self.stages.iter().enumerate() {
-            let is_out = i == n - 1;
-            let (lo, hi) = if is_out {
-                ("y0".to_string(), format!("terralib.min(y0 + {STRIP}, {h})"))
-            } else {
-                (
-                    format!("y0 - {}", halo[i]),
-                    format!(
-                        "terralib.min(y0 + {}, {} + {})",
-                        STRIP + halo[i] as usize,
-                        h,
-                        halo[i]
-                    ),
-                )
-            };
-            let _ = writeln!(out, "    for y = {lo}, {hi} do");
-            // Row-base variables: `inrow` addresses full padded buffers,
-            // `scr<j>` addresses stage j's scratch (its own row mapping:
-            // absolute row y lives in slot y - y0 + halo_j).
-            let _ = writeln!(out, "      var inrow = (y + {p}) * {s} + {p}");
-            for (j, h_j) in halo.iter().enumerate().take(i) {
-                let _ = writeln!(out, "      var scr{j} = (y - y0 + {h_j}) * {s} + {p}");
-            }
-            let dst_base = if is_out {
-                "inrow".to_string()
-            } else {
-                let _ = writeln!(out, "      var scrd = (y - y0 + {}) * {s} + {p}", halo[i]);
-                "scrd".to_string()
-            };
-            let dst = if is_out {
-                "out".to_string()
-            } else {
-                format!("st{i}")
-            };
-            let body = emit_expr_with_bases(
-                stage,
-                s as i32,
-                vec,
-                &|kk| (format!("in{kk}"), "inrow".to_string()),
-                &|sid| (format!("st{}", sid.0), format!("scr{}", sid.0)),
-            );
-            let hx = if is_out { 0 } else { xhalo[i] };
-            emit_x_loop_range(out, &dst, &dst_base, -hx, w as i32 + hx, vec, &body, 3);
-            let _ = writeln!(out, "    end");
-        }
-        let _ = writeln!(out, "  end");
-        for i in 0..n - 1 {
-            let _ = writeln!(out, "  std.free(st{i})");
-        }
-    }
 }
 
-/// Emits the standard y/x loop nest writing `dst[(y+p)*s + p + x]`.
-#[allow(clippy::too_many_arguments)]
-fn emit_loop(
-    out: &mut String,
-    dst: &str,
-    w: usize,
-    h: usize,
-    p: usize,
-    s: usize,
-    vec: bool,
-    body: &str,
-    indent: usize,
-) {
-    let pad = "  ".repeat(indent);
-    let _ = writeln!(out, "{pad}for y = 0, {h} do");
-    let _ = writeln!(out, "{pad}  var inrow = (y + {p}) * {s} + {p}");
-    emit_x_loop_range(out, dst, "inrow", 0, w as i32, vec, body, indent + 1);
-    let _ = writeln!(out, "{pad}end");
-}
-
-/// Emits an x loop over `[lo, hi)` (scalar or vector) storing `body` into
-/// `dst[dst_base + x]`. Vector loops require `(hi - lo) % 8 == 0`, which the
-/// 8-aligned halos guarantee.
-#[allow(clippy::too_many_arguments)]
-fn emit_x_loop_range(
-    out: &mut String,
-    dst: &str,
-    dst_base: &str,
-    lo: i32,
-    hi: i32,
-    vec: bool,
-    body: &str,
-    indent: usize,
-) {
-    let pad = "  ".repeat(indent);
-    if vec {
-        let _ = writeln!(out, "{pad}for x = {lo}, {hi}, {VW} do");
-        let _ = writeln!(out, "{pad}  @pv8(&{dst}[{dst_base} + x]) = {body}");
-        let _ = writeln!(out, "{pad}end");
-    } else {
-        let _ = writeln!(out, "{pad}for x = {lo}, {hi} do");
-        let _ = writeln!(out, "{pad}  {dst}[{dst_base} + x] = {body}");
-        let _ = writeln!(out, "{pad}end");
-    }
-}
-
-/// Renders an Orion expression as Terra source; reads are relative to the
-/// row-base variable `inrow`.
-fn emit_expr(e: &OrionExpr, stride: i32, vec: bool) -> String {
-    emit_expr_with_bases(
-        e,
-        stride,
-        vec,
-        &|k| (format!("in{k}"), "inrow".to_string()),
-        &|s| (format!("st{}", s.0), "inrow".to_string()),
-    )
-}
-
-fn emit_expr_with_bases(
-    e: &OrionExpr,
-    stride: i32,
-    vec: bool,
-    in_ref: &dyn Fn(usize) -> (String, String),
-    st_ref: &dyn Fn(StageId) -> (String, String),
-) -> String {
-    let read = |name: String, base: String, dx: i32, dy: i32| -> String {
-        let off = dy * stride + dx;
-        let idx = if off == 0 {
-            format!("{base} + x")
-        } else {
-            format!("{base} + x + {off}")
-        };
-        if vec {
-            format!("(@pv8(&{name}[{idx}]))")
-        } else {
-            format!("{name}[{idx}]")
-        }
+/// Runs `chunk` with the library loaded as `orion`. The chunk returns the
+/// padding its buffers need, then the Terra functions it staged; each is
+/// compiled here.
+fn stage_kernels(t: &mut Terra, chunk: &str) -> Result<(usize, Vec<TerraFn>), LuaError> {
+    t.register_module("lib/orion", ORION_SCRIPT);
+    let prelude = "local orion = terralib.require(\"lib/orion\")\n";
+    let out = t.exec(&(prelude.to_owned() + chunk));
+    let mut out = out.map_err(|e| e.traced("orion"))?.into_iter();
+    let Some(LuaValue::Number(padding)) = out.next() else {
+        return Err(LuaError::msg("orion: the chunk returned no padding"));
     };
-    match e {
-        OrionExpr::In(k, dx, dy) => {
-            let (name, base) = in_ref(*k);
-            read(name, base, *dx, *dy)
-        }
-        OrionExpr::St(sid, dx, dy) => {
-            let (name, base) = st_ref(*sid);
-            read(name, base, *dx, *dy)
-        }
-        OrionExpr::K(v) => format!("{v:?}f"),
-        OrionExpr::Bin(op, a, b) => {
-            let a = emit_expr_with_bases(a, stride, vec, in_ref, st_ref);
-            let b = emit_expr_with_bases(b, stride, vec, in_ref, st_ref);
-            match op {
-                Op::Add => format!("({a} + {b})"),
-                Op::Sub => format!("({a} - {b})"),
-                Op::Mul => format!("({a} * {b})"),
-                Op::Div => format!("({a} / {b})"),
-                Op::Min => format!("terralib.min({a}, {b})"),
-                Op::Max => format!("terralib.max({a}, {b})"),
-            }
-        }
+    let kernels = out
+        .map(|f| {
+            t.set_global("orion_kernel", f);
+            t.function("orion_kernel")
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    t.set_global("orion_kernel", LuaValue::Nil);
+    Ok((padding as usize, kernels))
+}
+
+/// `v` as a Lua expression that evaluates to exactly `v`: `{:?}` prints the
+/// shortest decimal that parses back to the same `f64`, and Lua has no
+/// literal for the non-finite values.
+fn lua_num(v: f64) -> String {
+    match v {
+        f64::INFINITY => "math.huge".into(),
+        f64::NEG_INFINITY => "(-math.huge)".into(),
+        _ if v.is_nan() => "(0/0)".into(),
+        _ => format!("({v:?})"),
     }
 }
 
@@ -648,8 +217,6 @@ pub struct CompiledStencil {
     pub padding: usize,
     /// Number of source images.
     pub n_inputs: usize,
-    /// The generated Terra source (useful for inspection/tests).
-    pub source: String,
 }
 
 impl CompiledStencil {
@@ -742,13 +309,9 @@ impl ImageBuf {
 
 /// The separable 5×5 area filter from §6.2: a 1-D average in y, then in x.
 pub fn area_filter() -> Pipeline {
-    let f = input(0);
     let mut p = Pipeline::new(1);
-    let pass_y = (f.at(0, -2) + f.at(0, -1) + f.at(0, 0) + f.at(0, 1) + f.at(0, 2)) * (1.0 / 5.0);
-    let y = p.stage(pass_y);
-    let g = stage_ref(y);
-    let pass_x = (g.at(-2, 0) + g.at(-1, 0) + g.at(0, 0) + g.at(1, 0) + g.at(2, 0)) * (1.0 / 5.0);
-    p.stage(pass_x);
+    p.stage("(input(0)(0, -2) + input(0)(0, -1) + input(0)(0, 0) + input(0)(0, 1) + input(0)(0, 2)) * (1 / 5)");
+    p.stage("(stage(0)(-2, 0) + stage(0)(-1, 0) + stage(0)(0, 0) + stage(0)(1, 0) + stage(0)(2, 0)) * (1 / 5)");
     p
 }
 
@@ -756,16 +319,30 @@ pub fn area_filter() -> Pipeline {
 /// clamp, invert) as a chain — the inlining demonstration.
 pub fn pointwise_pipeline(blacklevel: f64, brightness: f64) -> Pipeline {
     let mut p = Pipeline::new(1);
-    let a = p.stage(input(0) - blacklevel);
-    let b = p.stage(stage_ref(a) * brightness);
-    let c = p.stage(stage_ref(b).clamp(0.0, 1.0));
-    p.stage(1.0 - stage_ref(c));
+    p.stage(&format!("input(0) - {}", lua_num(blacklevel)));
+    p.stage(&format!("stage(0) * {}", lua_num(brightness)));
+    p.stage("stage(1):clamp(0, 1)");
+    p.stage("1 - stage(2)");
     p
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, input, reference, stage_ref, E};
+
+    /// A pipeline of `stages`, each staged from its printed Lua source.
+    fn pipeline(n_inputs: usize, stages: &[E]) -> Pipeline {
+        let mut p = Pipeline::new(n_inputs);
+        for e in stages {
+            p.stage(&e.to_string());
+        }
+        p
+    }
 
     fn checker(w: usize, h: usize) -> Vec<f32> {
         (0..w * h)
@@ -776,45 +353,6 @@ mod tests {
             .collect()
     }
 
-    /// Host-side reference: boundary conditions apply at source images
-    /// only, so every schedule must equal the fully-inlined evaluation.
-    fn reference(p: &Pipeline, inputs: &[Vec<f32>], w: usize, h: usize) -> Vec<f32> {
-        fn eval(inputs: &[Vec<f32>], e: &OrionExpr, x: i32, y: i32, w: i32, h: i32) -> f32 {
-            match e {
-                OrionExpr::In(k, dx, dy) => {
-                    let (x, y) = (x + dx, y + dy);
-                    if x < 0 || y < 0 || x >= w || y >= h {
-                        0.0
-                    } else {
-                        inputs[*k][(y * w + x) as usize]
-                    }
-                }
-                OrionExpr::St(..) => unreachable!("resolved"),
-                OrionExpr::K(v) => *v as f32,
-                OrionExpr::Bin(op, a, b) => {
-                    let a = eval(inputs, a, x, y, w, h);
-                    let b = eval(inputs, b, x, y, w, h);
-                    match op {
-                        Op::Add => a + b,
-                        Op::Sub => a - b,
-                        Op::Mul => a * b,
-                        Op::Div => a / b,
-                        Op::Min => a.min(b),
-                        Op::Max => a.max(b),
-                    }
-                }
-            }
-        }
-        let expr = p.resolve_inline(p.stages.len() - 1, 0, 0);
-        let mut buf = vec![0.0f32; w * h];
-        for y in 0..h {
-            for x in 0..w {
-                buf[y * w + x] = eval(inputs, &expr, x as i32, y as i32, w as i32, h as i32);
-            }
-        }
-        buf
-    }
-
     fn assert_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -822,28 +360,39 @@ mod tests {
         }
     }
 
-    fn run_all_schedules(p: &Pipeline, w: usize, h: usize) {
+    /// Runs `p` on `inputs` under `schedule`; returns the output image.
+    fn run(p: &Pipeline, inputs: &[Vec<f32>], w: usize, h: usize, schedule: Schedule) -> Vec<f32> {
+        let mut t = Terra::new();
+        let c = p
+            .compile(&mut t, w, h, schedule)
+            .unwrap_or_else(|e| panic!("compile failed for {schedule:?}: {e}"));
+        let bufs: Vec<ImageBuf> = inputs
+            .iter()
+            .map(|d| {
+                let b = ImageBuf::alloc(&mut t, &c);
+                b.write(&mut t, d);
+                b
+            })
+            .collect();
+        let out = ImageBuf::alloc(&mut t, &c);
+        c.run(&mut t, &bufs.iter().collect::<Vec<_>>(), &out);
+        out.read(&t)
+    }
+
+    fn run_all_schedules(p: &Pipeline, stages: &[E], w: usize, h: usize) {
         let input_data = checker(w, h);
-        let expect = reference(p, std::slice::from_ref(&input_data), w, h);
+        let expect = reference(stages, std::slice::from_ref(&input_data), w, h);
         for strategy in [
             Strategy::Materialize,
             Strategy::Inline,
             Strategy::LineBuffer,
         ] {
             for vectorize in [false, true] {
-                let mut t = Terra::new();
                 let sched = Schedule {
                     strategy,
                     vectorize,
                 };
-                let c = p
-                    .compile(&mut t, w, h, sched)
-                    .unwrap_or_else(|e| panic!("compile failed for {strategy:?}/{vectorize}: {e}"));
-                let img = ImageBuf::alloc(&mut t, &c);
-                let out = ImageBuf::alloc(&mut t, &c);
-                img.write(&mut t, &input_data);
-                c.run(&mut t, &[&img], &out);
-                let got = out.read(&t);
+                let got = run(p, std::slice::from_ref(&input_data), w, h, sched);
                 assert_close(
                     &got,
                     &expect,
@@ -856,21 +405,24 @@ mod tests {
 
     #[test]
     fn area_filter_all_schedules_agree() {
-        run_all_schedules(&area_filter(), 32, 24);
+        run_all_schedules(&area_filter(), &reference::area_filter(), 32, 24);
     }
 
     #[test]
     fn pointwise_pipeline_all_schedules_agree() {
-        run_all_schedules(&pointwise_pipeline(0.1, 1.4), 16, 16);
+        run_all_schedules(
+            &pointwise_pipeline(0.1, 1.4),
+            &reference::pointwise(0.1, 1.4),
+            16,
+            16,
+        );
     }
 
     #[test]
     fn single_stage_laplace() {
         let f = input(0);
-        let lap = f.at(-1, 0) + f.at(1, 0) + f.at(0, -1) + f.at(0, 1) - f.at(0, 0) * 4.0;
-        let mut p = Pipeline::new(1);
-        p.stage(lap);
-        run_all_schedules(&p, 16, 16);
+        let lap = [f.at(-1, 0) + f.at(1, 0) + f.at(0, -1) + f.at(0, 1) - f.at(0, 0) * 4.0];
+        run_all_schedules(&pipeline(1, &lap), &lap, 16, 16);
     }
 
     #[test]
@@ -878,140 +430,203 @@ mod tests {
         // diffuse-like: (in1 + 0.5*(in0(-1,0)+in0(1,0))) / 2
         let x = input(0);
         let x0 = input(1);
-        let mut p = Pipeline::new(2);
-        p.stage((x0 + (x.at(-1, 0) + x.at(1, 0)) * 0.5) * 0.5);
+        let stages = [(x0 + (x.at(-1, 0) + x.at(1, 0)) * 0.5) * 0.5];
+        let p = pipeline(2, &stages);
         let w = 16;
         let h = 8;
         let d0 = checker(w, h);
         let d1: Vec<f32> = d0.iter().map(|v| v * 2.0 + 0.25).collect();
-        let expect = reference(&p, &[d0.clone(), d1.clone()], w, h);
+        let data = [d0, d1];
+        let expect = reference(&stages, &data, w, h);
         for strategy in [
             Strategy::Materialize,
             Strategy::Inline,
             Strategy::LineBuffer,
         ] {
-            let mut t = Terra::new();
-            let c = p
-                .compile(
-                    &mut t,
-                    w,
-                    h,
-                    Schedule {
-                        strategy,
-                        vectorize: true,
-                    },
-                )
-                .unwrap();
-            let b0 = ImageBuf::alloc(&mut t, &c);
-            let b1 = ImageBuf::alloc(&mut t, &c);
-            let out = ImageBuf::alloc(&mut t, &c);
-            b0.write(&mut t, &d0);
-            b1.write(&mut t, &d1);
-            c.run(&mut t, &[&b0, &b1], &out);
-            assert_close(&out.read(&t), &expect, 1e-4, &format!("{strategy:?}"));
+            let sched = Schedule {
+                strategy,
+                vectorize: true,
+            };
+            let got = run(&p, &data, w, h, sched);
+            assert_close(&got, &expect, 1e-4, &format!("{strategy:?}"));
         }
     }
 
     #[test]
     fn deep_chain_linebuffer() {
         // 4 chained vertical blurs — exercises multi-stage halos.
-        let mut p = Pipeline::new(1);
-        let mut prev = p.stage((input(0).at(0, -1) + input(0).at(0, 1)) * 0.5);
-        for _ in 0..3 {
-            let e = (stage_ref(prev).at(0, -1) + stage_ref(prev).at(0, 1)) * 0.5;
-            prev = p.stage(e);
-        }
-        run_all_schedules(&p, 16, 32);
+        let stages = reference::chain4();
+        run_all_schedules(&pipeline(1, &stages), &stages, 16, 32);
     }
 
     #[test]
     fn clamp_and_minmax() {
-        let mut p = Pipeline::new(1);
-        p.stage((input(0) * 3.0).clamp(0.2, 0.9));
-        run_all_schedules(&p, 16, 8);
+        let stages = [(input(0) * 3.0).clamp(0.2, 0.9)];
+        run_all_schedules(&pipeline(1, &stages), &stages, 16, 8);
     }
 
     #[test]
     fn non_multiple_strip_heights() {
-        // h = 13 is not a multiple of the strip height 8.
-        let p = area_filter();
-        let input_data = checker(16, 13);
-        let expect = reference(&p, std::slice::from_ref(&input_data), 16, 13);
-        let mut t = Terra::new();
-        let c = p
-            .compile(
-                &mut t,
-                16,
-                13,
-                Schedule {
-                    strategy: Strategy::LineBuffer,
-                    vectorize: false,
-                },
-            )
-            .unwrap();
-        let img = ImageBuf::alloc(&mut t, &c);
-        let out = ImageBuf::alloc(&mut t, &c);
-        img.write(&mut t, &input_data);
-        c.run(&mut t, &[&img], &out);
-        assert_close(&out.read(&t), &expect, 1e-4, "strip remainder");
+        // h = 13 is not a multiple of the strip height.
+        let data = [checker(16, 13)];
+        let expect = reference(&reference::area_filter(), &data, 16, 13);
+        let sched = Schedule {
+            strategy: Strategy::LineBuffer,
+            vectorize: false,
+        };
+        let got = run(&area_filter(), &data, 16, 13, sched);
+        assert_close(&got, &expect, 1e-4, "strip remainder");
     }
 
     #[test]
     fn per_stage_inlining_preserves_semantics() {
         // Area filter with the y-pass inlined into the x-pass must equal the
         // two-stage version under every remaining strategy.
-        let p = area_filter();
-        let inlined = p.with_inlined(&[StageId(0)]);
+        let inlined = area_filter().with_inlined(&[StageId(0)]);
         assert_eq!(inlined.len(), 1);
-        let data = checker(24, 16);
-        let expect = reference(&p, std::slice::from_ref(&data), 24, 16);
+        let data = [checker(24, 16)];
+        let expect = reference(&reference::area_filter(), &data, 24, 16);
         for strategy in [Strategy::Materialize, Strategy::LineBuffer] {
-            let mut t = Terra::new();
-            let c = inlined
-                .compile(
-                    &mut t,
-                    24,
-                    16,
-                    Schedule {
-                        strategy,
-                        vectorize: true,
-                    },
-                )
-                .unwrap();
-            let img = ImageBuf::alloc(&mut t, &c);
-            let out = ImageBuf::alloc(&mut t, &c);
-            img.write(&mut t, &data);
-            c.run(&mut t, &[&img], &out);
-            assert_close(&out.read(&t), &expect, 1e-4, "per-stage inline");
+            let sched = Schedule {
+                strategy,
+                vectorize: true,
+            };
+            let got = run(&inlined, &data, 24, 16, sched);
+            assert_close(&got, &expect, 1e-4, "per-stage inline");
         }
     }
 
     #[test]
     fn partial_inlining_of_long_chain() {
         // 3-stage chain; inline only the middle stage.
-        let mut p = Pipeline::new(1);
-        let a = p.stage((input(0).at(-1, 0) + input(0).at(1, 0)) * 0.5);
-        let b = p.stage(stage_ref(a) * 2.0);
-        p.stage(stage_ref(b).at(0, -1) + stage_ref(b).at(0, 1));
-        let q = p.with_inlined(&[b]);
+        let stages = [
+            (input(0).at(-1, 0) + input(0).at(1, 0)) * 0.5,
+            stage_ref(0) * 2.0,
+            stage_ref(1).at(0, -1) + stage_ref(1).at(0, 1),
+        ];
+        let q = pipeline(1, &stages).with_inlined(&[StageId(1)]);
         assert_eq!(q.len(), 2);
-        let data = checker(16, 16);
-        let expect = reference(&p, std::slice::from_ref(&data), 16, 16);
-        let mut t = Terra::new();
-        let c = q.compile(&mut t, 16, 16, Schedule::match_c()).unwrap();
-        let img = ImageBuf::alloc(&mut t, &c);
-        let out = ImageBuf::alloc(&mut t, &c);
-        img.write(&mut t, &data);
-        c.run(&mut t, &[&img], &out);
-        assert_close(&out.read(&t), &expect, 1e-4, "partial inline");
+        let data = [checker(16, 16)];
+        let expect = reference(&stages, &data, 16, 16);
+        let got = run(&q, &data, 16, 16, Schedule::match_c());
+        assert_close(&got, &expect, 1e-4, "partial inline");
     }
 
+    /// Each misuse of the public API is an error from the library, not a
+    /// panic.
     #[test]
     fn stage_validation() {
-        let mut p = Pipeline::new(1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.stage(stage_ref(StageId(5)));
-        }));
-        assert!(r.is_err());
+        let one_stage = |src: &str| {
+            let mut p = Pipeline::new(1);
+            p.stage(src);
+            p
+        };
+        let vectorized = Schedule {
+            strategy: Strategy::Materialize,
+            vectorize: true,
+        };
+        let rows = [
+            (
+                "a stage names a later stage",
+                one_stage("stage(5)"),
+                16,
+                Schedule::match_c(),
+                "stage 5 referenced before definition",
+            ),
+            (
+                "an input out of range",
+                one_stage("input(3)"),
+                16,
+                Schedule::match_c(),
+                "input 3 out of range",
+            ),
+            (
+                "an empty pipeline",
+                Pipeline::new(1),
+                16,
+                Schedule::match_c(),
+                "pipeline has no stages",
+            ),
+            (
+                "vectorize with w % 8 != 0",
+                area_filter(),
+                12,
+                vectorized,
+                "vectorized schedules require W % 8 == 0",
+            ),
+            (
+                "the output stage inlined",
+                area_filter().with_inlined(&[StageId(1)]),
+                16,
+                Schedule::match_c(),
+                "the output stage cannot be inlined away",
+            ),
+        ];
+        for (row, p, w, schedule, message) in rows {
+            let mut t = Terra::new();
+            match p.compile(&mut t, w, 16, schedule) {
+                Ok(_) => panic!("{row}: compiled"),
+                Err(e) => assert!(e.to_string().contains(message), "{row}: {e}"),
+            }
+        }
+    }
+
+    /// Every `f64` the wrapper writes into Lua source reads back as itself.
+    #[test]
+    fn lua_numbers_round_trip() {
+        for v in [
+            0.1,
+            -0.1,
+            1.0 / 3.0,
+            -0.0,
+            1e-7,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let mut t = Terra::new();
+            let got = match t.exec(&format!("return {}", lua_num(v))).unwrap()[..] {
+                [LuaValue::Number(n)] => n,
+                ref other => panic!("{v:?}: {other:?}"),
+            };
+            assert!(
+                got.to_bits() == v.to_bits() || (got.is_nan() && v.is_nan()),
+                "{v:?} read back as {got:?}"
+            );
+        }
+    }
+
+    /// Non-finite constants stage as constants, written in Lua or passed
+    /// from Rust.
+    #[test]
+    fn non_finite_constants_stage() {
+        let one_stage = |src: &str| {
+            let mut p = Pipeline::new(1);
+            p.stage(src);
+            p
+        };
+        let same: fn(f32, f32) -> bool = |x, y| y == x;
+        let rows = [
+            (one_stage("input(0):clamp(0, math.huge)"), same),
+            (one_stage("input(0) * 0 + math.huge"), |_, y| {
+                y == f32::INFINITY
+            }),
+            (one_stage("input(0) * 0 - math.huge"), |_, y| {
+                y == f32::NEG_INFINITY
+            }),
+            (one_stage("input(0) * (0/0)"), |_, y| y.is_nan()),
+            (pointwise_pipeline(f64::NEG_INFINITY, 1.0), |_, y| y == 0.0),
+            (pointwise_pipeline(f64::INFINITY, 1.0), |_, y| y == 1.0),
+        ];
+        let data = [checker(16, 8)];
+        for (i, (p, ok)) in rows.iter().enumerate() {
+            let got = run(p, &data, 16, 8, Schedule::match_c());
+            for (x, y) in data[0].iter().zip(&got) {
+                assert!(ok(*x, *y), "row {i}: {x} -> {y}");
+            }
+        }
     }
 }

@@ -6,16 +6,15 @@
 
 use std::time::Instant;
 use terra_core::Terra;
-use terra_orion::{input, stage_ref, ImageBuf, Pipeline, Schedule, Strategy};
+use terra_orion::{ImageBuf, Pipeline, Schedule, Strategy};
 
 fn main() {
-    // The algorithm: unsharp masking — blur, then add back the detail.
-    let f = input(0);
+    // The algorithm: unsharp masking — blur, then add back the detail. Each
+    // stage is Orion's Lua: `f(dx, dy)` translates an image.
     let mut p = Pipeline::new(1);
-    let blur_y = p.stage((f.at(0, -1) + f.at(0, 0) + f.at(0, 1)) * (1.0 / 3.0));
-    let b = stage_ref(blur_y);
-    let blur = p.stage((b.at(-1, 0) + b.at(0, 0) + b.at(1, 0)) * (1.0 / 3.0));
-    p.stage((input(0) * 2.0 - stage_ref(blur)).clamp(0.0, 255.0));
+    p.stage("(input(0)(0, -1) + input(0)(0, 0) + input(0)(0, 1)) * (1 / 3)");
+    p.stage("(stage(0)(-1, 0) + stage(0)(0, 0) + stage(0)(1, 0)) * (1 / 3)");
+    p.stage("(input(0) * 2 - stage(1)):clamp(0, 255)");
 
     let (w, h) = (512, 512);
     let data: Vec<f32> = (0..w * h).map(|i| (i % 251) as f32).collect();

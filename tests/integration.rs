@@ -7,7 +7,7 @@ use terra_classes::ClassSession;
 use terra_core::{Terra, Value};
 use terra_layout::{HostMesh, Layout, MeshKit};
 use terra_orion::fluid::FluidSim;
-use terra_orion::{area_filter, input, ImageBuf, Pipeline, Schedule, Strategy};
+use terra_orion::{area_filter, ImageBuf, Pipeline, Schedule, Strategy};
 
 /// The headline GEMM shape: a tuned configuration beats naive by a wide
 /// margin even in a debug-friendly problem size — asserted on what explains
@@ -325,9 +325,8 @@ fn saveobj_manifest_for_generated_code() {
 #[test]
 fn orion_output_consumed_by_custom_terra() {
     let mut t = Terra::new();
-    let f = input(0);
     let mut p = Pipeline::new(1);
-    p.stage(f.at(0, 0) * 3.0);
+    p.stage("input(0) * 3");
     let c = p.compile(&mut t, 16, 16, Schedule::match_c()).unwrap();
     let img = ImageBuf::alloc(&mut t, &c);
     let out = ImageBuf::alloc(&mut t, &c);
