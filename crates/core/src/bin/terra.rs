@@ -341,6 +341,8 @@ fn main() {
         let pass = (!pass.is_empty()).then_some(pass);
         eprint!("{}", t.profile().render_remarks(pass));
     }
+    // Every sink is written; the OS reclaims the session faster than its drop.
+    std::mem::forget(t);
 }
 
 /// Writes one output file and says so on stderr; a failed write ends the

@@ -6,6 +6,7 @@
 //! per-function staging metadata), the type registry, globals, and the
 //! symbol generator that implements hygiene.
 
+use crate::error::LuaError;
 use crate::spec::SpecFunc;
 use crate::value::{SymbolData, SymbolRef, Table, TableRef};
 use std::cell::{Cell, RefCell};
@@ -144,21 +145,29 @@ impl Context {
     }
 
     /// Creates a global variable cell of the given type.
+    ///
+    /// # Errors
+    ///
+    /// Fails when Terra memory cannot hold a value of the type.
     pub fn new_global(
         &mut self,
         name: impl Into<Rc<str>>,
         ty: Ty,
         init: Option<&[u8]>,
-    ) -> GlobalId {
+    ) -> Result<GlobalId, LuaError> {
         let size = ty.size(&self.types);
-        let addr = self.exec.alloc_global(size, init);
+        let Some(addr) = self.exec.alloc_global(size, init) else {
+            return Err(LuaError::msg(format!(
+                "global: cannot allocate {size} bytes of Terra memory"
+            )));
+        };
         let id = GlobalId(self.globals.len() as u32);
         self.globals.push(GlobalMeta {
             ty,
             addr,
             name: name.into(),
         });
-        id
+        Ok(id)
     }
 
     /// Absolute addresses of all globals (what the bytecode compiler needs).
@@ -212,7 +221,9 @@ mod tests {
     #[test]
     fn globals_allocate_memory() {
         let mut ctx = Context::new();
-        let g = ctx.new_global("gv", Ty::F64, Some(&2.5f64.to_le_bytes()));
+        let g = ctx
+            .new_global("gv", Ty::F64, Some(&2.5f64.to_le_bytes()))
+            .unwrap();
         let addr = ctx.globals[g.0 as usize].addr;
         assert_eq!(ctx.exec.memory.load_f64(addr).unwrap(), 2.5);
         assert_eq!(ctx.global_addrs(), vec![addr]);

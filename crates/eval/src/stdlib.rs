@@ -389,7 +389,7 @@ fn install_types(interp: &mut Interp) {
                 }
                 _ => return Err(LuaError::msg("global: unsupported initializer")),
             };
-            let id = it.ctx.new_global("global", ty, init_bytes.as_deref());
+            let id = it.ctx.new_global("global", ty, init_bytes.as_deref())?;
             Ok(vec![LuaValue::Global(id)])
         }),
     );

@@ -628,6 +628,40 @@ fn realloc_of_a_non_heap_pointer_traps_like_free() {
     }
 }
 
+/// `malloc` and `realloc` of a size no block can hold return null, as C's
+/// do, and `realloc` leaves the old block as it was: `-1` once wrapped to
+/// a 16-byte block, and `realloc(q, -1)` once returned `q` unchanged.
+#[test]
+fn sizes_that_cannot_be_met_are_null_at_every_level() {
+    let src = r#"
+        local std = terralib.includec("stdlib.h")
+        terra huge() : int
+            var q = [&int8](std.malloc(16))
+            q[0] = 42
+            var score = 0
+            if std.malloc(-1) == nil then score = score + 1 end
+            if std.malloc(1LL << 47) == nil then score = score + 10 end
+            if std.realloc(q, -1) == nil then score = score + 100 end
+            if q[0] == 42 then score = score + 1000 end
+            std.free(q)
+            return score
+        end
+        return huge()"#;
+    assert_eq!(eval_at_every_level(src), 1111.0);
+}
+
+/// A global too large for Terra memory is a Lua error naming its size, not
+/// an abort of the host.
+#[test]
+fn a_global_too_large_for_memory_is_an_error() {
+    let e = eval_err("local g = global(int8[140737488355328])");
+    assert!(
+        e.to_string()
+            .contains("global: cannot allocate 140737488355328 bytes"),
+        "{e}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // the canonical-register invariant (DESIGN.md §6j) at its entry points
 // ---------------------------------------------------------------------------

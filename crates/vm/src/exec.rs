@@ -256,9 +256,12 @@ impl ExecutionContext {
     }
 
     /// Allocates a zero-initialized global cell of `size` bytes, returning
-    /// its address.
-    pub fn alloc_global(&mut self, size: u64, init: Option<&[u8]>) -> u64 {
+    /// its address, or `None` when the heap cannot hold that many.
+    pub fn alloc_global(&mut self, size: u64, init: Option<&[u8]>) -> Option<u64> {
         let addr = self.malloc(size.max(1));
+        if addr == 0 {
+            return None;
+        }
         self.memory
             .fill(addr, 0, size.max(1))
             .expect("fresh allocation is writable");
@@ -267,7 +270,7 @@ impl ExecutionContext {
                 .write_bytes(addr, bytes)
                 .expect("fresh allocation is writable");
         }
-        addr
+        Some(addr)
     }
 
     /// Starts the execution flight recorder with the given configuration.

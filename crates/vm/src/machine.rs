@@ -1005,7 +1005,7 @@ fn call_builtin<O: Observer>(
             let addr = ctx.memory.realloc(old, size, |mem, addr| {
                 obs.on_alloc(mem, || func.site_at(pc), addr, size)
             })?;
-            if addr != old {
+            if addr != old && addr != 0 {
                 obs.on_free(old);
             }
             obs.on_effect(&ctx.memory, func, pc, || EffectKind::Realloc {

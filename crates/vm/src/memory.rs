@@ -103,6 +103,12 @@ pub type MemResult<T> = Result<T, MemError>;
 const NULL_GUARD: u64 = 64;
 /// Size-class header stored before each heap block.
 const BLOCK_HEADER: u64 = 16;
+/// Heap size classes: blocks of 2^0 … 2^47 bytes.
+const CLASSES: usize = 48;
+/// Bytes an owning [`Memory`] allocates up front. The buffer is zeroed by
+/// `calloc`, so the OS commits a page only when the program first touches
+/// it; the addressable length grows inside it without moving a byte.
+const RESERVATION: u64 = 128 << 20;
 
 /// Who owns the bytes behind a [`Memory`].
 #[derive(Debug)]
@@ -114,45 +120,18 @@ enum Backing {
     /// every view (the harness joins all workers before returning), so the
     /// pointer cannot dangle and the buffer cannot be reallocated under us —
     /// shared views cannot `malloc`, and the parent does not run.
-    Shared { ptr: *mut u8, len: usize },
-}
-
-// SAFETY: `Shared` is only constructed by `Memory::worker_view`, whose
-// caller (the parallel harness) keeps the owning context alive and parked
-// until every view is dropped, and Terra kernels address disjoint data.
-// Racing writes are the guest program's data race, not the host's: all
-// access goes through raw-pointer copies, never `&mut [u8]` aliasing.
-unsafe impl Send for Backing {}
-
-impl Backing {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Backing::Owned(v) => v.len(),
-            Backing::Shared { len, .. } => *len,
-        }
-    }
-
-    #[inline]
-    fn ptr(&self) -> *const u8 {
-        match self {
-            Backing::Owned(v) => v.as_ptr(),
-            Backing::Shared { ptr, .. } => *ptr,
-        }
-    }
-
-    #[inline]
-    fn ptr_mut(&mut self) -> *mut u8 {
-        match self {
-            Backing::Owned(v) => v.as_mut_ptr(),
-            Backing::Shared { ptr, .. } => *ptr,
-        }
-    }
+    Shared,
 }
 
 /// The flat memory of a Terra program: stack region + malloc heap.
 #[derive(Debug)]
 pub struct Memory {
+    /// First byte of the buffer: the owned one's, or the owner's for a
+    /// worker view. Every access reads this and `len`, never `backing`.
+    base: *mut u8,
+    /// Addressable length: every access must end at or below it. It grows
+    /// as the heap does, inside the (larger) owned buffer.
+    len: u64,
     backing: Backing,
     stack_size: u64,
     /// Base of this context's stack window (`NULL_GUARD` for the owner;
@@ -175,6 +154,15 @@ pub struct Memory {
     freed: std::collections::BTreeMap<u64, u64>,
 }
 
+// SAFETY: `base` points into the buffer `backing` owns, which moves with
+// this `Memory`, or — for `Shared` — into an owner's buffer: only
+// `Memory::worker_view` builds one, and its caller (the parallel harness)
+// keeps the owner alive and parked until every view is dropped, and Terra
+// kernels address disjoint data. Racing writes are the guest program's data
+// race, not the host's: all access goes through raw-pointer copies, never
+// `&mut [u8]` aliasing.
+unsafe impl Send for Memory {}
+
 impl Default for Memory {
     fn default() -> Self {
         Memory::new(8 << 20)
@@ -185,15 +173,18 @@ impl Memory {
     /// Creates a memory with the given stack region size in bytes.
     pub fn new(stack_size: u64) -> Self {
         let stack_size = stack_size.max(4096);
-        let total = NULL_GUARD + stack_size + 4096;
+        let len = NULL_GUARD + stack_size + 4096;
+        let mut data = vec![0; len.max(RESERVATION) as usize];
         Memory {
-            backing: Backing::Owned(vec![0; total as usize]),
+            base: data.as_mut_ptr(),
+            len,
+            backing: Backing::Owned(data),
             stack_size,
             stack_base: NULL_GUARD,
             stack_limit: NULL_GUARD + stack_size,
             sp: NULL_GUARD,
             brk: NULL_GUARD + stack_size,
-            free_lists: vec![Vec::new(); 48],
+            free_lists: vec![Vec::new(); CLASSES],
             live_bytes: 0,
             sanitize: false,
             freed: std::collections::BTreeMap::new(),
@@ -222,9 +213,9 @@ impl Memory {
         self.sanitize
     }
 
-    /// Total bytes currently reserved.
+    /// Addressable bytes: every access must end at or below this.
     pub fn size(&self) -> u64 {
-        self.backing.len() as u64
+        self.len
     }
 
     /// Bytes currently allocated via [`Memory::malloc`] and not yet freed.
@@ -248,7 +239,7 @@ impl Memory {
     pub fn heap_hash(&self) -> u64 {
         let mut h = terra_trace::Fnv64::new();
         let mut addr = self.heap_base();
-        let end = self.brk.min(self.backing.len() as u64);
+        let end = self.brk.min(self.len);
         let mut buf = [0u8; 4096];
         while addr < end {
             let n = ((end - addr) as usize).min(buf.len());
@@ -268,11 +259,11 @@ impl Memory {
 
     #[inline]
     fn raw_read(&self, addr: u64, dst: &mut [u8]) {
-        debug_assert!(addr as usize + dst.len() <= self.backing.len());
-        // SAFETY: range checked by the caller against `backing.len()`.
+        debug_assert!(addr + dst.len() as u64 <= self.len);
+        // SAFETY: range checked by the caller against `len`.
         unsafe {
             std::ptr::copy_nonoverlapping(
-                self.backing.ptr().add(addr as usize),
+                self.base.add(addr as usize),
                 dst.as_mut_ptr(),
                 dst.len(),
             );
@@ -281,41 +272,31 @@ impl Memory {
 
     #[inline]
     fn raw_write(&mut self, addr: u64, src: &[u8]) {
-        debug_assert!(addr as usize + src.len() <= self.backing.len());
-        // SAFETY: range checked by the caller against `backing.len()`.
+        debug_assert!(addr + src.len() as u64 <= self.len);
+        // SAFETY: range checked by the caller against `len`.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr(),
-                self.backing.ptr_mut().add(addr as usize),
-                src.len(),
-            );
+            std::ptr::copy_nonoverlapping(src.as_ptr(), self.base.add(addr as usize), src.len());
         }
     }
 
     #[inline]
     fn raw_fill(&mut self, addr: u64, byte: u8, len: u64) {
-        debug_assert!((addr + len) as usize <= self.backing.len());
-        // SAFETY: range checked by the caller against `backing.len()`.
+        debug_assert!(addr + len <= self.len);
+        // SAFETY: range checked by the caller against `len`.
         unsafe {
-            std::ptr::write_bytes(
-                self.backing.ptr_mut().add(addr as usize),
-                byte,
-                len as usize,
-            );
+            std::ptr::write_bytes(self.base.add(addr as usize), byte, len as usize);
         }
     }
 
     #[inline]
     fn raw_copy(&mut self, src: u64, dst: u64, len: u64) {
-        debug_assert!((src + len) as usize <= self.backing.len());
-        debug_assert!((dst + len) as usize <= self.backing.len());
+        debug_assert!(src + len <= self.len && dst + len <= self.len);
         // SAFETY: both ranges checked by the caller; `ptr::copy` handles
         // overlap (memmove semantics).
         unsafe {
-            let base = self.backing.ptr_mut();
             std::ptr::copy(
-                base.add(src as usize) as *const u8,
-                base.add(dst as usize),
+                self.base.add(src as usize) as *const u8,
+                self.base.add(dst as usize),
                 len as usize,
             );
         }
@@ -383,10 +364,9 @@ impl Memory {
         debug_assert!(stack_base >= self.sp && stack_limit <= self.stack_limit);
         debug_assert!(self.is_owned(), "worker views must not be re-split");
         Memory {
-            backing: Backing::Shared {
-                ptr: self.backing.ptr_mut(),
-                len: self.backing.len(),
-            },
+            base: self.base,
+            len: self.len,
+            backing: Backing::Shared,
             stack_size: self.stack_size,
             stack_base,
             stack_limit,
@@ -401,39 +381,48 @@ impl Memory {
 
     // -- heap ----------------------------------------------------------------
 
-    fn size_class(size: u64) -> usize {
-        let padded = (size.max(1) + BLOCK_HEADER).next_power_of_two();
-        padded.trailing_zeros() as usize
+    /// The size class of the block a `malloc` of `size` takes, header
+    /// included, or `None` when no block holds it: the padded size
+    /// overflows, or passes the largest class.
+    fn size_class(size: u64) -> Option<usize> {
+        let padded = size.max(1).checked_add(BLOCK_HEADER)?;
+        let class = padded.checked_next_power_of_two()?.trailing_zeros() as usize;
+        (class < CLASSES).then_some(class)
     }
 
     /// The bytes a `malloc` of `size` takes from the heap: its size class's
     /// block, header included — what [`Memory::live_bytes`] counts it as.
+    /// Zero for a size no block holds (`malloc` returns null for it).
     pub fn block_size(size: u64) -> u64 {
-        1 << Self::size_class(size)
+        Self::size_class(size).map_or(0, |class| 1 << class)
     }
 
     /// Allocates `size` bytes, returning a non-null, 16-byte-aligned address.
-    /// `malloc(0)` returns a valid unique pointer. On a shared worker view
-    /// allocation is impossible (the buffer must not grow while other
-    /// workers hold the same pointer) and `malloc` returns null; the
-    /// parallel harness statically rejects kernels that allocate, so this
-    /// is a defensive backstop, not a reachable path.
+    /// `malloc(0)` returns a valid unique pointer. A size that cannot be met
+    /// returns null, as C's does, with nothing allocated or touched. On a
+    /// shared worker view allocation is impossible (the buffer must not
+    /// grow while other workers hold the same pointer) and `malloc` returns
+    /// null; the parallel harness statically rejects kernels that allocate,
+    /// so this is a defensive backstop, not a reachable path.
     pub fn malloc(&mut self, size: u64) -> u64 {
-        let class = Self::size_class(size);
+        let Some(class) = Self::size_class(size) else {
+            return 0;
+        };
         let block_size = 1u64 << class;
         let base = if let Some(addr) = self.free_lists.get_mut(class).and_then(|list| list.pop()) {
             addr
         } else {
-            let Backing::Owned(data) = &mut self.backing else {
+            if !self.is_owned() {
+                return 0;
+            }
+            let base = self.brk;
+            let Some(end) = base.checked_add(block_size) else {
                 return 0;
             };
-            let base = self.brk;
-            let needed = base + block_size;
-            if needed > data.len() as u64 {
-                let new_len = needed.next_power_of_two().max(data.len() as u64 * 2);
-                data.resize(new_len as usize, 0);
+            if end > self.len && !self.grow(end) {
+                return 0;
             }
-            self.brk += block_size;
+            self.brk = end;
             base
         };
         // Header: size class in the first 8 bytes.
@@ -446,6 +435,39 @@ impl Memory {
             self.raw_fill(payload, 0xAB, end - payload);
         }
         payload
+    }
+
+    /// Raises the addressable length to hold `end`: to its next power of
+    /// two, at least doubling. Inside the owned buffer that moves nothing;
+    /// past it, the bytes move to a fresh zeroed buffer of the new length.
+    /// `false`, with nothing changed, when the length cannot be met: on
+    /// overflow, or when the host allocator refuses.
+    fn grow(&mut self, end: u64) -> bool {
+        let Backing::Owned(data) = &mut self.backing else {
+            return false;
+        };
+        let Some(len) = end.checked_next_power_of_two() else {
+            return false;
+        };
+        let len = len.max(self.len.saturating_mul(2));
+        if len > data.len() as u64 {
+            let Ok(n) = usize::try_from(len) else {
+                return false;
+            };
+            // `vec![0; n]` aborts the process when the allocator refuses,
+            // so ask the fallible way first; it is `calloc`, so only the
+            // bytes copied into it are committed.
+            if Vec::<u8>::new().try_reserve_exact(n).is_err() {
+                return false;
+            }
+            let mut moved = vec![0; n];
+            let old = self.len as usize;
+            moved[..old].copy_from_slice(&data[..old]);
+            *data = moved;
+            self.base = data.as_mut_ptr();
+        }
+        self.len = len;
+        true
     }
 
     /// Frees a pointer returned by [`Memory::malloc`]. Freeing null is a
@@ -493,7 +515,7 @@ impl Memory {
         }
         let base = ptr - BLOCK_HEADER;
         let class = u64::from_le_bytes(self.read(base, true)?);
-        if class >= 48 || class == 0 {
+        if class >= CLASSES as u64 || class == 0 {
             return Err(bad);
         }
         Ok((base, class as usize))
@@ -501,7 +523,9 @@ impl Memory {
 
     /// `realloc`: grows/shrinks an allocation, copying the old contents.
     /// When it allocates a block, `allocated` sees it before the old one is
-    /// freed — the moment the heap is largest.
+    /// freed — the moment the heap is largest. A size that cannot be met
+    /// returns null (which `allocated` sees too) and leaves the old block as
+    /// it was, as C's does.
     ///
     /// # Errors
     ///
@@ -520,11 +544,14 @@ impl Memory {
         }
         let (_, old_class) = self.heap_block(ptr)?;
         let old_payload = (1u64 << old_class) - BLOCK_HEADER;
-        if size + BLOCK_HEADER <= (1u64 << old_class) {
+        if size <= old_payload {
             return Ok(ptr);
         }
         let new_ptr = self.malloc(size);
         allocated(self, new_ptr);
+        if new_ptr == 0 {
+            return Ok(0);
+        }
         let n = old_payload.min(size);
         self.copy_within(ptr, new_ptr, n)?;
         self.free(ptr)?;
@@ -535,7 +562,7 @@ impl Memory {
 
     #[inline]
     fn check(&self, addr: u64, len: u64) -> MemResult<()> {
-        if addr < NULL_GUARD || addr.saturating_add(len) > self.backing.len() as u64 {
+        if addr < NULL_GUARD || addr.saturating_add(len) > self.len {
             return Err(MemError::oob(addr, len));
         }
         if self.sanitize && !self.freed.is_empty() {
@@ -562,7 +589,7 @@ impl Memory {
     fn guard(&self, addr: u64, len: u64, checked: bool) -> MemResult<()> {
         if checked || self.sanitize {
             self.check(addr, len)
-        } else if addr.saturating_add(len) > self.backing.len() as u64 {
+        } else if addr.saturating_add(len) > self.len {
             Err(MemError::oob(addr, len))
         } else {
             Ok(())
@@ -638,7 +665,7 @@ impl Memory {
     /// Reads a NUL-terminated C string.
     pub fn c_string(&self, addr: u64) -> MemResult<String> {
         self.check(addr, 1)?;
-        let end = self.backing.len() as u64;
+        let end = self.len;
         let mut bytes = Vec::new();
         let mut p = addr;
         loop {
@@ -665,7 +692,7 @@ impl Memory {
             #[cfg(target_arch = "x86_64")]
             unsafe {
                 core::arch::x86_64::_mm_prefetch(
-                    self.backing.ptr().add(addr as usize) as *const i8,
+                    self.base.add(addr as usize) as *const i8,
                     core::arch::x86_64::_MM_HINT_T0,
                 );
             }

@@ -70,7 +70,7 @@ pub(crate) trait Observer {
     fn on_mem(&mut self, _pc: usize, _addr: u64, _len: u64, _access: Access) {}
 
     /// The allocator gave `site` — a builtin's statement, or the host — the
-    /// block at `addr` for `size` bytes.
+    /// block at `addr` for `size` bytes (null: a size it could not meet).
     #[inline]
     fn on_alloc(&mut self, _mem: &Memory, _site: impl FnOnce() -> Site, _addr: u64, _size: u64) {}
 
@@ -522,7 +522,7 @@ impl Observer for Telemetry {
     }
 
     fn on_alloc(&mut self, mem: &Memory, site: impl FnOnce() -> Site, addr: u64, size: u64) {
-        if self.profiling {
+        if self.profiling && addr != 0 {
             self.traffic.stats.note_malloc(mem.live_bytes());
             self.heap.note_alloc(site(), addr, Memory::block_size(size));
         }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use terra_vm::Memory;
+use terra_vm::{MemKind, Memory};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -148,4 +148,75 @@ proptest! {
         prop_assert!(mem.store_u64(big, 1).is_err());
         prop_assert!(mem.load_vec(big, 32).is_err());
     }
+}
+
+/// The addressable length grows exactly as the heap needs, whatever the
+/// buffer behind it reserves: the last 8 bytes read, one byte further does
+/// not — checked, and through the unchecked backstop.
+#[test]
+fn the_reservation_does_not_widen_the_bounds() {
+    let mut mem = Memory::default();
+    for (size, malloc) in [(8_392_768, 0), (16_785_536, 128 << 10)] {
+        if malloc > 0 {
+            assert_ne!(mem.malloc(malloc), 0);
+        }
+        assert_eq!(mem.size(), size);
+        assert_eq!(mem.read::<8>(size - 8, true), Ok([0; 8]));
+        for checked in [true, false] {
+            let err = mem.read::<8>(size - 7, checked).unwrap_err();
+            assert_eq!((err.kind, err.addr), (MemKind::OutOfRange, size - 7));
+        }
+    }
+}
+
+/// A growth past the reservation moves the bytes to a larger buffer: what
+/// the stack and the heap held before reads back after.
+#[test]
+fn a_growth_past_the_reservation_keeps_the_bytes() {
+    let mut mem = Memory::default();
+    let frame = mem.push_frame(64).unwrap();
+    let block = mem.malloc(64);
+    let pattern: Vec<u8> = (0..64).map(|i| i * 3 + 1).collect();
+    mem.write_bytes(frame, &pattern).unwrap();
+    mem.write_bytes(block, &pattern).unwrap();
+    let big = mem.malloc(200 << 20);
+    assert_ne!(big, 0);
+    assert!(mem.size() > 200 << 20, "{}", mem.size());
+    for addr in [frame, block] {
+        let mut back = [0u8; 64];
+        mem.read_into(addr, &mut back, true).unwrap();
+        assert_eq!(back[..], pattern[..], "at {addr:#x}");
+    }
+    mem.store_u8(big + (200 << 20) - 1, 9).unwrap();
+    assert_eq!(mem.load_u8(big + (200 << 20) - 1), Ok(9));
+}
+
+/// `malloc` and `realloc` of a size no block can hold return null, as C's
+/// do, and change nothing: not the length, not the live bytes, not the old
+/// block. (`u64::MAX` once wrapped to a 16-byte block.)
+#[test]
+fn sizes_that_cannot_be_met_return_null() {
+    let mut mem = Memory::default();
+    let p = mem.malloc(16);
+    mem.store_u64(p, 0x1234_5678).unwrap();
+    let (size, live) = (mem.size(), mem.live_bytes());
+    for huge in [u64::MAX, u64::MAX - 15, 1 << 63, 1 << 47] {
+        assert_eq!(mem.malloc(huge), 0, "malloc({huge})");
+        let mut seen = None;
+        assert_eq!(mem.realloc(p, huge, |_, q| seen = Some(q)), Ok(0));
+        assert_eq!(seen, Some(0), "realloc({huge})");
+        assert_eq!((mem.size(), mem.live_bytes()), (size, live));
+        assert_eq!(mem.load_u64(p), Ok(0x1234_5678));
+    }
+    // 1 TiB fits a size class; whether the host can back it decides. A
+    // host that refuses gives null, one that overcommits a usable block,
+    // and neither aborts.
+    let q = mem.malloc(1 << 40);
+    if q == 0 {
+        assert_eq!((mem.size(), mem.live_bytes()), (size, live));
+    } else {
+        mem.store_u8(q + (1 << 40) - 1, 1).unwrap();
+    }
+    assert_eq!(mem.load_u64(p), Ok(0x1234_5678));
+    mem.free(p).unwrap();
 }

@@ -12,15 +12,18 @@
 #         calling it through a pointer (`pointer`); they differ by one
 #         `call.indirect`, its `ret` and its two argument `mov`s per trip.
 #         Prints ns per call/ret pair, its argument moves included.
+#   grow  the heap's first growth: one `malloc` of 16 bytes, which the heap
+#         holds (`fits`), and one of 128 KiB, which grows it (`grows`); the
+#         same instructions. Prints ms per first growth.
 #
-#   scripts/op_cost.sh chk|call [PAIRS [CHILDREN]]     (defaults: 10, 15)
+#   scripts/op_cost.sh chk|call|grow [PAIRS [CHILDREN]]     (defaults: 10, 15)
 #
 # Run from anywhere; it changes to the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 case "${1:-}" in
-    chk | call) ;;
-    *) echo "usage: scripts/op_cost.sh chk|call [PAIRS [CHILDREN]]" >&2; exit 2 ;;
+    chk | call | grow) ;;
+    *) echo "usage: scripts/op_cost.sh chk|call|grow [PAIRS [CHILDREN]]" >&2; exit 2 ;;
 esac
 cargo build --release --quiet -p terra-core --bin terra
 python3 - "${CARGO_TARGET_DIR:-target}/release/terra" "$1" "${2:-10}" "${3:-15}" <<'PY'
@@ -28,7 +31,8 @@ import statistics, subprocess, sys, time
 
 terra, kind, pairs, children = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 script = "scripts/op_cost.t"
-base, probe = {"chk": ("proven", "checked"), "call": ("inlined", "pointer")}[kind]
+base, probe = {"chk": ("proven", "checked"), "call": ("inlined", "pointer"),
+               "grow": ("fits", "grows")}[kind]
 
 def opcodes(mode):
     report = subprocess.run([terra, "--profile", script, mode], check=True,
@@ -42,9 +46,11 @@ if kind == "chk":
     assert "chk" not in without, "an access of the proven run is checked"
     # The call that hands the pointers over: itself, its return, three arguments.
     extra = (("call", 1), ("ret", 1), ("mov", 3))
-else:
+elif kind == "call":
     events, what = with_op["call.indirect"], "call/ret pair"
     extra = (("call.indirect", events), ("ret", events), ("mov", 2 * events))
+else:
+    events, what, extra = 1, "first growth", ()
 for op, n in extra:
     with_op[op] -= n
 with_op = {op: n for op, n in with_op.items() if n}
@@ -70,5 +76,6 @@ for mode, runs in times.items():
     print(f"{mode}: median {statistics.median(runs) * 1e3:.2f} ms, IQR {(q[2] - q[0]) * 1e3:.2f} ms")
 slower = sum(p > b for b, p in zip(times[base], times[probe]))
 gap = statistics.median(times[probe]) - statistics.median(times[base])
-print(f"{probe} slower in {slower}/{pairs} pairs; {gap * 1e9 / events:.3f} ns per {what}")
+scale, unit = (1e3, "ms") if kind == "grow" else (1e9, "ns")
+print(f"{probe} slower in {slower}/{pairs} pairs; {gap * scale / events:.3f} {unit} per {what}")
 PY
