@@ -673,8 +673,16 @@ impl Interp {
             }
             self.ctx.types.add_field(sid, &*fname, ty);
         }
-        self.ctx.types.finalize(sid);
-        Ok(())
+        self.ctx.types.finalize(sid).ok_or_else(|| {
+            LuaError::at(
+                format!(
+                    "struct {}: its size does not fit in 64 bits",
+                    self.ctx.types.name(sid)
+                ),
+                span,
+            )
+            .phase(Phase::Typecheck)
+        })
     }
 
     // -----------------------------------------------------------------------
@@ -858,9 +866,12 @@ impl Interp {
                     t.set(LuaValue::Str(n.clone()), v);
                 }
                 TableItem::Keyed(k, e) => {
-                    let k = self.eval_expr(k, env)?;
+                    let key = self.eval_expr(k, env)?;
+                    if let Some(msg) = key.key_error() {
+                        return Err(LuaError::at(msg, k.span()));
+                    }
                     let v = self.eval_expr(e, env)?;
-                    t.set(k, v);
+                    t.set(key, v);
                 }
             }
         }
@@ -1209,6 +1220,9 @@ impl Interp {
     ) -> EvalResult<()> {
         match obj {
             LuaValue::Table(t) => {
+                if let Some(msg) = key.key_error() {
+                    return Err(LuaError::at(msg, span));
+                }
                 let exists = !matches!(t.borrow().get(&key), LuaValue::Nil);
                 if !exists {
                     if let Some(mm) = self.meta_of_table(t, "__newindex") {
@@ -1521,7 +1535,7 @@ fn is_staged(v: &LuaValue) -> bool {
 
 /// Collects the struct ids mentioned in a type (through arrays, not through
 /// pointers — pointees do not affect layout).
-fn collect_struct_ids(ty: &Ty, out: &mut Vec<StructId>) {
+pub(crate) fn collect_struct_ids(ty: &Ty, out: &mut Vec<StructId>) {
     match ty {
         Ty::Struct(sid) => out.push(*sid),
         Ty::Array(inner, _) => collect_struct_ids(inner, out),

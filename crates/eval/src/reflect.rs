@@ -11,9 +11,41 @@ use crate::interp::Interp;
 use crate::value::{LuaValue, Table};
 use std::cell::RefCell;
 use std::rc::Rc;
-use terra_ir::{ScalarTy, Ty};
+use terra_ir::{ScalarTy, Ty, TypeRegistry};
 use terra_syntax::{Name, Span};
 use terra_vm::{decode_value, encode_arg, Value};
+
+/// The array type `elem[n]`, or why there is none: the length must be an
+/// integer from 0 to 2^64 - 1 and the size must fit in 64 bits (a struct not
+/// yet finalized is checked when it is).
+pub fn array_type(elem: &Ty, n: f64, reg: &TypeRegistry) -> Result<Ty, String> {
+    let name = format!("{}[{n}]", elem.display(reg));
+    if n.fract() != 0.0 || !(0.0..18446744073709551616.0).contains(&n) {
+        return Err(format!(
+            "{name}: an array length is an integer from 0 to 2^64 - 1"
+        ));
+    }
+    let ty = Ty::Array(std::sync::Arc::new(elem.clone()), n as u64);
+    match ty.checked_size(reg) {
+        Some(_) => Ok(ty),
+        None => Err(format!("{name}: its size does not fit in 64 bits")),
+    }
+}
+
+/// The size of `ty` in bytes, once every struct its layout depends on is
+/// finalized; an error naming the type when it does not fit in 64 bits.
+pub fn size_of(interp: &mut Interp, ty: &Ty, span: Span) -> EvalResult<u64> {
+    let mut structs = Vec::new();
+    crate::interp::collect_struct_ids(ty, &mut structs);
+    for sid in structs {
+        interp.finalize_struct(sid, span)?;
+    }
+    let reg = &interp.ctx.types;
+    ty.checked_size(reg).ok_or_else(|| {
+        let name = ty.display(reg);
+        LuaError::at(format!("{name}: its size does not fit in 64 bits"), span)
+    })
+}
 
 /// Indexes a Terra entity with a key (`T.entries`, `fn.name`, `g.type` …).
 pub fn index_terra_value(
@@ -24,12 +56,8 @@ pub fn index_terra_value(
 ) -> EvalResult<LuaValue> {
     // `T[n]` — array type construction (types are Lua values).
     if let (LuaValue::Type(t), LuaValue::Number(n)) = (obj, key) {
-        if n.fract() == 0.0 && *n >= 0.0 {
-            return Ok(LuaValue::Type(Ty::Array(
-                std::sync::Arc::new(t.clone()),
-                *n as u64,
-            )));
-        }
+        let ty = array_type(t, *n, &interp.ctx.types);
+        return ty.map(LuaValue::Type).map_err(|e| LuaError::at(e, span));
     }
     let LuaValue::Str(k) = key else {
         return Err(LuaError::at(
@@ -227,12 +255,7 @@ fn type_method(
         "ispointertofunction" => {
             b(matches!(t, Ty::Ptr(p) if matches!(**p, Ty::Func(_))) || matches!(t, Ty::Func(_)))
         }
-        "sizeof" => {
-            if let Ty::Struct(sid) = t {
-                interp.finalize_struct(*sid, span)?;
-            }
-            Ok(LuaValue::Number(t.size(&interp.ctx.types) as f64))
-        }
+        "sizeof" => Ok(LuaValue::Number(size_of(interp, t, span)? as f64)),
         "isstructorptrtostruct" => b(
             matches!(t, Ty::Struct(_)) || matches!(t, Ty::Ptr(p) if matches!(**p, Ty::Struct(_)))
         ),

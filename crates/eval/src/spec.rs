@@ -752,12 +752,10 @@ impl<'a> Specializer<'a> {
                     SpecVal::Lua(LuaValue::Type(t), _) => {
                         // `T[n]` — array type construction.
                         let n = self.expr_terra(index)?;
-                        let len = const_int(&n)
+                        let len = const_number(&n)
                             .ok_or_else(|| err("array length must be a constant integer", *span))?;
-                        SpecVal::Lua(
-                            LuaValue::Type(Ty::Array(std::sync::Arc::new(t), len as u64)),
-                            *span,
-                        )
+                        let ty = crate::reflect::array_type(&t, len, &self.interp.ctx.types);
+                        SpecVal::Lua(LuaValue::Type(ty.map_err(|e| err(e, *span))?), *span)
                     }
                     SpecVal::Lua(v, _) => {
                         return Err(err(
@@ -945,10 +943,10 @@ impl<'a> Specializer<'a> {
     }
 }
 
-fn const_int(e: &SpecExpr) -> Option<i64> {
+fn const_number(e: &SpecExpr) -> Option<f64> {
     match &e.kind {
-        SpecExprKind::Int(v, _) => Some(*v),
-        SpecExprKind::LuaNum(n) if n.fract() == 0.0 => Some(*n as i64),
+        SpecExprKind::Int(v, _) => Some(*v as f64),
+        SpecExprKind::LuaNum(n) => Some(*n),
         _ => None,
     }
 }

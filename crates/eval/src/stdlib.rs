@@ -9,6 +9,7 @@
 
 use crate::error::{EvalResult, LuaError, Phase};
 use crate::interp::Interp;
+use crate::reflect::size_of;
 use crate::value::{Builtin as NativeBuiltin, Intrinsic, LuaValue, MacroData, Table, TableRef};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -176,7 +177,11 @@ fn install_base(interp: &mut Interp) {
         "rawset",
         native("rawset", |_, args| match arg(&args, 0) {
             LuaValue::Table(t) => {
-                t.borrow_mut().set(arg(&args, 1), arg(&args, 2));
+                let key = arg(&args, 1);
+                if let Some(e) = key.key_error() {
+                    return Err(LuaError::msg(e));
+                }
+                t.borrow_mut().set(key, arg(&args, 2));
                 Ok(vec![arg(&args, 0)])
             }
             _ => Err(LuaError::msg("rawset: table expected")),
@@ -269,19 +274,8 @@ fn lua_next(_: &mut Interp, args: Vec<LuaValue>) -> EvalResult<Vec<LuaValue>> {
     let LuaValue::Table(t) = arg(&args, 0) else {
         return Err(LuaError::msg("next: table expected"));
     };
-    let key = arg(&args, 1);
-    let entries = t.borrow().entries();
-    if matches!(key, LuaValue::Nil) {
-        return Ok(match entries.first() {
-            Some((k, v)) => vec![k.clone(), v.clone()],
-            None => vec![LuaValue::Nil],
-        });
-    }
-    let pos = entries.iter().position(|(k, _)| k.raw_eq(&key));
-    match pos.and_then(|p| entries.get(p + 1)) {
-        Some((k, v)) => Ok(vec![k.clone(), v.clone()]),
-        None => Ok(vec![LuaValue::Nil]),
-    }
+    let entry = t.borrow().next(&arg(&args, 1))?;
+    Ok(entry.map_or(vec![LuaValue::Nil], |(k, v)| vec![k, v]))
 }
 
 // ---------------------------------------------------------------------------
@@ -341,10 +335,8 @@ fn install_types(interp: &mut Interp) {
             let LuaValue::Type(t) = arg(&args, 0) else {
                 return Err(LuaError::msg("sizeof: terra type expected"));
             };
-            if let Ty::Struct(sid) = &t {
-                it.finalize_struct(*sid, Span::synthetic())?;
-            }
-            Ok(vec![LuaValue::Number(t.size(&it.ctx.types) as f64)])
+            let size = size_of(it, &t, Span::synthetic())?;
+            Ok(vec![LuaValue::Number(size as f64)])
         }),
     );
     interp.set_global(
@@ -373,9 +365,8 @@ fn install_types(interp: &mut Interp) {
             let LuaValue::Type(ty) = arg(&args, 0) else {
                 return Err(LuaError::msg("global: terra type expected"));
             };
-            if let Ty::Struct(sid) = &ty {
-                it.finalize_struct(*sid, Span::synthetic())?;
-            }
+            // Finalizes the structs the type holds, and refuses one too large.
+            size_of(it, &ty, Span::synthetic())?;
             let init_bytes: Option<Vec<u8>> = match arg(&args, 1) {
                 LuaValue::Nil => None,
                 // The initializer is stored as `g:set(v)` would store it.
@@ -983,10 +974,8 @@ fn install_terralib(interp: &mut Interp) {
                 let LuaValue::Type(t) = arg(&args, 0) else {
                     return Err(LuaError::msg("terralib.sizeof: terra type expected"));
                 };
-                if let Ty::Struct(sid) = &t {
-                    it.finalize_struct(*sid, Span::synthetic())?;
-                }
-                Ok(vec![LuaValue::Number(t.size(&it.ctx.types) as f64)])
+                let size = size_of(it, &t, Span::synthetic())?;
+                Ok(vec![LuaValue::Number(size as f64)])
             }),
         );
         tb.set_str(
@@ -1030,42 +1019,19 @@ fn install_terralib(interp: &mut Interp) {
                 Ok(vec![LuaValue::TerraFunc(id)])
             }),
         );
-        tb.set_str(
-            "isfunction",
-            native("isfunction", |_, args| {
-                Ok(vec![LuaValue::Bool(matches!(
-                    arg(&args, 0),
-                    LuaValue::TerraFunc(_)
-                ))])
-            }),
-        );
-        tb.set_str(
-            "istype",
-            native("istype", |_, args| {
-                Ok(vec![LuaValue::Bool(matches!(
-                    arg(&args, 0),
-                    LuaValue::Type(_)
-                ))])
-            }),
-        );
-        tb.set_str(
-            "isquote",
-            native("isquote", |_, args| {
-                Ok(vec![LuaValue::Bool(matches!(
-                    arg(&args, 0),
-                    LuaValue::Quote(_)
-                ))])
-            }),
-        );
-        tb.set_str(
-            "issymbol",
-            native("issymbol", |_, args| {
-                Ok(vec![LuaValue::Bool(matches!(
-                    arg(&args, 0),
-                    LuaValue::Symbol(_)
-                ))])
-            }),
-        );
+        // `terralib.isfunction(v)` and its kin: whether `v` is one kind of
+        // Terra entity.
+        macro_rules! is {
+            ($name:literal, $kind:pat) => {
+                let f: crate::value::NativeFn =
+                    |_, args| Ok(vec![LuaValue::Bool(matches!(arg(&args, 0), $kind))]);
+                tb.set_str($name, native($name, f));
+            };
+        }
+        is!("isfunction", LuaValue::TerraFunc(_));
+        is!("istype", LuaValue::Type(_));
+        is!("isquote", LuaValue::Quote(_));
+        is!("issymbol", LuaValue::Symbol(_));
         tb.set_str(
             "currenttimeinseconds",
             native("currenttimeinseconds", |it, _| {
@@ -1091,13 +1057,15 @@ fn install_terralib(interp: &mut Interp) {
                 // Serialize an object manifest: compiled function signatures
                 // and bytecode listings (a stand-in for an ELF .o file).
                 let mut out = String::from("terra-rs object file v1\n");
-                for (k, v) in exports.borrow().entries() {
-                    let (LuaValue::Str(name), LuaValue::TerraFunc(id)) = (&k, &v) else {
+                let mut entry = exports.borrow().next(&LuaValue::Nil)?;
+                while let Some((k, v)) = entry {
+                    entry = exports.borrow().next(&k)?;
+                    let (LuaValue::Str(name), LuaValue::TerraFunc(id)) = (k, v) else {
                         continue;
                     };
-                    crate::typecheck::ensure_compiled(it, *id, Span::synthetic())
+                    crate::typecheck::ensure_compiled(it, id, Span::synthetic())
                         .map_err(|e| e.phase(Phase::Link))?;
-                    let f = it.ctx.exec.function(*id).expect("just compiled").clone();
+                    let f = it.ctx.exec.function(id).expect("just compiled").clone();
                     out.push_str(&format!(
                         "symbol {name} : {} ({} instructions, {} registers)\n",
                         Ty::Func(std::sync::Arc::new(f.ty.clone())),

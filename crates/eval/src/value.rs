@@ -6,10 +6,12 @@
 //! just Lua evaluation producing these values and splicing them into Terra
 //! code.
 
+use crate::error::LuaError;
 use crate::spec::SpecQuote;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use terra_ir::{FuncId, GlobalId, Ty};
 use terra_syntax::{LuaFunctionBody, Name};
@@ -86,7 +88,7 @@ pub struct MacroData {
 /// typed specially by the typechecker. This is how the simulated libc
 /// (`terralib.includec`) exposes C functions, including variadic `printf`
 /// and the `prefetch` instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intrinsic {
     /// A simulated C library function / VM builtin.
     C(terra_ir::Builtin),
@@ -99,9 +101,10 @@ pub enum Intrinsic {
 }
 
 /// A Lua value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum LuaValue {
     /// `nil`
+    #[default]
     Nil,
     /// Booleans.
     Bool(bool),
@@ -157,7 +160,10 @@ impl LuaValue {
         }
     }
 
-    /// Raw equality (Lua `==` without metamethods).
+    /// Raw equality (Lua `==` without metamethods): the one statement of
+    /// when two values are the same table key. A reference is equal only to
+    /// itself, a Terra function or global to the same id, a type or
+    /// intrinsic to an equal one; `0 == -0`, and NaN equals nothing.
     pub fn raw_eq(&self, other: &LuaValue) -> bool {
         match (self, other) {
             (LuaValue::Nil, LuaValue::Nil) => true,
@@ -172,8 +178,19 @@ impl LuaValue {
             (LuaValue::Quote(a), LuaValue::Quote(b)) => Rc::ptr_eq(a, b),
             (LuaValue::Symbol(a), LuaValue::Symbol(b)) => Rc::ptr_eq(a, b),
             (LuaValue::Global(a), LuaValue::Global(b)) => a == b,
+            (LuaValue::Macro(a), LuaValue::Macro(b)) => Rc::ptr_eq(a, b),
             (LuaValue::Intrinsic(a), LuaValue::Intrinsic(b)) => a == b,
             _ => false,
+        }
+    }
+
+    /// Why the value cannot be a table key, if it cannot (Lua 5.1's
+    /// `luaH_set`). Reading such a key is allowed and finds nil.
+    pub fn key_error(&self) -> Option<&'static str> {
+        match self {
+            LuaValue::Nil => Some("table index is nil"),
+            LuaValue::Number(n) if n.is_nan() => Some("table index is NaN"),
+            _ => None,
         }
     }
 
@@ -217,58 +234,64 @@ impl LuaValue {
     }
 }
 
-/// A non-string key in a Lua table's hash part (string keys have a map of
-/// their own). `NaN` keys are rejected at insert.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum LuaKey {
-    /// Number key (stored as bits; normalized so `-0.0 == 0.0`).
-    Num(u64),
-    /// Boolean key.
-    Bool(bool),
-    /// Identity key for reference values (tables, functions, symbols…).
-    Ref(usize),
-}
-
-impl LuaKey {
-    /// Converts a value to a key, if the value can be a key.
-    pub fn from_value(v: &LuaValue) -> Option<LuaKey> {
-        Some(match v {
-            LuaValue::Number(n) => {
-                if n.is_nan() {
-                    return None;
-                }
-                LuaKey::Num((if *n == 0.0 { 0.0 } else { *n }).to_bits())
-            }
-            LuaValue::Bool(b) => LuaKey::Bool(*b),
-            LuaValue::Table(t) => LuaKey::Ref(Rc::as_ptr(t) as usize),
-            LuaValue::Function(f) => LuaKey::Ref(Rc::as_ptr(f) as usize),
-            LuaValue::Native(f) => LuaKey::Ref(Rc::as_ptr(f) as usize),
-            LuaValue::Symbol(s) => LuaKey::Ref(Rc::as_ptr(s) as usize),
-            LuaValue::Quote(q) => LuaKey::Ref(Rc::as_ptr(q) as usize),
-            LuaValue::TerraFunc(id) => LuaKey::Ref(0x1000_0000 + id.0 as usize),
-            LuaValue::Global(id) => LuaKey::Ref(0x2000_0000 + id.0 as usize),
-            LuaValue::Str(_)
-            | LuaValue::Type(_)
-            | LuaValue::Macro(_)
-            | LuaValue::Intrinsic(_)
-            | LuaValue::Nil => return None,
-        })
+/// `==` is [`LuaValue::raw_eq`], so a table's key index uses Lua's identity.
+/// It is an equivalence on every value but NaN, which is never a key.
+impl PartialEq for LuaValue {
+    fn eq(&self, other: &LuaValue) -> bool {
+        self.raw_eq(other)
     }
 }
 
-/// A Lua table: array part (1-based) + hash part + optional metatable.
+impl Eq for LuaValue {}
+
+/// Hashes what [`LuaValue::raw_eq`] compares: a reference by its pointer,
+/// anything else by value (`-0` as `0`) or id.
+impl Hash for LuaValue {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            LuaValue::Nil => {}
+            LuaValue::Bool(b) => b.hash(h),
+            LuaValue::Number(n) => (if *n == 0.0 { 0.0 } else { *n }).to_bits().hash(h),
+            LuaValue::Str(s) => s.hash(h),
+            LuaValue::Table(t) => Rc::as_ptr(t).hash(h),
+            LuaValue::Function(f) => Rc::as_ptr(f).hash(h),
+            LuaValue::Native(f) => Rc::as_ptr(f).hash(h),
+            LuaValue::TerraFunc(FuncId(id)) | LuaValue::Global(GlobalId(id)) => id.hash(h),
+            LuaValue::Type(t) => t.hash(h),
+            LuaValue::Quote(q) => Rc::as_ptr(q).hash(h),
+            LuaValue::Symbol(s) => Rc::as_ptr(s).hash(h),
+            LuaValue::Macro(m) => Rc::as_ptr(m).hash(h),
+            LuaValue::Intrinsic(i) => i.hash(h),
+        }
+    }
+}
+
+/// A Lua table: an array part (keys `1..=#t`), a hash part, and an optional
+/// metatable. The hash part lists `(key, value)` entries in insertion order,
+/// and an entry keeps its key alive. Assigning nil leaves a tombstone, so
+/// `next` can continue from a cleared key; tombstones go when a new key
+/// finds the list full and they are half of it (DESIGN.md §6i).
 #[derive(Debug, Default)]
 pub struct Table {
     arr: Vec<LuaValue>,
-    /// String keys — field names, method names, metamethods — looked up by
-    /// `&str` without building a key.
-    strs: HashMap<Name, LuaValue>,
-    map: HashMap<LuaKey, LuaValue>,
-    /// Keys that cannot live in `map` (currently Terra types) as association
-    /// pairs.
-    assoc: Vec<(LuaValue, LuaValue)>,
+    hash: Vec<(LuaValue, LuaValue)>,
+    /// Position in `hash` of each string key, looked up by `&str` without
+    /// building a key.
+    strs: HashMap<Name, usize>,
+    /// Position in `hash` of every other key.
+    others: HashMap<LuaValue, usize>,
     /// The metatable, if set.
     pub meta: Option<TableRef>,
+}
+
+/// The array index `key` names, if it is an integer `>= 1`.
+fn array_slot(key: &LuaValue) -> Option<usize> {
+    let LuaValue::Number(n) = *key else {
+        return None;
+    };
+    let i = n as usize;
+    (i >= 1 && i as f64 == n).then_some(i)
 }
 
 impl Table {
@@ -277,94 +300,93 @@ impl Table {
         Table::default()
     }
 
+    /// Position of `key` in the hash part, tombstones included.
+    fn find(&self, key: &LuaValue) -> Option<usize> {
+        match key {
+            LuaValue::Str(s) => self.strs.get(&**s),
+            _ => self.others.get(key),
+        }
+        .copied()
+    }
+
     /// Raw get (no metamethods).
     pub fn get(&self, key: &LuaValue) -> LuaValue {
-        if let LuaValue::Number(n) = key {
-            let i = *n as i64;
-            if i as f64 == *n && i >= 1 && (i as usize) <= self.arr.len() {
-                return self.arr[i as usize - 1].clone();
-            }
+        match array_slot(key) {
+            Some(i) if i <= self.arr.len() => self.arr[i - 1].clone(),
+            _ => self
+                .find(key)
+                .map_or(LuaValue::Nil, |p| self.hash[p].1.clone()),
         }
-        if let LuaValue::Str(s) = key {
-            return self.get_str(s);
-        }
-        if let Some(k) = LuaKey::from_value(key) {
-            if let Some(v) = self.map.get(&k) {
-                return v.clone();
-            }
-        }
-        for (k, v) in &self.assoc {
-            if k.raw_eq(key) {
-                return v.clone();
-            }
-        }
-        LuaValue::Nil
     }
 
     /// Convenience string-keyed get.
     pub fn get_str(&self, key: &str) -> LuaValue {
-        self.strs.get(key).cloned().unwrap_or(LuaValue::Nil)
+        self.strs
+            .get(key)
+            .map_or(LuaValue::Nil, |&p| self.hash[p].1.clone())
     }
 
-    /// Raw set (no metamethods).
+    /// Raw set (no metamethods). A key with a [`LuaValue::key_error`] is
+    /// the caller's to refuse; it is ignored here.
     pub fn set(&mut self, key: LuaValue, value: LuaValue) {
-        if let LuaValue::Number(n) = key {
-            let i = n as i64;
-            if i as f64 == n && i >= 1 {
-                let idx = i as usize;
-                if idx <= self.arr.len() {
-                    if matches!(value, LuaValue::Nil) && idx == self.arr.len() {
+        let nil = matches!(value, LuaValue::Nil);
+        if let Some(i) = array_slot(&key) {
+            if i <= self.arr.len() {
+                if nil && i == self.arr.len() {
+                    self.arr.pop();
+                    // Trim trailing nils.
+                    while matches!(self.arr.last(), Some(LuaValue::Nil)) {
                         self.arr.pop();
-                        // Trim trailing nils.
-                        while matches!(self.arr.last(), Some(LuaValue::Nil)) {
-                            self.arr.pop();
-                        }
-                    } else {
-                        self.arr[idx - 1] = value;
                     }
-                    return;
-                }
-                if idx == self.arr.len() + 1 {
-                    if !matches!(value, LuaValue::Nil) {
-                        self.arr.push(value);
-                        // Absorb any following keys from the hash part.
-                        loop {
-                            let next = LuaKey::Num(((self.arr.len() + 1) as f64).to_bits());
-                            match self.map.remove(&next) {
-                                Some(v) => self.arr.push(v),
-                                None => break,
-                            }
-                        }
-                    }
-                    return;
-                }
-            }
-        }
-        let key = match key {
-            LuaValue::Str(s) => {
-                if matches!(value, LuaValue::Nil) {
-                    self.strs.remove(&s);
                 } else {
-                    self.strs.insert(s, value);
+                    self.arr[i - 1] = value;
                 }
                 return;
             }
-            other => other,
-        };
-        match LuaKey::from_value(&key) {
-            Some(k) => {
-                if matches!(value, LuaValue::Nil) {
-                    self.map.remove(&k);
-                } else {
-                    self.map.insert(k, value);
-                }
+            if i == self.arr.len() + 1 && !nil {
+                self.push(value);
+                return;
             }
+        }
+        match self.find(&key) {
+            Some(p) => self.hash[p].1 = value,
+            None if nil || key.key_error().is_some() => {}
             None => {
-                if let Some(slot) = self.assoc.iter_mut().find(|(k, _)| k.raw_eq(&key)) {
-                    slot.1 = value;
-                } else if !matches!(value, LuaValue::Nil) {
-                    self.assoc.push((key, value));
+                // A full list drops its tombstones when they are half of it,
+                // and is indexed anew.
+                let full = self.hash.len() == self.hash.capacity();
+                let dead = self.hash.iter().filter(|e| matches!(e.1, LuaValue::Nil));
+                if full && dead.count() * 2 >= self.hash.len() {
+                    self.hash.retain(|(_, v)| !matches!(v, LuaValue::Nil));
+                    self.strs.clear();
+                    self.others.clear();
+                    (0..self.hash.len()).for_each(|p| self.index(p));
                 }
+                self.hash.push((key, value));
+                self.index(self.hash.len() - 1);
+            }
+        }
+    }
+
+    /// Indexes the key of the hash part's entry `p`.
+    fn index(&mut self, p: usize) {
+        match &self.hash[p].0 {
+            LuaValue::Str(s) => self.strs.insert(s.clone(), p),
+            k => self.others.insert(k.clone(), p),
+        };
+    }
+
+    /// Runs when the array part has grown to `#t`: the hash part gives up
+    /// the key `#t` (a tombstone, if it holds it: it never holds `#t+1`
+    /// live), then moves `#t+1, #t+2, …` across while it holds them. So
+    /// every integer key the hash part indexes is above `#t`.
+    fn absorb(&mut self) {
+        while !self.others.is_empty() {
+            self.others.remove(&LuaValue::Number(self.arr.len() as f64));
+            let next = LuaValue::Number((self.arr.len() + 1) as f64);
+            match self.others.get(&next).map(|&p| &mut self.hash[p].1) {
+                Some(v) if !matches!(v, LuaValue::Nil) => self.arr.push(std::mem::take(v)),
+                _ => return,
             }
         }
     }
@@ -381,7 +403,7 @@ impl Table {
 
     /// Whether both parts are empty.
     pub fn is_empty(&self) -> bool {
-        self.arr.is_empty() && self.strs.is_empty() && self.map.is_empty() && self.assoc.is_empty()
+        self.arr.is_empty() && self.hash.iter().all(|(_, v)| matches!(v, LuaValue::Nil))
     }
 
     /// Iterates the array part.
@@ -392,12 +414,14 @@ impl Table {
     /// Appends to the array part.
     pub fn push(&mut self, v: LuaValue) {
         self.arr.push(v);
+        self.absorb();
     }
 
     /// Inserts at a 1-based position, shifting later elements.
     pub fn insert_at(&mut self, pos: usize, v: LuaValue) {
         let idx = pos.saturating_sub(1).min(self.arr.len());
         self.arr.insert(idx, v);
+        self.absorb();
     }
 
     /// Removes and returns the element at a 1-based position.
@@ -409,27 +433,29 @@ impl Table {
         }
     }
 
-    /// Snapshot of all key/value pairs (for `pairs`).
-    pub fn entries(&self) -> Vec<(LuaValue, LuaValue)> {
-        let mut out = Vec::with_capacity(self.arr.len() + self.strs.len() + self.map.len());
-        for (i, v) in self.arr.iter().enumerate() {
-            out.push((LuaValue::Number((i + 1) as f64), v.clone()));
+    /// Lua's `next`: the entry after `key` (the first for nil), walking the
+    /// array part, then the hash part in insertion order; `None` after the
+    /// last. Keys cleared during the walk stay valid to continue from.
+    pub fn next(&self, key: &LuaValue) -> Result<Option<(LuaValue, LuaValue)>, LuaError> {
+        let n = self.arr.len();
+        // Where the walk resumes: `i < n` is `arr[i]`, the rest `hash[i - n]`.
+        let start = match (key, array_slot(key)) {
+            (LuaValue::Nil, _) => 0,
+            (_, Some(i)) if i <= n => i,
+            (_, slot) => match self.find(key) {
+                Some(p) => n + p + 1,
+                // A key of the array part, which has shrunk past it since.
+                None if slot.is_some() => n,
+                None => return Err(LuaError::msg("invalid key to 'next'")),
+            },
+        };
+        let live = |v: &LuaValue| !matches!(v, LuaValue::Nil);
+        let mut arr = self.arr.iter().enumerate().skip(start);
+        if let Some((i, v)) = arr.find(|(_, v)| live(v)) {
+            return Ok(Some((LuaValue::Number((i + 1) as f64), v.clone())));
         }
-        for (k, v) in &self.strs {
-            out.push((LuaValue::Str(k.clone()), v.clone()));
-        }
-        for (k, v) in &self.map {
-            let key = match k {
-                LuaKey::Num(bits) => LuaValue::Number(f64::from_bits(*bits)),
-                LuaKey::Bool(b) => LuaValue::Bool(*b),
-                LuaKey::Ref(_) => continue, // reference keys unreported in pairs snapshot
-            };
-            out.push((key, v.clone()));
-        }
-        for (k, v) in &self.assoc {
-            out.push((k.clone(), v.clone()));
-        }
-        out
+        let rest = &self.hash[start.saturating_sub(n)..];
+        Ok(rest.iter().find(|(_, v)| live(v)).cloned())
     }
 }
 
@@ -470,8 +496,8 @@ mod tests {
 
     #[test]
     fn type_values_as_keys() {
-        // Terra types can be table keys via the assoc list (used by DSLs to
-        // memoize parametric types).
+        // Terra types are table keys by value (DSLs memoize parametric
+        // types by them).
         let mut t = Table::new();
         t.set(LuaValue::Type(Ty::INT), LuaValue::Number(1.0));
         t.set(LuaValue::Type(Ty::F64), LuaValue::Number(2.0));

@@ -27,7 +27,9 @@
 //! hexadecimal strings; then the arithmetic and call metamethods an image
 //! algebra like Orion's relies on (§2.8): a number on either side of an
 //! operator, the operands' order, `__call`'s arguments, and the handler's
-//! own error.
+//! own error; then table keys (§2.5.7, §5.1 `next`, `rawset`): a key is
+//! raw-equal only to itself, `next` reaches every entry and lets a
+//! traversal clear the fields it visits, and nil and NaN are not keys.
 
 use terra_eval::{Interp, LuaValue};
 
@@ -287,6 +289,56 @@ const CORNERS: &[(&str, &str, &str)] = &[
          local ok, e = pcall(function() return x + {} end) \
          return tostring(ok) .. ' ' .. e",
         "false not an image",
+    ),
+    (
+        "a table key is only itself: a fresh table finds nothing, and every entry is walked",
+        "local t = {} for i = 1, 50 do t[{}] = i end \
+         local hits, n = 0, 0 \
+         for j = 1, 200 do if t[{}] ~= nil then hits = hits + 1 end end \
+         for k in pairs(t) do n = n + 1 end \
+         return hits .. ' ' .. n",
+        "0 50",
+    ),
+    (
+        "next visits table- and function-keyed entries",
+        "local f = function() end \
+         local t = {[{}] = 1, [f] = 2} \
+         local sum = 0 for k, v in pairs(t) do sum = sum + v end \
+         return select(2, next({[{}] = 3})) + sum",
+        "6",
+    ),
+    (
+        "a macro is equal to itself and keys its entry",
+        "local m = terralib.macro(function() end) \
+         local t = {[m] = 1} \
+         return tostring(m == m) .. ' ' .. t[m]",
+        "true 1",
+    ),
+    (
+        "a nil key is an error to assign, by index or rawset, and nil to read",
+        "local ok, e = pcall(function() local t = {} t[nil] = 1 end) \
+         return tostring(ok) .. ' ' .. tostring(string.find(e, 'table index is nil', 1, true) ~= nil) \
+         .. ' ' .. select(2, pcall(rawset, {}, nil, 1)) .. ' ' .. tostring(({})[nil])",
+        "false true table index is nil nil",
+    ),
+    (
+        "a NaN key is an error to assign, by index or rawset, and nil to read",
+        "local ok, e = pcall(function() local t = {} t[0/0] = 1 end) \
+         return tostring(ok) .. ' ' .. tostring(string.find(e, 'table index is NaN', 1, true) ~= nil) \
+         .. ' ' .. select(2, pcall(rawset, {}, 0/0, 1)) .. ' ' .. tostring(({})[0/0])",
+        "false true table index is NaN nil",
+    ),
+    (
+        "clearing each field as pairs visits it visits every field once",
+        "local t = {1, 2, 3, x = 1, y = 2} \
+         local n = 0 for k in pairs(t) do t[k] = nil n = n + 1 end \
+         return n .. ' ' .. tostring(next(t))",
+        "5 nil",
+    ),
+    (
+        "next with a key the table does not hold is an error",
+        "return select(2, pcall(next, {a = 1}, 'b'))",
+        "invalid key to 'next'",
     ),
 ];
 

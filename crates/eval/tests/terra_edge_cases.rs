@@ -662,6 +662,79 @@ fn a_global_too_large_for_memory_is_an_error() {
     );
 }
 
+/// An array type whose size does not fit in 64 bits, or whose length is not
+/// an integer a `u64` holds, is a Lua error naming the type, not a size that
+/// wrapped (`double[2^61]` was 0 bytes, `int[2^70]` saturated its length,
+/// and a struct holding such an array was 8 bytes).
+#[test]
+fn array_sizes_that_do_not_fit_are_errors_naming_the_type() {
+    let rows = [
+        (
+            "return terralib.sizeof(double[2^61])",
+            "double[2305843009213694000]: its size does not fit in 64 bits",
+        ),
+        (
+            "local g = global(double[2^61])",
+            "double[2305843009213694000]: its size does not fit in 64 bits",
+        ),
+        (
+            "return terralib.sizeof(int[2^70])",
+            "int[1180591620717411300000]: an array length is an integer from 0 to 2^64 - 1",
+        ),
+        (
+            "struct S { a : double[2^61], b : int } return terralib.sizeof(S)",
+            "double[2305843009213694000]: its size does not fit in 64 bits",
+        ),
+        (
+            "struct S { a : double[2^60], b : double[2^60], c : int } return terralib.sizeof(S)",
+            "struct S: its size does not fit in 64 bits",
+        ),
+        (
+            "terra f() var a : int[-1] end f()",
+            "int[-1]: an array length is an integer from 0 to 2^64 - 1",
+        ),
+    ];
+    for (src, want) in rows {
+        let e = eval_err(src);
+        assert!(e.message.contains(want), "{src}: {e}");
+    }
+    // The largest sizes that fit are still sizes.
+    assert_eq!(
+        eval_num("return terralib.sizeof(double[2^60])"),
+        2f64.powi(63)
+    );
+}
+
+/// `saveobj` writes its symbols in the export table's insertion order, so
+/// two sessions write the same file.
+#[test]
+fn saveobj_writes_the_same_file_twice() {
+    let write = |n: u32| {
+        let path = std::env::temp_dir().join(format!(
+            "terra_rs_saveobj_order_{}_{n}.o",
+            std::process::id()
+        ));
+        let src = format!(
+            "terra c() : int return 3 end terra a() : int return 1 end \
+             terra e() : int return 5 end terra b() : int return 2 end \
+             terra d() : int return 4 end \
+             terralib.saveobj({:?}, {{ c = c, a = a, e = e, b = b, d = d }})",
+            path.to_string_lossy()
+        );
+        Interp::new().exec(&src).unwrap();
+        let contents = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        contents
+    };
+    let first = write(1);
+    assert_eq!(write(2), first);
+    let symbols: Vec<&str> = first
+        .lines()
+        .filter_map(|l| l.strip_prefix("symbol ")?.split(' ').next())
+        .collect();
+    assert_eq!(symbols, ["c", "a", "e", "b", "d"], "{first}");
+}
+
 // ---------------------------------------------------------------------------
 // the canonical-register invariant (DESIGN.md §6j) at its entry points
 // ---------------------------------------------------------------------------

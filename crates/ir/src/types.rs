@@ -237,20 +237,23 @@ impl Ty {
         }
     }
 
-    /// Size in bytes, given a registry for struct layouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a referenced struct has not been finalized.
+    /// Size in bytes, given a registry for struct layouts; `u64::MAX` for a
+    /// type too large to allocate (see [`Ty::checked_size`]).
     pub fn size(&self, reg: &TypeRegistry) -> u64 {
-        match self {
+        self.checked_size(reg).unwrap_or(u64::MAX)
+    }
+
+    /// Size in bytes, or `None` when it does not fit in a `u64`. A struct
+    /// not yet finalized counts as its size so far, 0.
+    pub fn checked_size(&self, reg: &TypeRegistry) -> Option<u64> {
+        Some(match self {
             Ty::Unit => 0,
             Ty::Scalar(s) => s.size(),
             Ty::Ptr(_) | Ty::Func(_) => 8,
-            Ty::Array(t, n) => t.size(reg) * n,
+            Ty::Array(t, n) => t.checked_size(reg)?.checked_mul(*n)?,
             Ty::Vector(s, n) => s.size() * *n as u64,
             Ty::Struct(id) => reg.layout(*id).size,
-        }
+        })
     }
 
     /// Alignment in bytes.
@@ -395,9 +398,11 @@ impl TypeRegistry {
     }
 
     /// Computes C-style offsets, size, and alignment for a struct. Idempotent.
-    pub fn finalize(&mut self, id: StructId) {
+    /// `None` when the size does not fit in a `u64`; the struct then stays
+    /// unfinalized.
+    pub fn finalize(&mut self, id: StructId) -> Option<()> {
         if self.structs[id.0 as usize].finalized {
-            return;
+            return Some(());
         }
         // Field types may reference other structs; finalize those first.
         let field_tys: Vec<Ty> = self.structs[id.0 as usize]
@@ -406,31 +411,32 @@ impl TypeRegistry {
             .map(|f| f.ty.clone())
             .collect();
         for ty in &field_tys {
-            self.finalize_nested(ty);
+            self.finalize_nested(ty)?;
         }
         let mut offset = 0u64;
         let mut align = 1u64;
-        let sizes: Vec<(u64, u64)> = field_tys
+        let sizes: Vec<(Option<u64>, u64)> = field_tys
             .iter()
-            .map(|t| (t.size(self), t.align(self)))
+            .map(|t| (t.checked_size(self), t.align(self)))
             .collect();
         let s = &mut self.structs[id.0 as usize];
         for (f, (fsize, falign)) in s.fields.iter_mut().zip(sizes) {
-            offset = round_up(offset, falign);
+            offset = round_up(offset, falign)?;
             f.offset = offset;
-            offset += fsize;
+            offset = offset.checked_add(fsize?)?;
             align = align.max(falign);
         }
-        s.size = round_up(offset.max(1), align);
+        s.size = round_up(offset.max(1), align)?;
         s.align = align;
         s.finalized = true;
+        Some(())
     }
 
-    fn finalize_nested(&mut self, ty: &Ty) {
+    fn finalize_nested(&mut self, ty: &Ty) -> Option<()> {
         match ty {
             Ty::Struct(id) => self.finalize(*id),
             Ty::Array(t, _) => self.finalize_nested(t),
-            _ => {}
+            _ => Some(()),
         }
     }
 
@@ -468,9 +474,9 @@ impl TypeRegistry {
     }
 }
 
-fn round_up(v: u64, align: u64) -> u64 {
+fn round_up(v: u64, align: u64) -> Option<u64> {
     debug_assert!(align > 0);
-    v.div_ceil(align) * align
+    v.div_ceil(align).checked_mul(align)
 }
 
 #[cfg(test)]

@@ -69,6 +69,16 @@ echo "==> Orion is a Lua library behind a thin wrapper (scripts/loc.sh crates/or
 scripts/loc.sh crates/orion/src | awk '$2 == "total" || $3 == "total" { n += $1 } END { exit !(n <= 847) }' \
     || { echo "crates/orion/src is over 847 lines of Rust and Lua" >&2; exit 1; }
 
+echo "==> the Lua evaluator does not grow (scripts/loc.sh crates/eval/src/interp.rs crates/eval/src/value.rs <= 2005)"
+# Compiling the evaluator to closures (ROADMAP item 12) must replace the
+# tree-walker, leaving interp.rs + value.rs no larger than this. Set at the
+# count after a table became an array part plus one insertion-ordered hash
+# part (2 005 lines; 1 965 before, when `next` copied the table on every
+# step and a key was found in one of three stores that disagreed on
+# identity).
+scripts/loc.sh crates/eval/src/interp.rs crates/eval/src/value.rs | awk '/total/ { exit !($1 <= 2005) }' \
+    || { echo "crates/eval/src/interp.rs + value.rs are over 2005 non-test lines" >&2; exit 1; }
+
 # Cargo drops a stale entry from the frozen benchmark/Cargo.lock whenever it
 # builds there; put the file back as it was, whichever way this script ends.
 bench_lock="$(cat benchmark/Cargo.lock)"
