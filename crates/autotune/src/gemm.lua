@@ -85,10 +85,23 @@ function genkernel(NB, RM, RN, V, alpha, T)
   end
 end
 
+-- Why an NB x NB tiling with an RM x (RN*V) register block of T cannot
+-- compute an N x N multiply, or nil when it can. V is at most one 256-bit
+-- register.
+function gemmfault(N, NB, RM, RN, V, T)
+  if NB <= 0 or RM <= 0 or RN <= 0 or V <= 0 then return "NB, RM, RN and V must be positive" end
+  if V * terralib.sizeof(T) > 32 then return "V=" .. V .. " is wider than 256 bits of " .. tostring(T) end
+  if N % NB ~= 0 then return "N=" .. N .. " is not a multiple of NB=" .. NB end
+  if NB % RM ~= 0 then return "NB=" .. NB .. " is not a multiple of RM=" .. RM end
+  if NB % (RN * V) ~= 0 then return "NB=" .. NB .. " is not a multiple of RN*V=" .. RN * V end
+end
+
 -- Compose L1 kernels into a full N x N multiply (two-level blocking): the
 -- alpha=0 kernel initializes each C block on the first k-panel, alpha=1
 -- kernels accumulate the rest.
 function genmatmul(N, NB, RM, RN, V, T)
+  local fault = gemmfault(N, NB, RM, RN, V, T)
+  if fault then error("genmatmul: " .. fault) end
   local k0 = genkernel(NB, RM, RN, V, 0, T)
   local k1 = genkernel(NB, RM, RN, V, 1, T)
   return terra(A : &T, B : &T, C : &T)
@@ -121,6 +134,8 @@ end
 -- Baseline 2: cache-blocked but neither register-blocked nor vectorized
 -- ("Blocked" in Figure 6).
 function genblocked(N, NB, T)
+  local fault = gemmfault(N, NB, 1, 1, 1, T)
+  if fault then error("genblocked: " .. fault) end
   return terra(A : &T, B : &T, C : &T)
     for i = 0, N do
       for j = 0, N do
@@ -142,4 +157,39 @@ function genblocked(N, NB, T)
       end
     end
   end
+end
+
+-- The auto-tuner's search space at size N, in NB, RM, RN, V order: the
+-- paper's "reasonable values for the parameters" that tile N.
+function gemmconfigs(N, T)
+  local out = terralib.newlist()
+  for _, NB in ipairs({ 16, 32, 64 }) do
+    for _, RM in ipairs({ 1, 2, 4 }) do
+      for _, RN in ipairs({ 1, 2, 4 }) do
+        for _, V in ipairs({ 2, 4, 8 }) do
+          if not gemmfault(N, NB, RM, RN, V, T) then
+            out:insert({ NB = NB, RM = RM, RN = RN, V = V })
+          end
+        end
+      end
+    end
+  end
+  return out
+end
+
+-- The auto-tuner of §6.1: stages every candidate, times `reps` runs of it
+-- after one warm-up on the caller's A, B and C, and returns the fastest
+-- configuration with its GFLOPS.
+function gemmtune(N, T, A, B, C, reps)
+  local best, bestflops
+  for _, c in ipairs(gemmconfigs(N, T)) do
+    local f = genmatmul(N, c.NB, c.RM, c.RN, c.V, T)
+    f(A, B, C)
+    local start = terralib.currenttimeinseconds()
+    for _ = 1, reps do f(A, B, C) end
+    local gflops = 2 * N ^ 3 / ((terralib.currenttimeinseconds() - start) / reps) / 1e9
+    if not best or gflops > bestflops then best, bestflops = c, gflops end
+  end
+  if not best then error("gemmtune: no configuration tiles N=" .. N) end
+  return best, bestflops
 end

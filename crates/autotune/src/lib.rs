@@ -9,9 +9,11 @@
 //! accumulators), SIMD vector loads/stores of width `V`, prefetching of the
 //! streamed `B` panel, and an `alpha` constant baked in; `genmatmul`
 //! composes two such kernels into a full two-level blocked multiply. The
-//! Rust side drives parameter search ([`autotune`]), measurement
-//! ([`GemmSession::measure_gflops`]), and verification
-//! ([`Workspace::verify`]).
+//! script also holds the validity rule (`gemmfault`), the search space
+//! (`gemmconfigs`) and the search itself (`gemmtune`), the paper's Lua
+//! auto-tuner; [`GemmSession::autotune`] calls it. The Rust side allocates
+//! the matrices, times single kernels ([`GemmSession::measure_gflops`]) and
+//! verifies results ([`Workspace::verify`]).
 //!
 //! Baselines mirror Figure 6's series: `gennaive` (the unblocked loop) and
 //! `genblocked` (cache blocking only), plus [`vendor_config`], an
@@ -21,7 +23,7 @@
 #![warn(missing_docs)]
 
 use std::time::Instant;
-use terra_core::{LuaError, Terra, TerraFn, Value};
+use terra_core::{LuaError, LuaValue, Terra, TerraFn, Value};
 
 /// The combined Lua-Terra GEMM generator (paper Figure 5 + driver).
 pub const GEMM_SCRIPT: &str = include_str!("gemm.lua");
@@ -51,14 +53,6 @@ impl Precision {
             Precision::F64 => 8,
         }
     }
-
-    /// The widest supported vector width (256-bit registers).
-    pub fn max_vector(self) -> usize {
-        match self {
-            Precision::F32 => 8,
-            Precision::F64 => 4,
-        }
-    }
 }
 
 /// A kernel configuration: the tuning parameters of `genkernel`.
@@ -72,17 +66,6 @@ pub struct GemmConfig {
     pub rn: usize,
     /// Vector width.
     pub v: usize,
-}
-
-impl GemmConfig {
-    /// Whether this configuration can tile an `n`×`n` multiply.
-    pub fn valid_for(&self, n: usize, prec: Precision) -> bool {
-        self.v <= prec.max_vector()
-            && self.nb > 0
-            && n.is_multiple_of(self.nb)
-            && self.nb.is_multiple_of(self.rm)
-            && self.nb.is_multiple_of(self.rn * self.v)
-    }
 }
 
 impl std::fmt::Display for GemmConfig {
@@ -166,13 +149,9 @@ impl GemmSession {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n % nb == 0`.
+    /// Propagates staging errors, and the generator's error when `nb` does
+    /// not divide `n`.
     pub fn blocked(&mut self, n: usize, nb: usize, prec: Precision) -> Result<TerraFn, LuaError> {
-        assert!(n.is_multiple_of(nb), "N must be a multiple of NB");
         let name = self.fresh_name("blocked");
         self.terra.exec(&format!(
             "{name} = genblocked({n}, {nb}, {})",
@@ -186,19 +165,14 @@ impl GemmSession {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a configuration that cannot tile `n` (see
-    /// [`GemmConfig::valid_for`]).
+    /// Propagates staging errors, and the generator's error naming why a
+    /// configuration cannot tile `n`.
     pub fn generated(
         &mut self,
         n: usize,
         cfg: GemmConfig,
         prec: Precision,
     ) -> Result<TerraFn, LuaError> {
-        assert!(cfg.valid_for(n, prec), "invalid config {cfg} for N={n}");
         let name = self.fresh_name("gemm");
         self.terra.exec(&format!(
             "{name} = genmatmul({n}, {}, {}, {}, {}, {})",
@@ -209,6 +183,38 @@ impl GemmSession {
             prec.type_name()
         ))?;
         self.terra.function(&name)
+    }
+
+    /// Auto-tunes with the script's `gemmtune`: stages every configuration
+    /// of the search space at size `n`, times `reps` runs of each after one
+    /// warm-up on a fresh workspace, and returns the fastest with its GFLOPS.
+    ///
+    /// # Errors
+    ///
+    /// Propagates staging errors, and the script's error when no
+    /// configuration tiles `n`.
+    pub fn autotune(
+        &mut self,
+        n: usize,
+        prec: Precision,
+        reps: usize,
+    ) -> Result<(GemmConfig, f64), LuaError> {
+        let ws = self.workspace(n, prec);
+        let out = self.terra.exec(&format!(
+            "local c, gflops = gemmtune({n}, {}, {}, {}, {}, {})\n\
+             return c.NB, c.RM, c.RN, c.V, gflops",
+            prec.type_name(),
+            ws.a,
+            ws.b,
+            ws.c,
+            reps.max(1)
+        ))?;
+        use LuaValue::Number as N;
+        let [N(nb), N(rm), N(rn), N(v), N(gflops)] = out[..] else {
+            return Err(LuaError::msg("gemmtune: expected NB, RM, RN, V and GFLOPS"));
+        };
+        let (nb, rm, rn, v) = (nb as usize, rm as usize, rn as usize, v as usize);
+        Ok((GemmConfig { nb, rm, rn, v }, gflops))
     }
 
     /// Allocates an `n`×`n` workspace (A, B, C) with deterministic contents.
@@ -375,50 +381,6 @@ impl Workspace {
     }
 }
 
-/// The candidate space the auto-tuner searches, mirroring the paper's
-/// "reasonable values for the parameters (NB, V, RA, RB)".
-pub fn candidate_configs(n: usize, prec: Precision) -> Vec<GemmConfig> {
-    let mut out = Vec::new();
-    for nb in [16, 32, 64] {
-        for rm in [1, 2, 4] {
-            for rn in [1, 2, 4] {
-                for v in [2, 4, 8] {
-                    let cfg = GemmConfig { nb, rm, rn, v };
-                    if cfg.valid_for(n, prec) {
-                        out.push(cfg);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Auto-tunes: stages every candidate, times it on a user-sized problem, and
-/// returns the best configuration with its GFLOPS (the paper's 200-line Lua
-/// auto-tuner, §6.1).
-///
-/// # Errors
-///
-/// Propagates staging errors from any candidate.
-pub fn autotune(
-    session: &mut GemmSession,
-    n: usize,
-    prec: Precision,
-    reps: usize,
-) -> Result<(GemmConfig, f64), LuaError> {
-    let ws = session.workspace(n, prec);
-    let mut best: Option<(GemmConfig, f64)> = None;
-    for cfg in candidate_configs(n, prec) {
-        let f = session.generated(n, cfg, prec)?;
-        let gflops = session.measure_gflops(&f, &ws, reps);
-        if best.map(|(_, g)| gflops > g).unwrap_or(true) {
-            best = Some((cfg, gflops));
-        }
-    }
-    Ok(best.expect("candidate space is never empty"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,25 +433,146 @@ mod tests {
         ws.verify(&s);
     }
 
+    /// The search space `gemmconfigs` returns, flattened by Lua into
+    /// NB, RM, RN, V quadruples.
+    fn lua_candidates(s: &mut GemmSession, n: usize, prec: Precision) -> Vec<GemmConfig> {
+        let out = s
+            .terra()
+            .exec(&format!(
+                "local flat = {{}}\n\
+                 for _, c in ipairs(gemmconfigs({n}, {})) do\n\
+                   for _, x in ipairs({{ c.NB, c.RM, c.RN, c.V }}) do flat[#flat + 1] = x end\n\
+                 end\n\
+                 return unpack(flat)",
+                prec.type_name()
+            ))
+            .unwrap();
+        let num = |v: &LuaValue| match v {
+            LuaValue::Number(x) => *x as usize,
+            other => panic!("gemmconfigs returned {other:?}"),
+        };
+        out.chunks(4)
+            .map(|c| GemmConfig {
+                nb: num(&c[0]),
+                rm: num(&c[1]),
+                rn: num(&c[2]),
+                v: num(&c[3]),
+            })
+            .collect()
+    }
+
+    /// The search space and its order as the Rust tuner enumerated it
+    /// before the search moved into `gemm.lua`.
+    fn rust_era_candidates(n: usize, max_vector: usize) -> Vec<GemmConfig> {
+        let mut out = Vec::new();
+        for nb in [16, 32, 64] {
+            for rm in [1, 2, 4] {
+                for rn in [1, 2, 4] {
+                    for v in [2, 4, 8] {
+                        if v <= max_vector
+                            && n.is_multiple_of(nb)
+                            && nb.is_multiple_of(rm)
+                            && nb.is_multiple_of(rn * v)
+                        {
+                            out.push(GemmConfig { nb, rm, rn, v });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `gemmconfigs` at N = 64 is the space the Rust tuner searched, in its
+    /// order: 54 DGEMM and 78 SGEMM configurations.
     #[test]
-    fn many_configs_are_all_correct() {
+    fn lua_search_space_is_the_rust_one() {
         let mut s = GemmSession::new().unwrap();
-        let n = 32;
-        let ws = s.workspace(n, Precision::F64);
-        for cfg in candidate_configs(n, Precision::F64) {
-            let f = s.generated(n, cfg, Precision::F64).unwrap();
-            s.run(&f, &ws);
-            ws.verify(&s);
+        for (prec, max_vector, count) in [(Precision::F64, 4, 54), (Precision::F32, 8, 78)] {
+            let got = lua_candidates(&mut s, 64, prec);
+            assert_eq!(got.len(), count, "{prec:?}");
+            assert_eq!(got, rust_era_candidates(64, max_vector), "{prec:?}");
         }
     }
 
+    /// Every configuration of the search space at N = 64 stages and
+    /// computes the right product.
     #[test]
-    fn candidate_space_respects_constraints() {
-        for cfg in candidate_configs(64, Precision::F64) {
-            assert!(cfg.valid_for(64, Precision::F64));
-            assert!(cfg.v <= 4);
+    fn every_candidate_stages_and_verifies() {
+        let mut s = GemmSession::new().unwrap();
+        for prec in [Precision::F64, Precision::F32] {
+            let ws = s.workspace(64, prec);
+            for cfg in lua_candidates(&mut s, 64, prec) {
+                let f = s.generated(64, cfg, prec).unwrap();
+                s.run(&f, &ws);
+                ws.verify(&s);
+            }
         }
-        assert!(!candidate_configs(64, Precision::F32).is_empty());
+    }
+
+    /// The Lua tuner returns a configuration of its space that verifies.
+    #[test]
+    fn autotune_picks_a_candidate() {
+        let mut s = GemmSession::new().unwrap();
+        let (best, gflops) = s.autotune(32, Precision::F64, 1).unwrap();
+        assert!(lua_candidates(&mut s, 32, Precision::F64).contains(&best));
+        assert!(gflops > 0.0, "{gflops}");
+        let ws = s.workspace(32, Precision::F64);
+        let f = s.generated(32, best, Precision::F64).unwrap();
+        s.run(&f, &ws);
+        ws.verify(&s);
+    }
+
+    /// Each misuse of the generator is a Lua error naming the reason, not a
+    /// panic.
+    #[test]
+    fn generator_misuse_is_an_error() {
+        let mut s = GemmSession::new().unwrap();
+        let cfg = |nb, rm, rn, v| GemmConfig { nb, rm, rn, v };
+        let (f64_, f32_) = (Precision::F64, Precision::F32);
+        let rows = [
+            (
+                "NB does not divide N",
+                s.generated(48, cfg(32, 1, 1, 4), f64_).map(drop),
+                "genmatmul: N=48 is not a multiple of NB=32",
+            ),
+            (
+                "V wider than a register",
+                s.generated(64, cfg(16, 1, 1, 8), f64_).map(drop),
+                "genmatmul: V=8 is wider than 256 bits of double",
+            ),
+            (
+                "RM does not divide NB",
+                s.generated(48, cfg(16, 3, 1, 4), f64_).map(drop),
+                "genmatmul: NB=16 is not a multiple of RM=3",
+            ),
+            (
+                "RN*V does not divide NB",
+                s.generated(64, cfg(16, 1, 4, 8), f32_).map(drop),
+                "genmatmul: NB=16 is not a multiple of RN*V=32",
+            ),
+            (
+                "a zero block",
+                s.generated(64, cfg(0, 1, 1, 4), f64_).map(drop),
+                "genmatmul: NB, RM, RN and V must be positive",
+            ),
+            (
+                "blocked with N % NB != 0",
+                s.blocked(30, 8, f64_).map(drop),
+                "genblocked: N=30 is not a multiple of NB=8",
+            ),
+            (
+                "the tuner with no candidate",
+                s.autotune(24, f64_, 1).map(drop),
+                "gemmtune: no configuration tiles N=24",
+            ),
+        ];
+        for (row, got, message) in rows {
+            match got {
+                Ok(_) => panic!("{row}: staged"),
+                Err(e) => assert!(e.to_string().contains(message), "{row}: {e}"),
+            }
+        }
     }
 
     #[test]
@@ -578,8 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn vendor_config_is_valid() {
-        assert!(vendor_config(Precision::F64).valid_for(64, Precision::F64));
-        assert!(vendor_config(Precision::F32).valid_for(64, Precision::F32));
+    fn vendor_config_stages_and_verifies() {
+        let mut s = GemmSession::new().unwrap();
+        for prec in [Precision::F64, Precision::F32] {
+            let ws = s.workspace(64, prec);
+            let f = s.generated(64, vendor_config(prec), prec).unwrap();
+            s.run(&f, &ws);
+            ws.verify(&s);
+        }
     }
 }

@@ -1248,7 +1248,7 @@ impl Checker<'_> {
                     Some(t @ Ty::Scalar(s)) if s.is_float() => t.clone(),
                     _ => ty,
                 };
-                Ok(TExp::rvalue(IrExpr::new(ty, ExprKind::ConstFloat(*v))))
+                Ok(TExp::rvalue(IrExpr::float(ty, *v)))
             }
             SpecExprKind::LuaNum(n) => {
                 let ty = match hint {
@@ -2218,10 +2218,9 @@ fn memset(addr: IrExpr, size: u64) -> IrExpr {
 /// A constant of type `ty`: `n` for a float or a `bool`, `int` for an
 /// integer (exact past 2⁵³, where `n` is not).
 fn const_num(ty: Ty, n: f64, int: i64) -> TExp {
-    let kind = match &ty {
-        Ty::Scalar(s) if s.is_float() => ExprKind::ConstFloat(n),
-        Ty::Scalar(ScalarTy::Bool) => ExprKind::ConstBool(n != 0.0),
-        _ => ExprKind::ConstInt(int),
-    };
-    TExp::rvalue(IrExpr::new(ty, kind))
+    TExp::rvalue(match ty {
+        Ty::Scalar(s) if s.is_float() => IrExpr::float(ty, n),
+        Ty::Scalar(ScalarTy::Bool) => IrExpr::new(ty, ExprKind::ConstBool(n != 0.0)),
+        _ => IrExpr::new(ty, ExprKind::ConstInt(int)),
+    })
 }

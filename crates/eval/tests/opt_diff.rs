@@ -494,3 +494,36 @@ fn zero_product_keeps_an_operand_that_traps_or_prints() {
         }
     }
 }
+
+/// A `float` constant holds an f32 value, so folding at `-O1`/`-O2` gives
+/// what `-O0`'s f32 arithmetic gives. Folded in f64 on unrounded constants,
+/// each of these differs from `-O0`.
+#[test]
+fn float_constants_fold_like_f32_arithmetic_at_every_level() {
+    let programs = [
+        (
+            "terra f() : float return [float](16777216) + [float](1) + [float](1) end return f()",
+            16777216.0,
+        ),
+        (
+            "terra f() : float return [float](0.1) * [float](0.1) end return f()",
+            0.010000000707805157,
+        ),
+        (
+            "terra f() : double return [double]([float](0.1)) end return f()",
+            0.10000000149011612,
+        ),
+        (
+            "terra f() : int return terralib.select([float](16777217) == [float](16777216), 1, 0) end return f()",
+            1.0,
+        ),
+    ];
+    for (src, want) in programs {
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let mut t = Interp::new();
+            t.opt = level;
+            let out = t.exec(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(out[0].as_number(), Some(want), "{level:?}: {src}");
+        }
+    }
+}

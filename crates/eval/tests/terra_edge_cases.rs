@@ -1205,3 +1205,71 @@ fn large_integer_literals_are_exact() {
                return f()";
     assert_eq!(eval_at_every_level(src), 806.0);
 }
+
+// ---------------------------------------------------------------------------
+// unsigned min/max
+// ---------------------------------------------------------------------------
+
+/// `terralib.min`/`max` order `uint64` values unsigned at every level, on
+/// constants (folded from `-O1` on) and on arguments (the VM's lowering).
+/// Compared signed, `min(2^64 - 1, 1)` would be 2^64 - 1.
+#[test]
+fn uint64_min_max_order_unsigned_at_every_level() {
+    let prelude = "terra mn(x : uint64, y : uint64) : uint64 return terralib.min(x, y) end\n\
+                   terra mx(x : uint64, y : uint64) : uint64 return terralib.max(x, y) end\n";
+    let rows = [
+        ("terralib.min([uint64](0) - 1, [uint64](1))", 1.0),
+        (
+            "terralib.max([uint64](0) - 1, [uint64](1))",
+            u64::MAX as f64,
+        ),
+        ("terralib.min([uint64](1) << 63, [uint64](5))", 5.0),
+        ("mn([uint64](0) - 1, 1)", 1.0),
+        ("mx([uint64](0) - 1, 1)", u64::MAX as f64),
+        ("mn([uint64](1) << 63, 5)", 5.0),
+        ("mn(5, [uint64](1) << 63)", 5.0),
+        ("mx(5, [uint64](1) << 63)", (1u64 << 63) as f64),
+        ("mn(3, 3) + mx(4, 4)", 7.0),
+    ];
+    for (e, want) in rows {
+        for level in [
+            terra_ir::OptLevel::O0,
+            terra_ir::OptLevel::O1,
+            terra_ir::OptLevel::O2,
+        ] {
+            let mut t = Interp::new();
+            t.opt = level;
+            let src = format!("{prelude}terra f() : uint64 return {e} end return f()");
+            let out = t.exec(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(out[0].as_number(), Some(want), "{level:?}: {e}");
+        }
+    }
+}
+
+/// An index clamped by an unsigned `min` is in bounds, as the bounds-check
+/// prover assumes when it elides the check, at every level. Clamped in
+/// signed order, `x = 2^63 + 2^40` would stay `x`, and the elided load would
+/// read 2^42 bytes past `buf`.
+#[test]
+fn uint64_min_clamped_index_reads_its_element_at_every_level() {
+    let src = "terra at(x : uint64) : int\n\
+                 var buf : int[8]\n\
+                 for i = 0, 8 do buf[i] = i * 10 end\n\
+                 return buf[terralib.min(x, [uint64](5))]\n\
+               end\n\
+               terra f() : int return at(([uint64](1) << 63) + ([uint64](1) << 40)) * 100 + at(2) end\n\
+               return f()";
+    for level in [
+        terra_ir::OptLevel::O0,
+        terra_ir::OptLevel::O1,
+        terra_ir::OptLevel::O2,
+    ] {
+        for elide in [true, false] {
+            let mut t = Interp::new();
+            t.opt = level;
+            t.elide_checks = elide;
+            let out = t.exec(src).unwrap_or_else(|e| panic!("{level:?}: {e}"));
+            assert_eq!(out[0].as_number(), Some(5020.0), "{level:?} elide={elide}");
+        }
+    }
+}

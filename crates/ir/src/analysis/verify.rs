@@ -402,11 +402,16 @@ impl Verifier<'_> {
                     );
                 }
             }
-            ExprKind::ConstFloat(_) => {
+            ExprKind::ConstFloat(v) => {
                 if !t.is_float() {
                     self.error(
                         "type-mismatch",
                         format!("float constant annotated with non-float type {t}"),
+                    );
+                } else if IrExpr::float(t.clone(), *v).kind != e.kind && !v.is_nan() {
+                    self.error(
+                        "type-mismatch",
+                        format!("{t} constant {v:?} is not a value of its type"),
                     );
                 }
             }
@@ -930,6 +935,23 @@ mod tests {
         let err = verify_function(&f, None, &NoEnv).unwrap_err();
         assert_eq!(err.code, "type-mismatch");
         assert!(err.message.contains("int"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_float_constant_that_is_not_an_f32() {
+        let mut f = unit_fn("unrounded");
+        let l = f.add_local("x", Ty::F32, false);
+        let value = IrExpr::new(Ty::F32, ExprKind::ConstFloat(0.1));
+        f.body = vec![StmtKind::Assign { dst: l, value }.into()];
+        let err = verify_function(&f, None, &NoEnv).unwrap_err();
+        assert_eq!(err.code, "type-mismatch");
+        assert!(err.message.contains("not a value of its type"), "{err}");
+        f.body = vec![StmtKind::Assign {
+            dst: l,
+            value: IrExpr::float(Ty::F32, 0.1),
+        }
+        .into()];
+        assert!(verify_function(&f, None, &NoEnv).is_ok());
     }
 
     #[test]

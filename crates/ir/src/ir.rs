@@ -317,7 +317,8 @@ pub struct IrExpr {
 pub enum ExprKind {
     /// Integer constant (bit pattern; `ty` gives signedness/width).
     ConstInt(i64),
-    /// Floating constant.
+    /// Floating constant; one of type `float` holds an `f32` value (see
+    /// [`IrExpr::float`]).
     ConstFloat(f64),
     /// Boolean constant.
     ConstBool(bool),
@@ -828,6 +829,15 @@ impl IrExpr {
     /// A `double` constant.
     pub fn f64(v: f64) -> IrExpr {
         IrExpr::new(Ty::F64, ExprKind::ConstFloat(v))
+    }
+
+    /// A constant of float type `ty`. A `float` constant holds an `f32`
+    /// value, as an integer constant holds its type's canonical bits: `v` is
+    /// rounded to the nearest one here, so the folder computes with what the
+    /// VM's `float` register would hold.
+    pub fn float(ty: Ty, v: f64) -> IrExpr {
+        let v = if ty == Ty::F32 { v as f32 as f64 } else { v };
+        IrExpr::new(ty, ExprKind::ConstFloat(v))
     }
 
     /// A `bool` constant.

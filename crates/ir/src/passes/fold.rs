@@ -131,7 +131,10 @@ fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
         _ => None,
     };
     if let Some(kind) = new_kind {
-        e.kind = kind;
+        e.kind = match kind {
+            ExprKind::ConstFloat(v) => IrExpr::float(e.ty.clone(), v).kind,
+            kind => kind,
+        };
         *folded += 1;
     }
 }
@@ -178,8 +181,10 @@ fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Opt
             BinKind::And => a & b,
             BinKind::Or => a | b,
             BinKind::Xor => a ^ b,
-            BinKind::Min => a.min(b),
-            BinKind::Max => a.max(b),
+            BinKind::Min if st.is_signed() => a.min(b),
+            BinKind::Max if st.is_signed() => a.max(b),
+            BinKind::Min => (a as u64).min(b as u64) as i64,
+            BinKind::Max => (a as u64).max(b as u64) as i64,
         };
         return Some(ExprKind::ConstInt(st.canonical(v)));
     }
@@ -262,15 +267,14 @@ fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
     match (&inner.ty, &inner.kind) {
         (Ty::Scalar(from), ExprKind::ConstInt(v)) => {
             if to.is_float() {
-                let f = if from.is_signed() {
-                    *v as f64
-                } else {
-                    *v as u64 as f64
-                };
-                Some(ExprKind::ConstFloat(if to == ScalarTy::F32 {
-                    f as f32 as f64
-                } else {
-                    f
+                // Converted straight to the target width, as the VM does: an
+                // integer rounded to f64 first can round again to f32.
+                let v = from.canonical(*v);
+                Some(ExprKind::ConstFloat(match (from.is_signed(), to) {
+                    (true, ScalarTy::F32) => v as f32 as f64,
+                    (true, _) => v as f64,
+                    (false, ScalarTy::F32) => v as u64 as f32 as f64,
+                    (false, _) => v as u64 as f64,
                 }))
             } else if to == ScalarTy::Bool {
                 Some(ExprKind::ConstBool(*v != 0))
@@ -280,11 +284,7 @@ fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
         }
         (Ty::Scalar(_), ExprKind::ConstFloat(v)) => {
             if to.is_float() {
-                Some(ExprKind::ConstFloat(if to == ScalarTy::F32 {
-                    *v as f32 as f64
-                } else {
-                    *v
-                }))
+                Some(ExprKind::ConstFloat(*v))
             } else if to == ScalarTy::Bool {
                 Some(ExprKind::ConstBool(*v != 0.0))
             } else if to.is_signed() {

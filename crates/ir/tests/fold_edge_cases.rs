@@ -307,3 +307,80 @@ fn unsigned_compare_uses_unsigned_ordering() {
     fold_expr(&mut e);
     assert_eq!(e.kind, ExprKind::ConstBool(true));
 }
+
+#[test]
+fn u64_min_max_use_unsigned_ordering() {
+    // 2^64 - 1 and 2^63 are large unsigned values, not negative ones.
+    let big = int_const(Ty::U64, -1);
+    let top = int_const(Ty::U64, i64::MIN);
+    for (op, a, b, want) in [
+        (BinKind::Min, big.clone(), int_const(Ty::U64, 1), 1),
+        (BinKind::Max, big, int_const(Ty::U64, 1), -1),
+        (BinKind::Min, top.clone(), int_const(Ty::U64, 5), 5),
+        (BinKind::Max, int_const(Ty::U64, 5), top, i64::MIN),
+    ] {
+        let mut e = bin(op, a, b);
+        fold_expr(&mut e);
+        assert_eq!(folded_int(&e), Some(want), "{op:?}");
+    }
+}
+
+// ------------------------------------------------------------ float constants
+//
+// A `float` constant holds an f32 value, so the folder computes what the
+// VM's f32 registers compute (`-O0`), not the f64 arithmetic of the
+// unrounded values.
+
+fn f32_const(v: f64) -> IrExpr {
+    IrExpr::float(Ty::F32, v)
+}
+
+#[test]
+fn f32_constant_holds_an_f32_value() {
+    assert_eq!(folded_float(&f32_const(0.1)), Some(0.1f32 as f64));
+    assert_eq!(folded_float(&IrExpr::float(Ty::F64, 0.1)), Some(0.1));
+}
+
+#[test]
+fn f32_sum_rounds_each_step() {
+    // [float](16777216) + [float](1) + [float](1): 2^24 + 1 rounds back to 2^24.
+    let sum = bin(BinKind::Add, f32_const(16777216.0), f32_const(1.0));
+    let mut e = bin(BinKind::Add, sum, f32_const(1.0));
+    fold_expr(&mut e);
+    assert_eq!(folded_float(&e), Some(16777216.0));
+}
+
+#[test]
+fn f32_product_is_the_f32_product() {
+    let mut e = bin(BinKind::Mul, f32_const(0.1), f32_const(0.1));
+    fold_expr(&mut e);
+    assert_eq!(folded_float(&e), Some((0.1f32 * 0.1f32) as f64));
+    assert_eq!(folded_float(&e), Some(0.010000000707805157));
+}
+
+#[test]
+fn f32_widened_to_double_keeps_its_f32_value() {
+    let mut e = IrExpr::cast(Ty::F64, f32_const(0.1));
+    fold_expr(&mut e);
+    assert_eq!(folded_float(&e), Some(0.10000000149011612));
+}
+
+#[test]
+fn f32_equality_compares_the_rounded_values() {
+    // 16777217 is not an f32: [float](16777217) is 16777216.
+    let mut e = IrExpr::cmp(CmpKind::Eq, f32_const(16777217.0), f32_const(16777216.0));
+    fold_expr(&mut e);
+    assert_eq!(e.kind, ExprKind::ConstBool(true));
+}
+
+#[test]
+fn int64_to_float_rounds_once() {
+    // Through f64 first, 2^60 + 2^36 + 1 becomes 2^60 + 2^36, a tie that
+    // rounds to even (2^60); straight to f32 it rounds up, as the VM's
+    // `cvt.s.f32` does.
+    let v = 0x1000_0010_0000_0001i64;
+    let mut e = IrExpr::cast(Ty::F32, IrExpr::int64(v));
+    fold_expr(&mut e);
+    assert_eq!(folded_float(&e), Some(v as f32 as f64));
+    assert_ne!(folded_float(&e), Some(v as f64 as f32 as f64));
+}

@@ -4,16 +4,17 @@
 //! boundary condition is zero, and the semi-Lagrangian advection step —
 //! which is *not* a stencil — is supplied as a raw Terra function that
 //! composes with the DSL-generated kernels (the interoperability point the
-//! paper highlights). All six kernels are staged by `orion.fluid` in
-//! `orion.lua`; this module drives them.
+//! paper highlights). `orion.fluid` in `orion.lua` stages the kernels and
+//! the time step that sequences them as Terra functions; this module
+//! allocates the fields, passes them in and reads them back.
 //!
 //! The diffusion and pressure solves run Jacobi iterations **in fused
 //! pairs**: each pipeline contains two chained Jacobi stages, so the
 //! line-buffer schedule interleaves them — "line buffering pairs of the
 //! iterations of the diffuse and project kernels" (§6.2).
 
-use crate::{lua_num, stage_kernels, CompiledStencil, ImageBuf, Schedule};
-use terra_core::{LuaError, Terra};
+use crate::{lua_num, stage_kernels, ImageBuf, Schedule};
+use terra_core::{LuaError, Terra, TerraFn, Value};
 
 /// A complete fluid simulation state for an `n`×`n` grid.
 pub struct FluidSim {
@@ -25,22 +26,16 @@ pub struct FluidSim {
     pub v: ImageBuf,
     /// Density field.
     pub dens: ImageBuf,
-    scratch_a: ImageBuf,
-    scratch_b: ImageBuf,
-    pressure: ImageBuf,
-    div: ImageBuf,
-    diffuse2: CompiledStencil,
-    pressure2: CompiledStencil,
-    div_k: CompiledStencil,
-    gradsub_u: CompiledStencil,
-    gradsub_v: CompiledStencil,
-    advect_k: CompiledStencil,
+    /// Two scratch fields, the pressure and the divergence.
+    scratch: [ImageBuf; 4],
+    /// The staged `step`, `diffuse` and `project`.
+    entries: Vec<TerraFn>,
     /// Jacobi iterations per solve (must be even; run as fused pairs).
     pub solver_iters: usize,
 }
 
 impl FluidSim {
-    /// Builds a simulation: compiles every kernel under `schedule`.
+    /// Builds a simulation: stages the solver under `schedule`.
     ///
     /// # Errors
     ///
@@ -50,36 +45,21 @@ impl FluidSim {
         let mut terra = Terra::new();
         let chunk = format!(
             "local k = orion.fluid({n}, {}, {}, {})\n\
-             return k.padding, k.diffuse, k.pressure, k.divergence, k.gradsub_u, k.gradsub_v, k.advect",
+             return k.padding, k.step, k.diffuse, k.project",
             lua_num(dt),
             lua_num(diff),
             schedule.lua()
         );
-        let (padding, k) = stage_kernels(&mut terra, &chunk)?;
-        let stencil = |i: usize, n_inputs| CompiledStencil {
-            f: k[i].clone(),
-            w: n,
-            h: n,
-            padding,
-            n_inputs,
-        };
+        let (padding, entries) = stage_kernels(&mut terra, &chunk)?;
         let mut alloc = || ImageBuf::alloc_raw(&mut terra, n, n, padding);
         Ok(FluidSim {
             u: alloc(),
             v: alloc(),
             dens: alloc(),
-            scratch_a: alloc(),
-            scratch_b: alloc(),
-            pressure: alloc(),
-            div: alloc(),
+            scratch: [alloc(), alloc(), alloc(), alloc()],
             terra,
             n,
-            diffuse2: stencil(0, 2),
-            pressure2: stencil(1, 2),
-            div_k: stencil(2, 2),
-            gradsub_u: stencil(3, 2),
-            gradsub_v: stencil(4, 2),
-            advect_k: stencil(5, 3),
+            entries,
             solver_iters: 16,
         })
     }
@@ -99,72 +79,27 @@ impl FluidSim {
         field.write(&mut self.terra, data);
     }
 
-    /// Runs `solver_iters` Jacobi iterations of diffusion of `x` (with
-    /// sources from `x`), result left in `x`'s buffer (ping-ponged
-    /// internally).
-    fn diffuse_into(&mut self, x: ImageBuf) {
-        // x0 = snapshot of x.
-        copy_field(&mut self.terra, &x, &self.scratch_b);
-        let mut cur = x;
-        let mut nxt = self.scratch_a;
-        for _ in 0..self.solver_iters / 2 {
-            self.diffuse2
-                .run(&mut self.terra, &[&cur, &self.scratch_b], &nxt);
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        if cur.addr != x.addr {
-            copy_field(&mut self.terra, &cur, &x);
-        }
-    }
-
-    /// Projects the velocity field to be divergence-free.
-    fn project(&mut self) {
-        self.div_k
-            .run(&mut self.terra, &[&self.u, &self.v], &self.div);
-        // Zero initial pressure guess.
-        let zeros = vec![0.0f32; self.n * self.n];
-        self.pressure.write(&mut self.terra, &zeros);
-        let mut cur = self.pressure;
-        let mut nxt = self.scratch_a;
-        for _ in 0..self.solver_iters / 2 {
-            self.pressure2
-                .run(&mut self.terra, &[&cur, &self.div], &nxt);
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        // cur holds the pressure.
-        self.gradsub_u
-            .run(&mut self.terra, &[&self.u, &cur], &self.scratch_b);
-        copy_field(&mut self.terra, &self.scratch_b, &self.u);
-        self.gradsub_v
-            .run(&mut self.terra, &[&self.v, &cur], &self.scratch_b);
-        copy_field(&mut self.terra, &self.scratch_b, &self.v);
-    }
-
-    /// Semi-Lagrangian advection of `field` by the current velocity.
-    fn advect_field(&mut self, field: ImageBuf) {
-        let out = self.scratch_b;
-        self.advect_k
-            .run(&mut self.terra, &[&field, &self.u, &self.v], &out);
-        copy_field(&mut self.terra, &out, &field);
+    /// Calls staged entry `entry` on `fields` and the iteration count.
+    fn run(&mut self, entry: usize, fields: &[ImageBuf]) {
+        let mut args: Vec<Value> = fields.iter().map(|f| Value::Ptr(f.addr)).collect();
+        args.push(Value::Int(self.solver_iters as i64));
+        self.terra
+            .invoke(&self.entries[entry], &args)
+            .expect("fluid solver trapped");
     }
 
     /// One full Stam step: diffuse velocity, project, self-advect velocity,
     /// project, then diffuse + advect density.
     pub fn step(&mut self) {
-        self.diffuse_into(self.u);
-        self.diffuse_into(self.v);
-        self.project();
-        self.advect_field(self.u);
-        self.advect_field(self.v);
-        self.project();
-        self.diffuse_into(self.dens);
-        self.advect_field(self.dens);
+        let [a, b, p, div] = self.scratch;
+        self.run(0, &[self.u, self.v, self.dens, a, b, p, div]);
     }
 
     /// Only the diffusion solve on the density field (the `diffuse` kernel
     /// of Figure 7, which Figure 8 benchmarks).
     pub fn diffuse_only(&mut self) {
-        self.diffuse_into(self.dens);
+        let [a, b, ..] = self.scratch;
+        self.run(1, &[self.dens, b, a]);
     }
 
     /// Total kinetic-ish energy, as a sanity diagnostic.
@@ -176,17 +111,6 @@ impl FluidSim {
             .map(|(a, b)| (*a as f64) * (*a as f64) + (*b as f64) * (*b as f64))
             .sum()
     }
-}
-
-fn copy_field(t: &mut Terra, src: &ImageBuf, dst: &ImageBuf) {
-    let s = src.w + 2 * src.padding;
-    let total = (s * (src.h + 2 * src.padding) * 4) as u64;
-    t.interp()
-        .ctx
-        .exec
-        .memory
-        .copy_within(src.addr, dst.addr, total)
-        .expect("field buffers are allocated");
 }
 
 #[cfg(test)]
@@ -310,7 +234,8 @@ mod tests {
         sim.write(bv, &v);
         // Measure away from the zero boundary, where Jacobi converges fast.
         let div_before = host_divergence(&u, &v, n);
-        sim.project();
+        let [a, b, p, div] = sim.scratch;
+        sim.run(2, &[sim.u, sim.v, p, div, a, b]);
         let u2 = sim.read(&sim.u);
         let v2 = sim.read(&sim.v);
         let div_after = host_divergence(&u2, &v2, n);

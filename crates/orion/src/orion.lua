@@ -290,10 +290,15 @@ local function advect(n, p, dt)
 end
 
 -- The real-time fluid solver of §6.2 on an `n` x `n` grid (Stam's, with
--- Gauss-Jacobi solves and a zero boundary). Diffusion and pressure run two
--- chained Jacobi steps per pipeline, so line buffering interleaves pairs
--- of iterations. Returns every kernel under one schedule, and the padding
--- they share.
+-- Gauss-Jacobi solves and a zero boundary), every kernel under one schedule.
+-- Diffusion and pressure run two chained Jacobi steps per pipeline, so line
+-- buffering interleaves pairs of iterations. Returns the padding every field
+-- needs and three Terra functions over fields of that padding, whose last
+-- argument is the Jacobi iterations per solve (even):
+-- step(u, v, dens, sa, sb, p, div, iters) advances the state by one time
+-- step; diffuse(x, x0, tmp, iters) diffuses x in place; and
+-- project(u, v, p, div, tmp, out, iters) makes (u, v) divergence-free.
+-- sa, sb, x0, tmp, p, div and out are scratch.
 function orion.fluid(n, dt, diff, strategy, vectorize)
   local input, a = orion.input, dt * diff * (n * n)
   local function diffuse(x, x0)
@@ -318,11 +323,49 @@ function orion.fluid(n, dt, diff, strategy, vectorize)
                   gradsub(1, 0), gradsub(0, 1) }
   local padding = 0
   for _, pl in ipairs(pipes) do padding = math.max(padding, pl:padding()) end
-  local k = { padding = padding, advect = advect(n, padding, dt) }
-  for i, name in ipairs({ "diffuse", "pressure", "divergence", "gradsub_u", "gradsub_v" }) do
-    k[name] = pipes[i]:compile(n, n, strategy, vectorize, padding)
+  for i, pl in ipairs(pipes) do pipes[i] = pl:compile(n, n, strategy, vectorize, padding) end
+  local jdiffuse, jpressure, divergence, gradu, gradv = unpack(pipes)
+  local kadvect, bytes = advect(n, padding, dt), (n + 2 * padding) ^ 2 * 4
+  local terra solve(x : &float, x0 : &float, tmp : &float, iters : int)
+    C.memcpy(x0, x, bytes)
+    var cur, nxt = x, tmp
+    for i = 0, iters / 2 do
+      jdiffuse(cur, x0, nxt)
+      cur, nxt = nxt, cur
+    end
+    if cur ~= x then C.memcpy(x, cur, bytes) end
   end
-  return k
+  local terra project(u : &float, v : &float, p : &float, div : &float, tmp : &float,
+                      out : &float, iters : int)
+    divergence(u, v, div)
+    C.memset(p, 0, bytes)
+    var cur, nxt = p, tmp
+    for i = 0, iters / 2 do
+      jpressure(cur, div, nxt)
+      cur, nxt = nxt, cur
+    end
+    gradu(u, cur, out)
+    C.memcpy(u, out, bytes)
+    gradv(v, cur, out)
+    C.memcpy(v, out, bytes)
+  end
+  -- x advected by (u, v), through out.
+  local terra advectinto(x : &float, u : &float, v : &float, out : &float)
+    kadvect(x, u, v, out)
+    C.memcpy(x, out, bytes)
+  end
+  local terra step(u : &float, v : &float, dens : &float, sa : &float, sb : &float,
+                   p : &float, div : &float, iters : int)
+    solve(u, sb, sa, iters)
+    solve(v, sb, sa, iters)
+    project(u, v, p, div, sa, sb, iters)
+    advectinto(u, u, v, sb)
+    advectinto(v, u, v, sb)
+    project(u, v, p, div, sa, sb, iters)
+    solve(dens, sb, sa, iters)
+    advectinto(dens, u, v, sb)
+  end
+  return { padding = padding, step = step, diffuse = solve, project = project }
 end
 
 return orion

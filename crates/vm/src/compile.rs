@@ -1136,6 +1136,25 @@ impl<'a> Compiler<'a> {
             _ => {
                 // Integers, pointers, bools.
                 let signed = matches!(ty, Ty::Scalar(s) if s.is_signed());
+                // `min.s`/`max.s` order canonical registers, which below 64
+                // bits is unsigned order too. A 64-bit unsigned min/max
+                // branches on `br.lt.u` to the `mov` of the operand it keeps.
+                let narrow = matches!(ty, Ty::Scalar(s) if s.size() < 8);
+                if matches!(op, BinKind::Min | BinKind::Max) && !signed && !narrow {
+                    let (x, y) = if op == BinKind::Min { (b, a) } else { (a, b) };
+                    let at = self.code.len() as u32;
+                    self.code.extend([
+                        Instr::BrLtU {
+                            a: x,
+                            b: y,
+                            target: at + 3,
+                        },
+                        Instr::Mov { d, a, w: 1 },
+                        Instr::Jmp { target: at + 4 },
+                        Instr::Mov { d, a: b, w: 1 },
+                    ]);
+                    return;
+                }
                 let instr = match op {
                     BinKind::Add => Instr::AddI { d, a, b },
                     BinKind::Sub => Instr::SubI { d, a, b },

@@ -60,14 +60,26 @@ echo "==> the specialized tree is walked once (scripts/loc.sh crates/eval/src/ty
 scripts/loc.sh crates/eval/src/typecheck.rs crates/eval/src/spec.rs | awk '/total/ { exit !($1 <= 3213) }' \
     || { echo "crates/eval/src/typecheck.rs + spec.rs are over 3213 non-test lines" >&2; exit 1; }
 
-echo "==> Orion is a Lua library behind a thin wrapper (scripts/loc.sh crates/orion/src, Rust + Lua <= 847)"
-# The image algebra, the schedules and the fluid kernels are staged with
-# quotes in `orion.lua`; the Rust side only carries stage source in and
-# compiled kernels out (519 Rust + 328 Lua lines when the Rust source printer
-# it replaced, 1 094 lines of Rust, was deleted). A code generator growing
-# back on either side shows up here.
-scripts/loc.sh crates/orion/src | awk '$2 == "total" || $3 == "total" { n += $1 } END { exit !(n <= 847) }' \
-    || { echo "crates/orion/src is over 847 lines of Rust and Lua" >&2; exit 1; }
+echo "==> Orion is a Lua library behind a thin wrapper (scripts/loc.sh crates/orion/src, Rust + Lua <= 814)"
+# The image algebra, the schedules, the fluid kernels and the solver's time
+# step are staged with quotes in `orion.lua`; the Rust side only carries
+# stage source and buffers in and compiled kernels and results out (519 Rust
+# + 328 Lua lines when the Rust source printer it replaced, 1 094 lines of
+# Rust, was deleted; re-based 847 -> 814 when the fluid solver's Rust driver,
+# which sequenced the kernels and copied buffers from the host, became one
+# staged Terra function). A code generator or a driver growing back on
+# either side shows up here.
+scripts/loc.sh crates/orion/src | awk '$2 == "total" || $3 == "total" { n += $1 } END { exit !(n <= 814) }' \
+    || { echo "crates/orion/src is over 814 lines of Rust and Lua" >&2; exit 1; }
+
+echo "==> the GEMM tuner is Lua-Terra (scripts/loc.sh crates/autotune/src, Rust + Lua <= 578)"
+# The generator, the validity rule, the search space and the search are
+# `gemm.lua`, as the paper's ~200-line Lua tuner; Rust allocates, times one
+# kernel and verifies (set at 383 Rust + 195 Lua lines when the Rust search,
+# `autotune()` and `candidate_configs()`, was deleted). A Rust driver growing
+# back shows up here.
+scripts/loc.sh crates/autotune/src | awk '$2 == "total" || $3 == "total" { n += $1 } END { exit !(n <= 578) }' \
+    || { echo "crates/autotune/src is over 578 lines of Rust and Lua" >&2; exit 1; }
 
 echo "==> the Lua evaluator does not grow (scripts/loc.sh crates/eval/src/interp.rs crates/eval/src/value.rs <= 2005)"
 # Compiling the evaluator to closures (ROADMAP item 12) must replace the
