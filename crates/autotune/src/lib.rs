@@ -610,9 +610,8 @@ mod tests {
     fn remarks_confirm_staged_kernel_was_optimized_as_claimed() {
         // The remark stream closes the loop for an autotuner: after staging
         // the chosen configuration, it can check that the optimizer really
-        // did hoist the invariant address arithmetic and CSE the
-        // quote-generated accumulator addresses, instead of trusting -O2
-        // blindly.
+        // did hoist the invariant address arithmetic out of the
+        // quote-generated loads and stores, instead of trusting -O2 blindly.
         let mut s = GemmSession::new().unwrap();
         let ws = s.workspace(32, Precision::F64);
         let cfg = GemmConfig {

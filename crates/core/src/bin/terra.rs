@@ -47,7 +47,7 @@ const FLAGS: &[(&str, Arg, &str)] = &[
     ("-O0", Bare, "no mid-end passes: compile the typechecker's IR directly"),
     ("-O1", Bare, "constant folding, algebraic simplification, copy propagation and dead-code \
                    elimination"),
-    ("-O2", Bare, "the default: -O1 plus inlining, CSE and loop-invariant code motion"),
+    ("-O2", Bare, "the default: -O1 plus inlining, unrolling and loop-invariant code motion"),
     ("--lint", Bare,
      "run the IR analysis suite over every compiled function and print the warnings: \
       use-before-init, dead-store, unreachable-code, missing-return, and the abstract \
@@ -77,7 +77,7 @@ const FLAGS: &[(&str, Arg, &str)] = &[
     ("--remarks", Bare,
      "print the optimizer's structured remarks (what each pass applied or missed, with staging \
       provenance) to stderr after the program"),
-    ("--remarks", Eq("PASS"), "the same, restricted to one pass (inline, licm, cse, ...)"),
+    ("--remarks", Eq("PASS"), "the same, restricted to one pass (inline, licm, unroll, ...)"),
     ("--record", Eq("F.rec"),
      "execution flight recorder: stream the run's heap effects and periodic state checksums \
       into F.rec, byte-identical across runs and --threads settings; requires a script file"),

@@ -245,9 +245,27 @@ fn install_base(interp: &mut Interp) {
     );
     interp.set_global(
         "unpack",
-        native("unpack", |_, args| match arg(&args, 0) {
-            LuaValue::Table(t) => Ok(t.borrow().iter_array().cloned().collect()),
-            _ => Err(LuaError::msg("unpack: table expected")),
+        native("unpack", |_, args| {
+            let LuaValue::Table(t) = arg(&args, 0) else {
+                return Err(LuaError::msg("unpack: table expected"));
+            };
+            let t = t.borrow();
+            let bound = |k: usize, default: usize| match arg(&args, k) {
+                LuaValue::Nil => Ok(default as i64),
+                _ => num_arg(&args, k, "unpack").map(|v| v as i64),
+            };
+            let (i, j) = (bound(1, 1)?, bound(2, t.len())?);
+            if i > j {
+                return Ok(Vec::new());
+            }
+            // Lua 5.1 returns at most as many values as its C stack holds
+            // (`LUAI_MAXCSTACK`).
+            if j as i128 - i as i128 >= 8000 {
+                return Err(LuaError::msg("too many results to unpack"));
+            }
+            Ok((i..=j)
+                .map(|k| t.get(&LuaValue::Number(k as f64)))
+                .collect())
         }),
     );
     interp.set_global(
@@ -525,7 +543,16 @@ fn install_string(interp: &mut Interp) {
             native("rep", |_, args| {
                 let s = str_arg(&args, 0, "rep")?;
                 let n = num_arg(&args, 1, "rep")? as usize;
-                Ok(vec![LuaValue::str(s.repeat(n))])
+                let n = if s.is_empty() { 0 } else { n };
+                // The size is the program's to pick: a failed allocation is
+                // a Lua error, as in Lua, not a host abort.
+                let mut out = String::new();
+                s.len()
+                    .checked_mul(n)
+                    .filter(|&len| out.try_reserve_exact(len).is_ok())
+                    .ok_or_else(|| LuaError::msg("not enough memory"))?;
+                out.extend(std::iter::repeat_n(&*s, n));
+                Ok(vec![LuaValue::str(out)])
             }),
         );
         sb.set_str(
@@ -555,7 +582,15 @@ fn install_string(interp: &mut Interp) {
                 if i > j {
                     return Ok(vec![LuaValue::str("")]);
                 }
-                Ok(vec![LuaValue::str(&s[(i - 1) as usize..j as usize])])
+                // Strings are UTF-8 text (DESIGN.md §2): a cut inside a
+                // character has no string to return.
+                match s.get((i - 1) as usize..j as usize) {
+                    Some(sub) => Ok(vec![LuaValue::str(sub)]),
+                    None => Err(LuaError::msg(format!(
+                        "string.sub: bytes {i}..{j} cut a multi-byte character \
+                         (strings are UTF-8 text)"
+                    ))),
+                }
             }),
         );
         sb.set_str(

@@ -29,7 +29,9 @@
 //! operator, the operands' order, `__call`'s arguments, and the handler's
 //! own error; then table keys (§2.5.7, §5.1 `next`, `rawset`): a key is
 //! raw-equal only to itself, `next` reaches every entry and lets a
-//! traversal clear the fields it visits, and nil and NaN are not keys.
+//! traversal clear the fields it visits, and nil and NaN are not keys;
+//! then `unpack`'s range (§5.1): `i` and `j`, nils past the border, and the
+//! C stack's limit.
 
 use terra_eval::{Interp, LuaValue};
 
@@ -339,6 +341,37 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "next with a key the table does not hold is an error",
         "return select(2, pcall(next, {a = 1}, 'b'))",
         "invalid key to 'next'",
+    ),
+    (
+        "unpack starts at i",
+        "return table.concat({unpack({1, 2, 3}, 2)}, ' ')",
+        "2 3",
+    ),
+    (
+        "unpack stops at j",
+        "return table.concat({unpack({1, 2, 3}, 1, 2)}, ' ')",
+        "1 2",
+    ),
+    (
+        "unpack past the border returns nils",
+        "local a, b, c = unpack({}, 1, 3) \
+         return select('#', unpack({}, 1, 3)) .. ' ' .. tostring(a) .. tostring(b) .. tostring(c)",
+        "3 nilnilnil",
+    ),
+    (
+        "unpack with i past j returns nothing",
+        "return select('#', unpack({1, 2}, 3, 2))",
+        "0",
+    ),
+    (
+        "unpack returns up to the C stack's 8 000 values",
+        "return select('#', unpack({}, 1, 8000))",
+        "8000",
+    ),
+    (
+        "unpack past the C stack is an error",
+        "return select(2, pcall(unpack, {}, 1, 2^40))",
+        "too many results to unpack",
     ),
 ];
 

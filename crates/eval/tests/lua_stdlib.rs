@@ -284,6 +284,27 @@ fn table_sort_calls_its_comparator_n_log_n_times() {
     assert_eq!(eval_num(src), 3.0);
 }
 
+/// A string too large to allocate is `not enough memory`, which `pcall`
+/// catches; the host does not abort.
+#[test]
+fn string_rep_past_memory_is_a_lua_error() {
+    let src = "return select(2, pcall(string.rep, 'x', 2^40))";
+    assert_eq!(eval_str(src), "not enough memory");
+    let src = "return select(2, pcall(string.rep, 'xy', 2^63))";
+    assert_eq!(eval_str(src), "not enough memory");
+    assert_eq!(eval_str("return string.rep('ab', 3)"), "ababab");
+    assert_eq!(eval_num("return #string.rep('', 2^40)"), 0.0);
+}
+
+/// Strings are UTF-8 text: a `string.sub` that would cut a character is an
+/// error that names the limit, not a host panic.
+#[test]
+fn string_sub_inside_a_character_is_an_error() {
+    let e = eval_str("return select(2, pcall(string.sub, 'é', 1, 1))");
+    assert!(e.contains("multi-byte character"), "{e}");
+    assert_eq!(eval_str("return string.sub('aéb', 2, 3)"), "é");
+}
+
 /// A list's `:insert` is `table.insert`.
 #[test]
 fn list_insert_is_table_insert() {

@@ -7,8 +7,9 @@
 //! staging: machine types with C layout rules ([`Ty`], [`TypeRegistry`]), the
 //! typed IR that the typechecker lowers specialized Terra functions into
 //! ([`IrFunction`]), and the mid-end optimization pipeline ([`passes`]) —
-//! constant folding, algebraic simplification, CSE, copy propagation, LICM,
-//! inlining, and dead-code elimination, orchestrated by a pass manager
+//! constant folding, algebraic simplification, copy propagation, unrolling,
+//! address reassociation, LICM, inlining, dead-code elimination and check
+//! elision, orchestrated by a pass manager
 //! ([`optimize`]) selected by [`OptLevel`].
 //!
 //! The `terra-vm` crate compiles [`IrFunction`]s to bytecode; the

@@ -47,9 +47,10 @@
 //!
 //! ## Where it runs
 //!
-//! After `copyprop`, so that an index held in a copy (`var idx = i*N + k`)
-//! has been substituted into the address it feeds; before `licm`, which does
-//! the hoisting; `-O2` only.
+//! After `unroll` and `simplify`, so that the copies' constant offsets are
+//! folded into the addresses they feed; before `licm`, which does the
+//! hoisting; `-O2` only. `copyprop` runs after `licm`: a second slot before
+//! `affine` saved one instruction of one benchmark workload.
 
 use super::util::{collect_assigned, expr_is_stable, LocalSet};
 use super::{PassConfig, Remark};

@@ -30,7 +30,15 @@ use super::{PassConfig, Remark};
 use crate::analysis::absint::proven_const_access;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
 use crate::types::TypeRegistry;
-use terra_syntax::Span;
+use terra_syntax::{Provenance, Span};
+
+/// The source line and staging chain of a statement, where a remark about
+/// code hoisted out of it anchors.
+type Site = (u32, Option<Provenance>);
+
+/// A hoisted computation, the temporary that holds it, and the site of the
+/// first statement it was hoisted out of.
+type Hoist = (IrExpr, LocalId, Site);
 
 /// Hoists loop-invariant computation out of every loop in the function;
 /// returns whether anything was hoisted.
@@ -90,26 +98,27 @@ impl Licm<'_> {
             }
             _ => unreachable!("hoist_loop called on a non-loop"),
         }
-        let mut hoisted: Vec<(IrExpr, LocalId)> = Vec::new();
+        let mut hoisted: Vec<Hoist> = Vec::new();
+        let at_loop: Site = (s.span.line, s.prov.clone());
         match &mut s.kind {
             StmtKind::While { cond, body } => {
                 self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond);
                 // The condition re-evaluates every iteration: its invariant
                 // parts are worth hoisting too.
-                self.scan_expr(cond, &writes, &mut hoisted);
-                self.scan_block(body, &writes, &mut hoisted);
+                self.scan_expr(cond, &writes, &at_loop, &mut hoisted);
+                self.scan_block(body, &writes, &at_loop, &mut hoisted);
             }
             StmtKind::For { body, .. } => {
                 self.mem_pure = block_is_memory_pure(body);
                 // start/stop/step evaluate once already; only the body pays
                 // per iteration.
-                self.scan_block(body, &writes, &mut hoisted);
+                self.scan_block(body, &writes, &at_loop, &mut hoisted);
             }
             _ => unreachable!(),
         }
         hoisted
             .into_iter()
-            .map(|(value, dst)| {
+            .map(|(value, dst, (line, prov))| {
                 let what = if matches!(value.kind, ExprKind::Load(_)) {
                     "hoisted loop-invariant load (proven in-bounds) into"
                 } else {
@@ -117,8 +126,8 @@ impl Licm<'_> {
                 };
                 self.remarks.push(Remark::applied(
                     "licm",
-                    s.span.line,
-                    s.prov.clone(),
+                    line,
+                    prov,
                     format!("{} '{}'", what, self.f.locals[dst.0 as usize].name),
                 ));
                 let mut prelude =
@@ -131,37 +140,46 @@ impl Licm<'_> {
             .collect()
     }
 
+    /// Scans every statement of `stmts`; a statement the compiler made (a
+    /// nested loop's hoisted assignment, on line 0) is attributed to the
+    /// loop, `at_loop`.
     fn scan_block(
         &mut self,
         stmts: &mut [IrStmt],
         writes: &LocalSet,
-        out: &mut Vec<(IrExpr, LocalId)>,
+        at_loop: &Site,
+        out: &mut Vec<Hoist>,
     ) {
         // `writes` covers the whole outer body, nested loops included, so
         // invariance is still sound inside them.
         IrStmt::walk_mut(stmts, &mut |s| {
-            s.operand_roots_mut(&mut |e| self.scan_expr(e, writes, out))
+            let site = match s.span.line {
+                0 => at_loop.clone(),
+                line => (line, s.prov.clone()),
+            };
+            s.operand_roots_mut(&mut |e| self.scan_expr(e, writes, &site, out))
         });
     }
 
-    /// Replaces maximal invariant compound subtrees of `e` with temporary
-    /// reads, recording the hoisted computations in `out`.
-    fn scan_expr(&mut self, e: &mut IrExpr, writes: &LocalSet, out: &mut Vec<(IrExpr, LocalId)>) {
+    /// Replaces maximal invariant compound subtrees of `e`, an operand of
+    /// the statement at `site`, with temporary reads, recording the hoisted
+    /// computations in `out`.
+    fn scan_expr(&mut self, e: &mut IrExpr, writes: &LocalSet, site: &Site, out: &mut Vec<Hoist>) {
         if self.hoistable(e, writes) {
-            let dst = match out.iter().find(|(known, _)| known == e) {
-                Some((_, l)) => *l,
+            let dst = match out.iter().find(|(known, ..)| known == e) {
+                Some((_, l, _)) => *l,
                 None => {
                     let name = format!("$licm{}", self.counter);
                     self.counter += 1;
                     let l = self.f.add_local(name, e.ty.clone(), false);
-                    out.push((e.clone(), l));
+                    out.push((e.clone(), l, site.clone()));
                     l
                 }
             };
             e.kind = ExprKind::Local(dst);
             return;
         }
-        e.children_mut(&mut |c| self.scan_expr(c, writes, out));
+        e.children_mut(&mut |c| self.scan_expr(c, writes, site, out));
     }
 
     /// A hoist candidate is a compound register-valued expression that is

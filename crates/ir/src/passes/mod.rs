@@ -7,7 +7,7 @@
 //! |-------|----------|
 //! | `-O0` | none — the typechecker's IR compiles as-is |
 //! | `-O1` | fold → simplify → copyprop → dce |
-//! | `-O2` | inline → fold → unroll → simplify → cse → copyprop → affine → licm → copyprop → dce → checkelim |
+//! | `-O2` | inline → fold → unroll → simplify → affine → licm → copyprop → dce → checkelim |
 //!
 //! Every pass must preserve *observable semantics*: outputs, stores, traps
 //! (including which trap fires first), and calls. The shared vocabulary for
@@ -22,10 +22,13 @@
 //! arithmetic, a ring; the narrow-integer operations it looks through are
 //! those the abstract interpreter proves cannot leave their type — the
 //! proof that elides their `trunc` — and it consumes nothing else, nothing
-//! at all with [`PassConfig::elide_checks`] off. It runs after `copyprop`
-//! (an index held in a copy must reach the address it feeds) and before
-//! `licm` (which does the hoisting) and `checkelim` (which proves the
+//! at all with [`PassConfig::elide_checks`] off. It runs after `simplify` and
+//! before `licm` (which does the hoisting) and `checkelim` (which proves the
 //! accesses in the form they are compiled in).
+//!
+//! Each pass earns its slot: EXPERIMENTS.md A23 gives what the benchmark
+//! workloads, the examples and Orion's goldens retire with each one
+//! skipped, and what it costs on `staging-heavy`.
 //!
 //! `unroll` replaces a `for` whose bounds `fold` made constants with one
 //! folded copy of its body per iterate, within [`MAX_UNROLL_GROWTH`] nodes
@@ -50,7 +53,6 @@
 mod affine;
 mod checkelim;
 mod copyprop;
-mod cse;
 mod dce;
 pub mod fold;
 mod inline;
@@ -79,7 +81,7 @@ pub enum OptLevel {
     /// propagation, dead-code elimination.
     O1,
     /// The full pipeline, adding inlining, unrolling of constant-trip loops,
-    /// CSE, and loop-invariant code motion.
+    /// address reassociation, and loop-invariant code motion.
     #[default]
     O2,
 }
@@ -230,7 +232,7 @@ impl Remark {
 /// The record of one pass execution.
 #[derive(Debug, Clone)]
 pub struct PassRun {
-    /// Pass name (`"fold"`, `"cse"`, …).
+    /// Pass name (`"fold"`, `"licm"`, …).
     pub pass: &'static str,
     /// Whether the pass changed the function.
     pub changed: bool,
@@ -265,7 +267,6 @@ enum Pass {
     Fold,
     Unroll,
     Simplify,
-    Cse,
     CopyProp,
     Affine,
     Licm,
@@ -282,7 +283,6 @@ impl Pass {
             Pass::Fold => "fold",
             Pass::Unroll => "unroll",
             Pass::Simplify => "simplify",
-            Pass::Cse => "cse",
             Pass::CopyProp => "copyprop",
             Pass::Affine => "affine",
             Pass::Licm => "licm",
@@ -300,7 +300,6 @@ impl Pass {
             Pass::Fold => fold::run(f, remarks),
             Pass::Unroll => unroll::run(f, remarks),
             Pass::Simplify => simplify::run(f, remarks),
-            Pass::Cse => cse::run(f, remarks),
             Pass::CopyProp => copyprop::run(f, remarks),
             Pass::Affine => affine::run(f, cfg, remarks),
             Pass::Licm => licm::run(f, cfg, remarks),
@@ -319,8 +318,6 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
             Pass::Fold,
             Pass::Unroll,
             Pass::Simplify,
-            Pass::Cse,
-            Pass::CopyProp,
             Pass::Affine,
             Pass::Licm,
             Pass::CopyProp,

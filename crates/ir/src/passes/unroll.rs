@@ -42,44 +42,60 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let mut reads = Vec::new();
     count_reads(body, &mut reads, 1);
     IrStmt::each_block_mut(body, &mut |block| {
-        let mut i = 0;
-        while i < block.len() {
+        if !block.iter().any(|s| matches!(s.kind, StmtKind::For { .. })) {
+            return;
+        }
+        // The block is rebuilt once, whatever number of loops it unrolls.
+        let mut out = Vec::with_capacity(block.len());
+        for s in std::mem::take(block) {
             let StmtKind::For {
                 var,
                 start,
                 stop,
                 step,
                 body,
-            } = &block[i].kind
+            } = &s.kind
             else {
-                i += 1;
+                out.push(s);
                 continue;
             };
-            let (line, prov) = (block[i].span.line, block[i].prov.clone());
             let plan = match admit(locals, *var, [start, stop, step], body) {
                 Ok(plan) => plan,
                 Err(why) => {
                     let message = format!("loop not unrolled: {why}");
-                    remarks.push(Remark::missed("unroll", line, prov, message));
-                    i += 1;
+                    remarks.push(Remark::missed(
+                        "unroll",
+                        s.span.line,
+                        s.prov.clone(),
+                        message,
+                    ));
+                    out.push(s);
                     continue;
                 }
             };
-            let mut unrolled = copies(locals, &reads, body, &plan);
+            // Only a second copy renumbers, so a loop of ≤ 1 trip needs no
+            // private locals.
+            let private = match plan.trips {
+                ..=1 => Vec::new(),
+                _ => private_locals(locals, &reads, body),
+            };
+            count_reads(std::slice::from_ref(&s), &mut reads, -1);
+            let StmtKind::For { body, .. } = s.kind else {
+                unreachable!("matched above")
+            };
+            let mut unrolled = copies(locals, &private, body, &plan);
             fold_stmts(&mut unrolled, &mut 0, remarks);
-            count_reads(&block[i..=i], &mut reads, -1);
             count_reads(&unrolled, &mut reads, 1);
             let message = match plan.trips {
                 0 => "deleted a loop of 0 trips".to_string(),
                 1 => "replaced a loop of 1 trip by its body".to_string(),
                 n => format!("unrolled {n} trips (+{} IR nodes)", plan.growth),
             };
-            remarks.push(Remark::applied("unroll", line, prov, message));
-            let n = unrolled.len();
-            block.splice(i..=i, unrolled);
-            i += n;
+            remarks.push(Remark::applied("unroll", s.span.line, s.prov, message));
+            out.extend(unrolled);
             changed = true;
         }
+        *block = out;
     });
     changed
 }
@@ -94,33 +110,46 @@ struct Plan {
     growth: i128,
 }
 
-/// The copies of the `body` of a loop `p` admits, its variable replaced in
-/// each by its iterate. A local only the body reads, and no iteration before
-/// writing it, holds nothing from one iteration to the next or after the
-/// last: after the first, each copy gets a slot of its own for it, so a
-/// temporary stays single-use (what `copyprop` coalesces). `reads` counts the
-/// whole function's reads.
-fn copies(locals: &mut Vec<LocalSlot>, reads: &[i32], body: &[IrStmt], p: &Plan) -> Vec<IrStmt> {
+/// The locals of a loop `body` that hold nothing from one iteration to the
+/// next or after the last: those only the body reads, and no iteration
+/// before writing them. `reads` counts the whole function's reads.
+fn private_locals(locals: &[LocalSlot], reads: &[i32], body: &[IrStmt]) -> Vec<LocalId> {
     let n = locals.len();
     let entry = live_in(body, LocalSet::new(n), n, false, &mut |_, _, _, _| false);
     let mut own = Vec::new();
     count_reads(body, &mut own, 1);
-    let private: Vec<LocalId> = (0..own.len())
+    (0..own.len())
         .map(|i| LocalId(i as u32))
         .filter(|&l| {
             let i = l.0 as usize;
             own[i] > 0 && reads[i] == own[i] && !locals[i].in_memory && !entry.contains(l)
         })
-        .collect();
+        .collect()
+}
+
+/// The copies of the `body` of a loop `p` admits, its variable replaced in
+/// each by its iterate; the last copy is `body` itself. After the first,
+/// each copy gets a slot of its own for every `private` local, so a
+/// temporary stays single-use (what `copyprop` coalesces).
+fn copies(
+    locals: &mut Vec<LocalSlot>,
+    private: &[LocalId],
+    body: Vec<IrStmt>,
+    p: &Plan,
+) -> Vec<IrStmt> {
     // An empty body goes whatever its trip count.
     let trips = if body.is_empty() { 0 } else { p.trips };
-    let mut out = Vec::new();
+    let (mut out, mut last) = (Vec::new(), body);
     for k in 0..trips {
         let value = IrExpr::new(
             locals[p.var.0 as usize].ty.clone(),
             ExprKind::ConstInt((p.first + k * p.step) as i64),
         );
-        let mut copy = body.to_vec();
+        let mut copy = if k + 1 < trips {
+            last.clone()
+        } else {
+            std::mem::take(&mut last)
+        };
         IrStmt::walk_exprs_mut(&mut copy, &mut |e| {
             if matches!(e.kind, ExprKind::Local(l) if l == p.var) {
                 *e = value.clone();
@@ -128,7 +157,7 @@ fn copies(locals: &mut Vec<LocalSlot>, reads: &[i32], body: &[IrStmt], p: &Plan)
         });
         if k > 0 {
             let base = locals.len() as u32;
-            for l in &private {
+            for l in private {
                 locals.push(locals[l.0 as usize].clone());
             }
             renumber_locals(&mut copy, &|l| match private.iter().position(|&p| p == l) {

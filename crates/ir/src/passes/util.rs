@@ -114,8 +114,8 @@ pub fn expr_is_stable(e: &IrExpr, locals: &[LocalSlot]) -> bool {
     !e.any(&mut |n| !node_is_stable(n, Some(locals)))
 }
 
-/// Whether `e` is a compound register computation: the only kinds `cse`
-/// reuses and `licm` hoists (a bare constant, local or address is as cheap
+/// Whether `e` is a compound register computation: the only kinds `licm`
+/// hoists (a bare constant, local or address is as cheap
 /// as the register read that would replace it).
 pub(crate) fn is_compound(e: &IrExpr) -> bool {
     matches!(

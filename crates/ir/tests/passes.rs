@@ -207,45 +207,7 @@ fn simplify_strength_reduces_mul_by_power_of_two() {
 }
 
 #[test]
-fn cse_shares_repeated_computation() {
-    // a = p0*p1; b = p0*p1; return a+b  — second product becomes a reuse.
-    let mut f = func(vec![Ty::INT, Ty::INT], Ty::INT);
-    let (p0, p1) = (LocalId(0), LocalId(1));
-    let a = f.add_local("a", Ty::INT, false);
-    let b = f.add_local("b", Ty::INT, false);
-    let prod = || {
-        IrExpr::binary(
-            BinKind::Mul,
-            IrExpr::local(p0, Ty::INT),
-            IrExpr::local(p1, Ty::INT),
-        )
-    };
-    f.body = vec![
-        assign(a, prod()),
-        assign(b, prod()),
-        ret(IrExpr::binary(
-            BinKind::Add,
-            IrExpr::local(a, Ty::INT),
-            IrExpr::local(b, Ty::INT),
-        )),
-    ];
-    let stats = run_opt(&mut f, OptLevel::O2);
-    assert!(changed_by(&stats).contains(&"cse"));
-    assert_eq!(
-        count_exprs(&f, &|k| matches!(
-            k,
-            ExprKind::Binary {
-                op: BinKind::Mul,
-                ..
-            }
-        )),
-        1,
-        "p0*p1 must be computed once: {f:?}"
-    );
-}
-
-#[test]
-fn cse_does_not_share_across_clobber() {
+fn o2_recomputes_an_expression_after_a_clobber() {
     // a = p0*p1; p0 = 7; b = p0*p1 — the second product reads the new p0.
     let mut f = func(vec![Ty::INT, Ty::INT], Ty::INT);
     let (p0, p1) = (LocalId(0), LocalId(1));
@@ -268,8 +230,7 @@ fn cse_does_not_share_across_clobber() {
             IrExpr::local(b, Ty::INT),
         )),
     ];
-    let stats = run_opt(&mut f, OptLevel::O2);
-    assert!(!changed_by(&stats).contains(&"cse"));
+    run_opt(&mut f, OptLevel::O2);
     assert_eq!(
         count_exprs(&f, &|k| matches!(
             k,
@@ -284,7 +245,7 @@ fn cse_does_not_share_across_clobber() {
 }
 
 #[test]
-fn cse_does_not_share_across_self_referential_assign() {
+fn o2_recomputes_an_expression_after_a_self_referential_assign() {
     // x = x + 1; y = x + 1; return y — the second `x + 1` reads the new x,
     // so it must stay an Add and not collapse into a plain read of x.
     let mut f = func(vec![Ty::INT], Ty::INT);
@@ -296,8 +257,7 @@ fn cse_does_not_share_across_self_referential_assign() {
         assign(y, x_plus_1()),
         ret(IrExpr::local(y, Ty::INT)),
     ];
-    let stats = run_opt(&mut f, OptLevel::O2);
-    assert!(!changed_by(&stats).contains(&"cse"));
+    run_opt(&mut f, OptLevel::O2);
     let second_is_copy_of_x = f.body.iter().any(|s| match &s.kind {
         StmtKind::Return(Some(e)) => e.kind == ExprKind::Local(x),
         StmtKind::Assign { dst, value } => *dst == y && value.kind == ExprKind::Local(x),
@@ -305,7 +265,7 @@ fn cse_does_not_share_across_self_referential_assign() {
     });
     assert!(
         !second_is_copy_of_x,
-        "y = x+1 after x = x+1 was CSE'd into a read of x: {f:?}"
+        "y = x+1 after x = x+1 became a read of x: {f:?}"
     );
 }
 
@@ -783,8 +743,6 @@ fn pipeline_reports_per_pass_timing() {
             "fold",
             "unroll",
             "simplify",
-            "cse",
-            "copyprop",
             "affine",
             "licm",
             "copyprop",
@@ -1308,7 +1266,7 @@ fn no_pass_reports_a_change_it_did_not_make() {
             ..cfg(OptLevel::O2, &NoInline)
         },
     );
-    assert_eq!(stats.runs.len(), 11);
+    assert_eq!(stats.runs.len(), 9);
     assert!(changed_by(&stats).is_empty(), "{stats:?}");
     assert_eq!(f, before);
 }
@@ -2025,12 +1983,11 @@ fn unroll_takes_a_loop_up_to_its_growth_budget() {
     );
 }
 
-/// Which expressions `cse` reuses and `licm` hoists, one row per kind of
-/// node. Both passes ask the same two questions — is the node compound, and
-/// is every node under it stable — and `licm` alone takes a load it can
-/// prove safe to run on a zero-trip loop.
+/// Which expressions `licm` hoists, one row per kind of node: it asks
+/// whether the node is compound and every node under it stable, and takes a
+/// load only when it can prove it safe to run on a zero-trip loop.
 #[test]
-fn what_cse_reuses_and_licm_hoists() {
+fn what_licm_hoists() {
     let int = |l: u32| IrExpr::local(LocalId(l), Ty::INT);
     let load = |addr: IrExpr| IrExpr::load(Ty::INT, addr);
     let plus = |e: IrExpr| IrExpr::binary(BinKind::Add, e, int(1));
@@ -2053,32 +2010,27 @@ fn what_cse_reuses_and_licm_hoists() {
             "stable compound",
             IrExpr::binary(BinKind::Mul, int(0), int(1)),
             true,
-            true,
         ),
         (
             "reads an in_memory local",
             plus(IrExpr::local(cell, Ty::INT)),
             false,
-            false,
         ),
-        ("loads", plus(load(p2)), false, false),
-        ("calls", plus(call(0, vec![int(0)], Ty::INT)), false, false),
+        ("loads", plus(load(p2)), false),
+        ("calls", plus(call(0, vec![int(0)], Ty::INT)), false),
         (
             "divides by a variable",
             IrExpr::binary(BinKind::Div, int(0), int(1)),
-            false,
             false,
         ),
         (
             "divides by the constant 0",
             IrExpr::binary(BinKind::Div, int(0), IrExpr::int32(0)),
             false,
-            false,
         ),
         (
             "invariant in-bounds load, memory-pure loop",
             load(IrExpr::binary(BinKind::Add, in_arr, IrExpr::int64(8))),
-            false,
             true,
         ),
     ];
@@ -2093,25 +2045,7 @@ fn what_cse_reuses_and_licm_hoists() {
         types: Some(&types),
         ..cfg(OptLevel::O2, &NoInline)
     };
-    for (what, e, reused, hoisted) in rows {
-        // a = e; b = e; return a + b
-        let mut f = base();
-        let (a, b) = (
-            f.add_local("a", Ty::INT, false),
-            f.add_local("b", Ty::INT, false),
-        );
-        f.body = vec![
-            assign(a, e.clone()),
-            assign(b, e.clone()),
-            ret(IrExpr::binary(
-                BinKind::Add,
-                IrExpr::local(a, Ty::INT),
-                IrExpr::local(b, Ty::INT),
-            )),
-        ];
-        let stats = optimize(&mut f, &config);
-        assert_eq!(applied(&stats, "cse"), reused, "cse, {what}: {f:?}");
-
+    for (what, e, hoisted) in rows {
         // for i = 0, p1 do acc = acc + e end; return acc
         let mut f = base();
         let (acc, i) = (

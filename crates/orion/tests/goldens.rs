@@ -77,8 +77,8 @@ const GOLDENS: &[(&str, Strategy, bool, u64, u64)] = &[
     ("pointwise", Strategy::Materialize, true, 0xdea58d114bf09224, 15443),
     ("pointwise", Strategy::Inline, false, 0xdea58d114bf09224, 51852),
     ("pointwise", Strategy::Inline, true, 0xdea58d114bf09224, 7221),
-    ("pointwise", Strategy::LineBuffer, false, 0xdea58d114bf09224, 100155),
-    ("pointwise", Strategy::LineBuffer, true, 0xdea58d114bf09224, 19760),
+    ("pointwise", Strategy::LineBuffer, false, 0xdea58d114bf09224, 100507),
+    ("pointwise", Strategy::LineBuffer, true, 0xdea58d114bf09224, 20240),
     ("chain4", Strategy::Materialize, false, 0x3bd1dc5186c45f6e, 203360),
     ("chain4", Strategy::Materialize, true, 0x3bd1dc5186c45f6e, 45512),
     ("chain4", Strategy::Inline, false, 0x3bd1dc5186c45f6e, 333450),

@@ -98,7 +98,7 @@ impl Stage {
 /// [`Profile::render_counters`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Remark {
-    /// Pass that emitted it (`"inline"`, `"licm"`, `"cse"`, ...).
+    /// Pass that emitted it (`"inline"`, `"licm"`, `"unroll"`, ...).
     pub pass: &'static str,
     /// `"applied"` or `"missed"`.
     pub kind: &'static str,

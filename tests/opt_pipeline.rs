@@ -590,3 +590,90 @@ fn a_constant_tap_loop_is_straight_line() {
     assert_eq!(expected.len(), 21);
     assert_eq!(lines[top..top + expected.len()], expected[..], "{text}");
 }
+
+/// Two loops with constant bounds, the same body each: `t` is private to
+/// an iteration (only the body reads it, and writes it first).
+const SHORT_LOOPS: &str = r#"
+terra one(p : &int) : int
+    var s = 1
+    for i = 0, 1 do
+        var t = p[i] * 3
+        s = s + t * t
+    end
+    return s
+end
+terra two(p : &int) : int
+    var s = 1
+    for i = 0, 2 do
+        var t = p[i] * 3
+        s = s + t * t
+    end
+    return s
+end
+"#;
+
+/// `name`'s result on `p = {2, 5}`, its `disas()` text and the message of
+/// its one `unroll` remark.
+fn short_loop(name: &str) -> (i64, String, String) {
+    let mut t = Terra::new();
+    t.exec(SHORT_LOOPS).unwrap();
+    let p = t.malloc(8);
+    // The bits of the `int`s 2 and 5.
+    t.write_f32s(p, &[f32::from_bits(2), f32::from_bits(5)]);
+    let f = t.function(name).unwrap();
+    let got = match t.invoke(&f, &[terra_core::Value::Ptr(p)]).unwrap() {
+        terra_core::Value::Int(v) => v,
+        other => panic!("{name} returns an int: {other:?}"),
+    };
+    let out = t.exec(&format!("return {name}:disas()")).unwrap();
+    let terra_core::LuaValue::Str(text) = &out[0] else {
+        panic!("disas returns a string: {out:?}");
+    };
+    let remarks: Vec<_> = t.remarks().iter().filter(|r| r.pass == "unroll").collect();
+    assert_eq!(remarks.len(), 1, "{remarks:?}");
+    (got, text.to_string(), remarks[0].message.clone())
+}
+
+/// A loop of one trip is replaced by its body, the counter by 0: the code
+/// is the body's, without a compare or a branch.
+#[test]
+fn a_one_trip_loop_is_its_body() {
+    let (got, text, remark) = short_loop("one");
+    assert_eq!(got, 1 + 6 * 6);
+    assert_eq!(remark, "replaced a loop of 1 trip by its body");
+    assert_eq!(
+        text,
+        "   0     3  const.i r1, v=1\n\
+         \x20  1     5  load.i32! r4, [r0]\n\
+         \x20  2     5  const.i r5, v=3\n\
+         \x20  3     5  mul.i32 r3, r4, r5\n\
+         \x20  4     6  mul.i32 r4, r3, r3\n\
+         \x20  5     6  add.i32 r1, r1, r4\n\
+         \x20  6     8  ret r1, w=1\n"
+    );
+}
+
+/// A loop of two trips is two copies in order, the counter 0 then 1 (a
+/// displacement of 4), and the second copy's `t` is a local of its own:
+/// `r3` in the first copy, `r4` in the second.
+#[test]
+fn a_two_trip_loop_gives_each_copy_its_own_temporaries() {
+    let (got, text, remark) = short_loop("two");
+    assert_eq!(got, 1 + 6 * 6 + 15 * 15);
+    assert_eq!(remark, "unrolled 2 trips (+16 IR nodes)");
+    assert_eq!(
+        text,
+        "   0    11  const.i r1, v=1\n\
+         \x20  1    13  load.i32! r5, [r0]\n\
+         \x20  2    13  const.i r6, v=3\n\
+         \x20  3    13  mul.i32 r3, r5, r6\n\
+         \x20  4    14  mul.i32 r5, r3, r3\n\
+         \x20  5    14  add.i32 r1, r1, r5\n\
+         \x20  6    13  load.i32! r5, [r0 + 4]\n\
+         \x20  7    13  const.i r6, v=3\n\
+         \x20  8    13  mul.i32 r4, r5, r6\n\
+         \x20  9    14  mul.i32 r5, r4, r4\n\
+         \x20 10    14  add.i32 r1, r1, r5\n\
+         \x20 11    16  ret r1, w=1\n"
+    );
+}
