@@ -50,6 +50,38 @@ fn str_arg(args: &[LuaValue], i: usize, who: &str) -> EvalResult<Rc<str>> {
     }
 }
 
+/// `text` as an unsigned integer numeral in `base` (2 to 36), as `strtoul`
+/// reads it for Lua 5.1's `tonumber(e, base)`: spaces around it, letters
+/// caseless from 10 up, an optional `0x` in base 16; `None` for anything
+/// else, a sign included (§5.1: "only unsigned integers are accepted").
+fn unsigned_in_base(text: &str, base: u32) -> Option<f64> {
+    let digits = text.trim();
+    let digits = match base {
+        16 => digits
+            .strip_prefix("0x")
+            .or_else(|| digits.strip_prefix("0X"))
+            .unwrap_or(digits),
+        _ => digits,
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    digits.chars().try_fold(0.0, |n, c| {
+        Some(n * f64::from(base) + f64::from(c.to_digit(base)?))
+    })
+}
+
+/// The byte offset a Lua string position `pos` (1-based, negative from the
+/// end) denotes in a string of `len` bytes, clamped below at 0 (Lua 5.1's
+/// `posrelat`).
+fn relative_pos(pos: i64, len: usize) -> i64 {
+    if pos < 0 {
+        (pos + len as i64 + 1).max(0)
+    } else {
+        pos
+    }
+}
+
 /// Installs the full standard environment into `interp`'s globals.
 pub fn install(interp: &mut Interp) {
     install_base(interp);
@@ -97,11 +129,28 @@ fn install_base(interp: &mut Interp) {
     );
     interp.set_global(
         "tonumber",
-        native("tonumber", |_, args| {
-            Ok(vec![match arg(&args, 0).as_number() {
-                Some(n) => LuaValue::Number(n),
-                None => LuaValue::Nil,
-            }])
+        native("tonumber", |it, args| {
+            let e = arg(&args, 0);
+            let n = match arg(&args, 1) {
+                LuaValue::Nil => e.as_number(),
+                _ => match num_arg(&args, 1, "tonumber")? as i64 {
+                    10 => e.as_number(),
+                    base @ 2..=36 => {
+                        let text = match e {
+                            LuaValue::Str(s) => s,
+                            LuaValue::Number(_) => it.tostring_value(&e, Span::synthetic())?.into(),
+                            _ => str_arg(&args, 0, "tonumber")?,
+                        };
+                        unsigned_in_base(&text, base as u32)
+                    }
+                    _ => {
+                        return Err(LuaError::msg(
+                            "bad argument #2 to 'tonumber' (base out of range)",
+                        ))
+                    }
+                },
+            };
+            Ok(vec![n.map_or(LuaValue::Nil, LuaValue::Number)])
         }),
     );
     interp.set_global(
@@ -620,12 +669,34 @@ fn install_string(interp: &mut Interp) {
         sb.set_str(
             "find",
             native("find", |_, args| {
+                // Lua 5.1 §5.4: the search starts at `init` (negative counts
+                // from the end); a pattern without any of the magic
+                // characters `^$*+?.([%-`, or any pattern when `plain` is
+                // true, is found as plain text. Pattern matching proper is
+                // not implemented, and says so rather than finding nothing.
                 let s = str_arg(&args, 0, "find")?;
                 let pat = str_arg(&args, 1, "find")?;
-                Ok(match s.find(&*pat) {
+                let init = match arg(&args, 2) {
+                    LuaValue::Nil => 1,
+                    _ => num_arg(&args, 2, "find")? as i64,
+                };
+                let init = (relative_pos(init, s.len()) - 1).clamp(0, s.len() as i64) as usize;
+                let magic = |c: char| "^$*+?.([%-".contains(c);
+                if !arg(&args, 3).truthy() && pat.contains(magic) {
+                    return Err(LuaError::msg(format!(
+                        "string.find: patterns are not supported ('{pat}'); \
+                         pass plain = true to find it as text"
+                    )));
+                }
+                let (hay, needle) = (&s.as_bytes()[init..], pat.as_bytes());
+                let at = match needle.len() {
+                    0 => Some(0),
+                    n => hay.windows(n).position(|w| w == needle),
+                };
+                Ok(match at {
                     Some(pos) => vec![
-                        LuaValue::Number((pos + 1) as f64),
-                        LuaValue::Number((pos + pat.len()) as f64),
+                        LuaValue::Number((init + pos + 1) as f64),
+                        LuaValue::Number((init + pos + needle.len()) as f64),
                     ],
                     None => vec![LuaValue::Nil],
                 })
@@ -634,21 +705,36 @@ fn install_string(interp: &mut Interp) {
         sb.set_str(
             "byte",
             native("byte", |_, args| {
+                // One value per byte of `s[i..j]`, `j` defaulting to `i`.
                 let s = str_arg(&args, 0, "byte")?;
-                let i = arg(&args, 1).as_number().unwrap_or(1.0) as usize;
-                Ok(vec![s
-                    .as_bytes()
-                    .get(i.saturating_sub(1))
-                    .map(|b| LuaValue::Number(*b as f64))
-                    .unwrap_or(LuaValue::Nil)])
+                let pos = |k: usize, default: i64| -> EvalResult<i64> {
+                    match arg(&args, k) {
+                        LuaValue::Nil => Ok(default),
+                        _ => Ok(relative_pos(num_arg(&args, k, "byte")? as i64, s.len())),
+                    }
+                };
+                let i = pos(1, 1)?;
+                let j = pos(2, i)?.min(s.len() as i64);
+                let i = i.max(1);
+                if i > j {
+                    return Ok(vec![]);
+                }
+                Ok(s.as_bytes()[(i - 1) as usize..j as usize]
+                    .iter()
+                    .map(|&b| LuaValue::Number(f64::from(b)))
+                    .collect())
             }),
         );
         sb.set_str(
             "char",
             native("char", |_, args| {
                 let mut out = String::new();
-                for (i, _) in args.iter().enumerate() {
-                    out.push(num_arg(&args, i, "char")? as u8 as char);
+                for i in 0..args.len() {
+                    let c = num_arg(&args, i, "char")? as i64;
+                    let byte = u8::try_from(c).map_err(|_| {
+                        LuaError::msg(format!("bad argument #{} to 'char' (invalid value)", i + 1))
+                    })?;
+                    out.push(char::from(byte));
                 }
                 Ok(vec![LuaValue::str(out)])
             }),

@@ -21,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 use terra_ir::{
-    direct_calls, fold_function, BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, FuncTy,
-    IrExpr, IrFunction, IrStmt, LocalId, ScalarTy, StmtKind, Ty, UnKind,
+    direct_calls, BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, FuncTy, IrExpr, IrFunction,
+    IrStmt, LocalId, ScalarTy, StmtKind, Ty, UnKind,
 };
 use terra_syntax::{BinOp, IntSuffix, ProvKind, Provenance, Span, UnOp};
 
@@ -230,7 +230,7 @@ fn compile_one(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
         let env = CtxEnv { ctx: &interp.ctx };
         if interp.lint {
             let mut lint_ir = ir.clone();
-            fold_function(&mut lint_ir);
+            terra_ir::passes::fold::run(&mut lint_ir, &mut Vec::new());
             terra_ir::analyze_function_with(&lint_ir, Some(&interp.ctx.types), &env, Some(&sums))
         } else {
             match terra_ir::verify_function(ir, Some(&interp.ctx.types), &env) {

@@ -31,7 +31,8 @@
 //! raw-equal only to itself, `next` reaches every entry and lets a
 //! traversal clear the fields it visits, and nil and NaN are not keys;
 //! then `unpack`'s range (§5.1): `i` and `j`, nils past the border, and the
-//! C stack's limit.
+//! C stack's limit; then `string.find`'s `init` and `plain`, `string.byte`'s
+//! range and `string.char`'s bytes (§5.4), and `tonumber`'s bases (§5.1).
 
 use terra_eval::{Interp, LuaValue};
 
@@ -372,6 +373,62 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "unpack past the C stack is an error",
         "return select(2, pcall(unpack, {}, 1, 2^40))",
         "too many results to unpack",
+    ),
+    (
+        "string.find starts its search at init",
+        "return table.concat({string.find('abab', 'b', 3)}, ' ')",
+        "4 4",
+    ),
+    (
+        "string.find with a negative init counts from the end",
+        "return table.concat({string.find('abab', 'a', -2)}, ' ')",
+        "3 3",
+    ),
+    (
+        "string.find with plain true finds magic characters as text",
+        "return table.concat({string.find('a.b', '.', 1, true)}, ' ')",
+        "2 2",
+    ),
+    (
+        "string.find with a pattern is an error here, not a miss",
+        "local ok, e = pcall(string.find, 'abc', 'b.') \
+         return tostring(ok) .. ' ' .. tostring(string.find(e, 'patterns are not supported', 1, true) ~= nil)",
+        "false true",
+    ),
+    (
+        "string.byte returns one value per byte of i..j",
+        "return table.concat({string.byte('abc', 1, -1)}, ' ')",
+        "97 98 99",
+    ),
+    (
+        "string.byte with an empty range returns nothing",
+        "return select('#', string.byte('abc', 0)) .. ' ' .. select('#', string.byte('abc', 3, 2))",
+        "0 0",
+    ),
+    (
+        "string.char of a value that is not a byte is an error",
+        "return select(2, pcall(string.char, 256))",
+        "bad argument #1 to 'char' (invalid value)",
+    ),
+    (
+        "tonumber reads a numeral in base 16",
+        "return tostring(tonumber('ff', 16)) .. ' ' .. tostring(tonumber('Z', 36))",
+        "255 35",
+    ),
+    (
+        "tonumber rejects a digit its base does not have",
+        "return tostring(tonumber('8', 8)) .. ' ' .. tostring(tonumber('10', 2))",
+        "nil 2",
+    ),
+    (
+        "tonumber in a base other than 10 accepts only unsigned integers",
+        "return tostring(tonumber('-1', 16)) .. ' ' .. tostring(tonumber('1.5', 8))",
+        "nil nil",
+    ),
+    (
+        "tonumber with a base outside 2..36 is an error",
+        "return select(2, pcall(tonumber, '1', 37))",
+        "bad argument #2 to 'tonumber' (base out of range)",
     ),
 ];
 

@@ -1187,7 +1187,7 @@ impl<'a> Interp<'a> {
             BinKind::Rem => Some(x % y),
             // Left shift by a known amount is a multiply, of a negative
             // value too (the VM shifts the sign-extended register) —
-            // simplify strength-reduces `i * 2^k` into this, so address math
+            // `fold` strength-reduces `i * 2^k` into this, so address math
             // depends on it.
             BinKind::Shl => {
                 let m = 1i128 << y.as_singleton().filter(|k| (0..64).contains(k))?;

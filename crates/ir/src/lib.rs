@@ -33,7 +33,7 @@ pub use ir::{
     BinKind, Builtin, BuiltinInfo, CTy, Callee, CmpKind, Effect, ExprKind, FuncId, GlobalCell,
     GlobalId, IrExpr, IrFunction, IrStmt, Lib, LocalId, LocalSlot, StmtKind, UnKind,
 };
-pub use passes::fold::{fold_expr, fold_function};
+pub use passes::fold::fold_expr;
 pub use passes::util::direct_calls;
 pub use passes::{
     optimize, optimized, InlineEnv, NoInline, OptLevel, PassConfig, PassRun, PassStats, Remark,

@@ -47,7 +47,7 @@
 //!
 //! ## Where it runs
 //!
-//! After `unroll` and `simplify`, so that the copies' constant offsets are
+//! After `fold` and `unroll`, so that the copies' constant offsets are
 //! folded into the addresses they feed; before `licm`, which does the
 //! hoisting; `-O2` only. `copyprop` runs after `licm`: a second slot before
 //! `affine` saved one instruction of one benchmark workload.
@@ -304,7 +304,7 @@ impl Affine<'_> {
 
 /// `((base + t₁) + t₂ …) + disp`, each sum typed like the address. A term is
 /// its atom as an `int64`, shifted for a power-of-two coefficient (the
-/// spelling `simplify` leaves) and multiplied for any other.
+/// spelling `fold` leaves) and multiplied for any other.
 fn rebuild(sum: &Sum, ty: &Ty) -> IrExpr {
     // The sum takes the address's type, not its base's.
     let add = |lhs, rhs| {

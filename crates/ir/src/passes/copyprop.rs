@@ -53,8 +53,8 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
 
 /// The backward half (see the module comment); one `applied` remark per
 /// temporary coalesced, one `missed` per copy that only a read or write of
-/// its destination in between keeps apart from its definition (said once,
-/// though the pass runs twice at `-O2`).
+/// its destination in between keeps apart from its definition (said once
+/// per line and message).
 fn coalesce(locals: &[LocalSlot], body: &mut Vec<IrStmt>, remarks: &mut Vec<Remark>) -> bool {
     let mut reads = vec![0; locals.len()];
     count_reads(body, &mut reads, 1);

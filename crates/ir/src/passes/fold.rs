@@ -2,64 +2,64 @@
 //!
 //! Staged Terra code is full of constants spliced from Lua (block sizes,
 //! unroll factors, field offsets), so expressions like `0 * ldc + 3 * 8`
-//! are common in generated kernels. This pass folds them before bytecode
-//! compilation. Integer identities (`x*0`, `x*1`, `x+0`, `x<<0`) are applied
-//! — the one that drops its operand, `x*0`, only over a [pure](expr_is_pure)
-//! `x`, the rule `simplify` states for every such rewrite; floating-point
-//! identities are restricted to the NaN-safe `x*1.0` and the constant-only
-//! cases.
+//! are common in generated kernels. This pass rewrites every expression
+//! once, bottom-up: each node first evaluates its constant operands, then
+//! applies the algebraic rules of its kind to what is left.
+//!
+//! - Integer arithmetic: the identities `x+0`, `x-0`, `x*1`, `x/1`, `x<<0`,
+//!   `x>>0`, `x*0`, `x%1`; `x*2^k → x<<k`, unsigned `x/2^k → x>>k` and
+//!   `x%2^k → x&(2^k−1)`; `x-x`, `x^x → 0`; `x&x`, `x|x`, `min(x,x)`,
+//!   `max(x,x) → x`. Two's-complement wrapping makes `x*2^k` and `x<<k`
+//!   the same bits, and the bytecode compiler's address fusion reads a `<<`
+//!   by a constant as a scale, so a reduced address still fuses into `lea`.
+//! - `bool` `and`/`or` with a constant operand; a pointer offset by 0.
+//! - `x==x` (and `<=`, `>=`, `!=`, …) on non-float operands.
+//! - `--x` and `not not x`; a cast to the type its operand already has;
+//!   a `select` whose two arms are the same.
+//! - Floating point: constants, and only the NaN-safe `x*1.0`, `x/1.0`.
+//!
+//! A rule that *drops* an operand requires that operand to be
+//! [pure](expr_is_pure) — `(k / i) * 0` still has to trap at `i = 0` — and
+//! one that reuses an operand in place of two reads of it requires it to be
+//! [stable](expr_is_stable), which depends on which locals live in memory:
+//! [`fold_expr`], which sees no function, skips those rules.
 
-use super::util::expr_is_pure;
+use super::util::{expr_is_pure, expr_is_stable};
 use super::Remark;
-use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, StmtKind, UnKind};
+use crate::ir::{
+    BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalSlot, StmtKind, UnKind,
+};
 use crate::types::{ScalarTy, Ty};
 
-/// Folds constants in-place throughout a function body.
-///
-/// In debug builds, a function that verified cleanly before folding is
-/// re-verified afterwards; a fold pass that breaks type consistency is a
-/// compiler bug and panics immediately rather than miscompiling.
-pub fn fold_function(f: &mut IrFunction) {
-    #[cfg(debug_assertions)]
-    let was_consistent = crate::analysis::verify_function(f, None, &crate::analysis::NoEnv).is_ok();
-
-    let mut folded = 0usize;
-    fold_stmts(&mut f.body, &mut folded, &mut Vec::new());
-
-    #[cfg(debug_assertions)]
-    if was_consistent {
-        if let Err(d) = crate::analysis::verify_function(f, None, &crate::analysis::NoEnv) {
-            panic!(
-                "constant folding broke IR consistency in '{}': {}",
-                f.name, d
-            );
-        }
-    }
-}
-
-/// Pass-manager entry point: fold without the standalone verify wrapper
-/// (the pass manager verifies the pipeline's result itself). Returns whether
-/// anything was folded or collapsed; both leave a remark.
-pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
+/// Rewrites every expression of the function and collapses the `if`s that
+/// become statically decided; returns whether anything changed. One remark
+/// counts the rewritten expressions, and each collapsed branch has its own.
+pub fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
+    let IrFunction { locals, body, .. } = f;
     let before = remarks.len();
-    let mut folded = 0usize;
-    fold_stmts(&mut f.body, &mut folded, remarks);
-    if folded > 0 {
+    let mut rewrites = 0usize;
+    fold_stmts(body, locals, &mut rewrites, remarks);
+    if rewrites > 0 {
         remarks.push(Remark::applied(
             "fold",
             0,
             None,
-            format!("folded {folded} constant expression(s)"),
+            format!("rewrote {rewrites} expression(s) (constants, algebraic identities)"),
         ));
     }
     remarks.len() > before
 }
 
-/// Folds every expression of `stmts` and collapses the `if`s that become
+/// Rewrites every expression of `stmts` and collapses the `if`s that become
 /// statically decided; `unroll` runs it over each copy of a loop body.
-pub(super) fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &mut Vec<Remark>) {
+pub(super) fn fold_stmts(
+    stmts: &mut Vec<IrStmt>,
+    locals: &[LocalSlot],
+    rewrites: &mut usize,
+    remarks: &mut Vec<Remark>,
+) {
     IrStmt::walk_mut(stmts, &mut |s| {
-        s.operand_roots_mut(&mut |e| fold_expr_counted(e, folded))
+        s.operand_roots_mut(&mut |e| rewrite(e, Some(locals), rewrites))
     });
     // Statically-decided `if`s collapse to one arm.
     IrStmt::each_block_mut(stmts, &mut |block| {
@@ -95,27 +95,35 @@ pub(super) fn fold_stmts(stmts: &mut Vec<IrStmt>, folded: &mut usize, remarks: &
     });
 }
 
-/// Folds one expression tree in-place.
+/// Rewrites one expression tree in-place, without the rules that need the
+/// function's locals.
 pub fn fold_expr(e: &mut IrExpr) {
-    let mut n = 0usize;
-    fold_expr_counted(e, &mut n);
+    rewrite(e, None, &mut 0);
 }
 
-/// [`fold_expr`] with a rewrite counter, for the pass manager's remarks.
-fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
-    // Fold children first.
-    e.children_mut(&mut |c| fold_expr_counted(c, folded));
-
+/// The bottom-up rewrite of `e`, counting the nodes it rewrote.
+fn rewrite(e: &mut IrExpr, locals: Option<&[LocalSlot]>, rewrites: &mut usize) {
+    e.children_mut(&mut |c| rewrite(c, locals, rewrites));
+    let stable = |x: &IrExpr| locals.is_some_and(|l| expr_is_stable(x, l));
     let new_kind: Option<ExprKind> = match (&e.ty, &e.kind) {
+        (Ty::Scalar(ScalarTy::Bool), ExprKind::Binary { op, lhs, rhs }) => {
+            bool_binary(*op, lhs, rhs)
+        }
         (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_integer() => {
-            fold_int_binary(*st, *op, lhs, rhs)
+            int_binary(*st, *op, lhs, rhs, &stable)
         }
-        (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_float() => {
-            fold_float_binary(*op, lhs, rhs)
-        }
-        (_, ExprKind::Cmp { op, lhs, rhs }) => fold_cmp(*op, lhs, rhs),
-        (Ty::Scalar(st), ExprKind::Unary { op, expr }) => fold_unary(*st, *op, expr),
-        (Ty::Scalar(to), ExprKind::Cast(inner)) => fold_cast(*to, inner),
+        (Ty::Scalar(_), ExprKind::Binary { op, lhs, rhs }) => float_binary(*op, lhs, rhs),
+        (
+            Ty::Ptr(_),
+            ExprKind::Binary {
+                op: BinKind::Add | BinKind::Sub,
+                lhs,
+                rhs,
+            },
+        ) if rhs.int_const() == Some(0) => Some(lhs.kind.clone()),
+        (_, ExprKind::Cmp { op, lhs, rhs }) => cmp(*op, lhs, rhs),
+        (ty, ExprKind::Unary { op, expr }) => unary(ty, *op, expr),
+        (ty, ExprKind::Cast(inner)) => cast(ty, inner),
         (
             _,
             ExprKind::Select {
@@ -126,6 +134,9 @@ fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
         ) => match cond.kind {
             ExprKind::ConstBool(true) => Some(then_value.kind.clone()),
             ExprKind::ConstBool(false) => Some(else_value.kind.clone()),
+            _ if then_value == else_value && expr_is_pure(cond) && stable(then_value) => {
+                Some(then_value.kind.clone())
+            }
             _ => None,
         },
         _ => None,
@@ -135,7 +146,7 @@ fn fold_expr_counted(e: &mut IrExpr, folded: &mut usize) {
             ExprKind::ConstFloat(v) => IrExpr::float(e.ty.clone(), v).kind,
             kind => kind,
         };
-        *folded += 1;
+        *rewrites += 1;
     }
 }
 
@@ -146,8 +157,28 @@ fn float_const(e: &IrExpr) -> Option<f64> {
     }
 }
 
-fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
-    if let (Some(a), Some(b)) = (lhs.int_const(), rhs.int_const()) {
+/// `Some(k)` when `c == 2^k` with `k >= 1` (interpreting `c` as the
+/// unsigned bit pattern of width `st`).
+fn power_of_two(st: ScalarTy, c: i64) -> Option<u32> {
+    let width_mask: u64 = match st {
+        ScalarTy::I8 | ScalarTy::U8 => 0xff,
+        ScalarTy::I16 | ScalarTy::U16 => 0xffff,
+        ScalarTy::I32 | ScalarTy::U32 => 0xffff_ffff,
+        _ => u64::MAX,
+    };
+    let u = c as u64 & width_mask;
+    (u > 1 && u.is_power_of_two()).then(|| u.trailing_zeros())
+}
+
+fn int_binary(
+    st: ScalarTy,
+    op: BinKind,
+    lhs: &IrExpr,
+    rhs: &IrExpr,
+    stable: &dyn Fn(&IrExpr) -> bool,
+) -> Option<ExprKind> {
+    let (lc, rc) = (lhs.int_const(), rhs.int_const());
+    if let (Some(a), Some(b)) = (lc, rc) {
         let v = match op {
             BinKind::Add => a.wrapping_add(b),
             BinKind::Sub => a.wrapping_sub(b),
@@ -188,24 +219,71 @@ fn fold_int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Opt
         };
         return Some(ExprKind::ConstInt(st.canonical(v)));
     }
-    // Algebraic identities (exact on integers).
-    match (op, lhs.int_const(), rhs.int_const()) {
+    // Identities with one constant operand.
+    let identity = match (op, lc, rc) {
         (BinKind::Add, Some(0), _) | (BinKind::Mul, Some(1), _) => Some(rhs.kind.clone()),
-        (BinKind::Add, _, Some(0))
-        | (BinKind::Sub, _, Some(0))
-        | (BinKind::Mul, _, Some(1))
-        | (BinKind::Shl, _, Some(0))
-        | (BinKind::Shr, _, Some(0)) => Some(lhs.kind.clone()),
+        (BinKind::Add | BinKind::Sub | BinKind::Shl | BinKind::Shr, _, Some(0))
+        | (BinKind::Mul | BinKind::Div, _, Some(1)) => Some(lhs.kind.clone()),
         // The product drops the other operand, which therefore must be pure:
         // `(k / i) * 0` still has to trap at `i = 0`.
         (BinKind::Mul, Some(0), _) if expr_is_pure(rhs) => Some(ExprKind::ConstInt(0)),
-        (BinKind::Mul, _, Some(0)) if expr_is_pure(lhs) => Some(ExprKind::ConstInt(0)),
+        (BinKind::Mul, _, Some(0)) | (BinKind::Rem, _, Some(1)) if expr_is_pure(lhs) => {
+            Some(ExprKind::ConstInt(0))
+        }
+        _ => None,
+    };
+    if identity.is_some() {
+        return identity;
+    }
+    // Strength reduction, and the forms on a repeated operand.
+    let shift = |x: &IrExpr, dir: BinKind, k: u32| ExprKind::Binary {
+        op: dir,
+        lhs: Box::new(x.clone()),
+        rhs: Box::new(IrExpr::new(x.ty.clone(), ExprKind::ConstInt(k as i64))),
+    };
+    let pow2 = |c: Option<i64>| power_of_two(st, c?);
+    match (op, pow2(lc), pow2(rc)) {
+        // x * 2^k → x << k: the same bits under two's-complement wrapping.
+        (BinKind::Mul, _, Some(k)) => Some(shift(lhs, BinKind::Shl, k)),
+        (BinKind::Mul, Some(k), _) => Some(shift(rhs, BinKind::Shl, k)),
+        // Unsigned x / 2^k → x >> k and x % 2^k → x & (2^k - 1).
+        (BinKind::Div, _, Some(k)) if !st.is_signed() => Some(shift(lhs, BinKind::Shr, k)),
+        (BinKind::Rem, _, Some(_)) if !st.is_signed() => Some(ExprKind::Binary {
+            op: BinKind::And,
+            lhs: Box::new(lhs.clone()),
+            rhs: Box::new(IrExpr::new(lhs.ty.clone(), ExprKind::ConstInt(rc? - 1))),
+        }),
+        (BinKind::Sub | BinKind::Xor, ..) if lhs == rhs && expr_is_pure(lhs) => {
+            Some(ExprKind::ConstInt(0))
+        }
+        (BinKind::And | BinKind::Or | BinKind::Min | BinKind::Max, ..)
+            if lhs == rhs && stable(lhs) =>
+        {
+            Some(lhs.kind.clone())
+        }
         _ => None,
     }
 }
 
-fn fold_float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
-    if let (Some(a), Some(b)) = (float_const(lhs), float_const(rhs)) {
+fn bool_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
+    let as_bool = |e: &IrExpr| match e.kind {
+        ExprKind::ConstBool(b) => Some(b),
+        _ => None,
+    };
+    match (op, as_bool(lhs), as_bool(rhs)) {
+        (BinKind::And, Some(true), _) | (BinKind::Or, Some(false), _) => Some(rhs.kind.clone()),
+        (BinKind::And, _, Some(true)) | (BinKind::Or, _, Some(false)) => Some(lhs.kind.clone()),
+        (BinKind::And, Some(false), _) if expr_is_pure(rhs) => Some(ExprKind::ConstBool(false)),
+        (BinKind::And, _, Some(false)) if expr_is_pure(lhs) => Some(ExprKind::ConstBool(false)),
+        (BinKind::Or, Some(true), _) if expr_is_pure(rhs) => Some(ExprKind::ConstBool(true)),
+        (BinKind::Or, _, Some(true)) if expr_is_pure(lhs) => Some(ExprKind::ConstBool(true)),
+        _ => None,
+    }
+}
+
+fn float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
+    let (lc, rc) = (float_const(lhs), float_const(rhs));
+    if let (Some(a), Some(b)) = (lc, rc) {
         let v = match op {
             BinKind::Add => a + b,
             BinKind::Sub => a - b,
@@ -219,7 +297,6 @@ fn fold_float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind
         return Some(ExprKind::ConstFloat(v));
     }
     // NaN-safe identities only.
-    let (lc, rc) = (float_const(lhs), float_const(rhs));
     if op == BinKind::Mul && lc == Some(1.0) {
         Some(rhs.kind.clone())
     } else if matches!(op, BinKind::Mul | BinKind::Div) && rc == Some(1.0) {
@@ -229,12 +306,14 @@ fn fold_float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind
     }
 }
 
-fn fold_cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
+fn cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
     let holds = match (lhs.int_const(), rhs.int_const()) {
         (Some(a), Some(b)) if matches!(&lhs.ty, Ty::Scalar(s) if s.is_signed()) => {
             compare(op, a, b)
         }
         (Some(a), Some(b)) => compare(op, a as u64, b as u64),
+        // Exact on integers, pointers and bools; not on floats (NaN != NaN).
+        _ if !lhs.ty.is_float() && lhs == rhs && expr_is_pure(lhs) => compare(op, 0, 0),
         _ => compare(op, float_const(lhs)?, float_const(rhs)?),
     };
     Some(ExprKind::ConstBool(holds))
@@ -251,19 +330,28 @@ fn compare<T: PartialOrd>(op: CmpKind, a: T, b: T) -> bool {
     }
 }
 
-fn fold_unary(st: ScalarTy, op: UnKind, expr: &IrExpr) -> Option<ExprKind> {
-    match (op, &expr.kind) {
-        (UnKind::Neg, ExprKind::ConstInt(v)) => {
+fn unary(ty: &Ty, op: UnKind, expr: &IrExpr) -> Option<ExprKind> {
+    match (ty, op, &expr.kind) {
+        (Ty::Scalar(st), UnKind::Neg, ExprKind::ConstInt(v)) => {
             Some(ExprKind::ConstInt(st.canonical(v.wrapping_neg())))
         }
-        (UnKind::Neg, ExprKind::ConstFloat(v)) => Some(ExprKind::ConstFloat(-v)),
-        (UnKind::Not, ExprKind::ConstBool(b)) => Some(ExprKind::ConstBool(!b)),
-        (UnKind::Not, ExprKind::ConstInt(v)) => Some(ExprKind::ConstInt(st.canonical(!v))),
+        (Ty::Scalar(_), UnKind::Neg, ExprKind::ConstFloat(v)) => Some(ExprKind::ConstFloat(-v)),
+        (Ty::Scalar(_), UnKind::Not, ExprKind::ConstBool(b)) => Some(ExprKind::ConstBool(!b)),
+        (Ty::Scalar(st), UnKind::Not, ExprKind::ConstInt(v)) => {
+            Some(ExprKind::ConstInt(st.canonical(!v)))
+        }
+        // --x → x and not not x → x: both operators are involutions.
+        (_, _, ExprKind::Unary { op: inner_op, expr }) if *inner_op == op => {
+            Some(expr.kind.clone())
+        }
         _ => None,
     }
 }
 
-fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
+fn cast(ty: &Ty, inner: &IrExpr) -> Option<ExprKind> {
+    let Ty::Scalar(to) = *ty else {
+        return (inner.ty == *ty).then(|| inner.kind.clone());
+    };
     match (&inner.ty, &inner.kind) {
         (Ty::Scalar(from), ExprKind::ConstInt(v)) => {
             if to.is_float() {
@@ -300,6 +388,7 @@ fn fold_cast(to: ScalarTy, inner: &IrExpr) -> Option<ExprKind> {
                 Some(ExprKind::ConstInt(i64::from(*b)))
             }
         }
+        (from, _) if *from == *ty => Some(inner.kind.clone()),
         _ => None,
     }
 }
@@ -399,7 +488,7 @@ mod tests {
             })],
             index_range: None,
         };
-        fold_function(&mut f);
+        run(&mut f, &mut Vec::new());
         assert_eq!(f.body, vec![StmtKind::Return(None).into()]);
     }
 

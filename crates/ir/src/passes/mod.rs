@@ -6,8 +6,12 @@
 //! | level | pipeline |
 //! |-------|----------|
 //! | `-O0` | none — the typechecker's IR compiles as-is |
-//! | `-O1` | fold → simplify → copyprop → dce |
-//! | `-O2` | inline → fold → unroll → simplify → affine → licm → copyprop → dce → checkelim |
+//! | `-O1` | fold → copyprop → dce |
+//! | `-O2` | inline → fold → unroll → affine → licm → copyprop → dce → checkelim |
+//!
+//! `fold` is the one expression rewriter: each node, bottom-up, evaluates
+//! its constant operands and then applies its kind's algebraic identities
+//! and strength reductions (the module lists them).
 //!
 //! Every pass must preserve *observable semantics*: outputs, stores, traps
 //! (including which trap fires first), and calls. The shared vocabulary for
@@ -22,7 +26,7 @@
 //! arithmetic, a ring; the narrow-integer operations it looks through are
 //! those the abstract interpreter proves cannot leave their type — the
 //! proof that elides their `trunc` — and it consumes nothing else, nothing
-//! at all with [`PassConfig::elide_checks`] off. It runs after `simplify` and
+//! at all with [`PassConfig::elide_checks`] off. It runs after `unroll` and
 //! before `licm` (which does the hoisting) and `checkelim` (which proves the
 //! accesses in the form they are compiled in).
 //!
@@ -32,9 +36,10 @@
 //!
 //! `unroll` replaces a `for` whose bounds `fold` made constants with one
 //! folded copy of its body per iterate, within [`MAX_UNROLL_GROWTH`] nodes
-//! per loop. It runs once, before `simplify`, so that every later pass sees
-//! the copies: the loop's compare and branch are gone, and `affine` turns
-//! the constant index offsets into load displacements.
+//! per loop, measured after `fold` rewrote the body. It runs once, so that
+//! every later pass sees the copies: the loop's compare and branch are
+//! gone, and `affine` turns the constant index offsets into load
+//! displacements.
 //!
 //! **Verifier invariant:** a function that verifies going into the pipeline
 //! must verify coming out of it. Each pass reports whether it rewrote
@@ -57,7 +62,6 @@ mod dce;
 pub mod fold;
 mod inline;
 mod licm;
-mod simplify;
 mod unroll;
 pub mod util;
 
@@ -266,7 +270,6 @@ enum Pass {
     Inline,
     Fold,
     Unroll,
-    Simplify,
     CopyProp,
     Affine,
     Licm,
@@ -282,7 +285,6 @@ impl Pass {
             Pass::Inline => "inline",
             Pass::Fold => "fold",
             Pass::Unroll => "unroll",
-            Pass::Simplify => "simplify",
             Pass::CopyProp => "copyprop",
             Pass::Affine => "affine",
             Pass::Licm => "licm",
@@ -299,7 +301,6 @@ impl Pass {
             Pass::Inline => inline::run(f, cfg.inline, remarks),
             Pass::Fold => fold::run(f, remarks),
             Pass::Unroll => unroll::run(f, remarks),
-            Pass::Simplify => simplify::run(f, remarks),
             Pass::CopyProp => copyprop::run(f, remarks),
             Pass::Affine => affine::run(f, cfg, remarks),
             Pass::Licm => licm::run(f, cfg, remarks),
@@ -312,12 +313,11 @@ impl Pass {
 fn pipeline(level: OptLevel) -> &'static [Pass] {
     match level {
         OptLevel::O0 => &[],
-        OptLevel::O1 => &[Pass::Fold, Pass::Simplify, Pass::CopyProp, Pass::Dce],
+        OptLevel::O1 => &[Pass::Fold, Pass::CopyProp, Pass::Dce],
         OptLevel::O2 => &[
             Pass::Inline,
             Pass::Fold,
             Pass::Unroll,
-            Pass::Simplify,
             Pass::Affine,
             Pass::Licm,
             Pass::CopyProp,

@@ -84,7 +84,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
                 unreachable!("matched above")
             };
             let mut unrolled = copies(locals, &private, body, &plan);
-            fold_stmts(&mut unrolled, &mut 0, remarks);
+            fold_stmts(&mut unrolled, locals, &mut 0, remarks);
             count_reads(&unrolled, &mut reads, 1);
             let message = match plan.trips {
                 0 => "deleted a loop of 0 trips".to_string(),

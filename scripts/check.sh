@@ -91,15 +91,17 @@ echo "==> the Lua evaluator does not grow (scripts/loc.sh crates/eval/src/interp
 scripts/loc.sh crates/eval/src/interp.rs crates/eval/src/value.rs | awk '/total/ { exit !($1 <= 2005) }' \
     || { echo "crates/eval/src/interp.rs + value.rs are over 2005 non-test lines" >&2; exit 1; }
 
-echo "==> every -O2 pass earns its compile time (scripts/loc.sh crates/ir/src/passes <= 2665)"
+echo "==> every -O2 pass earns its compile time (scripts/loc.sh crates/ir/src/passes <= 2568)"
 # Set when common-subexpression elimination and a second copy-propagation
 # slot were deleted for costing a quarter of `staging-heavy`'s `optimize`
-# while saving 0.5 % of its instructions (2 771 lines before). A pass that
-# comes back, or a new one, brings its row of EXPERIMENTS.md A23's ablation
-# table (retired instructions per workload, example and Orion row with it
-# skipped; its time on `staging-heavy`) and re-bases this cap by what it adds.
-scripts/loc.sh crates/ir/src/passes | awk '/total/ { exit !($1 <= 2665) }' \
-    || { echo "crates/ir/src/passes is over 2665 non-test lines" >&2; exit 1; }
+# while saving 0.5 % of its instructions (2 771 lines before), and re-based
+# when `simplify`'s rules moved into `fold`'s one bottom-up rewrite (2 666
+# before). A pass that comes back, or a new one, brings its row of
+# EXPERIMENTS.md A23's ablation table (retired instructions per workload,
+# example and Orion row with it skipped; its time on `staging-heavy`) and
+# re-bases this cap by what it adds.
+scripts/loc.sh crates/ir/src/passes | awk '/total/ { exit !($1 <= 2568) }' \
+    || { echo "crates/ir/src/passes is over 2568 non-test lines" >&2; exit 1; }
 
 # Cargo drops a stale entry from the frozen benchmark/Cargo.lock whenever it
 # builds there; put the file back as it was, whichever way this script ends.

@@ -677,3 +677,66 @@ fn a_two_trip_loop_gives_each_copy_its_own_temporaries() {
          \x20 11    16  ret r1, w=1\n"
     );
 }
+
+/// `(x - x) * y` retires no multiply: the difference becomes the constant 0
+/// and, in the same bottom-up walk, the product over it (`y` is pure) is 0
+/// too. Rewriting the difference in a later pass than the product left
+/// `0 * y` for the VM to compute.
+#[test]
+fn a_cancelled_operand_takes_its_product_with_it() {
+    let mut t = Terra::new();
+    t.exec("terra cancel(x : int, y : int) : int return (x - x) * y end")
+        .unwrap();
+    let f = t.function("cancel").unwrap();
+    t.set_profile(true);
+    t.reset_profile();
+    let args = [terra_core::Value::Int(3), terra_core::Value::Int(5)];
+    let got = t.invoke(&f, &args).unwrap();
+    let p = t.profile();
+    t.set_profile(false);
+    assert!(matches!(got, terra_core::Value::Int(0)), "{got:?}");
+    assert_eq!(p.op_count("mul.i") + p.op_count("mul.i32"), 0);
+    assert_eq!(p.total_instructions(), 2, "the constant and the return");
+}
+
+/// `w[0]` addresses `w + 0`, a pointer offset by zero, which `fold` drops
+/// before `unroll` measures the loop around it. The body is then 13 IR
+/// nodes and its 20 trips add 19 × 13 = 247 of `MAX_UNROLL_GROWTH`'s 256;
+/// measured with the `+ 0` (two nodes more) they would add 285, and the
+/// loop would stay one.
+#[test]
+fn a_loop_is_measured_after_its_zero_offsets_are_gone() {
+    let mut t = Terra::new();
+    t.exec(
+        "terra dot(w : &int, x : &int) : int
+             var acc = 0
+             for k = 0, 20 do
+                 acc = acc + w[0] * x[k]
+             end
+             return acc
+         end
+         terra run() : int
+             var a : int[20]
+             for i = 0, 20 do a[i] = i + 1 end
+             return dot(&a[0], &a[0])
+         end",
+    )
+    .unwrap();
+    let run = t.function("run").unwrap();
+    assert!(matches!(
+        t.invoke(&run, &[]).unwrap(),
+        terra_core::Value::Int(210)
+    ));
+    let dot: Vec<_> = t
+        .remarks()
+        .iter()
+        .filter(|r| r.pass == "unroll" && &*r.site.func == "dot")
+        .map(|r| r.message.clone())
+        .collect();
+    assert_eq!(dot, ["unrolled 20 trips (+247 IR nodes)"]);
+    let out = t.exec("return dot:disas()").unwrap();
+    let terra_core::LuaValue::Str(text) = &out[0] else {
+        panic!("disas returns a string: {out:?}");
+    };
+    assert!(!text.contains("loop."), "{text}");
+}
