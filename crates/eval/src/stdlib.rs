@@ -816,17 +816,53 @@ fn install_table_lib(interp: &mut Interp) {
                 let LuaValue::Table(t) = arg(&args, 0) else {
                     return Err(LuaError::msg("table.concat: table expected"));
                 };
-                let sep = match arg(&args, 1) {
-                    LuaValue::Str(s) => s.to_string(),
-                    _ => String::new(),
+                // Lua 5.1 §5.5: the strings and numbers `t[i..=j]` with
+                // `sep` (a string or a number) between them; `i` is 1 and
+                // `j` is `#t` unless given.
+                let text = |it: &mut Interp, v: &LuaValue| match v {
+                    LuaValue::Str(_) | LuaValue::Number(_) => {
+                        it.tostring_value(v, Span::synthetic()).map(Some)
+                    }
+                    _ => Ok(None),
                 };
-                let items: Vec<LuaValue> = t.borrow().iter_array().cloned().collect();
+                let sep = match arg(&args, 1) {
+                    LuaValue::Nil => String::new(),
+                    v => text(it, &v)?.ok_or_else(|| {
+                        LuaError::msg(format!(
+                            "bad argument #2 to 'concat' (string expected, got {})",
+                            v.type_name()
+                        ))
+                    })?,
+                };
+                let len = t.borrow().len() as f64;
+                let bound = |k: usize, default: f64| match arg(&args, k) {
+                    LuaValue::Nil => Ok(default as i64),
+                    _ => num_arg(&args, k, "concat").map(|n| n as i64),
+                };
+                let (first, last) = (bound(2, 1.0)?, bound(3, len)?);
+                let mut parts = Vec::new();
+                for i in first..=last {
+                    let v = t.borrow().get(&LuaValue::Number(i as f64));
+                    parts.push(text(it, &v)?.ok_or_else(|| {
+                        LuaError::msg(format!(
+                            "invalid value (at index {i}) in table for 'concat'"
+                        ))
+                    })?);
+                }
+                // The sizes are the program's to pick (ROADMAP 1(b)).
                 let mut out = String::new();
-                for (i, v) in items.iter().enumerate() {
+                parts
+                    .iter()
+                    .try_fold(0usize, |n, p| n.checked_add(p.len()))
+                    .zip(sep.len().checked_mul(parts.len().saturating_sub(1)))
+                    .and_then(|(a, b)| a.checked_add(b))
+                    .filter(|&n| out.try_reserve_exact(n).is_ok())
+                    .ok_or_else(|| LuaError::msg("not enough memory"))?;
+                for (i, p) in parts.iter().enumerate() {
                     if i > 0 {
                         out.push_str(&sep);
                     }
-                    out.push_str(&it.tostring_value(v, Span::synthetic())?);
+                    out.push_str(p);
                 }
                 Ok(vec![LuaValue::str(out)])
             }),

@@ -430,6 +430,21 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "return select(2, pcall(tonumber, '1', 37))",
         "bad argument #2 to 'tonumber' (base out of range)",
     ),
+    (
+        "table.concat joins only t[i..j]",
+        "return table.concat({1, 2, 3, 4}, ',', 2, 3)",
+        "2,3",
+    ),
+    (
+        "table.concat takes a number as its separator",
+        "return table.concat({1, 2, 3}, 0)",
+        "10203",
+    ),
+    (
+        "table.concat refuses a value that is neither a string nor a number",
+        "return select(2, pcall(table.concat, {1, true, 3}))",
+        "invalid value (at index 2) in table for 'concat'",
+    ),
 ];
 
 #[test]

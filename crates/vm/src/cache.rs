@@ -31,33 +31,34 @@ const NOT_PREFETCHED: u64 = u64::MAX;
 
 /// A divisor fixed when the simulator is built: line sizes are powers of
 /// two and set counts nearly always are, so the per-access `/` and `%`
-/// become shifts instead of hardware divisions.
+/// become a shift and a mask instead of hardware divisions.
 #[derive(Debug, Clone, Copy)]
 struct Divisor {
     n: u64,
-    pow2: bool,
+    /// `log2 n` when `n` is a power of two, else `None`.
+    shift: Option<u32>,
 }
 
 impl Divisor {
     fn new(n: u64) -> Divisor {
-        Divisor {
-            n,
-            pow2: n.is_power_of_two(),
-        }
+        let shift = n.is_power_of_two().then(|| n.trailing_zeros());
+        Divisor { n, shift }
     }
 
     #[inline]
     fn div(self, x: u64) -> u64 {
-        if self.pow2 {
-            x >> self.n.trailing_zeros()
-        } else {
-            x / self.n
+        match self.shift {
+            Some(s) => x >> s,
+            None => x / self.n,
         }
     }
 
     #[inline]
     fn rem(self, x: u64) -> u64 {
-        x - self.div(x) * self.n
+        match self.shift {
+            Some(_) => x & (self.n - 1),
+            None => x % self.n,
+        }
     }
 }
 
@@ -75,6 +76,12 @@ struct Level {
     /// Demand tick at which a prefetch filled the way, until the line is
     /// first demanded; [`NOT_PREFETCHED`] otherwise.
     pf_ticks: Vec<u64>,
+    /// L1 only: per set, the line the last demand access of the set
+    /// touched, or [`INVALID`] once a prefetch has touched the set since.
+    /// That line holds the set's highest stamp and no pending prefetch, so
+    /// a demand access of it again changes no victim choice and classifies
+    /// nothing. L2 keeps none, since only L1 hits skip the scan.
+    mru: Vec<u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -90,7 +97,7 @@ struct Filled {
 }
 
 impl Level {
-    fn new(cfg: CacheLevelConfig) -> Level {
+    fn new(cfg: CacheLevelConfig, mru: bool) -> Level {
         let ways = (cfg.sets() * cfg.assoc) as usize;
         Level {
             sets: Divisor::new(cfg.sets()),
@@ -98,21 +105,25 @@ impl Level {
             tags: vec![INVALID; ways],
             stamps: vec![0; ways],
             pf_ticks: vec![NOT_PREFETCHED; ways],
+            mru: vec![INVALID; if mru { cfg.sets() as usize } else { 0 }],
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = self.sets.rem(line) as usize;
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
         set * self.assoc..(set + 1) * self.assoc
     }
 
     /// Looks up `line`; on miss, fills it (evicting LRU if needed). Counts a
     /// demand hit/miss unless `prefetch_fill` (prefetch traffic is free).
     fn access(&mut self, line: u64, stamp: u64, prefetch_fill: bool) -> Filled {
-        let set = self.set_range(line);
+        let set_index = self.sets.rem(line) as usize;
+        if let Some(mru) = self.mru.get_mut(set_index) {
+            *mru = if prefetch_fill { INVALID } else { line };
+        }
+        let set = self.set_range(set_index);
         let base = set.start;
         let mut found = None;
         for (i, &tag) in self.tags[set.clone()].iter().enumerate() {
@@ -152,6 +163,30 @@ impl Level {
             way,
             evicted_unused_prefetch,
         }
+    }
+
+    /// Counts a demand hit on `line` and gives it `stamp`, if `line` is
+    /// resident and no prefetch is waiting to be classified on it; false,
+    /// with nothing changed, otherwise. The set's MRU line skips the scan
+    /// and the stamp write: it already holds the set's highest stamp, so a
+    /// higher one changes no victim choice.
+    #[inline(always)]
+    fn hit(&mut self, line: u64, stamp: u64) -> bool {
+        let set = self.sets.rem(line) as usize;
+        if self.mru[set] != line {
+            let ways = self.set_range(set);
+            let Some(i) = self.tags[ways.clone()].iter().position(|&t| t == line) else {
+                return false;
+            };
+            let way = ways.start + i;
+            if self.pf_ticks[way] != NOT_PREFETCHED {
+                return false;
+            }
+            self.stamps[way] = stamp;
+            self.mru[set] = line;
+        }
+        self.hits += 1;
+        true
     }
 
     fn stats(&self) -> CacheLevelStats {
@@ -207,8 +242,8 @@ impl CacheSim {
         CacheSim {
             cfg,
             line: Divisor::new(cfg.l1.line),
-            l1: Level::new(cfg.l1),
-            l2: Level::new(cfg.l2),
+            l1: Level::new(cfg.l1, true),
+            l2: Level::new(cfg.l2, false),
             tick: 0,
             stamp: 0,
             pf_useful: 0,
@@ -226,9 +261,30 @@ impl CacheSim {
     /// A demand access of `len` bytes at guest address `addr` (write-allocate
     /// means loads and stores walk the same path). Returns what it did to
     /// the hierarchy, for the caller to attribute.
+    ///
+    /// A one-line L1 hit that no prefetch brought in is decided here, by
+    /// [`Level::hit`]; misses, prefetched lines and straddling accesses take
+    /// [`CacheSim::access_lines`].
+    #[inline(always)]
     pub(crate) fn access(&mut self, addr: u64, len: u64) -> Touch {
         let first = self.line.div(addr);
         let last = self.line.div(addr.saturating_add(len.max(1) - 1));
+        if first == last && self.l1.hit(first, self.stamp + 1) {
+            self.tick += 1;
+            self.stamp += 1;
+            return Touch {
+                accesses: 1,
+                ..Touch::default()
+            };
+        }
+        self.access_lines(first, last)
+    }
+
+    /// The general path of [`CacheSim::access`]: each of the lines
+    /// `first..=last` in turn, through both levels, with prefetch
+    /// classification.
+    #[inline(never)]
+    fn access_lines(&mut self, first: u64, last: u64) -> Touch {
         let mut touch = Touch::default();
         for line in first..=last {
             self.tick += 1;
@@ -263,7 +319,7 @@ impl CacheSim {
         let line = self.line.div(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let range = self.l1.set_range(line);
+        let range = self.l1.set_range(self.l1.sets.rem(line) as usize);
         if self.l1.tags[range].contains(&line) {
             // Already resident: the hint did nothing.
             self.pf_useless += 1;
@@ -364,8 +420,11 @@ impl Traffic {
 
     /// Counts one access of `len` bytes at `addr` and walks it through the
     /// simulator, which profiling has built, returning what it touched
-    /// there (a prefetch is charged nothing).
-    #[inline]
+    /// there (a prefetch is charged nothing). It is inlined, with the
+    /// telemetry observer's `on_mem`, into each access site of the dispatch
+    /// loop, so the kind and width are constants there and an L1 hit never
+    /// leaves the loop.
+    #[inline(always)]
     pub(crate) fn observe(&mut self, addr: u64, len: u64, access: Access) -> Touch {
         let (s, width) = (&mut self.stats, MemStats::width_bucket(len));
         let sim = self.sim.as_mut().expect("profiling builds the simulator");
@@ -548,5 +607,233 @@ mod tests {
         // A straddling access walks two lines, one of them now resident.
         let t = c.access(4096 + 60, 8);
         assert_eq!((t.accesses, t.l1_misses, t.l2_misses), (2, 1, 1));
+    }
+
+    /// The simulator before the MRU hit path: every access scans its set
+    /// and writes its stamp. [`CacheSim`] must count exactly what it counts.
+    mod reference {
+        use super::{CacheConfig, CacheLevelConfig, CacheLevelStats, CacheStats, Touch};
+        use super::{INVALID, NOT_PREFETCHED, PREFETCH_LATENCY};
+
+        struct Level {
+            sets: u64,
+            assoc: usize,
+            tags: Vec<u64>,
+            stamps: Vec<u64>,
+            pf_ticks: Vec<u64>,
+            stats: CacheLevelStats,
+        }
+
+        /// Whether the lookup hit, the way it touched, and whether the fill
+        /// displaced a prefetched line nobody used.
+        type Filled = (bool, usize, bool);
+
+        impl Level {
+            fn new(cfg: CacheLevelConfig) -> Level {
+                let ways = (cfg.sets() * cfg.assoc) as usize;
+                Level {
+                    sets: cfg.sets(),
+                    assoc: cfg.assoc as usize,
+                    tags: vec![INVALID; ways],
+                    stamps: vec![0; ways],
+                    pf_ticks: vec![NOT_PREFETCHED; ways],
+                    stats: CacheLevelStats::default(),
+                }
+            }
+
+            fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+                let set = (line % self.sets) as usize;
+                set * self.assoc..(set + 1) * self.assoc
+            }
+
+            fn access(&mut self, line: u64, stamp: u64, prefetch_fill: bool) -> Filled {
+                let set = self.set_range(line);
+                if let Some(i) = self.tags[set.clone()].iter().position(|&t| t == line) {
+                    self.stamps[set.start + i] = stamp;
+                    self.stats.hits += !prefetch_fill as u64;
+                    return (true, set.start + i, false);
+                }
+                self.stats.misses += !prefetch_fill as u64;
+                let stamps = &self.stamps[set.clone()];
+                let mut victim = 0;
+                for (i, &s) in stamps.iter().enumerate() {
+                    if s < stamps[victim] {
+                        victim = i;
+                    }
+                }
+                let way = set.start + victim;
+                let valid = self.tags[way] != INVALID;
+                self.stats.evictions += valid as u64;
+                let unused = valid && self.pf_ticks[way] != NOT_PREFETCHED;
+                self.tags[way] = line;
+                self.stamps[way] = stamp;
+                self.pf_ticks[way] = NOT_PREFETCHED;
+                (false, way, unused)
+            }
+        }
+
+        pub(super) struct Sim {
+            cfg: CacheConfig,
+            l1: Level,
+            l2: Level,
+            tick: u64,
+            stamp: u64,
+            pf: [u64; 3],
+        }
+
+        impl Sim {
+            pub(super) fn new(cfg: CacheConfig) -> Sim {
+                Sim {
+                    cfg,
+                    l1: Level::new(cfg.l1),
+                    l2: Level::new(cfg.l2),
+                    tick: 0,
+                    stamp: 0,
+                    pf: [0; 3],
+                }
+            }
+
+            pub(super) fn access(&mut self, addr: u64, len: u64) -> Touch {
+                let line = self.cfg.l1.line;
+                let (first, last) = (addr / line, addr.saturating_add(len.max(1) - 1) / line);
+                let mut touch = Touch::default();
+                for line in first..=last {
+                    self.tick += 1;
+                    self.stamp += 1;
+                    let (hit, way, unused) = self.l1.access(line, self.stamp, false);
+                    touch.accesses += 1;
+                    if hit {
+                        let filled = std::mem::replace(&mut self.l1.pf_ticks[way], NOT_PREFETCHED);
+                        if filled != NOT_PREFETCHED {
+                            let late = self.tick.saturating_sub(filled) < PREFETCH_LATENCY;
+                            self.pf[late as usize] += 1;
+                        }
+                    } else {
+                        touch.l1_misses += 1;
+                        self.pf[2] += unused as u64;
+                        let (hit2, _, _) = self.l2.access(line, self.stamp, false);
+                        touch.l2_misses += !hit2 as u64;
+                    }
+                }
+                touch
+            }
+
+            pub(super) fn prefetch(&mut self, addr: u64) {
+                let line = addr / self.cfg.l1.line;
+                self.stamp += 1;
+                if self.l1.tags[self.l1.set_range(line)].contains(&line) {
+                    self.pf[2] += 1;
+                    return;
+                }
+                self.l2.access(line, self.stamp, true);
+                let (_, way, unused) = self.l1.access(line, self.stamp, true);
+                self.pf[2] += unused as u64;
+                self.l1.pf_ticks[way] = self.tick;
+            }
+
+            pub(super) fn stats(&self) -> CacheStats {
+                CacheStats {
+                    config: self.cfg,
+                    l1: self.l1.stats,
+                    l2: self.l2.stats,
+                    prefetch_useful: self.pf[0],
+                    prefetch_late: self.pf[1],
+                    prefetch_useless: self.pf[2],
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Demand(u64, u64),
+        Prefetch(u64),
+        Reset,
+    }
+
+    /// An address `k` strides from 0, plus an offset inside a line or two:
+    /// strides of one set's span (`sets × line`) pile lines into one set.
+    fn addr() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        const STRIDES: [u64; 6] = [8, 64, 128, 512, 3072, 4096];
+        (0..STRIDES.len(), 0u64..24, 0u64..96).prop_map(|(s, k, off)| k * STRIDES[s] + off)
+    }
+
+    /// Demand accesses of 1–32 bytes, one in five a prefetch, one in
+    /// twenty-one a cold reset.
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        (0u8..21, addr(), 1u64..=32).prop_map(|(kind, a, len)| match kind {
+            0 => Op::Reset,
+            1..=4 => Op::Prefetch(a),
+            _ => Op::Demand(a, len),
+        })
+    }
+
+    /// Geometries with two sets, 48 and 384 sets, a direct-mapped L1, and
+    /// L2 lines wider than L1's.
+    fn geometry() -> impl proptest::strategy::Strategy<Value = CacheConfig> {
+        use proptest::prelude::*;
+        let level = |size, line, assoc| CacheLevelConfig { size, line, assoc };
+        let geometries = [
+            CacheConfig {
+                l1: level(256, 64, 2),
+                l2: level(512, 64, 2),
+            },
+            CacheConfig {
+                l1: level(24 << 10, 64, 8),
+                l2: level(96 << 10, 64, 4),
+            },
+            CacheConfig {
+                l1: level(4 << 10, 64, 1),
+                l2: level(64 << 10, 128, 2),
+            },
+            CacheConfig {
+                l1: level(1 << 10, 8, 2),
+                l2: level(8 << 10, 16, 4),
+            },
+            CacheConfig {
+                l1: level(3 << 10, 8, 1),
+                l2: level(6 << 10, 32, 4),
+            },
+        ];
+        (0..geometries.len()).prop_map(move |i| geometries[i])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every access touches what the scanning simulator's does, and the
+        /// counters end equal, across prefetches and cold resets.
+        #[test]
+        fn access_equals_the_scanning_reference(
+            cfg in geometry(),
+            ops in proptest::collection::vec(op(), 1..400),
+        ) {
+            let (mut sim, mut oracle) = (CacheSim::new(cfg), reference::Sim::new(cfg));
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Demand(addr, len) => {
+                        proptest::prop_assert_eq!(
+                            sim.access(addr, len),
+                            oracle.access(addr, len),
+                            "op {}: {:?}",
+                            i,
+                            op
+                        );
+                    }
+                    Op::Prefetch(addr) => {
+                        sim.prefetch(addr);
+                        oracle.prefetch(addr);
+                    }
+                    Op::Reset => {
+                        proptest::prop_assert_eq!(sim.stats(), oracle.stats());
+                        sim.reset();
+                        oracle = reference::Sim::new(cfg);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(sim.stats(), oracle.stats());
+        }
     }
 }

@@ -514,7 +514,7 @@ impl Observer for Telemetry {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_mem(&mut self, pc: usize, addr: u64, len: u64, access: Access) {
         if self.profiling {
             self.funcs[self.slot].touched[pc] += self.traffic.observe(addr, len, access);

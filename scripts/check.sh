@@ -111,7 +111,7 @@ trap 'printf "%s\n" "$bench_lock" > benchmark/Cargo.lock' EXIT
 echo "==> benchmark driver unit tests (a package of its own, outside the workspace)"
 (cd benchmark && cargo test --offline -q)
 
-echo "==> telemetry cost gate (benchmark driver: --profile within 4.7x of the unobserved loop)"
+echo "==> telemetry cost gate (benchmark driver: --profile within 2.95x of the unobserved loop)"
 # The observed dispatch loop is a separate instantiation of the unobserved
 # one; this keeps its per-instruction hooks honest (before the split: ~8x).
 # The bound is re-based, not relaxed, each time the back end shortens the
@@ -120,14 +120,17 @@ echo "==> telemetry cost gate (benchmark driver: --profile within 4.7x of the un
 # instructions (ratio 2.5-2.9, bound 3.0), 11 (3.1-3.5, bound 3.8) or 5
 # (ten readings each on one host: parent 2.78-3.62, median 3.11; change
 # 3.32-4.15, median 3.83 - bound 3.8 * 3.83 / 3.11 = 4.7), while `--profile`
-# itself got faster every time (EXPERIMENTS.md A9, A12). A quantity the mix
+# itself got faster every time (EXPERIMENTS.md A9, A12). It is lowered by
+# the same rule when `--profile` gets cheaper: the inline L1-hit path took
+# ten readings from 3.38-4.62, median 4.155, to 2.02-2.88, median 2.611 -
+# bound 4.7 * 2.611 / 4.155 = 2.95 (EXPERIMENTS.md A26). A quantity the mix
 # does not move - the observer's added time per hooked memory event - cannot
 # be derived from what the driver prints: it reports the probe's observed
 # and unobserved runs only as this ratio, never as times (ROADMAP 4d).
 bench_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --trace 1 --workload gemm-observed 2>&1)"
 ratio="$(sed -n 's/^# gemm-observed: trace\.profile_ratio = \([0-9.]*\) ratio$/\1/p' <<< "$bench_out")"
-awk -v r="${ratio:-99}" 'BEGIN { exit !(r <= 4.7) }' \
-    || { echo "telemetry cost: trace.profile_ratio ${ratio:-missing} is above 4.7" >&2; exit 1; }
+awk -v r="${ratio:-99}" 'BEGIN { exit !(r <= 2.95) }' \
+    || { echo "telemetry cost: trace.profile_ratio ${ratio:-missing} is above 2.95" >&2; exit 1; }
 
 echo "All checks passed."

@@ -147,3 +147,74 @@ fn locality_identical_at_o0_and_o2_for_straight_line_kernel() {
     assert!(o0.contains("shuffle:"), "{o0}");
     assert_eq!(o0, o2, "optimizer must not change the simulated locality");
 }
+
+/// The exact counters of a prefetching `genmatmul` kernel (N=64, NB=32,
+/// 2×2 register blocks of 4-lane vectors) under geometries that exercise
+/// every shape the simulator handles: a non-power-of-two set count (48 L1
+/// sets), direct-mapped L1 under an L2 of wider lines, and lines short
+/// enough that vector accesses straddle them. The numbers were taken from
+/// the stamp-scanning simulator the inline hit path replaced, so any
+/// change to what the simulator counts shows here as a changed row.
+#[test]
+fn prefetching_gemm_counts_are_pinned_per_geometry() {
+    use terra_autotune::GemmConfig;
+    // (geometry, [L1 hits, misses, evictions], [L2 ...], [useful, late, useless])
+    let rows = [
+        (
+            "l1=32k,64,8:l2=256k,64,8",
+            [84518, 3546, 3652],
+            [2092, 1454, 0],
+            [64, 224, 16080],
+        ),
+        (
+            "l1=24k,64,8:l2=96k,64,4",
+            [84501, 3563, 3999],
+            [2103, 1460, 55],
+            [51, 224, 16093],
+        ),
+        (
+            "l1=4k,64,1:l2=64k,128,2",
+            [61809, 26255, 42575],
+            [19304, 6951, 7631],
+            [32, 13728, 2608],
+        ),
+        (
+            "l1=1k,8,2:l2=8k,16,4",
+            [18432, 161792, 178048],
+            [0, 161792, 177664],
+            [0, 0, 16384],
+        ),
+    ];
+    let mut s = GemmSession::new().unwrap();
+    let n = 64;
+    let cfg = GemmConfig {
+        nb: 32,
+        rm: 2,
+        rn: 2,
+        v: 4,
+    };
+    let f = s.generated(n, cfg, Precision::F64).unwrap();
+    let ws = s.workspace(n, Precision::F64);
+    let mut wrong = Vec::new();
+    for (spec, l1, l2, pf) in rows {
+        let t = s.terra();
+        t.set_cache_config(terra_core::CacheConfig::parse(spec).unwrap());
+        t.set_profile(true);
+        t.reset_profile();
+        s.run(&f, &ws);
+        let c = s.terra().profile().cache;
+        s.terra().set_profile(false);
+        let got = (
+            [c.l1.hits, c.l1.misses, c.l1.evictions],
+            [c.l2.hits, c.l2.misses, c.l2.evictions],
+            [c.prefetch_useful, c.prefetch_late, c.prefetch_useless],
+        );
+        if got != (l1, l2, pf) {
+            wrong.push(format!(
+                "(\"{spec}\", {:?}, {:?}, {:?}),",
+                got.0, got.1, got.2
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "counters moved:\n{}", wrong.join("\n"));
+}
