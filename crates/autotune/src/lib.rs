@@ -11,9 +11,11 @@
 //! composes two such kernels into a full two-level blocked multiply. The
 //! script also holds the validity rule (`gemmfault`), the search space
 //! (`gemmconfigs`) and the search itself (`gemmtune`), the paper's Lua
-//! auto-tuner; [`GemmSession::autotune`] calls it. The Rust side allocates
-//! the matrices, times single kernels ([`GemmSession::measure_gflops`]) and
-//! verifies results ([`Workspace::verify`]).
+//! auto-tuner, which `examples/autotune_gemm.t` runs. The script ships with
+//! `terra-core` as `lib/gemm`, so any session loads it with
+//! `terralib.require("lib/gemm")`. The Rust side allocates the matrices,
+//! times single kernels ([`GemmSession::measure_gflops`]) and verifies
+//! results ([`Workspace::verify`]).
 //!
 //! Baselines mirror Figure 6's series: `gennaive` (the unblocked loop) and
 //! `genblocked` (cache blocking only), plus [`vendor_config`], an
@@ -23,10 +25,11 @@
 #![warn(missing_docs)]
 
 use std::time::Instant;
-use terra_core::{LuaError, LuaValue, Terra, TerraFn, Value};
+use terra_core::{LuaError, Terra, TerraFn, Value};
 
-/// The combined Lua-Terra GEMM generator (paper Figure 5 + driver).
-pub const GEMM_SCRIPT: &str = include_str!("gemm.lua");
+/// The combined Lua-Terra GEMM generator (paper Figure 5 + driver): the
+/// source of `lib/gemm` in [`terra_core::LIBRARIES`].
+pub const GEMM_SCRIPT: &str = terra_core::LIBRARIES[0].1;
 
 /// Element precision for the GEMM experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,26 +108,14 @@ pub struct GemmSession {
 }
 
 impl GemmSession {
-    /// Creates a session and loads [`GEMM_SCRIPT`].
+    /// Creates a session and loads `lib/gemm`.
     ///
     /// # Errors
     ///
-    /// Fails only if the embedded script fails to stage.
+    /// Fails only if the library fails to stage.
     pub fn new() -> Result<Self, LuaError> {
-        Self::with_opt_level(terra_core::OptLevel::default())
-    }
-
-    /// Like [`GemmSession::new`], but with an explicit mid-end optimization
-    /// level — useful for measuring what the optimizer buys on the staged
-    /// kernels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates staging errors from the generator script.
-    pub fn with_opt_level(level: terra_core::OptLevel) -> Result<Self, LuaError> {
         let mut terra = Terra::new();
-        terra.set_opt_level(level);
-        terra.exec(GEMM_SCRIPT)?;
+        terra.exec("terralib.require(\"lib/gemm\")")?;
         Ok(GemmSession { terra, counter: 0 })
     }
 
@@ -183,38 +174,6 @@ impl GemmSession {
             prec.type_name()
         ))?;
         self.terra.function(&name)
-    }
-
-    /// Auto-tunes with the script's `gemmtune`: stages every configuration
-    /// of the search space at size `n`, times `reps` runs of each after one
-    /// warm-up on a fresh workspace, and returns the fastest with its GFLOPS.
-    ///
-    /// # Errors
-    ///
-    /// Propagates staging errors, and the script's error when no
-    /// configuration tiles `n`.
-    pub fn autotune(
-        &mut self,
-        n: usize,
-        prec: Precision,
-        reps: usize,
-    ) -> Result<(GemmConfig, f64), LuaError> {
-        let ws = self.workspace(n, prec);
-        let out = self.terra.exec(&format!(
-            "local c, gflops = gemmtune({n}, {}, {}, {}, {}, {})\n\
-             return c.NB, c.RM, c.RN, c.V, gflops",
-            prec.type_name(),
-            ws.a,
-            ws.b,
-            ws.c,
-            reps.max(1)
-        ))?;
-        use LuaValue::Number as N;
-        let [N(nb), N(rm), N(rn), N(v), N(gflops)] = out[..] else {
-            return Err(LuaError::msg("gemmtune: expected NB, RM, RN, V and GFLOPS"));
-        };
-        let (nb, rm, rn, v) = (nb as usize, rm as usize, rn as usize, v as usize);
-        Ok((GemmConfig { nb, rm, rn, v }, gflops))
     }
 
     /// Allocates an `n`×`n` workspace (A, B, C) with deterministic contents.
@@ -384,6 +343,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use terra_core::LuaValue;
 
     #[test]
     fn naive_matmul_is_correct() {
@@ -510,11 +470,35 @@ mod tests {
         }
     }
 
+    /// Runs the script's `gemmtune` at size `n` on a fresh workspace, one
+    /// timed run per configuration; returns the fastest and its GFLOPS.
+    fn gemmtune(
+        s: &mut GemmSession,
+        n: usize,
+        prec: Precision,
+    ) -> Result<(GemmConfig, f64), LuaError> {
+        let ws = s.workspace(n, prec);
+        let out = s.terra().exec(&format!(
+            "local c, gflops = gemmtune({n}, {}, {}, {}, {}, 1)\n\
+             return c.NB, c.RM, c.RN, c.V, gflops",
+            prec.type_name(),
+            ws.a,
+            ws.b,
+            ws.c
+        ))?;
+        use LuaValue::Number as N;
+        let [N(nb), N(rm), N(rn), N(v), N(gflops)] = out[..] else {
+            panic!("gemmtune returned {out:?}");
+        };
+        let (nb, rm, rn, v) = (nb as usize, rm as usize, rn as usize, v as usize);
+        Ok((GemmConfig { nb, rm, rn, v }, gflops))
+    }
+
     /// The Lua tuner returns a configuration of its space that verifies.
     #[test]
     fn autotune_picks_a_candidate() {
         let mut s = GemmSession::new().unwrap();
-        let (best, gflops) = s.autotune(32, Precision::F64, 1).unwrap();
+        let (best, gflops) = gemmtune(&mut s, 32, Precision::F64).unwrap();
         assert!(lua_candidates(&mut s, 32, Precision::F64).contains(&best));
         assert!(gflops > 0.0, "{gflops}");
         let ws = s.workspace(32, Precision::F64);
@@ -563,7 +547,7 @@ mod tests {
             ),
             (
                 "the tuner with no candidate",
-                s.autotune(24, f64_, 1).map(drop),
+                gemmtune(&mut s, 24, f64_).map(drop),
                 "gemmtune: no configuration tiles N=24",
             ),
         ];

@@ -8,66 +8,27 @@
 //! stubs are staged from reflected function types, and subtyping is a
 //! user-defined `__cast`.
 //!
-//! The paper measures dispatch overhead with a micro-benchmark and reports
-//! virtual invocation within 1% of comparable C++; [`DispatchBench`]
-//! reproduces that comparison on this backend (virtual vs direct calls).
+//! The library ships with `terra-core` as `lib/javalike`: any session loads
+//! it with `local J = terralib.require("lib/javalike")`
+//! (`examples/class_shapes.t`). The paper measures dispatch overhead with a
+//! micro-benchmark and reports virtual invocation within 1% of comparable
+//! C++; [`DispatchBench`] reproduces that comparison on this backend
+//! (virtual vs direct calls).
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 use terra_core::{LuaError, Terra, TerraFn, Value};
 
-/// The class-system library, written in the staged language.
-pub const JAVALIKE_SCRIPT: &str = include_str!("javalike.lua");
-
-/// A Terra session with the class library loaded under the global `J`.
-pub struct ClassSession {
-    terra: Terra,
-}
-
-impl ClassSession {
-    /// Loads the library.
-    ///
-    /// # Errors
-    ///
-    /// Propagates staging errors from the library itself.
-    pub fn new() -> Result<ClassSession, LuaError> {
-        let mut terra = Terra::new();
-        terra.register_module("lib/javalike", JAVALIKE_SCRIPT);
-        terra.exec("J = terralib.require(\"lib/javalike\")")?;
-        Ok(ClassSession { terra })
-    }
-
-    /// Runs combined Lua-Terra code with `J` in scope.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the chunk.
-    pub fn exec(&mut self, src: &str) -> Result<(), LuaError> {
-        self.terra.exec(src)?;
-        Ok(())
-    }
-
-    /// Calls a global function expecting a numeric result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates staging/runtime errors.
-    pub fn call_f64(&mut self, name: &str, args: &[f64]) -> Result<f64, LuaError> {
-        self.terra.call_f64(name, args)
-    }
-
-    /// The underlying session.
-    pub fn terra(&mut self) -> &mut Terra {
-        &mut self.terra
-    }
-}
+/// The class-system library, written in the staged language: the source of
+/// `lib/javalike` in [`terra_core::LIBRARIES`].
+pub const JAVALIKE_SCRIPT: &str = terra_core::LIBRARIES[1].1;
 
 /// The §6.3.1 dispatch micro-benchmark: a class with one virtual method,
 /// called in a tight loop through (a) the vtable, (b) an interface, and (c)
 /// directly.
 pub struct DispatchBench {
-    session: ClassSession,
+    terra: Terra,
     virtual_loop: TerraFn,
     interface_loop: TerraFn,
     direct_loop: TerraFn,
@@ -92,14 +53,15 @@ impl DispatchBench {
     ///
     /// Propagates staging errors.
     pub fn new() -> Result<DispatchBench, LuaError> {
-        let mut session = ClassSession::new()?;
+        let mut terra = Terra::new();
         // The benchmark isolates *dispatch* overhead: at -O2 the mid-end
         // inlines the tiny direct callee into its loop, which removes the
         // baseline call entirely and turns the ratio into a measurement of
         // the inliner instead. -O1 keeps all three loops paying a real call.
-        session.terra.set_opt_level(terra_core::OptLevel::O1);
-        session.exec(
+        terra.set_opt_level(terra_core::OptLevel::O1);
+        terra.exec(
             r#"
+            local J = terralib.require("lib/javalike")
             local std = terralib.includec("stdlib.h")
             Incr = J.interface { inc = {int} -> int }
 
@@ -142,12 +104,12 @@ impl DispatchBench {
             end
             "#,
         )?;
-        let obj = session.call_f64("makecounter", &[1.0])? as u64;
-        let virtual_loop = session.terra.function("virtual_loop")?;
-        let interface_loop = session.terra.function("interface_loop")?;
-        let direct_loop = session.terra.function("direct_loop")?;
+        let obj = terra.call_f64("makecounter", &[1.0])? as u64;
+        let virtual_loop = terra.function("virtual_loop")?;
+        let interface_loop = terra.function("interface_loop")?;
+        let direct_loop = terra.function("direct_loop")?;
         Ok(DispatchBench {
-            session,
+            terra,
             virtual_loop,
             interface_loop,
             direct_loop,
@@ -157,7 +119,6 @@ impl DispatchBench {
 
     fn run_loop(&mut self, f: &TerraFn, n: i64) -> i64 {
         match self
-            .session
             .terra
             .invoke(f, &[Value::Ptr(self.obj), Value::Int(n)])
             .expect("dispatch loop trapped")
@@ -208,6 +169,13 @@ impl DispatchBench {
 mod tests {
     use super::*;
 
+    /// A plain session with the class library as the global `J`.
+    fn session() -> Terra {
+        let mut t = Terra::new();
+        t.exec("J = terralib.require(\"lib/javalike\")").unwrap();
+        t
+    }
+
     #[test]
     fn interface_and_virtual_dispatch() {
         let mut b = DispatchBench::new().unwrap();
@@ -216,7 +184,7 @@ mod tests {
 
     #[test]
     fn single_inheritance_with_override() {
-        let mut s = ClassSession::new().unwrap();
+        let mut s = session();
         s.exec(
             r#"
             local std = terralib.includec("stdlib.h")
@@ -255,7 +223,7 @@ mod tests {
 
     #[test]
     fn interface_conversion_and_dispatch() {
-        let mut s = ClassSession::new().unwrap();
+        let mut s = session();
         s.exec(
             r#"
             local std = terralib.includec("stdlib.h")
@@ -288,7 +256,7 @@ mod tests {
 
     #[test]
     fn non_subtype_cast_is_rejected() {
-        let mut s = ClassSession::new().unwrap();
+        let mut s = session();
         let err = s
             .exec(
                 r#"

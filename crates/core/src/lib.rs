@@ -65,13 +65,29 @@ impl Default for Terra {
     }
 }
 
+/// The paper's libraries, written in Lua-Terra, as `(require name, source)`:
+/// the DGEMM generator and tuner (§6.1), the class system (§6.3.1), the
+/// data table and the mesh kernels over it (§6.3.2), and Orion (§6.2).
+/// Every session can `terralib.require` each by its name; a library runs on
+/// its first `require`, and registering one copies and parses nothing.
+pub const LIBRARIES: [(&str, &str); 5] = [
+    ("lib/gemm", include_str!("lib/gemm.lua")),
+    ("lib/javalike", include_str!("lib/javalike.lua")),
+    ("lib/datatable", include_str!("lib/datatable.lua")),
+    ("lib/mesh", include_str!("lib/mesh.lua")),
+    ("lib/orion", include_str!("lib/orion.lua")),
+];
+
 impl Terra {
     /// Creates a session with the standard library (`terralib`, the
-    /// simulated C headers, primitive types) installed.
+    /// simulated C headers, primitive types) installed and the
+    /// [`LIBRARIES`] registered.
     pub fn new() -> Self {
-        Terra {
-            interp: Interp::new(),
+        let mut interp = Interp::new();
+        for (name, source) in LIBRARIES {
+            interp.module_sources.insert(name.into(), source.into());
         }
+        Terra { interp }
     }
 
     /// Runs a combined Lua-Terra chunk, returning its `return` values.
@@ -89,7 +105,7 @@ impl Terra {
     pub fn register_module(&mut self, name: &str, source: &str) {
         self.interp
             .module_sources
-            .insert(name.to_string(), source.to_string());
+            .insert(name.to_owned().into(), source.to_owned().into());
     }
 
     /// Enables lint mode: every Terra function compiled from here on is run

@@ -6,12 +6,11 @@
 local std = terralib.includec("stdlib.h")
 
 function DataTable(fields, layout)
-  -- Deterministic field order.
+  -- Fields in the order the constructor wrote them (`pairs` order).
   local names = terralib.newlist()
   for k, v in pairs(fields) do
     names:insert(k)
   end
-  table.sort(names)
 
   struct T {}
   T.entries:insert { field = "n", type = int }

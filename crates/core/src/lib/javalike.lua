@@ -35,7 +35,6 @@ function J.interface(methods)
   for k, v in pairs(methods) do
     names:insert(k)
   end
-  table.sort(names)
   struct IVT {}
   struct I {}
   I.entries:insert { field = "__ivtable", type = &IVT }
@@ -143,7 +142,6 @@ local function finalize(T)
       m.impls[name] = fn
     end
   end
-  table.sort(m.methodnames)
 
   -- Parent first.
   if m.parent ~= nil then

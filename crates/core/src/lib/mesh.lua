@@ -1,8 +1,9 @@
 -- Mesh micro-benchmarks from §6.3.2 (Figure 9), parameterized by data
--- layout. `DataTable` (datatable.lua) provides both runtime accessor
+-- layout. `DataTable` (lib/datatable) provides both runtime accessor
 -- methods and compile-time accessors (quote generators), so the kernels
 -- below are written once and staged against either layout.
 
+terralib.require("lib/datatable")
 local std = terralib.includec("stdlib.h")
 local cmath = terralib.includec("math.h")
 

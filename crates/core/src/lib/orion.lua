@@ -219,25 +219,22 @@ function schedules.linebuffer(g, stages, n)
     local y, row, scrd = symbol("y"), symbol("inrow"), symbol("scrd")
     local lo, hi = `y0 - hy, `terralib.min(y0 + top, h + hy)
     if last then lo, hi = `y0, `terralib.min(y0 + STRIP, h) end
-    local scr, bases = {}, terralib.newlist()
-    for j = 0, i - 1 do
-      local base, hj = symbol("scr" .. j), halo[j]
-      scr[j] = base
-      bases:insert(quote var [base] = (y - y0 + hj) * s + p end)
-    end
-    if not last then bases:insert(quote var [scrd] = (y - y0 + hy) * s + p end) end
+    -- Row bases only for what the stage reads and writes: `src` marks them.
+    local scr, read, bases = {}, { [-1] = last }, terralib.newlist()
     local function src(e)
+      read[e.input and -1 or e.stage] = true
       if e.input then return g.ins[e.input + 1], row end
+      scr[e.stage] = scr[e.stage] or symbol("scr" .. e.stage)
       return st[e.stage], scr[e.stage]
     end
     local hx = last and 0 or xhalo[i]
-    passes:insert(quote
-      for [y] = lo, hi do
-        var [row] = (y + p) * s + p;
-        [bases];
-        [xloop(last and g.out or st[i], last and row or scrd, -hx, g.w + hx, stages[i], src, g)]
-      end
-    end)
+    local loop = xloop(last and g.out or st[i], last and row or scrd, -hx, g.w + hx, stages[i], src, g)
+    if read[-1] then bases:insert(quote var [row] = (y + p) * s + p end) end
+    for j = 0, i - 1 do
+      if read[j] then bases:insert(quote var [scr[j]] = (y - y0 + [halo[j]]) * s + p end) end
+    end
+    if not last then bases:insert(quote var [scrd] = (y - y0 + hy) * s + p end) end
+    passes:insert(quote for [y] = lo, hi do [bases]; [loop] end end)
   end
   return quote [alloc]; for [y0] = 0, h, STRIP do [passes] end; [free] end
 end

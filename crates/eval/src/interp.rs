@@ -12,6 +12,7 @@ use crate::error::{EvalResult, LuaError, Phase};
 use crate::reflect;
 use crate::spec::{lua_to_spec, SpecExpr, SpecExprKind, SpecFunc, SpecQuote, Specializer};
 use crate::value::{LuaClosure, LuaValue, Table, TableRef};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -57,8 +58,9 @@ pub struct Interp {
     stack_base: usize,
     /// Registered modules for `require`.
     pub modules: HashMap<String, LuaValue>,
-    /// Sources registered for `require` but not yet loaded.
-    pub module_sources: HashMap<String, String>,
+    /// Sources registered for `require` but not yet loaded; a library
+    /// compiled into the host is borrowed, not copied.
+    pub module_sources: HashMap<Cow<'static, str>, Cow<'static, str>>,
     /// When set, every function compiled from here on is also run through
     /// the full IR analysis suite (dataflow + bounds lints) and the
     /// resulting warnings accumulate in [`Interp::diagnostics`].
@@ -124,7 +126,7 @@ impl Interp {
     ///
     /// Propagates syntax errors, Lua runtime errors, and staging errors.
     pub fn exec(&mut self, src: &str) -> EvalResult<Vec<LuaValue>> {
-        let t0 = self.ctx.exec.trace.now_us();
+        let t0 = self.ctx.exec.trace.open();
         let block = terra_syntax::parse(src)?;
         self.ctx
             .exec
@@ -553,7 +555,7 @@ impl Interp {
         name: Rc<str>,
         implicit_self: Option<Ty>,
     ) -> EvalResult<SpecFunc> {
-        let t0 = self.ctx.exec.trace.now_us();
+        let t0 = self.ctx.exec.trace.open();
         let spec = if let Some(self_ty) = implicit_self {
             // Prepend `self` by specializing in an env where `self` is bound
             // to a fresh symbol, and adding it to the parameter list.
@@ -1482,13 +1484,7 @@ impl Interp {
         Ok(match v {
             LuaValue::Nil => "nil".to_string(),
             LuaValue::Bool(b) => b.to_string(),
-            LuaValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
+            LuaValue::Number(n) => crate::stdlib::number_str(*n),
             LuaValue::Str(s) => s.to_string(),
             LuaValue::Table(t) => format!("table: {:p}", Rc::as_ptr(t)),
             LuaValue::Function(f) => format!("function: {:p}", Rc::as_ptr(f)),

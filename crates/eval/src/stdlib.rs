@@ -29,24 +29,37 @@ fn arg(args: &[LuaValue], i: usize) -> LuaValue {
 }
 
 fn num_arg(args: &[LuaValue], i: usize, who: &str) -> EvalResult<f64> {
-    arg(args, i).as_number().ok_or_else(|| {
-        LuaError::msg(format!(
-            "bad argument #{} to '{}': number expected",
-            i + 1,
-            who
-        ))
-    })
+    arg(args, i)
+        .as_number()
+        .ok_or_else(|| bad_type(args, i, who, "number"))
 }
 
+/// A string argument; a number is converted as `tostring` converts it, as
+/// `luaL_checklstring` does.
 fn str_arg(args: &[LuaValue], i: usize, who: &str) -> EvalResult<Rc<str>> {
     match arg(args, i) {
         LuaValue::Str(s) => Ok(s),
-        other => Err(LuaError::msg(format!(
-            "bad argument #{} to '{}': string expected, got {}",
-            i + 1,
-            who,
-            other.type_name()
-        ))),
+        LuaValue::Number(n) => Ok(number_str(n).into()),
+        _ => Err(bad_type(args, i, who, "string")),
+    }
+}
+
+/// Lua 5.1's `luaL_typerror`: `bad argument #2 to 'rep' (number expected,
+/// got string)`, with `no value` for an argument that is absent.
+fn bad_type(args: &[LuaValue], i: usize, who: &str, expected: &str) -> LuaError {
+    let got = args.get(i).map_or("no value", LuaValue::type_name);
+    LuaError::msg(format!(
+        "bad argument #{} to '{who}' ({expected} expected, got {got})",
+        i + 1
+    ))
+}
+
+/// A number as `tostring` and `..` write it.
+pub(crate) fn number_str(n: f64) -> String {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
     }
 }
 
@@ -826,13 +839,8 @@ fn install_table_lib(interp: &mut Interp) {
                     _ => Ok(None),
                 };
                 let sep = match arg(&args, 1) {
-                    LuaValue::Nil => String::new(),
-                    v => text(it, &v)?.ok_or_else(|| {
-                        LuaError::msg(format!(
-                            "bad argument #2 to 'concat' (string expected, got {})",
-                            v.type_name()
-                        ))
-                    })?,
+                    LuaValue::Nil => "".into(),
+                    _ => str_arg(&args, 1, "concat")?,
                 };
                 let len = t.borrow().len() as f64;
                 let bound = |k: usize, default: f64| match arg(&args, k) {

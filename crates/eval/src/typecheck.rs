@@ -225,7 +225,7 @@ fn compile_one(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
     // additionally runs the dataflow and bounds analyses, accumulating
     // warnings on the interpreter; diagnostics are computed on a fold-only
     // copy so they are identical at every -O level.
-    let t0 = interp.ctx.exec.trace.now_us();
+    let t0 = interp.ctx.exec.trace.open();
     let mut diags = {
         let env = CtxEnv { ctx: &interp.ctx };
         if interp.lint {
@@ -297,7 +297,7 @@ fn compile_one(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
         });
     }
     let globals = interp.ctx.global_addrs();
-    let t0 = interp.ctx.exec.trace.now_us();
+    let t0 = interp.ctx.exec.trace.open();
     let compiled = terra_vm::try_compile(&ir, &interp.ctx.types, &mut interp.ctx.exec, &globals)
         .map_err(|e| terr(e.to_string(), span))?;
     interp
@@ -311,7 +311,7 @@ fn compile_one(interp: &mut Interp, id: FuncId, span: Span) -> EvalResult<()> {
 
 /// Typechecks a function body, producing IR and its direct dependencies.
 fn check_function(interp: &mut Interp, id: FuncId) -> EvalResult<(IrFunction, Vec<FuncId>)> {
-    let t0 = interp.ctx.exec.trace.now_us();
+    let t0 = interp.ctx.exec.trace.open();
     let result = check_function_inner(interp, id);
     if let Ok((ir, _)) = &result {
         let name = ir.name.clone();

@@ -285,7 +285,7 @@ fn generic_for_with_custom_iterator() {
 fn require_loads_registered_modules() {
     let mut t = Interp::new();
     t.module_sources
-        .insert("answer".to_string(), "return { value = 42 }".to_string());
+        .insert("answer".into(), "return { value = 42 }".into());
     let out = t.exec("local m = require 'answer' return m.value").unwrap();
     assert!(matches!(out[0], LuaValue::Number(n) if n == 42.0));
     // Cached: same table on second require.

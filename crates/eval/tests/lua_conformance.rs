@@ -32,7 +32,9 @@
 //! traversal clear the fields it visits, and nil and NaN are not keys;
 //! then `unpack`'s range (§5.1): `i` and `j`, nils past the border, and the
 //! C stack's limit; then `string.find`'s `init` and `plain`, `string.byte`'s
-//! range and `string.char`'s bytes (§5.4), and `tonumber`'s bases (§5.1).
+//! range and `string.char`'s bytes (§5.4), and `tonumber`'s bases (§5.1);
+//! last, the library's argument checks (`luaL_typerror`'s words, and a
+//! number where a string is expected, as `luaL_checklstring` takes it).
 
 use terra_eval::{Interp, LuaValue};
 
@@ -444,6 +446,31 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "table.concat refuses a value that is neither a string nor a number",
         "return select(2, pcall(table.concat, {1, true, 3}))",
         "invalid value (at index 2) in table for 'concat'",
+    ),
+    (
+        "a number argument of the wrong type is named as luaL_typerror names it",
+        "return select(2, pcall(table.concat, {1, 2}, ',', 'x'))",
+        "bad argument #3 to 'concat' (number expected, got string)",
+    ),
+    (
+        "a string argument of the wrong type is named as luaL_typerror names it",
+        "return select(2, pcall(string.len, true))",
+        "bad argument #1 to 'len' (string expected, got boolean)",
+    ),
+    (
+        "string.len takes a number as its string",
+        "return string.len(123)",
+        "3",
+    ),
+    (
+        "string.rep takes a number as its string",
+        "return string.rep(5, 2)",
+        "55",
+    ),
+    (
+        "string.upper takes a number as its string",
+        "return string.upper(1.5)",
+        "1.5",
     ),
 ];
 

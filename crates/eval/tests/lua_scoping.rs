@@ -272,14 +272,14 @@ fn a_required_module_keeps_its_own_locals() {
     let mut t = Interp::new();
     t.capture_output();
     t.module_sources.insert(
-        "counter".to_string(),
+        "counter".into(),
         r#"
             local n = 100
             local M = {}
             function M.bump() n = n + 1; return n end
             return M
         "#
-        .to_string(),
+        .into(),
     );
     t.exec(
         r#"

@@ -15,16 +15,15 @@
 //! object by value; this backend does not pass aggregates by value, so the
 //! container exposes `get_<field>`/`set_<field>` accessors instead — the
 //! interface is still layout-independent, which is the point.
+//!
+//! `DataTable` and the kernels ship with `terra-core` as `lib/datatable` and
+//! `lib/mesh` (`examples/data_layout.t` runs them from a script); this crate
+//! builds host meshes, uploads them and times the kernels.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 use terra_core::{LuaError, Terra, TerraFn, Value};
-
-/// The `DataTable` constructor (combined Lua-Terra source).
-pub const DATATABLE_SCRIPT: &str = include_str!("datatable.lua");
-/// The mesh kernels parameterized by layout.
-pub const MESH_SCRIPT: &str = include_str!("mesh.lua");
 
 /// Record storage layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,13 +170,12 @@ impl MeshKit {
     ///
     /// # Errors
     ///
-    /// Propagates staging errors from the embedded scripts.
+    /// Propagates staging errors from the libraries.
     pub fn new(mesh: &HostMesh, layout: Layout) -> Result<MeshKit, LuaError> {
         let mut terra = Terra::new();
-        terra.exec(DATATABLE_SCRIPT)?;
-        terra.exec(MESH_SCRIPT)?;
         terra.exec(&format!(
-            "local kit = genmesh(\"{}\")\n\
+            "terralib.require(\"lib/mesh\")\n\
+             local kit = genmesh(\"{}\")\n\
              __mk, __translate, __normals = kit.mk, kit.translate, kit.normals\n\
              __upload, __readnormals, __readpositions = kit.upload, kit.readnormals, kit.readpositions",
             layout.name()

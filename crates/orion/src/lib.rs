@@ -6,10 +6,12 @@
 //! *materialized*, *inlined* or *line-buffered*, and any schedule can be
 //! *vectorized* with Terra's vector types.
 //!
-//! As in the paper, Orion is a Lua library, [`ORION_SCRIPT`]: operator
-//! overloading builds the image algebra, and each schedule stages Terra
-//! with quotes, escapes and symbols. This crate wraps it: a [`Pipeline`]
-//! holds each stage's Lua source, [`Pipeline::compile`] stages it under a
+//! As in the paper, Orion is a Lua library, `lib/orion` in
+//! [`terra_core::LIBRARIES`]: operator overloading builds the image algebra,
+//! each schedule stages Terra with quotes, escapes and symbols, and
+//! `orion.fluid` stages the fluid solver's time step (`examples/fluid.t`
+//! runs it). This crate wraps the pipelines: a [`Pipeline`] holds each
+//! stage's Lua source, [`Pipeline::compile`] stages it under a
 //! [`Schedule`], and [`ImageBuf`] holds padded zero-boundary images.
 //!
 //! ```
@@ -31,13 +33,7 @@
 
 #![warn(missing_docs)]
 
-pub mod fluid;
-
 use terra_core::{LuaError, LuaValue, Terra, TerraFn, Value};
-
-/// The Orion library, written in the staged language: the image algebra,
-/// the three schedules and the fluid solver's kernels.
-pub const ORION_SCRIPT: &str = include_str!("orion.lua");
 
 /// Reference to a pipeline stage (in definition order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +69,7 @@ impl Schedule {
         }
     }
 
-    /// The arguments `orion.lua` takes for this schedule: the strategy's
+    /// The arguments `lib/orion` takes for this schedule: the strategy's
     /// name and the vectorize flag.
     fn lua(&self) -> String {
         let strategy = format!("{:?}", self.strategy).to_lowercase();
@@ -153,45 +149,32 @@ impl Pipeline {
         schedule: Schedule,
     ) -> Result<CompiledStencil, LuaError> {
         let mut chunk = format!(
-            "local input, stage = orion.input, orion.stage\nlocal p = orion.pipeline({})\n",
+            "local orion = terralib.require(\"lib/orion\")\n\
+             local input, stage = orion.input, orion.stage\n\
+             local p = orion.pipeline({})\n",
             self.n_inputs
         );
         chunk.extend(self.stages.iter().map(|s| format!("p:stage(\n{s}\n)\n")));
         chunk.extend(self.inlined.iter().map(|j| format!("p:inline({j})\n")));
         chunk += &format!(
-            "local f, padding = p:compile({w}, {h}, {})\nreturn padding, f",
+            "orion_kernel, orion_padding = p:compile({w}, {h}, {})",
             schedule.lua()
         );
-        let (padding, mut f) = stage_kernels(t, &chunk)?;
+        t.exec(&chunk).map_err(|e| e.traced("orion"))?;
+        let f = t.function("orion_kernel")?;
+        let LuaValue::Number(padding) = t.global("orion_padding") else {
+            return Err(LuaError::msg("orion: compile returned no padding"));
+        };
+        t.set_global("orion_kernel", LuaValue::Nil);
+        t.set_global("orion_padding", LuaValue::Nil);
         Ok(CompiledStencil {
-            f: f.remove(0),
+            f,
             w,
             h,
-            padding,
+            padding: padding as usize,
             n_inputs: self.n_inputs,
         })
     }
-}
-
-/// Runs `chunk` with the library loaded as `orion`. The chunk returns the
-/// padding its buffers need, then the Terra functions it staged; each is
-/// compiled here.
-fn stage_kernels(t: &mut Terra, chunk: &str) -> Result<(usize, Vec<TerraFn>), LuaError> {
-    t.register_module("lib/orion", ORION_SCRIPT);
-    let prelude = "local orion = terralib.require(\"lib/orion\")\n";
-    let out = t.exec(&(prelude.to_owned() + chunk));
-    let mut out = out.map_err(|e| e.traced("orion"))?.into_iter();
-    let Some(LuaValue::Number(padding)) = out.next() else {
-        return Err(LuaError::msg("orion: the chunk returned no padding"));
-    };
-    let kernels = out
-        .map(|f| {
-            t.set_global("orion_kernel", f);
-            t.function("orion_kernel")
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    t.set_global("orion_kernel", LuaValue::Nil);
-    Ok((padding as usize, kernels))
 }
 
 /// `v` as a Lua expression that evaluates to exactly `v`: `{:?}` prints the
@@ -628,5 +611,213 @@ mod tests {
                 assert!(ok(*x, *y), "row {i}: {x} -> {y}");
             }
         }
+    }
+
+    /// `orion.fluid` staged under `schedule` on an `n`×`n` grid, with seven
+    /// zeroed fields: `u`, `v`, `dens`, then the scratch fields `a`, `b`,
+    /// `p` and `div`.
+    struct Fluid {
+        t: Terra,
+        n: usize,
+        fields: Vec<ImageBuf>,
+        iters: i64,
+    }
+
+    const U: usize = 0;
+    const V: usize = 1;
+    const DENS: usize = 2;
+
+    impl Fluid {
+        fn new(n: usize, diff: f64, schedule: Schedule, iters: i64) -> Fluid {
+            let mut t = Terra::new();
+            let out = t
+                .exec(&format!(
+                    "local k = terralib.require(\"lib/orion\").fluid({n}, 0.05, {}, {})\n\
+                     fluid_step, fluid_diffuse, fluid_project = k.step, k.diffuse, k.project\n\
+                     return k.padding",
+                    lua_num(diff),
+                    schedule.lua()
+                ))
+                .unwrap();
+            let [LuaValue::Number(padding)] = out[..] else {
+                panic!("orion.fluid's padding: {out:?}");
+            };
+            let fields = (0..7)
+                .map(|_| ImageBuf::alloc_raw(&mut t, n, n, padding as usize))
+                .collect();
+            Fluid {
+                t,
+                n,
+                fields,
+                iters,
+            }
+        }
+
+        /// Calls the staged `entry` on the fields `which`, then the Jacobi
+        /// iteration count.
+        fn run(&mut self, entry: &str, which: &[usize]) {
+            let f = self.t.function(entry).unwrap();
+            let mut args: Vec<Value> = which
+                .iter()
+                .map(|&i| Value::Ptr(self.fields[i].addr))
+                .collect();
+            args.push(Value::Int(self.iters));
+            self.t.invoke(&f, &args).expect("fluid solver trapped");
+        }
+
+        /// One full Stam step: `step(u, v, dens, a, b, p, div)`.
+        fn step(&mut self) {
+            self.run("fluid_step", &[0, 1, 2, 3, 4, 5, 6]);
+        }
+
+        fn write(&mut self, field: usize, data: &[f32]) {
+            self.fields[field].write(&mut self.t, data);
+        }
+
+        fn read(&self, field: usize) -> Vec<f32> {
+            self.fields[field].read(&self.t)
+        }
+    }
+
+    fn blob(n: usize) -> Vec<f32> {
+        (0..n * n)
+            .map(|i| {
+                let (x, y) = ((i % n) as f64, (i / n) as f64);
+                let c = n as f64 / 2.0;
+                let d2 = (x - c) * (x - c) + (y - c) * (y - c);
+                (-d2 / (n as f64)).exp() as f32
+            })
+            .collect()
+    }
+
+    fn swirl(n: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut u = vec![0.0f32; n * n];
+        let mut v = vec![0.0f32; n * n];
+        let c = n as f32 / 2.0;
+        for y in 0..n {
+            for x in 0..n {
+                let dx = x as f32 - c;
+                let dy = y as f32 - c;
+                u[y * n + x] = -dy * 0.02;
+                v[y * n + x] = dx * 0.02;
+            }
+        }
+        (u, v)
+    }
+
+    fn total_mass(d: &[f32]) -> f64 {
+        d.iter().map(|v| *v as f64).sum()
+    }
+
+    fn run_sim(schedule: Schedule, steps: usize) -> Vec<f32> {
+        let n = 16;
+        let mut sim = Fluid::new(n, 0.0002, schedule, 8);
+        let (u0, v0) = swirl(n);
+        sim.write(DENS, &blob(n));
+        sim.write(U, &u0);
+        sim.write(V, &v0);
+        for _ in 0..steps {
+            sim.step();
+        }
+        sim.read(DENS)
+    }
+
+    #[test]
+    fn simulation_runs_and_stays_finite() {
+        let d = run_sim(Schedule::match_c(), 3);
+        assert!(d.iter().all(|v| v.is_finite()));
+        assert!(total_mass(&d) > 0.0);
+    }
+
+    #[test]
+    fn schedules_agree_on_the_physics() {
+        let reference = run_sim(Schedule::match_c(), 2);
+        for strategy in [Strategy::Inline, Strategy::LineBuffer] {
+            for vectorize in [false, true] {
+                let got = run_sim(
+                    Schedule {
+                        strategy,
+                        vectorize,
+                    },
+                    2,
+                );
+                for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-4,
+                        "{strategy:?}/{vectorize}: cell {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diffusion_spreads_and_conserves_roughly() {
+        let n = 16;
+        let mut sim = Fluid::new(n, 0.001, Schedule::match_c(), 8);
+        let mut d0 = vec![0.0f32; n * n];
+        d0[(n / 2) * n + n / 2] = 1.0;
+        sim.write(DENS, &d0);
+        // `diffuse(dens, b, a)`: the diffusion solve alone (the `diffuse`
+        // kernel of Figure 7, which Figure 8 benchmarks).
+        sim.run("fluid_diffuse", &[DENS, 4, 3]);
+        let d = sim.read(DENS);
+        let center = d[(n / 2) * n + n / 2];
+        let neighbor = d[(n / 2) * n + n / 2 + 1];
+        assert!(center < 1.0, "diffusion must lower the peak");
+        assert!(neighbor > 0.0, "diffusion must spread to neighbors");
+        // Zero-boundary Jacobi loses a little mass but not much for a
+        // centered blob.
+        let mass = total_mass(&d);
+        assert!(mass > 0.5 && mass <= 1.01, "mass = {mass}");
+    }
+
+    #[test]
+    fn projection_reduces_divergence() {
+        let n = 16;
+        let mut sim = Fluid::new(n, 0.0002, Schedule::match_c(), 64);
+        // A strongly divergent field: radial outflow.
+        let mut u = vec![0.0f32; n * n];
+        let mut v = vec![0.0f32; n * n];
+        let c = n as f32 / 2.0;
+        for y in 0..n {
+            for x in 0..n {
+                u[y * n + x] = (x as f32 - c) * 0.1;
+                v[y * n + x] = (y as f32 - c) * 0.1;
+            }
+        }
+        sim.write(U, &u);
+        sim.write(V, &v);
+        // Measure away from the zero boundary, where Jacobi converges fast.
+        let div_before = host_divergence(&u, &v, n);
+        // `project(u, v, p, div, a, b)`.
+        sim.run("fluid_project", &[U, V, 5, 6, 3, 4]);
+        let div_after = host_divergence(&sim.read(U), &sim.read(V), sim.n);
+        assert!(
+            div_after < div_before * 0.35,
+            "projection: interior divergence {div_before} -> {div_after}"
+        );
+    }
+
+    /// RMS divergence over the interior (boundary rows excluded — the zero
+    /// boundary condition leaves irreducible divergence there).
+    fn host_divergence(u: &[f32], v: &[f32], n: usize) -> f64 {
+        let at = |b: &[f32], x: i32, y: i32| -> f32 {
+            if x < 0 || y < 0 || x >= n as i32 || y >= n as i32 {
+                0.0
+            } else {
+                b[y as usize * n + x as usize]
+            }
+        };
+        let mut sum = 0.0;
+        for y in 3..n as i32 - 3 {
+            for x in 3..n as i32 - 3 {
+                let d = (at(u, x + 1, y) - at(u, x - 1, y) + at(v, x, y + 1) - at(v, x, y - 1))
+                    as f64
+                    * 0.5;
+                sum += d * d;
+            }
+        }
+        sum.sqrt()
     }
 }

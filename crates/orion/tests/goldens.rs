@@ -2,17 +2,15 @@
 //! chain and a four-stage vertical chain under each strategy, scalar and
 //! vectorized, at 64×80 and `-O2`, the FNV-1a hash of the output's bits and
 //! the instructions the kernel retires; and the fluid solver's density
-//! after two steps under three schedules. The numbers were recorded from
-//! the Rust source printer that `orion.lua` replaced, so a row that moves
-//! means a schedule now stages a different kernel.
+//! after two steps under every schedule, as `examples/fluid.t` prints it.
+//! The numbers were recorded from the Rust source printer that `lib/orion`
+//! replaced, so a row that moves means a schedule now stages a different
+//! kernel.
 
 mod reference;
 
 use terra_core::{LuaValue, Terra, Value};
-use terra_orion::fluid::FluidSim;
-use terra_orion::{
-    area_filter, pointwise_pipeline, ImageBuf, Pipeline, Schedule, Strategy, ORION_SCRIPT,
-};
+use terra_orion::{area_filter, pointwise_pipeline, ImageBuf, Pipeline, Schedule, Strategy};
 
 const W: usize = 64;
 const H: usize = 80;
@@ -111,33 +109,20 @@ fn every_schedule_stages_the_recorded_kernel() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
+/// `examples/fluid.t` steps a blob in a swirl twice (n = 16, eight Jacobi
+/// iterations) under each of the six schedules and prints each density's
+/// FNV-1a hash.
 #[test]
 fn the_fluid_solver_steps_to_the_recorded_density() {
-    const DENSITY: u64 = 0x3a9bbd3477c4a019;
-    let n = 16;
-    let blob: Vec<f32> = (0..n * n)
-        .map(|i| {
-            let (x, y) = ((i % n) as f64, (i / n) as f64);
-            let c = n as f64 / 2.0;
-            (-((x - c) * (x - c) + (y - c) * (y - c)) / n as f64).exp() as f32
-        })
-        .collect();
-    let u: Vec<f32> = (0..n * n).map(|i| -((i / n) as f32 - 8.0) * 0.02).collect();
-    let v: Vec<f32> = (0..n * n).map(|i| ((i % n) as f32 - 8.0) * 0.02).collect();
-    for s in [
-        Schedule::match_c(),
-        schedule(Strategy::LineBuffer, true),
-        schedule(Strategy::Inline, false),
-    ] {
-        let mut sim = FluidSim::new(n, 0.05, 0.0002, s).unwrap();
-        sim.solver_iters = 8;
-        let (d, bu, bv) = (sim.dens, sim.u, sim.v);
-        sim.write(d, &blob);
-        sim.write(bu, &u);
-        sim.write(bv, &v);
-        sim.step();
-        sim.step();
-        assert_eq!(fnv1a(&sim.read(&sim.dens)), DENSITY, "{s:?}");
+    const DENSITY: &str = "3a9bbd3477c4a019";
+    let mut t = Terra::new();
+    t.capture_output();
+    t.exec(include_str!("../../../examples/fluid.t")).unwrap();
+    let out = t.take_output();
+    let rows: Vec<&str> = out.lines().filter(|l| l.contains(" density ")).collect();
+    assert_eq!(rows.len(), 6, "{out}");
+    for row in rows {
+        assert_eq!(row.split_whitespace().nth(2), Some(DENSITY), "{row}");
     }
 }
 
@@ -152,7 +137,6 @@ fn the_paper_area_filter_in_lua_is_the_rust_one() {
     ] {
         for vectorize in [false, true] {
             let mut t = Terra::new();
-            t.register_module("lib/orion", ORION_SCRIPT);
             t.exec(&format!(
                 r#"
                 local orion = terralib.require("lib/orion")

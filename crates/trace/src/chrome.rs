@@ -148,6 +148,7 @@ mod tests {
                 name: "chu\"nk".into(),
                 start_us: 1,
                 dur_us: 2,
+                depth: 0,
             }],
             ops: vec![("add.i".into(), 3)],
             ..Profile::default()
@@ -170,6 +171,7 @@ mod tests {
                 name: "f".into(),
                 start_us: 0,
                 dur_us: 5,
+                depth: 0,
             }],
             ..Profile::default()
         };
@@ -194,6 +196,7 @@ mod tests {
                 name: "path\\to\u{1}\n\"fn\"\tx".into(),
                 start_us: 0,
                 dur_us: 1,
+                depth: 0,
             }],
             remarks: vec![crate::Remark {
                 site: crate::Site::new("f\\\"g\n", 1, None),
@@ -221,6 +224,7 @@ mod tests {
                 name: "run".into(),
                 start_us: 0,
                 dur_us: 50,
+                depth: 0,
             }],
             ..Profile::default()
         };
@@ -298,6 +302,7 @@ mod tests {
                 name: "gemm:licm".into(),
                 start_us: 123,
                 dur_us: 4,
+                depth: 0,
             }],
             remarks: vec![remark("licm", "hoisted loop-invariant expression")],
             ..Profile::default()

@@ -250,6 +250,7 @@ mod tests {
                 name: "chunk".to_string(),
                 start_us: 11,
                 dur_us: 7,
+                depth: 0,
             }],
             ops: vec![("add.i".to_string(), 3)],
             funcs: vec![FuncProfile {

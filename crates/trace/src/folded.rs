@@ -2,13 +2,15 @@
 //!
 //! The folded format — one `frame1;frame2;... weight` line per unique stack —
 //! is the input both `inferno-flamegraph` and Brendan Gregg's
-//! `flamegraph.pl` consume. We rebuild stacks from the span timeline: spans
-//! are intervals on one logical thread, so a span strictly contained in
-//! another is its child. Each stack's weight is the *self* time of its leaf
-//! (inclusive duration minus child durations), clamped to at least 1 µs so
-//! fast runs on coarse clocks still produce a visible, well-formed graph.
+//! `flamegraph.pl` consume. We rebuild stacks from the span timeline by
+//! structure, not by clock: the tracer records a span when it closes, with
+//! the depth it opened at, so a span's children are the deeper spans
+//! recorded before it and after its previous sibling. Each stack's weight is
+//! the *self* time of its leaf (inclusive duration minus child durations),
+//! clamped to at least 1 µs so fast runs on coarse clocks still produce a
+//! visible, well-formed graph.
 
-use crate::Profile;
+use crate::{Profile, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -32,67 +34,36 @@ impl Profile {
 
     /// Folded stacks from the span timeline (the pre-sampling behaviour).
     fn spans_to_folded(&self) -> String {
-        // Sort by start ascending; ties by longer duration first so parents
-        // precede their children, then by original index for determinism.
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ea, eb) = (&self.events[a], &self.events[b]);
-            ea.start_us
-                .cmp(&eb.start_us)
-                .then_with(|| eb.dur_us.cmp(&ea.dur_us))
-                .then_with(|| a.cmp(&b))
-        });
-
-        // Sweep the ordered spans keeping the stack of still-open intervals.
-        // frame label, end timestamp, inclusive duration, child time so far.
-        struct Open {
-            label: String,
-            end: u64,
-            dur: u64,
-            child_dur: u64,
+        let events = &self.events;
+        // Closing, a span adopts every deeper span still waiting for a
+        // parent: its children, and those of a child that failed unrecorded.
+        let (mut parent, mut child_us) = (vec![None; events.len()], vec![0; events.len()]);
+        let mut waiting: Vec<Vec<usize>> = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            let depth = e.depth as usize;
+            for c in waiting
+                .iter_mut()
+                .skip(depth + 1)
+                .flat_map(|level| level.drain(..))
+            {
+                parent[c] = Some(i);
+                child_us[i] += events[c].dur_us;
+            }
+            waiting.resize_with(waiting.len().max(depth + 1), Vec::new);
+            waiting[depth].push(i);
         }
-        let mut stack: Vec<Open> = Vec::new();
+        // Semicolons are the frame separator; commas read the same.
+        let label = |e: &SpanEvent| format!("{}: {}", e.stage.label(), e.name.replace(';', ","));
         let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-        let mut flush = |stack: &[Open], top: &Open| {
-            let mut name = String::new();
-            for f in stack {
-                name.push_str(&f.label);
-                name.push(';');
+        for (i, e) in events.iter().enumerate() {
+            let mut stack = label(e);
+            let mut up = parent[i];
+            while let Some(p) = up {
+                stack = format!("{};{stack}", label(&events[p]));
+                up = parent[p];
             }
-            name.push_str(&top.label);
-            let self_us = top.dur.saturating_sub(top.child_dur).max(1);
-            *weights.entry(name).or_insert(0) += self_us;
-        };
-        for i in order {
-            let e = &self.events[i];
-            // Close every open span that ends at or before this one starts.
-            while let Some(top) = stack.last() {
-                if top.end <= e.start_us {
-                    let top = stack.pop().unwrap();
-                    flush(&stack, &top);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.child_dur += top.dur;
-                    }
-                } else {
-                    break;
-                }
-            }
-            // Semicolons are the frame separator; commas read the same.
-            let label = format!("{}: {}", e.stage.label(), e.name.replace(';', ","));
-            stack.push(Open {
-                label,
-                end: e.start_us + e.dur_us,
-                dur: e.dur_us,
-                child_dur: 0,
-            });
+            *weights.entry(stack).or_insert(0) += e.dur_us.saturating_sub(child_us[i]).max(1);
         }
-        while let Some(top) = stack.pop() {
-            flush(&stack, &top);
-            if let Some(parent) = stack.last_mut() {
-                parent.child_dur += top.dur;
-            }
-        }
-
         let mut out = String::new();
         for (name, weight) in &weights {
             let _ = writeln!(out, "{name} {weight}");
@@ -112,13 +83,19 @@ mod tests {
         }
     }
 
+    /// A span at depth 0; [`nested`] one deeper.
     fn span(stage: Stage, name: &str, start_us: u64, dur_us: u64) -> SpanEvent {
         SpanEvent {
             stage,
             name: name.into(),
             start_us,
             dur_us,
+            depth: 0,
         }
+    }
+
+    fn nested(depth: u32, e: SpanEvent) -> SpanEvent {
+        SpanEvent { depth, ..e }
     }
 
     #[test]
@@ -128,10 +105,11 @@ mod tests {
 
     #[test]
     fn nested_spans_become_stacks_with_self_time() {
-        // execute:main [0,100) contains typecheck:f [10,40).
+        // execute:main [0,100) contains typecheck:f [10,40); the tracer
+        // records a span when it closes.
         let p = profile_with(vec![
+            nested(1, span(Stage::Typecheck, "f", 10, 30)),
             span(Stage::Execute, "main", 0, 100),
-            span(Stage::Typecheck, "f", 10, 30),
         ]);
         let folded = p.to_folded();
         let mut lines: Vec<&str> = folded.lines().collect();
@@ -152,6 +130,23 @@ mod tests {
         assert!(folded.contains("parse: chunk 10\n"), "{folded}");
         assert!(folded.contains("execute: main 20\n"), "{folded}");
         assert!(!folded.contains(';'), "siblings must not nest: {folded}");
+    }
+
+    /// Two 0 µs passes that start when their 0 µs parent does are its
+    /// children and each other's siblings, whatever the clock says.
+    #[test]
+    fn zero_duration_siblings_at_one_start_nest_by_depth() {
+        let p = profile_with(vec![
+            nested(1, span(Stage::Optimize, "Rect:widen:fold", 5, 0)),
+            nested(1, span(Stage::Optimize, "Rect:widen:affine", 5, 0)),
+            span(Stage::Typecheck, "Rect:widen", 5, 0),
+        ]);
+        assert_eq!(
+            p.to_folded(),
+            "typecheck: Rect:widen 1\n\
+             typecheck: Rect:widen;optimize: Rect:widen:affine 1\n\
+             typecheck: Rect:widen;optimize: Rect:widen:fold 1\n"
+        );
     }
 
     #[test]
@@ -211,8 +206,8 @@ mod tests {
     #[test]
     fn semicolons_in_names_are_sanitized_and_lines_are_well_formed() {
         let p = profile_with(vec![
+            nested(1, span(Stage::Compile, "k", 5, 10)),
             span(Stage::Execute, "a;b", 0, 50),
-            span(Stage::Compile, "k", 5, 10),
         ]);
         let folded = p.to_folded();
         for line in folded.lines() {

@@ -119,6 +119,16 @@ pub struct SpanEvent {
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
+    /// How many spans enclosed this one when it opened (0 at the top).
+    pub depth: u32,
+}
+
+/// Where and when a span opened: from [`Tracer::open`], for [`Tracer::record`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpanStart {
+    /// Microseconds since the tracer's epoch.
+    pub us: u64,
+    depth: u32,
 }
 
 /// Deterministic execution counters for one Terra function.
@@ -151,6 +161,7 @@ pub struct FuncProfile {
 pub struct Tracer {
     enabled: bool,
     epoch: Instant,
+    depth: u32,
     events: Vec<SpanEvent>,
     remarks: Vec<Remark>,
 }
@@ -167,6 +178,7 @@ impl Tracer {
         Tracer {
             enabled: false,
             epoch: Instant::now(),
+            depth: 0,
             events: Vec::new(),
             remarks: Vec::new(),
         }
@@ -206,22 +218,33 @@ impl Tracer {
 
     // -- timeline ------------------------------------------------------------
 
-    /// Microseconds since the tracer's epoch; the `start` for [`Tracer::record`].
+    /// Microseconds since the tracer's epoch.
     #[inline]
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Records a completed span that began at `start_us` (from
-    /// [`Tracer::now_us`]). No-op while disabled.
-    pub fn record(&mut self, stage: Stage, name: &str, start_us: u64) {
-        let dur_us = self.now_us().saturating_sub(start_us);
-        self.record_span(stage, name, start_us, dur_us);
+    /// Opens a span: spans opened before it is recorded are its children.
+    pub fn open(&mut self) -> SpanStart {
+        self.depth += 1;
+        SpanStart {
+            us: self.now_us(),
+            depth: self.depth - 1,
+        }
     }
 
-    /// Records a completed span with an explicit duration — for callers
-    /// (like the pass manager) that measured the work themselves and report
-    /// it after the fact.
+    /// Records the span opened at `start` (no-op while disabled). The depth
+    /// goes back to `start`'s, so a child that failed before it was recorded
+    /// leaves no level behind.
+    pub fn record(&mut self, stage: Stage, name: &str, start: SpanStart) {
+        self.depth = start.depth;
+        let dur_us = self.now_us().saturating_sub(start.us);
+        self.record_span(stage, name, start.us, dur_us);
+    }
+
+    /// Records a completed span with an explicit duration, at the current
+    /// depth — for callers (like the pass manager) that measured the work
+    /// themselves and report it after the fact.
     pub fn record_span(&mut self, stage: Stage, name: &str, start_us: u64, dur_us: u64) {
         if !self.enabled {
             return;
@@ -231,6 +254,7 @@ impl Tracer {
             name: name.to_string(),
             start_us,
             dur_us,
+            depth: self.depth,
         });
     }
 
@@ -555,9 +579,34 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::new();
-        let s = t.now_us();
+        let s = t.open();
         t.record(Stage::Parse, "chunk", s);
         assert!(t.snapshot().events.is_empty());
+    }
+
+    /// A span records the depth it opened at; a child that is never
+    /// recorded (its stage failed) leaves no level behind once its parent
+    /// is recorded.
+    #[test]
+    fn spans_record_the_depth_they_opened_at() {
+        let mut t = Tracer::new();
+        t.set_enabled(true);
+        let outer = t.open();
+        let inner = t.open();
+        let _failed = t.open();
+        t.record(Stage::Typecheck, "inner", inner);
+        t.record_span(Stage::Optimize, "inner:fold", outer.us, 0);
+        t.record(Stage::Execute, "outer", outer);
+        let next = t.open();
+        t.record(Stage::Execute, "next", next);
+        let depths: Vec<(String, u32)> = t
+            .snapshot()
+            .events
+            .into_iter()
+            .map(|e| (e.name, e.depth))
+            .collect();
+        let expected = [("inner", 1), ("inner:fold", 1), ("outer", 0), ("next", 0)];
+        assert_eq!(depths, expected.map(|(n, d)| (n.to_string(), d)));
     }
 
     #[test]

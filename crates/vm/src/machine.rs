@@ -292,7 +292,7 @@ impl ExecutionContext {
             slots.push(encode_arg(*v, ty));
             slots.resize(end, 0);
         }
-        let start = self.trace.now_us();
+        let start = self.trace.open();
         let bits = self.call_slots(&program, f, &slots)?;
         self.trace
             .record(terra_trace::Stage::Execute, &func.name, start);

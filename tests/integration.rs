@@ -3,10 +3,8 @@
 //! "all parts of the toolchain … inter-operate amongst themselves".
 
 use terra_autotune::{GemmConfig, GemmSession, Precision};
-use terra_classes::ClassSession;
 use terra_core::{Terra, Value};
 use terra_layout::{HostMesh, Layout, MeshKit};
-use terra_orion::fluid::FluidSim;
 use terra_orion::{area_filter, ImageBuf, Pipeline, Schedule, Strategy};
 
 /// The headline GEMM shape: a tuned configuration beats naive by a wide
@@ -151,37 +149,27 @@ fn orion_vectorization_speedup_with_identical_results() {
 }
 
 /// The fluid solver runs the same physics under every schedule and keeps
-/// mass roughly conserved over several steps.
+/// mass roughly conserved over several steps: `examples/fluid.t` prints,
+/// per schedule, a hash of the density's bits and its mass before and after.
 #[test]
 fn fluid_simulation_is_schedule_invariant() {
-    let mut results = Vec::new();
-    for strategy in [Strategy::Materialize, Strategy::LineBuffer] {
-        let mut sim = FluidSim::new(
-            16,
-            0.05,
-            0.0005,
-            Schedule {
-                strategy,
-                vectorize: true,
-            },
-        )
-        .unwrap();
-        sim.solver_iters = 4;
-        let n = sim.n();
-        let mut dens = vec![0.0f32; n * n];
-        dens[n * n / 2 + n / 2] = 1.0;
-        let d = sim.dens;
-        sim.write(d, &dens);
-        for _ in 0..2 {
-            sim.step();
-        }
-        results.push(sim.read(&sim.dens));
+    let mut t = Terra::new();
+    t.capture_output();
+    t.exec(include_str!("../examples/fluid.t")).unwrap();
+    let out = t.take_output();
+    // `<schedule> density <hash> mass <before> -> <after>`
+    let rows: Vec<Vec<&str>> = out
+        .lines()
+        .filter(|l| l.contains(" density "))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), 6, "{out}");
+    for row in &rows {
+        assert_eq!(row[2], rows[0][2], "schedules disagree:\n{out}");
+        let mass = |i: usize| row[i].parse::<f64>().unwrap();
+        let kept = mass(6) / mass(4);
+        assert!(kept > 0.3 && kept < 1.1, "mass {kept} of the start drifted");
     }
-    for (a, b) in results[0].iter().zip(&results[1]) {
-        assert!((a - b).abs() < 1e-4, "schedules disagree: {a} vs {b}");
-    }
-    let mass: f64 = results[0].iter().map(|v| *v as f64).sum();
-    assert!(mass > 0.3 && mass < 1.1, "mass {mass} drifted");
 }
 
 /// Both data layouts compute identical normals on the same mesh.
@@ -210,9 +198,10 @@ fn layouts_agree_end_to_end() {
 /// a Terra function takes an interface pointer produced by __cast.
 #[test]
 fn classes_compose_with_plain_terra() {
-    let mut s = ClassSession::new().unwrap();
+    let mut s = Terra::new();
     s.exec(
         r#"
+        local J = terralib.require("lib/javalike")
         local std = terralib.includec("stdlib.h")
         Valued = J.interface { value = {} -> double }
         struct Konst { v : double }
@@ -243,9 +232,9 @@ fn classes_compose_with_plain_terra() {
 #[test]
 fn one_process_many_systems() {
     let mut t = Terra::new();
-    t.exec(terra_autotune::GEMM_SCRIPT).unwrap();
     t.exec(
         r#"
+        terralib.require("lib/gemm")
         mm = genmatmul(16, 16, 2, 2, 4, double)
         local std = terralib.includec("stdlib.h")
         terra frobenius(p : &double, n : int) : double

@@ -11,7 +11,8 @@ use terra_orion::{area_filter, ImageBuf, Schedule, Strategy};
 /// Runs the generated 32×32 DGEMM at `level`; returns (total instructions,
 /// inner-kernel exclusive instructions, the C matrix).
 fn gemm_at(level: OptLevel) -> (u64, u64, Vec<u64>) {
-    let mut s = GemmSession::with_opt_level(level).expect("gemm session");
+    let mut s = GemmSession::new().expect("gemm session");
+    s.terra().set_opt_level(level);
     let cfg = GemmConfig {
         nb: 16,
         rm: 2,
@@ -361,6 +362,7 @@ fn the_fig5_k_loop_is_what_the_generator_wrote() {
 /// §6.3.1's class hierarchy as `dispatch-calls` builds it, with its two
 /// dispatching loops and constructors the host can call.
 const DISPATCH: &str = r#"
+local J = terralib.require("lib/javalike")
 local std = terralib.includec("stdlib.h")
 Scorer = J.interface { score = {int} -> int }
 struct Base { bias : int }
@@ -420,9 +422,9 @@ end
 /// pointer receiver — as counters and as `disas()` text.
 #[test]
 fn a_virtual_call_is_one_indirect_call() {
-    let mut s = terra_classes::ClassSession::new().expect("class library");
+    let mut s = Terra::new();
     s.exec(DISPATCH).unwrap();
-    let mut ptr = |call: &str| match s.terra().exec(&format!("return {call}")).unwrap()[..] {
+    let mut ptr = |call: &str| match s.exec(&format!("return {call}")).unwrap()[..] {
         [terra_core::LuaValue::Number(p)] => terra_core::Value::Ptr(p as u64),
         ref other => panic!("{call}: {other:?}"),
     };
@@ -432,9 +434,9 @@ fn a_virtual_call_is_one_indirect_call() {
         ("virtual_loop", base, derived),
         ("interface_loop", ibase, iother),
     ] {
-        let f = s.terra().function(name).unwrap();
+        let f = s.function(name).unwrap();
         let mut ops = |n: i64| {
-            let t = s.terra();
+            let t = &mut s;
             t.set_profile(true);
             t.reset_profile();
             t.invoke(&f, &[a, b, terra_core::Value::Int(n)])
@@ -465,7 +467,7 @@ fn a_virtual_call_is_one_indirect_call() {
             "{name}: one frame per call, the callee's"
         );
 
-        let out = s.terra().exec(&format!("return {name}:disas()")).unwrap();
+        let out = s.exec(&format!("return {name}:disas()")).unwrap();
         let terra_core::LuaValue::Str(text) = &out[0] else {
             panic!("disas returns a string: {out:?}");
         };
@@ -496,7 +498,7 @@ fn a_virtual_call_is_one_indirect_call() {
 
     // The body the call reaches: the field, an `int` add that wraps
     // inside its own instruction, the modulus and the return.
-    let out = s.terra().exec("return base_score:disas()").unwrap();
+    let out = s.exec("return base_score:disas()").unwrap();
     let terra_core::LuaValue::Str(text) = &out[0] else {
         panic!("disas returns a string: {out:?}");
     };
