@@ -613,38 +613,6 @@ walk:compile()
 }
 
 #[test]
-fn licm_remarks_a_proven_in_bounds_load_hoist() {
-    // The `a[0]` load is loop-invariant and the loop is memory-pure, but
-    // hoisting changes how often it executes (the loop may run zero times),
-    // so LICM may only move it because the abstract interpreter proves the
-    // access in-bounds — and the remark must say so.
-    let mut t = Terra::new();
-    t.exec(
-        r#"
-terra ksum(n : int) : int
-    var a : int[4]
-    a[0] = 5
-    var s = 0
-    for i = 0, n do
-        s = s + a[0]
-    end
-    return s
-end
-result = ksum(3)
-"#,
-    )
-    .unwrap();
-    let remarks = t.remarks();
-    assert!(
-        remarks.iter().any(|r| r.pass == "licm"
-            && r.kind == "applied"
-            && r.message
-                .contains("hoisted loop-invariant load (proven in-bounds)")),
-        "expected a proven-load hoist remark, got: {remarks:#?}"
-    );
-}
-
-#[test]
 fn checkelim_remarks_explain_proven_and_unproven_sites() {
     // One loop whose accesses are provably in-bounds (elided, with the
     // object named) and one whose index range the analysis cannot bound

@@ -188,6 +188,11 @@ fn install_base(interp: &mut Interp) {
         }),
     );
     interp.set_global(
+        "xpcall",
+        native("xpcall", |_, _| Err(not_implemented("xpcall"))),
+    );
+    interp.set_global("load", native("load", |_, _| Err(not_implemented("load"))));
+    interp.set_global(
         "pcall",
         native("pcall", |it, mut args| {
             if args.is_empty() {
@@ -739,6 +744,18 @@ fn install_string(interp: &mut Interp) {
             }),
         );
         sb.set_str(
+            "gsub",
+            native("gsub", |_, _| Err(not_implemented("string.gsub"))),
+        );
+        sb.set_str(
+            "match",
+            native("match", |_, _| Err(not_implemented("string.match"))),
+        );
+        sb.set_str(
+            "gmatch",
+            native("gmatch", |_, _| Err(not_implemented("string.gmatch"))),
+        );
+        sb.set_str(
             "char",
             native("char", |_, args| {
                 let mut out = String::new();
@@ -754,6 +771,12 @@ fn install_string(interp: &mut Interp) {
         );
     }
     interp.set_global("string", LuaValue::Table(s));
+}
+
+/// The error a Lua 5.1 library function this implementation leaves out
+/// raises when called (DESIGN.md §2 lists the supported subset).
+fn not_implemented(name: &str) -> LuaError {
+    LuaError::msg(format!("{name} is not implemented"))
 }
 
 /// `table.insert(t, [pos,] v)`, which is also a list's `:insert`.

@@ -33,13 +33,21 @@
 //! then `unpack`'s range (§5.1): `i` and `j`, nils past the border, and the
 //! C stack's limit; then `string.find`'s `init` and `plain`, `string.byte`'s
 //! range and `string.char`'s bytes (§5.4), and `tonumber`'s bases (§5.1);
-//! last, the library's argument checks (`luaL_typerror`'s words, and a
-//! number where a string is expected, as `luaL_checklstring` takes it).
+//! then the library's argument checks (`luaL_typerror`'s words, and a
+//! number where a string is expected, as `luaL_checklstring` takes it);
+//! then `%q`, which writes what `addquoted` writes (§5.4); then the
+//! functions this implementation leaves out, each of which names itself
+//! when called; last, suffixes follow only a prefix expression (§2.5.8 and
+//! the grammar of §8), so `7[0]` is a syntax error.
 
 use terra_eval::{Interp, LuaValue};
 
-/// What `src` returns, as `tostring` renders it; an error as `error`.
+/// What `src` returns, as `tostring` renders it; an error as `error`, and
+/// a chunk that does not parse as `syntax error`.
 fn returns(src: &str) -> String {
+    if terra_syntax::parse(src).is_err() {
+        return "syntax error".to_string();
+    }
     let mut t = Interp::new();
     match t.exec(src) {
         Ok(out) => match out.first() {
@@ -471,6 +479,56 @@ const CORNERS: &[(&str, &str, &str)] = &[
         "string.upper takes a number as its string",
         "return string.upper(1.5)",
         "1.5",
+    ),
+    (
+        "%q writes a newline as a backslash and the newline itself",
+        "return string.format('%q', 'a\\nb') == '\"a\\\\\\nb\"'",
+        "true",
+    ),
+    (
+        "%q writes a zero byte as \\000",
+        "return string.format('%q', 'a\\0b')",
+        "\"a\\000b\"",
+    ),
+    (
+        "%q writes a tab as it is",
+        "return string.format('%q', 'a\\tb') == '\"a\\tb\"'",
+        "true",
+    ),
+    (
+        "%q writes any other control byte as it is",
+        "return string.format('%q', 'a\\1b') == '\"a\\1b\"'",
+        "true",
+    ),
+    (
+        "string.gsub is not implemented, and says so",
+        "return select(2, pcall(string.gsub, 'a', 'a', 'b'))",
+        "string.gsub is not implemented",
+    ),
+    (
+        "string.match is not implemented, and says so",
+        "return select(2, pcall(string.match, 'a', 'a'))",
+        "string.match is not implemented",
+    ),
+    (
+        "string.gmatch is not implemented, and says so",
+        "return select(2, pcall(string.gmatch, 'a', 'a'))",
+        "string.gmatch is not implemented",
+    ),
+    (
+        "xpcall is not implemented, and says so",
+        "return select(2, pcall(xpcall, print, print))",
+        "xpcall is not implemented",
+    ),
+    (
+        "load is not implemented, and says so",
+        "return select(2, pcall(load, 'return 1'))",
+        "load is not implemented",
+    ),
+    (
+        "a numeral takes no index",
+        "print(7[0])",
+        "syntax error",
     ),
 ];
 

@@ -202,6 +202,24 @@ fn statement_quotes_splice() {
     assert_eq!(eval_num(src), 13.0);
 }
 
+/// A literal ends an expression, so a statement escape on the line after
+/// `var y : int = 7` is a statement of its own, not an index into `7`.
+#[test]
+fn a_statement_escape_follows_a_literal_initializer() {
+    let src = r#"
+        local x = symbol(int)
+        local q = quote [x] = [x] + 1 end
+        terra f() : int
+            var [x] = 1
+            var y : int = 7
+            [q]
+            return [x] + y
+        end
+        return f()
+    "#;
+    assert_eq!(eval_num(src), 9.0);
+}
+
 #[test]
 fn hygiene_no_accidental_capture() {
     // The `i` inside the quote must not capture the function's `i`.

@@ -58,7 +58,7 @@ use super::{diag, Diagnostic, EnvEntry, ModuleEnv, Severity};
 use crate::analysis::range::{Interval, Nullness};
 use crate::ir::{
     BinKind, Builtin, Callee, CmpKind, ExprKind, FuncId, GlobalId, IrExpr, IrFunction, IrStmt,
-    LocalId, LocalSlot, StmtKind, UnKind,
+    LocalId, StmtKind, UnKind,
 };
 use crate::passes::util::{collect_assigned, direct_calls, has_toplevel_break, LocalSet};
 use crate::passes::Remark;
@@ -317,49 +317,6 @@ fn attach_stamps(
 /// position, so it is void once anything may rewrite the statement.
 pub(crate) fn clear_proofs(stmts: &mut [IrStmt]) {
     attach_stamps(stmts, &mut Vec::new().into_iter().peekable());
-}
-
-/// State-free proof for LICM: whether an access of `size` bytes through
-/// `addr` — a constant-offset chain off an in-memory local — is within that
-/// local's object. Needs no flow facts, so it is usable from passes that
-/// don't run the full interpreter.
-pub(crate) fn proven_const_access(
-    addr: &IrExpr,
-    locals: &[LocalSlot],
-    types: &TypeRegistry,
-    size: u64,
-) -> bool {
-    fn peel(e: &IrExpr) -> Option<(LocalId, i64)> {
-        match &e.kind {
-            ExprKind::LocalAddr(l) => Some((*l, 0)),
-            ExprKind::Binary {
-                op: BinKind::Add,
-                lhs,
-                rhs,
-            } if e.ty.is_pointer() => {
-                let (base, off) = peel(lhs)?;
-                match rhs.kind {
-                    ExprKind::ConstInt(k) => Some((base, off.checked_add(k)?)),
-                    _ => None,
-                }
-            }
-            ExprKind::Cast(inner) if e.ty.is_pointer() => peel(inner),
-            _ => None,
-        }
-    }
-    let Some((l, off)) = peel(addr) else {
-        return false;
-    };
-    let Some(slot) = locals.get(l.0 as usize) else {
-        return false;
-    };
-    if !slot.in_memory {
-        return false;
-    }
-    let Some(obj) = size_of_ty(&slot.ty, Some(types)) else {
-        return false;
-    };
-    off >= 0 && (off as u64).saturating_add(size) <= obj
 }
 
 /// Size of `t` if every struct it references is finalized (a cautious
@@ -1099,11 +1056,9 @@ impl<'a> Interp<'a> {
             ExprKind::Unary { op, expr } => {
                 let v = self.eval(expr);
                 match (op, &v, &e.ty) {
-                    (UnKind::Neg, _, Ty::Scalar(s)) if s.is_integer() => {
-                        let raw = v.interval().map(|iv| -iv);
-                        self.wrap_check(e, *s, raw, &[(expr, &v)]);
-                        raw.map_or(AbsVal::Any, |raw| AbsVal::Int(raw.wrap_to(*s)))
-                    }
+                    (UnKind::Neg, _, Ty::Scalar(s)) if s.is_integer() => v
+                        .interval()
+                        .map_or(AbsVal::Any, |iv| AbsVal::Int((-iv).wrap_to(*s))),
                     (UnKind::Not, AbsVal::Int(iv), _) if e.ty == Ty::BOOL => {
                         AbsVal::Int(Interval::new(1 - iv.hi.clamp(0, 1), 1 - iv.lo.clamp(0, 1)))
                     }

@@ -7,8 +7,7 @@
 //! 1. **Unreachable statements** — anything after a statement control cannot
 //!    continue past (`return`, `break`, an `if` whose arms both terminate, a
 //!    `while true` without a top-level `break`) is removed.
-//! 2. **Effect-free statements** — a bare `Expr` whose expression is pure,
-//!    and self-assignments `x = x`, are removed.
+//! 2. **Self-assignments** — `x = x` is removed.
 //! 3. **Dead stores** — the backward liveness walk the `dead-store` lint
 //!    runs ([`live_in`]) removes assignments to register locals whose value
 //!    is never read, when the right-hand side is pure.
@@ -27,13 +26,13 @@ use crate::ir::{ExprKind, IrFunction, IrStmt, StmtKind};
 pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     // Each round can expose more dead code (a dead store's operands die with
     // it); iterate until nothing changes.
-    let (mut unreachable, mut effect_free, mut dead_stores) = (0usize, 0usize, 0usize);
+    let (mut unreachable, mut self_assigns, mut dead_stores) = (0usize, 0usize, 0usize);
     loop {
         let a = prune_unreachable(&mut f.body);
-        let b = drop_effect_free(&mut f.body);
+        let b = drop_self_assignments(&mut f.body);
         let c = sweep_dead_stores(f);
         unreachable += a;
-        effect_free += b;
+        self_assigns += b;
         dead_stores += c;
         if a + b + c == 0 {
             break;
@@ -43,7 +42,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     // what happened, not to function size.
     for (count, what) in [
         (unreachable, "unreachable"),
-        (effect_free, "effect-free"),
+        (self_assigns, "self-assignment"),
         (dead_stores, "dead-store"),
     ] {
         if count > 0 {
@@ -55,7 +54,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
             ));
         }
     }
-    unreachable + effect_free + dead_stores > 0
+    unreachable + self_assigns + dead_stores > 0
 }
 
 /// Truncates every block after its first terminating statement, returning
@@ -71,15 +70,13 @@ fn prune_unreachable(stmts: &mut Vec<IrStmt>) -> usize {
     removed
 }
 
-/// Removes statements that compute nothing observable, returning how many.
-fn drop_effect_free(stmts: &mut Vec<IrStmt>) -> usize {
+/// Removes every `x = x`, returning how many.
+fn drop_self_assignments(stmts: &mut Vec<IrStmt>) -> usize {
     let mut removed = 0;
     IrStmt::each_block_mut(stmts, &mut |block| {
         let before = block.len();
-        block.retain(|s| match &s.kind {
-            StmtKind::Expr(e) => !expr_is_pure(e),
-            StmtKind::Assign { dst, value } => value.kind != ExprKind::Local(*dst),
-            _ => true,
+        block.retain(|s| {
+            !matches!(&s.kind, StmtKind::Assign { dst, value } if value.kind == ExprKind::Local(*dst))
         });
         removed += before - block.len();
     });

@@ -7,38 +7,33 @@
 //! applies the algebraic rules of its kind to what is left.
 //!
 //! - Integer arithmetic: the identities `x+0`, `x-0`, `x*1`, `x/1`, `x<<0`,
-//!   `x>>0`, `x*0`, `x%1`; `x*2^k → x<<k`, unsigned `x/2^k → x>>k` and
-//!   `x%2^k → x&(2^k−1)`; `x-x`, `x^x → 0`; `x&x`, `x|x`, `min(x,x)`,
-//!   `max(x,x) → x`. Two's-complement wrapping makes `x*2^k` and `x<<k`
-//!   the same bits, and the bytecode compiler's address fusion reads a `<<`
-//!   by a constant as a scale, so a reduced address still fuses into `lea`.
-//! - `bool` `and`/`or` with a constant operand; a pointer offset by 0.
-//! - `x==x` (and `<=`, `>=`, `!=`, …) on non-float operands.
-//! - `--x` and `not not x`; a cast to the type its operand already has;
-//!   a `select` whose two arms are the same.
+//!   `x>>0`, `x*0`; `x*2^k → x<<k`; `x-x → 0`. Two's-complement wrapping
+//!   makes `x*2^k` and `x<<k` the same bits, and the bytecode compiler's
+//!   address fusion reads a `<<` by a constant as a scale, so a reduced
+//!   address still fuses into `lea`.
+//! - A pointer offset by 0; `--x`; a cast to the type its operand already
+//!   has; a `select` on a constant condition.
 //! - Floating point: constants, and only the NaN-safe `x*1.0`, `x/1.0`.
 //!
 //! A rule that *drops* an operand requires that operand to be
-//! [pure](expr_is_pure) — `(k / i) * 0` still has to trap at `i = 0` — and
-//! one that reuses an operand in place of two reads of it requires it to be
-//! [stable](expr_is_stable), which depends on which locals live in memory:
-//! [`fold_expr`], which sees no function, skips those rules.
+//! [pure](expr_is_pure) — `(k / i) * 0` still has to trap at `i = 0`.
+//!
+//! Only rules some program reaches are here: a decision known at stage 0
+//! is made in Lua, so the rest never fire (EXPERIMENTS.md A27 has the
+//! census that removed them).
 
-use super::util::{expr_is_pure, expr_is_stable};
+use super::util::expr_is_pure;
 use super::Remark;
-use crate::ir::{
-    BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, LocalSlot, StmtKind, UnKind,
-};
+use crate::ir::{BinKind, CmpKind, ExprKind, IrExpr, IrFunction, IrStmt, StmtKind, UnKind};
 use crate::types::{ScalarTy, Ty};
 
 /// Rewrites every expression of the function and collapses the `if`s that
 /// become statically decided; returns whether anything changed. One remark
 /// counts the rewritten expressions, and each collapsed branch has its own.
 pub fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
-    let IrFunction { locals, body, .. } = f;
     let before = remarks.len();
     let mut rewrites = 0usize;
-    fold_stmts(body, locals, &mut rewrites, remarks);
+    fold_stmts(&mut f.body, &mut rewrites, remarks);
     if rewrites > 0 {
         remarks.push(Remark::applied(
             "fold",
@@ -52,14 +47,9 @@ pub fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
 
 /// Rewrites every expression of `stmts` and collapses the `if`s that become
 /// statically decided; `unroll` runs it over each copy of a loop body.
-pub(super) fn fold_stmts(
-    stmts: &mut Vec<IrStmt>,
-    locals: &[LocalSlot],
-    rewrites: &mut usize,
-    remarks: &mut Vec<Remark>,
-) {
+pub(super) fn fold_stmts(stmts: &mut Vec<IrStmt>, rewrites: &mut usize, remarks: &mut Vec<Remark>) {
     IrStmt::walk_mut(stmts, &mut |s| {
-        s.operand_roots_mut(&mut |e| rewrite(e, Some(locals), rewrites))
+        s.operand_roots_mut(&mut |e| rewrite(e, rewrites))
     });
     // Statically-decided `if`s collapse to one arm.
     IrStmt::each_block_mut(stmts, &mut |block| {
@@ -95,28 +85,25 @@ pub(super) fn fold_stmts(
     });
 }
 
-/// Rewrites one expression tree in-place, without the rules that need the
-/// function's locals.
+/// Rewrites one expression tree in-place.
 pub fn fold_expr(e: &mut IrExpr) {
-    rewrite(e, None, &mut 0);
+    rewrite(e, &mut 0);
 }
 
 /// The bottom-up rewrite of `e`, counting the nodes it rewrote.
-fn rewrite(e: &mut IrExpr, locals: Option<&[LocalSlot]>, rewrites: &mut usize) {
-    e.children_mut(&mut |c| rewrite(c, locals, rewrites));
-    let stable = |x: &IrExpr| locals.is_some_and(|l| expr_is_stable(x, l));
+fn rewrite(e: &mut IrExpr, rewrites: &mut usize) {
+    e.children_mut(&mut |c| rewrite(c, rewrites));
     let new_kind: Option<ExprKind> = match (&e.ty, &e.kind) {
-        (Ty::Scalar(ScalarTy::Bool), ExprKind::Binary { op, lhs, rhs }) => {
-            bool_binary(*op, lhs, rhs)
-        }
         (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_integer() => {
-            int_binary(*st, *op, lhs, rhs, &stable)
+            int_binary(*st, *op, lhs, rhs)
         }
-        (Ty::Scalar(_), ExprKind::Binary { op, lhs, rhs }) => float_binary(*op, lhs, rhs),
+        (Ty::Scalar(st), ExprKind::Binary { op, lhs, rhs }) if st.is_float() => {
+            float_binary(*op, lhs, rhs)
+        }
         (
             Ty::Ptr(_),
             ExprKind::Binary {
-                op: BinKind::Add | BinKind::Sub,
+                op: BinKind::Add,
                 lhs,
                 rhs,
             },
@@ -134,9 +121,6 @@ fn rewrite(e: &mut IrExpr, locals: Option<&[LocalSlot]>, rewrites: &mut usize) {
         ) => match cond.kind {
             ExprKind::ConstBool(true) => Some(then_value.kind.clone()),
             ExprKind::ConstBool(false) => Some(else_value.kind.clone()),
-            _ if then_value == else_value && expr_is_pure(cond) && stable(then_value) => {
-                Some(then_value.kind.clone())
-            }
             _ => None,
         },
         _ => None,
@@ -170,13 +154,7 @@ fn power_of_two(st: ScalarTy, c: i64) -> Option<u32> {
     (u > 1 && u.is_power_of_two()).then(|| u.trailing_zeros())
 }
 
-fn int_binary(
-    st: ScalarTy,
-    op: BinKind,
-    lhs: &IrExpr,
-    rhs: &IrExpr,
-    stable: &dyn Fn(&IrExpr) -> bool,
-) -> Option<ExprKind> {
+fn int_binary(st: ScalarTy, op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
     let (lc, rc) = (lhs.int_const(), rhs.int_const());
     if let (Some(a), Some(b)) = (lc, rc) {
         let v = match op {
@@ -227,56 +205,23 @@ fn int_binary(
         // The product drops the other operand, which therefore must be pure:
         // `(k / i) * 0` still has to trap at `i = 0`.
         (BinKind::Mul, Some(0), _) if expr_is_pure(rhs) => Some(ExprKind::ConstInt(0)),
-        (BinKind::Mul, _, Some(0)) | (BinKind::Rem, _, Some(1)) if expr_is_pure(lhs) => {
-            Some(ExprKind::ConstInt(0))
-        }
+        (BinKind::Mul, _, Some(0)) if expr_is_pure(lhs) => Some(ExprKind::ConstInt(0)),
         _ => None,
     };
     if identity.is_some() {
         return identity;
     }
-    // Strength reduction, and the forms on a repeated operand.
-    let shift = |x: &IrExpr, dir: BinKind, k: u32| ExprKind::Binary {
-        op: dir,
+    // x * 2^k → x << k: the same bits under two's-complement wrapping.
+    let shl = |x: &IrExpr, k: u32| ExprKind::Binary {
+        op: BinKind::Shl,
         lhs: Box::new(x.clone()),
         rhs: Box::new(IrExpr::new(x.ty.clone(), ExprKind::ConstInt(k as i64))),
     };
     let pow2 = |c: Option<i64>| power_of_two(st, c?);
     match (op, pow2(lc), pow2(rc)) {
-        // x * 2^k → x << k: the same bits under two's-complement wrapping.
-        (BinKind::Mul, _, Some(k)) => Some(shift(lhs, BinKind::Shl, k)),
-        (BinKind::Mul, Some(k), _) => Some(shift(rhs, BinKind::Shl, k)),
-        // Unsigned x / 2^k → x >> k and x % 2^k → x & (2^k - 1).
-        (BinKind::Div, _, Some(k)) if !st.is_signed() => Some(shift(lhs, BinKind::Shr, k)),
-        (BinKind::Rem, _, Some(_)) if !st.is_signed() => Some(ExprKind::Binary {
-            op: BinKind::And,
-            lhs: Box::new(lhs.clone()),
-            rhs: Box::new(IrExpr::new(lhs.ty.clone(), ExprKind::ConstInt(rc? - 1))),
-        }),
-        (BinKind::Sub | BinKind::Xor, ..) if lhs == rhs && expr_is_pure(lhs) => {
-            Some(ExprKind::ConstInt(0))
-        }
-        (BinKind::And | BinKind::Or | BinKind::Min | BinKind::Max, ..)
-            if lhs == rhs && stable(lhs) =>
-        {
-            Some(lhs.kind.clone())
-        }
-        _ => None,
-    }
-}
-
-fn bool_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
-    let as_bool = |e: &IrExpr| match e.kind {
-        ExprKind::ConstBool(b) => Some(b),
-        _ => None,
-    };
-    match (op, as_bool(lhs), as_bool(rhs)) {
-        (BinKind::And, Some(true), _) | (BinKind::Or, Some(false), _) => Some(rhs.kind.clone()),
-        (BinKind::And, _, Some(true)) | (BinKind::Or, _, Some(false)) => Some(lhs.kind.clone()),
-        (BinKind::And, Some(false), _) if expr_is_pure(rhs) => Some(ExprKind::ConstBool(false)),
-        (BinKind::And, _, Some(false)) if expr_is_pure(lhs) => Some(ExprKind::ConstBool(false)),
-        (BinKind::Or, Some(true), _) if expr_is_pure(rhs) => Some(ExprKind::ConstBool(true)),
-        (BinKind::Or, _, Some(true)) if expr_is_pure(lhs) => Some(ExprKind::ConstBool(true)),
+        (BinKind::Mul, _, Some(k)) => Some(shl(lhs, k)),
+        (BinKind::Mul, Some(k), _) => Some(shl(rhs, k)),
+        (BinKind::Sub, ..) if lhs == rhs && expr_is_pure(lhs) => Some(ExprKind::ConstInt(0)),
         _ => None,
     }
 }
@@ -297,13 +242,7 @@ fn float_binary(op: BinKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
         return Some(ExprKind::ConstFloat(v));
     }
     // NaN-safe identities only.
-    if op == BinKind::Mul && lc == Some(1.0) {
-        Some(rhs.kind.clone())
-    } else if matches!(op, BinKind::Mul | BinKind::Div) && rc == Some(1.0) {
-        Some(lhs.kind.clone())
-    } else {
-        None
-    }
+    (matches!(op, BinKind::Mul | BinKind::Div) && rc == Some(1.0)).then(|| lhs.kind.clone())
 }
 
 fn cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
@@ -312,8 +251,6 @@ fn cmp(op: CmpKind, lhs: &IrExpr, rhs: &IrExpr) -> Option<ExprKind> {
             compare(op, a, b)
         }
         (Some(a), Some(b)) => compare(op, a as u64, b as u64),
-        // Exact on integers, pointers and bools; not on floats (NaN != NaN).
-        _ if !lhs.ty.is_float() && lhs == rhs && expr_is_pure(lhs) => compare(op, 0, 0),
         _ => compare(op, float_const(lhs)?, float_const(rhs)?),
     };
     Some(ExprKind::ConstBool(holds))
@@ -336,14 +273,15 @@ fn unary(ty: &Ty, op: UnKind, expr: &IrExpr) -> Option<ExprKind> {
             Some(ExprKind::ConstInt(st.canonical(v.wrapping_neg())))
         }
         (Ty::Scalar(_), UnKind::Neg, ExprKind::ConstFloat(v)) => Some(ExprKind::ConstFloat(-v)),
-        (Ty::Scalar(_), UnKind::Not, ExprKind::ConstBool(b)) => Some(ExprKind::ConstBool(!b)),
-        (Ty::Scalar(st), UnKind::Not, ExprKind::ConstInt(v)) => {
-            Some(ExprKind::ConstInt(st.canonical(!v)))
-        }
-        // --x → x and not not x → x: both operators are involutions.
-        (_, _, ExprKind::Unary { op: inner_op, expr }) if *inner_op == op => {
-            Some(expr.kind.clone())
-        }
+        // --x → x: negation is an involution.
+        (
+            _,
+            UnKind::Neg,
+            ExprKind::Unary {
+                op: UnKind::Neg,
+                expr,
+            },
+        ) => Some(expr.kind.clone()),
         _ => None,
     }
 }
@@ -353,41 +291,21 @@ fn cast(ty: &Ty, inner: &IrExpr) -> Option<ExprKind> {
         return (inner.ty == *ty).then(|| inner.kind.clone());
     };
     match (&inner.ty, &inner.kind) {
-        (Ty::Scalar(from), ExprKind::ConstInt(v)) => {
-            if to.is_float() {
-                // Converted straight to the target width, as the VM does: an
-                // integer rounded to f64 first can round again to f32.
-                let v = from.canonical(*v);
-                Some(ExprKind::ConstFloat(match (from.is_signed(), to) {
-                    (true, ScalarTy::F32) => v as f32 as f64,
-                    (true, _) => v as f64,
-                    (false, ScalarTy::F32) => v as u64 as f32 as f64,
-                    (false, _) => v as u64 as f64,
-                }))
-            } else if to == ScalarTy::Bool {
-                Some(ExprKind::ConstBool(*v != 0))
-            } else {
-                Some(ExprKind::ConstInt(to.canonical(*v)))
-            }
+        (Ty::Scalar(from), ExprKind::ConstInt(v)) if to.is_float() => {
+            // Converted straight to the target width, as the VM does: an
+            // integer rounded to f64 first can round again to f32.
+            let v = from.canonical(*v);
+            Some(ExprKind::ConstFloat(match (from.is_signed(), to) {
+                (true, ScalarTy::F32) => v as f32 as f64,
+                (true, _) => v as f64,
+                (false, ScalarTy::F32) => v as u64 as f32 as f64,
+                (false, _) => v as u64 as f64,
+            }))
         }
-        (Ty::Scalar(_), ExprKind::ConstFloat(v)) => {
-            if to.is_float() {
-                Some(ExprKind::ConstFloat(*v))
-            } else if to == ScalarTy::Bool {
-                Some(ExprKind::ConstBool(*v != 0.0))
-            } else if to.is_signed() {
-                Some(ExprKind::ConstInt(to.canonical(*v as i64)))
-            } else {
-                Some(ExprKind::ConstInt(to.canonical(*v as u64 as i64)))
-            }
+        (Ty::Scalar(_), ExprKind::ConstInt(v)) if to.is_integer() => {
+            Some(ExprKind::ConstInt(to.canonical(*v)))
         }
-        (Ty::Scalar(_), ExprKind::ConstBool(b)) => {
-            if to.is_float() {
-                Some(ExprKind::ConstFloat(if *b { 1.0 } else { 0.0 }))
-            } else {
-                Some(ExprKind::ConstInt(i64::from(*b)))
-            }
-        }
+        (Ty::Scalar(_), ExprKind::ConstFloat(v)) if to.is_float() => Some(ExprKind::ConstFloat(*v)),
         (from, _) if *from == *ty => Some(inner.kind.clone()),
         _ => None,
     }

@@ -35,7 +35,7 @@
 //! out-of-line version. The caller's `deps` are untouched: callees are still
 //! compiled and linked, preserving lazy-linking error behavior.
 
-use super::util::{count_nodes, direct_calls, expr_is_pure, renumber_locals};
+use super::util::{count_nodes, direct_calls, renumber_locals};
 use super::{InlineEnv, Remark};
 use crate::ir::{Callee, ExprKind, FuncId, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
 use std::collections::{BTreeSet, HashMap};
@@ -224,11 +224,9 @@ impl Inliner<'_> {
             (Site::Assign(dst), Some((e, span, prov))) => {
                 (StmtKind::Assign { dst, value: e }, span, prov)
             }
-            (Site::Discard, Some((e, span, prov))) if !expr_is_pure(&e) => {
-                (StmtKind::Expr(e), span, prov)
-            }
+            (Site::Discard, Some((e, span, prov))) => (StmtKind::Expr(e), span, prov),
             (Site::Return, Some((e, span, prov))) => (StmtKind::Return(Some(e)), span, prov),
-            (Site::Discard, _) => return Some(out),
+            (Site::Discard, None) => return Some(out),
             // A value-producing site needs a value-producing callee;
             // `admit` plus the verifier rule this out, but bail defensively.
             (Site::Assign(_) | Site::Return, None) => return None,

@@ -16,20 +16,10 @@
 //! cascade: an inner loop's hoisted assignment is itself a candidate when
 //! the enclosing loop is processed, so deeply nested address math migrates
 //! all the way out in a single pass.
-//!
-//! One exception to the no-loads rule: when the loop body performs no
-//! stores, memory copies, or calls (so memory cannot change between
-//! iterations) and the abstract interpreter proves the address in-bounds of
-//! a frame local (so the load cannot trap even when the loop runs zero
-//! times), an invariant load is hoisted like any other invariant value.
 
-use super::util::{
-    block_has_call, collect_assigned, expr_has_call, is_compound, node_is_stable, LocalSet,
-};
-use super::{PassConfig, Remark};
-use crate::analysis::absint::proven_const_access;
+use super::util::{collect_assigned, is_compound, node_is_stable, LocalSet};
+use super::Remark;
 use crate::ir::{ExprKind, IrExpr, IrFunction, IrStmt, LocalId, StmtKind};
-use crate::types::TypeRegistry;
 use terra_syntax::{Provenance, Span};
 
 /// The source line and staging chain of a statement, where a remark about
@@ -42,13 +32,11 @@ type Hoist = (IrExpr, LocalId, Site);
 
 /// Hoists loop-invariant computation out of every loop in the function;
 /// returns whether anything was hoisted.
-pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark>) -> bool {
+pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
     let mut body = std::mem::take(&mut f.body);
     let mut licm = Licm {
         f,
-        types: cfg.types,
         counter: 0,
-        mem_pure: false,
         remarks,
     };
     licm.block(&mut body);
@@ -59,11 +47,7 @@ pub(crate) fn run(f: &mut IrFunction, cfg: &PassConfig, remarks: &mut Vec<Remark
 
 struct Licm<'a> {
     f: &'a mut IrFunction,
-    types: Option<&'a TypeRegistry>,
     counter: usize,
-    /// Whether the loop currently being hoisted from cannot change memory
-    /// (no stores, memory copies, or calls anywhere inside it).
-    mem_pure: bool,
     remarks: &'a mut Vec<Remark>,
 }
 
@@ -102,14 +86,12 @@ impl Licm<'_> {
         let at_loop: Site = (s.span.line, s.prov.clone());
         match &mut s.kind {
             StmtKind::While { cond, body } => {
-                self.mem_pure = block_is_memory_pure(body) && !expr_has_call(cond);
                 // The condition re-evaluates every iteration: its invariant
                 // parts are worth hoisting too.
                 self.scan_expr(cond, &writes, &at_loop, &mut hoisted);
                 self.scan_block(body, &writes, &at_loop, &mut hoisted);
             }
             StmtKind::For { body, .. } => {
-                self.mem_pure = block_is_memory_pure(body);
                 // start/stop/step evaluate once already; only the body pays
                 // per iteration.
                 self.scan_block(body, &writes, &at_loop, &mut hoisted);
@@ -119,16 +101,12 @@ impl Licm<'_> {
         hoisted
             .into_iter()
             .map(|(value, dst, (line, prov))| {
-                let what = if matches!(value.kind, ExprKind::Load(_)) {
-                    "hoisted loop-invariant load (proven in-bounds) into"
-                } else {
-                    "hoisted loop-invariant expression into"
-                };
+                let name = &self.f.locals[dst.0 as usize].name;
                 self.remarks.push(Remark::applied(
                     "licm",
                     line,
                     prov,
-                    format!("{} '{}'", what, self.f.locals[dst.0 as usize].name),
+                    format!("hoisted loop-invariant expression into '{name}'"),
                 ));
                 let mut prelude =
                     IrStmt::synthesized(Span::synthetic(), StmtKind::Assign { dst, value });
@@ -182,43 +160,14 @@ impl Licm<'_> {
         e.children_mut(&mut |c| self.scan_expr(c, writes, site, out));
     }
 
-    /// A hoist candidate is a compound register-valued expression that is
-    /// stable and mentions no local the loop writes — or, when the loop
-    /// cannot change memory, an invariant load whose address is proven
-    /// in-bounds of a frame local (so it cannot trap on a zero-trip loop).
+    /// A hoist candidate is a compound register-valued expression every node
+    /// of which is stable and reads no local the loop writes.
     fn hoistable(&self, e: &IrExpr, writes: &LocalSet) -> bool {
-        if let ExprKind::Load(addr) = &e.kind {
-            return self.mem_pure
-                && e.ty.is_register()
-                && self.invariant(addr, writes)
-                && addr_bases_unwritten(addr, writes)
-                && self.types.is_some_and(|reg| {
-                    proven_const_access(addr, &self.f.locals, reg, e.ty.size(reg))
-                });
-        }
-        is_compound(e) && e.ty.is_register() && self.invariant(e, writes)
+        is_compound(e)
+            && e.ty.is_register()
+            && !e.any(&mut |n| {
+                !node_is_stable(n, Some(&self.f.locals))
+                    || matches!(n.kind, ExprKind::Local(l) if writes.contains(l))
+            })
     }
-
-    /// Every node of `e` is stable and reads no local the loop writes.
-    fn invariant(&self, e: &IrExpr, writes: &LocalSet) -> bool {
-        !e.any(&mut |n| {
-            !node_is_stable(n, Some(&self.f.locals))
-                || matches!(n.kind, ExprKind::Local(l) if writes.contains(l))
-        })
-    }
-}
-
-/// No statement in the block (or any nested block) can change memory: no
-/// stores, no memory copies, and no calls anywhere, including in expression
-/// position (builtins count: `memset`, `free`) and as a `parallelfor`, whose
-/// kernel may write through captured pointers.
-fn block_is_memory_pure(stmts: &[IrStmt]) -> bool {
-    let writes = |s: &IrStmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::CopyMem { .. });
-    !IrStmt::any(stmts, &mut |s| writes(s)) && !block_has_call(stmts)
-}
-
-/// Every frame local whose address feeds `addr` is unwritten by the loop
-/// (wholesale reassignment of the local would change what the load sees).
-fn addr_bases_unwritten(addr: &IrExpr, writes: &LocalSet) -> bool {
-    !addr.any(&mut |e| matches!(e.kind, ExprKind::LocalAddr(l) if writes.contains(l)))
 }

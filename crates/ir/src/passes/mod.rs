@@ -303,7 +303,7 @@ impl Pass {
             Pass::Unroll => unroll::run(f, remarks),
             Pass::CopyProp => copyprop::run(f, remarks),
             Pass::Affine => affine::run(f, cfg, remarks),
-            Pass::Licm => licm::run(f, cfg, remarks),
+            Pass::Licm => licm::run(f, remarks),
             Pass::Dce => dce::run(f, remarks),
             Pass::CheckElim => cfg.elide_checks && checkelim::run(f, cfg, remarks),
         }

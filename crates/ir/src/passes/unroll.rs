@@ -84,7 +84,7 @@ pub(crate) fn run(f: &mut IrFunction, remarks: &mut Vec<Remark>) -> bool {
                 unreachable!("matched above")
             };
             let mut unrolled = copies(locals, &private, body, &plan);
-            fold_stmts(&mut unrolled, locals, &mut 0, remarks);
+            fold_stmts(&mut unrolled, &mut 0, remarks);
             count_reads(&unrolled, &mut reads, 1);
             let message = match plan.trips {
                 0 => "deleted a loop of 0 trips".to_string(),
@@ -137,15 +137,13 @@ fn copies(
     body: Vec<IrStmt>,
     p: &Plan,
 ) -> Vec<IrStmt> {
-    // An empty body goes whatever its trip count.
-    let trips = if body.is_empty() { 0 } else { p.trips };
     let (mut out, mut last) = (Vec::new(), body);
-    for k in 0..trips {
+    for k in 0..p.trips {
         let value = IrExpr::new(
             locals[p.var.0 as usize].ty.clone(),
             ExprKind::ConstInt((p.first + k * p.step) as i64),
         );
-        let mut copy = if k + 1 < trips {
+        let mut copy = if k + 1 < p.trips {
             last.clone()
         } else {
             std::mem::take(&mut last)

@@ -147,16 +147,6 @@ pub(crate) fn expr_has_call(e: &IrExpr) -> bool {
     e.any(&mut |n| matches!(n.kind, ExprKind::Call { .. }))
 }
 
-/// [`expr_has_call`] over every expression of `stmts` and the blocks nested
-/// in them; a `parallelfor` is a call to its kernel.
-pub(crate) fn block_has_call(stmts: &[IrStmt]) -> bool {
-    IrStmt::any(stmts, &mut |s| {
-        let mut found = matches!(s.kind, StmtKind::ParallelFor { .. });
-        s.operand_roots(&mut |e| found = found || expr_has_call(e));
-        found
-    })
-}
-
 /// The functions `stmts` call directly, and the kernels their `parallelfor`s
 /// run: each once, in id order.
 pub fn direct_calls(stmts: &[IrStmt]) -> BTreeSet<FuncId> {

@@ -688,8 +688,16 @@ impl Parser {
         })
     }
 
+    /// A primary expression and its suffixes: an index, a field, a method
+    /// call or a call. Only a prefix expression (Lua 5.1 §8: a name or a
+    /// parenthesised expression) takes them, so a literal ends the
+    /// expression: `7[0]` is not an index.
     fn suffixed_expr(&mut self) -> Result<LuaExpr> {
+        let prefix = matches!(self.peek(), Tok::Name(_) | Tok::LParen);
         let mut e = self.primary_expr()?;
+        if !prefix {
+            return Ok(e);
+        }
         loop {
             let span = self.span();
             match self.peek().clone() {
@@ -1338,8 +1346,15 @@ impl Parser {
         })
     }
 
+    /// [`suffixed_expr`](Self::suffixed_expr) in Terra, where an escape
+    /// `[e]` is a prefix expression too: after a literal, a `[` on the next
+    /// line starts a statement escape.
     fn terra_suffixed_expr(&mut self) -> Result<TerraExpr> {
+        let prefix = matches!(self.peek(), Tok::Name(_) | Tok::LParen | Tok::LBracket);
         let mut e = self.terra_primary_expr()?;
+        if !prefix {
+            return Ok(e);
+        }
         loop {
             let span = self.span();
             match self.peek().clone() {

@@ -993,9 +993,7 @@ impl<'a> Compiler<'a> {
                     }
                     (UnKind::Neg, _) => {
                         self.code.push(Instr::NegI { d, a });
-                        if !self.proven(e) {
-                            self.emit_norm(&e.ty, d);
-                        }
+                        self.emit_norm(&e.ty, d);
                     }
                     (UnKind::Not, Ty::Scalar(ScalarTy::Bool)) => {
                         self.code.push(Instr::NotB { d, a })

@@ -105,7 +105,7 @@ pub fn format_printf<E>(
             b's' | b'q' => {
                 arg(conv, &mut body)?;
                 if conv == b'q' {
-                    body = format!("{body:?}");
+                    body = quoted(&body);
                 } else if let Some((cut, _)) = prec.and_then(|p| body.char_indices().nth(p)) {
                     body.truncate(cut);
                 }
@@ -133,6 +133,27 @@ pub fn format_printf<E>(
     }
     out.push_str(rest);
     Ok(out)
+}
+
+/// `%q`: `s` in double quotes, readable back by Lua, as Lua 5.1's
+/// `addquoted` writes it: `"`, `\` and a newline behind a backslash, a
+/// carriage return as `\r`, a zero byte as `\000`, every other byte as is.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' | '\n' => {
+                out.push('\\');
+                out.push(c);
+            }
+            '\r' => out.push_str("\\r"),
+            '\0' => out.push_str("\\000"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// `%f`, `%e` or `%g` of a non-negative `v`.
